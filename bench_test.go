@@ -2,7 +2,7 @@ package elasticore
 
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation as Go benchmarks — one per artifact, plus ablations of the
-// design choices called out in DESIGN.md. Each benchmark delegates to the
+// design choices called out in ARCHITECTURE.md. Each benchmark delegates to the
 // corresponding internal/experiments harness and reports the figure's
 // headline quantities as custom metrics.
 //
@@ -257,7 +257,7 @@ func benchOverhead(b *testing.B, mode workload.Mode) {
 }
 
 // BenchmarkAblationControlPeriod sweeps the mechanism's control period,
-// the reaction-latency trade-off DESIGN.md calls out.
+// the reaction-latency trade-off ARCHITECTURE.md calls out.
 func BenchmarkAblationControlPeriod(b *testing.B) {
 	topo := numa.Opteron8387()
 	for _, period := range []float64{0.25e-3, 1e-3, 4e-3} {

@@ -61,7 +61,7 @@ type Mechanism struct {
 	total int
 	thMax int
 
-	last     numa.Counters
+	window   *numa.CounterWindow
 	nextEval uint64
 
 	events []TransitionEvent
@@ -100,12 +100,12 @@ func New(cfg Config) (*Mechanism, error) {
 
 	min, max := cfg.Strategy.Thresholds()
 	m := &Mechanism{
-		cfg:   cfg,
-		net:   petrinet.NewElasticNet(min, max, topo.TotalCores()),
-		topo:  topo,
-		total: topo.TotalCores(),
-		thMax: max,
-		last:  machine.Snapshot(),
+		cfg:    cfg,
+		net:    petrinet.NewElasticNet(min, max, topo.TotalCores()),
+		topo:   topo,
+		total:  topo.TotalCores(),
+		thMax:  max,
+		window: machine.NewCounterWindow(),
 	}
 
 	// Start from an empty set and allocate the initial cores through the
@@ -171,7 +171,10 @@ type Desire struct {
 	Label string
 	// Decision is the net's verdict for this window.
 	Decision petrinet.Decision
-	// Window is the counter delta the reading was computed over.
+	// Window is the counter delta the reading was computed over. It
+	// shares the mechanism's reusable window buffers: it is valid until
+	// the mechanism's next evaluation (Step or DesiredStep), and a caller
+	// keeping it longer must Clone it.
 	Window numa.Counters
 	// Backlog is the admission-queue depth observed this evaluation
 	// (zero when no backlog source is wired).
@@ -183,15 +186,11 @@ type Desire struct {
 // Provision marking is synchronized with the cgroup before evaluating (an
 // earlier decision may not have been honoured).
 func (m *Mechanism) evaluate() Desire {
-	machine := m.cfg.Scheduler.Machine()
-	snap := machine.Snapshot()
-	window := snap.Sub(m.last)
-	m.last = snap
-	m.nextEval = machine.Now() + m.cfg.ControlPeriod
+	window := m.window.Advance()
+	m.nextEval = m.cfg.Scheduler.Machine().Now() + m.cfg.ControlPeriod
 
 	current := m.cfg.CGroup.CPUs()
-	sample := Sample{Window: window, Allocated: current.Cores()}
-	u := m.cfg.Strategy.Reading(sample)
+	u := m.cfg.Strategy.Reading(Sample{Window: window, Allocated: current})
 	backlog := 0
 	if m.cfg.Backlog != nil {
 		backlog = m.cfg.Backlog()

@@ -1,9 +1,11 @@
 package elastic
 
 import (
+	"reflect"
 	"testing"
 
 	"elasticore/internal/numa"
+	"elasticore/internal/obs"
 	"elasticore/internal/petrinet"
 	"elasticore/internal/sched"
 )
@@ -328,5 +330,91 @@ func TestFindLONCNoSolution(t *testing.T) {
 	}
 	if _, ok := FindLONC(probe, 0, 10, 70); ok {
 		t.Error("FindLONC with 0 cores must fail")
+	}
+}
+
+// TestStepZeroAlloc: a steady-state control period — counter window,
+// strategy reading, net evaluation, event record, bus publish — allocates
+// nothing, dark or lit. The machine idles at one core (t0-Idle-t7) and
+// then saturates at all sixteen (t1-Overload-t6), the two steady states a
+// run spends its periods in. The events timeline grows by amortised
+// append, which is not a per-step cost: the test pre-sizes it.
+func TestStepZeroAlloc(t *testing.T) {
+	for _, lit := range []bool{false, true} {
+		s, m := newRig(t, func(topo *numa.Topology) Allocator {
+			return NewAdaptive(topo, func() []int { return make([]int, topo.NodeCount) })
+		})
+		published := 0
+		if lit {
+			bus := obs.NewBus(64)
+			bus.Subscribe(obs.KindTransition, func(obs.Event) { published++ })
+			m.SetBus(bus, "")
+		}
+		m.events = make([]TransitionEvent, 0, 4096)
+		step := func() {
+			s.Tick()
+			m.Step()
+		}
+		check := func(state, label string) {
+			t.Helper()
+			if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+				t.Errorf("lit=%v %s: Step allocated %v times per period, want 0", lit, state, allocs)
+			}
+			if got := m.events[len(m.events)-1].Label; got != label {
+				t.Errorf("lit=%v %s: last label %q, want %q", lit, state, got, label)
+			}
+		}
+		check("idle", "t0-Idle-t7")
+		for i := 0; i < 32; i++ {
+			s.Spawn(1, "w", busyWork{})
+		}
+		for m.Allocated().Count() < 16 {
+			step()
+		}
+		check("saturated", "t1-Overload-t6")
+		if lit && published != len(m.events) {
+			t.Errorf("bus saw %d transitions, timeline has %d", published, len(m.events))
+		}
+	}
+}
+
+// TestDesireWindowValidUntilNextEvaluation pins the lifetime rule of
+// Desire.Window: it aliases the mechanism's reusable buffers, so a later
+// evaluation overwrites it, while a caller that cloned what it needed
+// keeps exactly what it saw. Each window must equal the value-API delta
+// between the snapshots taken at its two ends.
+func TestDesireWindowValidUntilNextEvaluation(t *testing.T) {
+	s, m := newRig(t, nil)
+	machine := s.Machine()
+	for i := 0; i < 4; i++ {
+		s.Spawn(1, "w", busyWork{})
+	}
+	run := func(ticks int) numa.Counters {
+		for i := 0; i < ticks; i++ {
+			s.Tick()
+		}
+		return machine.Snapshot()
+	}
+	start := machine.Snapshot()
+
+	mid := run(10)
+	first := m.DesiredStep()
+	kept := first.Window.Clone()
+	if want := mid.Sub(start); !reflect.DeepEqual(kept, want) {
+		t.Fatalf("first window = %+v, want %+v", kept, want)
+	}
+
+	end := run(3)
+	second := m.DesiredStep()
+	if want := end.Sub(mid); !reflect.DeepEqual(second.Window, want) {
+		t.Errorf("second window = %+v, want %+v", second.Window, want)
+	}
+	if want := mid.Sub(start); !reflect.DeepEqual(kept, want) {
+		t.Errorf("cloned first window changed to %+v, want %+v", kept, want)
+	}
+	// The un-cloned first window has been recycled: its buffer now holds
+	// the cumulative counters the third window will be measured from.
+	if reflect.DeepEqual(first.Window.Cores, kept.Cores) {
+		t.Error("first.Window survived the next evaluation; the lifetime rule documented on Desire.Window is stale")
 	}
 }

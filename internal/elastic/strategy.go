@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"elasticore/internal/numa"
+	"elasticore/internal/sched"
 )
 
 // Sample is the monitoring window handed to a Strategy each control
@@ -11,7 +12,7 @@ import (
 // currently allocated to the database cgroup.
 type Sample struct {
 	Window    numa.Counters
-	Allocated []numa.CoreID
+	Allocated sched.CPUSet
 }
 
 // Strategy turns a monitoring window into the scalar reading u the PrT net
@@ -38,9 +39,10 @@ type CPULoadStrategy struct {
 func (CPULoadStrategy) Name() string { return "cpu-load" }
 
 // Reading implements Strategy: the arithmetic CPU-load average of the
-// allocated cores.
+// allocated cores (of all cores when none is allocated).
 func (CPULoadStrategy) Reading(s Sample) int {
-	return int(math.Round(s.Window.CPULoad(s.Allocated)))
+	var buf [64]numa.CoreID // a CPUSet holds at most 64 cores
+	return int(math.Round(s.Window.CPULoad(s.Allocated.AppendCores(buf[:0]))))
 }
 
 // Thresholds implements Strategy.

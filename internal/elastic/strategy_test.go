@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"elasticore/internal/numa"
+	"elasticore/internal/sched"
 )
 
 func sampleWith(busy, idle uint64, ht, imc uint64) Sample {
@@ -12,7 +13,7 @@ func sampleWith(busy, idle uint64, ht, imc uint64) Sample {
 		Cores: make([]numa.CoreCounters, 16),
 	}
 	c.Cores[0] = numa.CoreCounters{BusyCycles: busy, IdleCycles: idle}
-	return Sample{Window: c, Allocated: []numa.CoreID{0}}
+	return Sample{Window: c, Allocated: sched.NewCPUSet(0)}
 }
 
 func TestCPULoadReading(t *testing.T) {
@@ -30,11 +31,11 @@ func TestCPULoadAveragesOnlyAllocatedCores(t *testing.T) {
 	c.Cores[0] = numa.CoreCounters{BusyCycles: 100} // 100% busy
 	c.Cores[5] = numa.CoreCounters{IdleCycles: 100} // 0% busy, not allocated
 	s := CPULoadStrategy{}
-	got := s.Reading(Sample{Window: c, Allocated: []numa.CoreID{0}})
+	got := s.Reading(Sample{Window: c, Allocated: sched.NewCPUSet(0)})
 	if got != 100 {
 		t.Errorf("Reading over allocated core = %d, want 100", got)
 	}
-	got = s.Reading(Sample{Window: c, Allocated: []numa.CoreID{0, 5}})
+	got = s.Reading(Sample{Window: c, Allocated: sched.NewCPUSet(0, 5)})
 	if got != 50 {
 		t.Errorf("Reading over two cores = %d, want 50", got)
 	}

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // histogram.go implements the latency histogram behind the open-loop
@@ -129,12 +128,15 @@ func (h *Histogram) Quantiles(qs ...float64) []uint64 {
 		return out
 	}
 	// Rank each quantile, then resolve them in ascending-rank order while
-	// cumulating buckets once. idx keeps the caller's order.
+	// cumulating buckets once. pos keeps the caller's order. Callers ask
+	// for a handful of quantiles, so an insertion sort into a stack array
+	// orders them without sort.Slice's closure and swapper allocations.
 	type want struct {
 		rank uint64
 		pos  int
 	}
-	wants := make([]want, len(qs))
+	var buf [8]want
+	wants := buf[:0]
 	for i, q := range qs {
 		rank := uint64(math.Ceil(q * float64(h.count)))
 		if rank < 1 {
@@ -143,9 +145,13 @@ func (h *Histogram) Quantiles(qs ...float64) []uint64 {
 		if rank > h.count {
 			rank = h.count
 		}
-		wants[i] = want{rank: rank, pos: i}
+		wants = append(wants, want{})
+		j := i
+		for ; j > 0 && wants[j-1].rank > rank; j-- {
+			wants[j] = wants[j-1]
+		}
+		wants[j] = want{rank: rank, pos: i}
 	}
-	sort.Slice(wants, func(i, j int) bool { return wants[i].rank < wants[j].rank })
 	clamp := func(v uint64) uint64 {
 		if v < h.min {
 			return h.min

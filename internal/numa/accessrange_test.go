@@ -217,3 +217,105 @@ func TestLRUSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state LRU churn allocated %v times per run, want 0", allocs)
 	}
 }
+
+// TestWriteRangeZeroAlloc guards invalidateRemote: a write-heavy
+// AccessRange walks every remote core's private cache per block by index
+// (CoreOf), never through a materialised per-node core list, so charging
+// it allocates nothing once the caches and the cost memo exist.
+func TestWriteRangeZeroAlloc(t *testing.T) {
+	topo := Opteron8387()
+	m := NewMachine(topo)
+	const blocks = 64
+	region := m.Memory().AllocOn(blocks, NodeID(topo.NodeCount-1), 1)
+	write := RangeAccess{Start: region.Block(0), Blocks: blocks, Write: true, PID: 1}
+	read := RangeAccess{Start: region.Block(0), Blocks: blocks, PID: 1}
+	// Readers on every node first, so the writes have copies to invalidate.
+	warm := func() {
+		for n := 0; n < topo.NodeCount; n++ {
+			m.AccessRange(topo.CoreOf(NodeID(n), 1), read)
+		}
+	}
+	warm()
+	m.AccessRange(0, write)
+	before := m.Snapshot().Nodes[0].Invalidations
+	allocs := testing.AllocsPerRun(50, func() {
+		warm()
+		m.AccessRange(0, write)
+	})
+	if allocs != 0 {
+		t.Fatalf("read+write ranges allocated %v times per run, want 0", allocs)
+	}
+	if after := m.Snapshot().Nodes[0].Invalidations; after == before {
+		t.Fatal("the write ranges invalidated nothing; the guard did not reach invalidateRemote's remote walk")
+	}
+}
+
+// TestCounterWindowMatchesSnapshotSub pins the reusable window to the
+// value API it replaces in the control loop: over a random history of
+// reads, writes, busy/idle charging, page faults and clock advances, every
+// Advance must equal Snapshot().Sub(previous snapshot) exactly, on windows
+// of irregular length including empty ones.
+func TestCounterWindowMatchesSnapshotSub(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		topo := Opteron8387()
+		m := NewMachine(topo)
+		const blocks = 256
+		m.Memory().Alloc(blocks)
+		quantum := topo.SecondsToCycles(50e-6)
+		cores := topo.TotalCores()
+
+		// Traffic before the window exists must not show in it.
+		for i, ra := range randomRanges(seed+100, blocks)[:50] {
+			m.AccessRange(CoreID(i%cores), ra)
+		}
+		w := m.NewCounterWindow()
+		last := m.Snapshot()
+
+		rng := rand.New(rand.NewSource(seed))
+		windows := 0
+		for i, ra := range randomRanges(seed, blocks) {
+			core := CoreID(i % cores)
+			m.AccessRange(core, ra)
+			m.ChargeBusy(core, uint64(rng.Intn(1000)))
+			m.ChargeIdle(CoreID((i+1)%cores), uint64(rng.Intn(1000)))
+			if i%3 == 0 {
+				m.AdvanceTime(quantum)
+			}
+			if rng.Intn(4) != 0 {
+				continue
+			}
+			// Sometimes two windows back to back: the second is empty.
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				snap := m.Snapshot()
+				want := snap.Sub(last)
+				last = snap
+				if got := w.Advance(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d op %d: window = %+v, Snapshot().Sub() = %+v", seed, i, got, want)
+				}
+				windows++
+			}
+		}
+		if windows < 100 {
+			t.Fatalf("seed %d: only %d windows compared", seed, windows)
+		}
+		if last.TotalMinorFaults() == 0 || last.TotalHTBytes() == 0 {
+			t.Fatalf("seed %d: history raised no faults or no interconnect traffic", seed)
+		}
+	}
+}
+
+// TestCounterWindowAdvanceZeroAlloc: the window is the allocation-free
+// replacement for the snapshot triple.
+func TestCounterWindowAdvanceZeroAlloc(t *testing.T) {
+	m := NewMachine(Opteron8387())
+	w := m.NewCounterWindow()
+	var sink uint64
+	allocs := testing.AllocsPerRun(500, func() {
+		m.ChargeBusy(3, 10)
+		m.AdvanceTime(100)
+		sink += w.Advance().Cores[3].BusyCycles
+	})
+	if allocs != 0 || sink == 0 {
+		t.Fatalf("Advance allocated %v times per call (sink %d), want 0", allocs, sink)
+	}
+}

@@ -304,12 +304,12 @@ func (h *cacheHierarchy) invalidateRemote(writerCore CoreID, b BlockID) int {
 		if h.shared[n].Invalidate(b) {
 			invalidated++
 		}
-		for _, c := range h.topo.Cores(NodeID(n)) {
-			h.private[c].Invalidate(b)
+		for j := 0; j < h.topo.CoresPerNode; j++ {
+			h.private[h.topo.CoreOf(NodeID(n), j)].Invalidate(b)
 		}
 	}
-	for _, c := range h.topo.Cores(writerNode) {
-		if c != writerCore {
+	for j := 0; j < h.topo.CoresPerNode; j++ {
+		if c := h.topo.CoreOf(writerNode, j); c != writerCore {
 			h.private[c].Invalidate(b)
 		}
 	}

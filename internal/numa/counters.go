@@ -55,32 +55,43 @@ func (c Counters) Clone() Counters {
 }
 
 // Sub returns the per-event deltas of c relative to an earlier snapshot
-// prev. It is the windowing primitive the mechanism uses each control
-// period.
+// prev, as a new value. Phase start/end windows use it; the per-period
+// control loop uses the allocation-free CounterWindow instead.
 func (c Counters) Sub(prev Counters) Counters {
-	out := c.Clone()
-	out.Now = c.Now - prev.Now
-	for i := range out.Nodes {
-		if i >= len(prev.Nodes) {
-			break
-		}
-		out.Nodes[i].L3Hits -= prev.Nodes[i].L3Hits
-		out.Nodes[i].L3Misses -= prev.Nodes[i].L3Misses
-		out.Nodes[i].HTBytesOut -= prev.Nodes[i].HTBytesOut
-		out.Nodes[i].HTBytesIn -= prev.Nodes[i].HTBytesIn
-		out.Nodes[i].IMCBytes -= prev.Nodes[i].IMCBytes
-		out.Nodes[i].MinorFaults -= prev.Nodes[i].MinorFaults
-		out.Nodes[i].Invalidations -= prev.Nodes[i].Invalidations
-		out.Nodes[i].DataTouches -= prev.Nodes[i].DataTouches
+	out := Counters{
+		Nodes: make([]NodeCounters, len(c.Nodes)),
+		Cores: make([]CoreCounters, len(c.Cores)),
 	}
-	for i := range out.Cores {
-		if i >= len(prev.Cores) {
-			break
-		}
-		out.Cores[i].BusyCycles -= prev.Cores[i].BusyCycles
-		out.Cores[i].IdleCycles -= prev.Cores[i].IdleCycles
-	}
+	out.setDelta(c, prev)
 	return out
+}
+
+// setDelta stores cur - prev into d, whose slices are already sized like
+// cur's. d may alias either operand: every element is read before it is
+// written. Entries prev lacks keep cur's value.
+func (d *Counters) setDelta(cur, prev Counters) {
+	d.Now = cur.Now - prev.Now
+	for i, n := range cur.Nodes {
+		if i < len(prev.Nodes) {
+			p := prev.Nodes[i]
+			n.L3Hits -= p.L3Hits
+			n.L3Misses -= p.L3Misses
+			n.HTBytesOut -= p.HTBytesOut
+			n.HTBytesIn -= p.HTBytesIn
+			n.IMCBytes -= p.IMCBytes
+			n.MinorFaults -= p.MinorFaults
+			n.Invalidations -= p.Invalidations
+			n.DataTouches -= p.DataTouches
+		}
+		d.Nodes[i] = n
+	}
+	for i, c := range cur.Cores {
+		if i < len(prev.Cores) {
+			c.BusyCycles -= prev.Cores[i].BusyCycles
+			c.IdleCycles -= prev.Cores[i].IdleCycles
+		}
+		d.Cores[i] = c
+	}
 }
 
 // TotalHTBytes returns interconnect bytes summed over nodes (requester

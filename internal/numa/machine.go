@@ -446,15 +446,49 @@ func (m *Machine) L3Resident(n NodeID, b BlockID) bool {
 // Snapshot returns a copy of all counters at the current virtual time.
 func (m *Machine) Snapshot() Counters {
 	c := Counters{
-		Now:   m.now,
-		Nodes: append([]NodeCounters(nil), m.nodes...),
-		Cores: append([]CoreCounters(nil), m.cores...),
+		Nodes: make([]NodeCounters, len(m.nodes)),
+		Cores: make([]CoreCounters, len(m.cores)),
 	}
-	faults := m.mem.MinorFaults()
-	for i := range c.Nodes {
-		c.Nodes[i].MinorFaults = faults[i]
-	}
+	m.readCounters(&c)
 	return c
+}
+
+// readCounters copies the cumulative counters into c, whose slices are
+// already sized to the machine.
+func (m *Machine) readCounters(c *Counters) {
+	c.Now = m.now
+	copy(c.Nodes, m.nodes)
+	copy(c.Cores, m.cores)
+	for i, faults := range m.mem.minorFaults {
+		c.Nodes[i].MinorFaults = faults
+	}
+}
+
+// CounterWindow reads the machine's counters as successive deltas without
+// allocating: the per-control-period replacement for
+// snap := Snapshot(); w := snap.Sub(last); last = snap. It owns two
+// buffers, one holding the cumulative counters at the previous Advance and
+// one holding the delta handed out, and swaps their roles on every call.
+type CounterWindow struct {
+	m           *Machine
+	last, delta Counters
+}
+
+// NewCounterWindow returns a window whose first Advance reports the deltas
+// since this call.
+func (m *Machine) NewCounterWindow() *CounterWindow {
+	return &CounterWindow{m: m, last: m.Snapshot(), delta: m.Snapshot()}
+}
+
+// Advance returns the counter deltas since the previous Advance (or since
+// NewCounterWindow) and starts the next window. The returned Counters
+// share the window's storage: they are valid until the next Advance and
+// must be copied (Clone) to be kept longer.
+func (w *CounterWindow) Advance() Counters {
+	w.m.readCounters(&w.delta)
+	w.last.setDelta(w.delta, w.last)
+	w.last, w.delta = w.delta, w.last
+	return w.delta
 }
 
 // Residency exposes the per-node live-block counts for a set of PIDs (the

@@ -60,7 +60,7 @@ type Snapshot struct {
 type Probe struct {
 	cfg     ProbeConfig
 	topo    *numa.Topology
-	last    numa.Counters
+	window  *numa.CounterWindow
 	nextAt  uint64
 	latency *metrics.Histogram
 	samples []Snapshot
@@ -78,7 +78,7 @@ func NewProbe(cfg ProbeConfig) *Probe {
 	return &Probe{
 		cfg:    cfg,
 		topo:   topo,
-		last:   cfg.Machine.Snapshot(),
+		window: cfg.Machine.NewCounterWindow(),
 		nextAt: cfg.Machine.Now() + cfg.Every,
 	}
 }
@@ -106,9 +106,7 @@ func (p *Probe) Maybe() {
 // Sample records one Snapshot now and schedules the next interval.
 func (p *Probe) Sample() {
 	machine := p.cfg.Machine
-	snap := machine.Snapshot()
-	window := snap.Sub(p.last)
-	p.last = snap
+	window := p.window.Advance()
 	p.nextAt = machine.Now() + p.cfg.Every
 
 	s := Snapshot{

@@ -67,3 +67,31 @@ func TestProbeLatencyQuantiles(t *testing.T) {
 		t.Fatalf("P99 = %d, want %d", samples[0].P99, want)
 	}
 }
+
+// TestProbeSampleZeroAlloc: without a latency histogram (whose Quantiles
+// returns a fresh slice) a sample reads the reusable counter window,
+// prices it and records a flat Snapshot; nothing is allocated. The
+// timeline's amortised growth is not a per-sample cost and is pre-sized
+// away here.
+func TestProbeSampleZeroAlloc(t *testing.T) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	p := NewProbe(ProbeConfig{
+		Machine:   machine,
+		Every:     1000,
+		Allocated: func() int { return 4 },
+		Reading:   func() int { return 42 },
+		Backlog:   func() int { return 0 },
+	})
+	p.samples = make([]Snapshot, 0, 1024)
+	allocs := testing.AllocsPerRun(500, func() {
+		machine.AdvanceTime(1000)
+		machine.ChargeBusy(0, 600)
+		p.Sample()
+	})
+	if allocs != 0 {
+		t.Fatalf("Sample allocated %v times per call, want 0", allocs)
+	}
+	if last := p.samples[len(p.samples)-1]; last.EnergyJoules <= 0 || last.Allocated != 4 {
+		t.Fatalf("last sample = %+v, want a priced window with 4 cores", last)
+	}
+}

@@ -23,10 +23,10 @@ func (n *Net) markingKey() MarkingKey {
 	for _, p := range n.places {
 		b.WriteString(p.Name)
 		b.WriteByte('=')
-		toks := n.marking[p]
+		toks := n.marking[p.idx]
 		parts := make([]string, len(toks))
 		for i, tok := range toks {
-			parts[i] = tok.String()
+			parts[i] = n.TokenString(tok)
 		}
 		sort.Strings(parts)
 		b.WriteString(strings.Join(parts, ","))
@@ -36,27 +36,18 @@ func (n *Net) markingKey() MarkingKey {
 }
 
 // snapshotMarking copies the full marking.
-func (n *Net) snapshotMarking() map[*Place][]Token {
-	out := make(map[*Place][]Token, len(n.marking))
-	for p, toks := range n.marking {
-		cp := make([]Token, len(toks))
-		for i, tok := range toks {
-			cp[i] = tok.Clone()
-		}
-		out[p] = cp
+func (n *Net) snapshotMarking() [][]Token {
+	out := make([][]Token, len(n.marking))
+	for i, toks := range n.marking {
+		out[i] = append([]Token(nil), toks...)
 	}
 	return out
 }
 
-// restoreMarking replaces the marking with a snapshot.
-func (n *Net) restoreMarking(m map[*Place][]Token) {
-	n.marking = make(map[*Place][]Token, len(m))
-	for p, toks := range m {
-		cp := make([]Token, len(toks))
-		for i, tok := range toks {
-			cp[i] = tok.Clone()
-		}
-		n.marking[p] = cp
+// restoreMarking replaces the marking with a copy of a snapshot.
+func (n *Net) restoreMarking(m [][]Token) {
+	for i, toks := range m {
+		n.marking[i] = append(n.marking[i][:0], toks...)
 	}
 }
 
@@ -87,7 +78,7 @@ func (n *Net) Explore(maxStates int) Reachability {
 
 	res := Reachability{}
 	seen := map[MarkingKey]bool{}
-	queue := []map[*Place][]Token{n.snapshotMarking()}
+	queue := [][][]Token{n.snapshotMarking()}
 
 	for len(queue) > 0 {
 		if res.States >= maxStates {

@@ -9,19 +9,20 @@ func TestExploreSimpleCycle(t *testing.T) {
 	// A two-place cycle with one token has exactly two reachable
 	// markings and no deadlock.
 	n := New()
+	x := n.Var("x")
 	a, b := n.AddPlace("A"), n.AddPlace("B")
-	carry := func(bd Binding) Token { return Token{"x": bd["x"]} }
+	carry := func(bd Binding) Token { return Tok(x, bd.Get(x)) }
 	n.AddTransition(&Transition{
 		Name: "ab",
-		In:   []InArc{{Place: a, Vars: []string{"x"}}},
-		Out:  []OutArc{{Place: b, Vars: []string{"x"}, Expr: carry}},
+		In:   []InArc{{Place: a, Vars: []Var{x}}},
+		Out:  []OutArc{{Place: b, Vars: []Var{x}, Expr: carry}},
 	})
 	n.AddTransition(&Transition{
 		Name: "ba",
-		In:   []InArc{{Place: b, Vars: []string{"x"}}},
-		Out:  []OutArc{{Place: a, Vars: []string{"x"}, Expr: carry}},
+		In:   []InArc{{Place: b, Vars: []Var{x}}},
+		Out:  []OutArc{{Place: a, Vars: []Var{x}, Expr: carry}},
 	})
-	n.Put(a, Token{"x": 1})
+	n.Put(a, Tok(x, 1))
 	res := n.Explore(100)
 	if res.States != 2 {
 		t.Errorf("states = %d, want 2", res.States)
@@ -41,12 +42,13 @@ func TestExploreDetectsDeadlock(t *testing.T) {
 	// A sink transition consumes the token and never produces: the empty
 	// marking deadlocks.
 	n := New()
+	x := n.Var("x")
 	a := n.AddPlace("A")
 	n.AddTransition(&Transition{
 		Name: "sink",
-		In:   []InArc{{Place: a, Vars: []string{"x"}}},
+		In:   []InArc{{Place: a, Vars: []Var{x}}},
 	})
-	n.Put(a, Token{"x": 1})
+	n.Put(a, Tok(x, 1))
 	res := n.Explore(100)
 	if len(res.Deadlocks) == 0 {
 		t.Error("sink net reported no deadlock")
@@ -55,13 +57,14 @@ func TestExploreDetectsDeadlock(t *testing.T) {
 
 func TestExploreRestoresMarking(t *testing.T) {
 	n := New()
+	x := n.Var("x")
 	a, b := n.AddPlace("A"), n.AddPlace("B")
 	n.AddTransition(&Transition{
 		Name: "ab",
-		In:   []InArc{{Place: a, Vars: []string{"x"}}},
-		Out:  []OutArc{{Place: b, Vars: []string{"x"}, Expr: func(bd Binding) Token { return Token{"x": bd["x"]} }}},
+		In:   []InArc{{Place: a, Vars: []Var{x}}},
+		Out:  []OutArc{{Place: b, Vars: []Var{x}, Expr: func(bd Binding) Token { return Tok(x, bd.Get(x)) }}},
 	})
-	n.Put(a, Token{"x": 7})
+	n.Put(a, Tok(x, 7))
 	before := n.MarkingString()
 	n.Explore(50)
 	if after := n.MarkingString(); after != before {
@@ -81,7 +84,7 @@ func TestElasticNetFormalProperties(t *testing.T) {
 			e := NewElasticNet(10, 70, nTotal)
 			e.SetNAlloc(nalloc)
 			e.Net().Drain(e.Checks)
-			e.Net().Put(e.Checks, Token{"u": u})
+			e.Net().Put(e.Checks, Tok(e.Net().Var("u"), u))
 
 			res := e.Net().Explore(1000)
 			if res.Truncated {

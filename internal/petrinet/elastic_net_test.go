@@ -265,3 +265,28 @@ func TestNewElasticNetValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestEvaluateZeroAlloc: tokens are fixed-size values, places reuse their
+// storage and the path labels are constants, so a control period —
+// re-synchronizing Provision, then evaluating a reading on any of the
+// paths — never allocates.
+func TestEvaluateZeroAlloc(t *testing.T) {
+	e := newNet()
+	readings := []int{5, 40, 90, 40, 90, 5, 0, 100}
+	// One lap first: each place grows its one-token storage once.
+	for _, u := range readings {
+		e.Evaluate(u)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		e.SetNAlloc(1 + i%16)
+		ev := e.Evaluate(readings[i%len(readings)])
+		if ev.Label == "" {
+			t.Fatal("empty label")
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("SetNAlloc+Evaluate allocated %v times per run, want 0", allocs)
+	}
+}

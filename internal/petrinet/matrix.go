@@ -66,7 +66,7 @@ func (n *Net) SymbolicPre() SymbolicMatrix {
 	m := n.emptySymbolic()
 	for _, t := range n.transitions {
 		for _, arc := range t.In {
-			m.Cells[arc.Place.idx][t.idx] = strings.Join(arc.Vars, ",")
+			m.Cells[arc.Place.idx][t.idx] = n.varNames(arc.Vars)
 		}
 	}
 	return m
@@ -77,7 +77,7 @@ func (n *Net) SymbolicPost() SymbolicMatrix {
 	m := n.emptySymbolic()
 	for _, t := range n.transitions {
 		for _, arc := range t.Out {
-			m.Cells[arc.Place.idx][t.idx] = strings.Join(arc.Vars, ",")
+			m.Cells[arc.Place.idx][t.idx] = n.varNames(arc.Vars)
 		}
 	}
 	return m

@@ -17,35 +17,53 @@ import (
 	"strings"
 )
 
-// Token is a value-carrying token: a small set of named integer fields
-// (e.g. {u: 40} in Checks or {nalloc: 3} in Provision).
-type Token map[string]int
+// maxVars bounds how many distinct variables one net may intern; it sizes
+// the fixed slot array of a Token.
+const maxVars = 4
 
-// Clone returns a deep copy of the token.
-func (t Token) Clone() Token {
-	out := make(Token, len(t))
-	for k, v := range t {
-		out[k] = v
-	}
-	return out
+// Var is a variable interned on a net (Net.Var): the index of its slot in
+// every token and binding of that net.
+type Var uint8
+
+// Token is a value-carrying token: a small set of integer fields, one slot
+// per interned variable plus a presence mask (e.g. {u: 40} in Checks or
+// {nalloc: 3} in Provision). It is a plain value: copying it copies the
+// token, and firing a transition allocates nothing.
+type Token struct {
+	mask uint8
+	vals [maxVars]int
 }
 
-// String renders the token deterministically, e.g. "{nalloc:3 u:99}".
-func (t Token) String() string {
-	keys := make([]string, 0, len(t))
-	for k := range t {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s:%d", k, t[k])
-	}
-	return "{" + strings.Join(parts, " ") + "}"
+// Binding is the variable assignment produced by consuming input tokens:
+// the union of their fields.
+type Binding = Token
+
+// Tok returns the token {v: x}.
+func Tok(v Var, x int) Token { return Token{}.With(v, x) }
+
+// With returns the token with field v set to x.
+func (t Token) With(v Var, x int) Token {
+	t.mask |= 1 << v
+	t.vals[v] = x
+	return t
 }
 
-// Binding is the variable assignment produced by consuming input tokens.
-type Binding map[string]int
+// Has reports whether the token carries field v.
+func (t Token) Has(v Var) bool { return t.mask&(1<<v) != 0 }
+
+// Get returns field v, or zero when the token does not carry it (With is
+// the only writer, so an absent field's slot is still zero).
+func (t Token) Get(v Var) int { return t.vals[v] }
+
+// merge overlays o's fields on t (o wins where both carry a field).
+func (t Token) merge(o Token) Token {
+	for v := Var(0); v < maxVars; v++ {
+		if o.Has(v) {
+			t = t.With(v, o.vals[v])
+		}
+	}
+	return t
+}
 
 // Place is a node of the net holding tokens.
 type Place struct {
@@ -58,14 +76,14 @@ type Place struct {
 // mentions (for symbolic matrices; binding itself takes all fields).
 type InArc struct {
 	Place *Place
-	Vars  []string
+	Vars  []Var
 }
 
 // OutArc produces a token on Place when its transition fires. Expr builds
 // the token from the binding; Vars names the inscription for display.
 type OutArc struct {
 	Place *Place
-	Vars  []string
+	Vars  []Var
 	Expr  func(Binding) Token
 }
 
@@ -86,18 +104,36 @@ type Transition struct {
 type Net struct {
 	places      []*Place
 	transitions []*Transition
-	marking     map[*Place][]Token
+	vars        []string
+	// marking holds each place's tokens in arrival order, indexed by
+	// Place.idx.
+	marking [][]Token
 }
 
 // New returns an empty net.
-func New() *Net {
-	return &Net{marking: make(map[*Place][]Token)}
+func New() *Net { return &Net{} }
+
+// Var interns a variable name, returning the same Var for the same name.
+// It panics beyond maxVars distinct names: a net's variables are fixed by
+// its construction code, never by input.
+func (n *Net) Var(name string) Var {
+	for i, v := range n.vars {
+		if v == name {
+			return Var(i)
+		}
+	}
+	if len(n.vars) == maxVars {
+		panic(fmt.Sprintf("petrinet: more than %d variables (adding %q)", maxVars, name))
+	}
+	n.vars = append(n.vars, name)
+	return Var(len(n.vars) - 1)
 }
 
 // AddPlace creates a place with the given name.
 func (n *Net) AddPlace(name string) *Place {
 	p := &Place{Name: name, idx: len(n.places)}
 	n.places = append(n.places, p)
+	n.marking = append(n.marking, nil)
 	return p
 }
 
@@ -117,49 +153,35 @@ func (n *Net) Transitions() []*Transition { return n.transitions }
 
 // Put adds a token to a place.
 func (n *Net) Put(p *Place, t Token) {
-	n.marking[p] = append(n.marking[p], t.Clone())
+	n.marking[p.idx] = append(n.marking[p.idx], t)
 }
 
-// Drain removes and returns all tokens from a place.
-func (n *Net) Drain(p *Place) []Token {
-	out := n.marking[p]
-	n.marking[p] = nil
-	return out
+// Drain removes all tokens from a place, keeping its storage.
+func (n *Net) Drain(p *Place) {
+	n.marking[p.idx] = n.marking[p.idx][:0]
 }
 
 // Tokens returns the tokens currently marking a place (not copied).
-func (n *Net) Tokens(p *Place) []Token { return n.marking[p] }
+func (n *Net) Tokens(p *Place) []Token { return n.marking[p.idx] }
 
 // TokenCount returns how many tokens mark a place. It is the paper's
 // function M(p) telling, e.g., how many cores a place represents.
-func (n *Net) TokenCount(p *Place) int { return len(n.marking[p]) }
-
-// bind consumes the head token of each input place of t, producing the
-// binding, or reports failure if any input place is empty. It does not
-// mutate the marking.
-func (n *Net) bind(t *Transition) (Binding, bool) {
-	b := make(Binding)
-	for _, arc := range t.In {
-		toks := n.marking[arc.Place]
-		if len(toks) == 0 {
-			return nil, false
-		}
-		for k, v := range toks[0] {
-			b[k] = v
-		}
-	}
-	return b, true
-}
+func (n *Net) TokenCount(p *Place) int { return len(n.marking[p.idx]) }
 
 // Enabled reports whether transition t can fire under the current marking
-// and, if so, the binding it would fire with.
+// and, if so, the binding it would fire with: the head token of every
+// input place, merged. It does not mutate the marking.
 func (n *Net) Enabled(t *Transition) (Binding, bool) {
-	b, ok := n.bind(t)
-	if !ok {
-		return nil, false
+	var b Binding
+	for _, arc := range t.In {
+		toks := n.marking[arc.Place.idx]
+		if len(toks) == 0 {
+			return Binding{}, false
+		}
+		b = b.merge(toks[0])
 	}
 	if t.Guard != nil && !t.Guard(b) {
-		return nil, false
+		return Binding{}, false
 	}
 	return b, true
 }
@@ -170,28 +192,60 @@ func (n *Net) Enabled(t *Transition) (Binding, bool) {
 func (n *Net) Fire(t *Transition) (Binding, error) {
 	b, ok := n.Enabled(t)
 	if !ok {
-		return nil, fmt.Errorf("petrinet: transition %s not enabled", t.Name)
+		return Binding{}, fmt.Errorf("petrinet: transition %s not enabled", t.Name)
 	}
-	for _, arc := range t.In {
-		n.marking[arc.Place] = n.marking[arc.Place][1:]
-	}
-	for _, arc := range t.Out {
-		n.marking[arc.Place] = append(n.marking[arc.Place], arc.Expr(b))
-	}
+	n.fire(t, b)
 	return b, nil
 }
 
+// fire applies an enabled transition under binding b. Popping the head
+// shifts the remainder down so the place keeps its backing array.
+func (n *Net) fire(t *Transition, b Binding) {
+	for _, arc := range t.In {
+		toks := n.marking[arc.Place.idx]
+		n.marking[arc.Place.idx] = toks[:copy(toks, toks[1:])]
+	}
+	for _, arc := range t.Out {
+		n.Put(arc.Place, arc.Expr(b))
+	}
+}
+
 // Step fires the first enabled transition in registration order, returning
-// it and its binding, or (nil, nil) when the net is quiescent.
+// it and its binding, or (nil, Binding{}) when the net is quiescent.
 func (n *Net) Step() (*Transition, Binding) {
 	for _, t := range n.transitions {
 		if b, ok := n.Enabled(t); ok {
-			if _, err := n.Fire(t); err == nil {
-				return t, b
-			}
+			n.fire(t, b)
+			return t, b
 		}
 	}
-	return nil, nil
+	return nil, Binding{}
+}
+
+// TokenString renders a token deterministically with its variables sorted
+// by name, e.g. "{nalloc:3 u:99}".
+func (n *Net) TokenString(t Token) string {
+	var vars []int
+	for i := range n.vars {
+		if t.Has(Var(i)) {
+			vars = append(vars, i)
+		}
+	}
+	sort.Slice(vars, func(i, j int) bool { return n.vars[vars[i]] < n.vars[vars[j]] })
+	parts := make([]string, len(vars))
+	for i, v := range vars {
+		parts[i] = fmt.Sprintf("%s:%d", n.vars[v], t.vals[v])
+	}
+	return "{" + strings.Join(parts, " ") + "}"
+}
+
+// varNames renders an arc inscription, e.g. "u,nalloc".
+func (n *Net) varNames(vars []Var) string {
+	names := make([]string, len(vars))
+	for i, v := range vars {
+		names[i] = n.vars[v]
+	}
+	return strings.Join(names, ",")
 }
 
 // MarkingString renders the full marking deterministically (diagnostics).
@@ -201,7 +255,15 @@ func (n *Net) MarkingString() string {
 		if b.Len() > 0 {
 			b.WriteString(" ")
 		}
-		fmt.Fprintf(&b, "%s=%v", p.Name, n.marking[p])
+		b.WriteString(p.Name)
+		b.WriteString("=[")
+		for i, tok := range n.marking[p.idx] {
+			if i > 0 {
+				b.WriteString(" ")
+			}
+			b.WriteString(n.TokenString(tok))
+		}
+		b.WriteString("]")
 	}
 	return b.String()
 }

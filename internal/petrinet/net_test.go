@@ -9,13 +9,14 @@ import (
 // transition that increments it.
 func buildSimpleNet() (*Net, *Place, *Place, *Transition) {
 	n := New()
+	x := n.Var("x")
 	a := n.AddPlace("A")
 	b := n.AddPlace("B")
 	t := n.AddTransition(&Transition{
 		Name: "inc",
-		In:   []InArc{{Place: a, Vars: []string{"x"}}},
-		Out: []OutArc{{Place: b, Vars: []string{"x"}, Expr: func(bd Binding) Token {
-			return Token{"x": bd["x"] + 1}
+		In:   []InArc{{Place: a, Vars: []Var{x}}},
+		Out: []OutArc{{Place: b, Vars: []Var{x}, Expr: func(bd Binding) Token {
+			return Tok(x, bd.Get(x)+1)
 		}}},
 	})
 	return n, a, b, t
@@ -23,19 +24,20 @@ func buildSimpleNet() (*Net, *Place, *Place, *Transition) {
 
 func TestFireMovesAndTransformsToken(t *testing.T) {
 	n, a, b, tr := buildSimpleNet()
-	n.Put(a, Token{"x": 41})
+	x := n.Var("x")
+	n.Put(a, Tok(x, 41))
 	bind, err := n.Fire(tr)
 	if err != nil {
 		t.Fatalf("Fire: %v", err)
 	}
-	if bind["x"] != 41 {
-		t.Errorf("binding x = %d, want 41", bind["x"])
+	if bind.Get(x) != 41 {
+		t.Errorf("binding x = %d, want 41", bind.Get(x))
 	}
 	if n.TokenCount(a) != 0 {
 		t.Error("input place still marked")
 	}
 	toks := n.Tokens(b)
-	if len(toks) != 1 || toks[0]["x"] != 42 {
+	if len(toks) != 1 || toks[0].Get(x) != 42 {
 		t.Errorf("output tokens = %v, want [{x:42}]", toks)
 	}
 }
@@ -50,18 +52,19 @@ func TestFireNotEnabledErrors(t *testing.T) {
 
 func TestGuardBlocksFiring(t *testing.T) {
 	n := New()
+	x := n.Var("x")
 	a := n.AddPlace("A")
 	tr := n.AddTransition(&Transition{
 		Name:  "gated",
-		Guard: func(b Binding) bool { return b["x"] > 10 },
-		In:    []InArc{{Place: a, Vars: []string{"x"}}},
+		Guard: func(b Binding) bool { return b.Get(x) > 10 },
+		In:    []InArc{{Place: a, Vars: []Var{x}}},
 	})
-	n.Put(a, Token{"x": 5})
+	n.Put(a, Tok(x, 5))
 	if _, ok := n.Enabled(tr); ok {
 		t.Error("guard x>10 enabled with x=5")
 	}
 	n.Drain(a)
-	n.Put(a, Token{"x": 11})
+	n.Put(a, Tok(x, 11))
 	if _, ok := n.Enabled(tr); !ok {
 		t.Error("guard x>10 not enabled with x=11")
 	}
@@ -69,23 +72,24 @@ func TestGuardBlocksFiring(t *testing.T) {
 
 func TestStepFiresFirstEnabled(t *testing.T) {
 	n := New()
+	x := n.Var("x")
 	a := n.AddPlace("A")
 	fired := ""
 	mk := func(name string, guard func(Binding) bool) *Transition {
 		return n.AddTransition(&Transition{
 			Name:  name,
 			Guard: guard,
-			In:    []InArc{{Place: a, Vars: []string{"x"}}},
-			Out: []OutArc{{Place: a, Vars: []string{"x"}, Expr: func(b Binding) Token {
+			In:    []InArc{{Place: a, Vars: []Var{x}}},
+			Out: []OutArc{{Place: a, Vars: []Var{x}, Expr: func(b Binding) Token {
 				fired = name
-				return Token{"x": b["x"]}
+				return Tok(x, b.Get(x))
 			}}},
 		})
 	}
 	mk("never", func(Binding) bool { return false })
 	mk("yes", nil)
 	mk("also", nil)
-	n.Put(a, Token{"x": 1})
+	n.Put(a, Tok(x, 1))
 	tr, _ := n.Step()
 	if tr == nil || tr.Name != "yes" || fired != "yes" {
 		t.Errorf("Step fired %v, want yes", tr)
@@ -104,19 +108,20 @@ func TestTokenConservationUnderFiring(t *testing.T) {
 	// arc, the total token count is invariant under any firing sequence.
 	f := func(seed uint8, steps uint8) bool {
 		n := New()
+		x := n.Var("x")
 		places := []*Place{n.AddPlace("p0"), n.AddPlace("p1"), n.AddPlace("p2")}
 		for i := range places {
 			next := places[(i+1)%len(places)]
 			from := places[i]
 			n.AddTransition(&Transition{
 				Name: "t",
-				In:   []InArc{{Place: from, Vars: []string{"x"}}},
-				Out:  []OutArc{{Place: next, Vars: []string{"x"}, Expr: func(b Binding) Token { return Token{"x": b["x"]} }}},
+				In:   []InArc{{Place: from, Vars: []Var{x}}},
+				Out:  []OutArc{{Place: next, Vars: []Var{x}, Expr: func(b Binding) Token { return Tok(x, b.Get(x)) }}},
 			})
 		}
 		total := int(seed%5) + 1
 		for i := 0; i < total; i++ {
-			n.Put(places[i%3], Token{"x": i})
+			n.Put(places[i%3], Tok(x, i))
 		}
 		for i := 0; i < int(steps); i++ {
 			n.Step()
@@ -133,9 +138,65 @@ func TestTokenConservationUnderFiring(t *testing.T) {
 }
 
 func TestTokenString(t *testing.T) {
-	tok := Token{"u": 99, "nalloc": 3}
-	if got := tok.String(); got != "{nalloc:3 u:99}" {
-		t.Errorf("String = %q", got)
+	n := New()
+	u, nalloc := n.Var("u"), n.Var("nalloc")
+	if got := n.TokenString(Tok(u, 99).With(nalloc, 3)); got != "{nalloc:3 u:99}" {
+		t.Errorf("TokenString = %q", got)
+	}
+	if got := n.TokenString(Token{}); got != "{}" {
+		t.Errorf("empty TokenString = %q", got)
+	}
+}
+
+func TestTokenFields(t *testing.T) {
+	n := New()
+	u, nalloc := n.Var("u"), n.Var("nalloc")
+	if n.Var("u") != u {
+		t.Error("interning the same name twice returned a new Var")
+	}
+	tok := Tok(u, 0)
+	if !tok.Has(u) || tok.Has(nalloc) {
+		t.Errorf("presence wrong: has u %v, has nalloc %v", tok.Has(u), tok.Has(nalloc))
+	}
+	// An absent field reads as zero, as a missing map key did.
+	if tok.Get(nalloc) != 0 {
+		t.Errorf("absent field = %d, want 0", tok.Get(nalloc))
+	}
+	if tok == tok.With(nalloc, 0) {
+		t.Error("a token carrying nalloc:0 equals one without the field")
+	}
+}
+
+func TestVarLimitPanics(t *testing.T) {
+	n := New()
+	for _, name := range []string{"a", "b", "c", "d"} {
+		n.Var(name)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("interning a fifth variable did not panic")
+		}
+	}()
+	n.Var("e")
+}
+
+func TestFirePopsHeadAndKeepsOrder(t *testing.T) {
+	n, a, b, tr := buildSimpleNet()
+	x := n.Var("x")
+	for _, v := range []int{1, 2, 3} {
+		n.Put(a, Tok(x, v))
+	}
+	for _, want := range []int{2, 3} {
+		if _, err := n.Fire(tr); err != nil {
+			t.Fatal(err)
+		}
+		toks := n.Tokens(b)
+		if got := toks[len(toks)-1].Get(x); got != want {
+			t.Errorf("fired head %d, want %d", got-1, want-1)
+		}
+	}
+	if got := n.MarkingString(); got != "A=[{x:3}] B=[{x:2} {x:3}]" {
+		t.Errorf("marking = %q", got)
 	}
 }
 

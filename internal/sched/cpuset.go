@@ -54,11 +54,16 @@ func (s CPUSet) Count() int { return bits.OnesCount64(uint64(s)) }
 
 // Cores returns the member cores in ascending order.
 func (s CPUSet) Cores() []numa.CoreID {
-	out := make([]numa.CoreID, 0, s.Count())
+	return s.AppendCores(make([]numa.CoreID, 0, s.Count()))
+}
+
+// AppendCores appends the member cores in ascending order to dst, letting
+// per-period callers enumerate a set into a stack buffer.
+func (s CPUSet) AppendCores(dst []numa.CoreID) []numa.CoreID {
 	for v := uint64(s); v != 0; v &= v - 1 {
-		out = append(out, numa.CoreID(bits.TrailingZeros64(v)))
+		dst = append(dst, numa.CoreID(bits.TrailingZeros64(v)))
 	}
-	return out
+	return dst
 }
 
 // Intersect returns the intersection of two sets.

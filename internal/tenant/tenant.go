@@ -187,7 +187,7 @@ func (t *Tenant) desire(share float64) int {
 		}
 		// Reading is linear in traffic, so scaling the reading equals
 		// scaling the attributed traffic.
-		r := int(float64(s.Reading(elastic.Sample{Window: d.Window, Allocated: t.CGroup.CPUs().Cores()})) * share)
+		r := int(float64(s.Reading(elastic.Sample{Window: d.Window, Allocated: t.CGroup.CPUs()})) * share)
 		floor, ceil := s.Thresholds()
 		switch {
 		case r > ceil && demand <= cur:

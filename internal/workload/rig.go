@@ -290,14 +290,10 @@ func (r *Rig) EnableProbe(interval uint64) *obs.Probe {
 		Allocated: func() int { return r.CGroup.CPUs().Count() },
 	}
 	if r.Mech != nil {
-		strategy := r.Mech.Strategy()
-		machine, group := r.Machine, r.CGroup
-		var last numa.Counters = machine.Snapshot()
+		strategy, group := r.Mech.Strategy(), r.CGroup
+		window := r.Machine.NewCounterWindow()
 		cfg.Reading = func() int {
-			snap := machine.Snapshot()
-			window := snap.Sub(last)
-			last = snap
-			return strategy.Reading(elastic.Sample{Window: window, Allocated: group.CPUs().Cores()})
+			return strategy.Reading(elastic.Sample{Window: window.Advance(), Allocated: group.CPUs()})
 		}
 	}
 	r.Probe = obs.NewProbe(cfg)
@@ -308,18 +304,15 @@ func (r *Rig) EnableProbe(interval uint64) *obs.Probe {
 // single-tenant rig: per-node touches of homed data since the previous
 // allocator decision (the paper's per-PID page accounting, restricted to
 // pages the running threads actually use). The first call returns the
-// cumulative touches — the delta since an all-zero baseline.
+// touches since this constructor ran; NewRig calls it on a machine no
+// thread has run on yet, so that is every touch so far.
 func touchDeltaResidency(machine *numa.Machine) elastic.ResidencyFunc {
-	var prev []uint64
+	window := machine.NewCounterWindow()
 	return func() []int {
-		snap := machine.Snapshot()
-		if prev == nil {
-			prev = make([]uint64, len(snap.Nodes))
-		}
-		out := make([]int, len(snap.Nodes))
-		for i, n := range snap.Nodes {
-			out[i] = int(n.DataTouches - prev[i])
-			prev[i] = n.DataTouches
+		nodes := window.Advance().Nodes
+		out := make([]int, len(nodes))
+		for i, n := range nodes {
+			out[i] = int(n.DataTouches)
 		}
 		return out
 	}
