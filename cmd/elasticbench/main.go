@@ -37,8 +37,6 @@ func main() {
 		err = cmdList(args[1:])
 	case len(args) > 0 && args[0] == "run":
 		err = cmdRun(args[1:])
-	case len(args) > 0 && args[0] == "bench":
-		err = cmdBench(args[1:])
 	case len(args) > 0 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help"):
 		usage(os.Stdout)
 	default:
@@ -56,7 +54,6 @@ func usage(w *os.File) {
 Commands:
   list [-tag S]            list experiments with descriptions and tags
   run <name>... [flags]    run experiments ("all" expands the registry)
-  bench [flags]            time the fixed perf suite (fast vs naive paths)
 
 Tags group experiments for selection (list -tag S, experiments.WithTag):
   microbench   single-query / single-operator measurements (figs 4-5, 13-16)
@@ -75,13 +72,6 @@ Tags group experiments for selection (list -tag S, experiments.WithTag):
   petrinet     the PrT net itself (state transitions)
   cluster      sharded fleets behind the scatter/route coordinator
   faults       failure injection: crashes, slow cores, lossy links
-
-Bench flags:
-  -quick           run only the quick tier (CI smoke)
-  -out FILE        write the JSON report (the BENCH_<n>.json trajectory)
-  -baseline FILE   fail if fast wall time regresses vs an earlier report
-  -max-regress F   regression factor allowed against -baseline (default 2)
-  -skip-naive      skip the naive-path comparison runs
 
 Run flags:
   -sf F        TPC-H scale factor (default 0.005; paper: 1.0)

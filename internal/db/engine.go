@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 
 	"elasticore/internal/deque"
 	"elasticore/internal/numa"
@@ -436,7 +437,9 @@ func (e *Engine) Release(q *Query) {
 	q.released = true
 	for i := range e.queries {
 		if e.queries[i] == q {
-			e.queries = append(e.queries[:i], e.queries[i+1:]...)
+			// slices.Delete zeroes the vacated tail slot, so the backing
+			// array does not keep a released query reachable.
+			e.queries = slices.Delete(e.queries, i, i+1)
 			break
 		}
 	}

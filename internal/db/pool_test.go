@@ -79,6 +79,24 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestReleaseDropsEveryReference: removing a query from the tracking list
+// must not leave a released query reachable from the vacated tail of the
+// backing array — its buffers are back in the pool by then.
+func TestReleaseDropsEveryReference(t *testing.T) {
+	eng, run := poolRig(t)
+	qs := []*Query{run(), run(), run()}
+	eng.Release(qs[1]) // middle: the old shift left a copy of qs[2] in the tail
+	eng.Release(qs[2]) // last: the old reslice left qs[2] itself there
+	if len(eng.queries) != 1 || eng.queries[0] != qs[0] {
+		t.Fatalf("tracking list = %v, want only the unreleased query", eng.queries)
+	}
+	for i, q := range eng.queries[:cap(eng.queries)][1:] {
+		if q != nil {
+			t.Errorf("backing slot %d still holds a released query", i+1)
+		}
+	}
+}
+
 // TestReleaseIgnoresNilAndUnfinished: the guard also covers the trivially
 // invalid calls — nil queries and queries still executing.
 func TestReleaseIgnoresNilAndUnfinished(t *testing.T) {

@@ -3,9 +3,10 @@
 // It replaces the two O(n) queue idioms the simulator's hot paths grew up
 // with: the `q = q[1:]` slice-shift FIFO (which strands backing capacity
 // and forces reallocating appends) and the `append([]*T{x}, q...)`
-// front-insert (which copies the whole queue per wake-up). All deque
-// operations except RemoveAt are O(1) amortized and allocation-free once
-// the ring has grown to its steady-state capacity.
+// front-insert (which copies the whole queue per wake-up). Every operation
+// is O(1) amortized except RemoveAt, which shifts the shorter side
+// (O(min(i, n-i))), and Clear (O(n)); none allocates once the ring has
+// grown to its steady-state capacity.
 package deque
 
 // Deque is a double-ended queue over a power-of-two ring buffer. The zero
@@ -111,27 +112,6 @@ func (d *Deque[T]) shiftLeftRaw(s, count int) {
 	copy(buf[s-1:], buf[s:])
 	buf[n-1] = buf[0]
 	copy(buf[:e-1], buf[1:e])
-}
-
-// InsertAt inserts v so it becomes the i-th element from the front,
-// preserving the order of the others. It shifts the shorter side, so the
-// cost is O(min(i, n-i)). It panics when i is outside [0, Len()].
-func (d *Deque[T]) InsertAt(i int, v T) {
-	if i < 0 || i > d.n {
-		panic("deque: index out of range")
-	}
-	d.ensure()
-	mask := len(d.buf) - 1
-	if i < d.n-i {
-		// Shift the front half back by one.
-		d.head = (d.head - 1) & mask
-		d.shiftLeftRaw((d.head+1)&mask, i)
-	} else {
-		// Shift the back half forward by one.
-		d.shiftRightRaw((d.head+i)&mask, d.n-i)
-	}
-	d.buf[(d.head+i)&mask] = v
-	d.n++
 }
 
 // RemoveAt removes and returns the i-th element from the front, preserving

@@ -67,7 +67,7 @@ func TestRemoveAtAgainstSlice(t *testing.T) {
 		if d.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, want %d", step, d.Len(), len(ref))
 		}
-		switch op := rng.Intn(6); {
+		switch op := rng.Intn(5); {
 		case op == 0 || len(ref) == 0:
 			d.PushBack(next)
 			ref = append(ref, next)
@@ -82,11 +82,6 @@ func TestRemoveAtAgainstSlice(t *testing.T) {
 				t.Fatalf("step %d: PopFront = %d, want %d", step, v, ref[0])
 			}
 			ref = ref[1:]
-		case op == 3:
-			i := rng.Intn(len(ref) + 1)
-			d.InsertAt(i, next)
-			ref = append(ref[:i], append([]int{next}, ref[i:]...)...)
-			next++
 		default:
 			i := rng.Intn(len(ref))
 			v := d.RemoveAt(i)

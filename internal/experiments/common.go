@@ -99,7 +99,7 @@ type Config struct {
 	// the walk-every-core tick loop, per-block memory charging, unpooled
 	// Go-map operator execution and uncached dataset generation. Results
 	// are bit-identical to the default fast paths; only wall-clock time
-	// differs. Used by the equivalence tests and `elasticbench bench`.
+	// differs. Used by the equivalence tests.
 	Naive bool
 	// Bus, when set, is attached to every rig the experiment builds, so
 	// one telemetry stream spans the run (`elasticbench run -trace`).

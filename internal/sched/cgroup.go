@@ -33,10 +33,16 @@ func (g *CGroup) PIDs() []int {
 	return out
 }
 
-// AddPID places a process (and its future threads) under the group.
+// AddPID places a process (and its future threads) under the group,
+// taking it out of the group it belonged to before: a process is in at
+// most one cgroup.
 func (g *CGroup) AddPID(pid int) {
+	p := g.sched.proc(pid)
+	if p.group != nil {
+		delete(p.group.pids, pid)
+	}
 	g.pids[pid] = true
-	g.sched.pidGroup[pid] = g
+	p.group = g
 	g.sched.reconcileGroup(g)
 }
 

@@ -232,3 +232,35 @@ func TestWakeAllSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state tick+WakeAll allocated %v times per run, want 0", allocs)
 	}
 }
+
+// spawnHerd parks n always-blocking threads of one PID across the whole
+// machine: the shape a broadcast WakeAll sees under PlacementOS.
+func spawnHerd(s *Scheduler, pid, n int) []*Thread {
+	block := RunnerFunc(func(_ *ExecContext, _ uint64) (uint64, bool, bool) { return 0, true, false })
+	threads := make([]*Thread, n)
+	for i := range threads {
+		threads[i] = s.Spawn(pid, "herd", block)
+	}
+	s.Tick() // every thread runs once and blocks
+	return threads
+}
+
+// TestWakeAllHerdZeroAlloc is the same guard at herd scale: 4096 parked
+// threads over 16 cores, woken and re-parked, allocate nothing once warm.
+func TestWakeAllHerdZeroAlloc(t *testing.T) {
+	s := New(numa.NewMachine(numa.Opteron8387()), Config{})
+	spawnHerd(s, 1, 4096)
+	cycle := func() {
+		s.WakeAll(1)
+		s.Tick()
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("herd WakeAll+tick allocated %v times per run, want 0", allocs)
+	}
+	if st := s.Stats(); st.SpuriousWakeups != st.Wakeups || st.Wakeups == 0 {
+		t.Fatalf("%d of %d herd wake-ups counted spurious, want all", st.SpuriousWakeups, st.Wakeups)
+	}
+}

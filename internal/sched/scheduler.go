@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"elasticore/internal/deque"
@@ -44,6 +45,13 @@ type Stats struct {
 	CrossNodeMigrations uint64
 	// TicksRun counts scheduler quanta executed.
 	TicksRun uint64
+	// Wakeups counts Blocked threads put back on a run queue.
+	Wakeups uint64
+	// SpuriousWakeups counts the wake-ups whose thread found nothing to
+	// do: its first slice used zero cycles and it blocked again. Under
+	// WakeAll's broadcast this is the per-operator thread churn of the
+	// paper's Figures 4 and 5, as a number.
+	SpuriousWakeups uint64
 }
 
 // MigrationEvent describes one thread reassignment, feeding the lifespan /
@@ -63,17 +71,68 @@ type RunSlice struct {
 	Cycles uint64
 }
 
-// blockedSet tracks one process's Blocked threads in ascending-TID order,
-// giving WakeAll its wake order without scanning the global thread table.
-// The order is kept in a ring deque because the churn is directional:
-// WakeAll pushes woken threads to their queues' heads in ascending TID
-// order, so they re-block mostly in descending TID order — a front insert
-// here — while freshly spawned threads block at the back. Middle inserts
-// are the rare case. scratch is the drain buffer, reused so a steady-state
-// WakeAll allocates nothing.
-type blockedSet struct {
-	items   deque.Deque[*Thread]
-	scratch []*Thread
+// procTable is one process's thread table: a slot per thread in spawn
+// order plus a bitmap of the slots whose thread is Blocked. TIDs are
+// handed out monotonically, so slot order is ascending-TID order and
+// WakeAll reads its wake order straight off the bitmap; parking and
+// unparking a thread is one bit flip through Thread.proc/Thread.slot.
+// An exiting thread leaves a nil slot behind; compact squeezes those out.
+// scratch is WakeAll's drain buffer, reused so a steady-state WakeAll
+// allocates nothing.
+type procTable struct {
+	group    *CGroup   // nil while the process is in no cgroup
+	slots    []*Thread // nil where the thread has exited
+	live     int       // non-nil slots
+	blocked  []uint64  // bit i set <=> slots[i].state == Blocked
+	nblocked int
+	scratch  []*Thread
+}
+
+// compactMinSlots is the table size below which exited threads' slots
+// are not worth reclaiming.
+const compactMinSlots = 128
+
+// add gives a freshly spawned thread the next slot.
+func (p *procTable) add(t *Thread) {
+	t.proc, t.slot = p, len(p.slots)
+	p.slots = append(p.slots, t)
+	p.live++
+	if t.slot>>6 == len(p.blocked) {
+		p.blocked = append(p.blocked, 0)
+	}
+}
+
+// remove vacates an exiting thread's slot and compacts the table once
+// fewer than half its slots are live, so memory follows the live thread
+// count even though a long-lived thread pins the front of the table.
+func (p *procTable) remove(t *Thread) {
+	p.slots[t.slot] = nil
+	p.live--
+	if len(p.slots) >= compactMinSlots && 2*p.live < len(p.slots) {
+		p.compact()
+	}
+}
+
+// compact squeezes the nil slots out in place, preserving slot order,
+// and rebuilds the bitmap over the new indices. Threads exit from
+// Running, never from Blocked, so every set bit survives.
+func (p *procTable) compact() {
+	clear(p.blocked)
+	n := 0
+	for _, t := range p.slots {
+		if t == nil {
+			continue
+		}
+		t.slot = n
+		p.slots[n] = t
+		if t.state == Blocked {
+			p.blocked[n>>6] |= 1 << (n & 63)
+		}
+		n++
+	}
+	clear(p.slots[n:])
+	p.slots = p.slots[:n]
+	p.blocked = p.blocked[:(n+63)>>6]
 }
 
 // Scheduler is the OS CPU scheduler model.
@@ -88,14 +147,13 @@ type Scheduler struct {
 	threads map[TID]*Thread
 	nextTID TID
 
-	// blocked indexes Blocked threads by owning PID so WakeAll is O(woken)
-	// instead of O(all threads * log). It is maintained in both scheduler
-	// modes; only WakeAll's lookup strategy differs under Config.Naive.
-	blocked map[int]*blockedSet
+	// procs holds one thread table per PID. It is maintained in both
+	// scheduler modes; only WakeAll's lookup strategy differs under
+	// Config.Naive.
+	procs map[int]*procTable
 
-	groups   map[string]*CGroup
-	pidGroup map[int]*CGroup
-	rootSet  CPUSet
+	groups  map[string]*CGroup
+	rootSet CPUSet
 
 	stats Stats
 	tick  int
@@ -132,17 +190,16 @@ func New(m *numa.Machine, cfg Config) *Scheduler {
 		cfg.BalanceThreshold = 2
 	}
 	return &Scheduler{
-		machine:  m,
-		topo:     topo,
-		cfg:      cfg,
-		queues:   make([]deque.Deque[*Thread], topo.TotalCores()),
-		threads:  make(map[TID]*Thread),
-		nextTID:  1,
-		blocked:  make(map[int]*blockedSet),
-		groups:   make(map[string]*CGroup),
-		pidGroup: make(map[int]*CGroup),
-		rootSet:  FullSet(topo),
-		execCtx:  make([]ExecContext, topo.TotalCores()),
+		machine: m,
+		topo:    topo,
+		cfg:     cfg,
+		queues:  make([]deque.Deque[*Thread], topo.TotalCores()),
+		threads: make(map[TID]*Thread),
+		nextTID: 1,
+		procs:   make(map[int]*procTable),
+		groups:  make(map[string]*CGroup),
+		rootSet: FullSet(topo),
+		execCtx: make([]ExecContext, topo.TotalCores()),
 	}
 }
 
@@ -259,12 +316,22 @@ func (s *Scheduler) NewCGroup(name string) *CGroup {
 	return g
 }
 
+// proc returns pid's thread table, creating it on first use.
+func (s *Scheduler) proc(pid int) *procTable {
+	p := s.procs[pid]
+	if p == nil {
+		p = &procTable{}
+		s.procs[pid] = p
+	}
+	return p
+}
+
 // allowedSet computes where a thread may run: its cgroup cpuset intersected
 // with any hard pin. An empty intersection falls back to the pin (the
 // kernel refuses to starve a pinned thread).
 func (s *Scheduler) allowedSet(t *Thread) CPUSet {
 	set := s.rootSet
-	if g, ok := s.pidGroup[t.PID]; ok {
+	if g := t.proc.group; g != nil {
 		set = g.cpus
 	}
 	if !t.pinned.IsEmpty() {
@@ -312,6 +379,7 @@ func (s *Scheduler) Spawn(pid int, name string, r Runner, opts ...SpawnOption) *
 	for _, opt := range opts {
 		opt(t)
 	}
+	s.proc(pid).add(t)
 	t.core = s.placementCore(t)
 	s.pushBack(t.core, t)
 	s.threads[t.ID] = t
@@ -362,51 +430,20 @@ func (s *Scheduler) placementCore(t *Thread) numa.CoreID {
 	return best
 }
 
-// blockThread registers a thread that just entered the Blocked state,
-// keeping its PID's set TID-sorted: O(1) at either end, shift-the-shorter-
-// side in the middle.
+// blockThread marks a thread that just entered the Blocked state.
 func (s *Scheduler) blockThread(t *Thread) {
-	bs := s.blocked[t.PID]
-	if bs == nil {
-		bs = &blockedSet{}
-		s.blocked[t.PID] = bs
-	}
-	n := bs.items.Len()
-	switch {
-	case n == 0 || bs.items.At(n-1).ID < t.ID:
-		bs.items.PushBack(t)
-	case t.ID < bs.items.At(0).ID:
-		bs.items.PushFront(t)
-	default:
-		bs.items.InsertAt(searchBlocked(&bs.items, t.ID), t)
-	}
+	p := t.proc
+	p.blocked[t.slot>>6] |= 1 << (t.slot & 63)
+	p.nblocked++
 }
 
-// searchBlocked returns the insertion slot for id in the TID-sorted set
-// (a closure-free sort.Search).
-func searchBlocked(items *deque.Deque[*Thread], id TID) int {
-	lo, hi := 0, items.Len()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if items.At(mid).ID < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// unblockThread removes a thread from its PID's blocked set. Absence is
-// tolerated: a WakeAll drain detaches the set before waking its members.
+// unblockThread clears a thread's blocked mark. An already clear mark is
+// tolerated: a WakeAll drain clears the marks before waking their threads.
 func (s *Scheduler) unblockThread(t *Thread) {
-	bs := s.blocked[t.PID]
-	if bs == nil || bs.items.Len() == 0 {
-		return
-	}
-	i := searchBlocked(&bs.items, t.ID)
-	if i < bs.items.Len() && bs.items.At(i) == t {
-		bs.items.RemoveAt(i)
+	p := t.proc
+	if bit := uint64(1) << (t.slot & 63); p.blocked[t.slot>>6]&bit != 0 {
+		p.blocked[t.slot>>6] &^= bit
+		p.nblocked--
 	}
 }
 
@@ -419,6 +456,8 @@ func (s *Scheduler) Wake(t *Thread) {
 		return
 	}
 	s.unblockThread(t)
+	s.stats.Wakeups++
+	t.woken = true
 	allowed := s.allowedSet(t)
 	target := t.core
 	if !allowed.Contains(target) {
@@ -472,26 +511,27 @@ func (s *Scheduler) WakeAll(pid int) {
 		}
 		return
 	}
-	bs := s.blocked[pid]
-	if bs == nil || bs.items.Len() == 0 {
+	p := s.procs[pid]
+	if p == nil || p.nblocked == 0 {
 		return
 	}
-	n := bs.items.Len()
-	// Drain into the reusable scratch batch first: each Wake's
-	// unblockThread then sees an empty set instead of mutating the
-	// collection we iterate.
-	batch := bs.scratch[:0]
-	for i := 0; i < n; i++ {
-		batch = append(batch, bs.items.At(i))
+	// Drain into the reusable scratch batch first, clearing the marks as
+	// they are read: each Wake's unblockThread (and anything re-entering
+	// Wake from a subscriber) then sees an empty set instead of mutating
+	// the bitmap we iterate.
+	batch := p.scratch[:0]
+	for w, word := range p.blocked {
+		for ; word != 0; word &= word - 1 {
+			batch = append(batch, p.slots[w<<6+bits.TrailingZeros64(word)])
+		}
+		p.blocked[w] = 0
 	}
-	bs.items.Clear()
+	p.nblocked = 0
 	for _, t := range batch {
 		s.Wake(t)
 	}
-	for i := range batch {
-		batch[i] = nil
-	}
-	bs.scratch = batch[:0]
+	clear(batch)
+	p.scratch = batch
 }
 
 // recordMigration updates counters and fires the trace hook for a thread
@@ -522,7 +562,7 @@ func (s *Scheduler) reconcileGroup(g *CGroup) {
 		displaced = displaced[:0]
 		for i := 0; i < s.queues[core].Len(); {
 			t := s.queues[core].At(i)
-			if g.pids[t.PID] && !s.allowedSet(t).Contains(numa.CoreID(core)) {
+			if t.proc.group == g && !s.allowedSet(t).Contains(numa.CoreID(core)) {
 				s.removeAt(numa.CoreID(core), i)
 				displaced = append(displaced, t)
 				continue
@@ -627,6 +667,8 @@ func (s *Scheduler) runCore(core numa.CoreID, start uint64) {
 			continue
 		}
 		t.state = Running
+		woken := t.woken
+		t.woken = false
 		ctx := s.sliceCtx(core, t)
 		used, blocked, done := t.runner.Run(ctx, avail)
 		if used > avail {
@@ -654,7 +696,11 @@ func (s *Scheduler) runCore(core numa.CoreID, start uint64) {
 			t.state = Done
 			t.exited = s.machine.Now() + (s.cfg.Quantum - budget)
 			delete(s.threads, t.ID)
+			t.proc.remove(t)
 		case blocked:
+			if woken && used == 0 {
+				s.stats.SpuriousWakeups++
+			}
 			t.state = Blocked
 			s.blockThread(t)
 		default:

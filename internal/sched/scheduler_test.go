@@ -75,6 +75,43 @@ func TestCGroupRestrictsPlacement(t *testing.T) {
 	_ = other // may land anywhere; just must not panic
 }
 
+// TestAddPIDMovesBetweenGroups: a process is in one cgroup at a time.
+// Re-homing it drops it from the old group's membership (which feeds
+// residency accounting) and from the old group's cpuset writes.
+func TestAddPIDMovesBetweenGroups(t *testing.T) {
+	s := newTestSched()
+	a, b := s.NewCGroup("a"), s.NewCGroup("b")
+	a.SetCPUs(NewCPUSet(0, 1))
+	b.SetCPUs(NewCPUSet(8, 9))
+	a.AddPID(7)
+	a.AddPID(8)
+	var ths []*Thread
+	for i := 0; i < 4; i++ {
+		ths = append(ths, s.Spawn(7, "w", &fixedWork{remaining: 100 * s.Quantum()}))
+	}
+	b.AddPID(7)
+	if got := a.PIDs(); len(got) != 1 || got[0] != 8 {
+		t.Errorf("old group still lists %v, want [8]", got)
+	}
+	if got := b.PIDs(); len(got) != 1 || got[0] != 7 {
+		t.Errorf("new group lists %v, want [7]", got)
+	}
+	for _, th := range ths {
+		if c := th.Core(); c != 8 && c != 9 {
+			t.Errorf("thread on core %d after its process moved to {8,9}", c)
+		}
+	}
+	before := s.Stats().Migrations
+	a.SetCPUs(NewCPUSet(2, 3)) // no longer governs pid 7
+	if got := s.Stats().Migrations; got != before {
+		t.Errorf("old group's cpuset write migrated %d threads of a process that left it", got-before)
+	}
+	b.AddPID(7) // re-adding to the same group is a no-op
+	if got := b.PIDs(); len(got) != 1 || got[0] != 7 {
+		t.Errorf("re-add changed membership to %v", got)
+	}
+}
+
 func TestCPUSetShrinkMigratesThreads(t *testing.T) {
 	s := newTestSched()
 	g := s.NewCGroup("dbms")

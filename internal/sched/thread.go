@@ -89,6 +89,13 @@ type Thread struct {
 	runner Runner
 	state  State
 	core   numa.CoreID // current queue assignment
+	// proc and slot locate the thread in its process's thread table
+	// (slot moves when the table compacts).
+	proc *procTable
+	slot int
+	// woken is set by Wake and cleared when the thread next runs; it
+	// lets that first slice be classified as a spurious wake-up.
+	woken bool
 	// pinned, when non-zero, is a hard affinity mask the balancer must
 	// respect (pthread_setaffinity_np / NUMA-aware DBMS pinning).
 	pinned CPUSet

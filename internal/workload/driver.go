@@ -135,6 +135,8 @@ func schedDelta(start, end sched.Stats) sched.Stats {
 		Migrations:          end.Migrations - start.Migrations,
 		CrossNodeMigrations: end.CrossNodeMigrations - start.CrossNodeMigrations,
 		TicksRun:            end.TicksRun - start.TicksRun,
+		Wakeups:             end.Wakeups - start.Wakeups,
+		SpuriousWakeups:     end.SpuriousWakeups - start.SpuriousWakeups,
 	}
 }
 

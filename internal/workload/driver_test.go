@@ -47,6 +47,30 @@ func TestDriverRunsConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestBroadcastWakeupsOutnumberTasks puts a number on the thread churn of
+// the paper's Figures 4 and 5: under PlacementOS every stage fan-out
+// wakes every parked worker of every query, so most wake-ups find
+// nothing to do. A model change to targeted wake-ups would flip this
+// inequality; it has to do so knowingly.
+func TestBroadcastWakeupsOutnumberTasks(t *testing.T) {
+	r := mustRig(t, Options{Mode: ModeOS})
+	tasksBefore := r.Engine.TasksExecuted
+	d := &Driver{Rig: r, QueriesPerClient: 2}
+	res := d.RunSameQuery(8, tpch.BuildQ6)
+	tasks := r.Engine.TasksExecuted - tasksBefore
+	if res.Completed != 16 || tasks == 0 {
+		t.Fatalf("completed %d queries over %d tasks; rig broken", res.Completed, tasks)
+	}
+	if res.Sched.SpuriousWakeups <= tasks {
+		t.Errorf("%d spurious wake-ups for %d executed tasks, want the herd to outnumber the work",
+			res.Sched.SpuriousWakeups, tasks)
+	}
+	if res.Sched.SpuriousWakeups > res.Sched.Wakeups {
+		t.Errorf("%d spurious of %d wake-ups", res.Sched.SpuriousWakeups, res.Sched.Wakeups)
+	}
+	t.Logf("%d tasks, %d wake-ups, %d spurious", tasks, res.Sched.Wakeups, res.Sched.SpuriousWakeups)
+}
+
 func TestModesProduceDifferentAllocations(t *testing.T) {
 	for _, mode := range []Mode{ModeDense, ModeSparse, ModeAdaptive} {
 		r := mustRig(t, Options{Mode: mode})
