@@ -21,7 +21,7 @@ import (
 )
 
 // Kind is the storage type of a BAT's tail column.
-type Kind int
+type Kind uint8
 
 const (
 	// KindI64 stores 64-bit integers (also OIDs, dates as yyyymmdd, and
@@ -39,14 +39,23 @@ const valueBytes = 8
 // typed tail vector. Base-table BATs are backed by a region of simulated
 // NUMA memory homed lazily at first touch during scans; intermediate BATs
 // are homed by the task that materializes them.
+//
+// A candidate list covering consecutive rows has no tail vector at all
+// (MonetDB's void tail): n > 0 marks the dense form, whose OIDs are seq,
+// seq+1, ..., seq+n-1. Len, Bytes, the simulated region and every charge
+// are those of the materialized vector; only the host-side identity
+// vector is gone. The header stays in the 96-byte malloc class
+// (TestBATHeaderSize), which is why the region keeps its start block only
+// — its block count follows from Len.
 type BAT struct {
-	Name string
-	Kind Kind
-	I    []int64
-	F    []float64
-
-	region numa.Region
+	Name   string
+	Kind   Kind
 	placed bool
+	I      []int64
+	F      []float64
+
+	seq, n int
+	start  numa.BlockID
 }
 
 // NewI64 builds an integer BAT over the given values.
@@ -55,28 +64,54 @@ func NewI64(name string, vals []int64) *BAT { return &BAT{Name: name, Kind: Kind
 // NewF64 builds a float BAT over the given values.
 func NewF64(name string, vals []float64) *BAT { return &BAT{Name: name, Kind: KindF64, F: vals} }
 
+// newDense builds the tail-less candidate list of rows [lo, lo+n).
+func newDense(name string, lo, n int) *BAT {
+	return &BAT{Name: name, Kind: KindI64, seq: lo, n: n}
+}
+
 // Len returns the number of values.
 func (b *BAT) Len() int {
+	if b.n > 0 {
+		return b.n
+	}
 	if b.Kind == KindI64 {
 		return len(b.I)
 	}
 	return len(b.F)
 }
 
+// byPosition returns the BAT in the form operators that read a vector by
+// position expect: a dense candidate list used as join keys or group keys
+// is written out, everything else (nil included) is returned as it is.
+func (b *BAT) byPosition() *BAT {
+	if b == nil || b.n == 0 {
+		return b
+	}
+	return NewI64(b.Name, b.appendI64(make([]int64, 0, b.n)))
+}
+
+// appendI64 appends the integer tail to dst, writing out a dense
+// candidate's OIDs (result extraction and operators that read a vector by
+// position; the candidate consumers take the range form as it is).
+func (b *BAT) appendI64(dst []int64) []int64 {
+	for oid := b.seq; oid < b.seq+b.n; oid++ {
+		dst = append(dst, int64(oid))
+	}
+	return append(dst, b.I...)
+}
+
 // Bytes returns the simulated storage footprint.
 func (b *BAT) Bytes() int { return b.Len() * valueBytes }
 
-// Region returns the simulated memory region backing the BAT (zero Region
-// if not yet placed).
-func (b *BAT) Region() numa.Region { return b.region }
+// blocks returns the size of the backing region in placement blocks.
+func (b *BAT) blocks(blockBytes int) int { return (b.Bytes() + blockBytes - 1) / blockBytes }
 
 // ensureRegion allocates backing blocks for the BAT if needed.
 func (b *BAT) ensureRegion(mem *numa.Memory, blockBytes int) {
 	if b.placed || b.Len() == 0 {
 		return
 	}
-	blocks := (b.Bytes() + blockBytes - 1) / blockBytes
-	b.region = mem.Alloc(blocks)
+	b.start = mem.Alloc(b.blocks(blockBytes)).Start
 	b.placed = true
 }
 
@@ -103,7 +138,7 @@ func (b *BAT) chargeRange(ctx *sched.ExecContext, lo, hi int, write bool) uint64
 		lastStart = startByte
 	}
 	return ctx.AccessRange(numa.RangeAccess{
-		Start:      b.region.Block(firstBlock),
+		Start:      b.start + numa.BlockID(firstBlock),
 		Blocks:     lastBlock - firstBlock + 1,
 		FirstBytes: firstEnd - startByte,
 		LastBytes:  endByte - lastStart,
@@ -119,10 +154,10 @@ func (b *BAT) HomeOfRow(mem *numa.Memory, blockBytes, row int) numa.NodeID {
 		return numa.NoNode
 	}
 	blk := row * valueBytes / blockBytes
-	if blk >= b.region.Blocks {
+	if blk >= b.blocks(blockBytes) {
 		return numa.NoNode
 	}
-	return mem.Home(b.region.Block(blk))
+	return mem.Home(b.start + numa.BlockID(blk))
 }
 
 // Table is a named collection of equal-length BATs.
@@ -215,7 +250,8 @@ func (s *Store) CreateTable(name string, cols map[string]*BAT) (*Table, error) {
 		c.ensureRegion(s.machine.Memory(), topo.BlockBytes)
 		if c.placed {
 			node := numa.NodeID(s.loadNode % topo.NodeCount)
-			s.machine.Memory().HomeRegionOn(c.region, node, s.loadPID)
+			region := numa.Region{Start: c.start, Blocks: c.blocks(topo.BlockBytes)}
+			s.machine.Memory().HomeRegionOn(region, node, s.loadPID)
 			s.loadNode++
 		}
 	}

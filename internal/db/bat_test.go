@@ -3,6 +3,7 @@ package db
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"elasticore/internal/numa"
 	"elasticore/internal/sched"
@@ -18,6 +19,19 @@ func TestBATLenBytes(t *testing.T) {
 	f := NewF64("y", []float64{1.5})
 	if f.Len() != 1 || f.Kind != KindF64 {
 		t.Errorf("float BAT wrong: %+v", f)
+	}
+	d := newDense("z", 40, 3)
+	if d.Len() != 3 || d.Bytes() != 24 || d.Kind != KindI64 || d.I != nil {
+		t.Errorf("dense BAT wrong: %+v", d)
+	}
+}
+
+// TestBATHeaderSize keeps the BAT header in the malloc size class it had
+// before the dense form was added: a header per intermediate fragment is
+// among the engine's most frequent allocations.
+func TestBATHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(BAT{}); got > 96 {
+		t.Fatalf("BAT header is %d bytes; more than 96 moves it to the next malloc size class", got)
 	}
 }
 

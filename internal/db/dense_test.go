@@ -1,0 +1,293 @@
+package db
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"elasticore/internal/numa"
+	"elasticore/internal/sched"
+)
+
+// dense_test.go pins what the tail-less candidate form, the reserved hash
+// tables and the blind-write kernels must leave unchanged: query results,
+// every simulated access, and the host allocations they exist to avoid.
+
+// runPlanBothWays executes the plan on two identical rigs, one fast and
+// one under Config.Naive (materialized identity vectors, closure-per-row
+// predicates, Go maps), and returns both finished queries and machines.
+func runPlanBothWays(t *testing.T, rows int, build func(st *Store) (*Plan, error)) (fast, naive *Query, fastM, naiveM *numa.Machine) {
+	t.Helper()
+	run := func(naive bool) (*Query, *numa.Machine) {
+		r := newSpecRigRows(t, rows)
+		eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, MinPartRows: 64, Naive: naive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := build(r.store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := eng.Submit(plan)
+		r.run(t, q)
+		return q, r.machine
+	}
+	fast, fastM = run(false)
+	naive, naiveM = run(true)
+	return fast, naive, fastM, naiveM
+}
+
+// sameOutcome asserts two executions of one plan agree on every scalar,
+// every variable's values and row counts, the query latency and every
+// counter of the simulated machine.
+func sameOutcome(t *testing.T, fast, naive *Query, fastM, naiveM *numa.Machine) {
+	t.Helper()
+	if !reflect.DeepEqual(fast.scalars, naive.scalars) {
+		t.Errorf("scalars differ: fast %v, naive %v", fast.scalars, naive.scalars)
+	}
+	if len(fast.vars) != len(naive.vars) {
+		t.Fatalf("fast bound %d variables, naive %d", len(fast.vars), len(naive.vars))
+	}
+	for name, ps := range fast.vars {
+		want := naive.vars[name]
+		if want == nil {
+			t.Fatalf("variable %s missing under Naive", name)
+		}
+		if !reflect.DeepEqual(ps.FlattenI64(), want.FlattenI64()) || !reflect.DeepEqual(ps.FlattenF64(), want.FlattenF64()) {
+			t.Errorf("variable %s differs between fast and Naive", name)
+		}
+		for i, frag := range ps.Parts {
+			if frag.Len() != want.Parts[i].Len() {
+				t.Errorf("variable %s fragment %d: %d rows, Naive %d", name, i, frag.Len(), want.Parts[i].Len())
+			}
+		}
+	}
+	if fast.ElapsedCycles() != naive.ElapsedCycles() {
+		t.Errorf("latency %d cycles, Naive %d", fast.ElapsedCycles(), naive.ElapsedCycles())
+	}
+	if !reflect.DeepEqual(fastM.Snapshot(), naiveM.Snapshot()) {
+		t.Error("numa counters differ between fast and Naive")
+	}
+}
+
+// TestScanAllPlansMatchNaive runs plans that start from a full-table
+// candidate list through every consumer of one — projection of both
+// kinds, the three probes, refinement in inlined, IN-list and closure
+// forms, count, and use as join and group keys — fast against Naive.
+func TestScanAllPlansMatchNaive(t *testing.T) {
+	plans := map[string][]StageFn{
+		"project+sum": {
+			ScanAll("lineitem", "l_orderkey", "all"),
+			Projection("all", "lineitem", "l_extendedprice", "p"),
+			Projection("all", "lineitem", "l_discount", "d"),
+			Projection("all", "lineitem", "l_orderkey", "ok"),
+			MapF2("p", "d", "rev", func(x, y float64) float64 { return x * y }),
+			SumF("rev", "result"),
+			Count("all", "rows"),
+		},
+		"probes": {
+			ThetaSelect("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+			Projection("cheap", "lineitem", "l_orderkey", "keys"),
+			Projection("cheap", "lineitem", "l_shipdate", "dates"),
+			BuildMap("keys", "dates", "seen"),
+			ScanAll("lineitem", "l_orderkey", "all"),
+			ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
+			ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
+			ProbeFetch("all", "lineitem", "l_orderkey", "seen", "got", "when"),
+			Count("hit", "hits"),
+			Count("miss", "misses"),
+		},
+		"refine": {
+			ScanAll("lineitem", "l_shipdate", "all"),
+			SubSelect("all", "lineitem", "l_shipdate", "r1", PredIRange(19970101, 19980101)),
+			SubSelect("all", "lineitem", "l_discount", "r2", PredFRange(0.06, 0.08)),
+			SubSelect("all", "lineitem", "l_quantity", "r3", PredFLess(24)),
+			SubSelect("all", "lineitem", "l_orderkey", "r4", PredIIn(1, 2, 3, 100)),
+			SubSelect("all", "lineitem", "l_orderkey", "r5", PredIEq(17)),
+			SubSelect("all", "lineitem", "l_orderkey", "r6", Pred{I: func(v int64) bool { return v%3 == 0 }}),
+			SubSelect("all", "lineitem", "l_quantity", "r7", Pred{F: func(v float64) bool { return v > 40 }}),
+			SubSelect("all", "lineitem", "l_quantity", "r8", PredAll()),
+			SubSelect("r1", "lineitem", "l_orderkey", "r9", PredAll()),
+			Count("r1", "n1"),
+		},
+		"candidates as keys": {
+			ScanAll("tiny", "k", "all"),
+			BuildMap("all", "", "oids"),
+			GroupSum("all", "", "parts"),
+			GroupMerge("parts", "gk", "gs"),
+			TopN("gk", "gs", 5),
+			ScanAll("lineitem", "l_orderkey", "li"),
+			ProbeSemi("li", "lineitem", "l_orderkey", "oids", "small"),
+		},
+	}
+	for name, stages := range plans {
+		t.Run(name, func(t *testing.T) {
+			fast, naive, fm, nm := runPlanBothWays(t, 40000, func(*Store) (*Plan, error) {
+				return &Plan{Name: name, Stages: stages}, nil
+			})
+			sameOutcome(t, fast, naive, fm, nm)
+			if fast.Var("all").Rows() == 0 {
+				t.Fatal("the full scan produced no candidates")
+			}
+			for _, frag := range fast.Var("all").Parts {
+				if frag.I != nil {
+					t.Fatal("the fast path materialized a full scan's candidate list")
+				}
+			}
+		})
+	}
+}
+
+// TestGatherChargeDense: positions a … b of a dense candidate charge the
+// same blocks of the underlying column as the materialized list.
+func TestGatherChargeDense(t *testing.T) {
+	charge := func(cand *BAT, a, b int) (uint64, numa.Counters) {
+		m := numa.NewMachine(numa.Opteron8387())
+		st := NewStore(m)
+		if _, err := st.CreateTable("t", map[string]*BAT{"c": NewI64("c", make([]int64, 9000))}); err != nil {
+			t.Fatal(err)
+		}
+		ctx := &sched.ExecContext{Machine: m, Core: 0, PID: 1}
+		return gatherCharge(cand, st.Table("t").Col("c"))(ctx, a, b), m.Snapshot()
+	}
+	for _, w := range [][2]int{{0, 5000}, {100, 2100}, {4000, 9999}, {6000, 7000}, {3, 3}} {
+		gotC, gotS := charge(newDense("cand", 2500, 5000), w[0], w[1])
+		wantC, wantS := charge(NewI64("cand", identity(2500, 5000)), w[0], w[1])
+		if gotC != wantC || !reflect.DeepEqual(gotS, wantS) {
+			t.Errorf("window %v: dense charged %d cycles, materialized %d (or counters differ)", w, gotC, wantC)
+		}
+	}
+}
+
+// TestReserveNeverGrows is the property behind "tables sized once":
+// reserve(n) followed by n inserts — any keys: zero, negative, duplicate —
+// never replaces the table arrays, and the contents match a Go map.
+func TestReserveNeverGrows(t *testing.T) {
+	for _, seed := range diffSeeds {
+		r := newDiffRNG(seed)
+		for _, n := range []int{0, 1, 12, 13, 96, 97, 1000, 5000} {
+			keys := make([]int64, n)
+			for i := range keys {
+				switch r.intn(4) {
+				case 0:
+					keys[i] = int64(r.intn(8)) - 4 // zero, negatives, duplicates
+				case 1:
+					keys[i] = int64(r.Next())
+				default:
+					keys[i] = int64(r.intn(2*n + 1))
+				}
+			}
+			var ii i64Map
+			var fi i64fMap
+			ii.reserve(n)
+			fi.reserve(n)
+			ctrlII, ctrlFI := unsafe.SliceData(ii.ctrl), unsafe.SliceData(fi.ctrl)
+			wantII, wantFI := map[int64]int64{}, map[int64]float64{}
+			for i, k := range keys {
+				ii.Put(k, int64(i))
+				fi.Add(k, float64(i))
+				wantII[k] = int64(i)
+				wantFI[k] += float64(i)
+			}
+			if unsafe.SliceData(ii.ctrl) != ctrlII || unsafe.SliceData(fi.ctrl) != ctrlFI {
+				t.Fatalf("n=%d: a reserved table grew", n)
+			}
+			if ii.Len() != len(wantII) || fi.Len() != len(wantFI) {
+				t.Fatalf("n=%d: tables hold %d/%d keys, want %d/%d", n, ii.Len(), fi.Len(), len(wantII), len(wantFI))
+			}
+			for k, v := range wantII {
+				if got, ok := ii.Get(k); !ok || got != v {
+					t.Fatalf("n=%d: i64Map[%d] = (%d, %v), want %d", n, k, got, ok, v)
+				}
+				if got, ok := fi.Get(k); !ok || got != wantFI[k] {
+					t.Fatalf("n=%d: i64fMap[%d] = (%g, %v), want %g", n, k, got, ok, wantFI[k])
+				}
+			}
+			// Reserving on top of live entries keeps them.
+			ii.reserve(4*n + 64)
+			for k, v := range wantII {
+				if got, ok := ii.Get(k); !ok || got != v {
+					t.Fatalf("n=%d: key %d lost by a later reserve", n, k)
+				}
+			}
+		}
+	}
+}
+
+// TestIntermediatesAllocateWhatTheyHold guards the three host-side costs
+// this layer sheds: a full scan allocates no tail, a reserved table
+// allocates each of its three arrays exactly once, and selection and
+// gather kernels with a hinted buffer allocate nothing per chunk.
+func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
+	const rows = 1 << 14
+	col := NewI64("c", identity(0, rows))
+	if got := testing.AllocsPerRun(20, func() {
+		fs := NewFilterScan(col, PredAll(), 0, rows, nil)
+		fs.runRange(0, rows)
+		if fs.result("all").Len() != rows {
+			t.Fatal("full scan lost rows")
+		}
+	}); got > 2 { // the operator and the BAT header
+		t.Errorf("a full scan allocated %v objects, want at most 2 (no tail)", got)
+	}
+
+	if got := testing.AllocsPerRun(20, func() {
+		var m i64Map
+		m.reserve(rows)
+		for _, k := range col.I {
+			m.Put(k, 1)
+		}
+	}); got != 3 {
+		t.Errorf("a reserved build allocated %v arrays, want 3", got)
+	}
+	partial := &i64fMap{}
+	for _, k := range col.I {
+		partial.Add(k%977, 1)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		var total i64fMap
+		total.reserve(partial.Len())
+		partial.Range(total.Add)
+	}); got != 3 {
+		t.Errorf("a reserved merge allocated %v arrays, want 3", got)
+	}
+
+	cand := NewI64("cand", identity(0, rows))
+	ids := make([]int64, 0, selHint(rows))
+	pred := Pred{I: func(v int64) bool { return v%3 == 0 }}
+	fr := NewFilterRefine(col, pred, cand, ids)
+	third := &i64Map{}
+	for k := int64(0); k < rows; k += 3 {
+		third.Put(k, k)
+	}
+	hp := NewHashProbe(col, cand, third, false, true, make([]int64, 0, selHint(rows)), make([]int64, 0, selHint(rows)))
+	out := NewI64("out", make([]int64, 0, rows))
+	g := NewGather(col, cand, out)
+	if got := testing.AllocsPerRun(20, func() {
+		fr.ids, hp.ids, hp.payloads, out.I = fr.ids[:0], hp.ids[:0], hp.payloads[:0], out.I[:0]
+		for a := 0; a < rows; a += 2048 {
+			fr.runRange(a, a+2048)
+			hp.runRange(a, a+2048)
+			g.runRange(a, a+2048)
+		}
+	}); got != 0 {
+		t.Errorf("hinted selection, probe and gather kernels allocated %v times per pass, want 0", got)
+	}
+
+	// The hint itself: a selection keeping a third of its input never
+	// regrows a buffer of selHint capacity, and an input no longer than
+	// the first strip never does, whatever survives.
+	for _, tc := range []struct {
+		rows int
+		p    Pred
+	}{{rows, pred}, {minStrip, PredIRange(0, rows)}, {5, PredIRange(0, rows)}} {
+		buf := make([]int64, 0, selHint(tc.rows))
+		fs := NewFilterScan(col, tc.p, 0, tc.rows, buf)
+		for a := 0; a < tc.rows; a += 2048 {
+			fs.runRange(a, min(a+2048, tc.rows))
+		}
+		if len(fs.ids) == 0 || unsafe.SliceData(fs.ids) != unsafe.SliceData(buf[:1]) {
+			t.Errorf("%d rows: the hinted selection buffer was regrown (or nothing matched)", tc.rows)
+		}
+	}
+}

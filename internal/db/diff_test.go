@@ -47,7 +47,7 @@ func drain(op Operator, r *diffRNG) (oi []int64, of []float64) {
 		if b == nil {
 			return oi, of
 		}
-		oi = append(oi, b.I...)
+		oi = b.appendI64(oi) // a dense batch is written out
 		of = append(of, b.F...)
 	}
 }
@@ -609,11 +609,14 @@ func TestDiffNextZero(t *testing.T) {
 	ops := []Operator{
 		NewFilterScan(col, PredAll(), 0, 3, nil),
 		NewFilterRefine(col, PredAll(), NewI64("cand", []int64{0, 1}), nil),
+		NewFilterRefine(col, PredIEq(2), newDense("cand", 1, 2), nil),
 		NewGather(col, NewI64("cand", []int64{0, 1}), NewI64("out", nil)),
+		NewGather(col, newDense("cand", 0, 2), NewI64("out", nil)),
 		NewMapBinary(NewF64("a", []float64{1}), NewF64("b", []float64{2}), func(x, y float64) float64 { return x + y }, nil),
 		NewSumAgg(NewF64("v", []float64{1, 2})),
 		NewHashBuild(col, nil, &i64Map{}),
 		NewHashProbe(col, NewI64("cand", []int64{0}), &i64Map{}, false, false, nil, nil),
+		NewHashProbe(col, newDense("cand", 0, 3), &i64Map{}, true, false, nil, nil),
 		NewGroupAgg(col, nil, &i64fMap{}),
 		NewSortLimit(col, NewF64("s", []float64{1, 2, 3}), 2),
 		NewLookup(col, NewF64("v", []float64{1, 2, 3}), []int64{2}),
@@ -631,6 +634,158 @@ func TestDiffNextZero(t *testing.T) {
 		}
 		if op.Charged() != 0 {
 			t.Fatalf("%s: charged %d cycles for zero-size batches", op.Op(), op.Charged())
+		}
+	}
+}
+
+// identity materializes the dense range [lo, lo+n) the way the seed's
+// ScanAll did: the oracle form of a dense candidate.
+func identity(lo, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(lo + i)
+	}
+	return out
+}
+
+// TestDiffDenseCandidate drives every candidate consumer over a dense
+// range and over the equivalent materialized identity vector: outputs and
+// charged cycles must be identical, for every predicate form, both gather
+// kinds and all three probe modes, including empty ranges, sub-ranges that
+// end at the column's last row and the engine drive's "b past the end".
+func TestDiffDenseCandidate(t *testing.T) {
+	for _, seed := range diffSeeds {
+		r := newDiffRNG(seed)
+		for _, size := range diffSizes(r) {
+			for _, rng := range [][2]int{{0, size}, {size / 3, size - size/3}, {size / 2, size / 2}, {size - size/4, size}} {
+				lo, n := rng[0], max(0, rng[1]-rng[0])
+				dense, vec := newDense("cand", lo, n), NewI64("cand", identity(lo, n))
+				if dense.Len() != vec.Len() || dense.Bytes() != vec.Bytes() {
+					t.Fatalf("dense [%d,+%d): Len/Bytes %d/%d, want %d/%d", lo, n, dense.Len(), dense.Bytes(), vec.Len(), vec.Bytes())
+				}
+				// Both operators of a pair are drained with the same batch
+				// sizes.
+				drive := func(label string, opD, opV Operator) {
+					t.Helper()
+					batchSeed := r.Next()
+					gotI, gotF := drain(opD, newDiffRNG(batchSeed))
+					wantI, wantF := drain(opV, newDiffRNG(batchSeed))
+					eqI64(t, label, gotI, wantI)
+					eqF64(t, label, gotF, wantF)
+					eqCycles(t, label, opD, opV.Charged())
+				}
+				for _, pd := range diffPreds() {
+					col := predColumn(r, pd, size)
+					drive("refine/"+pd.name, NewFilterRefine(col, pd.p, dense, nil), NewFilterRefine(col, pd.p, vec, nil))
+					// The engine drive hands whole chunks: b may overshoot.
+					frD, frV := NewFilterRefine(col, pd.p, dense, nil), NewFilterRefine(col, pd.p, vec, nil)
+					frD.runRange(0, n+5)
+					frV.runRange(0, n+5)
+					eqI64(t, "refine-overshoot/"+pd.name, frD.ids, frV.ids)
+				}
+				colI, colF := NewI64("ci", genI64(r, size, 1000)), NewF64("cf", genF64(r, size))
+				drive("gather-i64", NewGather(colI, dense, NewI64("out", nil)), NewGather(colI, vec, NewI64("out", nil)))
+				drive("gather-f64", NewGather(colF, dense, NewF64("out", nil)), NewGather(colF, vec, NewF64("out", nil)))
+				gD, gV := NewGather(colF, dense, NewF64("out", nil)), NewGather(colF, vec, NewF64("out", nil))
+				gD.runRange(0, n+5)
+				gV.runRange(0, n+5)
+				eqF64(t, "gather-overshoot", gD.out.F, gV.out.F)
+
+				keyCol := NewI64("k", genI64(r, size, 50))
+				set := &i64Map{}
+				for v := int64(0); v < 25; v++ {
+					set.Put(v, v*10)
+				}
+				for _, mode := range []struct {
+					name        string
+					anti, fetch bool
+				}{{"semi", false, false}, {"anti", true, false}, {"fetch", false, true}} {
+					probe := func(cand *BAT) *HashProbe {
+						return NewHashProbe(keyCol, cand, set, mode.anti, mode.fetch, nil, nil)
+					}
+					hD, hV := probe(dense), probe(vec)
+					drive("probe/"+mode.name, hD, hV)
+					eqI64(t, "probe-payloads/"+mode.name, hD.Payloads(), hV.Payloads())
+					hD, hV = probe(dense), probe(vec)
+					hD.runRange(0, n+5)
+					hV.runRange(0, n+5)
+					eqI64(t, "probe-overshoot/"+mode.name, hD.ids, hV.ids)
+					eqI64(t, "probe-overshoot-payloads/"+mode.name, hD.payloads, hV.payloads)
+				}
+
+				// Result extraction and aggr.count.
+				psD := &PartSet{Parts: []*BAT{NewI64("head", []int64{-1}), dense}}
+				psV := &PartSet{Parts: []*BAT{NewI64("head", []int64{-1}), vec}}
+				eqI64(t, "flatten", psD.FlattenI64(), psV.FlattenI64())
+				if psD.Rows() != psV.Rows() {
+					t.Fatalf("count over dense = %d, want %d", psD.Rows(), psV.Rows())
+				}
+				eqI64(t, "values", (&PartSet{Parts: []*BAT{dense}}).valuesI64(), vec.I)
+			}
+		}
+	}
+}
+
+// TestDenseCandidateReadByPosition: a dense candidate list used where a
+// value vector is expected (join keys, payloads, group keys — legal in
+// hand-written StageFn plans) behaves as its materialized form.
+func TestDenseCandidateReadByPosition(t *testing.T) {
+	dense, vec := newDense("c", 7, 40), NewI64("c", identity(7, 40))
+	sD, sV := &i64Map{}, &i64Map{}
+	bD, bV := NewHashBuild(dense, dense, sD), NewHashBuild(vec, vec, sV)
+	r := newDiffRNG(3)
+	drain(bD, r)
+	drain(bV, r)
+	aD, aV := &i64fMap{}, &i64fMap{}
+	gD, gV := NewGroupAgg(dense, dense, aD), NewGroupAgg(vec, vec, aV)
+	drain(gD, r)
+	drain(gV, r)
+	for _, k := range vec.I {
+		if got, ok := sD.Get(k); !ok || got != k {
+			t.Fatalf("build over dense keys: key %d = (%d, %v)", k, got, ok)
+		}
+		if got, _ := aD.Get(k); got != float64(k) {
+			t.Fatalf("group over dense keys: key %d sums to %g", k, got)
+		}
+	}
+	if sD.Len() != sV.Len() || aD.Len() != aV.Len() {
+		t.Fatalf("table sizes %d/%d, want %d/%d", sD.Len(), aD.Len(), sV.Len(), aV.Len())
+	}
+	eqCycles(t, "build", bD, bV.Charged())
+	eqCycles(t, "group", gD, gV.Charged())
+}
+
+// TestDiffSortPairs checks the group merge's key/value radix sort against
+// a comparison sort: negative, zero, huge and duplicate keys, values
+// carried along, duplicates kept in input order.
+func TestDiffSortPairs(t *testing.T) {
+	for _, seed := range diffSeeds {
+		r := newDiffRNG(seed)
+		for _, size := range append(diffSizes(r), 3000) {
+			for _, span := range []int{1, 3, 70000, 1 << 40} {
+				ks := make([]int64, size)
+				vs := make([]float64, size)
+				type pair struct {
+					k int64
+					v float64
+				}
+				want := make([]pair, size)
+				for i := range ks {
+					ks[i] = int64(r.intn(span)) - int64(span/2)
+					if r.intn(16) == 0 {
+						ks[i] = int64(r.Next()) // any 64-bit pattern
+					}
+					vs[i] = float64(i)
+					want[i] = pair{ks[i], vs[i]}
+				}
+				sort.SliceStable(want, func(a, b int) bool { return want[a].k < want[b].k })
+				gotK, gotV := sortPairs(ks, vs, make([]int64, size), make([]float64, size))
+				for i, w := range want {
+					if gotK[i] != w.k || gotV[i] != w.v {
+						t.Fatalf("size %d span %d: pair %d = (%d, %g), want (%d, %g)", size, span, i, gotK[i], gotV[i], w.k, w.v)
+					}
+				}
+			}
 		}
 	}
 }

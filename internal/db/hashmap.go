@@ -16,6 +16,16 @@ func hash64(x uint64) uint64 { return hashmix.Mix64(x) }
 
 const minMapSlots = 16
 
+// slotsFor returns the smallest table size (a power of two) that holds n
+// keys within the 3/4 load limit Put and Add grow at.
+func slotsFor(n int) int {
+	size := minMapSlots
+	for 4*n > 3*size {
+		size *= 2
+	}
+	return size
+}
+
 // i64Map is an int64→int64 linear-probe table (hash-join payloads). When
 // std is set the table delegates to a plain Go map instead — the naive
 // mode's seed-faithful fallback; results are identical either way.
@@ -52,7 +62,7 @@ func (m *i64Map) Put(k, v int64) {
 		return
 	}
 	if 4*(m.n+1) > 3*len(m.ctrl) {
-		m.grow()
+		m.resize(max(minMapSlots, 2*len(m.ctrl)))
 	}
 	mask := uint64(len(m.ctrl) - 1)
 	i := hash64(uint64(k)) & mask
@@ -105,15 +115,24 @@ func (m *i64Map) Range(f func(k, v int64)) {
 	}
 }
 
-func (m *i64Map) grow() {
-	size := 2 * len(m.ctrl)
-	if size < minMapSlots {
-		size = minMapSlots
+// reserve makes room for n keys, so that n inserts from here rehash
+// nothing: an empty table allocates its arrays once at the final size.
+func (m *i64Map) reserve(n int) {
+	if size := slotsFor(n); m.std == nil && size > len(m.ctrl) {
+		m.resize(size)
 	}
+}
+
+// resize moves the entries into fresh arrays of size slots (a power of
+// two above the load limit).
+func (m *i64Map) resize(size int) {
 	oc, ok, ov := m.ctrl, m.keys, m.vals
 	m.ctrl = make([]uint8, size)
 	m.keys = make([]int64, size)
 	m.vals = make([]int64, size)
+	if m.n == 0 {
+		return
+	}
 	mask := uint64(size - 1)
 	for i, c := range oc {
 		if c != 1 {
@@ -164,7 +183,7 @@ func (m *i64fMap) Add(k int64, delta float64) {
 		return
 	}
 	if 4*(m.n+1) > 3*len(m.ctrl) {
-		m.grow()
+		m.resize(max(minMapSlots, 2*len(m.ctrl)))
 	}
 	mask := uint64(len(m.ctrl) - 1)
 	i := hash64(uint64(k)) & mask
@@ -217,15 +236,21 @@ func (m *i64fMap) Range(f func(k int64, v float64)) {
 	}
 }
 
-func (m *i64fMap) grow() {
-	size := 2 * len(m.ctrl)
-	if size < minMapSlots {
-		size = minMapSlots
+// reserve makes room for n keys (see i64Map.reserve).
+func (m *i64fMap) reserve(n int) {
+	if size := slotsFor(n); m.std == nil && size > len(m.ctrl) {
+		m.resize(size)
 	}
+}
+
+func (m *i64fMap) resize(size int) {
 	oc, ok, ov := m.ctrl, m.keys, m.vals
 	m.ctrl = make([]uint8, size)
 	m.keys = make([]int64, size)
 	m.vals = make([]float64, size)
+	if m.n == 0 {
+		return
+	}
 	mask := uint64(size - 1)
 	for i, c := range oc {
 		if c != 1 {

@@ -126,28 +126,56 @@ func b2i(b bool) int {
 	return 0
 }
 
-// growFor makes room to blind-write n more elements into ids, returning
-// the slice and the write window.
-func growFor(ids []int64, n int) ([]int64, []int64) {
-	ids = slices.Grow(ids, n)
-	return ids, ids[len(ids) : len(ids)+n]
+// growFor makes room to blind-write n more elements into buf, returning
+// the slice and the write window: the selection loops store every row's
+// candidate and advance the cursor by the 0/1 test result, so nothing on
+// the per-tuple path checks capacity.
+func growFor[T any](buf []T, n int) ([]T, []T) {
+	buf = slices.Grow(buf, n)
+	return buf, buf[len(buf) : len(buf)+n]
+}
+
+// minStrip is the smallest blind-write window a selection kernel is handed.
+const minStrip = 64
+
+// strip returns how many of the n pending input units a selection kernel
+// takes next: as many as its output buffer has room for, so blind writes
+// regrow a buffer only when it is nearly full, as appending would — but
+// never fewer than minStrip.
+func strip(n int, out []int64) int { return min(n, max(cap(out)-len(out), minStrip)) }
+
+// strips runs a selection kernel over input units [a, b) strip by strip.
+func strips(a, b int, out *[]int64, kernel func(a, b int)) {
+	for a < b {
+		n := strip(b-a, *out)
+		kernel(a, a+n)
+		a += n
+	}
+}
+
+// selHint sizes the scratch buffer of a selection over rows inputs: half
+// of them, and never less than the first strip, which therefore never
+// regrows it.
+func selHint(rows int) int { return max(rows/2, min(rows, minStrip)) }
+
+// inList is b2i(v ∈ list). IN lists are a handful of constants, so
+// testing all of them branch-free beats an early exit.
+func inList(list []int64, v int64) int {
+	hit := 0
+	for _, x := range list {
+		hit |= b2i(x == v)
+	}
+	return hit
 }
 
 // selectScanLoop builds the per-chunk filter loop scanning base rows
 // [a, b) of c and appending matching row OIDs to *out. Constructor-built
 // predicates get their comparison inlined into the loop; closure
 // predicates pay one indirect call per row; the mismatch case falls back
-// to eval for its diagnostics.
+// to eval for its diagnostics. (PredAll never gets here on the fast path:
+// FilterScan answers it with a dense range.)
 func selectScanLoop(c *BAT, p Pred, out *[]int64) func(a, b int) {
 	switch {
-	case p.form == predAll:
-		return func(a, b int) {
-			ids := *out
-			for row := a; row < b; row++ {
-				ids = append(ids, int64(row))
-			}
-			*out = ids
-		}
 	case p.form == predIRange && c.Kind == KindI64:
 		lo, hi, vals := p.iLo, p.iHi, c.I
 		return func(a, b int) {
@@ -174,17 +202,13 @@ func selectScanLoop(c *BAT, p Pred, out *[]int64) func(a, b int) {
 	case p.form == predIIn && c.Kind == KindI64:
 		list, vals := p.iList, c.I
 		return func(a, b int) {
-			ids := *out
+			ids, buf := growFor(*out, b-a)
+			k := 0
 			for row := a; row < b; row++ {
-				v := vals[row]
-				for _, x := range list {
-					if x == v {
-						ids = append(ids, int64(row))
-						break
-					}
-				}
+				buf[k] = int64(row)
+				k += inList(list, vals[row])
 			}
-			*out = ids
+			*out = ids[:len(ids)+k]
 		}
 	case p.form == predFRange && c.Kind == KindF64:
 		lo, hi, vals := p.fLo, p.fHi, c.F
@@ -212,24 +236,24 @@ func selectScanLoop(c *BAT, p Pred, out *[]int64) func(a, b int) {
 	case p.form != predNaive && c.Kind == KindI64 && p.I != nil:
 		fi, vals := p.I, c.I
 		return func(a, b int) {
-			ids := *out
+			ids, buf := growFor(*out, b-a)
+			k := 0
 			for row := a; row < b; row++ {
-				if fi(vals[row]) {
-					ids = append(ids, int64(row))
-				}
+				buf[k] = int64(row)
+				k += b2i(fi(vals[row]))
 			}
-			*out = ids
+			*out = ids[:len(ids)+k]
 		}
 	case p.form != predNaive && c.Kind == KindF64 && p.F != nil:
 		ff, vals := p.F, c.F
 		return func(a, b int) {
-			ids := *out
+			ids, buf := growFor(*out, b-a)
+			k := 0
 			for row := a; row < b; row++ {
-				if ff(vals[row]) {
-					ids = append(ids, int64(row))
-				}
+				buf[k] = int64(row)
+				k += b2i(ff(vals[row]))
 			}
-			*out = ids
+			*out = ids[:len(ids)+k]
 		}
 	default:
 		return func(a, b int) {
@@ -245,32 +269,25 @@ func selectScanLoop(c *BAT, p Pred, out *[]int64) func(a, b int) {
 }
 
 // gatherScanLoop is selectScanLoop's sibling for candidate refinement: it
-// scans positions [a, b) of the candidate list cand, testing the base
-// column c at each candidate row and appending surviving candidates to
-// *out.
+// scans positions [a, b) of the candidate list cand (within the list; the
+// caller clamps), testing the base column c at each candidate row and
+// appending surviving candidates to *out. Positions a … b of a dense
+// candidate are base rows seq+a … seq+b, so refining one is scanning them.
 func gatherScanLoop(c *BAT, p Pred, cand *BAT, out *[]int64) func(a, b int) {
+	if cand.n > 0 {
+		scan := selectScanLoop(c, p, out)
+		return func(a, b int) { scan(cand.seq+a, cand.seq+b) }
+	}
 	switch {
 	case p.form == predAll:
-		return func(a, b int) {
-			ids, cids := *out, cand.I
-			for k := a; k < b && k < len(cids); k++ {
-				ids = append(ids, cids[k])
-			}
-			*out = ids
-		}
+		return func(a, b int) { *out = append(*out, cand.I[a:b]...) }
 	case p.form == predIRange && c.Kind == KindI64:
 		lo, hi, vals := p.iLo, p.iHi, c.I
 		return func(a, b int) {
-			cids := cand.I
-			if b > len(cids) {
-				b = len(cids)
-			}
-			if b <= a {
-				return
-			}
-			ids, buf := growFor(*out, b-a)
+			cids := cand.I[a:b]
+			ids, buf := growFor(*out, len(cids))
 			k := 0
-			for _, cid := range cids[a:b] {
+			for _, cid := range cids {
 				buf[k] = cid
 				v := vals[cid]
 				k += b2i(v >= lo && v < hi)
@@ -280,16 +297,10 @@ func gatherScanLoop(c *BAT, p Pred, cand *BAT, out *[]int64) func(a, b int) {
 	case p.form == predIEq && c.Kind == KindI64:
 		x, vals := p.iLo, c.I
 		return func(a, b int) {
-			cids := cand.I
-			if b > len(cids) {
-				b = len(cids)
-			}
-			if b <= a {
-				return
-			}
-			ids, buf := growFor(*out, b-a)
+			cids := cand.I[a:b]
+			ids, buf := growFor(*out, len(cids))
 			k := 0
-			for _, cid := range cids[a:b] {
+			for _, cid := range cids {
 				buf[k] = cid
 				k += b2i(vals[cid] == x)
 			}
@@ -298,31 +309,22 @@ func gatherScanLoop(c *BAT, p Pred, cand *BAT, out *[]int64) func(a, b int) {
 	case p.form == predIIn && c.Kind == KindI64:
 		list, vals := p.iList, c.I
 		return func(a, b int) {
-			ids, cids := *out, cand.I
-			for k := a; k < b && k < len(cids); k++ {
-				v := vals[cids[k]]
-				for _, x := range list {
-					if x == v {
-						ids = append(ids, cids[k])
-						break
-					}
-				}
+			cids := cand.I[a:b]
+			ids, buf := growFor(*out, len(cids))
+			k := 0
+			for _, cid := range cids {
+				buf[k] = cid
+				k += inList(list, vals[cid])
 			}
-			*out = ids
+			*out = ids[:len(ids)+k]
 		}
 	case p.form == predFRange && c.Kind == KindF64:
 		lo, hi, vals := p.fLo, p.fHi, c.F
 		return func(a, b int) {
-			cids := cand.I
-			if b > len(cids) {
-				b = len(cids)
-			}
-			if b <= a {
-				return
-			}
-			ids, buf := growFor(*out, b-a)
+			cids := cand.I[a:b]
+			ids, buf := growFor(*out, len(cids))
 			k := 0
-			for _, cid := range cids[a:b] {
+			for _, cid := range cids {
 				buf[k] = cid
 				v := vals[cid]
 				k += b2i(v >= lo && v <= hi)
@@ -332,16 +334,10 @@ func gatherScanLoop(c *BAT, p Pred, cand *BAT, out *[]int64) func(a, b int) {
 	case p.form == predFLess && c.Kind == KindF64:
 		hi, vals := p.fHi, c.F
 		return func(a, b int) {
-			cids := cand.I
-			if b > len(cids) {
-				b = len(cids)
-			}
-			if b <= a {
-				return
-			}
-			ids, buf := growFor(*out, b-a)
+			cids := cand.I[a:b]
+			ids, buf := growFor(*out, len(cids))
 			k := 0
-			for _, cid := range cids[a:b] {
+			for _, cid := range cids {
 				buf[k] = cid
 				k += b2i(vals[cid] < hi)
 			}
@@ -350,31 +346,33 @@ func gatherScanLoop(c *BAT, p Pred, cand *BAT, out *[]int64) func(a, b int) {
 	case p.form != predNaive && c.Kind == KindI64 && p.I != nil:
 		fi, vals := p.I, c.I
 		return func(a, b int) {
-			ids, cids := *out, cand.I
-			for k := a; k < b && k < len(cids); k++ {
-				if fi(vals[cids[k]]) {
-					ids = append(ids, cids[k])
-				}
+			cids := cand.I[a:b]
+			ids, buf := growFor(*out, len(cids))
+			k := 0
+			for _, cid := range cids {
+				buf[k] = cid
+				k += b2i(fi(vals[cid]))
 			}
-			*out = ids
+			*out = ids[:len(ids)+k]
 		}
 	case p.form != predNaive && c.Kind == KindF64 && p.F != nil:
 		ff, vals := p.F, c.F
 		return func(a, b int) {
-			ids, cids := *out, cand.I
-			for k := a; k < b && k < len(cids); k++ {
-				if ff(vals[cids[k]]) {
-					ids = append(ids, cids[k])
-				}
+			cids := cand.I[a:b]
+			ids, buf := growFor(*out, len(cids))
+			k := 0
+			for _, cid := range cids {
+				buf[k] = cid
+				k += b2i(ff(vals[cid]))
 			}
-			*out = ids
+			*out = ids[:len(ids)+k]
 		}
 	default:
 		return func(a, b int) {
-			ids, cids := *out, cand.I
-			for k := a; k < b && k < len(cids); k++ {
-				if p.eval(c, int(cids[k])) {
-					ids = append(ids, cids[k])
+			ids := *out
+			for _, cid := range cand.I[a:b] {
+				if p.eval(c, int(cid)) {
+					ids = append(ids, cid)
 				}
 			}
 			*out = ids
@@ -409,11 +407,16 @@ func ThetaSelect(table, col, out string, p Pred) StageFn {
 		for i, r := range ranges {
 			i, r := i, r
 			t := newChunkTask("algebra.thetasubselect", q.Machine(), []*BAT{c}, r[0], r[1], cyclesScan)
-			op := NewFilterScan(c, predFor(q, p), r[0], r[1], q.scratchI64((r[1]-r[0])/2))
+			pr := predFor(q, p)
+			var buf []int64
+			if pr.form != predAll {
+				buf = q.scratchI64(selHint(r[1] - r[0]))
+			}
+			op := NewFilterScan(c, pr, r[0], r[1], buf)
 			t.process = op.runRange
 			t.finish = func(*sched.ExecContext) []*BAT {
 				q.ownI64(op.ids)
-				frag := NewI64(out, op.ids)
+				frag := op.result(out)
 				ps.Parts[i] = frag
 				return []*BAT{frag}
 			}
@@ -428,18 +431,13 @@ func ThetaSelect(table, col, out string, p Pred) StageFn {
 // fragment.
 func gatherCharge(cand *BAT, col *BAT) func(*sched.ExecContext, int, int) uint64 {
 	return func(ctx *sched.ExecContext, a, b int) uint64 {
-		if b <= a || len(cand.I) == 0 {
+		if b = min(b, cand.Len()); a >= b {
 			return 0
 		}
-		if b > len(cand.I) {
-			b = len(cand.I)
+		if cand.n > 0 {
+			return col.chargeRange(ctx, cand.seq+a, cand.seq+b, false)
 		}
-		if a >= b {
-			return 0
-		}
-		lo := int(cand.I[a])
-		hi := int(cand.I[b-1]) + 1
-		return col.chargeRange(ctx, lo, hi, false)
+		return col.chargeRange(ctx, int(cand.I[a]), int(cand.I[b-1])+1, false)
 	}
 }
 
@@ -460,7 +458,7 @@ func SubSelect(in, table, col, out string, p Pred) StageFn {
 			}
 			t := newChunkTask("algebra.subselect", q.Machine(), []*BAT{cand}, 0, cand.Len(), cyclesGather)
 			t.extraCharge = gatherCharge(cand, c)
-			op := NewFilterRefine(c, predFor(q, p), cand, q.scratchI64(cand.Len()/2))
+			op := NewFilterRefine(c, predFor(q, p), cand, q.scratchI64(selHint(cand.Len())))
 			t.process = op.runRange
 			t.finish = func(*sched.ExecContext) []*BAT {
 				q.ownI64(op.ids)
@@ -626,6 +624,7 @@ func BuildMap(keysVar, valsVar, setName string) StageFn {
 		t := &funcTask{op: "hash.build", pref: numa.NoNode}
 		t.work = func(ctx *sched.ExecContext) uint64 {
 			m := q.scratchMapII()
+			m.reserve(keys.Rows())
 			var cost uint64
 			for pi, frag := range keys.Parts {
 				if frag == nil || frag.Len() == 0 {
@@ -690,9 +689,9 @@ func probe(inCand, table, col, setName, outCand, outVals string, anti bool) Stag
 			t := newChunkTask("join.probe", q.Machine(), []*BAT{cand}, 0, cand.Len(), cyclesProbe)
 			t.extraCharge = gatherCharge(cand, c)
 			var payloads []int64
-			ids := q.scratchI64(cand.Len() / 2)
+			ids := q.scratchI64(selHint(cand.Len()))
 			if vps != nil {
-				payloads = q.scratchI64(cand.Len() / 2)
+				payloads = q.scratchI64(selHint(cand.Len()))
 			}
 			op := NewHashProbe(c, cand, set, anti, vps != nil, ids, payloads)
 			t.process = op.runRange
@@ -820,27 +819,32 @@ func GroupMerge(partialsName, outKeys, outSums string) StageFn {
 		partials := q.partialsOf(partialsName)
 		merge := &funcTask{op: "mat.pack", pref: numa.NoNode}
 		merge.work = func(ctx *sched.ExecContext) uint64 {
-			total := q.scratchMapIF()
 			n := 0
 			for _, m := range partials {
-				if m == nil {
-					continue
+				if m != nil {
+					n += m.Len()
 				}
-				m.Range(func(k int64, v float64) {
-					total.Add(k, v)
-					n++
-				})
 			}
-			ks := q.scratchI64(total.Len())
-			total.Range(func(k int64, _ float64) { ks = append(ks, k) })
-			slices.Sort(ks)
-			sums := q.scratchF64(len(ks))[:len(ks)]
-			for i, k := range ks {
-				v, _ := total.Get(k)
-				sums[i] = v
+			total := q.scratchMapIF()
+			total.reserve(n)
+			for _, m := range partials {
+				if m != nil {
+					m.Range(total.Add)
+				}
 			}
+			ks, sums := q.scratchI64(total.Len()), q.scratchF64(total.Len())
+			total.Range(func(k int64, v float64) {
+				ks = append(ks, k)
+				sums = append(sums, v)
+			})
+			tk, ts := q.scratchI64(len(ks))[:len(ks)], q.scratchF64(len(ks))[:len(ks)]
+			// All four buffers go back to the pool, each registered once:
+			// the sorted pair is one of the two.
 			q.ownI64(ks)
+			q.ownI64(tk)
 			q.ownF64(sums)
+			q.ownF64(ts)
+			ks, sums = sortPairs(ks, sums, tk, ts)
 			kb, sb := NewI64(outKeys, ks), NewF64(outSums, sums)
 			q.SetVar(outKeys, &PartSet{Parts: []*BAT{kb}})
 			q.SetVar(outSums, &PartSet{Parts: []*BAT{sb}})
@@ -859,8 +863,7 @@ func GroupFilter(outKeys, outSums string, keep func(sum float64) bool) StageFn {
 	return func(q *Query) []Task {
 		t := &funcTask{op: "group.filter", pref: numa.NoNode}
 		t.work = func(ctx *sched.ExecContext) uint64 {
-			keys := q.Var(outKeys).FlattenI64()
-			sums := q.Var(outSums).FlattenF64()
+			keys, sums := q.Var(outKeys).valuesI64(), q.Var(outSums).valuesF64()
 			ks := q.scratchI64(len(keys))
 			ss := q.scratchF64(len(sums))
 			for i, s := range sums {
@@ -885,8 +888,7 @@ func TopN(outKeys, outSums string, n int) StageFn {
 	return func(q *Query) []Task {
 		t := &funcTask{op: "algebra.topn", pref: numa.NoNode}
 		t.work = func(ctx *sched.ExecContext) uint64 {
-			keys := q.Var(outKeys).FlattenI64()
-			sums := q.Var(outSums).FlattenF64()
+			keys, sums := q.Var(outKeys).valuesI64(), q.Var(outSums).valuesF64()
 			idx := topNIndex(sums, n)
 			ks := q.scratchI64(len(idx))[:len(idx)]
 			ss := q.scratchF64(len(idx))[:len(idx)]

@@ -24,11 +24,12 @@ func (ps *PartSet) Rows() int {
 	return n
 }
 
-// FlattenI64 concatenates integer fragments (result extraction).
+// FlattenI64 concatenates integer fragments (result extraction); dense
+// candidate fragments are written out.
 func (ps *PartSet) FlattenI64() []int64 {
 	out := make([]int64, 0, ps.Rows())
 	for _, p := range ps.Parts {
-		out = append(out, p.I...)
+		out = p.appendI64(out)
 	}
 	return out
 }
@@ -40,6 +41,24 @@ func (ps *PartSet) FlattenF64() []float64 {
 		out = append(out, p.F...)
 	}
 	return out
+}
+
+// valuesI64 returns the variable's integer values for a single-task
+// operator to read: a merged variable's one fragment in place, anything
+// else concatenated.
+func (ps *PartSet) valuesI64() []int64 {
+	if len(ps.Parts) == 1 && ps.Parts[0].n == 0 {
+		return ps.Parts[0].I
+	}
+	return ps.FlattenI64()
+}
+
+// valuesF64 is valuesI64 for float variables.
+func (ps *PartSet) valuesF64() []float64 {
+	if len(ps.Parts) == 1 {
+		return ps.Parts[0].F
+	}
+	return ps.FlattenF64()
 }
 
 // StageFn plans one operator of a query: given the query context it

@@ -43,35 +43,21 @@ func class(capacity int) int {
 	return c
 }
 
-// startClass is the first bucket whose every member satisfies a request:
-// the smallest c with 2^(c-1) >= capacity. Only the clamped top bucket can
-// still hold undersized buffers.
-func startClass(capacity int) int {
-	if capacity < 2 {
-		return 1
-	}
-	c := bits.Len(uint(capacity-1)) + 1
-	if c >= poolClasses {
-		c = poolClasses - 1
-	}
-	return c
-}
-
 // getI64 returns a zero-length buffer with at least the given capacity.
+// The search starts in the request's own bucket, where a buffer allocated
+// for an equal request was filed; only there (and in the clamped top
+// bucket) can the newest buffer be too small, and then it stays put.
 func (p *bufPool) getI64(capacity int) []int64 {
-	for c := startClass(capacity); c < poolClasses; c++ {
+	for c := class(capacity); c < poolClasses; c++ {
 		stack := p.i64[c]
-		if n := len(stack); n > 0 {
-			buf := stack[n-1]
-			stack[n-1] = nil
-			p.i64[c] = stack[:n-1]
-			if cap(buf) >= capacity {
-				return buf[:0]
-			}
-			// Only possible in the clamped top bucket: refile and give up.
-			p.putI64(buf)
-			break
+		n := len(stack)
+		if n == 0 || cap(stack[n-1]) < capacity {
+			continue
 		}
+		buf := stack[n-1]
+		stack[n-1] = nil
+		p.i64[c] = stack[:n-1]
+		return buf[:0]
 	}
 	return make([]int64, 0, capacity)
 }
@@ -86,20 +72,18 @@ func (p *bufPool) putI64(buf []int64) {
 	}
 }
 
-// getF64 returns a zero-length buffer with at least the given capacity.
+// getF64 is getI64 for float64 buffers.
 func (p *bufPool) getF64(capacity int) []float64 {
-	for c := startClass(capacity); c < poolClasses; c++ {
+	for c := class(capacity); c < poolClasses; c++ {
 		stack := p.f64[c]
-		if n := len(stack); n > 0 {
-			buf := stack[n-1]
-			stack[n-1] = nil
-			p.f64[c] = stack[:n-1]
-			if cap(buf) >= capacity {
-				return buf[:0]
-			}
-			p.putF64(buf)
-			break
+		n := len(stack)
+		if n == 0 || cap(stack[n-1]) < capacity {
+			continue
 		}
+		buf := stack[n-1]
+		stack[n-1] = nil
+		p.f64[c] = stack[:n-1]
+		return buf[:0]
 	}
 	return make([]float64, 0, capacity)
 }

@@ -79,11 +79,14 @@ func tailViewF64(name string, buf []float64, mark int) *BAT {
 // FilterScan is the leaf selection operator (algebra.thetasubselect): it
 // scans base rows [lo, hi) of a column and accumulates matching row OIDs.
 // One input unit is one base row; one output value is one surviving OID.
+// Under PredAll there is nothing to test and nothing to write: the rows
+// scanned so far are the result, as a dense candidate list.
 type FilterScan struct {
 	col    *BAT
 	ids    []int64
-	loop   func(a, b int)
+	loop   func(a, b int) // nil under PredAll
 	lo, hi int
+	all    int // rows scanned under PredAll: the result is [lo, lo+all)
 
 	cursor int
 	m      meter
@@ -91,15 +94,32 @@ type FilterScan struct {
 
 // NewFilterScan builds the operator over rows [lo, hi) of col. buf seeds
 // the OID accumulator (pass a pooled scratch buffer inside the engine,
-// nil standalone).
+// nil standalone or under PredAll).
 func NewFilterScan(col *BAT, p Pred, lo, hi int, buf []int64) *FilterScan {
 	fs := &FilterScan{col: col, ids: buf, lo: lo, hi: hi, cursor: lo}
-	fs.loop = selectScanLoop(col, p, &fs.ids)
+	if p.form != predAll {
+		fs.loop = selectScanLoop(col, p, &fs.ids)
+	}
 	return fs
 }
 
-// runRange runs the kernel over base rows [a, b) (engine drive).
-func (fs *FilterScan) runRange(a, b int) { fs.loop(a, b) }
+// runRange runs the kernel over base rows [a, b) (engine drive: chunks
+// arrive in order from lo).
+func (fs *FilterScan) runRange(a, b int) {
+	if fs.loop == nil {
+		fs.all += b - a
+		return
+	}
+	strips(a, b, &fs.ids, fs.loop)
+}
+
+// result returns the candidate list accumulated so far.
+func (fs *FilterScan) result(name string) *BAT {
+	if fs.loop == nil {
+		return newDense(name, fs.lo, fs.all)
+	}
+	return NewI64(name, fs.ids)
+}
 
 // Op implements Operator.
 func (fs *FilterScan) Op() string { return "algebra.thetasubselect" }
@@ -114,9 +134,12 @@ func (fs *FilterScan) Next(n int) *BAT {
 	}
 	n = span(fs.cursor, n, fs.hi)
 	mark := len(fs.ids)
-	fs.loop(fs.cursor, fs.cursor+n)
+	fs.runRange(fs.cursor, fs.cursor+n)
 	fs.cursor += n
 	fs.m.add(n, cyclesScan)
+	if fs.loop == nil {
+		return newDense(fs.col.Name+".sel", fs.cursor-n, n)
+	}
 	return tailViewI64(fs.col.Name+".sel", fs.ids, mark)
 }
 
@@ -139,7 +162,9 @@ func NewFilterRefine(col *BAT, p Pred, cand *BAT, buf []int64) *FilterRefine {
 	return fr
 }
 
-func (fr *FilterRefine) runRange(a, b int) { fr.loop(a, b) }
+func (fr *FilterRefine) runRange(a, b int) {
+	strips(a, min(b, fr.cand.Len()), &fr.ids, fr.loop)
+}
 
 // Op implements Operator.
 func (fr *FilterRefine) Op() string { return "algebra.subselect" }
@@ -154,7 +179,7 @@ func (fr *FilterRefine) Next(n int) *BAT {
 	}
 	n = span(fr.cursor, n, fr.cand.Len())
 	mark := len(fr.ids)
-	fr.loop(fr.cursor, fr.cursor+n)
+	fr.runRange(fr.cursor, fr.cursor+n)
 	fr.cursor += n
 	fr.m.add(n, cyclesGather)
 	return tailViewI64(fr.col.Name+".sel", fr.ids, mark)
@@ -179,13 +204,31 @@ func NewGather(col, cand, out *BAT) *Gather {
 
 func (g *Gather) runRange(a, b int) {
 	cand, c, outB := g.cand, g.col, g.out
-	for k := a; k < b && k < len(cand.I); k++ {
-		row := int(cand.I[k])
+	if b = min(b, cand.Len()); a >= b {
+		return
+	}
+	if cand.n > 0 { // positions a … b are rows seq+a … seq+b: a slice copy
+		lo, hi := cand.seq+a, cand.seq+b
 		if c.Kind == KindI64 {
-			outB.I = append(outB.I, c.I[row])
+			outB.I = append(outB.I, c.I[lo:hi]...)
 		} else {
-			outB.F = append(outB.F, c.F[row])
+			outB.F = append(outB.F, c.F[lo:hi]...)
 		}
+		return
+	}
+	cids := cand.I[a:b]
+	if c.Kind == KindI64 {
+		vals, buf := growFor(outB.I, len(cids))
+		for k, cid := range cids {
+			buf[k] = c.I[cid]
+		}
+		outB.I = vals[:len(vals)+len(cids)]
+	} else {
+		vals, buf := growFor(outB.F, len(cids))
+		for k, cid := range cids {
+			buf[k] = c.F[cid]
+		}
+		outB.F = vals[:len(vals)+len(cids)]
 	}
 }
 
@@ -316,7 +359,7 @@ type HashBuild struct {
 // NewHashBuild builds the operator inserting into set (pass a pooled
 // scratch map inside the engine).
 func NewHashBuild(keys, vals *BAT, set *i64Map) *HashBuild {
-	return &HashBuild{keys: keys, vals: vals, set: set}
+	return &HashBuild{keys: keys.byPosition(), vals: vals.byPosition(), set: set}
 }
 
 func (hb *HashBuild) runRange(a, b int) {
@@ -386,17 +429,47 @@ func NewHashProbe(col, cand *BAT, set *i64Map, anti, fetch bool, idBuf, payloadB
 }
 
 func (hp *HashProbe) runRange(a, b int) {
-	cand, c := hp.cand, hp.col
-	for k := a; k < b && k < len(cand.I); k++ {
-		row := int(cand.I[k])
-		payload, hit := hp.set.Get(c.I[row])
-		if hit == hp.anti {
-			continue
-		}
-		hp.ids = append(hp.ids, cand.I[k])
+	for b = min(b, hp.cand.Len()); a < b; {
+		n := strip(b-a, hp.ids)
 		if hp.fetch {
-			hp.payloads = append(hp.payloads, payload)
+			n = min(n, strip(b-a, hp.payloads))
 		}
+		hp.probe(a, a+n)
+		a += n
+	}
+}
+
+// probe is the kernel over candidate positions [a, b), within the list.
+func (hp *HashProbe) probe(a, b int) {
+	cand, vals, set, fetch, anti := hp.cand, hp.col.I, hp.set, hp.fetch, hp.anti
+	ids, idBuf := growFor(hp.ids, b-a)
+	pays, payBuf := hp.payloads, []int64(nil)
+	if fetch {
+		pays, payBuf = growFor(pays, b-a)
+	}
+	k := 0
+	if cand.n > 0 { // positions a … b are rows seq+a … seq+b
+		for row := cand.seq + a; row < cand.seq+b; row++ {
+			payload, hit := set.Get(vals[row])
+			idBuf[k] = int64(row)
+			if fetch {
+				payBuf[k] = payload
+			}
+			k += b2i(hit != anti)
+		}
+	} else {
+		for _, cid := range cand.I[a:b] {
+			payload, hit := set.Get(vals[cid])
+			idBuf[k] = cid
+			if fetch {
+				payBuf[k] = payload
+			}
+			k += b2i(hit != anti)
+		}
+	}
+	hp.ids = ids[:len(ids)+k]
+	if fetch {
+		hp.payloads = pays[:len(pays)+k]
 	}
 }
 
@@ -439,7 +512,7 @@ type GroupAgg struct {
 // NewGroupAgg builds the operator accumulating into agg (pass a pooled
 // scratch map inside the engine; vals nil counts rows per key).
 func NewGroupAgg(keys, vals *BAT, agg *i64fMap) *GroupAgg {
-	return &GroupAgg{keys: keys, vals: vals, agg: agg}
+	return &GroupAgg{keys: keys.byPosition(), vals: vals.byPosition(), agg: agg}
 }
 
 func (ga *GroupAgg) runRange(a, b int) {
@@ -505,22 +578,85 @@ func (ga *GroupAgg) Next(n int) *BAT {
 	return NewI64(ga.keys.Name+".group", ks)
 }
 
-// topNIndex stable-sorts row indices of sums descending and returns the
-// first n (all rows when n exceeds the input). Shared by the engine's
-// TopN stage and the SortLimit operator, so both rank ties identically.
+// topNIndex returns the indices of the n largest sums in rank order (all
+// rows when n exceeds the input) under the total order "larger sum first,
+// then smaller index" — the ranking of a stable descending sort, without
+// sorting the rows that do not make the cut: a bounded heap keeps the n
+// best seen so far with the worst of them at its root. Shared by the
+// engine's TopN stage and the SortLimit operator, so both rank ties
+// identically.
 func topNIndex(sums []float64, n int) []int {
-	idx := make([]int, len(sums))
-	for i := range idx {
-		idx[i] = i
+	n = max(0, min(n, len(sums)))
+	ahead := func(a, b int) bool { return sums[a] > sums[b] || (sums[a] == sums[b] && a < b) }
+	kept := make([]int, n)
+	for i := range kept {
+		kept[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return sums[idx[a]] > sums[idx[b]] })
-	if n > len(idx) {
-		n = len(idx)
+	sink := func(i int) {
+		for {
+			worst := i
+			for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+				if ahead(kept[worst], kept[c]) {
+					worst = c
+				}
+			}
+			if worst == i {
+				return
+			}
+			kept[i], kept[worst] = kept[worst], kept[i]
+			i = worst
+		}
 	}
-	if n < 0 {
-		n = 0
+	for i := n/2 - 1; i >= 0; i-- {
+		sink(i)
 	}
-	return idx[:n]
+	for i := n; i < len(sums) && n > 0; i++ {
+		if ahead(i, kept[0]) {
+			kept[0] = i
+			sink(0)
+		}
+	}
+	sort.Slice(kept, func(x, y int) bool { return ahead(kept[x], kept[y]) })
+	return kept
+}
+
+// sortPairs sorts the aligned key/value pairs by key ascending and
+// returns the sorted vectors: the inputs or the equally long scratch pair
+// tk/tv, whichever the last pass wrote. It is a byte-wise radix sort,
+// least significant byte first, over the key bytes that differ at all —
+// group keys are small codes and surrogate keys, so two or three counting
+// passes order tens of thousands of groups several times faster than a
+// comparison sort — and carrying the values along spares the group merge
+// a second probe of its table per group.
+func sortPairs(ks []int64, vs []float64, tk []int64, tv []float64) ([]int64, []float64) {
+	if len(ks) < 2 {
+		return ks, vs
+	}
+	const sign = 1 << 63 // flipped, unsigned byte order is the signed order
+	var differ uint64
+	for _, k := range ks[1:] {
+		differ |= uint64(k ^ ks[0])
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var next [257]int // next[d]: where the next key with byte d goes
+		for _, k := range ks {
+			next[(uint64(k)^sign)>>shift&0xff+1]++
+		}
+		for d := 1; d < 256; d++ {
+			next[d] += next[d-1]
+		}
+		for i, k := range ks {
+			d := (uint64(k) ^ sign) >> shift & 0xff
+			tk[next[d]], tv[next[d]] = k, vs[i]
+			next[d]++
+		}
+		ks, tk = tk, ks
+		vs, tv = tv, vs
+	}
+	return ks, vs
 }
 
 // SortLimit is the algebra.topn operator: it consumes aligned key/sum

@@ -10,9 +10,12 @@ import (
 // validation of cross-table mistakes and point lookups has something to
 // trip on: "tiny" holds a sorted integer key column k (0..63) and a float
 // payload v.
-func newSpecRig(t *testing.T) *rig {
+func newSpecRig(t *testing.T) *rig { return newSpecRigRows(t, 512) }
+
+// newSpecRigRows is newSpecRig with a lineitem of the given size.
+func newSpecRigRows(t *testing.T, lineitems int) *rig {
 	t.Helper()
-	r := newDBRig(t, 512, PlacementOS)
+	r := newDBRig(t, lineitems, PlacementOS)
 	const rows = 64
 	k := make([]int64, rows)
 	v := make([]float64, rows)
@@ -259,7 +262,9 @@ func fuzzSeedOp(kind, table, col, col2, in, in2, out, out2, pred int) []byte {
 // FuzzPlanBuild feeds arbitrary operator compositions through Compile:
 // any input must either yield an executable plan or an error — never a
 // panic — and a plan Compile accepts must run to completion without
-// tripping the stage builders' internal alignment panics.
+// tripping the stage builders' internal alignment panics, with the same
+// results, latency and simulated accesses on the fast path as under
+// Config.Naive.
 func FuzzPlanBuild(f *testing.F) {
 	var q6ish []byte
 	q6ish = append(q6ish, fuzzSeedOp(0, 0, 1, 0, 0, 0, 0, 0, 3)...) // scan quantity < 24 -> a
@@ -281,17 +286,27 @@ func FuzzPlanBuild(f *testing.F) {
 	join = append(join, fuzzSeedOp(14, 1, 5, 6, 0, 0, 0, 0, 0)...) // lookup tiny.k -> v
 	f.Add(join)
 
+	var dense []byte
+	dense = append(dense, fuzzSeedOp(0, 0, 4, 0, 0, 0, 0, 0, 0)...) // scan-all orderkey -> a (dense)
+	dense = append(dense, fuzzSeedOp(1, 0, 1, 0, 0, 0, 1, 0, 3)...) // refine a, quantity < 24 -> b
+	dense = append(dense, fuzzSeedOp(1, 0, 4, 0, 0, 0, 2, 0, 5)...) // refine a, orderkey in list -> c
+	dense = append(dense, fuzzSeedOp(2, 0, 3, 0, 0, 0, 3, 0, 0)...) // project a price -> d
+	dense = append(dense, fuzzSeedOp(4, 0, 0, 0, 3, 0, 2, 0, 0)...) // sum d -> scalar c
+	dense = append(dense, fuzzSeedOp(2, 0, 4, 0, 1, 0, 3, 0, 0)...) // project b orderkey -> d
+	dense = append(dense, fuzzSeedOp(6, 0, 0, 0, 3, 4, 2, 0, 0)...) // build d -> set c
+	dense = append(dense, fuzzSeedOp(9, 0, 4, 0, 0, 2, 1, 0, 0)...) // probe-anti a vs c -> b
+	dense = append(dense, fuzzSeedOp(5, 0, 0, 0, 1, 0, 3, 0, 0)...) // count b -> scalar d
+	f.Add(dense)
+
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := fuzzSpec(data)
-		r := newSpecRig(t)
-		plan, err := spec.Compile(r.store)
-		if err != nil {
+		if _, err := spec.Compile(newSpecRig(t).store); err != nil {
 			return
 		}
-		q := r.eng.Submit(plan)
-		r.run(t, q)
+		fast, naive, fastM, naiveM := runPlanBothWays(t, 512, spec.Compile)
+		sameOutcome(t, fast, naive, fastM, naiveM)
 	})
 }

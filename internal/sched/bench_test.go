@@ -11,15 +11,7 @@ import (
 // the Tick in which every woken thread runs for nothing and parks again.
 func BenchmarkWakeAllHerd(b *testing.B) {
 	const herd = 4096
-	s := New(numa.NewMachine(numa.Opteron8387()), Config{})
-	spawnHerd(s, 1, herd)
-	cycle := func() {
-		s.WakeAll(1)
-		s.Tick()
-	}
-	for i := 0; i < 8; i++ {
-		cycle() // grow the run queues and the drain buffer
-	}
+	_, cycle := warmHerd(herd)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

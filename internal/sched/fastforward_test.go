@@ -245,18 +245,27 @@ func spawnHerd(s *Scheduler, pid, n int) []*Thread {
 	return threads
 }
 
-// TestWakeAllHerdZeroAlloc is the same guard at herd scale: 4096 parked
-// threads over 16 cores, woken and re-parked, allocate nothing once warm.
-func TestWakeAllHerdZeroAlloc(t *testing.T) {
-	s := New(numa.NewMachine(numa.Opteron8387()), Config{})
-	spawnHerd(s, 1, 4096)
-	cycle := func() {
+// warmHerd parks a herd of n threads of PID 1 over 16 cores and returns
+// the scheduler with its wake-and-repark cycle — one WakeAll plus the Tick
+// in which every woken thread runs for nothing and parks again — already
+// run often enough to have grown the run queues and the drain buffer.
+func warmHerd(n int) (s *Scheduler, cycle func()) {
+	s = New(numa.NewMachine(numa.Opteron8387()), Config{})
+	spawnHerd(s, 1, n)
+	cycle = func() {
 		s.WakeAll(1)
 		s.Tick()
 	}
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
+	return s, cycle
+}
+
+// TestWakeAllHerdZeroAlloc is the same guard at herd scale: 4096 parked
+// threads over 16 cores, woken and re-parked, allocate nothing once warm.
+func TestWakeAllHerdZeroAlloc(t *testing.T) {
+	s, cycle := warmHerd(4096)
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("herd WakeAll+tick allocated %v times per run, want 0", allocs)
 	}
