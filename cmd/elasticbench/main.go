@@ -8,9 +8,6 @@
 //	elasticbench run fig4 fig19 consolidation -format json -out results/ -parallel 4
 //	elasticbench run all -sf 0.01 -clients 128
 //	elasticbench run fig19 -engine sqlserver -v
-//
-// The flag form `elasticbench -fig 19` is kept as a deprecated alias for
-// `elasticbench run fig19`.
 package main
 
 import (
@@ -30,21 +27,30 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	var err error
-	switch {
-	case len(args) > 0 && args[0] == "list":
-		err = cmdList(args[1:])
-	case len(args) > 0 && args[0] == "run":
-		err = cmdRun(args[1:])
-	case len(args) > 0 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help"):
-		usage(os.Stdout)
-	default:
-		err = cmdLegacy(args)
-	}
-	if err != nil {
+	if err := dispatch(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "elasticbench: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// dispatch runs the command the first argument names; a missing or
+// unknown one prints the usage and is an error.
+func dispatch(args []string) error {
+	if len(args) == 0 {
+		usage(os.Stderr)
+		return fmt.Errorf("no command given")
+	}
+	switch args[0] {
+	case "list":
+		return cmdList(args[1:])
+	case "run":
+		return cmdRun(args[1:])
+	case "help", "-h", "--help":
+		usage(os.Stdout)
+		return nil
+	default:
+		usage(os.Stderr)
+		return fmt.Errorf("unknown command %q", args[0])
 	}
 }
 
@@ -137,7 +143,7 @@ func cmdList(args []string) error {
 	return nil
 }
 
-// runFlags are the options shared by `run` and the deprecated flag form.
+// runFlags are the options of `run`.
 type runFlags struct {
 	cfg      experiments.Config
 	format   string
@@ -243,43 +249,6 @@ func cmdRun(args []string) error {
 		return fmt.Errorf("run needs experiment names (try `elasticbench list` or `run all`)")
 	}
 	return execute(names, rf)
-}
-
-// cmdLegacy keeps the original flag interface alive: -fig N selects one
-// figure (or "all") and prints text to stdout.
-func cmdLegacy(args []string) error {
-	fs := flag.NewFlagSet("elasticbench", flag.ExitOnError)
-	fs.Usage = func() {
-		usage(os.Stderr)
-		fmt.Fprintln(os.Stderr, "\nDeprecated flag form:")
-		fs.PrintDefaults()
-	}
-	fig := fs.String("fig", "all", "deprecated alias: figure to run (4..20, overhead, consolidation, all)")
-	rf, engine := bindRunFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unknown command %q (try `elasticbench list` or `elasticbench run <name>`)", fs.Arg(0))
-	}
-	if err := rf.applyEngine(*engine); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "elasticbench: -fig is deprecated; use `elasticbench run %s`\n", legacyName(*fig))
-	return execute([]string{legacyName(*fig)}, rf)
-}
-
-// legacyName maps the old -fig values ("4", "19", "overhead") onto
-// registry names.
-func legacyName(fig string) string {
-	switch fig {
-	case "all", "overhead", "consolidation":
-		return fig
-	}
-	if !strings.HasPrefix(fig, "fig") && fig != "" && fig[0] >= '0' && fig[0] <= '9' {
-		return "fig" + fig
-	}
-	return fig
 }
 
 // execute resolves names (failing fast on typos), runs the batch and

@@ -36,6 +36,17 @@ func quietRunFlags(t *testing.T) *runFlags {
 	return &runFlags{format: "text", out: t.TempDir(), parallel: 1}
 }
 
+// TestDispatchRejectsMissingOrUnknownCommand: there is one command
+// syntax; no arguments, a bare flag (the retired `-fig N` form) or a
+// misspelt command is an error (main exits non-zero), never a default run.
+func TestDispatchRejectsMissingOrUnknownCommand(t *testing.T) {
+	for _, args := range [][]string{nil, {"-fig", "19"}, {"-sf", "0.002"}, {"runn", "fig4"}} {
+		if err := dispatch(args); err == nil {
+			t.Errorf("dispatch(%q) returned nil (process would exit 0)", args)
+		}
+	}
+}
+
 // TestExecuteFailsWhenAnyExperimentErrors: one failure in a batch of two
 // must surface as a non-nil error from execute (which main turns into
 // exit status 1), naming how many failed.

@@ -11,7 +11,7 @@ import (
 )
 
 // testFleet builds a small fleet for the behavioural tests.
-func testFleet(t *testing.T, machines int, mode workload.Mode, naive bool, bus *obs.Bus) *Fleet {
+func testFleet(t *testing.T, machines int, mode workload.Mode, bus *obs.Bus) *Fleet {
 	t.Helper()
 	f, err := NewFleet(Options{
 		Machines: machines,
@@ -19,7 +19,6 @@ func testFleet(t *testing.T, machines int, mode workload.Mode, naive bool, bus *
 		SF:       0.002,
 		Seed:     7,
 		Mode:     mode,
-		Naive:    naive,
 		Bus:      bus,
 	})
 	if err != nil {
@@ -50,7 +49,7 @@ func runCoordinator(t *testing.T, f *Fleet, policy Policy) Result {
 // TestFleetLockstep: all machines share one quantum and advance
 // together under Tick.
 func TestFleetLockstep(t *testing.T) {
-	f := testFleet(t, 3, workload.ModeOS, false, nil)
+	f := testFleet(t, 3, workload.ModeOS, nil)
 	for i := 0; i < 10; i++ {
 		f.Tick()
 	}
@@ -69,7 +68,7 @@ func TestFleetLockstep(t *testing.T) {
 // keyed requests land on their shard owner, scatters fan out to every
 // machine, and merged scalars flow through.
 func TestCoordinatorAccounting(t *testing.T) {
-	f := testFleet(t, 2, workload.ModeDense, false, nil)
+	f := testFleet(t, 2, workload.ModeDense, nil)
 	res := runCoordinator(t, f, BalanceShortestQueue)
 	if res.Offered != 30 {
 		t.Fatalf("Offered = %d, want 30", res.Offered)
@@ -108,7 +107,7 @@ func TestCoordinatorAccounting(t *testing.T) {
 // machines under both policies.
 func TestCoordinatorBalancePolicies(t *testing.T) {
 	for _, policy := range []Policy{BalanceShortestQueue, BalanceWeighted} {
-		f := testFleet(t, 2, workload.ModeDense, false, nil)
+		f := testFleet(t, 2, workload.ModeDense, nil)
 		c := &Coordinator{
 			Fleet:       f,
 			Process:     arrivals.NewPoisson(400, 11),
@@ -132,7 +131,7 @@ func TestCoordinatorBalancePolicies(t *testing.T) {
 // the target machine stamped.
 func TestCoordinatorRouteEvents(t *testing.T) {
 	bus := obs.NewBus(0)
-	f := testFleet(t, 2, workload.ModeDense, false, bus)
+	f := testFleet(t, 2, workload.ModeDense, bus)
 	res := runCoordinator(t, f, BalanceShortestQueue)
 	routes := bus.EventsOfKind(obs.KindRoute)
 	want := res.RoutedKeyed + res.RoutedBalanced + res.Scattered*f.Machines()
@@ -190,7 +189,7 @@ func pressuredArbiter(t *testing.T, f *Fleet, budget int) *ClusterArbiter {
 // arbiter keeps the fleet within budget at every tick (held plus in
 // transit), moves cores, and charges the migration latency for them.
 func TestClusterArbiterBudget(t *testing.T) {
-	f := testFleet(t, 2, workload.ModeDense, false, nil)
+	f := testFleet(t, 2, workload.ModeDense, nil)
 	budget := 12 // physical is 2 machines x 16 cores
 	ca := pressuredArbiter(t, f, budget)
 	pressuredCoordinator(f).Run()
@@ -226,18 +225,18 @@ func TestClusterArbiterBudget(t *testing.T) {
 // TestClusterArbiterValidation: ModeOS fleets (no mechanism) and double
 // attachment are rejected.
 func TestClusterArbiterValidation(t *testing.T) {
-	f := testFleet(t, 2, workload.ModeOS, false, nil)
+	f := testFleet(t, 2, workload.ModeOS, nil)
 	if _, err := NewClusterArbiter(ClusterArbiterConfig{Fleet: f}); err == nil {
 		t.Fatal("ModeOS fleet accepted")
 	}
-	f2 := testFleet(t, 2, workload.ModeDense, false, nil)
+	f2 := testFleet(t, 2, workload.ModeDense, nil)
 	if _, err := NewClusterArbiter(ClusterArbiterConfig{Fleet: f2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewClusterArbiter(ClusterArbiterConfig{Fleet: f2}); err == nil {
 		t.Fatal("second arbiter accepted")
 	}
-	if _, err := NewClusterArbiter(ClusterArbiterConfig{Fleet: testFleet(t, 2, workload.ModeDense, false, nil), Budget: 1}); err == nil {
+	if _, err := NewClusterArbiter(ClusterArbiterConfig{Fleet: testFleet(t, 2, workload.ModeDense, nil), Budget: 1}); err == nil {
 		t.Fatal("budget below per-machine floor accepted")
 	}
 }
@@ -245,7 +244,7 @@ func TestClusterArbiterValidation(t *testing.T) {
 // TestClusterRebalanceEvents: rebalances reach the bus with machine ids.
 func TestClusterRebalanceEvents(t *testing.T) {
 	bus := obs.NewBus(0)
-	f := testFleet(t, 2, workload.ModeDense, false, bus)
+	f := testFleet(t, 2, workload.ModeDense, bus)
 	pressuredArbiter(t, f, 12)
 	pressuredCoordinator(f).Run()
 	evs := bus.EventsOfKind(obs.KindRebalance)
@@ -261,9 +260,9 @@ func TestClusterRebalanceEvents(t *testing.T) {
 
 // fleetRun is one full coordinator-over-arbitrated-fleet run, the unit
 // the determinism tests compare.
-func fleetRun(t *testing.T, naive bool) Result {
+func fleetRun(t *testing.T) Result {
 	t.Helper()
-	f := testFleet(t, 2, workload.ModeDense, naive, nil)
+	f := testFleet(t, 2, workload.ModeDense, nil)
 	pressuredArbiter(t, f, 12)
 	c := pressuredCoordinator(f)
 	c.Policy = BalanceWeighted
@@ -271,17 +270,11 @@ func fleetRun(t *testing.T, naive bool) Result {
 	return c.Run()
 }
 
-// TestFleetDeterminism: a fleet run is bit-identical across repeats and
-// between the fast and Naive simulator paths — the cluster extension of
-// the repo's equivalence contract.
+// TestFleetDeterminism: a fleet run is bit-identical across repeats.
 func TestFleetDeterminism(t *testing.T) {
-	a := fleetRun(t, false)
-	b := fleetRun(t, false)
+	a := fleetRun(t)
+	b := fleetRun(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("repeat run diverged:\n%+v\nvs\n%+v", a, b)
-	}
-	n := fleetRun(t, true)
-	if !reflect.DeepEqual(a, n) {
-		t.Fatalf("naive run diverged from fast run:\n%+v\nvs\n%+v", a, n)
 	}
 }

@@ -640,8 +640,8 @@ func (c *Coordinator) Run() Result {
 	startTime := f.NowSeconds()
 	deadline := startTime + c.MaxSeconds
 
-	// Prime the first arrival; due-ness is decided in integer cycles so
-	// the fast and naive paths agree bit for bit (OpenDriver's rule).
+	// Prime the first arrival; due-ness is decided in integer cycles
+	// (OpenDriver's rule).
 	var nextAt uint64
 	more := c.Process != nil
 	if more {

@@ -18,7 +18,7 @@ import (
 
 // faultedFleet builds a 3-machine replicated fleet with a crash window
 // on machine 1 and a fast-reacting health monitor.
-func faultedFleet(t *testing.T, spec string, replicas int, naive bool, bus *obs.Bus) *Fleet {
+func faultedFleet(t *testing.T, spec string, replicas int, bus *obs.Bus) *Fleet {
 	t.Helper()
 	plan, err := faults.Parse(spec)
 	if err != nil {
@@ -32,7 +32,6 @@ func faultedFleet(t *testing.T, spec string, replicas int, naive bool, bus *obs.
 		Mode:     workload.ModeDense,
 		Replicas: replicas,
 		Faults:   plan,
-		Naive:    naive,
 		Bus:      bus,
 	})
 	if err != nil {
@@ -75,7 +74,7 @@ func faultedCoordinator(f *Fleet) *Coordinator {
 // back — with every request accounted for.
 func TestFleetCrashRecover(t *testing.T) {
 	bus := obs.NewBus(0)
-	f := faultedFleet(t, "crash m1 @0.02s for 0.06s", 2, false, bus)
+	f := faultedFleet(t, "crash m1 @0.02s for 0.06s", 2, bus)
 	res := faultedCoordinator(f).Run()
 
 	h := f.Health()
@@ -126,7 +125,7 @@ func TestFleetCrashRecover(t *testing.T) {
 // run, nothing is ever admitted — every request fails or is shed, the
 // latency histogram stays empty, and the run still terminates.
 func TestCoordinatorZeroAdmission(t *testing.T) {
-	f := faultedFleet(t, "crash m0 @0s; crash m1 @0s; crash m2 @0s", 2, false, nil)
+	f := faultedFleet(t, "crash m0 @0s; crash m1 @0s; crash m2 @0s", 2, nil)
 	c := faultedCoordinator(f)
 	c.MaxArrivals = 10
 	c.MaxSeconds = 5
@@ -171,23 +170,19 @@ func TestFleetFaultValidation(t *testing.T) {
 
 // faultedRun is one crash-and-recover coordinator run, the unit the
 // faulted determinism test compares.
-func faultedRun(t *testing.T, naive bool) Result {
+func faultedRun(t *testing.T) Result {
 	t.Helper()
-	f := faultedFleet(t, "crash m1 @0.02s for 0.06s; slow m2 c0-3 x4 @0.01s for 0.1s", 2, naive, nil)
+	f := faultedFleet(t, "crash m1 @0.02s for 0.06s; slow m2 c0-3 x4 @0.01s for 0.1s", 2, nil)
 	return faultedCoordinator(f).Run()
 }
 
 // TestFleetFaultDeterminism: a faulted run — crash, recovery, slow
 // cores, retries, hedges and re-assignment — is bit-identical across
-// repeats and between the fast and Naive simulator paths.
+// repeats.
 func TestFleetFaultDeterminism(t *testing.T) {
-	a := faultedRun(t, false)
-	b := faultedRun(t, false)
+	a := faultedRun(t)
+	b := faultedRun(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("repeat faulted run diverged:\n%+v\nvs\n%+v", a, b)
-	}
-	n := faultedRun(t, true)
-	if !reflect.DeepEqual(a, n) {
-		t.Fatalf("naive faulted run diverged from fast run:\n%+v\nvs\n%+v", a, n)
 	}
 }

@@ -36,9 +36,6 @@ type Options struct {
 	// Opteron testbed). Every machine gets the same shape, which makes
 	// all quanta equal — the lockstep invariant Tick depends on.
 	Topology *numa.Topology
-	// Naive routes every rig through the pre-optimization hot paths;
-	// results are bit-identical to the fast paths.
-	Naive bool
 	// Bus, when set, is attached to every rig and to the cluster layers
 	// (Coordinator routes, ClusterArbiter rebalances).
 	Bus *obs.Bus
@@ -152,7 +149,6 @@ func NewFleet(opts Options) (*Fleet, error) {
 			Strategy:      opts.Strategy,
 			ControlPeriod: opts.ControlPeriod,
 			Topology:      opts.Topology,
-			Naive:         opts.Naive,
 			Bus:           bus,
 		})
 	}

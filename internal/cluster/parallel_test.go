@@ -16,10 +16,10 @@ import (
 // Workers > 1 — and an Advance over decoupled stretches — is bit-identical
 // to the sequential Tick-by-Tick engine, in every observable: coordinator
 // results, machine counters, allocations, probe samples and the full bus
-// event stream, healthy or faulted, fast path or Naive.
+// event stream, healthy or faulted.
 
 // parallelFleet builds the equivalence fleets, pinned to a worker count.
-func parallelFleet(t *testing.T, machines, workers int, naive bool, plan string, bus *obs.Bus) *Fleet {
+func parallelFleet(t *testing.T, machines, workers int, plan string, bus *obs.Bus) *Fleet {
 	t.Helper()
 	var fp *faults.Plan
 	if plan != "" {
@@ -35,7 +35,6 @@ func parallelFleet(t *testing.T, machines, workers int, naive bool, plan string,
 		SF:       0.002,
 		Seed:     7,
 		Mode:     workload.ModeDense,
-		Naive:    naive,
 		Bus:      bus,
 		Faults:   fp,
 		Workers:  workers,
@@ -59,10 +58,10 @@ type fleetObservables struct {
 // pressuredObservables runs the arbitrated pressured workload (the same
 // shape as fleetRun in cluster_test.go, over three machines) at a given
 // worker count and collects the observables.
-func pressuredObservables(t *testing.T, workers int, naive bool, plan string) fleetObservables {
+func pressuredObservables(t *testing.T, workers int, plan string) fleetObservables {
 	t.Helper()
 	bus := obs.NewBus(0)
-	f := parallelFleet(t, 3, workers, naive, plan, bus)
+	f := parallelFleet(t, 3, workers, plan, bus)
 	pressuredArbiter(t, f, 18)
 	c := pressuredCoordinator(f)
 	c.Policy = BalanceWeighted
@@ -114,9 +113,9 @@ func diffObservables(t *testing.T, label string, want, got fleetObservables) {
 // bit-identical at every worker count, including more workers than
 // machines.
 func TestFleetParallelEquivalence(t *testing.T) {
-	want := pressuredObservables(t, 1, false, "")
+	want := pressuredObservables(t, 1, "")
 	for _, workers := range []int{2, 3, 5} {
-		got := pressuredObservables(t, workers, false, "")
+		got := pressuredObservables(t, workers, "")
 		diffObservables(t, labelWorkers(workers), want, got)
 	}
 }
@@ -126,24 +125,11 @@ func TestFleetParallelEquivalence(t *testing.T) {
 // same quantum regardless of worker count.
 func TestFleetParallelEquivalenceFaulted(t *testing.T) {
 	plan := "crash m1 @5ms for 10ms; slow m0 c0-7 x4 @2ms for 50ms"
-	want := pressuredObservables(t, 1, false, plan)
-	got := pressuredObservables(t, 3, false, plan)
+	want := pressuredObservables(t, 1, plan)
+	got := pressuredObservables(t, 3, plan)
 	diffObservables(t, "faulted workers=3", want, got)
 	if len(want.Events) == 0 {
 		t.Fatal("faulted run published no events — the plan never fired")
-	}
-}
-
-// TestFleetParallelEquivalenceNaive: the Naive simulator paths hold the
-// same contract — parallelism composes with the naive-equivalence suite.
-func TestFleetParallelEquivalenceNaive(t *testing.T) {
-	want := pressuredObservables(t, 1, true, "")
-	got := pressuredObservables(t, 4, true, "")
-	diffObservables(t, "naive workers=4", want, got)
-	fast := pressuredObservables(t, 4, false, "")
-	if !reflect.DeepEqual(want.Result, fast.Result) {
-		t.Fatalf("parallel naive result diverged from parallel fast result:\n%+v\nvs\n%+v",
-			want.Result, fast.Result)
 	}
 }
 
@@ -157,7 +143,7 @@ func labelWorkers(w int) string {
 func stretchFleet(t *testing.T, workers int) (*Fleet, *obs.Bus) {
 	t.Helper()
 	bus := obs.NewBus(0)
-	f := parallelFleet(t, 3, workers, false, "", bus)
+	f := parallelFleet(t, 3, workers, "", bus)
 	for m, r := range f.Rigs {
 		r.EnableProbe(0)
 		adm := &workload.Admission{Rig: r, MaxInFlight: 4}

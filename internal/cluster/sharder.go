@@ -10,8 +10,7 @@
 // Determinism contract: machines tick in index order under one shared
 // quantum, every routing and rebalance decision breaks ties by lowest
 // machine index, and all randomness flows through SplitMix64 — a fleet
-// run is bit-identical across repeats and between the fast and Naive
-// simulator paths.
+// run is bit-identical across repeats and at any worker count.
 package cluster
 
 import (

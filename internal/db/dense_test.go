@@ -13,14 +13,35 @@ import (
 // tables and the blind-write kernels must leave unchanged: query results,
 // every simulated access, and the host allocations they exist to avoid.
 
-// runPlanBothWays executes the plan on two identical rigs, one fast and
-// one under Config.Naive (materialized identity vectors, closure-per-row
-// predicates, Go maps), and returns both finished queries and machines.
-func runPlanBothWays(t *testing.T, rows int, build func(st *Store) (*Plan, error)) (fast, naive *Query, fastM, naiveM *numa.Machine) {
+// lowering rewrites a plan's predicates before the plan is built.
+type lowering func(Pred) Pred
+
+// refPred is the reference lowering of a predicate: its inlinable form
+// cleared, so a selection runs the closure-per-row arm and a PredAll scan
+// materializes the identity vector instead of answering with a dense
+// range. The differentials below execute a plan and its reference
+// lowering side by side.
+func refPred(p Pred) Pred {
+	p.form = predGeneric
+	return p
+}
+
+// refSpec is the reference lowering of a declarative plan.
+func refSpec(spec PlanSpec) PlanSpec {
+	spec.Ops = append([]OpSpec(nil), spec.Ops...)
+	for i := range spec.Ops {
+		spec.Ops[i].Pred = refPred(spec.Ops[i].Pred)
+	}
+	return spec
+}
+
+// runPlanBothWays executes the plan and its reference lowering on two
+// identical rigs and returns both finished queries and machines.
+func runPlanBothWays(t *testing.T, rows int, build, buildRef func(st *Store) (*Plan, error)) (fast, ref *Query, fastM, refM *numa.Machine) {
 	t.Helper()
-	run := func(naive bool) (*Query, *numa.Machine) {
+	run := func(build func(st *Store) (*Plan, error)) (*Query, *numa.Machine) {
 		r := newSpecRigRows(t, rows)
-		eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, MinPartRows: 64, Naive: naive})
+		eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, MinPartRows: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,106 +53,119 @@ func runPlanBothWays(t *testing.T, rows int, build func(st *Store) (*Plan, error
 		r.run(t, q)
 		return q, r.machine
 	}
-	fast, fastM = run(false)
-	naive, naiveM = run(true)
-	return fast, naive, fastM, naiveM
+	fast, fastM = run(build)
+	ref, refM = run(buildRef)
+	return fast, ref, fastM, refM
 }
 
 // sameOutcome asserts two executions of one plan agree on every scalar,
 // every variable's values and row counts, the query latency and every
 // counter of the simulated machine.
-func sameOutcome(t *testing.T, fast, naive *Query, fastM, naiveM *numa.Machine) {
+func sameOutcome(t *testing.T, fast, ref *Query, fastM, refM *numa.Machine) {
 	t.Helper()
-	if !reflect.DeepEqual(fast.scalars, naive.scalars) {
-		t.Errorf("scalars differ: fast %v, naive %v", fast.scalars, naive.scalars)
+	if !reflect.DeepEqual(fast.scalars, ref.scalars) {
+		t.Errorf("scalars differ: fast %v, reference %v", fast.scalars, ref.scalars)
 	}
-	if len(fast.vars) != len(naive.vars) {
-		t.Fatalf("fast bound %d variables, naive %d", len(fast.vars), len(naive.vars))
+	if len(fast.vars) != len(ref.vars) {
+		t.Fatalf("fast bound %d variables, reference %d", len(fast.vars), len(ref.vars))
 	}
 	for name, ps := range fast.vars {
-		want := naive.vars[name]
+		want := ref.vars[name]
 		if want == nil {
-			t.Fatalf("variable %s missing under Naive", name)
+			t.Fatalf("variable %s missing from the reference", name)
 		}
 		if !reflect.DeepEqual(ps.FlattenI64(), want.FlattenI64()) || !reflect.DeepEqual(ps.FlattenF64(), want.FlattenF64()) {
-			t.Errorf("variable %s differs between fast and Naive", name)
+			t.Errorf("variable %s differs between fast and reference", name)
 		}
 		for i, frag := range ps.Parts {
 			if frag.Len() != want.Parts[i].Len() {
-				t.Errorf("variable %s fragment %d: %d rows, Naive %d", name, i, frag.Len(), want.Parts[i].Len())
+				t.Errorf("variable %s fragment %d: %d rows, reference %d", name, i, frag.Len(), want.Parts[i].Len())
 			}
 		}
 	}
-	if fast.ElapsedCycles() != naive.ElapsedCycles() {
-		t.Errorf("latency %d cycles, Naive %d", fast.ElapsedCycles(), naive.ElapsedCycles())
+	if fast.ElapsedCycles() != ref.ElapsedCycles() {
+		t.Errorf("latency %d cycles, reference %d", fast.ElapsedCycles(), ref.ElapsedCycles())
 	}
-	if !reflect.DeepEqual(fastM.Snapshot(), naiveM.Snapshot()) {
-		t.Error("numa counters differ between fast and Naive")
+	if !reflect.DeepEqual(fastM.Snapshot(), refM.Snapshot()) {
+		t.Error("numa counters differ between fast and reference")
 	}
 }
 
 // TestScanAllPlansMatchNaive runs plans that start from a full-table
 // candidate list through every consumer of one — projection of both
 // kinds, the three probes, refinement in inlined, IN-list and closure
-// forms, count, and use as join and group keys — fast against Naive.
+// forms, count, and use as join and group keys — against their reference
+// lowering (materialized identity vectors, closure-per-row predicates).
 func TestScanAllPlansMatchNaive(t *testing.T) {
-	plans := map[string][]StageFn{
-		"project+sum": {
-			ScanAll("lineitem", "l_orderkey", "all"),
-			Projection("all", "lineitem", "l_extendedprice", "p"),
-			Projection("all", "lineitem", "l_discount", "d"),
-			Projection("all", "lineitem", "l_orderkey", "ok"),
-			MapF2("p", "d", "rev", func(x, y float64) float64 { return x * y }),
-			SumF("rev", "result"),
-			Count("all", "rows"),
+	plans := map[string]func(pr lowering) []StageFn{
+		"project+sum": func(pr lowering) []StageFn {
+			return []StageFn{
+				ThetaSelect("lineitem", "l_orderkey", "all", pr(PredAll())),
+				Projection("all", "lineitem", "l_extendedprice", "p"),
+				Projection("all", "lineitem", "l_discount", "d"),
+				Projection("all", "lineitem", "l_orderkey", "ok"),
+				MapF2("p", "d", "rev", func(x, y float64) float64 { return x * y }),
+				SumF("rev", "result"),
+				Count("all", "rows"),
+			}
 		},
-		"probes": {
-			ThetaSelect("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
-			Projection("cheap", "lineitem", "l_orderkey", "keys"),
-			Projection("cheap", "lineitem", "l_shipdate", "dates"),
-			BuildMap("keys", "dates", "seen"),
-			ScanAll("lineitem", "l_orderkey", "all"),
-			ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
-			ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
-			ProbeFetch("all", "lineitem", "l_orderkey", "seen", "got", "when"),
-			Count("hit", "hits"),
-			Count("miss", "misses"),
+		"probes": func(pr lowering) []StageFn {
+			return []StageFn{
+				ThetaSelect("lineitem", "l_extendedprice", "cheap", pr(PredFLess(300))),
+				Projection("cheap", "lineitem", "l_orderkey", "keys"),
+				Projection("cheap", "lineitem", "l_shipdate", "dates"),
+				BuildMap("keys", "dates", "seen"),
+				ThetaSelect("lineitem", "l_orderkey", "all", pr(PredAll())),
+				ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
+				ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
+				ProbeFetch("all", "lineitem", "l_orderkey", "seen", "got", "when"),
+				Count("hit", "hits"),
+				Count("miss", "misses"),
+			}
 		},
-		"refine": {
-			ScanAll("lineitem", "l_shipdate", "all"),
-			SubSelect("all", "lineitem", "l_shipdate", "r1", PredIRange(19970101, 19980101)),
-			SubSelect("all", "lineitem", "l_discount", "r2", PredFRange(0.06, 0.08)),
-			SubSelect("all", "lineitem", "l_quantity", "r3", PredFLess(24)),
-			SubSelect("all", "lineitem", "l_orderkey", "r4", PredIIn(1, 2, 3, 100)),
-			SubSelect("all", "lineitem", "l_orderkey", "r5", PredIEq(17)),
-			SubSelect("all", "lineitem", "l_orderkey", "r6", Pred{I: func(v int64) bool { return v%3 == 0 }}),
-			SubSelect("all", "lineitem", "l_quantity", "r7", Pred{F: func(v float64) bool { return v > 40 }}),
-			SubSelect("all", "lineitem", "l_quantity", "r8", PredAll()),
-			SubSelect("r1", "lineitem", "l_orderkey", "r9", PredAll()),
-			Count("r1", "n1"),
+		"refine": func(pr lowering) []StageFn {
+			return []StageFn{
+				ThetaSelect("lineitem", "l_shipdate", "all", pr(PredAll())),
+				SubSelect("all", "lineitem", "l_shipdate", "r1", pr(PredIRange(19970101, 19980101))),
+				SubSelect("all", "lineitem", "l_discount", "r2", pr(PredFRange(0.06, 0.08))),
+				SubSelect("all", "lineitem", "l_quantity", "r3", pr(PredFLess(24))),
+				SubSelect("all", "lineitem", "l_orderkey", "r4", pr(PredIIn(1, 2, 3, 100))),
+				SubSelect("all", "lineitem", "l_orderkey", "r5", pr(PredIEq(17))),
+				SubSelect("all", "lineitem", "l_orderkey", "r6", Pred{I: func(v int64) bool { return v%3 == 0 }}),
+				SubSelect("all", "lineitem", "l_quantity", "r7", Pred{F: func(v float64) bool { return v > 40 }}),
+				SubSelect("all", "lineitem", "l_quantity", "r8", pr(PredAll())),
+				SubSelect("r1", "lineitem", "l_orderkey", "r9", pr(PredAll())),
+				Count("r1", "n1"),
+			}
 		},
-		"candidates as keys": {
-			ScanAll("tiny", "k", "all"),
-			BuildMap("all", "", "oids"),
-			GroupSum("all", "", "parts"),
-			GroupMerge("parts", "gk", "gs"),
-			TopN("gk", "gs", 5),
-			ScanAll("lineitem", "l_orderkey", "li"),
-			ProbeSemi("li", "lineitem", "l_orderkey", "oids", "small"),
+		"candidates as keys": func(pr lowering) []StageFn {
+			return []StageFn{
+				ThetaSelect("tiny", "k", "all", pr(PredAll())),
+				BuildMap("all", "", "oids"),
+				GroupSum("all", "", "parts"),
+				GroupMerge("parts", "gk", "gs"),
+				TopN("gk", "gs", 5),
+				ThetaSelect("lineitem", "l_orderkey", "li", pr(PredAll())),
+				ProbeSemi("li", "lineitem", "l_orderkey", "oids", "small"),
+			}
 		},
 	}
 	for name, stages := range plans {
 		t.Run(name, func(t *testing.T) {
-			fast, naive, fm, nm := runPlanBothWays(t, 40000, func(*Store) (*Plan, error) {
-				return &Plan{Name: name, Stages: stages}, nil
-			})
-			sameOutcome(t, fast, naive, fm, nm)
+			build := func(pr lowering) func(*Store) (*Plan, error) {
+				return func(*Store) (*Plan, error) { return &Plan{Name: name, Stages: stages(pr)}, nil }
+			}
+			fast, ref, fm, rm := runPlanBothWays(t, 40000, build(func(p Pred) Pred { return p }), build(refPred))
+			sameOutcome(t, fast, ref, fm, rm)
 			if fast.Var("all").Rows() == 0 {
 				t.Fatal("the full scan produced no candidates")
 			}
-			for _, frag := range fast.Var("all").Parts {
+			for i, frag := range fast.Var("all").Parts {
 				if frag.I != nil {
 					t.Fatal("the fast path materialized a full scan's candidate list")
+				}
+				if ref.Var("all").Parts[i].I == nil {
+					t.Fatal("the reference lowering did not materialize the full scan's candidate list")
 				}
 			}
 		})

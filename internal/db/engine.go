@@ -62,12 +62,6 @@ type Config struct {
 	// load below saturation at high client counts. Zero selects 30 us;
 	// only charged when the front end is enabled.
 	AdvanceCycles int64
-	// Naive disables the engine's execution-path optimizations — buffer
-	// pooling and the open-addressing operator hash tables — restoring
-	// the seed implementation's allocation and hashing profile. Query
-	// results are identical; only host CPU time differs. Used by the
-	// equivalence bench.
-	Naive bool
 }
 
 // TaskEvent is emitted when a worker finishes a task (tomograph feed).
@@ -304,12 +298,7 @@ func (e *Engine) advance(q *Query) {
 		}
 		q.pending = len(tasks)
 		for _, t := range tasks {
-			var d *dispatched
-			if e.cfg.Naive {
-				d = &dispatched{}
-			} else {
-				d = e.pool.getDispatched()
-			}
+			d := e.pool.getDispatched()
 			d.task, d.query = t, q
 			e.enqueue(d)
 		}
@@ -381,9 +370,7 @@ func (e *Engine) taskFinished(w *worker, d *dispatched) {
 		})
 	}
 	q := d.query
-	if !e.cfg.Naive {
-		e.pool.putDispatched(d)
-	}
+	e.pool.putDispatched(d)
 	q.pending--
 	if q.pending == 0 {
 		if e.serverThread != nil {

@@ -26,41 +26,27 @@ func slotsFor(n int) int {
 	return size
 }
 
-// i64Map is an int64→int64 linear-probe table (hash-join payloads). When
-// std is set the table delegates to a plain Go map instead — the naive
-// mode's seed-faithful fallback; results are identical either way.
+// i64Map is an int64→int64 linear-probe table (hash-join payloads).
 type i64Map struct {
 	ctrl []uint8 // 0 empty, 1 occupied; len is a power of two
 	keys []int64
 	vals []int64
 	n    int
-	std  map[int64]int64
 }
 
 // Len returns the number of stored keys.
 func (m *i64Map) Len() int {
-	if m.std != nil {
-		return len(m.std)
-	}
 	return m.n
 }
 
 // Reset empties the table, keeping its capacity for reuse.
 func (m *i64Map) Reset() {
-	if m.std != nil {
-		clear(m.std)
-		return
-	}
 	clear(m.ctrl)
 	m.n = 0
 }
 
 // Put stores v under k, overwriting any previous value.
 func (m *i64Map) Put(k, v int64) {
-	if m.std != nil {
-		m.std[k] = v
-		return
-	}
 	if 4*(m.n+1) > 3*len(m.ctrl) {
 		m.resize(max(minMapSlots, 2*len(m.ctrl)))
 	}
@@ -81,10 +67,6 @@ func (m *i64Map) Put(k, v int64) {
 
 // Get returns the value stored under k.
 func (m *i64Map) Get(k int64) (int64, bool) {
-	if m.std != nil {
-		v, ok := m.std[k]
-		return v, ok
-	}
 	if m.n == 0 {
 		return 0, false
 	}
@@ -99,15 +81,9 @@ func (m *i64Map) Get(k int64) (int64, bool) {
 	return 0, false
 }
 
-// Range calls f for every entry, in slot order (map order under std). No
-// caller's results depend on the order.
+// Range calls f for every entry, in slot order. No caller's results
+// depend on the order.
 func (m *i64Map) Range(f func(k, v int64)) {
-	if m.std != nil {
-		for k, v := range m.std {
-			f(k, v)
-		}
-		return
-	}
 	for i, c := range m.ctrl {
 		if c == 1 {
 			f(m.keys[i], m.vals[i])
@@ -118,7 +94,7 @@ func (m *i64Map) Range(f func(k, v int64)) {
 // reserve makes room for n keys, so that n inserts from here rehash
 // nothing: an empty table allocates its arrays once at the final size.
 func (m *i64Map) reserve(n int) {
-	if size := slotsFor(n); m.std == nil && size > len(m.ctrl) {
+	if size := slotsFor(n); size > len(m.ctrl) {
 		m.resize(size)
 	}
 }
@@ -148,40 +124,27 @@ func (m *i64Map) resize(size int) {
 	}
 }
 
-// i64fMap is an int64→float64 linear-probe table (aggregation partials),
-// with the same std fallback as i64Map.
+// i64fMap is an int64→float64 linear-probe table (aggregation partials).
 type i64fMap struct {
 	ctrl []uint8
 	keys []int64
 	vals []float64
 	n    int
-	std  map[int64]float64
 }
 
 // Len returns the number of stored keys.
 func (m *i64fMap) Len() int {
-	if m.std != nil {
-		return len(m.std)
-	}
 	return m.n
 }
 
 // Reset empties the table, keeping its capacity for reuse.
 func (m *i64fMap) Reset() {
-	if m.std != nil {
-		clear(m.std)
-		return
-	}
 	clear(m.ctrl)
 	m.n = 0
 }
 
 // Add accumulates delta into the sum stored under k.
 func (m *i64fMap) Add(k int64, delta float64) {
-	if m.std != nil {
-		m.std[k] += delta
-		return
-	}
 	if 4*(m.n+1) > 3*len(m.ctrl) {
 		m.resize(max(minMapSlots, 2*len(m.ctrl)))
 	}
@@ -202,10 +165,6 @@ func (m *i64fMap) Add(k int64, delta float64) {
 
 // Get returns the sum stored under k.
 func (m *i64fMap) Get(k int64) (float64, bool) {
-	if m.std != nil {
-		v, ok := m.std[k]
-		return v, ok
-	}
 	if m.n == 0 {
 		return 0, false
 	}
@@ -220,15 +179,9 @@ func (m *i64fMap) Get(k int64) (float64, bool) {
 	return 0, false
 }
 
-// Range calls f for every entry, in slot order (map order under std). No
-// caller's results depend on the order.
+// Range calls f for every entry, in slot order. No caller's results
+// depend on the order.
 func (m *i64fMap) Range(f func(k int64, v float64)) {
-	if m.std != nil {
-		for k, v := range m.std {
-			f(k, v)
-		}
-		return
-	}
 	for i, c := range m.ctrl {
 		if c == 1 {
 			f(m.keys[i], m.vals[i])
@@ -238,7 +191,7 @@ func (m *i64fMap) Range(f func(k int64, v float64)) {
 
 // reserve makes room for n keys (see i64Map.reserve).
 func (m *i64fMap) reserve(n int) {
-	if size := slotsFor(n); m.std == nil && size > len(m.ctrl) {
+	if size := slotsFor(n); size > len(m.ctrl) {
 		m.resize(size)
 	}
 }

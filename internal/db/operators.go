@@ -41,7 +41,6 @@ const (
 	predIIn              // v in iList
 	predFRange           // fLo <= v <= fHi
 	predFLess            // v < fHi
-	predNaive            // force the seed's eval-per-row path (naive mode)
 )
 
 // Pred is a typed predicate over column values. Closure-built predicates
@@ -107,15 +106,6 @@ func PredIIn(list ...int64) Pred {
 	}
 }
 
-// predFor strips the predicate's inlinable form under the engine's naive
-// mode, so scans fall back to the seed's closure-per-row evaluation.
-func predFor(q *Query, p Pred) Pred {
-	if q.eng.cfg.Naive {
-		p.form = predNaive
-	}
-	return p
-}
-
 // b2i converts a comparison result to 0/1; the compiler lowers it to a
 // branch-free SETcc, which is what makes the selection loops below immune
 // to branch misprediction at mid selectivities.
@@ -171,9 +161,9 @@ func inList(list []int64, v int64) int {
 // selectScanLoop builds the per-chunk filter loop scanning base rows
 // [a, b) of c and appending matching row OIDs to *out. Constructor-built
 // predicates get their comparison inlined into the loop; closure
-// predicates pay one indirect call per row; the mismatch case falls back
-// to eval for its diagnostics. (PredAll never gets here on the fast path:
-// FilterScan answers it with a dense range.)
+// predicates pay one indirect call per row; a predicate with no arm for
+// the column's kind panics here, before any row is scanned. (PredAll over
+// base rows never gets here: FilterScan answers it with a dense range.)
 func selectScanLoop(c *BAT, p Pred, out *[]int64) func(a, b int) {
 	switch {
 	case p.form == predIRange && c.Kind == KindI64:
@@ -233,7 +223,7 @@ func selectScanLoop(c *BAT, p Pred, out *[]int64) func(a, b int) {
 			}
 			*out = ids[:len(ids)+k]
 		}
-	case p.form != predNaive && c.Kind == KindI64 && p.I != nil:
+	case c.Kind == KindI64 && p.I != nil:
 		fi, vals := p.I, c.I
 		return func(a, b int) {
 			ids, buf := growFor(*out, b-a)
@@ -244,7 +234,7 @@ func selectScanLoop(c *BAT, p Pred, out *[]int64) func(a, b int) {
 			}
 			*out = ids[:len(ids)+k]
 		}
-	case p.form != predNaive && c.Kind == KindF64 && p.F != nil:
+	case c.Kind == KindF64 && p.F != nil:
 		ff, vals := p.F, c.F
 		return func(a, b int) {
 			ids, buf := growFor(*out, b-a)
@@ -256,15 +246,7 @@ func selectScanLoop(c *BAT, p Pred, out *[]int64) func(a, b int) {
 			*out = ids[:len(ids)+k]
 		}
 	default:
-		return func(a, b int) {
-			ids := *out
-			for row := a; row < b; row++ {
-				if p.eval(c, row) {
-					ids = append(ids, int64(row))
-				}
-			}
-			*out = ids
-		}
+		panic(predMismatch(c))
 	}
 }
 
@@ -343,7 +325,7 @@ func gatherScanLoop(c *BAT, p Pred, cand *BAT, out *[]int64) func(a, b int) {
 			}
 			*out = ids[:len(ids)+k]
 		}
-	case p.form != predNaive && c.Kind == KindI64 && p.I != nil:
+	case c.Kind == KindI64 && p.I != nil:
 		fi, vals := p.I, c.I
 		return func(a, b int) {
 			cids := cand.I[a:b]
@@ -355,7 +337,7 @@ func gatherScanLoop(c *BAT, p Pred, cand *BAT, out *[]int64) func(a, b int) {
 			}
 			*out = ids[:len(ids)+k]
 		}
-	case p.form != predNaive && c.Kind == KindF64 && p.F != nil:
+	case c.Kind == KindF64 && p.F != nil:
 		ff, vals := p.F, c.F
 		return func(a, b int) {
 			cids := cand.I[a:b]
@@ -368,29 +350,17 @@ func gatherScanLoop(c *BAT, p Pred, cand *BAT, out *[]int64) func(a, b int) {
 			*out = ids[:len(ids)+k]
 		}
 	default:
-		return func(a, b int) {
-			ids := *out
-			for _, cid := range cand.I[a:b] {
-				if p.eval(c, int(cid)) {
-					ids = append(ids, cid)
-				}
-			}
-			*out = ids
-		}
+		panic(predMismatch(c))
 	}
 }
 
-func (p Pred) eval(b *BAT, row int) bool {
-	if b.Kind == KindI64 {
-		if p.I == nil {
-			panic(fmt.Sprintf("db: integer column %s filtered with non-integer predicate", b.Name))
-		}
-		return p.I(b.I[row])
+// predMismatch is the panic message for a predicate that has neither an
+// inlinable form nor a closure for column c's kind.
+func predMismatch(c *BAT) string {
+	if c.Kind == KindI64 {
+		return fmt.Sprintf("db: integer column %s filtered with non-integer predicate", c.Name)
 	}
-	if p.F == nil {
-		panic(fmt.Sprintf("db: float column %s filtered with non-float predicate", b.Name))
-	}
-	return p.F(b.F[row])
+	return fmt.Sprintf("db: float column %s filtered with non-float predicate", c.Name)
 }
 
 // ThetaSelect plans algebra.thetasubselect: a full partitioned scan of a
@@ -407,12 +377,11 @@ func ThetaSelect(table, col, out string, p Pred) StageFn {
 		for i, r := range ranges {
 			i, r := i, r
 			t := newChunkTask("algebra.thetasubselect", q.Machine(), []*BAT{c}, r[0], r[1], cyclesScan)
-			pr := predFor(q, p)
 			var buf []int64
-			if pr.form != predAll {
+			if p.form != predAll {
 				buf = q.scratchI64(selHint(r[1] - r[0]))
 			}
-			op := NewFilterScan(c, pr, r[0], r[1], buf)
+			op := NewFilterScan(c, p, r[0], r[1], buf)
 			t.process = op.runRange
 			t.finish = func(*sched.ExecContext) []*BAT {
 				q.ownI64(op.ids)
@@ -458,7 +427,7 @@ func SubSelect(in, table, col, out string, p Pred) StageFn {
 			}
 			t := newChunkTask("algebra.subselect", q.Machine(), []*BAT{cand}, 0, cand.Len(), cyclesGather)
 			t.extraCharge = gatherCharge(cand, c)
-			op := NewFilterRefine(c, predFor(q, p), cand, q.scratchI64(selHint(cand.Len())))
+			op := NewFilterRefine(c, p, cand, q.scratchI64(selHint(cand.Len())))
 			t.process = op.runRange
 			t.finish = func(*sched.ExecContext) []*BAT {
 				q.ownI64(op.ids)

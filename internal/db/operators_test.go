@@ -2,6 +2,7 @@ package db
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"elasticore/internal/numa"
@@ -185,17 +186,33 @@ func TestOpGroupFilterAndTopN(t *testing.T) {
 	assertI64(t, q.Var("gk").FlattenI64(), []int64{7, 6, 5})
 }
 
+// TestOpPredTypeMismatchPanics: a predicate with no arm for the column's
+// kind panics when the selection loop is built, before any row is read —
+// hand-built or inlinable, over base rows or over candidates of either
+// form.
 func TestOpPredTypeMismatchPanics(t *testing.T) {
 	r := newOpRig(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("float predicate on integer column did not panic")
-		}
-	}()
-	// ThetaSelect plans lazily; execution triggers the panic inside the
-	// scheduler tick, so call eval directly.
-	p := Pred{F: func(float64) bool { return true }}
-	p.eval(r.store.Table("t").Col("k"), 0)
+	k, v := r.store.Table("t").Col("k"), r.store.Table("t").Col("v")
+	mustPanic := func(name, want string, build func()) {
+		t.Helper()
+		defer func() {
+			if got, _ := recover().(string); !strings.Contains(got, want) {
+				t.Errorf("%s: panicked with %q, want it to mention %q", name, got, want)
+			}
+		}()
+		build()
+	}
+	var out []int64
+	floatOnly := Pred{F: func(float64) bool { return true }}
+	mustPanic("float closure on integer column", "integer column k", func() { selectScanLoop(k, floatOnly, &out) })
+	mustPanic("integer range on float column", "float column v", func() { selectScanLoop(v, PredIRange(0, 9), &out) })
+	mustPanic("empty predicate", "integer column k", func() { selectScanLoop(k, Pred{}, &out) })
+	mustPanic("refining a materialized candidate", "float column v", func() {
+		gatherScanLoop(v, PredIEq(1), NewI64("cand", []int64{0, 1}), &out)
+	})
+	mustPanic("refining a dense candidate", "integer column k", func() {
+		gatherScanLoop(k, PredFLess(1), newDense("cand", 0, 2), &out)
+	})
 }
 
 func TestOpEmptyInputsPropagate(t *testing.T) {

@@ -163,15 +163,10 @@ type ownedBuffers struct {
 
 // scratchI64 draws a zero-length int64 buffer with at least the given
 // capacity from the engine pool. The caller must register the final
-// (possibly append-grown) buffer with ownI64 once it stops growing. Under
-// Config.Naive buffers come straight from the heap, like the seed
-// implementation.
+// (possibly append-grown) buffer with ownI64 once it stops growing.
 func (q *Query) scratchI64(capacity int) []int64 {
 	if capacity < 0 {
 		capacity = 0
-	}
-	if q.eng.cfg.Naive {
-		return make([]int64, 0, capacity)
 	}
 	return q.eng.pool.getI64(capacity)
 }
@@ -181,16 +176,13 @@ func (q *Query) scratchF64(capacity int) []float64 {
 	if capacity < 0 {
 		capacity = 0
 	}
-	if q.eng.cfg.Naive {
-		return make([]float64, 0, capacity)
-	}
 	return q.eng.pool.getF64(capacity)
 }
 
 // ownI64 registers the final value of a scratch buffer for reclamation
 // when the query is drained.
 func (q *Query) ownI64(buf []int64) {
-	if cap(buf) > 0 && !q.eng.cfg.Naive {
+	if cap(buf) > 0 {
 		q.owned.i64 = append(q.owned.i64, buf)
 	}
 }
@@ -198,19 +190,15 @@ func (q *Query) ownI64(buf []int64) {
 // ownF64 registers the final value of a scratch buffer for reclamation
 // when the query is drained.
 func (q *Query) ownF64(buf []float64) {
-	if cap(buf) > 0 && !q.eng.cfg.Naive {
+	if cap(buf) > 0 {
 		q.owned.f64 = append(q.owned.f64, buf)
 	}
 }
 
 // scratchMapIF draws an empty int64→float64 table (aggregation partials)
 // from the pool; it is registered for reclamation immediately since
-// tables keep their identity as they grow. Under Config.Naive the table
-// is a fresh Go map, like the seed implementation.
+// tables keep their identity as they grow.
 func (q *Query) scratchMapIF() *i64fMap {
-	if q.eng.cfg.Naive {
-		return &i64fMap{std: make(map[int64]float64)}
-	}
 	m := q.eng.pool.getMapIF()
 	q.owned.mif = append(q.owned.mif, m)
 	return m
@@ -219,9 +207,6 @@ func (q *Query) scratchMapIF() *i64fMap {
 // scratchMapII draws an empty int64→int64 table (hash-join build sides)
 // from the pool, registered like scratchMapIF.
 func (q *Query) scratchMapII() *i64Map {
-	if q.eng.cfg.Naive {
-		return &i64Map{std: make(map[int64]int64)}
-	}
 	m := q.eng.pool.getMapII()
 	q.owned.mii = append(q.owned.mii, m)
 	return m

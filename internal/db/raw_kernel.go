@@ -64,15 +64,8 @@ func SpawnRawQ6(s *Store, sc *sched.Scheduler, pid, nthreads int, aff RawAffinit
 	// The kernel's arrays alias the store's immutable value slices (the
 	// kernel only reads them) but carry fresh BAT headers, so their
 	// simulated regions are separate and homed by the kernel threads' own
-	// first touch — the behaviour the Fig 4 baseline depends on. Naive
-	// mode performs the seed's deep copy instead.
+	// first touch — the behaviour the Fig 4 baseline depends on.
 	clone := func(c *BAT) *BAT {
-		if s.Machine().NaiveCharging() {
-			out := &BAT{Name: "raw." + c.Name, Kind: c.Kind}
-			out.I = append(out.I, c.I...)
-			out.F = append(out.F, c.F...)
-			return out
-		}
 		return &BAT{Name: "raw." + c.Name, Kind: c.Kind, I: c.I, F: c.F}
 	}
 	k := &RawQ6{

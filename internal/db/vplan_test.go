@@ -263,8 +263,8 @@ func fuzzSeedOp(kind, table, col, col2, in, in2, out, out2, pred int) []byte {
 // any input must either yield an executable plan or an error — never a
 // panic — and a plan Compile accepts must run to completion without
 // tripping the stage builders' internal alignment panics, with the same
-// results, latency and simulated accesses on the fast path as under
-// Config.Naive.
+// results, latency and simulated accesses as its reference lowering
+// (refSpec in dense_test.go).
 func FuzzPlanBuild(f *testing.F) {
 	var q6ish []byte
 	q6ish = append(q6ish, fuzzSeedOp(0, 0, 1, 0, 0, 0, 0, 0, 3)...) // scan quantity < 24 -> a
@@ -306,7 +306,7 @@ func FuzzPlanBuild(f *testing.F) {
 		if _, err := spec.Compile(newSpecRig(t).store); err != nil {
 			return
 		}
-		fast, naive, fastM, naiveM := runPlanBothWays(t, 512, spec.Compile)
-		sameOutcome(t, fast, naive, fastM, naiveM)
+		fast, ref, fastM, refM := runPlanBothWays(t, 512, spec.Compile, refSpec(spec).Compile)
+		sameOutcome(t, fast, ref, fastM, refM)
 	})
 }

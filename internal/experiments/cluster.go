@@ -86,7 +86,6 @@ func newFleet(c Config, machines int, mode workload.Mode) (*cluster.Fleet, error
 		Seed:     c.Seed,
 		Mode:     mode,
 		Topology: topo,
-		Naive:    c.Naive,
 		Bus:      c.Bus,
 		Replicas: c.Replicas,
 		Faults:   plan,

@@ -95,12 +95,6 @@ type Config struct {
 	// experiment (default 0, 0.25, 0.5, 0.75, 1; every entry must lie in
 	// [0, 1]).
 	LookupRatios []float64
-	// Naive runs every rig on the pre-optimization simulator hot paths:
-	// the walk-every-core tick loop, per-block memory charging, unpooled
-	// Go-map operator execution and uncached dataset generation. Results
-	// are bit-identical to the default fast paths; only wall-clock time
-	// differs. Used by the equivalence tests.
-	Naive bool
 	// Bus, when set, is attached to every rig the experiment builds, so
 	// one telemetry stream spans the run (`elasticbench run -trace`).
 	// Pure observation: results are bit-identical with or without it,
@@ -254,7 +248,6 @@ func newRig(c Config, mode workload.Mode, strategy elastic.Strategy) (*workload.
 		Placement: c.Placement,
 		Strategy:  strategy,
 		Topology:  topo,
-		Naive:     c.Naive,
 		Bus:       c.Bus,
 	})
 }

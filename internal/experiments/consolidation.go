@@ -106,7 +106,7 @@ func runConsolidationOnce(c Config, specs []workload.TenantSpec) (*workload.Mult
 	if err != nil {
 		return nil, nil, err
 	}
-	rig, err := workload.NewMultiRig(workload.MultiOptions{Tenants: specs, Topology: topo, Naive: c.Naive, Bus: c.Bus})
+	rig, err := workload.NewMultiRig(workload.MultiOptions{Tenants: specs, Topology: topo, Bus: c.Bus})
 	if err != nil {
 		return nil, nil, err
 	}

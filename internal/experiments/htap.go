@@ -71,7 +71,6 @@ func runHTAPMix(ctx context.Context, c Config, obs Observer) (*Result, error) {
 			rig, err = workload.NewMultiRig(workload.MultiOptions{
 				Tenants:  specs,
 				Topology: topo,
-				Naive:    c.Naive,
 				Bus:      c.Bus,
 			})
 			if err != nil {

@@ -9,7 +9,7 @@ import (
 // parallel_test.go extends the golden contract to the worker knob: a
 // cluster experiment must render byte-identical text, JSON and CSV whether
 // the fleet engine runs sequentially (Workers 1) or spread over goroutines
-// (Workers > 1), healthy, faulted or Naive.
+// (Workers > 1), healthy or faulted.
 
 // workersConfig is a scale-out config small enough to run several times
 // per test; Workers is the knob under test, everything else is pinned.
@@ -69,13 +69,5 @@ func TestScaleOutWorkerEquivalence(t *testing.T) {
 func TestScaleOutWorkerEquivalenceFaulted(t *testing.T) {
 	cfg := workersConfig()
 	cfg.Faults = "crash m0 @5ms for 10ms"
-	checkWorkerEquivalence(t, cfg)
-}
-
-// TestScaleOutWorkerEquivalenceNaive: the contract holds on the Naive
-// simulator paths.
-func TestScaleOutWorkerEquivalenceNaive(t *testing.T) {
-	cfg := workersConfig()
-	cfg.Naive = true
 	checkWorkerEquivalence(t, cfg)
 }

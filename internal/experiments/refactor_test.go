@@ -17,9 +17,8 @@ import (
 // experiment across refactors of the execution engine. Where the golden
 // files in testdata/ pin a handful of full renderings, this test pins a
 // 64-bit FNV-1a hash of the text, JSON and CSV renderings of the whole
-// registry (minus the host-clock-dependent "overhead" experiment), both
-// on the default fast paths and under Config.Naive — so a refactor of the
-// operator layer (the vectorized pipeline, the plan compiler) must leave
+// registry (minus the host-clock-dependent "overhead" experiment) — so a
+// refactor of the operator layer (the vectorized pipeline, the plan compiler) must leave
 // every experiment byte-identical, not just the ones with full goldens.
 //
 // The signature files were generated BEFORE the vectorized-operator
@@ -47,16 +46,14 @@ func renderSignature(t *testing.T, res *Result, format string) string {
 
 // collectSignatures runs every non-excluded registered experiment at the
 // golden config and returns "name<TAB>format<TAB>hash" lines.
-func collectSignatures(t *testing.T, naive bool) []string {
+func collectSignatures(t *testing.T) []string {
 	t.Helper()
 	var lines []string
 	for _, e := range All() {
 		if signatureExcluded[e.Name()] {
 			continue
 		}
-		cfg := goldenConfig()
-		cfg.Naive = naive
-		res, err := e.Run(context.Background(), cfg, nil)
+		res, err := e.Run(context.Background(), goldenConfig(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -76,10 +73,10 @@ func collectSignatures(t *testing.T, naive bool) []string {
 // Entries for experiments no longer registered fail (a silently dropped
 // experiment is a regression too); new experiments are only pinned once
 // recorded via -update.
-func checkSignatures(t *testing.T, path string, naive bool) {
+func checkSignatures(t *testing.T, path string) {
 	t.Helper()
 	got := map[string]string{}
-	for _, line := range collectSignatures(t, naive) {
+	for _, line := range collectSignatures(t) {
 		key := line[:strings.LastIndexByte(line, '\t')]
 		got[key] = line
 	}
@@ -122,19 +119,8 @@ func checkSignatures(t *testing.T, path string, naive bool) {
 	}
 }
 
-// TestOperatorRefactorSignatures: the whole registry on the default fast
-// paths must render byte-identically to the pre-refactor recording.
+// TestOperatorRefactorSignatures: the whole registry must render
+// byte-identically to the pre-refactor recording.
 func TestOperatorRefactorSignatures(t *testing.T) {
-	checkSignatures(t, filepath.Join("testdata", "signatures.golden"), false)
-}
-
-// TestOperatorRefactorSignaturesNaive: the same recording must hold with
-// every engine optimization disabled — Config.Naive shares the recorded
-// signatures with the fast path, so this additionally proves fast/naive
-// equivalence for every experiment at once.
-func TestOperatorRefactorSignaturesNaive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("naive sweep is slow; run without -short")
-	}
-	checkSignatures(t, filepath.Join("testdata", "signatures.golden"), true)
+	checkSignatures(t, filepath.Join("testdata", "signatures.golden"))
 }

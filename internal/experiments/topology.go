@@ -107,7 +107,6 @@ func runTopologyPoint(c Config, name string, base *numa.Topology, p elastic.Plac
 		Placement:     c.Placement,
 		CorePlacement: p,
 		Topology:      workload.ScaleTopology(base, c.SF),
-		Naive:         c.Naive,
 	})
 	if err != nil {
 		return TopologySweepRow{}, fmt.Errorf("topology %s, placement %s: %w", name, p.Name(), err)

@@ -14,7 +14,7 @@
 // once at compile time, the only randomness is SplitMix64 keyed by the
 // plan seed and the caller-supplied roll number (never by call order or
 // wall clock), and identical (plan, shape, clock) inputs produce
-// identical injections on the fast and naive simulator paths.
+// identical injections.
 package faults
 
 import (

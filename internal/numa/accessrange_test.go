@@ -92,48 +92,32 @@ func TestAccessRangeMatchesAccessLoop(t *testing.T) {
 	}
 }
 
-// TestAccessRangeNaiveModeMatches runs the same history through a machine
-// in naive-charging mode, which must also be identical (it is the same
-// arithmetic through the public per-block entry point).
-func TestAccessRangeNaiveModeMatches(t *testing.T) {
-	topo := Opteron8387()
-	fast := NewMachine(topo)
-	naive := NewMachine(topo)
-	naive.SetNaiveCharging(true)
-	const blocks = 128
-	fast.Memory().Alloc(blocks)
-	naive.Memory().Alloc(blocks)
-	for i, ra := range randomRanges(99, blocks) {
-		core := CoreID(i % topo.TotalCores())
-		a := fast.AccessRange(core, ra)
-		b := naive.AccessRange(core, ra)
-		if a != b {
-			t.Fatalf("op %d (%+v): fast %+v, naive %+v", i, ra, a, b)
-		}
-	}
-	if !reflect.DeepEqual(fast.Snapshot(), naive.Snapshot()) {
-		t.Fatal("counters diverged between fast and naive charging")
-	}
-}
-
 // TestAdvanceTimeIdleMatchesLoop checks the idle fast-forward against the
 // tick-by-tick loop, starting from a congested state so the factor decay
 // and the refresh cadence are both exercised, across quantum/window
-// alignments.
+// alignments: quanta that divide the refresh window, one that does not,
+// and one longer than the window. Snapshot does not carry the window
+// phase, so after the skip both machines take the same over-capacity
+// traffic burst and are stepped through more than one full window: a
+// phase that is one quantum off refreshes on a different step and the
+// congestion factors part.
 func TestAdvanceTimeIdleMatchesLoop(t *testing.T) {
+	burst := func(m *Machine) {
+		for i := 0; i < 4000; i++ {
+			m.Access(CoreID(15), Access{Block: BlockID(i), Bytes: m.Topology().BlockBytes, PID: 1})
+		}
+	}
+	window := Opteron8387().SecondsToCycles(1e-3)
 	congest := func(m *Machine) {
 		// Drive remote traffic past the interconnect capacity of several
 		// whole refresh windows to push the congestion factors above 1.
 		m.Memory().AllocOn(4096, 0, 1)
-		window := m.Topology().SecondsToCycles(1e-3)
 		for round := 0; round < 8; round++ {
-			for i := 0; i < 4000; i++ {
-				m.Access(CoreID(15), Access{Block: BlockID(i), Bytes: m.Topology().BlockBytes, PID: 1})
-			}
+			burst(m)
 			m.AdvanceTime(window)
 		}
 	}
-	for _, quantum := range []uint64{1000, 140000, 2800001} {
+	for _, quantum := range []uint64{1000, 140000, 900001, 2800001} {
 		loopM := NewMachine(Opteron8387())
 		bulkM := NewMachine(Opteron8387())
 		congest(loopM)
@@ -149,14 +133,23 @@ func TestAdvanceTimeIdleMatchesLoop(t *testing.T) {
 		if loopM.Now() != bulkM.Now() {
 			t.Fatalf("quantum %d: Now diverged: loop %d, bulk %d", quantum, loopM.Now(), bulkM.Now())
 		}
-		if loopM.HTCongestion() != bulkM.HTCongestion() {
-			t.Fatalf("quantum %d: congestion diverged: loop %v, bulk %v",
+		if loopM.HTCongestion() != 1 || bulkM.HTCongestion() != 1 {
+			t.Fatalf("quantum %d: congestion after the idle stretch: loop %v, bulk %v, want 1",
 				quantum, loopM.HTCongestion(), bulkM.HTCongestion())
 		}
-		// The window phase must match too: one more traffic burst +
-		// refresh must evolve identically afterwards.
-		loopM.AdvanceTime(quantum)
-		bulkM.AdvanceTime(quantum)
+		burst(loopM)
+		burst(bulkM)
+		for step := uint64(0); step <= window/quantum+1; step++ {
+			loopM.AdvanceTime(quantum)
+			bulkM.AdvanceTime(quantum)
+			if loopM.HTCongestion() != bulkM.HTCongestion() {
+				t.Fatalf("quantum %d: window phase diverged: %d quanta after the skip congestion is loop %v, bulk %v",
+					quantum, step+1, loopM.HTCongestion(), bulkM.HTCongestion())
+			}
+		}
+		if loopM.HTCongestion() <= 1 {
+			t.Fatalf("quantum %d: the post-skip burst did not move the congestion factor", quantum)
+		}
 		if !reflect.DeepEqual(loopM.Snapshot(), bulkM.Snapshot()) {
 			t.Fatalf("quantum %d: post-skip state diverged", quantum)
 		}

@@ -83,11 +83,7 @@ type Machine struct {
 	htFactor  float64
 	imcFactor []float64
 
-	// naive forces AccessRange through the public per-block Access path,
-	// reproducing the pre-bulk-charging cost profile for equivalence
-	// benches. Results are identical either way.
-	naive bool
-	memo  costMemo
+	memo costMemo
 }
 
 // costMemo caches the cycle cost of a full-block DRAM access per home node
@@ -284,21 +280,6 @@ func (m *Machine) AccessRange(core CoreID, r RangeAccess) Cost {
 			r.FirstBytes, r.LastBytes, m.topo.BlockBytes))
 	}
 	var total Cost
-	if m.naive {
-		// Equivalence mode: reproduce the historical one-Access-per-block
-		// cost profile through the public entry point.
-		for i := 0; i < r.Blocks; i++ {
-			c := m.Access(core, Access{
-				Block: r.Start + BlockID(i),
-				Bytes: r.bytesOf(i, m.topo.BlockBytes),
-				Write: r.Write,
-				PID:   r.PID,
-			})
-			total.Cycles += c.Cycles
-			total.HTBytes += c.HTBytes
-		}
-		return total
-	}
 	node := m.topo.NodeOf(core)
 	fullLines := uint64((m.topo.BlockBytes + m.topo.CacheLineBytes - 1) / m.topo.CacheLineBytes)
 	m.memo.reset(fullLines, m.topo.NodeCount)
@@ -313,16 +294,6 @@ func (m *Machine) AccessRange(core CoreID, r RangeAccess) Cost {
 	}
 	return total
 }
-
-// SetNaiveCharging forces AccessRange through the public per-block Access
-// path, reproducing the pre-bulk-charging cost profile. Results are
-// identical either way; only the host-CPU cost differs. Used by the
-// equivalence bench.
-func (m *Machine) SetNaiveCharging(naive bool) { m.naive = naive }
-
-// NaiveCharging reports whether naive charging is active (consumers use
-// it to select their own seed-faithful paths).
-func (m *Machine) NaiveCharging() bool { return m.naive }
 
 // ChargeBusy accounts cycles of useful execution on a core and advances
 // nothing else; the scheduler calls it once per quantum slice.

@@ -17,7 +17,7 @@
 //   - Events observe, never perturb. Publishing mutates nothing outside
 //     the bus, and every timestamp is an integer simulated-cycle count
 //     taken from the machine clock — no host time, no floats — so a
-//     traced run is bit-identical to an untraced one, fast path or naive.
+//     traced run is bit-identical to an untraced one.
 //   - Near-zero overhead when dark. Producers keep a nil-checked bus
 //     pointer (one predictable branch when tracing is off), the ring is
 //     preallocated, Event is a flat value struct (no interface boxing),

@@ -10,11 +10,11 @@ import (
 
 // perfetto.go renders a recorded event window as Chrome trace-event JSON
 // (the "JSON Array Format" both chrome://tracing and ui.perfetto.dev
-// open). Timestamps are the events' raw simulated-cycle counts — integer,
-// deterministic, identical between the fast and naive simulator paths —
-// so two runs of the same seed produce byte-identical traces. The viewer
-// nominally interprets ts as microseconds; at simulated clock rates one
-// "microsecond" on screen is one cycle, which only rescales the axis.
+// open). Timestamps are the events' raw simulated-cycle counts — integer
+// and deterministic — so two runs of the same seed produce byte-identical
+// traces. The viewer nominally interprets ts as microseconds; at
+// simulated clock rates one "microsecond" on screen is one cycle, which
+// only rescales the axis.
 //
 // Track layout:
 //

@@ -20,9 +20,10 @@ type ProbeConfig struct {
 	Every uint64
 	// Allocated reports the DBMS's current core count (nil records 0).
 	Allocated func() int
-	// Reading reports the current strategy reading fed to the PrT net
-	// (nil records 0).
-	Reading func() int
+	// Reading computes the strategy reading fed to the PrT net from the
+	// sample's counter window — the deltas since the previous sample,
+	// valid only during the call (nil records 0).
+	Reading func(window numa.Counters) int
 	// Backlog reports the admission-queue depth (nil records 0).
 	Backlog func() int
 	// Energy prices each counter window; the zero value selects the
@@ -119,7 +120,7 @@ func (p *Probe) Sample() {
 		s.Allocated = p.cfg.Allocated()
 	}
 	if p.cfg.Reading != nil {
-		s.Load = p.cfg.Reading()
+		s.Load = p.cfg.Reading(window)
 	}
 	if p.cfg.Backlog != nil {
 		s.Backlog = p.cfg.Backlog()

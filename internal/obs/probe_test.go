@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
 
 	"elasticore/internal/metrics"
@@ -16,7 +17,7 @@ func TestProbeCadence(t *testing.T) {
 		Machine:   machine,
 		Every:     1000,
 		Allocated: func() int { return cores },
-		Reading:   func() int { return 42 },
+		Reading:   func(numa.Counters) int { return 42 },
 		Backlog:   func() int { return 7 },
 	})
 
@@ -79,7 +80,7 @@ func TestProbeSampleZeroAlloc(t *testing.T) {
 		Machine:   machine,
 		Every:     1000,
 		Allocated: func() int { return 4 },
-		Reading:   func() int { return 42 },
+		Reading:   func(numa.Counters) int { return 42 },
 		Backlog:   func() int { return 0 },
 	})
 	p.samples = make([]Snapshot, 0, 1024)
@@ -93,5 +94,44 @@ func TestProbeSampleZeroAlloc(t *testing.T) {
 	}
 	if last := p.samples[len(p.samples)-1]; last.EnergyJoules <= 0 || last.Allocated != 4 {
 		t.Fatalf("last sample = %+v, want a priced window with 4 cores", last)
+	}
+}
+
+// TestProbeReadingSeesTheSampleWindow: Reading is handed the window the
+// sample itself advanced — exactly what a second CounterWindow created
+// beside the probe and advanced at every sample would report — so a rig
+// needs no window of its own for the strategy reading.
+func TestProbeReadingSeesTheSampleWindow(t *testing.T) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	machine.Memory().AllocOn(64, 0, 1)
+	var seen []numa.Counters
+	p := NewProbe(ProbeConfig{
+		Machine: machine,
+		Every:   1000,
+		Reading: func(w numa.Counters) int {
+			seen = append(seen, w.Clone())
+			return int(w.TotalIMCBytes())
+		},
+	})
+	beside := machine.NewCounterWindow()
+	for i := 0; i < 6; i++ {
+		machine.AdvanceTime(500)
+		machine.ChargeBusy(numa.CoreID(i), uint64(100+i))
+		machine.Access(numa.CoreID(15), numa.Access{Block: numa.BlockID(i), Bytes: 64, PID: 1})
+		n := len(seen)
+		p.Maybe()
+		if len(seen) == n {
+			continue
+		}
+		want := beside.Advance()
+		if !reflect.DeepEqual(seen[n], want) {
+			t.Fatalf("sample %d: Reading saw %+v, a window advanced beside the probe %+v", n, seen[n], want)
+		}
+		if s := p.Samples()[n]; s.Load != int(want.TotalIMCBytes()) || s.IMCBytes != want.TotalIMCBytes() || s.Load == 0 {
+			t.Fatalf("sample %d = %+v, want Load = IMCBytes = %d", n, s, want.TotalIMCBytes())
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("Reading ran %d times over 3000 cycles at interval 1000, want 3", len(seen))
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // fastforward_test.go verifies the event-driven scheduler against the
-// naive tick loop: both must produce bit-identical Stats, queue states and
-// machine counters for arbitrary workloads, and the fast path's hot loop
-// must not allocate.
+// reference loop of ref_test.go: both must produce bit-identical Stats,
+// queue states and machine counters for arbitrary workloads, and the hot
+// loop must not allocate.
 
 // chaosWork is a deterministic pseudo-random runner: it works, blocks or
 // finishes following its own rng stream, and charges real memory accesses
@@ -70,9 +70,10 @@ func chaosArrivalTicks(seed int64, n, horizon int) []int {
 // many threads completed and each arrival's queue wait (spawn-to-exit
 // time minus its own runtime is scheduler-dependent, so lifespans are
 // compared directly).
-func runChaos(naive bool, seed int64) (Stats, []int, numa.Counters, int, []uint64) {
+func runChaos(ref bool, seed int64) (Stats, []int, numa.Counters, int, []uint64) {
 	machine := numa.NewMachine(numa.Opteron8387())
-	s := New(machine, Config{Naive: naive})
+	s := New(machine, Config{})
+	d := driveOf(s, ref)
 	rng := rand.New(rand.NewSource(seed))
 	region := machine.Memory().Alloc(64)
 
@@ -92,10 +93,10 @@ func runChaos(naive bool, seed int64) (Stats, []int, numa.Counters, int, []uint6
 			arrivals = append(arrivals, th)
 			arrived++
 		}
-		s.Tick()
+		d.tick()
 		// Periodically wake blocked threads, like an engine would.
 		if tick%7 == 0 {
-			s.WakeAll(1 + tick%3)
+			d.wakeAll(1 + tick%3)
 		}
 		if tick%13 == 0 {
 			for _, th := range threads {
@@ -108,7 +109,7 @@ func runChaos(naive bool, seed int64) (Stats, []int, numa.Counters, int, []uint6
 	}
 	// Drain the rest through RunUntil, exercising its fast-forward once
 	// every thread is gone.
-	s.RunUntil(func() bool { return false }, 200*s.Quantum())
+	d.runUntil(func() bool { return false }, 200*s.Quantum())
 	completed := 0
 	for _, th := range threads {
 		if _, exited := th.Lifespan(); exited > 0 {
@@ -127,41 +128,41 @@ func runChaos(naive bool, seed int64) (Stats, []int, numa.Counters, int, []uint6
 
 // TestFastForwardMatchesNaive is the scheduler-level equivalence property:
 // the same scripted workload — including the open-loop arrival wave —
-// under the naive and event-driven paths ends in bit-identical scheduler
-// stats, queue lengths, hardware counters, completion counts and
-// per-arrival lifespans.
+// under the naive reference loop of ref_test.go and the event-driven
+// scheduler ends in bit-identical scheduler stats, queue lengths, hardware
+// counters, completion counts and per-arrival lifespans.
 func TestFastForwardMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		nStats, nQueues, nSnap, nDone, nWaits := runChaos(true, seed)
 		fStats, fQueues, fSnap, fDone, fWaits := runChaos(false, seed)
 		if nStats != fStats {
-			t.Errorf("seed %d: stats diverged\nnaive: %+v\nfast:  %+v", seed, nStats, fStats)
+			t.Errorf("seed %d: stats diverged\nref:   %+v\nfast:  %+v", seed, nStats, fStats)
 		}
 		if !reflect.DeepEqual(nQueues, fQueues) {
-			t.Errorf("seed %d: queue lengths diverged\nnaive: %v\nfast:  %v", seed, nQueues, fQueues)
+			t.Errorf("seed %d: queue lengths diverged\nref:   %v\nfast:  %v", seed, nQueues, fQueues)
 		}
 		if !reflect.DeepEqual(nSnap, fSnap) {
-			t.Errorf("seed %d: machine counters diverged\nnaive: %+v\nfast:  %+v", seed, nSnap, fSnap)
+			t.Errorf("seed %d: machine counters diverged\nref:   %+v\nfast:  %+v", seed, nSnap, fSnap)
 		}
 		if nDone != fDone {
-			t.Errorf("seed %d: completions diverged: naive %d, fast %d", seed, nDone, fDone)
+			t.Errorf("seed %d: completions diverged: ref %d, fast %d", seed, nDone, fDone)
 		}
 		if nDone == 0 {
 			t.Errorf("seed %d: chaos run completed nothing", seed)
 		}
 		if !reflect.DeepEqual(nWaits, fWaits) {
-			t.Errorf("seed %d: arrival lifespans diverged\nnaive: %v\nfast:  %v", seed, nWaits, fWaits)
+			t.Errorf("seed %d: arrival lifespans diverged\nref:   %v\nfast:  %v", seed, nWaits, fWaits)
 		}
 	}
 }
 
 // TestRunUntilIdleFastForward pins the bulk idle skip: with nothing
-// runnable, the fast path must land on exactly the state the naive loop
-// reaches tick by tick.
+// runnable, RunUntil must land on exactly the state refRunUntil reaches
+// tick by tick.
 func TestRunUntilIdleFastForward(t *testing.T) {
-	build := func(naive bool) (*Scheduler, *numa.Machine) {
+	build := func() (*Scheduler, *numa.Machine) {
 		machine := numa.NewMachine(numa.Opteron8387())
-		s := New(machine, Config{Naive: naive})
+		s := New(machine, Config{})
 		// One thread that blocks immediately and is never woken.
 		s.Spawn(1, "sleeper", RunnerFunc(func(_ *ExecContext, budget uint64) (uint64, bool, bool) {
 			return budget / 8, true, false
@@ -169,28 +170,28 @@ func TestRunUntilIdleFastForward(t *testing.T) {
 		s.Tick()
 		return s, machine
 	}
-	sn, mn := build(true)
-	sf, mf := build(false)
+	sn, mn := build()
+	sf, mf := build()
 	limit := 12345 * sn.Quantum() / 10 // deliberately not quantum-aligned
-	if sn.RunUntil(func() bool { return false }, limit) {
-		t.Fatal("naive RunUntil satisfied an unsatisfiable predicate")
+	if refRunUntil(sn, func() bool { return false }, limit) {
+		t.Fatal("reference RunUntil satisfied an unsatisfiable predicate")
 	}
 	if sf.RunUntil(func() bool { return false }, limit) {
 		t.Fatal("fast RunUntil satisfied an unsatisfiable predicate")
 	}
 	if mn.Now() != mf.Now() {
-		t.Errorf("Now diverged: naive %d, fast %d", mn.Now(), mf.Now())
+		t.Errorf("Now diverged: ref %d, fast %d", mn.Now(), mf.Now())
 	}
 	if sn.Stats() != sf.Stats() {
-		t.Errorf("stats diverged: naive %+v, fast %+v", sn.Stats(), sf.Stats())
+		t.Errorf("stats diverged: ref %+v, fast %+v", sn.Stats(), sf.Stats())
 	}
 	if !reflect.DeepEqual(mn.Snapshot(), mf.Snapshot()) {
-		t.Error("idle counters diverged between naive and fast RunUntil")
+		t.Error("idle counters diverged between reference and fast RunUntil")
 	}
 }
 
-// TestTickSteadyStateZeroAlloc is the tentpole's allocation regression: a
-// steady-state run slice on the fast path must not allocate. One pinned
+// TestTickSteadyStateZeroAlloc is the allocation regression: a
+// steady-state run slice must not allocate. One pinned
 // spinner per core keeps every queue busy through Tick, runCore and the
 // periodic balance pass.
 func TestTickSteadyStateZeroAlloc(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // proctable_test.go covers the per-process thread table behind
 // blockThread/unblockThread/WakeAll: its structural invariants, the wake
 // order across compactions, and a herd-scale differential against
-// Config.Naive's scan-and-sort WakeAll.
+// ref_test.go's scan-and-sort refWakeAll.
 
 // checkTables asserts the thread-table invariants: every live thread sits
 // in the slot it points at, slot order is strictly ascending in TID, a
@@ -106,10 +106,11 @@ type herdEnd struct {
 // the root set) plus late arrivals through staggered exits, so every
 // table compacts several times, while interleaving WakeAll broadcasts,
 // single Wakes and cpuset shrinks.
-func runHerd(t *testing.T, naive bool, seed int64) herdEnd {
+func runHerd(t *testing.T, ref bool, seed int64) herdEnd {
 	const pids, perPID, ticks = 3, 600, 700
 	machine := numa.NewMachine(numa.Opteron8387())
-	s := New(machine, Config{Naive: naive})
+	s := New(machine, Config{})
+	d := driveOf(s, ref)
 	topo := machine.Topology()
 	rng := rand.New(rand.NewSource(seed))
 	groups := []*CGroup{s.NewCGroup("a"), s.NewCGroup("b")}
@@ -133,7 +134,7 @@ func runHerd(t *testing.T, naive bool, seed int64) herdEnd {
 				spawn(1+rng.Intn(pids), 4+rng.Intn(60))
 			}
 		}
-		s.Tick()
+		d.tick()
 		for pid, p := range s.procs {
 			if len(p.slots) < slots[pid] {
 				end.Compactions++
@@ -141,7 +142,7 @@ func runHerd(t *testing.T, naive bool, seed int64) herdEnd {
 			slots[pid] = len(p.slots)
 		}
 		checkTables(t, s)
-		s.WakeAll(1 + tick%pids)
+		d.wakeAll(1 + tick%pids)
 		if tick%5 == 0 {
 			// One targeted wake: the first parked thread at or after a
 			// rotating index.
@@ -159,13 +160,13 @@ func runHerd(t *testing.T, naive bool, seed int64) herdEnd {
 	}
 	for i := 0; i < 400 && s.LiveThreads() > 0; i++ {
 		for pid := 1; pid <= pids; pid++ {
-			s.WakeAll(pid)
+			d.wakeAll(pid)
 		}
-		s.Tick()
+		d.tick()
 	}
 	checkTables(t, s)
 	if n := s.LiveThreads(); n != 0 {
-		t.Fatalf("seed %d naive=%v: %d threads never exited", seed, naive, n)
+		t.Fatalf("seed %d ref=%v: %d threads never exited", seed, ref, n)
 	}
 	end.Stats, end.Queues, end.Counters = s.Stats(), s.QueueLengths(), machine.Snapshot()
 	for _, th := range threads {
@@ -176,15 +177,15 @@ func runHerd(t *testing.T, naive bool, seed int64) herdEnd {
 }
 
 // TestHerdMatchesNaive is the herd-scale differential: the thread table's
-// bitmap WakeAll against Config.Naive's scan of the global thread map,
+// bitmap WakeAll against refWakeAll's scan of the global thread map,
 // bit-identical through compactions, targeted wakes and cpuset shrinks.
 func TestHerdMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		naive := runHerd(t, true, seed)
+		ref := runHerd(t, true, seed)
 		fast := runHerd(t, false, seed)
-		if !reflect.DeepEqual(naive, fast) {
-			t.Errorf("seed %d: herd runs diverged\nnaive: %+v %v\nfast:  %+v %v",
-				seed, naive.Stats, naive.Queues, fast.Stats, fast.Queues)
+		if !reflect.DeepEqual(ref, fast) {
+			t.Errorf("seed %d: herd runs diverged\nref:  %+v %v\nfast: %+v %v",
+				seed, ref.Stats, ref.Queues, fast.Stats, fast.Queues)
 		}
 		if fast.Compactions < 9 {
 			t.Errorf("seed %d: %d compactions over 3 tables, want each to compact several times", seed, fast.Compactions)

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"elasticore/internal/deque"
 	"elasticore/internal/numa"
@@ -21,13 +20,6 @@ type Config struct {
 	// BalanceThreshold is the queue-length imbalance (busiest minus
 	// idlest) that triggers a steal. Zero selects 2.
 	BalanceThreshold int
-	// Naive selects the original fixed-quantum tick loop: every core is
-	// walked every quantum (idle or not), each run slice allocates a fresh
-	// ExecContext, and WakeAll scans the global thread table. It exists so
-	// equivalence tests and the bench harness can verify that the
-	// event-driven fast path produces bit-identical Stats, counters and
-	// query results; production callers leave it false.
-	Naive bool
 }
 
 // Stats are the scheduler's own cumulative counters, complementing the
@@ -147,9 +139,7 @@ type Scheduler struct {
 	threads map[TID]*Thread
 	nextTID TID
 
-	// procs holds one thread table per PID. It is maintained in both
-	// scheduler modes; only WakeAll's lookup strategy differs under
-	// Config.Naive.
+	// procs holds one thread table per PID.
 	procs map[int]*procTable
 
 	groups  map[string]*CGroup
@@ -158,8 +148,8 @@ type Scheduler struct {
 	stats Stats
 	tick  int
 
-	// execCtx is the per-core run-slice scratch reused by the fast path so
-	// steady-state execution does not allocate.
+	// execCtx is the per-core run-slice scratch, reused so steady-state
+	// execution does not allocate.
 	execCtx []ExecContext
 
 	// bus, when attached, receives KindMigration and KindRunSlice events;
@@ -262,7 +252,7 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 func (s *Scheduler) Quantum() uint64 { return s.cfg.Quantum }
 
 // queue mutation helpers: every insert/remove goes through these so the
-// fast path's queued/surplus bookkeeping can never drift from the queues.
+// queued/surplus bookkeeping can never drift from the queues.
 
 func (s *Scheduler) pushBack(core numa.CoreID, t *Thread) {
 	q := &s.queues[core]
@@ -470,47 +460,12 @@ func (s *Scheduler) Wake(t *Thread) {
 	// Wakeup preemption: a thread that slept goes to the head of the
 	// queue (CFS credits sleepers with low vruntime), so short-running
 	// coordinator threads are not starved behind CPU-bound workers.
-	if s.cfg.Naive {
-		// The seed implementation front-inserted with
-		// append([]*Thread{t}, queue...): a fresh backing array and a
-		// full copy per wake-up. Rebuild the queue the same way, then
-		// account the single logical insertion.
-		q := &s.queues[target]
-		rebuilt := make([]*Thread, 0, q.Len()+1)
-		rebuilt = append(rebuilt, t)
-		for i := 0; i < q.Len(); i++ {
-			rebuilt = append(rebuilt, q.At(i))
-		}
-		q.Clear()
-		for _, th := range rebuilt {
-			q.PushBack(th)
-		}
-		s.queued++
-		if q.Len() == 2 {
-			s.surplus++
-		}
-		return
-	}
 	s.pushFront(target, t)
 }
 
 // WakeAll wakes every Blocked thread owned by pid (a task queue became
 // non-empty), in ascending TID order.
 func (s *Scheduler) WakeAll(pid int) {
-	if s.cfg.Naive {
-		// Original path: scan the global thread table and sort.
-		ids := make([]TID, 0)
-		for id, t := range s.threads {
-			if t.PID == pid && t.state == Blocked {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			s.Wake(s.threads[id])
-		}
-		return
-	}
 	p := s.procs[pid]
 	if p == nil || p.nblocked == 0 {
 		return
@@ -582,10 +537,9 @@ func (s *Scheduler) reconcileGroup(g *CGroup) {
 // queue), the machine's virtual clock moves forward, and periodically the
 // load balancer evens out queue lengths by stealing threads.
 //
-// The default path is event-driven: cores whose queue is empty while no
-// queue anywhere holds a steal candidate are charged their idle quantum in
-// bulk instead of walking the steal scan. Config.Naive restores the
-// original walk-everything loop; both produce bit-identical results.
+// The loop is event-driven: cores whose queue is empty while no queue
+// anywhere holds a steal candidate are charged their idle quantum in bulk
+// instead of walking the steal scan.
 func (s *Scheduler) Tick() {
 	s.tick++
 	s.stats.TicksRun++
@@ -593,36 +547,25 @@ func (s *Scheduler) Tick() {
 	// Advance the clock first: anything that completes inside this
 	// quantum is stamped at the quantum's end, never before its start.
 	s.machine.AdvanceTime(s.cfg.Quantum)
-	if s.cfg.Naive {
-		for core := 0; core < s.topo.TotalCores(); core++ {
-			s.runCore(numa.CoreID(core), start)
+	for core := 0; core < s.topo.TotalCores(); core++ {
+		c := numa.CoreID(core)
+		// An idle core can only acquire work this quantum by stealing,
+		// and stealing needs some queue with >= 2 threads. Without one,
+		// the whole quantum is idle — exactly what runCore would
+		// conclude after scanning.
+		if s.queues[c].Len() == 0 && s.surplus == 0 {
+			s.machine.ChargeIdle(c, s.cfg.Quantum)
+			continue
 		}
-	} else {
-		for core := 0; core < s.topo.TotalCores(); core++ {
-			c := numa.CoreID(core)
-			// An idle core can only acquire work this quantum by
-			// stealing, and stealing needs some queue with >= 2
-			// threads. Without one, the whole quantum is idle —
-			// exactly what runCore would conclude after scanning.
-			if s.queues[c].Len() == 0 && s.surplus == 0 {
-				s.machine.ChargeIdle(c, s.cfg.Quantum)
-				continue
-			}
-			s.runCore(c, start)
-		}
+		s.runCore(c, start)
 	}
 	if s.tick%s.cfg.BalancePeriod == 0 {
 		s.balance()
 	}
 }
 
-// sliceCtx prepares the ExecContext for one run slice. The fast path
-// reuses a per-core scratch value; the naive path reproduces the original
-// per-slice allocation.
+// sliceCtx prepares the core's reusable ExecContext for one run slice.
 func (s *Scheduler) sliceCtx(core numa.CoreID, t *Thread) *ExecContext {
-	if s.cfg.Naive {
-		return &ExecContext{Machine: s.machine, Core: core, PID: t.PID, TID: t.ID}
-	}
 	ctx := &s.execCtx[core]
 	ctx.Machine, ctx.Core, ctx.PID, ctx.TID = s.machine, core, t.PID, t.ID
 	return ctx
@@ -633,9 +576,7 @@ func (s *Scheduler) sliceCtx(core numa.CoreID, t *Thread) *ExecContext {
 //
 // A per-core slowdown factor (SetCoreSlowdown) divides the budget handed
 // to the runner and multiplies the wall cycles charged back: the runner
-// retires used work-cycles while the clock sees used*factor. The factor
-// logic is identical on the fast and naive paths, so injected faults
-// preserve the bit-identity contract.
+// retires used work-cycles while the clock sees used*factor.
 func (s *Scheduler) runCore(core numa.CoreID, start uint64) {
 	if s.queues[core].Len() == 0 {
 		// Idle balancing: an idling CPU immediately tries to pull work
@@ -803,7 +744,7 @@ func (s *Scheduler) balance() {
 //
 // When no thread is runnable anywhere, a tick can change nothing but the
 // clock and the idle counters — no runner executes, so no thread can wake,
-// spawn or finish. The fast path therefore skips such stretches in one
+// spawn or finish. Such stretches are therefore skipped in one
 // bulk step (charging the skipped idle cycles and replicating the
 // congestion-window cadence exactly). The predicate must be a pure
 // observation of simulation state: no side effects (driving a control
@@ -816,7 +757,7 @@ func (s *Scheduler) RunUntil(pred func() bool, maxCycles uint64) bool {
 		if s.machine.Now() >= deadline {
 			return false
 		}
-		if !s.cfg.Naive && s.queued == 0 {
+		if s.queued == 0 {
 			remaining := deadline - s.machine.Now()
 			n := remaining / s.cfg.Quantum
 			if remaining%s.cfg.Quantum != 0 {
@@ -831,7 +772,7 @@ func (s *Scheduler) RunUntil(pred func() bool, maxCycles uint64) bool {
 }
 
 // skipIdleTicks advances the simulation by n fully idle quanta in bulk,
-// producing exactly the state n naive Ticks with empty queues would: the
+// producing exactly the state n Ticks with empty queues would: the
 // same TicksRun, tick parity (balance is a no-op on empty queues), idle
 // charges and congestion-factor evolution.
 func (s *Scheduler) skipIdleTicks(n uint64) {

@@ -47,9 +47,6 @@ type MultiOptions struct {
 	// Topology overrides the machine shape; the default scales the
 	// Opteron testbed to the tenants' aggregate scale factor.
 	Topology *numa.Topology
-	// Naive runs the consolidated rig on the pre-optimization hot paths
-	// (see Options.Naive); results are bit-identical either way.
-	Naive bool
 	// Bus, when set, is attached to the shared scheduler and arbiter and
 	// to every tenant's engine and mechanism, labelling per-tenant events
 	// with the tenant name.
@@ -100,21 +97,8 @@ func NewMultiRig(opts MultiOptions) (*MultiRig, error) {
 		}
 		aggregateSF += opts.Tenants[i].SF
 	}
-	topoIn := opts.Topology
-	if topoIn == nil {
-		topoIn = ScaledTopology(aggregateSF)
-	}
-	machine := numa.NewMachine(topoIn)
-	machine.SetNaiveCharging(opts.Naive)
-	topo := machine.Topology()
-	quantum := opts.Quantum
-	if quantum == 0 {
-		quantum = topo.SecondsToCycles(50e-6)
-	}
-	if opts.ControlPeriod == 0 {
-		opts.ControlPeriod = topo.SecondsToCycles(0.25e-3)
-	}
-	sc := sched.New(machine, sched.Config{Quantum: quantum, Naive: opts.Naive})
+	machine, sc, period := newMachine(opts.Topology, aggregateSF, opts.Quantum, opts.ControlPeriod)
+	opts.ControlPeriod = period
 	arb, err := tenant.NewArbiter(tenant.ArbiterConfig{
 		Scheduler:     sc,
 		ControlPeriod: opts.ControlPeriod,
@@ -131,31 +115,18 @@ func NewMultiRig(opts MultiOptions) (*MultiRig, error) {
 
 	for i, spec := range opts.Tenants {
 		pid := DBMSPID + i
-		store := db.NewStore(machine)
-		store.SetLoadPID(pid)
-		ds, err := tpch.Load(store, tpch.Config{SF: spec.SF, Seed: spec.Seed, NoCache: opts.Naive})
+		srv, err := newServer(sc, spec.Name, pid, spec.SF, spec.Seed, spec.Placement)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", spec.Name, err)
 		}
-		group := sc.NewCGroup(spec.Name)
-		group.AddPID(pid)
-		eng, err := db.NewEngine(store, db.Config{
-			Scheduler: sc,
-			PID:       pid,
-			Placement: spec.Placement,
-			Naive:     opts.Naive,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", spec.Name, err)
-		}
-		alloc, err := allocatorFor(spec.Mode, machine, group)
+		alloc, err := allocatorFor(spec.Mode, machine, srv.group)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", spec.Name, err)
 		}
 		tn, err := tenant.New(tenant.Config{
 			Name:          spec.Name,
 			Scheduler:     sc,
-			CGroup:        group,
+			CGroup:        srv.group,
 			Allocator:     alloc,
 			Strategy:      spec.Strategy,
 			SLA:           spec.SLA,
@@ -168,15 +139,15 @@ func NewMultiRig(opts MultiOptions) (*MultiRig, error) {
 			return nil, err
 		}
 		if opts.Bus != nil {
-			eng.SetBus(opts.Bus, spec.Name)
+			srv.engine.SetBus(opts.Bus, spec.Name)
 			tn.Mech.SetBus(opts.Bus, spec.Name)
 		}
 		m.Tenants = append(m.Tenants, &TenantRig{
 			Tenant:  tn,
 			Spec:    spec,
-			Store:   store,
-			Engine:  eng,
-			Dataset: ds,
+			Store:   srv.store,
+			Engine:  srv.engine,
+			Dataset: srv.dataset,
 			PID:     pid,
 		})
 	}

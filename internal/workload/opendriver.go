@@ -134,8 +134,8 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 	deadline := startTime + d.MaxSeconds
 
 	// Prime the first arrival. Times from the process are relative to the
-	// phase start; due-ness is decided in integer cycles so the fast and
-	// naive simulator paths agree bit for bit.
+	// phase start; due-ness is decided in integer cycles, never by
+	// comparing float seconds, so it cannot depend on rounding.
 	var nextAt uint64
 	more := d.Process != nil
 	if more {

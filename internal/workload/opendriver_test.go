@@ -24,9 +24,9 @@ func openChaosProcess(seed uint64) arrivals.Process {
 
 // runOpenChaos drives one fresh rig through a scripted open-loop arrival
 // pattern and returns the complete observable outcome.
-func runOpenChaos(t *testing.T, naive bool, seed uint64) OpenResult {
+func runOpenChaos(t *testing.T, seed uint64) OpenResult {
 	t.Helper()
-	r, err := NewRig(Options{SF: 0.002, Seed: 1, Mode: ModeAdaptive, Naive: naive})
+	r, err := NewRig(Options{SF: 0.002, Seed: 1, Mode: ModeAdaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,28 +42,11 @@ func runOpenChaos(t *testing.T, naive bool, seed uint64) OpenResult {
 	return d.RunSameQuery(tpch.BuildQ6)
 }
 
-// TestOpenDriverFastNaiveEquivalence is the open-loop half of the
-// fast-path equivalence property: random arrival patterns through the
-// event-driven and naive simulator paths must end in bit-identical
-// completions, queue-wait/service/latency histograms, counters and
-// timeline samples.
-func TestOpenDriverFastNaiveEquivalence(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		naive := runOpenChaos(t, true, seed)
-		fast := runOpenChaos(t, false, seed)
-		if !reflect.DeepEqual(naive, fast) {
-			t.Errorf("seed %d: open-loop outcome diverged between paths\nnaive: offered=%d completed=%d waitP99=%d\nfast:  offered=%d completed=%d waitP99=%d",
-				seed, naive.Offered, naive.Completed, naive.QueueWait.P99(),
-				fast.Offered, fast.Completed, fast.QueueWait.P99())
-		}
-	}
-}
-
 // TestOpenDriverDeterministic: the same (seed, process, load) must yield
 // an identical OpenResult across runs.
 func TestOpenDriverDeterministic(t *testing.T) {
-	a := runOpenChaos(t, false, 2)
-	b := runOpenChaos(t, false, 2)
+	a := runOpenChaos(t, 2)
+	b := runOpenChaos(t, 2)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("two identical open-loop runs produced different results")
 	}
@@ -71,7 +54,7 @@ func TestOpenDriverDeterministic(t *testing.T) {
 
 // TestOpenDriverAccounting pins the admission bookkeeping invariants.
 func TestOpenDriverAccounting(t *testing.T) {
-	res := runOpenChaos(t, false, 1)
+	res := runOpenChaos(t, 1)
 	if res.Offered != res.Admitted+res.Dropped+res.Abandoned {
 		t.Errorf("offered %d != admitted %d + dropped %d + abandoned %d",
 			res.Offered, res.Admitted, res.Dropped, res.Abandoned)

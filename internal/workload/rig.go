@@ -77,12 +77,6 @@ type Options struct {
 	// mechanism. Distinct from Placement, the engine's *data* placement
 	// flavour.
 	CorePlacement elastic.Placement
-	// Naive runs the rig on the pre-optimization hot paths: the walk-
-	// every-core scheduler tick loop, per-block memory charging and
-	// uncached dataset generation. Simulated results are bit-identical to
-	// the default fast paths; only host CPU time differs. Equivalence
-	// tests and the bench harness use it.
-	Naive bool
 	// Bus, when set, is attached to every producer of the rig (scheduler,
 	// engine, mechanism, open-loop driver) so one telemetry stream spans
 	// the stack. Events observe, never perturb: a traced rig's simulated
@@ -157,6 +151,53 @@ type Rig struct {
 	Probe *obs.Probe
 }
 
+// newMachine builds the machine and scheduler under a rig of either kind.
+// A nil topology selects the Opteron testbed scaled to sf; a zero quantum
+// or control period selects 50 us or 0.25 ms of the machine's clock. It
+// returns the control period in effect.
+func newMachine(topo *numa.Topology, sf float64, quantum, controlPeriod uint64) (*numa.Machine, *sched.Scheduler, uint64) {
+	if topo == nil {
+		topo = ScaledTopology(sf)
+	}
+	machine := numa.NewMachine(topo)
+	topo = machine.Topology()
+	if quantum == 0 {
+		// Keep the quantum small relative to scaled query runtimes.
+		quantum = topo.SecondsToCycles(50e-6)
+	}
+	if controlPeriod == 0 {
+		controlPeriod = topo.SecondsToCycles(0.25e-3)
+	}
+	return machine, sched.New(machine, sched.Config{Quantum: quantum}), controlPeriod
+}
+
+// server is one DBMS process on a rig's machine: its store loaded with a
+// TPC-H dataset, its cgroup and its engine.
+type server struct {
+	store   *db.Store
+	dataset *tpch.Dataset
+	group   *sched.CGroup
+	engine  *db.Engine
+}
+
+// newServer loads a TPC-H database as process pid and starts its engine
+// inside a fresh cgroup called name.
+func newServer(sc *sched.Scheduler, name string, pid int, sf float64, seed uint64, placement db.Placement) (server, error) {
+	store := db.NewStore(sc.Machine())
+	store.SetLoadPID(pid)
+	ds, err := tpch.Load(store, tpch.Config{SF: sf, Seed: seed})
+	if err != nil {
+		return server{}, err
+	}
+	group := sc.NewCGroup(name)
+	group.AddPID(pid)
+	eng, err := db.NewEngine(store, db.Config{Scheduler: sc, PID: pid, Placement: placement})
+	if err != nil {
+		return server{}, err
+	}
+	return server{store: store, dataset: ds, group: group, engine: eng}, nil
+}
+
 // NewRig builds the machine, loads TPC-H, starts the engine and, unless
 // ModeOS, attaches the mechanism.
 func NewRig(opts Options) (*Rig, error) {
@@ -166,46 +207,21 @@ func NewRig(opts Options) (*Rig, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	topoIn := opts.Topology
-	if topoIn == nil {
-		topoIn = ScaledTopology(opts.SF)
-	}
-	machine := numa.NewMachine(topoIn)
-	machine.SetNaiveCharging(opts.Naive)
+	machine, sc, period := newMachine(opts.Topology, opts.SF, opts.Quantum, opts.ControlPeriod)
+	opts.ControlPeriod = period
 	topo := machine.Topology()
-	quantum := opts.Quantum
-	if quantum == 0 {
-		// Keep the quantum small relative to scaled query runtimes.
-		quantum = topo.SecondsToCycles(50e-6)
-	}
-	if opts.ControlPeriod == 0 {
-		opts.ControlPeriod = topo.SecondsToCycles(0.25e-3)
-	}
-	sc := sched.New(machine, sched.Config{Quantum: quantum, Naive: opts.Naive})
-	store := db.NewStore(machine)
-	store.SetLoadPID(DBMSPID)
-	ds, err := tpch.Load(store, tpch.Config{SF: opts.SF, Seed: opts.Seed, NoCache: opts.Naive})
+	srv, err := newServer(sc, "dbms", DBMSPID, opts.SF, opts.Seed, opts.Placement)
 	if err != nil {
 		return nil, err
 	}
-	group := sc.NewCGroup("dbms")
-	group.AddPID(DBMSPID)
-	eng, err := db.NewEngine(store, db.Config{
-		Scheduler: sc,
-		PID:       DBMSPID,
-		Placement: opts.Placement,
-		Naive:     opts.Naive,
-	})
-	if err != nil {
-		return nil, err
-	}
+	group := srv.group
 	r := &Rig{
 		Machine: machine,
 		Sched:   sc,
-		Store:   store,
-		Engine:  eng,
+		Store:   srv.store,
+		Engine:  srv.engine,
 		CGroup:  group,
-		Dataset: ds,
+		Dataset: srv.dataset,
 		Opts:    opts,
 	}
 	if opts.Mode != ModeOS || opts.CorePlacement != nil {
@@ -291,9 +307,8 @@ func (r *Rig) EnableProbe(interval uint64) *obs.Probe {
 	}
 	if r.Mech != nil {
 		strategy, group := r.Mech.Strategy(), r.CGroup
-		window := r.Machine.NewCounterWindow()
-		cfg.Reading = func() int {
-			return strategy.Reading(elastic.Sample{Window: window.Advance(), Allocated: group.CPUs()})
+		cfg.Reading = func(window numa.Counters) int {
+			return strategy.Reading(elastic.Sample{Window: window, Allocated: group.CPUs()})
 		}
 	}
 	r.Probe = obs.NewProbe(cfg)
