@@ -169,7 +169,7 @@ func bindRunFlags(fs *flag.FlagSet) (*runFlags, *string) {
 	fs.IntVar(&rf.cfg.Shards, "shards", 0, "fleet partition count (default 2x machines; must be >= machines)")
 	fs.StringVar(&rf.cfg.Topology, "topology", "", "machine shape: zoo name or \"nodes x cores [@ hops...]\" spec")
 	fs.IntVar(&rf.cfg.Replicas, "replicas", 0, "shard copies kept by the cluster experiments (0: experiment default; must be <= machines)")
-	fs.IntVar(&rf.cfg.Workers, "workers", 0, "goroutines per fleet for machine ticks (0: GOMAXPROCS, 1: sequential; results bit-identical)")
+	fs.IntVar(&rf.cfg.Workers, "workers", 0, "most goroutines per fleet for machine ticks (0: GOMAXPROCS, 1: none beside the caller; results bit-identical)")
 	fs.StringVar(&rf.cfg.Faults, "faults", "", "deterministic failure plan injected into cluster experiments (internal/faults grammar or JSON)")
 	engine := fs.String("engine", "monetdb", "engine flavour: monetdb | sqlserver")
 	fs.StringVar(&rf.trace, "trace", "", "write a Chrome/Perfetto trace-event JSON file (single experiment only)")

@@ -4,6 +4,7 @@ import (
 	"elasticore/internal/arrivals"
 	"elasticore/internal/db"
 	"elasticore/internal/metrics"
+	"elasticore/internal/numa"
 	"elasticore/internal/obs"
 	"elasticore/internal/tpch"
 	"elasticore/internal/workload"
@@ -92,6 +93,7 @@ type wireMsg struct {
 type ftState struct {
 	timeoutC, hedgeC, backoffC uint64
 	maxRetries                 int
+	replicas                   int // copies of every shard; a hedge needs two
 
 	attempts    []attempt
 	outstanding []int64
@@ -120,6 +122,71 @@ func (ft *ftState) quiet(reqs []parentReq) bool {
 	}
 	return true
 }
+
+// hedgeable reports whether attempt a of parent p may still fire its
+// one hedge (expire's condition, minus the clock).
+func (ft *ftState) hedgeable(a *attempt, p *parentReq) bool {
+	return ft.hedgeC > 0 && p.keyed && !p.hedged && !a.hedge && ft.replicas > 1
+}
+
+// nextAt returns the earliest cycle at which expire, drainRetries or
+// deliverWire will find something to do — an outstanding attempt's
+// timeout or hedge point, a retry's backoff, a wire delivery — or the
+// maximum uint64 when nothing is scheduled. A time at or before now
+// means "every quantum" (a hedge that found no healthy replica is
+// retried until one appears).
+func (ft *ftState) nextAt(reqs []parentReq) uint64 {
+	next := ^uint64(0)
+	for _, e := range ft.retryQ {
+		next = min(next, e.due)
+	}
+	for _, w := range ft.wire {
+		next = min(next, w.deliver)
+	}
+	for _, id := range ft.outstanding {
+		a := &ft.attempts[id]
+		p := &reqs[a.parent]
+		if a.done || p.done {
+			continue
+		}
+		if a.deadline > 0 {
+			next = min(next, a.deadline)
+		}
+		if ft.hedgeable(a, p) {
+			next = min(next, a.sent+ft.hedgeC)
+		}
+	}
+	return next
+}
+
+// deadlineCycle returns the first cycle of the quantum grid start,
+// start+quantum, ... at which the run loop's float-seconds deadline test
+// CyclesToSeconds(now) >= CyclesToSeconds(start)+maxSeconds holds, so
+// the loop can decide the deadline, like every other due time, in
+// integer cycles. The conversion is monotone in the cycle count, which
+// makes the first such grid point a binary search; a deadline beyond
+// the clock's range never fires.
+func deadlineCycle(topo *numa.Topology, start, quantum uint64, maxSeconds float64) uint64 {
+	deadline := topo.CyclesToSeconds(start) + maxSeconds
+	lo, hi := uint64(0), (^uint64(0)-start)/quantum // grid steps; the answer is in [lo, hi] or absent
+	if topo.CyclesToSeconds(start+hi*quantum) < deadline {
+		return ^uint64(0)
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if topo.CyclesToSeconds(start+mid*quantum) >= deadline {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return start + lo*quantum
+}
+
+// maxJump caps how many quanta one iteration of the run loop may
+// advance. Only tests assign it: 1 forces the quantum-by-quantum loop
+// the jumping one must be indistinguishable from.
+var maxJump = 1 << 30
 
 // MachineStats is one machine's share of a coordinator run.
 type MachineStats struct {
@@ -288,6 +355,7 @@ func (c *Coordinator) Run() Result {
 			timeoutC:   topo.SecondsToCycles(c.TimeoutSeconds),
 			hedgeC:     topo.SecondsToCycles(c.HedgeAfterSeconds),
 			maxRetries: c.MaxRetries,
+			replicas:   f.Sharder.Replicas(),
 			dropN:      make([]uint64, len(f.Rigs)),
 		}
 		if ft.maxRetries == 0 {
@@ -545,8 +613,7 @@ func (c *Coordinator) Run() Result {
 				scheduleRetry(nowC, a.parent, a.machine, "timeout")
 				continue
 			}
-			if ft.hedgeC > 0 && p.keyed && !p.hedged && !a.hedge &&
-				f.Sharder.Replicas() > 1 && nowC >= a.sent+ft.hedgeC {
+			if ft.hedgeable(a, p) && nowC >= a.sent+ft.hedgeC {
 				ft.hedges = append(ft.hedges, id)
 			}
 			kept = append(kept, id)
@@ -636,18 +703,13 @@ func (c *Coordinator) Run() Result {
 		}
 	}
 
+	// Every due time of the loop below is an integer cycle (OpenDriver's
+	// rule): arrivals, the fault-tolerance timers, and the deadline.
 	startCycle := f.Now()
 	startTime := f.NowSeconds()
-	deadline := startTime + c.MaxSeconds
-
-	// Prime the first arrival; due-ness is decided in integer cycles
-	// (OpenDriver's rule).
-	var nextAt uint64
-	more := c.Process != nil
-	if more {
-		t, ok := c.Process.Next()
-		nextAt, more = startCycle+topo.SecondsToCycles(t), ok
-	}
+	quantum := f.Rigs[0].Sched.Quantum()
+	deadlineC := deadlineCycle(topo, startCycle, quantum, c.MaxSeconds)
+	pump := workload.NewArrivalPump(c.Process, topo, startCycle, c.MaxArrivals)
 
 	// offer routes one request at arrival cycle at.
 	offer := func(nowC, at uint64) {
@@ -745,34 +807,42 @@ func (c *Coordinator) Run() Result {
 			expire(nowC)
 			drainRetries(nowC)
 		}
-		for more && nextAt <= nowC {
-			offer(nowC, nextAt)
-			if c.MaxArrivals > 0 && res.Offered >= c.MaxArrivals {
-				more = false
-				break
-			}
-			t, ok := c.Process.Next()
-			nextAt, more = startCycle+topo.SecondsToCycles(t), ok
-		}
+		pump.Due(nowC, offer)
 		if ft != nil {
 			deliverWire(nowC)
 		}
-		idle := true
+		idle, drained := true, true
 		for m, adm := range adms {
 			adm.Fill(nowC, plans[m])
 			adm.UpdatePeaks()
 			idle = idle && adm.Idle()
+			drained = drained && adm.Drained()
 		}
 		if ft != nil && idle {
 			idle = ft.quiet(reqs)
 		}
-		if !more && idle {
+		if !pump.More() && idle {
 			break
 		}
-		if f.NowSeconds() >= deadline {
+		if nowC >= deadlineC {
 			break
 		}
-		f.Tick()
+		// With every admission drained the passes above find nothing to
+		// do until the next arrival or fault-tolerance timer, so the loop
+		// jumps to the first quantum at or after it, never past the
+		// deadline. Fleet.Advance still stops at every barrier the fleet
+		// itself needs (control period, probe, fault edge, heartbeat).
+		n := uint64(1)
+		if drained {
+			next := min(pump.NextAt(), deadlineC)
+			if ft != nil {
+				next = min(next, ft.nextAt(reqs))
+			}
+			if next > nowC {
+				n = min((next-nowC-1)/quantum+1, uint64(maxJump))
+			}
+		}
+		f.Advance(int(n))
 	}
 
 	res.Abandoned = res.Offered - res.Completed - res.Dropped - res.Failed

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"elasticore/internal/elastic"
 	"elasticore/internal/faults"
@@ -48,20 +49,26 @@ type Options struct {
 	// or nil plan leaves every code path byte-identical to a fleet
 	// built before fault injection existed.
 	Faults *faults.Plan
-	// Workers is the goroutine count machine construction and machine
-	// ticks spread over (0 selects GOMAXPROCS, 1 forces the fully
-	// sequential engine). Simulated results are bit-identical at every
-	// value: machines decouple only between the epoch barriers where
-	// cross-machine state is read, and staged telemetry replays onto the
-	// shared bus in sequential order (see Advance).
+	// Workers bounds the goroutines machine construction and machine
+	// ticks spread over (0 selects GOMAXPROCS). It is a ceiling, not a
+	// mode: every value runs the same engine, which ticks on the calling
+	// goroutine alone whenever fewer than two machines have runnable
+	// work and otherwise shares the busy machines with up to Workers-1
+	// lingering workers (see tickRigs). Simulated results are
+	// bit-identical at every value: machines decouple only between the
+	// epoch barriers where cross-machine state is read, and staged
+	// telemetry replays onto the shared bus in sequential order.
 	Workers int
 }
 
 // Fleet is N lockstep simulated machines behind one Sharder. All
-// machines share one quantum and advance together: Tick ticks each
-// machine's scheduler in index order, then runs whichever control tier
-// is attached (per-machine mechanisms, or the ClusterArbiter when one
-// has been installed).
+// machines share one quantum and reach every epoch barrier together:
+// Tick (one quantum) and Advance (a stretch of them) move each machine
+// forward — idle ones in one bulk step, busy ones quantum by quantum,
+// concurrently when there are several — and then run, in machine order
+// on the calling goroutine, whichever control tier is attached
+// (per-machine mechanisms, or the ClusterArbiter when one has been
+// installed).
 type Fleet struct {
 	// Sharder owns the key -> shard -> machine placement.
 	Sharder *Sharder
@@ -76,10 +83,23 @@ type Fleet struct {
 	health *HealthMonitor
 
 	// views are the per-machine staging views of Bus (nil entries never
-	// exist: either every rig has one, or the slice is nil). Workers > 1
-	// publishes through them so concurrent machine ticks keep the bus's
-	// sequential event order (see internal/obs/stage.go).
+	// exist: every rig of a lit fleet has one, a dark fleet has none).
+	// Rigs publish through them so machines that run decoupled keep the
+	// bus's sequential event order (see internal/obs/stage.go).
 	views []*obs.Bus
+
+	// The tick engine (see tickRigs). busy, stretch and staged describe
+	// the current epoch: the driver writes them before it publishes the
+	// epoch and the workers only read them.
+	stats   EngineStats
+	busy    []int        // machines with runnable threads, ascending
+	stretch int          // quanta each machine advances this epoch
+	staged  bool         // busy machines stage their telemetry
+	next    atomic.Int32 // next unclaimed index of busy
+	done    atomic.Int32 // workers finished with this epoch
+	epoch   uint64       // parallel epochs published so far
+	workers []handoff    // one word per possible worker (Workers-1)
+	linger  int          // lingerSpins at construction
 
 	// injector is the compiled fault plan, nil for healthy fleets.
 	injector *faults.Injector
@@ -131,17 +151,14 @@ func NewFleet(opts Options) (*Fleet, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	f := &Fleet{Sharder: sh, Opts: opts, Bus: opts.Bus}
+	f := &Fleet{Sharder: sh, Opts: opts, Bus: opts.Bus, linger: lingerSpins}
+	f.workers = make([]handoff, min(opts.Workers, opts.Machines)-1)
 	f.admissions = make([]*workload.Admission, opts.Machines)
 	buildRig := func(m int) (*workload.Rig, error) {
 		// A machine stores every shard it replicates, so its dataset share
-		// is HomesOf/Shards — identical to the owned range at R = 1. In
-		// parallel mode the rig is built dark and gets a staging view of
-		// the shared bus afterwards.
-		bus := opts.Bus
-		if opts.Workers > 1 {
-			bus = nil
-		}
+		// is HomesOf/Shards — identical to the owned range at R = 1. The
+		// rig is built dark and gets a staging view of the shared bus
+		// afterwards.
 		return workload.NewRig(workload.Options{
 			SF:            opts.SF * float64(sh.HomesOf(m)) / float64(opts.Shards),
 			Seed:          fleetSeed(opts.Seed, m),
@@ -149,7 +166,6 @@ func NewFleet(opts Options) (*Fleet, error) {
 			Strategy:      opts.Strategy,
 			ControlPeriod: opts.ControlPeriod,
 			Topology:      opts.Topology,
-			Bus:           bus,
 		})
 	}
 	f.Rigs = make([]*workload.Rig, opts.Machines)
@@ -183,7 +199,7 @@ func NewFleet(opts Options) (*Fleet, error) {
 			f.Rigs[m] = r
 		}
 	}
-	if opts.Bus != nil && opts.Workers > 1 {
+	if opts.Bus != nil {
 		f.attachViews()
 	}
 	if opts.Faults != nil && len(opts.Faults.Faults) > 0 {
@@ -227,21 +243,15 @@ func (f *Fleet) Down(m int) bool { return f.injector.Down(m) }
 func (f *Fleet) EnsureBus() *obs.Bus {
 	if f.Bus == nil {
 		f.Bus = obs.NewBus(0)
-		if f.Opts.Workers > 1 {
-			f.attachViews()
-		} else {
-			for _, r := range f.Rigs {
-				r.AttachBus(f.Bus)
-			}
-		}
+		f.attachViews()
 	}
 	return f.Bus
 }
 
 // attachViews gives every rig a staging view of the fleet bus: rigs
 // publish through their view, which forwards to the shared bus except
-// during a parallel tick section, where events stage per machine and
-// replay in deterministic order at the barrier.
+// while several machines run decoupled, when events stage per machine
+// and replay in deterministic order at the barrier.
 func (f *Fleet) attachViews() {
 	f.views = make([]*obs.Bus, len(f.Rigs))
 	for m, r := range f.Rigs {
@@ -271,10 +281,10 @@ func (f *Fleet) RegisterAdmission(m int, adm *workload.Admission) {
 // detection run after the control tier, so the health monitor sees the
 // post-control allocation state.
 //
-// With Workers > 1 the machines tick on concurrent goroutines; the
+// Busy machines may tick on concurrent goroutines (see tickRigs); the
 // control tier, heartbeats, health and probe steps always run on the
-// calling goroutine, after the barrier. Results are bit-identical to the
-// sequential engine.
+// calling goroutine, after the barrier. Results are bit-identical at
+// every Workers value.
 func (f *Fleet) Tick() { f.advanceStretch(1) }
 
 // Advance runs n quanta through the epoch-barrier engine: machines
@@ -378,64 +388,180 @@ func (f *Fleet) safeStretch(max int) int {
 	return int(s)
 }
 
-// tickRigs advances every machine by `stretch` quanta. Workers <= 1 (or
-// a single machine) runs the plain sequential loop. Otherwise machines
-// spread across Workers goroutines; each machine stages its telemetry
-// per quantum, and after the barrier the staged events replay onto the
-// shared bus in (quantum, machine) order — the exact order the
-// sequential loop publishes in.
+// EngineStats counts what the tick engine did. Everything but
+// WorkerSpawns is a function of the simulated run alone; none of it is
+// part of any Result.
+type EngineStats struct {
+	// Epochs is the number of barrier-to-barrier stretches run and
+	// Quanta the quanta they covered, so Quanta/Epochs is the mean
+	// stretch.
+	Epochs, Quanta uint64
+	// MachineQuantaSkipped counts the machine-quanta advanced in bulk
+	// because the machine had nothing runnable when its epoch began.
+	MachineQuantaSkipped uint64
+	// InlineEpochs had busy machines and ran them all on the calling
+	// goroutine; ParallelEpochs shared them with workers. Epochs that
+	// found every machine idle are in neither.
+	InlineEpochs, ParallelEpochs uint64
+	// WorkerSpawns counts tick-worker goroutines started. It follows
+	// the host: a worker that is still lingering is reused, not spawned.
+	WorkerSpawns uint64
+}
+
+// EngineStats returns the tick engine's counters so far.
+func (f *Fleet) EngineStats() EngineStats { return f.stats }
+
+// handoff is how the driver passes epochs to one tick worker: a single
+// word holding the last epoch published to the worker and whether a
+// goroutine is currently serving the word.
+//
+//	epoch<<1 | handoffLive   a worker runs this epoch or lingers after it
+//	epoch<<1                 the worker gave up waiting and exited
+//
+// The driver publishes with Swap(new|live) and starts a goroutine iff
+// the old word was dead; a lingering worker leaves by
+// CompareAndSwap(seen|live -> seen), which fails exactly when the driver
+// got there first, and then the worker runs the new epoch. It has to be
+// one word. With the epoch and a separate live flag, this interleaving
+// ticks a machine twice and overshoots the done count (it hung the
+// fleet-faults benchmark): worker A runs out of patience, stores
+// live = false and is descheduled before it re-checks the epoch; the
+// driver publishes epoch 7, sees live == false and starts worker B; B
+// runs epoch 7, lingers, stores live = false and exits; A wakes up,
+// sees an epoch it has not served, sets live = true again and runs
+// epoch 7 a second time.
+type handoff struct {
+	word atomic.Uint64
+	_    [56]byte // one cache line per worker
+}
+
+const handoffLive = 1
+
+// lingerSpins is how many times a tick worker polls its hand-off word
+// for the next epoch before it exits; it bounds how long a goroutine
+// outlives a busy burst (about a hundred microseconds). Only tests
+// assign it.
+var lingerSpins = 1 << 16
+
+const (
+	// lingerYield is how often (in polls) a lingering worker yields its
+	// P, so that with more workers than Ps it waits on the run queue
+	// instead of in the driver's way.
+	lingerYield = 1 << 8
+	// driverSpins is how many times the driver polls the done count
+	// before it starts yielding to workers that have no P of their own.
+	driverSpins = 1 << 10
+)
+
+// tickRigs advances every machine by `stretch` quanta. A machine with
+// nothing runnable cannot change before the barrier — only barrier work
+// spawns or wakes threads — so it is advanced in one bulk step here and
+// publishes nothing. The busy machines are claimed one at a time off a
+// shared counter by the calling goroutine and, when there are at least
+// two of them, by up to Workers-1 workers. Whenever the bus could see
+// two machines' events out of sequential order (machines running
+// concurrently, or one after the other through a multi-quantum stretch)
+// they stage their telemetry per quantum, and after the barrier the
+// staged events replay in (quantum, machine) order — the order a
+// quantum-by-quantum sequential loop publishes in.
 func (f *Fleet) tickRigs(stretch int) {
-	w := f.Opts.Workers
-	if w > len(f.Rigs) {
-		w = len(f.Rigs)
-	}
-	if w <= 1 {
-		for q := 0; q < stretch; q++ {
-			for _, r := range f.Rigs {
-				r.Sched.Tick()
-			}
+	f.stats.Epochs++
+	f.stats.Quanta += uint64(stretch)
+	busy := f.busy[:0]
+	for m, r := range f.Rigs {
+		if r.Sched.Idle() {
+			r.Sched.Advance(stretch)
+		} else {
+			busy = append(busy, m)
 		}
+	}
+	f.busy = busy
+	f.stats.MachineQuantaSkipped += uint64(stretch) * uint64(len(f.Rigs)-len(busy))
+	if len(busy) == 0 {
 		return
 	}
-	staged := f.views != nil
-	if staged {
-		for _, v := range f.views {
-			v.BeginStage()
+	helpers := min(len(f.workers), len(busy)-1)
+	f.stretch = stretch
+	f.staged = f.views != nil && len(busy) > 1 && (helpers > 0 || stretch > 1)
+	if f.staged {
+		for _, m := range busy {
+			f.views[m].BeginStage()
 		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for m := g; m < len(f.Rigs); m += w {
-				r := f.Rigs[m]
-				if staged {
-					v := f.views[m]
-					for q := 0; q < stretch; q++ {
-						r.Sched.Tick()
-						v.Mark()
-					}
-				} else {
-					for q := 0; q < stretch; q++ {
-						r.Sched.Tick()
-					}
-				}
-			}
-		}(g)
+	if helpers == 0 {
+		f.stats.InlineEpochs++
+	} else {
+		f.stats.ParallelEpochs++
+		f.epoch++
 	}
-	wg.Wait()
-	if staged {
+	f.next.Store(0)
+	f.done.Store(0)
+	for g := range f.workers[:helpers] {
+		h := &f.workers[g]
+		if old := h.word.Swap(f.epoch<<1 | handoffLive); old&handoffLive == 0 {
+			f.stats.WorkerSpawns++
+			go f.tickWorker(h, f.epoch)
+		}
+	}
+	f.runBusy()
+	for spins := 0; f.done.Load() != int32(helpers); spins++ {
+		if spins > driverSpins {
+			runtime.Gosched()
+		}
+	}
+	if f.staged {
 		for q := 0; q < stretch; q++ {
-			for _, v := range f.views {
-				for _, e := range v.Staged(q) {
+			for _, m := range busy {
+				for _, e := range f.views[m].Staged(q) {
 					f.Bus.Publish(e)
 				}
 			}
 		}
-		for _, v := range f.views {
-			v.EndStage()
+		for _, m := range busy {
+			f.views[m].EndStage()
 		}
+	}
+}
+
+// runBusy claims busy machines until none is left and advances each by
+// the epoch's stretch. A staged machine marks every quantum it ticks; one
+// that goes idle midway skips the rest, which publish nothing.
+func (f *Fleet) runBusy() {
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= len(f.busy) {
+			return
+		}
+		m := f.busy[i]
+		s, n := f.Rigs[m].Sched, f.stretch
+		if f.staged {
+			for v := f.views[m]; n > 0 && !s.Idle(); n-- {
+				s.Tick()
+				v.Mark()
+			}
+		}
+		s.Advance(n)
+	}
+}
+
+// tickWorker serves one hand-off word: run the published epoch, report
+// done, then linger for the next epoch so that a burst of parallel
+// epochs costs one goroutine rather than one per quantum. A worker that
+// polls lingerSpins times in vain retires its word and exits, so no
+// goroutine (and no reference to the fleet) outlives a burst.
+func (f *Fleet) tickWorker(h *handoff, seen uint64) {
+	for {
+		f.runBusy()
+		f.done.Add(1)
+		for spins := 0; h.word.Load() == seen<<1|handoffLive; spins++ {
+			if spins >= f.linger && h.word.CompareAndSwap(seen<<1|handoffLive, seen<<1) {
+				return
+			}
+			if spins%lingerYield == lingerYield-1 {
+				runtime.Gosched()
+			}
+		}
+		seen = h.word.Load() >> 1
 	}
 }
 

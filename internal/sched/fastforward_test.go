@@ -156,6 +156,91 @@ func TestFastForwardMatchesNaive(t *testing.T) {
 	}
 }
 
+// chaosBarrier is what a stretch-driven chaos run exposes at one barrier.
+type chaosBarrier struct {
+	now   uint64
+	idle  bool
+	stats Stats
+	ht    float64
+	snap  numa.Counters
+}
+
+// runChaosStretches drives the chaos workload the way the fleet engine
+// drives a machine: threads are spawned and woken only at barriers, and
+// between barriers the scheduler advances a whole stretch of 1..48 quanta
+// on its own. A few short-lived, often-blocking threads make most
+// stretches go idle partway through and leave whole stretches with
+// nothing runnable at all; it returns every barrier's observables and how
+// many stretches began busy and ended idle.
+func runChaosStretches(ref bool, seed int64) (barriers []chaosBarrier, wentIdle int) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	s := New(machine, Config{})
+	d := driveOf(s, ref)
+	rng := rand.New(rand.NewSource(seed))
+	region := machine.Memory().Alloc(64)
+
+	var threads []*Thread
+	spawn := func(n int) {
+		for i := 0; i < n; i++ {
+			id := int64(len(threads))
+			w := &chaosWork{rng: rand.New(rand.NewSource(seed + id)), region: region, rounds: 6 + rng.Intn(30)}
+			threads = append(threads, s.Spawn(1+int(id)%3, "chaos", w))
+		}
+	}
+	spawn(6)
+	for b := 0; b < 300; b++ {
+		switch rng.Intn(5) {
+		case 0:
+			spawn(1 + rng.Intn(3))
+		case 1:
+			d.wakeAll(1 + rng.Intn(3))
+		case 2:
+			for _, th := range threads {
+				if th.State() == Blocked {
+					s.Wake(th)
+					break
+				}
+			}
+		}
+		busy := !s.Idle()
+		d.advance(1 + rng.Intn(48))
+		if busy && s.Idle() {
+			wentIdle++
+		}
+		barriers = append(barriers, chaosBarrier{machine.Now(), s.Idle(), s.Stats(), machine.HTCongestion(), machine.Snapshot()})
+	}
+	return barriers, wentIdle
+}
+
+// TestAdvanceMatchesRefTicks: Advance(n) lands on exactly the state n
+// reference ticks reach — stats, counters, clock and congestion factor —
+// at every barrier of a run whose stretches start busy, start idle, and
+// go idle midway.
+func TestAdvanceMatchesRefTicks(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		want, _ := runChaosStretches(true, seed)
+		got, wentIdle := runChaosStretches(false, seed)
+		idle := 0
+		for b := range want {
+			w, g := want[b], got[b]
+			if w.now != g.now || w.idle != g.idle || w.stats != g.stats || w.ht != g.ht {
+				t.Fatalf("seed %d barrier %d diverged\nref:     now %d idle %v ht %v %+v\nadvance: now %d idle %v ht %v %+v",
+					seed, b, w.now, w.idle, w.ht, w.stats, g.now, g.idle, g.ht, g.stats)
+			}
+			if !reflect.DeepEqual(w.snap, g.snap) {
+				t.Fatalf("seed %d barrier %d: machine counters diverged", seed, b)
+			}
+			if b > 0 && want[b-1].idle && w.idle {
+				idle++
+			}
+		}
+		if wentIdle < 10 || idle < 10 {
+			t.Errorf("seed %d: %d stretches went idle midway and %d were idle throughout — the script no longer exercises the skip",
+				seed, wentIdle, idle)
+		}
+	}
+}
+
 // TestRunUntilIdleFastForward pins the bulk idle skip: with nothing
 // runnable, RunUntil must land on exactly the state refRunUntil reaches
 // tick by tick.

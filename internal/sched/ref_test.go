@@ -7,12 +7,12 @@ import (
 )
 
 // ref_test.go holds the reference scheduler loop the differentials in
-// fastforward_test.go and proctable_test.go compare Tick, WakeAll and
-// RunUntil against: every core through runCore every quantum (no idle
-// skip), WakeAll by scanning the global thread table and sorting by TID,
-// RunUntil one quantum at a time (no fast-forward). The references share
-// runCore, Wake and balance with the scheduler; what they leave out is
-// exactly the event-driven shortcuts under test.
+// fastforward_test.go and proctable_test.go compare Tick, WakeAll,
+// RunUntil and Advance against: every core through runCore every quantum
+// (no idle skip), WakeAll by scanning the global thread table and sorting
+// by TID, RunUntil and Advance one quantum at a time (no fast-forward).
+// The references share runCore, Wake and balance with the scheduler; what
+// they leave out is exactly the event-driven shortcuts under test.
 
 // refTick is Tick without the idle-core skip.
 func refTick(s *Scheduler) {
@@ -54,21 +54,28 @@ func refRunUntil(s *Scheduler, pred func() bool, maxCycles uint64) bool {
 	return true
 }
 
-// drive is the three entry points a differential run goes through: the
-// scheduler's own, or the references above.
+// drive is the entry points a differential run goes through: the
+// scheduler's own, or the references above (the reference Advance is n
+// reference ticks: no idle skip at either level).
 type drive struct {
 	tick     func()
 	wakeAll  func(pid int)
 	runUntil func(pred func() bool, maxCycles uint64) bool
+	advance  func(n int)
 }
 
 func driveOf(s *Scheduler, ref bool) drive {
 	if !ref {
-		return drive{s.Tick, s.WakeAll, s.RunUntil}
+		return drive{s.Tick, s.WakeAll, s.RunUntil, s.Advance}
 	}
 	return drive{
 		tick:     func() { refTick(s) },
 		wakeAll:  func(pid int) { refWakeAll(s, pid) },
 		runUntil: func(pred func() bool, max uint64) bool { return refRunUntil(s, pred, max) },
+		advance: func(n int) {
+			for ; n > 0; n-- {
+				refTick(s)
+			}
+		},
 	}
 }

@@ -739,34 +739,48 @@ func (s *Scheduler) balance() {
 	}
 }
 
+// Idle reports whether no thread is runnable on any core. An idle
+// scheduler stays idle until something outside it calls Spawn or Wake:
+// no runner executes, so no thread can wake, spawn or finish.
+func (s *Scheduler) Idle() bool { return s.queued == 0 }
+
+// Advance runs n quanta. As soon as the scheduler is Idle the remaining
+// quanta can change nothing but the clock and the idle counters, so they
+// are skipped in one bulk step (charging the skipped idle cycles and
+// replicating the congestion-window cadence exactly). It is the one idle
+// fast-forward: RunUntil and the fleet engine both advance through it.
+func (s *Scheduler) Advance(n int) {
+	for ; n > 0 && s.queued > 0; n-- {
+		s.Tick()
+	}
+	s.skipIdleTicks(uint64(n))
+}
+
 // RunUntil ticks the scheduler until the predicate returns true or the
 // cycle limit is reached, returning whether the predicate was satisfied.
 //
-// When no thread is runnable anywhere, a tick can change nothing but the
-// clock and the idle counters — no runner executes, so no thread can wake,
-// spawn or finish. Such stretches are therefore skipped in one
-// bulk step (charging the skipped idle cycles and replicating the
-// congestion-window cadence exactly). The predicate must be a pure
-// observation of simulation state: no side effects (driving a control
-// loop inside a predicate would be skipped with the stretch — use an
-// explicit Tick loop for that, as fig16 does) and no direct dependence on
-// virtual time. Every in-tree predicate satisfies this.
+// An idle stretch is fast-forwarded to the limit in one Advance, so the
+// predicate must be a pure observation of simulation state: no side
+// effects (driving a control loop inside a predicate would be skipped
+// with the stretch — use an explicit Tick loop for that, as fig16 does)
+// and no direct dependence on virtual time. Every in-tree predicate
+// satisfies this.
 func (s *Scheduler) RunUntil(pred func() bool, maxCycles uint64) bool {
 	deadline := s.machine.Now() + maxCycles
 	for !pred() {
-		if s.machine.Now() >= deadline {
+		now := s.machine.Now()
+		if now >= deadline {
 			return false
 		}
+		n := 1
 		if s.queued == 0 {
-			remaining := deadline - s.machine.Now()
-			n := remaining / s.cfg.Quantum
+			remaining := deadline - now
+			n = int(remaining / s.cfg.Quantum)
 			if remaining%s.cfg.Quantum != 0 {
 				n++
 			}
-			s.skipIdleTicks(n)
-			continue
 		}
-		s.Tick()
+		s.Advance(n)
 	}
 	return true
 }

@@ -113,6 +113,12 @@ func (a *Admission) InFlight() int { return len(a.flights) }
 // waiting on them.
 func (a *Admission) Idle() bool { return a.queue.Len() == 0 && len(a.flights) == 0 }
 
+// Drained reports whether Collect and Fill have nothing left to do at
+// all: Idle, and no zombie flight still waiting for its session to be
+// released. A driver may skip its per-quantum pass over a drained
+// admission until the next Offer.
+func (a *Admission) Drained() bool { return a.Idle() && len(a.zombies) == 0 }
+
 // FailAll aborts every queued and in-flight request (the machine under
 // this admission crashed): queued requests are dropped outright,
 // in-flight queries become zombies reaped silently by later Collect

@@ -133,15 +133,8 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 	startTime := r.Machine.NowSeconds()
 	deadline := startTime + d.MaxSeconds
 
-	// Prime the first arrival. Times from the process are relative to the
-	// phase start; due-ness is decided in integer cycles, never by
-	// comparing float seconds, so it cannot depend on rounding.
-	var nextAt uint64
-	more := d.Process != nil
-	if more {
-		t, ok := d.Process.Next()
-		nextAt, more = startCycle+topo.SecondsToCycles(t), ok
-	}
+	pump := NewArrivalPump(d.Process, topo, startCycle, d.MaxArrivals)
+	offer := func(nowC, at uint64) { adm.Offer(nowC, at, 0) }
 
 	lastSample := startTime
 	planByIndex := func(k int, _ int64) *db.Plan { return plan(k) }
@@ -154,15 +147,7 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 
 		// Offer arrivals due by now: admit or drop against the
 		// instantaneous queue depth.
-		for more && nextAt <= nowC {
-			adm.Offer(nowC, nextAt, 0)
-			if d.MaxArrivals > 0 && adm.Offered >= d.MaxArrivals {
-				more = false
-				break
-			}
-			t, ok := d.Process.Next()
-			nextAt, more = startCycle+topo.SecondsToCycles(t), ok
-		}
+		pump.Due(nowC, offer)
 
 		// Fill free server sessions FCFS.
 		adm.Fill(nowC, planByIndex)
@@ -183,7 +168,7 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 			lastSample = now
 		}
 
-		if !more && adm.Idle() {
+		if !pump.More() && adm.Idle() {
 			break
 		}
 		if now >= deadline {
