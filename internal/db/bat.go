@@ -14,6 +14,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"elasticore/internal/numa"
@@ -98,6 +99,25 @@ func (b *BAT) appendI64(dst []int64) []int64 {
 		dst = append(dst, int64(oid))
 	}
 	return append(dst, b.I...)
+}
+
+// noKeys is the empty key interval widen starts from.
+func noKeys() (lo, hi int64) { return math.MaxInt64, math.MinInt64 }
+
+// widen extends [lo, hi] to cover the integer tail (join or group keys
+// about to be inserted into a key table): a dense candidate contributes
+// its range without a scan, nil and float BATs nothing.
+func (b *BAT) widen(lo, hi int64) (int64, int64) {
+	if b == nil {
+		return lo, hi
+	}
+	if b.n > 0 {
+		return min(lo, int64(b.seq)), max(hi, int64(b.seq+b.n-1))
+	}
+	for _, k := range b.I {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	return lo, hi
 }
 
 // Bytes returns the simulated storage footprint.

@@ -248,9 +248,11 @@ func TestReserveNeverGrows(t *testing.T) {
 	}
 }
 
-// TestIntermediatesAllocateWhatTheyHold guards the three host-side costs
-// this layer sheds: a full scan allocates no tail, a reserved table
-// allocates each of its three arrays exactly once, and selection and
+// TestIntermediatesAllocateWhatTheyHold guards the host-side costs this
+// layer sheds: a full scan allocates no tail; a reserved hash table
+// allocates each of its three arrays exactly once, a positional build its
+// bitmap (and payload array), a positional partial or merge its two arrays
+// before the first row; and selection, probe (either table form) and
 // gather kernels with a hinted buffer allocate nothing per chunk.
 func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 	const rows = 1 << 14
@@ -274,6 +276,28 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 	}); got != 3 {
 		t.Errorf("a reserved build allocated %v arrays, want 3", got)
 	}
+	// Sized from its keys' bounds the same build is a bitmap (one array)
+	// when it only keeps membership, a bitmap and a payload array otherwise.
+	for _, tc := range []struct {
+		member bool
+		arrays float64
+	}{{true, 1}, {false, 2}} {
+		if got := testing.AllocsPerRun(20, func() {
+			var m i64Map
+			lo, hi := col.widen(noKeys())
+			if !m.tryPositional(lo, hi, rows, tc.member) {
+				t.Fatal("a build over 0 … rows-1 is not positional")
+			}
+			for _, k := range col.I {
+				m.Put(k, 1)
+			}
+			if m.span == 0 {
+				t.Fatal("the build left the positional form")
+			}
+		}); got != tc.arrays {
+			t.Errorf("a positional build (membership %v) allocated %v arrays, want %v", tc.member, got, tc.arrays)
+		}
+	}
 	partial := &i64fMap{}
 	for _, k := range col.I {
 		partial.Add(k%977, 1)
@@ -285,23 +309,63 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 	}); got != 3 {
 		t.Errorf("a reserved merge allocated %v arrays, want 3", got)
 	}
+	// A partial whose keys have bounds is sized once — two arrays, before
+	// the first row — where the hash form doubles its way up.
+	groupKeys := NewI64("g", make([]int64, rows))
+	for i := range groupKeys.I {
+		groupKeys.I[i] = int64(i % 977)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		var m i64fMap
+		lo, hi := groupKeys.widen(noKeys())
+		m.tryPositional(lo, hi, rows, false)
+		sized := unsafe.SliceData(m.byPos)
+		ga := NewGroupAgg(groupKeys, nil, &m)
+		for a := 0; a < rows; a += 2048 {
+			ga.runRange(a, a+2048)
+		}
+		if m.Len() != 977 || unsafe.SliceData(m.byPos) != sized {
+			t.Fatal("the positional partial regrew or lost groups")
+		}
+	}); got > 4 { // the table, its bitmap and sums, the operator
+		t.Errorf("a positional partial allocated %v objects, want at most 4", got)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		var total i64fMap
+		lo, hi := partial.widen(noKeys())
+		total.tryPositional(lo, hi, partial.Len(), false)
+		partial.Range(total.Add)
+		if total.span == 0 || total.Len() != partial.Len() {
+			t.Fatal("the merge of a dense key range is not positional")
+		}
+	}); got != 2 {
+		t.Errorf("a positional merge allocated %v arrays, want 2", got)
+	}
 
 	cand := NewI64("cand", identity(0, rows))
 	ids := make([]int64, 0, selHint(rows))
 	pred := Pred{I: func(v int64) bool { return v%3 == 0 }}
 	fr := NewFilterRefine(col, pred, cand, ids)
-	third := &i64Map{}
+	third, thirdPos := &i64Map{}, &i64Map{}
+	thirdPos.tryPositional(0, rows-1, rows/3, false)
 	for k := int64(0); k < rows; k += 3 {
 		third.Put(k, k)
+		thirdPos.Put(k, k)
+	}
+	if third.span != 0 || thirdPos.span == 0 {
+		t.Fatal("the probe pass does not cover both table forms")
 	}
 	hp := NewHashProbe(col, cand, third, false, true, make([]int64, 0, selHint(rows)), make([]int64, 0, selHint(rows)))
+	hpPos := NewHashProbe(col, cand, thirdPos, false, true, make([]int64, 0, selHint(rows)), make([]int64, 0, selHint(rows)))
 	out := NewI64("out", make([]int64, 0, rows))
 	g := NewGather(col, cand, out)
 	if got := testing.AllocsPerRun(20, func() {
 		fr.ids, hp.ids, hp.payloads, out.I = fr.ids[:0], hp.ids[:0], hp.payloads[:0], out.I[:0]
+		hpPos.ids, hpPos.payloads = hpPos.ids[:0], hpPos.payloads[:0]
 		for a := 0; a < rows; a += 2048 {
 			fr.runRange(a, a+2048)
 			hp.runRange(a, a+2048)
+			hpPos.runRange(a, a+2048)
 			g.runRange(a, a+2048)
 		}
 	}); got != 0 {

@@ -17,6 +17,23 @@ import (
 
 var diffSeeds = []uint64{1, 7, 42}
 
+// tableForms are the two forms every join and group case runs in: a table
+// nobody sized stays in hash form, one sized from its keys' bounds (as
+// BuildMap, GroupSum and GroupMerge size theirs) is positional. Outputs
+// and Charged() must not depend on the form.
+var tableForms = []struct {
+	name       string
+	positional bool
+}{{"hash", false}, {"positional", true}}
+
+// sizeFor puts m into the wanted form for keys within [lo, hi].
+func sizeFor[V int64 | float64](t *testing.T, m *keyTable[V], positional bool, lo, hi int64, member bool) {
+	t.Helper()
+	if positional && lo <= hi && !m.tryPositional(lo, hi, int(hi-lo)+1, member) {
+		t.Fatalf("a table over [%d, %d] is not positional", lo, hi)
+	}
+}
+
 // diffRNG is a SplitMix64 stream for deterministic randomized inputs.
 type diffRNG struct{ hashmix.Stream }
 
@@ -295,19 +312,20 @@ func TestDiffHashBuild(t *testing.T) {
 					}
 					want[k] = payload
 				}
-				set := &i64Map{}
-				op := NewHashBuild(keys, tc.vals, set)
-				got, _ := drain(op, r)
-				eqI64(t, tc.name, got, []int64{int64(len(want))})
-				if set.Len() != len(want) {
-					t.Fatalf("%s: table holds %d keys, want %d", tc.name, set.Len(), len(want))
-				}
-				for k, v := range want {
-					if gv, ok := set.Get(k); !ok || gv != v {
-						t.Fatalf("%s: key %d = (%d, %v), want (%d, true)", tc.name, k, gv, ok, v)
+				for _, form := range tableForms {
+					label := tc.name + "/" + form.name
+					set := &i64Map{}
+					lo, hi := keys.widen(noKeys())
+					sizeFor(t, set, form.positional, lo, hi, tc.vals == nil)
+					op := NewHashBuild(keys, tc.vals, set)
+					got, _ := drain(op, r)
+					eqI64(t, label, got, []int64{int64(len(want))})
+					if (set.span > 0) != (form.positional && size > 0) {
+						t.Fatalf("%s: built in the wrong form (span %d)", label, set.span)
 					}
+					checkTable(t, label, set, want)
+					eqCycles(t, label, op, uint64(size)*cyclesBuild)
 				}
-				eqCycles(t, tc.name, op, uint64(size)*cyclesBuild)
 			}
 		}
 	}
@@ -317,39 +335,36 @@ func TestDiffHashProbe(t *testing.T) {
 	for _, seed := range diffSeeds {
 		r := newDiffRNG(seed)
 		for _, size := range diffSizes(r) {
-			col := NewI64("c", genI64(r, size, 50))
+			col := NewI64("c", genI64(r, size, 72))
 			cand := NewI64("cand", genCand(r, size))
+			// Build keys lie in [lo, hi]; the column's values spill over both
+			// ends, and hi = 63 puts the last slot at the end of a bitmap
+			// word.
 			sets := []struct {
-				name string
-				fill func(*i64Map)
+				name   string
+				lo, hi int64
+				pay    func(k int64) int64
 			}{
-				{"mixed", func(m *i64Map) {
-					for v := int64(0); v < 25; v++ {
-						m.Put(v, v*10)
-					}
-				}},
-				{"all-match", func(m *i64Map) {
-					for v := int64(0); v < 50; v++ {
-						m.Put(v, v)
-					}
-				}},
-				{"none-match", func(*i64Map) {}},
+				{"mixed", 8, 40, func(k int64) int64 { return k * 10 }},
+				{"all-match", 0, 63, func(k int64) int64 { return k }},
+				{"to-word-end", 20, 63, func(k int64) int64 { return -k }},
+				{"bitmap", 3, 50, func(int64) int64 { return 1 }},
+				{"none-match", 0, -1, nil},
 			}
 			for _, sc := range sets {
 				for _, mode := range []struct {
 					name        string
 					anti, fetch bool
-				}{{"semi", false, false}, {"anti", true, false}, {"fetch", false, true}} {
-					set := &i64Map{}
-					sc.fill(set)
+				}{{"semi", false, false}, {"anti", true, false}, {"fetch", false, true}, {"anti-fetch", true, true}} {
 					want := map[int64]int64{}
-					set.Range(func(k, v int64) { want[k] = v })
+					for k := sc.lo; k <= sc.hi; k++ {
+						if k%3 != 1 {
+							want[k] = sc.pay(k)
+						}
+					}
 					var wantIDs, wantPays []int64
 					for _, oid := range cand.I {
-						payload, hit := want[col.I[oid]], false
-						if _, ok := want[col.I[oid]]; ok {
-							hit = true
-						}
+						payload, hit := want[col.I[oid]]
 						if hit == mode.anti {
 							continue
 						}
@@ -358,14 +373,31 @@ func TestDiffHashProbe(t *testing.T) {
 							wantPays = append(wantPays, payload)
 						}
 					}
-					label := sc.name + "/" + mode.name
-					op := NewHashProbe(col, cand, set, mode.anti, mode.fetch, nil, nil)
-					got, _ := drain(op, r)
-					eqI64(t, label, got, wantIDs)
-					if mode.fetch {
-						eqI64(t, label+" payloads", op.Payloads(), wantPays)
+					var charged uint64
+					for _, form := range tableForms {
+						label := sc.name + "/" + mode.name + "/" + form.name
+						set := &i64Map{}
+						sizeFor(t, set, form.positional, sc.lo, sc.hi, sc.name == "bitmap")
+						for k := sc.lo; k <= sc.hi; k++ {
+							if v, ok := want[k]; ok {
+								set.Put(k, v)
+							}
+						}
+						if (set.span > 0) != (form.positional && sc.lo <= sc.hi) {
+							t.Fatalf("%s: probing the wrong form (span %d)", label, set.span)
+						}
+						op := NewHashProbe(col, cand, set, mode.anti, mode.fetch, nil, nil)
+						got, _ := drain(op, r)
+						eqI64(t, label, got, wantIDs)
+						if mode.fetch {
+							eqI64(t, label+" payloads", op.Payloads(), wantPays)
+						}
+						eqCycles(t, label, op, uint64(cand.Len())*cyclesProbe)
+						if form.positional {
+							eqCycles(t, label+" vs hash", op, charged)
+						}
+						charged = op.Charged()
 					}
-					eqCycles(t, label, op, uint64(cand.Len())*cyclesProbe)
 				}
 			}
 		}
@@ -395,23 +427,31 @@ func TestDiffGroupAgg(t *testing.T) {
 				}
 				sort.Slice(wantKeys, func(a, b int) bool { return wantKeys[a] < wantKeys[b] })
 
-				agg := &i64fMap{}
-				op := NewGroupAgg(keys, tc.vals, agg)
-				got, _ := drain(op, r)
-				eqI64(t, tc.name, got, wantKeys)
-				consumed := uint64(size) * cyclesGroup
-				eqCycles(t, tc.name, op, consumed)
-
-				gk, gs := op.Finalize()
-				eqI64(t, tc.name+" finalize keys", gk, wantKeys)
 				wantSums := make([]float64, len(wantKeys))
 				for i, k := range wantKeys {
 					wantSums[i] = want[k]
 				}
-				eqF64(t, tc.name+" finalize sums", gs, wantSums)
-				// Finalize charges the engine's merge formula on top.
-				eqCycles(t, tc.name+" finalized", op,
-					consumed+uint64(agg.Len())*cyclesGroup+uint64(len(gk))*cyclesSort)
+				for _, form := range tableForms {
+					label := tc.name + "/" + form.name
+					agg := &i64fMap{}
+					lo, hi := keys.widen(noKeys())
+					sizeFor(t, agg, form.positional, lo, hi, false)
+					op := NewGroupAgg(keys, tc.vals, agg)
+					got, _ := drain(op, r)
+					eqI64(t, label, got, wantKeys)
+					if (agg.span > 0) != (form.positional && size > 0) {
+						t.Fatalf("%s: grouped in the wrong form (span %d)", label, agg.span)
+					}
+					consumed := uint64(size) * cyclesGroup
+					eqCycles(t, label, op, consumed)
+
+					gk, gs := op.Finalize()
+					eqI64(t, label+" finalize keys", gk, wantKeys)
+					eqF64(t, label+" finalize sums", gs, wantSums)
+					// Finalize charges the engine's merge formula on top.
+					eqCycles(t, label+" finalized", op,
+						consumed+uint64(agg.Len())*cyclesGroup+uint64(len(gk))*cyclesSort)
+				}
 			}
 		}
 	}
@@ -692,25 +732,29 @@ func TestDiffDenseCandidate(t *testing.T) {
 				eqF64(t, "gather-overshoot", gD.out.F, gV.out.F)
 
 				keyCol := NewI64("k", genI64(r, size, 50))
-				set := &i64Map{}
-				for v := int64(0); v < 25; v++ {
-					set.Put(v, v*10)
-				}
-				for _, mode := range []struct {
-					name        string
-					anti, fetch bool
-				}{{"semi", false, false}, {"anti", true, false}, {"fetch", false, true}} {
-					probe := func(cand *BAT) *HashProbe {
-						return NewHashProbe(keyCol, cand, set, mode.anti, mode.fetch, nil, nil)
+				for _, form := range tableForms {
+					set := &i64Map{}
+					sizeFor(t, set, form.positional, 0, 24, false)
+					for v := int64(0); v < 25; v++ {
+						set.Put(v, v*10)
 					}
-					hD, hV := probe(dense), probe(vec)
-					drive("probe/"+mode.name, hD, hV)
-					eqI64(t, "probe-payloads/"+mode.name, hD.Payloads(), hV.Payloads())
-					hD, hV = probe(dense), probe(vec)
-					hD.runRange(0, n+5)
-					hV.runRange(0, n+5)
-					eqI64(t, "probe-overshoot/"+mode.name, hD.ids, hV.ids)
-					eqI64(t, "probe-overshoot-payloads/"+mode.name, hD.payloads, hV.payloads)
+					for _, mode := range []struct {
+						name        string
+						anti, fetch bool
+					}{{"semi", false, false}, {"anti", true, false}, {"fetch", false, true}} {
+						label := mode.name + "/" + form.name
+						probe := func(cand *BAT) *HashProbe {
+							return NewHashProbe(keyCol, cand, set, mode.anti, mode.fetch, nil, nil)
+						}
+						hD, hV := probe(dense), probe(vec)
+						drive("probe/"+label, hD, hV)
+						eqI64(t, "probe-payloads/"+label, hD.Payloads(), hV.Payloads())
+						hD, hV = probe(dense), probe(vec)
+						hD.runRange(0, n+5)
+						hV.runRange(0, n+5)
+						eqI64(t, "probe-overshoot/"+label, hD.ids, hV.ids)
+						eqI64(t, "probe-overshoot-payloads/"+label, hD.payloads, hV.payloads)
+					}
 				}
 
 				// Result extraction and aggr.count.

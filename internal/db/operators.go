@@ -581,8 +581,10 @@ func (t *funcTask) Step(ctx *sched.ExecContext, budget uint64) (uint64, bool) {
 	return budget, false
 }
 
-// BuildMap plans a hash-join build side: a single task hashing keysVar to
+// BuildMap plans a hash-join build side: a single task mapping keysVar to
 // payloads from valsVar (or to 1 when valsVar is empty), bound to setName.
+// The table is sized once, from the bounds of the key fragments where
+// they make it positional and from the build side's row count otherwise.
 func BuildMap(keysVar, valsVar, setName string) StageFn {
 	return func(q *Query) []Task {
 		keys := q.Var(keysVar)
@@ -593,7 +595,13 @@ func BuildMap(keysVar, valsVar, setName string) StageFn {
 		t := &funcTask{op: "hash.build", pref: numa.NoNode}
 		t.work = func(ctx *sched.ExecContext) uint64 {
 			m := q.scratchMapII()
-			m.reserve(keys.Rows())
+			lo, hi := noKeys()
+			for _, frag := range keys.Parts {
+				lo, hi = frag.widen(lo, hi)
+			}
+			if !m.tryPositional(lo, hi, keys.Rows(), vals == nil) {
+				m.reserve(keys.Rows())
+			}
 			var cost uint64
 			for pi, frag := range keys.Parts {
 				if frag == nil || frag.Len() == 0 {
@@ -768,7 +776,13 @@ func GroupSum(keysVar, valsVar, partialsName string) StageFn {
 			if countMode {
 				aggIn = nil
 			}
-			op := NewGroupAgg(kf, aggIn, q.scratchMapIF())
+			// A partial over a dense enough key range is sized here, once;
+			// one left in hash form grows by doubling, its distinct count
+			// being unknown.
+			partial := q.scratchMapIF()
+			lo, hi := kf.widen(noKeys())
+			partial.tryPositional(lo, hi, kf.Len(), false)
+			op := NewGroupAgg(kf, aggIn, partial)
 			t.process = op.runRange
 			t.finish = func(*sched.ExecContext) []*BAT {
 				partials[i] = op.agg
@@ -782,38 +796,42 @@ func GroupSum(keysVar, valsVar, partialsName string) StageFn {
 
 // GroupMerge plans the merge phase after GroupSum: a single mat.pack-style
 // task combining the partial maps into outKeys/outSums (single-fragment
-// PartSets, keys ascending).
+// PartSets, keys ascending). The total is sized once, positional over the
+// union of the partials' key bounds where that fits.
 func GroupMerge(partialsName, outKeys, outSums string) StageFn {
 	return func(q *Query) []Task {
 		partials := q.partialsOf(partialsName)
 		merge := &funcTask{op: "mat.pack", pref: numa.NoNode}
 		merge.work = func(ctx *sched.ExecContext) uint64 {
 			n := 0
+			lo, hi := noKeys()
 			for _, m := range partials {
 				if m != nil {
 					n += m.Len()
+					lo, hi = m.widen(lo, hi)
 				}
 			}
 			total := q.scratchMapIF()
-			total.reserve(n)
+			if !total.tryPositional(lo, hi, n, false) {
+				total.reserve(n)
+			}
+			add := total.Add
 			for _, m := range partials {
 				if m != nil {
-					m.Range(total.Add)
+					m.Range(add)
 				}
 			}
+			// Every buffer drawn goes back to the pool, registered once: the
+			// sorted pair is the first or (hash form only) the scratch pair.
 			ks, sums := q.scratchI64(total.Len()), q.scratchF64(total.Len())
-			total.Range(func(k int64, v float64) {
-				ks = append(ks, k)
-				sums = append(sums, v)
-			})
-			tk, ts := q.scratchI64(len(ks))[:len(ks)], q.scratchF64(len(ks))[:len(ks)]
-			// All four buffers go back to the pool, each registered once:
-			// the sorted pair is one of the two.
 			q.ownI64(ks)
-			q.ownI64(tk)
 			q.ownF64(sums)
-			q.ownF64(ts)
-			ks, sums = sortPairs(ks, sums, tk, ts)
+			ks, sums = sortedGroups(total, ks, sums, func(n int) ([]int64, []float64) {
+				tk, ts := q.scratchI64(n)[:n], q.scratchF64(n)[:n]
+				q.ownI64(tk)
+				q.ownF64(ts)
+				return tk, ts
+			})
 			kb, sb := NewI64(outKeys, ks), NewF64(outSums, sums)
 			q.SetVar(outKeys, &PartSet{Parts: []*BAT{kb}})
 			q.SetVar(outSums, &PartSet{Parts: []*BAT{sb}})

@@ -440,6 +440,10 @@ func (hp *HashProbe) runRange(a, b int) {
 }
 
 // probe is the kernel over candidate positions [a, b), within the list.
+// The table's form is tested once: a positional table is probed by a
+// subtract, a bounds test and a bit test per row; everything else (the
+// hash form, and a fetch from a membership set, whose payloads are all 1)
+// goes through Get.
 func (hp *HashProbe) probe(a, b int) {
 	cand, vals, set, fetch, anti := hp.cand, hp.col.I, hp.set, hp.fetch, hp.anti
 	ids, idBuf := growFor(hp.ids, b-a)
@@ -448,7 +452,36 @@ func (hp *HashProbe) probe(a, b int) {
 		pays, payBuf = growFor(pays, b-a)
 	}
 	k := 0
-	if cand.n > 0 { // positions a … b are rows seq+a … seq+b
+	positional := set.span > 0 && !(fetch && set.member)
+	base, span, present, byPos := uint64(set.base), set.span, set.bits, set.byPos
+	switch {
+	case positional && cand.n > 0: // positions a … b are rows seq+a … seq+b
+		for row := cand.seq + a; row < cand.seq+b; row++ {
+			i := uint64(vals[row]) - base
+			hit := i < span && present[i>>6]>>(i&63)&1 != 0
+			idBuf[k] = int64(row)
+			if fetch {
+				payBuf[k] = 0
+				if hit {
+					payBuf[k] = byPos[i]
+				}
+			}
+			k += b2i(hit != anti)
+		}
+	case positional:
+		for _, cid := range cand.I[a:b] {
+			i := uint64(vals[cid]) - base
+			hit := i < span && present[i>>6]>>(i&63)&1 != 0
+			idBuf[k] = cid
+			if fetch {
+				payBuf[k] = 0
+				if hit {
+					payBuf[k] = byPos[i]
+				}
+			}
+			k += b2i(hit != anti)
+		}
+	case cand.n > 0:
 		for row := cand.seq + a; row < cand.seq+b; row++ {
 			payload, hit := set.Get(vals[row])
 			idBuf[k] = int64(row)
@@ -457,7 +490,7 @@ func (hp *HashProbe) probe(a, b int) {
 			}
 			k += b2i(hit != anti)
 		}
-	} else {
+	default:
 		for _, cid := range cand.I[a:b] {
 			payload, hit := set.Get(vals[cid])
 			idBuf[k] = cid
@@ -517,16 +550,25 @@ func NewGroupAgg(keys, vals *BAT, agg *i64fMap) *GroupAgg {
 
 func (ga *GroupAgg) runRange(a, b int) {
 	kf, vf := ga.keys, ga.vals
-	for k := a; k < b && k < len(kf.I); k++ {
-		v := 1.0
-		if vf != nil && vf.Len() > k {
-			if vf.Kind == KindF64 {
-				v = vf.F[k]
-			} else {
-				v = float64(vf.I[k])
+	b = min(b, len(kf.I))
+	switch {
+	case a >= b:
+	case vf == nil:
+		ga.agg.addAll(kf.I[a:b], nil)
+	case vf.Kind == KindF64 && len(vf.F) >= b:
+		ga.agg.addAll(kf.I[a:b], vf.F[a:b])
+	default: // integer values, or fewer values than keys (the rest count 1)
+		for k := a; k < b; k++ {
+			v := 1.0
+			if vf.Len() > k {
+				if vf.Kind == KindF64 {
+					v = vf.F[k]
+				} else {
+					v = float64(vf.I[k])
+				}
 			}
+			ga.agg.Add(kf.I[k], v)
 		}
-		ga.agg.Add(kf.I[k], v)
 	}
 }
 
@@ -537,14 +579,7 @@ func (ga *GroupAgg) Result() *i64fMap { return ga.agg }
 // aligned key and sum vectors, charging the engine's merge cost formula
 // (cyclesGroup per merged entry plus cyclesSort per group).
 func (ga *GroupAgg) Finalize() (keys []int64, sums []float64) {
-	keys = make([]int64, 0, ga.agg.Len())
-	ga.agg.Range(func(k int64, _ float64) { keys = append(keys, k) })
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	sums = make([]float64, len(keys))
-	for i, k := range keys {
-		v, _ := ga.agg.Get(k)
-		sums[i] = v
-	}
+	keys, sums = sortedGroups(ga.agg, nil, nil, heapPairs)
 	ga.m.add(ga.agg.Len(), cyclesGroup)
 	ga.m.add(len(keys), cyclesSort)
 	return keys, sums
@@ -572,9 +607,7 @@ func (ga *GroupAgg) Next(n int) *BAT {
 		return nil
 	}
 	ga.emitted = true
-	ks := make([]int64, 0, ga.agg.Len())
-	ga.agg.Range(func(k int64, _ float64) { ks = append(ks, k) })
-	sort.Slice(ks, func(a, b int) bool { return ks[a] < ks[b] })
+	ks, _ := sortedGroups(ga.agg, nil, nil, heapPairs)
 	return NewI64(ga.keys.Name+".group", ks)
 }
 
@@ -619,6 +652,27 @@ func topNIndex(sums []float64, n int) []int {
 	sort.Slice(kept, func(x, y int) bool { return ahead(kept[x], kept[y]) })
 	return kept
 }
+
+// sortedGroups returns agg's groups as aligned key/sum vectors in
+// ascending key order, built on ks/vs (empty, ideally with room for
+// agg.Len() entries) — the one way groups are emitted. It walks the table
+// in slot order, which is key order in positional form; only a hash-form
+// table's pairs are sorted, through the equally long pair scratch(n)
+// supplies, and either pair may be the one returned.
+func sortedGroups(agg *i64fMap, ks []int64, vs []float64, scratch func(n int) ([]int64, []float64)) ([]int64, []float64) {
+	agg.Range(func(k int64, v float64) {
+		ks = append(ks, k)
+		vs = append(vs, v)
+	})
+	if agg.span > 0 {
+		return ks, vs
+	}
+	tk, tv := scratch(len(ks))
+	return sortPairs(ks, vs, tk, tv)
+}
+
+// heapPairs is sortedGroups' scratch outside the engine's buffer pool.
+func heapPairs(n int) ([]int64, []float64) { return make([]int64, n), make([]float64, n) }
 
 // sortPairs sorts the aligned key/value pairs by key ascending and
 // returns the sorted vectors: the inputs or the equally long scratch pair
