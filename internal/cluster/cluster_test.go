@@ -27,18 +27,22 @@ func testFleet(t *testing.T, machines int, mode workload.Mode, bus *obs.Bus) *Fl
 	return f
 }
 
+// uniformKeys spreads request k over the sharder's shards, deterministic
+// in k.
+func uniformKeys(sh *Sharder) func(k int) uint64 {
+	return func(k int) uint64 {
+		return sh.KeyForShard(int(hashmix.Mix64(uint64(k+1))%uint64(sh.Shards())), uint64(k))
+	}
+}
+
 // runCoordinator drives a fixed keyed workload over the fleet.
 func runCoordinator(t *testing.T, f *Fleet, policy Policy) Result {
 	t.Helper()
-	sh := f.Sharder
 	c := &Coordinator{
-		Fleet:   f,
-		Process: arrivals.NewPoisson(400, 11),
-		Policy:  policy,
-		Keys: func(k int) uint64 {
-			// Uniform over shards, deterministic in k.
-			return sh.KeyForShard(int(hashmix.Mix64(uint64(k+1))%uint64(sh.Shards())), uint64(k))
-		},
+		Fleet:        f,
+		Process:      arrivals.NewPoisson(400, 11),
+		Policy:       policy,
+		Keys:         uniformKeys(f.Sharder),
 		ScatterEvery: 5,
 		MaxArrivals:  30,
 		MaxSeconds:   120,
@@ -125,6 +129,80 @@ func TestCoordinatorBalancePolicies(t *testing.T) {
 			}
 		}
 	}
+	t.Run("crash-plan", weightedUnderFaults)
+}
+
+// weightedUnderFaults: a fault plan does not switch the balance policy
+// off. With machine 0 crashed for the whole run every
+// unkeyed request, first send or resend, goes to the machine with the
+// least load per allocated core among the healthy ones — recomputed here
+// from the admission layers as each route event is published — and the
+// run contains decisions where shortest-queue would have gone elsewhere.
+func weightedUnderFaults(t *testing.T) {
+	bus := obs.NewBus(0)
+	f := faultedFleet(t, "crash m0 @0s", 1, bus)
+	pressuredArbiter(t, f, 24)
+	routes, discriminating := 0, 0
+	bus.Subscribe(obs.KindRoute, func(e obs.Event) {
+		routes++
+		weighted, shortest := -1, -1
+		var load, depth, cores [3]int
+		for m, adm := range f.admissions {
+			if adm.Down || f.Health().Dead(m) {
+				continue
+			}
+			// The state pick saw: this request was not queued yet.
+			depth[m], cores[m] = adm.QueueLen(), f.Rigs[m].AllocatedCores()
+			if m == int(e.Machine) {
+				depth[m]--
+			}
+			load[m] = depth[m] + adm.InFlight()
+			if weighted < 0 || load[m]*cores[weighted] < load[weighted]*cores[m] {
+				weighted = m
+			}
+			if shortest < 0 || depth[m] < depth[shortest] ||
+				(depth[m] == depth[shortest] && adm.InFlight() < f.admissions[shortest].InFlight()) {
+				shortest = m
+			}
+		}
+		if int(e.Machine) != weighted {
+			t.Errorf("route %d went to machine %d, weighted pick among healthy machines is %d (load %v, cores %v)",
+				routes, e.Machine, weighted, load, cores)
+		}
+		if weighted != shortest {
+			discriminating++
+		}
+	})
+	c := pressuredCoordinator(f)
+	c.Keys = nil
+	c.Policy = BalanceWeighted
+	res := c.Run()
+	if res.PerMachine[0].Routed != 0 || res.Completed == 0 {
+		t.Fatalf("crashed machine 0 was sent %d requests; %d completed", res.PerMachine[0].Routed, res.Completed)
+	}
+	if discriminating == 0 {
+		t.Fatalf("none of %d routes tells weighted from shortest-queue", routes)
+	}
+}
+
+// TestCoordinatorRoutingKindsCountShed: RoutedKeyed, RoutedBalanced and
+// Scattered split Offered as requests are offered, so one shed at a full
+// queue still counts under its kind.
+func TestCoordinatorRoutingKindsCountShed(t *testing.T) {
+	for _, kind := range trafficKinds[:2] { // keyed, unkeyed
+		c := pressuredCoordinator(testFleet(t, 2, workload.ModeDense, nil))
+		c.Keys = nil
+		c.ScatterEvery = 5
+		c.MaxInFlight, c.QueueCap = 1, 1
+		kind.tune(c)
+		res := c.Run()
+		if res.Dropped == 0 {
+			t.Fatalf("%s: nothing was shed at one-deep queues", kind.name)
+		}
+		if got := res.RoutedKeyed + res.RoutedBalanced + res.Scattered; got != res.Offered {
+			t.Fatalf("%s: routing kinds sum to %d, want Offered %d (%d dropped)", kind.name, got, res.Offered, res.Dropped)
+		}
+	}
 }
 
 // TestCoordinatorRouteEvents: the coordinator publishes KindRoute with
@@ -155,13 +233,10 @@ func TestCoordinatorRouteEvents(t *testing.T) {
 // per-machine demand up — the condition under which the cluster arbiter
 // actually moves cores.
 func pressuredCoordinator(f *Fleet) *Coordinator {
-	sh := f.Sharder
 	return &Coordinator{
-		Fleet:   f,
-		Process: arrivals.NewPoisson(5000, 11),
-		Keys: func(k int) uint64 {
-			return sh.KeyForShard(int(hashmix.Mix64(uint64(k+1))%uint64(sh.Shards())), uint64(k))
-		},
+		Fleet:       f,
+		Process:     arrivals.NewPoisson(5000, 11),
+		Keys:        uniformKeys(f.Sharder),
 		MaxInFlight: 2,
 		MaxArrivals: 100,
 		MaxSeconds:  120,

@@ -19,6 +19,20 @@ import (
 // single-machine OpenDriver uses). Partial results of a scatter merge
 // by scalar addition; the parent request completes when its last
 // sub-query does.
+//
+// Every request walks the same machine, whatever is configured; the
+// methods of run are its transitions:
+//
+//	offered ─offer─> routed ─route, send─> attempt ─complete─> completed
+//	                   ^  │ no healthy target     │ shed, crash (lost), timeout (expire)
+//	                   │  v                       v
+//	                   │  retry: budget left ─> retry-scheduled; none ─> dropped | failed
+//	                   └─────── backoff elapsed (drainRetries) ──┘
+//	attempt ─hedge point (expire)─> hedged: one duplicate attempt, first completion wins
+//	unresolved at the deadline ─> abandoned
+//
+// Timeouts, hedges, link faults and crashes are events that never occur
+// on a fleet without them, not a second code path.
 
 // Policy selects how unkeyed requests pick a machine.
 type Policy int
@@ -41,27 +55,32 @@ func (p Policy) String() string {
 	return "shortest-queue"
 }
 
-// parentReq tracks one routed request until every sub-query finishes.
+// The routing kinds, as KindRoute events label them.
+const (
+	labelKeyed   = "keyed"
+	labelAny     = "any"
+	labelScatter = "scatter"
+)
+
+// parentReq tracks one offered request until it resolves.
 type parentReq struct {
-	at      uint64
-	pending int
+	at      uint64 // arrival cycle
+	pending int    // sub-queries still to complete (a scatter has one per machine)
 	merged  float64
 	label   string
-	// Fault-tolerance fields, used only on the FT path (see ftState):
-	// the routing key (keyed requests re-route on retry), whether the
-	// request resolved (completed, failed or dropped — later attempt
-	// completions are ignored), whether its one hedge was spent, and how
-	// many send attempts it has consumed.
-	key    uint64
-	keyed  bool
+	// shard is the routing key's shard, which a resend routes again; -1
+	// for unkeyed and scatter requests.
+	shard int
+	// done marks the request resolved (completed, dropped or failed):
+	// later completions of its attempts are ignored.
 	done   bool
-	hedged bool
-	tries  int
+	hedged bool // its one hedge is spent
+	tries  int  // routed sends consumed; a hedge is free
 }
 
-// attempt is one send of a parent request to one machine: the admission
-// tag on the FT path indexes this table, so retries and hedges of the
-// same parent stay distinguishable.
+// attempt is one send of a parent request to one machine — first try,
+// retry, hedge or scatter sub-query. The admission tag indexes this
+// table, so several attempts of one parent stay distinguishable.
 type attempt struct {
 	parent   int64
 	machine  int
@@ -77,25 +96,42 @@ type retryEntry struct {
 	due    uint64
 }
 
-// wireMsg is one request in flight on a degraded link, delivered to its
+// wireMsg is one attempt in flight on a degraded link, delivered to its
 // machine's admission queue only after the link's added delay.
 type wireMsg struct {
-	at      uint64 // original arrival cycle (queue-wait baseline)
 	deliver uint64
-	machine int
 	tag     int64
 }
 
-// ftState is the coordinator's fault-tolerance machinery, allocated only
-// when timeouts, hedging or a compiled fault plan make it reachable — a
-// coordinator without any of those runs the exact pre-FT code path, so
-// healthy-fleet results stay byte-identical.
-type ftState struct {
-	timeoutC, hedgeC, backoffC uint64
-	maxRetries                 int
-	replicas                   int // copies of every shard; a hedge needs two
+// outcome is a request's terminal state short of the deadline.
+type outcome int
 
-	attempts    []attempt
+const (
+	completed outcome = iota
+	dropped
+	failed
+)
+
+// run is the state of one Coordinator.Run: the request and attempt
+// tables, the timer lists the fault-tolerance events live on, and the
+// result under construction.
+type run struct {
+	c    *Coordinator
+	f    *Fleet
+	bus  *obs.Bus
+	adms []*workload.Admission
+	res  Result
+
+	// Timer settings in cycles (0: never fires) and the resends a request
+	// may consume after its first send.
+	timeoutC, hedgeC, backoffC uint64
+	budget                     int
+
+	reqs     []parentReq
+	attempts []attempt
+	// outstanding lists the attempts a timer can still act on: those
+	// with a deadline or a hedge to fire. A run without timers keeps it
+	// empty and scans nothing per quantum.
 	outstanding []int64
 	retryQ      []retryEntry
 	wire        []wireMsg
@@ -104,29 +140,416 @@ type ftState struct {
 	// dueBuf and hedges stage work found while compacting retryQ and
 	// outstanding, so acting on it (which appends to those same slices)
 	// never aliases an in-progress scan.
-	dueBuf []int64
-	hedges []int64
+	dueBuf, hedges []int64
+}
+
+// newRun builds the per-run state and registers one admission layer per
+// machine with the fleet; close undoes the registration.
+func newRun(c *Coordinator) *run {
+	f := c.Fleet
+	topo := f.Rigs[0].Machine.Topology()
+	r := &run{
+		c: c, f: f, bus: f.Bus,
+		adms:     make([]*workload.Admission, len(f.Rigs)),
+		timeoutC: topo.SecondsToCycles(c.TimeoutSeconds),
+		hedgeC:   topo.SecondsToCycles(c.HedgeAfterSeconds),
+		backoffC: topo.SecondsToCycles(c.BackoffSeconds),
+		budget:   c.MaxRetries,
+		dropN:    make([]uint64, len(f.Rigs)),
+	}
+	// The only place that asks whether fault tolerance is configured: it
+	// picks the default budget and nothing else.
+	if r.budget == 0 && (c.TimeoutSeconds > 0 || c.HedgeAfterSeconds > 0 || f.Injector() != nil) {
+		r.budget = 3
+	}
+	r.res.PerMachine = make([]MachineStats, len(f.Rigs))
+	for m, rig := range f.Rigs {
+		adm := &workload.Admission{
+			Rig:         rig,
+			MaxInFlight: c.MaxInFlight,
+			QueueCap:    c.QueueCap,
+			MachineID:   int32(m),
+			OnComplete:  r.complete,
+			OnFail:      r.crashed,
+		}
+		r.adms[m] = adm
+		f.RegisterAdmission(m, adm)
+		if rig.Mech != nil && !c.DisableBacklog {
+			rig.Mech.SetBacklog(adm.QueueLen)
+		}
+	}
+	return r
+}
+
+func (r *run) close() {
+	for m, rig := range r.f.Rigs {
+		r.f.RegisterAdmission(m, nil)
+		if rig.Mech != nil && !r.c.DisableBacklog {
+			rig.Mech.SetBacklog(nil)
+		}
+	}
+}
+
+// plan builds an admitted (sub-)query from its attempt's parent id.
+func (r *run) plan(_ int, tag int64) *db.Plan {
+	return r.c.Build(uint64(r.attempts[tag].parent))
+}
+
+// healthy reports whether machine m can take traffic right now: its
+// admission connections are up (a crash resets them, so this is local
+// knowledge, not an oracle) and the health monitor does not believe it
+// dead.
+func (r *run) healthy(m int) bool {
+	if r.adms[m].Down {
+		return false
+	}
+	h := r.f.Health()
+	return h == nil || !h.Dead(m)
+}
+
+// lighter reports whether the balance policy prefers machine m to b.
+func (r *run) lighter(m, b int) bool {
+	am, ab := r.adms[m], r.adms[b]
+	if r.c.Policy == BalanceWeighted {
+		// Lowest queue depth per allocated core: compare q_m/w_m with
+		// q_b/w_b by cross-multiplication to stay in integers.
+		return (am.QueueLen()+am.InFlight())*r.f.Rigs[b].AllocatedCores() <
+			(ab.QueueLen()+ab.InFlight())*r.f.Rigs[m].AllocatedCores()
+	}
+	return am.QueueLen() < ab.QueueLen() ||
+		(am.QueueLen() == ab.QueueLen() && am.InFlight() < ab.InFlight())
+}
+
+// pick returns the balance policy's machine for an unkeyed request, first
+// send or resend, among the healthy machines; -1 when there is none.
+func (r *run) pick() int {
+	best := -1
+	for m := range r.adms {
+		if r.healthy(m) && (best < 0 || r.lighter(m, best)) {
+			best = m
+		}
+	}
+	return best
+}
+
+// offer is offered → routed: it classifies the request arriving at
+// cycle at, counts it under its routing kind and sends it on its way. A
+// scatter that cannot seat every sub-query is dropped whole here — a
+// partial fan-out would merge a partial result — and consumes no id.
+func (r *run) offer(nowC, at uint64) {
+	k := r.res.Offered
+	r.res.Offered++
+	p := parentReq{at: at, pending: 1, label: labelAny, shard: -1}
+	switch {
+	case r.c.ScatterEvery > 0 && (k+1)%r.c.ScatterEvery == 0:
+		p.label, p.pending = labelScatter, len(r.adms)
+		r.res.Scattered++
+		for _, adm := range r.adms {
+			if adm.Full() || adm.Down {
+				r.resolve(nowC, &p, dropped)
+				return
+			}
+		}
+	case r.c.Keys != nil:
+		p.label, p.shard = labelKeyed, r.f.Sharder.Shard(r.c.Keys(k))
+		r.res.RoutedKeyed++
+	default:
+		r.res.RoutedBalanced++
+	}
+	id := int64(len(r.reqs))
+	r.reqs = append(r.reqs, p)
+	if p.label != labelScatter {
+		r.route(nowC, id)
+		return
+	}
+	// Sub-queries have no timeout, hedge or link model: a crash fails
+	// the parent fast instead (see lost).
+	for m := range r.adms {
+		r.attempts = append(r.attempts, attempt{parent: id, machine: m, sent: nowC})
+		r.deliver(nowC, int64(len(r.attempts)-1))
+	}
+}
+
+// route is routed → attempt for a first send or a resend: a keyed
+// request goes to the first healthy machine in its shard's owner
+// preference order (a failover when that is not the primary), an unkeyed
+// one to the balance policy's pick; with nowhere to go it waits out a
+// backoff.
+func (r *run) route(nowC uint64, parent int64) {
+	p := &r.reqs[parent]
+	p.tries++
+	m, primary := -1, -1
+	if p.shard >= 0 {
+		primary = r.f.Sharder.Owner(p.shard)
+		r.buf = r.f.Sharder.Owners(p.shard, r.buf[:0])
+		for _, o := range r.buf {
+			if r.healthy(o) {
+				m = o
+				break
+			}
+		}
+	} else {
+		m = r.pick()
+	}
+	if m < 0 {
+		r.retry(nowC, parent, primary, "down")
+		return
+	}
+	if p.shard >= 0 && m != primary {
+		r.res.Failovers++
+		r.publishFailover(nowC, p.shard, m, "")
+	}
+	r.send(nowC, parent, m, false)
+}
+
+// send records one attempt, arms its timers and pushes it through the
+// (possibly degraded) link to machine m.
+func (r *run) send(nowC uint64, parent int64, m int, hedge bool) {
+	id := int64(len(r.attempts))
+	a := attempt{parent: parent, machine: m, sent: nowC, hedge: hedge}
+	if r.timeoutC > 0 {
+		a.deadline = nowC + r.timeoutC
+	}
+	r.attempts = append(r.attempts, a)
+	if a.deadline > 0 || r.hedgeable(&a, &r.reqs[parent]) {
+		r.outstanding = append(r.outstanding, id)
+	}
+	inj := r.f.Injector()
+	if inj.LinkDrop(m) > 0 {
+		lost := inj.DropRoll(m, r.dropN[m])
+		r.dropN[m]++
+		if lost {
+			r.res.WireDropped++
+			r.publishRetry(nowC, parent, m, "drop")
+			return // only a timeout recovers it
+		}
+	}
+	if delay := inj.LinkDelay(m); delay > 0 {
+		r.wire = append(r.wire, wireMsg{deliver: nowC + delay, tag: id})
+		return
+	}
+	r.deliver(nowC, id)
+}
+
+// deliver lands one attempt in its machine's admission queue; a full (or
+// browned-out) queue sheds it.
+func (r *run) deliver(nowC uint64, tag int64) {
+	a := &r.attempts[tag]
+	p := &r.reqs[a.parent]
+	adm := r.adms[a.machine]
+	if !adm.Offer(nowC, p.at, tag) {
+		r.lost(nowC, a, "shed")
+		return
+	}
+	r.res.PerMachine[a.machine].Routed++
+	if r.bus != nil {
+		r.bus.Publish(obs.Event{
+			Kind: obs.KindRoute, Now: nowC, Core: -1,
+			V1: int64(adm.QueueLen()), V2: int64(p.shard),
+			Label: p.label, Machine: int32(a.machine),
+		})
+	}
+}
+
+// complete is attempt → completed (Admission.OnComplete): the first
+// completion of every sub-query resolves the parent.
+func (r *run) complete(tag int64, q *db.Query, _, _ uint64) {
+	a := &r.attempts[tag]
+	a.done = true
+	p := &r.reqs[a.parent]
+	if p.done {
+		return // a faster attempt already won; ignore the straggler
+	}
+	p.merged += q.Scalar(r.c.MergeScalar)
+	p.pending--
+	if p.pending == 0 {
+		r.resolve(r.f.Now(), p, completed)
+	}
+}
+
+// crashed is Admission.OnFail: the machine went down under a queued or
+// in-flight attempt.
+func (r *run) crashed(tag int64) {
+	a := &r.attempts[tag]
+	a.done = true
+	r.lost(r.f.Now(), a, "down")
+}
+
+// lost is the attempt that will not be served — shed at a full queue, or
+// aborted by a crash. A scatter fails whole (a partial fan-out would
+// merge a partial result); anything else goes back through retry.
+func (r *run) lost(nowC uint64, a *attempt, reason string) {
+	p := &r.reqs[a.parent]
+	switch {
+	case p.done:
+	case p.label == labelScatter:
+		r.resolve(nowC, p, failed)
+	default:
+		r.retry(nowC, a.parent, a.machine, reason)
+	}
+}
+
+// retry decides what a request does after a send that led nowhere
+// (reason: shed, down, timeout): with budget left it is retry-scheduled
+// behind a capped exponential backoff; without, it resolves — dropped
+// when it never had a budget (the plain shed of a full queue), failed
+// when it spent one.
+func (r *run) retry(nowC uint64, parent int64, m int, reason string) {
+	p := &r.reqs[parent]
+	switch {
+	case p.done:
+	case p.tries <= r.budget:
+		r.res.Retried++
+		// Doubled per try, capped at 8x the base.
+		backoff := r.backoffC << min(uint(p.tries-1), 3)
+		r.retryQ = append(r.retryQ, retryEntry{parent: parent, due: nowC + backoff})
+		r.publishRetry(nowC, parent, m, reason)
+	case r.budget == 0:
+		r.resolve(nowC, p, dropped)
+	default:
+		r.resolve(nowC, p, failed)
+	}
+}
+
+// resolve finishes a parent request's bookkeeping exactly once.
+func (r *run) resolve(nowC uint64, p *parentReq, o outcome) {
+	p.done = true
+	var lat uint64
+	switch o {
+	case completed:
+		r.res.Completed++
+		r.res.MergedScalars += p.merged
+		lat = nowC - p.at
+		r.res.Latency.Record(lat)
+	case dropped:
+		r.res.Dropped++
+	case failed:
+		r.res.Failed++
+	}
+	if r.c.OnOutcome != nil {
+		r.c.OnOutcome(nowC, lat, o == completed)
+	}
+}
+
+func (r *run) publishRetry(nowC uint64, parent int64, m int, reason string) {
+	if r.bus != nil {
+		r.bus.Publish(obs.Event{
+			Kind: obs.KindRetry, Now: nowC, Core: -1,
+			V1: parent, V2: int64(r.reqs[parent].tries),
+			Label: reason, Machine: int32(m),
+		})
+	}
+}
+
+// publishFailover reports shard being served by machine m instead of
+// its primary; label is "hedge" for a duplicate, empty for a failover.
+func (r *run) publishFailover(nowC uint64, shard, m int, label string) {
+	if r.bus != nil {
+		r.bus.Publish(obs.Event{
+			Kind: obs.KindFailover, Now: nowC, Core: -1,
+			V1: int64(shard), V2: int64(r.f.Sharder.Owner(shard)),
+			Label: label, Machine: int32(m),
+		})
+	}
+}
+
+// hedgeable reports whether attempt a of parent p may still fire its one
+// hedge (expire's condition, minus the clock). It never turns true again
+// once false, which is what lets send leave the attempt off outstanding.
+func (r *run) hedgeable(a *attempt, p *parentReq) bool {
+	return r.hedgeC > 0 && p.shard >= 0 && !p.hedged && !a.hedge && r.f.Sharder.Replicas() > 1
+}
+
+// expire times out overdue attempts and fires due hedges. Hedge sends
+// are staged and applied after the scan: send appends to outstanding,
+// which must not grow mid-compaction.
+func (r *run) expire(nowC uint64) {
+	r.hedges = r.hedges[:0]
+	kept := r.outstanding[:0]
+	for _, id := range r.outstanding {
+		a := &r.attempts[id]
+		p := &r.reqs[a.parent]
+		if a.done || p.done {
+			continue
+		}
+		if a.deadline > 0 && nowC >= a.deadline {
+			r.retry(nowC, a.parent, a.machine, "timeout")
+			continue
+		}
+		if r.hedgeable(a, p) && nowC >= a.sent+r.hedgeC {
+			r.hedges = append(r.hedges, id)
+		}
+		kept = append(kept, id)
+	}
+	r.outstanding = kept
+	for _, id := range r.hedges {
+		parent, from := r.attempts[id].parent, r.attempts[id].machine
+		p := &r.reqs[parent]
+		if p.done || p.hedged {
+			continue
+		}
+		r.buf = r.f.Sharder.Owners(p.shard, r.buf[:0])
+		for _, o := range r.buf {
+			if o != from && r.healthy(o) {
+				p.hedged = true
+				r.res.Hedged++
+				r.publishFailover(nowC, p.shard, o, "hedge")
+				r.send(nowC, parent, o, true)
+				break
+			}
+		}
+	}
+}
+
+// drainRetries routes again every retry whose backoff has elapsed. Due
+// parents are staged first: a failed resend re-enters retryQ, which must
+// not grow mid-compaction.
+func (r *run) drainRetries(nowC uint64) {
+	r.dueBuf = r.dueBuf[:0]
+	kept := r.retryQ[:0]
+	for _, e := range r.retryQ {
+		if e.due > nowC {
+			kept = append(kept, e)
+			continue
+		}
+		r.dueBuf = append(r.dueBuf, e.parent)
+	}
+	r.retryQ = kept
+	for _, parent := range r.dueBuf {
+		if !r.reqs[parent].done {
+			r.route(nowC, parent)
+		}
+	}
+}
+
+// deliverWire lands wire messages whose link delay has elapsed.
+func (r *run) deliverWire(nowC uint64) {
+	kept := r.wire[:0]
+	for _, w := range r.wire {
+		if w.deliver > nowC {
+			kept = append(kept, w)
+			continue
+		}
+		if !r.reqs[r.attempts[w.tag].parent].done {
+			r.deliver(nowC, w.tag)
+		}
+	}
+	r.wire = kept
 }
 
 // quiet reports whether no retry, wire or timeout work is pending (the
-// FT half of the run loop's idle test).
-func (ft *ftState) quiet(reqs []parentReq) bool {
-	if len(ft.retryQ) > 0 || len(ft.wire) > 0 {
+// timers' half of the run loop's idle test).
+func (r *run) quiet() bool {
+	if len(r.retryQ) > 0 || len(r.wire) > 0 {
 		return false
 	}
-	for _, id := range ft.outstanding {
-		a := &ft.attempts[id]
-		if !a.done && a.deadline > 0 && !reqs[a.parent].done {
+	for _, id := range r.outstanding {
+		a := &r.attempts[id]
+		if !a.done && a.deadline > 0 && !r.reqs[a.parent].done {
 			return false
 		}
 	}
 	return true
-}
-
-// hedgeable reports whether attempt a of parent p may still fire its
-// one hedge (expire's condition, minus the clock).
-func (ft *ftState) hedgeable(a *attempt, p *parentReq) bool {
-	return ft.hedgeC > 0 && p.keyed && !p.hedged && !a.hedge && ft.replicas > 1
 }
 
 // nextAt returns the earliest cycle at which expire, drainRetries or
@@ -135,28 +558,53 @@ func (ft *ftState) hedgeable(a *attempt, p *parentReq) bool {
 // maximum uint64 when nothing is scheduled. A time at or before now
 // means "every quantum" (a hedge that found no healthy replica is
 // retried until one appears).
-func (ft *ftState) nextAt(reqs []parentReq) uint64 {
+func (r *run) nextAt() uint64 {
 	next := ^uint64(0)
-	for _, e := range ft.retryQ {
+	for _, e := range r.retryQ {
 		next = min(next, e.due)
 	}
-	for _, w := range ft.wire {
+	for _, w := range r.wire {
 		next = min(next, w.deliver)
 	}
-	for _, id := range ft.outstanding {
-		a := &ft.attempts[id]
-		p := &reqs[a.parent]
+	for _, id := range r.outstanding {
+		a := &r.attempts[id]
+		p := &r.reqs[a.parent]
 		if a.done || p.done {
 			continue
 		}
 		if a.deadline > 0 {
 			next = min(next, a.deadline)
 		}
-		if ft.hedgeable(a, p) {
-			next = min(next, a.sent+ft.hedgeC)
+		if r.hedgeable(a, p) {
+			next = min(next, a.sent+r.hedgeC)
 		}
 	}
 	return next
+}
+
+// summary closes the books: whatever is still unresolved was abandoned
+// at the deadline, and the per-machine admission layers fold in.
+func (r *run) summary(elapsed float64) Result {
+	res := &r.res
+	res.Abandoned = res.Offered - res.Completed - res.Dropped - res.Failed
+	res.ElapsedSeconds = elapsed
+	if elapsed > 0 {
+		res.Throughput = float64(res.Completed) / elapsed
+	}
+	for m, adm := range r.adms {
+		st := &res.PerMachine[m]
+		st.Admitted = adm.Admitted
+		st.Dropped = adm.Dropped
+		st.Completed = adm.Completed
+		st.PeakQueueDepth = adm.PeakQueueDepth
+		st.PeakInFlight = adm.PeakInFlight
+		st.Latency = adm.Latency
+		st.AllocatedEnd = r.f.Rigs[m].AllocatedCores()
+		res.QueueWait.Merge(&adm.QueueWait)
+		res.Service.Merge(&adm.Service)
+		r.f.Rigs[m].Engine.Drain()
+	}
+	return *res
 }
 
 // deadlineCycle returns the first cycle of the quantum grid start,
@@ -208,19 +656,25 @@ type Result struct {
 	// ElapsedSeconds is the virtual wall time of the run.
 	ElapsedSeconds float64
 	// Offered = Completed + Dropped + Failed + Abandoned: every generated
-	// request either finished, was shed at a full queue (a scatter sheds
-	// atomically: all sub-queries or none), exhausted its fault-tolerance
-	// retries, or was still queued or in flight at the deadline.
+	// request either finished, was dropped, failed, or was still queued,
+	// in flight or waiting out a backoff at the deadline.
+	//
+	// Dropped counts requests refused without a retry budget to spend: a
+	// scatter that could not seat every sub-query (it is shed whole and
+	// never resent), and any other request shed at a full queue while the
+	// budget (see Coordinator.MaxRetries) is zero.
 	Offered, Completed, Dropped, Abandoned int
-	// Failed counts parent requests that gave up — retries exhausted, or
-	// a scatter sub-query aborted by a machine crash.
+	// Failed counts requests that gave up after trying: a non-zero retry
+	// budget exhausted (by sheds, timeouts, crashes or having no healthy
+	// machine to go to), or a scatter sub-query aborted by a machine
+	// crash.
 	Failed int
 	// Retried, Hedged, Failovers and WireDropped count fault-tolerance
 	// actions: scheduled resends, hedged duplicates, requests served by a
 	// non-primary replica, and sends lost on a degraded link.
 	Retried, Hedged, Failovers, WireDropped int
 	// RoutedKeyed, RoutedBalanced and Scattered split Offered by routing
-	// kind.
+	// kind, counted as a request is offered, whatever becomes of it.
 	RoutedKeyed, RoutedBalanced, Scattered int
 	// Throughput is parent completions per virtual second.
 	Throughput float64
@@ -244,7 +698,8 @@ type Coordinator struct {
 	// Process generates arrival timestamps relative to the run start. A
 	// nil process offers nothing.
 	Process arrivals.Process
-	// Policy routes unkeyed requests (default BalanceShortestQueue).
+	// Policy routes unkeyed requests, first sends and resends alike,
+	// among the healthy machines (default BalanceShortestQueue).
 	Policy Policy
 	// Keys, when set, returns the routing key of the k-th offered
 	// request (0-based); its shard's owner serves it. Nil leaves every
@@ -278,9 +733,12 @@ type Coordinator struct {
 	// whichever attempt completes first wins and later ones are ignored.
 	// Zero disables timeouts.
 	TimeoutSeconds float64
-	// MaxRetries bounds resends per request after the first attempt; a
-	// request that exhausts them counts as Failed. Zero selects 3 when
-	// the fault machinery is active.
+	// MaxRetries is the retry budget: the resends one request may consume
+	// after its first send, whatever makes a send lead nowhere (shed at a
+	// full queue, timeout, crash, no healthy machine). Zero selects 3
+	// when TimeoutSeconds, HedgeAfterSeconds or the fleet's fault plan is
+	// set and no budget otherwise. A request shed with no budget counts
+	// as Dropped; one that exhausts a budget counts as Failed.
 	MaxRetries int
 	// BackoffSeconds is the base retry delay, doubled per attempt and
 	// capped at 8x the base (default 5 ms).
@@ -297,38 +755,9 @@ type Coordinator struct {
 	OnOutcome func(nowC, latency uint64, ok bool)
 }
 
-// pick returns the balance policy's machine for an unkeyed request.
-func (c *Coordinator) pick(adms []*workload.Admission) int {
-	best := 0
-	switch c.Policy {
-	case BalanceWeighted:
-		// Lowest queue depth per allocated core: compare q_i/w_i by
-		// cross-multiplication to stay in integers.
-		bw := c.Fleet.Rigs[0].AllocatedCores()
-		bq := adms[0].QueueLen() + adms[0].InFlight()
-		for m := 1; m < len(adms); m++ {
-			w := c.Fleet.Rigs[m].AllocatedCores()
-			q := adms[m].QueueLen() + adms[m].InFlight()
-			if q*bw < bq*w {
-				best, bq, bw = m, q, w
-			}
-		}
-	default:
-		for m := 1; m < len(adms); m++ {
-			q, b := adms[m], adms[best]
-			if q.QueueLen() < b.QueueLen() ||
-				(q.QueueLen() == b.QueueLen() && q.InFlight() < b.InFlight()) {
-				best = m
-			}
-		}
-	}
-	return best
-}
-
 // Run replays the arrival process to completion (or the deadline) and
 // returns the fleet-wide summary.
 func (c *Coordinator) Run() Result {
-	f := c.Fleet
 	if c.MaxSeconds == 0 {
 		c.MaxSeconds = 600
 	}
@@ -344,524 +773,57 @@ func (c *Coordinator) Run() Result {
 	if c.MergeScalar == "" {
 		c.MergeScalar = "result"
 	}
-	topo := f.Rigs[0].Machine.Topology()
-	bus := f.Bus
-
-	// The FT machinery only exists when something can need it; without
-	// it the run takes the exact pre-FT code path.
-	var ft *ftState
-	if c.TimeoutSeconds > 0 || c.HedgeAfterSeconds > 0 || f.Injector() != nil {
-		ft = &ftState{
-			timeoutC:   topo.SecondsToCycles(c.TimeoutSeconds),
-			hedgeC:     topo.SecondsToCycles(c.HedgeAfterSeconds),
-			maxRetries: c.MaxRetries,
-			replicas:   f.Sharder.Replicas(),
-			dropN:      make([]uint64, len(f.Rigs)),
-		}
-		if ft.maxRetries == 0 {
-			ft.maxRetries = 3
-		}
-		backoff := c.BackoffSeconds
-		if backoff == 0 {
-			backoff = 5e-3
-		}
-		ft.backoffC = topo.SecondsToCycles(backoff)
+	if c.BackoffSeconds == 0 {
+		c.BackoffSeconds = 5e-3
 	}
-
-	var res Result
-	res.PerMachine = make([]MachineStats, len(f.Rigs))
-	var reqs []parentReq
-
-	// resolve finishes a parent request's bookkeeping exactly once.
-	resolve := func(nowC uint64, p *parentReq, ok bool) {
-		p.done = true
-		var lat uint64
-		if ok {
-			res.Completed++
-			res.MergedScalars += p.merged
-			lat = nowC - p.at
-			res.Latency.Record(lat)
-		}
-		if c.OnOutcome != nil {
-			c.OnOutcome(nowC, lat, ok)
-		}
-	}
-
-	adms := make([]*workload.Admission, len(f.Rigs))
-	for m, r := range f.Rigs {
-		adm := &workload.Admission{
-			Rig:         r,
-			MaxInFlight: c.MaxInFlight,
-			QueueCap:    c.QueueCap,
-			MachineID:   int32(m),
-		}
-		adm.OnComplete = func(tag int64, q *db.Query, total, service uint64) {
-			id := tag
-			if ft != nil {
-				ft.attempts[tag].done = true
-				id = ft.attempts[tag].parent
-			}
-			p := &reqs[id]
-			if p.done {
-				return // a faster attempt already won; ignore the straggler
-			}
-			p.merged += q.Scalar(c.MergeScalar)
-			p.pending--
-			if p.pending == 0 {
-				if ft != nil {
-					resolve(f.Now(), p, true)
-					return
-				}
-				res.Completed++
-				res.MergedScalars += p.merged
-				res.Latency.Record(f.Now() - p.at)
-				if c.OnOutcome != nil {
-					c.OnOutcome(f.Now(), f.Now()-p.at, true)
-				}
-			}
-		}
-		adms[m] = adm
-		f.RegisterAdmission(m, adm)
-		defer f.RegisterAdmission(m, nil)
-		if r.Mech != nil && !c.DisableBacklog {
-			r.Mech.SetBacklog(adm.QueueLen)
-			defer r.Mech.SetBacklog(nil)
-		}
-	}
-	plans := make([]func(k int, tag int64) *db.Plan, len(f.Rigs))
-	for m := range plans {
-		plans[m] = func(_ int, tag int64) *db.Plan {
-			id := tag
-			if ft != nil {
-				id = ft.attempts[tag].parent
-			}
-			return c.Build(uint64(id))
-		}
-	}
-
-	// --- FT helpers (no-ops when ft == nil; never called then) ---
-
-	// healthy reports whether machine m can take traffic right now: its
-	// admission connections are up (a crash resets them, so this is
-	// local knowledge, not an oracle) and the health monitor does not
-	// believe it dead.
-	healthy := func(m int) bool {
-		if adms[m].Down {
-			return false
-		}
-		if h := f.Health(); h != nil && h.Dead(m) {
-			return false
-		}
-		return true
-	}
-
-	var scheduleRetry func(nowC uint64, parent int64, m int, reason string)
-	scheduleRetry = func(nowC uint64, parent int64, m int, reason string) {
-		p := &reqs[parent]
-		if p.done {
-			return
-		}
-		if p.tries > ft.maxRetries {
-			res.Failed++
-			resolve(nowC, p, false)
-			return
-		}
-		shift := uint(p.tries - 1)
-		if shift > 3 {
-			shift = 3 // cap the backoff at 8x the base
-		}
-		backoff := ft.backoffC << shift
-		res.Retried++
-		ft.retryQ = append(ft.retryQ, retryEntry{parent: parent, due: nowC + backoff})
-		if bus != nil {
-			bus.Publish(obs.Event{
-				Kind: obs.KindRetry, Now: nowC, Core: -1,
-				V1: parent, V2: int64(p.tries),
-				Label: reason, Machine: int32(m),
-			})
-		}
-	}
-
-	// deliver lands one attempt in its machine's admission queue; a full
-	// (or browned-out) queue sheds the attempt into the retry path.
-	deliver := func(nowC, at uint64, m int, tag int64) {
-		if !adms[m].Offer(nowC, at, tag) {
-			scheduleRetry(nowC, ft.attempts[tag].parent, m, "shed")
-			return
-		}
-		res.PerMachine[m].Routed++
-		if bus != nil {
-			p := &reqs[ft.attempts[tag].parent]
-			shard := int64(-1)
-			if p.keyed {
-				shard = int64(f.Sharder.Shard(p.key))
-			}
-			bus.Publish(obs.Event{
-				Kind: obs.KindRoute, Now: nowC, Core: -1,
-				V1: int64(adms[m].QueueLen()), V2: shard,
-				Label: p.label, Machine: int32(m),
-			})
-		}
-	}
-
-	// sendAttempt records one send and pushes it through the (possibly
-	// degraded) link to machine m.
-	sendAttempt := func(nowC uint64, parent int64, m int, hedge bool) {
-		p := &reqs[parent]
-		id := int64(len(ft.attempts))
-		a := attempt{parent: parent, machine: m, sent: nowC, hedge: hedge}
-		if ft.timeoutC > 0 {
-			a.deadline = nowC + ft.timeoutC
-		}
-		ft.attempts = append(ft.attempts, a)
-		ft.outstanding = append(ft.outstanding, id)
-		inj := f.Injector()
-		if inj.LinkDrop(m) > 0 {
-			dropped := inj.DropRoll(m, ft.dropN[m])
-			ft.dropN[m]++
-			if dropped {
-				res.WireDropped++
-				if bus != nil {
-					bus.Publish(obs.Event{
-						Kind: obs.KindRetry, Now: nowC, Core: -1,
-						V1: parent, V2: int64(p.tries),
-						Label: "drop", Machine: int32(m),
-					})
-				}
-				return // lost on the wire; only a timeout recovers it
-			}
-		}
-		if delay := inj.LinkDelay(m); delay > 0 {
-			ft.wire = append(ft.wire, wireMsg{at: p.at, deliver: nowC + delay, machine: m, tag: id})
-			return
-		}
-		deliver(nowC, p.at, m, id)
-	}
-
-	// routeAndSend picks a machine for a (re)send: keyed requests go to
-	// the first healthy machine in the shard's owner preference order
-	// (failover when that is not the primary), unkeyed ones to the
-	// balance policy's pick among healthy machines.
-	routeAndSend := func(nowC uint64, parent int64) {
-		p := &reqs[parent]
-		m := -1
-		if p.keyed {
-			shard := f.Sharder.Shard(p.key)
-			primary := f.Sharder.Owner(shard)
-			ft.buf = f.Sharder.Owners(shard, ft.buf[:0])
-			for _, o := range ft.buf {
-				if healthy(o) {
-					m = o
-					break
-				}
-			}
-			if m >= 0 && m != primary {
-				res.Failovers++
-				if bus != nil {
-					bus.Publish(obs.Event{
-						Kind: obs.KindFailover, Now: nowC, Core: -1,
-						V1: int64(shard), V2: int64(primary),
-						Machine: int32(m),
-					})
-				}
-			}
-			if m < 0 {
-				p.tries++
-				scheduleRetry(nowC, parent, primary, "down")
-				return
-			}
-		} else {
-			best := -1
-			for o := range adms {
-				if !healthy(o) {
-					continue
-				}
-				if best < 0 {
-					best = o
-					continue
-				}
-				q, b := adms[o], adms[best]
-				if q.QueueLen() < b.QueueLen() ||
-					(q.QueueLen() == b.QueueLen() && q.InFlight() < b.InFlight()) {
-					best = o
-				}
-			}
-			if best < 0 {
-				p.tries++
-				scheduleRetry(nowC, parent, -1, "down")
-				return
-			}
-			m = best
-		}
-		p.tries++
-		sendAttempt(nowC, parent, m, false)
-	}
-
-	// expire times out overdue attempts and fires due hedges. Hedge
-	// sends are staged and applied after the scan: sendAttempt appends
-	// to outstanding, which must not grow mid-compaction.
-	expire := func(nowC uint64) {
-		ft.hedges = ft.hedges[:0]
-		kept := ft.outstanding[:0]
-		for _, id := range ft.outstanding {
-			a := &ft.attempts[id]
-			p := &reqs[a.parent]
-			if a.done || p.done {
-				continue
-			}
-			if a.deadline > 0 && nowC >= a.deadline {
-				scheduleRetry(nowC, a.parent, a.machine, "timeout")
-				continue
-			}
-			if ft.hedgeable(a, p) && nowC >= a.sent+ft.hedgeC {
-				ft.hedges = append(ft.hedges, id)
-			}
-			kept = append(kept, id)
-		}
-		ft.outstanding = kept
-		for _, id := range ft.hedges {
-			a := &ft.attempts[id]
-			p := &reqs[a.parent]
-			if p.done || p.hedged {
-				continue
-			}
-			shard := f.Sharder.Shard(p.key)
-			ft.buf = f.Sharder.Owners(shard, ft.buf[:0])
-			for _, o := range ft.buf {
-				if o != a.machine && healthy(o) {
-					p.hedged = true
-					res.Hedged++
-					if bus != nil {
-						bus.Publish(obs.Event{
-							Kind: obs.KindFailover, Now: nowC, Core: -1,
-							V1: int64(shard), V2: int64(f.Sharder.Owner(shard)),
-							Label: "hedge", Machine: int32(o),
-						})
-					}
-					sendAttempt(nowC, a.parent, o, true)
-					break
-				}
-			}
-		}
-	}
-
-	// drainRetries resends every retry whose backoff has elapsed. Due
-	// parents are staged first: a failed resend re-enters retryQ, which
-	// must not grow mid-compaction.
-	drainRetries := func(nowC uint64) {
-		ft.dueBuf = ft.dueBuf[:0]
-		kept := ft.retryQ[:0]
-		for _, e := range ft.retryQ {
-			if e.due > nowC {
-				kept = append(kept, e)
-				continue
-			}
-			ft.dueBuf = append(ft.dueBuf, e.parent)
-		}
-		ft.retryQ = kept
-		for _, parent := range ft.dueBuf {
-			if !reqs[parent].done {
-				routeAndSend(nowC, parent)
-			}
-		}
-	}
-
-	// deliverWire lands wire messages whose link delay has elapsed.
-	deliverWire := func(nowC uint64) {
-		kept := ft.wire[:0]
-		for _, w := range ft.wire {
-			if w.deliver > nowC {
-				kept = append(kept, w)
-				continue
-			}
-			if !reqs[ft.attempts[w.tag].parent].done {
-				deliver(nowC, w.at, w.machine, w.tag)
-			}
-		}
-		ft.wire = kept
-	}
-
-	if ft != nil {
-		// A crash aborts a machine's queued and in-flight attempts:
-		// scatters fail whole (a partial fan-out would merge a partial
-		// result), everything else re-enters the retry path.
-		for _, adm := range adms {
-			adm.OnFail = func(tag int64) {
-				a := &ft.attempts[tag]
-				a.done = true
-				p := &reqs[a.parent]
-				if p.done {
-					return
-				}
-				if p.label == "scatter" {
-					res.Failed++
-					resolve(f.Now(), p, false)
-					return
-				}
-				scheduleRetry(f.Now(), a.parent, a.machine, "down")
-			}
-		}
-	}
+	f := c.Fleet
+	r := newRun(c)
+	defer r.close()
 
 	// Every due time of the loop below is an integer cycle (OpenDriver's
 	// rule): arrivals, the fault-tolerance timers, and the deadline.
+	topo := f.Rigs[0].Machine.Topology()
 	startCycle := f.Now()
 	startTime := f.NowSeconds()
 	quantum := f.Rigs[0].Sched.Quantum()
 	deadlineC := deadlineCycle(topo, startCycle, quantum, c.MaxSeconds)
 	pump := workload.NewArrivalPump(c.Process, topo, startCycle, c.MaxArrivals)
-
-	// offer routes one request at arrival cycle at.
-	offer := func(nowC, at uint64) {
-		id := int64(len(reqs))
-		k := res.Offered
-		res.Offered++
-		scatter := c.ScatterEvery > 0 && (k+1)%c.ScatterEvery == 0
-		switch {
-		case scatter:
-			res.Scattered++
-			// Atomic admission: a scatter that cannot seat every
-			// sub-query is shed whole — a partial fan-out would merge a
-			// partial result. A crashed machine sheds it the same way.
-			for _, adm := range adms {
-				if adm.QueueLen() >= c.QueueCap || (ft != nil && adm.Down) {
-					res.Dropped++
-					if c.OnOutcome != nil {
-						c.OnOutcome(nowC, 0, false)
-					}
-					return
-				}
-			}
-			reqs = append(reqs, parentReq{at: at, pending: len(adms), label: "scatter"})
-			for m, adm := range adms {
-				tag := id
-				if ft != nil {
-					// Scatter sub-queries get attempt records (the tag
-					// space is shared) but no timeout or hedge: a crash
-					// fails the parent fast instead.
-					tag = int64(len(ft.attempts))
-					ft.attempts = append(ft.attempts, attempt{parent: id, machine: m, sent: nowC})
-				}
-				adm.Offer(nowC, at, tag)
-				res.PerMachine[m].Routed++
-				if bus != nil {
-					bus.Publish(obs.Event{
-						Kind: obs.KindRoute, Now: nowC, Core: -1,
-						V1: int64(adm.QueueLen()), V2: -1,
-						Label: "scatter", Machine: int32(m),
-					})
-				}
-			}
-		case ft != nil:
-			p := parentReq{at: at, pending: 1, label: "any"}
-			if c.Keys != nil {
-				p.key, p.keyed, p.label = c.Keys(k), true, "keyed"
-			}
-			reqs = append(reqs, p)
-			if p.keyed {
-				res.RoutedKeyed++
-			} else {
-				res.RoutedBalanced++
-			}
-			routeAndSend(nowC, id)
-		default:
-			m, shard, label := 0, int64(-1), "any"
-			if c.Keys != nil {
-				key := c.Keys(k)
-				s := f.Sharder.Shard(key)
-				m, shard, label = f.Sharder.Owner(s), int64(s), "keyed"
-			} else {
-				m = c.pick(adms)
-			}
-			reqs = append(reqs, parentReq{at: at, pending: 1, label: label})
-			if !adms[m].Offer(nowC, at, id) {
-				res.Dropped++
-				reqs[id].pending = 0
-				if c.OnOutcome != nil {
-					c.OnOutcome(nowC, 0, false)
-				}
-				return
-			}
-			res.PerMachine[m].Routed++
-			if label == "keyed" {
-				res.RoutedKeyed++
-			} else {
-				res.RoutedBalanced++
-			}
-			if bus != nil {
-				bus.Publish(obs.Event{
-					Kind: obs.KindRoute, Now: nowC, Core: -1,
-					V1: int64(adms[m].QueueLen()), V2: shard,
-					Label: label, Machine: int32(m),
-				})
-			}
-		}
-	}
+	offer, plan := r.offer, r.plan
 
 	for {
 		nowC := f.Now()
-		for _, adm := range adms {
+		for _, adm := range r.adms {
 			adm.Collect(nowC)
 		}
-		if ft != nil {
-			expire(nowC)
-			drainRetries(nowC)
-		}
+		r.expire(nowC)
+		r.drainRetries(nowC)
 		pump.Due(nowC, offer)
-		if ft != nil {
-			deliverWire(nowC)
-		}
+		r.deliverWire(nowC)
 		idle, drained := true, true
-		for m, adm := range adms {
-			adm.Fill(nowC, plans[m])
+		for _, adm := range r.adms {
+			adm.Fill(nowC, plan)
 			adm.UpdatePeaks()
 			idle = idle && adm.Idle()
 			drained = drained && adm.Drained()
 		}
-		if ft != nil && idle {
-			idle = ft.quiet(reqs)
-		}
-		if !pump.More() && idle {
+		if !pump.More() && idle && r.quiet() {
 			break
 		}
 		if nowC >= deadlineC {
 			break
 		}
 		// With every admission drained the passes above find nothing to
-		// do until the next arrival or fault-tolerance timer, so the loop
-		// jumps to the first quantum at or after it, never past the
-		// deadline. Fleet.Advance still stops at every barrier the fleet
-		// itself needs (control period, probe, fault edge, heartbeat).
+		// do until the next arrival or timer, so the loop jumps to the
+		// first quantum at or after it, never past the deadline.
+		// Fleet.Advance still stops at every barrier the fleet itself
+		// needs (control period, probe, fault edge, heartbeat).
 		n := uint64(1)
 		if drained {
-			next := min(pump.NextAt(), deadlineC)
-			if ft != nil {
-				next = min(next, ft.nextAt(reqs))
-			}
-			if next > nowC {
+			if next := min(pump.NextAt(), deadlineC, r.nextAt()); next > nowC {
 				n = min((next-nowC-1)/quantum+1, uint64(maxJump))
 			}
 		}
 		f.Advance(int(n))
 	}
-
-	res.Abandoned = res.Offered - res.Completed - res.Dropped - res.Failed
-	res.ElapsedSeconds = f.NowSeconds() - startTime
-	if res.ElapsedSeconds > 0 {
-		res.Throughput = float64(res.Completed) / res.ElapsedSeconds
-	}
-	for m, adm := range adms {
-		st := &res.PerMachine[m]
-		st.Admitted = adm.Admitted
-		st.Dropped = adm.Dropped
-		st.Completed = adm.Completed
-		st.PeakQueueDepth = adm.PeakQueueDepth
-		st.PeakInFlight = adm.PeakInFlight
-		st.Latency = adm.Latency
-		st.AllocatedEnd = f.Rigs[m].AllocatedCores()
-		res.QueueWait.Merge(&adm.QueueWait)
-		res.Service.Merge(&adm.Service)
-		f.Rigs[m].Engine.Drain()
-	}
-	return res
+	return r.summary(f.NowSeconds() - startTime)
 }

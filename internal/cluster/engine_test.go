@@ -74,6 +74,28 @@ var jumpScenarios = []jumpScenario{
 		},
 	},
 	{
+		// No timeout, hedge or fault plan, so nothing but arrivals bounds
+		// a jump, and one-deep queues under bursts of four: singles are
+		// shed with no retry budget and scatters are dropped whole.
+		name:    "shedding",
+		arbiter: true,
+		tune: func(c *Coordinator) {
+			var times []float64
+			for k := 0; k < c.MaxArrivals; k++ {
+				times = append(times, float64(k/4)*3e-3)
+			}
+			c.Process = arrivals.NewTrace(times)
+			c.MaxInFlight, c.QueueCap = 1, 1
+			c.ScatterEvery = 5
+		},
+		check: func(t *testing.T, res Result) {
+			if res.Dropped == 0 || res.Dropped+res.Completed != res.Offered || res.Retried != 0 {
+				t.Fatalf("shedding run completed %d and dropped %d of %d with %d retries, want sheds and no retry",
+					res.Completed, res.Dropped, res.Offered, res.Retried)
+			}
+		},
+	},
+	{
 		// No health monitor: the fleet may stretch, and the coordinator's
 		// jumps are bounded by timeouts, backoffs, hedge points and wire
 		// deliveries rather than by arrivals alone.
@@ -132,15 +154,12 @@ func (sc jumpScenario) run(t *testing.T, workers int) jumpObservables {
 			r.EnableProbe(0)
 		}
 	}
-	sh := f.Sharder
 	c := &Coordinator{
 		Fleet: f,
 		// 2.5 ms between arrivals is ~50 quanta; a Q6 at this scale runs
 		// for a few, so most of the run is idle gaps.
-		Process: arrivals.NewPoisson(400, 11),
-		Keys: func(k int) uint64 {
-			return sh.KeyForShard(int(hashmix.Mix64(uint64(k+1))%uint64(sh.Shards())), uint64(k))
-		},
+		Process:     arrivals.NewPoisson(400, 11),
+		Keys:        uniformKeys(f.Sharder),
 		MaxArrivals: 60,
 		MaxSeconds:  120,
 	}

@@ -6,7 +6,6 @@ import (
 
 	"elasticore/internal/arrivals"
 	"elasticore/internal/faults"
-	"elasticore/internal/hashmix"
 	"elasticore/internal/obs"
 	"elasticore/internal/workload"
 )
@@ -52,13 +51,10 @@ func faultedFleet(t *testing.T, spec string, replicas int, bus *obs.Bus) *Fleet 
 
 // faultedCoordinator drives keyed traffic with the full FT kit enabled.
 func faultedCoordinator(f *Fleet) *Coordinator {
-	sh := f.Sharder
 	return &Coordinator{
-		Fleet:   f,
-		Process: arrivals.NewPoisson(400, 11),
-		Keys: func(k int) uint64 {
-			return sh.KeyForShard(int(hashmix.Mix64(uint64(k+1))%uint64(sh.Shards())), uint64(k))
-		},
+		Fleet:             f,
+		Process:           arrivals.NewPoisson(400, 11),
+		Keys:              uniformKeys(f.Sharder),
 		TimeoutSeconds:    5e-3,
 		BackoffSeconds:    2e-3,
 		MaxRetries:        5,
@@ -142,6 +138,48 @@ func TestCoordinatorZeroAdmission(t *testing.T) {
 	}
 	if res.Failed == 0 {
 		t.Fatal("no request exhausted its retries against a dead fleet")
+	}
+}
+
+// TestScatterShedsWholeUnderBrownout: while shard transfers are in flight
+// the health monitor caps every admission queue below QueueCap, and a
+// scatter that meets a queue at that cap is dropped whole like one that
+// meets a full queue — not half-sent, left to hang until the deadline and
+// counted as routed to a machine that refused it.
+func TestScatterShedsWholeUnderBrownout(t *testing.T) {
+	f := faultedFleet(t, "crash m1 @0.01s for 0.02s", 2, nil)
+	browned := 0
+	c := &Coordinator{
+		Fleet:        f,
+		Process:      arrivals.NewPoisson(3000, 11),
+		ScatterEvery: 1,
+		MaxInFlight:  1,
+		MaxArrivals:  240,
+		MaxSeconds:   120,
+		OnOutcome: func(_, _ uint64, ok bool) {
+			for _, adm := range f.admissions {
+				if ok || adm.Down || adm.BrownoutCap == 0 {
+					return
+				}
+			}
+			browned++ // refused with every machine up: only the brownout cap can have done it
+		},
+	}
+	res := c.Run()
+	for m, st := range res.PerMachine {
+		if st.PeakQueueDepth >= c.QueueCap {
+			t.Fatalf("machine %d's queue reached QueueCap %d: drops are not the brownout's alone", m, c.QueueCap)
+		}
+		if st.Dropped != 0 {
+			t.Fatalf("machine %d refused %d sub-queries of scatters that were sent", m, st.Dropped)
+		}
+	}
+	if res.Abandoned != 0 {
+		t.Fatalf("%d scatters never resolved (completed %d, dropped %d, failed %d of %d)",
+			res.Abandoned, res.Completed, res.Dropped, res.Failed, res.Offered)
+	}
+	if browned == 0 {
+		t.Fatal("no scatter met a browned-out queue: the run does not exercise the cap")
 	}
 }
 

@@ -190,16 +190,23 @@ func (a *Admission) Collect(nowC uint64) {
 	}
 }
 
-// Offer presents one arrival (arrival cycle at, caller tag) against the
-// instantaneous queue depth, reporting whether it was queued or dropped.
-func (a *Admission) Offer(nowC, at uint64, tag int64) bool {
+// Full reports whether Offer would shed an arrival right now: the queue
+// is at QueueCap, or at a tighter live BrownoutCap. A caller that must
+// seat several requests or none (a scatter) asks every machine first.
+func (a *Admission) Full() bool {
 	a.normalize()
-	a.Offered++
 	qcap := a.QueueCap
 	if a.BrownoutCap > 0 && a.BrownoutCap < qcap {
 		qcap = a.BrownoutCap
 	}
-	if a.queue.Len() >= qcap {
+	return a.queue.Len() >= qcap
+}
+
+// Offer presents one arrival (arrival cycle at, caller tag) against the
+// instantaneous queue depth, reporting whether it was queued or dropped.
+func (a *Admission) Offer(nowC, at uint64, tag int64) bool {
+	a.Offered++
+	if a.Full() {
 		a.Dropped++
 		if bus := a.Rig.Bus; bus != nil {
 			bus.Publish(obs.Event{
