@@ -180,9 +180,9 @@ func TestMechanismAdaptiveFollowsResidency(t *testing.T) {
 	}
 	set := m.Allocated()
 	topo := machine.Topology()
-	onNode2 := len(set.CoresOnNode(topo, 2))
+	onNode2 := set.OnNode(topo, 2).Count()
 	for n := 0; n < topo.NodeCount; n++ {
-		if n != 2 && len(set.CoresOnNode(topo, numa.NodeID(n))) > onNode2 {
+		if n != 2 && set.OnNode(topo, numa.NodeID(n)).Count() > onNode2 {
 			t.Errorf("node %d has more cores than hot node 2: set=%v", n, set)
 		}
 	}

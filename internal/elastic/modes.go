@@ -144,7 +144,7 @@ func (a *adaptiveAllocator) Victim(current sched.CPUSet) (numa.CoreID, bool) {
 	a.refresh()
 	ranked := a.queue.Ranked()
 	for i := len(ranked) - 1; i >= 0; i-- {
-		cores := current.CoresOnNode(a.topo, ranked[i].Node)
+		cores := current.OnNode(a.topo, ranked[i].Node).Cores()
 		if len(cores) == 0 {
 			continue
 		}

@@ -33,7 +33,7 @@ func TestNodeFillPacksBeforeOpening(t *testing.T) {
 	if len(nodes) != 2 {
 		t.Fatalf("nodes touched = %v, want exactly 2", nodes)
 	}
-	if got := len(set.CoresOnNode(topo, nodes[0])); got != topo.CoresPerNode {
+	if got := set.OnNode(topo, nodes[0]).Count(); got != topo.CoresPerNode {
 		t.Errorf("first node holds %d cores, want %d", got, topo.CoresPerNode)
 	}
 }

@@ -1,7 +1,7 @@
 // Package hashmix provides the SplitMix64 finalizer, the 64→64 bit mixer
-// shared by the simulator's hash tables (operator join/aggregation tables
-// in internal/db, the cache residency tables in internal/numa) and the
-// TPC-H generator's random stream. Keeping one copy keeps every consumer's
+// shared by the simulator's hash tables (the operator join/aggregation
+// tables in internal/db, the fleet's shard router) and the TPC-H
+// generator's random stream. Keeping one copy keeps every consumer's
 // probe behaviour in lockstep if the constants are ever tuned.
 package hashmix
 

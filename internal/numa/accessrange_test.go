@@ -156,42 +156,6 @@ func TestAdvanceTimeIdleMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestBlockTableAgainstMap cross-checks the open-addressing residency
-// table (with its backward-shift deletion) against a reference map over a
-// long random operation sequence at the table's worst-case load.
-func TestBlockTableAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const capacity = 48
-	bt := newBlockTable(capacity)
-	ref := make(map[BlockID]int32)
-	for step := 0; step < 200000; step++ {
-		b := BlockID(rng.Intn(capacity * 4)) // force collisions
-		switch {
-		case rng.Intn(3) == 0:
-			wantV, want := ref[b]
-			gotV, got := bt.get(b)
-			if got != want || (got && gotV != wantV) {
-				t.Fatalf("step %d: get(%d) = %d,%v want %d,%v", step, b, gotV, got, wantV, want)
-			}
-		case rng.Intn(2) == 0 && len(ref) <= capacity:
-			if _, dup := ref[b]; !dup {
-				v := int32(step)
-				bt.put(b, v)
-				ref[b] = v
-			}
-		default:
-			_, want := ref[b]
-			if got := bt.del(b); got != want {
-				t.Fatalf("step %d: del(%d) = %v, want %v", step, b, got, want)
-			}
-			delete(ref, b)
-		}
-		if bt.n != len(ref) {
-			t.Fatalf("step %d: n = %d, want %d", step, bt.n, len(ref))
-		}
-	}
-}
-
 // TestLRUSteadyStateZeroAlloc guards the arena-backed cache: steady-state
 // hit/miss/evict churn must not allocate.
 func TestLRUSteadyStateZeroAlloc(t *testing.T) {
@@ -212,9 +176,10 @@ func TestLRUSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestWriteRangeZeroAlloc guards invalidateRemote: a write-heavy
-// AccessRange walks every remote core's private cache per block by index
-// (CoreOf), never through a materialised per-node core list, so charging
-// it allocates nothing once the caches and the cost memo exist.
+// AccessRange reads each written block's directory row and drops the
+// block from the caches it names, recycling rows through the directory's
+// own free list, so charging it allocates nothing once the caches, the
+// rows and the cost memo exist.
 func TestWriteRangeZeroAlloc(t *testing.T) {
 	topo := Opteron8387()
 	m := NewMachine(topo)
@@ -240,6 +205,30 @@ func TestWriteRangeZeroAlloc(t *testing.T) {
 	}
 	if after := m.Snapshot().Nodes[0].Invalidations; after == before {
 		t.Fatal("the write ranges invalidated nothing; the guard did not reach invalidateRemote's remote walk")
+	}
+}
+
+// TestAccessAndDropZeroAlloc: single-block accesses from every core and
+// affinity drops — which empty a whole cache and recycle the rows of the
+// blocks nobody else holds — allocate nothing in steady state either.
+func TestAccessAndDropZeroAlloc(t *testing.T) {
+	topo := Opteron8387()
+	m := NewMachine(topo)
+	const blocks = 128
+	region := m.Memory().Alloc(blocks)
+	cycle := func() {
+		for i := 0; i < blocks; i++ {
+			m.Access(CoreID(i%topo.TotalCores()), Access{Block: region.Block(i), Bytes: 100, Write: i%5 == 0, PID: 1})
+		}
+		m.DropCoreAffinity(3)
+		m.DropCoreAffinity(7)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("accesses and affinity drops allocated %v times per run, want 0", allocs)
+	}
+	if m.caches.private[0].Len() == 0 || m.caches.private[3].Len() != 0 {
+		t.Fatal("the cycle left core 0 empty or core 3 filled; the drops did not run as intended")
 	}
 }
 

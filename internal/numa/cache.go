@@ -1,6 +1,6 @@
 package numa
 
-import "elasticore/internal/hashmix"
+import "slices"
 
 // cache.go models the cache hierarchy at block granularity: a small
 // per-core private cache standing in for L1+L2, and a per-node shared L3
@@ -13,105 +13,87 @@ import "elasticore/internal/hashmix"
 // noEntry marks an empty link in the LRU arena.
 const noEntry int32 = -1
 
-// mix64 spreads BlockIDs over the residency table.
-func mix64(x uint64) uint64 { return hashmix.Mix64(x) }
-
-// blockTable maps BlockID → arena index with fixed-size open addressing
-// (linear probing, backward-shift deletion). An lruCache holds at most
-// capacity+1 entries, so the table is sized once at ≤50% load and never
-// grows; every operation is a short flat-array probe, far cheaper than a
-// Go map on the access hot path.
-type blockTable struct {
-	keys []BlockID
-	vals []int32
-	used []bool
-	mask uint64
-	n    int
+// directory is the residency index of every cache of one machine. A
+// BlockID is a position in Memory.blocks, so residency is looked up by
+// position and nothing is hashed: a block that is resident somewhere keeps,
+// in its blockInfo, the slot of a row with one cell per cache (cores first,
+// then the L3s) and a last cell counting the non-zero ones. A cell holds
+// the block's LRU-arena index + 1 in that cache, 0 when the block is not
+// resident there, so a row is also the block's sharer set. Rows exist only
+// for resident blocks — at most the summed capacity of the caches, however
+// many blocks were ever allocated — and are recycled when the last cache
+// drops the block.
+type directory struct {
+	mem  *Memory
+	cols int      // caches; a row is cols + 1 cells
+	rows []uint16 // row of slot s at [(s-1)*(cols+1), s*(cols+1))
+	free []uint32 // slots of recycled, all-zero rows
 }
 
-func newBlockTable(capacity int) *blockTable {
-	size := 4
-	for size < 2*(capacity+1) {
-		size *= 2
-	}
-	return &blockTable{
-		keys: make([]BlockID, size),
-		vals: make([]int32, size),
-		used: make([]bool, size),
-		mask: uint64(size - 1),
-	}
+func newDirectory(mem *Memory, caches int) *directory {
+	return &directory{mem: mem, cols: caches}
 }
 
-func (t *blockTable) get(b BlockID) (int32, bool) {
-	i := mix64(uint64(b)) & t.mask
-	for t.used[i] {
-		if t.keys[i] == b {
-			return t.vals[i], true
-		}
-		i = (i + 1) & t.mask
+// row returns the block's cells, or nil when no cache holds the block.
+func (d *directory) row(b BlockID) []uint16 {
+	s := int(d.mem.blocks[b].slot)
+	if s == 0 {
+		return nil
 	}
-	return 0, false
+	w := d.cols + 1
+	return d.rows[(s-1)*w : s*w]
 }
 
-// put inserts a key that is not present.
-func (t *blockTable) put(b BlockID, v int32) {
-	i := mix64(uint64(b)) & t.mask
-	for t.used[i] {
-		i = (i + 1) & t.mask
+// get returns the block's cell in column col.
+func (d *directory) get(b BlockID, col int) uint16 {
+	if row := d.row(b); row != nil {
+		return row[col]
 	}
-	t.used[i] = true
-	t.keys[i] = b
-	t.vals[i] = v
-	t.n++
+	return 0
 }
 
-// del removes the key if present, backward-shifting the probe chain so
-// lookups stay correct without tombstones.
-func (t *blockTable) del(b BlockID) bool {
-	i := mix64(uint64(b)) & t.mask
-	for {
-		if !t.used[i] {
-			return false
-		}
-		if t.keys[i] == b {
-			break
-		}
-		i = (i + 1) & t.mask
-	}
-	j := i
-	for {
-		j = (j + 1) & t.mask
-		if !t.used[j] {
-			break
-		}
-		h := mix64(uint64(t.keys[j])) & t.mask
-		// Move j back into the hole unless it sits in its own probe
-		// window between the hole (exclusive) and j.
-		if (j-h)&t.mask >= (j-i)&t.mask {
-			t.keys[i] = t.keys[j]
-			t.vals[i] = t.vals[j]
-			i = j
+// set fills the block's empty cell in column col, giving the block a row
+// if it had none.
+func (d *directory) set(b BlockID, col int, v uint16) {
+	info := &d.mem.blocks[b]
+	if info.slot == 0 {
+		if n := len(d.free); n > 0 {
+			info.slot, d.free = d.free[n-1], d.free[:n-1]
+		} else {
+			d.rows = append(d.rows, make([]uint16, d.cols+1)...)
+			info.slot = uint32(len(d.rows) / (d.cols + 1))
+			// Room to recycle every row without allocating (free is empty).
+			d.free = slices.Grow(d.free, int(info.slot))
 		}
 	}
-	t.used[i] = false
-	t.n--
-	return true
+	row := d.row(b)
+	row[col] = v
+	row[d.cols]++
 }
 
-func (t *blockTable) clear() {
-	clear(t.used)
-	t.n = 0
+// clear empties the block's filled cell in column col and recycles the row
+// once no cache holds the block.
+func (d *directory) clear(b BlockID, col int) {
+	row := d.row(b)
+	row[col] = 0
+	if row[d.cols]--; row[d.cols] == 0 {
+		info := &d.mem.blocks[b]
+		d.free = append(d.free, info.slot)
+		info.slot = 0
+	}
 }
 
 // lruCache is a fixed-capacity LRU set of BlockIDs with O(1) lookup,
 // insert and eviction. Entries live in a slice-backed arena linked by
-// indices and recycled through a free list, indexed by a flat
-// open-addressing table, so steady-state churn (every simulated memory
-// access touches two caches) allocates nothing and hashes nothing heavier
-// than one multiply-shift round.
+// indices and recycled through a free list, and are found through the
+// cache's column of the machine's directory, so steady-state churn (every
+// simulated memory access touches two caches) allocates nothing and a
+// lookup is two loads.
 type lruCache struct {
 	capacity int
-	idx      *blockTable
+	n        int
+	dir      *directory
+	col      int
 	ent      []lruEntry
 	free     []int32
 	head     int32 // most recently used
@@ -123,66 +105,73 @@ type lruEntry struct {
 	prev, next int32
 }
 
-func newLRUCache(capacity int) *lruCache {
+// newCache returns the empty cache that owns column col. Topology.Validate
+// bounds capacity below 65535, so an arena index + 1 fits a cell.
+func (d *directory) newCache(col, capacity int) *lruCache {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &lruCache{
 		capacity: capacity,
-		idx:      newBlockTable(capacity),
-		ent:      make([]lruEntry, 0, capacity+1),
+		dir:      d,
+		col:      col,
+		ent:      make([]lruEntry, 0, capacity),
 		head:     noEntry,
 		tail:     noEntry,
 	}
 }
 
 // Contains reports whether the block is resident without promoting it.
-func (c *lruCache) Contains(b BlockID) bool {
-	_, ok := c.idx.get(b)
-	return ok
-}
+func (c *lruCache) Contains(b BlockID) bool { return c.dir.get(b, c.col) != 0 }
 
 // Touch promotes the block to most-recently-used, inserting it if absent.
 // It returns whether the block was already resident and, when an insertion
 // evicted an older block, that victim.
 func (c *lruCache) Touch(b BlockID) (hit bool, evicted BlockID, didEvict bool) {
-	if e, ok := c.idx.get(b); ok {
-		c.moveToFront(e)
+	if e := c.dir.get(b, c.col); e != 0 {
+		c.moveToFront(int32(e) - 1)
 		return true, 0, false
 	}
-	e := c.alloc(b)
-	c.idx.put(b, e)
-	c.pushFront(e)
-	if c.idx.n > c.capacity {
-		victim := c.tail
-		vb := c.ent[victim].block
-		c.remove(victim)
-		c.idx.del(vb)
-		c.free = append(c.free, victim)
-		return false, vb, true
+	var e int32
+	if c.n == c.capacity {
+		// Full: the least recently used entry is recycled for b in place.
+		e = c.tail
+		evicted, didEvict = c.ent[e].block, true
+		c.dir.clear(evicted, c.col)
+		c.remove(e)
+		c.ent[e].block = b
+	} else {
+		e = c.alloc(b)
+		c.n++
 	}
-	return false, 0, false
+	c.dir.set(b, c.col, uint16(e+1))
+	c.pushFront(e)
+	return false, evicted, didEvict
 }
 
 // Invalidate drops the block if resident, returning whether it was.
 func (c *lruCache) Invalidate(b BlockID) bool {
-	e, ok := c.idx.get(b)
-	if !ok {
+	e := int32(c.dir.get(b, c.col)) - 1
+	if e < 0 {
 		return false
 	}
+	c.dir.clear(b, c.col)
 	c.remove(e)
-	c.idx.del(b)
 	c.free = append(c.free, e)
+	c.n--
 	return true
 }
 
 // Len returns the number of resident blocks.
-func (c *lruCache) Len() int { return c.idx.n }
+func (c *lruCache) Len() int { return c.n }
 
 // Clear empties the cache (used when a thread migrates away and its
-// working set is lost), keeping the arena and table storage.
+// working set is lost), keeping the arena.
 func (c *lruCache) Clear() {
-	c.idx.clear()
+	for e := c.head; e != noEntry; e = c.ent[e].next {
+		c.dir.clear(c.ent[e].block, c.col)
+	}
+	c.n = 0
 	c.free = c.free[:0]
 	for i := range c.ent {
 		c.free = append(c.free, int32(i))
@@ -239,28 +228,28 @@ func (c *lruCache) moveToFront(e int32) {
 }
 
 // cacheHierarchy bundles the per-core private caches and per-node shared
-// L3s of the whole machine.
+// L3s of the whole machine with the directory that indexes them.
 type cacheHierarchy struct {
 	topo    *Topology
-	private []*lruCache // indexed by CoreID; stands in for L1+L2
-	shared  []*lruCache // indexed by NodeID; the L3
+	dir     *directory
+	caches  []*lruCache // by directory column: private caches, then L3s
+	private []*lruCache // caches[:cores], indexed by CoreID; stands in for L1+L2
+	shared  []*lruCache // caches[cores:], indexed by NodeID; the L3
 }
 
-func newCacheHierarchy(t *Topology) *cacheHierarchy {
-	h := &cacheHierarchy{
-		topo:    t,
-		private: make([]*lruCache, t.TotalCores()),
-		shared:  make([]*lruCache, t.NodeCount),
-	}
-	privCap := (t.L1Bytes + t.L2Bytes) / t.BlockBytes
-	if privCap < 1 {
-		privCap = 1
-	}
-	for c := range h.private {
-		h.private[c] = newLRUCache(privCap)
-	}
-	for n := range h.shared {
-		h.shared[n] = newLRUCache(t.L3Bytes / t.BlockBytes)
+// newCacheHierarchy returns the empty caches of a machine whose memory is
+// mem; the blocks they hold are mem's.
+func newCacheHierarchy(t *Topology, mem *Memory) *cacheHierarchy {
+	cores := t.TotalCores()
+	h := &cacheHierarchy{topo: t, caches: make([]*lruCache, cores+t.NodeCount)}
+	h.dir = newDirectory(mem, len(h.caches))
+	h.private, h.shared = h.caches[:cores], h.caches[cores:]
+	for col := range h.caches {
+		capacity := (t.L1Bytes + t.L2Bytes) / t.BlockBytes
+		if col >= cores {
+			capacity = t.L3Bytes / t.BlockBytes
+		}
+		h.caches[col] = h.dir.newCache(col, capacity)
 	}
 	return h
 }
@@ -274,43 +263,42 @@ const (
 	levelMemory                     // L3 miss, served from DRAM
 )
 
-// access walks the hierarchy for one block access on the given core,
-// filling caches on the way, and returns the level that satisfied it.
-func (h *cacheHierarchy) access(core CoreID, b BlockID) lookupLevel {
-	node := h.topo.NodeOf(core)
-	if hit, _, _ := h.private[core].Touch(b); hit {
+// accessCaches walks a core's private cache and its node's L3 for one
+// block access, filling them on the way, and returns the level that
+// satisfied it.
+func accessCaches(private, l3 *lruCache, b BlockID) lookupLevel {
+	if hit, _, _ := private.Touch(b); hit {
 		// Keep L3 inclusive of private caches so shared readers on the
 		// same node observe the block as resident.
-		h.shared[node].Touch(b)
+		l3.Touch(b)
 		return levelPrivate
 	}
-	if hit, _, _ := h.shared[node].Touch(b); hit {
+	if hit, _, _ := l3.Touch(b); hit {
 		return levelL3
 	}
 	return levelMemory
 }
 
-// invalidateRemote removes the block from every cache outside writerNode,
-// returning how many node-level copies were invalidated. This is the
-// coherence cost a write imposes when readers on other sockets hold the
-// block (the paper's "cache invalidations between the threads").
+// invalidateRemote removes the block from every cache but the writer's own
+// private cache and its node's L3, returning how many node-level copies
+// were invalidated. This is the coherence cost a write imposes when readers
+// on other sockets hold the block (the paper's "cache invalidations between
+// the threads"). The block's directory row is its sharer set, so only
+// caches that hold the block are visited.
 func (h *cacheHierarchy) invalidateRemote(writerCore CoreID, b BlockID) int {
-	writerNode := h.topo.NodeOf(writerCore)
+	ownL3 := len(h.private) + int(h.topo.NodeOf(writerCore))
 	invalidated := 0
-	for n := 0; n < h.topo.NodeCount; n++ {
-		if NodeID(n) == writerNode {
+	row := h.dir.row(b)
+	if row == nil {
+		return 0
+	}
+	for col, e := range row[:h.dir.cols] {
+		if e == 0 || col == int(writerCore) || col == ownL3 {
 			continue
 		}
-		if h.shared[n].Invalidate(b) {
+		h.caches[col].Invalidate(b)
+		if col >= len(h.private) {
 			invalidated++
-		}
-		for j := 0; j < h.topo.CoresPerNode; j++ {
-			h.private[h.topo.CoreOf(NodeID(n), j)].Invalidate(b)
-		}
-	}
-	for j := 0; j < h.topo.CoresPerNode; j++ {
-		if c := h.topo.CoreOf(writerNode, j); c != writerCore {
-			h.private[c].Invalidate(b)
 		}
 	}
 	return invalidated

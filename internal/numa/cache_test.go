@@ -5,6 +5,26 @@ import (
 	"testing/quick"
 )
 
+// newLRUCache returns a stand-alone cache: the only column of a directory
+// of its own, over a memory that holds every block these tests touch.
+func newLRUCache(capacity int) *lruCache {
+	mem := NewMemory(Opteron8387())
+	mem.Alloc(1024)
+	return newDirectory(mem, 1).newCache(0, capacity)
+}
+
+// testHierarchy returns the caches of a machine with blocks [0, blocks).
+func testHierarchy(t *Topology, blocks int) *cacheHierarchy {
+	mem := NewMemory(t)
+	mem.Alloc(blocks)
+	return newCacheHierarchy(t, mem)
+}
+
+// access is one block access on the given core.
+func (h *cacheHierarchy) access(core CoreID, b BlockID) lookupLevel {
+	return accessCaches(h.private[core], h.shared[h.topo.NodeOf(core)], b)
+}
+
 func TestLRUBasicHitMiss(t *testing.T) {
 	c := newLRUCache(2)
 	if hit, _, _ := c.Touch(1); hit {
@@ -81,7 +101,7 @@ func TestLRUClear(t *testing.T) {
 
 func TestHierarchySharedL3WithinNode(t *testing.T) {
 	topo := Opteron8387()
-	h := newCacheHierarchy(topo)
+	h := testHierarchy(topo, 1024)
 	// Core 0 warms a block; core 1 (same node) should find it in L3.
 	if lvl := h.access(0, 100); lvl != levelMemory {
 		t.Fatalf("cold access level = %v, want memory", lvl)
@@ -97,7 +117,7 @@ func TestHierarchySharedL3WithinNode(t *testing.T) {
 
 func TestHierarchyPrivateHit(t *testing.T) {
 	topo := Opteron8387()
-	h := newCacheHierarchy(topo)
+	h := testHierarchy(topo, 1024)
 	h.access(0, 7)
 	if lvl := h.access(0, 7); lvl != levelPrivate {
 		t.Errorf("repeat access level = %v, want private hit", lvl)
@@ -106,7 +126,7 @@ func TestHierarchyPrivateHit(t *testing.T) {
 
 func TestInvalidateRemoteCountsCopies(t *testing.T) {
 	topo := Opteron8387()
-	h := newCacheHierarchy(topo)
+	h := testHierarchy(topo, 1024)
 	// Warm block 5 into nodes 1, 2, 3.
 	h.access(topo.CoreOf(1, 0), 5)
 	h.access(topo.CoreOf(2, 0), 5)
@@ -131,7 +151,7 @@ func TestCapacityConflictAcrossWorkingSets(t *testing.T) {
 	// the shared L3 must evict each other (the paper's motivation for not
 	// packing unrelated threads densely).
 	topo := Opteron8387()
-	h := newCacheHierarchy(topo)
+	h := testHierarchy(topo, 1024)
 	l3Blocks := topo.L3Bytes / topo.BlockBytes
 	setA := make([]BlockID, l3Blocks)
 	setB := make([]BlockID, l3Blocks)

@@ -83,31 +83,14 @@ type Machine struct {
 	htFactor  float64
 	imcFactor []float64
 
-	memo costMemo
+	// memo caches, within one AccessRange call, the cycle cost of a
+	// full-block DRAM access per home node (noMemo = not computed yet). The
+	// congestion factors are constant between AdvanceTime calls — and no
+	// time passes inside a range charge — so reusing the value is exact.
+	memo []uint64
 }
 
-// costMemo caches the cycle cost of a full-block DRAM access per home node
-// within one AccessRange call. The congestion factors are constant between
-// AdvanceTime calls — and no time passes inside a range charge — so
-// reusing the computed value is exact; the memo is reset at every
-// AccessRange entry.
-type costMemo struct {
-	lines  uint64
-	local  []uint64 // per home node; ^uint64(0) = unset
-	remote []uint64
-}
-
-func (mm *costMemo) reset(lines uint64, nodes int) {
-	if len(mm.local) != nodes {
-		mm.local = make([]uint64, nodes)
-		mm.remote = make([]uint64, nodes)
-	}
-	mm.lines = lines
-	for i := range mm.local {
-		mm.local[i] = ^uint64(0)
-		mm.remote[i] = ^uint64(0)
-	}
-}
+const noMemo = ^uint64(0)
 
 // NewMachine builds a machine for the topology with the default cost model.
 // It panics if the topology is invalid, since every other subsystem depends
@@ -116,15 +99,17 @@ func NewMachine(t *Topology) *Machine {
 	if err := t.Validate(); err != nil {
 		panic(err)
 	}
+	mem := NewMemory(t)
 	m := &Machine{
 		topo:      t,
-		mem:       NewMemory(t),
-		caches:    newCacheHierarchy(t),
+		mem:       mem,
+		caches:    newCacheHierarchy(t, mem),
 		cost:      DefaultCostModel(),
 		nodes:     make([]NodeCounters, t.NodeCount),
 		cores:     make([]CoreCounters, t.TotalCores()),
 		htFactor:  1,
 		imcFactor: make([]float64, t.NodeCount),
+		memo:      make([]uint64, t.NodeCount),
 	}
 	m.window.imcBytes = make([]uint64, t.NodeCount)
 	for i := range m.imcFactor {
@@ -150,7 +135,7 @@ func (m *Machine) NowSeconds() float64 { return m.topo.CyclesToSeconds(m.now) }
 
 // Access charges one memory operation executed on the given core and
 // returns its cost. It updates the placement table (first touch), the cache
-// hierarchy, and every affected counter.
+// hierarchy, and every affected counter. It is the one-block AccessRange.
 func (m *Machine) Access(core CoreID, a Access) Cost {
 	if a.Bytes <= 0 {
 		return Cost{}
@@ -158,77 +143,16 @@ func (m *Machine) Access(core CoreID, a Access) Cost {
 	if a.Bytes > m.topo.BlockBytes {
 		panic(fmt.Sprintf("numa: access of %d bytes exceeds block size %d", a.Bytes, m.topo.BlockBytes))
 	}
-	return m.accessBlock(core, m.topo.NodeOf(core), a.Block, a.Bytes, a.Write, a.PID, nil)
+	return m.AccessRange(core, RangeAccess{Start: a.Block, Blocks: 1, FirstBytes: a.Bytes, Write: a.Write, PID: a.PID})
 }
 
-// accessBlock is the shared charging body behind Access and AccessRange.
-// memo, when non-nil, caches the DRAM cost for full-block accesses; the
-// arithmetic is identical with or without it.
-func (m *Machine) accessBlock(core CoreID, node NodeID, block BlockID, byteCount int, write bool, pid int, memo *costMemo) Cost {
-	lines := uint64((byteCount + m.topo.CacheLineBytes - 1) / m.topo.CacheLineBytes)
-
-	tr := m.mem.touch(block, node, pid)
-	m.nodes[tr.home].DataTouches++
-	level := m.caches.access(core, block)
-
-	var c Cost
-	switch level {
-	case levelPrivate:
-		m.nodes[node].L3Hits += lines
-		c.Cycles = lines * m.cost.PrivateHit
-	case levelL3:
-		m.nodes[node].L3Hits += lines
-		c.Cycles = lines * m.cost.L3Hit
-	case levelMemory:
-		m.nodes[node].L3Misses += lines
-		bytes := lines * uint64(m.topo.CacheLineBytes)
-		home := tr.home
-		m.nodes[home].IMCBytes += bytes
-		m.window.imcBytes[home] += bytes
-		if home == node {
-			if memo != nil && lines == memo.lines {
-				if memo.local[home] == ^uint64(0) {
-					memo.local[home] = uint64(float64(lines*m.cost.LocalMemory) * m.imcFactor[home])
-				}
-				c.Cycles = memo.local[home]
-			} else {
-				c.Cycles = uint64(float64(lines*m.cost.LocalMemory) * m.imcFactor[home])
-			}
-		} else {
-			if memo != nil && lines == memo.lines {
-				if memo.remote[home] == ^uint64(0) {
-					memo.remote[home] = m.remoteCycles(node, home, lines)
-				}
-				c.Cycles = memo.remote[home]
-			} else {
-				c.Cycles = m.remoteCycles(node, home, lines)
-			}
-			m.nodes[node].HTBytesOut += bytes
-			m.nodes[home].HTBytesIn += bytes
-			m.window.htBytes += bytes
-			c.HTBytes = bytes
-		}
+// dramCycles computes the stretched cost of serving lines from home's DRAM
+// to a core of node. A remote access crosses the interconnect AND the home
+// node's memory controller; the slower pipe bounds it.
+func (m *Machine) dramCycles(node, home NodeID, lines uint64) uint64 {
+	if home == node {
+		return uint64(float64(lines*m.cost.LocalMemory) * m.imcFactor[home])
 	}
-
-	if write {
-		inv := m.caches.invalidateRemote(core, block)
-		if inv > 0 {
-			m.nodes[node].Invalidations += uint64(inv)
-			c.Cycles += uint64(inv) * m.cost.Invalidation * lines
-			// Invalidation messages traverse the interconnect.
-			invBytes := uint64(inv) * uint64(m.topo.CacheLineBytes)
-			m.nodes[node].HTBytesOut += invBytes
-			m.window.htBytes += invBytes
-			c.HTBytes += invBytes
-		}
-	}
-	return c
-}
-
-// remoteCycles computes the stretched cost of a remote DRAM access. A
-// remote access crosses the interconnect AND the home node's memory
-// controller; the slower pipe bounds it.
-func (m *Machine) remoteCycles(node, home NodeID, lines uint64) uint64 {
 	hops := m.topo.Hops(node, home)
 	per := m.cost.RemoteMemory + uint64(hops-1)*m.cost.PerHop
 	stretch := m.htFactor
@@ -265,33 +189,90 @@ func (r RangeAccess) bytesOf(i, blockBytes int) int {
 	}
 }
 
-// AccessRange charges a contiguous run of blocks in one call, equivalent
-// to issuing Access block by block but with the per-call overhead hoisted
-// and the DRAM cost arithmetic memoized per home node. Scans, gathers and
-// materializations — anything walking consecutive rows — charge through
-// here. The result is bit-identical to the per-block loop: same counters,
-// same cycles, same cache-state evolution.
+// AccessRange charges a contiguous run of blocks in one call: each block is
+// first-touched, walked through the core's private cache and its node's L3,
+// and charged by the level that served it; a written block is invalidated
+// in every other cache that holds it. Scans, gathers and materializations
+// — anything walking consecutive rows — charge through here. What does not
+// change from block to block is read once: the two caches, and the DRAM
+// cost of a full block per home node (memo). The counters the accessing
+// node owns are summed in locals and stored once — integer sums, so the
+// result is that of charging block by block; the home node's (DataTouches,
+// IMCBytes, HTBytesIn) may change from block to block and are added in
+// place.
 func (m *Machine) AccessRange(core CoreID, r RangeAccess) Cost {
 	if r.Blocks <= 0 {
 		return Cost{}
 	}
-	if r.FirstBytes > m.topo.BlockBytes || r.LastBytes > m.topo.BlockBytes {
+	topo := m.topo
+	if r.FirstBytes > topo.BlockBytes || r.LastBytes > topo.BlockBytes {
 		panic(fmt.Sprintf("numa: range access of %d/%d bytes exceeds block size %d",
-			r.FirstBytes, r.LastBytes, m.topo.BlockBytes))
+			r.FirstBytes, r.LastBytes, topo.BlockBytes))
 	}
+	node := topo.NodeOf(core)
+	lineBytes := topo.CacheLineBytes
+	fullLines := uint64((topo.BlockBytes + lineBytes - 1) / lineBytes)
+	for home := range m.memo {
+		m.memo[home] = noMemo
+	}
+	private, l3 := m.caches.private[core], m.caches.shared[node]
+
 	var total Cost
-	node := m.topo.NodeOf(core)
-	fullLines := uint64((m.topo.BlockBytes + m.topo.CacheLineBytes - 1) / m.topo.CacheLineBytes)
-	m.memo.reset(fullLines, m.topo.NodeCount)
+	var hits, misses, invalidations uint64
 	for i := 0; i < r.Blocks; i++ {
-		byteCount := r.bytesOf(i, m.topo.BlockBytes)
-		if byteCount <= 0 {
-			continue
+		lines := fullLines
+		if byteCount := r.bytesOf(i, topo.BlockBytes); byteCount != topo.BlockBytes {
+			if byteCount <= 0 {
+				continue
+			}
+			lines = uint64((byteCount + lineBytes - 1) / lineBytes)
 		}
-		c := m.accessBlock(core, node, r.Start+BlockID(i), byteCount, r.Write, r.PID, &m.memo)
-		total.Cycles += c.Cycles
-		total.HTBytes += c.HTBytes
+		block := r.Start + BlockID(i)
+		home := m.mem.touch(block, node, r.PID).home
+		hc := &m.nodes[home]
+		hc.DataTouches++
+
+		var cycles uint64
+		switch accessCaches(private, l3, block) {
+		case levelPrivate:
+			hits += lines
+			cycles = lines * m.cost.PrivateHit
+		case levelL3:
+			hits += lines
+			cycles = lines * m.cost.L3Hit
+		case levelMemory:
+			misses += lines
+			bytes := lines * uint64(lineBytes)
+			hc.IMCBytes += bytes
+			m.window.imcBytes[home] += bytes
+			if cycles = m.memo[home]; cycles == noMemo || lines != fullLines {
+				cycles = m.dramCycles(node, home, lines)
+				if lines == fullLines {
+					m.memo[home] = cycles
+				}
+			}
+			if home != node {
+				hc.HTBytesIn += bytes
+				total.HTBytes += bytes
+			}
+		}
+
+		if r.Write {
+			if inv := uint64(m.caches.invalidateRemote(core, block)); inv > 0 {
+				invalidations += inv
+				cycles += inv * m.cost.Invalidation * lines
+				// Invalidation messages traverse the interconnect.
+				total.HTBytes += inv * uint64(lineBytes)
+			}
+		}
+		total.Cycles += cycles
 	}
+	nc := &m.nodes[node]
+	nc.L3Hits += hits
+	nc.L3Misses += misses
+	nc.HTBytesOut += total.HTBytes
+	nc.Invalidations += invalidations
+	m.window.htBytes += total.HTBytes
 	return total
 }
 
@@ -462,6 +443,6 @@ func (w *CounterWindow) Advance() Counters {
 	return w.delta
 }
 
-// Residency exposes the per-node live-block counts for a set of PIDs (the
+// Residency exposes the per-node homed-block counts for a set of PIDs (the
 // adaptive priority queue's input).
 func (m *Machine) Residency(pids []int) []int { return m.mem.Residency(pids) }

@@ -1,6 +1,9 @@
 package numa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BlockID identifies one placement block of simulated physical memory.
 // Blocks are the granularity of homing (first touch), caching and traffic
@@ -9,6 +12,9 @@ type BlockID uint64
 
 // NoNode marks a block that has not been first-touched yet.
 const NoNode NodeID = -1
+
+// noHome is NoNode as blockInfo stores it.
+const noHome = int8(NoNode)
 
 // Region is a contiguous run of blocks returned by Memory.Alloc. It is the
 // unit handed to storage layers (a BAT segment, an intermediate result).
@@ -28,22 +34,27 @@ func (r Region) Block(i int) BlockID { return r.Start + BlockID(i) }
 // Bytes returns the region size in bytes for the given topology.
 func (r Region) Bytes(t *Topology) int { return r.Blocks * t.BlockBytes }
 
-// blockInfo tracks the placement state of one block.
+// blockInfo is the state of one block, 12 bytes: every block ever allocated
+// keeps one, so its size is a per-block cost of the whole run.
 type blockInfo struct {
-	home NodeID // node owning the backing frame; NoNode until first touch
 	// mapped is a bitmask of nodes that have established a mapping to the
 	// block. The first mapping from a node other than the home produces a
-	// remote minor fault (Section II-B.1 of the paper).
+	// remote minor fault (Section II-B.1 of the paper). Topology.Validate
+	// bounds NodeCount by its width.
 	mapped uint32
-	owner  int // PID that first touched the block (for residency stats)
+	// slot belongs to the machine's cache directory: the block's row of
+	// residency cells, 0 while no cache holds the block.
+	slot uint32
+	home int8 // node owning the backing frame; NoNode until first touch
 }
 
-// Memory is the machine's physical memory: an allocator plus the per-block
-// placement table implementing the node-local first-touch policy.
+// Memory is the machine's physical memory: a bump allocator plus the
+// per-block placement table implementing the node-local first-touch policy.
+// Regions are never released: a block's id, home and cache residency last
+// as long as the machine.
 type Memory struct {
 	topo   *Topology
 	blocks []blockInfo
-	free   []Region // simple free list of released regions
 
 	// residency[pid][node] counts blocks first-touched by pid homed on
 	// node. This is the information the adaptive priority mode reads
@@ -66,31 +77,20 @@ func NewMemory(t *Topology) *Memory {
 	}
 }
 
-// Alloc reserves a region of n blocks. Placement is lazy: each block is
-// homed at first touch on the node of the touching core (the Linux
-// node-local default policy the paper assumes).
+// Alloc reserves a region of n blocks at the end of the block space.
+// Placement is lazy: each block is homed at first touch on the node of the
+// touching core (the Linux node-local default policy the paper assumes).
 func (m *Memory) Alloc(n int) Region {
 	if n <= 0 {
 		panic(fmt.Sprintf("numa: Alloc(%d): size must be positive", n))
 	}
-	// First-fit from the free list to bound growth in long simulations.
-	for i, r := range m.free {
-		if r.Blocks >= n {
-			got := Region{Start: r.Start, Blocks: n}
-			if r.Blocks == n {
-				m.free = append(m.free[:i], m.free[i+1:]...)
-			} else {
-				m.free[i] = Region{Start: r.Start + BlockID(n), Blocks: r.Blocks - n}
-			}
-			m.reset(got)
-			return got
-		}
+	start := len(m.blocks)
+	m.blocks = slices.Grow(m.blocks, n)[:start+n]
+	fresh := m.blocks[start:]
+	for i := range fresh {
+		fresh[i] = blockInfo{home: noHome}
 	}
-	start := BlockID(len(m.blocks))
-	for i := 0; i < n; i++ {
-		m.blocks = append(m.blocks, blockInfo{home: NoNode})
-	}
-	return Region{Start: start, Blocks: n}
+	return Region{Start: BlockID(start), Blocks: n}
 }
 
 // HomeRegionOn eagerly homes every block of an allocated region on the
@@ -100,12 +100,11 @@ func (m *Memory) Alloc(n int) Region {
 func (m *Memory) HomeRegionOn(r Region, node NodeID, pid int) {
 	for i := 0; i < r.Blocks; i++ {
 		b := &m.blocks[r.Block(i)]
-		if b.home != NoNode {
+		if b.home != noHome {
 			continue
 		}
-		b.home = node
+		b.home = int8(node)
 		b.mapped = 1 << uint(node)
-		b.owner = pid
 		m.homedBlocks[node]++
 		m.addResidency(pid, node, 1)
 	}
@@ -116,36 +115,8 @@ func (m *Memory) HomeRegionOn(r Region, node NodeID, pid int) {
 // engine variant and by tests).
 func (m *Memory) AllocOn(n int, node NodeID, pid int) Region {
 	r := m.Alloc(n)
-	for i := 0; i < n; i++ {
-		b := &m.blocks[r.Block(i)]
-		b.home = node
-		b.mapped = 1 << uint(node)
-		b.owner = pid
-		m.homedBlocks[node]++
-		m.addResidency(pid, node, 1)
-	}
+	m.HomeRegionOn(r, node, pid)
 	return r
-}
-
-// Free returns a region to the allocator and removes its residency
-// contribution. Freeing intermediates between queries keeps the adaptive
-// priority queue tracking the *live* address space.
-func (m *Memory) Free(r Region) {
-	for i := 0; i < r.Blocks; i++ {
-		b := &m.blocks[r.Block(i)]
-		if b.home != NoNode {
-			m.homedBlocks[b.home]--
-			m.addResidency(b.owner, b.home, -1)
-		}
-		*b = blockInfo{home: NoNode}
-	}
-	m.free = append(m.free, r)
-}
-
-func (m *Memory) reset(r Region) {
-	for i := 0; i < r.Blocks; i++ {
-		m.blocks[r.Block(i)] = blockInfo{home: NoNode}
-	}
 }
 
 // touchResult describes what the placement layer observed for one access.
@@ -165,10 +136,9 @@ func (m *Memory) touch(b BlockID, node NodeID, pid int) touchResult {
 	}
 	info := &m.blocks[b]
 	bit := uint32(1) << uint(node)
-	if info.home == NoNode {
-		info.home = node
+	if info.home == noHome {
+		info.home = int8(node)
 		info.mapped = bit
-		info.owner = pid
 		m.homedBlocks[node]++
 		m.minorFaults[node] += uint64(m.topo.PagesPerBlock())
 		m.addResidency(pid, node, 1)
@@ -177,9 +147,9 @@ func (m *Memory) touch(b BlockID, node NodeID, pid int) touchResult {
 	if info.mapped&bit == 0 {
 		info.mapped |= bit
 		m.minorFaults[node] += uint64(m.topo.PagesPerBlock())
-		return touchResult{home: info.home, remoteFault: true}
+		return touchResult{home: NodeID(info.home), remoteFault: true}
 	}
-	return touchResult{home: info.home}
+	return touchResult{home: NodeID(info.home)}
 }
 
 // Home returns the node owning the block, or NoNode if untouched.
@@ -187,7 +157,7 @@ func (m *Memory) Home(b BlockID) NodeID {
 	if int(b) >= len(m.blocks) {
 		return NoNode
 	}
-	return m.blocks[b].home
+	return NodeID(m.blocks[b].home)
 }
 
 func (m *Memory) addResidency(pid int, node NodeID, delta int) {
@@ -199,8 +169,8 @@ func (m *Memory) addResidency(pid int, node NodeID, delta int) {
 	counts[node] += delta
 }
 
-// Residency returns, for the given set of PIDs, the number of live blocks
-// homed on each node. This is the per-node page counter that feeds the
+// Residency returns, for the given set of PIDs, the number of blocks homed
+// on each node. This is the per-node page counter that feeds the
 // adaptive mode's priority queue.
 func (m *Memory) Residency(pids []int) []int {
 	out := make([]int, m.topo.NodeCount)
@@ -214,7 +184,7 @@ func (m *Memory) Residency(pids []int) []int {
 	return out
 }
 
-// HomedBlocks returns the number of live blocks homed on each node,
+// HomedBlocks returns the number of blocks homed on each node,
 // regardless of owner.
 func (m *Memory) HomedBlocks() []int {
 	out := make([]int, len(m.homedBlocks))

@@ -84,29 +84,6 @@ func TestResidencyTracksOwnerPID(t *testing.T) {
 	}
 }
 
-func TestFreeRemovesResidencyAndReusesSpace(t *testing.T) {
-	topo := Opteron8387()
-	m := NewMemory(topo)
-	r := m.Alloc(8)
-	for i := 0; i < 8; i++ {
-		m.touch(r.Block(i), 0, 5)
-	}
-	if got := m.Residency([]int{5})[0]; got != 8 {
-		t.Fatalf("residency before free = %d, want 8", got)
-	}
-	m.Free(r)
-	if got := m.Residency([]int{5})[0]; got != 0 {
-		t.Errorf("residency after free = %d, want 0", got)
-	}
-	r2 := m.Alloc(8)
-	if r2.Start != r.Start {
-		t.Errorf("allocator did not reuse freed region: got start %d, want %d", r2.Start, r.Start)
-	}
-	if m.Home(r2.Block(0)) != NoNode {
-		t.Error("reused block should be unhomed")
-	}
-}
-
 func TestAllocOnPlacesEagerly(t *testing.T) {
 	topo := Opteron8387()
 	m := NewMemory(topo)

@@ -95,11 +95,21 @@ func Opteron8387() *Topology {
 	}
 }
 
+// Bounds Validate enforces for the packed per-block state: blockInfo.mapped
+// has one bit per node, and a directory cell holds a cache's arena index + 1
+// in 16 bits.
+const (
+	maxNodes       = 32
+	maxCacheBlocks = 1<<16 - 1
+)
+
 // Validate checks structural invariants of the topology.
 func (t *Topology) Validate() error {
 	switch {
 	case t.NodeCount <= 0:
 		return fmt.Errorf("numa: NodeCount must be positive, got %d", t.NodeCount)
+	case t.NodeCount > maxNodes:
+		return fmt.Errorf("numa: NodeCount %d exceeds %d, the width of a block's mapped-node mask", t.NodeCount, maxNodes)
 	case t.CoresPerNode <= 0:
 		return fmt.Errorf("numa: CoresPerNode must be positive, got %d", t.CoresPerNode)
 	case t.ClockHz <= 0:
@@ -112,6 +122,9 @@ func (t *Topology) Validate() error {
 		return fmt.Errorf("numa: BlockBytes (%d) must be a positive multiple of PageBytes (%d)", t.BlockBytes, t.PageBytes)
 	case t.L3Bytes < t.BlockBytes:
 		return fmt.Errorf("numa: L3Bytes (%d) must hold at least one block (%d)", t.L3Bytes, t.BlockBytes)
+	case t.L3Bytes/t.BlockBytes >= maxCacheBlocks || (t.L1Bytes+t.L2Bytes)/t.BlockBytes >= maxCacheBlocks:
+		return fmt.Errorf("numa: a cache of %d blocks or more does not fit a directory cell (L1+L2 %d, L3 %d, block %d bytes)",
+			maxCacheBlocks, t.L1Bytes+t.L2Bytes, t.L3Bytes, t.BlockBytes)
 	case t.MemBandwidth <= 0 || t.HTBandwidth <= 0:
 		return fmt.Errorf("numa: bandwidths must be positive")
 	}

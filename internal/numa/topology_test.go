@@ -86,6 +86,8 @@ func TestValidateRejectsBadTopologies(t *testing.T) {
 		{"short distance matrix", func(tp *Topology) { tp.Distance = tp.Distance[:2] }},
 		{"nonzero diagonal", func(tp *Topology) { tp.Distance[1][1] = 3 }},
 		{"asymmetric distance", func(tp *Topology) { tp.Distance[0][1] = 7 }},
+		{"L3 of 65535 blocks", func(tp *Topology) { tp.L3Bytes = 65535 * tp.BlockBytes }},
+		{"private cache of 65535 blocks", func(tp *Topology) { tp.L2Bytes = 65535*tp.BlockBytes - tp.L1Bytes }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,6 +97,32 @@ func TestValidateRejectsBadTopologies(t *testing.T) {
 				t.Error("Validate accepted an invalid topology")
 			}
 		})
+	}
+}
+
+// TestValidateAcceptsLargestCaches: the bounds of the packed per-block
+// state are tight — 32 nodes and caches of 65534 blocks pass.
+func TestValidateAcceptsLargestCaches(t *testing.T) {
+	topo, err := ParseTopology("32x1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := *topo
+	big.L3Bytes = 65534 * big.BlockBytes
+	big.L1Bytes, big.L2Bytes = big.BlockBytes, 65533*big.BlockBytes
+	if err := big.Validate(); err != nil {
+		t.Fatalf("Validate rejected 32 nodes with 65534-block caches: %v", err)
+	}
+	// A core of the last node maps its block like any other: one fault at
+	// first touch, none on the second access.
+	m := NewMachine(topo)
+	r := m.Memory().Alloc(1)
+	last := topo.CoreOf(31, 0)
+	m.Access(last, Access{Block: r.Block(0), Bytes: 64, PID: 1})
+	faults := m.Snapshot().TotalMinorFaults()
+	m.Access(last, Access{Block: r.Block(0), Bytes: 64, PID: 1})
+	if got := m.Snapshot().TotalMinorFaults(); got != faults {
+		t.Errorf("second access from node 31 faulted again: %d -> %d", faults, got)
 	}
 }
 

@@ -170,6 +170,9 @@ func TestParseTopologyRejectsMalformedSpecs(t *testing.T) {
 		{"axb", "bad node count"},
 		{"4xb", "bad cores-per-node"},
 		{"8x8", "cpuset limit"},
+		// 40 cores fit the cpuset, 40 nodes do not fit a block's
+		// mapped-node mask: nodes 32-39 would fault on every access.
+		{"40x1", "NodeCount 40 exceeds 32"},
 		{"4x4 @ 1 2 1", "hop entries, want 6"},
 		{"4x4 @ 1 2 1 1 2 1 9", "hop entries, want 6"},
 		{"4x4 @ 1 2 1 1 2 x", "bad hop count"},

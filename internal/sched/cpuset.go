@@ -90,15 +90,11 @@ func (s CPUSet) NodesTouched(t *numa.Topology) []numa.NodeID {
 	return out
 }
 
-// CoresOnNode returns the member cores belonging to node n.
-func (s CPUSet) CoresOnNode(t *numa.Topology, n numa.NodeID) []numa.CoreID {
-	var out []numa.CoreID
-	for _, c := range t.Cores(n) {
-		if s.Contains(c) {
-			out = append(out, c)
-		}
-	}
-	return out
+// OnNode returns the member cores belonging to node n as a set. A node's
+// cores are the contiguous ids CoreOf(n, 0..CoresPerNode-1), so this is a
+// mask, not an enumeration.
+func (s CPUSet) OnNode(t *numa.Topology, n numa.NodeID) CPUSet {
+	return s & ((1<<uint(t.CoresPerNode) - 1) << uint(t.CoreOf(n, 0)))
 }
 
 // String renders the set in cpuset-list style, e.g. "0-3,8".

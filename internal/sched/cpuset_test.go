@@ -61,9 +61,9 @@ func TestCPUSetNodesTouched(t *testing.T) {
 	if len(nodes) != 2 || nodes[0] != 0 || nodes[1] != 3 {
 		t.Errorf("NodesTouched = %v, want [0 3]", nodes)
 	}
-	on0 := s.CoresOnNode(topo, 0)
+	on0 := s.OnNode(topo, 0).Cores()
 	if len(on0) != 2 || on0[0] != 0 || on0[1] != 1 {
-		t.Errorf("CoresOnNode(0) = %v", on0)
+		t.Errorf("OnNode(0) = %v", on0)
 	}
 }
 
@@ -105,5 +105,57 @@ func TestAddRemoveRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOnNodeMatchesEnumeration pins the mask form to its definition — the
+// members whose NodeOf is n — on every zoo shape, for sets that straddle
+// nodes, and for NoNode.
+func TestOnNodeMatchesEnumeration(t *testing.T) {
+	for name, topo := range numa.Zoo() {
+		full := FullSet(topo)
+		for _, s := range []CPUSet{0, full, full &^ 0x5555555555555555, full & 0x00ff00ff00ff0f0f, 1 << uint(topo.TotalCores()-1)} {
+			for n := numa.NodeID(0); int(n) < topo.NodeCount; n++ {
+				var want CPUSet
+				for _, c := range s.Cores() {
+					if topo.NodeOf(c) == n {
+						want = want.Add(c)
+					}
+				}
+				if got := s.OnNode(topo, n); got != want {
+					t.Errorf("%s: %v.OnNode(%d) = %v, want %v", name, s, n, got, want)
+				}
+			}
+			if got := s.OnNode(topo, numa.NoNode); !got.IsEmpty() {
+				t.Errorf("%s: %v.OnNode(NoNode) = %v, want empty", name, s, got)
+			}
+		}
+	}
+}
+
+// TestPlacementCoreZeroAlloc: placement runs on every spawn and wake-up
+// and walks core sets as masks — hinted, unhinted and pinned alike.
+func TestPlacementCoreZeroAlloc(t *testing.T) {
+	s := New(numa.NewMachine(numa.Opteron8387()), Config{})
+	idle := RunnerFunc(func(_ *ExecContext, _ uint64) (uint64, bool, bool) { return 0, true, false })
+	threads := []*Thread{
+		s.Spawn(1, "spread", idle),
+		s.Spawn(1, "hinted", idle, NearNode(2)),
+		s.Spawn(1, "pinned", idle, Pinned(NewCPUSet(5, 6, 9)), NearNode(0)),
+	}
+	var sink numa.CoreID
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, th := range threads {
+			sink += s.placementCore(th)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("placementCore allocated %v times per run, want 0", allocs)
+	}
+	if got := s.placementCore(threads[1]); s.topo.NodeOf(got) != 2 {
+		t.Errorf("hinted thread placed on core %d, want a core of node 2", got)
+	}
+	if got := s.placementCore(threads[2]); !NewCPUSet(5, 6, 9).Contains(got) {
+		t.Errorf("pinned thread placed on core %d, outside its mask", got)
 	}
 }

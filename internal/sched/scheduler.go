@@ -377,44 +377,46 @@ func (s *Scheduler) Spawn(pid int, name string, r Runner, opts ...SpawnOption) *
 	return t
 }
 
-// placementCore picks the spawn/wake core for a thread.
+// placementCore picks the spawn/wake core for a thread. It runs on every
+// spawn and wake-up, so core sets are walked as masks, never as slices.
 func (s *Scheduler) placementCore(t *Thread) numa.CoreID {
 	allowed := s.allowedSet(t)
 	if t.spawnHint != numa.NoNode {
 		// Fork-local placement: least-loaded allowed core on the hinted
 		// node; spreading is the balancer's job, not placement's.
-		if cores := allowed.CoresOnNode(s.topo, t.spawnHint); len(cores) > 0 {
-			best, bestLen := cores[0], s.queues[cores[0]].Len()
-			for _, c := range cores[1:] {
-				if l := s.queues[c].Len(); l < bestLen {
-					best, bestLen = c, l
-				}
-			}
-			return best
+		if onNode := allowed.OnNode(s.topo, t.spawnHint); !onNode.IsEmpty() {
+			return s.shortestQueue(onNode)
 		}
 	}
 	// Node with the least queued threads among allowed cores first.
-	bestNode, bestNodeLoad := numa.NodeID(-1), 1<<30
+	bestNode, bestNodeLoad := CPUSet(0), 1<<30
 	for n := 0; n < s.topo.NodeCount; n++ {
-		cores := allowed.CoresOnNode(s.topo, numa.NodeID(n))
-		if len(cores) == 0 {
+		onNode := allowed.OnNode(s.topo, numa.NodeID(n))
+		if onNode.IsEmpty() {
 			continue
 		}
 		load := 0
-		for _, c := range cores {
-			load += s.queues[c].Len()
+		for v := uint64(onNode); v != 0; v &= v - 1 {
+			load += s.queues[bits.TrailingZeros64(v)].Len()
 		}
 		// Normalize by core count so a node with more allowed cores is
 		// not penalized for its capacity.
-		norm := load * 16 / len(cores)
+		norm := load * 16 / onNode.Count()
 		if norm < bestNodeLoad {
-			bestNodeLoad, bestNode = norm, numa.NodeID(n)
+			bestNodeLoad, bestNode = norm, onNode
 		}
 	}
+	return s.shortestQueue(bestNode)
+}
+
+// shortestQueue returns the core of the set with the fewest queued threads,
+// the lowest id among equals, or -1 for the empty set.
+func (s *Scheduler) shortestQueue(set CPUSet) numa.CoreID {
 	best, bestLen := numa.CoreID(-1), 1<<30
-	for _, c := range allowed.CoresOnNode(s.topo, bestNode) {
+	for v := uint64(set); v != 0; v &= v - 1 {
+		c := bits.TrailingZeros64(v)
 		if l := s.queues[c].Len(); l < bestLen {
-			best, bestLen = c, l
+			best, bestLen = numa.CoreID(c), l
 		}
 	}
 	return best

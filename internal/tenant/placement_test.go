@@ -76,7 +76,7 @@ func TestGrowToStaysHopCompact(t *testing.T) {
 	}
 	// All growth must land on node 1 (own node first: 3 free cores
 	// there) and then a 1-hop neighbour — never the diagonal.
-	onOwn := got.CoresOnNode(topo, 1)
+	onOwn := got.OnNode(topo, 1).Cores()
 	if len(onOwn) != topo.CoresPerNode {
 		t.Errorf("own node holds %d cores, want it filled first (%d)", len(onOwn), topo.CoresPerNode)
 	}
