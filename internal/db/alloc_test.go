@@ -1,6 +1,7 @@
 package db
 
 import (
+	"math"
 	"testing"
 
 	"elasticore/internal/numa"
@@ -24,14 +25,13 @@ func TestChunkTaskStepSteadyStateZeroAlloc(t *testing.T) {
 	ctx := &sched.ExecContext{Machine: machine, Core: 0, PID: 1, TID: 1}
 
 	matched := 0
-	task := newChunkTask("scan", machine, []*BAT{col}, 0, len(vals), cyclesScan)
-	task.process = func(a, b int) {
+	task := testTask(machine, funcKernel{process: func(a, b int) {
 		for i := a; i < b; i++ {
 			if vals[i] >= 0 {
 				matched++
 			}
 		}
-	}
+	}}, 0, len(vals), cyclesScan, col)
 	// Warm the caches, the placement table and the machine's cost memo.
 	if _, done := task.Step(ctx, 1<<20); done {
 		t.Fatal("task finished during warm-up; grow the input")
@@ -151,4 +151,104 @@ func TestReleaseReclaimsQueryBuffers(t *testing.T) {
 		t.Fatalf("pooled rerun returned %v, want %v", got, want)
 	}
 	eng.Release(q2)
+}
+
+// TestQ6AllocsPerQuery is db.q6_allocs_per_query inside the root module:
+// building, submitting, running and releasing Q6 on a warm engine at the
+// default fan-out (16 partitions a stage, 112 tasks) stays within an object
+// budget that the per-task objects of before the slab (nine a task, over a
+// thousand a query) cannot meet. What remains is per query or per stage:
+// the plan's closures, the query and its maps, the sixteen dataflow
+// threads PlacementOS forks, and a slab plus three header objects a stage.
+func TestQ6AllocsPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	r := newDBRig(t, 20000, PlacementOS)
+	want := q6Reference(r.store)
+	run := func() {
+		q := r.eng.Submit(q6Plan())
+		r.run(t, q)
+		if got := q.Scalar("revenue"); math.Abs(got-want) > 1e-6*math.Abs(want) {
+			t.Fatalf("revenue = %g, want %g", got, want)
+		}
+		r.eng.Release(q)
+	}
+	run() // warm the buffer pool
+	if got := testing.AllocsPerRun(20, run); got > 150 {
+		t.Errorf("a warm Q6 allocated %v objects from plan to release, want at most 150", got)
+	} else {
+		t.Logf("a warm Q6: %v objects", got)
+	}
+}
+
+// TestStagePlanningAllocsIndependentOfFanout is the property behind "a
+// stage is one allocation": what planning a chunked stage allocates — its
+// slab, its output headers, the partition ranges — is the same number of
+// objects at 4 partitions and at 16. The pool is stocked beforehand, so
+// the buffers and tables a stage draws per partition (what the stage
+// holds, not what planning it costs) come out of it.
+func TestStagePlanningAllocsIndependentOfFanout(t *testing.T) {
+	const rows = 1 << 15
+	mul := func(x, y float64) float64 { return x * y }
+	stages := []struct {
+		name   string
+		inputs []StageFn // planned and run once, to bind what the stage reads
+		stage  StageFn
+	}{
+		{"ThetaSelect", nil, ThetaSelect("lineitem", "l_quantity", "c", PredFLess(24))},
+		{"ScanAll", nil, ScanAll("lineitem", "l_quantity", "c")},
+		{"SubSelect", []StageFn{ScanAll("lineitem", "l_quantity", "c")},
+			SubSelect("c", "lineitem", "l_discount", "c2", PredFRange(0.02, 0.08))},
+		{"Projection", []StageFn{ThetaSelect("lineitem", "l_quantity", "c", PredFLess(24))},
+			Projection("c", "lineitem", "l_extendedprice", "p")},
+		{"MapF2", []StageFn{ScanAll("lineitem", "l_quantity", "c"), Projection("c", "lineitem", "l_extendedprice", "p")},
+			MapF2("p", "p", "sq", mul)},
+		{"SumF", []StageFn{ScanAll("lineitem", "l_quantity", "c"), Projection("c", "lineitem", "l_extendedprice", "p")},
+			SumF("p", "total")},
+		{"ProbeSemi", []StageFn{ScanAll("lineitem", "l_orderkey", "c"), Projection("c", "lineitem", "l_orderkey", "k"), BuildMap("k", "", "set")},
+			ProbeSemi("c", "lineitem", "l_orderkey", "set", "hit")},
+		{"ProbeAnti", []StageFn{ScanAll("lineitem", "l_orderkey", "c"), Projection("c", "lineitem", "l_orderkey", "k"), BuildMap("k", "", "set")},
+			ProbeAnti("c", "lineitem", "l_orderkey", "set", "miss")},
+		{"ProbeFetch", []StageFn{ScanAll("lineitem", "l_orderkey", "c"), Projection("c", "lineitem", "l_orderkey", "k"), BuildMap("k", "k", "set")},
+			ProbeFetch("c", "lineitem", "l_orderkey", "set", "hit", "pay")},
+		{"GroupSum", []StageFn{ScanAll("lineitem", "l_orderkey", "c"), Projection("c", "lineitem", "l_orderkey", "k"), Projection("c", "lineitem", "l_extendedprice", "p")},
+			GroupSum("k", "p", "parts")},
+	}
+	for _, tc := range stages {
+		var perStage [2]float64
+		for fi, fanout := range []int{4, 16} {
+			r := newDBRig(t, rows, PlacementOS)
+			eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, Fanout: fanout, MinPartRows: 64, ParseCycles: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := planningQuery(eng)
+			ctx := &sched.ExecContext{Machine: r.machine, PID: 101}
+			for _, in := range tc.inputs {
+				for _, tk := range in(q) {
+					for done := false; !done; {
+						_, done = tk.Step(ctx, 1<<40)
+					}
+				}
+			}
+			const runs = 10
+			for i := 0; i < 2*16*(runs+2); i++ {
+				eng.pool.putI64(make([]int64, 0, rows))
+				eng.pool.putF64(make([]float64, 0, rows))
+				m := &i64fMap{}
+				m.tryPositional(0, rows, rows, false) // l_orderkey spans 0 … rows/4
+				eng.pool.putMapIF(m)
+			}
+			q.owned.mif = make([]*i64fMap, 0, 16*(runs+2))
+			perStage[fi] = testing.AllocsPerRun(runs, func() {
+				if got := len(tc.stage(q)); got != fanout {
+					t.Fatalf("%s at fanout %d planned %d tasks", tc.name, fanout, got)
+				}
+			})
+		}
+		if perStage[0] != perStage[1] || perStage[0] == 0 {
+			t.Errorf("planning %s allocated %v objects at fanout 4 and %v at 16, want the same (and a slab)", tc.name, perStage[0], perStage[1])
+		}
+	}
 }

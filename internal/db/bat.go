@@ -45,9 +45,9 @@ const valueBytes = 8
 // (MonetDB's void tail): n > 0 marks the dense form, whose OIDs are seq,
 // seq+1, ..., seq+n-1. Len, Bytes, the simulated region and every charge
 // are those of the materialized vector; only the host-side identity
-// vector is gone. The header stays in the 96-byte malloc class
-// (TestBATHeaderSize), which is why the region keeps its start block only
-// — its block count follows from Len.
+// vector is gone. The header stays 96 bytes, the stride of a stage's
+// header array (TestBATHeaderSize), which is why the region keeps its start
+// block only — its block count follows from Len.
 type BAT struct {
 	Name   string
 	Kind   Kind

@@ -182,7 +182,7 @@ func TestGatherChargeDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := &sched.ExecContext{Machine: m, Core: 0, PID: 1}
-		return gatherCharge(cand, st.Table("t").Col("c"))(ctx, a, b), m.Snapshot()
+		return chargeGathered(ctx, cand, st.Table("t").Col("c"), a, b), m.Snapshot()
 	}
 	for _, w := range [][2]int{{0, 5000}, {100, 2100}, {4000, 9999}, {6000, 7000}, {3, 3}} {
 		gotC, gotS := charge(newDense("cand", 2500, 5000), w[0], w[1])
@@ -260,7 +260,8 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() {
 		fs := NewFilterScan(col, PredAll(), 0, rows, nil)
 		fs.runRange(0, rows)
-		if fs.result("all").Len() != rows {
+		all := NewI64("all", nil)
+		if fs.fill(all); all.Len() != rows {
 			t.Fatal("full scan lost rows")
 		}
 	}); got > 2 { // the operator and the BAT header
@@ -387,5 +388,298 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 		if len(fs.ids) == 0 || unsafe.SliceData(fs.ids) != unsafe.SliceData(buf[:1]) {
 			t.Errorf("%d rows: the hinted selection buffer was regrown (or nothing matched)", tc.rows)
 		}
+	}
+}
+
+// refTask is the chunkTask of before a stage became one slab, kept as the
+// oracle of the engine drive: its inputs in a slice, the computation, the
+// gather charge and the materialization as closures, the written BATs
+// handed back in a fresh slice.
+type refTask struct {
+	inputs         []*BAT
+	lo, hi, chunk  int
+	cursor         int
+	cyclesPerTuple uint64
+
+	process     func(a, b int)
+	extraCharge func(ctx *sched.ExecContext, a, b int) uint64
+	finish      func() []*BAT
+
+	finished bool
+	debt     uint64
+}
+
+func newRefTask(q *Query, inputs []*BAT, lo, hi int, cyclesPerTuple uint64) *refTask {
+	chunk := max(q.Machine().Topology().BlockBytes/valueBytes, 1)
+	return &refTask{inputs: inputs, lo: lo, hi: hi, chunk: chunk, cursor: lo, cyclesPerTuple: cyclesPerTuple}
+}
+
+func (t *refTask) Step(ctx *sched.ExecContext, budget uint64) (uint64, bool) {
+	var used uint64
+	if t.debt > 0 {
+		if t.debt >= budget {
+			t.debt -= budget
+			return budget, false
+		}
+		used = t.debt
+		t.debt = 0
+	}
+	for used < budget && t.cursor < t.hi {
+		n := t.chunk
+		if rem := t.hi - t.cursor; n > rem {
+			n = rem
+		}
+		cost := uint64(n) * t.cyclesPerTuple
+		for _, in := range t.inputs {
+			if in != nil && in.Len() > 0 {
+				lo, hi := t.cursor, t.cursor+n
+				if hi > in.Len() {
+					hi = in.Len()
+				}
+				if lo < hi {
+					cost += in.chargeRange(ctx, lo, hi, false)
+				}
+			}
+		}
+		if t.extraCharge != nil {
+			cost += t.extraCharge(ctx, t.cursor, t.cursor+n)
+		}
+		t.process(t.cursor, t.cursor+n)
+		t.cursor += n
+		used += cost
+	}
+	if t.cursor >= t.hi && !t.finished {
+		t.finished = true
+		for _, out := range t.finish() {
+			if out != nil && out.Len() > 0 {
+				used += out.chargeRange(ctx, 0, out.Len(), true)
+			}
+		}
+	}
+	if used > budget {
+		t.debt = used - budget
+		used = budget
+	}
+	return used, t.finished && t.debt == 0
+}
+
+// refGatherCharge is the gather charge as the closure it was.
+func refGatherCharge(cand *BAT, col *BAT) func(*sched.ExecContext, int, int) uint64 {
+	return func(ctx *sched.ExecContext, a, b int) uint64 {
+		if b = min(b, cand.Len()); a >= b {
+			return 0
+		}
+		if cand.n > 0 {
+			return col.chargeRange(ctx, cand.seq+a, cand.seq+b, false)
+		}
+		return col.chargeRange(ctx, int(cand.I[a]), int(cand.I[b-1])+1, false)
+	}
+}
+
+// refStage is the closure lowering of one chunked stage: what its builder
+// did before the slab, a task, an operator, a header and three closures
+// per partition. TestDiffEngineDrive runs each against the builder.
+type refStage func(q *Query) []*refTask
+
+func refThetaSelect(table, col, out string, p Pred) refStage {
+	return func(q *Query) []*refTask {
+		base := q.eng.store.Table(table)
+		c := base.Col(col)
+		ranges := partitionRanges(base.Rows, q.Fanout(), q.eng.cfg.MinPartRows)
+		ps := &PartSet{Parts: make([]*BAT, len(ranges))}
+		q.SetVar(out, ps)
+		tasks := make([]*refTask, len(ranges))
+		for i, r := range ranges {
+			t := newRefTask(q, []*BAT{c}, r[0], r[1], cyclesScan)
+			op := NewFilterScan(c, p, r[0], r[1], nil)
+			t.process = op.runRange
+			t.finish = func() []*BAT {
+				frag := NewI64(out, nil)
+				op.fill(frag)
+				ps.Parts[i] = frag
+				return []*BAT{frag}
+			}
+			tasks[i] = t
+		}
+		return tasks
+	}
+}
+
+func refSubSelect(in, table, col, out string, p Pred) refStage {
+	return func(q *Query) []*refTask {
+		c := q.eng.store.Table(table).Col(col)
+		inPS := q.Var(in)
+		ps := &PartSet{Parts: make([]*BAT, len(inPS.Parts))}
+		q.SetVar(out, ps)
+		var tasks []*refTask
+		for i, cand := range inPS.Parts {
+			if cand == nil || cand.Len() == 0 {
+				ps.Parts[i] = NewI64(out, nil)
+				continue
+			}
+			t := newRefTask(q, []*BAT{cand}, 0, cand.Len(), cyclesGather)
+			t.extraCharge = refGatherCharge(cand, c)
+			op := NewFilterRefine(c, p, cand, nil)
+			t.process = op.runRange
+			t.finish = func() []*BAT {
+				frag := NewI64(out, op.ids)
+				ps.Parts[i] = frag
+				return []*BAT{frag}
+			}
+			tasks = append(tasks, t)
+		}
+		return tasks
+	}
+}
+
+func refProjection(in, table, col, out string) refStage {
+	return func(q *Query) []*refTask {
+		c := q.eng.store.Table(table).Col(col)
+		inPS := q.Var(in)
+		ps := &PartSet{Parts: make([]*BAT, len(inPS.Parts))}
+		q.SetVar(out, ps)
+		var tasks []*refTask
+		for i, cand := range inPS.Parts {
+			outB := &BAT{Name: out, Kind: c.Kind}
+			if cand == nil || cand.Len() == 0 {
+				ps.Parts[i] = outB
+				continue
+			}
+			t := newRefTask(q, []*BAT{cand}, 0, cand.Len(), cyclesGather)
+			t.extraCharge = refGatherCharge(cand, c)
+			t.process = NewGather(c, cand, outB).runRange
+			t.finish = func() []*BAT {
+				ps.Parts[i] = outB
+				return []*BAT{outB}
+			}
+			tasks = append(tasks, t)
+		}
+		return tasks
+	}
+}
+
+func refMapF2(a, b, out string, f func(x, y float64) float64) refStage {
+	return func(q *Query) []*refTask {
+		pa, pb := q.Var(a), q.Var(b)
+		ps := &PartSet{Parts: make([]*BAT, len(pa.Parts))}
+		q.SetVar(out, ps)
+		var tasks []*refTask
+		for i := range pa.Parts {
+			fa, fb := pa.Parts[i], pb.Parts[i]
+			if fa == nil || fa.Len() == 0 {
+				ps.Parts[i] = NewF64(out, nil)
+				continue
+			}
+			t := newRefTask(q, []*BAT{fa, fb}, 0, fa.Len(), cyclesMap)
+			op := NewMapBinary(fa, fb, f, nil)
+			t.process = op.runRange
+			t.finish = func() []*BAT {
+				frag := NewF64(out, op.res)
+				ps.Parts[i] = frag
+				return []*BAT{frag}
+			}
+			tasks = append(tasks, t)
+		}
+		return tasks
+	}
+}
+
+func refSumF(in, scalar string) refStage {
+	return func(q *Query) []*refTask {
+		var tasks []*refTask
+		for _, frag := range q.Var(in).Parts {
+			if frag == nil || frag.Len() == 0 {
+				continue
+			}
+			t := newRefTask(q, []*BAT{frag}, 0, frag.Len(), cyclesSum)
+			op := NewSumAgg(frag)
+			t.process = op.runRange
+			t.finish = func() []*BAT {
+				q.AddScalar(scalar, op.partial)
+				return nil
+			}
+			tasks = append(tasks, t)
+		}
+		return tasks
+	}
+}
+
+func refProbe(inCand, table, col, setName, outCand, outVals string, anti bool) refStage {
+	return func(q *Query) []*refTask {
+		c := q.eng.store.Table(table).Col(col)
+		inPS := q.Var(inCand)
+		set := q.Set(setName)
+		ps := &PartSet{Parts: make([]*BAT, len(inPS.Parts))}
+		q.SetVar(outCand, ps)
+		var vps *PartSet
+		if outVals != "" {
+			vps = &PartSet{Parts: make([]*BAT, len(inPS.Parts))}
+			q.SetVar(outVals, vps)
+		}
+		var tasks []*refTask
+		for i, cand := range inPS.Parts {
+			if cand == nil || cand.Len() == 0 {
+				ps.Parts[i] = NewI64(outCand, nil)
+				if vps != nil {
+					vps.Parts[i] = NewI64(outVals, nil)
+				}
+				continue
+			}
+			t := newRefTask(q, []*BAT{cand}, 0, cand.Len(), cyclesProbe)
+			t.extraCharge = refGatherCharge(cand, c)
+			op := NewHashProbe(c, cand, set, anti, vps != nil, nil, nil)
+			t.process = op.runRange
+			t.finish = func() []*BAT {
+				frag := NewI64(outCand, op.ids)
+				ps.Parts[i] = frag
+				outs := []*BAT{frag}
+				if vps != nil {
+					vf := NewI64(outVals, op.payloads)
+					vps.Parts[i] = vf
+					outs = append(outs, vf)
+				}
+				return outs
+			}
+			tasks = append(tasks, t)
+		}
+		return tasks
+	}
+}
+
+func refGroupSum(keysVar, valsVar, partialsName string) refStage {
+	return func(q *Query) []*refTask {
+		keys := q.Var(keysVar)
+		vals := keys
+		if valsVar != "" {
+			vals = q.Var(valsVar)
+		}
+		partials := make([]*i64fMap, len(keys.Parts))
+		q.setPartials(partialsName, partials)
+		var tasks []*refTask
+		for i := range keys.Parts {
+			kf, vf := keys.Parts[i], vals.Parts[i]
+			if kf == nil || kf.Len() == 0 {
+				continue
+			}
+			inputs := []*BAT{kf}
+			aggIn := vf
+			if valsVar == "" {
+				aggIn = nil
+			} else {
+				inputs = append(inputs, vf)
+			}
+			t := newRefTask(q, inputs, 0, kf.Len(), cyclesGroup)
+			partial := &i64fMap{}
+			lo, hi := kf.widen(noKeys())
+			partial.tryPositional(lo, hi, kf.Len(), false)
+			op := NewGroupAgg(kf, aggIn, partial)
+			t.process = op.runRange
+			t.finish = func() []*BAT {
+				partials[i] = op.agg
+				return nil
+			}
+			tasks = append(tasks, t)
+		}
+		return tasks
 	}
 }

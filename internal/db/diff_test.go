@@ -1,10 +1,14 @@
 package db
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"elasticore/internal/hashmix"
+	"elasticore/internal/numa"
+	"elasticore/internal/sched"
 )
 
 // diff_test.go is the differential harness of the vectorized operator
@@ -830,6 +834,185 @@ func TestDiffSortPairs(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// planningQuery returns a query of e that no scheduler runs: the context a
+// test plans stages in and steps their tasks by hand.
+func planningQuery(e *Engine) *Query {
+	return &Query{
+		Plan: &Plan{Name: "by-hand"}, eng: e,
+		vars: map[string]*PartSet{}, sets: map[string]*i64Map{},
+		scalars: map[string]float64{}, partials: map[string][]*i64fMap{},
+	}
+}
+
+// TestDiffEngineDrive is the differential of the engine drive. Every
+// chunked stage builder plans its slab and the tasks are stepped with
+// SplitMix64-random budgets — well below a chunk's cost (the debt path),
+// around it (a quantum ending mid-partition) and far above it — beside the
+// closure lowering the slab replaced (refStage, dense_test.go), itself
+// lowered through refPred, on two identical machines. After every Step the
+// cycles used, the completion flag and every counter of the machine must
+// agree: an AccessRange call's cost and side effects depend on the cache,
+// placement and congestion state its predecessors left, so a call that is
+// missing, added, reordered or over another range shows there. At the end
+// so must every variable (values, fragment sizes, simulated regions),
+// scalar and group partial.
+func TestDiffEngineDrive(t *testing.T) {
+	mul := func(x, y float64) float64 { return x * y }
+	type step struct {
+		fast StageFn
+		ref  refStage // nil: a single-task stage, the same on both sides
+	}
+	sel := func(table, col, out string, p Pred) step {
+		return step{ThetaSelect(table, col, out, p), refThetaSelect(table, col, out, refPred(p))}
+	}
+	sub := func(in, col, out string, p Pred) step {
+		return step{SubSelect(in, "lineitem", col, out, p), refSubSelect(in, "lineitem", col, out, refPred(p))}
+	}
+	proj := func(in, col, out string) step {
+		return step{Projection(in, "lineitem", col, out), refProjection(in, "lineitem", col, out)}
+	}
+	steps := []step{
+		sel("lineitem", "l_shipdate", "all", PredAll()),
+		sel("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+		sel("lineitem", "l_orderkey", "odd", Pred{I: func(v int64) bool { return v%2 == 1 }}),
+		sel("tiny", "k", "few", PredIRange(3, 40)),                     // one partition, shorter than a chunk
+		sub("all", "l_shipdate", "r1", PredIRange(19970101, 19980101)), // dense candidates
+		sub("cheap", "l_discount", "r2", PredFRange(0.02, 0.08)),
+		sub("odd", "l_quantity", "r3", Pred{F: func(v float64) bool { return v > 20 }}),
+		sub("r2", "l_orderkey", "none", PredIEq(-1)), // every partition empties
+		sub("r1", "l_orderkey", "same", PredAll()),
+		proj("r1", "l_orderkey", "k"),
+		proj("r1", "l_extendedprice", "p"),
+		proj("r1", "l_discount", "d"),
+		proj("all", "l_quantity", "qty"), // a slice copy per chunk
+		proj("none", "l_discount", "nothing"),
+		{MapF2("p", "d", "rev", mul), refMapF2("p", "d", "rev", mul)},
+		{MapF2("nothing", "nothing", "nil2", mul), refMapF2("nothing", "nothing", "nil2", mul)},
+		{SumF("rev", "total"), refSumF("rev", "total")},
+		{SumF("qty", "units"), refSumF("qty", "units")},
+		proj("cheap", "l_orderkey", "ck"),
+		proj("cheap", "l_shipdate", "cd"),
+		{fast: BuildMap("ck", "cd", "seen")},
+		{ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"), refProbe("all", "lineitem", "l_orderkey", "seen", "hit", "", false)},
+		{ProbeAnti("r3", "lineitem", "l_orderkey", "seen", "miss"), refProbe("r3", "lineitem", "l_orderkey", "seen", "miss", "", true)},
+		{ProbeFetch("r1", "lineitem", "l_orderkey", "seen", "got", "when"), refProbe("r1", "lineitem", "l_orderkey", "seen", "got", "when", false)},
+		{ProbeFetch("none", "lineitem", "l_orderkey", "seen", "got0", "when0"), refProbe("none", "lineitem", "l_orderkey", "seen", "got0", "when0", false)},
+		{GroupSum("k", "rev", "g1"), refGroupSum("k", "rev", "g1")},
+		{GroupSum("k", "", "g2"), refGroupSum("k", "", "g2")},
+		{GroupSum("all", "qty", "g3"), refGroupSum("all", "qty", "g3")}, // dense candidates as keys
+		{fast: GroupMerge("g1", "gk", "gs")},
+	}
+	type side struct {
+		m   *numa.Machine
+		q   *Query
+		ctx sched.ExecContext
+	}
+	for _, seed := range diffSeeds {
+		mk := func() *side {
+			r := newSpecRigRows(t, 30000)
+			eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, Fanout: 4, MinPartRows: 64, ParseCycles: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &side{m: r.machine, q: planningQuery(eng), ctx: sched.ExecContext{Machine: r.machine, PID: 101}}
+		}
+		fast, ref := mk(), mk()
+		r := newDiffRNG(seed)
+		budget := func() uint64 {
+			switch r.intn(4) {
+			case 0:
+				return 300 + uint64(r.intn(3000))
+			case 1:
+				return 5000 + uint64(r.intn(40000))
+			case 2:
+				return 100000 + uint64(r.intn(400000))
+			}
+			return 1 << 40
+		}
+		type stepper interface {
+			Step(ctx *sched.ExecContext, budget uint64) (uint64, bool)
+		}
+		for si, st := range steps {
+			var fts, rts []stepper
+			for _, tk := range st.fast(fast.q) {
+				if _, slab := tk.(*chunkTask); slab != (st.ref != nil) {
+					t.Fatalf("seed %d stage %d: a chunked stage must plan chunkTasks, a single-task stage none", seed, si)
+				}
+				fts = append(fts, tk)
+			}
+			if st.ref == nil {
+				for _, tk := range st.fast(ref.q) {
+					rts = append(rts, tk)
+				}
+			} else {
+				for _, tk := range st.ref(ref.q) {
+					rts = append(rts, tk)
+				}
+			}
+			if len(fts) != len(rts) {
+				t.Fatalf("seed %d stage %d: %d tasks, reference %d", seed, si, len(fts), len(rts))
+			}
+			for ti := range fts {
+				fast.ctx.Core = numa.CoreID((si + 3*ti) % fast.m.Topology().TotalCores())
+				ref.ctx.Core = fast.ctx.Core
+				for n := 0; ; n++ {
+					b := budget()
+					uf, df := fts[ti].Step(&fast.ctx, b)
+					ur, dr := rts[ti].Step(&ref.ctx, b)
+					if uf != ur || df != dr {
+						t.Fatalf("seed %d stage %d task %d step %d (budget %d): used %d done %v, reference %d %v", seed, si, ti, n, b, uf, df, ur, dr)
+					}
+					if !reflect.DeepEqual(fast.m.Snapshot(), ref.m.Snapshot()) {
+						t.Fatalf("seed %d stage %d task %d step %d: numa counters differ from the reference", seed, si, ti, n)
+					}
+					if df {
+						break
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(fast.q.scalars, ref.q.scalars) || fast.q.Scalar("total") == 0 {
+			t.Errorf("seed %d: scalars %v, reference %v", seed, fast.q.scalars, ref.q.scalars)
+		}
+		if len(fast.q.vars) != len(ref.q.vars) {
+			t.Fatalf("seed %d: %d variables, reference %d", seed, len(fast.q.vars), len(ref.q.vars))
+		}
+		for name, ps := range fast.q.vars {
+			want := ref.q.Var(name)
+			if len(ps.Parts) != len(want.Parts) {
+				t.Fatalf("seed %d: %s has %d fragments, reference %d", seed, name, len(ps.Parts), len(want.Parts))
+			}
+			for i, frag := range ps.Parts {
+				w := want.Parts[i]
+				label := fmt.Sprintf("seed %d: %s[%d]", seed, name, i)
+				if frag.Name != w.Name || frag.Kind != w.Kind || frag.placed != w.placed || frag.start != w.start {
+					t.Fatalf("%s: header (%s, kind %d, region %v@%d), reference (%s, kind %d, region %v@%d)",
+						label, frag.Name, frag.Kind, frag.placed, frag.start, w.Name, w.Kind, w.placed, w.start)
+				}
+				eqI64(t, label, frag.appendI64(nil), w.appendI64(nil))
+				eqF64(t, label, frag.F, w.F)
+			}
+		}
+		for name, parts := range fast.q.partials {
+			for i, m := range parts {
+				w := ref.q.partialsOf(name)[i]
+				if (m == nil) != (w == nil) {
+					t.Fatalf("seed %d: partial %s[%d] bound on one side only", seed, name, i)
+				}
+				if m != nil {
+					gk, gs := sortedGroups(m, nil, nil, heapPairs)
+					wk, ws := sortedGroups(w, nil, nil, heapPairs)
+					eqI64(t, name, gk, wk)
+					eqF64(t, name, gs, ws)
+				}
+			}
+		}
+		if fast.q.Var("none").Rows() != 0 || fast.q.Var("hit").Rows() == 0 || fast.q.Var("when").Rows() == 0 {
+			t.Fatalf("seed %d: the pipeline lost the cases it is there for", seed)
 		}
 	}
 }

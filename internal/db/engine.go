@@ -256,6 +256,7 @@ func (e *Engine) Submit(p *Plan) *Query {
 		sets:        make(map[string]*i64Map),
 		scalars:     make(map[string]float64),
 		partials:    make(map[string][]*i64fMap),
+		owned:       e.pool.getOwned(),
 		startCycles: e.machine.Now(),
 	}
 	e.queries = append(e.queries, q)
@@ -302,6 +303,7 @@ func (e *Engine) advance(q *Query) {
 			d.task, d.query = t, q
 			e.enqueue(d)
 		}
+		clear(tasks) // q.tasks must not keep the stage's slab reachable
 		return
 	}
 	q.done = true
@@ -384,29 +386,6 @@ func (e *Engine) taskFinished(w *worker, d *dispatched) {
 		}
 		e.advance(q)
 	}
-}
-
-// PendingTasks returns the number of queued (undispatched) tasks.
-func (e *Engine) PendingTasks() int {
-	n := e.queue.Len()
-	for i := range e.nodeQueues {
-		n += e.nodeQueues[i].Len()
-	}
-	for _, q := range e.queries {
-		n += q.taskQueue.Len()
-	}
-	return n
-}
-
-// ActiveQueries returns the number of submitted-but-unfinished queries.
-func (e *Engine) ActiveQueries() int {
-	n := 0
-	for _, q := range e.queries {
-		if !q.done {
-			n++
-		}
-	}
-	return n
 }
 
 // Release drops one finished query from the engine's tracking list and

@@ -144,8 +144,8 @@ func TestConcurrentQueriesAllFinish(t *testing.T) {
 		t.Error("no tasks accounted")
 	}
 	done := r.eng.Drain()
-	if len(done) != 8 || r.eng.ActiveQueries() != 0 {
-		t.Errorf("Drain returned %d, active %d", len(done), r.eng.ActiveQueries())
+	if len(done) != 8 || activeQueries(r.eng) != 0 {
+		t.Errorf("Drain returned %d, active %d", len(done), activeQueries(r.eng))
 	}
 }
 
@@ -253,7 +253,7 @@ func TestNUMAAwareDispatchPrefersDataNode(t *testing.T) {
 	hinted := 0
 	ranges := partitionRanges(li.Rows, 16, 256)
 	for _, rng := range ranges {
-		tk := newChunkTask("probe", r.machine, []*BAT{c}, rng[0], rng[1], cyclesScan)
+		tk := testTask(r.machine, funcKernel{}, rng[0], rng[1], cyclesScan, c)
 		if tk.PreferredNode() != numa.NoNode {
 			hinted++
 			if got := c.HomeOfRow(r.machine.Memory(), topo.BlockBytes, rng[0]); got != tk.PreferredNode() {

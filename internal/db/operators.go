@@ -134,15 +134,6 @@ const minStrip = 64
 // never fewer than minStrip.
 func strip(n int, out []int64) int { return min(n, max(cap(out)-len(out), minStrip)) }
 
-// strips runs a selection kernel over input units [a, b) strip by strip.
-func strips(a, b int, out *[]int64, kernel func(a, b int)) {
-	for a < b {
-		n := strip(b-a, *out)
-		kernel(a, a+n)
-		a += n
-	}
-}
-
 // selHint sizes the scratch buffer of a selection over rows inputs: half
 // of them, and never less than the first strip, which therefore never
 // regrows it.
@@ -158,200 +149,140 @@ func inList(list []int64, v int64) int {
 	return hit
 }
 
-// selectScanLoop builds the per-chunk filter loop scanning base rows
-// [a, b) of c and appending matching row OIDs to *out. Constructor-built
-// predicates get their comparison inlined into the loop; closure
-// predicates pay one indirect call per row; a predicate with no arm for
-// the column's kind panics here, before any row is scanned. (PredAll over
-// base rows never gets here: FilterScan answers it with a dense range.)
-func selectScanLoop(c *BAT, p Pred, out *[]int64) func(a, b int) {
-	switch {
-	case p.form == predIRange && c.Kind == KindI64:
-		lo, hi, vals := p.iLo, p.iHi, c.I
-		return func(a, b int) {
-			ids, buf := growFor(*out, b-a)
-			k := 0
-			for row := a; row < b; row++ {
-				buf[k] = int64(row)
-				v := vals[row]
-				k += b2i(v >= lo && v < hi)
-			}
-			*out = ids[:len(ids)+k]
-		}
-	case p.form == predIEq && c.Kind == KindI64:
-		x, vals := p.iLo, c.I
-		return func(a, b int) {
-			ids, buf := growFor(*out, b-a)
-			k := 0
-			for row := a; row < b; row++ {
-				buf[k] = int64(row)
-				k += b2i(vals[row] == x)
-			}
-			*out = ids[:len(ids)+k]
-		}
-	case p.form == predIIn && c.Kind == KindI64:
-		list, vals := p.iList, c.I
-		return func(a, b int) {
-			ids, buf := growFor(*out, b-a)
-			k := 0
-			for row := a; row < b; row++ {
-				buf[k] = int64(row)
-				k += inList(list, vals[row])
-			}
-			*out = ids[:len(ids)+k]
-		}
-	case p.form == predFRange && c.Kind == KindF64:
-		lo, hi, vals := p.fLo, p.fHi, c.F
-		return func(a, b int) {
-			ids, buf := growFor(*out, b-a)
-			k := 0
-			for row := a; row < b; row++ {
-				buf[k] = int64(row)
-				v := vals[row]
-				k += b2i(v >= lo && v <= hi)
-			}
-			*out = ids[:len(ids)+k]
-		}
-	case p.form == predFLess && c.Kind == KindF64:
-		hi, vals := p.fHi, c.F
-		return func(a, b int) {
-			ids, buf := growFor(*out, b-a)
-			k := 0
-			for row := a; row < b; row++ {
-				buf[k] = int64(row)
-				k += b2i(vals[row] < hi)
-			}
-			*out = ids[:len(ids)+k]
-		}
-	case c.Kind == KindI64 && p.I != nil:
-		fi, vals := p.I, c.I
-		return func(a, b int) {
-			ids, buf := growFor(*out, b-a)
-			k := 0
-			for row := a; row < b; row++ {
-				buf[k] = int64(row)
-				k += b2i(fi(vals[row]))
-			}
-			*out = ids[:len(ids)+k]
-		}
-	case c.Kind == KindF64 && p.F != nil:
-		ff, vals := p.F, c.F
-		return func(a, b int) {
-			ids, buf := growFor(*out, b-a)
-			k := 0
-			for row := a; row < b; row++ {
-				buf[k] = int64(row)
-				k += b2i(ff(vals[row]))
-			}
-			*out = ids[:len(ids)+k]
-		}
-	default:
+// fits reports whether p has an arm for column c's kind.
+func (p *Pred) fits(c *BAT) bool {
+	return (c.Kind == KindI64 && p.I != nil) || (c.Kind == KindF64 && p.F != nil)
+}
+
+// mustFit panics unless p fits c: what every selection operator checks at
+// construction, before any row is scanned.
+func (p *Pred) mustFit(c *BAT) {
+	if !p.fits(c) {
 		panic(predMismatch(c))
 	}
 }
 
-// gatherScanLoop is selectScanLoop's sibling for candidate refinement: it
-// scans positions [a, b) of the candidate list cand (within the list; the
-// caller clamps), testing the base column c at each candidate row and
-// appending surviving candidates to *out. Positions a … b of a dense
-// candidate are base rows seq+a … seq+b, so refining one is scanning them.
-func gatherScanLoop(c *BAT, p Pred, cand *BAT, out *[]int64) func(a, b int) {
-	if cand.n > 0 {
-		scan := selectScanLoop(c, p, out)
-		return func(a, b int) { scan(cand.seq+a, cand.seq+b) }
-	}
+// selectScan is the filter kernel over one strip: it scans base rows
+// [a, b) of c and returns out with the matching row OIDs appended.
+// Constructor-built predicates get their comparison inlined into the loop;
+// closure predicates pay one indirect call per row. The form is tested once
+// per strip, never per row. (A PredAll scan never gets here — FilterScan
+// answers it with a dense range — and the refinement of a dense candidate
+// under PredAll runs its closures.)
+func selectScan(c *BAT, p *Pred, out []int64, a, b int) []int64 {
+	ids, buf := growFor(out, b-a)
+	k := 0
 	switch {
-	case p.form == predAll:
-		return func(a, b int) { *out = append(*out, cand.I[a:b]...) }
 	case p.form == predIRange && c.Kind == KindI64:
 		lo, hi, vals := p.iLo, p.iHi, c.I
-		return func(a, b int) {
-			cids := cand.I[a:b]
-			ids, buf := growFor(*out, len(cids))
-			k := 0
-			for _, cid := range cids {
-				buf[k] = cid
-				v := vals[cid]
-				k += b2i(v >= lo && v < hi)
-			}
-			*out = ids[:len(ids)+k]
+		for row := a; row < b; row++ {
+			buf[k] = int64(row)
+			v := vals[row]
+			k += b2i(v >= lo && v < hi)
 		}
 	case p.form == predIEq && c.Kind == KindI64:
 		x, vals := p.iLo, c.I
-		return func(a, b int) {
-			cids := cand.I[a:b]
-			ids, buf := growFor(*out, len(cids))
-			k := 0
-			for _, cid := range cids {
-				buf[k] = cid
-				k += b2i(vals[cid] == x)
-			}
-			*out = ids[:len(ids)+k]
+		for row := a; row < b; row++ {
+			buf[k] = int64(row)
+			k += b2i(vals[row] == x)
 		}
 	case p.form == predIIn && c.Kind == KindI64:
 		list, vals := p.iList, c.I
-		return func(a, b int) {
-			cids := cand.I[a:b]
-			ids, buf := growFor(*out, len(cids))
-			k := 0
-			for _, cid := range cids {
-				buf[k] = cid
-				k += inList(list, vals[cid])
-			}
-			*out = ids[:len(ids)+k]
+		for row := a; row < b; row++ {
+			buf[k] = int64(row)
+			k += inList(list, vals[row])
 		}
 	case p.form == predFRange && c.Kind == KindF64:
 		lo, hi, vals := p.fLo, p.fHi, c.F
-		return func(a, b int) {
-			cids := cand.I[a:b]
-			ids, buf := growFor(*out, len(cids))
-			k := 0
-			for _, cid := range cids {
-				buf[k] = cid
-				v := vals[cid]
-				k += b2i(v >= lo && v <= hi)
-			}
-			*out = ids[:len(ids)+k]
+		for row := a; row < b; row++ {
+			buf[k] = int64(row)
+			v := vals[row]
+			k += b2i(v >= lo && v <= hi)
 		}
 	case p.form == predFLess && c.Kind == KindF64:
 		hi, vals := p.fHi, c.F
-		return func(a, b int) {
-			cids := cand.I[a:b]
-			ids, buf := growFor(*out, len(cids))
-			k := 0
-			for _, cid := range cids {
-				buf[k] = cid
-				k += b2i(vals[cid] < hi)
-			}
-			*out = ids[:len(ids)+k]
+		for row := a; row < b; row++ {
+			buf[k] = int64(row)
+			k += b2i(vals[row] < hi)
 		}
-	case c.Kind == KindI64 && p.I != nil:
+	case c.Kind == KindI64:
 		fi, vals := p.I, c.I
-		return func(a, b int) {
-			cids := cand.I[a:b]
-			ids, buf := growFor(*out, len(cids))
-			k := 0
-			for _, cid := range cids {
-				buf[k] = cid
-				k += b2i(fi(vals[cid]))
-			}
-			*out = ids[:len(ids)+k]
-		}
-	case c.Kind == KindF64 && p.F != nil:
-		ff, vals := p.F, c.F
-		return func(a, b int) {
-			cids := cand.I[a:b]
-			ids, buf := growFor(*out, len(cids))
-			k := 0
-			for _, cid := range cids {
-				buf[k] = cid
-				k += b2i(ff(vals[cid]))
-			}
-			*out = ids[:len(ids)+k]
+		for row := a; row < b; row++ {
+			buf[k] = int64(row)
+			k += b2i(fi(vals[row]))
 		}
 	default:
-		panic(predMismatch(c))
+		ff, vals := p.F, c.F
+		for row := a; row < b; row++ {
+			buf[k] = int64(row)
+			k += b2i(ff(vals[row]))
+		}
 	}
+	return ids[:len(ids)+k]
+}
+
+// gatherScan is selectScan's sibling for candidate refinement: it tests
+// the base column c at positions [a, b) of the candidate list cand (within
+// the list; the caller clamps) and returns out with the surviving
+// candidates appended. Positions a … b of a dense candidate are base rows
+// seq+a … seq+b, so refining one is scanning them.
+func gatherScan(c *BAT, p *Pred, cand *BAT, out []int64, a, b int) []int64 {
+	if cand.n > 0 {
+		return selectScan(c, p, out, cand.seq+a, cand.seq+b)
+	}
+	cids := cand.I[a:b]
+	if p.form == predAll {
+		return append(out, cids...)
+	}
+	ids, buf := growFor(out, len(cids))
+	k := 0
+	switch {
+	case p.form == predIRange && c.Kind == KindI64:
+		lo, hi, vals := p.iLo, p.iHi, c.I
+		for _, cid := range cids {
+			buf[k] = cid
+			v := vals[cid]
+			k += b2i(v >= lo && v < hi)
+		}
+	case p.form == predIEq && c.Kind == KindI64:
+		x, vals := p.iLo, c.I
+		for _, cid := range cids {
+			buf[k] = cid
+			k += b2i(vals[cid] == x)
+		}
+	case p.form == predIIn && c.Kind == KindI64:
+		list, vals := p.iList, c.I
+		for _, cid := range cids {
+			buf[k] = cid
+			k += inList(list, vals[cid])
+		}
+	case p.form == predFRange && c.Kind == KindF64:
+		lo, hi, vals := p.fLo, p.fHi, c.F
+		for _, cid := range cids {
+			buf[k] = cid
+			v := vals[cid]
+			k += b2i(v >= lo && v <= hi)
+		}
+	case p.form == predFLess && c.Kind == KindF64:
+		hi, vals := p.fHi, c.F
+		for _, cid := range cids {
+			buf[k] = cid
+			k += b2i(vals[cid] < hi)
+		}
+	case c.Kind == KindI64:
+		fi, vals := p.I, c.I
+		for _, cid := range cids {
+			buf[k] = cid
+			k += b2i(fi(vals[cid]))
+		}
+	default:
+		ff, vals := p.F, c.F
+		for _, cid := range cids {
+			buf[k] = cid
+			k += b2i(ff(vals[cid]))
+		}
+	}
+	return ids[:len(ids)+k]
 }
 
 // predMismatch is the panic message for a predicate that has neither an
@@ -363,6 +294,15 @@ func predMismatch(c *BAT) string {
 	return fmt.Sprintf("db: float column %s filtered with non-float predicate", c.Name)
 }
 
+// slot is one partition of a chunked stage: its task and the operator the
+// task drives, side by side. A stage plans its partitions into one slab of
+// slots, so what it allocates does not grow with its fan-out; the slab
+// dies with the stage, the output headers (newVar) live on with the query.
+type slot[O any] struct {
+	chunkTask
+	op O
+}
+
 // ThetaSelect plans algebra.thetasubselect: a full partitioned scan of a
 // base-table column producing per-partition candidate lists (row OIDs) in
 // variable out.
@@ -371,42 +311,21 @@ func ThetaSelect(table, col, out string, p Pred) StageFn {
 		base := q.eng.store.Table(table)
 		c := base.Col(col)
 		ranges := partitionRanges(base.Rows, q.Fanout(), q.eng.cfg.MinPartRows)
-		ps := &PartSet{Parts: make([]*BAT, len(ranges))}
-		q.SetVar(out, ps)
-		tasks := make([]Task, len(ranges))
+		ps := q.newVar(out, KindI64, len(ranges))
+		slab := make([]slot[FilterScan], len(ranges))
+		q.tasks = q.tasks[:0]
 		for i, r := range ranges {
-			i, r := i, r
-			t := newChunkTask("algebra.thetasubselect", q.Machine(), []*BAT{c}, r[0], r[1], cyclesScan)
+			s := &slab[i]
 			var buf []int64
 			if p.form != predAll {
 				buf = q.scratchI64(selHint(r[1] - r[0]))
 			}
-			op := NewFilterScan(c, p, r[0], r[1], buf)
-			t.process = op.runRange
-			t.finish = func(*sched.ExecContext) []*BAT {
-				q.ownI64(op.ids)
-				frag := op.result(out)
-				ps.Parts[i] = frag
-				return []*BAT{frag}
-			}
-			tasks[i] = t
+			s.op.init(c, &p, r[0], r[1], buf)
+			s.op.q, s.op.out = q, ps.Parts[i]
+			s.init("algebra.thetasubselect", q.Machine(), &s.op, r[0], r[1], cyclesScan, c)
+			q.tasks = append(q.tasks, &s.chunkTask)
 		}
-		return tasks
-	}
-}
-
-// gatherCharge returns an extraCharge hook charging the underlying column
-// for the id range covered by each chunk of an (ascending) candidate
-// fragment.
-func gatherCharge(cand *BAT, col *BAT) func(*sched.ExecContext, int, int) uint64 {
-	return func(ctx *sched.ExecContext, a, b int) uint64 {
-		if b = min(b, cand.Len()); a >= b {
-			return 0
-		}
-		if cand.n > 0 {
-			return col.chargeRange(ctx, cand.seq+a, cand.seq+b, false)
-		}
-		return col.chargeRange(ctx, int(cand.I[a]), int(cand.I[b-1])+1, false)
+		return q.tasks
 	}
 }
 
@@ -416,28 +335,20 @@ func SubSelect(in, table, col, out string, p Pred) StageFn {
 	return func(q *Query) []Task {
 		c := q.eng.store.Table(table).Col(col)
 		inPS := q.Var(in)
-		ps := &PartSet{Parts: make([]*BAT, len(inPS.Parts))}
-		q.SetVar(out, ps)
-		var tasks []Task
+		ps := q.newVar(out, KindI64, len(inPS.Parts))
+		slab := make([]slot[FilterRefine], len(inPS.Parts))
+		q.tasks = q.tasks[:0]
 		for i, cand := range inPS.Parts {
-			i, cand := i, cand
 			if cand == nil || cand.Len() == 0 {
-				ps.Parts[i] = NewI64(out, nil)
 				continue
 			}
-			t := newChunkTask("algebra.subselect", q.Machine(), []*BAT{cand}, 0, cand.Len(), cyclesGather)
-			t.extraCharge = gatherCharge(cand, c)
-			op := NewFilterRefine(c, p, cand, q.scratchI64(selHint(cand.Len())))
-			t.process = op.runRange
-			t.finish = func(*sched.ExecContext) []*BAT {
-				q.ownI64(op.ids)
-				frag := NewI64(out, op.ids)
-				ps.Parts[i] = frag
-				return []*BAT{frag}
-			}
-			tasks = append(tasks, t)
+			s := &slab[i]
+			s.op.init(c, &p, cand, q.scratchI64(selHint(cand.Len())))
+			s.op.q, s.op.out = q, ps.Parts[i]
+			s.gathers("algebra.subselect", q, &s.op, cand, c, cyclesGather)
+			q.tasks = append(q.tasks, &s.chunkTask)
 		}
-		return tasks
+		return q.tasks
 	}
 }
 
@@ -448,42 +359,25 @@ func Projection(in, table, col, out string) StageFn {
 	return func(q *Query) []Task {
 		c := q.eng.store.Table(table).Col(col)
 		inPS := q.Var(in)
-		ps := &PartSet{Parts: make([]*BAT, len(inPS.Parts))}
-		q.SetVar(out, ps)
-		var tasks []Task
+		ps := q.newVar(out, c.Kind, len(inPS.Parts))
+		slab := make([]slot[Gather], len(inPS.Parts))
+		q.tasks = q.tasks[:0]
 		for i, cand := range inPS.Parts {
-			i, cand := i, cand
 			if cand == nil || cand.Len() == 0 {
-				ps.Parts[i] = emptyLike(c, out)
 				continue
 			}
-			t := newChunkTask("algebra.projection", q.Machine(), []*BAT{cand}, 0, cand.Len(), cyclesGather)
-			t.extraCharge = gatherCharge(cand, c)
-			outB := emptyLike(c, out)
+			s, outB := &slab[i], ps.Parts[i]
 			if c.Kind == KindI64 {
 				outB.I = q.scratchI64(cand.Len())
 			} else {
 				outB.F = q.scratchF64(cand.Len())
 			}
-			op := NewGather(c, cand, outB)
-			t.process = op.runRange
-			t.finish = func(*sched.ExecContext) []*BAT {
-				q.ownI64(outB.I)
-				q.ownF64(outB.F)
-				ps.Parts[i] = outB
-				return []*BAT{outB}
-			}
-			tasks = append(tasks, t)
+			s.op = Gather{col: c, cand: cand, out: outB, q: q}
+			s.gathers("algebra.projection", q, &s.op, cand, c, cyclesGather)
+			q.tasks = append(q.tasks, &s.chunkTask)
 		}
-		return tasks
+		return q.tasks
 	}
-}
-
-func emptyLike(c *BAT, name string) *BAT {
-	if c.Kind == KindI64 {
-		return NewI64(name, nil)
-	}
-	return NewF64(name, nil)
 }
 
 // MapF2 plans batcalc binary arithmetic over two aligned float variables
@@ -494,28 +388,19 @@ func MapF2(a, b, out string, f func(x, y float64) float64) StageFn {
 		if len(pa.Parts) != len(pb.Parts) {
 			panic(fmt.Sprintf("db: MapF2 over misaligned vars %s (%d parts) and %s (%d parts)", a, len(pa.Parts), b, len(pb.Parts)))
 		}
-		ps := &PartSet{Parts: make([]*BAT, len(pa.Parts))}
-		q.SetVar(out, ps)
-		var tasks []Task
-		for i := range pa.Parts {
-			i := i
-			fa, fb := pa.Parts[i], pb.Parts[i]
+		ps := q.newVar(out, KindF64, len(pa.Parts))
+		slab := make([]slot[MapBinary], len(pa.Parts))
+		q.tasks = q.tasks[:0]
+		for i, fa := range pa.Parts {
 			if fa == nil || fa.Len() == 0 {
-				ps.Parts[i] = NewF64(out, nil)
 				continue
 			}
-			t := newChunkTask("batcalc.*", q.Machine(), []*BAT{fa, fb}, 0, fa.Len(), cyclesMap)
-			op := NewMapBinary(fa, fb, f, q.scratchF64(fa.Len()))
-			t.process = op.runRange
-			t.finish = func(*sched.ExecContext) []*BAT {
-				q.ownF64(op.res)
-				frag := NewF64(out, op.res)
-				ps.Parts[i] = frag
-				return []*BAT{frag}
-			}
-			tasks = append(tasks, t)
+			s, fb := &slab[i], pb.Parts[i]
+			s.op = MapBinary{a: fa, b: fb, f: f, res: q.scratchF64(fa.Len()), q: q, out: ps.Parts[i]}
+			s.init("batcalc.*", q.Machine(), &s.op, 0, fa.Len(), cyclesMap, fa, fb)
+			q.tasks = append(q.tasks, &s.chunkTask)
 		}
-		return tasks
+		return q.tasks
 	}
 }
 
@@ -524,22 +409,18 @@ func MapF2(a, b, out string, f func(x, y float64) float64) StageFn {
 func SumF(in, scalar string) StageFn {
 	return func(q *Query) []Task {
 		ps := q.Var(in)
-		var tasks []Task
-		for _, frag := range ps.Parts {
-			frag := frag
+		slab := make([]slot[SumAgg], len(ps.Parts))
+		q.tasks = q.tasks[:0]
+		for i, frag := range ps.Parts {
 			if frag == nil || frag.Len() == 0 {
 				continue
 			}
-			t := newChunkTask("aggr.sum", q.Machine(), []*BAT{frag}, 0, frag.Len(), cyclesSum)
-			op := NewSumAgg(frag)
-			t.process = op.runRange
-			t.finish = func(*sched.ExecContext) []*BAT {
-				q.AddScalar(scalar, op.partial)
-				return nil
-			}
-			tasks = append(tasks, t)
+			s := &slab[i]
+			s.op = SumAgg{in: frag, q: q, scalar: scalar}
+			s.init("aggr.sum", q.Machine(), &s.op, 0, frag.Len(), cyclesSum, frag)
+			q.tasks = append(q.tasks, &s.chunkTask)
 		}
-		return tasks
+		return q.tasks
 	}
 }
 
@@ -646,48 +527,27 @@ func probe(inCand, table, col, setName, outCand, outVals string, anti bool) Stag
 		c := q.eng.store.Table(table).Col(col)
 		inPS := q.Var(inCand)
 		set := q.Set(setName)
-		ps := &PartSet{Parts: make([]*BAT, len(inPS.Parts))}
-		q.SetVar(outCand, ps)
+		ps := q.newVar(outCand, KindI64, len(inPS.Parts))
 		var vps *PartSet
 		if outVals != "" {
-			vps = &PartSet{Parts: make([]*BAT, len(inPS.Parts))}
-			q.SetVar(outVals, vps)
+			vps = q.newVar(outVals, KindI64, len(inPS.Parts))
 		}
-		var tasks []Task
+		slab := make([]slot[HashProbe], len(inPS.Parts))
+		q.tasks = q.tasks[:0]
 		for i, cand := range inPS.Parts {
-			i, cand := i, cand
 			if cand == nil || cand.Len() == 0 {
-				ps.Parts[i] = NewI64(outCand, nil)
-				if vps != nil {
-					vps.Parts[i] = NewI64(outVals, nil)
-				}
 				continue
 			}
-			t := newChunkTask("join.probe", q.Machine(), []*BAT{cand}, 0, cand.Len(), cyclesProbe)
-			t.extraCharge = gatherCharge(cand, c)
-			var payloads []int64
-			ids := q.scratchI64(selHint(cand.Len()))
+			s := &slab[i]
+			s.op = HashProbe{col: c, cand: cand, set: set, anti: anti, fetch: vps != nil,
+				ids: q.scratchI64(selHint(cand.Len())), q: q, out: ps.Parts[i]}
 			if vps != nil {
-				payloads = q.scratchI64(selHint(cand.Len()))
+				s.op.payloads, s.op.payOut = q.scratchI64(selHint(cand.Len())), vps.Parts[i]
 			}
-			op := NewHashProbe(c, cand, set, anti, vps != nil, ids, payloads)
-			t.process = op.runRange
-			t.finish = func(*sched.ExecContext) []*BAT {
-				q.ownI64(op.ids)
-				frag := NewI64(outCand, op.ids)
-				ps.Parts[i] = frag
-				outs := []*BAT{frag}
-				if vps != nil {
-					q.ownI64(op.payloads)
-					vf := NewI64(outVals, op.payloads)
-					vps.Parts[i] = vf
-					outs = append(outs, vf)
-				}
-				return outs
-			}
-			tasks = append(tasks, t)
+			s.gathers("join.probe", q, &s.op, cand, c, cyclesProbe)
+			q.tasks = append(q.tasks, &s.chunkTask)
 		}
-		return tasks
+		return q.tasks
 	}
 }
 
@@ -757,40 +617,29 @@ func GroupSum(keysVar, valsVar, partialsName string) StageFn {
 		if len(keys.Parts) != len(vals.Parts) {
 			panic(fmt.Sprintf("db: GroupSum misaligned %s/%s", keysVar, valsVar))
 		}
-		countMode := valsVar == ""
 		partials := make([]*i64fMap, len(keys.Parts))
 		q.setPartials(partialsName, partials)
-		var tasks []Task
-		for i := range keys.Parts {
-			i := i
-			kf, vf := keys.Parts[i], vals.Parts[i]
+		slab := make([]slot[GroupAgg], len(keys.Parts))
+		q.tasks = q.tasks[:0]
+		for i, kf := range keys.Parts {
 			if kf == nil || kf.Len() == 0 {
 				continue
 			}
-			inputs := []*BAT{kf}
-			if !countMode {
-				inputs = append(inputs, vf)
-			}
-			t := newChunkTask("group.sum", q.Machine(), inputs, 0, kf.Len(), cyclesGroup)
-			aggIn := vf
-			if countMode {
-				aggIn = nil
+			s, vf := &slab[i], vals.Parts[i]
+			if valsVar == "" {
+				vf = nil // count mode
 			}
 			// A partial over a dense enough key range is sized here, once;
 			// one left in hash form grows by doubling, its distinct count
 			// being unknown.
-			partial := q.scratchMapIF()
+			partials[i] = q.scratchMapIF()
 			lo, hi := kf.widen(noKeys())
-			partial.tryPositional(lo, hi, kf.Len(), false)
-			op := NewGroupAgg(kf, aggIn, partial)
-			t.process = op.runRange
-			t.finish = func(*sched.ExecContext) []*BAT {
-				partials[i] = op.agg
-				return nil
-			}
-			tasks = append(tasks, t)
+			partials[i].tryPositional(lo, hi, kf.Len(), false)
+			s.op = GroupAgg{keys: kf.byPosition(), vals: vf.byPosition(), agg: partials[i]}
+			s.init("group.sum", q.Machine(), &s.op, 0, kf.Len(), cyclesGroup, kf, vf)
+			q.tasks = append(q.tasks, &s.chunkTask)
 		}
-		return tasks
+		return q.tasks
 	}
 }
 

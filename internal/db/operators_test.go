@@ -187,7 +187,7 @@ func TestOpGroupFilterAndTopN(t *testing.T) {
 }
 
 // TestOpPredTypeMismatchPanics: a predicate with no arm for the column's
-// kind panics when the selection loop is built, before any row is read —
+// kind panics when the selection operator is built, before any row is read —
 // hand-built or inlinable, over base rows or over candidates of either
 // form.
 func TestOpPredTypeMismatchPanics(t *testing.T) {
@@ -202,16 +202,20 @@ func TestOpPredTypeMismatchPanics(t *testing.T) {
 		}()
 		build()
 	}
-	var out []int64
 	floatOnly := Pred{F: func(float64) bool { return true }}
-	mustPanic("float closure on integer column", "integer column k", func() { selectScanLoop(k, floatOnly, &out) })
-	mustPanic("integer range on float column", "float column v", func() { selectScanLoop(v, PredIRange(0, 9), &out) })
-	mustPanic("empty predicate", "integer column k", func() { selectScanLoop(k, Pred{}, &out) })
+	mustPanic("float closure on integer column", "integer column k", func() { NewFilterScan(k, floatOnly, 0, 8, nil) })
+	mustPanic("integer range on float column", "float column v", func() { NewFilterScan(v, PredIRange(0, 9), 0, 8, nil) })
+	mustPanic("empty predicate", "integer column k", func() { NewFilterScan(k, Pred{}, 0, 8, nil) })
 	mustPanic("refining a materialized candidate", "float column v", func() {
-		gatherScanLoop(v, PredIEq(1), NewI64("cand", []int64{0, 1}), &out)
+		NewFilterRefine(v, PredIEq(1), NewI64("cand", []int64{0, 1}), nil)
 	})
 	mustPanic("refining a dense candidate", "integer column k", func() {
-		gatherScanLoop(k, PredFLess(1), newDense("cand", 0, 2), &out)
+		NewFilterRefine(k, PredFLess(1), newDense("cand", 0, 2), nil)
+	})
+	// The stage builders build their operators in place, through the same
+	// check: a mismatched plan dies while its first stage is planned.
+	mustPanic("planning a mismatched scan", "integer column k", func() {
+		ThetaSelect("t", "k", "c", floatOnly)(planningQuery(r.eng))
 	})
 }
 

@@ -89,6 +89,9 @@ type Query struct {
 	done      bool
 	released  bool
 	taskQueue deque.Deque[*dispatched] // per-query dataflow queue (PlacementOS)
+	// tasks is the buffer chunked stages return their tasks in: the engine
+	// moves them into dispatch envelopes before the next stage plans.
+	tasks []Task
 
 	// owned registers pooled buffers backing this query's intermediates,
 	// reclaimed when the finished query is drained (see pool.go).
@@ -111,6 +114,22 @@ func (q *Query) Var(name string) *PartSet {
 
 // SetVar binds a named intermediate.
 func (q *Query) SetVar(name string, ps *PartSet) { q.vars[name] = ps }
+
+// newVar binds name to a fresh intermediate of the given number of empty
+// fragments and returns it. The fragment headers are one array — Parts[i]
+// points at element i, which the partition's task fills in place and an
+// empty partition leaves as it is — so a stage's output costs the same
+// three objects at any fan-out, and nothing else of the stage outlives it.
+func (q *Query) newVar(name string, kind Kind, parts int) *PartSet {
+	hdr := make([]BAT, parts)
+	ps := &PartSet{Parts: make([]*BAT, parts)}
+	for i := range hdr {
+		hdr[i].Name, hdr[i].Kind = name, kind
+		ps.Parts[i] = &hdr[i]
+	}
+	q.vars[name] = ps
+	return ps
+}
 
 // Set returns a named hash-join build table.
 func (q *Query) Set(name string) *i64Map {

@@ -31,6 +31,9 @@ type bufPool struct {
 	mif  []*i64fMap
 	mii  []*i64Map
 	disp []*dispatched
+	// owned holds the emptied registries of released queries, so a warm
+	// engine's queries do not each regrow theirs from nil.
+	owned []ownedBuffers
 }
 
 // class files a buffer under the power-of-two bucket of its capacity:
@@ -151,6 +154,17 @@ func (p *bufPool) putDispatched(d *dispatched) {
 	}
 }
 
+func (p *bufPool) getOwned() ownedBuffers {
+	n := len(p.owned)
+	if n == 0 {
+		return ownedBuffers{}
+	}
+	o := p.owned[n-1]
+	p.owned[n-1] = ownedBuffers{}
+	p.owned = p.owned[:n-1]
+	return o
+}
+
 // ownedBuffers is a query's registry of pooled storage to return at drain
 // time. Each buffer must be registered exactly once — registering an alias
 // twice would hand the same backing array to two future queries.
@@ -230,6 +244,9 @@ func (q *Query) releaseTo(p *bufPool) {
 	for i, m := range q.owned.mii {
 		p.putMapII(m)
 		q.owned.mii[i] = nil
+	}
+	if o := &q.owned; len(p.owned) < poolClassCap {
+		p.owned = append(p.owned, ownedBuffers{o.i64[:0], o.f64[:0], o.mif[:0], o.mii[:0]})
 	}
 	q.owned = ownedBuffers{}
 }

@@ -2,6 +2,7 @@ package db
 
 import (
 	"testing"
+	"unsafe"
 
 	"elasticore/internal/numa"
 	"elasticore/internal/sched"
@@ -116,8 +117,8 @@ func TestReleaseIgnoresNilAndUnfinished(t *testing.T) {
 	if got := poolDepth(&eng.pool); got != before {
 		t.Errorf("releasing an unfinished query moved %d buffers", got-before)
 	}
-	if eng.ActiveQueries() != 1 {
-		t.Errorf("unfinished query dropped from tracking: %d running, want 1", eng.ActiveQueries())
+	if activeQueries(eng) != 1 {
+		t.Errorf("unfinished query dropped from tracking: %d running, want 1", activeQueries(eng))
 	}
 }
 
@@ -185,5 +186,63 @@ func TestPoolClassCapBoundsRetention(t *testing.T) {
 		if len(cl) != 0 {
 			t.Errorf("zero-cap put filed a buffer in class %d", c)
 		}
+	}
+}
+
+// TestReleaseDonatesEachBufferOnce: every chunked stage's completion
+// registers each pooled buffer it kept exactly once. A plan through all of
+// them is run and released twice over (the second run out of recycled
+// storage); afterwards no backing array may sit in the pool under two
+// entries — that array would back two intermediates of a later query.
+func TestReleaseDonatesEachBufferOnce(t *testing.T) {
+	r := newSpecRigRows(t, 20000)
+	plan := &Plan{Name: "every-builder", Stages: []StageFn{
+		ThetaSelect("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+		SubSelect("cheap", "lineitem", "l_discount", "c2", PredFRange(0.02, 0.08)),
+		Projection("c2", "lineitem", "l_orderkey", "k"),
+		Projection("c2", "lineitem", "l_extendedprice", "p"),
+		MapF2("p", "p", "sq", func(x, y float64) float64 { return x * y }),
+		SumF("sq", "total"),
+		BuildMap("k", "k", "seen"),
+		ScanAll("lineitem", "l_orderkey", "all"),
+		ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
+		ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
+		ProbeFetch("all", "lineitem", "l_orderkey", "seen", "got", "pay"),
+		GroupSum("k", "sq", "parts"),
+		GroupMerge("parts", "gk", "gs"),
+	}}
+	for i := 0; i < 2; i++ {
+		q := r.eng.Submit(plan)
+		r.run(t, q)
+		if q.Var("pay").Rows() == 0 || q.Var("gk").Rows() == 0 {
+			t.Fatal("the plan produced nothing; rig broken")
+		}
+		r.eng.Release(q)
+	}
+	seen := map[any]bool{}
+	once := func(kind string, data any) {
+		if seen[data] {
+			t.Errorf("an %s backing array is in the pool twice", kind)
+		}
+		seen[data] = true
+	}
+	for _, class := range r.eng.pool.i64 {
+		for _, buf := range class {
+			once("int64", unsafe.SliceData(buf))
+		}
+	}
+	for _, class := range r.eng.pool.f64 {
+		for _, buf := range class {
+			once("float64", unsafe.SliceData(buf))
+		}
+	}
+	for _, m := range r.eng.pool.mif {
+		once("i64fMap", m)
+	}
+	for _, m := range r.eng.pool.mii {
+		once("i64Map", m)
+	}
+	if len(seen) == 0 {
+		t.Fatal("the released queries pooled nothing")
 	}
 }

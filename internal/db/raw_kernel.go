@@ -80,8 +80,9 @@ func SpawnRawQ6(s *Store, sc *sched.Scheduler, pid, nthreads int, aff RawAffinit
 	topo := s.Machine().Topology()
 	ranges := partitionRanges(li.Rows, nthreads, 1)
 	k.remaining = len(ranges)
+	slab := make([]slot[FusedQ6], len(ranges))
 	for i, r := range ranges {
-		t := k.sliceTask(s.Machine(), r[0], r[1])
+		t := k.sliceTask(&slab[i], s.Machine(), r[0], r[1])
 		var opts []sched.SpawnOption
 		switch aff {
 		case RawDense:
@@ -95,20 +96,14 @@ func SpawnRawQ6(s *Store, sc *sched.Scheduler, pid, nthreads int, aff RawAffinit
 	return k, nil
 }
 
-// sliceTask returns the Runner for one thread's fused scan over rows
-// [lo, hi).
-func (k *RawQ6) sliceTask(machine *numa.Machine, lo, hi int) sched.Runner {
-	ct := newChunkTask("raw.q6", machine,
-		[]*BAT{k.shipdate, k.quantity, k.discount, k.price}, lo, hi, cyclesScan)
-	op := NewFusedQ6(k.shipdate, k.quantity, k.discount, k.price, lo, hi)
-	ct.process = op.runRange
-	ct.finish = func(*sched.ExecContext) []*BAT {
-		k.Revenue += op.partial
-		k.remaining--
-		return nil
-	}
+// sliceTask sets s up as one thread's fused scan over rows [lo, hi) and
+// returns its Runner.
+func (k *RawQ6) sliceTask(s *slot[FusedQ6], machine *numa.Machine, lo, hi int) sched.Runner {
+	s.op = *NewFusedQ6(k.shipdate, k.quantity, k.discount, k.price, lo, hi)
+	s.op.raw = k
+	s.init("raw.q6", machine, &s.op, lo, hi, cyclesScan, k.shipdate, k.quantity, k.discount, k.price)
 	return sched.RunnerFunc(func(ctx *sched.ExecContext, budget uint64) (uint64, bool, bool) {
-		used, done := ct.Step(ctx, budget)
+		used, done := s.Step(ctx, budget)
 		return used, false, done
 	})
 }

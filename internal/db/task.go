@@ -20,32 +20,43 @@ type Task interface {
 	PreferredNode() numa.NodeID
 }
 
-// chunkTask is the shared implementation of partition tasks: it walks rows
-// [lo, hi) in chunks, charging simulated accesses on the inputs and
+// kernel is what a chunkTask drives: the operator of one partition, which
+// lives beside the task in its stage's slab (slot, operators.go).
+type kernel interface {
+	// runRange runs the real computation for rows [a, b).
+	runRange(a, b int)
+	// complete runs once, after the last chunk: it fills the partition's
+	// output header(s) in place, registers the pooled buffers behind them
+	// with the query and returns the BATs to charge as written (their
+	// regions get homed here), nil for none.
+	complete() (out, out2 *BAT)
+}
+
+// maxInputs is the most BATs a chunkTask charges per chunk (the fused Q6
+// kernel reads four columns).
+const maxInputs = 4
+
+// chunkTask is the shared implementation of partition tasks: it walks its
+// rows in chunks, charging simulated accesses on the inputs and
 // running the real computation, then materializes its output with write
 // accesses on the executing core (first touch places the intermediate
-// where it was produced).
+// where it was produced). It holds no closure and no slice of its own, so
+// a stage's tasks are one array.
 type chunkTask struct {
 	op     string
-	inputs []*BAT // charged per chunk
-	lo, hi int
-	chunk  int // rows per step iteration
+	k      kernel
+	inputs [maxInputs]*BAT // charged per chunk; the unused tail is nil
+	chunk  int             // rows per step iteration
 
-	cursor         int
+	cursor, hi     int // rows [cursor, hi) are still to do
 	cyclesPerTuple uint64
 	pref           numa.NodeID
 
-	// process runs the real computation for rows [a, b).
-	process func(a, b int)
-	// extraCharge, if set, charges additional simulated accesses for rows
-	// [a, b) (gather operators charge the underlying column here).
-	extraCharge func(ctx *sched.ExecContext, a, b int) uint64
-	// finish materializes the partition output; it may return BATs to
-	// charge as written (their regions get homed here).
-	finish func(ctx *sched.ExecContext) []*BAT
+	// cand and col, set by gather operators, charge the underlying column
+	// col for the id range each chunk of candidate fragment cand covers.
+	cand, col *BAT
 
 	finished bool
-	onDone   func()
 	// debt carries cycles owed beyond the last quantum's budget: a chunk
 	// is atomic, so its overshoot is paid down across subsequent quanta.
 	// Without this, congestion-stretched access costs would be silently
@@ -54,23 +65,18 @@ type chunkTask struct {
 	debt uint64
 }
 
-// newChunkTask builds a task over [lo, hi) with a default chunk of one
-// placement block worth of rows.
-func newChunkTask(op string, machine *numa.Machine, inputs []*BAT, lo, hi int, cyclesPerTuple uint64) *chunkTask {
+// init sets up a zero task (a fresh slab's are) in place over rows
+// [lo, hi) of inputs, with a default chunk of one placement block worth of
+// rows.
+func (t *chunkTask) init(op string, machine *numa.Machine, k kernel, lo, hi int, cyclesPerTuple uint64, inputs ...*BAT) {
 	topo := machine.Topology()
-	chunk := topo.BlockBytes / valueBytes
-	if chunk < 1 {
-		chunk = 1
-	}
-	t := &chunkTask{
-		op:             op,
-		inputs:         inputs,
-		lo:             lo,
-		hi:             hi,
-		chunk:          chunk,
-		cursor:         lo,
-		cyclesPerTuple: cyclesPerTuple,
-		pref:           numa.NoNode,
+	t.op, t.k = op, k
+	t.hi, t.cursor = hi, lo
+	t.chunk = max(topo.BlockBytes/valueBytes, 1)
+	t.cyclesPerTuple = cyclesPerTuple
+	t.pref = numa.NoNode
+	if copy(t.inputs[:], inputs) < len(inputs) {
+		panic("db: chunkTask over more than maxInputs inputs")
 	}
 	// Dispatch hint: the home of the first input's first block.
 	for _, in := range inputs {
@@ -82,7 +88,13 @@ func newChunkTask(op string, machine *numa.Machine, inputs []*BAT, lo, hi int, c
 			break
 		}
 	}
-	return t
+}
+
+// gathers is init for a gather operator over candidate fragment cand,
+// whose task additionally charges the underlying column col.
+func (t *chunkTask) gathers(op string, q *Query, k kernel, cand, col *BAT, cyclesPerTuple uint64) {
+	t.init(op, q.Machine(), k, 0, cand.Len(), cyclesPerTuple, cand)
+	t.cand, t.col = cand, col
 }
 
 // Op implements Task.
@@ -103,42 +115,29 @@ func (t *chunkTask) Step(ctx *sched.ExecContext, budget uint64) (uint64, bool) {
 		t.debt = 0
 	}
 	for used < budget && t.cursor < t.hi {
-		n := t.chunk
-		if rem := t.hi - t.cursor; n > rem {
-			n = rem
-		}
+		n := min(t.chunk, t.hi-t.cursor)
 		cost := uint64(n) * t.cyclesPerTuple
-		for _, in := range t.inputs {
+		for _, in := range &t.inputs {
 			if in != nil && in.Len() > 0 {
-				lo, hi := t.cursor, t.cursor+n
-				if hi > in.Len() {
-					hi = in.Len()
-				}
-				if lo < hi {
+				if lo, hi := t.cursor, min(t.cursor+n, in.Len()); lo < hi {
 					cost += in.chargeRange(ctx, lo, hi, false)
 				}
 			}
 		}
-		if t.extraCharge != nil {
-			cost += t.extraCharge(ctx, t.cursor, t.cursor+n)
+		if t.cand != nil {
+			cost += chargeGathered(ctx, t.cand, t.col, t.cursor, t.cursor+n)
 		}
-		if t.process != nil {
-			t.process(t.cursor, t.cursor+n)
-		}
+		t.k.runRange(t.cursor, t.cursor+n)
 		t.cursor += n
 		used += cost
 	}
 	if t.cursor >= t.hi && !t.finished {
 		t.finished = true
-		if t.finish != nil {
-			for _, out := range t.finish(ctx) {
-				if out != nil && out.Len() > 0 {
-					used += out.chargeRange(ctx, 0, out.Len(), true)
-				}
+		out, out2 := t.k.complete()
+		for _, w := range [2]*BAT{out, out2} {
+			if w != nil && w.Len() > 0 {
+				used += w.chargeRange(ctx, 0, w.Len(), true)
 			}
-		}
-		if t.onDone != nil {
-			t.onDone()
 		}
 	}
 	if used > budget {
@@ -146,6 +145,18 @@ func (t *chunkTask) Step(ctx *sched.ExecContext, budget uint64) (uint64, bool) {
 		used = budget
 	}
 	return used, t.finished && t.debt == 0
+}
+
+// chargeGathered charges column col for the id range that positions
+// [a, b) of the (ascending) candidate fragment cand cover.
+func chargeGathered(ctx *sched.ExecContext, cand, col *BAT, a, b int) uint64 {
+	if b = min(b, cand.Len()); a >= b {
+		return 0
+	}
+	if cand.n > 0 {
+		return col.chargeRange(ctx, cand.seq+a, cand.seq+b, false)
+	}
+	return col.chargeRange(ctx, int(cand.I[a]), int(cand.I[b-1])+1, false)
 }
 
 // partitionRanges splits n rows into at most parts contiguous ranges of

@@ -7,6 +7,45 @@ import (
 	"elasticore/internal/sched"
 )
 
+// funcKernel adapts closures to the kernel interface: how the tests build a
+// task around an ad-hoc computation, and how the reference lowering of
+// dense_test.go rebuilds the closure-driven tasks the slab replaced.
+type funcKernel struct {
+	process func(a, b int)
+	finish  func() (*BAT, *BAT)
+}
+
+func (k funcKernel) runRange(a, b int) {
+	if k.process != nil {
+		k.process(a, b)
+	}
+}
+
+func (k funcKernel) complete() (*BAT, *BAT) {
+	if k.finish != nil {
+		return k.finish()
+	}
+	return nil, nil
+}
+
+// testTask returns a free-standing chunkTask over [lo, hi) of inputs.
+func testTask(m *numa.Machine, k kernel, lo, hi int, cyclesPerTuple uint64, inputs ...*BAT) *chunkTask {
+	t := &chunkTask{}
+	t.init("op", m, k, lo, hi, cyclesPerTuple, inputs...)
+	return t
+}
+
+// activeQueries counts the submitted-but-unfinished queries e tracks.
+func activeQueries(e *Engine) int {
+	n := 0
+	for _, q := range e.queries {
+		if !q.done {
+			n++
+		}
+	}
+	return n
+}
+
 // TestChunkTaskRespectsBudget verifies resumability: a task stepped with
 // tiny budgets makes incremental progress and eventually finishes with
 // the same result as one big step.
@@ -19,13 +58,11 @@ func TestChunkTaskRespectsBudget(t *testing.T) {
 	var sum float64
 	mk := func() *chunkTask {
 		sum = 0
-		tk := newChunkTask("op", m, []*BAT{col}, 0, col.Len(), 2)
-		tk.process = func(a, b int) {
+		return testTask(m, funcKernel{process: func(a, b int) {
 			for i := a; i < b; i++ {
 				sum += col.F[i]
 			}
-		}
-		return tk
+		}}, 0, col.Len(), 2, col)
 	}
 	ctx := &sched.ExecContext{Machine: m, Core: 0, PID: 1}
 
@@ -60,7 +97,7 @@ func TestChunkTaskDebtCarries(t *testing.T) {
 	col := NewF64("c", make([]float64, 64))
 	// Enormous per-tuple cost makes the first chunk exceed any small
 	// budget.
-	tk := newChunkTask("op", m, []*BAT{col}, 0, col.Len(), 1_000_000)
+	tk := testTask(m, funcKernel{}, 0, col.Len(), 1_000_000, col)
 	ctx := &sched.ExecContext{Machine: m, Core: 0, PID: 1}
 
 	var total uint64
@@ -118,18 +155,18 @@ func TestGatherChargeBounds(t *testing.T) {
 	ctx := &sched.ExecContext{Machine: m, Core: 0, PID: 1}
 
 	empty := NewI64("cand", nil)
-	if got := gatherCharge(empty, col)(ctx, 0, 10); got != 0 {
+	if got := chargeGathered(ctx, empty, col, 0, 10); got != 0 {
 		t.Errorf("empty candidate charged %d cycles", got)
 	}
 	cand := NewI64("cand", []int64{10, 20, 900})
-	if got := gatherCharge(cand, col)(ctx, 0, 3); got == 0 {
+	if got := chargeGathered(ctx, cand, col, 0, 3); got == 0 {
 		t.Error("non-empty candidate charged nothing")
 	}
 	// Out-of-range chunk bounds are clamped, not panicking.
-	if got := gatherCharge(cand, col)(ctx, 2, 50); got == 0 {
+	if got := chargeGathered(ctx, cand, col, 2, 50); got == 0 {
 		t.Error("clamped chunk charged nothing")
 	}
-	if got := gatherCharge(cand, col)(ctx, 5, 9); got != 0 {
+	if got := chargeGathered(ctx, cand, col, 5, 9); got != 0 {
 		t.Errorf("fully out-of-range chunk charged %d", got)
 	}
 }

@@ -8,12 +8,14 @@ import "sort"
 // aggregation, sort/limit and point lookup — is an object wrapping the
 // form-specialized kernel loops, drivable two ways:
 //
-//   - Inside the engine, stage builders (operators.go) construct the
-//     operator and hand its runRange method to a chunkTask, which walks
-//     the input in block-sized chunks and charges BOTH the per-tuple
-//     compute cycles and the simulated NUMA memory accesses itself. This
-//     is the only drive mode queries use, so the refactor leaves every
-//     engine-visible byte identical.
+//   - Inside the engine, a stage builder (operators.go) embeds the
+//     operator value in its stage's slab beside a chunkTask, which drives
+//     it through the kernel interface (task.go): runRange over the input
+//     in block-sized chunks — the task charges BOTH the per-tuple compute
+//     cycles and the simulated NUMA memory accesses itself — then
+//     complete, once, which delivers the partition's result to the query
+//     (the engine-drive fields at the end of each operator; a standalone
+//     drive leaves them zero). This is the only drive mode queries use.
 //
 //   - Standalone, Next(n) consumes up to n input units (base rows for
 //     leaf scans, candidate positions for refinements/probes/gathers,
@@ -28,8 +30,8 @@ import "sort"
 //     this mode against row-at-a-time references and asserts identical
 //     outputs and identical charged cycles.
 //
-// Because both modes run the same kernel closures over the same state,
-// agreement in one mode is agreement in the other.
+// Both modes run the same runRange over the same state, so agreement in
+// one mode is agreement in the other.
 
 // Operator is the pluggable batch-iterator contract of the vectorized
 // execution layer.
@@ -83,42 +85,67 @@ func tailViewF64(name string, buf []float64, mark int) *BAT {
 // scanned so far are the result, as a dense candidate list.
 type FilterScan struct {
 	col    *BAT
+	pred   *Pred
 	ids    []int64
-	loop   func(a, b int) // nil under PredAll
 	lo, hi int
 	all    int // rows scanned under PredAll: the result is [lo, lo+all)
 
 	cursor int
 	m      meter
+
+	// Engine drive: the query that owns ids, the header the result fills.
+	q   *Query
+	out *BAT
 }
 
 // NewFilterScan builds the operator over rows [lo, hi) of col. buf seeds
 // the OID accumulator (pass a pooled scratch buffer inside the engine,
 // nil standalone or under PredAll).
 func NewFilterScan(col *BAT, p Pred, lo, hi int, buf []int64) *FilterScan {
-	fs := &FilterScan{col: col, ids: buf, lo: lo, hi: hi, cursor: lo}
-	if p.form != predAll {
-		fs.loop = selectScanLoop(col, p, &fs.ids)
-	}
-	return fs
+	s := &struct {
+		FilterScan
+		p Pred
+	}{p: p}
+	s.init(col, &s.p, lo, hi, buf)
+	return &s.FilterScan
+}
+
+// init is NewFilterScan on a zero operator in place, over a predicate the
+// caller keeps. A predicate with no arm for col's kind panics here.
+func (fs *FilterScan) init(col *BAT, p *Pred, lo, hi int, buf []int64) {
+	p.mustFit(col)
+	fs.col, fs.pred, fs.ids = col, p, buf
+	fs.lo, fs.hi, fs.cursor = lo, hi, lo
 }
 
 // runRange runs the kernel over base rows [a, b) (engine drive: chunks
-// arrive in order from lo).
+// arrive in order from lo), strip by strip.
 func (fs *FilterScan) runRange(a, b int) {
-	if fs.loop == nil {
+	if fs.pred.form == predAll {
 		fs.all += b - a
 		return
 	}
-	strips(a, b, &fs.ids, fs.loop)
+	for a < b {
+		n := strip(b-a, fs.ids)
+		fs.ids = selectScan(fs.col, fs.pred, fs.ids, a, a+n)
+		a += n
+	}
 }
 
-// result returns the candidate list accumulated so far.
-func (fs *FilterScan) result(name string) *BAT {
-	if fs.loop == nil {
-		return newDense(name, fs.lo, fs.all)
+// fill makes out the candidate list accumulated so far.
+func (fs *FilterScan) fill(out *BAT) {
+	if fs.pred.form == predAll {
+		out.seq, out.n = fs.lo, fs.all
+		return
 	}
-	return NewI64(name, fs.ids)
+	out.I = fs.ids
+}
+
+// complete implements kernel: the candidate list fills the header.
+func (fs *FilterScan) complete() (*BAT, *BAT) {
+	fs.q.ownI64(fs.ids)
+	fs.fill(fs.out)
+	return fs.out, nil
 }
 
 // Op implements Operator.
@@ -137,7 +164,7 @@ func (fs *FilterScan) Next(n int) *BAT {
 	fs.runRange(fs.cursor, fs.cursor+n)
 	fs.cursor += n
 	fs.m.add(n, cyclesScan)
-	if fs.loop == nil {
+	if fs.pred.form == predAll {
 		return newDense(fs.col.Name+".sel", fs.cursor-n, n)
 	}
 	return tailViewI64(fs.col.Name+".sel", fs.ids, mark)
@@ -148,22 +175,47 @@ func (fs *FilterScan) Next(n int) *BAT {
 // input unit is one candidate position.
 type FilterRefine struct {
 	col, cand *BAT
+	pred      *Pred
 	ids       []int64
-	loop      func(a, b int)
 
 	cursor int
 	m      meter
+
+	// Engine drive: the query that owns ids, the header the result fills.
+	q   *Query
+	out *BAT
 }
 
 // NewFilterRefine builds the operator over the candidate list cand.
 func NewFilterRefine(col *BAT, p Pred, cand *BAT, buf []int64) *FilterRefine {
-	fr := &FilterRefine{col: col, cand: cand, ids: buf}
-	fr.loop = gatherScanLoop(col, p, cand, &fr.ids)
-	return fr
+	s := &struct {
+		FilterRefine
+		p Pred
+	}{p: p}
+	s.init(col, &s.p, cand, buf)
+	return &s.FilterRefine
+}
+
+// init is NewFilterRefine on a zero operator in place, over a predicate
+// the caller keeps. A predicate with no arm for col's kind panics here.
+func (fr *FilterRefine) init(col *BAT, p *Pred, cand *BAT, buf []int64) {
+	p.mustFit(col)
+	fr.col, fr.cand, fr.pred, fr.ids = col, cand, p, buf
 }
 
 func (fr *FilterRefine) runRange(a, b int) {
-	strips(a, min(b, fr.cand.Len()), &fr.ids, fr.loop)
+	for b = min(b, fr.cand.Len()); a < b; {
+		n := strip(b-a, fr.ids)
+		fr.ids = gatherScan(fr.col, fr.pred, fr.cand, fr.ids, a, a+n)
+		a += n
+	}
+}
+
+// complete implements kernel: the surviving candidates fill the header.
+func (fr *FilterRefine) complete() (*BAT, *BAT) {
+	fr.q.ownI64(fr.ids)
+	fr.out.I = fr.ids
+	return fr.out, nil
 }
 
 // Op implements Operator.
@@ -194,6 +246,8 @@ type Gather struct {
 
 	cursor int
 	m      meter
+
+	q *Query // engine drive: the query that owns out's tail
 }
 
 // NewGather builds the operator; out receives the gathered values and
@@ -232,6 +286,13 @@ func (g *Gather) runRange(a, b int) {
 	}
 }
 
+// complete implements kernel: out was the header all along.
+func (g *Gather) complete() (*BAT, *BAT) {
+	g.q.ownI64(g.out.I)
+	g.q.ownF64(g.out.F)
+	return g.out, nil
+}
+
 // Op implements Operator.
 func (g *Gather) Op() string { return "algebra.projection" }
 
@@ -264,6 +325,10 @@ type MapBinary struct {
 
 	cursor int
 	m      meter
+
+	// Engine drive: the query that owns res, the header the result fills.
+	q   *Query
+	out *BAT
 }
 
 // NewMapBinary builds the operator over aligned float BATs a and b.
@@ -272,10 +337,22 @@ func NewMapBinary(a, b *BAT, f func(x, y float64) float64, buf []float64) *MapBi
 }
 
 func (mb *MapBinary) runRange(lo, hi int) {
-	fa, fb := mb.a, mb.b
-	for k := lo; k < hi && k < len(fa.F); k++ {
-		mb.res = append(mb.res, mb.f(fa.F[k], fb.F[k]))
+	fa, fb, f := mb.a.F, mb.b.F, mb.f
+	if hi = min(hi, len(fa)); lo >= hi {
+		return
 	}
+	res, buf := growFor(mb.res, hi-lo)
+	for k, x := range fa[lo:hi] {
+		buf[k] = f(x, fb[lo+k])
+	}
+	mb.res = res[:len(res)+hi-lo]
+}
+
+// complete implements kernel: the mapped values fill the header.
+func (mb *MapBinary) complete() (*BAT, *BAT) {
+	mb.q.ownF64(mb.res)
+	mb.out.F = mb.res
+	return mb.out, nil
 }
 
 // Op implements Operator.
@@ -306,6 +383,10 @@ type SumAgg struct {
 	cursor  int
 	emitted bool
 	m       meter
+
+	// Engine drive: the query and the scalar the partial accumulates into.
+	q      *Query
+	scalar string
 }
 
 // NewSumAgg builds the operator over the float BAT in.
@@ -316,6 +397,13 @@ func (s *SumAgg) runRange(a, b int) {
 	for k := a; k < b && k < len(frag.F); k++ {
 		s.partial += frag.F[k]
 	}
+}
+
+// complete implements kernel: the partial joins the scalar; nothing is
+// written.
+func (s *SumAgg) complete() (*BAT, *BAT) {
+	s.q.AddScalar(s.scalar, s.partial)
+	return nil, nil
 }
 
 // Op implements Operator.
@@ -420,6 +508,11 @@ type HashProbe struct {
 
 	cursor int
 	m      meter
+
+	// Engine drive: the query that owns ids and payloads, the headers they
+	// fill (payOut in fetch mode only).
+	q           *Query
+	out, payOut *BAT
 }
 
 // NewHashProbe builds the operator; idBuf and payloadBuf seed the output
@@ -506,6 +599,18 @@ func (hp *HashProbe) probe(a, b int) {
 	}
 }
 
+// complete implements kernel: survivors, and in fetch mode their payloads,
+// fill the two headers, charged as written in that order.
+func (hp *HashProbe) complete() (*BAT, *BAT) {
+	hp.q.ownI64(hp.ids)
+	hp.out.I = hp.ids
+	if hp.fetch {
+		hp.q.ownI64(hp.payloads)
+		hp.payOut.I = hp.payloads
+	}
+	return hp.out, hp.payOut
+}
+
 // Payloads returns the gathered build-side payloads (fetch mode).
 func (hp *HashProbe) Payloads() []int64 { return hp.payloads }
 
@@ -571,6 +676,10 @@ func (ga *GroupAgg) runRange(a, b int) {
 		}
 	}
 }
+
+// complete implements kernel. It delivers nothing: GroupSum binds the
+// partial table when it plans the stage.
+func (ga *GroupAgg) complete() (*BAT, *BAT) { return nil, nil }
 
 // Result returns the partial table.
 func (ga *GroupAgg) Result() *i64fMap { return ga.agg }
@@ -857,6 +966,8 @@ type FusedQ6 struct {
 	cursor  int
 	emitted bool
 	m       meter
+
+	raw *RawQ6 // engine drive: the kernel run the partial revenue joins
 }
 
 // NewFusedQ6 builds the operator over rows [lo, hi) of the four aligned
@@ -877,6 +988,13 @@ func (fq *FusedQ6) runRange(a, b int) {
 			fq.partial += pr[i] * dis[i]
 		}
 	}
+}
+
+// complete implements kernel: the thread's revenue joins the run's.
+func (fq *FusedQ6) complete() (*BAT, *BAT) {
+	fq.raw.Revenue += fq.partial
+	fq.raw.remaining--
+	return nil, nil
 }
 
 // Revenue returns the accumulated revenue so far.

@@ -176,13 +176,13 @@ func (s PlanSpec) Compile(st *Store) (*Plan, error) {
 		return t.Col(col), nil
 	}
 	predMatches := func(p Pred, c *BAT) error {
-		if c.Kind == KindI64 && p.I == nil {
+		switch {
+		case p.fits(c):
+			return nil
+		case c.Kind == KindI64:
 			return fmt.Errorf("integer column %q needs an integer predicate", c.Name)
 		}
-		if c.Kind == KindF64 && p.F == nil {
-			return fmt.Errorf("float column %q needs a float predicate", c.Name)
-		}
-		return nil
+		return fmt.Errorf("float column %q needs a float predicate", c.Name)
 	}
 	candidate := func(name, table string) (specVar, error) {
 		v, ok := vars[name]

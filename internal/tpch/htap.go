@@ -17,8 +17,7 @@ import (
 // identical results (asserted by the equivalence tests).
 func Q6Spec(p Q6Params) db.PlanSpec {
 	return db.NewPlanSpec("Q6").
-		Scan("lineitem", "l_quantity", "X_1",
-			db.Pred{F: func(v float64) bool { return v < p.Quantity }}).
+		Scan("lineitem", "l_quantity", "X_1", db.PredFLess(p.Quantity)).
 		Refine("X_1", "lineitem", "l_shipdate", "X_2",
 			db.PredIRange(p.Year*10000+101, (p.Year+1)*10000+101)).
 		Refine("X_2", "lineitem", "l_discount", "X_3",

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"math"
 
 	"elasticore/internal/db"
 )
@@ -36,6 +37,13 @@ func Build(n int, seed uint64) *db.Plan {
 	return builders[n-1](seed)
 }
 
+// intBelow (v < hi) and intAbove (v > lo) are one-sided comparisons in the
+// half-open range form the scan loops inline. Dates are yyyymmdd integers
+// and codes small dictionary indices, so the open side's MinInt64/MaxInt64
+// bound is exact: no column value is MaxInt64, the one intAbove leaves out.
+func intBelow(hi int64) db.Pred { return db.PredIRange(math.MinInt64, hi) }
+func intAbove(lo int64) db.Pred { return db.PredIRange(lo+1, math.MaxInt64) }
+
 // pYear picks a parameter year in 1993..1997.
 func pYear(r *rng) int64 { return int64(1993 + r.intn(5)) }
 
@@ -46,7 +54,7 @@ func BuildQ1(seed uint64) *db.Plan {
 	r := newRNG(seed ^ 1)
 	cutoff := EncodeDate(1998, 9, 1) - int64(r.intn(60))
 	return &db.Plan{Name: "Q1", Stages: []db.StageFn{
-		db.ThetaSelect("lineitem", "l_shipdate", "c1", db.Pred{I: func(v int64) bool { return v <= cutoff }}),
+		db.ThetaSelect("lineitem", "l_shipdate", "c1", intBelow(cutoff+1)),
 		db.Projection("c1", "lineitem", "l_rfls", "k"),
 		db.Projection("c1", "lineitem", "l_extendedprice", "v"),
 		db.GroupSum("k", "v", "p1"),
@@ -85,11 +93,11 @@ func BuildQ3(seed uint64) *db.Plan {
 		db.ThetaSelect("customer", "c_mktsegment", "cc", db.PredIEq(seg)),
 		db.Projection("cc", "customer", "c_custkey", "ckeys"),
 		db.BuildMap("ckeys", "", "cset"),
-		db.ThetaSelect("orders", "o_orderdate", "co", db.Pred{I: func(v int64) bool { return v < cut }}),
+		db.ThetaSelect("orders", "o_orderdate", "co", intBelow(cut)),
 		db.ProbeSemi("co", "orders", "o_custkey", "cset", "co2"),
 		db.Projection("co2", "orders", "o_orderkey", "okeys"),
 		db.BuildMap("okeys", "", "oset"),
-		db.ThetaSelect("lineitem", "l_shipdate", "cl", db.Pred{I: func(v int64) bool { return v > cut }}),
+		db.ThetaSelect("lineitem", "l_shipdate", "cl", intAbove(cut)),
 		db.ProbeSemi("cl", "lineitem", "l_orderkey", "oset", "cl2"),
 		db.Projection("cl2", "lineitem", "l_extendedprice", "price"),
 		db.Projection("cl2", "lineitem", "l_discount", "disc"),
@@ -177,8 +185,7 @@ func BuildQ6(seed uint64) *db.Plan {
 // selectivity through these).
 func BuildQ6With(p Q6Params) *db.Plan {
 	return &db.Plan{Name: "Q6", Stages: []db.StageFn{
-		db.ThetaSelect("lineitem", "l_quantity", "X_1",
-			db.Pred{F: func(v float64) bool { return v < p.Quantity }}),
+		db.ThetaSelect("lineitem", "l_quantity", "X_1", db.PredFLess(p.Quantity)),
 		db.SubSelect("X_1", "lineitem", "l_shipdate", "X_2",
 			db.PredIRange(p.Year*10000+101, (p.Year+1)*10000+101)),
 		db.SubSelect("X_2", "lineitem", "l_discount", "X_3",

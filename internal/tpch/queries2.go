@@ -44,8 +44,7 @@ func BuildQ14(seed uint64) *db.Plan {
 	y := pYear(r)
 	m := int64(1 + r.intn(12))
 	return &db.Plan{Name: "Q14", Stages: []db.StageFn{
-		db.ThetaSelect("part", "p_type", "cp",
-			db.Pred{I: func(v int64) bool { return v < 25 }}), // PROMO% family
+		db.ThetaSelect("part", "p_type", "cp", intBelow(25)), // PROMO% family
 		db.Projection("cp", "part", "p_partkey", "pkeys"),
 		db.BuildMap("pkeys", "", "promoset"),
 		db.ThetaSelect("lineitem", "l_shipdate", "cl",
@@ -95,8 +94,7 @@ func BuildQ16(seed uint64) *db.Plan {
 			db.PredIIn(s1, s1+1, s1+2, s1+3, s1+4)),
 		db.Projection("cp2", "part", "p_partkey", "pkeys"),
 		db.BuildMap("pkeys", "", "pset"),
-		db.ThetaSelect("supplier", "s_acctbal", "csupp",
-			db.Pred{F: func(v float64) bool { return v < 0 }}),
+		db.ThetaSelect("supplier", "s_acctbal", "csupp", db.PredFLess(0)),
 		db.Projection("csupp", "supplier", "s_suppkey", "badkeys"),
 		db.BuildMap("badkeys", "", "badset"),
 		db.ScanAll("partsupp", "ps_partkey", "cps"),
@@ -122,8 +120,7 @@ func BuildQ17(seed uint64) *db.Plan {
 		db.BuildMap("pkeys", "", "pset"),
 		db.ScanAll("lineitem", "l_partkey", "cl"),
 		db.ProbeSemi("cl", "lineitem", "l_partkey", "pset", "cl2"),
-		db.SubSelect("cl2", "lineitem", "l_quantity", "cl3",
-			db.Pred{F: func(v float64) bool { return v < 10 }}),
+		db.SubSelect("cl2", "lineitem", "l_quantity", "cl3", db.PredFLess(10)),
 		db.Projection("cl3", "lineitem", "l_extendedprice", "price"),
 		db.SumF("price", "result"),
 	}}
@@ -176,8 +173,7 @@ func BuildQ20(seed uint64) *db.Plan {
 	nation := int64(r.intn(NumNations))
 	typ := int64(r.intn(NumTypes / 2))
 	return &db.Plan{Name: "Q20", Stages: []db.StageFn{
-		db.ThetaSelect("part", "p_type", "cp",
-			db.Pred{I: func(v int64) bool { return v >= typ && v < typ+15 }}),
+		db.ThetaSelect("part", "p_type", "cp", db.PredIRange(typ, typ+15)),
 		db.Projection("cp", "part", "p_partkey", "pkeys"),
 		db.BuildMap("pkeys", "", "pset"),
 		db.ScanAll("partsupp", "ps_partkey", "cps"),

@@ -3,6 +3,10 @@ package tpch
 import (
 	"math"
 	"testing"
+
+	"elasticore/internal/db"
+	"elasticore/internal/numa"
+	"elasticore/internal/sched"
 )
 
 // queries_ref_test.go validates more query plans against independent
@@ -226,5 +230,124 @@ func TestQ20AgainstReference(t *testing.T) {
 	}
 	if got := q.Scalar("result"); got != want {
 		t.Errorf("Q20 = %g, want %g", got, want)
+	}
+}
+
+// TestRewrittenPredicatesAtTheirBounds pins the nine predicates that were
+// closures and are now inlinable forms (PredFLess, PredIRange and the
+// one-sided intBelow/intAbove) where a slipped bound would show: each
+// scan's column is given rows exactly at the bound and one step to either
+// side of it, and the candidate list the query's scan produces must be the
+// rows the original closure keeps — the bound row included, or left out, as
+// the closure says.
+func TestRewrittenPredicatesAtTheirBounds(t *testing.T) {
+	m := numa.NewMachine(numa.Opteron8387())
+	store := db.NewStore(m)
+	// A private dataset: the rows planted below must not reach the cache.
+	if _, err := Load(store, Config{SF: 0.002, NoCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	sc := sched.New(m, sched.Config{})
+	eng, err := db.NewEngine(store, db.Config{Scheduler: sc, PID: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &qrig{machine: m, sched: sc, store: store, eng: eng}
+
+	const seed = 11
+	q1Cutoff := EncodeDate(1998, 9, 1) - int64(newRNG(seed^1).intn(60))
+	r3 := newRNG(seed ^ 3)
+	r3.intn(NumMktSegments)
+	q3Cut := EncodeDate(1995, 3, 1) + int64(r3.intn(28))
+	q6 := Q6ParamsFromSeed(seed)
+	r20 := newRNG(seed ^ 20)
+	r20.intn(NumNations)
+	q20Typ := int64(r20.intn(NumTypes / 2))
+	q6Spec, err := Q6Spec(q6).Compile(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Q17 refines the lineitems of one brand and container: take the first
+	// seed whose pick exists at this scale.
+	q17Seed := uint64(0)
+	for r.exec(t, BuildQ17(q17Seed)).Var("cl2").Rows() < 8 {
+		if q17Seed++; q17Seed > 5000 {
+			t.Fatal("no Q17 seed selects a part")
+		}
+	}
+
+	cases := []struct {
+		name       string
+		plan       *db.Plan
+		in, out    string // candidate variables: in == "" is a full scan
+		table, col string
+		keepI      func(v int64) bool
+		keepF      func(v float64) bool
+		plantI     []int64 // values written into the scanned rows before the run
+		plantF     []float64
+	}{
+		{name: "Q1 l_shipdate <= cutoff", plan: BuildQ1(seed), out: "c1", table: "lineitem", col: "l_shipdate",
+			keepI: func(v int64) bool { return v <= q1Cutoff }, plantI: []int64{q1Cutoff, q1Cutoff + 1, q1Cutoff - 1}},
+		{name: "Q3 o_orderdate < cut", plan: BuildQ3(seed), out: "co", table: "orders", col: "o_orderdate",
+			keepI: func(v int64) bool { return v < q3Cut }, plantI: []int64{q3Cut, q3Cut - 1, q3Cut + 1}},
+		{name: "Q3 l_shipdate > cut", plan: BuildQ3(seed), out: "cl", table: "lineitem", col: "l_shipdate",
+			keepI: func(v int64) bool { return v > q3Cut }, plantI: []int64{q3Cut, q3Cut + 1, q3Cut - 1}},
+		{name: "Q6 l_quantity < Quantity", plan: BuildQ6With(q6), out: "X_1", table: "lineitem", col: "l_quantity",
+			keepF: func(v float64) bool { return v < q6.Quantity }, plantF: []float64{q6.Quantity, q6.Quantity - 1, q6.Quantity + 1}},
+		{name: "Q6Spec l_quantity < Quantity", plan: q6Spec, out: "X_1", table: "lineitem", col: "l_quantity",
+			keepF: func(v float64) bool { return v < q6.Quantity }, plantF: []float64{q6.Quantity, q6.Quantity - 1, q6.Quantity + 1}},
+		{name: "Q14 p_type < 25", plan: BuildQ14(seed), out: "cp", table: "part", col: "p_type",
+			keepI: func(v int64) bool { return v < 25 }, plantI: []int64{25, 24, 26}},
+		{name: "Q16 s_acctbal < 0", plan: BuildQ16(seed), out: "csupp", table: "supplier", col: "s_acctbal",
+			keepF: func(v float64) bool { return v < 0 }, plantF: []float64{0, -0.01, 0.01}},
+		{name: "Q17 l_quantity < 10", plan: BuildQ17(q17Seed), in: "cl2", out: "cl3", table: "lineitem", col: "l_quantity",
+			keepF: func(v float64) bool { return v < 10 }, plantF: []float64{10, 9, 11}},
+		{name: "Q20 typ <= p_type < typ+15", plan: BuildQ20(seed), out: "cp", table: "part", col: "p_type",
+			keepI:  func(v int64) bool { return v >= q20Typ && v < q20Typ+15 },
+			plantI: []int64{q20Typ, q20Typ + 15, q20Typ + 14, q20Typ - 1}},
+	}
+	for _, tc := range cases {
+		c := store.Table(tc.table).Col(tc.col)
+		// The rows the scan reads: the whole column, or the candidates the
+		// stage before it produced (they do not depend on this column).
+		var rows []int64
+		if tc.in == "" {
+			for i := 0; i < store.Table(tc.table).Rows; i++ {
+				rows = append(rows, int64(i))
+			}
+		} else {
+			rows = r.exec(t, tc.plan).Var(tc.in).FlattenI64()
+		}
+		if len(rows) < 8 {
+			t.Fatalf("%s: only %d rows to scan", tc.name, len(rows))
+		}
+		atBound := 0
+		for i, v := range tc.plantI {
+			c.I[rows[2*i+1]] = v
+		}
+		for i, v := range tc.plantF {
+			c.F[rows[2*i+1]] = v
+		}
+		var want []int64
+		for _, row := range rows {
+			if (tc.keepI != nil && tc.keepI(c.I[row])) || (tc.keepF != nil && tc.keepF(c.F[row])) {
+				want = append(want, row)
+			}
+			if (tc.keepI != nil && c.I[row] == tc.plantI[0]) || (tc.keepF != nil && c.F[row] == tc.plantF[0]) {
+				atBound++
+			}
+		}
+		got := r.exec(t, tc.plan).Var(tc.out).FlattenI64()
+		if atBound == 0 || len(want) == 0 || len(want) == len(rows) {
+			t.Fatalf("%s: %d rows at the bound, %d of %d kept: the case pins nothing", tc.name, atBound, len(want), len(rows))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: the scan kept %d rows, the closure keeps %d", tc.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: candidate %d is row %d, the closure's is row %d", tc.name, i, got[i], want[i])
+			}
+		}
 	}
 }

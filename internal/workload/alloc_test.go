@@ -8,15 +8,16 @@ import (
 )
 
 // Budgets of TestMixedStreamAllocBudget: the measured cost of the 22-query
-// stream when pinned (2 261 696 bytes in 18 276 objects; 2 836 176 in
-// 18 408 before join and group tables over a dense key range became a
-// bitmap and an array; 3 116 488 in 18 726 before candidate lists went
-// dense and hash tables were sized once) plus about 10 % headroom. Lower
-// them when a change makes the stream cheaper; raising one needs a reason
-// in CHANGES.md.
+// stream when pinned (1 967 296 bytes in 3 646 objects; 2 155 856 in
+// 16 861 while every partition task was nine heap objects of its own;
+// 2 836 176 in 18 408 before join and group tables over a dense key range
+// became a bitmap and an array; 3 116 488 in 18 726 before candidate lists
+// went dense and hash tables were sized once) plus 2 % headroom. Lower them
+// when a change makes the stream cheaper; raising one needs a reason in
+// CHANGES.md.
 const (
-	mixedStreamByteBudget   = 2_490_000
-	mixedStreamObjectBudget = 20_100
+	mixedStreamByteBudget   = 2_006_000
+	mixedStreamObjectBudget = 3_720
 )
 
 // TestMixedStreamAllocBudget is the byte gate of the db layer inside the
