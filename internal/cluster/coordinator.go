@@ -4,7 +4,6 @@ import (
 	"elasticore/internal/arrivals"
 	"elasticore/internal/db"
 	"elasticore/internal/metrics"
-	"elasticore/internal/numa"
 	"elasticore/internal/obs"
 	"elasticore/internal/tpch"
 	"elasticore/internal/workload"
@@ -607,30 +606,6 @@ func (r *run) summary(elapsed float64) Result {
 	return *res
 }
 
-// deadlineCycle returns the first cycle of the quantum grid start,
-// start+quantum, ... at which the run loop's float-seconds deadline test
-// CyclesToSeconds(now) >= CyclesToSeconds(start)+maxSeconds holds, so
-// the loop can decide the deadline, like every other due time, in
-// integer cycles. The conversion is monotone in the cycle count, which
-// makes the first such grid point a binary search; a deadline beyond
-// the clock's range never fires.
-func deadlineCycle(topo *numa.Topology, start, quantum uint64, maxSeconds float64) uint64 {
-	deadline := topo.CyclesToSeconds(start) + maxSeconds
-	lo, hi := uint64(0), (^uint64(0)-start)/quantum // grid steps; the answer is in [lo, hi] or absent
-	if topo.CyclesToSeconds(start+hi*quantum) < deadline {
-		return ^uint64(0)
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if topo.CyclesToSeconds(start+mid*quantum) >= deadline {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return start + lo*quantum
-}
-
 // maxJump caps how many quanta one iteration of the run loop may
 // advance. Only tests assign it: 1 forces the quantum-by-quantum loop
 // the jumping one must be indistinguishable from.
@@ -786,7 +761,8 @@ func (c *Coordinator) Run() Result {
 	startCycle := f.Now()
 	startTime := f.NowSeconds()
 	quantum := f.Rigs[0].Sched.Quantum()
-	deadlineC := deadlineCycle(topo, startCycle, quantum, c.MaxSeconds)
+	deadline := startTime + c.MaxSeconds
+	deadlineC := workload.GridCycle(startCycle, quantum, func(at uint64) bool { return topo.CyclesToSeconds(at) >= deadline })
 	pump := workload.NewArrivalPump(c.Process, topo, startCycle, c.MaxArrivals)
 	offer, plan := r.offer, r.plan
 
@@ -817,13 +793,11 @@ func (c *Coordinator) Run() Result {
 		// first quantum at or after it, never past the deadline.
 		// Fleet.Advance still stops at every barrier the fleet itself
 		// needs (control period, probe, fault edge, heartbeat).
-		n := uint64(1)
+		n := 1
 		if drained {
-			if next := min(pump.NextAt(), deadlineC, r.nextAt()); next > nowC {
-				n = min((next-nowC-1)/quantum+1, uint64(maxJump))
-			}
+			n = workload.QuantaUntil(nowC, min(pump.NextAt(), deadlineC, r.nextAt()), quantum, maxJump)
 		}
-		f.Advance(int(n))
+		f.Advance(n)
 	}
 	return r.summary(f.NowSeconds() - startTime)
 }

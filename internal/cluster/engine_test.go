@@ -9,7 +9,6 @@ import (
 	"elasticore/internal/arrivals"
 	"elasticore/internal/faults"
 	"elasticore/internal/hashmix"
-	"elasticore/internal/numa"
 	"elasticore/internal/obs"
 	"elasticore/internal/sched"
 	"elasticore/internal/workload"
@@ -17,8 +16,8 @@ import (
 
 // engine_test.go pins the event-driven fleet engine: a coordinator that
 // jumps to its next event is indistinguishable from one that walks every
-// quantum, the integer deadline picks the quantum the float one picked,
-// the worker hand-off loses and duplicates nothing under exit/respawn
+// quantum (the integer deadline it jumps to is pinned beside
+// workload.GridCycle), the worker hand-off loses and duplicates nothing under exit/respawn
 // races, and an idle fleet costs no allocation.
 
 // setMaxJump and setLingerSpins assign the package's two test-only
@@ -224,58 +223,6 @@ func TestCoordinatorJumpEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDeadlineCycleMatchesFloatTest: deadlineCycle selects exactly the
-// quantum the per-quantum float comparison selected, including clock
-// rates, starts and limits whose products are not representable.
-func TestDeadlineCycleMatchesFloatTest(t *testing.T) {
-	cases := []struct {
-		clockHz        float64
-		quantum, start uint64
-		maxSeconds     float64
-	}{
-		{2.8e9, 140000, 0, 0.25},
-		{2.8e9, 140000, 0, 0.0503},
-		{2.8e9, 140000, 7 * 140000, 0.1},       // 0.1 s is not a binary fraction
-		{2.8e9, 140000, 123456789, 1.0 / 3},    // off-grid start, repeating limit
-		{2.8e9, 140000, 1 << 40, 600},          // the default limit, late start
-		{2.3e9, 115000, 999999, 2.25},          // the fleet-faults horizon
-		{1e9 / 3, 16667, 5, 0.7},               // non-representable clock
-		{3.3333333333e9, 166666, 166666, 1e-4}, // shorter than one quantum
-		{2.8e9, 140000, 0, 0},                  // fires at once
-		{2.8e9, 140000, 42, -1},                // already past
-		{2.8e9, 1, 0, 1e-9 * 3},                // one-cycle quantum
-		{2.8e9, 140000, 1 << 62, 1e3},          // near the clock's range
-	}
-	for _, tc := range cases {
-		topo := &numa.Topology{ClockHz: tc.clockHz}
-		got := deadlineCycle(topo, tc.start, tc.quantum, tc.maxSeconds)
-		// The old loop: test the float deadline at every quantum edge. Walk
-		// it from a few hundred quanta short of the answer (and from the
-		// start when that is close) so a late answer cannot hide.
-		deadline := topo.CyclesToSeconds(tc.start) + tc.maxSeconds
-		fires := func(c uint64) bool { return topo.CyclesToSeconds(c) >= deadline }
-		if !fires(got) {
-			t.Errorf("%+v: deadlineCycle %d does not satisfy the float test", tc, got)
-			continue
-		}
-		if (got-tc.start)%tc.quantum != 0 {
-			t.Errorf("%+v: deadlineCycle %d is off the quantum grid", tc, got)
-		}
-		steps := (got - tc.start) / tc.quantum
-		for back := uint64(1); back <= min(steps, 500); back++ {
-			if c := got - back*tc.quantum; fires(c) {
-				t.Errorf("%+v: float test already fires at %d, %d quanta before deadlineCycle %d", tc, c, back, got)
-				break
-			}
-		}
-	}
-	// A limit beyond the clock's range never fires.
-	topo := &numa.Topology{ClockHz: 2.8e9}
-	if got := deadlineCycle(topo, 0, 140000, 1e12); got != ^uint64(0) {
-		t.Errorf("unreachable deadline = %d, want never", got)
 	}
 }
 

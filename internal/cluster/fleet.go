@@ -332,60 +332,27 @@ func (f *Fleet) advanceStretch(stretch int) {
 
 // safeStretch returns how many quanta the machines may advance before
 // the next epoch barrier, at most max: the number of quanta until the
-// earliest due control event. Mechanism and probe due times are checked
-// after a quantum runs, fault edges before one runs; both give the same
-// bound — ceil((due - now) / quantum) — because a barrier ends exactly
-// at the due quantum's edge.
+// earliest due control event (workload.QuantaUntil's rule). Each rig
+// names its own barriers through the helper its Advance stops at.
 func (f *Fleet) safeStretch(max int) int {
-	if max <= 1 {
-		return 1
-	}
-	if f.health != nil {
+	if max <= 1 || f.health != nil {
 		// The failure detector reads every machine's beat gap each
 		// quantum; there is no safe decoupled stretch.
 		return 1
 	}
+	// With no control tier, no probes and no faults next stays at the
+	// maximum: nothing reads cross-machine state until the caller does.
 	next := ^uint64(0)
-	due := func(at uint64) {
-		if at < next {
-			next = at
-		}
-	}
 	if f.arb != nil {
-		due(f.arb.NextAt())
-	} else {
-		for _, r := range f.Rigs {
-			if r.Mech != nil {
-				due(r.Mech.NextAt())
-			}
-		}
+		next = f.arb.NextAt()
 	}
 	for _, r := range f.Rigs {
-		if r.Probe != nil {
-			due(r.Probe.NextAt())
-		}
+		next = min(next, r.NextDue(f.arb == nil))
 	}
 	if f.injector != nil {
-		due(f.injector.NextEdge())
+		next = min(next, f.injector.NextEdge())
 	}
-	if next == ^uint64(0) {
-		// No control tier, no probes, no faults: nothing reads
-		// cross-machine state until the caller does.
-		return max
-	}
-	now := f.Now()
-	if next <= now {
-		return 1
-	}
-	q := f.Rigs[0].Sched.Quantum()
-	s := (next - now + q - 1) / q
-	if s < 1 {
-		return 1
-	}
-	if s > uint64(max) {
-		return max
-	}
-	return int(s)
+	return workload.QuantaUntil(f.Now(), next, f.Rigs[0].Sched.Quantum(), max)
 }
 
 // EngineStats counts what the tick engine did. Everything but

@@ -48,10 +48,7 @@ func runFig7(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		d := &workload.Driver{Rig: r, QueriesPerClient: 2}
 		d.RunSameQuery(c.Clients, tpch.BuildQ6)
 		// Let the system idle so the release transitions fire too.
-		idleTicks := 50
-		for i := 0; i < idleTicks; i++ {
-			r.Tick()
-		}
+		r.Advance(50)
 
 		topo := r.Machine.Topology()
 		events := r.Mech.Events()

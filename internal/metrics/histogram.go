@@ -33,6 +33,8 @@ type Histogram struct {
 	count    uint64
 	sum      float64
 	min, max uint64
+	// version counts mutations (see Version); Reset does not rewind it.
+	version uint64
 }
 
 // histBucket maps a value to its bucket index: values below histSubCount
@@ -57,6 +59,7 @@ func histUpper(i int) uint64 {
 
 // Record adds one observation.
 func (h *Histogram) Record(v uint64) {
+	h.version++
 	h.counts[histBucket(v)]++
 	h.count++
 	h.sum += float64(v)
@@ -70,6 +73,11 @@ func (h *Histogram) Record(v uint64) {
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count }
+
+// Version changes whenever Record, Merge or Reset changes the histogram
+// and never repeats, so what a reader derived from the buckets holds while
+// it reads the same Version (unlike Count, which Reset and refill repeat).
+func (h *Histogram) Version() uint64 { return h.version }
 
 // Min returns the smallest recorded value (0 when empty).
 func (h *Histogram) Min() uint64 { return h.min }
@@ -119,9 +127,9 @@ func (h *Histogram) Quantile(q float64) uint64 {
 
 // Quantiles returns the quantile for each q in qs (each in [0, 1]) from
 // a single walk over the buckets, agreeing exactly with Quantile per
-// entry. Snapshot probes use it so sampling several percentiles does not
-// re-scan the bucket array per percentile. The qs need not be sorted; an
-// empty histogram returns all zeros.
+// entry, so reporting several percentiles does not re-scan the bucket
+// array per percentile. The qs need not be sorted; an empty histogram
+// returns all zeros.
 func (h *Histogram) Quantiles(qs ...float64) []uint64 {
 	out := make([]uint64, len(qs))
 	if h.count == 0 || len(qs) == 0 {
@@ -189,6 +197,7 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.count == 0 {
 		return
 	}
+	h.version++
 	for i := range h.counts {
 		h.counts[i] += o.counts[i]
 	}
@@ -206,4 +215,5 @@ func (h *Histogram) Merge(o *Histogram) {
 func (h *Histogram) Reset() {
 	h.counts = [histBucketCount]uint64{}
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
+	h.version++
 }

@@ -258,3 +258,37 @@ func TestHistogramQuantilesOneAlloc(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestHistogramVersionCountsMutations: Version moves on every Record,
+// Merge and Reset — Reset does not rewind it, so a refill to the same
+// count is a different version — and on nothing that only reads.
+func TestHistogramVersionCountsMutations(t *testing.T) {
+	var h, o Histogram
+	seen := map[uint64]bool{h.Version(): true}
+	moved := func(what string) {
+		t.Helper()
+		if v := h.Version(); seen[v] {
+			t.Fatalf("%s: version %d was served before", what, v)
+		} else {
+			seen[v] = true
+		}
+	}
+	h.Record(5)
+	moved("record")
+	o.Record(9)
+	h.Merge(&o)
+	moved("merge")
+	h.Reset()
+	moved("reset")
+	h.Record(5)
+	moved("record after reset")
+	h.Record(5)
+	moved("refill to the earlier count")
+	before := h.Version()
+	h.Merge(nil)
+	h.Merge(&Histogram{})
+	_, _, _ = h.Quantile(0.5), h.Quantiles(0.5, 0.99), h.Mean()
+	if h.Version() != before {
+		t.Fatalf("reads and empty merges moved the version from %d to %d", before, h.Version())
+	}
+}

@@ -65,6 +65,9 @@ type Probe struct {
 	nextAt  uint64
 	latency *metrics.Histogram
 	samples []Snapshot
+	// p50 and p99 are latency's quantiles as of its Version quantilesAt-1;
+	// zero marks them not yet taken from the attached histogram.
+	p50, p99, quantilesAt uint64
 }
 
 // NewProbe wires a probe; the first sample is due one interval from now.
@@ -87,7 +90,7 @@ func NewProbe(cfg ProbeConfig) *Probe {
 // SetLatency attaches (or with nil detaches) the histogram whose
 // quantiles each sample records — typically the driver's total-latency
 // histogram for the running phase.
-func (p *Probe) SetLatency(h *metrics.Histogram) { p.latency = h }
+func (p *Probe) SetLatency(h *metrics.Histogram) { p.latency, p.quantilesAt = h, 0 }
 
 // Every returns the sampling interval in cycles.
 func (p *Probe) Every() uint64 { return p.cfg.Every }
@@ -125,9 +128,13 @@ func (p *Probe) Sample() {
 	if p.cfg.Backlog != nil {
 		s.Backlog = p.cfg.Backlog()
 	}
-	if p.latency != nil && p.latency.Count() > 0 {
-		q := p.latency.Quantiles(0.50, 0.99)
-		s.P50, s.P99 = q[0], q[1]
+	if h := p.latency; h != nil && h.Count() > 0 {
+		// Most samples of an open-loop phase see no completion since the
+		// last one: the bucket walk is redone only for a changed histogram.
+		if v := h.Version() + 1; v != p.quantilesAt {
+			p.p50, p.p99, p.quantilesAt = h.Quantile(0.50), h.Quantile(0.99), v
+		}
+		s.P50, s.P99 = p.p50, p.p99
 	}
 	p.samples = append(p.samples, s)
 }

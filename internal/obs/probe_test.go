@@ -45,8 +45,8 @@ func TestProbeCadence(t *testing.T) {
 	}
 }
 
-// TestProbeLatencyQuantiles: an attached histogram supplies P50/P99 via
-// the batch accessor, matching the per-quantile API exactly.
+// TestProbeLatencyQuantiles: an attached histogram supplies P50/P99,
+// matching the per-quantile API exactly.
 func TestProbeLatencyQuantiles(t *testing.T) {
 	machine := numa.NewMachine(numa.Opteron8387())
 	p := NewProbe(ProbeConfig{Machine: machine, Every: 100})
@@ -69,11 +69,82 @@ func TestProbeLatencyQuantiles(t *testing.T) {
 	}
 }
 
-// TestProbeSampleZeroAlloc: without a latency histogram (whose Quantiles
-// returns a fresh slice) a sample reads the reusable counter window,
-// prices it and records a flat Snapshot; nothing is allocated. The
-// timeline's amortised growth is not a per-sample cost and is pre-sized
-// away here.
+// TestProbeQuantilesFollowHistogram: the probe keeps the last (P50, P99)
+// and re-walks the buckets only for a changed histogram, so every sample
+// must still equal a fresh Quantiles(0.50, 0.99) — across records between
+// samples, quiet samples, a Reset refilled to the same count with other
+// values (which a memo keyed on Count() alone would serve stale), a Merge,
+// and SetLatency to another histogram of the same count.
+func TestProbeQuantilesFollowHistogram(t *testing.T) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	p := NewProbe(ProbeConfig{Machine: machine, Every: 100})
+	var h, other metrics.Histogram
+	p.SetLatency(&h)
+	step := 0
+	sample := func(what string) {
+		t.Helper()
+		step++
+		machine.AdvanceTime(100)
+		p.Maybe()
+		if len(p.Samples()) != step {
+			t.Fatalf("%s: %d samples after %d intervals", what, len(p.Samples()), step)
+		}
+		want := p.latency.Quantiles(0.50, 0.99)
+		if got := p.Samples()[step-1]; got.P50 != want[0] || got.P99 != want[1] {
+			t.Fatalf("%s: sample has P50 %d P99 %d, the histogram %d %d", what, got.P50, got.P99, want[0], want[1])
+		}
+	}
+	sample("empty")
+	for v := uint64(1); v <= 100; v++ {
+		h.Record(v)
+	}
+	sample("first fill")
+	sample("quiet")
+	h.Record(1 << 20)
+	sample("one record")
+	h.Reset()
+	sample("reset")
+	for v := uint64(1); v <= 101; v++ {
+		h.Record(1000 * v)
+	}
+	sample("refilled to the same count")
+	for v := uint64(1); v <= 101; v++ {
+		other.Record(7 * v)
+	}
+	h.Merge(&other)
+	sample("merge")
+	h.Reset()
+	for v := uint64(1); v <= 101; v++ {
+		h.Record(3 * v)
+	}
+	p.SetLatency(&other)
+	sample("another histogram of the same count")
+	p.SetLatency(&h)
+	sample("and back")
+	// Two histograms with equal histories in all but the values: nothing a
+	// histogram counts tells them apart, only SetLatency does.
+	var a, b metrics.Histogram
+	for v := uint64(1); v <= 50; v++ {
+		a.Record(v)
+		b.Record(v << 10)
+	}
+	p.SetLatency(&a)
+	sample("twin a")
+	p.SetLatency(&b)
+	sample("twin b")
+	p.SetLatency(nil)
+	machine.AdvanceTime(100)
+	p.Maybe()
+	if got := p.Samples()[step]; got.P50 != 0 || got.P99 != 0 {
+		t.Fatalf("detached: sample has P50 %d P99 %d, want zeros", got.P50, got.P99)
+	}
+}
+
+// TestProbeSampleZeroAlloc: a sample reads the reusable counter window,
+// prices it, takes the latency quantiles (kept from the last sample, or
+// re-walked for a histogram that changed) and records a flat Snapshot;
+// nothing is allocated. The timeline's amortised growth is not a
+// per-sample cost and is pre-sized away here.
 func TestProbeSampleZeroAlloc(t *testing.T) {
 	machine := numa.NewMachine(numa.Opteron8387())
 	p := NewProbe(ProbeConfig{
@@ -83,17 +154,27 @@ func TestProbeSampleZeroAlloc(t *testing.T) {
 		Reading:   func(numa.Counters) int { return 42 },
 		Backlog:   func() int { return 0 },
 	})
-	p.samples = make([]Snapshot, 0, 1024)
-	allocs := testing.AllocsPerRun(500, func() {
+	var h metrics.Histogram
+	p.SetLatency(&h)
+	p.samples = make([]Snapshot, 0, 2048)
+	calls := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
 		machine.AdvanceTime(1000)
 		machine.ChargeBusy(0, 600)
+		if calls++; calls%2 == 0 { // every other sample finds a changed histogram
+			h.Record(calls)
+		}
 		p.Sample()
 	})
 	if allocs != 0 {
 		t.Fatalf("Sample allocated %v times per call, want 0", allocs)
 	}
-	if last := p.samples[len(p.samples)-1]; last.EnergyJoules <= 0 || last.Allocated != 4 {
+	last := p.samples[len(p.samples)-1]
+	if last.EnergyJoules <= 0 || last.Allocated != 4 {
 		t.Fatalf("last sample = %+v, want a priced window with 4 cores", last)
+	}
+	if want := h.Quantiles(0.50, 0.99); last.P50 != want[0] || last.P99 != want[1] || last.P99 == 0 {
+		t.Fatalf("last sample has P50 %d P99 %d, the histogram %v", last.P50, last.P99, want)
 	}
 }
 

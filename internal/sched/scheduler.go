@@ -147,6 +147,8 @@ type Scheduler struct {
 
 	stats Stats
 	tick  int
+	// idleSkipped counts the quanta of TicksRun that skipIdleTicks covered.
+	idleSkipped uint64
 
 	// execCtx is the per-core run-slice scratch, reused so steady-state
 	// execution does not allocate.
@@ -247,6 +249,10 @@ func (s *Scheduler) CoreSlowdown(core numa.CoreID) uint64 {
 
 // Stats returns a copy of the scheduler counters.
 func (s *Scheduler) Stats() Stats { return s.stats }
+
+// IdleSkipped returns how many of Stats().TicksRun were idle quanta
+// advanced in bulk, not by Tick: the simulator's cost, hence not in Stats.
+func (s *Scheduler) IdleSkipped() uint64 { return s.idleSkipped }
 
 // Quantum returns the time slice in cycles.
 func (s *Scheduler) Quantum() uint64 { return s.cfg.Quantum }
@@ -797,6 +803,7 @@ func (s *Scheduler) skipIdleTicks(n uint64) {
 	}
 	s.tick += int(n)
 	s.stats.TicksRun += n
+	s.idleSkipped += n
 	s.machine.AdvanceTimeIdle(s.cfg.Quantum, n)
 	idle := n * s.cfg.Quantum
 	for core := 0; core < s.topo.TotalCores(); core++ {

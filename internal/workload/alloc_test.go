@@ -4,6 +4,9 @@ import (
 	"runtime"
 	"testing"
 
+	"elasticore/internal/arrivals"
+	"elasticore/internal/elastic"
+	"elasticore/internal/obs"
 	"elasticore/internal/tpch"
 )
 
@@ -54,5 +57,71 @@ func TestMixedStreamAllocBudget(t *testing.T) {
 	}
 	if objects > mixedStreamObjectBudget {
 		t.Errorf("the 22-query stream allocated %d objects, budget %d", objects, mixedStreamObjectBudget)
+	}
+}
+
+// openIdlePhase runs the first 40 arrivals of a Q6 MMPP process (over
+// within 0.4 s) and one last arrival at `seconds` — so two phases differ
+// only in how long they idle — on a fresh SF 0.002 rig with a lit bus and a
+// 1 ms probe, and returns the rig, the heap objects the phase allocated,
+// and how many quanta carried a run slice.
+func openIdlePhase(t *testing.T, seconds float64) (r *Rig, objects uint64, busyQuanta int) {
+	t.Helper()
+	bus := obs.NewBus(0)
+	r, err := NewRig(Options{SF: 0.002, Seed: 1, Mode: ModeAdaptive, Strategy: elastic.HTIMCStrategy{}, Bus: bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.EnableProbe(r.Machine.Topology().SecondsToCycles(1e-3))
+	last := ^uint64(0)
+	bus.Subscribe(obs.KindRunSlice, func(e obs.Event) {
+		if q := e.Start / r.Sched.Quantum(); q != last {
+			last = q
+			busyQuanta++
+		}
+	})
+	d := &OpenDriver{
+		Rig:         r,
+		Process:     arrivals.NewTrace(append(arrivals.Take(arrivals.NewMMPP(5, 400, 0.05, 0.1, 3), 40), seconds)),
+		MaxInFlight: 16,
+		QueueCap:    128,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := d.RunSameQuery(tpch.BuildQ6)
+	runtime.ReadMemStats(&after)
+	if res.Completed != 41 || res.ElapsedSeconds < seconds {
+		t.Fatalf("phase completed %d of 41 queries in %v s, want all of them and a tail to %v s", res.Completed, res.ElapsedSeconds, seconds)
+	}
+	return r, after.Mallocs - before.Mallocs, busyQuanta
+}
+
+// openIdleObjectsPerSecond bounds what one idle simulated second of an
+// open-loop phase may allocate: 4 000 control steps and 1 000 probe
+// samples append to two timelines, whose amortised doubling is a handful
+// of objects (measured: 4; 1 003 while every probe sample allocated its
+// quantile pair).
+const openIdleObjectsPerSecond = 40
+
+// TestOpenIdlePhaseCost is the gate on what idle simulated time costs the
+// host in an open-loop phase. Two phases with the same burst and idle
+// tails two seconds apart differ in heap objects by the timeline appends
+// alone; and the scheduler simulates (Tick) only quanta that have work —
+// within 1.3x of the quanta that ran a slice, the slack being quanta whose
+// runnable threads woke to nothing — however long the phase idles.
+func TestOpenIdlePhaseCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	_, short, _ := openIdlePhase(t, 1)
+	r, long, busy := openIdlePhase(t, 3)
+	perSecond := (int64(long) - int64(short)) / 2
+	ticked := r.Sched.Stats().TicksRun - r.Sched.IdleSkipped()
+	t.Logf("%d objects per idle second; Tick entered %d times for %d busy quanta of %d", perSecond, ticked, busy, r.Sched.Stats().TicksRun)
+	if perSecond > openIdleObjectsPerSecond {
+		t.Errorf("an idle second allocated %d objects, budget %d", perSecond, openIdleObjectsPerSecond)
+	}
+	if busy == 0 || float64(ticked) >= 1.3*float64(busy) {
+		t.Errorf("Scheduler.Tick was entered %d times for %d busy quanta, want fewer than 1.3x", ticked, busy)
 	}
 }

@@ -45,8 +45,10 @@ type OpenDriver struct {
 	DisableBacklog bool
 
 	// winLatency accumulates per-sample-window completions (reset each
-	// sample; kept on the driver so Run's hot loop does not allocate it).
+	// sample) and adm is the running phase's admission layer; both are
+	// kept on the driver so Run does not allocate them.
 	winLatency metrics.Histogram
+	adm        Admission
 }
 
 // OpenSample is one timeline point of an open-loop phase.
@@ -106,7 +108,8 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 	topo := r.Machine.Topology()
 
 	var res OpenResult
-	adm := Admission{Rig: r, MaxInFlight: d.MaxInFlight, QueueCap: d.QueueCap}
+	d.adm = Admission{Rig: r, MaxInFlight: d.MaxInFlight, QueueCap: d.QueueCap}
+	adm := &d.adm
 	adm.normalize()
 
 	d.winLatency.Reset()
@@ -131,12 +134,18 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 	startStats := r.Sched.Stats()
 	startCycle := r.Machine.Now()
 	startTime := r.Machine.NowSeconds()
-	deadline := startTime + d.MaxSeconds
+	quantum := r.Sched.Quantum()
+
+	// Every due time of the loop is an integer cycle on the quantum grid:
+	// arrivals (the pump's rule) and, through GridCycle, the two
+	// float-seconds tests, the deadline and the sample boundary.
+	deadline, lastSample := startTime+d.MaxSeconds, startTime
+	deadlineC := GridCycle(startCycle, quantum, func(c uint64) bool { return topo.CyclesToSeconds(c) >= deadline })
+	sampleDue := func(c uint64) bool { return d.SampleEvery > 0 && topo.CyclesToSeconds(c)-lastSample >= d.SampleEvery }
+	sampleC := GridCycle(startCycle, quantum, sampleDue)
 
 	pump := NewArrivalPump(d.Process, topo, startCycle, d.MaxArrivals)
 	offer := func(nowC, at uint64) { adm.Offer(nowC, at, 0) }
-
-	lastSample := startTime
 	planByIndex := func(k int, _ int64) *db.Plan { return plan(k) }
 
 	for {
@@ -153,8 +162,8 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 		adm.Fill(nowC, planByIndex)
 		adm.UpdatePeaks()
 
-		now := r.Machine.NowSeconds()
-		if d.SampleEvery > 0 && now-lastSample >= d.SampleEvery {
+		if nowC >= sampleC {
+			now := topo.CyclesToSeconds(nowC)
 			res.Samples = append(res.Samples, OpenSample{
 				AtSeconds:  now - startTime,
 				QueueDepth: adm.QueueLen(),
@@ -166,15 +175,24 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 			d.winLatency.Reset()
 			winCompleted = 0
 			lastSample = now
+			sampleC = GridCycle(nowC, quantum, sampleDue)
 		}
 
 		if !pump.More() && adm.Idle() {
 			break
 		}
-		if now >= deadline {
+		if nowC >= deadlineC {
 			break
 		}
-		r.Tick()
+		// With the admission drained the passes above find nothing to do
+		// until the next arrival, so the loop jumps there (Coordinator.Run's
+		// rule), never past the deadline or a sample boundary. Rig.Advance
+		// still stops wherever the rig has something due (control, probe).
+		n := 1
+		if adm.Drained() {
+			n = QuantaUntil(nowC, min(pump.NextAt(), deadlineC, sampleC), quantum, 1<<30)
+		}
+		r.Advance(n)
 	}
 
 	endSnap := r.Machine.Snapshot()

@@ -146,8 +146,8 @@ type Rig struct {
 	// Bus is the telemetry bus attached to the rig's producers; nil when
 	// the rig runs dark (see Options.Bus, EnsureBus).
 	Bus *obs.Bus
-	// Probe, when enabled, samples timeline Snapshots each Tick (see
-	// EnableProbe).
+	// Probe, when enabled, samples timeline Snapshots at Advance's
+	// barriers (see EnableProbe).
 	Probe *obs.Probe
 }
 
@@ -287,7 +287,7 @@ func (r *Rig) EnsureBus() *obs.Bus {
 	return b
 }
 
-// EnableProbe starts periodic Snapshot sampling driven by Tick: every
+// EnableProbe starts periodic Snapshot sampling driven by Advance: every
 // interval cycles (zero selects the mechanism's control period, or its
 // 0.25 ms default under ModeOS) the probe records allocated cores, the
 // strategy reading, interconnect and memory traffic, and the energy
@@ -335,14 +335,71 @@ func touchDeltaResidency(machine *numa.Machine) elastic.ResidencyFunc {
 
 // Tick advances the rig by one scheduler quantum, running the mechanism's
 // control loop when present.
-func (r *Rig) Tick() {
-	r.Sched.Tick()
-	if r.Mech != nil {
-		r.Mech.Maybe()
+func (r *Rig) Tick() { r.Advance(1) }
+
+// Advance runs n quanta, the one-machine Fleet.Advance: it stops at a
+// barrier wherever the rig has something due, so a control evaluation or
+// probe sample fires on exactly the quantum a Tick-by-Tick run fires it
+// on, and between barriers an idle scheduler advances in one bulk step.
+func (r *Rig) Advance(n int) {
+	for n > 0 {
+		s := QuantaUntil(r.Machine.Now(), r.NextDue(true), r.Sched.Quantum(), n)
+		r.Sched.Advance(s)
+		if r.Mech != nil {
+			r.Mech.Maybe()
+		}
+		if r.Probe != nil {
+			r.Probe.Maybe()
+		}
+		n -= s
+	}
+}
+
+// NextDue returns the cycle of the rig's next barrier (the maximum uint64
+// without one): the probe's next sample and, with ownMech, the mechanism's
+// next evaluation — false under a cluster arbiter, which steps it instead.
+func (r *Rig) NextDue(ownMech bool) uint64 {
+	next := ^uint64(0)
+	if ownMech && r.Mech != nil {
+		next = r.Mech.NextAt()
 	}
 	if r.Probe != nil {
-		r.Probe.Maybe()
+		next = min(next, r.Probe.NextAt())
 	}
+	return next
+}
+
+// QuantaUntil returns how many quanta, at least 1 and at most max, take
+// the clock from now to the first quantum edge at or after due:
+// ceil((due-now)/quantum), the jump of every event-driven loop. Due times
+// are checked after a quantum runs (mechanism, probe, arrival, deadline)
+// or before the next does (fault edge); a jump ends exactly at that edge.
+func QuantaUntil(now, due, quantum uint64, max int) int {
+	if due <= now || max <= 1 {
+		return 1
+	}
+	return int(min((due-now-1)/quantum+1, uint64(max)))
+}
+
+// GridCycle returns the first cycle of the quantum grid start,
+// start+quantum, ... at which fires holds (the maximum uint64 when none in
+// the clock's range does), by binary search: fires must be monotone in the
+// cycle. Drivers pass their float-seconds tests — deadline, sample
+// boundary; CyclesToSeconds is monotone — and so decide them in integer
+// cycles, at exactly the quantum a per-quantum float comparison picks.
+func GridCycle(start, quantum uint64, fires func(cycle uint64) bool) uint64 {
+	lo, hi := uint64(0), (^uint64(0)-start)/quantum // grid steps; the answer is in [lo, hi] or absent
+	if !fires(start + hi*quantum) {
+		return ^uint64(0)
+	}
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; fires(start + mid*quantum) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return start + lo*quantum
 }
 
 // NowSeconds returns the rig's virtual time.
