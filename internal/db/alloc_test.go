@@ -112,10 +112,7 @@ func TestReleaseReclaimsQueryBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &Plan{Name: "scan", Stages: []StageFn{
-		ThetaSelect("t", "v", "c", Pred{F: func(v float64) bool { return v < 25 }}),
-		Count("c", "n"),
-	}}
+	plan := lower("scan", Scan("t", "v", "c", PredFLess(25)), Count("c", "n"))
 	runOnce := func() *Query {
 		q := eng.Submit(plan)
 		if !sc.RunUntil(q.Done, machine.Topology().SecondsToCycles(10)) {
@@ -190,29 +187,28 @@ func TestQ6AllocsPerQuery(t *testing.T) {
 // holds, not what planning it costs) come out of it.
 func TestStagePlanningAllocsIndependentOfFanout(t *testing.T) {
 	const rows = 1 << 15
-	mul := func(x, y float64) float64 { return x * y }
 	stages := []struct {
 		name   string
-		inputs []StageFn // planned and run once, to bind what the stage reads
-		stage  StageFn
+		inputs []OpSpec // planned and run once, to bind what the stage reads
+		stage  OpSpec
 	}{
-		{"ThetaSelect", nil, ThetaSelect("lineitem", "l_quantity", "c", PredFLess(24))},
+		{"Scan", nil, Scan("lineitem", "l_quantity", "c", PredFLess(24))},
 		{"ScanAll", nil, ScanAll("lineitem", "l_quantity", "c")},
-		{"SubSelect", []StageFn{ScanAll("lineitem", "l_quantity", "c")},
-			SubSelect("c", "lineitem", "l_discount", "c2", PredFRange(0.02, 0.08))},
-		{"Projection", []StageFn{ThetaSelect("lineitem", "l_quantity", "c", PredFLess(24))},
-			Projection("c", "lineitem", "l_extendedprice", "p")},
-		{"MapF2", []StageFn{ScanAll("lineitem", "l_quantity", "c"), Projection("c", "lineitem", "l_extendedprice", "p")},
-			MapF2("p", "p", "sq", mul)},
-		{"SumF", []StageFn{ScanAll("lineitem", "l_quantity", "c"), Projection("c", "lineitem", "l_extendedprice", "p")},
-			SumF("p", "total")},
-		{"ProbeSemi", []StageFn{ScanAll("lineitem", "l_orderkey", "c"), Projection("c", "lineitem", "l_orderkey", "k"), BuildMap("k", "", "set")},
+		{"Refine", []OpSpec{ScanAll("lineitem", "l_quantity", "c")},
+			Refine("c", "lineitem", "l_discount", "c2", PredFRange(0.02, 0.08))},
+		{"Project", []OpSpec{Scan("lineitem", "l_quantity", "c", PredFLess(24))},
+			Project("c", "lineitem", "l_extendedprice", "p")},
+		{"Map2", []OpSpec{ScanAll("lineitem", "l_quantity", "c"), Project("c", "lineitem", "l_extendedprice", "p")},
+			Map2("p", "p", "sq", MapMul)},
+		{"Sum", []OpSpec{ScanAll("lineitem", "l_quantity", "c"), Project("c", "lineitem", "l_extendedprice", "p")},
+			Sum("p", "total")},
+		{"ProbeSemi", []OpSpec{ScanAll("lineitem", "l_orderkey", "c"), Project("c", "lineitem", "l_orderkey", "k"), Build("k", "", "set")},
 			ProbeSemi("c", "lineitem", "l_orderkey", "set", "hit")},
-		{"ProbeAnti", []StageFn{ScanAll("lineitem", "l_orderkey", "c"), Projection("c", "lineitem", "l_orderkey", "k"), BuildMap("k", "", "set")},
+		{"ProbeAnti", []OpSpec{ScanAll("lineitem", "l_orderkey", "c"), Project("c", "lineitem", "l_orderkey", "k"), Build("k", "", "set")},
 			ProbeAnti("c", "lineitem", "l_orderkey", "set", "miss")},
-		{"ProbeFetch", []StageFn{ScanAll("lineitem", "l_orderkey", "c"), Projection("c", "lineitem", "l_orderkey", "k"), BuildMap("k", "k", "set")},
+		{"ProbeFetch", []OpSpec{ScanAll("lineitem", "l_orderkey", "c"), Project("c", "lineitem", "l_orderkey", "k"), Build("k", "k", "set")},
 			ProbeFetch("c", "lineitem", "l_orderkey", "set", "hit", "pay")},
-		{"GroupSum", []StageFn{ScanAll("lineitem", "l_orderkey", "c"), Projection("c", "lineitem", "l_orderkey", "k"), Projection("c", "lineitem", "l_extendedprice", "p")},
+		{"GroupSum", []OpSpec{ScanAll("lineitem", "l_orderkey", "c"), Project("c", "lineitem", "l_orderkey", "k"), Project("c", "lineitem", "l_extendedprice", "p")},
 			GroupSum("k", "p", "parts")},
 	}
 	for _, tc := range stages {
@@ -225,7 +221,7 @@ func TestStagePlanningAllocsIndependentOfFanout(t *testing.T) {
 			}
 			q := planningQuery(eng)
 			ctx := &sched.ExecContext{Machine: r.machine, PID: 101}
-			for _, in := range tc.inputs {
+			for _, in := range lower("inputs", tc.inputs...).Stages {
 				for _, tk := range in(q) {
 					for done := false; !done; {
 						_, done = tk.Step(ctx, 1<<40)
@@ -241,8 +237,9 @@ func TestStagePlanningAllocsIndependentOfFanout(t *testing.T) {
 				eng.pool.putMapIF(m)
 			}
 			q.owned.mif = make([]*i64fMap, 0, 16*(runs+2))
+			stage := lower("stage", tc.stage).Stages[0]
 			perStage[fi] = testing.AllocsPerRun(runs, func() {
-				if got := len(tc.stage(q)); got != fanout {
+				if got := len(stage(q)); got != fanout {
 					t.Fatalf("%s at fanout %d planned %d tasks", tc.name, fanout, got)
 				}
 			})

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -13,26 +14,42 @@ import (
 // tables and the blind-write kernels must leave unchanged: query results,
 // every simulated access, and the host allocations they exist to avoid.
 
-// lowering rewrites a plan's predicates before the plan is built.
-type lowering func(Pred) Pred
-
-// refPred is the reference lowering of a predicate: its inlinable form
-// cleared, so a selection runs the closure-per-row arm and a PredAll scan
-// materializes the identity vector instead of answering with a dense
-// range. The differentials below execute a plan and its reference
-// lowering side by side.
-func refPred(p Pred) Pred {
-	p.form = predGeneric
-	return p
+// refPred is the reference lowering of a predicate over a column of the
+// given kind: PredAll is restated as an always-true range, so a full scan
+// materializes the identity vector through the ordinary selection path
+// instead of answering with a dense range, and everything downstream reads
+// a materialized candidate list. Every other form is left as it is — what
+// each means per row is diff_test.go's business, whose references are
+// independent funcs.
+func refPred(p Pred, kind Kind) Pred {
+	switch {
+	case p.form != predAll:
+		return p
+	case kind == KindF64:
+		return PredFRange(math.Inf(-1), math.Inf(1))
+	}
+	return PredIRange(math.MinInt64, math.MaxInt64) // no test column holds MaxInt64
 }
 
-// refSpec is the reference lowering of a declarative plan.
-func refSpec(spec PlanSpec) PlanSpec {
+// refSpec is the reference lowering of a declarative plan that compiles
+// against st: refPred over every step. The differentials below execute a
+// plan and its reference lowering side by side.
+func refSpec(spec PlanSpec, st *Store) PlanSpec {
 	spec.Ops = append([]OpSpec(nil), spec.Ops...)
 	for i := range spec.Ops {
-		spec.Ops[i].Pred = refPred(spec.Ops[i].Pred)
+		if op := &spec.Ops[i]; op.Kind == OpScan || op.Kind == OpRefine {
+			op.Pred = refPred(op.Pred, st.Table(op.Table).Col(op.Col).Kind)
+		}
 	}
 	return spec
+}
+
+// bothWays returns the two builds runPlanBothWays takes: spec as it is and
+// its reference lowering, both lowered unchecked (a dense candidate list
+// read as a value vector is legal to the engine and not to Compile).
+func bothWays(spec PlanSpec) (build, buildRef func(st *Store) (*Plan, error)) {
+	return func(*Store) (*Plan, error) { return spec.Lower(), nil },
+		func(st *Store) (*Plan, error) { return refSpec(spec, st).Lower(), nil }
 }
 
 // runPlanBothWays executes the plan and its reference lowering on two
@@ -93,69 +110,59 @@ func sameOutcome(t *testing.T, fast, ref *Query, fastM, refM *numa.Machine) {
 
 // TestScanAllPlansMatchNaive runs plans that start from a full-table
 // candidate list through every consumer of one — projection of both
-// kinds, the three probes, refinement in inlined, IN-list and closure
-// forms, count, and use as join and group keys — against their reference
-// lowering (materialized identity vectors, closure-per-row predicates).
+// kinds, the three probes, refinement under every predicate form, count,
+// and use as join and group keys — against their reference lowering
+// (materialized identity vectors).
 func TestScanAllPlansMatchNaive(t *testing.T) {
-	plans := map[string]func(pr lowering) []StageFn{
-		"project+sum": func(pr lowering) []StageFn {
-			return []StageFn{
-				ThetaSelect("lineitem", "l_orderkey", "all", pr(PredAll())),
-				Projection("all", "lineitem", "l_extendedprice", "p"),
-				Projection("all", "lineitem", "l_discount", "d"),
-				Projection("all", "lineitem", "l_orderkey", "ok"),
-				MapF2("p", "d", "rev", func(x, y float64) float64 { return x * y }),
-				SumF("rev", "result"),
-				Count("all", "rows"),
-			}
+	plans := map[string][]OpSpec{
+		"project+sum": {
+			ScanAll("lineitem", "l_orderkey", "all"),
+			Project("all", "lineitem", "l_extendedprice", "p"),
+			Project("all", "lineitem", "l_discount", "d"),
+			Project("all", "lineitem", "l_orderkey", "ok"),
+			Map2("p", "d", "rev", MapMul),
+			Sum("rev", "result"),
+			Count("all", "rows"),
 		},
-		"probes": func(pr lowering) []StageFn {
-			return []StageFn{
-				ThetaSelect("lineitem", "l_extendedprice", "cheap", pr(PredFLess(300))),
-				Projection("cheap", "lineitem", "l_orderkey", "keys"),
-				Projection("cheap", "lineitem", "l_shipdate", "dates"),
-				BuildMap("keys", "dates", "seen"),
-				ThetaSelect("lineitem", "l_orderkey", "all", pr(PredAll())),
-				ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
-				ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
-				ProbeFetch("all", "lineitem", "l_orderkey", "seen", "got", "when"),
-				Count("hit", "hits"),
-				Count("miss", "misses"),
-			}
+		"probes": {
+			Scan("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+			Project("cheap", "lineitem", "l_orderkey", "keys"),
+			Project("cheap", "lineitem", "l_shipdate", "dates"),
+			Build("keys", "dates", "seen"),
+			ScanAll("lineitem", "l_orderkey", "all"),
+			ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
+			ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
+			ProbeFetch("all", "lineitem", "l_orderkey", "seen", "got", "when"),
+			Count("hit", "hits"),
+			Count("miss", "misses"),
 		},
-		"refine": func(pr lowering) []StageFn {
-			return []StageFn{
-				ThetaSelect("lineitem", "l_shipdate", "all", pr(PredAll())),
-				SubSelect("all", "lineitem", "l_shipdate", "r1", pr(PredIRange(19970101, 19980101))),
-				SubSelect("all", "lineitem", "l_discount", "r2", pr(PredFRange(0.06, 0.08))),
-				SubSelect("all", "lineitem", "l_quantity", "r3", pr(PredFLess(24))),
-				SubSelect("all", "lineitem", "l_orderkey", "r4", pr(PredIIn(1, 2, 3, 100))),
-				SubSelect("all", "lineitem", "l_orderkey", "r5", pr(PredIEq(17))),
-				SubSelect("all", "lineitem", "l_orderkey", "r6", Pred{I: func(v int64) bool { return v%3 == 0 }}),
-				SubSelect("all", "lineitem", "l_quantity", "r7", Pred{F: func(v float64) bool { return v > 40 }}),
-				SubSelect("all", "lineitem", "l_quantity", "r8", pr(PredAll())),
-				SubSelect("r1", "lineitem", "l_orderkey", "r9", pr(PredAll())),
-				Count("r1", "n1"),
-			}
+		"refine": {
+			ScanAll("lineitem", "l_shipdate", "all"),
+			Refine("all", "lineitem", "l_shipdate", "r1", PredIRange(19970101, 19980101)),
+			Refine("all", "lineitem", "l_discount", "r2", PredFRange(0.06, 0.08)),
+			Refine("all", "lineitem", "l_quantity", "r3", PredFLess(24)),
+			Refine("all", "lineitem", "l_orderkey", "r4", PredIIn(1, 2, 3, 100)),
+			Refine("all", "lineitem", "l_orderkey", "r5", PredIEq(17)),
+			Refine("all", "lineitem", "l_orderkey", "r6", PredINe(17)),
+			Refine("all", "lineitem", "l_quantity", "r7", PredFRange(41, math.Inf(1))),
+			Refine("all", "lineitem", "l_quantity", "r8", PredAll()),
+			Refine("r1", "lineitem", "l_orderkey", "r9", PredAll()),
+			Count("r1", "n1"),
 		},
-		"candidates as keys": func(pr lowering) []StageFn {
-			return []StageFn{
-				ThetaSelect("tiny", "k", "all", pr(PredAll())),
-				BuildMap("all", "", "oids"),
-				GroupSum("all", "", "parts"),
-				GroupMerge("parts", "gk", "gs"),
-				TopN("gk", "gs", 5),
-				ThetaSelect("lineitem", "l_orderkey", "li", pr(PredAll())),
-				ProbeSemi("li", "lineitem", "l_orderkey", "oids", "small"),
-			}
+		"candidates as keys": {
+			ScanAll("tiny", "k", "all"),
+			Build("all", "", "oids"),
+			GroupSum("all", "", "parts"),
+			GroupMerge("parts", "gk", "gs"),
+			TopN("gk", "gs", 5),
+			ScanAll("lineitem", "l_orderkey", "li"),
+			ProbeSemi("li", "lineitem", "l_orderkey", "oids", "small"),
 		},
 	}
-	for name, stages := range plans {
+	for name, ops := range plans {
 		t.Run(name, func(t *testing.T) {
-			build := func(pr lowering) func(*Store) (*Plan, error) {
-				return func(*Store) (*Plan, error) { return &Plan{Name: name, Stages: stages(pr)}, nil }
-			}
-			fast, ref, fm, rm := runPlanBothWays(t, 40000, build(func(p Pred) Pred { return p }), build(refPred))
+			build, buildRef := bothWays(PlanSpec{Name: name, Ops: ops})
+			fast, ref, fm, rm := runPlanBothWays(t, 40000, build, buildRef)
 			sameOutcome(t, fast, ref, fm, rm)
 			if fast.Var("all").Rows() == 0 {
 				t.Fatal("the full scan produced no candidates")
@@ -345,8 +352,11 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 
 	cand := NewI64("cand", identity(0, rows))
 	ids := make([]int64, 0, selHint(rows))
-	pred := Pred{I: func(v int64) bool { return v%3 == 0 }}
-	fr := NewFilterRefine(col, pred, cand, ids)
+	mod3 := NewI64("m", make([]int64, rows)) // every third row matches PredIEq(0)
+	for i := range mod3.I {
+		mod3.I[i] = int64(i % 3)
+	}
+	fr := NewFilterRefine(mod3, PredIEq(0), cand, ids)
 	third, thirdPos := &i64Map{}, &i64Map{}
 	thirdPos.tryPositional(0, rows-1, rows/3, false)
 	for k := int64(0); k < rows; k += 3 {
@@ -378,10 +388,11 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 	// the first strip never does, whatever survives.
 	for _, tc := range []struct {
 		rows int
+		col  *BAT
 		p    Pred
-	}{{rows, pred}, {minStrip, PredIRange(0, rows)}, {5, PredIRange(0, rows)}} {
+	}{{rows, mod3, PredIEq(0)}, {minStrip, col, PredIRange(0, rows)}, {5, col, PredIRange(0, rows)}} {
 		buf := make([]int64, 0, selHint(tc.rows))
-		fs := NewFilterScan(col, tc.p, 0, tc.rows, buf)
+		fs := NewFilterScan(tc.col, tc.p, 0, tc.rows, buf)
 		for a := 0; a < tc.rows; a += 2048 {
 			fs.runRange(a, min(a+2048, tc.rows))
 		}
@@ -491,7 +502,7 @@ func refThetaSelect(table, col, out string, p Pred) refStage {
 		tasks := make([]*refTask, len(ranges))
 		for i, r := range ranges {
 			t := newRefTask(q, []*BAT{c}, r[0], r[1], cyclesScan)
-			op := NewFilterScan(c, p, r[0], r[1], nil)
+			op := NewFilterScan(c, refPred(p, c.Kind), r[0], r[1], nil)
 			t.process = op.runRange
 			t.finish = func() []*BAT {
 				frag := NewI64(out, nil)
@@ -519,7 +530,7 @@ func refSubSelect(in, table, col, out string, p Pred) refStage {
 			}
 			t := newRefTask(q, []*BAT{cand}, 0, cand.Len(), cyclesGather)
 			t.extraCharge = refGatherCharge(cand, c)
-			op := NewFilterRefine(c, p, cand, nil)
+			op := NewFilterRefine(c, refPred(p, c.Kind), cand, nil)
 			t.process = op.runRange
 			t.finish = func() []*BAT {
 				frag := NewI64(out, op.ids)

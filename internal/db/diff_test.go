@@ -2,7 +2,9 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -148,12 +150,11 @@ func diffPreds() []diffPred {
 		{"iin", KindI64, PredIIn(1, 2, 3), func(v int64) bool { return v == 1 || v == 2 || v == 3 }, nil},
 		{"iall", KindI64, PredAll(), func(int64) bool { return true }, nil},
 		{"inone", KindI64, PredIEq(-1), func(int64) bool { return false }, nil},
-		{"igeneric", KindI64, Pred{I: func(v int64) bool { return v%7 == 0 }}, func(v int64) bool { return v%7 == 0 }, nil},
+		{"ine", KindI64, PredINe(5), func(v int64) bool { return v != 5 }, nil},
 		{"frange", KindF64, PredFRange(0.2, 0.6), nil, func(v float64) bool { return v >= 0.2 && v <= 0.6 }},
 		{"fless", KindF64, PredFLess(0.3), nil, func(v float64) bool { return v < 0.3 }},
 		{"fall", KindF64, PredFRange(-1, 2), nil, func(v float64) bool { return v >= -1 && v <= 2 }},
 		{"fnone", KindF64, PredFLess(-1), nil, func(v float64) bool { return v < -1 }},
-		{"fgeneric", KindF64, Pred{F: func(v float64) bool { return v > 0.5 }}, nil, func(v float64) bool { return v > 0.5 }},
 	}
 }
 
@@ -488,7 +489,13 @@ func refTopN(sums []float64, n int) []int {
 	return out
 }
 
+// TestDiffSortLimit is the differential of algebra.topn: the ranking
+// (topNIndex) against the selection-sort reference, and the OpTopN stage
+// planned and stepped on an engine — the keys and sums it leaves bound, and
+// the cycles it charges.
 func TestDiffSortLimit(t *testing.T) {
+	rig := newOpRig(t)
+	ctx := &sched.ExecContext{Machine: rig.machine, PID: 9}
 	for _, seed := range diffSeeds {
 		r := newDiffRNG(seed)
 		for _, size := range diffSizes(r) {
@@ -509,11 +516,22 @@ func TestDiffSortLimit(t *testing.T) {
 					wantKeys[i] = keys.I[j]
 					wantSums[i] = sums[j]
 				}
-				op := NewSortLimit(keys, sumsBAT, n)
-				got, _ := drain(op, r)
-				eqI64(t, "topn keys", got, wantKeys)
-				eqF64(t, "topn sums", op.Sums(), wantSums)
-				eqCycles(t, "topn", op, uint64(size)*cyclesSort)
+				if got := topNIndex(sums, n); !slices.Equal(got, idx) {
+					t.Fatalf("topn rank: got %v, want %v", got, idx)
+				}
+				q := planningQuery(rig.eng)
+				q.SetVar("k", &PartSet{Parts: []*BAT{keys}})
+				q.SetVar("s", &PartSet{Parts: []*BAT{sumsBAT}})
+				tasks := lower("topn", TopN("k", "s", n)).Stages[0](q)
+				if len(tasks) != 1 {
+					t.Fatalf("topn planned %d tasks, want 1", len(tasks))
+				}
+				used, done := tasks[0].Step(ctx, 1<<40)
+				eqI64(t, "topn keys", q.Var("k").FlattenI64(), wantKeys)
+				eqF64(t, "topn sums", q.Var("s").FlattenF64(), wantSums)
+				if !done || used != uint64(size)*cyclesSort {
+					t.Fatalf("topn: charged %d cycles (done %v), want %d", used, done, uint64(size)*cyclesSort)
+				}
 			}
 		}
 	}
@@ -521,7 +539,7 @@ func TestDiffSortLimit(t *testing.T) {
 
 // refProbeCount re-derives the bisection probe count for one key: the
 // halving steps of the [lo, hi) search, which is what the operator and
-// the PointLookup stage both charge (+1 for the final fetch).
+// the OpLookup stage both charge (+1 for the final fetch).
 func refProbeCount(keys []int64, key int64) int {
 	count := 0
 	lo, hi := 0, len(keys)
@@ -662,7 +680,6 @@ func TestDiffNextZero(t *testing.T) {
 		NewHashProbe(col, NewI64("cand", []int64{0}), &i64Map{}, false, false, nil, nil),
 		NewHashProbe(col, newDense("cand", 0, 3), &i64Map{}, true, false, nil, nil),
 		NewGroupAgg(col, nil, &i64fMap{}),
-		NewSortLimit(col, NewF64("s", []float64{1, 2, 3}), 2),
 		NewLookup(col, NewF64("v", []float64{1, 2, 3}), []int64{2}),
 		NewFusedQ6(NewI64("sd", []int64{19970201}), NewF64("q", []float64{1}), NewF64("d", []float64{0.07}), NewF64("p", []float64{100}), 0, 1),
 	}
@@ -849,7 +866,7 @@ func planningQuery(e *Engine) *Query {
 }
 
 // TestDiffEngineDrive is the differential of the engine drive. Every
-// chunked stage builder plans its slab and the tasks are stepped with
+// chunked kind's lowering plans its slab and the tasks are stepped with
 // SplitMix64-random budgets — well below a chunk's cost (the debt path),
 // around it (a quantum ending mid-partition) and far above it — beside the
 // closure lowering the slab replaced (refStage, dense_test.go), itself
@@ -863,26 +880,26 @@ func planningQuery(e *Engine) *Query {
 func TestDiffEngineDrive(t *testing.T) {
 	mul := func(x, y float64) float64 { return x * y }
 	type step struct {
-		fast StageFn
+		fast OpSpec
 		ref  refStage // nil: a single-task stage, the same on both sides
 	}
 	sel := func(table, col, out string, p Pred) step {
-		return step{ThetaSelect(table, col, out, p), refThetaSelect(table, col, out, refPred(p))}
+		return step{Scan(table, col, out, p), refThetaSelect(table, col, out, p)}
 	}
 	sub := func(in, col, out string, p Pred) step {
-		return step{SubSelect(in, "lineitem", col, out, p), refSubSelect(in, "lineitem", col, out, refPred(p))}
+		return step{Refine(in, "lineitem", col, out, p), refSubSelect(in, "lineitem", col, out, p)}
 	}
 	proj := func(in, col, out string) step {
-		return step{Projection(in, "lineitem", col, out), refProjection(in, "lineitem", col, out)}
+		return step{Project(in, "lineitem", col, out), refProjection(in, "lineitem", col, out)}
 	}
 	steps := []step{
 		sel("lineitem", "l_shipdate", "all", PredAll()),
 		sel("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
-		sel("lineitem", "l_orderkey", "odd", Pred{I: func(v int64) bool { return v%2 == 1 }}),
+		sel("lineitem", "l_orderkey", "most", PredINe(17)),
 		sel("tiny", "k", "few", PredIRange(3, 40)),                     // one partition, shorter than a chunk
 		sub("all", "l_shipdate", "r1", PredIRange(19970101, 19980101)), // dense candidates
 		sub("cheap", "l_discount", "r2", PredFRange(0.02, 0.08)),
-		sub("odd", "l_quantity", "r3", Pred{F: func(v float64) bool { return v > 20 }}),
+		sub("most", "l_quantity", "r3", PredFRange(20.5, math.Inf(1))),
 		sub("r2", "l_orderkey", "none", PredIEq(-1)), // every partition empties
 		sub("r1", "l_orderkey", "same", PredAll()),
 		proj("r1", "l_orderkey", "k"),
@@ -890,13 +907,13 @@ func TestDiffEngineDrive(t *testing.T) {
 		proj("r1", "l_discount", "d"),
 		proj("all", "l_quantity", "qty"), // a slice copy per chunk
 		proj("none", "l_discount", "nothing"),
-		{MapF2("p", "d", "rev", mul), refMapF2("p", "d", "rev", mul)},
-		{MapF2("nothing", "nothing", "nil2", mul), refMapF2("nothing", "nothing", "nil2", mul)},
-		{SumF("rev", "total"), refSumF("rev", "total")},
-		{SumF("qty", "units"), refSumF("qty", "units")},
+		{Map2("p", "d", "rev", MapMul), refMapF2("p", "d", "rev", mul)},
+		{Map2("nothing", "nothing", "nil2", MapMul), refMapF2("nothing", "nothing", "nil2", mul)},
+		{Sum("rev", "total"), refSumF("rev", "total")},
+		{Sum("qty", "units"), refSumF("qty", "units")},
 		proj("cheap", "l_orderkey", "ck"),
 		proj("cheap", "l_shipdate", "cd"),
-		{fast: BuildMap("ck", "cd", "seen")},
+		{fast: Build("ck", "cd", "seen")},
 		{ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"), refProbe("all", "lineitem", "l_orderkey", "seen", "hit", "", false)},
 		{ProbeAnti("r3", "lineitem", "l_orderkey", "seen", "miss"), refProbe("r3", "lineitem", "l_orderkey", "seen", "miss", "", true)},
 		{ProbeFetch("r1", "lineitem", "l_orderkey", "seen", "got", "when"), refProbe("r1", "lineitem", "l_orderkey", "seen", "got", "when", false)},
@@ -938,14 +955,15 @@ func TestDiffEngineDrive(t *testing.T) {
 		}
 		for si, st := range steps {
 			var fts, rts []stepper
-			for _, tk := range st.fast(fast.q) {
+			stage := lower("fast", st.fast).Stages[0]
+			for _, tk := range stage(fast.q) {
 				if _, slab := tk.(*chunkTask); slab != (st.ref != nil) {
 					t.Fatalf("seed %d stage %d: a chunked stage must plan chunkTasks, a single-task stage none", seed, si)
 				}
 				fts = append(fts, tk)
 			}
 			if st.ref == nil {
-				for _, tk := range st.fast(ref.q) {
+				for _, tk := range stage(ref.q) {
 					rts = append(rts, tk)
 				}
 			} else {

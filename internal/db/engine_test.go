@@ -73,19 +73,21 @@ func (r *rig) run(t *testing.T, qs ...*Query) {
 	}
 }
 
-// q6Plan builds the paper's Q6 (Figure 3 MAL listing) over the rig's
-// synthetic lineitem.
-func q6Plan() *Plan {
-	return &Plan{Name: "Q6", Stages: []StageFn{
-		ThetaSelect("lineitem", "l_quantity", "X_1", Pred{F: func(v float64) bool { return v < 24 }}),
-		SubSelect("X_1", "lineitem", "l_shipdate", "X_2", PredIRange(19970101, 19980101)),
-		SubSelect("X_2", "lineitem", "l_discount", "X_3", PredFRange(0.06, 0.08)),
-		Projection("X_3", "lineitem", "l_extendedprice", "X_4"),
-		Projection("X_3", "lineitem", "l_discount", "X_5"),
-		MapF2("X_4", "X_5", "X_6", func(x, y float64) float64 { return x * y }),
-		SumF("X_6", "revenue"),
-	}}
+// q6Spec is the paper's Q6 (Figure 3 MAL listing) over the rig's synthetic
+// lineitem; q6Plan lowers it unchecked.
+func q6Spec() PlanSpec {
+	return spec("Q6",
+		Scan("lineitem", "l_quantity", "X_1", PredFLess(24)),
+		Refine("X_1", "lineitem", "l_shipdate", "X_2", PredIRange(19970101, 19980101)),
+		Refine("X_2", "lineitem", "l_discount", "X_3", PredFRange(0.06, 0.08)),
+		Project("X_3", "lineitem", "l_extendedprice", "X_4"),
+		Project("X_3", "lineitem", "l_discount", "X_5"),
+		Map2("X_4", "X_5", "X_6", MapMul),
+		Sum("X_6", "revenue"),
+	)
 }
+
+func q6Plan() *Plan { return q6Spec().Lower() }
 
 // q6Reference computes Q6's answer directly from the base columns.
 func q6Reference(st *Store) float64 {

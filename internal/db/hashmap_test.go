@@ -549,14 +549,14 @@ func TestBuildSideHoldsWhatItKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		q := r.eng.Submit(&Plan{Name: "Q13-join", Stages: []StageFn{
+		q := r.eng.Submit(lower("Q13-join",
 			ScanAll("orders", "o_custkey", "co"),
-			Projection("co", "orders", "o_custkey", "ock"),
-			BuildMap("ock", "", "hasorders"),
+			Project("co", "orders", "o_custkey", "ock"),
+			Build("ock", "", "hasorders"),
 			ScanAll("customer", "c_custkey", "cc"),
 			ProbeAnti("cc", "customer", "c_custkey", "hasorders", "cc2"),
 			Count("cc2", "idle"),
-		}})
+		))
 		r.run(t, q)
 		if got := int(q.Scalar("idle")); got != wantIdle {
 			t.Errorf("%s: %d customers without orders, want %d", tc.name, got, wantIdle)
@@ -592,24 +592,24 @@ func TestPlansCostTheSameInEitherForm(t *testing.T) {
 				r.store.Table("lineitem").Col("l_orderkey").I[i] <<= scatter
 			}
 		}
-		q := r.eng.Submit(&Plan{Name: "forms", Stages: []StageFn{
-			ThetaSelect("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
-			Projection("cheap", "lineitem", "l_orderkey", "keys"),
-			Projection("cheap", "lineitem", "l_shipdate", "dates"),
-			BuildMap("keys", "dates", "when"),
-			BuildMap("keys", "", "seen"),
+		q := r.eng.Submit(lower("forms",
+			Scan("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+			Project("cheap", "lineitem", "l_orderkey", "keys"),
+			Project("cheap", "lineitem", "l_shipdate", "dates"),
+			Build("keys", "dates", "when"),
+			Build("keys", "", "seen"),
 			ScanAll("lineitem", "l_orderkey", "all"),
 			ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
 			ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
 			ProbeFetch("all", "lineitem", "l_orderkey", "when", "got", "dated"),
-			Projection("hit", "lineitem", "l_orderkey", "gkeys"),
-			Projection("hit", "lineitem", "l_extendedprice", "gvals"),
+			Project("hit", "lineitem", "l_orderkey", "gkeys"),
+			Project("hit", "lineitem", "l_extendedprice", "gvals"),
 			GroupSum("gkeys", "gvals", "parts"),
 			GroupMerge("parts", "gk", "gs"),
 			TopN("gk", "gs", 7),
 			Count("hit", "hits"),
 			Count("miss", "misses"),
-		}})
+		))
 		r.run(t, q)
 		positional := 0
 		for _, m := range q.partialsOf("parts") {

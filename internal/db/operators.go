@@ -2,16 +2,21 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"elasticore/internal/numa"
 	"elasticore/internal/sched"
 )
 
-// operators.go defines the stage builders of the MAL-like operator set:
-// selections producing candidate lists, gather-style projections, value
-// maps, aggregates, hash joins and group-bys. Every builder returns a
-// StageFn; plans are ordered lists of them (Figure 3's query plan).
+// operators.go holds the predicates and the lowering functions of the
+// MAL-like operator set: selections producing candidate lists, gather-style
+// projections, value maps, aggregates, hash joins and group-bys. A lowering
+// function plans one OpSpec of a PlanSpec (vplan.go) for one query — it
+// reads the step's names and parameters from the spec, which it never
+// writes, and returns the tasks to dispatch: a slab of partition tasks, or
+// the one task of single(label, work). The op table in vplan.go is the only
+// caller.
 //
 // All per-query mutable state lives in the Query (vars, sets, scalars,
 // partials), so a Plan value itself is immutable and reusable.
@@ -28,82 +33,85 @@ const (
 	cyclesSort   = 40
 )
 
-// predForm identifies a predicate shape the scan loops can inline,
-// avoiding an indirect call per row. predGeneric falls back to the
-// closures.
-type predForm int
+// predForm identifies a predicate's comparison. The scan loops carry one
+// inlined arm per form, so no predicate costs an indirect call per row.
+type predForm uint8
 
 const (
-	predGeneric predForm = iota
-	predAll              // matches every row (ScanAll)
-	predIRange           // iLo <= v < iHi
-	predIEq              // v == iLo
-	predIIn              // v in iList
-	predFRange           // fLo <= v <= fHi
-	predFLess            // v < fHi
+	predNone   predForm = iota // the zero Pred: fits no column
+	predAll                    // matches every row of either kind (ScanAll)
+	predIRange                 // iLo <= v < iHi
+	predIEq                    // v == iLo
+	predINe                    // v != iLo
+	predIIn                    // v in iList
+	predFRange                 // fLo <= v <= fHi
+	predFLess                  // v < fHi
 )
 
-// Pred is a typed predicate over column values. Closure-built predicates
-// work on any matching column; the constructors below additionally record
-// the comparison form so selection loops can inline it.
+// Pred is a typed predicate over column values: a comparison form and its
+// bounds, nothing else — two predicates built from the same arguments are
+// equal, and a plan holding them can be compared, printed and hashed.
 type Pred struct {
-	I func(int64) bool
-	F func(float64) bool
-
 	form     predForm
 	iLo, iHi int64
 	iList    []int64
 	fLo, fHi float64
 }
 
+// PredAll matches every row of either kind (full scans).
+func PredAll() Pred { return Pred{form: predAll} }
+
 // PredIRange matches lo <= v < hi on integer columns.
-func PredIRange(lo, hi int64) Pred {
-	return Pred{
-		I:    func(v int64) bool { return v >= lo && v < hi },
-		form: predIRange, iLo: lo, iHi: hi,
-	}
-}
-
-// PredFRange matches lo <= v <= hi on float columns.
-func PredFRange(lo, hi float64) Pred {
-	return Pred{
-		F:    func(v float64) bool { return v >= lo && v <= hi },
-		form: predFRange, fLo: lo, fHi: hi,
-	}
-}
-
-// PredFLess matches v < hi on float columns.
-func PredFLess(hi float64) Pred {
-	return Pred{
-		F:    func(v float64) bool { return v < hi },
-		form: predFLess, fHi: hi,
-	}
-}
+func PredIRange(lo, hi int64) Pred { return Pred{form: predIRange, iLo: lo, iHi: hi} }
 
 // PredIEq matches v == x.
-func PredIEq(x int64) Pred {
-	return Pred{
-		I:    func(v int64) bool { return v == x },
-		form: predIEq, iLo: x,
-	}
-}
+func PredIEq(x int64) Pred { return Pred{form: predIEq, iLo: x} }
+
+// PredINe matches v != x.
+func PredINe(x int64) Pred { return Pred{form: predINe, iLo: x} }
 
 // PredIIn matches v in the given list (the paper's Q19/Q22 "IN" predicates
 // over a series of constant values shared in a list). IN lists are a
 // handful of constants, so a linear scan over a flat slice beats hashing.
 func PredIIn(list ...int64) Pred {
-	set := append([]int64(nil), list...)
-	return Pred{
-		I: func(v int64) bool {
-			for _, x := range set {
-				if x == v {
-					return true
-				}
-			}
-			return false
-		},
-		form: predIIn, iList: set,
+	return Pred{form: predIIn, iList: append([]int64(nil), list...)}
+}
+
+// PredFRange matches lo <= v <= hi on float columns.
+func PredFRange(lo, hi float64) Pred { return Pred{form: predFRange, fLo: lo, fHi: hi} }
+
+// PredFLess matches v < hi on float columns.
+func PredFLess(hi float64) Pred { return Pred{form: predFLess, fHi: hi} }
+
+// String renders the predicate as its comparison ("v" is the column
+// value), a range open to one side as the one-sided comparison.
+func (p Pred) String() string {
+	switch p.form {
+	case predAll:
+		return "true"
+	case predIRange:
+		switch {
+		case p.iLo == math.MinInt64:
+			return fmt.Sprintf("v < %d", p.iHi)
+		case p.iHi == math.MaxInt64:
+			return fmt.Sprintf("v >= %d", p.iLo)
+		}
+		return fmt.Sprintf("%d <= v < %d", p.iLo, p.iHi)
+	case predIEq:
+		return fmt.Sprintf("v == %d", p.iLo)
+	case predINe:
+		return fmt.Sprintf("v != %d", p.iLo)
+	case predIIn:
+		return fmt.Sprintf("v in %v", p.iList)
+	case predFRange:
+		if math.IsInf(p.fHi, 1) {
+			return fmt.Sprintf("v >= %g", p.fLo)
+		}
+		return fmt.Sprintf("%g <= v <= %g", p.fLo, p.fHi)
+	case predFLess:
+		return fmt.Sprintf("v < %g", p.fHi)
 	}
+	return "none"
 }
 
 // b2i converts a comparison result to 0/1; the compiler lowers it to a
@@ -149,9 +157,18 @@ func inList(list []int64, v int64) int {
 	return hit
 }
 
-// fits reports whether p has an arm for column c's kind.
+// fits reports whether p's form applies to column c's kind: an integer form
+// to an integer column, a float form to a float column, PredAll to both.
 func (p *Pred) fits(c *BAT) bool {
-	return (c.Kind == KindI64 && p.I != nil) || (c.Kind == KindF64 && p.F != nil)
+	switch p.form {
+	case predAll:
+		return true
+	case predIRange, predIEq, predINe, predIIn:
+		return c.Kind == KindI64
+	case predFRange, predFLess:
+		return c.Kind == KindF64
+	}
+	return false
 }
 
 // mustFit panics unless p fits c: what every selection operator checks at
@@ -163,59 +180,57 @@ func (p *Pred) mustFit(c *BAT) {
 }
 
 // selectScan is the filter kernel over one strip: it scans base rows
-// [a, b) of c and returns out with the matching row OIDs appended.
-// Constructor-built predicates get their comparison inlined into the loop;
-// closure predicates pay one indirect call per row. The form is tested once
-// per strip, never per row. (A PredAll scan never gets here — FilterScan
-// answers it with a dense range — and the refinement of a dense candidate
-// under PredAll runs its closures.)
+// [a, b) of c and returns out with the matching row OIDs appended. The
+// comparison is inlined into the loop; the form is tested once per strip,
+// never per row, and fits c (mustFit, at construction). (A PredAll scan
+// never gets here — FilterScan answers it with a dense range — but the
+// refinement of a dense candidate under PredAll does.)
 func selectScan(c *BAT, p *Pred, out []int64, a, b int) []int64 {
 	ids, buf := growFor(out, b-a)
 	k := 0
-	switch {
-	case p.form == predIRange && c.Kind == KindI64:
+	switch p.form {
+	case predAll:
+		for row := a; row < b; row++ {
+			buf[k] = int64(row)
+			k++
+		}
+	case predIRange:
 		lo, hi, vals := p.iLo, p.iHi, c.I
 		for row := a; row < b; row++ {
 			buf[k] = int64(row)
 			v := vals[row]
 			k += b2i(v >= lo && v < hi)
 		}
-	case p.form == predIEq && c.Kind == KindI64:
+	case predIEq:
 		x, vals := p.iLo, c.I
 		for row := a; row < b; row++ {
 			buf[k] = int64(row)
 			k += b2i(vals[row] == x)
 		}
-	case p.form == predIIn && c.Kind == KindI64:
+	case predINe:
+		x, vals := p.iLo, c.I
+		for row := a; row < b; row++ {
+			buf[k] = int64(row)
+			k += b2i(vals[row] != x)
+		}
+	case predIIn:
 		list, vals := p.iList, c.I
 		for row := a; row < b; row++ {
 			buf[k] = int64(row)
 			k += inList(list, vals[row])
 		}
-	case p.form == predFRange && c.Kind == KindF64:
+	case predFRange:
 		lo, hi, vals := p.fLo, p.fHi, c.F
 		for row := a; row < b; row++ {
 			buf[k] = int64(row)
 			v := vals[row]
 			k += b2i(v >= lo && v <= hi)
 		}
-	case p.form == predFLess && c.Kind == KindF64:
+	case predFLess:
 		hi, vals := p.fHi, c.F
 		for row := a; row < b; row++ {
 			buf[k] = int64(row)
 			k += b2i(vals[row] < hi)
-		}
-	case c.Kind == KindI64:
-		fi, vals := p.I, c.I
-		for row := a; row < b; row++ {
-			buf[k] = int64(row)
-			k += b2i(fi(vals[row]))
-		}
-	default:
-		ff, vals := p.F, c.F
-		for row := a; row < b; row++ {
-			buf[k] = int64(row)
-			k += b2i(ff(vals[row]))
 		}
 	}
 	return ids[:len(ids)+k]
@@ -236,57 +251,51 @@ func gatherScan(c *BAT, p *Pred, cand *BAT, out []int64, a, b int) []int64 {
 	}
 	ids, buf := growFor(out, len(cids))
 	k := 0
-	switch {
-	case p.form == predIRange && c.Kind == KindI64:
+	switch p.form {
+	case predIRange:
 		lo, hi, vals := p.iLo, p.iHi, c.I
 		for _, cid := range cids {
 			buf[k] = cid
 			v := vals[cid]
 			k += b2i(v >= lo && v < hi)
 		}
-	case p.form == predIEq && c.Kind == KindI64:
+	case predIEq:
 		x, vals := p.iLo, c.I
 		for _, cid := range cids {
 			buf[k] = cid
 			k += b2i(vals[cid] == x)
 		}
-	case p.form == predIIn && c.Kind == KindI64:
+	case predINe:
+		x, vals := p.iLo, c.I
+		for _, cid := range cids {
+			buf[k] = cid
+			k += b2i(vals[cid] != x)
+		}
+	case predIIn:
 		list, vals := p.iList, c.I
 		for _, cid := range cids {
 			buf[k] = cid
 			k += inList(list, vals[cid])
 		}
-	case p.form == predFRange && c.Kind == KindF64:
+	case predFRange:
 		lo, hi, vals := p.fLo, p.fHi, c.F
 		for _, cid := range cids {
 			buf[k] = cid
 			v := vals[cid]
 			k += b2i(v >= lo && v <= hi)
 		}
-	case p.form == predFLess && c.Kind == KindF64:
+	case predFLess:
 		hi, vals := p.fHi, c.F
 		for _, cid := range cids {
 			buf[k] = cid
 			k += b2i(vals[cid] < hi)
 		}
-	case c.Kind == KindI64:
-		fi, vals := p.I, c.I
-		for _, cid := range cids {
-			buf[k] = cid
-			k += b2i(fi(vals[cid]))
-		}
-	default:
-		ff, vals := p.F, c.F
-		for _, cid := range cids {
-			buf[k] = cid
-			k += b2i(ff(vals[cid]))
-		}
 	}
 	return ids[:len(ids)+k]
 }
 
-// predMismatch is the panic message for a predicate that has neither an
-// inlinable form nor a closure for column c's kind.
+// predMismatch is the panic message for a predicate whose form does not
+// apply to column c's kind.
 func predMismatch(c *BAT) string {
 	if c.Kind == KindI64 {
 		return fmt.Sprintf("db: integer column %s filtered with non-integer predicate", c.Name)
@@ -303,155 +312,147 @@ type slot[O any] struct {
 	op O
 }
 
-// ThetaSelect plans algebra.thetasubselect: a full partitioned scan of a
-// base-table column producing per-partition candidate lists (row OIDs) in
-// variable out.
-func ThetaSelect(table, col, out string, p Pred) StageFn {
-	return func(q *Query) []Task {
-		base := q.eng.store.Table(table)
-		c := base.Col(col)
-		ranges := partitionRanges(base.Rows, q.Fanout(), q.eng.cfg.MinPartRows)
-		ps := q.newVar(out, KindI64, len(ranges))
-		slab := make([]slot[FilterScan], len(ranges))
-		q.tasks = q.tasks[:0]
-		for i, r := range ranges {
-			s := &slab[i]
-			var buf []int64
-			if p.form != predAll {
-				buf = q.scratchI64(selHint(r[1] - r[0]))
-			}
-			s.op.init(c, &p, r[0], r[1], buf)
-			s.op.q, s.op.out = q, ps.Parts[i]
-			s.init("algebra.thetasubselect", q.Machine(), &s.op, r[0], r[1], cyclesScan, c)
-			q.tasks = append(q.tasks, &s.chunkTask)
+// lowerScan plans algebra.thetasubselect (OpScan): a full partitioned scan
+// of a base-table column producing per-partition candidate lists (row OIDs)
+// in variable Out. Under PredAll it is the sql.tid pattern: a candidate
+// list covering the table, answered as dense ranges.
+func lowerScan(q *Query, op *OpSpec) []Task {
+	base := q.eng.store.Table(op.Table)
+	c := base.Col(op.Col)
+	ranges := partitionRanges(base.Rows, q.Fanout(), q.eng.cfg.MinPartRows)
+	ps := q.newVar(op.Out, KindI64, len(ranges))
+	slab := make([]slot[FilterScan], len(ranges))
+	q.tasks = q.tasks[:0]
+	for i, r := range ranges {
+		s := &slab[i]
+		var buf []int64
+		if op.Pred.form != predAll {
+			buf = q.scratchI64(selHint(r[1] - r[0]))
 		}
-		return q.tasks
+		s.op.init(c, &op.Pred, r[0], r[1], buf)
+		s.op.q, s.op.out = q, ps.Parts[i]
+		s.init("algebra.thetasubselect", q.Machine(), &s.op, r[0], r[1], cyclesScan, c)
+		q.tasks = append(q.tasks, &s.chunkTask)
 	}
+	return q.tasks
 }
 
-// SubSelect plans algebra.subselect: it refines candidate lists in
-// variable in against a further predicate on a base column, producing out.
-func SubSelect(in, table, col, out string, p Pred) StageFn {
-	return func(q *Query) []Task {
-		c := q.eng.store.Table(table).Col(col)
-		inPS := q.Var(in)
-		ps := q.newVar(out, KindI64, len(inPS.Parts))
-		slab := make([]slot[FilterRefine], len(inPS.Parts))
-		q.tasks = q.tasks[:0]
-		for i, cand := range inPS.Parts {
-			if cand == nil || cand.Len() == 0 {
-				continue
-			}
-			s := &slab[i]
-			s.op.init(c, &p, cand, q.scratchI64(selHint(cand.Len())))
-			s.op.q, s.op.out = q, ps.Parts[i]
-			s.gathers("algebra.subselect", q, &s.op, cand, c, cyclesGather)
-			q.tasks = append(q.tasks, &s.chunkTask)
+// lowerRefine plans algebra.subselect (OpRefine): it refines the candidate
+// lists in variable In against a further predicate on a base column,
+// producing Out.
+func lowerRefine(q *Query, op *OpSpec) []Task {
+	c := q.eng.store.Table(op.Table).Col(op.Col)
+	inPS := q.Var(op.In)
+	ps := q.newVar(op.Out, KindI64, len(inPS.Parts))
+	slab := make([]slot[FilterRefine], len(inPS.Parts))
+	q.tasks = q.tasks[:0]
+	for i, cand := range inPS.Parts {
+		if cand == nil || cand.Len() == 0 {
+			continue
 		}
-		return q.tasks
+		s := &slab[i]
+		s.op.init(c, &op.Pred, cand, q.scratchI64(selHint(cand.Len())))
+		s.op.q, s.op.out = q, ps.Parts[i]
+		s.gathers("algebra.subselect", q, &s.op, cand, c, cyclesGather)
+		q.tasks = append(q.tasks, &s.chunkTask)
 	}
+	return q.tasks
 }
 
-// Projection plans algebra.projection: it gathers base-column values at
-// the candidate positions in variable in, producing aligned value
-// fragments in out.
-func Projection(in, table, col, out string) StageFn {
-	return func(q *Query) []Task {
-		c := q.eng.store.Table(table).Col(col)
-		inPS := q.Var(in)
-		ps := q.newVar(out, c.Kind, len(inPS.Parts))
-		slab := make([]slot[Gather], len(inPS.Parts))
-		q.tasks = q.tasks[:0]
-		for i, cand := range inPS.Parts {
-			if cand == nil || cand.Len() == 0 {
-				continue
-			}
-			s, outB := &slab[i], ps.Parts[i]
-			if c.Kind == KindI64 {
-				outB.I = q.scratchI64(cand.Len())
-			} else {
-				outB.F = q.scratchF64(cand.Len())
-			}
-			s.op = Gather{col: c, cand: cand, out: outB, q: q}
-			s.gathers("algebra.projection", q, &s.op, cand, c, cyclesGather)
-			q.tasks = append(q.tasks, &s.chunkTask)
+// lowerProject plans algebra.projection (OpProject): it gathers base-column
+// values at the candidate positions in variable In, producing aligned value
+// fragments in Out.
+func lowerProject(q *Query, op *OpSpec) []Task {
+	c := q.eng.store.Table(op.Table).Col(op.Col)
+	inPS := q.Var(op.In)
+	ps := q.newVar(op.Out, c.Kind, len(inPS.Parts))
+	slab := make([]slot[Gather], len(inPS.Parts))
+	q.tasks = q.tasks[:0]
+	for i, cand := range inPS.Parts {
+		if cand == nil || cand.Len() == 0 {
+			continue
 		}
-		return q.tasks
+		s, outB := &slab[i], ps.Parts[i]
+		if c.Kind == KindI64 {
+			outB.I = q.scratchI64(cand.Len())
+		} else {
+			outB.F = q.scratchF64(cand.Len())
+		}
+		s.op = Gather{col: c, cand: cand, out: outB, q: q}
+		s.gathers("algebra.projection", q, &s.op, cand, c, cyclesGather)
+		q.tasks = append(q.tasks, &s.chunkTask)
 	}
+	return q.tasks
 }
 
-// MapF2 plans batcalc binary arithmetic over two aligned float variables
-// (e.g. [*](extendedprice, discount)).
-func MapF2(a, b, out string, f func(x, y float64) float64) StageFn {
-	return func(q *Query) []Task {
-		pa, pb := q.Var(a), q.Var(b)
-		if len(pa.Parts) != len(pb.Parts) {
-			panic(fmt.Sprintf("db: MapF2 over misaligned vars %s (%d parts) and %s (%d parts)", a, len(pa.Parts), b, len(pb.Parts)))
-		}
-		ps := q.newVar(out, KindF64, len(pa.Parts))
-		slab := make([]slot[MapBinary], len(pa.Parts))
-		q.tasks = q.tasks[:0]
-		for i, fa := range pa.Parts {
-			if fa == nil || fa.Len() == 0 {
-				continue
-			}
-			s, fb := &slab[i], pb.Parts[i]
-			s.op = MapBinary{a: fa, b: fb, f: f, res: q.scratchF64(fa.Len()), q: q, out: ps.Parts[i]}
-			s.init("batcalc.*", q.Machine(), &s.op, 0, fa.Len(), cyclesMap, fa, fb)
-			q.tasks = append(q.tasks, &s.chunkTask)
-		}
-		return q.tasks
+// lowerMap2 plans batcalc binary arithmetic (OpMap2) over the two aligned
+// float variables In and In2 (e.g. [*](extendedprice, discount)).
+func lowerMap2(q *Query, op *OpSpec) []Task {
+	pa, pb := q.Var(op.In), q.Var(op.In2)
+	if len(pa.Parts) != len(pb.Parts) {
+		panic(fmt.Sprintf("db: map2 over misaligned vars %s (%d parts) and %s (%d parts)", op.In, len(pa.Parts), op.In2, len(pb.Parts)))
 	}
+	f := op.Map.fn()
+	ps := q.newVar(op.Out, KindF64, len(pa.Parts))
+	slab := make([]slot[MapBinary], len(pa.Parts))
+	q.tasks = q.tasks[:0]
+	for i, fa := range pa.Parts {
+		if fa == nil || fa.Len() == 0 {
+			continue
+		}
+		s, fb := &slab[i], pb.Parts[i]
+		s.op = MapBinary{a: fa, b: fb, f: f, res: q.scratchF64(fa.Len()), q: q, out: ps.Parts[i]}
+		s.init("batcalc.*", q.Machine(), &s.op, 0, fa.Len(), cyclesMap, fa, fb)
+		q.tasks = append(q.tasks, &s.chunkTask)
+	}
+	return q.tasks
 }
 
-// SumF plans aggr.sum over a float variable: per-partition partials
-// accumulate into the named scalar.
-func SumF(in, scalar string) StageFn {
-	return func(q *Query) []Task {
-		ps := q.Var(in)
-		slab := make([]slot[SumAgg], len(ps.Parts))
-		q.tasks = q.tasks[:0]
-		for i, frag := range ps.Parts {
-			if frag == nil || frag.Len() == 0 {
-				continue
-			}
-			s := &slab[i]
-			s.op = SumAgg{in: frag, q: q, scalar: scalar}
-			s.init("aggr.sum", q.Machine(), &s.op, 0, frag.Len(), cyclesSum, frag)
-			q.tasks = append(q.tasks, &s.chunkTask)
+// lowerSum plans aggr.sum (OpSum) over the float variable In: per-partition
+// partials accumulate into the scalar Out.
+func lowerSum(q *Query, op *OpSpec) []Task {
+	ps := q.Var(op.In)
+	slab := make([]slot[SumAgg], len(ps.Parts))
+	q.tasks = q.tasks[:0]
+	for i, frag := range ps.Parts {
+		if frag == nil || frag.Len() == 0 {
+			continue
 		}
-		return q.tasks
+		s := &slab[i]
+		s.op = SumAgg{in: frag, q: q, scalar: op.Out}
+		s.init("aggr.sum", q.Machine(), &s.op, 0, frag.Len(), cyclesSum, frag)
+		q.tasks = append(q.tasks, &s.chunkTask)
 	}
+	return q.tasks
 }
 
-// Count plans aggr.count over a variable, storing the row count in the
-// named scalar.
-func Count(in, scalar string) StageFn {
-	return func(q *Query) []Task {
-		q.SetScalar(scalar, float64(q.Var(in).Rows()))
-		return nil
-	}
+// lowerCount plans aggr.count (OpCount) over variable In, storing the row
+// count in the scalar Out.
+func lowerCount(q *Query, op *OpSpec) []Task {
+	q.SetScalar(op.Out, float64(q.Var(op.In).Rows()))
+	return nil
 }
 
-// funcTask runs a closure once, then pays its computed cycle cost down
-// across quanta (single-task combine operators: hash build, merges,
-// sorts).
+// funcTask is the one task of a single-task stage (hash build, merges,
+// sorts, point reads): it runs the stage's work function over the query and
+// the step once, then pays the cycle cost it computed down across quanta.
 type funcTask struct {
-	op   string
-	pref numa.NodeID
-	work func(ctx *sched.ExecContext) uint64
+	label string
+	q     *Query
+	op    *OpSpec
+	work  func(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64
 
 	started   bool
 	remaining uint64
 }
 
-func (t *funcTask) Op() string                 { return t.op }
-func (t *funcTask) PreferredNode() numa.NodeID { return t.pref }
+func (t *funcTask) Op() string                 { return t.label }
+func (t *funcTask) PreferredNode() numa.NodeID { return numa.NoNode }
 
 func (t *funcTask) Step(ctx *sched.ExecContext, budget uint64) (uint64, bool) {
 	if !t.started {
 		t.started = true
-		t.remaining = t.work(ctx)
+		t.remaining = t.work(t.q, t.op, ctx)
 	}
 	if t.remaining <= budget {
 		used := t.remaining
@@ -462,282 +463,235 @@ func (t *funcTask) Step(ctx *sched.ExecContext, budget uint64) (uint64, bool) {
 	return budget, false
 }
 
-// BuildMap plans a hash-join build side: a single task mapping keysVar to
-// payloads from valsVar (or to 1 when valsVar is empty), bound to setName.
-// The table is sized once, from the bounds of the key fragments where
-// they make it positional and from the build side's row count otherwise.
-func BuildMap(keysVar, valsVar, setName string) StageFn {
-	return func(q *Query) []Task {
-		keys := q.Var(keysVar)
-		var vals *PartSet
-		if valsVar != "" {
-			vals = q.Var(valsVar)
-		}
-		t := &funcTask{op: "hash.build", pref: numa.NoNode}
-		t.work = func(ctx *sched.ExecContext) uint64 {
-			m := q.scratchMapII()
-			lo, hi := noKeys()
-			for _, frag := range keys.Parts {
-				lo, hi = frag.widen(lo, hi)
-			}
-			if !m.tryPositional(lo, hi, keys.Rows(), vals == nil) {
-				m.reserve(keys.Rows())
-			}
-			var cost uint64
-			for pi, frag := range keys.Parts {
-				if frag == nil || frag.Len() == 0 {
-					continue
-				}
-				cost += frag.chargeRange(ctx, 0, frag.Len(), false)
-				var vf *BAT
-				if vals != nil {
-					vf = vals.Parts[pi]
-				}
-				op := NewHashBuild(frag, vf, m)
-				op.runRange(0, frag.Len())
-				cost += uint64(frag.Len()) * cyclesBuild
-			}
-			q.SetSet(setName, m)
-			return cost
-		}
-		return []Task{t}
-	}
-}
-
-// ProbeSemi plans the probe side of a semijoin: candidate rows of inCand
-// whose base-column value hits setName survive into outCand.
-func ProbeSemi(inCand, table, col, setName, outCand string) StageFn {
-	return probe(inCand, table, col, setName, outCand, "", false)
-}
-
-// ProbeFetch plans a fetch join: surviving candidates also gather the
-// build side's payload into outVals (aligned with outCand).
-func ProbeFetch(inCand, table, col, setName, outCand, outVals string) StageFn {
-	return probe(inCand, table, col, setName, outCand, outVals, false)
-}
-
-// ProbeAnti plans an anti-join: candidates whose value does NOT hit the
-// set survive (NOT EXISTS / NOT IN shapes).
-func ProbeAnti(inCand, table, col, setName, outCand string) StageFn {
-	return probe(inCand, table, col, setName, outCand, "", true)
-}
-
-func probe(inCand, table, col, setName, outCand, outVals string, anti bool) StageFn {
-	return func(q *Query) []Task {
-		c := q.eng.store.Table(table).Col(col)
-		inPS := q.Var(inCand)
-		set := q.Set(setName)
-		ps := q.newVar(outCand, KindI64, len(inPS.Parts))
-		var vps *PartSet
-		if outVals != "" {
-			vps = q.newVar(outVals, KindI64, len(inPS.Parts))
-		}
-		slab := make([]slot[HashProbe], len(inPS.Parts))
-		q.tasks = q.tasks[:0]
-		for i, cand := range inPS.Parts {
-			if cand == nil || cand.Len() == 0 {
-				continue
-			}
-			s := &slab[i]
-			s.op = HashProbe{col: c, cand: cand, set: set, anti: anti, fetch: vps != nil,
-				ids: q.scratchI64(selHint(cand.Len())), q: q, out: ps.Parts[i]}
-			if vps != nil {
-				s.op.payloads, s.op.payOut = q.scratchI64(selHint(cand.Len())), vps.Parts[i]
-			}
-			s.gathers("join.probe", q, &s.op, cand, c, cyclesProbe)
-			q.tasks = append(q.tasks, &s.chunkTask)
-		}
+// single is the lowering of a single-task kind: work, once, under the given
+// task label, in the query's task buffer.
+func single(label string, work func(*Query, *OpSpec, *sched.ExecContext) uint64) func(*Query, *OpSpec) []Task {
+	return func(q *Query, op *OpSpec) []Task {
+		q.tasks = append(q.tasks[:0], &funcTask{label: label, q: q, op: op, work: work})
 		return q.tasks
 	}
 }
 
-// PredAll matches every row of either kind (full scans).
-func PredAll() Pred {
-	return Pred{
-		I:    func(int64) bool { return true },
-		F:    func(float64) bool { return true },
-		form: predAll,
+// buildWork is a hash-join build side (OpBuild): a single task mapping the
+// keys of variable In to payloads from In2 (or to 1 when In2 is empty),
+// bound to the set Out. The table is sized once, from the bounds of the key
+// fragments where they make it positional and from the build side's row
+// count otherwise.
+func buildWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
+	keys := q.Var(op.In)
+	var vals *PartSet
+	if op.In2 != "" {
+		vals = q.Var(op.In2)
 	}
+	m := q.scratchMapII()
+	lo, hi := noKeys()
+	for _, frag := range keys.Parts {
+		lo, hi = frag.widen(lo, hi)
+	}
+	if !m.tryPositional(lo, hi, keys.Rows(), vals == nil) {
+		m.reserve(keys.Rows())
+	}
+	var cost uint64
+	for pi, frag := range keys.Parts {
+		if frag == nil || frag.Len() == 0 {
+			continue
+		}
+		cost += frag.chargeRange(ctx, 0, frag.Len(), false)
+		var vf *BAT
+		if vals != nil {
+			vf = vals.Parts[pi]
+		}
+		NewHashBuild(frag, vf, m).runRange(0, frag.Len())
+		cost += uint64(frag.Len()) * cyclesBuild
+	}
+	q.SetSet(op.Out, m)
+	return cost
 }
 
-// ScanAll plans a full scan over a base column producing all row OIDs
-// (the sql.tid pattern: a candidate list covering the table).
-func ScanAll(table, col, out string) StageFn {
-	return ThetaSelect(table, col, out, PredAll())
+// lowerProbe plans the probe side of a join (OpProbeSemi, OpProbeFetch,
+// OpProbeAnti): candidate rows of In whose base-column value hits the set
+// In2 — misses it, for an anti-join (NOT EXISTS / NOT IN shapes) — survive
+// into Out; a fetch join also gathers the build side's payloads into Out2,
+// aligned with Out.
+func lowerProbe(q *Query, op *OpSpec) []Task {
+	c := q.eng.store.Table(op.Table).Col(op.Col)
+	inPS := q.Var(op.In)
+	set := q.Set(op.In2)
+	ps := q.newVar(op.Out, KindI64, len(inPS.Parts))
+	var vps *PartSet
+	if op.Kind == OpProbeFetch {
+		vps = q.newVar(op.Out2, KindI64, len(inPS.Parts))
+	}
+	slab := make([]slot[HashProbe], len(inPS.Parts))
+	q.tasks = q.tasks[:0]
+	for i, cand := range inPS.Parts {
+		if cand == nil || cand.Len() == 0 {
+			continue
+		}
+		s := &slab[i]
+		s.op = HashProbe{col: c, cand: cand, set: set, anti: op.Kind == OpProbeAnti, fetch: vps != nil,
+			ids: q.scratchI64(selHint(cand.Len())), q: q, out: ps.Parts[i]}
+		if vps != nil {
+			s.op.payloads, s.op.payOut = q.scratchI64(selHint(cand.Len())), vps.Parts[i]
+		}
+		s.gathers("join.probe", q, &s.op, cand, c, cyclesProbe)
+		q.tasks = append(q.tasks, &s.chunkTask)
+	}
+	return q.tasks
 }
 
-// PointLookup plans an index-style point read (algebra.find): one short
-// task binary-searches the sorted key column of table for key and, on a
-// hit, projects the value column at that row into the named scalar
-// (misses leave it at zero; outScalar+".found" counts hits). Against the
-// fan-out scans above this is the core-scalability extreme: a handful of
-// probes in a single task, with nothing for additional cores to do —
-// the OLTP half of a heterogeneous tenant mix.
-func PointLookup(table, keyCol, valCol string, key int64, outScalar string) StageFn {
-	return func(q *Query) []Task {
-		tb := q.eng.store.Table(table)
-		kc, vc := tb.Col(keyCol), tb.Col(valCol)
-		t := &funcTask{op: "algebra.find", pref: numa.NoNode}
-		t.work = func(ctx *sched.ExecContext) uint64 {
-			var cost uint64
-			row, probes, ok := lookupVisit(kc.I, key, func(mid int) {
-				cost += kc.chargeRange(ctx, mid, mid+1, false)
-			})
-			cost += uint64(probes+1) * cyclesProbe
-			q.SetScalar(outScalar, 0)
-			if ok {
-				cost += vc.chargeRange(ctx, row, row+1, false)
-				var v float64
-				if vc.Kind == KindI64 {
-					v = float64(vc.I[row])
-				} else {
-					v = vc.F[row]
-				}
-				q.SetScalar(outScalar, v)
-				q.AddScalar(outScalar+".found", 1)
-			}
-			return cost
+// lookupWork is an index-style point read (OpLookup): one short task
+// binary-searches the sorted key column Col of Table for Key and, on a hit,
+// projects the value column Col2 at that row into the scalar Out (misses
+// leave it at zero; Out+".found" counts hits). Against the fan-out scans
+// above this is the core-scalability extreme: a handful of probes in a
+// single task, with nothing for additional cores to do — the OLTP half of a
+// heterogeneous tenant mix.
+func lookupWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
+	tb := q.eng.store.Table(op.Table)
+	kc, vc := tb.Col(op.Col), tb.Col(op.Col2)
+	var cost uint64
+	row, probes, ok := lookupVisit(kc.I, op.Key, func(mid int) {
+		cost += kc.chargeRange(ctx, mid, mid+1, false)
+	})
+	cost += uint64(probes+1) * cyclesProbe
+	q.SetScalar(op.Out, 0)
+	if ok {
+		cost += vc.chargeRange(ctx, row, row+1, false)
+		var v float64
+		if vc.Kind == KindI64 {
+			v = float64(vc.I[row])
+		} else {
+			v = vc.F[row]
 		}
-		return []Task{t}
+		q.SetScalar(op.Out, v)
+		q.AddScalar(op.Out+".found", 1)
 	}
+	return cost
 }
 
-// GroupSum plans the partial phase of a grouped aggregation: per-partition
-// hash maps of keysVar -> sum(valsVar), stored on the query under
-// partialsName. An empty valsVar counts rows per group instead. Pair it
-// with GroupMerge as the following stage — the two-phase grouping the
-// paper credits HyPer/BLU with (local build, then merge).
-func GroupSum(keysVar, valsVar, partialsName string) StageFn {
-	return func(q *Query) []Task {
-		keys := q.Var(keysVar)
-		vals := keys // count mode: alignment only
-		if valsVar != "" {
-			vals = q.Var(valsVar)
-		}
-		if len(keys.Parts) != len(vals.Parts) {
-			panic(fmt.Sprintf("db: GroupSum misaligned %s/%s", keysVar, valsVar))
-		}
-		partials := make([]*i64fMap, len(keys.Parts))
-		q.setPartials(partialsName, partials)
-		slab := make([]slot[GroupAgg], len(keys.Parts))
-		q.tasks = q.tasks[:0]
-		for i, kf := range keys.Parts {
-			if kf == nil || kf.Len() == 0 {
-				continue
-			}
-			s, vf := &slab[i], vals.Parts[i]
-			if valsVar == "" {
-				vf = nil // count mode
-			}
-			// A partial over a dense enough key range is sized here, once;
-			// one left in hash form grows by doubling, its distinct count
-			// being unknown.
-			partials[i] = q.scratchMapIF()
-			lo, hi := kf.widen(noKeys())
-			partials[i].tryPositional(lo, hi, kf.Len(), false)
-			s.op = GroupAgg{keys: kf.byPosition(), vals: vf.byPosition(), agg: partials[i]}
-			s.init("group.sum", q.Machine(), &s.op, 0, kf.Len(), cyclesGroup, kf, vf)
-			q.tasks = append(q.tasks, &s.chunkTask)
-		}
-		return q.tasks
+// lowerGroupSum plans the partial phase of a grouped aggregation
+// (OpGroupSum): per-partition hash maps of the keys of In -> sum(In2),
+// stored on the query under Out. An empty In2 counts rows per group
+// instead. OpGroupMerge follows it — the two-phase grouping the paper
+// credits HyPer/BLU with (local build, then merge).
+func lowerGroupSum(q *Query, op *OpSpec) []Task {
+	keys := q.Var(op.In)
+	vals := keys // count mode: alignment only
+	if op.In2 != "" {
+		vals = q.Var(op.In2)
 	}
+	if len(keys.Parts) != len(vals.Parts) {
+		panic(fmt.Sprintf("db: group-sum misaligned %s/%s", op.In, op.In2))
+	}
+	partials := make([]*i64fMap, len(keys.Parts))
+	q.setPartials(op.Out, partials)
+	slab := make([]slot[GroupAgg], len(keys.Parts))
+	q.tasks = q.tasks[:0]
+	for i, kf := range keys.Parts {
+		if kf == nil || kf.Len() == 0 {
+			continue
+		}
+		s, vf := &slab[i], vals.Parts[i]
+		if op.In2 == "" {
+			vf = nil // count mode
+		}
+		// A partial over a dense enough key range is sized here, once;
+		// one left in hash form grows by doubling, its distinct count
+		// being unknown.
+		partials[i] = q.scratchMapIF()
+		lo, hi := kf.widen(noKeys())
+		partials[i].tryPositional(lo, hi, kf.Len(), false)
+		s.op = GroupAgg{keys: kf.byPosition(), vals: vf.byPosition(), agg: partials[i]}
+		s.init("group.sum", q.Machine(), &s.op, 0, kf.Len(), cyclesGroup, kf, vf)
+		q.tasks = append(q.tasks, &s.chunkTask)
+	}
+	return q.tasks
 }
 
-// GroupMerge plans the merge phase after GroupSum: a single mat.pack-style
-// task combining the partial maps into outKeys/outSums (single-fragment
-// PartSets, keys ascending). The total is sized once, positional over the
-// union of the partials' key bounds where that fits.
-func GroupMerge(partialsName, outKeys, outSums string) StageFn {
-	return func(q *Query) []Task {
-		partials := q.partialsOf(partialsName)
-		merge := &funcTask{op: "mat.pack", pref: numa.NoNode}
-		merge.work = func(ctx *sched.ExecContext) uint64 {
-			n := 0
-			lo, hi := noKeys()
-			for _, m := range partials {
-				if m != nil {
-					n += m.Len()
-					lo, hi = m.widen(lo, hi)
-				}
-			}
-			total := q.scratchMapIF()
-			if !total.tryPositional(lo, hi, n, false) {
-				total.reserve(n)
-			}
-			add := total.Add
-			for _, m := range partials {
-				if m != nil {
-					m.Range(add)
-				}
-			}
-			// Every buffer drawn goes back to the pool, registered once: the
-			// sorted pair is the first or (hash form only) the scratch pair.
-			ks, sums := q.scratchI64(total.Len()), q.scratchF64(total.Len())
-			q.ownI64(ks)
-			q.ownF64(sums)
-			ks, sums = sortedGroups(total, ks, sums, func(n int) ([]int64, []float64) {
-				tk, ts := q.scratchI64(n)[:n], q.scratchF64(n)[:n]
-				q.ownI64(tk)
-				q.ownF64(ts)
-				return tk, ts
-			})
-			kb, sb := NewI64(outKeys, ks), NewF64(outSums, sums)
-			q.SetVar(outKeys, &PartSet{Parts: []*BAT{kb}})
-			q.SetVar(outSums, &PartSet{Parts: []*BAT{sb}})
-			cost := uint64(n)*cyclesGroup + uint64(len(ks))*cyclesSort
-			cost += kb.chargeRange(ctx, 0, kb.Len(), true)
-			cost += sb.chargeRange(ctx, 0, sb.Len(), true)
-			return cost
+// mergeWork is the merge phase after OpGroupSum (OpGroupMerge): a single
+// mat.pack task combining the partial maps of In into the variables Out
+// (keys, ascending) and Out2 (sums), single-fragment PartSets. The total is
+// sized once, positional over the union of the partials' key bounds where
+// that fits.
+func mergeWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
+	partials := q.partialsOf(op.In)
+	n := 0
+	lo, hi := noKeys()
+	for _, m := range partials {
+		if m != nil {
+			n += m.Len()
+			lo, hi = m.widen(lo, hi)
 		}
-		return []Task{merge}
 	}
+	total := q.scratchMapIF()
+	if !total.tryPositional(lo, hi, n, false) {
+		total.reserve(n)
+	}
+	add := total.Add
+	for _, m := range partials {
+		if m != nil {
+			m.Range(add)
+		}
+	}
+	// Every buffer drawn goes back to the pool, registered once: the
+	// sorted pair is the first or (hash form only) the scratch pair.
+	ks, sums := q.scratchI64(total.Len()), q.scratchF64(total.Len())
+	q.ownI64(ks)
+	q.ownF64(sums)
+	ks, sums = sortedGroups(total, ks, sums, func(n int) ([]int64, []float64) {
+		tk, ts := q.scratchI64(n)[:n], q.scratchF64(n)[:n]
+		q.ownI64(tk)
+		q.ownF64(ts)
+		return tk, ts
+	})
+	kb, sb := q.setGroups(op.Out, op.Out2, ks, sums)
+	cost := uint64(n)*cyclesGroup + uint64(len(ks))*cyclesSort
+	cost += kb.chargeRange(ctx, 0, kb.Len(), true)
+	cost += sb.chargeRange(ctx, 0, sb.Len(), true)
+	return cost
 }
 
-// GroupFilter plans a single task dropping merged groups whose sum fails
-// the predicate (HAVING clauses); outKeys/outSums are filtered in place.
-func GroupFilter(outKeys, outSums string, keep func(sum float64) bool) StageFn {
-	return func(q *Query) []Task {
-		t := &funcTask{op: "group.filter", pref: numa.NoNode}
-		t.work = func(ctx *sched.ExecContext) uint64 {
-			keys, sums := q.Var(outKeys).valuesI64(), q.Var(outSums).valuesF64()
-			ks := q.scratchI64(len(keys))
-			ss := q.scratchF64(len(sums))
-			for i, s := range sums {
-				if keep(s) {
-					ks = append(ks, keys[i])
-					ss = append(ss, s)
-				}
-			}
-			q.ownI64(ks)
-			q.ownF64(ss)
-			q.SetVar(outKeys, &PartSet{Parts: []*BAT{NewI64(outKeys, ks)}})
-			q.SetVar(outSums, &PartSet{Parts: []*BAT{NewF64(outSums, ss)}})
-			return uint64(len(keys)) * cyclesMap
-		}
-		return []Task{t}
-	}
+// setGroups binds a merged key/sum pair as single-fragment variables.
+func (q *Query) setGroups(keysVar, sumsVar string, ks []int64, sums []float64) (kb, sb *BAT) {
+	kb, sb = NewI64(keysVar, ks), NewF64(sumsVar, sums)
+	q.SetVar(keysVar, &PartSet{Parts: []*BAT{kb}})
+	q.SetVar(sumsVar, &PartSet{Parts: []*BAT{sb}})
+	return kb, sb
 }
 
-// TopN plans a final single-task sort of the merged outSums descending,
-// keeping n groups; results replace outKeys/outSums.
-func TopN(outKeys, outSums string, n int) StageFn {
-	return func(q *Query) []Task {
-		t := &funcTask{op: "algebra.topn", pref: numa.NoNode}
-		t.work = func(ctx *sched.ExecContext) uint64 {
-			keys, sums := q.Var(outKeys).valuesI64(), q.Var(outSums).valuesF64()
-			idx := topNIndex(sums, n)
-			ks := q.scratchI64(len(idx))[:len(idx)]
-			ss := q.scratchF64(len(idx))[:len(idx)]
-			for i, j := range idx {
-				ks[i] = keys[j]
-				ss[i] = sums[j]
-			}
-			q.ownI64(ks)
-			q.ownF64(ss)
-			q.SetVar(outKeys, &PartSet{Parts: []*BAT{NewI64(outKeys, ks)}})
-			q.SetVar(outSums, &PartSet{Parts: []*BAT{NewF64(outSums, ss)}})
-			return uint64(len(keys)) * cyclesSort
+// filterWork is the single task of OpGroupFilter: it keeps the merged groups
+// whose sum exceeds Keep (a HAVING sum > t clause); the variables In (keys)
+// and In2 (sums) are replaced.
+func filterWork(q *Query, op *OpSpec, _ *sched.ExecContext) uint64 {
+	keys, sums := q.Var(op.In).valuesI64(), q.Var(op.In2).valuesF64()
+	ks := q.scratchI64(len(keys))
+	ss := q.scratchF64(len(sums))
+	for i, s := range sums {
+		if s > op.Keep {
+			ks = append(ks, keys[i])
+			ss = append(ss, s)
 		}
-		return []Task{t}
 	}
+	q.ownI64(ks)
+	q.ownF64(ss)
+	q.setGroups(op.In, op.In2, ks, ss)
+	return uint64(len(keys)) * cyclesMap
+}
+
+// topNWork is the final single-task sort (OpTopN) of the merged sums In2
+// descending, keeping N groups; results replace In/In2.
+func topNWork(q *Query, op *OpSpec, _ *sched.ExecContext) uint64 {
+	keys, sums := q.Var(op.In).valuesI64(), q.Var(op.In2).valuesF64()
+	idx := topNIndex(sums, op.N)
+	ks := q.scratchI64(len(idx))[:len(idx)]
+	ss := q.scratchF64(len(idx))[:len(idx)]
+	for i, j := range idx {
+		ks[i] = keys[j]
+		ss[i] = sums[j]
+	}
+	q.ownI64(ks)
+	q.ownF64(ss)
+	q.setGroups(op.In, op.In2, ks, ss)
+	return uint64(len(keys)) * cyclesSort
 }

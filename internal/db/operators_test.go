@@ -43,9 +43,13 @@ func newOpRig(t *testing.T) *opRig {
 	return &opRig{machine: m, sched: sc, store: st, eng: eng}
 }
 
-func (r *opRig) exec(t *testing.T, stages ...StageFn) *Query {
+// lower lowers steps unchecked, for a test that runs them as they are or
+// appends a stage of its own to them.
+func lower(name string, ops ...OpSpec) *Plan { return spec(name, ops...).Lower() }
+
+func (r *opRig) exec(t *testing.T, ops ...OpSpec) *Query {
 	t.Helper()
-	q := r.eng.Submit(&Plan{Name: "unit", Stages: stages})
+	q := r.eng.Submit(lower("unit", ops...))
 	if !r.sched.RunUntil(q.Done, r.machine.Topology().SecondsToCycles(60)) {
 		t.Fatal("plan did not finish")
 	}
@@ -54,7 +58,7 @@ func (r *opRig) exec(t *testing.T, stages ...StageFn) *Query {
 
 func TestOpThetaSelect(t *testing.T) {
 	r := newOpRig(t)
-	q := r.exec(t, ThetaSelect("t", "k", "out", PredIRange(2, 6)))
+	q := r.exec(t, Scan("t", "k", "out", PredIRange(2, 6)))
 	got := q.Var("out").FlattenI64()
 	want := []int64{2, 3, 4, 5}
 	assertI64(t, got, want)
@@ -63,8 +67,8 @@ func TestOpThetaSelect(t *testing.T) {
 func TestOpSubSelectRefines(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
-		ThetaSelect("t", "k", "c1", PredIRange(0, 8)),
-		SubSelect("c1", "t", "g", "c2", PredIEq(1)),
+		Scan("t", "k", "c1", PredIRange(0, 8)),
+		Refine("c1", "t", "g", "c2", PredIEq(1)),
 	)
 	assertI64(t, q.Var("c2").FlattenI64(), []int64{1, 3, 5, 7})
 }
@@ -72,8 +76,8 @@ func TestOpSubSelectRefines(t *testing.T) {
 func TestOpProjectionGathers(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
-		ThetaSelect("t", "k", "c1", PredIIn(1, 4, 6)),
-		Projection("c1", "t", "v", "vals"),
+		Scan("t", "k", "c1", PredIIn(1, 4, 6)),
+		Project("c1", "t", "v", "vals"),
 	)
 	got := q.Var("vals").FlattenF64()
 	want := []float64{2, 5, 7}
@@ -83,10 +87,10 @@ func TestOpProjectionGathers(t *testing.T) {
 func TestOpMapF2(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
-		ThetaSelect("t", "k", "c1", PredIRange(0, 3)),
-		Projection("c1", "t", "v", "a"),
-		Projection("c1", "t", "v", "b"),
-		MapF2("a", "b", "prod", func(x, y float64) float64 { return x * y }),
+		Scan("t", "k", "c1", PredIRange(0, 3)),
+		Project("c1", "t", "v", "a"),
+		Project("c1", "t", "v", "b"),
+		Map2("a", "b", "prod", MapMul),
 	)
 	assertF64(t, q.Var("prod").FlattenF64(), []float64{1, 4, 9})
 }
@@ -94,9 +98,9 @@ func TestOpMapF2(t *testing.T) {
 func TestOpSumFAndCount(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
-		ThetaSelect("t", "k", "c1", PredIRange(0, 8)),
-		Projection("c1", "t", "v", "vals"),
-		SumF("vals", "sum"),
+		Scan("t", "k", "c1", PredIRange(0, 8)),
+		Project("c1", "t", "v", "vals"),
+		Sum("vals", "sum"),
 		Count("c1", "n"),
 	)
 	if got := q.Scalar("sum"); math.Abs(got-36) > 1e-9 {
@@ -111,8 +115,8 @@ func TestOpBuildMapAndProbeSemi(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
 		ScanAll("dim", "dk", "cd"),
-		Projection("cd", "dim", "dk", "dkeys"),
-		BuildMap("dkeys", "", "dset"),
+		Project("cd", "dim", "dk", "dkeys"),
+		Build("dkeys", "", "dset"),
 		ScanAll("t", "k", "ct"),
 		ProbeSemi("ct", "t", "k", "dset", "hits"),
 	)
@@ -123,8 +127,8 @@ func TestOpProbeAnti(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
 		ScanAll("dim", "dk", "cd"),
-		Projection("cd", "dim", "dk", "dkeys"),
-		BuildMap("dkeys", "", "dset"),
+		Project("cd", "dim", "dk", "dkeys"),
+		Build("dkeys", "", "dset"),
 		ScanAll("t", "k", "ct"),
 		ProbeAnti("ct", "t", "k", "dset", "misses"),
 	)
@@ -135,9 +139,9 @@ func TestOpProbeFetchPayload(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
 		ScanAll("dim", "dk", "cd"),
-		Projection("cd", "dim", "dk", "dkeys"),
-		Projection("cd", "dim", "dv", "dvals"),
-		BuildMap("dkeys", "dvals", "d2v"),
+		Project("cd", "dim", "dk", "dkeys"),
+		Project("cd", "dim", "dv", "dvals"),
+		Build("dkeys", "dvals", "d2v"),
 		ScanAll("t", "k", "ct"),
 		ProbeFetch("ct", "t", "k", "d2v", "hits", "payload"),
 	)
@@ -149,8 +153,8 @@ func TestOpGroupSumMerge(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
 		ScanAll("t", "k", "ct"),
-		Projection("ct", "t", "g", "keys"),
-		Projection("ct", "t", "v", "vals"),
+		Project("ct", "t", "g", "keys"),
+		Project("ct", "t", "v", "vals"),
 		GroupSum("keys", "vals", "p"),
 		GroupMerge("p", "gk", "gs"),
 	)
@@ -163,7 +167,7 @@ func TestOpGroupSumCountMode(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
 		ScanAll("t", "k", "ct"),
-		Projection("ct", "t", "g", "keys"),
+		Project("ct", "t", "g", "keys"),
 		GroupSum("keys", "", "p"),
 		GroupMerge("p", "gk", "gs"),
 	)
@@ -174,22 +178,21 @@ func TestOpGroupFilterAndTopN(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
 		ScanAll("t", "k", "ct"),
-		Projection("ct", "t", "k", "keys"),
-		Projection("ct", "t", "v", "vals"),
+		Project("ct", "t", "k", "keys"),
+		Project("ct", "t", "v", "vals"),
 		GroupSum("keys", "vals", "p"),
 		GroupMerge("p", "gk", "gs"),
-		GroupFilter("gk", "gs", func(s float64) bool { return s >= 4 }),
+		GroupFilter("gk", "gs", 3.5),
 		TopN("gk", "gs", 3),
 	)
-	// Groups are singleton k->v; filter keeps v >= 4; top 3 descending.
+	// Groups are singleton k->v; filter keeps v > 3.5; top 3 descending.
 	assertF64(t, q.Var("gs").FlattenF64(), []float64{8, 7, 6})
 	assertI64(t, q.Var("gk").FlattenI64(), []int64{7, 6, 5})
 }
 
-// TestOpPredTypeMismatchPanics: a predicate with no arm for the column's
-// kind panics when the selection operator is built, before any row is read —
-// hand-built or inlinable, over base rows or over candidates of either
-// form.
+// TestOpPredTypeMismatchPanics: a predicate whose form does not apply to
+// the column's kind panics when the selection operator is built, before any
+// row is read — over base rows or over candidates of either form.
 func TestOpPredTypeMismatchPanics(t *testing.T) {
 	r := newOpRig(t)
 	k, v := r.store.Table("t").Col("k"), r.store.Table("t").Col("v")
@@ -202,8 +205,8 @@ func TestOpPredTypeMismatchPanics(t *testing.T) {
 		}()
 		build()
 	}
-	floatOnly := Pred{F: func(float64) bool { return true }}
-	mustPanic("float closure on integer column", "integer column k", func() { NewFilterScan(k, floatOnly, 0, 8, nil) })
+	floatOnly := PredFRange(math.Inf(-1), math.Inf(1))
+	mustPanic("float range on integer column", "integer column k", func() { NewFilterScan(k, floatOnly, 0, 8, nil) })
 	mustPanic("integer range on float column", "float column v", func() { NewFilterScan(v, PredIRange(0, 9), 0, 8, nil) })
 	mustPanic("empty predicate", "integer column k", func() { NewFilterScan(k, Pred{}, 0, 8, nil) })
 	mustPanic("refining a materialized candidate", "float column v", func() {
@@ -212,20 +215,21 @@ func TestOpPredTypeMismatchPanics(t *testing.T) {
 	mustPanic("refining a dense candidate", "integer column k", func() {
 		NewFilterRefine(k, PredFLess(1), newDense("cand", 0, 2), nil)
 	})
-	// The stage builders build their operators in place, through the same
-	// check: a mismatched plan dies while its first stage is planned.
+	// The lowering functions build their operators in place, through the
+	// same check: a mismatched plan lowered unchecked dies while its first
+	// stage is planned.
 	mustPanic("planning a mismatched scan", "integer column k", func() {
-		ThetaSelect("t", "k", "c", floatOnly)(planningQuery(r.eng))
+		lower("mismatch", Scan("t", "k", "c", floatOnly)).Stages[0](planningQuery(r.eng))
 	})
 }
 
 func TestOpEmptyInputsPropagate(t *testing.T) {
 	r := newOpRig(t)
 	q := r.exec(t,
-		ThetaSelect("t", "k", "c1", PredIEq(-1)), // empty selection
-		SubSelect("c1", "t", "g", "c2", PredIEq(1)),
-		Projection("c2", "t", "v", "vals"),
-		SumF("vals", "sum"),
+		Scan("t", "k", "c1", PredIEq(-1)), // empty selection
+		Refine("c1", "t", "g", "c2", PredIEq(1)),
+		Project("c2", "t", "v", "vals"),
+		Sum("vals", "sum"),
 	)
 	if q.Var("vals").Rows() != 0 {
 		t.Error("empty candidates produced values")

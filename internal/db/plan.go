@@ -164,10 +164,7 @@ func (q *Query) partialsOf(name string) []*i64fMap {
 	return p
 }
 
-// Engine returns the executing engine.
-func (q *Query) Engine() *Engine { return q.eng }
-
-// Machine returns the hardware model (convenience for stage builders).
+// Machine returns the hardware model (convenience for lowering functions).
 func (q *Query) Machine() *numa.Machine { return q.eng.machine }
 
 // Fanout returns the partition count for full-table scans.

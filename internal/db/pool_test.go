@@ -31,10 +31,7 @@ func poolRig(t *testing.T) (*Engine, func() *Query) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &Plan{Name: "scan", Stages: []StageFn{
-		ThetaSelect("t", "v", "c", Pred{F: func(v float64) bool { return v < 25 }}),
-		Count("c", "n"),
-	}}
+	plan := lower("scan", Scan("t", "v", "c", PredFLess(25)), Count("c", "n"))
 	run := func() *Query {
 		q := eng.Submit(plan)
 		if !sc.RunUntil(q.Done, machine.Topology().SecondsToCycles(10)) {
@@ -103,9 +100,7 @@ func TestReleaseDropsEveryReference(t *testing.T) {
 func TestReleaseIgnoresNilAndUnfinished(t *testing.T) {
 	eng, _ := poolRig(t)
 	eng.Release(nil) // must not panic
-	q := eng.Submit(&Plan{Name: "noop", Stages: []StageFn{
-		ThetaSelect("t", "v", "c", PredAll()),
-	}})
+	q := eng.Submit(lower("noop", ScanAll("t", "v", "c")))
 	if q.Done() {
 		t.Fatal("query finished synchronously; rig broken")
 	}
@@ -196,21 +191,21 @@ func TestPoolClassCapBoundsRetention(t *testing.T) {
 // entries — that array would back two intermediates of a later query.
 func TestReleaseDonatesEachBufferOnce(t *testing.T) {
 	r := newSpecRigRows(t, 20000)
-	plan := &Plan{Name: "every-builder", Stages: []StageFn{
-		ThetaSelect("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
-		SubSelect("cheap", "lineitem", "l_discount", "c2", PredFRange(0.02, 0.08)),
-		Projection("c2", "lineitem", "l_orderkey", "k"),
-		Projection("c2", "lineitem", "l_extendedprice", "p"),
-		MapF2("p", "p", "sq", func(x, y float64) float64 { return x * y }),
-		SumF("sq", "total"),
-		BuildMap("k", "k", "seen"),
+	plan := lower("every-chunked-kind",
+		Scan("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+		Refine("cheap", "lineitem", "l_discount", "c2", PredFRange(0.02, 0.08)),
+		Project("c2", "lineitem", "l_orderkey", "k"),
+		Project("c2", "lineitem", "l_extendedprice", "p"),
+		Map2("p", "p", "sq", MapMul),
+		Sum("sq", "total"),
+		Build("k", "k", "seen"),
 		ScanAll("lineitem", "l_orderkey", "all"),
 		ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
 		ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
 		ProbeFetch("all", "lineitem", "l_orderkey", "seen", "got", "pay"),
 		GroupSum("k", "sq", "parts"),
 		GroupMerge("parts", "gk", "gs"),
-	}}
+	)
 	for i := 0; i < 2; i++ {
 		q := r.eng.Submit(plan)
 		r.run(t, q)

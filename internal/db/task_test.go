@@ -122,8 +122,8 @@ func TestChunkTaskDebtCarries(t *testing.T) {
 // their computed cost across quanta.
 func TestFuncTaskPaysDownCost(t *testing.T) {
 	ran := 0
-	ft := &funcTask{op: "combine", pref: numa.NoNode}
-	ft.work = func(*sched.ExecContext) uint64 {
+	ft := &funcTask{label: "combine"}
+	ft.work = func(*Query, *OpSpec, *sched.ExecContext) uint64 {
 		ran++
 		return 10_000
 	}
@@ -189,10 +189,7 @@ func TestServerThreadSerializesAdmission(t *testing.T) {
 	}
 	var qs []*Query
 	for i := 0; i < 4; i++ {
-		qs = append(qs, eng.Submit(&Plan{Name: "tiny", Stages: []StageFn{
-			ScanAll("lineitem", "x", "c"),
-			Count("c", "n"),
-		}}))
+		qs = append(qs, eng.Submit(lower("tiny", ScanAll("lineitem", "x", "c"), Count("c", "n"))))
 	}
 	done := func() bool {
 		for _, q := range qs {
@@ -227,10 +224,7 @@ func TestParseDisabled(t *testing.T) {
 	if eng.serverThread != nil {
 		t.Error("front end present despite ParseCycles < 0")
 	}
-	q := eng.Submit(&Plan{Name: "tiny", Stages: []StageFn{
-		ScanAll("lineitem", "x", "c"),
-		Count("c", "n"),
-	}})
+	q := eng.Submit(lower("tiny", ScanAll("lineitem", "x", "c"), Count("c", "n")))
 	if !sc.RunUntil(q.Done, m.Topology().SecondsToCycles(60)) {
 		t.Fatal("query did not finish")
 	}

@@ -5,10 +5,10 @@ import "sort"
 // vops.go is the pluggable vectorized operator layer. Each operator of
 // the MAL-like set — leaf filter scans, candidate refinement, gather
 // projection, binary maps, aggregates, hash build/probe, group
-// aggregation, sort/limit and point lookup — is an object wrapping the
+// aggregation and point lookup — is an object wrapping the
 // form-specialized kernel loops, drivable two ways:
 //
-//   - Inside the engine, a stage builder (operators.go) embeds the
+//   - Inside the engine, a lowering function (operators.go) embeds the
 //     operator value in its stage's slab beside a chunkTask, which drives
 //     it through the kernel interface (task.go): runRange over the input
 //     in block-sized chunks — the task charges BOTH the per-tuple compute
@@ -677,7 +677,7 @@ func (ga *GroupAgg) runRange(a, b int) {
 	}
 }
 
-// complete implements kernel. It delivers nothing: GroupSum binds the
+// complete implements kernel. It delivers nothing: lowerGroupSum binds the
 // partial table when it plans the stage.
 func (ga *GroupAgg) complete() (*BAT, *BAT) { return nil, nil }
 
@@ -724,9 +724,8 @@ func (ga *GroupAgg) Next(n int) *BAT {
 // rows when n exceeds the input) under the total order "larger sum first,
 // then smaller index" — the ranking of a stable descending sort, without
 // sorting the rows that do not make the cut: a bounded heap keeps the n
-// best seen so far with the worst of them at its root. Shared by the
-// engine's TopN stage and the SortLimit operator, so both rank ties
-// identically.
+// best seen so far with the worst of them at its root. It is the whole
+// ranking of the engine's OpTopN stage.
 func topNIndex(sums []float64, n int) []int {
 	n = max(0, min(n, len(sums)))
 	ahead := func(a, b int) bool { return sums[a] > sums[b] || (sums[a] == sums[b] && a < b) }
@@ -822,64 +821,10 @@ func sortPairs(ks []int64, vs []float64, tk []int64, tv []float64) ([]int64, []f
 	return ks, vs
 }
 
-// SortLimit is the algebra.topn operator: it consumes aligned key/sum
-// rows and, once exhausted, emits the keys of the n largest sums
-// (stable descending order). One input unit is one aligned row; the
-// matching sums are exposed by Sums after the final batch.
-type SortLimit struct {
-	keys, sums *BAT
-	n          int
-
-	outSums []float64
-	cursor  int
-	emitted bool
-	m       meter
-}
-
-// NewSortLimit builds the operator keeping the top n of the aligned
-// key/sum vectors.
-func NewSortLimit(keys, sums *BAT, n int) *SortLimit {
-	return &SortLimit{keys: keys, sums: sums, n: n}
-}
-
-// Sums returns the sums aligned with the emitted top-n keys.
-func (sl *SortLimit) Sums() []float64 { return sl.outSums }
-
-// Op implements Operator.
-func (sl *SortLimit) Op() string { return "algebra.topn" }
-
-// Charged implements Operator.
-func (sl *SortLimit) Charged() uint64 { return sl.m.cycles }
-
-// Next implements Operator: consumes up to n aligned rows; the ranked
-// keys arrive as one final batch.
-func (sl *SortLimit) Next(n int) *BAT {
-	if sl.cursor < sl.keys.Len() {
-		n = span(sl.cursor, n, sl.keys.Len())
-		sl.cursor += n
-		sl.m.add(n, cyclesSort)
-		if sl.cursor < sl.keys.Len() {
-			return NewI64(sl.keys.Name+".topn", nil)
-		}
-	}
-	if sl.emitted {
-		return nil
-	}
-	sl.emitted = true
-	idx := topNIndex(sl.sums.F, sl.n)
-	ks := make([]int64, len(idx))
-	sl.outSums = make([]float64, len(idx))
-	for i, j := range idx {
-		ks[i] = sl.keys.I[j]
-		sl.outSums[i] = sl.sums.F[j]
-	}
-	return NewI64(sl.keys.Name+".topn", ks)
-}
-
 // lookupVisit binary-searches the sorted key vector for key, invoking
 // visit for every probed position, and returns the insertion row, the
-// probe count and whether the key is present. Shared by the PointLookup
-// stage and the Lookup operator so both charge the same probe count.
+// probe count and whether the key is present. Shared by the OpLookup
+// stage and the KeyLookup operator so both charge the same probe count.
 func lookupVisit(keys []int64, key int64, visit func(mid int)) (row, probes int, ok bool) {
 	lo, hi := 0, len(keys)
 	for lo < hi {
@@ -897,12 +842,12 @@ func lookupVisit(keys []int64, key int64, visit func(mid int)) (row, probes int,
 	return lo, probes, lo < len(keys) && keys[lo] == key
 }
 
-// Lookup is the point-read operator (algebra.find): it binary-searches a
+// KeyLookup is the point-read operator (algebra.find): it binary-searches a
 // sorted key column for each probe key and gathers the aligned value
 // column at hits (misses produce nothing). One input unit is one probe
 // key; each costs (probes+1) * cyclesProbe — the bisection steps plus
-// the final fetch — the same formula the PointLookup stage charges.
-type Lookup struct {
+// the final fetch — the same formula the OpLookup stage charges.
+type KeyLookup struct {
 	key, val *BAT
 	probes   []int64
 
@@ -915,18 +860,18 @@ type Lookup struct {
 
 // NewLookup builds the operator probing the sorted key column for each
 // key in probes.
-func NewLookup(key, val *BAT, probes []int64) *Lookup {
-	return &Lookup{key: key, val: val, probes: probes}
+func NewLookup(key, val *BAT, probes []int64) *KeyLookup {
+	return &KeyLookup{key: key, val: val, probes: probes}
 }
 
 // Op implements Operator.
-func (l *Lookup) Op() string { return "algebra.find" }
+func (l *KeyLookup) Op() string { return "algebra.find" }
 
 // Charged implements Operator.
-func (l *Lookup) Charged() uint64 { return l.m.cycles }
+func (l *KeyLookup) Charged() uint64 { return l.m.cycles }
 
 // Next implements Operator: resolves up to n probe keys.
-func (l *Lookup) Next(n int) *BAT {
+func (l *KeyLookup) Next(n int) *BAT {
 	if l.cursor >= len(l.probes) {
 		return nil
 	}
@@ -1036,7 +981,6 @@ var (
 	_ Operator = (*HashBuild)(nil)
 	_ Operator = (*HashProbe)(nil)
 	_ Operator = (*GroupAgg)(nil)
-	_ Operator = (*SortLimit)(nil)
-	_ Operator = (*Lookup)(nil)
+	_ Operator = (*KeyLookup)(nil)
 	_ Operator = (*FusedQ6)(nil)
 )

@@ -1,108 +1,129 @@
 package db
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"strings"
+)
 
-// vplan.go makes operator composition data: a PlanSpec is an ordered
-// list of OpSpecs naming tables, columns, variables and predicates, and
-// Compile validates the whole composition against a Store's catalog —
-// tables and columns exist, predicate types match column kinds,
-// variables are defined before use with the right roles, and partition
-// shapes stay aligned where operators index fragments pairwise — then
-// lowers each step onto the stage builders of operators.go, returning an
-// executable *Plan or an error. Compile never panics, whatever the spec:
-// a spec it accepts is guaranteed not to trip the builders' internal
-// alignment panics at run time. That guarantee is what lets workloads be
-// generated (the heterogeneous query mixes of the htap experiments) and
-// fuzzed (FuzzPlanBuild) instead of hand-written.
+// vplan.go makes a query plan a value: a PlanSpec is an ordered list of
+// OpSpecs naming tables, columns, variables, predicates and parameters —
+// no code — so a plan can be compared, printed, hashed, generated (the
+// heterogeneous query mixes of the htap experiments) and fuzzed
+// (FuzzPlanBuild). One table indexed by OpKind says what each kind is
+// called, how a step of that kind is checked against a Store's catalog and
+// how it is lowered onto the engine (the lowering functions of
+// operators.go). Compile is check, then Lower: the check proves tables and
+// columns exist, predicate forms match column kinds, variables are defined
+// before use with the right roles, and partition shapes stay aligned where
+// operators index fragments pairwise, and never panics, whatever the spec;
+// a spec it accepts cannot trip the lowering's alignment panics at run
+// time. Lower alone is for a spec a test has already proven against the
+// catalog (the 22 TPC-H queries), which then pays for no check per plan.
 
 // OpKind identifies one vectorized operator in a PlanSpec.
-type OpKind int
+type OpKind uint8
 
+// The operator kinds; the constructor of the same name (Scan, Refine, …)
+// documents what each reads and produces.
 const (
-	// OpScan filters a full base column into a candidate list
-	// (ThetaSelect; PredAll gives ScanAll).
-	OpScan OpKind = iota
-	// OpRefine filters an existing candidate list against another column
-	// (SubSelect).
-	OpRefine
-	// OpProject gathers base-column values at candidate positions
-	// (Projection).
-	OpProject
-	// OpMap2 applies a binary float function over two aligned value
-	// variables (MapF2).
-	OpMap2
-	// OpSum folds a float value variable into a scalar (SumF).
-	OpSum
-	// OpCount stores a variable's row count in a scalar (Count).
-	OpCount
-	// OpBuild hashes a key variable (with optional payloads) into a named
-	// set (BuildMap).
-	OpBuild
-	// OpProbeSemi keeps candidates whose column value hits the set
-	// (ProbeSemi).
-	OpProbeSemi
-	// OpProbeFetch additionally gathers the build side's payloads
-	// (ProbeFetch).
-	OpProbeFetch
-	// OpProbeAnti keeps candidates whose column value misses the set
-	// (ProbeAnti).
-	OpProbeAnti
-	// OpGroupSum accumulates per-partition key→sum partials (GroupSum).
-	OpGroupSum
-	// OpGroupMerge merges partials into sorted key/sum variables
-	// (GroupMerge).
-	OpGroupMerge
-	// OpGroupFilter drops merged groups failing a predicate (GroupFilter).
-	OpGroupFilter
-	// OpTopN keeps the n largest groups (TopN).
-	OpTopN
-	// OpLookup binary-searches a sorted key column and projects one value
-	// into a scalar (PointLookup).
-	OpLookup
+	OpScan        OpKind = iota // filter a full base column into a candidate list
+	OpRefine                    // filter a candidate list against another column
+	OpProject                   // gather base-column values at candidate positions
+	OpMap2                      // a binary float function over two aligned value variables
+	OpSum                       // fold a float value variable into a scalar
+	OpCount                     // a variable's row count into a scalar
+	OpBuild                     // hash a key variable (with optional payloads) into a set
+	OpProbeSemi                 // keep candidates whose column value hits the set
+	OpProbeFetch                // … and gather the build side's payloads
+	OpProbeAnti                 // keep candidates whose column value misses the set
+	OpGroupSum                  // per-partition key→sum partials
+	OpGroupMerge                // merge partials into sorted key/sum variables
+	OpGroupFilter               // drop merged groups whose sum is not above a threshold
+	OpTopN                      // keep the n largest groups
+	OpLookup                    // binary-search a sorted key column, project one value into a scalar
 )
+
+// opTable is what the engine knows about each operator kind: the name
+// plans print, the catalog check of one step (it binds the step's products
+// in the checker) and the step's lowering onto the engine. OpKind.String,
+// PlanSpec.check and PlanSpec.Lower read nothing else.
+var opTable = [...]struct {
+	name  string
+	check func(c *checker, op *OpSpec) error
+	lower func(q *Query, op *OpSpec) []Task
+}{
+	OpScan:        {"scan", checkScan, lowerScan},
+	OpRefine:      {"refine", checkRefine, lowerRefine},
+	OpProject:     {"project", checkProject, lowerProject},
+	OpMap2:        {"map2", checkMap2, lowerMap2},
+	OpSum:         {"sum", checkSum, lowerSum},
+	OpCount:       {"count", checkCount, lowerCount},
+	OpBuild:       {"build", checkKeyed, single("hash.build", buildWork)},
+	OpProbeSemi:   {"probe-semi", checkProbe, lowerProbe},
+	OpProbeFetch:  {"probe-fetch", checkProbe, lowerProbe},
+	OpProbeAnti:   {"probe-anti", checkProbe, lowerProbe},
+	OpGroupSum:    {"group-sum", checkKeyed, lowerGroupSum},
+	OpGroupMerge:  {"group-merge", checkGroupMerge, single("mat.pack", mergeWork)},
+	OpGroupFilter: {"group-filter", checkMerged, single("group.filter", filterWork)},
+	OpTopN:        {"topn", checkTopN, single("algebra.topn", topNWork)},
+	OpLookup:      {"lookup", checkLookup, single("algebra.find", lookupWork)},
+}
+
+// known reports whether k indexes the op table.
+func (k OpKind) known() bool { return int(k) < len(opTable) }
 
 // String implements fmt.Stringer.
 func (k OpKind) String() string {
-	switch k {
-	case OpScan:
-		return "scan"
-	case OpRefine:
-		return "refine"
-	case OpProject:
-		return "project"
-	case OpMap2:
-		return "map2"
-	case OpSum:
-		return "sum"
-	case OpCount:
-		return "count"
-	case OpBuild:
-		return "build"
-	case OpProbeSemi:
-		return "probe-semi"
-	case OpProbeFetch:
-		return "probe-fetch"
-	case OpProbeAnti:
-		return "probe-anti"
-	case OpGroupSum:
-		return "group-sum"
-	case OpGroupMerge:
-		return "group-merge"
-	case OpGroupFilter:
-		return "group-filter"
-	case OpTopN:
-		return "topn"
-	case OpLookup:
-		return "lookup"
-	default:
+	if !k.known() {
 		return fmt.Sprintf("opkind(%d)", int(k))
 	}
+	return opTable[k].name
+}
+
+// MapFn names the row function of an OpMap2: the closed set the query
+// plans compute with, so a plan that maps stays data.
+type MapFn uint8
+
+const (
+	// MapMul is x * y.
+	MapMul MapFn = iota + 1
+	// MapMulComplement is x * (1 - y): a price net of its discount.
+	MapMulComplement
+)
+
+// mapFns is what each MapFn value is called and computes.
+var mapFns = [...]struct {
+	name string
+	fn   func(x, y float64) float64
+}{
+	MapMul:           {"x*y", func(x, y float64) float64 { return x * y }},
+	MapMulComplement: {"x*(1-y)", func(x, y float64) float64 { return x * (1 - y) }},
+}
+
+// fn returns the function m names, nil for a value that names none.
+func (m MapFn) fn() func(x, y float64) float64 {
+	if int(m) >= len(mapFns) {
+		return nil
+	}
+	return mapFns[m].fn
+}
+
+// String implements fmt.Stringer.
+func (m MapFn) String() string {
+	if m.fn() == nil {
+		return fmt.Sprintf("mapfn(%d)", int(m))
+	}
+	return mapFns[m].name
 }
 
 // OpSpec is one step of a declarative plan. Which fields matter depends
-// on Kind; Compile rejects incomplete or ill-typed steps.
+// on Kind; Compile rejects incomplete or ill-typed steps. The constructors
+// below (Scan, Refine, …) build each kind from the fields it reads.
 type OpSpec struct {
 	Kind OpKind
+	// Map is OpMap2's row function.
+	Map MapFn
 	// Table and Col name the base column of scans, refinements,
 	// projections, probes and lookups; Col2 names the lookup's value
 	// column.
@@ -113,14 +134,124 @@ type OpSpec struct {
 	In, In2, Out, Out2 string
 	// Pred is the filter of OpScan and OpRefine.
 	Pred Pred
-	// Map is OpMap2's row function.
-	Map func(x, y float64) float64
-	// Keep is OpGroupFilter's HAVING predicate over group sums.
-	Keep func(sum float64) bool
+	// Keep is OpGroupFilter's HAVING threshold: groups with sum > Keep stay.
+	Keep float64
 	// N is OpTopN's group budget.
 	N int
 	// Key is OpLookup's probe key.
 	Key int64
+}
+
+// Scan filters a full base column into candidate list out.
+func Scan(table, col, out string, p Pred) OpSpec {
+	return OpSpec{Kind: OpScan, Table: table, Col: col, Out: out, Pred: p}
+}
+
+// ScanAll produces a candidate list covering the whole table.
+func ScanAll(table, col, out string) OpSpec { return Scan(table, col, out, PredAll()) }
+
+// Refine filters candidate list in against another column into out.
+func Refine(in, table, col, out string, p Pred) OpSpec {
+	return OpSpec{Kind: OpRefine, In: in, Table: table, Col: col, Out: out, Pred: p}
+}
+
+// Project gathers column values at the candidates of in into out.
+func Project(in, table, col, out string) OpSpec {
+	return OpSpec{Kind: OpProject, In: in, Table: table, Col: col, Out: out}
+}
+
+// Map2 applies f over the aligned float variables a and b into out.
+func Map2(a, b, out string, f MapFn) OpSpec {
+	return OpSpec{Kind: OpMap2, In: a, In2: b, Out: out, Map: f}
+}
+
+// Sum folds float variable in into the named scalar.
+func Sum(in, scalar string) OpSpec { return OpSpec{Kind: OpSum, In: in, Out: scalar} }
+
+// Count stores in's row count in the named scalar.
+func Count(in, scalar string) OpSpec { return OpSpec{Kind: OpCount, In: in, Out: scalar} }
+
+// Build hashes key variable keys (payloads from vals, or 1 when vals is
+// empty) into the named set.
+func Build(keys, vals, set string) OpSpec {
+	return OpSpec{Kind: OpBuild, In: keys, In2: vals, Out: set}
+}
+
+// ProbeSemi keeps candidates of in whose column value hits the set.
+func ProbeSemi(in, table, col, set, out string) OpSpec {
+	return OpSpec{Kind: OpProbeSemi, In: in, Table: table, Col: col, In2: set, Out: out}
+}
+
+// ProbeFetch keeps hitting candidates and gathers payloads into outVals.
+func ProbeFetch(in, table, col, set, out, outVals string) OpSpec {
+	return OpSpec{Kind: OpProbeFetch, In: in, Table: table, Col: col, In2: set, Out: out, Out2: outVals}
+}
+
+// ProbeAnti keeps candidates of in whose column value misses the set.
+func ProbeAnti(in, table, col, set, out string) OpSpec {
+	return OpSpec{Kind: OpProbeAnti, In: in, Table: table, Col: col, In2: set, Out: out}
+}
+
+// GroupSum accumulates per-partition key→sum(vals) partials (count mode
+// when vals is empty).
+func GroupSum(keys, vals, partials string) OpSpec {
+	return OpSpec{Kind: OpGroupSum, In: keys, In2: vals, Out: partials}
+}
+
+// GroupMerge merges partials into sorted outKeys/outSums variables.
+func GroupMerge(partials, outKeys, outSums string) OpSpec {
+	return OpSpec{Kind: OpGroupMerge, In: partials, Out: outKeys, Out2: outSums}
+}
+
+// GroupFilter keeps the merged groups whose sum exceeds above.
+func GroupFilter(keys, sums string, above float64) OpSpec {
+	return OpSpec{Kind: OpGroupFilter, In: keys, In2: sums, Keep: above}
+}
+
+// TopN keeps the n largest groups of the keys/sums pair.
+func TopN(keys, sums string, n int) OpSpec {
+	return OpSpec{Kind: OpTopN, In: keys, In2: sums, N: n}
+}
+
+// Lookup binary-searches the sorted key column for key and projects
+// valCol at the hit into the named scalar.
+func Lookup(table, keyCol, valCol string, key int64, outScalar string) OpSpec {
+	return OpSpec{Kind: OpLookup, Table: table, Col: keyCol, Col2: valCol, Key: key, Out: outScalar}
+}
+
+// String renders the step on one line: its kind's name, what it reads, its
+// parameter, what it produces (nothing, for a step that rewrites its inputs
+// in place).
+func (op *OpSpec) String() string {
+	var b strings.Builder
+	b.WriteString(op.Kind.String())
+	for _, in := range [...]string{op.In, op.In2} {
+		if in != "" {
+			b.WriteString(" " + in)
+		}
+	}
+	if op.Table != "" {
+		fmt.Fprintf(&b, " %s.%s", op.Table, op.Col)
+	}
+	switch op.Kind {
+	case OpScan, OpRefine:
+		fmt.Fprintf(&b, " [%v]", op.Pred)
+	case OpMap2:
+		fmt.Fprintf(&b, " %v", op.Map)
+	case OpGroupFilter:
+		fmt.Fprintf(&b, " [sum > %g]", op.Keep)
+	case OpTopN:
+		fmt.Fprintf(&b, " n=%d", op.N)
+	case OpLookup:
+		fmt.Fprintf(&b, " key=%d %s", op.Key, op.Col2)
+	}
+	if op.Out != "" {
+		b.WriteString(" -> " + op.Out)
+	}
+	if op.Out2 != "" {
+		b.WriteString(" " + op.Out2)
+	}
+	return b.String()
 }
 
 // PlanSpec is a declarative operator pipeline.
@@ -128,6 +259,64 @@ type PlanSpec struct {
 	Name string
 	Ops  []OpSpec
 }
+
+// String renders the plan: its name, then one indented line per step.
+func (s PlanSpec) String() string {
+	var b strings.Builder
+	b.WriteString(s.Name + "\n")
+	for i := range s.Ops {
+		b.WriteString("  " + s.Ops[i].String() + "\n")
+	}
+	return b.String()
+}
+
+// Compile validates the spec against the store's catalog and lowers it
+// onto the engine. It returns an error — never panics — on unknown tables
+// or columns, type mismatches, use of undefined variables and misaligned
+// compositions.
+func (s PlanSpec) Compile(st *Store) (*Plan, error) {
+	if err := s.check(st); err != nil {
+		return nil, err
+	}
+	return s.Lower(), nil
+}
+
+// Lower returns the executable plan of a spec without checking it: one
+// stage per step, each handing its step to the kind's lowering function
+// when a query reaches it. The stages read s.Ops in place, so the spec must
+// not be modified afterwards. A step the catalog check would reject panics
+// when its stage is planned (a kind outside the table panics here): lower
+// unchecked only what a test compiles.
+func (s PlanSpec) Lower() *Plan {
+	stages := make([]StageFn, len(s.Ops))
+	for i := range s.Ops {
+		op := &s.Ops[i]
+		if !op.Kind.known() {
+			panic(fmt.Sprintf("db: plan %q op %d: unknown operator kind %d", s.Name, i, int(op.Kind)))
+		}
+		stages[i] = func(q *Query) []Task { return opTable[op.Kind].lower(q, op) }
+	}
+	return &Plan{Name: s.Name, Stages: stages}
+}
+
+// check proves the spec against the store's catalog, step by step in
+// order, each step's check binding what later steps may consume.
+func (s PlanSpec) check(st *Store) error {
+	c := &checker{st: st, vars: map[string]specVar{}, sets: map[string]bool{}, partials: map[string]bool{}}
+	for i := range s.Ops {
+		op, check := &s.Ops[i], checkUnknown
+		if op.Kind.known() {
+			check = opTable[op.Kind].check
+		}
+		if err := check(c, op); err != nil {
+			return fmt.Errorf("db: plan %q op %d (%s): %v", s.Name, i, op.Kind, err)
+		}
+	}
+	return nil
+}
+
+// checkUnknown is the check of a kind outside the op table.
+func checkUnknown(*checker, *OpSpec) error { return errors.New("unknown operator kind") }
 
 // specVarRole classifies what a defined name holds during validation.
 type specVarRole int
@@ -150,311 +339,268 @@ type specVar struct {
 	shape int
 }
 
-// Compile validates the spec against the store's catalog and lowers it
-// onto the engine's stage builders. It returns an error — never panics —
-// on unknown tables or columns, type mismatches, use of undefined
-// variables and misaligned compositions.
-func (s PlanSpec) Compile(st *Store) (*Plan, error) {
-	vars := map[string]specVar{}
-	sets := map[string]bool{}
-	partials := map[string]bool{}
-	nextShape := 0
-	freshShape := func() int { nextShape++; return nextShape }
-
-	fail := func(i int, op OpSpec, format string, args ...any) (*Plan, error) {
-		return nil, fmt.Errorf("db: plan %q op %d (%s): %s",
-			s.Name, i, op.Kind, fmt.Sprintf(format, args...))
-	}
-	column := func(table, col string) (*BAT, error) {
-		if !st.HasTable(table) {
-			return nil, fmt.Errorf("unknown table %q", table)
-		}
-		t := st.Table(table)
-		if !t.HasCol(col) {
-			return nil, fmt.Errorf("table %q has no column %q", table, col)
-		}
-		return t.Col(col), nil
-	}
-	predMatches := func(p Pred, c *BAT) error {
-		switch {
-		case p.fits(c):
-			return nil
-		case c.Kind == KindI64:
-			return fmt.Errorf("integer column %q needs an integer predicate", c.Name)
-		}
-		return fmt.Errorf("float column %q needs a float predicate", c.Name)
-	}
-	candidate := func(name, table string) (specVar, error) {
-		v, ok := vars[name]
-		if !ok {
-			return specVar{}, fmt.Errorf("undefined variable %q", name)
-		}
-		if v.role != roleCand {
-			return specVar{}, fmt.Errorf("variable %q is not a candidate list", name)
-		}
-		if v.table != table {
-			return specVar{}, fmt.Errorf("candidate list %q indexes table %q, not %q", name, v.table, table)
-		}
-		return v, nil
-	}
-	values := func(name string, want Kind) (specVar, error) {
-		v, ok := vars[name]
-		if !ok {
-			return specVar{}, fmt.Errorf("undefined variable %q", name)
-		}
-		if v.role != roleVals {
-			return specVar{}, fmt.Errorf("variable %q is not a value vector", name)
-		}
-		if v.kind != want {
-			return specVar{}, fmt.Errorf("variable %q has the wrong value kind", name)
-		}
-		return v, nil
-	}
-
-	stages := make([]StageFn, 0, len(s.Ops))
-	for i, op := range s.Ops {
-		switch op.Kind {
-		case OpScan:
-			c, err := column(op.Table, op.Col)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if err := predMatches(op.Pred, c); err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output variable")
-			}
-			vars[op.Out] = specVar{role: roleCand, table: op.Table, shape: freshShape()}
-			stages = append(stages, ThetaSelect(op.Table, op.Col, op.Out, op.Pred))
-
-		case OpRefine:
-			if _, err := candidate(op.In, op.Table); err != nil {
-				return fail(i, op, "%v", err)
-			}
-			c, err := column(op.Table, op.Col)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if err := predMatches(op.Pred, c); err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output variable")
-			}
-			// Refinement drops rows per fragment: the partition count
-			// survives but row alignment with the input's shape does not,
-			// so the output starts a fresh shape group.
-			vars[op.Out] = specVar{role: roleCand, table: op.Table, shape: freshShape()}
-			stages = append(stages, SubSelect(op.In, op.Table, op.Col, op.Out, op.Pred))
-
-		case OpProject:
-			in, err := candidate(op.In, op.Table)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			c, err := column(op.Table, op.Col)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output variable")
-			}
-			vars[op.Out] = specVar{role: roleVals, kind: c.Kind, shape: in.shape}
-			stages = append(stages, Projection(op.In, op.Table, op.Col, op.Out))
-
-		case OpMap2:
-			a, err := values(op.In, KindF64)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			b, err := values(op.In2, KindF64)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if a.shape != b.shape {
-				return fail(i, op, "inputs %q and %q are not aligned", op.In, op.In2)
-			}
-			if op.Map == nil {
-				return fail(i, op, "missing map function")
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output variable")
-			}
-			vars[op.Out] = specVar{role: roleVals, kind: KindF64, shape: a.shape}
-			stages = append(stages, MapF2(op.In, op.In2, op.Out, op.Map))
-
-		case OpSum:
-			if _, err := values(op.In, KindF64); err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output scalar")
-			}
-			stages = append(stages, SumF(op.In, op.Out))
-
-		case OpCount:
-			if _, ok := vars[op.In]; !ok {
-				return fail(i, op, "undefined variable %q", op.In)
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output scalar")
-			}
-			stages = append(stages, Count(op.In, op.Out))
-
-		case OpBuild:
-			keys, err := values(op.In, KindI64)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if op.In2 != "" {
-				vals, ok := vars[op.In2]
-				if !ok || vals.role != roleVals {
-					return fail(i, op, "payload %q is not a value vector", op.In2)
-				}
-				if vals.shape != keys.shape {
-					return fail(i, op, "keys %q and payloads %q are not aligned", op.In, op.In2)
-				}
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output set")
-			}
-			sets[op.Out] = true
-			stages = append(stages, BuildMap(op.In, op.In2, op.Out))
-
-		case OpProbeSemi, OpProbeFetch, OpProbeAnti:
-			if _, err := candidate(op.In, op.Table); err != nil {
-				return fail(i, op, "%v", err)
-			}
-			c, err := column(op.Table, op.Col)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if c.Kind != KindI64 {
-				return fail(i, op, "probe column %q must be integer", op.Col)
-			}
-			if !sets[op.In2] {
-				return fail(i, op, "undefined set %q", op.In2)
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output variable")
-			}
-			shape := freshShape()
-			vars[op.Out] = specVar{role: roleCand, table: op.Table, shape: shape}
-			switch op.Kind {
-			case OpProbeSemi:
-				stages = append(stages, ProbeSemi(op.In, op.Table, op.Col, op.In2, op.Out))
-			case OpProbeAnti:
-				stages = append(stages, ProbeAnti(op.In, op.Table, op.Col, op.In2, op.Out))
-			default:
-				if op.Out2 == "" {
-					return fail(i, op, "missing payload output variable")
-				}
-				vars[op.Out2] = specVar{role: roleVals, kind: KindI64, shape: shape}
-				stages = append(stages, ProbeFetch(op.In, op.Table, op.Col, op.In2, op.Out, op.Out2))
-			}
-
-		case OpGroupSum:
-			keys, err := values(op.In, KindI64)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if op.In2 != "" {
-				vals, ok := vars[op.In2]
-				if !ok || vals.role != roleVals {
-					return fail(i, op, "values %q is not a value vector", op.In2)
-				}
-				if vals.shape != keys.shape {
-					return fail(i, op, "keys %q and values %q are not aligned", op.In, op.In2)
-				}
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output partials")
-			}
-			partials[op.Out] = true
-			stages = append(stages, GroupSum(op.In, op.In2, op.Out))
-
-		case OpGroupMerge:
-			if !partials[op.In] {
-				return fail(i, op, "undefined partials %q", op.In)
-			}
-			if op.Out == "" || op.Out2 == "" {
-				return fail(i, op, "missing output variables")
-			}
-			if op.Out == op.Out2 {
-				return fail(i, op, "key and sum outputs must differ")
-			}
-			shape := freshShape()
-			vars[op.Out] = specVar{role: roleVals, kind: KindI64, shape: shape}
-			vars[op.Out2] = specVar{role: roleVals, kind: KindF64, shape: shape}
-			stages = append(stages, GroupMerge(op.In, op.Out, op.Out2))
-
-		case OpGroupFilter:
-			keys, err := values(op.In, KindI64)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			sums, err := values(op.In2, KindF64)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if keys.shape != sums.shape {
-				return fail(i, op, "keys %q and sums %q are not aligned", op.In, op.In2)
-			}
-			if op.Keep == nil {
-				return fail(i, op, "missing keep predicate")
-			}
-			shape := freshShape()
-			vars[op.In] = specVar{role: roleVals, kind: KindI64, shape: shape}
-			vars[op.In2] = specVar{role: roleVals, kind: KindF64, shape: shape}
-			stages = append(stages, GroupFilter(op.In, op.In2, op.Keep))
-
-		case OpTopN:
-			keys, err := values(op.In, KindI64)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			sums, err := values(op.In2, KindF64)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if keys.shape != sums.shape {
-				return fail(i, op, "keys %q and sums %q are not aligned", op.In, op.In2)
-			}
-			if op.N < 0 {
-				return fail(i, op, "negative group budget %d", op.N)
-			}
-			shape := freshShape()
-			vars[op.In] = specVar{role: roleVals, kind: KindI64, shape: shape}
-			vars[op.In2] = specVar{role: roleVals, kind: KindF64, shape: shape}
-			stages = append(stages, TopN(op.In, op.In2, op.N))
-
-		case OpLookup:
-			kc, err := column(op.Table, op.Col)
-			if err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if kc.Kind != KindI64 {
-				return fail(i, op, "lookup key column %q must be integer", op.Col)
-			}
-			if _, err := column(op.Table, op.Col2); err != nil {
-				return fail(i, op, "%v", err)
-			}
-			if op.Out == "" {
-				return fail(i, op, "missing output scalar")
-			}
-			stages = append(stages, PointLookup(op.Table, op.Col, op.Col2, op.Key, op.Out))
-
-		default:
-			return fail(i, op, "unknown operator kind")
-		}
-	}
-	return &Plan{Name: s.Name, Stages: stages}, nil
+// checker is the state of one catalog check: the names the steps so far
+// have defined, by what they hold.
+type checker struct {
+	st       *Store
+	vars     map[string]specVar
+	sets     map[string]bool
+	partials map[string]bool
+	shapes   int
 }
 
-// PlanBuilder is the fluent face of PlanSpec: chain operator calls, then
-// Compile against a store. Errors surface at Compile, keeping the
-// chaining free of per-call error plumbing.
+// freshShape starts a new alignment group.
+func (c *checker) freshShape() int { c.shapes++; return c.shapes }
+
+// bind defines an output variable, whose name must not be empty.
+func (c *checker) bind(name string, v specVar) error {
+	if name == "" {
+		return errors.New("missing output variable")
+	}
+	c.vars[name] = v
+	return nil
+}
+
+func (c *checker) column(table, col string) (*BAT, error) {
+	if !c.st.HasTable(table) {
+		return nil, fmt.Errorf("unknown table %q", table)
+	}
+	t := c.st.Table(table)
+	if !t.HasCol(col) {
+		return nil, fmt.Errorf("table %q has no column %q", table, col)
+	}
+	return t.Col(col), nil
+}
+
+func (c *checker) candidate(name, table string) (specVar, error) {
+	v, ok := c.vars[name]
+	if !ok {
+		return specVar{}, fmt.Errorf("undefined variable %q", name)
+	}
+	if v.role != roleCand {
+		return specVar{}, fmt.Errorf("variable %q is not a candidate list", name)
+	}
+	if v.table != table {
+		return specVar{}, fmt.Errorf("candidate list %q indexes table %q, not %q", name, v.table, table)
+	}
+	return v, nil
+}
+
+func (c *checker) values(name string, want Kind) (specVar, error) {
+	v, ok := c.vars[name]
+	if !ok {
+		return specVar{}, fmt.Errorf("undefined variable %q", name)
+	}
+	if v.role != roleVals {
+		return specVar{}, fmt.Errorf("variable %q is not a value vector", name)
+	}
+	if v.kind != want {
+		return specVar{}, fmt.Errorf("variable %q has the wrong value kind", name)
+	}
+	return v, nil
+}
+
+// checkKeyed checks OpBuild and OpGroupSum: integer keys In and, when In2
+// is named, a value vector aligned with them; the product is a set, or the
+// partials of a grouped sum.
+func checkKeyed(c *checker, op *OpSpec) error {
+	what, product, bound := "payloads", "set", c.sets
+	if op.Kind == OpGroupSum {
+		what, product, bound = "values", "partials", c.partials
+	}
+	keys, err := c.values(op.In, KindI64)
+	if err != nil {
+		return err
+	}
+	if op.In2 != "" {
+		vals, ok := c.vars[op.In2]
+		if !ok || vals.role != roleVals {
+			return fmt.Errorf("%s %q is not a value vector", what, op.In2)
+		}
+		if vals.shape != keys.shape {
+			return fmt.Errorf("keys %q and %s %q are not aligned", op.In, what, op.In2)
+		}
+	}
+	if op.Out == "" {
+		return fmt.Errorf("missing output %s", product)
+	}
+	bound[op.Out] = true
+	return nil
+}
+
+// checkScan also checks the part of OpRefine that is a scan: the column
+// exists, the predicate fits it, the output is a fresh candidate list.
+// (Refinement drops rows per fragment: the partition count survives but row
+// alignment with the input's shape does not, so the output starts a fresh
+// shape group there too.)
+func checkScan(c *checker, op *OpSpec) error {
+	col, err := c.column(op.Table, op.Col)
+	if err != nil {
+		return err
+	}
+	if !op.Pred.fits(col) {
+		if col.Kind == KindI64 {
+			return fmt.Errorf("integer column %q needs an integer predicate", col.Name)
+		}
+		return fmt.Errorf("float column %q needs a float predicate", col.Name)
+	}
+	return c.bind(op.Out, specVar{role: roleCand, table: op.Table, shape: c.freshShape()})
+}
+
+func checkRefine(c *checker, op *OpSpec) error {
+	if _, err := c.candidate(op.In, op.Table); err != nil {
+		return err
+	}
+	return checkScan(c, op)
+}
+
+func checkProject(c *checker, op *OpSpec) error {
+	in, err := c.candidate(op.In, op.Table)
+	if err != nil {
+		return err
+	}
+	col, err := c.column(op.Table, op.Col)
+	if err != nil {
+		return err
+	}
+	return c.bind(op.Out, specVar{role: roleVals, kind: col.Kind, shape: in.shape})
+}
+
+func checkMap2(c *checker, op *OpSpec) error {
+	a, err := c.values(op.In, KindF64)
+	if err != nil {
+		return err
+	}
+	b, err := c.values(op.In2, KindF64)
+	if err != nil {
+		return err
+	}
+	if a.shape != b.shape {
+		return fmt.Errorf("inputs %q and %q are not aligned", op.In, op.In2)
+	}
+	if op.Map.fn() == nil {
+		return errors.New("missing map function")
+	}
+	return c.bind(op.Out, specVar{role: roleVals, kind: KindF64, shape: a.shape})
+}
+
+// needScalar is the output check of the steps that produce a scalar, which
+// no later step can consume: it binds nothing.
+func needScalar(op *OpSpec) error {
+	if op.Out == "" {
+		return errors.New("missing output scalar")
+	}
+	return nil
+}
+
+func checkSum(c *checker, op *OpSpec) error {
+	if _, err := c.values(op.In, KindF64); err != nil {
+		return err
+	}
+	return needScalar(op)
+}
+
+func checkCount(c *checker, op *OpSpec) error {
+	if _, ok := c.vars[op.In]; !ok {
+		return fmt.Errorf("undefined variable %q", op.In)
+	}
+	return needScalar(op)
+}
+
+func checkProbe(c *checker, op *OpSpec) error {
+	if _, err := c.candidate(op.In, op.Table); err != nil {
+		return err
+	}
+	col, err := c.column(op.Table, op.Col)
+	if err != nil {
+		return err
+	}
+	if col.Kind != KindI64 {
+		return fmt.Errorf("probe column %q must be integer", op.Col)
+	}
+	if !c.sets[op.In2] {
+		return fmt.Errorf("undefined set %q", op.In2)
+	}
+	shape := c.freshShape()
+	if err := c.bind(op.Out, specVar{role: roleCand, table: op.Table, shape: shape}); err != nil {
+		return err
+	}
+	if op.Kind != OpProbeFetch {
+		return nil
+	}
+	// The payloads are bound second: under the candidates' name they would
+	// silently replace them.
+	if op.Out2 == op.Out {
+		return errors.New("candidate and payload outputs must differ")
+	}
+	return c.bind(op.Out2, specVar{role: roleVals, kind: KindI64, shape: shape})
+}
+
+// bindGroups (re)defines a merged key/sum pair as one fresh shape group.
+func (c *checker) bindGroups(keys, sums string) {
+	shape := c.freshShape()
+	c.vars[keys] = specVar{role: roleVals, kind: KindI64, shape: shape}
+	c.vars[sums] = specVar{role: roleVals, kind: KindF64, shape: shape}
+}
+
+func checkGroupMerge(c *checker, op *OpSpec) error {
+	if !c.partials[op.In] {
+		return fmt.Errorf("undefined partials %q", op.In)
+	}
+	if op.Out == "" || op.Out2 == "" {
+		return errors.New("missing output variables")
+	}
+	if op.Out == op.Out2 {
+		return errors.New("key and sum outputs must differ")
+	}
+	c.bindGroups(op.Out, op.Out2)
+	return nil
+}
+
+// checkMerged checks the steps that rewrite a merged key/sum pair in place
+// (OpGroupFilter; OpTopN adds its budget): integer keys In, float sums In2,
+// aligned. Every threshold is a valid OpGroupFilter parameter.
+func checkMerged(c *checker, op *OpSpec) error {
+	keys, err := c.values(op.In, KindI64)
+	if err != nil {
+		return err
+	}
+	sums, err := c.values(op.In2, KindF64)
+	if err != nil {
+		return err
+	}
+	if keys.shape != sums.shape {
+		return fmt.Errorf("keys %q and sums %q are not aligned", op.In, op.In2)
+	}
+	c.bindGroups(op.In, op.In2)
+	return nil
+}
+
+func checkTopN(c *checker, op *OpSpec) error {
+	if op.N < 0 {
+		return fmt.Errorf("negative group budget %d", op.N)
+	}
+	return checkMerged(c, op)
+}
+
+func checkLookup(c *checker, op *OpSpec) error {
+	kc, err := c.column(op.Table, op.Col)
+	if err != nil {
+		return err
+	}
+	if kc.Kind != KindI64 {
+		return fmt.Errorf("lookup key column %q must be integer", op.Col)
+	}
+	if _, err := c.column(op.Table, op.Col2); err != nil {
+		return err
+	}
+	return needScalar(op)
+}
+
+// PlanBuilder chains steps onto a named plan and compiles it: the form
+// plans were written in before the OpSpec constructors, kept with the
+// methods its remaining caller chains (benchmark/, which may not change in
+// the PR that made plans literals). New code writes PlanSpec{Name, Ops}.
 type PlanBuilder struct{ spec PlanSpec }
 
 // NewPlanSpec starts a named declarative plan.
@@ -467,91 +613,38 @@ func (b *PlanBuilder) add(op OpSpec) *PlanBuilder {
 	return b
 }
 
-// Scan filters a full base column into candidate list out.
-func (b *PlanBuilder) Scan(table, col, out string, p Pred) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpScan, Table: table, Col: col, Out: out, Pred: p})
-}
-
-// ScanAll produces a candidate list covering the whole table.
+// ScanAll appends ScanAll(table, col, out).
 func (b *PlanBuilder) ScanAll(table, col, out string) *PlanBuilder {
-	return b.Scan(table, col, out, PredAll())
+	return b.add(ScanAll(table, col, out))
 }
 
-// Refine filters candidate list in against another column into out.
-func (b *PlanBuilder) Refine(in, table, col, out string, p Pred) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpRefine, In: in, Table: table, Col: col, Out: out, Pred: p})
-}
-
-// Project gathers column values at the candidates of in into out.
+// Project appends Project(in, table, col, out).
 func (b *PlanBuilder) Project(in, table, col, out string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpProject, In: in, Table: table, Col: col, Out: out})
+	return b.add(Project(in, table, col, out))
 }
 
-// Map2 applies f over the aligned float variables a and b2 into out.
-func (b *PlanBuilder) Map2(a, b2, out string, f func(x, y float64) float64) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpMap2, In: a, In2: b2, Out: out, Map: f})
-}
-
-// Sum folds float variable in into the named scalar.
-func (b *PlanBuilder) Sum(in, scalar string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpSum, In: in, Out: scalar})
-}
-
-// Count stores in's row count in the named scalar.
-func (b *PlanBuilder) Count(in, scalar string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpCount, In: in, Out: scalar})
-}
-
-// Build hashes key variable keys (payloads from vals, or 1 when vals is
-// empty) into the named set.
+// Build appends Build(keys, vals, set).
 func (b *PlanBuilder) Build(keys, vals, set string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpBuild, In: keys, In2: vals, Out: set})
+	return b.add(Build(keys, vals, set))
 }
 
-// ProbeSemi keeps candidates of in whose column value hits the set.
+// ProbeSemi appends ProbeSemi(in, table, col, set, out).
 func (b *PlanBuilder) ProbeSemi(in, table, col, set, out string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpProbeSemi, In: in, Table: table, Col: col, In2: set, Out: out})
+	return b.add(ProbeSemi(in, table, col, set, out))
 }
 
-// ProbeFetch keeps hitting candidates and gathers payloads into outVals.
-func (b *PlanBuilder) ProbeFetch(in, table, col, set, out, outVals string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpProbeFetch, In: in, Table: table, Col: col, In2: set, Out: out, Out2: outVals})
-}
+// Count appends Count(in, scalar).
+func (b *PlanBuilder) Count(in, scalar string) *PlanBuilder { return b.add(Count(in, scalar)) }
 
-// ProbeAnti keeps candidates of in whose column value misses the set.
-func (b *PlanBuilder) ProbeAnti(in, table, col, set, out string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpProbeAnti, In: in, Table: table, Col: col, In2: set, Out: out})
-}
-
-// GroupSum accumulates per-partition key→sum(vals) partials (count mode
-// when vals is empty).
+// GroupSum appends GroupSum(keys, vals, partials).
 func (b *PlanBuilder) GroupSum(keys, vals, partials string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpGroupSum, In: keys, In2: vals, Out: partials})
+	return b.add(GroupSum(keys, vals, partials))
 }
 
-// GroupMerge merges partials into sorted outKeys/outSums variables.
+// GroupMerge appends GroupMerge(partials, outKeys, outSums).
 func (b *PlanBuilder) GroupMerge(partials, outKeys, outSums string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpGroupMerge, In: partials, Out: outKeys, Out2: outSums})
+	return b.add(GroupMerge(partials, outKeys, outSums))
 }
-
-// GroupFilter drops merged groups whose sum fails keep.
-func (b *PlanBuilder) GroupFilter(keys, sums string, keep func(sum float64) bool) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpGroupFilter, In: keys, In2: sums, Keep: keep})
-}
-
-// TopN keeps the n largest groups of the keys/sums pair.
-func (b *PlanBuilder) TopN(keys, sums string, n int) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpTopN, In: keys, In2: sums, N: n})
-}
-
-// Lookup binary-searches the sorted key column for key and projects
-// valCol at the hit into the named scalar.
-func (b *PlanBuilder) Lookup(table, keyCol, valCol string, key int64, outScalar string) *PlanBuilder {
-	return b.add(OpSpec{Kind: OpLookup, Table: table, Col: keyCol, Col2: valCol, Key: key, Out: outScalar})
-}
-
-// Spec returns the accumulated declarative plan.
-func (b *PlanBuilder) Spec() PlanSpec { return b.spec }
 
 // Compile validates and lowers the accumulated plan (see
 // PlanSpec.Compile).

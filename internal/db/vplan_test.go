@@ -2,6 +2,7 @@ package db
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,18 +33,8 @@ func newSpecRigRows(t *testing.T, lineitems int) *rig {
 	return r
 }
 
-// q6Spec is the handwritten q6Plan expressed declaratively.
-func q6Spec() PlanSpec {
-	return NewPlanSpec("Q6-spec").
-		Scan("lineitem", "l_quantity", "X_1", PredFLess(24)).
-		Refine("X_1", "lineitem", "l_shipdate", "X_2", PredIRange(19970101, 19980101)).
-		Refine("X_2", "lineitem", "l_discount", "X_3", PredFRange(0.06, 0.08)).
-		Project("X_3", "lineitem", "l_extendedprice", "X_4").
-		Project("X_3", "lineitem", "l_discount", "X_5").
-		Map2("X_4", "X_5", "X_6", func(x, y float64) float64 { return x * y }).
-		Sum("X_6", "revenue").
-		Spec()
-}
+// spec names a list of steps.
+func spec(name string, ops ...OpSpec) PlanSpec { return PlanSpec{Name: name, Ops: ops} }
 
 func TestPlanSpecCompilesAndMatchesHandwrittenQ6(t *testing.T) {
 	r := newSpecRig(t)
@@ -63,21 +54,20 @@ func TestPlanSpecJoinGroupPipeline(t *testing.T) {
 	// Count cheap lineitem rows per orderkey, via the full build / probe /
 	// group / merge / filter / topn surface, then a point lookup on tiny.
 	r := newSpecRig(t)
-	spec := NewPlanSpec("join-group").
-		Scan("lineitem", "l_extendedprice", "cheap", PredFLess(300)).
-		Project("cheap", "lineitem", "l_orderkey", "keys").
-		Build("keys", "", "orders-seen").
-		ScanAll("lineitem", "l_orderkey", "all").
-		ProbeSemi("all", "lineitem", "l_orderkey", "orders-seen", "hit").
-		Project("hit", "lineitem", "l_orderkey", "hitkeys").
-		GroupSum("hitkeys", "", "parts").
-		GroupMerge("parts", "gk", "gs").
-		GroupFilter("gk", "gs", func(sum float64) bool { return sum >= 4 }).
-		TopN("gk", "gs", 5).
-		Count("gk", "groups").
-		Lookup("tiny", "k", "v", 40, "point").
-		Spec()
-	plan, err := spec.Compile(r.store)
+	s := spec("join-group",
+		Scan("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+		Project("cheap", "lineitem", "l_orderkey", "keys"),
+		Build("keys", "", "orders-seen"),
+		ScanAll("lineitem", "l_orderkey", "all"),
+		ProbeSemi("all", "lineitem", "l_orderkey", "orders-seen", "hit"),
+		Project("hit", "lineitem", "l_orderkey", "hitkeys"),
+		GroupSum("hitkeys", "", "parts"),
+		GroupMerge("parts", "gk", "gs"),
+		GroupFilter("gk", "gs", 3.5), // counts are whole: sum >= 4
+		TopN("gk", "gs", 5),
+		Count("gk", "groups"),
+		Lookup("tiny", "k", "v", 40, "point"))
+	plan, err := s.Compile(r.store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,48 +111,89 @@ func TestPlanSpecJoinGroupPipeline(t *testing.T) {
 	}
 }
 
+// TestPlanBuilderChainsTheSameSteps: the chained form compiles the steps
+// the constructors of the same names build — the join and the group-by the
+// benchmark writes that way.
+func TestPlanBuilderChainsTheSameSteps(t *testing.T) {
+	r := newSpecRig(t)
+	b := NewPlanSpec("chained").
+		ScanAll("lineitem", "l_orderkey", "cl").
+		Project("cl", "lineitem", "l_orderkey", "k").
+		Project("cl", "lineitem", "l_extendedprice", "p").
+		Build("k", "", "seen").
+		ProbeSemi("cl", "lineitem", "l_orderkey", "seen", "hit").
+		Count("hit", "hits").
+		GroupSum("k", "p", "parts").
+		GroupMerge("parts", "gk", "gs")
+	want := spec("chained",
+		ScanAll("lineitem", "l_orderkey", "cl"),
+		Project("cl", "lineitem", "l_orderkey", "k"),
+		Project("cl", "lineitem", "l_extendedprice", "p"),
+		Build("k", "", "seen"),
+		ProbeSemi("cl", "lineitem", "l_orderkey", "seen", "hit"),
+		Count("hit", "hits"),
+		GroupSum("k", "p", "parts"),
+		GroupMerge("parts", "gk", "gs"))
+	if !reflect.DeepEqual(b.spec, want) {
+		t.Fatalf("chained spec:\n%v\nwant:\n%v", b.spec, want)
+	}
+	plan, err := b.Compile(r.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := r.eng.Submit(plan)
+	r.run(t, q)
+	if rows := float64(r.store.Table("lineitem").Rows); q.Scalar("hits") != rows || q.Var("gk").Rows() == 0 {
+		t.Errorf("hits = %g of %g rows, %d groups", q.Scalar("hits"), rows, q.Var("gk").Rows())
+	}
+}
+
 func TestPlanSpecCompileRejects(t *testing.T) {
-	mul := func(x, y float64) float64 { return x * y }
 	cases := []struct {
 		name string
 		spec PlanSpec
 		want string
 	}{
-		{"unknown table", NewPlanSpec("t").Scan("ghost", "c", "a", PredAll()).Spec(), "unknown table"},
-		{"unknown column", NewPlanSpec("t").Scan("lineitem", "nope", "a", PredAll()).Spec(), "no column"},
-		{"pred kind mismatch", NewPlanSpec("t").Scan("lineitem", "l_shipdate", "a", PredFLess(1)).Spec(), "integer predicate"},
-		{"missing scan out", NewPlanSpec("t").Scan("lineitem", "l_shipdate", "", PredIEq(1)).Spec(), "missing output"},
-		{"undefined refine input", NewPlanSpec("t").Refine("a", "lineitem", "l_shipdate", "b", PredIEq(1)).Spec(), "undefined variable"},
-		{"cross-table candidates", NewPlanSpec("t").
-			ScanAll("tiny", "k", "a").
-			Project("a", "lineitem", "l_discount", "b").Spec(), "indexes table"},
-		{"misaligned map2", NewPlanSpec("t").
-			ScanAll("lineitem", "l_orderkey", "a").
-			ScanAll("lineitem", "l_orderkey", "b").
-			Project("a", "lineitem", "l_discount", "x").
-			Project("b", "lineitem", "l_discount", "y").
-			Map2("x", "y", "z", mul).Spec(), "not aligned"},
-		{"map2 over candidate", NewPlanSpec("t").
-			ScanAll("lineitem", "l_orderkey", "a").
-			Map2("a", "a", "z", mul).Spec(), "not a value vector"},
+		{"unknown table", spec("t", Scan("ghost", "c", "a", PredAll())), "unknown table"},
+		{"unknown column", spec("t", Scan("lineitem", "nope", "a", PredAll())), "no column"},
+		{"pred kind mismatch", spec("t", Scan("lineitem", "l_shipdate", "a", PredFLess(1))), "integer predicate"},
+		{"missing scan out", spec("t", Scan("lineitem", "l_shipdate", "", PredIEq(1))), "missing output"},
+		{"undefined refine input", spec("t", Refine("a", "lineitem", "l_shipdate", "b", PredIEq(1))), "undefined variable"},
+		{"cross-table candidates", spec("t",
+			ScanAll("tiny", "k", "a"),
+			Project("a", "lineitem", "l_discount", "b")), "indexes table"},
+		{"misaligned map2", spec("t",
+			ScanAll("lineitem", "l_orderkey", "a"),
+			ScanAll("lineitem", "l_orderkey", "b"),
+			Project("a", "lineitem", "l_discount", "x"),
+			Project("b", "lineitem", "l_discount", "y"),
+			Map2("x", "y", "z", MapMul)), "not aligned"},
+		{"map2 over candidate", spec("t",
+			ScanAll("lineitem", "l_orderkey", "a"),
+			Map2("a", "a", "z", MapMul)), "not a value vector"},
 		{"missing map fn", PlanSpec{Name: "t", Ops: []OpSpec{
 			{Kind: OpScan, Table: "lineitem", Col: "l_orderkey", Out: "a", Pred: PredAll()},
 			{Kind: OpProject, Table: "lineitem", Col: "l_discount", In: "a", Out: "x"},
 			{Kind: OpMap2, In: "x", In2: "x", Out: "z"},
 		}}, "missing map function"},
-		{"sum over i64", NewPlanSpec("t").
-			ScanAll("lineitem", "l_orderkey", "a").
-			Project("a", "lineitem", "l_orderkey", "x").
-			Sum("x", "s").Spec(), "wrong value kind"},
-		{"probe float column", NewPlanSpec("t").
-			ScanAll("lineitem", "l_orderkey", "a").
-			Project("a", "lineitem", "l_orderkey", "x").
-			Build("x", "", "set").
-			ProbeSemi("a", "lineitem", "l_discount", "set", "b").Spec(), "must be integer"},
-		{"undefined set", NewPlanSpec("t").
-			ScanAll("lineitem", "l_orderkey", "a").
-			ProbeSemi("a", "lineitem", "l_orderkey", "set", "b").Spec(), "undefined set"},
-		{"undefined partials", NewPlanSpec("t").GroupMerge("p", "k", "s").Spec(), "undefined partials"},
+		{"sum over i64", spec("t",
+			ScanAll("lineitem", "l_orderkey", "a"),
+			Project("a", "lineitem", "l_orderkey", "x"),
+			Sum("x", "s")), "wrong value kind"},
+		{"probe float column", spec("t",
+			ScanAll("lineitem", "l_orderkey", "a"),
+			Project("a", "lineitem", "l_orderkey", "x"),
+			Build("x", "", "set"),
+			ProbeSemi("a", "lineitem", "l_discount", "set", "b")), "must be integer"},
+		{"undefined set", spec("t",
+			ScanAll("lineitem", "l_orderkey", "a"),
+			ProbeSemi("a", "lineitem", "l_orderkey", "set", "b")), "undefined set"},
+		{"fetch outputs collide", spec("t",
+			ScanAll("lineitem", "l_orderkey", "a"),
+			Project("a", "lineitem", "l_orderkey", "x"),
+			Build("x", "x", "set"),
+			ProbeFetch("a", "lineitem", "l_orderkey", "set", "b", "b")), "must differ"},
+		{"undefined partials", spec("t", GroupMerge("p", "k", "s")), "undefined partials"},
 		{"merge outputs collide", PlanSpec{Name: "t", Ops: []OpSpec{
 			{Kind: OpScan, Table: "lineitem", Col: "l_orderkey", Out: "a", Pred: PredAll()},
 			{Kind: OpProject, Table: "lineitem", Col: "l_orderkey", In: "a", Out: "x"},
@@ -176,7 +207,7 @@ func TestPlanSpecCompileRejects(t *testing.T) {
 			{Kind: OpGroupMerge, In: "p", Out: "k", Out2: "s"},
 			{Kind: OpTopN, In: "k", In2: "s", N: -3},
 		}}, "negative group budget"},
-		{"lookup float key", NewPlanSpec("t").Lookup("tiny", "v", "k", 3, "out").Spec(), "must be integer"},
+		{"lookup float key", spec("t", Lookup("tiny", "v", "k", 3, "out")), "must be integer"},
 		{"unknown kind", PlanSpec{Name: "t", Ops: []OpSpec{{Kind: OpKind(99)}}}, "unknown operator kind"},
 	}
 	r := newSpecRig(t)
@@ -206,9 +237,8 @@ var (
 		PredFLess(24),
 		PredIEq(3),
 		PredIIn(1, 2, 3),
-		{}, // typeless: invalid against every column
-		{I: func(v int64) bool { return v%2 == 0 }},
-		{F: func(v float64) bool { return v > 1 }},
+		{}, // formless: invalid against every column
+		PredINe(2),
 	}
 )
 
@@ -220,8 +250,6 @@ const fuzzSpecOpBytes = 13
 // structurally arbitrary — frequently invalid — composition.
 func fuzzSpec(data []byte) PlanSpec {
 	spec := PlanSpec{Name: "fuzz"}
-	mul := func(x, y float64) float64 { return x * y }
-	keep := func(sum float64) bool { return sum >= 2 }
 	for pos := 0; pos+fuzzSpecOpBytes <= len(data) && len(spec.Ops) < 24; pos += fuzzSpecOpBytes {
 		w := data[pos : pos+fuzzSpecOpBytes]
 		op := OpSpec{
@@ -235,14 +263,11 @@ func fuzzSpec(data []byte) PlanSpec {
 			Out:   fuzzNames[int(w[6])%len(fuzzNames)],
 			Out2:  fuzzNames[int(w[7])%len(fuzzNames)],
 			Pred:  fuzzPreds[int(w[8])%len(fuzzPreds)],
-			N:     int(int8(w[11])),
-			Key:   int64(w[12]) - 64,
-		}
-		if w[9]%2 == 0 {
-			op.Map = mul
-		}
-		if w[10]%2 == 0 {
-			op.Keep = keep
+			// One spare map value exercises the missing-function rejection.
+			Map:  MapFn(w[9]%3 + 1),
+			Keep: float64(w[10]),
+			N:    int(int8(w[11])),
+			Key:  int64(w[12]) - 64,
 		}
 		spec.Ops = append(spec.Ops, op)
 	}
@@ -262,7 +287,7 @@ func fuzzSeedOp(kind, table, col, col2, in, in2, out, out2, pred int) []byte {
 // FuzzPlanBuild feeds arbitrary operator compositions through Compile:
 // any input must either yield an executable plan or an error — never a
 // panic — and a plan Compile accepts must run to completion without
-// tripping the stage builders' internal alignment panics, with the same
+// tripping the lowering's internal alignment panics, with the same
 // results, latency and simulated accesses as its reference lowering
 // (refSpec in dense_test.go).
 func FuzzPlanBuild(f *testing.F) {
@@ -301,12 +326,88 @@ func FuzzPlanBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
 
+	// Rejected: the fetched payloads would replace the candidates under one
+	// name.
+	var collide []byte
+	collide = append(collide, fuzzSeedOp(0, 0, 4, 0, 0, 0, 0, 0, 0)...) // scan-all orderkey -> a
+	collide = append(collide, fuzzSeedOp(2, 0, 4, 0, 0, 0, 1, 0, 0)...) // project orderkey -> b
+	collide = append(collide, fuzzSeedOp(6, 0, 0, 0, 1, 1, 2, 0, 0)...) // build b/b -> set c
+	collide = append(collide, fuzzSeedOp(8, 0, 4, 0, 0, 2, 3, 3, 0)...) // probe-fetch a vs c -> d/d
+	f.Add(collide)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := fuzzSpec(data)
 		if _, err := spec.Compile(newSpecRig(t).store); err != nil {
 			return
 		}
-		fast, ref, fastM, refM := runPlanBothWays(t, 512, spec.Compile, refSpec(spec).Compile)
+		build, buildRef := bothWays(spec)
+		fast, ref, fastM, refM := runPlanBothWays(t, 512, build, buildRef)
 		sameOutcome(t, fast, ref, fastM, refM)
 	})
+}
+
+// TestPlanSpecString pins the one-line rendering of every operator kind,
+// predicate form and map function (tpch's plans.golden is made of these).
+func TestPlanSpecString(t *testing.T) {
+	spec := PlanSpec{Name: "every-kind", Ops: []OpSpec{
+		Scan("t", "k", "c1", PredIRange(2, 6)),
+		ScanAll("t", "k", "all"),
+		Refine("c1", "t", "g", "c2", PredIEq(1)),
+		Refine("c2", "t", "g", "c3", PredINe(3)),
+		Refine("c3", "t", "g", "c4", PredIIn(1, 4)),
+		Refine("c4", "t", "k", "c5", PredIRange(math.MinInt64, 9)),
+		Refine("c5", "t", "k", "c6", PredIRange(1, math.MaxInt64)),
+		Refine("c6", "t", "v", "c7", PredFRange(0.5, 2)),
+		Refine("c7", "t", "v", "c8", PredFRange(0.5, math.Inf(1))),
+		Refine("c8", "t", "v", "c9", PredFLess(7)),
+		Project("c9", "t", "v", "a"),
+		Map2("a", "a", "sq", MapMul),
+		Map2("a", "a", "net", MapMulComplement),
+		Sum("sq", "total"),
+		Count("c9", "n"),
+		Build("keys", "vals", "set"),
+		ProbeSemi("all", "t", "k", "set", "hit"),
+		ProbeFetch("all", "t", "k", "set", "got", "pay"),
+		ProbeAnti("all", "t", "k", "set", "miss"),
+		GroupSum("keys", "", "parts"),
+		GroupMerge("parts", "gk", "gs"),
+		GroupFilter("gk", "gs", 3.5),
+		TopN("gk", "gs", 3),
+		Lookup("t", "k", "v", 40, "point"),
+		{Kind: OpKind(99), Map: MapFn(9), Pred: Pred{}},
+		{Kind: OpMap2, Map: MapFn(9)},
+		{Kind: OpScan},
+	}}
+	const want = `every-kind
+  scan t.k [2 <= v < 6] -> c1
+  scan t.k [true] -> all
+  refine c1 t.g [v == 1] -> c2
+  refine c2 t.g [v != 3] -> c3
+  refine c3 t.g [v in [1 4]] -> c4
+  refine c4 t.k [v < 9] -> c5
+  refine c5 t.k [v >= 1] -> c6
+  refine c6 t.v [0.5 <= v <= 2] -> c7
+  refine c7 t.v [v >= 0.5] -> c8
+  refine c8 t.v [v < 7] -> c9
+  project c9 t.v -> a
+  map2 a a x*y -> sq
+  map2 a a x*(1-y) -> net
+  sum sq -> total
+  count c9 -> n
+  build keys vals -> set
+  probe-semi all set t.k -> hit
+  probe-fetch all set t.k -> got pay
+  probe-anti all set t.k -> miss
+  group-sum keys -> parts
+  group-merge parts -> gk gs
+  group-filter gk gs [sum > 3.5]
+  topn gk gs n=3
+  lookup t.k key=40 v -> point
+  opkind(99)
+  map2 mapfn(9)
+  scan [none]
+`
+	if got := spec.String(); got != want {
+		t.Errorf("plan text drifted\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
 }

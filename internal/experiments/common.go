@@ -258,16 +258,19 @@ func q6Fixed() tpch.Q6Params {
 	return tpch.Q6Params{Year: 1997, Discount: 0.07, Quantity: 24}
 }
 
-// thetaPlan builds the isolated thetasubselect workload of Figures 13-15:
-// a partitioned scan of l_quantity at the given selectivity (0..1) whose
+// thetaSpec is the isolated thetasubselect workload of Figures 13-15: a
+// partitioned scan of l_quantity at the given selectivity (0..1) whose
 // candidate list is materialized and counted.
-func thetaPlan(selectivity float64) *db.Plan {
+func thetaSpec(selectivity float64) db.PlanSpec {
 	cut := 1 + selectivity*50
-	return &db.Plan{Name: "thetasubselect", Stages: []db.StageFn{
-		db.ThetaSelect("lineitem", "l_quantity", "c1", db.PredFLess(cut)),
+	return db.PlanSpec{Name: "thetasubselect", Ops: []db.OpSpec{
+		db.Scan("lineitem", "l_quantity", "c1", db.PredFLess(cut)),
 		db.Count("c1", "result"),
 	}}
 }
+
+// thetaPlan lowers thetaSpec unchecked (TestThetaSpecCompiles checks it).
+func thetaPlan(selectivity float64) *db.Plan { return thetaSpec(selectivity).Lower() }
 
 // table renders aligned rows: header plus formatted cells. It is the text
 // renderer behind Result.WriteText.

@@ -295,3 +295,18 @@ func TestOverheadOrdering(t *testing.T) {
 		t.Error("rendering broken")
 	}
 }
+
+// TestThetaSpecCompiles is the catalog check thetaPlan skips: the
+// thetasubselect workload compiles against a loaded store at the
+// selectivities the figures sweep.
+func TestThetaSpecCompiles(t *testing.T) {
+	r, err := workload.NewRig(workload.Options{SF: 0.002, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range []float64{0, 0.02, 0.45, 1} {
+		if _, err := thetaSpec(sel).Compile(r.Store); err != nil {
+			t.Fatalf("selectivity %g: %v", sel, err)
+		}
+	}
+}

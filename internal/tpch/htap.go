@@ -7,41 +7,27 @@ import (
 
 // htap.go builds the heterogeneous query mixes of the htap experiments:
 // OLTP-style point lookups against the orders table interleaved with
-// scan- and join-heavy analytic pipelines, plus declarative (PlanSpec)
-// equivalents of the hand-written plans. The mix is seed-deterministic
-// per (client, stream position), so two runs of the same configuration
-// submit byte-identical query streams.
+// scan- and join-heavy analytic pipelines — the TPC-H plans of queries.go
+// and seed-derived ad-hoc ones, all PlanSpec values. The mix is
+// seed-deterministic per (client, stream position), so two runs of the
+// same configuration submit byte-identical query streams.
 
-// Q6Spec is BuildQ6With expressed declaratively: the same stages lower
-// out of PlanSpec.Compile, so a compiled Q6Spec and BuildQ6With produce
-// identical results (asserted by the equivalence tests).
-func Q6Spec(p Q6Params) db.PlanSpec {
-	return db.NewPlanSpec("Q6").
-		Scan("lineitem", "l_quantity", "X_1", db.PredFLess(p.Quantity)).
-		Refine("X_1", "lineitem", "l_shipdate", "X_2",
-			db.PredIRange(p.Year*10000+101, (p.Year+1)*10000+101)).
-		Refine("X_2", "lineitem", "l_discount", "X_3",
-			db.PredFRange(p.Discount-0.01, p.Discount+0.01)).
-		Project("X_3", "lineitem", "l_extendedprice", "X_4").
-		Project("X_3", "lineitem", "l_discount", "X_5").
-		Map2("X_4", "X_5", "X_6", func(x, y float64) float64 { return x * y }).
-		Sum("X_6", "result").
-		Spec()
+// pointLookup is the OLTP side of the HTAP mix: a single-row read of one
+// order's total price by primary key. o_orderkey is generated 0..rows-1
+// ascending, so the lookup binary-searches it; the key is seed-derived and
+// always present. The scalar "result" receives the price and
+// "result.found" the hit count (1).
+func pointLookup(seed uint64, orderRows int) db.PlanSpec {
+	key := int64(hashmix.Mix64(seed^0xB10C) % uint64(max(orderRows, 1)))
+	return db.PlanSpec{Name: "PointLookup", Ops: []db.OpSpec{
+		db.Lookup("orders", "o_orderkey", "o_totalprice", key, "result"),
+	}}
 }
 
-// BuildPointLookup is the OLTP side of the HTAP mix: a single-row read
-// of one order's total price by primary key. o_orderkey is generated
-// 0..rows-1 ascending, so the lookup binary-searches it; the key is
-// seed-derived and always present. The scalar "result" receives the
-// price and "result.found" the hit count (1).
+// BuildPointLookup lowers pointLookup unchecked, as Build does a query
+// (TestQuerySpecsCompile compiles it too).
 func BuildPointLookup(seed uint64, orderRows int) *db.Plan {
-	if orderRows < 1 {
-		orderRows = 1
-	}
-	key := int64(hashmix.Mix64(seed^0xB10C) % uint64(orderRows))
-	return &db.Plan{Name: "PointLookup", Stages: []db.StageFn{
-		db.PointLookup("orders", "o_orderkey", "o_totalprice", key, "result"),
-	}}
+	return pointLookup(seed, orderRows).Lower()
 }
 
 // AdHocShapes is the number of distinct ad-hoc analytic pipeline shapes.
@@ -62,50 +48,49 @@ func AdHocSpec(seed uint64) db.PlanSpec {
 		// one ship year.
 		lo := float64(r.intn(40))
 		y := pYear(r)
-		return db.NewPlanSpec("AdHoc-filter").
-			Scan("lineitem", "l_quantity", "c1", db.PredFRange(lo, lo+10)).
-			Refine("c1", "lineitem", "l_shipdate", "c2",
-				db.PredIRange(y*10000, (y+1)*10000)).
-			Project("c2", "lineitem", "l_extendedprice", "price").
-			Project("c2", "lineitem", "l_discount", "disc").
-			Map2("price", "disc", "rev", func(p, d float64) float64 { return p * d }).
-			Sum("rev", "result").
-			Spec()
+		return db.PlanSpec{Name: "AdHoc-filter", Ops: []db.OpSpec{
+			db.Scan("lineitem", "l_quantity", "c1", db.PredFRange(lo, lo+10)),
+			db.Refine("c1", "lineitem", "l_shipdate", "c2", db.PredIRange(y*10000, (y+1)*10000)),
+			db.Project("c2", "lineitem", "l_extendedprice", "price"),
+			db.Project("c2", "lineitem", "l_discount", "disc"),
+			db.Map2("price", "disc", "rev", db.MapMul),
+			db.Sum("rev", "result"),
+		}}
 	case 1:
 		// Semi-join + group: revenue of one order-priority class, grouped
 		// by supplier, top 10.
 		prio := int64(r.intn(NumOrderPriorities))
-		return db.NewPlanSpec("AdHoc-join").
-			Scan("orders", "o_orderpriority", "co", db.PredIEq(prio)).
-			Project("co", "orders", "o_orderkey", "okeys").
-			Build("okeys", "", "oset").
-			ScanAll("lineitem", "l_orderkey", "cl").
-			ProbeSemi("cl", "lineitem", "l_orderkey", "oset", "cl2").
-			Project("cl2", "lineitem", "l_extendedprice", "price").
-			Project("cl2", "lineitem", "l_suppkey", "sk").
-			GroupSum("sk", "price", "p1").
-			GroupMerge("p1", "gk", "gs").
-			TopN("gk", "gs", 10).
-			Spec()
+		return db.PlanSpec{Name: "AdHoc-join", Ops: []db.OpSpec{
+			db.Scan("orders", "o_orderpriority", "co", db.PredIEq(prio)),
+			db.Project("co", "orders", "o_orderkey", "okeys"),
+			db.Build("okeys", "", "oset"),
+			db.ScanAll("lineitem", "l_orderkey", "cl"),
+			db.ProbeSemi("cl", "lineitem", "l_orderkey", "oset", "cl2"),
+			db.Project("cl2", "lineitem", "l_extendedprice", "price"),
+			db.Project("cl2", "lineitem", "l_suppkey", "sk"),
+			db.GroupSum("sk", "price", "p1"),
+			db.GroupMerge("p1", "gk", "gs"),
+			db.TopN("gk", "gs", 10),
+		}}
 	default:
 		// Anti-join + count: lineitems whose part is not in one size class.
 		size := int64(1 + r.intn(50))
-		return db.NewPlanSpec("AdHoc-anti").
-			Scan("part", "p_size", "cp", db.PredIEq(size)).
-			Project("cp", "part", "p_partkey", "pkeys").
-			Build("pkeys", "", "pset").
-			ScanAll("lineitem", "l_partkey", "cl").
-			ProbeAnti("cl", "lineitem", "l_partkey", "pset", "c2").
-			Count("c2", "result").
-			Spec()
+		return db.PlanSpec{Name: "AdHoc-anti", Ops: []db.OpSpec{
+			db.Scan("part", "p_size", "cp", db.PredIEq(size)),
+			db.Project("cp", "part", "p_partkey", "pkeys"),
+			db.Build("pkeys", "", "pset"),
+			db.ScanAll("lineitem", "l_partkey", "cl"),
+			db.ProbeAnti("cl", "lineitem", "l_partkey", "pset", "c2"),
+			db.Count("c2", "result"),
+		}}
 	}
 }
 
 // HTAPMixer generates one tenant's heterogeneous query stream: each
 // (client, k) slot is hashed to a point lookup with probability
 // LookupRatio, otherwise to an analytic query alternating between the
-// hand-written TPC-H plans and compiled ad-hoc pipelines. Its Plan
-// method is a workload.PlanFor.
+// TPC-H plans (lowered unchecked) and ad-hoc pipelines compiled against
+// Store. Its Plan method is a workload.PlanFor.
 type HTAPMixer struct {
 	// Store compiles the declarative ad-hoc pipelines; it must hold the
 	// TPC-H tables.
@@ -118,7 +103,7 @@ type HTAPMixer struct {
 	LookupRatio float64
 }
 
-// scanHeavy rotates the hand-written analytic plans of the mix: the Q6
+// scanHeavy rotates the TPC-H plans of the mix: the Q6
 // selectivity scan, the Q1 grouped scan and the Q3 join chain.
 var scanHeavy = []int{6, 1, 3}
 
@@ -141,7 +126,7 @@ func (m HTAPMixer) Plan(client, k int) *db.Plan {
 	if m.IsLookup(client, k) {
 		return BuildPointLookup(h, m.OrderRows)
 	}
-	// Alternate hand-written and declarative analytics by hash bit.
+	// Alternate TPC-H and ad-hoc analytics by hash bit.
 	if h&(1<<60) == 0 {
 		return Build(scanHeavy[int(h>>32)%len(scanHeavy)], h)
 	}

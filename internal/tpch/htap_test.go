@@ -1,27 +1,6 @@
 package tpch
 
-import (
-	"math"
-	"testing"
-)
-
-func TestQ6SpecMatchesHandwritten(t *testing.T) {
-	r := newQRig(t, 0.005)
-	p := Q6ParamsFromSeed(3)
-	plan, err := Q6Spec(p).Compile(r.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := r.exec(t, plan)
-	hand := r.exec(t, BuildQ6With(p))
-	want := hand.Scalar("result")
-	if want == 0 {
-		t.Fatal("handwritten Q6 returned zero; selectivity knobs broken")
-	}
-	if got := spec.Scalar("result"); math.Abs(got-want) > 1e-9*math.Abs(want) {
-		t.Errorf("declarative Q6 = %g, handwritten = %g", got, want)
-	}
-}
+import "testing"
 
 func TestPointLookupFindsEveryKey(t *testing.T) {
 	r := newQRig(t, 0.002)

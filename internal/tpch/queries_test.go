@@ -104,7 +104,7 @@ func TestQ6AgainstReference(t *testing.T) {
 
 func TestQ1AgainstReference(t *testing.T) {
 	r := newQRig(t, 0.002)
-	q := r.exec(t, BuildQ1(5))
+	q := r.exec(t, Build(1, 5))
 
 	// Recompute the grouped sums directly.
 	rr := newRNG(uint64(5) ^ 1)
@@ -131,7 +131,7 @@ func TestQ1AgainstReference(t *testing.T) {
 func TestQ14AgainstReference(t *testing.T) {
 	r := newQRig(t, 0.005)
 	seed := uint64(9)
-	q := r.exec(t, BuildQ14(seed))
+	q := r.exec(t, Build(14, seed))
 
 	rr := newRNG(seed ^ 14)
 	y := pYear(rr)
@@ -168,7 +168,7 @@ func TestQ14AgainstReference(t *testing.T) {
 
 func TestQ13AgainstReference(t *testing.T) {
 	r := newQRig(t, 0.002)
-	q := r.exec(t, BuildQ13(1))
+	q := r.exec(t, Build(13, 1))
 
 	cust := r.store.Table("customer")
 	orders := r.store.Table("orders")
@@ -197,7 +197,7 @@ func TestQ13AgainstReference(t *testing.T) {
 func TestQ18HavingFilter(t *testing.T) {
 	r := newQRig(t, 0.002)
 	seed := uint64(4)
-	q := r.exec(t, BuildQ18(seed))
+	q := r.exec(t, Build(18, seed))
 	rr := newRNG(seed ^ 18)
 	threshold := float64(120 + rr.intn(60))
 	for i, s := range q.Var("gs").FlattenF64() {
@@ -209,7 +209,7 @@ func TestQ18HavingFilter(t *testing.T) {
 
 func TestTopNOrdering(t *testing.T) {
 	r := newQRig(t, 0.002)
-	q := r.exec(t, BuildQ3(2))
+	q := r.exec(t, Build(3, 2))
 	gs := q.Var("gs").FlattenF64()
 	if len(gs) > 10 {
 		t.Errorf("Q3 TopN returned %d rows, want <= 10", len(gs))
