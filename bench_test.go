@@ -12,11 +12,11 @@ package elasticore
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"elasticore/internal/db"
 	"elasticore/internal/elastic"
-	"elasticore/internal/experiments"
 	"elasticore/internal/numa"
 	"elasticore/internal/tpch"
 	"elasticore/internal/workload"
@@ -42,8 +42,47 @@ func BenchmarkRunnerBatch(b *testing.B) {
 
 // benchConfig is the common operating point: large enough for the shapes
 // to be stable, small enough for the full suite to finish in minutes.
-func benchConfig() experiments.Config {
-	return experiments.Config{SF: 0.005, Clients: 32, Users: []int{1, 4, 16, 64}, Seed: 1}
+func benchConfig() ExperimentConfig {
+	return ExperimentConfig{SF: 0.005, Clients: 32, Users: []int{1, 4, 16, 64}, Seed: 1}
+}
+
+// benchRun runs a registered experiment, failing the benchmark on error.
+func benchRun(b *testing.B, name string, cfg ExperimentConfig) *Result {
+	e, ok := LookupExperiment(name)
+	if !ok {
+		b.Fatalf("%s not registered", name)
+	}
+	res, err := e.Run(context.Background(), cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// benchCell reads column col of the first row of res's table whose
+// leading cells print as keys; a missing table, row or column fails the
+// benchmark.
+func benchCell(b *testing.B, res *Result, table, col string, keys ...any) float64 {
+	tb := res.Table(table)
+	for i := 0; tb != nil && i < len(tb.Rows); i++ {
+		if r := tb.Rows[i]; len(r) >= len(keys) && fmt.Sprintln(r[:len(keys)]...) == fmt.Sprintln(keys...) {
+			if v, ok := tb.Float(i, tb.Col(col)); ok {
+				return v
+			}
+		}
+	}
+	b.Fatalf("%s: no %q cell in table %q row %v", res.Name, col, table, keys)
+	return 0
+}
+
+// benchMetric reads a named Result metric, failing the benchmark when it
+// is missing.
+func benchMetric(b *testing.B, res *Result, name string) float64 {
+	v, ok := res.Metric(name)
+	if !ok {
+		b.Fatalf("%s: no metric %q", res.Name, name)
+	}
+	return v
 }
 
 // BenchmarkFig04 regenerates Figure 4: Q6 throughput, minor faults/s and
@@ -51,15 +90,11 @@ func benchConfig() experiments.Config {
 // OS/MonetDB.
 func BenchmarkFig04(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig4(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		users := 64
-		mdb, c := res.Row("OS/MonetDB", users), res.Row("OS/C", users)
-		if mdb != nil && c != nil && c.HTMBPerS > 0 {
-			b.ReportMetric(mdb.HTMBPerS/c.HTMBPerS, "HT-monetdb/C-x")
-			b.ReportMetric(mdb.Throughput, "monetdb-q/s")
+		res := benchRun(b, "fig4", benchConfig())
+		mdb, c := benchCell(b, res, "sweep", "HT MB/s", "OS/MonetDB", 64), benchCell(b, res, "sweep", "HT MB/s", "OS/C", 64)
+		if c > 0 {
+			b.ReportMetric(mdb/c, "HT-monetdb/C-x")
+			b.ReportMetric(benchCell(b, res, "sweep", "q/s", "OS/MonetDB", 64), "monetdb-q/s")
 		}
 	}
 }
@@ -68,12 +103,9 @@ func BenchmarkFig04(b *testing.B) {
 // migration map and the per-operator tomograph.
 func BenchmarkFig05(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig5(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Migrations), "migrations")
-		b.ReportMetric(float64(res.ParallelTheta), "theta-fanout")
+		res := benchRun(b, "fig5", benchConfig())
+		b.ReportMetric(benchMetric(b, res, "migrations"), "migrations")
+		b.ReportMetric(benchMetric(b, res, "parallel_theta"), "theta-fanout")
 	}
 }
 
@@ -81,13 +113,10 @@ func BenchmarkFig05(b *testing.B) {
 // allocation over a Q6 burst.
 func BenchmarkFig07(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig7(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.PeakCores), "peak-cores")
-		b.ReportMetric(float64(res.Allocations), "allocs")
-		b.ReportMetric(float64(res.Releases), "releases")
+		res := benchRun(b, "fig7", benchConfig())
+		b.ReportMetric(benchMetric(b, res, "peak_cores"), "peak-cores")
+		b.ReportMetric(benchMetric(b, res, "allocations"), "allocs")
+		b.ReportMetric(benchMetric(b, res, "releases"), "releases")
 	}
 }
 
@@ -95,16 +124,11 @@ func BenchmarkFig07(b *testing.B) {
 // stolen tasks for OS/Dense/Sparse/Adaptive under a concurrency sweep.
 func BenchmarkFig13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig13(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		users := 64
-		osRow, ad := res.Row(workload.ModeOS, users), res.Row(workload.ModeAdaptive, users)
-		if osRow != nil && ad != nil && osRow.Throughput > 0 {
-			b.ReportMetric(ad.Throughput/osRow.Throughput, "tput-adaptive/os")
-			if ad.StolenTasks > 0 {
-				b.ReportMetric(float64(osRow.StolenTasks)/float64(ad.StolenTasks), "stolen-os/adaptive")
+		res := benchRun(b, "fig13", benchConfig())
+		if os := benchCell(b, res, "sweep", "q/s", ModeOS, 64); os > 0 {
+			b.ReportMetric(benchCell(b, res, "sweep", "q/s", ModeAdaptive, 64)/os, "tput-adaptive/os")
+			if ad := benchCell(b, res, "sweep", "stolen", ModeAdaptive, 64); ad > 0 {
+				b.ReportMetric(benchCell(b, res, "sweep", "stolen", ModeOS, 64)/ad, "stolen-os/adaptive")
 			}
 		}
 	}
@@ -114,29 +138,20 @@ func BenchmarkFig13(b *testing.B) {
 // throughput and HT traffic at the highest concurrency.
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig14(benchConfig())
-		if err != nil {
-			b.Fatal(err)
+		res := benchRun(b, "fig14", benchConfig())
+		if ad := benchCell(b, res, "sockets", "HT GB/s", ModeAdaptive); ad > 0 {
+			b.ReportMetric(benchCell(b, res, "sockets", "HT GB/s", ModeOS)/ad, "HT-os/adaptive")
 		}
-		osRow, ad := res.Row(workload.ModeOS), res.Row(workload.ModeAdaptive)
-		if ad.HTGBPerS > 0 {
-			b.ReportMetric(osRow.HTGBPerS/ad.HTGBPerS, "HT-os/adaptive")
-		}
-		b.ReportMetric(float64(ad.TotalL3Misses)/float64(osRow.TotalL3Misses), "L3-adaptive/os")
+		b.ReportMetric(benchCell(b, res, "sockets", "L3 total", ModeAdaptive)/benchCell(b, res, "sockets", "L3 total", ModeOS), "L3-adaptive/os")
 	}
 }
 
 // BenchmarkFig15 regenerates Figure 15: L3 misses across selectivities.
 func BenchmarkFig15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig15(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		hi := res.Row(workload.ModeOS, 1.0)
-		lo := res.Row(workload.ModeOS, 0.02)
-		if lo.L3Misses > 0 {
-			b.ReportMetric(float64(hi.L3Misses)/float64(lo.L3Misses), "miss-growth-os")
+		res := benchRun(b, "fig15", benchConfig())
+		if lo := benchCell(b, res, "sweep", "L3 misses", ModeOS, 0.02); lo > 0 {
+			b.ReportMetric(benchCell(b, res, "sweep", "L3 misses", ModeOS, 1.0)/lo, "miss-growth-os")
 		}
 	}
 }
@@ -144,29 +159,21 @@ func BenchmarkFig15(b *testing.B) {
 // BenchmarkFig16 regenerates Figure 16: migration maps per mode.
 func BenchmarkFig16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig16(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Row(workload.ModeOS).NodesTouched), "os-nodes")
-		b.ReportMetric(float64(res.Row(workload.ModeAdaptive).NodesTouched), "adaptive-nodes")
+		res := benchRun(b, "fig16", benchConfig())
+		b.ReportMetric(benchCell(b, res, "modes", "nodes touched", ModeOS), "os-nodes")
+		b.ReportMetric(benchCell(b, res, "modes", "nodes touched", ModeAdaptive), "adaptive-nodes")
 	}
 }
 
 // BenchmarkFig17 regenerates Figure 17: CPU-load vs HT/IMC strategies.
 func BenchmarkFig17(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig17(benchConfig())
-		if err != nil {
-			b.Fatal(err)
+		res := benchRun(b, "fig17", benchConfig())
+		if ad := benchCell(b, res, "strategies", "resp (s)", ModeAdaptive, "cpu-load"); ad > 0 {
+			b.ReportMetric(benchCell(b, res, "strategies", "resp (s)", ModeOS, "-")/ad, "speedup-adaptive")
 		}
-		osRow := res.Row(workload.ModeOS, "-")
-		ad := res.Row(workload.ModeAdaptive, "cpu-load")
-		if ad.ResponseSecs > 0 {
-			b.ReportMetric(osRow.ResponseSecs/ad.ResponseSecs, "speedup-adaptive")
-		}
-		if ad.HTMBPerS > 0 {
-			b.ReportMetric(osRow.HTMBPerS/ad.HTMBPerS, "HT-os/adaptive")
+		if ad := benchCell(b, res, "strategies", "HT MB/s", ModeAdaptive, "cpu-load"); ad > 0 {
+			b.ReportMetric(benchCell(b, res, "strategies", "HT MB/s", ModeOS, "-")/ad, "HT-os/adaptive")
 		}
 	}
 }
@@ -175,17 +182,11 @@ func BenchmarkFig17(b *testing.B) {
 // {OS, Adaptive} x {MonetDB-like, SQL-Server-like}.
 func BenchmarkFig18(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig18(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		osRun, adRun := res.Run("OS/MonetDB"), res.Run("Adaptive/MonetDB")
-		if adRun.TotalSeconds > 0 {
-			b.ReportMetric(osRun.TotalSeconds/adRun.TotalSeconds, "speedup-monetdb")
-		}
-		osS, adS := res.Run("OS/SQLServer"), res.Run("Adaptive/SQLServer")
-		if adS.TotalSeconds > 0 {
-			b.ReportMetric(osS.TotalSeconds/adS.TotalSeconds, "speedup-sqlserver")
+		res := benchRun(b, "fig18", benchConfig())
+		for _, engine := range []string{"MonetDB", "SQLServer"} {
+			if ad := benchCell(b, res, "runs", "total (s)", "Adaptive/"+engine); ad > 0 {
+				b.ReportMetric(benchCell(b, res, "runs", "total (s)", "OS/"+engine)/ad, "speedup-"+strings.ToLower(engine))
+			}
 		}
 	}
 }
@@ -194,13 +195,10 @@ func BenchmarkFig18(b *testing.B) {
 // HT/IMC ratio for the MonetDB-like engine.
 func BenchmarkFig19MonetDB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig19(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MaxSpeedup, "max-speedup")
-		b.ReportMetric(res.MeanSpeedup, "mean-speedup")
-		b.ReportMetric(res.MaxRatioImprovement, "max-ratio-x")
+		res := benchRun(b, "fig19", benchConfig())
+		b.ReportMetric(benchMetric(b, res, "max_speedup"), "max-speedup")
+		b.ReportMetric(benchMetric(b, res, "mean_speedup"), "mean-speedup")
+		b.ReportMetric(benchMetric(b, res, "max_ratio_improvement"), "max-ratio-x")
 	}
 }
 
@@ -210,24 +208,18 @@ func BenchmarkFig19SQLServer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := benchConfig()
 		c.Placement = db.PlacementNUMAAware
-		res, err := experiments.RunFig19(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MaxSpeedup, "max-speedup")
-		b.ReportMetric(res.MaxRatioImprovement, "max-ratio-x")
+		res := benchRun(b, "fig19", c)
+		b.ReportMetric(benchMetric(b, res, "max_speedup"), "max-speedup")
+		b.ReportMetric(benchMetric(b, res, "max_ratio_improvement"), "max-ratio-x")
 	}
 }
 
 // BenchmarkFig20 regenerates Figure 20: per-query CPU and HT energy.
 func BenchmarkFig20(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig20(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.TotalSavingsPct, "total-savings-%")
-		b.ReportMetric(res.GeoHTSavingsPct, "ht-savings-%")
+		res := benchRun(b, "fig20", benchConfig())
+		b.ReportMetric(benchMetric(b, res, "total_savings_pct"), "total-savings-%")
+		b.ReportMetric(benchMetric(b, res, "geo_ht_savings_pct"), "ht-savings-%")
 	}
 }
 

@@ -140,6 +140,24 @@ func TestShardsFlagFailsFast(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFlagsFailFast: a NaN or infinite -sf, -loads or
+// -lookup-ratios entry must fail the batch before any experiment body
+// runs (dispatch errs, so main exits non-zero); an -sf whose row counts
+// overflow int fails in tpch.Load, the check every rig shares.
+func TestNonFiniteFlagsFailFast(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-sf", "NaN"}, {"-sf", "Inf"}, {"-loads", "1,NaN"}, {"-loads", "Inf"}, {"-lookup-ratios", "NaN"},
+	} {
+		args := append([]string{"run", "test-always-succeeds", "-out", t.TempDir()}, flags...)
+		if err := dispatch(args); err == nil {
+			t.Errorf("%v accepted (process would exit 0)", flags)
+		}
+	}
+	if err := dispatch([]string{"run", "fig5", "-sf", "1e300", "-out", t.TempDir()}); err == nil {
+		t.Error("-sf 1e300 accepted (process would exit 0)")
+	}
+}
+
 // TestMachinesFlagRunsFleet: the flags reach the cluster experiments —
 // a 2-machine scale-out runs end to end.
 func TestMachinesFlagRunsFleet(t *testing.T) {

@@ -245,16 +245,6 @@ func Placements() []Placement {
 	return []Placement{NodeFill{}, HopMin{}, Scatter{}}
 }
 
-// PlacementByName resolves a built-in policy by its Name.
-func PlacementByName(name string) (Placement, bool) {
-	for _, p := range Placements() {
-		if p.Name() == name {
-			return p, true
-		}
-	}
-	return nil, false
-}
-
 // OccupancyAllocator is an Allocator that distinguishes the caller's own
 // cores from cores occupied machine-wide. The tenant arbiter prefers
 // this interface when transferring cores between cgroups: NextFree keeps

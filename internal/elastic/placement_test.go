@@ -153,18 +153,6 @@ func TestPlacementsDeterministic(t *testing.T) {
 	}
 }
 
-func TestPlacementByName(t *testing.T) {
-	for _, p := range Placements() {
-		got, ok := PlacementByName(p.Name())
-		if !ok || got.Name() != p.Name() {
-			t.Errorf("PlacementByName(%q) = %v, %v", p.Name(), got, ok)
-		}
-	}
-	if _, ok := PlacementByName("no-such-policy"); ok {
-		t.Error("unknown placement resolved")
-	}
-}
-
 // TestPlacedAllocatorAdapts: the adapter must satisfy both Allocator and
 // OccupancyAllocator, and NextFree must skip occupied cores while
 // placing relative to the caller's own set.

@@ -157,7 +157,7 @@ func runScaleOut(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	}
 	res.AddMetric("saturation_tput_1", sat, "q/s")
 	if n := len(tbl.Rows); n > 0 {
-		s, _ := tbl.Float(n-1, 6)
+		s, _ := tbl.Float(n-1, tbl.Col("speedup"))
 		res.AddMetric("speedup_max", s, "x")
 	}
 	return res, nil
@@ -232,8 +232,9 @@ func runShardSkew(ctx context.Context, c Config, obs Observer) (*Result, error) 
 	}
 	res.AddMetric("saturation_tput_1", sat, "q/s")
 	if n := len(tbl.Rows); n > 0 {
-		uni, _ := tbl.Float(0, 7)
-		worst, _ := tbl.Float(n-1, 7)
+		imb := tbl.Col("imbalance")
+		uni, _ := tbl.Float(0, imb)
+		worst, _ := tbl.Float(n-1, imb)
 		res.AddMetric("imbalance_uniform", uni, "x")
 		res.AddMetric("imbalance_max_skew", worst, "x")
 	}
@@ -308,8 +309,9 @@ func runRebalanceCost(ctx context.Context, c Config, obs Observer) (*Result, err
 		obs.Progress(i+1, len(latencies))
 	}
 	if n := len(tbl.Rows); n > 0 {
-		cheap, _ := tbl.Float(0, 7)
-		dear, _ := tbl.Float(n-1, 7)
+		tput := tbl.Col("tput(q/s)")
+		cheap, _ := tbl.Float(0, tput)
+		dear, _ := tbl.Float(n-1, tput)
 		res.AddMetric("tput_cheapest_migration", cheap, "q/s")
 		res.AddMetric("tput_dearest_migration", dear, "q/s")
 	}

@@ -9,9 +9,10 @@
 // artifacts and run metadata, rendering uniformly to text, JSON and CSV.
 // The Runner executes a batch of experiments concurrently with a worker
 // pool, honoring context cancellation and collecting per-experiment errors.
-// cmd/elasticbench (list/run), the root benchmarks and the typed RunFigN
-// compatibility wrappers all sit on this surface; a new scenario is one
-// run function plus one Register call (~30 lines), not a new bespoke API.
+// cmd/elasticbench (list/run) and the root benchmarks both sit on this
+// surface, and read a Result by table and column name (Table.Col); a new
+// scenario is one run function plus one Register call (~30 lines), not a
+// new bespoke API.
 //
 // Scaling note: the paper ran a 1 GB database (SF 1) with 256 clients and
 // a 50 ms-class control loop on real hardware. The simulation defaults to
@@ -22,6 +23,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"elasticore/internal/db"
@@ -35,7 +37,8 @@ import (
 
 // Config scales an experiment.
 type Config struct {
-	// SF is the TPC-H scale factor (default 0.005; negative rejected).
+	// SF is the TPC-H scale factor (default 0.005; negative or non-finite
+	// rejected).
 	SF float64
 	// Clients is the concurrency for single-point experiments
 	// (default 64; the paper uses 256; negative rejected).
@@ -52,7 +55,8 @@ type Config struct {
 	Tenants int
 	// Loads is the offered-load sweep of the latency-load experiment, as
 	// fractions of the measured closed-loop saturation throughput
-	// (default 0.25, 0.5, 0.75, 1, 1.5, 2; every entry must be > 0).
+	// (default 0.25, 0.5, 0.75, 1, 1.5, 2; every entry must be finite and
+	// > 0).
 	Loads []float64
 	// OpenArrivals bounds the arrivals offered per open-loop sweep point
 	// (default 120; negative rejected).
@@ -106,8 +110,8 @@ type Config struct {
 // is central here — experiment bodies receive a config that is already
 // known good.
 func (c Config) withDefaults() (Config, error) {
-	if c.SF < 0 {
-		return c, fmt.Errorf("experiments: negative scale factor %g", c.SF)
+	if !(c.SF >= 0) || math.IsInf(c.SF, 1) { // also rejects NaN
+		return c, fmt.Errorf("experiments: scale factor %g not a finite non-negative number", c.SF)
 	}
 	if c.SF == 0 {
 		c.SF = 0.005
@@ -139,8 +143,8 @@ func (c Config) withDefaults() (Config, error) {
 		c.Loads = []float64{0.25, 0.5, 0.75, 1, 1.5, 2}
 	}
 	for _, l := range c.Loads {
-		if l <= 0 {
-			return c, fmt.Errorf("experiments: offered load %g not positive", l)
+		if !(l > 0) || math.IsInf(l, 1) { // also rejects NaN
+			return c, fmt.Errorf("experiments: offered load %g not positive and finite", l)
 		}
 	}
 	if c.OpenArrivals < 0 {
@@ -174,7 +178,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.LookupRatios = []float64{0, 0.25, 0.5, 0.75, 1}
 	}
 	for _, r := range c.LookupRatios {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // also rejects NaN
 			return c, fmt.Errorf("experiments: lookup ratio %g outside [0, 1]", r)
 		}
 	}
@@ -219,17 +223,6 @@ func (c Config) engineName() string {
 		return "sqlserver"
 	}
 	return "monetdb"
-}
-
-// modeByName is the inverse of workload.Mode.String, used when decoding
-// generic Result tables back into typed rows.
-func modeByName(name string) (workload.Mode, bool) {
-	for _, m := range workload.AllModes {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return 0, false
 }
 
 // newRig builds a workload rig with simulation timing and machine

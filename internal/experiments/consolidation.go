@@ -18,47 +18,6 @@ import (
 // of the same workload provides the baseline against which the SLA effect
 // is measured.
 
-// ConsolidationRow is one tenant's outcome under contention.
-type ConsolidationRow struct {
-	Tenant   string
-	Weight   int
-	MinCores int
-	// Weighted-run measurements.
-	Throughput   float64
-	MeanCores    float64
-	MaxCores     int
-	MinCoresSeen int
-	// Equal-weight baseline measurements of the same tenant and load.
-	BaselineThroughput float64
-	BaselineMeanCores  float64
-}
-
-// ConsolidationResult is the typed view of the consolidation Result.
-type ConsolidationResult struct {
-	*Result
-	Rows []ConsolidationRow
-	// MachineCores is the machine size.
-	MachineCores int
-	// PeakTotalCores is the largest simultaneous total allocation seen in
-	// either run (over-commit check: must stay <= MachineCores).
-	PeakTotalCores int
-	// PeakAggregateDemand is the largest per-round demand sum of the
-	// weighted run (contention check: must exceed MachineCores).
-	PeakAggregateDemand int
-	// ElapsedSeconds is the weighted run's virtual duration.
-	ElapsedSeconds float64
-}
-
-// Row returns the measurement for a tenant, or nil.
-func (r *ConsolidationResult) Row(name string) *ConsolidationRow {
-	for i := range r.Rows {
-		if r.Rows[i].Tenant == name {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // consolidationSpecs builds n tenant specs in descending priority: the
 // first tenant is "gold" (weight 4, floor 2), the second "silver"
 // (weight 2), the rest "bronze" (weight 1). Weights are overridden to 1
@@ -172,49 +131,4 @@ func runConsolidation(ctx context.Context, c Config, obs Observer) (*Result, err
 	res.AddMetric("peak_aggregate_demand", float64(weightedRig.Arbiter.PeakAggregateDemand()), "cores")
 	res.AddMetric("elapsed_s", weighted.ElapsedSeconds, "s")
 	return res, nil
-}
-
-// consolidationResultFrom decodes the generic Result into the typed view.
-func consolidationResultFrom(res *Result) (*ConsolidationResult, error) {
-	tb := res.Table("tenants")
-	if tb == nil {
-		return nil, fmt.Errorf("experiments: consolidation result missing tenants table")
-	}
-	out := &ConsolidationResult{Result: res}
-	for i := range tb.Rows {
-		name, _ := tb.Str(i, 0)
-		weight, _ := tb.Int(i, 1)
-		floor, _ := tb.Int(i, 2)
-		tput, _ := tb.Float(i, 3)
-		mean, _ := tb.Float(i, 4)
-		max, _ := tb.Int(i, 5)
-		minSeen, _ := tb.Int(i, 6)
-		baseTput, _ := tb.Float(i, 7)
-		baseCores, _ := tb.Float(i, 8)
-		out.Rows = append(out.Rows, ConsolidationRow{
-			Tenant: name, Weight: int(weight), MinCores: int(floor),
-			Throughput: tput, MeanCores: mean, MaxCores: int(max),
-			MinCoresSeen:       int(minSeen),
-			BaselineThroughput: baseTput, BaselineMeanCores: baseCores,
-		})
-	}
-	machine, _ := res.Metric("machine_cores")
-	peakTotal, _ := res.Metric("peak_total_cores")
-	peakDemand, _ := res.Metric("peak_aggregate_demand")
-	elapsed, _ := res.Metric("elapsed_s")
-	out.MachineCores = int(machine)
-	out.PeakTotalCores = int(peakTotal)
-	out.PeakAggregateDemand = int(peakDemand)
-	out.ElapsedSeconds = elapsed
-	return out, nil
-}
-
-// RunConsolidation executes the experiment through the registry and
-// returns the typed view.
-func RunConsolidation(c Config) (*ConsolidationResult, error) {
-	res, err := run("consolidation", c)
-	if err != nil {
-		return nil, err
-	}
-	return consolidationResultFrom(res)
 }

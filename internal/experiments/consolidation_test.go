@@ -8,55 +8,46 @@ import (
 func TestConsolidationAcceptance(t *testing.T) {
 	c := tiny()
 	c.Tenants = 3
-	res, err := RunConsolidation(c)
+	res, err := runExp(t, "consolidation", c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(res.Rows))
+	tb := res.Table("tenants")
+	if len(tb.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(tb.Rows))
 	}
 
 	// Contention: the tenants' aggregate demand must exceed the machine,
 	// otherwise the arbitration below is not being exercised.
-	if res.PeakAggregateDemand <= res.MachineCores {
-		t.Fatalf("peak aggregate demand %d never exceeded the %d-core machine; no contention",
-			res.PeakAggregateDemand, res.MachineCores)
+	machine, demand := metric(t, res, "machine_cores"), metric(t, res, "peak_aggregate_demand")
+	if demand <= machine {
+		t.Fatalf("peak aggregate demand %g never exceeded the %g-core machine; no contention", demand, machine)
 	}
 	// Never over-commit: the sum of tenant cgroup cores stays within the
 	// machine at every tick of both runs.
-	if res.PeakTotalCores > res.MachineCores {
-		t.Errorf("over-commit: peak total allocation %d > %d machine cores",
-			res.PeakTotalCores, res.MachineCores)
+	if peak := metric(t, res, "peak_total_cores"); peak > machine {
+		t.Errorf("over-commit: peak total allocation %g > %g machine cores", peak, machine)
 	}
 	// Starvation floors: every tenant keeps its SLA minimum throughout.
-	for _, row := range res.Rows {
-		if row.MinCoresSeen < row.MinCores {
-			t.Errorf("tenant %s dipped to %d cores, below its SLA floor %d",
-				row.Tenant, row.MinCoresSeen, row.MinCores)
+	for i := range tb.Rows {
+		name, _ := tb.Str(i, tb.Col("tenant"))
+		if seen, floor := cell(t, res, "tenants", "min-seen", name), cell(t, res, "tenants", "floor", name); seen < floor {
+			t.Errorf("tenant %s dipped to %g cores, below its SLA floor %g", name, seen, floor)
 		}
 	}
 	// SLA weight effect: the gold tenant (weight 4) must receive
 	// measurably more cores and more throughput than the same tenant in
 	// the equal-weight baseline run.
-	gold := res.Row("gold")
-	if gold == nil {
-		t.Fatal("missing gold tenant")
+	goldCores, goldBase := cell(t, res, "tenants", "mean-cores", "gold"), cell(t, res, "tenants", "base-cores", "gold")
+	if goldCores <= goldBase {
+		t.Errorf("gold mean cores %.2f not above equal-weight baseline %.2f", goldCores, goldBase)
 	}
-	if gold.MeanCores <= gold.BaselineMeanCores {
-		t.Errorf("gold mean cores %.2f not above equal-weight baseline %.2f",
-			gold.MeanCores, gold.BaselineMeanCores)
-	}
-	if gold.Throughput <= gold.BaselineThroughput {
-		t.Errorf("gold throughput %.3f q/s not above equal-weight baseline %.3f q/s",
-			gold.Throughput, gold.BaselineThroughput)
+	if tput, base := cell(t, res, "tenants", "q/s", "gold"), cell(t, res, "tenants", "base-q/s", "gold"); tput <= base {
+		t.Errorf("gold throughput %.3f q/s not above equal-weight baseline %.3f q/s", tput, base)
 	}
 	// And within the weighted run, gold outranks the weight-1 tenant.
-	bronze := res.Row("bronze2")
-	if bronze == nil {
-		t.Fatal("missing bronze tenant")
-	}
-	if gold.MeanCores <= bronze.MeanCores {
-		t.Errorf("gold mean cores %.2f not above bronze %.2f", gold.MeanCores, bronze.MeanCores)
+	if bronze := cell(t, res, "tenants", "mean-cores", "bronze2"); goldCores <= bronze {
+		t.Errorf("gold mean cores %.2f not above bronze %.2f", goldCores, bronze)
 	}
 	if !strings.Contains(res.String(), "Consolidation") {
 		t.Error("rendering broken")
@@ -66,11 +57,11 @@ func TestConsolidationAcceptance(t *testing.T) {
 func TestConsolidationTenantCountValidation(t *testing.T) {
 	c := tiny()
 	c.Tenants = 5
-	if _, err := RunConsolidation(c); err == nil {
+	if _, err := runExp(t, "consolidation", c); err == nil {
 		t.Error("5 tenants accepted, want 2..4")
 	}
 	c.Tenants = 1
-	if _, err := RunConsolidation(c); err == nil {
+	if _, err := runExp(t, "consolidation", c); err == nil {
 		t.Error("1 tenant accepted, want 2..4")
 	}
 }
@@ -79,14 +70,14 @@ func TestConsolidationTwoTenants(t *testing.T) {
 	c := tiny()
 	c.Tenants = 2
 	c.Clients = 8
-	res, err := RunConsolidation(c)
+	res, err := runExp(t, "consolidation", c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if n := len(res.Table("tenants").Rows); n != 2 {
+		t.Fatalf("rows = %d, want 2", n)
 	}
-	if res.PeakTotalCores > res.MachineCores {
-		t.Errorf("over-commit: %d > %d", res.PeakTotalCores, res.MachineCores)
+	if peak, machine := metric(t, res, "peak_total_cores"), metric(t, res, "machine_cores"); peak > machine {
+		t.Errorf("over-commit: %g > %g", peak, machine)
 	}
 }

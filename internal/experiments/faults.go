@@ -359,15 +359,17 @@ func runPartialDegradation(ctx context.Context, c Config, obs Observer) (*Result
 	}
 
 	if n := len(slow.Rows); n > 0 {
-		base, _ := slow.Float(0, 4)
-		worst, _ := slow.Float(n-1, 4)
+		tput := slow.Col("tput(q/s)")
+		base, _ := slow.Float(0, tput)
+		worst, _ := slow.Float(n-1, tput)
 		res.AddMetric("tput_slow_x1", base, "q/s")
 		res.AddMetric("tput_slow_max", worst, "q/s")
 	}
 	if n := len(lossy.Rows); n > 0 {
-		clean, _ := lossy.Float(0, 8)
-		worst, _ := lossy.Float(n-1, 8)
-		retried, _ := lossy.Float(n-1, 5)
+		p99 := lossy.Col("p99(ms)")
+		clean, _ := lossy.Float(0, p99)
+		worst, _ := lossy.Float(n-1, p99)
+		retried, _ := lossy.Float(n-1, lossy.Col("retried"))
 		res.AddMetric("p99_link_clean", clean, "ms")
 		res.AddMetric("p99_link_lossy", worst, "ms")
 		res.AddMetric("retried_link_lossy", retried, "req")

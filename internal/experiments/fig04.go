@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"elasticore/internal/db"
+	"elasticore/internal/numa"
 	"elasticore/internal/tpch"
 	"elasticore/internal/workload"
 )
@@ -14,32 +15,6 @@ import (
 // affinities (Dense/C, Sparse/C, OS/C) against the Volcano engine under
 // the plain OS scheduler (OS/MonetDB). Reported per user count:
 // (a) throughput, (b) minor page faults/s, (c) HT traffic MB/s.
-
-// Fig4Row is one (configuration, users) measurement.
-type Fig4Row struct {
-	Config     string
-	Users      int
-	Throughput float64 // queries (kernel runs) per second
-	FaultsPerS float64
-	HTMBPerS   float64
-}
-
-// Fig4Result is the typed view of the fig4 Result: the embedded generic
-// Result renders; Rows and Row are decoded from its "sweep" table.
-type Fig4Result struct {
-	*Result
-	Rows []Fig4Row
-}
-
-// Row returns the measurement for a configuration and user count, or nil.
-func (r *Fig4Result) Row(config string, users int) *Fig4Row {
-	for i := range r.Rows {
-		if r.Rows[i].Config == config && r.Rows[i].Users == users {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
 
 // runFig4 executes the sweep and encodes the generic result.
 func runFig4(ctx context.Context, c Config, obs Observer) (*Result, error) {
@@ -57,16 +32,13 @@ func runFig4(ctx context.Context, c Config, obs Observer) (*Result, error) {
 			d := &workload.Driver{Rig: r, QueriesPerClient: 1}
 			p := q6Fixed()
 			ph := d.Run(users, func(cl, k int) *db.Plan { return tpch.BuildQ6With(p) })
-			row := fig4Row("OS/MonetDB", users, ph)
-			sweep.AddRow(row.Config, row.Users, row.Throughput, row.FaultsPerS, row.HTMBPerS)
+			addFig4Measurement(sweep, "OS/MonetDB", users, ph.Throughput, ph.ElapsedSeconds, ph.Window)
 
 			// The C kernel under its three affinity policies.
 			for _, aff := range []db.RawAffinity{db.RawOS, db.RawDense, db.RawSparse} {
-				row, err := runFig4Raw(c, users, aff)
-				if err != nil {
+				if err := runFig4Raw(c, sweep, users, aff); err != nil {
 					return err
 				}
-				sweep.AddRow(row.Config, row.Users, row.Throughput, row.FaultsPerS, row.HTMBPerS)
 			}
 			return nil
 		})
@@ -78,52 +50,23 @@ func runFig4(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	return res, nil
 }
 
-// fig4ResultFrom decodes the generic Result into the typed accessor view.
-func fig4ResultFrom(res *Result) (*Fig4Result, error) {
-	sweep := res.Table("sweep")
-	if sweep == nil {
-		return nil, fmt.Errorf("experiments: fig4 result missing sweep table")
+// addFig4Measurement appends one (configuration, users) row: throughput,
+// and the window's minor faults and HT megabytes per virtual second.
+func addFig4Measurement(sweep *Table, config string, users int, tput, elapsed float64, w numa.Counters) {
+	var faults, ht float64
+	if elapsed > 0 {
+		faults = float64(w.TotalMinorFaults()) / elapsed
+		ht = mb(w.TotalHTBytes()) / elapsed
 	}
-	out := &Fig4Result{Result: res}
-	for i := range sweep.Rows {
-		cfg, _ := sweep.Str(i, 0)
-		users, _ := sweep.Int(i, 1)
-		tput, _ := sweep.Float(i, 2)
-		faults, _ := sweep.Float(i, 3)
-		ht, _ := sweep.Float(i, 4)
-		out.Rows = append(out.Rows, Fig4Row{
-			Config: cfg, Users: int(users), Throughput: tput,
-			FaultsPerS: faults, HTMBPerS: ht,
-		})
-	}
-	return out, nil
-}
-
-// RunFig4 executes the sweep through the registry and returns the typed
-// view (compatibility wrapper over the Experiment API).
-func RunFig4(c Config) (*Fig4Result, error) {
-	res, err := run("fig4", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig4ResultFrom(res)
-}
-
-func fig4Row(config string, users int, phase workload.PhaseResult) Fig4Row {
-	row := Fig4Row{Config: config, Users: users, Throughput: phase.Throughput}
-	if phase.ElapsedSeconds > 0 {
-		row.FaultsPerS = float64(phase.Window.TotalMinorFaults()) / phase.ElapsedSeconds
-		row.HTMBPerS = mb(phase.Window.TotalHTBytes()) / phase.ElapsedSeconds
-	}
-	return row
+	sweep.AddRow(config, users, tput, faults, ht)
 }
 
 // runFig4Raw launches one raw-kernel run per user (each user is its own
 // process of 4 fused-scan threads, Section II-B) and measures the window.
-func runFig4Raw(c Config, users int, aff db.RawAffinity) (Fig4Row, error) {
+func runFig4Raw(c Config, sweep *Table, users int, aff db.RawAffinity) error {
 	r, err := newRig(c, workload.ModeOS, nil)
 	if err != nil {
-		return Fig4Row{}, err
+		return err
 	}
 	start := r.Machine.Snapshot()
 	startT := r.Machine.NowSeconds()
@@ -131,7 +74,7 @@ func runFig4Raw(c Config, users int, aff db.RawAffinity) (Fig4Row, error) {
 	for u := 0; u < users; u++ {
 		k, err := db.SpawnRawQ6(r.Store, r.Sched, 1000+u, 4, aff)
 		if err != nil {
-			return Fig4Row{}, err
+			return err
 		}
 		kernels[u] = k
 	}
@@ -144,7 +87,7 @@ func runFig4Raw(c Config, users int, aff db.RawAffinity) (Fig4Row, error) {
 		return true
 	}
 	if !r.Sched.RunUntil(done, r.Machine.Topology().SecondsToCycles(600)) {
-		return Fig4Row{}, fmt.Errorf("experiments: raw kernels (%v, %d users) timed out", aff, users)
+		return fmt.Errorf("experiments: raw kernels (%v, %d users) timed out", aff, users)
 	}
 	elapsed := r.Machine.NowSeconds() - startT
 	w := r.Machine.Snapshot().Sub(start)
@@ -157,11 +100,10 @@ func runFig4Raw(c Config, users int, aff db.RawAffinity) (Fig4Row, error) {
 	default:
 		name = "OS/C"
 	}
-	row := Fig4Row{Config: name, Users: users}
+	tput := 0.0
 	if elapsed > 0 {
-		row.Throughput = float64(users) / elapsed
-		row.FaultsPerS = float64(w.TotalMinorFaults()) / elapsed
-		row.HTMBPerS = mb(w.TotalHTBytes()) / elapsed
+		tput = float64(users) / elapsed
 	}
-	return row, nil
+	addFig4Measurement(sweep, name, users, tput, elapsed, w)
+	return nil
 }

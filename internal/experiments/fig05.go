@@ -13,27 +13,6 @@ import (
 // the threads spawned for a single-client Q6 under the plain OS scheduler,
 // and the tomograph of its worker-thread operator calls.
 
-// Fig5Result is the typed view of the fig5 Result: scalar counters come
-// from its metrics, the rendered maps from its artifacts.
-type Fig5Result struct {
-	*Result
-	// Migrations and CrossNode are total thread reassignments during the
-	// query and the subset that changed NUMA node.
-	Migrations, CrossNode int
-	// ThreadsObserved counts worker threads that executed slices.
-	ThreadsObserved int
-	// MultiNodeThreads counts threads that ran on more than one node
-	// (the Figure 5 pathology).
-	MultiNodeThreads int
-	// LifespanMap is the rendered ASCII map.
-	LifespanMap string
-	// Tomograph is the rendered per-operator table (Figure 6).
-	Tomograph string
-	// ParallelTheta is the number of tasks the first thetasubselect
-	// fanned out to (the paper observes ~15 on 16 cores).
-	ParallelTheta int
-}
-
 // runFig5 executes a single-client Q6 on the OS-scheduled engine and
 // collects the traces.
 func runFig5(ctx context.Context, c Config, obs Observer) (*Result, error) {
@@ -82,38 +61,4 @@ func runFig5(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	}
 	obs.Progress(1, 1)
 	return res, nil
-}
-
-// fig5ResultFrom decodes the generic Result into the typed view.
-func fig5ResultFrom(res *Result) (*Fig5Result, error) {
-	out := &Fig5Result{Result: res}
-	for _, f := range []struct {
-		name string
-		dst  *int
-	}{
-		{"migrations", &out.Migrations},
-		{"cross_node", &out.CrossNode},
-		{"threads_observed", &out.ThreadsObserved},
-		{"multi_node_threads", &out.MultiNodeThreads},
-		{"parallel_theta", &out.ParallelTheta},
-	} {
-		v, ok := res.Metric(f.name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: fig5 result missing metric %s", f.name)
-		}
-		*f.dst = int(v)
-	}
-	out.LifespanMap = res.Artifact("lifespan_map")
-	out.Tomograph = res.Artifact("tomograph")
-	return out, nil
-}
-
-// RunFig5 executes the trace collection through the registry and returns
-// the typed view.
-func RunFig5(c Config) (*Fig5Result, error) {
-	res, err := run("fig5", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig5ResultFrom(res)
 }

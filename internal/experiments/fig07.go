@@ -13,25 +13,6 @@ import (
 // mechanism supports Q6, with the CPU usage and the allocated core count
 // at every control period.
 
-// Fig7Point is one control-period evaluation.
-type Fig7Point struct {
-	AtSeconds float64
-	Label     string
-	CPULoad   int
-	Cores     int
-}
-
-// Fig7Result is the typed view of the fig7 Result: the transition timeline
-// decoded from its "transitions" table plus the summary metrics.
-type Fig7Result struct {
-	*Result
-	Points []Fig7Point
-	// PeakCores and FinalCores summarize the ramp-up/release behaviour.
-	PeakCores, FinalCores int
-	// Allocations and Releases count fired actions.
-	Allocations, Releases int
-}
-
 // runFig7 drives a burst of concurrent Q6 clients under the adaptive
 // mechanism and records the fired transitions.
 func runFig7(ctx context.Context, c Config, obs Observer) (*Result, error) {
@@ -79,39 +60,4 @@ func runFig7(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res.AddMetric("releases", float64(releases), "")
 	obs.Progress(1, 1)
 	return res, nil
-}
-
-// fig7ResultFrom decodes the generic Result into the typed view.
-func fig7ResultFrom(res *Result) (*Fig7Result, error) {
-	tl := res.Table("transitions")
-	if tl == nil {
-		return nil, fmt.Errorf("experiments: fig7 result missing transitions table")
-	}
-	out := &Fig7Result{Result: res}
-	for i := range tl.Rows {
-		at, _ := tl.Float(i, 0)
-		label, _ := tl.Str(i, 1)
-		load, _ := tl.Int(i, 2)
-		cores, _ := tl.Int(i, 3)
-		out.Points = append(out.Points, Fig7Point{
-			AtSeconds: at, Label: label, CPULoad: int(load), Cores: int(cores),
-		})
-	}
-	peak, _ := res.Metric("peak_cores")
-	final, _ := res.Metric("final_cores")
-	allocs, _ := res.Metric("allocations")
-	rels, _ := res.Metric("releases")
-	out.PeakCores, out.FinalCores = int(peak), int(final)
-	out.Allocations, out.Releases = int(allocs), int(rels)
-	return out, nil
-}
-
-// RunFig7 executes the burst through the registry and returns the typed
-// view.
-func RunFig7(c Config) (*Fig7Result, error) {
-	res, err := run("fig7", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig7ResultFrom(res)
 }

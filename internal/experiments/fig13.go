@@ -13,32 +13,6 @@ import (
 // four configurations {OS, Dense, Sparse, Adaptive}, reporting
 // (a) throughput, (b) CPU load, (c) tasks, (d) stolen tasks.
 
-// Fig13Row is one (mode, users) measurement.
-type Fig13Row struct {
-	Mode        workload.Mode
-	Users       int
-	Throughput  float64
-	CPULoad     float64
-	Tasks       uint64
-	StolenTasks uint64
-}
-
-// Fig13Result is the typed view of the fig13 Result.
-type Fig13Result struct {
-	*Result
-	Rows []Fig13Row
-}
-
-// Row returns the measurement for (mode, users), or nil.
-func (r *Fig13Result) Row(mode workload.Mode, users int) *Fig13Row {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode && r.Rows[i].Users == users {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // runFig13 executes the sweep.
 func runFig13(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
@@ -66,40 +40,4 @@ func runFig13(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		obs.Progress(i+1, len(c.Users))
 	}
 	return res, nil
-}
-
-// fig13ResultFrom decodes the generic Result into the typed view.
-func fig13ResultFrom(res *Result) (*Fig13Result, error) {
-	sweep := res.Table("sweep")
-	if sweep == nil {
-		return nil, fmt.Errorf("experiments: fig13 result missing sweep table")
-	}
-	out := &Fig13Result{Result: res}
-	for i := range sweep.Rows {
-		name, _ := sweep.Str(i, 0)
-		mode, ok := modeByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: fig13 unknown mode %q", name)
-		}
-		users, _ := sweep.Int(i, 1)
-		tput, _ := sweep.Float(i, 2)
-		load, _ := sweep.Float(i, 3)
-		tasks, _ := sweep.Int(i, 4)
-		stolen, _ := sweep.Int(i, 5)
-		out.Rows = append(out.Rows, Fig13Row{
-			Mode: mode, Users: int(users), Throughput: tput, CPULoad: load,
-			Tasks: uint64(tasks), StolenTasks: uint64(stolen),
-		})
-	}
-	return out, nil
-}
-
-// RunFig13 executes the sweep through the registry and returns the typed
-// view.
-func RunFig13(c Config) (*Fig13Result, error) {
-	res, err := run("fig13", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig13ResultFrom(res)
 }

@@ -12,36 +12,12 @@ import (
 // highest concurrency of the thetasubselect workload — (a) L3 load
 // misses, (b) memory throughput, (c) HT traffic — across the four modes.
 
-// Fig14Row is one mode's per-socket measurements.
-type Fig14Row struct {
-	Mode workload.Mode
-	// L3MissesPerSocket and MemTPPerSocket are indexed by NodeID.
-	L3MissesPerSocket []uint64
-	MemTPPerSocket    []float64 // GB/s
-	HTGBPerS          float64
-	TotalL3Misses     uint64
-}
-
-// Fig14Result is the typed view of the fig14 Result.
-type Fig14Result struct {
-	*Result
-	Clients int
-	Rows    []Fig14Row
-}
-
-// Row returns the measurement for the mode, or nil.
-func (r *Fig14Result) Row(mode workload.Mode) *Fig14Row {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // runFig14 executes the comparison.
 func runFig14(ctx context.Context, c Config, obs Observer) (*Result, error) {
-	var rows []Fig14Row
+	// One row of cells per mode: per-socket L3 misses, per-socket memory
+	// throughput (GB/s), HT GB/s and total L3 misses.
+	var rows [][]any
+	sockets := 0
 	for i, mode := range workload.AllModes {
 		mode := mode
 		err := phase(ctx, obs, "mode="+mode.String(), func() error {
@@ -51,16 +27,21 @@ func runFig14(ctx context.Context, c Config, obs Observer) (*Result, error) {
 			}
 			d := &workload.Driver{Rig: r, QueriesPerClient: 1}
 			ph := d.Run(c.Clients, func(cl, k int) *db.Plan { return thetaPlan(0.45) })
-			row := Fig14Row{Mode: mode}
+			sockets = len(ph.Window.Nodes)
+			cells := []any{mode.String()}
+			var total uint64
 			for _, n := range ph.Window.Nodes {
-				row.L3MissesPerSocket = append(row.L3MissesPerSocket, n.L3Misses)
-				row.TotalL3Misses += n.L3Misses
+				cells = append(cells, n.L3Misses)
+				total += n.L3Misses
 			}
-			row.MemTPPerSocket = perNodeIMCThroughput(r.Machine.Topology(), ph.Window)
+			for _, tp := range perNodeIMCThroughput(r.Machine.Topology(), ph.Window) {
+				cells = append(cells, tp)
+			}
+			ht := 0.0
 			if ph.ElapsedSeconds > 0 {
-				row.HTGBPerS = float64(ph.Window.TotalHTBytes()) / ph.ElapsedSeconds / 1e9
+				ht = float64(ph.Window.TotalHTBytes()) / ph.ElapsedSeconds / 1e9
 			}
-			rows = append(rows, row)
+			rows = append(rows, append(cells, ht, total))
 			return nil
 		})
 		if err != nil {
@@ -71,10 +52,6 @@ func runFig14(ctx context.Context, c Config, obs Observer) (*Result, error) {
 
 	// The socket count is a property of the machine model, so the table
 	// schema is built from the measurements.
-	sockets := 0
-	if len(rows) > 0 {
-		sockets = len(rows[0].L3MissesPerSocket)
-	}
 	cols := []Column{colS("mode")}
 	for s := 0; s < sockets; s++ {
 		cols = append(cols, colI(fmt.Sprintf("L3miss S%d", s)))
@@ -85,61 +62,9 @@ func runFig14(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	cols = append(cols, colF("HT GB/s", 3), colI("L3 total"))
 	res := &Result{}
 	tb := res.AddTable("sockets", cols...)
-	for _, row := range rows {
-		cells := []any{row.Mode.String()}
-		for _, m := range row.L3MissesPerSocket {
-			cells = append(cells, m)
-		}
-		for _, tp := range row.MemTPPerSocket {
-			cells = append(cells, tp)
-		}
-		cells = append(cells, row.HTGBPerS, row.TotalL3Misses)
+	for _, cells := range rows {
 		tb.AddRow(cells...)
 	}
 	res.AddMetric("sockets", float64(sockets), "")
 	return res, nil
-}
-
-// fig14ResultFrom decodes the generic Result into the typed view.
-func fig14ResultFrom(res *Result) (*Fig14Result, error) {
-	tb := res.Table("sockets")
-	if tb == nil {
-		return nil, fmt.Errorf("experiments: fig14 result missing sockets table")
-	}
-	socketsF, _ := res.Metric("sockets")
-	sockets := int(socketsF)
-	out := &Fig14Result{Result: res, Clients: res.Meta.Clients}
-	for i := range tb.Rows {
-		name, _ := tb.Str(i, 0)
-		mode, ok := modeByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: fig14 unknown mode %q", name)
-		}
-		row := Fig14Row{Mode: mode}
-		col := 1
-		for s := 0; s < sockets; s++ {
-			m, _ := tb.Int(i, col)
-			row.L3MissesPerSocket = append(row.L3MissesPerSocket, uint64(m))
-			row.TotalL3Misses += uint64(m)
-			col++
-		}
-		for s := 0; s < sockets; s++ {
-			tp, _ := tb.Float(i, col)
-			row.MemTPPerSocket = append(row.MemTPPerSocket, tp)
-			col++
-		}
-		row.HTGBPerS, _ = tb.Float(i, col)
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// RunFig14 executes the comparison through the registry and returns the
-// typed view.
-func RunFig14(c Config) (*Fig14Result, error) {
-	res, err := run("fig14", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig14ResultFrom(res)
 }

@@ -11,39 +11,15 @@ import (
 // fig15.go reproduces Figure 15: L3 load misses of the thetasubselect
 // workload across selectivities {2,4,8,16,32,64,100}% for the four modes.
 
-// Fig15Selectivities is the paper's sweep.
-var Fig15Selectivities = []float64{0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.0}
-
-// Fig15Row is one (mode, selectivity) measurement.
-type Fig15Row struct {
-	Mode        workload.Mode
-	Selectivity float64
-	L3Misses    uint64
-}
-
-// Fig15Result is the typed view of the fig15 Result.
-type Fig15Result struct {
-	*Result
-	Clients int
-	Rows    []Fig15Row
-}
-
-// Row returns the measurement for (mode, selectivity), or nil.
-func (r *Fig15Result) Row(mode workload.Mode, sel float64) *Fig15Row {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode && r.Rows[i].Selectivity == sel {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
+// fig15Selectivities is the paper's sweep.
+var fig15Selectivities = []float64{0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.0}
 
 // runFig15 executes the sweep.
 func runFig15(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
 	sweep := res.AddTable("sweep",
 		colS("mode"), colF("selectivity", 2), colI("L3 misses"))
-	for i, sel := range Fig15Selectivities {
+	for i, sel := range fig15Selectivities {
 		sel := sel
 		err := phase(ctx, obs, fmt.Sprintf("selectivity=%.0f%%", sel*100), func() error {
 			for _, mode := range workload.AllModes {
@@ -60,37 +36,7 @@ func runFig15(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		obs.Progress(i+1, len(Fig15Selectivities))
+		obs.Progress(i+1, len(fig15Selectivities))
 	}
 	return res, nil
-}
-
-// fig15ResultFrom decodes the generic Result into the typed view.
-func fig15ResultFrom(res *Result) (*Fig15Result, error) {
-	sweep := res.Table("sweep")
-	if sweep == nil {
-		return nil, fmt.Errorf("experiments: fig15 result missing sweep table")
-	}
-	out := &Fig15Result{Result: res, Clients: res.Meta.Clients}
-	for i := range sweep.Rows {
-		name, _ := sweep.Str(i, 0)
-		mode, ok := modeByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: fig15 unknown mode %q", name)
-		}
-		sel, _ := sweep.Float(i, 1)
-		misses, _ := sweep.Int(i, 2)
-		out.Rows = append(out.Rows, Fig15Row{Mode: mode, Selectivity: sel, L3Misses: uint64(misses)})
-	}
-	return out, nil
-}
-
-// RunFig15 executes the sweep through the registry and returns the typed
-// view.
-func RunFig15(c Config) (*Fig15Result, error) {
-	res, err := run("fig15", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig15ResultFrom(res)
 }

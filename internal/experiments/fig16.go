@@ -13,32 +13,6 @@ import (
 // single-client Q6 under all four configurations, showing that dense and
 // adaptive keep threads on one node while the OS scatters them.
 
-// Fig16Row is one mode's scheduling summary.
-type Fig16Row struct {
-	Mode             workload.Mode
-	Migrations       int
-	CrossNode        int
-	MultiNodeThreads int
-	NodesTouched     int // distinct nodes used across all threads
-	LifespanMap      string
-}
-
-// Fig16Result is the typed view of the fig16 Result.
-type Fig16Result struct {
-	*Result
-	Rows []Fig16Row
-}
-
-// Row returns the summary for the mode, or nil.
-func (r *Fig16Result) Row(mode workload.Mode) *Fig16Row {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // runFig16 executes the comparison.
 func runFig16(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
@@ -99,43 +73,4 @@ func runFig16(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		obs.Progress(i+1, len(workload.AllModes))
 	}
 	return res, nil
-}
-
-// fig16ResultFrom decodes the generic Result into the typed view.
-func fig16ResultFrom(res *Result) (*Fig16Result, error) {
-	tb := res.Table("modes")
-	if tb == nil {
-		return nil, fmt.Errorf("experiments: fig16 result missing modes table")
-	}
-	out := &Fig16Result{Result: res}
-	for i := range tb.Rows {
-		name, _ := tb.Str(i, 0)
-		mode, ok := modeByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: fig16 unknown mode %q", name)
-		}
-		migrations, _ := tb.Int(i, 1)
-		crossNode, _ := tb.Int(i, 2)
-		multiNode, _ := tb.Int(i, 3)
-		touched, _ := tb.Int(i, 4)
-		out.Rows = append(out.Rows, Fig16Row{
-			Mode:             mode,
-			Migrations:       int(migrations),
-			CrossNode:        int(crossNode),
-			MultiNodeThreads: int(multiNode),
-			NodesTouched:     int(touched),
-			LifespanMap:      res.Artifact("lifespan " + name),
-		})
-	}
-	return out, nil
-}
-
-// RunFig16 executes the comparison through the registry and returns the
-// typed view.
-func RunFig16(c Config) (*Fig16Result, error) {
-	res, err := run("fig16", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig16ResultFrom(res)
 }

@@ -15,31 +15,6 @@ import (
 // traffic ratio — against the OS baseline, reporting response time, HT
 // traffic and L3 misses.
 
-// Fig17Row is one (mode, strategy) measurement.
-type Fig17Row struct {
-	Mode         workload.Mode
-	Strategy     string
-	ResponseSecs float64
-	HTMBPerS     float64
-	L3Misses     uint64
-}
-
-// Fig17Result is the typed view of the fig17 Result.
-type Fig17Result struct {
-	*Result
-	Rows []Fig17Row
-}
-
-// Row returns the measurement for (mode, strategy), or nil.
-func (r *Fig17Result) Row(mode workload.Mode, strategy string) *Fig17Row {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode && r.Rows[i].Strategy == strategy {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // runFig17 executes the comparison. The OS baseline appears once under
 // strategy "-"; each mechanism mode appears under both strategies.
 func runFig17(ctx context.Context, c Config, obs Observer) (*Result, error) {
@@ -82,39 +57,4 @@ func runFig17(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		obs.Progress(i+1, len(combos))
 	}
 	return res, nil
-}
-
-// fig17ResultFrom decodes the generic Result into the typed view.
-func fig17ResultFrom(res *Result) (*Fig17Result, error) {
-	tb := res.Table("strategies")
-	if tb == nil {
-		return nil, fmt.Errorf("experiments: fig17 result missing strategies table")
-	}
-	out := &Fig17Result{Result: res}
-	for i := range tb.Rows {
-		name, _ := tb.Str(i, 0)
-		mode, ok := modeByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: fig17 unknown mode %q", name)
-		}
-		strategy, _ := tb.Str(i, 1)
-		resp, _ := tb.Float(i, 2)
-		ht, _ := tb.Float(i, 3)
-		misses, _ := tb.Int(i, 4)
-		out.Rows = append(out.Rows, Fig17Row{
-			Mode: mode, Strategy: strategy, ResponseSecs: resp,
-			HTMBPerS: ht, L3Misses: uint64(misses),
-		})
-	}
-	return out, nil
-}
-
-// RunFig17 executes the comparison through the registry and returns the
-// typed view.
-func RunFig17(c Config) (*Fig17Result, error) {
-	res, err := run("fig17", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig17ResultFrom(res)
 }

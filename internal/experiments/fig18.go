@@ -13,42 +13,6 @@ import (
 // comparing {OS, Adaptive} x {MonetDB-like, SQL-Server-like}, with
 // per-socket memory-throughput timelines.
 
-// Fig18Run is one configuration's outcome.
-type Fig18Run struct {
-	Label        string
-	Mode         workload.Mode
-	Placement    db.Placement
-	TotalSeconds float64
-	// Timeline is per-sample per-socket memory throughput (GB/s).
-	Timeline []Fig18Sample
-	// MeanMemTP is the time-averaged total memory throughput.
-	MeanMemTP float64
-}
-
-// Fig18Sample is one timeline point.
-type Fig18Sample struct {
-	AtSeconds float64
-	PerSocket []float64
-	Allocated int
-}
-
-// Fig18Result is the typed view of the fig18 Result.
-type Fig18Result struct {
-	*Result
-	Clients int
-	Runs    []Fig18Run
-}
-
-// Run returns the outcome for a label, or nil.
-func (r *Fig18Result) Run(label string) *Fig18Run {
-	for i := range r.Runs {
-		if r.Runs[i].Label == label {
-			return &r.Runs[i]
-		}
-	}
-	return nil
-}
-
 // fig18Configs is the four-way {scheduler} x {engine flavour} grid.
 var fig18Configs = []struct {
 	label     string
@@ -118,54 +82,4 @@ func runFig18(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		obs.Progress(i+1, len(fig18Configs))
 	}
 	return res, nil
-}
-
-// fig18ResultFrom decodes the generic Result into the typed view.
-func fig18ResultFrom(res *Result) (*Fig18Result, error) {
-	summary := res.Table("runs")
-	if summary == nil {
-		return nil, fmt.Errorf("experiments: fig18 result missing runs table")
-	}
-	out := &Fig18Result{Result: res, Clients: res.Meta.Clients}
-	for i := range summary.Rows {
-		label, _ := summary.Str(i, 0)
-		total, _ := summary.Float(i, 1)
-		mean, _ := summary.Float(i, 2)
-		run := Fig18Run{Label: label, TotalSeconds: total, MeanMemTP: mean}
-		for _, cfg := range fig18Configs {
-			if cfg.label == label {
-				run.Mode, run.Placement = cfg.mode, cfg.placement
-			}
-		}
-		out.Runs = append(out.Runs, run)
-	}
-	if timeline := res.Table("timeline"); timeline != nil {
-		sockets := len(timeline.Columns) - 3
-		for i := range timeline.Rows {
-			label, _ := timeline.Str(i, 0)
-			run := out.Run(label)
-			if run == nil {
-				continue
-			}
-			at, _ := timeline.Float(i, 1)
-			alloc, _ := timeline.Int(i, 2)
-			sample := Fig18Sample{AtSeconds: at, Allocated: int(alloc)}
-			for s := 0; s < sockets; s++ {
-				v, _ := timeline.Float(i, 3+s)
-				sample.PerSocket = append(sample.PerSocket, v)
-			}
-			run.Timeline = append(run.Timeline, sample)
-		}
-	}
-	return out, nil
-}
-
-// RunFig18 executes the four configurations through the registry and
-// returns the typed view.
-func RunFig18(c Config) (*Fig18Result, error) {
-	res, err := run("fig18", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig18ResultFrom(res)
 }

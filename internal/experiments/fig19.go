@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"elasticore/internal/metrics"
 	"elasticore/internal/workload"
@@ -12,27 +11,6 @@ import (
 // query — per-query speedup of each mechanism mode over the OS scheduler,
 // and the per-query HT/IMC ratio (smaller is more NUMA-friendly) — for
 // both the MonetDB-like and the SQL-Server-like engine.
-
-// Fig19Query is one query's cross-mode measurement.
-type Fig19Query struct {
-	QueryNumber int
-	// LatencySecs and Ratio are indexed by mode.
-	LatencySecs map[workload.Mode]float64
-	Ratio       map[workload.Mode]float64
-	// Speedup is latency(OS) / latency(mode) for the mechanism modes.
-	Speedup map[workload.Mode]float64
-}
-
-// Fig19Result is the typed view of the fig19 Result.
-type Fig19Result struct {
-	*Result
-	Engine  string
-	Clients int
-	Queries []Fig19Query
-	// MaxSpeedup, MeanSpeedup and MaxRatioImprovement summarize the
-	// adaptive mode like the paper's headline numbers.
-	MaxSpeedup, MeanSpeedup, MaxRatioImprovement, MeanRatioImprovement float64
-}
 
 // mechModes are the three mechanism modes compared against the OS.
 var mechModes = []workload.Mode{workload.ModeDense, workload.ModeSparse, workload.ModeAdaptive}
@@ -103,49 +81,4 @@ func runFig19(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res.AddMetric("max_ratio_improvement", metrics.Max(improvements), "x")
 	res.AddMetric("mean_ratio_improvement", metrics.Mean(improvements), "x")
 	return res, nil
-}
-
-// fig19ResultFrom decodes the generic Result into the typed view.
-func fig19ResultFrom(res *Result) (*Fig19Result, error) {
-	tb := res.Table("queries")
-	if tb == nil {
-		return nil, fmt.Errorf("experiments: fig19 result missing queries table")
-	}
-	out := &Fig19Result{Result: res, Clients: res.Meta.Clients, Engine: "MonetDB"}
-	if res.Meta.Engine == "sqlserver" {
-		out.Engine = "SQLServer"
-	}
-	nModes := len(workload.AllModes)
-	for i := range tb.Rows {
-		qn, _ := tb.Int(i, 0)
-		q := Fig19Query{
-			QueryNumber: int(qn),
-			LatencySecs: map[workload.Mode]float64{},
-			Ratio:       map[workload.Mode]float64{},
-			Speedup:     map[workload.Mode]float64{},
-		}
-		for j, mode := range workload.AllModes {
-			q.LatencySecs[mode], _ = tb.Float(i, 1+j)
-			q.Ratio[mode], _ = tb.Float(i, 1+nModes+j)
-		}
-		for j, mode := range mechModes {
-			q.Speedup[mode], _ = tb.Float(i, 1+2*nModes+j)
-		}
-		out.Queries = append(out.Queries, q)
-	}
-	out.MaxSpeedup, _ = res.Metric("max_speedup")
-	out.MeanSpeedup, _ = res.Metric("mean_speedup")
-	out.MaxRatioImprovement, _ = res.Metric("max_ratio_improvement")
-	out.MeanRatioImprovement, _ = res.Metric("mean_ratio_improvement")
-	return out, nil
-}
-
-// RunFig19 executes the mixed workload through the registry and returns
-// the typed view.
-func RunFig19(c Config) (*Fig19Result, error) {
-	res, err := run("fig19", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig19ResultFrom(res)
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 
-	"fmt"
-
 	"elasticore/internal/metrics"
 	"elasticore/internal/workload"
 )
@@ -12,25 +10,6 @@ import (
 // fig20.go reproduces Figure 20: per-query CPU and HT energy estimates
 // for the OS scheduler versus the adaptive mode, using the paper's model
 // (Average CPU Power per socket, per-bit HT transfer energy).
-
-// Fig20Query is one query's energy comparison.
-type Fig20Query struct {
-	QueryNumber     int
-	OS, Adaptive    metrics.Energy
-	CPUSavingsPct   float64
-	HTSavingsPct    float64
-	TotalSavingsPct float64
-}
-
-// Fig20Result is the typed view of the fig20 Result.
-type Fig20Result struct {
-	*Result
-	Clients int
-	Queries []Fig20Query
-	// Aggregates as the paper reports them: geometric-mean per-component
-	// savings and the total system saving.
-	GeoCPUSavingsPct, GeoHTSavingsPct, TotalSavingsPct float64
-}
 
 // runFig20 executes the per-query energy comparison.
 func runFig20(ctx context.Context, c Config, obs Observer) (*Result, error) {
@@ -86,39 +65,4 @@ func runFig20(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res.AddMetric("geo_ht_savings_pct", metrics.GeoMean(htSav), "%")
 	res.AddMetric("total_savings_pct", metrics.Savings(osTotal, adTotal), "%")
 	return res, nil
-}
-
-// fig20ResultFrom decodes the generic Result into the typed view.
-func fig20ResultFrom(res *Result) (*Fig20Result, error) {
-	tb := res.Table("queries")
-	if tb == nil {
-		return nil, fmt.Errorf("experiments: fig20 result missing queries table")
-	}
-	out := &Fig20Result{Result: res, Clients: res.Meta.Clients}
-	for i := range tb.Rows {
-		qn, _ := tb.Int(i, 0)
-		q := Fig20Query{QueryNumber: int(qn)}
-		q.OS.CPUJoules, _ = tb.Float(i, 1)
-		q.OS.HTJoules, _ = tb.Float(i, 2)
-		q.Adaptive.CPUJoules, _ = tb.Float(i, 3)
-		q.Adaptive.HTJoules, _ = tb.Float(i, 4)
-		q.CPUSavingsPct, _ = tb.Float(i, 5)
-		q.HTSavingsPct, _ = tb.Float(i, 6)
-		q.TotalSavingsPct, _ = tb.Float(i, 7)
-		out.Queries = append(out.Queries, q)
-	}
-	out.GeoCPUSavingsPct, _ = res.Metric("geo_cpu_savings_pct")
-	out.GeoHTSavingsPct, _ = res.Metric("geo_ht_savings_pct")
-	out.TotalSavingsPct, _ = res.Metric("total_savings_pct")
-	return out, nil
-}
-
-// RunFig20 executes the energy comparison through the registry and
-// returns the typed view.
-func RunFig20(c Config) (*Fig20Result, error) {
-	res, err := run("fig20", c)
-	if err != nil {
-		return nil, err
-	}
-	return fig20ResultFrom(res)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -31,11 +30,7 @@ func goldenConfig() Config {
 // host-dependent metadata (wall time, build version).
 func goldenRun(t *testing.T, name string) *Result {
 	t.Helper()
-	e, ok := Lookup(name)
-	if !ok {
-		t.Fatalf("%s not registered", name)
-	}
-	res, err := e.Run(context.Background(), goldenConfig(), nil)
+	res, err := runExp(t, name, goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +104,9 @@ func TestHTAPMixSignature(t *testing.T) {
 		t.Fatal("htap-mix result missing mix table")
 	}
 	for i := range tbl.Rows {
-		ratio, _ := tbl.Float(i, 0)
-		lookups, _ := tbl.Int(i, 2)
-		scans, _ := tbl.Int(i, 3)
+		ratio, _ := tbl.Float(i, tbl.Col("ratio"))
+		lookups, _ := tbl.Int(i, tbl.Col("lookups"))
+		scans, _ := tbl.Int(i, tbl.Col("scans"))
 		if lookups+scans == 0 {
 			t.Errorf("row %d: tenant completed nothing", i)
 		}
@@ -122,8 +117,8 @@ func TestHTAPMixSignature(t *testing.T) {
 			t.Errorf("row %d: ratio 1 completed %d scans", i, scans)
 		}
 		if lookups > 0 && scans > 0 {
-			lkMS, _ := tbl.Float(i, 5)
-			scMS, _ := tbl.Float(i, 6)
+			lkMS, _ := tbl.Float(i, tbl.Col("lookup-ms"))
+			scMS, _ := tbl.Float(i, tbl.Col("scan-ms"))
 			if lkMS >= scMS {
 				t.Errorf("row %d: point lookups (%.3fms) not faster than scans (%.3fms)", i, lkMS, scMS)
 			}
@@ -167,8 +162,9 @@ func TestLatencyLoadTailDiverges(t *testing.T) {
 	if tl == nil || len(tl.Rows) == 0 {
 		t.Fatal("latency-load result missing sweep table")
 	}
-	firstWait, _ := tl.Float(0, 11)
-	lastWait, _ := tl.Float(len(tl.Rows)-1, 11)
+	wait := tl.Col("wait p99(ms)")
+	firstWait, _ := tl.Float(0, wait)
+	lastWait, _ := tl.Float(len(tl.Rows)-1, wait)
 	if lastWait <= firstWait {
 		t.Errorf("queue wait p99 did not grow across the sweep (%.3fms -> %.3fms)", firstWait, lastWait)
 	}
@@ -209,10 +205,10 @@ func TestScaleOutSpeedupMonotonic(t *testing.T) {
 	if tbl == nil || len(tbl.Rows) < 4 {
 		t.Fatalf("scale-out table missing or short (%v rows)", tbl)
 	}
-	prev := 0.0
+	prev, speedup := 0.0, tbl.Col("speedup")
 	for i := range tbl.Rows {
-		m, _ := tbl.Float(i, 0)
-		s, ok := tbl.Float(i, 6)
+		m, _ := tbl.Float(i, tbl.Col("machines"))
+		s, ok := tbl.Float(i, speedup)
 		if !ok {
 			t.Fatalf("row %d: no speedup cell", i)
 		}
@@ -221,7 +217,7 @@ func TestScaleOutSpeedupMonotonic(t *testing.T) {
 		}
 		prev = s
 	}
-	if last, _ := tbl.Float(len(tbl.Rows)-1, 6); last < 2 {
+	if last, _ := tbl.Float(len(tbl.Rows)-1, speedup); last < 2 {
 		t.Errorf("8-machine speedup is %.2fx; scaling out bought almost nothing", last)
 	}
 }
@@ -248,9 +244,10 @@ func TestRebalanceCostCharges(t *testing.T) {
 	if tbl == nil || len(tbl.Rows) < 2 {
 		t.Fatal("rebalance-cost table missing or short")
 	}
-	first, _ := tbl.Float(0, 2)
-	last, _ := tbl.Float(len(tbl.Rows)-1, 2)
-	moved, _ := tbl.Float(len(tbl.Rows)-1, 1)
+	charged := tbl.Col("charged(Mcyc)")
+	first, _ := tbl.Float(0, charged)
+	last, _ := tbl.Float(len(tbl.Rows)-1, charged)
+	moved, _ := tbl.Float(len(tbl.Rows)-1, tbl.Col("moved"))
 	if moved == 0 {
 		t.Error("no cores moved under the shifting hot shard")
 	}
@@ -312,7 +309,7 @@ func TestFaultToleranceSignature(t *testing.T) {
 		t.Fatalf("phases table missing or short: %v", tbl)
 	}
 	for i := 2; i < len(tbl.Rows); i += 3 {
-		if okd, _ := tbl.Float(i, 3); okd == 0 {
+		if okd, _ := tbl.Float(i, tbl.Col("ok")); okd == 0 {
 			t.Errorf("phase row %d: nothing completed in the recovery phase", i)
 		}
 	}
@@ -332,7 +329,7 @@ func TestPartialDegradationSignature(t *testing.T) {
 	if slow == nil || len(slow.Rows) < 2 {
 		t.Fatal("slow_cores table missing or short")
 	}
-	shedWorst, _ := slow.Float(len(slow.Rows)-1, 3)
+	shedWorst, _ := slow.Float(len(slow.Rows)-1, slow.Col("shed"))
 	if worst >= base && shedWorst == 0 {
 		t.Errorf("a 16x slow machine cost nothing: tput %.1f vs %.1f q/s, shed %v", worst, base, shedWorst)
 	}
@@ -343,7 +340,7 @@ func TestPartialDegradationSignature(t *testing.T) {
 	if lossy == nil || len(lossy.Rows) < 2 {
 		t.Fatal("lossy_link table missing or short")
 	}
-	wd, _ := lossy.Float(len(lossy.Rows)-1, 6)
+	wd, _ := lossy.Float(len(lossy.Rows)-1, lossy.Col("wire_drop"))
 	if wd == 0 {
 		t.Error("lossy link dropped no messages on the wire")
 	}

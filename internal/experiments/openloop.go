@@ -118,13 +118,14 @@ func runLatencyLoad(ctx context.Context, c Config, obs Observer) (*Result, error
 	// a bucket or two of p50; past the saturation knee queueing stretches
 	// the tail, so the absolute p99-p50 gap grows by orders of magnitude.
 	if n := len(tl.Rows); n > 0 {
-		firstP50, _ := tl.Float(0, 7)
-		firstP99, _ := tl.Float(0, 9)
+		c50, c99 := tl.Col("p50(ms)"), tl.Col("p99(ms)")
+		firstP50, _ := tl.Float(0, c50)
+		firstP99, _ := tl.Float(0, c99)
 		res.AddMetric("p99_p50_gap_min_load", firstP99-firstP50, "ms")
 		peak := 0.0
 		for i := 0; i < n; i++ {
-			p50, _ := tl.Float(i, 7)
-			p99, _ := tl.Float(i, 9)
+			p50, _ := tl.Float(i, c50)
+			p99, _ := tl.Float(i, c99)
 			if p99-p50 > peak {
 				peak = p99 - p50
 			}

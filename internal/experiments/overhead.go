@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"elasticore/internal/numa"
@@ -17,14 +16,6 @@ import (
 // adaptive 0.031 s; the shape target is the same ordering with the
 // adaptive mode the most expensive (it maintains the priority queue).
 
-// OverheadResult is the typed view of the overhead Result.
-type OverheadResult struct {
-	*Result
-	// PerStep is the mean wall-clock cost of one Mechanism.Step.
-	PerStep map[workload.Mode]time.Duration
-	Steps   int
-}
-
 // overheadModes are the modes whose control step is timed.
 var overheadModes = []workload.Mode{workload.ModeDense, workload.ModeSparse, workload.ModeAdaptive}
 
@@ -34,9 +25,6 @@ func mustTopo() *numa.Topology { return numa.Opteron8387() }
 // runOverhead times steps Mechanism.Step calls per mode on a loaded rig
 // with background work, in host wall-clock time.
 func runOverhead(ctx context.Context, c Config, obs Observer, steps int) (*Result, error) {
-	if steps <= 0 {
-		steps = 1000
-	}
 	res := &Result{}
 	tb := res.AddTable("steps", colS("mode"), colD("per-step"))
 	for i, mode := range overheadModes {
@@ -68,48 +56,4 @@ func runOverhead(ctx context.Context, c Config, obs Observer, steps int) (*Resul
 	}
 	res.AddMetric("steps", float64(steps), "")
 	return res, nil
-}
-
-// overheadResultFrom decodes the generic Result into the typed view.
-func overheadResultFrom(res *Result) (*OverheadResult, error) {
-	tb := res.Table("steps")
-	if tb == nil {
-		return nil, fmt.Errorf("experiments: overhead result missing steps table")
-	}
-	out := &OverheadResult{Result: res, PerStep: map[workload.Mode]time.Duration{}}
-	steps, _ := res.Metric("steps")
-	out.Steps = int(steps)
-	for i := range tb.Rows {
-		name, _ := tb.Str(i, 0)
-		mode, ok := modeByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: overhead unknown mode %q", name)
-		}
-		d, _ := tb.Dur(i, 1)
-		out.PerStep[mode] = d
-	}
-	return out, nil
-}
-
-// MeasureOverhead times the control step through the Experiment machinery
-// with a caller-chosen step count and returns the typed view.
-func MeasureOverhead(c Config, steps int) (*OverheadResult, error) {
-	c, err := c.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	e, ok := Lookup("overhead")
-	if !ok {
-		return nil, fmt.Errorf("experiments: overhead not registered")
-	}
-	// Run through the wrapper for meta stamping, but with the custom step
-	// count threaded through a dedicated experiment instance.
-	custom := New("overhead", e.Describe(), func(ctx context.Context, c Config, obs Observer) (*Result, error) {
-		return runOverhead(ctx, c, obs, steps)
-	})
-	res, err := custom.Run(context.Background(), c, nil)
-	if err != nil {
-		return nil, err
-	}
-	return overheadResultFrom(res)
 }

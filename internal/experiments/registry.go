@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -123,13 +122,3 @@ func WithTag(tag string) []Experiment { return defaultRegistry.WithTag(tag) }
 
 // Tags returns the sorted union of the default registry's tags.
 func Tags() []string { return defaultRegistry.Tags() }
-
-// run executes a registered experiment with background context and no
-// observer — the compatibility path behind the typed RunFigN wrappers.
-func run(name string, cfg Config) (*Result, error) {
-	e, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q", name)
-	}
-	return e.Run(context.Background(), cfg, nil)
-}

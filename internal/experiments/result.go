@@ -126,6 +126,18 @@ func (t *Table) formatCell(i int, c any) string {
 	}
 }
 
+// Col returns the index of the first column with the given name, or -1;
+// the cell readers answer ok=false for -1, so a renamed column reads as
+// missing instead of as its neighbour.
+func (t *Table) Col(name string) int {
+	for i, c := range t.Columns {
+		if c.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Float reads cell (row, col) as a float64 (ints widen); ok reports whether
 // the cell exists and is numeric.
 func (t *Table) Float(row, col int) (float64, bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -135,6 +136,21 @@ func TestResultCSVParses(t *testing.T) {
 	}
 }
 
+// TestTableColFindsByName: Col indexes the first column of that name, and
+// an unknown name reads as a missing cell rather than a neighbour.
+func TestTableColFindsByName(t *testing.T) {
+	tb := sampleResult().Table("points")
+	if got := tb.Col("rate"); got != 2 {
+		t.Errorf("Col(rate) = %d, want 2", got)
+	}
+	if got := tb.Col("no-such-column"); got != -1 {
+		t.Errorf("Col(no-such-column) = %d, want -1", got)
+	}
+	if _, ok := tb.Float(0, tb.Col("no-such-column")); ok {
+		t.Error("a missing column read as present")
+	}
+}
+
 func TestRenderUnknownFormat(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleResult().Render(&buf, "xml"); err == nil {
@@ -154,6 +170,11 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero value defaults", Config{}, true},
 		{"negative SF", Config{SF: -0.5}, false},
+		{"NaN SF", Config{SF: math.NaN()}, false},
+		{"infinite SF", Config{SF: math.Inf(1)}, false},
+		{"NaN load", Config{Loads: []float64{1, math.NaN()}}, false},
+		{"infinite load", Config{Loads: []float64{math.Inf(1)}}, false},
+		{"NaN lookup ratio", Config{LookupRatios: []float64{math.NaN()}}, false},
 		{"negative clients", Config{Clients: -1}, false},
 		{"zero user entry", Config{Users: []int{1, 0}}, false},
 		{"tenants too many", Config{Tenants: 5}, false},
@@ -181,17 +202,17 @@ func TestConfigValidation(t *testing.T) {
 // TestInvalidConfigRejectedBeforeWork: the Experiment wrapper surfaces
 // validation errors without running the body.
 func TestInvalidConfigRejectedBeforeWork(t *testing.T) {
-	if _, err := RunFig4(Config{SF: -1}); err == nil {
-		t.Error("negative SF accepted by RunFig4")
+	if _, err := runExp(t, "fig4", Config{SF: -1}); err == nil {
+		t.Error("negative SF accepted by fig4")
 	}
-	if _, err := RunConsolidation(Config{Tenants: 9}); err == nil {
-		t.Error("9 tenants accepted by RunConsolidation")
+	if _, err := runExp(t, "consolidation", Config{Tenants: 9}); err == nil {
+		t.Error("9 tenants accepted by consolidation")
 	}
 }
 
 // TestMetaStamped: the wrapper fills Name, Title and Meta on every run.
 func TestMetaStamped(t *testing.T) {
-	res, err := run("fig5", tiny())
+	res, err := runExp(t, "fig5", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,25 +40,6 @@ var sweepZoo = []sweepTopology{
 	{"epyc", numa.EPYCLike},
 }
 
-// TopologySweepRow is one (topology, placement) measurement.
-type TopologySweepRow struct {
-	Topology  string
-	Placement string
-	Nodes     int
-	Cores     int
-	// Throughput is Q6 completions per virtual second at Config.Clients
-	// concurrent users.
-	Throughput float64
-	// HTMB and IMCMB are interconnect and memory-controller megabytes
-	// moved over the phase.
-	HTMB, IMCMB float64
-	// HTIMC is the NUMA-friendliness ratio (Section V-B), smaller is
-	// friendlier.
-	HTIMC float64
-	// AllocCores is the mechanism's allocation when the phase ended.
-	AllocCores int
-}
-
 // runTopologySweep executes the sweep: one rig per topology x placement,
 // each driving Config.Clients concurrent users through one TPC-H Q6.
 func runTopologySweep(ctx context.Context, c Config, obs Observer) (*Result, error) {
@@ -73,14 +54,12 @@ func runTopologySweep(ctx context.Context, c Config, obs Observer) (*Result, err
 		err := phase(ctx, obs, zt.name, func() error {
 			bestName, bestRatio := "", 0.0
 			for _, p := range elastic.Placements() {
-				row, err := runTopologyPoint(c, zt.name, base, p)
+				ratio, err := runTopologyPoint(c, sweep, zt.name, base, p)
 				if err != nil {
 					return err
 				}
-				sweep.AddRow(row.Topology, row.Placement, row.Nodes, row.Cores,
-					row.Throughput, row.HTMB, row.IMCMB, row.HTIMC, row.AllocCores)
-				if bestName == "" || row.HTIMC < bestRatio {
-					bestName, bestRatio = row.Placement, row.HTIMC
+				if bestName == "" || ratio < bestRatio {
+					bestName, bestRatio = p.Name(), ratio
 				}
 			}
 			fmt.Fprintf(&friendliest, "%-8s  %s (ht/imc %.3f)\n", zt.name, bestName, bestRatio)
@@ -97,10 +76,11 @@ func runTopologySweep(ctx context.Context, c Config, obs Observer) (*Result, err
 	return res, nil
 }
 
-// runTopologyPoint builds one rig on the SF-scaled shape and drives the
-// fig4-style phase: Clients concurrent users, each one Q6 with the
-// canonical parameters.
-func runTopologyPoint(c Config, name string, base *numa.Topology, p elastic.Placement) (TopologySweepRow, error) {
+// runTopologyPoint builds one rig on the SF-scaled shape, drives the
+// fig4-style phase — Clients concurrent users, each one Q6 with the
+// canonical parameters — appends its sweep row and returns its HT/IMC
+// NUMA-friendliness ratio (Section V-B, smaller is friendlier).
+func runTopologyPoint(c Config, sweep *Table, name string, base *numa.Topology, p elastic.Placement) (float64, error) {
 	rig, err := workload.NewRig(workload.Options{
 		SF:            c.SF,
 		Seed:          c.Seed,
@@ -109,75 +89,14 @@ func runTopologyPoint(c Config, name string, base *numa.Topology, p elastic.Plac
 		Topology:      workload.ScaleTopology(base, c.SF),
 	})
 	if err != nil {
-		return TopologySweepRow{}, fmt.Errorf("topology %s, placement %s: %w", name, p.Name(), err)
+		return 0, fmt.Errorf("topology %s, placement %s: %w", name, p.Name(), err)
 	}
 	d := &workload.Driver{Rig: rig, QueriesPerClient: 1}
 	params := q6Fixed()
 	ph := d.Run(c.Clients, func(cl, k int) *db.Plan { return tpch.BuildQ6With(params) })
 	topo := rig.Machine.Topology()
-	return TopologySweepRow{
-		Topology:   name,
-		Placement:  p.Name(),
-		Nodes:      topo.NodeCount,
-		Cores:      topo.TotalCores(),
-		Throughput: ph.Throughput,
-		HTMB:       mb(ph.Window.TotalHTBytes()),
-		IMCMB:      mb(ph.Window.TotalIMCBytes()),
-		HTIMC:      ph.Window.HTIMCRatio(),
-		AllocCores: rig.AllocatedCores(),
-	}, nil
-}
-
-// TopologySweepResult is the typed view of the topology-sweep Result.
-type TopologySweepResult struct {
-	*Result
-	Rows []TopologySweepRow
-}
-
-// Row returns the measurement for a topology and placement, or nil.
-func (r *TopologySweepResult) Row(topology, placement string) *TopologySweepRow {
-	for i := range r.Rows {
-		if r.Rows[i].Topology == topology && r.Rows[i].Placement == placement {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// topologySweepResultFrom decodes the generic Result into the typed
-// view.
-func topologySweepResultFrom(res *Result) (*TopologySweepResult, error) {
-	sweep := res.Table("sweep")
-	if sweep == nil {
-		return nil, fmt.Errorf("experiments: topology-sweep result missing sweep table")
-	}
-	out := &TopologySweepResult{Result: res}
-	for i := range sweep.Rows {
-		topology, _ := sweep.Str(i, 0)
-		placement, _ := sweep.Str(i, 1)
-		nodes, _ := sweep.Int(i, 2)
-		cores, _ := sweep.Int(i, 3)
-		tput, _ := sweep.Float(i, 4)
-		ht, _ := sweep.Float(i, 5)
-		imc, _ := sweep.Float(i, 6)
-		ratio, _ := sweep.Float(i, 7)
-		alloc, _ := sweep.Int(i, 8)
-		out.Rows = append(out.Rows, TopologySweepRow{
-			Topology: topology, Placement: placement,
-			Nodes: int(nodes), Cores: int(cores),
-			Throughput: tput, HTMB: ht, IMCMB: imc, HTIMC: ratio,
-			AllocCores: int(alloc),
-		})
-	}
-	return out, nil
-}
-
-// RunTopologySweep executes the sweep through the registry and returns
-// the typed view.
-func RunTopologySweep(c Config) (*TopologySweepResult, error) {
-	res, err := run("topology-sweep", c)
-	if err != nil {
-		return nil, err
-	}
-	return topologySweepResultFrom(res)
+	ratio := ph.Window.HTIMCRatio()
+	sweep.AddRow(name, p.Name(), topo.NodeCount, topo.TotalCores(), ph.Throughput,
+		mb(ph.Window.TotalHTBytes()), mb(ph.Window.TotalIMCBytes()), ratio, rig.AllocatedCores())
+	return ratio, nil
 }

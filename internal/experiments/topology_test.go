@@ -22,28 +22,23 @@ func TestGoldenTopologySweep(t *testing.T) {
 // TestTopologySweepCoversZooTimesPlacements: one row per (topology,
 // placement), positive throughput and memory traffic everywhere.
 func TestTopologySweepCoversZooTimesPlacements(t *testing.T) {
-	res, err := RunTopologySweep(goldenConfig())
+	res, err := runExp(t, "topology-sweep", goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRows := len(sweepZoo) * len(elastic.Placements())
-	if len(res.Rows) != wantRows {
-		t.Fatalf("%d rows, want %d (topologies x placements)", len(res.Rows), wantRows)
+	if n := len(res.Table("sweep").Rows); n != wantRows {
+		t.Fatalf("%d rows, want %d (topologies x placements)", n, wantRows)
 	}
 	for _, zt := range sweepZoo {
 		for _, p := range elastic.Placements() {
-			row := res.Row(zt.name, p.Name())
-			if row == nil {
-				t.Errorf("no row for %s x %s", zt.name, p.Name())
-				continue
+			key := []any{zt.name, p.Name()}
+			tput, imc := cell(t, res, "sweep", "q/s", key...), cell(t, res, "sweep", "IMC MB", key...)
+			if tput <= 0 || imc <= 0 {
+				t.Errorf("%s x %s: throughput %.3f, IMC %.2f MB; want positive", zt.name, p.Name(), tput, imc)
 			}
-			if row.Throughput <= 0 || row.IMCMB <= 0 {
-				t.Errorf("%s x %s: throughput %.3f, IMC %.2f MB; want positive",
-					zt.name, p.Name(), row.Throughput, row.IMCMB)
-			}
-			if row.AllocCores < 1 || row.AllocCores > row.Cores {
-				t.Errorf("%s x %s: allocation %d outside 1..%d",
-					zt.name, p.Name(), row.AllocCores, row.Cores)
+			if alloc, cores := cell(t, res, "sweep", "alloc", key...), cell(t, res, "sweep", "cores", key...); alloc < 1 || alloc > cores {
+				t.Errorf("%s x %s: allocation %g outside 1..%g", zt.name, p.Name(), alloc, cores)
 			}
 		}
 	}
@@ -54,20 +49,15 @@ func TestTopologySweepCoversZooTimesPlacements(t *testing.T) {
 // as NUMA-friendly (HT/IMC, smaller is better) as the topology-blind
 // scatter baseline.
 func TestTopologySweepHopAwareBeatsScatter(t *testing.T) {
-	res, err := RunTopologySweep(goldenConfig())
+	res, err := runExp(t, "topology-sweep", goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, zt := range sweepZoo {
-		scatter := res.Row(zt.name, "scatter")
+		scatter := cell(t, res, "sweep", "ht/imc", zt.name, "scatter")
 		for _, name := range []string{"node-fill", "hop-min"} {
-			aware := res.Row(zt.name, name)
-			if aware == nil || scatter == nil {
-				t.Fatalf("%s: missing rows", zt.name)
-			}
-			if aware.HTIMC > scatter.HTIMC {
-				t.Errorf("%s: %s ht/imc %.3f worse than scatter %.3f",
-					zt.name, name, aware.HTIMC, scatter.HTIMC)
+			if aware := cell(t, res, "sweep", "ht/imc", zt.name, name); aware > scatter {
+				t.Errorf("%s: %s ht/imc %.3f worse than scatter %.3f", zt.name, name, aware, scatter)
 			}
 		}
 	}
@@ -80,16 +70,17 @@ func TestConfigTopologySwapsShape(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Users = []int{2}
 	cfg.Topology = "2socket"
-	res, err := RunFig4(cfg)
+	res, err := runExp(t, "fig4", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) == 0 {
+	sweep := res.Table("sweep")
+	if len(sweep.Rows) == 0 {
 		t.Fatal("fig4 on 2socket produced no rows")
 	}
-	for _, row := range res.Rows {
-		if row.Throughput <= 0 {
-			t.Errorf("%s users=%d: throughput %.3f", row.Config, row.Users, row.Throughput)
+	for i, row := range sweep.Rows {
+		if tput, ok := sweep.Float(i, sweep.Col("q/s")); !ok || tput <= 0 {
+			t.Errorf("row %v: throughput %.3f", row, tput)
 		}
 	}
 }
@@ -99,11 +90,11 @@ func TestConfigTopologySwapsShape(t *testing.T) {
 func TestConfigRejectsBadTopology(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Topology = "9x9"
-	if _, err := RunFig4(cfg); err == nil {
+	if _, err := runExp(t, "fig4", cfg); err == nil {
 		t.Error("9x9 (81 cores) accepted")
 	}
 	cfg.Topology = "not-a-shape"
-	if _, err := RunFig4(cfg); err == nil {
+	if _, err := runExp(t, "fig4", cfg); err == nil {
 		t.Error("malformed topology accepted")
 	}
 }

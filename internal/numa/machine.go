@@ -1,18 +1,6 @@
 package numa
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// simCycles accumulates virtual cycles advanced by every Machine in the
-// process. The bench harness reads it to report simulated-cycles/second
-// without threading a handle through every experiment.
-var simCycles atomic.Uint64
-
-// SimulatedCycles returns the total virtual cycles advanced by all
-// machines since process start (monotonic; read deltas around a workload).
-func SimulatedCycles() uint64 { return simCycles.Load() }
+import "fmt"
 
 // CostModel holds the per-event cycle costs used to charge memory accesses.
 // The defaults approximate the relative latencies of the Opteron 8387
@@ -295,7 +283,6 @@ func (m *Machine) ChargeIdle(core CoreID, cycles uint64) {
 // concurrent clients -> more interconnect traffic -> lower throughput.
 func (m *Machine) AdvanceTime(cycles uint64) {
 	m.now += cycles
-	simCycles.Add(cycles)
 	m.window.cycles += cycles
 	// Refresh factors roughly every millisecond of virtual time.
 	windowCycles := m.topo.SecondsToCycles(1e-3)
@@ -354,7 +341,6 @@ func (m *Machine) AdvanceTimeIdle(quantum, n uint64) {
 		// move. Jump.
 		windowCycles := m.topo.SecondsToCycles(1e-3)
 		m.now += n * quantum
-		simCycles.Add(n * quantum)
 		c := m.window.cycles // invariant: c < windowCycles
 		untilRefresh := (windowCycles - c + quantum - 1) / quantum
 		if n < untilRefresh {

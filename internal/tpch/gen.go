@@ -13,6 +13,7 @@ package tpch
 
 import (
 	"fmt"
+	"math"
 
 	"elasticore/internal/db"
 	"elasticore/internal/hashmix"
@@ -118,8 +119,10 @@ func scaled(base int, sf float64) int {
 // values are never mutated by query execution, so sharing is safe across
 // stores and across concurrently running rigs.
 func Load(store *db.Store, cfg Config) (*Dataset, error) {
-	if cfg.SF <= 0 {
-		return nil, fmt.Errorf("tpch: scale factor must be positive, got %g", cfg.SF)
+	// !(SF > 0) also catches NaN; lineitem, the largest table, holds up
+	// to 7 lines per order, so its row count bounds every other's.
+	if !(cfg.SF > 0) || 7*1500000*cfg.SF >= math.MaxInt {
+		return nil, fmt.Errorf("tpch: scale factor must be positive, finite and fit int row counts, got %g", cfg.SF)
 	}
 	sz, tables := datasetFor(cfg)
 	for _, tbl := range tables {

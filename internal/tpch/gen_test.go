@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -180,7 +181,9 @@ func TestRNGUniformish(t *testing.T) {
 
 func TestLoadRejectsBadSF(t *testing.T) {
 	store := db.NewStore(numa.NewMachine(numa.Opteron8387()))
-	if _, err := Load(store, Config{SF: 0}); err == nil {
-		t.Error("SF=0 accepted")
+	for _, sf := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if _, err := Load(store, Config{SF: sf}); err == nil {
+			t.Errorf("SF=%g accepted", sf)
+		}
 	}
 }
