@@ -60,18 +60,48 @@ type Mechanism struct {
 	topo  *numa.Topology
 	total int
 	thMax int
+	// stride is the control period rounded up to the scheduler's quantum
+	// grid: how far apart a loop that calls Maybe every quantum evaluates.
+	stride uint64
 
 	window   *numa.CounterWindow
 	nextEval uint64
 
+	// events holds the evaluated periods in order and runs the settled
+	// ones (see Events).
 	events []TransitionEvent
-	// TokenFlows counts net evaluations (overhead accounting).
+	runs   []eventRun
+	// TokenFlows counts control periods, evaluated or settled (overhead
+	// accounting).
 	TokenFlows uint64
+	// Replayed counts the periods of TokenFlows that Maybe settled at the
+	// quiet fixed point without evaluating the net.
+	Replayed uint64
+
+	// quiet is set by a Step that left the mechanism at its fixed point,
+	// and calm records that fixed point (see Quiet).
+	quiet bool
+	calm  calm
 
 	// bus, when attached, receives KindTransition events stamped with
 	// busTenant; nil keeps the control loop dark.
 	bus       *obs.Bus
 	busTenant string
+}
+
+// calm is the quiet fixed point a Step recorded: its event, whose Now
+// moves on to each settled period, and the inputs that must not change.
+type calm struct {
+	event   TransitionEvent
+	cpus    sched.CPUSet
+	backlog int
+	ticked  uint64
+}
+
+// eventRun is n settled periods: copies of the quiet event events[after],
+// the j-th stamped j strides after it.
+type eventRun struct {
+	after, n int
 }
 
 // New wires a mechanism. It immediately shrinks the cgroup to the initial
@@ -99,12 +129,14 @@ func New(cfg Config) (*Mechanism, error) {
 	}
 
 	min, max := cfg.Strategy.Thresholds()
+	q := cfg.Scheduler.Quantum()
 	m := &Mechanism{
 		cfg:    cfg,
 		net:    petrinet.NewElasticNet(min, max, topo.TotalCores()),
 		topo:   topo,
 		total:  topo.TotalCores(),
 		thMax:  max,
+		stride: (cfg.ControlPeriod + q - 1) / q * q,
 		window: machine.NewCounterWindow(),
 	}
 
@@ -138,8 +170,28 @@ func (m *Mechanism) Net() *petrinet.ElasticNet { return m.net }
 // Allocated returns the cpuset currently handed to the OS.
 func (m *Mechanism) Allocated() sched.CPUSet { return m.cfg.CGroup.CPUs() }
 
-// Events returns the state-transition timeline recorded so far.
-func (m *Mechanism) Events() []TransitionEvent { return m.events }
+// Events returns the state-transition timeline recorded so far, one event
+// per control period. Settled periods are stored as runs of the quiet
+// event; once one exists, Events expands them into a fresh slice, so the
+// result may or may not alias the mechanism's own storage and must not be
+// written to.
+func (m *Mechanism) Events() []TransitionEvent {
+	if len(m.runs) == 0 {
+		return m.events
+	}
+	out := make([]TransitionEvent, 0, len(m.events)+int(m.Replayed))
+	next := 0
+	for _, r := range m.runs {
+		out = append(out, m.events[next:r.after+1]...)
+		ev := m.events[r.after]
+		for j := 0; j < r.n; j++ {
+			ev.Now += m.stride
+			out = append(out, ev)
+		}
+		next = r.after + 1
+	}
+	return append(out, m.events[next:]...)
+}
 
 // ControlPeriod returns the sampling interval in cycles.
 func (m *Mechanism) ControlPeriod() uint64 { return m.cfg.ControlPeriod }
@@ -150,12 +202,71 @@ func (m *Mechanism) ControlPeriod() uint64 { return m.cfg.ControlPeriod }
 func (m *Mechanism) NextAt() uint64 { return m.nextEval }
 
 // Maybe runs one control step if the control period has elapsed. It is
-// cheap to call every scheduler tick.
+// cheap to call every scheduler tick. While the mechanism is Quiet it
+// evaluates nothing: it settles every period due by now, recording and
+// publishing each as the Step a per-quantum caller would have taken.
 func (m *Mechanism) Maybe() {
-	if m.cfg.Scheduler.Machine().Now() < m.nextEval {
+	now := m.cfg.Scheduler.Machine().Now()
+	if now < m.nextEval {
+		return
+	}
+	if m.Quiet() {
+		m.settle((now - m.calm.event.Now) / m.stride)
 		return
 	}
 	m.Step()
+}
+
+// Quiet reports whether the mechanism sits at its quiet fixed point. A
+// Step reaches it when its window was one stride in which no core ran and
+// no node counter moved, and its decision was DecisionNone. The fixed
+// point holds while the scheduler stays Idle without ticking a quantum,
+// the cgroup keeps that cpuset and the backlog reads the same: every
+// period then samples the same window (Strategy.Reading is a pure function
+// of it) and fires the same path, which does nothing. The first failed
+// check ends the fixed point until a Step finds it again.
+func (m *Mechanism) Quiet() bool {
+	if !m.quiet {
+		return false
+	}
+	s, c := m.cfg.Scheduler, &m.calm
+	m.quiet = s.Idle() && s.Ticked() == c.ticked && m.cfg.CGroup.CPUs() == c.cpus && m.backlog() == c.backlog
+	return m.quiet
+}
+
+// settle takes k >= 1 due periods at the quiet fixed point — k is at least
+// one because, with no quantum ticked, the clock moved in whole quanta
+// since the last period and the next is due. Each period records and
+// publishes the quiet event a stride after the previous; the counter
+// window restarts at the last of them, as that period's Advance would
+// have left it.
+func (m *Mechanism) settle(k uint64) {
+	ev := &m.calm.event
+	if m.bus != nil {
+		e := ev.busEvent(m.calm.cpus, -1, m.busTenant)
+		for j := uint64(0); j < k; j++ {
+			e.Now += m.stride
+			m.bus.Publish(e)
+		}
+	}
+	ev.Now += k * m.stride
+	m.TokenFlows += k
+	m.Replayed += k
+	if n := len(m.runs); n > 0 && m.runs[n-1].after == len(m.events)-1 {
+		m.runs[n-1].n += int(k)
+	} else {
+		m.runs = append(m.runs, eventRun{after: len(m.events) - 1, n: int(k)})
+	}
+	m.window.Restart(ev.Now)
+	m.nextEval = ev.Now + m.cfg.ControlPeriod
+}
+
+// backlog reads the admission-queue depth, zero with no source wired.
+func (m *Mechanism) backlog() int {
+	if m.cfg.Backlog == nil {
+		return 0
+	}
+	return m.cfg.Backlog()
 }
 
 // Desire is the outcome of one control evaluation: what the net asked
@@ -188,19 +299,17 @@ type Desire struct {
 func (m *Mechanism) evaluate() Desire {
 	window := m.window.Advance()
 	m.nextEval = m.cfg.Scheduler.Machine().Now() + m.cfg.ControlPeriod
+	m.quiet = false
 
 	current := m.cfg.CGroup.CPUs()
 	u := m.cfg.Strategy.Reading(Sample{Window: window, Allocated: current})
-	backlog := 0
-	if m.cfg.Backlog != nil {
-		backlog = m.cfg.Backlog()
-		// A deep admission queue means cores are the bottleneck even when
-		// the counter-based reading sits mid-range (e.g. a short window
-		// that sampled mostly queueing, not execution): clamp the reading
-		// to the overload threshold so the net fires t1.
-		if backlog > m.cfg.BacklogPerCore*current.Count() && u < m.thMax {
-			u = m.thMax
-		}
+	// A deep admission queue means cores are the bottleneck even when the
+	// counter-based reading sits mid-range (e.g. a short window that
+	// sampled mostly queueing, not execution): clamp the reading to the
+	// overload threshold so the net fires t1.
+	backlog := m.backlog()
+	if backlog > m.cfg.BacklogPerCore*current.Count() && u < m.thMax {
+		u = m.thMax
 	}
 	m.net.SetNAlloc(current.Count())
 	ev := m.net.Evaluate(u)
@@ -250,21 +359,50 @@ func (m *Mechanism) Step() {
 	m.net.SetNAlloc(current.Count())
 	event.NAlloc = current.Count()
 	m.events = append(m.events, event)
+	if d.Decision == petrinet.DecisionNone && m.idleStride(d.Window) {
+		m.quiet = true
+		m.calm = calm{event: event, cpus: current, backlog: d.Backlog, ticked: m.cfg.Scheduler.Ticked()}
+	}
 	if m.bus != nil {
 		core := int32(-1)
 		if d.Decision != petrinet.DecisionNone && event.NAlloc != before {
 			core = int32(event.Core)
 		}
-		m.bus.Publish(obs.Event{
-			Kind:   obs.KindTransition,
-			Now:    event.Now,
-			Core:   core,
-			V1:     int64(d.U),
-			V2:     int64(event.NAlloc),
-			Set:    uint64(current),
-			Label:  d.Label,
-			Tenant: m.busTenant,
-		})
+		m.bus.Publish(event.busEvent(current, core, m.busTenant))
+	}
+}
+
+// idleStride reports whether w is one stride in which nothing happened:
+// every core idled through it and no node counted an event.
+func (m *Mechanism) idleStride(w numa.Counters) bool {
+	if w.Now != m.stride {
+		return false
+	}
+	for _, c := range w.Cores {
+		if c != (numa.CoreCounters{IdleCycles: m.stride}) {
+			return false
+		}
+	}
+	for _, n := range w.Nodes {
+		if n != (numa.NodeCounters{}) {
+			return false
+		}
+	}
+	return true
+}
+
+// busEvent is the KindTransition event that publishes e, given the cpuset
+// after its action and the core it moved (-1 for none).
+func (e TransitionEvent) busEvent(set sched.CPUSet, core int32, tenant string) obs.Event {
+	return obs.Event{
+		Kind:   obs.KindTransition,
+		Now:    e.Now,
+		Core:   core,
+		V1:     int64(e.U),
+		V2:     int64(e.NAlloc),
+		Set:    uint64(set),
+		Label:  e.Label,
+		Tenant: tenant,
 	}
 }
 

@@ -337,7 +337,10 @@ func TestFindLONCNoSolution(t *testing.T) {
 // strategy reading, net evaluation, event record, bus publish — allocates
 // nothing, dark or lit. The machine idles at one core (t0-Idle-t7) and
 // then saturates at all sixteen (t1-Overload-t6), the two steady states a
-// run spends its periods in. The events timeline grows by amortised
+// run spends its periods in. In between, the idle machine reaches its
+// quiet fixed point and Maybe settles three periods at a time: that
+// extends one run of the timeline and restarts the counter window, and
+// allocates nothing either. The events timeline grows by amortised
 // append, which is not a per-step cost: the test pre-sizes it.
 func TestStepZeroAlloc(t *testing.T) {
 	for _, lit := range []bool{false, true} {
@@ -365,6 +368,20 @@ func TestStepZeroAlloc(t *testing.T) {
 			}
 		}
 		check("idle", "t0-Idle-t7")
+
+		s.Advance(2) // one stride of idle quanta: the fixed point
+		m.Maybe()
+		settle := func() {
+			s.Advance(3 * 2)
+			m.Maybe()
+		}
+		if allocs := testing.AllocsPerRun(200, settle); allocs != 0 {
+			t.Errorf("lit=%v: settling 3 periods allocated %v times, want 0", lit, allocs)
+		}
+		if !m.Quiet() || m.Replayed != 3*201 || len(m.runs) != 1 {
+			t.Errorf("lit=%v: quiet=%v after %d replayed periods in %d runs, want 603 in one", lit, m.Quiet(), m.Replayed, len(m.runs))
+		}
+
 		for i := 0; i < 32; i++ {
 			s.Spawn(1, "w", busyWork{})
 		}
@@ -372,8 +389,8 @@ func TestStepZeroAlloc(t *testing.T) {
 			step()
 		}
 		check("saturated", "t1-Overload-t6")
-		if lit && published != len(m.events) {
-			t.Errorf("bus saw %d transitions, timeline has %d", published, len(m.events))
+		if lit && published != len(m.Events()) {
+			t.Errorf("bus saw %d transitions, timeline has %d", published, len(m.Events()))
 		}
 	}
 }

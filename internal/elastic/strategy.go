@@ -21,7 +21,10 @@ type Sample struct {
 // showing the abstract model fits different metrics.
 type Strategy interface {
 	Name() string
-	// Reading returns u as an integer in the net's token domain.
+	// Reading returns u as an integer in the net's token domain. It must
+	// be a pure function of its Sample: a Mechanism at its quiet fixed
+	// point replays the reading of an idle window rather than asking
+	// again for the identical window that follows.
 	Reading(s Sample) int
 	// Thresholds returns (thmin, thmax) in the same domain.
 	Thresholds() (min, max int)

@@ -232,60 +232,6 @@ func TestAccessAndDropZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCounterWindowMatchesSnapshotSub pins the reusable window to the
-// value API it replaces in the control loop: over a random history of
-// reads, writes, busy/idle charging, page faults and clock advances, every
-// Advance must equal Snapshot().Sub(previous snapshot) exactly, on windows
-// of irregular length including empty ones.
-func TestCounterWindowMatchesSnapshotSub(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		topo := Opteron8387()
-		m := NewMachine(topo)
-		const blocks = 256
-		m.Memory().Alloc(blocks)
-		quantum := topo.SecondsToCycles(50e-6)
-		cores := topo.TotalCores()
-
-		// Traffic before the window exists must not show in it.
-		for i, ra := range randomRanges(seed+100, blocks)[:50] {
-			m.AccessRange(CoreID(i%cores), ra)
-		}
-		w := m.NewCounterWindow()
-		last := m.Snapshot()
-
-		rng := rand.New(rand.NewSource(seed))
-		windows := 0
-		for i, ra := range randomRanges(seed, blocks) {
-			core := CoreID(i % cores)
-			m.AccessRange(core, ra)
-			m.ChargeBusy(core, uint64(rng.Intn(1000)))
-			m.ChargeIdle(CoreID((i+1)%cores), uint64(rng.Intn(1000)))
-			if i%3 == 0 {
-				m.AdvanceTime(quantum)
-			}
-			if rng.Intn(4) != 0 {
-				continue
-			}
-			// Sometimes two windows back to back: the second is empty.
-			for n := 1 + rng.Intn(2); n > 0; n-- {
-				snap := m.Snapshot()
-				want := snap.Sub(last)
-				last = snap
-				if got := w.Advance(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d op %d: window = %+v, Snapshot().Sub() = %+v", seed, i, got, want)
-				}
-				windows++
-			}
-		}
-		if windows < 100 {
-			t.Fatalf("seed %d: only %d windows compared", seed, windows)
-		}
-		if last.TotalMinorFaults() == 0 || last.TotalHTBytes() == 0 {
-			t.Fatalf("seed %d: history raised no faults or no interconnect traffic", seed)
-		}
-	}
-}
-
 // TestCounterWindowAdvanceZeroAlloc: the window is the allocation-free
 // replacement for the snapshot triple.
 func TestCounterWindowAdvanceZeroAlloc(t *testing.T) {

@@ -429,6 +429,24 @@ func (w *CounterWindow) Advance() Counters {
 	return w.delta
 }
 
+// Restart starts the next window at cycle at, in the past, as if Advance
+// had been called then: the next Advance reports the deltas since at. It
+// is closed-form, so it is exact only when every core idled through
+// (at, now] and no other counter moved — what an idle scheduler's skipped
+// quanta leave behind — and it takes those idle cycles back off each core.
+// The window Advance last handed out stays valid.
+func (w *CounterWindow) Restart(at uint64) {
+	if at > w.m.now {
+		panic(fmt.Sprintf("numa: counter window restarted at cycle %d, after now (%d)", at, w.m.now))
+	}
+	w.m.readCounters(&w.last)
+	idle := w.m.now - at
+	w.last.Now = at
+	for i := range w.last.Cores {
+		w.last.Cores[i].IdleCycles -= idle
+	}
+}
+
 // Residency exposes the per-node homed-block counts for a set of PIDs (the
 // adaptive priority queue's input).
 func (m *Machine) Residency(pids []int) []int { return m.mem.Residency(pids) }

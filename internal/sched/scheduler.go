@@ -35,7 +35,9 @@ type Stats struct {
 	// CrossNodeMigrations counts the subset of migrations that changed
 	// NUMA node, losing all cache affinity.
 	CrossNodeMigrations uint64
-	// TicksRun counts scheduler quanta executed.
+	// TicksRun counts the quanta the scheduler advanced through, whether
+	// Tick ran them or Advance skipped them in bulk while idle.
+	// Scheduler.Ticked counts the first kind alone.
 	TicksRun uint64
 	// Wakeups counts Blocked threads put back on a run queue.
 	Wakeups uint64
@@ -253,6 +255,10 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 // IdleSkipped returns how many of Stats().TicksRun were idle quanta
 // advanced in bulk, not by Tick: the simulator's cost, hence not in Stats.
 func (s *Scheduler) IdleSkipped() uint64 { return s.idleSkipped }
+
+// Ticked returns how many quanta Tick actually ran: Stats().TicksRun less
+// IdleSkipped. It stands still while an idle scheduler is advanced.
+func (s *Scheduler) Ticked() uint64 { return s.stats.TicksRun - s.idleSkipped }
 
 // Quantum returns the time slice in cycles.
 func (s *Scheduler) Quantum() uint64 { return s.cfg.Quantum }

@@ -68,9 +68,9 @@ func TestMixedStreamAllocBudget(t *testing.T) {
 // openIdlePhase runs the first 40 arrivals of a Q6 MMPP process (over
 // within 0.4 s) and one last arrival at `seconds` — so two phases differ
 // only in how long they idle — on a fresh SF 0.002 rig with a lit bus and a
-// 1 ms probe, and returns the rig, the heap objects the phase allocated,
-// and how many quanta carried a run slice.
-func openIdlePhase(t *testing.T, seconds float64) (r *Rig, objects uint64, busyQuanta int) {
+// 1 ms probe, and returns the rig, the heap objects and bytes the phase
+// allocated, and how many quanta carried a run slice.
+func openIdlePhase(t *testing.T, seconds float64) (r *Rig, objects, bytes uint64, busyQuanta int) {
 	t.Helper()
 	bus := obs.NewBus(0)
 	r, err := NewRig(Options{SF: 0.002, Seed: 1, Mode: ModeAdaptive, Strategy: elastic.HTIMCStrategy{}, Bus: bus})
@@ -98,35 +98,55 @@ func openIdlePhase(t *testing.T, seconds float64) (r *Rig, objects uint64, busyQ
 	if res.Completed != 41 || res.ElapsedSeconds < seconds {
 		t.Fatalf("phase completed %d of 41 queries in %v s, want all of them and a tail to %v s", res.Completed, res.ElapsedSeconds, seconds)
 	}
-	return r, after.Mallocs - before.Mallocs, busyQuanta
+	return r, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, busyQuanta
 }
 
-// openIdleObjectsPerSecond bounds what one idle simulated second of an
-// open-loop phase may allocate: 4 000 control steps and 1 000 probe
-// samples append to two timelines, whose amortised doubling is a handful
-// of objects (measured: 4; 1 003 while every probe sample allocated its
-// quantile pair).
-const openIdleObjectsPerSecond = 40
+// Budgets of one idle simulated second of an open-loop phase. Its 4 000
+// control periods settle at the mechanism's quiet fixed point: they
+// evaluate the net no time at all (measured: 0; the few evaluations that
+// reach the fixed point are the same in every phase) and extend one run of
+// the mechanism's timeline. Its 1 000 probe samples append to the probe's
+// timeline, whose amortised growth is what remains: a handful of objects
+// (measured: 1–2; 1 003 while every probe sample allocated its quantile
+// pair) and 290 816 bytes (1 658 992 while each period appended a 56-byte
+// event to the mechanism's timeline). The byte budget is that plus 10 %.
+const (
+	openIdleObjectsPerSecond     = 40
+	openIdleBytesPerSecond       = 320_000
+	openIdleEvaluationsPerSecond = 4
+)
 
 // TestOpenIdlePhaseCost is the gate on what idle simulated time costs the
 // host in an open-loop phase. Two phases with the same burst and idle
-// tails two seconds apart differ in heap objects by the timeline appends
-// alone; and the scheduler simulates (Tick) only quanta that have work —
-// within 1.3x of the quanta that ran a slice, the slack being quanta whose
-// runnable threads woke to nothing — however long the phase idles.
+// tails two seconds apart differ in heap objects and bytes by the probe's
+// timeline appends alone, and in net evaluations by the few a phase takes
+// to reach the quiet fixed point; and the scheduler simulates (Tick) only
+// quanta that have work — within 1.3x of the quanta that ran a slice, the
+// slack being quanta whose runnable threads woke to nothing — however long
+// the phase idles.
 func TestOpenIdlePhaseCost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
 	}
-	_, short, _ := openIdlePhase(t, 1)
-	r, long, busy := openIdlePhase(t, 3)
-	perSecond := (int64(long) - int64(short)) / 2
-	ticked := r.Sched.Stats().TicksRun - r.Sched.IdleSkipped()
-	t.Logf("%d objects per idle second; Tick entered %d times for %d busy quanta of %d", perSecond, ticked, busy, r.Sched.Stats().TicksRun)
-	if perSecond > openIdleObjectsPerSecond {
-		t.Errorf("an idle second allocated %d objects, budget %d", perSecond, openIdleObjectsPerSecond)
+	shortRig, shortObjects, shortBytes, _ := openIdlePhase(t, 1)
+	r, objects, bytes, busy := openIdlePhase(t, 3)
+	perSecond := func(long, short uint64) int64 { return (int64(long) - int64(short)) / 2 }
+	evaluations := func(r *Rig) uint64 { return r.Mech.TokenFlows - r.Mech.Replayed }
+	objectsPS, bytesPS := perSecond(objects, shortObjects), perSecond(bytes, shortBytes)
+	evaluationsPS := perSecond(evaluations(r), evaluations(shortRig))
+	ticked := r.Sched.Ticked()
+	t.Logf("per idle second: %d objects, %d bytes, %d net evaluations; Tick ran %d times for %d busy quanta of %d",
+		objectsPS, bytesPS, evaluationsPS, ticked, busy, r.Sched.Stats().TicksRun)
+	if objectsPS > openIdleObjectsPerSecond {
+		t.Errorf("an idle second allocated %d objects, budget %d", objectsPS, openIdleObjectsPerSecond)
+	}
+	if bytesPS > openIdleBytesPerSecond {
+		t.Errorf("an idle second allocated %d bytes, budget %d", bytesPS, openIdleBytesPerSecond)
+	}
+	if evaluationsPS > openIdleEvaluationsPerSecond {
+		t.Errorf("an idle second evaluated the net %d times, budget %d", evaluationsPS, openIdleEvaluationsPerSecond)
 	}
 	if busy == 0 || float64(ticked) >= 1.3*float64(busy) {
-		t.Errorf("Scheduler.Tick was entered %d times for %d busy quanta, want fewer than 1.3x", ticked, busy)
+		t.Errorf("Scheduler.Tick ran %d times for %d busy quanta, want fewer than 1.3x", ticked, busy)
 	}
 }

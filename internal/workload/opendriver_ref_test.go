@@ -20,11 +20,12 @@ import (
 // jumping ones must be indistinguishable from.
 
 // refTick is Rig.Tick before Rig.Advance: one real scheduler Tick (never
-// the idle fast-forward), then the due checks.
+// the idle fast-forward), then the due checks. A due mechanism evaluates
+// through Step, so the reference never settles a period by replay.
 func refTick(r *Rig) {
 	r.Sched.Tick()
-	if r.Mech != nil {
-		r.Mech.Maybe()
+	if r.Mech != nil && r.Mech.Due() {
+		r.Mech.Step()
 	}
 	if r.Probe != nil {
 		r.Probe.Maybe()
@@ -251,6 +252,9 @@ type openObservables struct {
 	Now         uint64
 	Failed      int
 	IdleSkipped uint64
+	// TokenFlows counts the mechanism's control periods, Replayed those it
+	// settled at its quiet fixed point.
+	TokenFlows, Replayed uint64
 	// Zombies is the number of aborted queries still holding a session at
 	// each control step.
 	Zombies []int
@@ -292,6 +296,8 @@ func (sc openScenario) run(t *testing.T, seed uint64, loop func(*OpenDriver, Pla
 		Now:         r.Machine.Now(),
 		Failed:      d.adm.Failed,
 		IdleSkipped: r.Sched.IdleSkipped(),
+		TokenFlows:  r.Mech.TokenFlows,
+		Replayed:    r.Mech.Replayed,
 		Zombies:     zombies,
 	}
 }
@@ -307,8 +313,8 @@ func TestOpenDriverJumpMatchesTickLoop(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
 				want := sc.run(t, seed, refOpenRun)
-				if want.IdleSkipped != 0 {
-					t.Fatalf("seed %d: the reference skipped %d quanta", seed, want.IdleSkipped)
+				if want.IdleSkipped != 0 || want.Replayed != 0 {
+					t.Fatalf("seed %d: the reference skipped %d quanta and replayed %d periods", seed, want.IdleSkipped, want.Replayed)
 				}
 				if want.Result.Completed == 0 || len(want.Transitions) == 0 || len(want.Probe) == 0 {
 					t.Fatalf("seed %d: reference completed %d queries with %d transitions and %d probe samples",
@@ -321,10 +327,12 @@ func TestOpenDriverJumpMatchesTickLoop(t *testing.T) {
 					sc.check(t, want.Result)
 				}
 				got := sc.run(t, seed, (*OpenDriver).Run)
-				if 4*got.IdleSkipped < got.Stats.TicksRun && !sc.saturated {
-					t.Errorf("seed %d: %d of %d quanta skipped — the driver hardly jumped", seed, got.IdleSkipped, got.Stats.TicksRun)
+				if !sc.saturated && (4*got.IdleSkipped < got.Stats.TicksRun || got.Replayed == 0) {
+					t.Errorf("seed %d: %d of %d quanta skipped and %d of %d periods replayed — the driver hardly jumped",
+						seed, got.IdleSkipped, got.Stats.TicksRun, got.Replayed, got.TokenFlows)
 				}
-				got.IdleSkipped = 0
+				t.Logf("seed %d: replayed %d of %d periods", seed, got.Replayed, got.TokenFlows)
+				got.IdleSkipped, got.Replayed = 0, 0
 				diffOpen(t, fmt.Sprintf("%s seed %d", sc.name, seed), want, got)
 			}
 		})
@@ -346,8 +354,9 @@ func diffOpen(t *testing.T, label string, want, got openObservables) {
 			label, g.Offered, w.Offered, g.Admitted, w.Admitted, g.Completed, w.Completed, g.Dropped, w.Dropped,
 			g.ElapsedSeconds, w.ElapsedSeconds, g.Sched, w.Sched)
 	}
-	if !reflect.DeepEqual(got.Transitions, want.Transitions) {
-		t.Fatalf("%s: mechanism transitions diverged: %d vs %d", label, len(got.Transitions), len(want.Transitions))
+	if !reflect.DeepEqual(got.Transitions, want.Transitions) || got.TokenFlows != want.TokenFlows {
+		t.Fatalf("%s: mechanism transitions diverged: %d vs %d (%d vs %d periods)", label,
+			len(got.Transitions), len(want.Transitions), got.TokenFlows, want.TokenFlows)
 	}
 	if !reflect.DeepEqual(got.Probe, want.Probe) {
 		t.Fatalf("%s: probe samples diverged: %d vs %d", label, len(got.Probe), len(want.Probe))
@@ -432,6 +441,9 @@ func TestRigAdvanceMatchesTicks(t *testing.T) {
 	}
 	if ref.Sched.IdleSkipped() != 0 || rig.Sched.IdleSkipped() == 0 {
 		t.Fatalf("reference skipped %d quanta and Advance %d", ref.Sched.IdleSkipped(), rig.Sched.IdleSkipped())
+	}
+	if ref.Mech.Replayed != 0 || rig.Mech.Replayed == 0 || rig.Mech.TokenFlows != ref.Mech.TokenFlows {
+		t.Fatalf("reference replayed %d of %d periods and Advance %d of %d", ref.Mech.Replayed, ref.Mech.TokenFlows, rig.Mech.Replayed, rig.Mech.TokenFlows)
 	}
 	if submitted < 100 || wentIdle < 30 {
 		t.Fatalf("%d queries submitted and %d stretches went idle midway: the walk exercised too little", submitted, wentIdle)

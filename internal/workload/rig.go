@@ -341,9 +341,13 @@ func (r *Rig) Tick() { r.Advance(1) }
 // barrier wherever the rig has something due, so a control evaluation or
 // probe sample fires on exactly the quantum a Tick-by-Tick run fires it
 // on, and between barriers an idle scheduler advances in one bulk step.
+// A Quiet mechanism sets no barrier of its own: nothing inside Advance can
+// end its fixed point, and its Maybe at the next barrier settles every
+// period due by then.
 func (r *Rig) Advance(n int) {
 	for n > 0 {
-		s := QuantaUntil(r.Machine.Now(), r.NextDue(true), r.Sched.Quantum(), n)
+		quiet := r.Mech != nil && r.Mech.Quiet()
+		s := QuantaUntil(r.Machine.Now(), r.NextDue(!quiet), r.Sched.Quantum(), n)
 		r.Sched.Advance(s)
 		if r.Mech != nil {
 			r.Mech.Maybe()
