@@ -16,9 +16,9 @@
 //   - a Volcano-style columnar DBMS in MonetDB-like and SQL-Server-like
 //     flavours (internal/db),
 //   - a TPC-H generator and all 22 queries (internal/tpch),
-//   - workload drivers, energy model, trace facilities and one
-//     experiment harness per paper figure (internal/workload,
-//     internal/metrics, internal/trace, internal/experiments),
+//   - workload drivers, energy model and one experiment harness per
+//     paper figure (internal/workload, internal/metrics,
+//     internal/experiments),
 //   - multi-tenant consolidation: per-tenant elastic mechanisms under a
 //     machine-level, SLA-weighted core arbiter (internal/tenant),
 //   - a cluster tier: sharded fleets of lockstep machines behind a
@@ -57,41 +57,23 @@ import (
 type (
 	// Topology describes a NUMA machine's shape.
 	Topology = numa.Topology
-	// Machine is the counter-accurate NUMA hardware model.
-	Machine = numa.Machine
-	// Counters is a snapshot of the hardware-counter surface.
-	Counters = numa.Counters
-	// Scheduler is the OS CPU-scheduler model.
-	Scheduler = sched.Scheduler
 	// CPUSet is a set of cores (the cgroup cpuset unit).
 	CPUSet = sched.CPUSet
 )
 
-// Mechanism and policy types.
+// Allocation policy types.
 type (
-	// Mechanism is the paper's elastic multi-core allocation mechanism.
-	Mechanism = elastic.Mechanism
 	// Allocator is an allocation mode (dense, sparse, adaptive).
 	Allocator = elastic.Allocator
-	// Strategy is a state-transition metric (CPU load or HT/IMC ratio).
-	Strategy = elastic.Strategy
 	// Placement is a topology-aware core placement policy: it ranks
 	// candidate cores by the machine's hop-distance matrix instead of a
 	// fixed index order (node-fill, hop-min, scatter).
 	Placement = elastic.Placement
 )
 
-// Built-in placement policies.
-
 // NodeFillPlacement packs cores socket by socket, opening each new
 // socket at minimum hop distance from the cores already held.
 func NodeFillPlacement() Placement { return elastic.NodeFill{} }
-
-// HopMinPlacement grows and shrinks core by core on pure hop distance.
-func HopMinPlacement() Placement { return elastic.HopMin{} }
-
-// ScatterPlacement is the topology-blind round-robin baseline.
-func ScatterPlacement() Placement { return elastic.Scatter{} }
 
 // Placements lists the built-in placement policies.
 func Placements() []Placement { return elastic.Placements() }
@@ -101,15 +83,8 @@ func Placements() []Placement { return elastic.Placements() }
 // automatically).
 func NewPlacedAllocator(t *Topology, p Placement) Allocator { return elastic.NewPlaced(t, p) }
 
-// Database types.
-type (
-	// Engine is the Volcano-style columnar engine.
-	Engine = db.Engine
-	// Plan is an operator pipeline.
-	Plan = db.Plan
-	// Query is one executing plan instance.
-	Query = db.Query
-)
+// Plan is an operator pipeline of the Volcano-style columnar engine.
+type Plan = db.Plan
 
 // Workload rig types.
 type (
@@ -131,17 +106,13 @@ type (
 // shedding and tail latency are measurable.
 type (
 	// ArrivalProcess generates a deterministic arrival-time stream
-	// (Poisson, MMPP, diurnal ramp or a fixed trace).
+	// (Poisson or MMPP).
 	ArrivalProcess = arrivals.Process
 	// OpenDriver replays an arrival process against a rig.
 	OpenDriver = workload.OpenDriver
-	// OpenResult summarizes an open-loop phase: admission counts and
-	// queue-wait/service/latency histograms.
-	OpenResult = workload.OpenResult
-	// OpenSample is one timeline point of an open-loop phase.
-	OpenSample = workload.OpenSample
 	// Histogram is the log-bucketed, mergeable latency histogram behind
-	// OpenResult (p50/p90/p99/max with bounded relative error).
+	// an open-loop phase's result (p50/p90/p99/max with bounded relative
+	// error).
 	Histogram = metrics.Histogram
 )
 
@@ -157,35 +128,15 @@ func MMPPArrivals(baseRate, burstRate, baseDwell, burstDwell float64, seed uint6
 	return arrivals.NewMMPP(baseRate, burstRate, baseDwell, burstDwell, seed)
 }
 
-// DiurnalArrivals returns a sinusoidally ramping process: rate(t) =
-// base * (1 + amp*sin(2πt/period)).
-func DiurnalArrivals(base, amp, period float64, seed uint64) ArrivalProcess {
-	return arrivals.NewDiurnal(base, amp, period, seed)
-}
-
-// TraceArrivals replays a fixed, sorted list of arrival times (seconds).
-func TraceArrivals(times []float64) ArrivalProcess {
-	return arrivals.NewTrace(times)
-}
-
-// Telemetry types (internal/obs): the simulation-wide event bus, probe
-// snapshots and trace export behind `elasticbench run -trace`.
+// Telemetry types (internal/obs): the simulation-wide event bus and the
+// trace export behind `elasticbench run -trace`.
 type (
 	// Bus is the typed telemetry event bus every rig layer publishes
 	// onto: migrations, run slices, task completions, PrT transitions,
 	// arbiter grants, admissions, sheds and query completions.
 	Bus = obs.Bus
-	// Event is the bus's flat record; EventKind discriminates it.
+	// Event is the bus's flat record; its Kind discriminates it.
 	Event = obs.Event
-	// EventKind discriminates bus events (obs.KindMigration, ...).
-	EventKind = obs.Kind
-	// Probe samples Snapshot timelines at control-period boundaries.
-	Probe = obs.Probe
-	// ProbeConfig assembles a Probe.
-	ProbeConfig = obs.ProbeConfig
-	// Snapshot is one probe sample: allocation, load, backlog, window
-	// traffic, energy and latency quantiles.
-	Snapshot = obs.Snapshot
 )
 
 // NewBus creates a telemetry bus retaining up to capacity events
@@ -201,20 +152,7 @@ func WritePerfettoTrace(w io.Writer, events []Event) error { return obs.WriteTra
 // Event kinds re-exported for Bus.Subscribe filters.
 const (
 	KindMigration  = obs.KindMigration
-	KindRunSlice   = obs.KindRunSlice
-	KindTaskDone   = obs.KindTaskDone
 	KindTransition = obs.KindTransition
-	KindGrant      = obs.KindGrant
-	KindAdmit      = obs.KindAdmit
-	KindShed       = obs.KindShed
-	KindQueryDone  = obs.KindQueryDone
-	KindRoute      = obs.KindRoute
-	KindRebalance  = obs.KindRebalance
-	KindFault      = obs.KindFault
-	KindRetry      = obs.KindRetry
-	KindFailover   = obs.KindFailover
-	KindReassign   = obs.KindReassign
-	KindHeartbeat  = obs.KindHeartbeat
 )
 
 // Cluster tier types (internal/cluster): the single-machine mechanism
@@ -234,12 +172,6 @@ type (
 	// requests go to their shard's owner, unkeyed ones to the
 	// least-loaded machine, every n-th as a scatter-gather over all.
 	Coordinator = cluster.Coordinator
-	// CoordinatorResult summarizes one coordinator run, with fleet-wide
-	// histograms and per-machine stats.
-	CoordinatorResult = cluster.Result
-	// BalancePolicy routes unkeyed requests (shortest-queue or weighted
-	// by allocated cores).
-	BalancePolicy = cluster.Policy
 	// ClusterArbiter is the cluster-level control tier: it collects the
 	// per-machine mechanisms' desired allocations and moves whole cores
 	// across machines within a fleet-wide budget, charging a migration
@@ -247,12 +179,6 @@ type (
 	ClusterArbiter = cluster.ClusterArbiter
 	// ClusterArbiterConfig assembles a ClusterArbiter.
 	ClusterArbiterConfig = cluster.ClusterArbiterConfig
-)
-
-// Balance policies re-exported for Coordinator construction.
-const (
-	BalanceShortestQueue = cluster.BalanceShortestQueue
-	BalanceWeighted      = cluster.BalanceWeighted
 )
 
 // NewFleet builds N lockstep machines, each loading its owned fraction
@@ -280,14 +206,6 @@ type (
 	// crashes with timed recovery, per-core stalls and slowdowns, and
 	// degraded shard links. Pass it through FleetOptions.Faults.
 	FaultPlan = faults.Plan
-	// Fault is one scheduled failure window of a FaultPlan.
-	Fault = faults.Fault
-	// FaultKind discriminates faults (crash, stall, slow, link).
-	FaultKind = faults.FaultKind
-	// FaultInjector is a plan compiled against a concrete fleet; the
-	// fleet drives it cycle by cycle and its read surface (Down,
-	// CoreFactor, LinkDelay, LinkDrop) is nil-safe.
-	FaultInjector = faults.Injector
 	// HealthMonitor is the fleet's failure detector and repair loop:
 	// heartbeat-gap death detection, shard re-assignment with an
 	// explicit transfer cost, brownout load-shedding and recovery.
@@ -302,14 +220,6 @@ type (
 // string is the empty plan, which injects nothing.
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
 
-// NewReplicatedSharder partitions `shards` hashed shards across
-// `machines` keeping `replicas` copies of each (the primary plus R-1
-// successor machines); keyed routing prefers the primary and fails over
-// along the replica set. NewSharder is the replicas == 1 special case.
-func NewReplicatedSharder(shards, machines, replicas int) (*Sharder, error) {
-	return cluster.NewReplicatedSharder(shards, machines, replicas)
-}
-
 // NewHealthMonitor wires heartbeat-driven failure detection onto a
 // fleet: a machine whose beats stop is declared dead, its shards
 // re-home onto surviving replicas (charging the transfer against the
@@ -322,8 +232,6 @@ func NewHealthMonitor(cfg HealthConfig) (*HealthMonitor, error) {
 // setting): several tenant databases, each with its own elastic
 // mechanism, share one machine under a core arbiter.
 type (
-	// Tenant is one consolidated database: cgroup, mechanism, SLA.
-	Tenant = tenant.Tenant
 	// Arbiter divides the machine's cores among tenants every control
 	// period: SLA-weighted shares, starvation floors, no over-commit.
 	Arbiter = tenant.Arbiter
@@ -337,8 +245,6 @@ type (
 	MultiRigOptions = workload.MultiOptions
 	// TenantLoad describes one tenant's client streams for MultiRig.Run.
 	TenantLoad = workload.TenantLoad
-	// MultiPhaseResult is the outcome of one consolidated phase.
-	MultiPhaseResult = workload.MultiPhaseResult
 )
 
 // Experiment platform types (internal/experiments): the registry of
@@ -364,8 +270,6 @@ type (
 	// pool, honoring context cancellation and collecting per-experiment
 	// errors.
 	Runner = experiments.Runner
-	// Report is one experiment's outcome within a Runner batch.
-	Report = experiments.Report
 	// Observer receives phase and progress callbacks from a running
 	// experiment.
 	Observer = experiments.Observer
@@ -398,10 +302,6 @@ const (
 	ModeAdaptive = workload.ModeAdaptive
 )
 
-// Opteron8387 returns the paper's testbed topology: four quad-core
-// sockets at 2.8 GHz with 6 MB shared L3s and HyperTransport 3.x links.
-func Opteron8387() *Topology { return numa.Opteron8387() }
-
 // The topology zoo: machine shapes beyond the paper's testbed, for
 // exercising the mechanism across interconnect geometries.
 
@@ -426,9 +326,6 @@ func EPYCLike() *Topology { return numa.EPYCLike() }
 // the grammar.
 func ParseTopology(spec string) (*Topology, error) { return numa.ParseTopology(spec) }
 
-// TopologyZooNames lists the zoo's canonical names.
-func TopologyZooNames() []string { return numa.ZooNames() }
-
 // ScaleTopology shrinks a base topology's caches and bandwidths
 // proportionally to the TPC-H scale factor, preserving the paper's
 // data-to-cache operating point at small SF (see workload.ScaledTopology).
@@ -450,6 +347,3 @@ func NewMultiRig(opts MultiRigOptions) (*MultiRig, error) {
 // BuildQuery returns the plan of TPC-H query n (1..22) with seed-derived
 // parameters.
 func BuildQuery(n int, seed uint64) *Plan { return tpch.Build(n, seed) }
-
-// QueryCount is the number of TPC-H queries provided.
-const QueryCount = tpch.QueryCount

@@ -18,7 +18,6 @@ package arrivals
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"elasticore/internal/hashmix"
 )
@@ -182,40 +181,8 @@ func (d *Diurnal) Next() (float64, bool) {
 	}
 }
 
-// Trace replays a fixed list of arrival times (seconds). It is the
-// escape hatch for recorded workloads and for tests that need arrivals
-// at exact instants.
-type Trace struct {
-	times []float64
-	i     int
-}
-
-// NewTrace copies and sorts the given times into a finite process.
-func NewTrace(times []float64) *Trace {
-	ts := make([]float64, len(times))
-	copy(ts, times)
-	sort.Float64s(ts)
-	return &Trace{times: ts}
-}
-
-// Name implements Process.
-func (tr *Trace) Name() string { return "trace" }
-
-// Len returns the number of arrivals in the trace.
-func (tr *Trace) Len() int { return len(tr.times) }
-
-// Next implements Process.
-func (tr *Trace) Next() (float64, bool) {
-	if tr.i >= len(tr.times) {
-		return 0, false
-	}
-	t := tr.times[tr.i]
-	tr.i++
-	return t, true
-}
-
 // Take materializes the first n arrivals of a process (fewer if the
-// stream ends early) — handy for building traces and for tests.
+// stream ends early).
 func Take(p Process, n int) []float64 {
 	out := make([]float64, 0, n)
 	for len(out) < n {

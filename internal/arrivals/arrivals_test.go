@@ -110,23 +110,6 @@ func TestDiurnalTracksRamp(t *testing.T) {
 	}
 }
 
-func TestTraceReplaysSortedAndEnds(t *testing.T) {
-	tr := NewTrace([]float64{0.3, 0.1, 0.2})
-	want := []float64{0.1, 0.2, 0.3}
-	for i, w := range want {
-		at, ok := tr.Next()
-		if !ok || at != w {
-			t.Fatalf("arrival %d = (%g, %v), want (%g, true)", i, at, ok, w)
-		}
-	}
-	if _, ok := tr.Next(); ok {
-		t.Error("trace did not end after its last arrival")
-	}
-	if tr.Len() != 3 {
-		t.Errorf("Len = %d, want 3", tr.Len())
-	}
-}
-
 func TestConstructorsValidate(t *testing.T) {
 	cases := []func(){
 		func() { NewPoisson(0, 1) },

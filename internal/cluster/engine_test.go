@@ -20,6 +20,21 @@ import (
 // workload.GridCycle), the worker hand-off loses and duplicates nothing under exit/respawn
 // races, and an idle fleet costs no allocation.
 
+// fixedArrivals replays a sorted list of arrival times (seconds) and then
+// ends, for runs that need arrivals at exact instants.
+type fixedArrivals []float64
+
+func (*fixedArrivals) Name() string { return "fixed" }
+
+func (a *fixedArrivals) Next() (float64, bool) {
+	if len(*a) == 0 {
+		return 0, false
+	}
+	t := (*a)[0]
+	*a = (*a)[1:]
+	return t, true
+}
+
 // setMaxJump and setLingerSpins assign the package's two test-only
 // variables for the duration of a test.
 func setMaxJump(t *testing.T, n int) {
@@ -83,7 +98,7 @@ var jumpScenarios = []jumpScenario{
 			for k := 0; k < c.MaxArrivals; k++ {
 				times = append(times, float64(k/4)*3e-3)
 			}
-			c.Process = arrivals.NewTrace(times)
+			c.Process = (*fixedArrivals)(&times)
 			c.MaxInFlight, c.QueueCap = 1, 1
 			c.ScatterEvery = 5
 		},

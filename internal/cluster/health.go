@@ -123,9 +123,6 @@ func (h *HealthMonitor) HeartbeatEvery() uint64 { return h.every }
 // failovers earn their keep.
 func (h *HealthMonitor) Dead(m int) bool { return h.dead[m] }
 
-// PendingTransfers returns the number of shard moves in flight.
-func (h *HealthMonitor) PendingTransfers() int { return len(h.transfers) }
-
 // beat records a heartbeat; a beat from a machine believed dead is the
 // recovery signal and triggers re-homing its shards back.
 func (h *HealthMonitor) beat(m int, now uint64) {

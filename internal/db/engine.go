@@ -64,14 +64,6 @@ type Config struct {
 	AdvanceCycles int64
 }
 
-// TaskEvent is emitted when a worker finishes a task (tomograph feed).
-type TaskEvent struct {
-	Worker sched.TID
-	Op     string
-	Start  uint64 // cycles
-	End    uint64 // cycles
-}
-
 // Engine executes plans over a Store with a fixed worker-thread pool.
 type Engine struct {
 	cfg     Config
@@ -116,18 +108,6 @@ type Engine struct {
 // consolidation ("" for a single-tenant rig). Attach once, before
 // subscribing consumers.
 func (e *Engine) SetBus(b *obs.Bus, tenant string) { e.bus, e.busTenant = b, tenant }
-
-// Bus returns the attached telemetry bus, nil when dark.
-func (e *Engine) Bus() *obs.Bus { return e.bus }
-
-// EnsureBus returns the attached bus, creating a default-capacity one on
-// first use, so several trace consumers share one stream.
-func (e *Engine) EnsureBus() *obs.Bus {
-	if e.bus == nil {
-		e.bus = obs.NewBus(0)
-	}
-	return e.bus
-}
 
 // dispatched pairs a task with its owning query.
 type dispatched struct {

@@ -153,12 +153,10 @@ func TestConcurrentQueriesAllFinish(t *testing.T) {
 
 func TestQueryElapsedAndEvents(t *testing.T) {
 	r := newDBRig(t, 8000, PlacementOS)
-	var events []TaskEvent
-	r.eng.EnsureBus().Subscribe(obs.KindTaskDone, func(e obs.Event) {
-		events = append(events, TaskEvent{
-			Worker: sched.TID(e.TID), Op: e.Label, Start: e.Start, End: e.Now,
-		})
-	})
+	var events []obs.Event
+	bus := obs.NewBus(0)
+	r.eng.SetBus(bus, "")
+	bus.Subscribe(obs.KindTaskDone, func(e obs.Event) { events = append(events, e) })
 	q := r.eng.Submit(q6Plan())
 	r.run(t, q)
 	if q.ElapsedCycles() == 0 {
@@ -169,10 +167,10 @@ func TestQueryElapsedAndEvents(t *testing.T) {
 	}
 	seenOps := map[string]bool{}
 	for _, e := range events {
-		if e.End < e.Start {
+		if e.Now < e.Start {
 			t.Error("event ends before it starts")
 		}
-		seenOps[e.Op] = true
+		seenOps[e.Label] = true
 	}
 	for _, op := range []string{"algebra.thetasubselect", "algebra.subselect", "algebra.projection", "batcalc.*", "aggr.sum"} {
 		if !seenOps[op] {
@@ -224,7 +222,9 @@ func TestNUMAAwarePinningHolds(t *testing.T) {
 	for _, w := range r.eng.workers {
 		workerTIDs[w.thread.ID] = true
 	}
-	r.sched.EnsureBus().Subscribe(obs.KindMigration, func(e obs.Event) {
+	bus := obs.NewBus(0)
+	r.sched.SetBus(bus)
+	bus.Subscribe(obs.KindMigration, func(e obs.Event) {
 		if workerTIDs[sched.TID(e.TID)] && topo.NodeOf(numa.CoreID(e.From)) != topo.NodeOf(numa.CoreID(e.Core)) {
 			t.Errorf("pinned worker %d migrated %d -> %d", e.TID, e.From, e.Core)
 		}
@@ -289,7 +289,9 @@ func TestRawAffinityPinsThreads(t *testing.T) {
 	r := newDBRig(t, 4000, PlacementOS)
 	topo := r.machine.Topology()
 	var migrated bool
-	r.sched.EnsureBus().Subscribe(obs.KindMigration, func(e obs.Event) {
+	bus := obs.NewBus(0)
+	r.sched.SetBus(bus)
+	bus.Subscribe(obs.KindMigration, func(e obs.Event) {
 		if topo.NodeOf(numa.CoreID(e.From)) != topo.NodeOf(numa.CoreID(e.Core)) {
 			migrated = true
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"elasticore/internal/db"
+	"elasticore/internal/metrics"
 	"elasticore/internal/workload"
 )
 
@@ -146,7 +147,7 @@ func TestFig13ShapeTargets(t *testing.T) {
 	}
 	// Shape: stolen tasks stay comparable, with the adaptive mode not
 	// stealing substantially more than the OS (the paper's OS stole 46%
-	// more; at our scale the two are near parity — see EXPERIMENTS.md).
+	// more; at our scale the two are near parity — see ROADMAP item 7).
 	osStolen, adStolen := cell(t, res, "sweep", "stolen", workload.ModeOS, 8), cell(t, res, "sweep", "stolen", workload.ModeAdaptive, 8)
 	if adStolen > 1.25*osStolen {
 		t.Errorf("adaptive stolen tasks (%g) far exceed OS (%g)", adStolen, osStolen)
@@ -163,7 +164,7 @@ func TestFig14ShapeTargets(t *testing.T) {
 	}
 	// Shape: the adaptive mode does not miss substantially more than the
 	// OS baseline (the paper's -43% does not fully reproduce at scaled
-	// cache geometry; see EXPERIMENTS.md).
+	// cache geometry; see ROADMAP item 7).
 	osMiss, adMiss := cell(t, res, "sockets", "L3 total", workload.ModeOS), cell(t, res, "sockets", "L3 total", workload.ModeAdaptive)
 	if adMiss > 1.15*osMiss {
 		t.Errorf("adaptive L3 misses (%g) far exceed OS (%g)", adMiss, osMiss)
@@ -225,7 +226,7 @@ func TestFig17ShapeTargets(t *testing.T) {
 		t.Error("ht-imc strategy faster than cpu-load, contradicting the paper's Fig 17")
 	}
 	// L3 misses: near parity at scaled cache geometry (the paper's 2x
-	// improvement does not fully reproduce; see EXPERIMENTS.md).
+	// improvement does not fully reproduce; see ROADMAP item 7).
 	osMiss := cell(t, res, tb, "L3 misses", workload.ModeOS, "-")
 	for _, strat := range []string{"cpu-load", "ht-imc"} {
 		if miss := cell(t, res, tb, "L3 misses", workload.ModeAdaptive, strat); miss > 1.15*osMiss {
@@ -289,12 +290,39 @@ func TestFig20ShapeTargets(t *testing.T) {
 	}
 	// Shape: the adaptive mode is at worst energy-neutral at this tiny
 	// scale (the paper's 26% saving emerges with scale; the bench config
-	// reports the measured value — see EXPERIMENTS.md).
+	// reports the measured value — see ROADMAP item 7).
 	if total := metric(t, res, "total_savings_pct"); total < -5 {
 		t.Errorf("total savings %.2f%%, want >= -5%%", total)
 	}
 	if metric(t, res, "geo_ht_savings_pct") <= 0 {
 		t.Error("no HT energy savings at all")
+	}
+}
+
+// TestFig20PricesTheRigItRan: fig20 charges each query's counter window
+// at the power of the machine that ran it. On the two-socket zoo machine a
+// core is an eighth of a socket's power, not the testbed's quarter.
+func TestFig20PricesTheRigItRan(t *testing.T) {
+	c, err := (Config{SF: 0.002, Clients: 4, Topology: "2socket"}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runExp(t, "fig20", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRig(c, workload.ModeOS, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const qn = 6
+	phase := workload.MixedPhases(r, c.Clients)[qn-1]
+	want := metrics.DefaultEnergyModel().Estimate(r.Machine.Topology(), phase.Window)
+	if got := cell(t, res, "queries", "OS cpu(J)", qn); got != want.CPUJoules {
+		t.Errorf("Q%d OS cpu = %g J, want %g J on the rig's own topology", qn, got, want.CPUJoules)
+	}
+	if got := cell(t, res, "queries", "OS ht(J)", qn); got != want.HTJoules {
+		t.Errorf("Q%d OS ht = %g J, want %g J", qn, got, want.HTJoules)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"elasticore/internal/tpch"
-	"elasticore/internal/trace"
 	"elasticore/internal/workload"
 )
 
@@ -25,8 +24,8 @@ func runFig5(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		// Both traces ride the rig's shared telemetry bus — with
 		// Config.Bus set they coexist with the exporter on one stream.
 		b := r.EnsureBus()
-		mt := trace.NewMigrationTraceOn(b, r.Machine.Topology())
-		tg := trace.NewTomographOn(b, r.Machine.Topology())
+		mt := newLifespan(b, r.Machine.Topology())
+		tg := newTomograph(b, r.Machine.Topology())
 
 		q := r.Engine.Submit(tpch.BuildQ6With(q6Fixed()))
 		if !r.Sched.RunUntil(q.Done, r.Machine.Topology().SecondsToCycles(600)) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"elasticore/internal/tpch"
-	"elasticore/internal/trace"
 	"elasticore/internal/workload"
 )
 
@@ -26,27 +25,13 @@ func runFig16(ctx context.Context, c Config, obs Observer) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			mt := trace.NewMigrationTrace(r.Sched)
+			mt := newLifespan(r.EnsureBus(), r.Machine.Topology())
 			q := r.Engine.Submit(tpch.BuildQ6With(q6Fixed()))
-			// Explicit drive loop rather than RunUntil: the mechanism's
-			// control step is a side effect, which RunUntil predicates
-			// must not have (its idle fast-forward would skip them).
 			deadline := r.Machine.Now() + r.Machine.Topology().SecondsToCycles(600)
-			ok := false
-			for {
-				if r.Mech != nil {
-					r.Mech.Maybe()
-				}
-				if q.Done() {
-					ok = true
-					break
-				}
-				if r.Machine.Now() >= deadline {
-					break
-				}
-				r.Sched.Tick()
+			for !q.Done() && r.Machine.Now() < deadline {
+				r.Tick()
 			}
-			if !ok {
+			if !q.Done() {
 				return fmt.Errorf("experiments: fig16 %v timed out", mode)
 			}
 			migrations, crossNode := mt.MigrationCount()

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"elasticore/internal/metrics"
+	"elasticore/internal/numa"
 	"elasticore/internal/workload"
 )
 
@@ -15,6 +16,7 @@ import (
 func runFig20(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	model := metrics.DefaultEnergyModel()
 	var osPhases, adPhases []workload.QueryPhase
+	var osTopo, adTopo *numa.Topology
 	for i, mode := range []workload.Mode{workload.ModeOS, workload.ModeAdaptive} {
 		mode := mode
 		err := phase(ctx, obs, "mode="+mode.String(), func() error {
@@ -24,9 +26,9 @@ func runFig20(ctx context.Context, c Config, obs Observer) (*Result, error) {
 			}
 			phases := workload.MixedPhases(r, c.Clients)
 			if mode == workload.ModeOS {
-				osPhases = phases
+				osPhases, osTopo = phases, r.Machine.Topology()
 			} else {
-				adPhases = phases
+				adPhases, adTopo = phases, r.Machine.Topology()
 			}
 			return nil
 		})
@@ -41,12 +43,11 @@ func runFig20(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		colI("query"), colF("OS cpu(J)", 3), colF("OS ht(J)", 3),
 		colF("adp cpu(J)", 3), colF("adp ht(J)", 3),
 		colF("cpu save%", 2), colF("ht save%", 2), colF("total save%", 2))
-	topo := mustTopo()
 	var cpuSav, htSav []float64
 	var osTotal, adTotal float64
 	for i := range osPhases {
-		osE := model.Estimate(topo, osPhases[i].Window)
-		adE := model.Estimate(topo, adPhases[i].Window)
+		osE := model.Estimate(osTopo, osPhases[i].Window)
+		adE := model.Estimate(adTopo, adPhases[i].Window)
 		cpuSave := metrics.Savings(osE.CPUJoules, adE.CPUJoules)
 		htSave := metrics.Savings(osE.HTJoules, adE.HTJoules)
 		totalSave := metrics.Savings(osE.Total(), adE.Total())

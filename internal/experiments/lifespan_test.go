@@ -1,4 +1,4 @@
-package trace
+package experiments
 
 import (
 	"strings"
@@ -11,7 +11,9 @@ import (
 	"elasticore/internal/tpch"
 )
 
-func tracedRig(t *testing.T) (*sched.Scheduler, *db.Engine, *numa.Machine) {
+// tracedRig is an OS-scheduled engine on the paper's testbed with one bus
+// lit on both the scheduler and the engine.
+func tracedRig(t *testing.T) (*sched.Scheduler, *db.Engine, *obs.Bus, *numa.Topology) {
 	t.Helper()
 	m := numa.NewMachine(numa.Opteron8387())
 	sc := sched.New(m, sched.Config{Quantum: m.Topology().SecondsToCycles(100e-6)})
@@ -23,14 +25,17 @@ func tracedRig(t *testing.T) (*sched.Scheduler, *db.Engine, *numa.Machine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sc, eng, m
+	bus := obs.NewBus(0)
+	sc.SetBus(bus)
+	eng.SetBus(bus, "")
+	return sc, eng, bus, m.Topology()
 }
 
-func TestMigrationTraceRecordsSlices(t *testing.T) {
-	sc, eng, m := tracedRig(t)
-	tr := NewMigrationTrace(sc)
+func TestLifespanRecordsSlices(t *testing.T) {
+	sc, eng, bus, topo := tracedRig(t)
+	tr := newLifespan(bus, topo)
 	q := eng.Submit(tpch.BuildQ6(1))
-	if !sc.RunUntil(q.Done, m.Topology().SecondsToCycles(300)) {
+	if !sc.RunUntil(q.Done, topo.SecondsToCycles(300)) {
 		t.Fatal("query did not finish")
 	}
 	if len(tr.slices) == 0 {
@@ -49,8 +54,10 @@ func TestMigrationTraceRecordsSlices(t *testing.T) {
 }
 
 func TestMigrationCountConsistent(t *testing.T) {
-	sc, eng, m := tracedRig(t)
-	tr := NewMigrationTrace(sc)
+	sc, eng, bus, topo := tracedRig(t)
+	tr := newLifespan(bus, topo)
+	raw := 0
+	bus.Subscribe(obs.KindMigration, func(obs.Event) { raw++ })
 	// Heavy concurrency provokes stealing and migration.
 	var qs []*db.Query
 	for i := 0; i < 16; i++ {
@@ -64,23 +71,23 @@ func TestMigrationCountConsistent(t *testing.T) {
 		}
 		return true
 	}
-	if !sc.RunUntil(done, m.Topology().SecondsToCycles(600)) {
+	if !sc.RunUntil(done, topo.SecondsToCycles(600)) {
 		t.Fatal("queries did not finish")
 	}
 	total, cross := tr.MigrationCount()
 	if cross > total {
 		t.Errorf("cross-node %d exceeds total %d", cross, total)
 	}
-	if total != len(tr.Migrations()) {
-		t.Errorf("count %d != events %d", total, len(tr.Migrations()))
+	if total != raw {
+		t.Errorf("count %d != raw migration events %d", total, raw)
 	}
 }
 
-func TestRenderProducesGrid(t *testing.T) {
-	sc, eng, m := tracedRig(t)
-	tr := NewMigrationTrace(sc)
+func TestLifespanRenderProducesGrid(t *testing.T) {
+	sc, eng, bus, topo := tracedRig(t)
+	tr := newLifespan(bus, topo)
 	q := eng.Submit(tpch.BuildQ6(1))
-	sc.RunUntil(q.Done, m.Topology().SecondsToCycles(300))
+	sc.RunUntil(q.Done, topo.SecondsToCycles(300))
 	out := tr.Render(10, 8)
 	if !strings.Contains(out, "time") {
 		t.Errorf("render missing header: %q", out[:40])
@@ -88,17 +95,17 @@ func TestRenderProducesGrid(t *testing.T) {
 	if len(strings.Split(out, "\n")) < 11 {
 		t.Error("render has fewer rows than buckets")
 	}
-	empty := (&MigrationTrace{topo: m.Topology()}).Render(5, 5)
+	empty := (&lifespan{topo: topo}).Render(5, 5)
 	if !strings.Contains(empty, "no run slices") {
 		t.Error("empty trace should say so")
 	}
 }
 
 func TestTomographCollectsOperators(t *testing.T) {
-	sc, eng, m := tracedRig(t)
-	tg := NewTomograph(eng, m.Topology())
+	sc, eng, bus, topo := tracedRig(t)
+	tg := newTomograph(bus, topo)
 	q := eng.Submit(tpch.BuildQ6(1))
-	if !sc.RunUntil(q.Done, m.Topology().SecondsToCycles(300)) {
+	if !sc.RunUntil(q.Done, topo.SecondsToCycles(300)) {
 		t.Fatal("query did not finish")
 	}
 	stats := tg.Stats()
@@ -127,10 +134,10 @@ func TestTomographCollectsOperators(t *testing.T) {
 func TestTomographParallelism(t *testing.T) {
 	// The thetasubselect fans out across workers — the parallel access to
 	// disjoint partitions the paper shows in Figure 6.
-	sc, eng, m := tracedRig(t)
-	tg := NewTomograph(eng, m.Topology())
+	sc, eng, bus, topo := tracedRig(t)
+	tg := newTomograph(bus, topo)
 	q := eng.Submit(tpch.BuildQ6(1))
-	sc.RunUntil(q.Done, m.Topology().SecondsToCycles(300))
+	sc.RunUntil(q.Done, topo.SecondsToCycles(300))
 	for _, s := range tg.Stats() {
 		if s.Op == "algebra.thetasubselect" && s.Calls < 2 {
 			t.Errorf("thetasubselect ran %d tasks, want parallel fan-out", s.Calls)
@@ -143,15 +150,15 @@ func TestTomographParallelism(t *testing.T) {
 // silently disconnected the first. All consumers now subscribe to the
 // shared bus and see the same stream; the raw hooks are gone.
 func TestTraceConsumersCoexist(t *testing.T) {
-	sc, eng, m := tracedRig(t)
-	trA := NewMigrationTrace(sc)
-	trB := NewMigrationTrace(sc) // would have clobbered trA pre-bus
-	tg := NewTomograph(eng, m.Topology())
+	sc, eng, bus, topo := tracedRig(t)
+	trA := newLifespan(bus, topo)
+	trB := newLifespan(bus, topo) // would have clobbered trA pre-bus
+	tg := newTomograph(bus, topo)
 	rawSlices := 0
-	sc.EnsureBus().Subscribe(obs.KindRunSlice, func(obs.Event) { rawSlices++ })
+	bus.Subscribe(obs.KindRunSlice, func(obs.Event) { rawSlices++ })
 
 	q := eng.Submit(tpch.BuildQ6(1))
-	if !sc.RunUntil(q.Done, m.Topology().SecondsToCycles(300)) {
+	if !sc.RunUntil(q.Done, topo.SecondsToCycles(300)) {
 		t.Fatal("query did not finish")
 	}
 

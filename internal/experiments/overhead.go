@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"elasticore/internal/numa"
 	"elasticore/internal/tpch"
 	"elasticore/internal/workload"
 )
@@ -18,9 +17,6 @@ import (
 
 // overheadModes are the modes whose control step is timed.
 var overheadModes = []workload.Mode{workload.ModeDense, workload.ModeSparse, workload.ModeAdaptive}
-
-// mustTopo returns the default topology (shared helper).
-func mustTopo() *numa.Topology { return numa.Opteron8387() }
 
 // runOverhead times steps Mechanism.Step calls per mode on a loaded rig
 // with background work, in host wall-clock time.

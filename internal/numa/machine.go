@@ -106,9 +106,6 @@ func NewMachine(t *Topology) *Machine {
 	return m
 }
 
-// SetCostModel overrides the access cost model (for ablation benches).
-func (m *Machine) SetCostModel(c CostModel) { m.cost = c }
-
 // Topology returns the machine's static shape.
 func (m *Machine) Topology() *Topology { return m.topo }
 
@@ -374,12 +371,6 @@ func (m *Machine) HTCongestion() float64 { return m.htFactor }
 // DropCoreAffinity clears a core's private cache, modelling the working-set
 // loss after a thread migration.
 func (m *Machine) DropCoreAffinity(core CoreID) { m.caches.dropCore(core) }
-
-// L3Resident reports whether a block is resident in a node's L3 (testing
-// and diagnostics).
-func (m *Machine) L3Resident(n NodeID, b BlockID) bool {
-	return m.caches.l3Resident(n, b)
-}
 
 // Snapshot returns a copy of all counters at the current virtual time.
 func (m *Machine) Snapshot() Counters {

@@ -132,14 +132,6 @@ func (b *Bus) Len() int {
 	return b.n
 }
 
-// Cap returns the ring capacity.
-func (b *Bus) Cap() int {
-	if b.parent != nil {
-		return b.parent.Cap()
-	}
-	return len(b.ring)
-}
-
 // Total counts every event ever published.
 func (b *Bus) Total() uint64 {
 	if b.parent != nil {

@@ -7,8 +7,8 @@
 // mechanism its control-period transition firings, the tenant arbiter its
 // core grants, the scheduler its thread migrations and run slices, the
 // engine its per-task operator completions, the open-loop driver its
-// admissions, sheds and query completions — so consumers like
-// trace.MigrationTrace, trace.Tomograph, elastictop and the Perfetto
+// admissions, sheds and query completions — so consumers like the
+// experiments' lifespan traces and tomograph, elastictop and the Perfetto
 // exporter can coexist instead of fighting over single replace-on-attach
 // hooks.
 //

@@ -145,9 +145,6 @@ func (n *Net) AddTransition(t *Transition) *Transition {
 	return t
 }
 
-// Places returns the places in creation order.
-func (n *Net) Places() []*Place { return n.places }
-
 // Transitions returns the transitions in creation order.
 func (n *Net) Transitions() []*Transition { return n.transitions }
 

@@ -90,12 +90,10 @@ func TestBusSubscribersCoexist(t *testing.T) {
 	machine := numa.NewMachine(numa.Opteron8387())
 	s := New(machine, Config{})
 	busSlicesA, busSlicesB := 0, 0
-	b := s.EnsureBus()
+	b := obs.NewBus(0)
+	s.SetBus(b)
 	b.Subscribe(obs.KindRunSlice, func(obs.Event) { busSlicesA++ })
 	b.Subscribe(obs.KindRunSlice, func(obs.Event) { busSlicesB++ })
-	if s.EnsureBus() != b {
-		t.Fatal("EnsureBus replaced an attached bus")
-	}
 	spinners(s, machine.Topology())
 	for i := 0; i < 8; i++ {
 		s.Tick()

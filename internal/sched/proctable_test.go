@@ -321,7 +321,9 @@ func TestWakeAllReentrantWakeSeesEmptySet(t *testing.T) {
 	// of the wake-ups below migrates and publishes an event.
 	g.SetCPUs(NewCPUSet(8, 9, 10, 11))
 	events := 0
-	s.EnsureBus().Subscribe(obs.KindMigration, func(obs.Event) {
+	bus := obs.NewBus(0)
+	s.SetBus(bus)
+	bus.Subscribe(obs.KindMigration, func(obs.Event) {
 		if events++; events > 1 {
 			return
 		}

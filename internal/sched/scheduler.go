@@ -48,23 +48,6 @@ type Stats struct {
 	SpuriousWakeups uint64
 }
 
-// MigrationEvent describes one thread reassignment, feeding the lifespan /
-// migration plots (paper Figures 5 and 16).
-type MigrationEvent struct {
-	TID      TID
-	From, To numa.CoreID
-	Now      uint64 // cycles
-}
-
-// RunSlice describes one executed slice of a thread on a core, feeding the
-// tomograph-style traces (paper Figure 6).
-type RunSlice struct {
-	TID    TID
-	Core   numa.CoreID
-	Start  uint64 // cycles
-	Cycles uint64
-}
-
 // procTable is one process's thread table: a slot per thread in spawn
 // order plus a bitmap of the slots whose thread is Blocked. TIDs are
 // handed out monotonically, so slot order is ascending-TID order and
@@ -205,19 +188,6 @@ func (s *Scheduler) Machine() *numa.Machine { return s.machine }
 // subscribing consumers: replacing an attached bus orphans its
 // subscribers.
 func (s *Scheduler) SetBus(b *obs.Bus) { s.bus = b }
-
-// Bus returns the attached telemetry bus, nil when dark.
-func (s *Scheduler) Bus() *obs.Bus { return s.bus }
-
-// EnsureBus returns the attached bus, creating and attaching a
-// default-capacity one on first use — the idiom trace consumers use so
-// several of them share one stream.
-func (s *Scheduler) EnsureBus() *obs.Bus {
-	if s.bus == nil {
-		s.bus = obs.NewBus(0)
-	}
-	return s.bus
-}
 
 // SetCoreSlowdown installs a cycle-cost multiplier on one core: 1
 // restores full speed, factor F makes work cost F wall cycles per
@@ -503,7 +473,7 @@ func (s *Scheduler) WakeAll(pid int) {
 	p.scratch = batch
 }
 
-// recordMigration updates counters and fires the trace hook for a thread
+// recordMigration updates counters and publishes the event for a thread
 // moving to a different core.
 func (s *Scheduler) recordMigration(t *Thread, to numa.CoreID) {
 	from := t.core
@@ -776,7 +746,7 @@ func (s *Scheduler) Advance(n int) {
 // An idle stretch is fast-forwarded to the limit in one Advance, so the
 // predicate must be a pure observation of simulation state: no side
 // effects (driving a control loop inside a predicate would be skipped
-// with the stretch — use an explicit Tick loop for that, as fig16 does)
+// with the stretch — drive a rig through workload.Rig.Tick instead)
 // and no direct dependence on virtual time. Every in-tree predicate
 // satisfies this.
 func (s *Scheduler) RunUntil(pred func() bool, maxCycles uint64) bool {

@@ -283,12 +283,10 @@ func TestRunUntil(t *testing.T) {
 
 func TestMigrationEventsObserved(t *testing.T) {
 	s := newTestSched()
-	var events []MigrationEvent
-	s.EnsureBus().Subscribe(obs.KindMigration, func(e obs.Event) {
-		events = append(events, MigrationEvent{
-			TID: TID(e.TID), From: numa.CoreID(e.From), To: numa.CoreID(e.Core), Now: e.Now,
-		})
-	})
+	var events []obs.Event
+	bus := obs.NewBus(0)
+	s.SetBus(bus)
+	bus.Subscribe(obs.KindMigration, func(e obs.Event) { events = append(events, e) })
 	g := s.NewCGroup("g")
 	g.AddPID(1)
 	g.SetCPUs(NewCPUSet(0))
@@ -300,8 +298,8 @@ func TestMigrationEventsObserved(t *testing.T) {
 		t.Fatal("no migration events for displaced threads")
 	}
 	for _, e := range events {
-		if e.To != 2 && e.To != 3 {
-			t.Errorf("migration target %d outside new cpuset", e.To)
+		if e.Core != 2 && e.Core != 3 {
+			t.Errorf("migration target %d outside new cpuset", e.Core)
 		}
 	}
 }

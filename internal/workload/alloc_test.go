@@ -85,9 +85,10 @@ func openIdlePhase(t *testing.T, seconds float64) (r *Rig, objects, bytes uint64
 			busyQuanta++
 		}
 	})
+	times := fixedArrivals(append(arrivals.Take(arrivals.NewMMPP(5, 400, 0.05, 0.1, 3), 40), seconds))
 	d := &OpenDriver{
 		Rig:         r,
-		Process:     arrivals.NewTrace(append(arrivals.Take(arrivals.NewMMPP(5, 400, 0.05, 0.1, 3), 40), seconds)),
+		Process:     &times,
 		MaxInFlight: 16,
 		QueueCap:    128,
 	}

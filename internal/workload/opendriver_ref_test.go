@@ -19,6 +19,21 @@ import (
 // Rig.Tick were before they became event-driven, as the oracles the
 // jumping ones must be indistinguishable from.
 
+// fixedArrivals replays a sorted list of arrival times (seconds) and then
+// ends, for runs that need arrivals at exact instants.
+type fixedArrivals []float64
+
+func (*fixedArrivals) Name() string { return "fixed" }
+
+func (a *fixedArrivals) Next() (float64, bool) {
+	if len(*a) == 0 {
+		return 0, false
+	}
+	t := (*a)[0]
+	*a = (*a)[1:]
+	return t, true
+}
+
 // refTick is Rig.Tick before Rig.Advance: one real scheduler Tick (never
 // the idle fast-forward), then the due checks. A due mechanism evaluates
 // through Step, so the reference never settles a period by replay.
@@ -236,7 +251,7 @@ var openScenarios = []openScenario{
 			for k := 1; k <= 8; k++ {
 				times = append(times, float64(k)*12e-3+float64(seed%5)*1e-4)
 			}
-			d.Process = arrivals.NewTrace(times)
+			d.Process = (*fixedArrivals)(&times)
 		},
 	},
 }

@@ -271,20 +271,13 @@ func (r *Rig) attachBus(b *obs.Bus) {
 	}
 }
 
-// EnsureBus returns the rig's bus, attaching one on first use. A bus the
-// scheduler already carries (a trace consumer called sched.EnsureBus
-// before the rig did) is adopted rather than replaced, so earlier
-// subscribers keep their stream.
+// EnsureBus returns the rig's bus, attaching a default-capacity one on
+// first use.
 func (r *Rig) EnsureBus() *obs.Bus {
-	if r.Bus != nil {
-		return r.Bus
+	if r.Bus == nil {
+		r.attachBus(obs.NewBus(0))
 	}
-	b := r.Sched.Bus()
-	if b == nil {
-		b = obs.NewBus(0)
-	}
-	r.attachBus(b)
-	return b
+	return r.Bus
 }
 
 // EnableProbe starts periodic Snapshot sampling driven by Advance: every
