@@ -154,9 +154,11 @@ func TestReleaseReclaimsQueryBuffers(t *testing.T) {
 // building, submitting, running and releasing Q6 on a warm engine at the
 // default fan-out (16 partitions a stage, 112 tasks) stays within an object
 // budget that the per-task objects of before the slab (nine a task, over a
-// thousand a query) cannot meet. What remains is per query or per stage:
-// the plan's closures, the query and its maps, the sixteen dataflow
-// threads PlacementOS forks, and a slab plus three header objects a stage.
+// thousand a query) cannot meet, nor the fork of before recycling (116
+// objects: a worker, a thread record and a formatted name for each of the
+// sixteen dataflow threads PlacementOS forks, and a closure an op). What
+// remains, 60 objects, is per query or per stage: the spec and its plan,
+// the query and its maps, and a slab plus three header objects a stage.
 func TestQ6AllocsPerQuery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
@@ -172,8 +174,8 @@ func TestQ6AllocsPerQuery(t *testing.T) {
 		r.eng.Release(q)
 	}
 	run() // warm the buffer pool
-	if got := testing.AllocsPerRun(20, run); got > 150 {
-		t.Errorf("a warm Q6 allocated %v objects from plan to release, want at most 150", got)
+	if got := testing.AllocsPerRun(20, run); got > 66 {
+		t.Errorf("a warm Q6 allocated %v objects from plan to release, want at most 66", got)
 	} else {
 		t.Logf("a warm Q6: %v objects", got)
 	}
@@ -221,8 +223,8 @@ func TestStagePlanningAllocsIndependentOfFanout(t *testing.T) {
 			}
 			q := planningQuery(eng)
 			ctx := &sched.ExecContext{Machine: r.machine, PID: 101}
-			for _, in := range lower("inputs", tc.inputs...).Stages {
-				for _, tk := range in(q) {
+			for i := range tc.inputs {
+				for _, tk := range planOp(q, &tc.inputs[i]) {
 					for done := false; !done; {
 						_, done = tk.Step(ctx, 1<<40)
 					}
@@ -237,9 +239,8 @@ func TestStagePlanningAllocsIndependentOfFanout(t *testing.T) {
 				eng.pool.putMapIF(m)
 			}
 			q.owned.mif = make([]*i64fMap, 0, 16*(runs+2))
-			stage := lower("stage", tc.stage).Stages[0]
 			perStage[fi] = testing.AllocsPerRun(runs, func() {
-				if got := len(stage(q)); got != fanout {
+				if got := len(planOp(q, &tc.stage)); got != fanout {
 					t.Fatalf("%s at fanout %d planned %d tasks", tc.name, fanout, got)
 				}
 			})
@@ -247,5 +248,41 @@ func TestStagePlanningAllocsIndependentOfFanout(t *testing.T) {
 		if perStage[0] != perStage[1] || perStage[0] == 0 {
 			t.Errorf("planning %s allocated %v objects at fanout 4 and %v at 16, want the same (and a slab)", tc.name, perStage[0], perStage[1])
 		}
+	}
+}
+
+// TestQueryForkAllocsIndependentOfWorkers: the per-query fork is the model,
+// not a host cost. On a warm PlacementOS engine, submitting Q6, running it
+// to completion and releasing it allocates the same number of objects with
+// 4 dataflow threads a query as with 16: every fork after the first
+// reinitialises exited worker and thread records, and a dark scheduler
+// formats no thread names. The fan-out is fixed, so only the fork varies.
+func TestQueryForkAllocsIndependentOfWorkers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	var perQuery [2]float64
+	for i, workers := range []int{4, 16} {
+		r := newDBRig(t, 20000, PlacementOS)
+		eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, Workers: workers, Fanout: 16, MinPartRows: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			q := eng.Submit(q6Plan())
+			r.run(t, q)
+			eng.Release(q)
+		}
+		// Warm the buffer pool, the exited list and the machine's cache
+		// arenas, which grow with the blocks a run touches, not the fork.
+		for k := 0; k < 20; k++ {
+			run()
+		}
+		perQuery[i] = testing.AllocsPerRun(20, run)
+	}
+	if perQuery[0] != perQuery[1] {
+		t.Errorf("a warm Q6 allocated %v objects with 4 workers and %v with 16, want the same", perQuery[0], perQuery[1])
+	} else {
+		t.Logf("a warm Q6: %v objects at 4 and at 16 workers", perQuery[0])
 	}
 }

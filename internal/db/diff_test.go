@@ -522,7 +522,8 @@ func TestDiffSortLimit(t *testing.T) {
 				q := planningQuery(rig.eng)
 				q.SetVar("k", &PartSet{Parts: []*BAT{keys}})
 				q.SetVar("s", &PartSet{Parts: []*BAT{sumsBAT}})
-				tasks := lower("topn", TopN("k", "s", n)).Stages[0](q)
+				op := TopN("k", "s", n)
+				tasks := planOp(q, &op)
 				if len(tasks) != 1 {
 					t.Fatalf("topn planned %d tasks, want 1", len(tasks))
 				}
@@ -955,15 +956,14 @@ func TestDiffEngineDrive(t *testing.T) {
 		}
 		for si, st := range steps {
 			var fts, rts []stepper
-			stage := lower("fast", st.fast).Stages[0]
-			for _, tk := range stage(fast.q) {
+			for _, tk := range planOp(fast.q, &st.fast) {
 				if _, slab := tk.(*chunkTask); slab != (st.ref != nil) {
 					t.Fatalf("seed %d stage %d: a chunked stage must plan chunkTasks, a single-task stage none", seed, si)
 				}
 				fts = append(fts, tk)
 			}
 			if st.ref == nil {
-				for _, tk := range stage(ref.q) {
+				for _, tk := range planOp(ref.q, &st.fast) {
 					rts = append(rts, tk)
 				}
 			} else {

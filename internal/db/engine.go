@@ -72,6 +72,10 @@ type Engine struct {
 	sched   *sched.Scheduler
 
 	workers []*worker
+	// exited holds the per-query worker records whose threads have
+	// exited; the next fork reinitialises them, thread record included,
+	// instead of allocating. The engine holds their last pointers.
+	exited []*worker
 	// queue is the central dispatch FIFO (PlacementOS); nodeQueues are
 	// per-node FIFOs used first under PlacementNUMAAware.
 	queue      deque.Deque[*dispatched]
@@ -257,12 +261,24 @@ func (e *Engine) startQuery(q *Query) {
 	if e.cfg.Placement == PlacementOS {
 		// The dataflow threads fork near their client connection's
 		// handler; the OS balancer spreads them afterwards (the stolen
-		// tasks of Fig 13 (d)).
+		// tasks of Fig 13 (d)). The fork is the model, its host objects
+		// are not: an exited worker's record, thread record included, is
+		// reused, and the label is formatted only for a lit scheduler,
+		// its one reader.
 		home := numa.NodeID(q.ID % e.machine.Topology().NodeCount)
 		for i := 0; i < e.cfg.Workers; i++ {
-			w := &worker{eng: e, id: i, pinnedNode: numa.NoNode, query: q}
-			w.thread = e.sched.Spawn(e.cfg.PID, fmt.Sprintf("q%d-w%d", q.ID, i), w,
-				sched.NearNode(home))
+			var w *worker
+			if n := len(e.exited); n > 0 {
+				w, e.exited = e.exited[n-1], e.exited[:n-1]
+			} else {
+				w = &worker{eng: e, pinnedNode: numa.NoNode}
+			}
+			w.id, w.query = i, q
+			name := ""
+			if e.sched.Lit() {
+				name = fmt.Sprintf("q%d-w%d", q.ID, i)
+			}
+			w.thread = e.sched.Spawn(e.cfg.PID, name, w, sched.NearNode(home))
 		}
 	}
 	e.advance(q)
@@ -271,8 +287,15 @@ func (e *Engine) startQuery(q *Query) {
 // advance plans and enqueues the next stage of q, skipping empty stages,
 // and completes the query after the last one.
 func (e *Engine) advance(q *Query) {
-	for q.stage < len(q.Plan.Stages) {
-		tasks := q.Plan.Stages[q.stage](q)
+	p := q.Plan
+	for q.stage < len(p.Ops)+len(p.Stages) {
+		var tasks []Task
+		if i := q.stage; i < len(p.Ops) {
+			op := &p.Ops[i]
+			tasks = opTable[op.Kind].lower(q, op)
+		} else {
+			tasks = p.Stages[i-len(p.Ops)](q)
+		}
 		q.stage++
 		if len(tasks) == 0 {
 			continue
@@ -423,13 +446,21 @@ type worker struct {
 	query *Query
 }
 
+// Recycled implements sched.Recycler: a per-query worker off the exited
+// list hands back the thread record it last ran as; a new one has none.
+func (w *worker) Recycled() *sched.Thread { return w.thread }
+
 // Run implements sched.Runner.
 func (w *worker) Run(ctx *sched.ExecContext, budget uint64) (uint64, bool, bool) {
 	var used uint64
 	for used < budget {
 		if w.cur == nil {
 			if w.query != nil && w.query.done {
-				return used, false, true // dataflow finished: thread exits
+				// Dataflow finished: the thread exits and the record
+				// waits for the next fork.
+				w.query = nil
+				w.eng.exited = append(w.eng.exited, w)
+				return used, false, true
 			}
 			w.cur = w.eng.dispatch(w)
 			if w.cur == nil {

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -315,5 +316,80 @@ func TestEngineConfigValidation(t *testing.T) {
 	sc := sched.New(m, sched.Config{})
 	if _, err := NewEngine(st, Config{Scheduler: sc}); err == nil {
 		t.Error("missing PID accepted")
+	}
+}
+
+// TestQueryForkRecyclesWorkers runs a stream of queries through one
+// PlacementOS engine under a lit scheduler. From the second query on, the
+// fork reinitialises the records of the previous query's exited workers —
+// no new worker or thread record — yet the model sees a fresh fork: TIDs
+// continue from the scheduler's counter in worker order, Stats.Spawned
+// counts every thread, and every run slice of a dataflow thread carries
+// the q<ID>-w<i> label of its query and worker.
+func TestQueryForkRecyclesWorkers(t *testing.T) {
+	const workers, queries = 4, 12
+	r := newDBRig(t, 8000, PlacementOS)
+	eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, Workers: workers, MinPartRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := obs.NewBus(0)
+	r.sched.SetBus(bus)
+	type slice struct {
+		tid   sched.TID
+		label string
+	}
+	var slices []slice
+	bus.Subscribe(obs.KindRunSlice, func(e obs.Event) { slices = append(slices, slice{sched.TID(e.TID), e.Label}) })
+	base := r.sched.Stats().Spawned // the two server threads; TIDs start at 1
+	firstTID := sched.TID(base + 1)
+	live := r.sched.LiveThreads()
+
+	records := map[*sched.Thread]bool{}
+	want := q6Reference(r.store)
+	for k := 1; k <= queries; k++ {
+		q := eng.Submit(q6Plan())
+		r.run(t, q)
+		if got := q.Scalar("revenue"); math.Abs(got-want) > 1e-6*math.Abs(want) {
+			t.Fatalf("query %d revenue = %g, want %g", k, got, want)
+		}
+		eng.Release(q)
+		if !r.sched.RunUntil(func() bool { return r.sched.LiveThreads() == live }, r.machine.Topology().SecondsToCycles(1)) {
+			t.Fatalf("query %d: its workers never exited", k)
+		}
+		if len(eng.exited) != workers {
+			t.Fatalf("query %d: %d exited records, want %d", k, len(eng.exited), workers)
+		}
+		for _, w := range eng.exited {
+			if w.query != nil || w.thread.State() != sched.Done {
+				t.Fatalf("query %d: an exited record still holds its query or a live thread", k)
+			}
+			if tid := firstTID + sched.TID((k-1)*workers+w.id); w.thread.ID != tid {
+				t.Fatalf("query %d worker %d ran as TID %d, want %d", k, w.id, w.thread.ID, tid)
+			}
+			records[w.thread] = true
+		}
+		if got, want := r.sched.Stats().Spawned, base+uint64(k*workers); got != want {
+			t.Fatalf("after query %d: Stats.Spawned = %d, want %d", k, got, want)
+		}
+	}
+	if len(records) != workers {
+		t.Errorf("%d queries used %d thread records, want %d", queries, len(records), workers)
+	}
+	recycled := 0
+	for _, s := range slices {
+		if s.tid < firstTID {
+			continue // a server thread
+		}
+		i := int(s.tid - firstTID)
+		if want := fmt.Sprintf("q%d-w%d", i/workers+1, i%workers); s.label != want {
+			t.Fatalf("TID %d ran a slice labelled %q, want %q", s.tid, s.label, want)
+		}
+		if i >= workers {
+			recycled++
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no recycled worker ran a slice")
 	}
 }

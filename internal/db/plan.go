@@ -61,15 +61,20 @@ func (ps *PartSet) valuesF64() []float64 {
 	return ps.FlattenF64()
 }
 
-// StageFn plans one operator of a query: given the query context it
-// returns the partition tasks to dispatch. A stage with zero tasks
-// completes immediately.
+// StageFn plans one stage of a query: given the query context it returns
+// the partition tasks to dispatch. A stage with zero tasks completes
+// immediately.
 type StageFn func(q *Query) []Task
 
 // Plan is an ordered pipeline of operator stages (the MAL program of
-// Figure 3, operator-at-a-time).
+// Figure 3, operator-at-a-time): first one stage per op, each lowered by
+// its kind's row of the op table when a query reaches it, then Stages.
 type Plan struct {
-	Name   string
+	Name string
+	// Ops are the lowered spec's steps, read in place (PlanSpec.Lower).
+	Ops []OpSpec
+	// Stages run after Ops: stages a caller appends to a lowered plan,
+	// such as a benchmark's latency probe.
 	Stages []StageFn
 }
 

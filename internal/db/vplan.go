@@ -281,22 +281,19 @@ func (s PlanSpec) Compile(st *Store) (*Plan, error) {
 	return s.Lower(), nil
 }
 
-// Lower returns the executable plan of a spec without checking it: one
-// stage per step, each handing its step to the kind's lowering function
-// when a query reaches it. The stages read s.Ops in place, so the spec must
-// not be modified afterwards. A step the catalog check would reject panics
-// when its stage is planned (a kind outside the table panics here): lower
-// unchecked only what a test compiles.
+// Lower returns the executable plan of a spec without checking it: the
+// plan holds s.Ops, and the engine hands each step to its kind's lowering
+// function when a query reaches it. The plan reads s.Ops in place, so the
+// spec must not be modified afterwards. A step the catalog check would
+// reject panics when its stage is planned (a kind outside the table panics
+// here): lower unchecked only what a test compiles.
 func (s PlanSpec) Lower() *Plan {
-	stages := make([]StageFn, len(s.Ops))
 	for i := range s.Ops {
-		op := &s.Ops[i]
-		if !op.Kind.known() {
-			panic(fmt.Sprintf("db: plan %q op %d: unknown operator kind %d", s.Name, i, int(op.Kind)))
+		if !s.Ops[i].Kind.known() {
+			panic(fmt.Sprintf("db: plan %q op %d: unknown operator kind %d", s.Name, i, int(s.Ops[i].Kind)))
 		}
-		stages[i] = func(q *Query) []Task { return opTable[op.Kind].lower(q, op) }
 	}
-	return &Plan{Name: s.Name, Stages: stages}
+	return &Plan{Name: s.Name, Ops: s.Ops}
 }
 
 // check proves the spec against the store's catalog, step by step in

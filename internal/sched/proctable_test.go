@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -12,8 +13,9 @@ import (
 
 // proctable_test.go covers the per-process thread table behind
 // blockThread/unblockThread/WakeAll: its structural invariants, the wake
-// order across compactions, and a herd-scale differential against
-// ref_test.go's scan-and-sort refWakeAll.
+// order across compactions, thread records respawned through a Recycler,
+// and a herd-scale differential against ref_test.go's scan-and-sort
+// refWakeAll.
 
 // checkTables asserts the thread-table invariants: every live thread sits
 // in the slot it points at, slot order is strictly ascending in TID, a
@@ -347,4 +349,107 @@ func TestWakeAllReentrantWakeSeesEmptySet(t *testing.T) {
 		t.Fatalf("%d threads queued after the broadcast, want 4", queued)
 	}
 	checkTables(t, s)
+}
+
+// forkWork is one dataflow thread of a fork, as a Recycler: it parks until
+// its round is released, then works one slice and exits, handing itself —
+// and with it the last pointer to its thread record — back to the pool the
+// next fork draws from.
+type forkWork struct {
+	rec      *Thread
+	released *bool
+	pool     *[]*forkWork
+}
+
+func (w *forkWork) Recycled() *Thread { return w.rec }
+
+func (w *forkWork) Run(_ *ExecContext, budget uint64) (uint64, bool, bool) {
+	if !*w.released {
+		return 0, true, false
+	}
+	*w.pool = append(*w.pool, w)
+	return budget / 8, false, true
+}
+
+// TestRecycledRecordsKeepTables forks rounds of recycled threads beside a
+// long-lived one, so exits leave holes and the table compacts. Every fork
+// after the first reuses the previous round's records, yet each thread is
+// new to the model: its TID is the next from the counter, its slot keeps
+// the table ascending in TID, Stats.Spawned counts it, and its run slice
+// carries the name this spawn gave it. A record whose thread still runs
+// is refused.
+func TestRecycledRecordsKeepTables(t *testing.T) {
+	const workers, rounds = 8, 40
+	s := newTestSched()
+	bus := obs.NewBus(0)
+	s.SetBus(bus)
+	labels := map[TID]string{}
+	bus.Subscribe(obs.KindRunSlice, func(e obs.Event) { labels[TID(e.TID)] = e.Label })
+	park := RunnerFunc(func(_ *ExecContext, _ uint64) (uint64, bool, bool) { return 1, true, false })
+	keeper := s.Spawn(1, "keeper", park)
+
+	var pool []*forkWork
+	records := map[*Thread]bool{}
+	names := map[TID]string{}
+	next := keeper.ID + 1
+	for r := 0; r < rounds; r++ {
+		released := false
+		for i := 0; i < workers; i++ {
+			var w *forkWork
+			if n := len(pool); n > 0 {
+				w, pool = pool[n-1], pool[:n-1]
+			} else {
+				w = &forkWork{pool: &pool}
+			}
+			w.released = &released
+			name := fmt.Sprintf("r%d-w%d", r, i)
+			th := s.Spawn(1, name, w)
+			if r > 0 && th != w.rec {
+				t.Fatalf("round %d: Spawn allocated a record instead of reusing the exited one", r)
+			}
+			if th.ID != next || th.State() != Runnable || th.Name != name {
+				t.Fatalf("round %d: spawned TID %d (%v, %q), want TID %d runnable as %q", r, th.ID, th.State(), th.Name, next, name)
+			}
+			w.rec, records[th], names[th.ID] = th, true, name
+			next++
+			checkTables(t, s)
+		}
+		for guard := 0; !s.Idle(); guard++ {
+			if guard > 100 {
+				t.Fatalf("round %d: the fork never parked", r)
+			}
+			s.Tick()
+			checkTables(t, s)
+		}
+		released = true
+		s.WakeAll(1)
+		for guard := 0; s.LiveThreads() > 1; guard++ {
+			if guard > 100 {
+				t.Fatalf("round %d: %d threads never exited", r, s.LiveThreads()-1)
+			}
+			s.Tick()
+			checkTables(t, s)
+		}
+	}
+	if got, want := s.Stats().Spawned, uint64(1+rounds*workers); got != want {
+		t.Errorf("Stats.Spawned = %d, want %d: one per fork", got, want)
+	}
+	if len(records) != workers {
+		t.Errorf("%d rounds of %d threads used %d records, want %d", rounds, workers, len(records), workers)
+	}
+	if n := len(s.procs[1].slots); n >= rounds*workers {
+		t.Errorf("table holds %d slots after %d exits: it never compacted", n, rounds*workers)
+	}
+	for tid, name := range names {
+		if labels[tid] != name {
+			t.Fatalf("TID %d published its slice as %q, want %q", tid, labels[tid], name)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Spawn reused the record of a live thread")
+		}
+	}()
+	s.Spawn(1, "twin", &forkWork{rec: keeper})
 }

@@ -189,6 +189,10 @@ func (s *Scheduler) Machine() *numa.Machine { return s.machine }
 // subscribers.
 func (s *Scheduler) SetBus(b *obs.Bus) { s.bus = b }
 
+// Lit reports whether a bus is attached: only then is a thread's Name
+// ever read.
+func (s *Scheduler) Lit() bool { return s.bus != nil }
+
 // SetCoreSlowdown installs a cycle-cost multiplier on one core: 1
 // restores full speed, factor F makes work cost F wall cycles per
 // retired cycle, and a factor larger than the quantum (canonically
@@ -336,9 +340,19 @@ func NearNode(n numa.NodeID) SpawnOption {
 // following the kernel's spreading policy: the least-loaded allowed core,
 // preferring nodes with the least total load, so new threads land far
 // apart (Section II-A: "the OS scheduler attempts to leave them on remote
-// nodes balancing thus the CPU load").
+// nodes balancing thus the CPU load"). A Recycler runner's exited record
+// is reinitialised in place of a new one.
 func (s *Scheduler) Spawn(pid int, name string, r Runner, opts ...SpawnOption) *Thread {
-	t := &Thread{
+	var t *Thread
+	if rc, ok := r.(Recycler); ok {
+		if t = rc.Recycled(); t != nil && t.state != Done {
+			panic(fmt.Sprintf("sched: respawning live thread %d", t.ID))
+		}
+	}
+	if t == nil {
+		t = new(Thread)
+	}
+	*t = Thread{
 		ID:        s.nextTID,
 		PID:       pid,
 		Name:      name,

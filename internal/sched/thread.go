@@ -80,11 +80,25 @@ func (f RunnerFunc) Run(ctx *ExecContext, budget uint64) (uint64, bool, bool) {
 	return f(ctx, budget)
 }
 
+// Recycler is a Runner that holds the last pointer to the record of a
+// thread it ran as before. Spawn reinitialises that record, which must be
+// Done, instead of allocating one: the new thread gets a fresh TID, slot
+// and placement, so nothing simulated tells the two apart. A record whose
+// pointer anyone else kept (to read Lifespan after exit, say) must not be
+// handed back. Recycled returns nil when there is no record to reuse.
+type Recycler interface {
+	Runner
+	Recycled() *Thread
+}
+
 // Thread is one schedulable entity.
 type Thread struct {
-	ID   TID
-	PID  int    // process the thread belongs to (cgroup membership key)
-	Name string // diagnostic label, e.g. "worker3" or "client17"
+	ID  TID
+	PID int // process the thread belongs to (cgroup membership key)
+	// Name is the diagnostic label run-slice events carry, e.g. "worker3"
+	// or "q12-w3". It is read only by a lit bus, so a spawner whose
+	// scheduler is dark may leave it empty rather than format it.
+	Name string
 
 	runner Runner
 	state  State

@@ -11,21 +11,24 @@ import (
 )
 
 // Budgets of TestMixedStreamAllocBudget: the measured cost of the 22-query
-// stream when pinned plus 2 % headroom — 3 465 objects now that a plan is
-// one []OpSpec and a closure a stage, and a single-task stage one funcTask
-// (3 646 while the 22 plans were lists of capturing closures; 16 861 while
+// stream when pinned plus 2 % headroom — 2 178 objects now that a query's
+// fork reuses exited worker and thread records, names its threads only for
+// a lit bus, and a lowered plan holds its ops (3 465 while a plan was one
+// []OpSpec and a closure a stage, and a single-task stage one funcTask;
+// 3 646 while the 22 plans were lists of capturing closures; 16 861 while
 // every partition task was nine heap objects of its own; 18 408 before join
 // and group tables over a dense key range became a bitmap and an array;
 // 18 726 before candidate lists went dense and hash tables were sized
 // once), and 1 967 296 bytes as of the closure plans (2 155 856, 2 836 176
 // and 3 116 488 at the same three points before). The byte budget was not
 // re-pinned when plans became data: 241 OpSpecs weigh 34 KB more than the
-// closures did, the stream measures 1 999 344 bytes and still fits. Lower a
+// closures did, the stream measured 1 999 344 bytes and still fit; it is
+// re-pinned at 1 930 784 bytes with the recycled fork. Lower a
 // budget when a change makes the stream cheaper; raising one needs a reason
 // in CHANGES.md.
 const (
-	mixedStreamByteBudget   = 2_006_000
-	mixedStreamObjectBudget = 3_535
+	mixedStreamByteBudget   = 1_969_400
+	mixedStreamObjectBudget = 2_222
 )
 
 // TestMixedStreamAllocBudget is the byte gate of the db layer inside the
