@@ -38,6 +38,11 @@ func main() {
 		trace   = flag.String("trace", "", "write the run's telemetry as Chrome/Perfetto trace-event JSON")
 	)
 	flag.Parse()
+	if *clients < 1 || *queries < 1 {
+		fmt.Fprintf(os.Stderr, "elastictop: -clients and -queries must be at least 1 (got %d and %d)\n", *clients, *queries)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var m workload.Mode
 	switch *mode {

@@ -49,84 +49,6 @@ type stream struct {
 	next int
 }
 
-// streamSet drives a set of concurrent client streams against one
-// engine, submitting each client's next query as soon as the previous
-// one finishes — the paper's execution protocol. It is shared by the
-// single-tenant Driver and the multi-tenant MultiRig.Run.
-type streamSet struct {
-	engine  *db.Engine
-	topo    *numa.Topology
-	plan    PlanFor
-	length  int
-	clients []stream
-	// onDone, when non-nil, observes each finished query (with its stream
-	// coordinates) before it is released back to the engine.
-	onDone QueryDone
-
-	// Completed counts finished queries; LatencySum accumulates their
-	// latencies in seconds.
-	Completed  int
-	LatencySum float64
-}
-
-// newStreamSet primes every client with its first query. A nil plan (or
-// a nil first query) leaves the client with nothing to run.
-func newStreamSet(engine *db.Engine, topo *numa.Topology, nClients, length int, plan PlanFor) *streamSet {
-	s := &streamSet{
-		engine:  engine,
-		topo:    topo,
-		plan:    plan,
-		length:  length,
-		clients: make([]stream, nClients),
-	}
-	for c := range s.clients {
-		if plan != nil {
-			if p := plan(c, 0); p != nil {
-				s.clients[c].cur = engine.Submit(p)
-				s.clients[c].next = 1
-				continue
-			}
-		}
-		s.clients[c].next = length // nothing to run
-	}
-	return s
-}
-
-// Active reports whether any stream still has queries in flight or left
-// to submit.
-func (s *streamSet) Active() bool {
-	for c := range s.clients {
-		if s.clients[c].cur != nil || s.clients[c].next < s.length {
-			return true
-		}
-	}
-	return false
-}
-
-// Pump collects finished queries and submits each idle client's next one.
-// Finished queries are released back to the engine immediately so their
-// pooled buffers feed the next submissions.
-func (s *streamSet) Pump() {
-	for c := range s.clients {
-		cs := &s.clients[c]
-		if cs.cur != nil && cs.cur.Done() {
-			s.Completed++
-			s.LatencySum += s.topo.CyclesToSeconds(cs.cur.ElapsedCycles())
-			if s.onDone != nil {
-				s.onDone(c, cs.next-1, cs.cur)
-			}
-			s.engine.Release(cs.cur)
-			cs.cur = nil
-		}
-		if cs.cur == nil && cs.next < s.length {
-			if p := s.plan(c, cs.next); p != nil {
-				cs.cur = s.engine.Submit(p)
-			}
-			cs.next++
-		}
-	}
-}
-
 // schedDelta returns the scheduler counters accumulated since start.
 func schedDelta(start, end sched.Stats) sched.Stats {
 	return sched.Stats{
@@ -143,7 +65,7 @@ func schedDelta(start, end sched.Stats) sched.Stats {
 // Driver runs concurrent client streams against a rig.
 type Driver struct {
 	Rig *Rig
-	// QueriesPerClient is each client's stream length.
+	// QueriesPerClient is each client's stream length (default 1).
 	QueriesPerClient int
 	// SampleEvery, when positive, records timeline samples at this
 	// virtual-time interval in seconds.
@@ -153,54 +75,12 @@ type Driver struct {
 }
 
 // Run drives nClients streams to completion and returns the phase
-// summary.
+// summary: the one-tenant closedLoop over the rig.
 func (d *Driver) Run(nClients int, plan PlanFor) PhaseResult {
-	if d.QueriesPerClient == 0 {
-		d.QueriesPerClient = 1
-	}
-	if d.MaxSeconds == 0 {
-		d.MaxSeconds = 600
-	}
 	r := d.Rig
-	ss := newStreamSet(r.Engine, r.Machine.Topology(), nClients, d.QueriesPerClient, plan)
-
-	startSnap := r.Machine.Snapshot()
-	startStats := r.Sched.Stats()
-	startTime := r.Machine.NowSeconds()
-	deadline := startTime + d.MaxSeconds
-
-	var res PhaseResult
-	lastSample := startTime
-	sampleSnap := startSnap
-
-	for ss.Active() && r.Machine.NowSeconds() < deadline {
-		r.Tick()
-		ss.Pump()
-		if d.SampleEvery > 0 && r.Machine.NowSeconds()-lastSample >= d.SampleEvery {
-			snap := r.Machine.Snapshot()
-			res.Samples = append(res.Samples, Sample{
-				AtSeconds: r.Machine.NowSeconds() - startTime,
-				Window:    snap.Sub(sampleSnap),
-				Allocated: r.AllocatedCores(),
-			})
-			sampleSnap = snap
-			lastSample = r.Machine.NowSeconds()
-		}
-	}
-
-	endSnap := r.Machine.Snapshot()
-	res.Completed = ss.Completed
-	res.ElapsedSeconds = r.Machine.NowSeconds() - startTime
-	res.Window = endSnap.Sub(startSnap)
-	res.Sched = schedDelta(startStats, r.Sched.Stats())
-	if res.ElapsedSeconds > 0 {
-		res.Throughput = float64(res.Completed) / res.ElapsedSeconds
-	}
-	if res.Completed > 0 {
-		res.MeanLatencySeconds = ss.LatencySum / float64(res.Completed)
-	}
-	r.Engine.Drain()
-	return res
+	load := TenantLoad{Clients: nClients, QueriesPerClient: d.QueriesPerClient, Plan: plan}
+	tenants := []closedTenant{{engine: r.Engine, allocated: r.AllocatedCores, load: load}}
+	return closedLoop(r.Tick, r.Machine, r.Sched, tenants, d.SampleEvery, d.MaxSeconds).Tenants[0].PhaseResult
 }
 
 // RunSameQuery drives nClients clients each executing the same query

@@ -230,100 +230,162 @@ func (m *MultiRig) Run(loads []TenantLoad, sampleEvery, maxSeconds float64) (*Mu
 	if len(loads) != len(m.Tenants) {
 		return nil, fmt.Errorf("workload: %d loads for %d tenants", len(loads), len(m.Tenants))
 	}
+	tenants := make([]closedTenant, len(loads))
+	for i, tr := range m.Tenants {
+		if loads[i].Clients < 0 {
+			return nil, fmt.Errorf("workload: tenant %s has %d clients", tr.Name, loads[i].Clients)
+		}
+		allocated := func() int { return tr.Allocated().Count() }
+		tenants[i] = closedTenant{name: tr.Name, engine: tr.Engine, allocated: allocated, load: loads[i]}
+	}
+	return closedLoop(m.Tick, m.Machine, m.Sched, tenants, sampleEvery, maxSeconds), nil
+}
+
+// closedTenant is one tenant of closedLoop: the engine its clients submit
+// to, its current core count, and its client streams.
+type closedTenant struct {
+	name      string
+	engine    *db.Engine
+	allocated func() int
+	load      TenantLoad
+}
+
+// tenantStreams is closedLoop's state of one tenant: its clients' streams,
+// what they completed, and its allocation over the phase.
+type tenantStreams struct {
+	closedTenant
+	length     int
+	clients    []stream
+	completed  int
+	latencySum float64
+	// allocation statistics, sampled every tick
+	minCores, maxCores int
+	coreTicks          uint64
+	samples            []Sample
+}
+
+// active reports whether any stream still has a query in flight or left
+// to submit.
+func (st *tenantStreams) active() bool {
+	for c := range st.clients {
+		if st.clients[c].cur != nil || st.clients[c].next < st.length {
+			return true
+		}
+	}
+	return false
+}
+
+// pump collects each finished query — counted, shown to OnDone, then
+// released so its pooled buffers feed the next submissions — and submits
+// each idle client's next query. A nil plan here uses up its slot without
+// a query; a nil first plan (see closedLoop) ends the stream.
+func (st *tenantStreams) pump(topo *numa.Topology) {
+	for c := range st.clients {
+		cs := &st.clients[c]
+		if cs.cur != nil && cs.cur.Done() {
+			st.completed++
+			st.latencySum += topo.CyclesToSeconds(cs.cur.ElapsedCycles())
+			if st.load.OnDone != nil {
+				st.load.OnDone(c, cs.next-1, cs.cur)
+			}
+			st.engine.Release(cs.cur)
+			cs.cur = nil
+		}
+		if cs.cur == nil && cs.next < st.length {
+			if p := st.load.Plan(c, cs.next); p != nil {
+				cs.cur = st.engine.Submit(p)
+			}
+			cs.next++
+		}
+	}
+}
+
+// closedLoop is the paper's execution protocol and the one closed traffic
+// loop behind Driver.Run and MultiRig.Run: every client of every tenant
+// submits its next query as soon as its previous one finishes. Each pass
+// ticks the machine one quantum, pumps every tenant's streams and reads
+// its allocation, until no stream is active or maxSeconds (default 600
+// virtual seconds) have passed; sampleEvery > 0 records timeline samples
+// at that virtual-time interval.
+func closedLoop(tick func(), machine *numa.Machine, sc *sched.Scheduler, tenants []closedTenant, sampleEvery, maxSeconds float64) *MultiPhaseResult {
 	if maxSeconds == 0 {
 		maxSeconds = 600
 	}
-	type tenantState struct {
-		streams *streamSet
-		// allocation statistics, sampled every tick
-		minCores, maxCores int
-		coreTicks          uint64
-		samples            []Sample
-		sampleSnap         numa.Counters
-	}
-	states := make([]*tenantState, len(m.Tenants))
-	for i, tr := range m.Tenants {
-		ld := loads[i]
-		if ld.QueriesPerClient == 0 {
-			ld.QueriesPerClient = 1
+	topo := machine.Topology()
+	states := make([]tenantStreams, len(tenants))
+	peakTotal := 0
+	for i, tn := range tenants {
+		st := &states[i]
+		st.closedTenant = tn
+		st.length = max(tn.load.QueriesPerClient, 1)
+		st.clients = make([]stream, tn.load.Clients)
+		for c := range st.clients {
+			st.clients[c].next = st.length // nothing to run
+			if tn.load.Plan != nil {
+				if p := tn.load.Plan(c, 0); p != nil {
+					st.clients[c] = stream{cur: tn.engine.Submit(p), next: 1}
+				}
+			}
 		}
-		n := tr.Allocated().Count()
-		states[i] = &tenantState{
-			streams:    newStreamSet(tr.Engine, m.Machine.Topology(), ld.Clients, ld.QueriesPerClient, ld.Plan),
-			minCores:   n,
-			maxCores:   n,
-			sampleSnap: m.Machine.Snapshot(),
-		}
-		states[i].streams.onDone = ld.OnDone
+		n := tn.allocated()
+		st.minCores, st.maxCores = n, n
+		peakTotal += n
 	}
-
-	startTime := m.Machine.NowSeconds()
-	startSnap := m.Machine.Snapshot()
-	startStats := m.Sched.Stats()
-	deadline := startTime + maxSeconds
-	lastSample := startTime
-	ticks := uint64(0)
-	peakTotal := m.Arbiter.AllocatedTotal()
-
 	active := func() bool {
-		for _, st := range states {
-			if st.streams.Active() {
+		for i := range states {
+			if states[i].active() {
 				return true
 			}
 		}
 		return false
 	}
 
-	for active() && m.Machine.NowSeconds() < deadline {
-		m.Tick()
+	startTime := machine.NowSeconds()
+	startSnap := machine.Snapshot()
+	startStats := sc.Stats()
+	deadline := startTime + maxSeconds
+	lastSample, sampleSnap := startTime, startSnap
+	ticks := uint64(0)
+	for active() && machine.NowSeconds() < deadline {
+		tick()
 		ticks++
 		total := 0
-		for i, tr := range m.Tenants {
-			st := states[i]
-			st.streams.Pump()
-			n := tr.Allocated().Count()
-			if n < st.minCores {
-				st.minCores = n
-			}
-			if n > st.maxCores {
-				st.maxCores = n
-			}
+		for i := range states {
+			st := &states[i]
+			st.pump(topo)
+			n := st.allocated()
+			st.minCores, st.maxCores = min(st.minCores, n), max(st.maxCores, n)
 			st.coreTicks += uint64(n)
 			total += n
 		}
-		if total > peakTotal {
-			peakTotal = total
-		}
-		if sampleEvery > 0 && m.Machine.NowSeconds()-lastSample >= sampleEvery {
-			snap := m.Machine.Snapshot()
-			for i, tr := range m.Tenants {
-				st := states[i]
-				st.samples = append(st.samples, Sample{
-					AtSeconds: m.Machine.NowSeconds() - startTime,
-					Window:    snap.Sub(st.sampleSnap),
-					Allocated: tr.Allocated().Count(),
+		peakTotal = max(peakTotal, total)
+		if sampleEvery > 0 && machine.NowSeconds()-lastSample >= sampleEvery {
+			snap := machine.Snapshot()
+			for i := range states {
+				states[i].samples = append(states[i].samples, Sample{
+					AtSeconds: machine.NowSeconds() - startTime,
+					Window:    snap.Sub(sampleSnap),
+					Allocated: states[i].allocated(),
 				})
-				st.sampleSnap = snap
 			}
-			lastSample = m.Machine.NowSeconds()
+			sampleSnap, lastSample = snap, machine.NowSeconds()
 		}
 	}
 
-	endSnap := m.Machine.Snapshot()
 	res := &MultiPhaseResult{
-		ElapsedSeconds: m.Machine.NowSeconds() - startTime,
+		ElapsedSeconds: machine.NowSeconds() - startTime,
 		PeakTotalCores: peakTotal,
-		MachineCores:   m.Machine.Topology().TotalCores(),
+		MachineCores:   topo.TotalCores(),
 	}
 	// Hardware counters and scheduler stats are machine-wide; their
 	// deltas are shared by all tenants rather than attributed per tenant.
-	window := endSnap.Sub(startSnap)
-	stats := schedDelta(startStats, m.Sched.Stats())
-	for i, tr := range m.Tenants {
-		st := states[i]
+	window := machine.Snapshot().Sub(startSnap)
+	stats := schedDelta(startStats, sc.Stats())
+	for i := range states {
+		st := &states[i]
 		pr := PhaseResult{
 			ElapsedSeconds: res.ElapsedSeconds,
-			Completed:      st.streams.Completed,
+			Completed:      st.completed,
 			Window:         window,
 			Sched:          stats,
 			Samples:        st.samples,
@@ -332,19 +394,14 @@ func (m *MultiRig) Run(loads []TenantLoad, sampleEvery, maxSeconds float64) (*Mu
 			pr.Throughput = float64(pr.Completed) / pr.ElapsedSeconds
 		}
 		if pr.Completed > 0 {
-			pr.MeanLatencySeconds = st.streams.LatencySum / float64(pr.Completed)
+			pr.MeanLatencySeconds = st.latencySum / float64(pr.Completed)
 		}
-		tpr := TenantPhaseResult{
-			Tenant:      tr.Name,
-			PhaseResult: pr,
-			MinCores:    st.minCores,
-			MaxCores:    st.maxCores,
-		}
+		tpr := TenantPhaseResult{Tenant: st.name, PhaseResult: pr, MinCores: st.minCores, MaxCores: st.maxCores}
 		if ticks > 0 {
 			tpr.MeanCores = float64(st.coreTicks) / float64(ticks)
 		}
 		res.Tenants = append(res.Tenants, tpr)
-		tr.Engine.Drain()
+		st.engine.Drain()
 	}
-	return res, nil
+	return res
 }

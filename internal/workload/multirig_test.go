@@ -91,6 +91,18 @@ func TestMultiRigRunLoadCountMustMatch(t *testing.T) {
 	}
 }
 
+func TestMultiRigRunRejectsNegativeClients(t *testing.T) {
+	m := twoTenantRig(t)
+	q6 := func(c, k int) *db.Plan { return tpch.Build(6, uint64(c+1)) }
+	res, err := m.Run([]TenantLoad{{Clients: 2, Plan: q6}, {Clients: -1, Plan: q6}}, 0, 1)
+	if err == nil || res != nil {
+		t.Fatalf("negative client count accepted: %v, %v", res, err)
+	}
+	if now := m.Machine.Now(); now != 0 {
+		t.Errorf("the rejected phase ran to cycle %d", now)
+	}
+}
+
 func TestMultiRigAdaptiveTenants(t *testing.T) {
 	m, err := NewMultiRig(MultiOptions{
 		Tenants: []TenantSpec{

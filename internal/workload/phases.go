@@ -27,30 +27,27 @@ func (p QueryPhase) HTIMCRatio() float64 { return p.Window.HTIMCRatio() }
 // StablePhases runs the 22 queries phase by phase with nClients concurrent
 // users each, sampling timelines when sampleEvery > 0.
 func StablePhases(r *Rig, nClients int, sampleEvery float64) []QueryPhase {
-	out := make([]QueryPhase, 0, tpch.QueryCount)
-	for qn := 1; qn <= tpch.QueryCount; qn++ {
-		qn := qn
-		d := &Driver{Rig: r, QueriesPerClient: 1, SampleEvery: sampleEvery}
-		res := d.Run(nClients, func(c, k int) *db.Plan {
-			return tpch.Build(qn, r.Opts.Seed*7919+uint64(qn)*131+uint64(c))
-		})
-		out = append(out, QueryPhase{QueryNumber: qn, PhaseResult: res})
-	}
-	return out
+	return queryPhases(r, nClients, sampleEvery, func(qn, c int) uint64 {
+		return r.Opts.Seed*7919 + uint64(qn)*131 + uint64(c)
+	})
 }
 
 // MixedPhases runs each query number as a phase of nClients users with
 // randomized per-client parameters (the per-query split of the mixed
 // workload, Figure 19).
 func MixedPhases(r *Rig, nClients int) []QueryPhase {
+	return queryPhases(r, nClients, 0, func(qn, c int) uint64 {
+		return r.Opts.Seed ^ (uint64(qn) << 32) ^ uint64(c*2654435761)
+	})
+}
+
+// queryPhases runs one phase per query number, in which each of nClients
+// users runs that query once with the parameter seed seed(qn, client).
+func queryPhases(r *Rig, nClients int, sampleEvery float64, seed func(qn, c int) uint64) []QueryPhase {
 	out := make([]QueryPhase, 0, tpch.QueryCount)
 	for qn := 1; qn <= tpch.QueryCount; qn++ {
-		qn := qn
-		d := &Driver{Rig: r, QueriesPerClient: 1}
-		res := d.Run(nClients, func(c, k int) *db.Plan {
-			seed := r.Opts.Seed ^ (uint64(qn) << 32) ^ uint64(c*2654435761)
-			return tpch.Build(qn, seed)
-		})
+		d := &Driver{Rig: r, QueriesPerClient: 1, SampleEvery: sampleEvery}
+		res := d.Run(nClients, func(c, k int) *db.Plan { return tpch.Build(qn, seed(qn, c)) })
 		out = append(out, QueryPhase{QueryNumber: qn, PhaseResult: res})
 	}
 	return out
