@@ -104,8 +104,8 @@ Run flags:
                bit-identical at every value)
   -faults S    deterministic failure plan injected into the cluster
                experiments, e.g. "crash m1 @0.02s for 0.06s; slow m0
-               c* x4 @0s; link m2 +0.5ms drop 0.3 @1s for 2s" (or the
-               equivalent JSON); empty disables fault injection
+               c* x4 @0s; link m2 +0.5ms drop 0.3 @1s for 2s"; empty
+               disables fault injection
   -trace FILE  record the run's telemetry bus and write it as Chrome/
                Perfetto trace-event JSON (open at ui.perfetto.dev); the
                batch must name exactly one experiment
@@ -170,7 +170,7 @@ func bindRunFlags(fs *flag.FlagSet) (*runFlags, *string) {
 	fs.StringVar(&rf.cfg.Topology, "topology", "", "machine shape: zoo name or \"nodes x cores [@ hops...]\" spec")
 	fs.IntVar(&rf.cfg.Replicas, "replicas", 0, "shard copies kept by the cluster experiments (0: experiment default; must be <= machines)")
 	fs.IntVar(&rf.cfg.Workers, "workers", 0, "most goroutines per fleet for machine ticks (0: GOMAXPROCS, 1: none beside the caller; results bit-identical)")
-	fs.StringVar(&rf.cfg.Faults, "faults", "", "deterministic failure plan injected into cluster experiments (internal/faults grammar or JSON)")
+	fs.StringVar(&rf.cfg.Faults, "faults", "", "deterministic failure plan injected into cluster experiments (internal/faults grammar)")
 	engine := fs.String("engine", "monetdb", "engine flavour: monetdb | sqlserver")
 	fs.StringVar(&rf.trace, "trace", "", "write a Chrome/Perfetto trace-event JSON file (single experiment only)")
 	fs.StringVar(&rf.format, "format", "text", "output format: text | json | csv")

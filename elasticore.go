@@ -216,8 +216,8 @@ type (
 
 // ParseFaultPlan parses a failure-plan spec — the semicolon grammar
 // ("crash m1 @2s for 1.5s; slow m0 c* x8 @1s; link m2 +0.5ms drop 0.3
-// @3s for 2s; seed 42") or the equivalent JSON document. The empty
-// string is the empty plan, which injects nothing.
+// @3s for 2s; seed 42"). The empty string is the empty plan, which
+// injects nothing.
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
 
 // NewHealthMonitor wires heartbeat-driven failure detection onto a

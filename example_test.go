@@ -242,7 +242,7 @@ func ExamplePlacement() {
 
 	set := elasticore.CPUSet(0)
 	for i := 0; i < 6; i++ {
-		core, ok := alloc.Next(set)
+		core, ok := alloc.Next(set, set)
 		if !ok {
 			break
 		}

@@ -14,7 +14,7 @@ import (
 // machine's demand (the machine's own PrT-net desire, backlog-clamped
 // by the coordinator's queue signal), apportions a fleet-wide core
 // budget by weight with per-machine floors, and applies the grants
-// through each mechanism's own allocator — shrinks immediately, grows
+// through each mechanism's Resize — shrinks immediately, grows
 // only after an explicit migration latency, so rebalancing has a cost
 // the experiments can measure instead of an assumed-free teleport.
 
@@ -160,9 +160,6 @@ func NewClusterArbiter(cfg ClusterArbiterConfig) (*ClusterArbiter, error) {
 	return ca, nil
 }
 
-// ControlPeriod returns the cluster arbitration interval in cycles.
-func (ca *ClusterArbiter) ControlPeriod() uint64 { return ca.period }
-
 // Budget returns the fleet-wide core budget.
 func (ca *ClusterArbiter) Budget() int { return ca.budget }
 
@@ -233,8 +230,7 @@ func (ca *ClusterArbiter) Maybe() {
 }
 
 // applyDue lands migrations whose latency has elapsed: the destination
-// machine's mechanism allocator picks the concrete cores, and the PrT
-// net marking is re-synchronized with the applied allocation.
+// machine's mechanism places the concrete cores.
 func (ca *ClusterArbiter) applyDue(now uint64) {
 	kept := ca.pending[:0]
 	for _, p := range ca.pending {
@@ -243,17 +239,7 @@ func (ca *ClusterArbiter) applyDue(now uint64) {
 			continue
 		}
 		r := ca.fleet.Rigs[p.machine]
-		alloc := r.Mech.Allocator()
-		set := r.CGroup.CPUs()
-		for i := 0; i < p.cores; i++ {
-			core, ok := alloc.Next(set)
-			if !ok {
-				break
-			}
-			set = set.Add(core)
-		}
-		r.CGroup.SetCPUs(set)
-		r.Mech.Net().SetNAlloc(set.Count())
+		r.Mech.Resize(r.AllocatedCores()+p.cores, 0)
 	}
 	ca.pending = kept
 }
@@ -320,17 +306,7 @@ func (ca *ClusterArbiter) Step() {
 				cancel -= c
 			}
 			if cancel > 0 {
-				alloc := r.Mech.Allocator()
-				set := r.CGroup.CPUs()
-				for i := 0; i < cancel && set.Count() > ca.floors[m]; i++ {
-					core, ok := alloc.Victim(set)
-					if !ok {
-						break
-					}
-					set = set.Remove(core)
-				}
-				r.CGroup.SetCPUs(set)
-				r.Mech.Net().SetNAlloc(set.Count())
+				r.Mech.Resize(max(r.AllocatedCores()-cancel, ca.floors[m]), 0)
 			}
 		case delta > 0:
 			ca.pending = append(ca.pending, pendingGrant{machine: m, cores: delta, due: now + ca.migrate})

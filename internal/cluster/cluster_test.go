@@ -7,6 +7,7 @@ import (
 	"elasticore/internal/arrivals"
 	"elasticore/internal/hashmix"
 	"elasticore/internal/obs"
+	"elasticore/internal/sched"
 	"elasticore/internal/workload"
 )
 
@@ -294,6 +295,46 @@ func TestClusterArbiterBudget(t *testing.T) {
 	}
 	if sum > budget {
 		t.Fatalf("grants sum to %d over budget %d", sum, budget)
+	}
+}
+
+// spinWork keeps a thread busy forever.
+type spinWork struct{}
+
+func (spinWork) Run(_ *sched.ExecContext, budget uint64) (uint64, bool, bool) {
+	return budget, false, false
+}
+
+// TestClusterArbiterKeepsMarkingInSync: one machine saturated, one idle,
+// under a budget below physical. After every tick — every rebalance round
+// and every migration landing — each machine's net marking counts its
+// cpuset and the fleet holds at most its budget; the saturated machine
+// ends ahead.
+func TestClusterArbiterKeepsMarkingInSync(t *testing.T) {
+	f := testFleet(t, 2, workload.ModeDense, nil)
+	budget := 12
+	ca := pressuredArbiter(t, f, budget)
+	for i := 0; i < 16; i++ {
+		f.Rigs[0].Sched.Spawn(workload.DBMSPID, "spin", spinWork{})
+	}
+	for tick := 0; tick < 2000; tick++ {
+		f.Tick()
+		held := 0
+		for m, r := range f.Rigs {
+			if n := r.Mech.Net().NAlloc(); n != r.AllocatedCores() {
+				t.Fatalf("tick %d, machine %d: net marking %d, cpuset holds %d cores", tick, m, n, r.AllocatedCores())
+			}
+			held += r.AllocatedCores()
+		}
+		if held+ca.InTransit() > budget {
+			t.Fatalf("tick %d: fleet holds %d cores + %d in transit over budget %d", tick, held, ca.InTransit(), budget)
+		}
+	}
+	if ca.MovedCores == 0 {
+		t.Fatal("no cores moved under load")
+	}
+	if busy, idle := f.Rigs[0].AllocatedCores(), f.Rigs[1].AllocatedCores(); busy <= idle {
+		t.Errorf("saturated machine holds %d cores, idle one %d", busy, idle)
 	}
 }
 

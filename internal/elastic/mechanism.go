@@ -2,6 +2,7 @@ package elastic
 
 import (
 	"fmt"
+	"math/bits"
 
 	"elasticore/internal/numa"
 	"elasticore/internal/obs"
@@ -140,29 +141,57 @@ func New(cfg Config) (*Mechanism, error) {
 		window: machine.NewCounterWindow(),
 	}
 
-	// Start from an empty set and allocate the initial cores through the
-	// mode, so even the first cores follow its placement order.
-	set := sched.CPUSet(0)
-	for i := 0; i < cfg.InitialCores; i++ {
-		core, ok := cfg.Allocator.Next(set)
+	// Even the first cores follow the mode's placement order.
+	m.Place(cfg.InitialCores, 0)
+	m.nextEval = machine.Now() + cfg.ControlPeriod
+	return m, nil
+}
+
+// Resize moves the governed cpuset to n cores, never fewer than one. It
+// is the one writer of that cpuset: it releases through the mode's Victim
+// order and grants through Next, skipping occupied — the cores other
+// tenants hold, zero when the mechanism has the machine to itself. The
+// cgroup is written only when the set changed, and the net's Provision
+// marking is left equal to the set's size. It returns the resulting set.
+func (m *Mechanism) Resize(n int, occupied sched.CPUSet) sched.CPUSet {
+	return m.resize(m.cfg.CGroup.CPUs(), n, occupied)
+}
+
+// Place is Resize from the empty set: the cgroup's cpuset is discarded and
+// n cores are placed afresh. occupied must leave a core free.
+func (m *Mechanism) Place(n int, occupied sched.CPUSet) sched.CPUSet {
+	return m.resize(0, n, occupied)
+}
+
+func (m *Mechanism) resize(cur sched.CPUSet, n int, occupied sched.CPUSet) sched.CPUSet {
+	n = max(n, 1)
+	for cur.Count() > n {
+		core, ok := m.cfg.Allocator.Victim(cur)
 		if !ok {
 			break
 		}
-		set = set.Add(core)
+		cur = cur.Remove(core)
 	}
-	cfg.CGroup.SetCPUs(set)
-	m.net.SetNAlloc(set.Count())
-	m.nextEval = machine.Now() + cfg.ControlPeriod
-	return m, nil
+	for cur.Count() < n {
+		core, ok := m.cfg.Allocator.Next(cur, occupied|cur)
+		if !ok {
+			break
+		}
+		cur = cur.Add(core)
+	}
+	if cur != m.cfg.CGroup.CPUs() {
+		m.cfg.CGroup.SetCPUs(cur)
+	}
+	if m.net.NAlloc() != cur.Count() {
+		m.net.SetNAlloc(cur.Count())
+	}
+	return cur
 }
 
 // SetBus attaches the telemetry bus the mechanism publishes its
 // control-period transition firings onto (nil detaches); tenant labels
 // the events under consolidation ("" for a single-tenant rig).
 func (m *Mechanism) SetBus(b *obs.Bus, tenant string) { m.bus, m.busTenant = b, tenant }
-
-// Bus returns the attached telemetry bus, nil when dark.
-func (m *Mechanism) Bus() *obs.Bus { return m.bus }
 
 // Net exposes the underlying PrT net (matrices, marking inspection).
 func (m *Mechanism) Net() *petrinet.ElasticNet { return m.net }
@@ -192,9 +221,6 @@ func (m *Mechanism) Events() []TransitionEvent {
 	}
 	return append(out, m.events[next:]...)
 }
-
-// ControlPeriod returns the sampling interval in cycles.
-func (m *Mechanism) ControlPeriod() uint64 { return m.cfg.ControlPeriod }
 
 // NextAt returns the cycle of the next control evaluation. The parallel
 // fleet engine caps decoupled stretches at it so Maybe fires on exactly
@@ -334,30 +360,19 @@ func (m *Mechanism) evaluate() Desire {
 // rule-condition-action pipeline of Section III.
 func (m *Mechanism) Step() {
 	d := m.evaluate()
-	current := m.cfg.CGroup.CPUs()
-	before := current.Count()
+	before := m.cfg.CGroup.CPUs()
+	current := m.Resize(d.N, 0)
 	event := TransitionEvent{
 		Now:    m.cfg.Scheduler.Machine().Now(),
 		Label:  d.Label,
 		U:      d.U,
+		NAlloc: current.Count(),
 		Action: d.Decision,
 	}
-	switch d.Decision {
-	case petrinet.DecisionAllocate:
-		if core, ok := m.cfg.Allocator.Next(current); ok {
-			current = current.Add(core)
-			m.cfg.CGroup.SetCPUs(current)
-			event.Core = core
-		}
-	case petrinet.DecisionRelease:
-		if core, ok := m.cfg.Allocator.Victim(current); ok && current.Count() > 1 {
-			current = current.Remove(core)
-			m.cfg.CGroup.SetCPUs(current)
-			event.Core = core
-		}
+	// A step moves at most one core: the one member of the difference.
+	if diff := uint64(before ^ current); diff != 0 {
+		event.Core = numa.CoreID(bits.TrailingZeros64(diff))
 	}
-	m.net.SetNAlloc(current.Count())
-	event.NAlloc = current.Count()
 	m.events = append(m.events, event)
 	if d.Decision == petrinet.DecisionNone && m.idleStride(d.Window) {
 		m.quiet = true
@@ -365,7 +380,7 @@ func (m *Mechanism) Step() {
 	}
 	if m.bus != nil {
 		core := int32(-1)
-		if d.Decision != petrinet.DecisionNone && event.NAlloc != before {
+		if current != before {
 			core = int32(event.Core)
 		}
 		m.bus.Publish(event.busEvent(current, core, m.busTenant))
@@ -413,10 +428,11 @@ func (e TransitionEvent) busEvent(set sched.CPUSet, core int32, tenant string) o
 // several tenant mechanisms against each other (internal/tenant). No
 // TransitionEvent is recorded: the allocation applied is the arbiter's
 // call, and its AllocationEvent timeline is the record under
-// arbitration. The caller is responsible for re-synchronizing the net
-// marking with the allocation it actually applies, via Net().SetNAlloc.
+// arbitration. The arbiter applies its grant through Resize; until then
+// the net's Provision marking stays at the allocation held.
 func (m *Mechanism) DesiredStep() Desire {
 	d := m.evaluate()
+	m.net.SetNAlloc(m.cfg.CGroup.CPUs().Count())
 	if m.bus != nil {
 		// Under arbitration the mechanism applies nothing itself: V2 is
 		// the allocation the net *asks* for; the arbiter's KindGrant
@@ -443,11 +459,6 @@ func (m *Mechanism) Due() bool {
 
 // Strategy returns the mechanism's state-transition strategy.
 func (m *Mechanism) Strategy() Strategy { return m.cfg.Strategy }
-
-// Allocator returns the mechanism's allocation mode, letting an external
-// arbiter apply grants through the same placement order the mechanism
-// itself would use (Next to grow, Victim to shrink).
-func (m *Mechanism) Allocator() Allocator { return m.cfg.Allocator }
 
 // SetBacklog wires (or, with nil, unwires) the admission-queue pressure
 // source after construction. Rigs build the mechanism before any driver

@@ -7,13 +7,16 @@ import (
 
 // Allocator decides *where* the next core is allocated or released once
 // the PrT net decides *whether* (Section IV-B). Implementations are the
-// paper's three allocation modes.
+// paper's three allocation modes and the topology-aware placements.
 type Allocator interface {
 	// Name identifies the mode ("dense", "sparse", "adaptive").
 	Name() string
-	// Next returns the core to add given the currently allocated set, or
-	// false when every core is already allocated.
-	Next(current sched.CPUSet) (numa.CoreID, bool)
+	// Next returns the core to add: a core outside occupied, which holds
+	// current and, under consolidation, every other tenant's cores. The
+	// fixed-order modes scan for the first free core; a placement ranks
+	// the free cores relative to current. ok is false when every core is
+	// occupied.
+	Next(current, occupied sched.CPUSet) (numa.CoreID, bool)
 	// Victim returns the core to release given the currently allocated
 	// set, or false when no core can be released.
 	Victim(current sched.CPUSet) (numa.CoreID, bool)
@@ -69,9 +72,9 @@ func NewSparse(t *numa.Topology) Allocator {
 
 func (a *sequenceAllocator) Name() string { return a.name }
 
-func (a *sequenceAllocator) Next(current sched.CPUSet) (numa.CoreID, bool) {
+func (a *sequenceAllocator) Next(_, occupied sched.CPUSet) (numa.CoreID, bool) {
 	for _, c := range a.order {
-		if !current.Contains(c) {
+		if !occupied.Contains(c) {
 			return c, true
 		}
 	}
@@ -123,11 +126,11 @@ func (a *adaptiveAllocator) refresh() {
 
 // Next allocates in the highest-priority node that still has a free core;
 // within a node, lower core indices first.
-func (a *adaptiveAllocator) Next(current sched.CPUSet) (numa.CoreID, bool) {
+func (a *adaptiveAllocator) Next(_, occupied sched.CPUSet) (numa.CoreID, bool) {
 	a.refresh()
 	for _, e := range a.queue.Ranked() {
 		for _, c := range a.topo.Cores(e.Node) {
-			if !current.Contains(c) {
+			if !occupied.Contains(c) {
 				return c, true
 			}
 		}

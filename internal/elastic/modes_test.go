@@ -34,12 +34,16 @@ func TestSparseOrderRotatesNodes(t *testing.T) {
 func TestSequenceAllocatorNextSkipsAllocated(t *testing.T) {
 	a := NewDense(topo())
 	set := sched.NewCPUSet(0, 1)
-	c, ok := a.Next(set)
+	c, ok := a.Next(set, set)
 	if !ok || c != 2 {
 		t.Errorf("Next = %d,%v, want 2,true", c, ok)
 	}
+	// Cores a neighbour occupies are skipped like the caller's own.
+	if c, ok := a.Next(set, set.Union(sched.NewCPUSet(2, 3))); !ok || c != 4 {
+		t.Errorf("Next past occupied 2-3 = %d,%v, want 4,true", c, ok)
+	}
 	full := sched.FullSet(topo())
-	if _, ok := a.Next(full); ok {
+	if _, ok := a.Next(full, full); ok {
 		t.Error("Next on full set should fail")
 	}
 }
@@ -62,7 +66,7 @@ func TestSparseAllocatorSpreads(t *testing.T) {
 	set := sched.CPUSet(0)
 	seenNodes := map[numa.NodeID]bool{}
 	for i := 0; i < tp.NodeCount; i++ {
-		c, ok := a.Next(set)
+		c, ok := a.Next(set, set)
 		if !ok {
 			t.Fatal("Next failed")
 		}
@@ -78,13 +82,13 @@ func TestAdaptiveAllocatesAtHottestNode(t *testing.T) {
 	tp := topo()
 	pages := []int{0, 50, 10, 5}
 	a := NewAdaptive(tp, func() []int { return pages })
-	c, ok := a.Next(sched.CPUSet(0))
+	c, ok := a.Next(0, 0)
 	if !ok || tp.NodeOf(c) != 1 {
 		t.Errorf("Next = core %d (node %d), want a node-1 core", c, tp.NodeOf(c))
 	}
 	// When node 1 is fully allocated, the next-hottest node (2) follows.
 	set := sched.NewCPUSet(tp.Cores(1)...)
-	c, ok = a.Next(set)
+	c, ok = a.Next(set, set)
 	if !ok || tp.NodeOf(c) != 2 {
 		t.Errorf("Next with node 1 full = node %d, want 2", tp.NodeOf(c))
 	}
@@ -115,11 +119,11 @@ func TestAdaptiveTracksResidencyChanges(t *testing.T) {
 	tp := topo()
 	pages := []int{100, 0, 0, 0}
 	a := NewAdaptive(tp, func() []int { return pages })
-	if c, _ := a.Next(sched.CPUSet(0)); tp.NodeOf(c) != 0 {
+	if c, _ := a.Next(0, 0); tp.NodeOf(c) != 0 {
 		t.Fatalf("initial Next on node %d, want 0", tp.NodeOf(c))
 	}
 	pages = []int{0, 0, 0, 100} // address space moved
-	if c, _ := a.Next(sched.CPUSet(0)); tp.NodeOf(c) != 3 {
+	if c, _ := a.Next(0, 0); tp.NodeOf(c) != 3 {
 		t.Errorf("Next after shift on node %d, want 3", tp.NodeOf(c))
 	}
 }

@@ -245,22 +245,8 @@ func Placements() []Placement {
 	return []Placement{NodeFill{}, HopMin{}, Scatter{}}
 }
 
-// OccupancyAllocator is an Allocator that distinguishes the caller's own
-// cores from cores occupied machine-wide. The tenant arbiter prefers
-// this interface when transferring cores between cgroups: NextFree keeps
-// a tenant's allocation hop-compact relative to its *own* cores while
-// skipping cores its neighbours hold — information the plain
-// Next(occupied) signature cannot express.
-type OccupancyAllocator interface {
-	Allocator
-	// NextFree returns the next core to grant: outside occupied, placed
-	// relative to current.
-	NextFree(current, occupied sched.CPUSet) (numa.CoreID, bool)
-}
-
 // placedAllocator adapts a Placement to the Allocator interface the
-// mechanism and tenants consume. In the single-tenant mechanism the
-// occupied set equals the caller's own set.
+// mechanism consumes.
 type placedAllocator struct {
 	topo *numa.Topology
 	p    Placement
@@ -273,14 +259,10 @@ func NewPlaced(t *numa.Topology, p Placement) Allocator {
 
 func (a *placedAllocator) Name() string { return a.p.Name() }
 
-func (a *placedAllocator) Next(current sched.CPUSet) (numa.CoreID, bool) {
-	return a.p.Next(a.topo, current, current)
+func (a *placedAllocator) Next(current, occupied sched.CPUSet) (numa.CoreID, bool) {
+	return a.p.Next(a.topo, current, occupied)
 }
 
 func (a *placedAllocator) Victim(current sched.CPUSet) (numa.CoreID, bool) {
 	return a.p.Victim(a.topo, current)
-}
-
-func (a *placedAllocator) NextFree(current, occupied sched.CPUSet) (numa.CoreID, bool) {
-	return a.p.Next(a.topo, current, occupied)
 }

@@ -153,20 +153,15 @@ func TestPlacementsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlacedAllocatorAdapts: the adapter must satisfy both Allocator and
-// OccupancyAllocator, and NextFree must skip occupied cores while
-// placing relative to the caller's own set.
+// TestPlacedAllocatorAdapts: the adapter's Next must skip occupied cores
+// while placing relative to the caller's own set.
 func TestPlacedAllocatorAdapts(t *testing.T) {
 	topo := numa.FourSocketRing()
 	alloc := NewPlaced(topo, HopMin{})
-	oa, ok := alloc.(OccupancyAllocator)
-	if !ok {
-		t.Fatal("placed allocator does not implement OccupancyAllocator")
-	}
 	// Another tenant holds all of node 0; we hold one core on node 1.
 	neighbour := sched.NewCPUSet(0, 1, 2, 3)
 	cur := sched.NewCPUSet(topo.CoreOf(1, 0))
-	c, ok := oa.NextFree(cur, neighbour.Union(cur))
+	c, ok := alloc.Next(cur, neighbour.Union(cur))
 	if !ok {
 		t.Fatal("no core")
 	}

@@ -82,7 +82,7 @@ type Config struct {
 	// uses it for its replicated variant and defaults that variant to 2.
 	Replicas int
 	// Faults is a deterministic failure-plan spec (internal/faults
-	// grammar or JSON, e.g. "crash m1 @0.02s for 0.06s") injected into
+	// grammar, e.g. "crash m1 @0.02s for 0.06s") injected into
 	// every fleet the cluster experiments build. Empty disables
 	// injection and leaves every experiment byte-identical to a build
 	// without the fault subsystem; the fault-tolerance experiment

@@ -5,7 +5,7 @@
 //
 // A Plan is an ordered list of Fault windows with start times and
 // durations in simulated seconds, parsed from a compact spec string
-// (see Parse) or JSON. Compile converts the plan to integer cycle
+// (see Parse). Compile converts the plan to integer cycle
 // triggers for one fleet shape; the resulting Injector is advanced in
 // lockstep with the fleet clock and answers point queries (is machine m
 // down, how slow is core c, what does machine m's link cost right now).

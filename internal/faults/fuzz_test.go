@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzFaultPlan throws arbitrary bytes at the spec/JSON parser. The
+// FuzzFaultPlan throws arbitrary bytes at the spec parser (the JSON seeds
+// are not a plan syntax and must be rejected, not crash it). The
 // invariants: Parse never panics, and any accepted plan's canonical
 // String form re-parses to an identical plan (so specs stored in CI
 // configs or golden files survive a round through the renderer).

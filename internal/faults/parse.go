@@ -1,17 +1,15 @@
 package faults
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 )
 
-// parse.go turns fault specs into Plans. Two forms are accepted:
-//
-// Spec grammar — semicolon-separated clauses, whitespace-separated
-// tokens, times with a unit suffix (s, ms, us):
+// parse.go turns fault specs into Plans. The grammar is semicolon-
+// separated clauses, whitespace-separated tokens, times with a unit
+// suffix (s, ms, us):
 //
 //	seed 42
 //	crash m1 @2s for 1.5s
@@ -21,27 +19,12 @@ import (
 //
 // Omitting "for" keeps the fault active for the rest of the run. A
 // core spec is c<i>, c<i>-<j> (inclusive) or c* (every core).
-//
-// JSON — a {"seed": n, "faults": [...]} object or a bare fault array,
-// with times in seconds and the core range as a spec string:
-//
-//	{"seed": 42, "faults": [
-//	  {"kind": "crash", "machine": 1, "at": 2, "for": 1.5},
-//	  {"kind": "slow", "machine": 0, "core": "0-3", "factor": 8, "at": 1},
-//	  {"kind": "link", "machine": 2, "delay": 0.0005, "drop": 0.3, "at": 3, "for": 2}]}
 
-// Parse builds a Plan from a spec string or JSON document (detected by
-// a leading '{' or '['). The empty string is the empty plan.
+// Parse builds a Plan from a spec string. The empty string is the empty
+// plan.
 func Parse(spec string) (*Plan, error) {
-	s := strings.TrimSpace(spec)
-	if s == "" {
-		return &Plan{}, nil
-	}
-	if s[0] == '{' || s[0] == '[' {
-		return parseJSON(s)
-	}
 	p := &Plan{}
-	for ci, clause := range strings.Split(s, ";") {
+	for ci, clause := range strings.Split(spec, ";") {
 		fields := strings.Fields(clause)
 		if len(fields) == 0 {
 			continue
@@ -218,62 +201,4 @@ func parseDur(tok string) (float64, error) {
 		return 0, fmt.Errorf("time %q out of range", tok)
 	}
 	return v, nil
-}
-
-// jsonFault mirrors Fault with grammar-style core specs and lowercase
-// kind names.
-type jsonFault struct {
-	Kind    string  `json:"kind"`
-	Machine int     `json:"machine"`
-	Core    string  `json:"core,omitempty"`
-	Factor  uint64  `json:"factor,omitempty"`
-	Delay   float64 `json:"delay,omitempty"`
-	Drop    float64 `json:"drop,omitempty"`
-	At      float64 `json:"at"`
-	For     float64 `json:"for,omitempty"`
-}
-
-type jsonPlan struct {
-	Seed   uint64      `json:"seed,omitempty"`
-	Faults []jsonFault `json:"faults"`
-}
-
-// parseJSON accepts the object form or a bare fault array.
-func parseJSON(s string) (*Plan, error) {
-	var jp jsonPlan
-	if s[0] == '[' {
-		if err := json.Unmarshal([]byte(s), &jp.Faults); err != nil {
-			return nil, fmt.Errorf("fault json: %w", err)
-		}
-	} else if err := json.Unmarshal([]byte(s), &jp); err != nil {
-		return nil, fmt.Errorf("fault json: %w", err)
-	}
-	p := &Plan{Seed: jp.Seed}
-	for i, jf := range jp.Faults {
-		f := Fault{Machine: jf.Machine, Factor: jf.Factor, Delay: jf.Delay,
-			Drop: jf.Drop, At: jf.At, For: jf.For, Core: -1, CoreHi: -1}
-		switch jf.Kind {
-		case "crash":
-			f.Kind = Crash
-		case "stall":
-			f.Kind = Stall
-		case "slow":
-			f.Kind = Slow
-		case "link":
-			f.Kind = Link
-		default:
-			return nil, fmt.Errorf("fault %d: unknown kind %q", i, jf.Kind)
-		}
-		if jf.Core != "" && jf.Core != "*" {
-			var err error
-			if f.Core, f.CoreHi, err = parseCores("c" + jf.Core); err != nil {
-				return nil, fmt.Errorf("fault %d: %w", i, err)
-			}
-		}
-		if err := check(f); err != nil {
-			return nil, fmt.Errorf("fault %d: %w", i, err)
-		}
-		p.Faults = append(p.Faults, f)
-	}
-	return p, nil
 }

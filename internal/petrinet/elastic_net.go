@@ -64,9 +64,6 @@ type ElasticNet struct {
 	// reading carried by Checks tokens and the core count carried by
 	// Provision tokens.
 	u, nalloc Var
-
-	thMin, thMax int
-	nTotal       int
 }
 
 // NewElasticNet wires the net for a machine with nTotal cores and the
@@ -80,7 +77,7 @@ func NewElasticNet(thMin, thMax, nTotal int) *ElasticNet {
 	if nTotal < 1 {
 		panic("petrinet: nTotal must be at least 1")
 	}
-	e := &ElasticNet{net: New(), thMin: thMin, thMax: thMax, nTotal: nTotal}
+	e := &ElasticNet{net: New()}
 	n := e.net
 
 	e.Checks = n.AddPlace("Checks")
@@ -172,9 +169,6 @@ func NewElasticNet(thMin, thMax, nTotal int) *ElasticNet {
 
 // Net exposes the underlying PrT net (for matrices and inspection).
 func (e *ElasticNet) Net() *Net { return e.net }
-
-// Thresholds returns the configured (thmin, thmax).
-func (e *ElasticNet) Thresholds() (min, max int) { return e.thMin, e.thMax }
 
 // NAlloc returns the current number of allocated cores recorded in the
 // Provision place.

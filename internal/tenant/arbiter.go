@@ -81,9 +81,6 @@ func NewArbiter(cfg ArbiterConfig) (*Arbiter, error) {
 // grant events onto (nil detaches).
 func (a *Arbiter) SetBus(b *obs.Bus) { a.bus = b }
 
-// Bus returns the attached telemetry bus, nil when dark.
-func (a *Arbiter) Bus() *obs.Bus { return a.bus }
-
 // recordEvent appends one allocation outcome to the timeline and mirrors
 // it onto the bus.
 func (a *Arbiter) recordEvent(e AllocationEvent) {
@@ -137,16 +134,10 @@ func (a *Arbiter) Add(t *Tenant) error {
 	for _, o := range a.tenants {
 		occupied = occupied.Union(o.CGroup.CPUs())
 	}
-	set := sched.CPUSet(0)
-	for set.Count() < t.SLA.MinCores {
-		core, ok := t.nextFree(set, occupied.Union(set))
-		if !ok {
-			return fmt.Errorf("tenant %s: no free core for starvation floor", t.Name)
-		}
-		set = set.Add(core)
+	if a.total-occupied.Count() < t.SLA.MinCores {
+		return fmt.Errorf("tenant %s: no free core for starvation floor", t.Name)
 	}
-	t.CGroup.SetCPUs(set)
-	t.Mech.Net().SetNAlloc(set.Count())
+	set := t.Mech.Place(t.SLA.MinCores, occupied)
 	t.grant = set.Count()
 	t.demand = set.Count()
 	t.lastSet = set
@@ -214,7 +205,7 @@ func (a *Arbiter) Step() {
 	// round's core *transfers* between cgroups.
 	for i, t := range a.tenants {
 		if t.CGroup.CPUs().Count() > grant[i] {
-			t.shrinkTo(grant[i])
+			t.Mech.Resize(grant[i], 0)
 		}
 	}
 	occupied := sched.CPUSet(0)
@@ -222,10 +213,11 @@ func (a *Arbiter) Step() {
 		occupied = occupied.Union(t.CGroup.CPUs())
 	}
 	// Grow phase: under-granted tenants claim free cores in their own
-	// mode order (dense packs sockets, sparse spreads).
+	// mode order (dense packs sockets, sparse spreads, a placement stays
+	// close to the tenant's own cores).
 	for i, t := range a.tenants {
 		if t.CGroup.CPUs().Count() < grant[i] {
-			occupied = t.growTo(grant[i], occupied)
+			occupied = occupied.Union(t.Mech.Resize(grant[i], occupied))
 		}
 	}
 

@@ -86,6 +86,9 @@ func (b *testBox) checkInvariants(t *testing.T) {
 		if n := set.Count(); n < tn.SLA.MinCores {
 			t.Fatalf("tenant %s holds %d cores, SLA floor is %d", tn.Name, n, tn.SLA.MinCores)
 		}
+		if n := tn.Mech.Net().NAlloc(); n != set.Count() {
+			t.Fatalf("tenant %s net marking %d, cpuset holds %d cores", tn.Name, n, set.Count())
+		}
 		if !union.Intersect(set).IsEmpty() {
 			t.Fatalf("tenant %s cpuset %v overlaps another tenant (union %v)", tn.Name, set, union)
 		}

@@ -10,7 +10,7 @@ import (
 
 // placement_test.go covers the topology-aware arbitration path: tenants
 // whose allocator is backed by an elastic.Placement must receive
-// hop-compact core transfers (NextFree relative to their *own* cores),
+// hop-compact core transfers (placed relative to their *own* cores),
 // on machines where node index order and hop distance disagree.
 
 // newRingBox builds an arbiter over the four-socket ring, where node 2
@@ -49,25 +49,31 @@ func (b *testBox) addPlacedTenant(t *testing.T, name string, pid int, p elastic.
 	return tn
 }
 
-// TestGrowToStaysHopCompact drives growTo directly: a hop-min tenant on
-// the ring holding one core on node 1 must grow into its own node first
-// and then a one-hop neighbour, skipping the cores a neighbour tenant
-// occupies and never reaching a node two hops from home.
+// TestGrowToStaysHopCompact drives the grant routine the arbiter's grow
+// phase calls: a hop-min tenant on the ring holding one core on node 1
+// must grow into its own node first and then a one-hop neighbour,
+// skipping the cores a neighbour tenant occupies and never reaching a
+// node two hops from home.
 func TestGrowToStaysHopCompact(t *testing.T) {
 	b := newRingBox(t)
 	topo := b.machine.Topology()
 	tn := b.addPlacedTenant(t, "near", 100, elastic.HopMin{}, SLA{MinCores: 1})
 
-	// Re-pin the tenant to one core on node 1 and occupy node 3 (the
+	// Re-place the tenant on one core of node 1 and occupy node 3 (the
 	// node diagonal to 1) wholesale, as a neighbour tenant would.
-	own := sched.NewCPUSet(topo.CoreOf(1, 0))
-	tn.CGroup.SetCPUs(own)
 	neighbour := sched.NewCPUSet(topo.Cores(3)...)
+	own := tn.Mech.Place(1, sched.FullSet(topo).Remove(topo.CoreOf(1, 0)))
+	if own != sched.NewCPUSet(topo.CoreOf(1, 0)) {
+		t.Fatalf("re-placed on %v, want core %d alone", own, topo.CoreOf(1, 0))
+	}
 
-	occupied := own.Union(neighbour)
-	occupied = tn.growTo(4, occupied)
-
-	got := tn.CGroup.CPUs()
+	got := tn.Mech.Resize(4, own.Union(neighbour))
+	if got != tn.Allocated() {
+		t.Fatalf("Resize returned %v, cgroup holds %v", got, tn.Allocated())
+	}
+	if n := tn.Mech.Net().NAlloc(); n != got.Count() {
+		t.Fatalf("net marking %d, cpuset holds %d cores", n, got.Count())
+	}
 	if got.Intersect(neighbour) != 0 {
 		t.Fatalf("grow claimed occupied cores: %v", got)
 	}

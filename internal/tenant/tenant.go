@@ -82,11 +82,11 @@ type Tenant struct {
 	// CGroup is the tenant's cpuset-bearing control group.
 	CGroup *sched.CGroup
 	// Mech is the tenant's own elastic mechanism; under arbitration it is
-	// evaluated via DesiredStep and never writes the cgroup itself.
+	// evaluated via DesiredStep, and the arbiter's grants reach the cgroup
+	// through its Resize.
 	Mech *elastic.Mechanism
 
-	alloc elastic.Allocator
-	topo  *numa.Topology
+	topo *numa.Topology
 
 	// demand and grant are the last arbitration round's values; lastSet
 	// is the cpuset of the tenant's last recorded AllocationEvent.
@@ -130,19 +130,12 @@ func New(cfg Config) (*Tenant, error) {
 		SLA:    cfg.SLA,
 		CGroup: cfg.CGroup,
 		Mech:   mech,
-		alloc:  cfg.Allocator,
 		topo:   topo,
 	}, nil
 }
 
 // Allocated returns the tenant's current cpuset.
 func (t *Tenant) Allocated() sched.CPUSet { return t.CGroup.CPUs() }
-
-// Demand returns the tenant's demand from the last arbitration round.
-func (t *Tenant) Demand() int { return t.demand }
-
-// Grant returns the cores the arbiter granted in the last round.
-func (t *Tenant) Grant() int { return t.grant }
 
 // desire runs the tenant's control evaluation and refines the net's ±1
 // step into the tenant's demand for this round:
@@ -238,58 +231,4 @@ func (t *Tenant) loncEstimate(u, cur int) int {
 		return cur
 	}
 	return n
-}
-
-// shrinkTo releases cores through the tenant's allocator until the cpuset
-// holds target cores. Release follows the mode's victim order, so a dense
-// tenant retreats into its packed sockets and a sparse tenant stays
-// spread.
-func (t *Tenant) shrinkTo(target int) {
-	cur := t.CGroup.CPUs()
-	shrank := false
-	for cur.Count() > target {
-		core, ok := t.alloc.Victim(cur)
-		if !ok {
-			break
-		}
-		cur = cur.Remove(core)
-		shrank = true
-	}
-	if shrank {
-		t.CGroup.SetCPUs(cur)
-		t.Mech.Net().SetNAlloc(cur.Count())
-	}
-}
-
-// nextFree picks the tenant's next core outside occupied. A topology-
-// aware OccupancyAllocator places it relative to the tenant's own set
-// cur — the hop-minimizing transfer path — while the fixed-order modes
-// fall back to their sequence scan over the free cores.
-func (t *Tenant) nextFree(cur, occupied sched.CPUSet) (numa.CoreID, bool) {
-	if oa, ok := t.alloc.(elastic.OccupancyAllocator); ok {
-		return oa.NextFree(cur, occupied)
-	}
-	return t.alloc.Next(occupied)
-}
-
-// growTo adds cores through the tenant's allocator until the cpuset holds
-// target cores, skipping cores any tenant already occupies. It returns the
-// updated occupancy set.
-func (t *Tenant) growTo(target int, occupied sched.CPUSet) sched.CPUSet {
-	cur := t.CGroup.CPUs()
-	grew := false
-	for cur.Count() < target {
-		core, ok := t.nextFree(cur, occupied)
-		if !ok {
-			break
-		}
-		cur = cur.Add(core)
-		occupied = occupied.Add(core)
-		grew = true
-	}
-	if grew {
-		t.CGroup.SetCPUs(cur)
-		t.Mech.Net().SetNAlloc(cur.Count())
-	}
-	return occupied
 }
