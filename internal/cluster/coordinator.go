@@ -115,7 +115,7 @@ const (
 // tables, the timer lists the fault-tolerance events live on, and the
 // result under construction.
 type run struct {
-	c    *Coordinator
+	c    Coordinator
 	f    *Fleet
 	bus  *obs.Bus
 	adms []*workload.Admission
@@ -143,8 +143,20 @@ type run struct {
 }
 
 // newRun builds the per-run state and registers one admission layer per
-// machine with the fleet; close undoes the registration.
-func newRun(c *Coordinator) *run {
+// machine with the fleet; close undoes the registration. The run holds a
+// copy of the caller's Coordinator with its defaults resolved, so Run
+// leaves the caller's as it was.
+func newRun(caller *Coordinator) *run {
+	c := *caller
+	if c.Build == nil {
+		c.Build = func(id uint64) *db.Plan { return tpch.BuildQ6(id + 1) }
+	}
+	if c.MergeScalar == "" {
+		c.MergeScalar = "result"
+	}
+	if c.BackoffSeconds == 0 {
+		c.BackoffSeconds = 5e-3
+	}
 	f := c.Fleet
 	topo := f.Rigs[0].Machine.Topology()
 	r := &run{
@@ -173,7 +185,7 @@ func newRun(c *Coordinator) *run {
 		}
 		r.adms[m] = adm
 		f.RegisterAdmission(m, adm)
-		if rig.Mech != nil && !c.DisableBacklog {
+		if rig.Mech != nil {
 			rig.Mech.SetBacklog(adm.QueueLen)
 		}
 	}
@@ -183,7 +195,7 @@ func newRun(c *Coordinator) *run {
 func (r *run) close() {
 	for m, rig := range r.f.Rigs {
 		r.f.RegisterAdmission(m, nil)
-		if rig.Mech != nil && !r.c.DisableBacklog {
+		if rig.Mech != nil {
 			rig.Mech.SetBacklog(nil)
 		}
 	}
@@ -521,8 +533,16 @@ func (r *run) drainRetries(nowC uint64) {
 	}
 }
 
-// deliverWire lands wire messages whose link delay has elapsed.
-func (r *run) deliverWire(nowC uint64) {
+// Before and After make run the open loop's timers: before each pass's
+// arrivals it times out attempts, fires hedges and resends due retries;
+// after them it lands the wire messages whose link delay has elapsed, so a
+// delayed send queues behind the arrivals of its quantum.
+func (r *run) Before(nowC uint64) {
+	r.expire(nowC)
+	r.drainRetries(nowC)
+}
+
+func (r *run) After(nowC uint64) {
 	kept := r.wire[:0]
 	for _, w := range r.wire {
 		if w.deliver > nowC {
@@ -536,9 +556,9 @@ func (r *run) deliverWire(nowC uint64) {
 	r.wire = kept
 }
 
-// quiet reports whether no retry, wire or timeout work is pending (the
-// timers' half of the run loop's idle test).
-func (r *run) quiet() bool {
+// Quiet reports whether no retry, wire or timeout work is pending (the
+// timers' half of the open loop's stop test).
+func (r *run) Quiet() bool {
 	if len(r.retryQ) > 0 || len(r.wire) > 0 {
 		return false
 	}
@@ -551,13 +571,12 @@ func (r *run) quiet() bool {
 	return true
 }
 
-// nextAt returns the earliest cycle at which expire, drainRetries or
-// deliverWire will find something to do — an outstanding attempt's
-// timeout or hedge point, a retry's backoff, a wire delivery — or the
-// maximum uint64 when nothing is scheduled. A time at or before now
-// means "every quantum" (a hedge that found no healthy replica is
-// retried until one appears).
-func (r *run) nextAt() uint64 {
+// NextAt returns the earliest cycle at which Before or After will find
+// something to do — an outstanding attempt's timeout or hedge point, a
+// retry's backoff, a wire delivery — or the maximum uint64 when nothing is
+// scheduled. A time at or before now means "every quantum" (a hedge that
+// found no healthy replica is retried until one appears).
+func (r *run) NextAt() uint64 {
 	next := ^uint64(0)
 	for _, e := range r.retryQ {
 		next = min(next, e.due)
@@ -606,9 +625,9 @@ func (r *run) summary(elapsed float64) Result {
 	return *res
 }
 
-// maxJump caps how many quanta one iteration of the run loop may
-// advance. Only tests assign it: 1 forces the quantum-by-quantum loop
-// the jumping one must be indistinguishable from.
+// maxJump caps how many quanta one pass of the open loop may advance the
+// fleet. Only tests assign it: 1 forces the quantum-by-quantum loop the
+// jumping one must be indistinguishable from.
 var maxJump = 1 << 30
 
 // MachineStats is one machine's share of a coordinator run.
@@ -698,9 +717,6 @@ type Coordinator struct {
 	MaxArrivals int
 	// MaxSeconds bounds the run in virtual time (default 600).
 	MaxSeconds float64
-	// DisableBacklog leaves the mechanisms' queue-pressure inputs
-	// unwired (A/B baselines).
-	DisableBacklog bool
 
 	// TimeoutSeconds is the per-attempt timeout: an attempt still
 	// unresolved this many virtual seconds after it was sent is retried
@@ -731,73 +747,14 @@ type Coordinator struct {
 }
 
 // Run replays the arrival process to completion (or the deadline) and
-// returns the fleet-wide summary.
+// returns the fleet-wide summary. It is the fleet's workload.OpenLoop: the
+// run's fault-tolerance timers plug in around each pass's arrivals.
 func (c *Coordinator) Run() Result {
-	if c.MaxSeconds == 0 {
-		c.MaxSeconds = 600
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1024
-	}
-	if c.Build == nil {
-		c.Build = func(id uint64) *db.Plan { return tpch.BuildQ6(id + 1) }
-	}
-	if c.MergeScalar == "" {
-		c.MergeScalar = "result"
-	}
-	if c.BackoffSeconds == 0 {
-		c.BackoffSeconds = 5e-3
-	}
 	f := c.Fleet
 	r := newRun(c)
 	defer r.close()
-
-	// Every due time of the loop below is an integer cycle (OpenDriver's
-	// rule): arrivals, the fault-tolerance timers, and the deadline.
-	topo := f.Rigs[0].Machine.Topology()
-	startCycle := f.Now()
 	startTime := f.NowSeconds()
-	quantum := f.Rigs[0].Sched.Quantum()
-	deadline := startTime + c.MaxSeconds
-	deadlineC := workload.GridCycle(startCycle, quantum, func(at uint64) bool { return topo.CyclesToSeconds(at) >= deadline })
-	pump := workload.NewArrivalPump(c.Process, topo, startCycle, c.MaxArrivals)
-	offer, plan := r.offer, r.plan
-
-	for {
-		nowC := f.Now()
-		for _, adm := range r.adms {
-			adm.Collect(nowC)
-		}
-		r.expire(nowC)
-		r.drainRetries(nowC)
-		pump.Due(nowC, offer)
-		r.deliverWire(nowC)
-		idle, drained := true, true
-		for _, adm := range r.adms {
-			adm.Fill(nowC, plan)
-			adm.UpdatePeaks()
-			idle = idle && adm.Idle()
-			drained = drained && adm.Drained()
-		}
-		if !pump.More() && idle && r.quiet() {
-			break
-		}
-		if nowC >= deadlineC {
-			break
-		}
-		// With every admission drained the passes above find nothing to
-		// do until the next arrival or timer, so the loop jumps to the
-		// first quantum at or after it, never past the deadline.
-		// Fleet.Advance still stops at every barrier the fleet itself
-		// needs (control period, probe, fault edge, heartbeat).
-		n := 1
-		if drained {
-			n = workload.QuantaUntil(nowC, min(pump.NextAt(), deadlineC, r.nextAt()), quantum, maxJump)
-		}
-		f.Advance(n)
-	}
+	loop := workload.OpenLoop{Admissions: r.adms, Process: c.Process, MaxArrivals: c.MaxArrivals, MaxSeconds: c.MaxSeconds, Timers: r}
+	loop.Run(r.offer, r.plan, nil, func(n int) { f.Advance(min(n, maxJump)) })
 	return r.summary(f.NowSeconds() - startTime)
 }

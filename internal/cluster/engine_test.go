@@ -16,9 +16,9 @@ import (
 
 // engine_test.go pins the event-driven fleet engine: a coordinator that
 // jumps to its next event is indistinguishable from one that walks every
-// quantum (the integer deadline it jumps to is pinned beside
-// workload.GridCycle), the worker hand-off loses and duplicates nothing under exit/respawn
-// races, and an idle fleet costs no allocation.
+// quantum (the integer deadline it jumps to is pinned by workload's
+// TestGridCycleMatchesFloatTest), the worker hand-off loses and duplicates
+// nothing under exit/respawn races, and an idle fleet costs no allocation.
 
 // fixedArrivals replays a sorted list of arrival times (seconds) and then
 // ends, for runs that need arrivals at exact instants.
@@ -223,6 +223,13 @@ func TestCoordinatorJumpEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				got := sc.run(t, workers)
 				label := sc.name + " " + labelWorkers(workers)
+				// Result's conservation laws: every offered request resolved
+				// exactly once or was abandoned, under exactly one routing kind.
+				if r := got.Result; r.Abandoned < 0 || r.Offered != r.Completed+r.Dropped+r.Failed+r.Abandoned ||
+					r.RoutedKeyed+r.RoutedBalanced+r.Scattered != r.Offered {
+					t.Fatalf("%s: offered %d != completed %d + dropped %d + failed %d + abandoned %d, or routed %d+%d+%d",
+						label, r.Offered, r.Completed, r.Dropped, r.Failed, r.Abandoned, r.RoutedKeyed, r.RoutedBalanced, r.Scattered)
+				}
 				diffObservables(t, label, want.fleetObservables, got.fleetObservables)
 				if !reflect.DeepEqual(want.Stats, got.Stats) {
 					t.Fatalf("%s: scheduler stats diverged:\n%+v\nwant\n%+v", label, got.Stats, want.Stats)

@@ -154,6 +154,7 @@ func TestScatterShedsWholeUnderBrownout(t *testing.T) {
 		Process:      arrivals.NewPoisson(3000, 11),
 		ScatterEvery: 1,
 		MaxInFlight:  1,
+		QueueCap:     1024, // the default, spelled: Run leaves c as it is
 		MaxArrivals:  240,
 		MaxSeconds:   120,
 		OnOutcome: func(_, _ uint64, ok bool) {
@@ -222,5 +223,47 @@ func TestFleetFaultDeterminism(t *testing.T) {
 	b := faultedRun(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("repeat faulted run diverged:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// TestWireDeliveryQueuesBehindArrivals: a send a delayed link lands in the
+// same pass as a new arrival queues behind the arrival's direct sends,
+// because the open loop runs the coordinator's wire deliveries after the
+// arrivals. A keyed request sent over a 1 ms link to machine 0 lands in the
+// pass in which a scatter, whose sub-queries take no link, fans out.
+func TestWireDeliveryQueuesBehindArrivals(t *testing.T) {
+	plan, err := faults.Parse("link m0 +1ms @0s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := obs.NewBus(0)
+	f, err := NewFleet(Options{Machines: 2, SF: 0.002, Seed: 7, Mode: workload.ModeDense, Faults: plan, Bus: bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := uint64(0)
+	for f.Sharder.Owner(f.Sharder.Shard(key)) != 0 {
+		key++
+	}
+	// The keyed request is sent at 0.1 ms, after the link fault applies,
+	// and lands at 1.1 ms; the scatter arrives a quarter quantum earlier.
+	q := f.Rigs[0].Machine.Topology().CyclesToSeconds(f.Rigs[0].Sched.Quantum())
+	times := fixedArrivals{0.1e-3, 1.1e-3 - q/4}
+	c := &Coordinator{Fleet: f, Process: &times, Keys: func(int) uint64 { return key }, ScatterEvery: 2, MaxSeconds: 1}
+	if res := c.Run(); res.Completed != 2 {
+		t.Fatalf("completed %d of 2", res.Completed)
+	}
+	var routes []obs.Event
+	for _, e := range bus.Events() {
+		if e.Kind == obs.KindRoute && e.Machine == 0 {
+			routes = append(routes, e)
+		}
+	}
+	if len(routes) != 2 || routes[0].Now != routes[1].Now {
+		t.Fatalf("machine 0 saw %d routes, want 2 in one pass: %+v", len(routes), routes)
+	}
+	if routes[0].Label != labelScatter || routes[1].Label != labelKeyed {
+		t.Fatalf("machine 0 queued %q then %q, want the scatter's sub-query ahead of the delayed keyed request",
+			routes[0].Label, routes[1].Label)
 	}
 }

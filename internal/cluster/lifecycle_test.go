@@ -6,6 +6,7 @@ import (
 
 	"elasticore/internal/arrivals"
 	"elasticore/internal/obs"
+	"elasticore/internal/tpch"
 	"elasticore/internal/workload"
 )
 
@@ -151,4 +152,44 @@ func TestCoordinatorIdleTimeoutInvisible(t *testing.T) {
 				kind.name, len(gotEvents), len(wantEvents))
 		}
 	}
+}
+
+// TestRunLeavesConfigUnchanged: the open loops resolve their defaults into
+// locals. A mostly zero-valued OpenDriver and Coordinator read the same
+// after Run as before, in every exported field reflect can compare (funcs
+// cannot be; an OpenDriver's unexported fields are its reused scratch).
+func TestRunLeavesConfigUnchanged(t *testing.T) {
+	same := func(t *testing.T, before, after any) {
+		t.Helper()
+		b, a := reflect.ValueOf(before), reflect.ValueOf(after)
+		for i := 0; i < b.NumField(); i++ {
+			field := b.Type().Field(i)
+			if !field.IsExported() || field.Type.Kind() == reflect.Func {
+				continue
+			}
+			if !reflect.DeepEqual(b.Field(i).Interface(), a.Field(i).Interface()) {
+				t.Errorf("Run changed %s from %v to %v", field.Name, b.Field(i), a.Field(i))
+			}
+		}
+	}
+	t.Run("OpenDriver", func(t *testing.T) {
+		r, err := workload.NewRig(workload.Options{SF: 0.002, Seed: 1, Mode: workload.ModeDense})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &workload.OpenDriver{Rig: r, Process: arrivals.NewPoisson(400, 3), MaxArrivals: 10}
+		before := *d
+		if res := d.RunSameQuery(tpch.BuildQ6); res.Completed == 0 {
+			t.Fatal("the phase completed nothing")
+		}
+		same(t, before, *d)
+	})
+	t.Run("Coordinator", func(t *testing.T) {
+		c := &Coordinator{Fleet: testFleet(t, 2, workload.ModeDense, nil), Process: arrivals.NewPoisson(400, 11), MaxArrivals: 10}
+		before := *c
+		if res := c.Run(); res.Completed == 0 {
+			t.Fatal("the run completed nothing")
+		}
+		same(t, before, *c)
+	})
 }

@@ -196,6 +196,16 @@ func (m *Mechanism) SetBus(b *obs.Bus, tenant string) { m.bus, m.busTenant = b, 
 // Net exposes the underlying PrT net (matrices, marking inspection).
 func (m *Mechanism) Net() *petrinet.ElasticNet { return m.net }
 
+// ResidencyReads counts the residency vectors the allocation mode has read
+// to rank nodes: one per adaptive grant or release, none for the
+// fixed-order modes and placements.
+func (m *Mechanism) ResidencyReads() uint64 {
+	if a, ok := m.cfg.Allocator.(*adaptiveAllocator); ok {
+		return a.reads
+	}
+	return 0
+}
+
 // Allocated returns the cpuset currently handed to the OS.
 func (m *Mechanism) Allocated() sched.CPUSet { return m.cfg.CGroup.CPUs() }
 

@@ -106,6 +106,7 @@ type adaptiveAllocator struct {
 	topo      *numa.Topology
 	queue     *NodePriorityQueue
 	residency ResidencyFunc
+	reads     uint64 // residency vectors read (Mechanism.ResidencyReads)
 }
 
 // NewAdaptive returns the adaptive priority allocation mode backed by the
@@ -121,6 +122,7 @@ func NewAdaptive(t *numa.Topology, residency ResidencyFunc) Allocator {
 func (a *adaptiveAllocator) Name() string { return "adaptive" }
 
 func (a *adaptiveAllocator) refresh() {
+	a.reads++
 	a.queue.Update(a.residency())
 }
 

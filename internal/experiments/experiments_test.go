@@ -335,11 +335,14 @@ func TestOverheadOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shape: the adaptive mode's control step costs at least as much as
-	// dense (it maintains the residency priority queue).
-	ad, dense := cell(t, res, "steps", "per-step", workload.ModeAdaptive), cell(t, res, "steps", "per-step", workload.ModeDense)
-	if ad < dense/2 {
-		t.Errorf("adaptive step (%gns) implausibly cheaper than dense (%gns)", ad, dense)
+	// Shape: the adaptive mode's control step does more work than dense's
+	// (it reads the residency vector behind its priority queue). The host
+	// nanoseconds per step are output only: under a parallel test run they
+	// order the modes by noise.
+	reads := func(m workload.Mode) float64 { return cell(t, res, "steps", "residency reads", m) }
+	if reads(workload.ModeAdaptive) == 0 || reads(workload.ModeDense) != 0 || reads(workload.ModeSparse) != 0 {
+		t.Errorf("residency reads over 200 steps: adaptive %g, dense %g, sparse %g; want some, none, none",
+			reads(workload.ModeAdaptive), reads(workload.ModeDense), reads(workload.ModeSparse))
 	}
 	if !strings.Contains(res.String(), "adaptive") {
 		t.Error("rendering broken")

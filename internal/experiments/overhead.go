@@ -19,10 +19,11 @@ import (
 var overheadModes = []workload.Mode{workload.ModeDense, workload.ModeSparse, workload.ModeAdaptive}
 
 // runOverhead times steps Mechanism.Step calls per mode on a loaded rig
-// with background work, in host wall-clock time.
+// with background work, in host wall-clock time, and counts the residency
+// reads they made: the adaptive mode's extra work, exact on any host.
 func runOverhead(ctx context.Context, c Config, obs Observer, steps int) (*Result, error) {
 	res := &Result{}
-	tb := res.AddTable("steps", colS("mode"), colD("per-step"))
+	tb := res.AddTable("steps", colS("mode"), colD("per-step"), colI("residency reads"))
 	for i, mode := range overheadModes {
 		mode := mode
 		err := phase(ctx, obs, "mode="+mode.String(), func() error {
@@ -37,12 +38,12 @@ func runOverhead(ctx context.Context, c Config, obs Observer, steps int) (*Resul
 			for i := 0; i < 20; i++ {
 				r.Sched.Tick()
 			}
-			start := time.Now()
+			start, reads := time.Now(), r.Mech.ResidencyReads()
 			for i := 0; i < steps; i++ {
 				r.Mech.Step()
 				r.Sched.Tick()
 			}
-			tb.AddRow(mode.String(), time.Since(start)/time.Duration(steps))
+			tb.AddRow(mode.String(), time.Since(start)/time.Duration(steps), int(r.Mech.ResidencyReads()-reads))
 			return nil
 		})
 		if err != nil {

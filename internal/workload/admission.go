@@ -10,11 +10,11 @@ import (
 // admission.go is the per-machine admission layer shared by the
 // single-machine OpenDriver and the cluster Coordinator: a bounded FCFS
 // queue of pending requests plus a fixed pool of server sessions on one
-// rig's engine. The split keeps OpenDriver a thin arrival-replay loop and
-// lets a cluster driver run one Admission per fleet machine while routing
-// between them. Every state change here is deterministic — FCFS pops,
-// order-preserving session compaction, integer-cycle bookkeeping — so a
-// refactored driver stays bit-identical to the pre-split one.
+// rig's engine. OpenLoop drives one Admission for the open driver and one
+// per fleet machine for the coordinator, which routes between them. Every
+// state change here is deterministic — FCFS pops, order-preserving session
+// compaction, integer-cycle bookkeeping — so a refactored driver stays
+// bit-identical to the pre-split one.
 
 // pendingRequest is one queued arrival awaiting a server session.
 type pendingRequest struct {
@@ -34,8 +34,8 @@ type admFlight struct {
 
 // Admission is one machine's bounded admission queue plus server-session
 // pool. Zero-value fields select the OpenDriver defaults at first use via
-// normalize; callers drive it with Offer (arrival), Fill (seat queued
-// requests) and Collect (reap completions) from their own loop.
+// normalize; OpenLoop drives it with Collect (reap completions), the
+// caller's Offer (arrival) and Fill (seat queued requests).
 type Admission struct {
 	// Rig is the machine whose engine executes admitted queries.
 	Rig *Rig

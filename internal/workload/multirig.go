@@ -308,9 +308,6 @@ func (st *tenantStreams) pump(topo *numa.Topology) {
 // virtual seconds) have passed; sampleEvery > 0 records timeline samples
 // at that virtual-time interval.
 func closedLoop(tick func(), machine *numa.Machine, sc *sched.Scheduler, tenants []closedTenant, sampleEvery, maxSeconds float64) *MultiPhaseResult {
-	if maxSeconds == 0 {
-		maxSeconds = 600
-	}
 	topo := machine.Topology()
 	states := make([]tenantStreams, len(tenants))
 	peakTotal := 0
@@ -343,10 +340,12 @@ func closedLoop(tick func(), machine *numa.Machine, sc *sched.Scheduler, tenants
 	startTime := machine.NowSeconds()
 	startSnap := machine.Snapshot()
 	startStats := sc.Stats()
-	deadline := startTime + maxSeconds
+	// The clock walks the quantum grid from here, so the grid deadline ends
+	// the phase on the quantum a per-quantum float test would.
+	deadline := phaseEnd(topo, machine.Now(), sc.Quantum(), maxSeconds)
 	lastSample, sampleSnap := startTime, startSnap
 	ticks := uint64(0)
-	for active() && machine.NowSeconds() < deadline {
+	for active() && machine.Now() < deadline {
 		tick()
 		ticks++
 		total := 0

@@ -95,22 +95,16 @@ type OpenResult struct {
 
 // Run replays the arrival process to completion (or the deadline) and
 // returns the phase summary. Arrivals are admitted in timestamp order;
-// admission to a server session is FCFS. The queue/session machinery
-// lives in the shared per-machine Admission layer — Run contributes only
-// the arrival replay, termination logic and timeline sampling, so the
-// cluster Coordinator can drive N Admissions from the same building
-// block without duplicating this loop.
+// admission to a server session is FCFS. Run is the one-admission
+// OpenLoop: it contributes only the phase's wiring, its timeline samples
+// and its summary.
 func (d *OpenDriver) Run(plan PlanAt) OpenResult {
-	if d.MaxSeconds == 0 {
-		d.MaxSeconds = 600
-	}
 	r := d.Rig
 	topo := r.Machine.Topology()
 
 	var res OpenResult
 	d.adm = Admission{Rig: r, MaxInFlight: d.MaxInFlight, QueueCap: d.QueueCap}
 	adm := &d.adm
-	adm.normalize()
 
 	d.winLatency.Reset()
 	winCompleted := 0
@@ -136,32 +130,12 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 	startTime := r.Machine.NowSeconds()
 	quantum := r.Sched.Quantum()
 
-	// Every due time of the loop is an integer cycle on the quantum grid:
-	// arrivals (the pump's rule) and, through GridCycle, the two
-	// float-seconds tests, the deadline and the sample boundary.
-	deadline, lastSample := startTime+d.MaxSeconds, startTime
-	deadlineC := GridCycle(startCycle, quantum, func(c uint64) bool { return topo.CyclesToSeconds(c) >= deadline })
+	// The sample boundary is a grid cycle like the loop's deadline, and
+	// the loop never jumps past it.
+	lastSample := startTime
 	sampleDue := func(c uint64) bool { return d.SampleEvery > 0 && topo.CyclesToSeconds(c)-lastSample >= d.SampleEvery }
-	sampleC := GridCycle(startCycle, quantum, sampleDue)
-
-	pump := NewArrivalPump(d.Process, topo, startCycle, d.MaxArrivals)
-	offer := func(nowC, at uint64) { adm.Offer(nowC, at, 0) }
-	planByIndex := func(k int, _ int64) *db.Plan { return plan(k) }
-
-	for {
-		nowC := r.Machine.Now()
-
-		// Collect completions, freeing server sessions.
-		adm.Collect(nowC)
-
-		// Offer arrivals due by now: admit or drop against the
-		// instantaneous queue depth.
-		pump.Due(nowC, offer)
-
-		// Fill free server sessions FCFS.
-		adm.Fill(nowC, planByIndex)
-		adm.UpdatePeaks()
-
+	sampleC := gridCycle(startCycle, quantum, sampleDue)
+	sample := func(nowC uint64) uint64 {
 		if nowC >= sampleC {
 			now := topo.CyclesToSeconds(nowC)
 			res.Samples = append(res.Samples, OpenSample{
@@ -175,25 +149,15 @@ func (d *OpenDriver) Run(plan PlanAt) OpenResult {
 			d.winLatency.Reset()
 			winCompleted = 0
 			lastSample = now
-			sampleC = GridCycle(nowC, quantum, sampleDue)
+			sampleC = gridCycle(nowC, quantum, sampleDue)
 		}
-
-		if !pump.More() && adm.Idle() {
-			break
-		}
-		if nowC >= deadlineC {
-			break
-		}
-		// With the admission drained the passes above find nothing to do
-		// until the next arrival, so the loop jumps there (Coordinator.Run's
-		// rule), never past the deadline or a sample boundary. Rig.Advance
-		// still stops wherever the rig has something due (control, probe).
-		n := 1
-		if adm.Drained() {
-			n = QuantaUntil(nowC, min(pump.NextAt(), deadlineC, sampleC), quantum, 1<<30)
-		}
-		r.Advance(n)
+		return sampleC
 	}
+	loop := OpenLoop{Admissions: []*Admission{adm}, Process: d.Process, MaxArrivals: d.MaxArrivals, MaxSeconds: d.MaxSeconds}
+	loop.Run(
+		func(nowC, at uint64) { adm.Offer(nowC, at, 0) },
+		func(k int, _ int64) *db.Plan { return plan(k) },
+		sample, r.Advance)
 
 	endSnap := r.Machine.Snapshot()
 	res.Offered = adm.Offered

@@ -82,7 +82,7 @@ func refOpenRun(d *OpenDriver, plan PlanAt) OpenResult {
 	startTime := r.Machine.NowSeconds()
 	deadline := startTime + d.MaxSeconds
 
-	pump := NewArrivalPump(d.Process, topo, startCycle, d.MaxArrivals)
+	pump := newArrivalPump(d.Process, topo, startCycle, d.MaxArrivals)
 	offer := func(nowC, at uint64) { adm.Offer(nowC, at, 0) }
 	lastSample := startTime
 	planByIndex := func(k int, _ int64) *db.Plan { return plan(k) }
@@ -342,6 +342,13 @@ func TestOpenDriverJumpMatchesTickLoop(t *testing.T) {
 					sc.check(t, want.Result)
 				}
 				got := sc.run(t, seed, (*OpenDriver).Run)
+				// OpenResult's conservation law: every arrival was admitted,
+				// dropped or abandoned in the queue, and only admitted
+				// queries complete.
+				if r := got.Result; r.Offered != r.Admitted+r.Dropped+r.Abandoned || r.Completed > r.Admitted {
+					t.Errorf("seed %d: offered %d != admitted %d + dropped %d + abandoned %d, or completed %d > admitted",
+						seed, r.Offered, r.Admitted, r.Dropped, r.Abandoned, r.Completed)
+				}
 				if !sc.saturated && (4*got.IdleSkipped < got.Stats.TicksRun || got.Replayed == 0) {
 					t.Errorf("seed %d: %d of %d quanta skipped and %d of %d periods replayed — the driver hardly jumped",
 						seed, got.IdleSkipped, got.Stats.TicksRun, got.Replayed, got.TokenFlows)
@@ -465,7 +472,7 @@ func TestRigAdvanceMatchesTicks(t *testing.T) {
 	}
 }
 
-// TestGridCycleMatchesFloatTest: GridCycle selects exactly the quantum the
+// TestGridCycleMatchesFloatTest: gridCycle selects exactly the quantum the
 // per-quantum float comparison selected — for the deadline test and for
 // the sample-boundary test — including clock rates, starts and limits
 // whose products are not representable.
@@ -499,21 +506,21 @@ func TestGridCycleMatchesFloatTest(t *testing.T) {
 			"sample": func(c uint64) bool { return topo.CyclesToSeconds(c)-last >= tc.seconds },
 		}
 		for name, fires := range tests {
-			got := GridCycle(tc.start, tc.quantum, fires)
+			got := gridCycle(tc.start, tc.quantum, fires)
 			// The old loop: test the floats at every quantum edge. Walk it
 			// from a few hundred quanta short of the answer (and from the
 			// start when that is close) so a late answer cannot hide.
 			if !fires(got) {
-				t.Errorf("%+v %s: GridCycle %d does not satisfy the float test", tc, name, got)
+				t.Errorf("%+v %s: gridCycle %d does not satisfy the float test", tc, name, got)
 				continue
 			}
 			if (got-tc.start)%tc.quantum != 0 {
-				t.Errorf("%+v %s: GridCycle %d is off the quantum grid", tc, name, got)
+				t.Errorf("%+v %s: gridCycle %d is off the quantum grid", tc, name, got)
 			}
 			steps := (got - tc.start) / tc.quantum
 			for back := uint64(1); back <= min(steps, 500); back++ {
 				if c := got - back*tc.quantum; fires(c) {
-					t.Errorf("%+v %s: float test already fires at %d, %d quanta before GridCycle %d", tc, name, c, back, got)
+					t.Errorf("%+v %s: float test already fires at %d, %d quanta before gridCycle %d", tc, name, c, back, got)
 					break
 				}
 			}
@@ -521,7 +528,7 @@ func TestGridCycleMatchesFloatTest(t *testing.T) {
 	}
 	// A limit beyond the clock's range never fires.
 	topo := &numa.Topology{ClockHz: 2.8e9}
-	if got := GridCycle(0, 140000, func(c uint64) bool { return topo.CyclesToSeconds(c) >= 1e12 }); got != ^uint64(0) {
+	if got := gridCycle(0, 140000, func(c uint64) bool { return topo.CyclesToSeconds(c) >= 1e12 }); got != ^uint64(0) {
 		t.Errorf("unreachable deadline = %d, want never", got)
 	}
 }

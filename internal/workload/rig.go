@@ -368,35 +368,15 @@ func (r *Rig) NextDue(ownMech bool) uint64 {
 
 // QuantaUntil returns how many quanta, at least 1 and at most max, take
 // the clock from now to the first quantum edge at or after due:
-// ceil((due-now)/quantum), the jump of every event-driven loop. Due times
-// are checked after a quantum runs (mechanism, probe, arrival, deadline)
-// or before the next does (fault edge); a jump ends exactly at that edge.
+// ceil((due-now)/quantum), the jump of OpenLoop, Rig.Advance and the
+// fleet's stretch. Due times are checked after a quantum runs (mechanism,
+// probe, arrival, deadline) or before the next does (fault edge); a jump
+// ends exactly at that edge.
 func QuantaUntil(now, due, quantum uint64, max int) int {
 	if due <= now || max <= 1 {
 		return 1
 	}
 	return int(min((due-now-1)/quantum+1, uint64(max)))
-}
-
-// GridCycle returns the first cycle of the quantum grid start,
-// start+quantum, ... at which fires holds (the maximum uint64 when none in
-// the clock's range does), by binary search: fires must be monotone in the
-// cycle. Drivers pass their float-seconds tests — deadline, sample
-// boundary; CyclesToSeconds is monotone — and so decide them in integer
-// cycles, at exactly the quantum a per-quantum float comparison picks.
-func GridCycle(start, quantum uint64, fires func(cycle uint64) bool) uint64 {
-	lo, hi := uint64(0), (^uint64(0)-start)/quantum // grid steps; the answer is in [lo, hi] or absent
-	if !fires(start + hi*quantum) {
-		return ^uint64(0)
-	}
-	for lo < hi {
-		if mid := lo + (hi-lo)/2; fires(start + mid*quantum) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return start + lo*quantum
 }
 
 // NowSeconds returns the rig's virtual time.
