@@ -34,7 +34,7 @@ func main() {
 		sf      = flag.Float64("sf", 0.005, "scale factor")
 		clients = flag.Int("clients", 32, "concurrent clients")
 		queries = flag.Int("queries", 2, "queries per client")
-		mode    = flag.String("mode", "adaptive", "allocation mode: dense | sparse | adaptive")
+		mode    = flag.String("mode", "adaptive", "allocation mode: dense | sparse | adaptive | node-fill | hop-min | scatter")
 		trace   = flag.String("trace", "", "write the run's telemetry as Chrome/Perfetto trace-event JSON")
 	)
 	flag.Parse()
@@ -44,15 +44,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var m workload.Mode
-	switch *mode {
-	case "dense":
-		m = workload.ModeDense
-	case "sparse":
-		m = workload.ModeSparse
-	case "adaptive":
-		m = workload.ModeAdaptive
-	default:
+	// The mechanism modes are the ones after ModeOS, through ModeScatter.
+	m := workload.ModeDense
+	for m <= workload.ModeScatter && m.String() != *mode {
+		m++
+	}
+	if m > workload.ModeScatter {
 		fmt.Fprintf(os.Stderr, "elastictop: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
@@ -79,7 +76,8 @@ func main() {
 		switch {
 		case e.Core < 0:
 			// No core moved this period.
-		case countBits(e.Set) > prevCount(e):
+		case sched.CPUSet(e.Set).Contains(numa.CoreID(e.Core)):
+			// The moved core is in the post-step set: it was granted.
 			action = fmt.Sprintf("+core %d", e.Core)
 		default:
 			action = fmt.Sprintf("-core %d", e.Core)
@@ -113,20 +111,4 @@ func main() {
 		}
 		fmt.Printf("wrote %d trace events to %s\n", bus.Len(), *trace)
 	}
-}
-
-// countBits sizes a cpuset mask.
-func countBits(set uint64) int { return sched.CPUSet(set).Count() }
-
-// prevCount infers the pre-step allocation from a transition event: V2 is
-// the post-step size; when Core >= 0 a core moved, so the set changed by
-// exactly one — it grew if the moved core is a member now.
-func prevCount(e obs.Event) int {
-	if e.Core < 0 {
-		return int(e.V2)
-	}
-	if sched.CPUSet(e.Set).Contains(numa.CoreID(e.Core)) {
-		return int(e.V2) - 1
-	}
-	return int(e.V2) + 1
 }

@@ -41,47 +41,18 @@ import (
 	"elasticore/internal/arrivals"
 	"elasticore/internal/cluster"
 	"elasticore/internal/db"
-	"elasticore/internal/elastic"
 	"elasticore/internal/experiments"
 	"elasticore/internal/faults"
 	"elasticore/internal/metrics"
 	"elasticore/internal/numa"
 	"elasticore/internal/obs"
-	"elasticore/internal/sched"
 	"elasticore/internal/tenant"
 	"elasticore/internal/tpch"
 	"elasticore/internal/workload"
 )
 
-// Core hardware and OS model types.
-type (
-	// Topology describes a NUMA machine's shape.
-	Topology = numa.Topology
-	// CPUSet is a set of cores (the cgroup cpuset unit).
-	CPUSet = sched.CPUSet
-)
-
-// Allocation policy types.
-type (
-	// Allocator is an allocation mode (dense, sparse, adaptive).
-	Allocator = elastic.Allocator
-	// Placement is a topology-aware core placement policy: it ranks
-	// candidate cores by the machine's hop-distance matrix instead of a
-	// fixed index order (node-fill, hop-min, scatter).
-	Placement = elastic.Placement
-)
-
-// NodeFillPlacement packs cores socket by socket, opening each new
-// socket at minimum hop distance from the cores already held.
-func NodeFillPlacement() Placement { return elastic.NodeFill{} }
-
-// Placements lists the built-in placement policies.
-func Placements() []Placement { return elastic.Placements() }
-
-// NewPlacedAllocator adapts a Placement into an allocation mode usable
-// wherever dense/sparse/adaptive are (RigOptions.CorePlacement wires it
-// automatically).
-func NewPlacedAllocator(t *Topology, p Placement) Allocator { return elastic.NewPlaced(t, p) }
+// Topology describes a NUMA machine's shape.
+type Topology = numa.Topology
 
 // Plan is an operator pipeline of the Volcano-style columnar engine.
 type Plan = db.Plan
@@ -300,6 +271,9 @@ const (
 	ModeDense    = workload.ModeDense
 	ModeSparse   = workload.ModeSparse
 	ModeAdaptive = workload.ModeAdaptive
+	ModeNodeFill = workload.ModeNodeFill
+	ModeHopMin   = workload.ModeHopMin
+	ModeScatter  = workload.ModeScatter
 )
 
 // The topology zoo: machine shapes beyond the paper's testbed, for

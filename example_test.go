@@ -233,21 +233,17 @@ func ExampleClusterArbiter() {
 	// charged = moved x latency: true
 }
 
-// ExamplePlacement grows an allocation core by core on the 8-socket
-// twisted-ladder machine: the node-fill policy packs one socket, then
-// opens a one-hop neighbour — never a distant node.
-func ExamplePlacement() {
+// ExampleMode_nodeFill places six cores on the 8-socket twisted-ladder
+// machine: the node-fill mode packs one socket, then opens a one-hop
+// neighbour — never a distant node.
+func ExampleMode_nodeFill() {
 	topo := elasticore.EightSocketTwisted()
-	alloc := elasticore.NewPlacedAllocator(topo, elasticore.NodeFillPlacement())
-
-	set := elasticore.CPUSet(0)
-	for i := 0; i < 6; i++ {
-		core, ok := alloc.Next(set, set)
-		if !ok {
-			break
-		}
-		set = set.Add(core)
+	rig, err := elasticore.NewRig(elasticore.RigOptions{SF: 0.001, Topology: topo, Mode: elasticore.ModeNodeFill})
+	if err != nil {
+		log.Fatal(err)
 	}
+
+	set := rig.Mech.Place(6, 0)
 	fmt.Println("cpuset:", set)
 	for _, n := range set.NodesTouched(topo) {
 		fmt.Printf("node %d: %d hops from node 0\n", n, topo.Hops(0, n))

@@ -1,7 +1,7 @@
 // Topology zoo: run the same elastic workload on machine shapes beyond
 // the paper's testbed — a dual-socket server, a four-socket ring, the
 // real 8-socket Opteron twisted ladder, a chiplet-style package — under
-// each topology-aware core placement policy, and compare the Section V-B
+// each topology-aware core placement mode, and compare the Section V-B
 // NUMA-friendliness metric (HT/IMC traffic ratio; smaller is better).
 // Also shows defining a custom shape from a textual spec.
 package main
@@ -28,8 +28,8 @@ func main() {
 
 	fmt.Println("topology   placement  cores  q/s      ht/imc")
 	for _, s := range shapes {
-		for _, p := range elasticore.Placements() {
-			run(s.name, s.topo, p, sf)
+		for _, mode := range []elasticore.Mode{elasticore.ModeNodeFill, elasticore.ModeHopMin, elasticore.ModeScatter} {
+			run(s.name, s.topo, mode, sf)
 		}
 	}
 
@@ -41,16 +41,16 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	run("3x5-line", custom, elasticore.NodeFillPlacement(), sf)
+	run("3x5-line", custom, elasticore.ModeNodeFill, sf)
 }
 
 // run drives 16 concurrent clients, each one TPC-H Q6, on a fresh rig
-// over the given shape and placement, then prints one summary line.
-func run(name string, topo *elasticore.Topology, p elasticore.Placement, sf float64) {
+// over the given shape and placement mode, then prints one summary line.
+func run(name string, topo *elasticore.Topology, mode elasticore.Mode, sf float64) {
 	rig, err := elasticore.NewRig(elasticore.RigOptions{
-		SF:            sf,
-		Topology:      elasticore.ScaleTopology(topo, sf),
-		CorePlacement: p,
+		SF:       sf,
+		Topology: elasticore.ScaleTopology(topo, sf),
+		Mode:     mode,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -60,6 +60,6 @@ func run(name string, topo *elasticore.Topology, p elasticore.Placement, sf floa
 		return elasticore.BuildQuery(6, uint64(client+1))
 	})
 	fmt.Printf("%-10s %-10s %5d  %7.1f  %.3f\n",
-		name, p.Name(), rig.Machine.Topology().TotalCores(),
+		name, mode, rig.Machine.Topology().TotalCores(),
 		res.Throughput, res.Window.HTIMCRatio())
 }

@@ -14,23 +14,21 @@ import (
 // cluster arbiter's grow and shrink loops — as the oracle of the grant
 // routine, and drives both over random sets on every zoo shape.
 
-// refNextFree is the tenant's nextFree: a placement ranks the free cores
-// relative to the tenant's own set, the fixed-order modes scan for the
-// first core outside occupied (their Next(occupied)).
+// refNextFree is the tenant's nextFree: a topology-aware mode ranks the
+// free cores relative to the tenant's own set, the fixed-order modes scan
+// for the first core outside occupied (their Next(occupied)).
 func refNextFree(a Allocator, cur, occupied sched.CPUSet) (numa.CoreID, bool) {
-	if pa, ok := a.(*placedAllocator); ok {
-		return pa.p.Next(pa.topo, cur, occupied)
+	switch a.(type) {
+	case *sequenceAllocator, *adaptiveAllocator:
+		return a.Next(occupied, occupied)
 	}
-	return a.Next(occupied, occupied)
+	return a.Next(cur, occupied)
 }
 
 // refNext is an allocator's Next(current), the call the cluster arbiter
-// and the mechanism grew through: a placement saw current as its own set
+// and the mechanism grew through: every mode saw current as its own set
 // and as the occupied one.
 func refNext(a Allocator, cur sched.CPUSet) (numa.CoreID, bool) {
-	if pa, ok := a.(*placedAllocator); ok {
-		return pa.p.Next(pa.topo, cur, cur)
-	}
 	return a.Next(cur, cur)
 }
 
@@ -99,18 +97,28 @@ func refClusterShrink(a Allocator, set sched.CPUSet, cancel, floor int) sched.CP
 	return set
 }
 
-// grantAllocators returns the six allocators the differential covers; the
+// grantMode is one allocation mode of the differential, named as its
+// workload.Mode prints.
+type grantMode struct {
+	name  string
+	alloc Allocator
+}
+
+// grantModes returns the six mechanism modes the differential covers; the
 // adaptive mode reads a fixed random residency.
-func grantAllocators(topo *numa.Topology, rng *hashmix.Stream) []Allocator {
+func grantModes(topo *numa.Topology, rng *hashmix.Stream) []grantMode {
 	pages := make([]int, topo.NodeCount)
 	for i := range pages {
 		pages[i] = int(rng.Next() % 100)
 	}
-	out := []Allocator{NewDense(topo), NewSparse(topo), NewAdaptive(topo, func() []int { return pages })}
-	for _, p := range Placements() {
-		out = append(out, NewPlaced(topo, p))
+	return []grantMode{
+		{"dense", NewDense(topo)},
+		{"sparse", NewSparse(topo)},
+		{"adaptive", NewAdaptive(topo, func() []int { return pages })},
+		{"node-fill", NewNodeFill(topo)},
+		{"hop-min", NewHopMin(topo)},
+		{"scatter", NewScatter(topo)},
 	}
-	return out
 }
 
 // randomSet draws each core outside exclude with probability 1/denom.
@@ -124,11 +132,13 @@ func randomSet(rng *hashmix.Stream, total int, exclude sched.CPUSet, denom uint6
 	return s
 }
 
-// TestResizeMatchesGrantLoops: on the five zoo shapes, for dense, sparse,
-// adaptive, node-fill, hop-min and scatter, Resize and Place pick exactly
-// the cores the replaced loops picked, from seeded random current sets,
-// neighbour occupancies and targets; the cgroup holds the result and the
-// net's marking counts it.
+// TestResizeMatchesGrantLoops: on the five zoo shapes, for the six
+// mechanism modes, Resize and Place pick exactly the cores the replaced
+// loops picked, from seeded random current sets, neighbour occupancies and
+// targets; the cgroup holds the result and the net's marking counts it.
+// Every mode also keeps the allocator's share of the laws: Next grants a
+// core of the machine outside occupied whenever one is free, Victim
+// releases a core of current, and never the last one.
 func TestResizeMatchesGrantLoops(t *testing.T) {
 	rng := &hashmix.Stream{State: 0x6a09e667f3bcc908}
 	for _, name := range numa.ZooNames() {
@@ -136,8 +146,10 @@ func TestResizeMatchesGrantLoops(t *testing.T) {
 		total := topo.TotalCores()
 		machine := numa.NewMachine(topo)
 		s := sched.New(machine, sched.Config{})
-		for _, a := range grantAllocators(topo, rng) {
-			g := s.NewCGroup(a.Name())
+		full := sched.FullSet(topo)
+		for _, mode := range grantModes(topo, rng) {
+			a := mode.alloc
+			g := s.NewCGroup(mode.name)
 			m, err := New(Config{Scheduler: s, CGroup: g, Allocator: a})
 			if err != nil {
 				t.Fatal(err)
@@ -145,13 +157,13 @@ func TestResizeMatchesGrantLoops(t *testing.T) {
 			check := func(what string, got, want sched.CPUSet) {
 				t.Helper()
 				if got != want {
-					t.Fatalf("%s/%s %s: Resize picked %v, the loop %v", name, a.Name(), what, got, want)
+					t.Fatalf("%s/%s %s: Resize picked %v, the loop %v", name, mode.name, what, got, want)
 				}
 				if g.CPUs() != got {
-					t.Fatalf("%s/%s %s: cgroup holds %v, Resize returned %v", name, a.Name(), what, g.CPUs(), got)
+					t.Fatalf("%s/%s %s: cgroup holds %v, Resize returned %v", name, mode.name, what, g.CPUs(), got)
 				}
 				if n := m.Net().NAlloc(); n != got.Count() {
-					t.Fatalf("%s/%s %s: net marking %d for %d cores", name, a.Name(), what, n, got.Count())
+					t.Fatalf("%s/%s %s: net marking %d for %d cores", name, mode.name, what, n, got.Count())
 				}
 			}
 			for trial := 0; trial < 200; trial++ {
@@ -162,17 +174,29 @@ func TestResizeMatchesGrantLoops(t *testing.T) {
 				others := randomSet(rng, total, cur, 1+rng.Next()%4)
 				target := 1 + int(rng.Next()%uint64(total))
 
+				// The allocator's laws, from the trial's (current, occupied).
+				occupied := cur.Union(others)
+				if c, ok := a.Next(cur, occupied); ok != (occupied != full) || ok && (c < 0 || int(c) >= total || occupied.Contains(c)) {
+					t.Fatalf("%s/%s: Next(%v, %v) = %d, %v", name, mode.name, cur, occupied, c, ok)
+				}
+				if c, ok := a.Victim(cur); ok != (cur.Count() > 1) || ok && !cur.Contains(c) {
+					t.Fatalf("%s/%s: Victim(%v) = %d, %v", name, mode.name, cur, c, ok)
+				}
+				one := sched.NewCPUSet(numa.CoreID(trial % total))
+				if c, ok := a.Victim(one); ok {
+					t.Fatalf("%s/%s: Victim(%v) released core %d", name, mode.name, one, c)
+				}
+
 				// The tenant arbiter: shrink phase, then grow phase.
 				g.SetCPUs(cur)
 				if cur.Count() > target {
 					check("shrinkTo", m.Resize(target, 0), refShrinkTo(a, cur, target))
 				} else {
-					occupied := cur.Union(others)
 					want, wantOcc := refGrowTo(a, cur, target, occupied)
 					got := m.Resize(target, occupied)
 					check("growTo", got, want)
 					if occupied.Union(got) != wantOcc {
-						t.Fatalf("%s/%s growTo: occupancy %v, the loop %v", name, a.Name(), occupied.Union(got), wantOcc)
+						t.Fatalf("%s/%s growTo: occupancy %v, the loop %v", name, mode.name, occupied.Union(got), wantOcc)
 					}
 				}
 
@@ -180,7 +204,7 @@ func TestResizeMatchesGrantLoops(t *testing.T) {
 				// free cores cannot hold it.
 				want, ok := refFloor(a, others, target)
 				if fits := total-others.Count() >= target; fits != ok {
-					t.Fatalf("%s/%s floor %d beside %v: loop ok=%v, free-core check %v", name, a.Name(), target, others, ok, fits)
+					t.Fatalf("%s/%s floor %d beside %v: loop ok=%v, free-core check %v", name, mode.name, target, others, ok, fits)
 				}
 				if ok {
 					check("floor", m.Place(target, others), want)

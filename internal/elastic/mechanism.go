@@ -33,7 +33,8 @@ type Config struct {
 	// through; CGroup must already contain the DBMS PIDs.
 	Scheduler *sched.Scheduler
 	CGroup    *sched.CGroup
-	// Allocator is the allocation mode (dense, sparse, adaptive).
+	// Allocator is the allocation mode (dense, sparse, adaptive,
+	// node-fill, hop-min, scatter).
 	Allocator Allocator
 	// Strategy is the state-transition metric (CPU load or HT/IMC ratio).
 	Strategy Strategy
@@ -198,7 +199,7 @@ func (m *Mechanism) Net() *petrinet.ElasticNet { return m.net }
 
 // ResidencyReads counts the residency vectors the allocation mode has read
 // to rank nodes: one per adaptive grant or release, none for the
-// fixed-order modes and placements.
+// fixed-order and topology-aware modes.
 func (m *Mechanism) ResidencyReads() uint64 {
 	if a, ok := m.cfg.Allocator.(*adaptiveAllocator); ok {
 		return a.reads

@@ -1,3 +1,9 @@
+// Package elastic implements the paper's core contribution: the elastic
+// multi-core allocation mechanism (Sections III-IV). It samples hardware
+// counters each control period, classifies the database's performance
+// state through the PrT net, and allocates or releases one core at the
+// NUMA node chosen by the active allocation mode — handing the OS only the
+// local optimum number of cores (LONC) for the current workload.
 package elastic
 
 import (
@@ -7,15 +13,14 @@ import (
 
 // Allocator decides *where* the next core is allocated or released once
 // the PrT net decides *whether* (Section IV-B). Implementations are the
-// paper's three allocation modes and the topology-aware placements.
+// paper's three allocation modes and the topology-aware node-fill, hop-min
+// and scatter modes.
 type Allocator interface {
-	// Name identifies the mode ("dense", "sparse", "adaptive").
-	Name() string
 	// Next returns the core to add: a core outside occupied, which holds
 	// current and, under consolidation, every other tenant's cores. The
-	// fixed-order modes scan for the first free core; a placement ranks
-	// the free cores relative to current. ok is false when every core is
-	// occupied.
+	// fixed-order modes scan for the first free core; the topology-aware
+	// modes rank the free cores relative to current. ok is false when
+	// every core is occupied.
 	Next(current, occupied sched.CPUSet) (numa.CoreID, bool)
 	// Victim returns the core to release given the currently allocated
 	// set, or false when no core can be released.
@@ -52,7 +57,6 @@ func sparseOrder(t *numa.Topology) []numa.CoreID {
 // reverse order (incremental allocation as in Porobic et al. and the
 // paper's Figure 12).
 type sequenceAllocator struct {
-	name  string
 	order []numa.CoreID
 }
 
@@ -60,17 +64,15 @@ type sequenceAllocator struct {
 // one NUMA node before the next node is opened, maximizing cache sharing
 // for threads over shared data.
 func NewDense(t *numa.Topology) Allocator {
-	return &sequenceAllocator{name: "dense", order: denseOrder(t)}
+	return &sequenceAllocator{order: denseOrder(t)}
 }
 
 // NewSparse returns the sparse allocation mode: consecutive cores land on
 // different NUMA nodes, spreading threads over private data apart to avoid
 // cache competition.
 func NewSparse(t *numa.Topology) Allocator {
-	return &sequenceAllocator{name: "sparse", order: sparseOrder(t)}
+	return &sequenceAllocator{order: sparseOrder(t)}
 }
-
-func (a *sequenceAllocator) Name() string { return a.name }
 
 func (a *sequenceAllocator) Next(_, occupied sched.CPUSet) (numa.CoreID, bool) {
 	for _, c := range a.order {
@@ -104,37 +106,48 @@ type ResidencyFunc func() []int
 // least.
 type adaptiveAllocator struct {
 	topo      *numa.Topology
-	queue     *NodePriorityQueue
 	residency ResidencyFunc
-	reads     uint64 // residency vectors read (Mechanism.ResidencyReads)
+	ranked    []numa.NodeID // rank's buffer, reused across decisions
+	reads     uint64        // residency vectors read (Mechanism.ResidencyReads)
 }
 
 // NewAdaptive returns the adaptive priority allocation mode backed by the
 // given residency source.
 func NewAdaptive(t *numa.Topology, residency ResidencyFunc) Allocator {
-	return &adaptiveAllocator{
-		topo:      t,
-		queue:     NewNodePriorityQueue(t.NodeCount),
-		residency: residency,
-	}
+	return &adaptiveAllocator{topo: t, residency: residency}
 }
 
-func (a *adaptiveAllocator) Name() string { return "adaptive" }
-
-func (a *adaptiveAllocator) refresh() {
+// rank reads a fresh residency vector and orders every node by it, most
+// resident first, ties to the lower node id. It is the paper's "priority
+// queue [that] indicate[s] the node with the largest/smallest amount of
+// allocated memory (on top/bottom priority)": the top node receives the
+// next core, the bottom node gives one up. The ranking is rebuilt from
+// each reading, so no state survives between decisions.
+func (a *adaptiveAllocator) rank() []numa.NodeID {
 	a.reads++
-	a.queue.Update(a.residency())
+	pages := a.residency()
+	r := a.ranked[:0]
+	for n := 0; n < a.topo.NodeCount; n++ {
+		// Insertion sort: node count is small, and scanning nodes upward
+		// while moving n only past strictly poorer nodes breaks ties toward
+		// the lower id.
+		i := len(r)
+		r = append(r, numa.NodeID(n))
+		for ; i > 0 && pages[r[i-1]] < pages[n]; i-- {
+			r[i] = r[i-1]
+		}
+		r[i] = numa.NodeID(n)
+	}
+	a.ranked = r
+	return r
 }
 
 // Next allocates in the highest-priority node that still has a free core;
 // within a node, lower core indices first.
 func (a *adaptiveAllocator) Next(_, occupied sched.CPUSet) (numa.CoreID, bool) {
-	a.refresh()
-	for _, e := range a.queue.Ranked() {
-		for _, c := range a.topo.Cores(e.Node) {
-			if !occupied.Contains(c) {
-				return c, true
-			}
+	for _, n := range a.rank() {
+		if c, ok := lowestFreeCore(a.topo, n, occupied); ok {
+			return c, true
 		}
 	}
 	return 0, false
@@ -146,14 +159,11 @@ func (a *adaptiveAllocator) Victim(current sched.CPUSet) (numa.CoreID, bool) {
 	if current.Count() <= 1 {
 		return 0, false
 	}
-	a.refresh()
-	ranked := a.queue.Ranked()
+	ranked := a.rank()
 	for i := len(ranked) - 1; i >= 0; i-- {
-		cores := current.OnNode(a.topo, ranked[i].Node).Cores()
-		if len(cores) == 0 {
-			continue
+		if c, ok := highestHeldCore(a.topo, ranked[i], current); ok {
+			return c, true
 		}
-		return cores[len(cores)-1], true
 	}
 	return 0, false
 }

@@ -1,7 +1,9 @@
 package elastic
 
 import (
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"elasticore/internal/numa"
 	"elasticore/internal/sched"
@@ -125,5 +127,87 @@ func TestAdaptiveTracksResidencyChanges(t *testing.T) {
 	pages = []int{0, 0, 0, 100} // address space moved
 	if c, _ := a.Next(0, 0); tp.NodeOf(c) != 3 {
 		t.Errorf("Next after shift on node %d, want 3", tp.NodeOf(c))
+	}
+}
+
+// The adaptive mode's node ranking is the paper's priority queue: most
+// resident node on top, ties to the lower node id.
+
+// ranking ranks four nodes by pages through the adaptive allocator.
+func ranking(pages []int) []numa.NodeID {
+	a := NewAdaptive(numa.FourSocketRing(), func() []int { return pages }).(*adaptiveAllocator)
+	return a.rank()
+}
+
+// TestQueueTopBottom: the top node holds the most pages, the bottom node
+// the fewest.
+func TestQueueTopBottom(t *testing.T) {
+	ranked := ranking([]int{5, 100, 20, 1})
+	if top, bottom := ranked[0], ranked[len(ranked)-1]; top != 1 || bottom != 3 {
+		t.Errorf("top %d, bottom %d; want node 1 (100 pages) and node 3 (1 page)", top, bottom)
+	}
+}
+
+func TestQueueRankedOrder(t *testing.T) {
+	got := ranking([]int{7, 3, 9, 3})
+	want := []numa.NodeID{2, 0, 1, 3} // ties (1,3) break toward the lower id
+	if !slices.Equal(got, want) {
+		t.Fatalf("ranking = %v, want %v", got, want)
+	}
+	if got := ranking([]int{5, 5, 5, 5}); !slices.Equal(got, []numa.NodeID{0, 1, 2, 3}) {
+		t.Errorf("all-tied ranking = %v, want node order", got)
+	}
+}
+
+// TestQueueUpdateReorders: each decision re-ranks from a fresh residency
+// vector alone, whatever the previous one ranked.
+func TestQueueUpdateReorders(t *testing.T) {
+	pages := []int{10, 20, 30, 40}
+	a := NewAdaptive(numa.FourSocketRing(), func() []int { return pages }).(*adaptiveAllocator)
+	if got := a.rank(); !slices.Equal(got, []numa.NodeID{3, 2, 1, 0}) {
+		t.Fatalf("ranking = %v, want 3 2 1 0", got)
+	}
+	pages = []int{100, 20, 30, 40}
+	if got := a.rank(); !slices.Equal(got, []numa.NodeID{0, 3, 2, 1}) {
+		t.Errorf("ranking after update = %v, want 0 3 2 1", got)
+	}
+	pages = []int{0, 0, 0, 0}
+	if got := a.rank(); !slices.Equal(got, []numa.NodeID{0, 1, 2, 3}) {
+		t.Errorf("ranking of a zero vector = %v, want node order", got)
+	}
+}
+
+func TestQueueRepeatedUpdatesConsistent(t *testing.T) {
+	// Property: after any sequence of readings, the ranking is a
+	// permutation of all nodes, descending by pages, ties ascending by id.
+	f := func(updates [][4]uint8) bool {
+		pages := make([]int, 4)
+		a := NewAdaptive(numa.FourSocketRing(), func() []int { return pages }).(*adaptiveAllocator)
+		for _, u := range updates {
+			for n := range pages {
+				pages[n] = int(u[n])
+			}
+			ranked := a.rank()
+			seen := map[numa.NodeID]bool{}
+			for i, n := range ranked {
+				if seen[n] {
+					return false
+				}
+				seen[n] = true
+				if i > 0 {
+					p, q := pages[ranked[i-1]], pages[n]
+					if p < q || p == q && ranked[i-1] > n {
+						return false
+					}
+				}
+			}
+			if len(seen) != 4 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }

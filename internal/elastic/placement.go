@@ -5,33 +5,14 @@ import (
 	"elasticore/internal/sched"
 )
 
-// placement.go makes *where* a core is granted a pluggable,
-// topology-aware decision. The paper's dense/sparse orders are fixed
-// index sequences derived from the testbed's core numbering; on machines
-// whose interconnect is not a fully linked square (a ring, a twisted
-// ladder, a chiplet package) the lowest-index node is not in general the
-// cheapest one. A Placement ranks candidate cores by the topology's hop
-// matrix instead, and the occupancy-aware entry point lets the
-// multi-tenant arbiter keep each tenant's cores mutually close while
-// skipping cores other tenants hold.
-
-// Placement decides which core to add or release given the machine
-// topology, the caller's own current set and (for growth) the set of
-// cores occupied machine-wide — current plus every other tenant's
-// holdings in the consolidated setting; identical to current for a
-// single tenant. Implementations must be deterministic: equal inputs
-// yield equal picks.
-type Placement interface {
-	// Name identifies the policy ("node-fill", "hop-min", "scatter").
-	Name() string
-	// Next returns the core to grant: a core outside occupied, chosen
-	// relative to the caller's current set. ok is false when every core
-	// is occupied.
-	Next(t *numa.Topology, current, occupied sched.CPUSet) (numa.CoreID, bool)
-	// Victim returns the core to release from current, or false when
-	// current holds at most one core.
-	Victim(t *numa.Topology, current sched.CPUSet) (numa.CoreID, bool)
-}
+// placement.go holds the topology-aware allocation modes. The paper's
+// dense/sparse orders are fixed index sequences derived from the
+// testbed's core numbering; on machines whose interconnect is not a fully
+// linked square (a ring, a twisted ladder, a chiplet package) the
+// lowest-index node is not in general the cheapest one. These modes rank
+// candidate cores by the topology's hop matrix instead, relative to the
+// caller's current set, while skipping the occupied cores other tenants
+// hold. Every pick is deterministic: equal inputs yield equal picks.
 
 // hopSum returns the total hop distance from node n to every core in
 // the set — the placement cost of putting the next core on n.
@@ -54,8 +35,8 @@ func heldPerNode(t *numa.Topology, set sched.CPUSet) []int {
 
 // lowestFreeCore returns node n's lowest-index core outside occupied.
 func lowestFreeCore(t *numa.Topology, n numa.NodeID, occupied sched.CPUSet) (numa.CoreID, bool) {
-	for _, c := range t.Cores(n) {
-		if !occupied.Contains(c) {
+	for j := 0; j < t.CoresPerNode; j++ {
+		if c := t.CoreOf(n, j); !occupied.Contains(c) {
 			return c, true
 		}
 	}
@@ -64,28 +45,27 @@ func lowestFreeCore(t *numa.Topology, n numa.NodeID, occupied sched.CPUSet) (num
 
 // highestHeldCore returns node n's highest-index core inside current.
 func highestHeldCore(t *numa.Topology, n numa.NodeID, current sched.CPUSet) (numa.CoreID, bool) {
-	cores := t.Cores(n)
-	for i := len(cores) - 1; i >= 0; i-- {
-		if current.Contains(cores[i]) {
-			return cores[i], true
+	for j := t.CoresPerNode - 1; j >= 0; j-- {
+		if c := t.CoreOf(n, j); current.Contains(c) {
+			return c, true
 		}
 	}
 	return 0, false
 }
 
-// NodeFill packs cores socket by socket, like the dense mode, but picks
+// nodeFill packs cores socket by socket, like the dense mode, but picks
 // each *new* socket by hop distance instead of index order: it keeps
 // filling the node where the caller already holds cores, and when every
 // held node is full it opens the free node closest (smallest total hop
 // distance) to the cores already held. Shrinking retreats from the
 // emptiest held node first, so the surviving allocation stays packed.
-type NodeFill struct{}
+type nodeFill struct{ t *numa.Topology }
 
-// Name implements Placement.
-func (NodeFill) Name() string { return "node-fill" }
+// NewNodeFill returns the node-fill allocation mode on t.
+func NewNodeFill(t *numa.Topology) Allocator { return nodeFill{t} }
 
-// Next implements Placement.
-func (NodeFill) Next(t *numa.Topology, current, occupied sched.CPUSet) (numa.CoreID, bool) {
+func (a nodeFill) Next(current, occupied sched.CPUSet) (numa.CoreID, bool) {
+	t := a.t
 	held := heldPerNode(t, current)
 	// Keep filling the most-populated held node with free capacity.
 	bestNode, bestHeld := numa.NodeID(-1), 0
@@ -121,11 +101,11 @@ func (NodeFill) Next(t *numa.Topology, current, occupied sched.CPUSet) (numa.Cor
 	return lowestFreeCore(t, bestNode, occupied)
 }
 
-// Victim implements Placement.
-func (NodeFill) Victim(t *numa.Topology, current sched.CPUSet) (numa.CoreID, bool) {
+func (a nodeFill) Victim(current sched.CPUSet) (numa.CoreID, bool) {
 	if current.Count() <= 1 {
 		return 0, false
 	}
+	t := a.t
 	held := heldPerNode(t, current)
 	// Release from the least-populated held node; among equals, the one
 	// farthest from the rest of the allocation, then the highest index —
@@ -146,20 +126,20 @@ func (NodeFill) Victim(t *numa.Topology, current sched.CPUSet) (numa.CoreID, boo
 	return highestHeldCore(t, bestNode, current)
 }
 
-// HopMin grows and shrinks core by core on pure hop distance: the next
+// hopMin grows and shrinks core by core on pure hop distance: the next
 // grant is the free core whose node is closest to everything already
 // held (regardless of how full its node is), and the next victim is the
 // held core farthest from the rest. On uniform-distance machines it
 // degenerates to lowest-index selection; on rings, ladders and chiplet
 // fabrics it is the transfer policy that keeps a tenant's cores mutually
 // close.
-type HopMin struct{}
+type hopMin struct{ t *numa.Topology }
 
-// Name implements Placement.
-func (HopMin) Name() string { return "hop-min" }
+// NewHopMin returns the hop-min allocation mode on t.
+func NewHopMin(t *numa.Topology) Allocator { return hopMin{t} }
 
-// Next implements Placement.
-func (HopMin) Next(t *numa.Topology, current, occupied sched.CPUSet) (numa.CoreID, bool) {
+func (a hopMin) Next(current, occupied sched.CPUSet) (numa.CoreID, bool) {
+	t := a.t
 	bestCore, bestCost := numa.CoreID(-1), 0
 	for n := 0; n < t.NodeCount; n++ {
 		c, free := lowestFreeCore(t, numa.NodeID(n), occupied)
@@ -177,11 +157,11 @@ func (HopMin) Next(t *numa.Topology, current, occupied sched.CPUSet) (numa.CoreI
 	return bestCore, true
 }
 
-// Victim implements Placement.
-func (HopMin) Victim(t *numa.Topology, current sched.CPUSet) (numa.CoreID, bool) {
+func (a hopMin) Victim(current sched.CPUSet) (numa.CoreID, bool) {
 	if current.Count() <= 1 {
 		return 0, false
 	}
+	t := a.t
 	bestCore, bestCost := numa.CoreID(-1), -1
 	for _, c := range current.Cores() {
 		cost := hopSum(t, t.NodeOf(c), current.Remove(c))
@@ -193,22 +173,22 @@ func (HopMin) Victim(t *numa.Topology, current sched.CPUSet) (numa.CoreID, bool)
 		}
 	}
 	// Prefer the highest-index held core on the chosen core's node, so
-	// node-internal release order matches the other policies.
+	// node-internal release order matches the other modes.
 	return highestHeldCore(t, t.NodeOf(bestCore), current)
 }
 
-// Scatter is the topology-blind baseline: it round-robins grants across
+// scatter is the topology-blind baseline: it round-robins grants across
 // nodes in index order (like the sparse mode) without consulting the hop
-// matrix, and releases from the fullest node. Its gap to NodeFill and
-// HopMin on a given machine measures what hop-aware placement is worth
+// matrix, and releases from the fullest node. Its gap to node-fill and
+// hop-min on a given machine measures what hop-aware placement is worth
 // there.
-type Scatter struct{}
+type scatter struct{ t *numa.Topology }
 
-// Name implements Placement.
-func (Scatter) Name() string { return "scatter" }
+// NewScatter returns the scatter allocation mode on t.
+func NewScatter(t *numa.Topology) Allocator { return scatter{t} }
 
-// Next implements Placement.
-func (Scatter) Next(t *numa.Topology, current, occupied sched.CPUSet) (numa.CoreID, bool) {
+func (a scatter) Next(current, occupied sched.CPUSet) (numa.CoreID, bool) {
+	t := a.t
 	held := heldPerNode(t, current)
 	bestNode, bestHeld := numa.NodeID(-1), 0
 	for n := 0; n < t.NodeCount; n++ {
@@ -225,11 +205,11 @@ func (Scatter) Next(t *numa.Topology, current, occupied sched.CPUSet) (numa.Core
 	return lowestFreeCore(t, bestNode, occupied)
 }
 
-// Victim implements Placement.
-func (Scatter) Victim(t *numa.Topology, current sched.CPUSet) (numa.CoreID, bool) {
+func (a scatter) Victim(current sched.CPUSet) (numa.CoreID, bool) {
 	if current.Count() <= 1 {
 		return 0, false
 	}
+	t := a.t
 	held := heldPerNode(t, current)
 	bestNode, bestHeld := numa.NodeID(-1), 0
 	for n := 0; n < t.NodeCount; n++ {
@@ -238,31 +218,4 @@ func (Scatter) Victim(t *numa.Topology, current sched.CPUSet) (numa.CoreID, bool
 		}
 	}
 	return highestHeldCore(t, bestNode, current)
-}
-
-// Placements lists the built-in policies in presentation order.
-func Placements() []Placement {
-	return []Placement{NodeFill{}, HopMin{}, Scatter{}}
-}
-
-// placedAllocator adapts a Placement to the Allocator interface the
-// mechanism consumes.
-type placedAllocator struct {
-	topo *numa.Topology
-	p    Placement
-}
-
-// NewPlaced adapts a topology-aware Placement into an allocation mode.
-func NewPlaced(t *numa.Topology, p Placement) Allocator {
-	return &placedAllocator{topo: t, p: p}
-}
-
-func (a *placedAllocator) Name() string { return a.p.Name() }
-
-func (a *placedAllocator) Next(current, occupied sched.CPUSet) (numa.CoreID, bool) {
-	return a.p.Next(a.topo, current, occupied)
-}
-
-func (a *placedAllocator) Victim(current sched.CPUSet) (numa.CoreID, bool) {
-	return a.p.Victim(a.topo, current)
 }

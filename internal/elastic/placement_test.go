@@ -7,16 +7,16 @@ import (
 	"elasticore/internal/sched"
 )
 
-// placement_test.go covers the topology-aware placement policies on the
+// placement_test.go covers the topology-aware allocation modes on the
 // zoo shapes where hop distance actually differentiates nodes: the ring
 // (diagonal = 2 hops) and the chiplet machine (cross-package up to 3).
 
-// grow allocates n cores through the placement on an otherwise empty
+// grow allocates n cores through the allocator on an otherwise empty
 // machine and returns the resulting set.
-func grow(t *numa.Topology, p Placement, n int) sched.CPUSet {
+func grow(a Allocator, n int) sched.CPUSet {
 	set := sched.CPUSet(0)
 	for i := 0; i < n; i++ {
-		c, ok := p.Next(t, set, set)
+		c, ok := a.Next(set, set)
 		if !ok {
 			break
 		}
@@ -25,9 +25,14 @@ func grow(t *numa.Topology, p Placement, n int) sched.CPUSet {
 	return set
 }
 
+// placementModes returns the three topology-aware modes on t, by name.
+func placementModes(t *numa.Topology) map[string]Allocator {
+	return map[string]Allocator{"node-fill": NewNodeFill(t), "hop-min": NewHopMin(t), "scatter": NewScatter(t)}
+}
+
 func TestNodeFillPacksBeforeOpening(t *testing.T) {
 	topo := numa.FourSocketRing()
-	set := grow(topo, NodeFill{}, topo.CoresPerNode+1)
+	set := grow(NewNodeFill(topo), topo.CoresPerNode+1)
 	// The first node must be completely full before a second opens.
 	nodes := set.NodesTouched(topo)
 	if len(nodes) != 2 {
@@ -43,7 +48,7 @@ func TestNodeFillPacksBeforeOpening(t *testing.T) {
 // adjacent one (1 hop), never the diagonal (2 hops).
 func TestNodeFillOpensNearestNode(t *testing.T) {
 	topo := numa.FourSocketRing()
-	set := grow(topo, NodeFill{}, topo.CoresPerNode+1)
+	set := grow(NewNodeFill(topo), topo.CoresPerNode+1)
 	nodes := set.NodesTouched(topo)
 	second := nodes[1]
 	if second == 0 {
@@ -57,7 +62,7 @@ func TestNodeFillOpensNearestNode(t *testing.T) {
 	// substrate-adjacent (1 hop), not the package diagonal or the other
 	// package.
 	epyc := numa.EPYCLike()
-	set = grow(epyc, NodeFill{}, epyc.CoresPerNode+1)
+	set = grow(NewNodeFill(epyc), epyc.CoresPerNode+1)
 	nodes = set.NodesTouched(epyc)
 	if len(nodes) != 2 || epyc.Hops(nodes[0], nodes[1]) != 1 {
 		t.Errorf("EPYC second node %v, want a 1-hop neighbour of the first", nodes)
@@ -68,7 +73,7 @@ func TestNodeFillVictimRetreatsFromEmptiestNode(t *testing.T) {
 	topo := numa.FourSocketRing()
 	// Node 0 full, node 1 holds one core.
 	set := sched.NewCPUSet(0, 1, 2, 3, topo.CoreOf(1, 0))
-	v, ok := NodeFill{}.Victim(topo, set)
+	v, ok := NewNodeFill(topo).Victim(set)
 	if !ok {
 		t.Fatal("no victim")
 	}
@@ -79,11 +84,12 @@ func TestNodeFillVictimRetreatsFromEmptiestNode(t *testing.T) {
 
 func TestHopMinPrefersCloseCores(t *testing.T) {
 	topo := numa.FourSocketRing()
+	hm := NewHopMin(topo)
 	// Hold one core on node 0 and one on node 1; nodes 2 and 3 are free.
 	// Node 3 is 1 hop from node 0 and 2 from node 1 (sum 3); node 2 is
 	// 2+1 (sum 3); but adding on the held nodes themselves costs 1 and 1.
 	set := sched.NewCPUSet(topo.CoreOf(0, 0), topo.CoreOf(1, 0))
-	c, ok := HopMin{}.Next(topo, set, set)
+	c, ok := hm.Next(set, set)
 	if !ok {
 		t.Fatal("no core")
 	}
@@ -92,12 +98,16 @@ func TestHopMinPrefersCloseCores(t *testing.T) {
 	}
 
 	// With node 0 fully occupied by someone else and one core held on
-	// node 1, the grant must avoid the diagonal node 3 (2 hops away).
-	occupied := sched.NewCPUSet(0, 1, 2, 3).Union(sched.NewCPUSet(topo.CoreOf(1, 0)))
+	// node 1, the grant must skip the occupied cores and avoid the
+	// diagonal node 3 (2 hops away).
+	neighbour := sched.NewCPUSet(0, 1, 2, 3)
 	cur := sched.NewCPUSet(topo.CoreOf(1, 0))
-	c, ok = HopMin{}.Next(topo, cur, occupied.Union(cur))
+	c, ok = hm.Next(cur, neighbour.Union(cur))
 	if !ok {
 		t.Fatal("no core")
+	}
+	if neighbour.Contains(c) {
+		t.Fatalf("granted occupied core %d", c)
 	}
 	if n := topo.NodeOf(c); n != 1 {
 		t.Errorf("grant on node %d, want node 1 (own node still free)", n)
@@ -109,7 +119,7 @@ func TestHopMinVictimDropsFarthestCore(t *testing.T) {
 	// Two cores on node 0, one on the diagonal node 2: the diagonal core
 	// is 2+2 hops from the rest, each node-0 core at most 0+2.
 	set := sched.NewCPUSet(topo.CoreOf(0, 0), topo.CoreOf(0, 1), topo.CoreOf(2, 0))
-	v, ok := HopMin{}.Victim(topo, set)
+	v, ok := NewHopMin(topo).Victim(set)
 	if !ok {
 		t.Fatal("no victim")
 	}
@@ -120,7 +130,7 @@ func TestHopMinVictimDropsFarthestCore(t *testing.T) {
 
 func TestScatterSpreadsAcrossNodes(t *testing.T) {
 	topo := numa.EightSocketTwisted()
-	set := grow(topo, Scatter{}, topo.NodeCount)
+	set := grow(NewScatter(topo), topo.NodeCount)
 	if got := len(set.NodesTouched(topo)); got != topo.NodeCount {
 		t.Errorf("%d cores touched %d nodes, want one core per node", set.Count(), got)
 	}
@@ -129,49 +139,24 @@ func TestScatterSpreadsAcrossNodes(t *testing.T) {
 func TestPlacementsExhaustAndStop(t *testing.T) {
 	topo := numa.TwoSocket()
 	full := sched.FullSet(topo)
-	for _, p := range Placements() {
-		if _, ok := p.Next(topo, full, full); ok {
-			t.Errorf("%s granted a core on a full machine", p.Name())
+	for name, a := range placementModes(topo) {
+		if _, ok := a.Next(full, full); ok {
+			t.Errorf("%s granted a core on a full machine", name)
 		}
-		if _, ok := p.Victim(topo, sched.NewCPUSet(0)); ok {
-			t.Errorf("%s released the last core", p.Name())
+		if _, ok := a.Victim(sched.NewCPUSet(0)); ok {
+			t.Errorf("%s released the last core", name)
 		}
-		if set := grow(topo, p, topo.TotalCores()); set != full {
-			t.Errorf("%s grew to %v, want the full machine", p.Name(), set)
+		if set := grow(a, topo.TotalCores()); set != full {
+			t.Errorf("%s grew to %v, want the full machine", name, set)
 		}
 	}
 }
 
 func TestPlacementsDeterministic(t *testing.T) {
 	topo := numa.EPYCLike()
-	for _, p := range Placements() {
-		a := grow(topo, p, 13)
-		b := grow(topo, p, 13)
-		if a != b {
-			t.Errorf("%s: identical grows diverged (%v vs %v)", p.Name(), a, b)
+	for name, a := range placementModes(topo) {
+		if x, y := grow(a, 13), grow(a, 13); x != y {
+			t.Errorf("%s: identical grows diverged (%v vs %v)", name, x, y)
 		}
-	}
-}
-
-// TestPlacedAllocatorAdapts: the adapter's Next must skip occupied cores
-// while placing relative to the caller's own set.
-func TestPlacedAllocatorAdapts(t *testing.T) {
-	topo := numa.FourSocketRing()
-	alloc := NewPlaced(topo, HopMin{})
-	// Another tenant holds all of node 0; we hold one core on node 1.
-	neighbour := sched.NewCPUSet(0, 1, 2, 3)
-	cur := sched.NewCPUSet(topo.CoreOf(1, 0))
-	c, ok := alloc.Next(cur, neighbour.Union(cur))
-	if !ok {
-		t.Fatal("no core")
-	}
-	if neighbour.Contains(c) {
-		t.Fatalf("granted occupied core %d", c)
-	}
-	if topo.NodeOf(c) != 1 {
-		t.Errorf("grant on node %d, want node 1 next to our core", topo.NodeOf(c))
-	}
-	if alloc.Name() != "hop-min" {
-		t.Errorf("Name = %q", alloc.Name())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"elasticore/internal/db"
-	"elasticore/internal/elastic"
 	"elasticore/internal/numa"
 	"elasticore/internal/tpch"
 	"elasticore/internal/workload"
@@ -14,7 +13,7 @@ import (
 
 // topology.go implements the topology-sweep experiment: the fig4-style
 // Q6 concurrency workload executed on every machine shape in the
-// topology zoo under every topology-aware placement policy. The paper
+// topology zoo under every topology-aware placement mode. The paper
 // evaluated its mechanism on exactly one machine — the four-socket
 // Opteron square — but its central claim (counter-driven elastic
 // allocation keeps the system NUMA-friendly) is about NUMA machines in
@@ -40,6 +39,9 @@ var sweepZoo = []sweepTopology{
 	{"epyc", numa.EPYCLike},
 }
 
+// sweepModes lists the swept placement modes, in golden-file order.
+var sweepModes = []workload.Mode{workload.ModeNodeFill, workload.ModeHopMin, workload.ModeScatter}
+
 // runTopologySweep executes the sweep: one rig per topology x placement,
 // each driving Config.Clients concurrent users through one TPC-H Q6.
 func runTopologySweep(ctx context.Context, c Config, obs Observer) (*Result, error) {
@@ -53,13 +55,13 @@ func runTopologySweep(ctx context.Context, c Config, obs Observer) (*Result, err
 		base := zt.build()
 		err := phase(ctx, obs, zt.name, func() error {
 			bestName, bestRatio := "", 0.0
-			for _, p := range elastic.Placements() {
-				ratio, err := runTopologyPoint(c, sweep, zt.name, base, p)
+			for _, mode := range sweepModes {
+				ratio, err := runTopologyPoint(c, sweep, zt.name, base, mode)
 				if err != nil {
 					return err
 				}
 				if bestName == "" || ratio < bestRatio {
-					bestName, bestRatio = p.Name(), ratio
+					bestName, bestRatio = mode.String(), ratio
 				}
 			}
 			fmt.Fprintf(&friendliest, "%-8s  %s (ht/imc %.3f)\n", zt.name, bestName, bestRatio)
@@ -71,7 +73,7 @@ func runTopologySweep(ctx context.Context, c Config, obs Observer) (*Result, err
 		obs.Progress(ti+1, len(sweepZoo))
 	}
 	res.AddMetric("topologies", float64(len(sweepZoo)), "")
-	res.AddMetric("placements", float64(len(elastic.Placements())), "")
+	res.AddMetric("placements", float64(len(sweepModes)), "")
 	res.AddArtifact("numa-friendliest placement per topology", friendliest.String())
 	return res, nil
 }
@@ -80,23 +82,23 @@ func runTopologySweep(ctx context.Context, c Config, obs Observer) (*Result, err
 // fig4-style phase — Clients concurrent users, each one Q6 with the
 // canonical parameters — appends its sweep row and returns its HT/IMC
 // NUMA-friendliness ratio (Section V-B, smaller is friendlier).
-func runTopologyPoint(c Config, sweep *Table, name string, base *numa.Topology, p elastic.Placement) (float64, error) {
+func runTopologyPoint(c Config, sweep *Table, name string, base *numa.Topology, mode workload.Mode) (float64, error) {
 	rig, err := workload.NewRig(workload.Options{
-		SF:            c.SF,
-		Seed:          c.Seed,
-		Placement:     c.Placement,
-		CorePlacement: p,
-		Topology:      workload.ScaleTopology(base, c.SF),
+		SF:        c.SF,
+		Seed:      c.Seed,
+		Mode:      mode,
+		Placement: c.Placement,
+		Topology:  workload.ScaleTopology(base, c.SF),
 	})
 	if err != nil {
-		return 0, fmt.Errorf("topology %s, placement %s: %w", name, p.Name(), err)
+		return 0, fmt.Errorf("topology %s, placement %s: %w", name, mode, err)
 	}
 	d := &workload.Driver{Rig: rig, QueriesPerClient: 1}
 	params := q6Fixed()
 	ph := d.Run(c.Clients, func(cl, k int) *db.Plan { return tpch.BuildQ6With(params) })
 	topo := rig.Machine.Topology()
 	ratio := ph.Window.HTIMCRatio()
-	sweep.AddRow(name, p.Name(), topo.NodeCount, topo.TotalCores(), ph.Throughput,
+	sweep.AddRow(name, mode.String(), topo.NodeCount, topo.TotalCores(), ph.Throughput,
 		mb(ph.Window.TotalHTBytes()), mb(ph.Window.TotalIMCBytes()), ratio, rig.AllocatedCores())
 	return ratio, nil
 }

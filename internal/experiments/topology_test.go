@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"elasticore/internal/elastic"
-)
+import "testing"
 
 // topology_test.go covers the topology-sweep experiment: golden
 // renderings across machine shapes (2socket, 4ring, 8twisted, opteron
@@ -26,19 +22,19 @@ func TestTopologySweepCoversZooTimesPlacements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := len(sweepZoo) * len(elastic.Placements())
+	wantRows := len(sweepZoo) * len(sweepModes)
 	if n := len(res.Table("sweep").Rows); n != wantRows {
 		t.Fatalf("%d rows, want %d (topologies x placements)", n, wantRows)
 	}
 	for _, zt := range sweepZoo {
-		for _, p := range elastic.Placements() {
-			key := []any{zt.name, p.Name()}
+		for _, mode := range sweepModes {
+			key := []any{zt.name, mode.String()}
 			tput, imc := cell(t, res, "sweep", "q/s", key...), cell(t, res, "sweep", "IMC MB", key...)
 			if tput <= 0 || imc <= 0 {
-				t.Errorf("%s x %s: throughput %.3f, IMC %.2f MB; want positive", zt.name, p.Name(), tput, imc)
+				t.Errorf("%s x %s: throughput %.3f, IMC %.2f MB; want positive", zt.name, mode, tput, imc)
 			}
 			if alloc, cores := cell(t, res, "sweep", "alloc", key...), cell(t, res, "sweep", "cores", key...); alloc < 1 || alloc > cores {
-				t.Errorf("%s x %s: allocation %g outside 1..%g", zt.name, p.Name(), alloc, cores)
+				t.Errorf("%s x %s: allocation %g outside 1..%g", zt.name, mode, alloc, cores)
 			}
 		}
 	}

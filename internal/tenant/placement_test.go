@@ -9,7 +9,8 @@ import (
 )
 
 // placement_test.go covers the topology-aware arbitration path: tenants
-// whose allocator is backed by an elastic.Placement must receive
+// running a topology-aware allocation mode (elastic.NewHopMin,
+// elastic.NewNodeFill) must receive
 // hop-compact core transfers (placed relative to their *own* cores),
 // on machines where node index order and hop distance disagree.
 
@@ -26,9 +27,9 @@ func newRingBox(t *testing.T) *testBox {
 	return &testBox{machine: machine, sch: sch, arb: arb}
 }
 
-// addPlacedTenant registers a tenant running a placement-backed
-// allocator.
-func (b *testBox) addPlacedTenant(t *testing.T, name string, pid int, p elastic.Placement, sla SLA) *Tenant {
+// addPlacedTenant registers a tenant running the allocation mode newAlloc
+// builds on the box's machine.
+func (b *testBox) addPlacedTenant(t *testing.T, name string, pid int, newAlloc func(*numa.Topology) elastic.Allocator, sla SLA) *Tenant {
 	t.Helper()
 	g := b.sch.NewCGroup(name)
 	g.AddPID(pid)
@@ -36,7 +37,7 @@ func (b *testBox) addPlacedTenant(t *testing.T, name string, pid int, p elastic.
 		Name:          name,
 		Scheduler:     b.sch,
 		CGroup:        g,
-		Allocator:     elastic.NewPlaced(b.machine.Topology(), p),
+		Allocator:     newAlloc(b.machine.Topology()),
 		SLA:           sla,
 		ControlPeriod: b.sch.Quantum() * 2,
 	})
@@ -57,7 +58,7 @@ func (b *testBox) addPlacedTenant(t *testing.T, name string, pid int, p elastic.
 func TestGrowToStaysHopCompact(t *testing.T) {
 	b := newRingBox(t)
 	topo := b.machine.Topology()
-	tn := b.addPlacedTenant(t, "near", 100, elastic.HopMin{}, SLA{MinCores: 1})
+	tn := b.addPlacedTenant(t, "near", 100, elastic.NewHopMin, SLA{MinCores: 1})
 
 	// Re-place the tenant on one core of node 1 and occupy node 3 (the
 	// node diagonal to 1) wholesale, as a neighbour tenant would.
@@ -103,8 +104,8 @@ func TestArbiterTransfersHopAware(t *testing.T) {
 
 	// "far" packs node 0 wholesale (floor 4, node-fill starts at node 0);
 	// "near" starts with one core.
-	far := b.addPlacedTenant(t, "far", 100, elastic.NodeFill{}, SLA{Weight: 1, MinCores: 4})
-	near := b.addPlacedTenant(t, "near", 101, elastic.HopMin{}, SLA{Weight: 4, MinCores: 1})
+	far := b.addPlacedTenant(t, "far", 100, elastic.NewNodeFill, SLA{Weight: 1, MinCores: 4})
+	near := b.addPlacedTenant(t, "near", 101, elastic.NewHopMin, SLA{Weight: 4, MinCores: 1})
 
 	if got := far.Allocated().NodesTouched(topo); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("far tenant placed on %v, want node 0 only", got)

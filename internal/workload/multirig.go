@@ -22,9 +22,9 @@ type TenantSpec struct {
 	// Seed varies the tenant's dataset and workload (default: tenant
 	// index + 1).
 	Seed uint64
-	// Mode is the tenant's allocation mode; ModeOS is invalid here — a
-	// consolidated tenant always runs under its own mechanism
-	// (default ModeDense).
+	// Mode is the tenant's allocation mode, any but ModeOS: a
+	// consolidated tenant always runs under its own mechanism, so the zero
+	// value selects ModeDense.
 	Mode Mode
 	// SLA is the tenant's agreement (defaults: weight 1, min 1 core).
 	SLA tenant.SLA
@@ -95,6 +95,9 @@ func NewMultiRig(opts MultiOptions) (*MultiRig, error) {
 		if opts.Tenants[i].Name == "" {
 			opts.Tenants[i].Name = fmt.Sprintf("tenant%d", i)
 		}
+		if opts.Tenants[i].Mode == ModeOS {
+			opts.Tenants[i].Mode = ModeDense
+		}
 		aggregateSF += opts.Tenants[i].SF
 	}
 	machine, sc, period := newMachine(opts.Topology, aggregateSF, opts.Quantum, opts.ControlPeriod)
@@ -119,7 +122,10 @@ func NewMultiRig(opts MultiOptions) (*MultiRig, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", spec.Name, err)
 		}
-		alloc, err := allocatorFor(spec.Mode, machine, srv.group)
+		alloc, err := allocatorFor(spec.Mode, machine.Topology(), func() elastic.ResidencyFunc {
+			// Each tenant is steered toward the sockets holding *its* data.
+			return func() []int { return machine.Residency(srv.group.PIDs()) }
+		})
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %w", spec.Name, err)
 		}
@@ -152,25 +158,6 @@ func NewMultiRig(opts MultiOptions) (*MultiRig, error) {
 		})
 	}
 	return m, nil
-}
-
-// allocatorFor maps a rig Mode to a tenant's allocation mode. The adaptive
-// mode follows the tenant's own page residency, so each tenant is steered
-// toward the sockets holding *its* data.
-func allocatorFor(mode Mode, machine *numa.Machine, group *sched.CGroup) (elastic.Allocator, error) {
-	topo := machine.Topology()
-	switch mode {
-	case ModeDense:
-		return elastic.NewDense(topo), nil
-	case ModeSparse:
-		return elastic.NewSparse(topo), nil
-	case ModeAdaptive:
-		return elastic.NewAdaptive(topo, func() []int {
-			return machine.Residency(group.PIDs())
-		}), nil
-	default:
-		return nil, fmt.Errorf("workload: mode %v is not a tenant allocation mode", mode)
-	}
 }
 
 // Tick advances the rig by one scheduler quantum, running the arbitration

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"elasticore/internal/db"
@@ -51,9 +52,21 @@ func TestNewMultiRigRejectsBadSpecs(t *testing.T) {
 	if _, err := NewMultiRig(MultiOptions{}); err == nil {
 		t.Error("empty tenant list accepted")
 	}
-	_, err := NewMultiRig(MultiOptions{Tenants: []TenantSpec{{Name: "x", Mode: ModeOS}}})
-	if err == nil {
-		t.Error("ModeOS tenant accepted")
+	_, err := NewMultiRig(MultiOptions{Tenants: []TenantSpec{{Name: "x", SF: 0.002, Mode: Mode(9)}}})
+	if err == nil || !strings.Contains(err.Error(), "mode(9)") {
+		t.Errorf("unknown tenant mode: err = %v, want one naming mode(9)", err)
+	}
+}
+
+// TestTenantModeDefaultsToDense: a spec without a mode runs the
+// documented default rather than failing as ModeOS.
+func TestTenantModeDefaultsToDense(t *testing.T) {
+	m, err := NewMultiRig(MultiOptions{Tenants: []TenantSpec{{SF: 0.002}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Tenants[0].Spec.Mode; got != ModeDense {
+		t.Errorf("tenant mode %v, want dense", got)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // Mode selects the allocation policy of a rig: the plain OS scheduler
-// (all cores, no mechanism) or the mechanism with one of its three
-// allocation modes.
+// (all cores, no mechanism) or the mechanism with one of its allocation
+// modes — the paper's three, or one of the topology-aware three.
 type Mode int
 
 const (
@@ -29,24 +29,54 @@ const (
 	ModeSparse
 	// ModeAdaptive runs the mechanism with the adaptive priority mode.
 	ModeAdaptive
+	// ModeNodeFill runs the mechanism with node-fill placement: pack a
+	// socket, then open the free socket nearest by hop distance.
+	ModeNodeFill
+	// ModeHopMin runs the mechanism with hop-min placement: each grant
+	// goes to the free core nearest to the cores already held.
+	ModeHopMin
+	// ModeScatter runs the mechanism with scatter placement, the
+	// topology-blind round-robin baseline.
+	ModeScatter
 )
+
+// modeNames are the modes' String values, indexed by Mode.
+var modeNames = [...]string{"os", "dense", "sparse", "adaptive", "node-fill", "hop-min", "scatter"}
 
 // String implements fmt.Stringer.
 func (m Mode) String() string {
-	switch m {
-	case ModeDense:
-		return "dense"
-	case ModeSparse:
-		return "sparse"
-	case ModeAdaptive:
-		return "adaptive"
-	default:
-		return "os"
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
 	}
+	return fmt.Sprintf("mode(%d)", int(m))
 }
 
 // AllModes lists the four configurations of Figure 13.
 var AllModes = []Mode{ModeOS, ModeDense, ModeSparse, ModeAdaptive}
+
+// allocatorFor returns the allocation mode m selects on topo, or nil under
+// ModeOS, which runs no mechanism. residency builds the adaptive mode's
+// residency source and is called for ModeAdaptive alone: a rig's source
+// opens a counter window when built.
+func allocatorFor(m Mode, topo *numa.Topology, residency func() elastic.ResidencyFunc) (elastic.Allocator, error) {
+	switch m {
+	case ModeOS:
+		return nil, nil
+	case ModeDense:
+		return elastic.NewDense(topo), nil
+	case ModeSparse:
+		return elastic.NewSparse(topo), nil
+	case ModeAdaptive:
+		return elastic.NewAdaptive(topo, residency()), nil
+	case ModeNodeFill:
+		return elastic.NewNodeFill(topo), nil
+	case ModeHopMin:
+		return elastic.NewHopMin(topo), nil
+	case ModeScatter:
+		return elastic.NewScatter(topo), nil
+	}
+	return nil, fmt.Errorf("workload: unknown mode %v", m)
+}
 
 // Options configures a rig.
 type Options struct {
@@ -57,7 +87,7 @@ type Options struct {
 	// Mode is the allocation policy (default ModeOS).
 	Mode Mode
 	// Placement selects the engine flavour: MonetDB-like (PlacementOS) or
-	// SQL-Server-like (PlacementNUMAAware).
+	// SQL-Server-like (PlacementNUMAAware). Where cores go is Mode's.
 	Placement db.Placement
 	// Strategy overrides the mechanism's state-transition metric
 	// (default CPU load).
@@ -70,13 +100,6 @@ type Options struct {
 	// experiments scale cache sizes and bandwidths with SF to preserve
 	// the paper's data-to-cache ratio at small scale factors.
 	Topology *numa.Topology
-	// CorePlacement, when set, attaches the mechanism with this
-	// topology-aware core placement policy (elastic.NewPlaced) instead
-	// of Mode's fixed allocation order; Mode's ModeOS semantics (no
-	// mechanism) do not apply — a core placement always implies a
-	// mechanism. Distinct from Placement, the engine's *data* placement
-	// flavour.
-	CorePlacement elastic.Placement
 	// Bus, when set, is attached to every producer of the rig (scheduler,
 	// engine, mechanism, open-loop driver) so one telemetry stream spans
 	// the stack. Events observe, never perturb: a traced rig's simulated
@@ -224,20 +247,11 @@ func NewRig(opts Options) (*Rig, error) {
 		Dataset: srv.dataset,
 		Opts:    opts,
 	}
-	if opts.Mode != ModeOS || opts.CorePlacement != nil {
-		var alloc elastic.Allocator
-		switch {
-		case opts.CorePlacement != nil:
-			alloc = elastic.NewPlaced(topo, opts.CorePlacement)
-		case opts.Mode == ModeDense:
-			alloc = elastic.NewDense(topo)
-		case opts.Mode == ModeSparse:
-			alloc = elastic.NewSparse(topo)
-		case opts.Mode == ModeAdaptive:
-			alloc = elastic.NewAdaptive(topo, touchDeltaResidency(machine))
-		default:
-			return nil, fmt.Errorf("workload: unknown mode %v", opts.Mode)
-		}
+	alloc, err := allocatorFor(opts.Mode, topo, func() elastic.ResidencyFunc { return touchDeltaResidency(machine) })
+	if err != nil {
+		return nil, err
+	}
+	if alloc != nil {
 		mech, err := elastic.New(elastic.Config{
 			Scheduler:     sc,
 			CGroup:        group,

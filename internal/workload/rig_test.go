@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"elasticore/internal/db"
@@ -67,5 +68,44 @@ func TestNewRigAdaptiveMode(t *testing.T) {
 	}
 	if len(r.Mech.Events()) == 0 {
 		t.Error("mechanism never evaluated")
+	}
+}
+
+// TestEveryModeBuilds: each Mode constant prints a distinct name, a rig
+// runs the mechanism exactly when the mode is not ModeOS, and every
+// mechanism mode also builds a consolidated tenant.
+func TestEveryModeBuilds(t *testing.T) {
+	seen := map[string]Mode{}
+	for m := ModeOS; m <= ModeScatter; m++ {
+		if prev, dup := seen[m.String()]; dup {
+			t.Errorf("modes %d and %d both print %q", prev, m, m.String())
+		}
+		seen[m.String()] = m
+		r, err := NewRig(Options{SF: 0.002, Mode: m})
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if (r.Mech != nil) != (m != ModeOS) {
+			t.Errorf("%v: rig has mechanism %v", m, r.Mech != nil)
+		}
+		if m == ModeOS {
+			continue
+		}
+		mr, err := NewMultiRig(MultiOptions{Tenants: []TenantSpec{{SF: 0.002, Mode: m}}})
+		if err != nil {
+			t.Fatalf("%v tenant: %v", m, err)
+		}
+		if mr.Tenants[0].Mech == nil || mr.Tenants[0].Allocated().IsEmpty() {
+			t.Errorf("%v tenant holds %v without a mechanism", m, mr.Tenants[0].Allocated())
+		}
+	}
+}
+
+// TestUnknownModeNamesItsValue: an out-of-range mode fails naming the
+// value, not another mode.
+func TestUnknownModeNamesItsValue(t *testing.T) {
+	_, err := NewRig(Options{SF: 0.002, Mode: Mode(9)})
+	if err == nil || !strings.Contains(err.Error(), "mode(9)") {
+		t.Fatalf("err = %v, want one naming mode(9)", err)
 	}
 }
