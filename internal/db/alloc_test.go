@@ -63,7 +63,10 @@ func TestBufferPoolRecyclesBackingArrays(t *testing.T) {
 
 	f := p.getF64(64)
 	p.putF64(f)
-	g := p.getF64(10)
+	if small := p.getF64(4); cap(small) == cap(f) {
+		t.Error("getF64(4) was handed a buffer sixteen times its size")
+	}
+	g := p.getF64(16) // within poolReach of the 64-cap bucket
 	if cap(g) != cap(f) || &f[:1][0] != &g[:1][0] {
 		t.Error("getF64 did not recycle the returned buffer")
 	}
@@ -102,8 +105,12 @@ func TestReleaseReclaimsQueryBuffers(t *testing.T) {
 	sc := sched.New(machine, sched.Config{})
 	store := NewStore(machine)
 	vals := make([]float64, 8192)
+	want := 0.0
 	for i := range vals {
 		vals[i] = float64(i % 50)
+		if vals[i] < 25 {
+			want++
+		}
 	}
 	if _, err := store.CreateTable("t", map[string]*BAT{"v": NewF64("v", vals)}); err != nil {
 		t.Fatal(err)
@@ -112,7 +119,8 @@ func TestReleaseReclaimsQueryBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := lower("scan", Scan("t", "v", "c", PredFLess(25)), Count("c", "n"))
+	// The candidate list is the plan's result: no later step reads it.
+	plan := lower("scan", Scan("t", "v", "c", PredFLess(25)))
 	runOnce := func() *Query {
 		q := eng.Submit(plan)
 		if !sc.RunUntil(q.Done, machine.Topology().SecondsToCycles(10)) {
@@ -121,12 +129,8 @@ func TestReleaseReclaimsQueryBuffers(t *testing.T) {
 		return q
 	}
 	q1 := runOnce()
-	want := q1.Scalar("n")
-	if want == 0 {
-		t.Fatal("query matched nothing; predicate broken")
-	}
-	if len(q1.owned.i64) == 0 {
-		t.Fatal("query registered no pooled buffers")
+	if eng.pool.lent == 0 {
+		t.Fatal("query holds no pooled buffers")
 	}
 	// Drain must NOT recycle: results of drained queries stay readable.
 	if drained := eng.Drain(); len(drained) != 1 || drained[0] != q1 {
@@ -135,19 +139,22 @@ func TestReleaseReclaimsQueryBuffers(t *testing.T) {
 	if got := float64(q1.Var("c").Rows()); got != want {
 		t.Fatalf("drained query result corrupted: %v rows, want %v", got, want)
 	}
-	q1.releaseTo(&eng.pool)
+	eng.Release(q1)
 	pooled := 0
 	for _, cl := range eng.pool.i64 {
 		pooled += len(cl)
 	}
-	if pooled == 0 {
-		t.Fatal("release returned no buffers to the pool")
+	if pooled == 0 || eng.pool.lent != 0 {
+		t.Fatalf("release returned %d buffers to the pool and left %d out", pooled, eng.pool.lent)
 	}
 	q2 := runOnce()
-	if got := q2.Scalar("n"); got != want {
-		t.Fatalf("pooled rerun returned %v, want %v", got, want)
+	if got := float64(q2.Var("c").Rows()); got != want {
+		t.Fatalf("pooled rerun returned %v rows, want %v", got, want)
 	}
 	eng.Release(q2)
+	if got := poolDepth(&eng.pool) - len(eng.pool.disp); got != pooled {
+		t.Errorf("the rerun left %d buffers in the pool, want the %d the first run returned", got, pooled)
+	}
 }
 
 // TestQ6AllocsPerQuery is db.q6_allocs_per_query inside the root module:
@@ -232,13 +239,14 @@ func TestStagePlanningAllocsIndependentOfFanout(t *testing.T) {
 			}
 			const runs = 10
 			for i := 0; i < 2*16*(runs+2); i++ {
-				eng.pool.putI64(make([]int64, 0, rows))
-				eng.pool.putF64(make([]float64, 0, rows))
+				// A partition's size: within reach of every request a
+				// stage at this fan-out makes (poolReach).
+				eng.pool.putI64(make([]int64, 0, rows/fanout))
+				eng.pool.putF64(make([]float64, 0, rows/fanout))
 				m := &i64fMap{}
 				m.tryPositional(0, rows, rows, false) // l_orderkey spans 0 … rows/4
 				eng.pool.putMapIF(m)
 			}
-			q.owned.mif = make([]*i64fMap, 0, 16*(runs+2))
 			perStage[fi] = testing.AllocsPerRun(runs, func() {
 				if got := len(planOp(q, &tc.stage)); got != fanout {
 					t.Fatalf("%s at fanout %d planned %d tasks", tc.name, fanout, got)

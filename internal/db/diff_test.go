@@ -845,7 +845,7 @@ func TestDiffSortPairs(t *testing.T) {
 					want[i] = pair{ks[i], vs[i]}
 				}
 				sort.SliceStable(want, func(a, b int) bool { return want[a].k < want[b].k })
-				gotK, gotV := sortPairs(ks, vs, make([]int64, size), make([]float64, size))
+				gotK, gotV, _, _ := sortPairs(ks, vs, make([]int64, size), make([]float64, size))
 				for i, w := range want {
 					if gotK[i] != w.k || gotV[i] != w.v {
 						t.Fatalf("size %d span %d: pair %d = (%d, %g), want (%d, %g)", size, span, i, gotK[i], gotV[i], w.k, w.v)
@@ -1022,8 +1022,8 @@ func TestDiffEngineDrive(t *testing.T) {
 					t.Fatalf("seed %d: partial %s[%d] bound on one side only", seed, name, i)
 				}
 				if m != nil {
-					gk, gs := sortedGroups(m, nil, nil, heapPairs)
-					wk, ws := sortedGroups(w, nil, nil, heapPairs)
+					gk, gs, _, _ := sortedGroups(m, nil, nil, heapPairs)
+					wk, ws, _, _ := sortedGroups(w, nil, nil, heapPairs)
 					eqI64(t, name, gk, wk)
 					eqF64(t, name, gs, ws)
 				}
@@ -1031,6 +1031,108 @@ func TestDiffEngineDrive(t *testing.T) {
 		}
 		if fast.q.Var("none").Rows() != 0 || fast.q.Var("hit").Rows() == 0 || fast.q.Var("when").Rows() == 0 {
 			t.Fatalf("seed %d: the pipeline lost the cases it is there for", seed)
+		}
+	}
+}
+
+// TestDiffPoolRegrowth is the differential of the engine drive's regrowth.
+// The three selection operators an engine drives — FilterScan,
+// FilterRefine and HashProbe in every mode — start from a one-value buffer
+// of an engine's pool, which is stocked with poisoned buffers of random
+// small sizes, so their outputs outgrow one buffer after another and move
+// into recycled ones through the pool. Outputs and Charged() must equal the
+// row-at-a-time reference's and the standalone drive's, which grows through
+// growFor. Once the final buffers are returned, the pool must be at rest:
+// every outgrown buffer back, none filed twice.
+func TestDiffPoolRegrowth(t *testing.T) {
+	for _, seed := range diffSeeds {
+		r := newDiffRNG(seed)
+		eng := &Engine{}
+		stockPool(&eng.pool, seed, 64, 700)
+		q := &Query{eng: eng}
+		regrown := 0
+		// engineDrive drains op with the query attached, checks what it
+		// emitted against the standalone twin, then hands the final buffers
+		// back to the pool.
+		engineDrive := func(label string, op, alone Operator, final func() [][]int64, want []int64, cycles uint64) {
+			t.Helper()
+			got, _ := drain(op, r)
+			eqI64(t, label, got, want)
+			eqCycles(t, label, op, cycles)
+			aloneGot, _ := drain(alone, r)
+			eqI64(t, label+" standalone", aloneGot, got)
+			eqCycles(t, label+" standalone", alone, op.Charged())
+			for _, buf := range final() {
+				if cap(buf) > 1 {
+					regrown++
+				}
+				eng.pool.putI64(buf)
+			}
+		}
+		for _, size := range []int{0, 1, 13, 300 + r.intn(3000)} {
+			for _, pd := range diffPreds() {
+				col := predColumn(r, pd, size)
+				var wantScan []int64
+				for i := 0; i < size; i++ {
+					if refMatch(pd, col, i) {
+						wantScan = append(wantScan, int64(i))
+					}
+				}
+				fs := NewFilterScan(col, pd.p, 0, size, q.scratchI64(1))
+				fs.q = q
+				engineDrive(pd.name+"/scan", fs, NewFilterScan(col, pd.p, 0, size, nil),
+					func() [][]int64 { return [][]int64{fs.ids} }, wantScan, uint64(size)*cyclesScan)
+
+				cand := NewI64("cand", genCand(r, size))
+				var wantRefine []int64
+				for _, oid := range cand.I {
+					if refMatch(pd, col, int(oid)) {
+						wantRefine = append(wantRefine, oid)
+					}
+				}
+				fr := NewFilterRefine(col, pd.p, cand, q.scratchI64(1))
+				fr.q = q
+				engineDrive(pd.name+"/refine", fr, NewFilterRefine(col, pd.p, cand, nil),
+					func() [][]int64 { return [][]int64{fr.ids} }, wantRefine, uint64(cand.Len())*cyclesGather)
+			}
+			col := NewI64("c", genI64(r, size, 72))
+			cand := NewI64("cand", genCand(r, size))
+			set := &i64Map{}
+			for k := int64(8); k <= 40; k += 2 {
+				set.Put(k, 10*k)
+			}
+			for _, mode := range []struct {
+				name        string
+				anti, fetch bool
+			}{{"semi", false, false}, {"anti", true, false}, {"fetch", false, true}, {"anti-fetch", true, true}} {
+				var wantIDs, wantPays []int64
+				for _, oid := range cand.I {
+					payload, hit := set.Get(col.I[oid])
+					if hit != mode.anti {
+						wantIDs = append(wantIDs, oid)
+						wantPays = append(wantPays, payload)
+					}
+				}
+				hp := NewHashProbe(col, cand, set, mode.anti, mode.fetch, q.scratchI64(1), nil)
+				if mode.fetch {
+					hp.payloads = q.scratchI64(1)
+				}
+				hp.q = q
+				alone := NewHashProbe(col, cand, set, mode.anti, mode.fetch, nil, nil)
+				engineDrive("probe/"+mode.name, hp, alone, func() [][]int64 {
+					if mode.fetch {
+						eqI64(t, "probe/"+mode.name+" payloads", hp.Payloads(), wantPays)
+						eqI64(t, "probe/"+mode.name+" standalone payloads", alone.Payloads(), wantPays)
+					}
+					return [][]int64{hp.ids, hp.payloads}
+				}, wantIDs, uint64(cand.Len())*cyclesProbe)
+			}
+		}
+		if regrown == 0 {
+			t.Fatalf("seed %d: no operator outgrew its first buffer", seed)
+		}
+		if err := poolAtRest(&eng.pool); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -89,10 +89,11 @@ type Engine struct {
 	serverJobs   deque.Deque[serverJob]
 	serverThread *sched.Thread
 
-	// pool recycles the steady-state churn of query execution — candidate
-	// lists, value buffers, aggregation partials and dispatch envelopes —
-	// so repeated queries stop allocating once warm. Buffers are handed to
-	// queries on demand and reclaimed when the finished query is drained.
+	// pool recycles the heap storage of query execution — candidate
+	// lists, value buffers, aggregation partials, join tables and dispatch
+	// envelopes — so queries stop allocating once warm. Storage is handed
+	// to queries on demand; an intermediate's comes back when its last
+	// reader's stage drains, a result's when the query is released.
 	pool bufPool
 
 	// TasksExecuted counts finished tasks (paper Fig 13 (c)).
@@ -240,7 +241,6 @@ func (e *Engine) Submit(p *Plan) *Query {
 		sets:        make(map[string]*i64Map),
 		scalars:     make(map[string]float64),
 		partials:    make(map[string][]*i64fMap),
-		owned:       e.pool.getOwned(),
 		startCycles: e.machine.Now(),
 	}
 	e.queries = append(e.queries, q)
@@ -285,19 +285,24 @@ func (e *Engine) startQuery(q *Query) {
 }
 
 // advance plans and enqueues the next stage of q, skipping empty stages,
-// and completes the query after the last one.
+// and completes the query after the last one. The intermediates whose last
+// reader was the stage that just drained go back to the pool first, so the
+// next stage can draw their storage.
 func (e *Engine) advance(q *Query) {
+	q.bury(&e.pool)
 	p := q.Plan
 	for q.stage < len(p.Ops)+len(p.Stages) {
 		var tasks []Task
 		if i := q.stage; i < len(p.Ops) {
 			op := &p.Ops[i]
+			q.doom(i)
 			tasks = opTable[op.Kind].lower(q, op)
 		} else {
 			tasks = p.Stages[i-len(p.Ops)](q)
 		}
 		q.stage++
 		if len(tasks) == 0 {
+			q.bury(&e.pool)
 			continue
 		}
 		q.pending = len(tasks)
@@ -392,13 +397,14 @@ func (e *Engine) taskFinished(w *worker, d *dispatched) {
 }
 
 // Release drops one finished query from the engine's tracking list and
-// reclaims its pooled buffers. Workload drivers call it as soon as a
+// returns its results' storage to the pool (its intermediates went back
+// as their last readers finished). Workload drivers call it as soon as a
 // client observes completion, which is what lets a steady stream of
-// queries run out of recycled storage. The query's intermediates must not
-// be read afterwards; callers that read results after the fact use Drain
-// instead, which never recycles. Release is idempotent: a second call on
-// an already-released query is a no-op, so a buffer can never reach the
-// pool twice and be handed to two future queries at once.
+// queries run out of recycled storage. The query's results must not be
+// read afterwards; callers that read results after the fact use Drain
+// instead, which never recycles them. Release is idempotent: a second
+// call on an already-released query is a no-op, so a buffer can never
+// reach the pool twice and be handed to two future queries at once.
 func (e *Engine) Release(q *Query) {
 	if q == nil || !q.done || q.released {
 		return
@@ -412,13 +418,14 @@ func (e *Engine) Release(q *Query) {
 			break
 		}
 	}
-	q.releaseTo(&e.pool)
+	q.freeResults(&e.pool)
 }
 
 // Drain removes finished queries from the engine's tracking list and
 // returns them (workload bookkeeping between phases). Unlike Release, it
-// does NOT recycle their buffers, so the returned queries' results remain
-// readable indefinitely.
+// does NOT recycle their results, so those stay readable indefinitely.
+// Only results do: an intermediate's storage went back to the pool when
+// its last reader finished, and its name is unbound.
 func (e *Engine) Drain() []*Query {
 	var done, live []*Query
 	for _, q := range e.queries {

@@ -1,0 +1,91 @@
+package db
+
+import (
+	"fmt"
+	"math"
+	"unsafe"
+
+	"elasticore/internal/hashmix"
+)
+
+// export_test.go holds the pool checks the tests of this package share, and
+// opens them, with a query's results, to reuse_test.go: that test loads
+// TPC-H data, and tpch imports db, so it is an external test.
+
+// poolAtRest reports a pool that is not at rest: a buffer or table still
+// lent out, or a backing array or table filed twice — that one would back
+// two intermediates of later queries at once.
+func poolAtRest(p *bufPool) error {
+	if p.lent != 0 {
+		return fmt.Errorf("%d buffers and tables are still lent out", p.lent)
+	}
+	seen := map[any]string{}
+	once := func(kind string, key any) error {
+		if seen[key] != "" {
+			return fmt.Errorf("an %s is filed in the pool twice", kind)
+		}
+		seen[key] = kind
+		return nil
+	}
+	for _, bucket := range p.i64 {
+		for _, buf := range bucket {
+			if err := once("int64 backing array", unsafe.SliceData(buf)); err != nil {
+				return err
+			}
+		}
+	}
+	for _, bucket := range p.f64 {
+		for _, buf := range bucket {
+			if err := once("float64 backing array", unsafe.SliceData(buf)); err != nil {
+				return err
+			}
+		}
+	}
+	for _, m := range p.mif {
+		if err := once("i64fMap", m); err != nil {
+			return err
+		}
+	}
+	for _, m := range p.mii {
+		if err := once("i64Map", m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stockPool files n int64 and n float64 buffers of random capacities in
+// [1, maxCap] in the pool, as if earlier queries had returned them, their
+// whole capacity poisoned: a query that read a recycled buffer past what it
+// wrote would read these values. Stocking lends nothing.
+func stockPool(p *bufPool, seed uint64, n, maxCap int) {
+	rng := hashmix.Stream{State: seed}
+	for range n {
+		ci, cf := 1+int(rng.Next()%uint64(maxCap)), 1+int(rng.Next()%uint64(maxCap))
+		bi, bf := make([]int64, ci), make([]float64, cf)
+		for k := range bi {
+			bi[k] = -0x5a5a5a5a5a5a5a5b
+		}
+		for k := range bf {
+			bf[k] = math.NaN()
+		}
+		p.i64[class(ci)] = append(p.i64[class(ci)], bi[:0])
+		p.f64[class(cf)] = append(p.f64[class(cf)], bf[:0])
+	}
+}
+
+// PoolAtRest is poolAtRest over e's pool.
+func PoolAtRest(e *Engine) error { return poolAtRest(&e.pool) }
+
+// StockPool is stockPool over e's pool.
+func StockPool(e *Engine, seed uint64, n, maxCap int) { stockPool(&e.pool, seed, n, maxCap) }
+
+// Results returns what a finished query still holds, by name: its scalars
+// and the values of its bound variables.
+func Results(q *Query) (scalars map[string]float64, ints map[string][]int64, floats map[string][]float64) {
+	ints, floats = map[string][]int64{}, map[string][]float64{}
+	for name, ps := range q.vars {
+		ints[name], floats[name] = ps.FlattenI64(), ps.FlattenF64()
+	}
+	return q.scalars, ints, floats
+}

@@ -549,19 +549,23 @@ func TestBuildSideHoldsWhatItKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		q := r.eng.Submit(lower("Q13-join",
+		ops := []OpSpec{
 			ScanAll("orders", "o_custkey", "co"),
 			Project("co", "orders", "o_custkey", "ock"),
 			Build("ock", "", "hasorders"),
 			ScanAll("customer", "c_custkey", "cc"),
 			ProbeAnti("cc", "customer", "c_custkey", "hasorders", "cc2"),
 			Count("cc2", "idle"),
-		))
+		}
+		q := r.eng.Submit(lower("Q13-join", ops...))
 		r.run(t, q)
 		if got := int(q.Scalar("idle")); got != wantIdle {
 			t.Errorf("%s: %d customers without orders, want %d", tc.name, got, wantIdle)
 		}
-		set := q.Set("hasorders")
+		// The probe is the set's last reader: the build alone keeps it.
+		build := r.eng.Submit(lower("Q13-build", through(ops, "hasorders")...))
+		r.run(t, build)
+		set := build.Set("hasorders")
 		if (set.span > 0) != (tc.outlier < 0) {
 			t.Errorf("%s: build side has span %d", tc.name, set.span)
 		}
@@ -585,67 +589,82 @@ func TestBuildSideHoldsWhatItKeys(t *testing.T) {
 func TestPlansCostTheSameInEitherForm(t *testing.T) {
 	const scatter = 34
 	keyVars := map[string]bool{"keys": true, "gkeys": true, "gk": true}
-	run := func(far bool) (*Query, *numa.Machine) {
+	ops := []OpSpec{
+		Scan("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+		Project("cheap", "lineitem", "l_orderkey", "keys"),
+		Project("cheap", "lineitem", "l_shipdate", "dates"),
+		Build("keys", "dates", "when"),
+		Build("keys", "", "seen"),
+		ScanAll("lineitem", "l_orderkey", "all"),
+		ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
+		ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
+		ProbeFetch("all", "lineitem", "l_orderkey", "when", "got", "dated"),
+		Project("hit", "lineitem", "l_orderkey", "gkeys"),
+		Project("hit", "lineitem", "l_extendedprice", "gvals"),
+		GroupSum("gkeys", "gvals", "parts"),
+		GroupMerge("parts", "gk", "gs"),
+		TopN("gk", "gs", 7),
+		Count("hit", "hits"),
+		Count("miss", "misses"),
+	}
+	run := func(far bool, ops []OpSpec) (*Query, *numa.Machine) {
 		r := newDBRig(t, 40000, PlacementOS)
 		if far {
 			for i := range r.store.Table("lineitem").Col("l_orderkey").I {
 				r.store.Table("lineitem").Col("l_orderkey").I[i] <<= scatter
 			}
 		}
-		q := r.eng.Submit(lower("forms",
-			Scan("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
-			Project("cheap", "lineitem", "l_orderkey", "keys"),
-			Project("cheap", "lineitem", "l_shipdate", "dates"),
-			Build("keys", "dates", "when"),
-			Build("keys", "", "seen"),
-			ScanAll("lineitem", "l_orderkey", "all"),
-			ProbeSemi("all", "lineitem", "l_orderkey", "seen", "hit"),
-			ProbeAnti("all", "lineitem", "l_orderkey", "seen", "miss"),
-			ProbeFetch("all", "lineitem", "l_orderkey", "when", "got", "dated"),
-			Project("hit", "lineitem", "l_orderkey", "gkeys"),
-			Project("hit", "lineitem", "l_extendedprice", "gvals"),
-			GroupSum("gkeys", "gvals", "parts"),
-			GroupMerge("parts", "gk", "gs"),
-			TopN("gk", "gs", 7),
-			Count("hit", "hits"),
-			Count("miss", "misses"),
-		))
+		q := r.eng.Submit(lower("forms", ops...))
 		r.run(t, q)
+		return q, r.machine
+	}
+	// The tables die at their last probe and merge: the plan up to the
+	// builds keeps the two sets, the plan up to the grouped sum its
+	// partials.
+	for _, far := range []bool{false, true} {
+		sets, _ := run(far, through(ops, "seen"))
+		groups, _ := run(far, through(ops, "parts"))
 		positional := 0
-		for _, m := range q.partialsOf("parts") {
+		for _, m := range groups.partialsOf("parts") {
 			if m != nil {
 				positional += b2i(m.span > 0)
 			}
 		}
-		if got := []bool{q.Set("when").span > 0, q.Set("seen").span > 0, positional > 0}; got[0] == far || got[1] == far || got[2] == far {
+		if got := []bool{sets.Set("when").span > 0, sets.Set("seen").span > 0, positional > 0}; got[0] == far || got[1] == far || got[2] == far {
 			t.Fatalf("far=%v: fetch table, membership set, partials positional = %v", far, got)
 		}
-		return q, r.machine
 	}
-	near, nearM := run(false)
-	far, farM := run(true)
-	if near.Scalar("hits") == 0 || near.Scalar("misses") == 0 || near.Var("gk").Rows() != 7 {
-		t.Fatal("the plan does not exercise hits, misses and groups")
-	}
-	if !reflect.DeepEqual(near.scalars, far.scalars) {
-		t.Errorf("scalars differ: positional %v, hash %v", near.scalars, far.scalars)
-	}
-	for name, ps := range near.vars {
-		want := ps.FlattenI64()
-		if keyVars[name] {
-			for i := range want {
-				want[i] <<= scatter
+	// Every prefix of the plan runs in both forms, so each variable is a
+	// result — still bound when the query ends — in one of them.
+	for k := 1; k <= len(ops); k++ {
+		near, nearM := run(false, ops[:k])
+		far, farM := run(true, ops[:k])
+		if k == len(ops) && (near.Scalar("hits") == 0 || near.Scalar("misses") == 0 || near.Var("gk").Rows() != 7) {
+			t.Fatal("the plan does not exercise hits, misses and groups")
+		}
+		if !reflect.DeepEqual(near.scalars, far.scalars) {
+			t.Errorf("%d steps: scalars differ: positional %v, hash %v", k, near.scalars, far.scalars)
+		}
+		if len(near.vars) != len(far.vars) {
+			t.Errorf("%d steps: %d variables positional, %d hash", k, len(near.vars), len(far.vars))
+		}
+		for name, ps := range near.vars {
+			want := ps.FlattenI64()
+			if keyVars[name] {
+				for i := range want {
+					want[i] <<= scatter
+				}
+			}
+			got := far.vars[name]
+			if got == nil || !reflect.DeepEqual(got.FlattenI64(), want) || !reflect.DeepEqual(got.FlattenF64(), ps.FlattenF64()) {
+				t.Errorf("%d steps: variable %s differs between the forms", k, name)
 			}
 		}
-		got := far.vars[name]
-		if got == nil || !reflect.DeepEqual(got.FlattenI64(), want) || !reflect.DeepEqual(got.FlattenF64(), ps.FlattenF64()) {
-			t.Errorf("variable %s differs between the forms", name)
+		if near.ElapsedCycles() != far.ElapsedCycles() {
+			t.Errorf("%d steps: latency %d cycles positional, %d hash", k, near.ElapsedCycles(), far.ElapsedCycles())
 		}
-	}
-	if near.ElapsedCycles() != far.ElapsedCycles() {
-		t.Errorf("latency %d cycles positional, %d hash", near.ElapsedCycles(), far.ElapsedCycles())
-	}
-	if !reflect.DeepEqual(nearM.Snapshot(), farM.Snapshot()) {
-		t.Error("numa counters differ between the forms")
+		if !reflect.DeepEqual(nearM.Snapshot(), farM.Snapshot()) {
+			t.Errorf("%d steps: numa counters differ between the forms", k)
+		}
 	}
 }

@@ -378,7 +378,7 @@ func lowerProject(q *Query, op *OpSpec) []Task {
 		} else {
 			outB.F = q.scratchF64(cand.Len())
 		}
-		s.op = Gather{col: c, cand: cand, out: outB, q: q}
+		s.op = Gather{col: c, cand: cand, out: outB}
 		s.gathers("algebra.projection", q, &s.op, cand, c, cyclesGather)
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
@@ -401,7 +401,7 @@ func lowerMap2(q *Query, op *OpSpec) []Task {
 			continue
 		}
 		s, fb := &slab[i], pb.Parts[i]
-		s.op = MapBinary{a: fa, b: fb, f: f, res: q.scratchF64(fa.Len()), q: q, out: ps.Parts[i]}
+		s.op = MapBinary{a: fa, b: fb, f: f, res: q.scratchF64(fa.Len()), out: ps.Parts[i]}
 		s.init("batcalc.*", q.Machine(), &s.op, 0, fa.Len(), cyclesMap, fa, fb)
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
@@ -483,7 +483,7 @@ func buildWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
 	if op.In2 != "" {
 		vals = q.Var(op.In2)
 	}
-	m := q.scratchMapII()
+	m := q.eng.pool.getMapII()
 	lo, hi := noKeys()
 	for _, frag := range keys.Parts {
 		lo, hi = frag.widen(lo, hi)
@@ -501,7 +501,8 @@ func buildWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
 		if vals != nil {
 			vf = vals.Parts[pi]
 		}
-		NewHashBuild(frag, vf, m).runRange(0, frag.Len())
+		hb := HashBuild{keys: frag.byPosition(), vals: vf.byPosition(), set: m}
+		hb.runRange(0, frag.Len())
 		cost += uint64(frag.Len()) * cyclesBuild
 	}
 	q.SetSet(op.Out, m)
@@ -599,7 +600,7 @@ func lowerGroupSum(q *Query, op *OpSpec) []Task {
 		// A partial over a dense enough key range is sized here, once;
 		// one left in hash form grows by doubling, its distinct count
 		// being unknown.
-		partials[i] = q.scratchMapIF()
+		partials[i] = q.eng.pool.getMapIF()
 		lo, hi := kf.widen(noKeys())
 		partials[i].tryPositional(lo, hi, kf.Len(), false)
 		s.op = GroupAgg{keys: kf.byPosition(), vals: vf.byPosition(), agg: partials[i]}
@@ -624,7 +625,8 @@ func mergeWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
 			lo, hi = m.widen(lo, hi)
 		}
 	}
-	total := q.scratchMapIF()
+	pool := &q.eng.pool
+	total := pool.getMapIF()
 	if !total.tryPositional(lo, hi, n, false) {
 		total.reserve(n)
 	}
@@ -634,17 +636,14 @@ func mergeWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
 			m.Range(add)
 		}
 	}
-	// Every buffer drawn goes back to the pool, registered once: the
-	// sorted pair is the first or (hash form only) the scratch pair.
-	ks, sums := q.scratchI64(total.Len()), q.scratchF64(total.Len())
-	q.ownI64(ks)
-	q.ownF64(sums)
-	ks, sums = sortedGroups(total, ks, sums, func(n int) ([]int64, []float64) {
-		tk, ts := q.scratchI64(n)[:n], q.scratchF64(n)[:n]
-		q.ownI64(tk)
-		q.ownF64(ts)
-		return tk, ts
+	// The sorted pair becomes the groups' tails; the table and the pair
+	// the sort did not return (hash form only) go back at once.
+	ks, sums, tk, ts := sortedGroups(total, q.scratchI64(total.Len()), q.scratchF64(total.Len()), func(n int) ([]int64, []float64) {
+		return q.scratchI64(n)[:n], q.scratchF64(n)[:n]
 	})
+	pool.putMapIF(total)
+	pool.putI64(tk)
+	pool.putF64(ts)
 	kb, sb := q.setGroups(op.Out, op.Out2, ks, sums)
 	cost := uint64(n)*cyclesGroup + uint64(len(ks))*cyclesSort
 	cost += kb.chargeRange(ctx, 0, kb.Len(), true)
@@ -662,7 +661,8 @@ func (q *Query) setGroups(keysVar, sumsVar string, ks []int64, sums []float64) (
 
 // filterWork is the single task of OpGroupFilter: it keeps the merged groups
 // whose sum exceeds Keep (a HAVING sum > t clause); the variables In (keys)
-// and In2 (sums) are replaced.
+// and In2 (sums) are replaced, and the replaced pair dies when the stage
+// drains (the step is its last reader).
 func filterWork(q *Query, op *OpSpec, _ *sched.ExecContext) uint64 {
 	keys, sums := q.Var(op.In).valuesI64(), q.Var(op.In2).valuesF64()
 	ks := q.scratchI64(len(keys))
@@ -673,8 +673,6 @@ func filterWork(q *Query, op *OpSpec, _ *sched.ExecContext) uint64 {
 			ss = append(ss, s)
 		}
 	}
-	q.ownI64(ks)
-	q.ownF64(ss)
 	q.setGroups(op.In, op.In2, ks, ss)
 	return uint64(len(keys)) * cyclesMap
 }
@@ -690,8 +688,6 @@ func topNWork(q *Query, op *OpSpec, _ *sched.ExecContext) uint64 {
 		ks[i] = keys[j]
 		ss[i] = sums[j]
 	}
-	q.ownI64(ks)
-	q.ownF64(ss)
 	q.setGroups(op.In, op.In2, ks, ss)
 	return uint64(len(keys)) * cyclesSort
 }

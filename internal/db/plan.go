@@ -74,8 +74,17 @@ type Plan struct {
 	// Ops are the lowered spec's steps, read in place (PlanSpec.Lower).
 	Ops []OpSpec
 	// Stages run after Ops: stages a caller appends to a lowered plan,
-	// such as a benchmark's latency probe.
+	// such as a benchmark's latency probe. By then only the plan's results
+	// are still bound.
 	Stages []StageFn
+	// dies holds a death mask per step of Ops: which values die when its
+	// stage drains, and which it writes are results (lifetimes). A plan
+	// built without Lower has none, and its queries return no storage to
+	// the pool. short backs dies for plans of up to its length, so a plan
+	// stays one object beside its ops (the longest TPC-H plan has 19
+	// steps).
+	dies  []uint8
+	short [32]uint8
 }
 
 // Query is one executing instance of a plan, owned by a client session.
@@ -98,9 +107,11 @@ type Query struct {
 	// moves them into dispatch envelopes before the next stage plans.
 	tasks []Task
 
-	// owned registers pooled buffers backing this query's intermediates,
-	// reclaimed when the finished query is drained (see pool.go).
-	owned ownedBuffers
+	// dying holds the ndying values captured for the stage in flight, one
+	// per bit of its step's death mask, whose storage goes back to the pool
+	// when it drains (pool.go).
+	dying  [4]held
+	ndying int
 
 	startCycles, endCycles uint64
 }
@@ -108,7 +119,9 @@ type Query struct {
 // Done reports whether the query has finished all stages.
 func (q *Query) Done() bool { return q.done }
 
-// Var returns a named intermediate, panicking on absent names (plan bugs).
+// Var returns a named variable, panicking on absent names: plan bugs, and
+// intermediates whose last reader has finished (only results outlive the
+// query's last stage).
 func (q *Query) Var(name string) *PartSet {
 	ps, ok := q.vars[name]
 	if !ok {
@@ -136,7 +149,8 @@ func (q *Query) newVar(name string, kind Kind, parts int) *PartSet {
 	return ps
 }
 
-// Set returns a named hash-join build table.
+// Set returns a named hash-join build table, panicking on absent names
+// (as Var).
 func (q *Query) Set(name string) *i64Map {
 	s, ok := q.sets[name]
 	if !ok {

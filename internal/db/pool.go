@@ -2,18 +2,25 @@ package db
 
 import "math/bits"
 
-// pool.go recycles the per-query heap churn of steady-state operator
-// execution: candidate lists and value buffers (the tails of intermediate
-// BATs), aggregation partial maps, hash-join build tables and dispatch
-// envelopes. A query draws buffers from its engine's pool while planning
-// and executing, registers the final buffers it kept, and hands everything
-// back when the finished query is drained — so a warmed-up engine runs
-// repeated queries without allocating on the operator hot path.
+// pool.go recycles the heap storage of query execution: candidate lists
+// and value buffers (the tails of intermediate BATs), aggregation partial
+// maps, hash-join build tables and dispatch envelopes. A query draws what
+// it needs from its engine's pool while planning and executing, and each
+// binding — a variable, a set, a group's partials — owns the storage
+// behind it. Storage goes back to the pool when its binding dies, which
+// the plan says (PlanSpec.Lower, lifetimes): an intermediate dies when the
+// stage of its last reader drains, mid-query, so the next stage — of this
+// query or of any other on the engine — can draw it again. A binding that
+// no later step reads is a result; it lives until Engine.Release. Scratch
+// storage a stage uses only while it runs (the group merge's table and sort
+// pair, a selection buffer an operator outgrew) goes back at once.
 //
 // Only Go-heap storage is recycled. Simulated memory regions are NOT: a
-// reused buffer still gets a fresh region at materialization time, keeping
-// the simulated address-space layout, first-touch placement and residency
-// accounting identical to the unpooled engine.
+// dead intermediate's BAT header keeps its region, only its host slice is
+// dropped, and a reused buffer still gets a fresh region when it is
+// materialized again, keeping the simulated address-space layout,
+// first-touch placement and residency accounting identical to an engine
+// that never recycles.
 
 // poolClasses is the number of power-of-two size classes tracked for
 // slice buffers (class = bits.Len(capacity)).
@@ -31,9 +38,9 @@ type bufPool struct {
 	mif  []*i64fMap
 	mii  []*i64Map
 	disp []*dispatched
-	// owned holds the emptied registries of released queries, so a warm
-	// engine's queries do not each regrow theirs from nil.
-	owned []ownedBuffers
+	// lent counts the buffers and tables handed out and not yet returned:
+	// zero whenever every query drawn from the engine has been released.
+	lent int
 }
 
 // class files a buffer under the power-of-two bucket of its capacity:
@@ -46,73 +53,75 @@ func class(capacity int) int {
 	return c
 }
 
-// getI64 returns a zero-length buffer with at least the given capacity.
-// The search starts in the request's own bucket, where a buffer allocated
-// for an equal request was filed; only there (and in the clamped top
-// bucket) can the newest buffer be too small, and then it stays put.
-func (p *bufPool) getI64(capacity int) []int64 {
-	for c := class(capacity); c < poolClasses; c++ {
-		stack := p.i64[c]
-		n := len(stack)
-		if n == 0 || cap(stack[n-1]) < capacity {
-			continue
+// A lookup searches the request's own bucket and the two above it, so a
+// buffer at most eight times the request's size serves it and a larger one
+// is kept for a request it fits. In the own bucket, which holds capacities
+// [2^(c-1), 2^c), a buffer can be too small for the request, and one on top
+// would hide fitting ones beneath it: poolProbe bounds how deep a lookup
+// looks there. In every higher bucket the top buffer fits.
+const (
+	poolReach = 3
+	poolProbe = 8
+)
+
+// take returns a zero-length buffer with at least the given capacity from
+// the buckets, making one when none fits; lent counts it as handed out.
+func take[T any](buckets *[poolClasses][][]T, capacity int, lent *int) []T {
+	for c := class(capacity); c < min(class(capacity)+poolReach, poolClasses); c++ {
+		stack := buckets[c]
+		for i := len(stack) - 1; i >= max(0, len(stack)-poolProbe); i-- {
+			if buf := stack[i]; cap(buf) >= capacity {
+				top := len(stack) - 1
+				stack[i], stack[top] = stack[top], nil
+				buckets[c] = stack[:top]
+				*lent++
+				return buf[:0]
+			}
 		}
-		buf := stack[n-1]
-		stack[n-1] = nil
-		p.i64[c] = stack[:n-1]
-		return buf[:0]
 	}
-	return make([]int64, 0, capacity)
+	buf := make([]T, 0, capacity)
+	if capacity > 0 {
+		*lent++
+	}
+	return buf
 }
 
-func (p *bufPool) putI64(buf []int64) {
+// give files a buffer back under the bucket of its capacity (beyond
+// poolClassCap it is left to the garbage collector); lent counts it as
+// returned. A zero-capacity buffer is none.
+func give[T any](buckets *[poolClasses][][]T, buf []T, lent *int) {
 	if cap(buf) == 0 {
 		return
 	}
-	c := class(cap(buf))
-	if len(p.i64[c]) < poolClassCap {
-		p.i64[c] = append(p.i64[c], buf[:0])
+	*lent--
+	if c := class(cap(buf)); len(buckets[c]) < poolClassCap {
+		buckets[c] = append(buckets[c], buf[:0])
 	}
 }
 
-// getF64 is getI64 for float64 buffers.
-func (p *bufPool) getF64(capacity int) []float64 {
-	for c := class(capacity); c < poolClasses; c++ {
-		stack := p.f64[c]
-		n := len(stack)
-		if n == 0 || cap(stack[n-1]) < capacity {
-			continue
-		}
-		buf := stack[n-1]
-		stack[n-1] = nil
-		p.f64[c] = stack[:n-1]
-		return buf[:0]
-	}
-	return make([]float64, 0, capacity)
-}
-
-func (p *bufPool) putF64(buf []float64) {
-	if cap(buf) == 0 {
-		return
-	}
-	c := class(cap(buf))
-	if len(p.f64[c]) < poolClassCap {
-		p.f64[c] = append(p.f64[c], buf[:0])
-	}
-}
+func (p *bufPool) getI64(capacity int) []int64   { return take(&p.i64, capacity, &p.lent) }
+func (p *bufPool) putI64(buf []int64)            { give(&p.i64, buf, &p.lent) }
+func (p *bufPool) getF64(capacity int) []float64 { return take(&p.f64, capacity, &p.lent) }
+func (p *bufPool) putF64(buf []float64)          { give(&p.f64, buf, &p.lent) }
 
 func (p *bufPool) getMapIF() *i64fMap {
 	if n := len(p.mif); n > 0 {
 		m := p.mif[n-1]
 		p.mif[n-1] = nil
 		p.mif = p.mif[:n-1]
+		p.lent++
 		return m
 	}
+	p.lent++
 	return &i64fMap{}
 }
 
 func (p *bufPool) putMapIF(m *i64fMap) {
-	if m == nil || len(p.mif) >= poolClassCap {
+	if m == nil {
+		return
+	}
+	p.lent--
+	if len(p.mif) >= poolClassCap {
 		return
 	}
 	m.Reset()
@@ -124,13 +133,19 @@ func (p *bufPool) getMapII() *i64Map {
 		m := p.mii[n-1]
 		p.mii[n-1] = nil
 		p.mii = p.mii[:n-1]
+		p.lent++
 		return m
 	}
+	p.lent++
 	return &i64Map{}
 }
 
 func (p *bufPool) putMapII(m *i64Map) {
-	if m == nil || len(p.mii) >= poolClassCap {
+	if m == nil {
+		return
+	}
+	p.lent--
+	if len(p.mii) >= poolClassCap {
 		return
 	}
 	m.Reset()
@@ -154,99 +169,130 @@ func (p *bufPool) putDispatched(d *dispatched) {
 	}
 }
 
-func (p *bufPool) getOwned() ownedBuffers {
-	n := len(p.owned)
-	if n == 0 {
-		return ownedBuffers{}
-	}
-	o := p.owned[n-1]
-	p.owned[n-1] = ownedBuffers{}
-	p.owned = p.owned[:n-1]
-	return o
-}
-
-// ownedBuffers is a query's registry of pooled storage to return at drain
-// time. Each buffer must be registered exactly once — registering an alias
-// twice would hand the same backing array to two future queries.
-type ownedBuffers struct {
-	i64 [][]int64
-	f64 [][]float64
-	mif []*i64fMap
-	mii []*i64Map
-}
-
 // scratchI64 draws a zero-length int64 buffer with at least the given
-// capacity from the engine pool. The caller must register the final
-// (possibly append-grown) buffer with ownI64 once it stops growing.
+// capacity from the engine pool. The binding whose tail it becomes owns it;
+// storage a stage only borrows goes back before the stage ends.
 func (q *Query) scratchI64(capacity int) []int64 {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return q.eng.pool.getI64(capacity)
+	return q.eng.pool.getI64(max(capacity, 0))
 }
 
 // scratchF64 is scratchI64 for float64 buffers.
 func (q *Query) scratchF64(capacity int) []float64 {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return q.eng.pool.getF64(capacity)
+	return q.eng.pool.getF64(max(capacity, 0))
 }
 
-// ownI64 registers the final value of a scratch buffer for reclamation
-// when the query is drained.
-func (q *Query) ownI64(buf []int64) {
-	if cap(buf) > 0 {
-		q.owned.i64 = append(q.owned.i64, buf)
+// roomI64 returns buf with room to blind-write n more values. An operator
+// the engine drives that outgrows its buffer moves into one twice as large
+// from the pool and returns the old one there; a standalone operator (nil
+// query) leaves the growth to growFor.
+func (q *Query) roomI64(buf []int64, n int) []int64 {
+	if q == nil || cap(buf)-len(buf) >= n {
+		return buf
+	}
+	grown := append(q.eng.pool.getI64(max(len(buf)+n, 2*cap(buf))), buf...)
+	q.eng.pool.putI64(buf)
+	return grown
+}
+
+// held is one binding captured for release: the value its name had in its
+// space when the step that reads it last was planned (that step may rebind
+// the name, as GroupFilter and TopN do).
+type held struct {
+	name  string
+	vals  *PartSet
+	set   *i64Map
+	parts []*i64fMap
+}
+
+// hold captures the value b names now; nothing when the name is unbound.
+func (q *Query) hold(b binding) held {
+	h := held{name: b.name}
+	switch b.space {
+	case spaceVar:
+		h.vals = q.vars[b.name]
+	case spaceSet:
+		h.set = q.sets[b.name]
+	case spacePartials:
+		h.parts = q.partials[b.name]
+	}
+	return h
+}
+
+// doom captures the values that die with step i, before the step is
+// lowered.
+func (q *Query) doom(i int) {
+	if i >= len(q.Plan.dies) {
+		return
+	}
+	op, mask := &q.Plan.Ops[i], q.Plan.dies[i]
+	for k, r := range op.refs() {
+		if mask>>k&1 != 0 {
+			b, _ := op.binding(r)
+			q.dying[q.ndying] = q.hold(b)
+			q.ndying++
+		}
 	}
 }
 
-// ownF64 registers the final value of a scratch buffer for reclamation
-// when the query is drained.
-func (q *Query) ownF64(buf []float64) {
-	if cap(buf) > 0 {
-		q.owned.f64 = append(q.owned.f64, buf)
+// bury returns the storage of the captured bindings to the pool: the stage
+// that read them last has drained.
+func (q *Query) bury(p *bufPool) {
+	for i := range q.dying[:q.ndying] {
+		q.free(p, q.dying[i])
+		q.dying[i] = held{}
+	}
+	q.ndying = 0
+}
+
+// free returns a binding's storage to the pool and unbinds its name if the
+// name still holds it. Each BAT's host slice is dropped as it goes back and
+// each partial table is cleared from its slot, so storage can reach the pool
+// only once; the BAT headers keep their simulated regions.
+func (q *Query) free(p *bufPool, h held) {
+	if ps := h.vals; ps != nil {
+		for _, b := range ps.Parts {
+			if b == nil {
+				continue
+			}
+			p.putI64(b.I)
+			p.putF64(b.F)
+			b.I, b.F = nil, nil
+		}
+		if q.vars[h.name] == ps {
+			delete(q.vars, h.name)
+		}
+	}
+	if h.set != nil {
+		if q.sets[h.name] == h.set {
+			delete(q.sets, h.name)
+		}
+		p.putMapII(h.set)
+	}
+	if parts := h.parts; len(parts) > 0 {
+		if cur := q.partials[h.name]; len(cur) > 0 && &cur[0] == &parts[0] {
+			delete(q.partials, h.name)
+		}
+		for i, m := range parts {
+			p.putMapIF(m)
+			parts[i] = nil
+		}
 	}
 }
 
-// scratchMapIF draws an empty int64→float64 table (aggregation partials)
-// from the pool; it is registered for reclamation immediately since
-// tables keep their identity as they grow.
-func (q *Query) scratchMapIF() *i64fMap {
-	m := q.eng.pool.getMapIF()
-	q.owned.mif = append(q.owned.mif, m)
-	return m
-}
-
-// scratchMapII draws an empty int64→int64 table (hash-join build sides)
-// from the pool, registered like scratchMapIF.
-func (q *Query) scratchMapII() *i64Map {
-	m := q.eng.pool.getMapII()
-	q.owned.mii = append(q.owned.mii, m)
-	return m
-}
-
-// releaseTo returns every registered buffer to the pool. Called by
-// Engine.Drain once the query's results have been consumed.
-func (q *Query) releaseTo(p *bufPool) {
-	for i, buf := range q.owned.i64 {
-		p.putI64(buf)
-		q.owned.i64[i] = nil
+// freeResults returns what a finished query still holds — its results — to
+// the pool, in step order.
+func (q *Query) freeResults(p *bufPool) {
+	q.bury(p)
+	for i, mask := range q.Plan.dies {
+		if mask&resultBits == 0 {
+			continue
+		}
+		op := &q.Plan.Ops[i]
+		for k, r := range op.refs() {
+			if k >= 2 && mask>>(k+2)&1 != 0 {
+				b, _ := op.binding(r)
+				q.free(p, q.hold(b))
+			}
+		}
 	}
-	for i, buf := range q.owned.f64 {
-		p.putF64(buf)
-		q.owned.f64[i] = nil
-	}
-	for i, m := range q.owned.mif {
-		p.putMapIF(m)
-		q.owned.mif[i] = nil
-	}
-	for i, m := range q.owned.mii {
-		p.putMapII(m)
-		q.owned.mii[i] = nil
-	}
-	if o := &q.owned; len(p.owned) < poolClassCap {
-		p.owned = append(p.owned, ownedBuffers{o.i64[:0], o.f64[:0], o.mif[:0], o.mii[:0]})
-	}
-	q.owned = ownedBuffers{}
 }

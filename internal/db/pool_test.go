@@ -2,7 +2,6 @@ package db
 
 import (
 	"testing"
-	"unsafe"
 
 	"elasticore/internal/numa"
 	"elasticore/internal/sched"
@@ -60,8 +59,8 @@ func poolDepth(p *bufPool) int {
 func TestReleaseIsIdempotent(t *testing.T) {
 	eng, run := poolRig(t)
 	q := run()
-	if len(q.owned.i64) == 0 {
-		t.Fatal("query registered no pooled buffers; rig broken")
+	if q.vars["c"] != nil {
+		t.Fatal("the count's input outlived the count")
 	}
 	eng.Release(q)
 	after := poolDepth(&eng.pool)
@@ -184,11 +183,12 @@ func TestPoolClassCapBoundsRetention(t *testing.T) {
 	}
 }
 
-// TestReleaseDonatesEachBufferOnce: every chunked stage's completion
-// registers each pooled buffer it kept exactly once. A plan through all of
+// TestReleaseDonatesEachBufferOnce: every binding a chunked stage fills
+// owns each pooled buffer behind it exactly once. A plan through all of
 // them is run and released twice over (the second run out of recycled
-// storage); afterwards no backing array may sit in the pool under two
-// entries — that array would back two intermediates of a later query.
+// storage); afterwards the pool is at rest — every buffer drawn is back,
+// and no backing array sits in it under two entries, which would back two
+// intermediates of a later query.
 func TestReleaseDonatesEachBufferOnce(t *testing.T) {
 	r := newSpecRigRows(t, 20000)
 	plan := lower("every-chunked-kind",
@@ -214,30 +214,10 @@ func TestReleaseDonatesEachBufferOnce(t *testing.T) {
 		}
 		r.eng.Release(q)
 	}
-	seen := map[any]bool{}
-	once := func(kind string, data any) {
-		if seen[data] {
-			t.Errorf("an %s backing array is in the pool twice", kind)
-		}
-		seen[data] = true
-	}
-	for _, class := range r.eng.pool.i64 {
-		for _, buf := range class {
-			once("int64", unsafe.SliceData(buf))
-		}
-	}
-	for _, class := range r.eng.pool.f64 {
-		for _, buf := range class {
-			once("float64", unsafe.SliceData(buf))
-		}
-	}
-	for _, m := range r.eng.pool.mif {
-		once("i64fMap", m)
-	}
-	for _, m := range r.eng.pool.mii {
-		once("i64Map", m)
-	}
-	if len(seen) == 0 {
+	if poolDepth(&r.eng.pool) == 0 {
 		t.Fatal("the released queries pooled nothing")
+	}
+	if err := poolAtRest(&r.eng.pool); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,0 +1,125 @@
+package db_test
+
+import (
+	"reflect"
+	"testing"
+
+	"elasticore/internal/db"
+	"elasticore/internal/numa"
+	"elasticore/internal/sched"
+	"elasticore/internal/tpch"
+)
+
+// reuse_test.go is the reuse differential of intermediate lifetimes: an
+// intermediate goes back to its engine's pool when its last reader's stage
+// drains, mid-query, and whatever stage draws it next — of this query or of
+// another one in flight — gets storage still holding its values.
+
+// tpchRig is a fresh SF 0.002 TPC-H engine, its pool stocked with poisoned
+// buffers when stock is set.
+func tpchRig(t *testing.T, stock bool) (*numa.Machine, *sched.Scheduler, *db.Engine) {
+	t.Helper()
+	m := numa.NewMachine(numa.Opteron8387())
+	sc := sched.New(m, sched.Config{})
+	store := db.NewStore(m)
+	if _, err := tpch.Load(store, tpch.Config{SF: 0.002}); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := db.NewEngine(store, db.Config{Scheduler: sc, PID: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stock {
+		db.StockPool(eng, 5, 512, 1<<14)
+	}
+	return m, sc, eng
+}
+
+// outcome is what a query leaves behind: its results and its latency.
+type outcome struct {
+	scalars map[string]float64
+	ints    map[string][]int64
+	floats  map[string][]float64
+	latency uint64
+}
+
+// runTPCH runs the 22 queries to completion on eng, all submitted at once
+// or one at a time, and returns their outcomes (read before any query is
+// released).
+func runTPCH(t *testing.T, m *numa.Machine, sc *sched.Scheduler, eng *db.Engine, plans []*db.Plan) []outcome {
+	t.Helper()
+	qs := make([]*db.Query, len(plans))
+	for i, p := range plans {
+		qs[i] = eng.Submit(p)
+	}
+	done := func() bool {
+		for _, q := range qs {
+			if !q.Done() {
+				return false
+			}
+		}
+		return true
+	}
+	if !sc.RunUntil(done, m.Topology().SecondsToCycles(600)) {
+		t.Fatal("the queries did not finish")
+	}
+	out := make([]outcome, len(qs))
+	for i, q := range qs {
+		o := &out[i]
+		o.scalars, o.ints, o.floats = db.Results(q)
+		o.latency = q.ElapsedCycles()
+	}
+	for _, q := range qs {
+		eng.Release(q)
+	}
+	return out
+}
+
+// TestQueriesInFlightMatchQueriesAlone submits all 22 TPC-H queries at once
+// to one engine, so the storage of intermediates that die mid-query is drawn
+// again by the stages of the others in flight. Every query's results must
+// equal those of the query run alone on a fresh engine. The in-flight run is
+// repeated on an engine whose pool starts stocked with poisoned buffers of
+// random sizes: results, every query's latency, the task count and every
+// counter of the simulated machine must equal the run from an empty pool —
+// which buffers a stage is handed never reaches the model. After the last
+// release each pool is at rest: every buffer drawn is back, none filed
+// twice.
+func TestQueriesInFlightMatchQueriesAlone(t *testing.T) {
+	plans := make([]*db.Plan, tpch.QueryCount)
+	for n := 1; n <= tpch.QueryCount; n++ {
+		plans[n-1] = tpch.Build(n, uint64(n))
+	}
+	m, sc, eng := tpchRig(t, false)
+	inFlight := runTPCH(t, m, sc, eng, plans)
+	if err := db.PoolAtRest(eng); err != nil {
+		t.Errorf("in flight: %v", err)
+	}
+	sm, ssc, stocked := tpchRig(t, true)
+	dirty := runTPCH(t, sm, ssc, stocked, plans)
+	if err := db.PoolAtRest(stocked); err != nil {
+		t.Errorf("in flight on a stocked pool: %v", err)
+	}
+	if !reflect.DeepEqual(m.Snapshot(), sm.Snapshot()) || eng.TasksExecuted != stocked.TasksExecuted {
+		t.Error("the simulated machine ran differently on a stocked pool")
+	}
+	results := 0
+	for i, p := range plans {
+		if !reflect.DeepEqual(dirty[i], inFlight[i]) {
+			t.Errorf("%s: outcome on a stocked pool %+v, from an empty pool %+v", p.Name, dirty[i], inFlight[i])
+		}
+		am, asc, alone := tpchRig(t, false)
+		got := runTPCH(t, am, asc, alone, plans[i:i+1])[0]
+		results += len(got.scalars) + len(got.ints)
+		got.latency = inFlight[i].latency // alone, a query runs faster
+		if !reflect.DeepEqual(got, inFlight[i]) {
+			t.Errorf("%s: results in flight %+v, alone %+v", p.Name, inFlight[i], got)
+		}
+		if err := db.PoolAtRest(alone); err != nil {
+			t.Errorf("%s alone: %v", p.Name, err)
+		}
+	}
+	if results < tpch.QueryCount {
+		t.Errorf("the 22 queries left %d results", results)
+	}
+}

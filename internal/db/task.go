@@ -26,9 +26,9 @@ type kernel interface {
 	// runRange runs the real computation for rows [a, b).
 	runRange(a, b int)
 	// complete runs once, after the last chunk: it fills the partition's
-	// output header(s) in place, registers the pooled buffers behind them
-	// with the query and returns the BATs to charge as written (their
-	// regions get homed here), nil for none.
+	// output header(s) in place — whose binding owns the pooled buffers
+	// behind them from then on — and returns the BATs to charge as written
+	// (their regions get homed here), nil for none.
 	complete() (out, out2 *BAT)
 }
 

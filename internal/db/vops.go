@@ -93,7 +93,8 @@ type FilterScan struct {
 	cursor int
 	m      meter
 
-	// Engine drive: the query that owns ids, the header the result fills.
+	// Engine drive: the query whose pool ids grows through, the header the
+	// result fills.
 	q   *Query
 	out *BAT
 }
@@ -127,6 +128,7 @@ func (fs *FilterScan) runRange(a, b int) {
 	}
 	for a < b {
 		n := strip(b-a, fs.ids)
+		fs.ids = fs.q.roomI64(fs.ids, n)
 		fs.ids = selectScan(fs.col, fs.pred, fs.ids, a, a+n)
 		a += n
 	}
@@ -143,7 +145,6 @@ func (fs *FilterScan) fill(out *BAT) {
 
 // complete implements kernel: the candidate list fills the header.
 func (fs *FilterScan) complete() (*BAT, *BAT) {
-	fs.q.ownI64(fs.ids)
 	fs.fill(fs.out)
 	return fs.out, nil
 }
@@ -181,7 +182,8 @@ type FilterRefine struct {
 	cursor int
 	m      meter
 
-	// Engine drive: the query that owns ids, the header the result fills.
+	// Engine drive: the query whose pool ids grows through, the header the
+	// result fills.
 	q   *Query
 	out *BAT
 }
@@ -206,6 +208,7 @@ func (fr *FilterRefine) init(col *BAT, p *Pred, cand *BAT, buf []int64) {
 func (fr *FilterRefine) runRange(a, b int) {
 	for b = min(b, fr.cand.Len()); a < b; {
 		n := strip(b-a, fr.ids)
+		fr.ids = fr.q.roomI64(fr.ids, n)
 		fr.ids = gatherScan(fr.col, fr.pred, fr.cand, fr.ids, a, a+n)
 		a += n
 	}
@@ -213,7 +216,6 @@ func (fr *FilterRefine) runRange(a, b int) {
 
 // complete implements kernel: the surviving candidates fill the header.
 func (fr *FilterRefine) complete() (*BAT, *BAT) {
-	fr.q.ownI64(fr.ids)
 	fr.out.I = fr.ids
 	return fr.out, nil
 }
@@ -246,8 +248,6 @@ type Gather struct {
 
 	cursor int
 	m      meter
-
-	q *Query // engine drive: the query that owns out's tail
 }
 
 // NewGather builds the operator; out receives the gathered values and
@@ -287,11 +287,7 @@ func (g *Gather) runRange(a, b int) {
 }
 
 // complete implements kernel: out was the header all along.
-func (g *Gather) complete() (*BAT, *BAT) {
-	g.q.ownI64(g.out.I)
-	g.q.ownF64(g.out.F)
-	return g.out, nil
-}
+func (g *Gather) complete() (*BAT, *BAT) { return g.out, nil }
 
 // Op implements Operator.
 func (g *Gather) Op() string { return "algebra.projection" }
@@ -326,9 +322,7 @@ type MapBinary struct {
 	cursor int
 	m      meter
 
-	// Engine drive: the query that owns res, the header the result fills.
-	q   *Query
-	out *BAT
+	out *BAT // engine drive: the header the result fills
 }
 
 // NewMapBinary builds the operator over aligned float BATs a and b.
@@ -350,7 +344,6 @@ func (mb *MapBinary) runRange(lo, hi int) {
 
 // complete implements kernel: the mapped values fill the header.
 func (mb *MapBinary) complete() (*BAT, *BAT) {
-	mb.q.ownF64(mb.res)
 	mb.out.F = mb.res
 	return mb.out, nil
 }
@@ -509,8 +502,8 @@ type HashProbe struct {
 	cursor int
 	m      meter
 
-	// Engine drive: the query that owns ids and payloads, the headers they
-	// fill (payOut in fetch mode only).
+	// Engine drive: the query whose pool ids and payloads grow through, the
+	// headers they fill (payOut in fetch mode only).
 	q           *Query
 	out, payOut *BAT
 }
@@ -524,8 +517,10 @@ func NewHashProbe(col, cand *BAT, set *i64Map, anti, fetch bool, idBuf, payloadB
 func (hp *HashProbe) runRange(a, b int) {
 	for b = min(b, hp.cand.Len()); a < b; {
 		n := strip(b-a, hp.ids)
+		hp.ids = hp.q.roomI64(hp.ids, n)
 		if hp.fetch {
 			n = min(n, strip(b-a, hp.payloads))
+			hp.payloads = hp.q.roomI64(hp.payloads, n)
 		}
 		hp.probe(a, a+n)
 		a += n
@@ -602,10 +597,8 @@ func (hp *HashProbe) probe(a, b int) {
 // complete implements kernel: survivors, and in fetch mode their payloads,
 // fill the two headers, charged as written in that order.
 func (hp *HashProbe) complete() (*BAT, *BAT) {
-	hp.q.ownI64(hp.ids)
 	hp.out.I = hp.ids
 	if hp.fetch {
-		hp.q.ownI64(hp.payloads)
 		hp.payOut.I = hp.payloads
 	}
 	return hp.out, hp.payOut
@@ -688,7 +681,7 @@ func (ga *GroupAgg) Result() *i64fMap { return ga.agg }
 // aligned key and sum vectors, charging the engine's merge cost formula
 // (cyclesGroup per merged entry plus cyclesSort per group).
 func (ga *GroupAgg) Finalize() (keys []int64, sums []float64) {
-	keys, sums = sortedGroups(ga.agg, nil, nil, heapPairs)
+	keys, sums, _, _ = sortedGroups(ga.agg, nil, nil, heapPairs)
 	ga.m.add(ga.agg.Len(), cyclesGroup)
 	ga.m.add(len(keys), cyclesSort)
 	return keys, sums
@@ -716,7 +709,7 @@ func (ga *GroupAgg) Next(n int) *BAT {
 		return nil
 	}
 	ga.emitted = true
-	ks, _ := sortedGroups(ga.agg, nil, nil, heapPairs)
+	ks, _, _, _ := sortedGroups(ga.agg, nil, nil, heapPairs)
 	return NewI64(ga.keys.Name+".group", ks)
 }
 
@@ -766,14 +759,15 @@ func topNIndex(sums []float64, n int) []int {
 // agg.Len() entries) — the one way groups are emitted. It walks the table
 // in slot order, which is key order in positional form; only a hash-form
 // table's pairs are sorted, through the equally long pair scratch(n)
-// supplies, and either pair may be the one returned.
-func sortedGroups(agg *i64fMap, ks []int64, vs []float64, scratch func(n int) ([]int64, []float64)) ([]int64, []float64) {
+// supplies, and either pair may be the one returned; the other is returned
+// as the spare (nil in positional form).
+func sortedGroups(agg *i64fMap, ks []int64, vs []float64, scratch func(n int) ([]int64, []float64)) (keys []int64, sums []float64, spareK []int64, spareV []float64) {
 	agg.Range(func(k int64, v float64) {
 		ks = append(ks, k)
 		vs = append(vs, v)
 	})
 	if agg.span > 0 {
-		return ks, vs
+		return ks, vs, nil, nil
 	}
 	tk, tv := scratch(len(ks))
 	return sortPairs(ks, vs, tk, tv)
@@ -783,16 +777,16 @@ func sortedGroups(agg *i64fMap, ks []int64, vs []float64, scratch func(n int) ([
 func heapPairs(n int) ([]int64, []float64) { return make([]int64, n), make([]float64, n) }
 
 // sortPairs sorts the aligned key/value pairs by key ascending and
-// returns the sorted vectors: the inputs or the equally long scratch pair
-// tk/tv, whichever the last pass wrote. It is a byte-wise radix sort,
-// least significant byte first, over the key bytes that differ at all —
-// group keys are small codes and surrogate keys, so two or three counting
-// passes order tens of thousands of groups several times faster than a
-// comparison sort — and carrying the values along spares the group merge
-// a second probe of its table per group.
-func sortPairs(ks []int64, vs []float64, tk []int64, tv []float64) ([]int64, []float64) {
+// returns the sorted vectors — the inputs or the equally long scratch pair
+// tk/tv, whichever the last pass wrote — and then the other pair. It is a
+// byte-wise radix sort, least significant byte first, over the key bytes
+// that differ at all — group keys are small codes and surrogate keys, so
+// two or three counting passes order tens of thousands of groups several
+// times faster than a comparison sort — and carrying the values along
+// spares the group merge a second probe of its table per group.
+func sortPairs(ks []int64, vs []float64, tk []int64, tv []float64) ([]int64, []float64, []int64, []float64) {
 	if len(ks) < 2 {
-		return ks, vs
+		return ks, vs, tk, tv
 	}
 	const sign = 1 << 63 // flipped, unsigned byte order is the signed order
 	var differ uint64
@@ -818,7 +812,7 @@ func sortPairs(ks []int64, vs []float64, tk []int64, tv []float64) ([]int64, []f
 		ks, tk = tk, ks
 		vs, tv = tv, vs
 	}
-	return ks, vs
+	return ks, vs, tk, tv
 }
 
 // lookupVisit binary-searches the sorted key vector for key, invoking

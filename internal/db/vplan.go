@@ -46,28 +46,156 @@ const (
 
 // opTable is what the engine knows about each operator kind: the name
 // plans print, the catalog check of one step (it binds the step's products
-// in the checker) and the step's lowering onto the engine. OpKind.String,
-// PlanSpec.check and PlanSpec.Lower read nothing else.
+// in the checker), the step's lowering onto the engine, and the bindings
+// the step reads and writes, from which Lower derives every intermediate's
+// lifetime. OpKind.String, PlanSpec.check and PlanSpec.Lower read nothing
+// else.
 var opTable = [...]struct {
-	name  string
-	check func(c *checker, op *OpSpec) error
-	lower func(q *Query, op *OpSpec) []Task
+	name          string
+	check         func(c *checker, op *OpSpec) error
+	lower         func(q *Query, op *OpSpec) []Task
+	reads, writes [2]ref
 }{
-	OpScan:        {"scan", checkScan, lowerScan},
-	OpRefine:      {"refine", checkRefine, lowerRefine},
-	OpProject:     {"project", checkProject, lowerProject},
-	OpMap2:        {"map2", checkMap2, lowerMap2},
-	OpSum:         {"sum", checkSum, lowerSum},
-	OpCount:       {"count", checkCount, lowerCount},
-	OpBuild:       {"build", checkKeyed, single("hash.build", buildWork)},
-	OpProbeSemi:   {"probe-semi", checkProbe, lowerProbe},
-	OpProbeFetch:  {"probe-fetch", checkProbe, lowerProbe},
-	OpProbeAnti:   {"probe-anti", checkProbe, lowerProbe},
-	OpGroupSum:    {"group-sum", checkKeyed, lowerGroupSum},
-	OpGroupMerge:  {"group-merge", checkGroupMerge, single("mat.pack", mergeWork)},
-	OpGroupFilter: {"group-filter", checkMerged, single("group.filter", filterWork)},
-	OpTopN:        {"topn", checkTopN, single("algebra.topn", topNWork)},
-	OpLookup:      {"lookup", checkLookup, single("algebra.find", lookupWork)},
+	OpScan:        {"scan", checkScan, lowerScan, noRefs, outVar},
+	OpRefine:      {"refine", checkRefine, lowerRefine, inVar, outVar},
+	OpProject:     {"project", checkProject, lowerProject, inVar, outVar},
+	OpMap2:        {"map2", checkMap2, lowerMap2, inVars, outVar},
+	OpSum:         {"sum", checkSum, lowerSum, inVar, noRefs},
+	OpCount:       {"count", checkCount, lowerCount, inVar, noRefs},
+	OpBuild:       {"build", checkKeyed, single("hash.build", buildWork), inVars, [2]ref{{fieldOut, spaceSet}}},
+	OpProbeSemi:   {"probe-semi", checkProbe, lowerProbe, probed, outVar},
+	OpProbeFetch:  {"probe-fetch", checkProbe, lowerProbe, probed, outVars},
+	OpProbeAnti:   {"probe-anti", checkProbe, lowerProbe, probed, outVar},
+	OpGroupSum:    {"group-sum", checkKeyed, lowerGroupSum, inVars, [2]ref{{fieldOut, spacePartials}}},
+	OpGroupMerge:  {"group-merge", checkGroupMerge, single("mat.pack", mergeWork), [2]ref{{fieldIn, spacePartials}}, outVars},
+	OpGroupFilter: {"group-filter", checkMerged, single("group.filter", filterWork), inVars, inVars},
+	OpTopN:        {"topn", checkTopN, single("algebra.topn", topNWork), inVars, inVars},
+	OpLookup:      {"lookup", checkLookup, single("algebra.find", lookupWork), noRefs, noRefs},
+}
+
+// space is where a binding lives in a query: its variables, its hash-join
+// sets or its grouped-aggregation partials. Scalars hold no host buffer and
+// have no space.
+type space uint8
+
+const (
+	spaceVar space = iota + 1
+	spaceSet
+	spacePartials
+)
+
+// field selects one of an OpSpec's four name fields.
+type field uint8
+
+const (
+	fieldIn field = iota
+	fieldIn2
+	fieldOut
+	fieldOut2
+)
+
+// ref is one binding a step reads or writes: the field that names it and
+// its space. The zero ref is none; so is a ref whose field is empty (an
+// optional input left out).
+type ref struct {
+	field field
+	space space
+}
+
+// The read and write sets the op table spells.
+var (
+	noRefs  = [2]ref{}
+	inVar   = [2]ref{{fieldIn, spaceVar}}
+	inVars  = [2]ref{{fieldIn, spaceVar}, {fieldIn2, spaceVar}}
+	outVar  = [2]ref{{fieldOut, spaceVar}}
+	outVars = [2]ref{{fieldOut, spaceVar}, {fieldOut2, spaceVar}}
+	probed  = [2]ref{{fieldIn, spaceVar}, {fieldIn2, spaceSet}}
+)
+
+// binding names one value a query holds: a name in a space.
+type binding struct {
+	space space
+	name  string
+}
+
+// binding returns the binding r names in op, false for none.
+func (op *OpSpec) binding(r ref) (binding, bool) {
+	var name string
+	switch r.field {
+	case fieldIn:
+		name = op.In
+	case fieldIn2:
+		name = op.In2
+	case fieldOut:
+		name = op.Out
+	case fieldOut2:
+		name = op.Out2
+	}
+	return binding{r.space, name}, r.space != 0 && name != ""
+}
+
+// refs returns a step's four binding refs in death-mask bit order: the
+// two it reads, then the two it writes.
+func (op *OpSpec) refs() [4]ref {
+	io := &opTable[op.Kind]
+	return [4]ref{io.reads[0], io.reads[1], io.writes[0], io.writes[1]}
+}
+
+// A step's death mask: bit k (k < 4) says the value its k-th ref (refs)
+// names dies when the step's stage drains — for a read ref, the value it
+// reads, no later step reading it; for a write ref, the value the name held
+// before, overwritten unread. Bit k+2 of a write ref (k = 2, 3) says the
+// value the step writes there is a result: no later step reads it, and the
+// query holds it until Release.
+const resultBits = 0b110000
+
+// lifetimes fills dies, one death mask per step of ops, with where each
+// value the steps write dies, or that it is a result.
+func lifetimes(ops []OpSpec, dies []uint8) {
+	// val is a value a name holds: the step that wrote it (-1 for a read
+	// of a name nothing wrote) and through which ref, the last step that
+	// read it so far (-1 for none) and through which ref.
+	type val struct {
+		b                 binding
+		wrote, last       int
+		writeRef, readRef uint8
+	}
+	var buf [32]val
+	vals := buf[:0]
+	for i := range ops {
+		for k, r := range ops[i].refs() {
+			b, ok := ops[i].binding(r)
+			if !ok {
+				continue
+			}
+			j := len(vals) - 1 // newest first: a step mostly reads a recent product
+			for j >= 0 && vals[j].b != b {
+				j--
+			}
+			switch {
+			case k < 2 && j < 0:
+				vals = append(vals, val{b: b, wrote: -1, last: i, readRef: uint8(k)})
+			case k < 2:
+				vals[j].last, vals[j].readRef = i, uint8(k)
+			case j < 0:
+				vals = append(vals, val{b: b, wrote: i, last: -1, writeRef: uint8(k)})
+			default:
+				if v := vals[j]; v.last >= 0 {
+					dies[v.last] |= 1 << v.readRef
+				} else {
+					dies[i] |= 1 << k
+				}
+				vals[j] = val{b: b, wrote: i, last: -1, writeRef: uint8(k)}
+			}
+		}
+	}
+	for _, v := range vals {
+		if v.last >= 0 {
+			dies[v.last] |= 1 << v.readRef
+		} else {
+			dies[v.wrote] |= 1 << (v.writeRef + 2)
+		}
+	}
 }
 
 // known reports whether k indexes the op table.
@@ -283,17 +411,27 @@ func (s PlanSpec) Compile(st *Store) (*Plan, error) {
 
 // Lower returns the executable plan of a spec without checking it: the
 // plan holds s.Ops, and the engine hands each step to its kind's lowering
-// function when a query reaches it. The plan reads s.Ops in place, so the
-// spec must not be modified afterwards. A step the catalog check would
-// reject panics when its stage is planned (a kind outside the table panics
-// here): lower unchecked only what a test compiles.
+// function when a query reaches it. Lower also works out, once per plan,
+// where each intermediate dies (lifetimes): the engine returns its host
+// storage to the pool when the stage of its last reader drains. The plan
+// reads s.Ops in place, so the spec must not be modified afterwards. A step
+// the catalog check would reject panics when its stage is planned (a kind
+// outside the table panics here): lower unchecked only what a test
+// compiles.
 func (s PlanSpec) Lower() *Plan {
 	for i := range s.Ops {
 		if !s.Ops[i].Kind.known() {
 			panic(fmt.Sprintf("db: plan %q op %d: unknown operator kind %d", s.Name, i, int(s.Ops[i].Kind)))
 		}
 	}
-	return &Plan{Name: s.Name, Ops: s.Ops}
+	p := &Plan{Name: s.Name, Ops: s.Ops}
+	p.dies = p.short[:]
+	if len(s.Ops) > len(p.short) {
+		p.dies = make([]uint8, len(s.Ops))
+	}
+	p.dies = p.dies[:len(s.Ops)]
+	lifetimes(s.Ops, p.dies)
+	return p
 }
 
 // check proves the spec against the store's catalog, step by step in

@@ -3,6 +3,7 @@ package db
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -409,5 +410,46 @@ func TestPlanSpecString(t *testing.T) {
 `
 	if got := spec.String(); got != want {
 		t.Errorf("plan text drifted\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestLifetimes pins where Lower says each value dies: at its last reader
+// (bit 0 or 1, the read ref it comes through) — also when a later step
+// writes its name again, or the step itself rewrites it — or, written and
+// never read, at the step that overwrites it (bit 2 or 3); a value no later
+// step reads is a result (bit 4 or 5, the write ref that produced it). Run
+// on an engine, the plan leaves exactly its results bound.
+func TestLifetimes(t *testing.T) {
+	ops := []OpSpec{
+		Scan("t", "k", "a", PredIRange(0, 6)),  // 0
+		Project("a", "t", "v", "v"),            // 1: the first a dies
+		Scan("t", "k", "a", PredIRange(2, 8)),  // 2: a is written again
+		Scan("t", "k", "dead", PredIEq(3)),     // 3
+		Scan("t", "k", "dead", PredIEq(4)),     // 4: overwrites dead unread
+		Map2("v", "v", "w", MapMul),            // 5: v dies, read last through In2
+		Sum("w", "s"),                          // 6: w dies
+		Build("a", "", "set"),                  // 7
+		ProbeSemi("a", "t", "k", "set", "hit"), // 8: a and the set die
+		Project("hit", "t", "k", "keys"),       // 9: hit dies
+		GroupSum("keys", "", "parts"),          // 10: keys die
+		GroupMerge("parts", "gk", "gs"),        // 11: the partials die
+		GroupFilter("gk", "gs", 0),             // 12: the merged pair dies, rewritten
+	}
+	want := []uint8{0, 0b0001, 0, 0, 0b010100, 0b0010, 0b0001, 0, 0b0011, 0b0001, 0b0001, 0b0001, 0b110011}
+	if got := lower("lifetimes", ops...).dies; !reflect.DeepEqual(got, want) {
+		t.Errorf("death masks %06b, want %06b", got, want)
+	}
+	q := newOpRig(t).exec(t, ops...)
+	var bound []string
+	for name := range q.vars {
+		bound = append(bound, name)
+	}
+	slices.Sort(bound)
+	if !slices.Equal(bound, []string{"dead", "gk", "gs"}) || len(q.sets)+len(q.partials) != 0 {
+		t.Errorf("the finished query holds variables %v, %d sets and %d partials; want the results dead, gk and gs alone",
+			bound, len(q.sets), len(q.partials))
+	}
+	if q.Scalar("s") == 0 || q.Var("gk").Rows() == 0 {
+		t.Fatal("the plan computed nothing")
 	}
 }

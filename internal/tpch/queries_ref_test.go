@@ -274,7 +274,7 @@ func TestRewrittenPredicatesAtTheirBounds(t *testing.T) {
 	// scale.
 	seedWith := func(n int, in string) uint64 {
 		for seed := uint64(0); seed <= 5000; seed++ {
-			if r.exec(t, Build(n, seed)).Var(in).Rows() >= 8 {
+			if r.exec(t, through(Build(n, seed), in)).Var(in).Rows() >= 8 {
 				return seed
 			}
 		}
@@ -356,7 +356,7 @@ func TestRewrittenPredicatesAtTheirBounds(t *testing.T) {
 				rows = append(rows, int64(i))
 			}
 		} else {
-			rows = r.exec(t, tc.plan).Var(tc.in).FlattenI64()
+			rows = r.exec(t, through(tc.plan, tc.in)).Var(tc.in).FlattenI64()
 		}
 		if len(rows) < 8 {
 			t.Fatalf("%s: only %d rows to scan", tc.name, len(rows))
@@ -377,7 +377,7 @@ func TestRewrittenPredicatesAtTheirBounds(t *testing.T) {
 				atBound++
 			}
 		}
-		got := r.exec(t, tc.plan).Var(tc.out).FlattenI64()
+		got := r.exec(t, through(tc.plan, tc.out)).Var(tc.out).FlattenI64()
 		if atBound == 0 || len(want) == 0 || len(want) == len(rows) {
 			t.Fatalf("%s: %d rows at the bound, %d of %d kept: the case pins nothing", tc.name, atBound, len(want), len(rows))
 		}
@@ -390,6 +390,18 @@ func TestRewrittenPredicatesAtTheirBounds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// through lowers the steps of p up to and including the first that writes
+// the candidate list name: run alone, they leave it bound as a result,
+// where the whole query refines it further and lets it die.
+func through(p *db.Plan, name string) *db.Plan {
+	for i, op := range p.Ops {
+		if op.Out == name || op.Out2 == name {
+			return db.PlanSpec{Name: p.Name, Ops: p.Ops[:i+1]}.Lower()
+		}
+	}
+	panic("tpch: no step of " + p.Name + " writes " + name)
 }
 
 // revenueBy sums l_extendedprice * (1 - l_discount) per key(i) over the

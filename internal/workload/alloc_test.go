@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"elasticore/internal/arrivals"
+	"elasticore/internal/db"
 	"elasticore/internal/elastic"
 	"elasticore/internal/obs"
 	"elasticore/internal/tpch"
@@ -23,12 +24,14 @@ import (
 // and 3 116 488 at the same three points before). The byte budget was not
 // re-pinned when plans became data: 241 OpSpecs weigh 34 KB more than the
 // closures did, the stream measured 1 999 344 bytes and still fit; it is
-// re-pinned at 1 930 784 bytes with the recycled fork. Lower a
-// budget when a change makes the stream cheaper; raising one needs a reason
-// in CHANGES.md.
+// re-pinned at 1 930 784 bytes with the recycled fork, and at 1 884 552
+// bytes in 2 106 objects (2 179 before) now that an intermediate goes back
+// to the pool at its last reader and a hash build's per-fragment operator
+// is a stack value. Lower a budget when a change makes the stream cheaper;
+// raising one needs a reason in CHANGES.md.
 const (
-	mixedStreamByteBudget   = 1_969_400
-	mixedStreamObjectBudget = 2_222
+	mixedStreamByteBudget   = 1_922_300
+	mixedStreamObjectBudget = 2_148
 )
 
 // TestMixedStreamAllocBudget is the byte gate of the db layer inside the
@@ -65,6 +68,58 @@ func TestMixedStreamAllocBudget(t *testing.T) {
 	}
 	if objects > mixedStreamObjectBudget {
 		t.Errorf("the 22-query stream allocated %d objects, budget %d", objects, mixedStreamObjectBudget)
+	}
+}
+
+// Budgets of TestMixedInFlightAllocBudget: the measured cost of the 22
+// queries in flight at once plus 2 % headroom — 2 415 392 bytes in 3 236
+// objects. While every intermediate lived until its query's release the
+// queries took 3 726 152 bytes in 5 008 objects: nothing came back to the
+// pool before the last query finished.
+const (
+	mixedInFlightByteBudget   = 2_463_700
+	mixedInFlightObjectBudget = 3_300
+)
+
+// TestMixedInFlightAllocBudget is the concurrent twin of
+// TestMixedStreamAllocBudget: a fresh SF 0.002 rig runs the 22 TPC-H
+// queries all at once, so the buffer pool starts cold and refills only from
+// intermediates that die while the others are in flight — mixed-closed's
+// regime in miniature. The heap bytes and objects that takes must stay
+// within the pinned budgets.
+func TestMixedInFlightAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	r, err := NewRig(Options{SF: 0.002, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	qs := make([]*db.Query, 0, tpch.QueryCount)
+	for n := 1; n <= tpch.QueryCount; n++ {
+		qs = append(qs, r.Engine.Submit(tpch.Build(n, uint64(n))))
+	}
+	for _, q := range qs {
+		for ticks := 0; !q.Done(); ticks++ {
+			if ticks > 5_000_000 {
+				t.Fatalf("%s did not finish", q.Plan.Name)
+			}
+			r.Tick()
+		}
+	}
+	for _, q := range qs {
+		r.Engine.Release(q)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("22 queries in flight: %d bytes in %d objects", bytes, objects)
+	if bytes > mixedInFlightByteBudget {
+		t.Errorf("the 22 queries in flight allocated %d bytes, budget %d", bytes, mixedInFlightByteBudget)
+	}
+	if objects > mixedInFlightObjectBudget {
+		t.Errorf("the 22 queries in flight allocated %d objects, budget %d", objects, mixedInFlightObjectBudget)
 	}
 }
 
