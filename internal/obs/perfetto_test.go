@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -167,5 +169,57 @@ func TestPerfettoBusRoundTrip(t *testing.T) {
 	// route and rebalance (2 each: instant + counter).
 	if real != 6 {
 		t.Fatalf("exported %d real events from a 4-slot ring, want 6", real)
+	}
+}
+
+// everyKindEvents holds one event of every kind WriteTrace renders, plus
+// one heartbeat, which it must not render. The fields reach the
+// exporter's branches: an unlabelled run slice, a task with a tenant, a
+// transition of the single-tenant rig and a grant of a named tenant, and
+// fleet events spread over three machines.
+func everyKindEvents() []Event {
+	return []Event{
+		{Kind: KindRunSlice, Now: 150, TID: 7, Core: 2, Start: 100, Dur: 50},
+		{Kind: KindMigration, Now: 160, TID: 7, Core: 3, From: 2},
+		{Kind: KindTaskDone, Now: 220, TID: 7, Core: -1, Start: 150, Dur: 70, Label: "algebra.subselect", Tenant: "alpha"},
+		{Kind: KindTransition, Now: 250, Core: 4, V1: 93, V2: 3, Set: 0b111, Label: "t1-Overload-t5"},
+		{Kind: KindGrant, Now: 260, Core: -1, V1: 4, V2: 3, Set: 0b111, Tenant: "beta"},
+		{Kind: KindAdmit, Now: 300, Core: -1, Dur: 20, V1: 5, V2: 2},
+		{Kind: KindShed, Now: 310, Core: -1, V1: 8},
+		{Kind: KindQueryDone, Now: 400, Core: -1, Dur: 120, V1: 90},
+		{Kind: KindRoute, Now: 410, Core: -1, V1: 3, V2: 5, Label: "keyed", Machine: 1},
+		{Kind: KindRebalance, Now: 420, Core: -1, Dur: 5000, V1: 2, V2: 6, Machine: 2},
+		{Kind: KindFault, Now: 430, Core: 1, Dur: 80, V1: 4, Label: "slow", Machine: 1},
+		{Kind: KindRetry, Now: 440, Core: -1, V1: 17, V2: 2, Label: "timeout", Machine: 3},
+		{Kind: KindFailover, Now: 450, Core: -1, V1: 6, V2: 1, Label: "crash", Machine: 2},
+		{Kind: KindReassign, Now: 460, Core: -1, Dur: 900, V1: 6, V2: 1, Label: "recover", Machine: 2},
+		{Kind: KindHeartbeat, Now: 470, Core: -1, Machine: 5},
+	}
+}
+
+// TestPerfettoEveryKindBytes pins the exporter's exact output for one
+// event of every kind: track numbering, metadata order, names, argument
+// keys and the JSON encoding itself. A heartbeat renders nothing, so the
+// window without it exports the same bytes. The pinned file is
+// testdata/every_kind.trace.json; a deliberate format change rewrites it
+// by hand and says why.
+func TestPerfettoEveryKindBytes(t *testing.T) {
+	events := everyKindEvents()
+	var got, noBeat bytes.Buffer
+	if err := WriteTrace(&got, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTrace(&noBeat, events[:len(events)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), noBeat.Bytes()) {
+		t.Fatal("a heartbeat changed the exported trace")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "every_kind.trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("trace bytes differ from the pinned file:\n got %s\nwant %s", got.Bytes(), want)
 	}
 }
