@@ -23,16 +23,13 @@ import (
 )
 
 // BenchmarkRunnerBatch exercises the experiment platform end to end: two
-// registered experiments resolved from the registry and executed
-// concurrently by the worker-pool Runner.
+// catalogued experiments executed concurrently by the worker-pool Runner.
 func BenchmarkRunnerBatch(b *testing.B) {
 	r := &Runner{Parallel: 2, Config: ExperimentConfig{SF: 0.002, Clients: 8}}
+	fig5, _ := LookupExperiment("fig5")
+	overhead, _ := LookupExperiment("overhead")
 	for i := 0; i < b.N; i++ {
-		reports, err := r.RunNames(context.Background(), "fig5", "overhead")
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, rep := range reports {
+		for _, rep := range r.Run(context.Background(), fig5, overhead) {
 			if rep.Err != nil {
 				b.Fatalf("%s: %v", rep.Name, rep.Err)
 			}
@@ -46,11 +43,11 @@ func benchConfig() ExperimentConfig {
 	return ExperimentConfig{SF: 0.005, Clients: 32, Users: []int{1, 4, 16, 64}, Seed: 1}
 }
 
-// benchRun runs a registered experiment, failing the benchmark on error.
+// benchRun runs a catalogued experiment, failing the benchmark on error.
 func benchRun(b *testing.B, name string, cfg ExperimentConfig) *Result {
 	e, ok := LookupExperiment(name)
 	if !ok {
-		b.Fatalf("%s not registered", name)
+		b.Fatalf("%s not catalogued", name)
 	}
 	res, err := e.Run(context.Background(), cfg, nil)
 	if err != nil {
@@ -253,7 +250,6 @@ func benchOverhead(b *testing.B, mode workload.Mode) {
 func BenchmarkAblationControlPeriod(b *testing.B) {
 	topo := numa.Opteron8387()
 	for _, period := range []float64{0.25e-3, 1e-3, 4e-3} {
-		period := period
 		b.Run(formatSeconds(period), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, err := NewRig(RigOptions{
@@ -277,7 +273,6 @@ func BenchmarkAblationControlPeriod(b *testing.B) {
 // leaves cores idle; higher thmax causes contention).
 func BenchmarkAblationThresholds(b *testing.B) {
 	for _, th := range []struct{ min, max int }{{5, 50}, {10, 70}, {20, 90}} {
-		th := th
 		b.Run(formatThresholds(th.min, th.max), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, err := NewRig(RigOptions{
@@ -328,7 +323,6 @@ func BenchmarkAblationPriorityPolicy(b *testing.B) {
 // the machine model.
 func BenchmarkAblationCacheBlock(b *testing.B) {
 	for _, kb := range []int{4, 16, 64} {
-		kb := kb
 		b.Run(formatKB(kb), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				topo := numa.Opteron8387()

@@ -1,6 +1,6 @@
-// Command elasticbench runs registered experiments: every table and figure
+// Command elasticbench runs catalogued experiments: every table and figure
 // of the paper's evaluation plus the consolidation scenario, through the
-// experiments platform (registry, structured results, parallel runner).
+// experiments platform (catalogue, structured results, parallel runner).
 //
 // Usage:
 //
@@ -55,11 +55,11 @@ func dispatch(args []string) error {
 }
 
 func usage(w *os.File) {
-	fmt.Fprint(w, `elasticbench runs registered experiments.
+	fmt.Fprint(w, `elasticbench runs catalogued experiments.
 
 Commands:
   list [-tag S]            list experiments with descriptions and tags
-  run <name>... [flags]    run experiments ("all" expands the registry)
+  run <name>... [flags]    run experiments ("all" expands the catalogue)
 
 Tags group experiments for selection (list -tag S, experiments.WithTag):
   microbench   single-query / single-operator measurements (figs 4-5, 13-16)
@@ -120,7 +120,7 @@ and rendered successfully.
 `)
 }
 
-// cmdList prints the registry: name, tags, summary.
+// cmdList prints the catalogue: name, tags, title, summary.
 func cmdList(args []string) error {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	tag := fs.String("tag", "", "only experiments carrying this tag")
@@ -132,9 +132,8 @@ func cmdList(args []string) error {
 		exps = experiments.WithTag(*tag)
 	}
 	for _, e := range exps {
-		d := e.Describe()
 		fmt.Printf("%-14s [%s]\n    %s\n    %s\n",
-			e.Name(), strings.Join(d.Tags, ", "), d.Title, d.Summary)
+			e.Name, strings.Join(e.Tags, ", "), e.Title, e.Summary)
 	}
 	if len(exps) == 0 && *tag != "" {
 		return fmt.Errorf("no experiments tagged %q (tags: %s)",
@@ -248,16 +247,16 @@ func cmdRun(args []string) error {
 	if len(names) == 0 {
 		return fmt.Errorf("run needs experiment names (try `elasticbench list` or `run all`)")
 	}
-	return execute(names, rf)
-}
-
-// execute resolves names (failing fast on typos), runs the batch and
-// renders every result.
-func execute(names []string, rf *runFlags) error {
+	// Resolve every name before anything runs, so a typo fails fast.
 	exps, err := experiments.Resolve(names...)
 	if err != nil {
 		return err
 	}
+	return execute(exps, rf)
+}
+
+// execute runs the batch and renders every result.
+func execute(exps []experiments.Experiment, rf *runFlags) error {
 	if rf.format != "text" && rf.format != "json" && rf.format != "csv" {
 		return fmt.Errorf("unknown format %q (want text, json or csv)", rf.format)
 	}

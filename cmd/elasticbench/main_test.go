@@ -14,21 +14,34 @@ import (
 // errors, even though per-experiment errors are reported individually
 // and the rest of the batch keeps running.
 
-func init() {
-	experiments.Register(experiments.New("test-always-fails", experiments.Description{
-		Title:   "test fixture",
-		Summary: "always returns an error",
-		Tags:    []string{"test"},
-	}, func(ctx context.Context, c experiments.Config, obs experiments.Observer) (*experiments.Result, error) {
-		return nil, fmt.Errorf("intentional failure")
-	}))
-	experiments.Register(experiments.New("test-always-succeeds", experiments.Description{
-		Title:   "test fixture",
-		Summary: "always succeeds",
-		Tags:    []string{"test"},
-	}, func(ctx context.Context, c experiments.Config, obs experiments.Observer) (*experiments.Result, error) {
-		return &experiments.Result{}, nil
-	}))
+// The two fixtures are passed to execute directly; they are not in the
+// catalogue, so the CLI never lists or resolves them.
+var (
+	alwaysFails = experiments.Experiment{
+		Name: "test-always-fails",
+		Body: func(ctx context.Context, c experiments.Config, obs experiments.Observer) (*experiments.Result, error) {
+			return nil, fmt.Errorf("intentional failure")
+		},
+	}
+	alwaysSucceeds = experiments.Experiment{
+		Name: "test-always-succeeds",
+		Body: func(ctx context.Context, c experiments.Config, obs experiments.Observer) (*experiments.Result, error) {
+			return &experiments.Result{}, nil
+		},
+	}
+)
+
+// batch is the argument execute takes.
+func batch(exps ...experiments.Experiment) []experiments.Experiment { return exps }
+
+// catalogued resolves one catalogued experiment.
+func catalogued(t *testing.T, name string) []experiments.Experiment {
+	t.Helper()
+	exps, err := experiments.Resolve(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exps
 }
 
 func quietRunFlags(t *testing.T) *runFlags {
@@ -51,7 +64,7 @@ func TestDispatchRejectsMissingOrUnknownCommand(t *testing.T) {
 // must surface as a non-nil error from execute (which main turns into
 // exit status 1), naming how many failed.
 func TestExecuteFailsWhenAnyExperimentErrors(t *testing.T) {
-	err := execute([]string{"test-always-succeeds", "test-always-fails"}, quietRunFlags(t))
+	err := execute(batch(alwaysSucceeds, alwaysFails), quietRunFlags(t))
 	if err == nil {
 		t.Fatal("batch with a failing experiment returned nil error (process would exit 0)")
 	}
@@ -63,7 +76,7 @@ func TestExecuteFailsWhenAnyExperimentErrors(t *testing.T) {
 // TestExecuteAllFailuresStillErrors: the all-failed batch must not be
 // mistaken for an empty success.
 func TestExecuteAllFailuresStillErrors(t *testing.T) {
-	err := execute([]string{"test-always-fails"}, quietRunFlags(t))
+	err := execute(batch(alwaysFails), quietRunFlags(t))
 	if err == nil || !strings.Contains(err.Error(), "1 of 1") {
 		t.Errorf("all-failing batch: err = %v, want '1 of 1 experiments failed'", err)
 	}
@@ -72,14 +85,15 @@ func TestExecuteAllFailuresStillErrors(t *testing.T) {
 // TestExecuteSucceedsCleanly: a healthy batch returns nil, so the
 // process exits 0 only when every experiment ran and rendered.
 func TestExecuteSucceedsCleanly(t *testing.T) {
-	if err := execute([]string{"test-always-succeeds"}, quietRunFlags(t)); err != nil {
+	if err := execute(batch(alwaysSucceeds), quietRunFlags(t)); err != nil {
 		t.Errorf("healthy batch errored: %v", err)
 	}
 }
 
-// TestExecuteRejectsUnknownNamesBeforeRunning: typos fail fast.
+// TestExecuteRejectsUnknownNamesBeforeRunning: typos fail fast — the
+// batch is resolved before execute runs any of it.
 func TestExecuteRejectsUnknownNamesBeforeRunning(t *testing.T) {
-	err := execute([]string{"no-such-experiment"}, quietRunFlags(t))
+	err := dispatch([]string{"run", "fig4", "no-such-experiment", "-out", t.TempDir()})
 	if err == nil || !strings.Contains(err.Error(), "no-such-experiment") {
 		t.Errorf("unknown name: err = %v, want mention of the name", err)
 	}
@@ -112,7 +126,7 @@ func TestApplyEngineParsesLoads(t *testing.T) {
 func TestTopologyFlagFailsFast(t *testing.T) {
 	rf := quietRunFlags(t)
 	rf.cfg.Topology = "4x4 @ 1 2"
-	err := execute([]string{"test-always-succeeds"}, rf)
+	err := execute(batch(alwaysSucceeds), rf)
 	if err == nil {
 		t.Fatal("malformed -topology spec accepted")
 	}
@@ -124,7 +138,7 @@ func TestTopologyFlagFailsFast(t *testing.T) {
 func TestMachinesFlagFailsFast(t *testing.T) {
 	rf := quietRunFlags(t)
 	rf.cfg.Machines = -1
-	if err := execute([]string{"test-always-succeeds"}, rf); err == nil {
+	if err := execute(batch(alwaysSucceeds), rf); err == nil {
 		t.Fatal("-machines -1 accepted")
 	}
 }
@@ -135,7 +149,7 @@ func TestShardsFlagFailsFast(t *testing.T) {
 	rf := quietRunFlags(t)
 	rf.cfg.Machines = 4
 	rf.cfg.Shards = 2
-	if err := execute([]string{"test-always-succeeds"}, rf); err == nil {
+	if err := execute(batch(alwaysSucceeds), rf); err == nil {
 		t.Fatal("-machines 4 -shards 2 accepted")
 	}
 }
@@ -148,7 +162,7 @@ func TestNonFiniteFlagsFailFast(t *testing.T) {
 	for _, flags := range [][]string{
 		{"-sf", "NaN"}, {"-sf", "Inf"}, {"-loads", "1,NaN"}, {"-loads", "Inf"}, {"-lookup-ratios", "NaN"},
 	} {
-		args := append([]string{"run", "test-always-succeeds", "-out", t.TempDir()}, flags...)
+		args := append([]string{"run", "fig5", "-out", t.TempDir()}, flags...)
 		if err := dispatch(args); err == nil {
 			t.Errorf("%v accepted (process would exit 0)", flags)
 		}
@@ -167,7 +181,7 @@ func TestMachinesFlagRunsFleet(t *testing.T) {
 	rf.cfg.Seed = 7
 	rf.cfg.OpenArrivals = 20
 	rf.cfg.Machines = 2
-	if err := execute([]string{"scale-out"}, rf); err != nil {
+	if err := execute(catalogued(t, "scale-out"), rf); err != nil {
 		t.Fatalf("scale-out on 2 machines failed: %v", err)
 	}
 }
@@ -177,7 +191,7 @@ func TestMachinesFlagRunsFleet(t *testing.T) {
 func TestFaultsFlagFailsFast(t *testing.T) {
 	rf := quietRunFlags(t)
 	rf.cfg.Faults = "explode m0 @1s"
-	if err := execute([]string{"test-always-succeeds"}, rf); err == nil {
+	if err := execute(batch(alwaysSucceeds), rf); err == nil {
 		t.Fatal("malformed -faults plan accepted")
 	}
 }
@@ -188,7 +202,7 @@ func TestReplicasFlagFailsFast(t *testing.T) {
 	rf := quietRunFlags(t)
 	rf.cfg.Machines = 2
 	rf.cfg.Replicas = 3
-	if err := execute([]string{"test-always-succeeds"}, rf); err == nil {
+	if err := execute(batch(alwaysSucceeds), rf); err == nil {
 		t.Fatal("-machines 2 -replicas 3 accepted")
 	}
 }
@@ -204,7 +218,7 @@ func TestFaultsFlagRunsFaultedFleet(t *testing.T) {
 	rf.cfg.Machines = 2
 	rf.cfg.Replicas = 2
 	rf.cfg.Faults = "crash m1 @0.01s for 0.03s"
-	if err := execute([]string{"fault-tolerance"}, rf); err != nil {
+	if err := execute(catalogued(t, "fault-tolerance"), rf); err != nil {
 		t.Fatalf("faulted fault-tolerance run failed: %v", err)
 	}
 }
@@ -217,7 +231,7 @@ func TestTopologyFlagAcceptsZooNames(t *testing.T) {
 	rf.cfg.Clients = 4
 	rf.cfg.Users = []int{1}
 	rf.cfg.Topology = "2socket"
-	if err := execute([]string{"fig4"}, rf); err != nil {
+	if err := execute(catalogued(t, "fig4"), rf); err != nil {
 		t.Fatalf("fig4 on 2socket failed: %v", err)
 	}
 }

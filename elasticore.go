@@ -218,21 +218,16 @@ type (
 	TenantLoad = workload.TenantLoad
 )
 
-// Experiment platform types (internal/experiments): the registry of
-// named, tagged, runnable scenarios — the paper's 13 artifacts are the
-// first 13 registrations — with structured results and a parallel runner.
+// Experiment platform types (internal/experiments): the catalogue of
+// named, tagged, runnable scenarios — the paper's figures first — with
+// structured results and a parallel runner.
 type (
-	// Experiment is one runnable evaluation artifact:
-	// Name / Describe / Run(ctx, Config, Observer).
+	// Experiment is one runnable evaluation artifact: Name, Title,
+	// Summary, Tags and a Body, run by Run(ctx, Config, Observer). A
+	// custom experiment is an Experiment literal run through a Runner.
 	Experiment = experiments.Experiment
 	// ExperimentConfig scales an experiment (SF, clients, seed, ...).
 	ExperimentConfig = experiments.Config
-	// ExperimentDescription documents an experiment (title, summary, tags).
-	ExperimentDescription = experiments.Description
-	// ExperimentRunFunc is an experiment body for NewExperiment.
-	ExperimentRunFunc = experiments.RunFunc
-	// Registry is a named, ordered collection of experiments.
-	Registry = experiments.Registry
 	// Result is the structured outcome of a run: named tables of typed
 	// columns, scalar metrics, text artifacts and run metadata; it
 	// renders to text, JSON and CSV.
@@ -246,24 +241,14 @@ type (
 	Observer = experiments.Observer
 )
 
-// Experiments lists the default registry in registration order.
+// Experiments lists the catalogue in order.
 func Experiments() []Experiment { return experiments.All() }
 
-// LookupExperiment finds a registered experiment by name.
+// LookupExperiment finds a catalogued experiment by name.
 func LookupExperiment(name string) (Experiment, bool) { return experiments.Lookup(name) }
 
-// ExperimentsWithTag filters the default registry by tag.
+// ExperimentsWithTag filters the catalogue by tag.
 func ExperimentsWithTag(tag string) []Experiment { return experiments.WithTag(tag) }
-
-// NewExperiment builds an Experiment from a name, a description and a run
-// function; RegisterExperiment adds it to the default registry.
-func NewExperiment(name string, desc ExperimentDescription, run ExperimentRunFunc) Experiment {
-	return experiments.New(name, desc, run)
-}
-
-// RegisterExperiment adds an experiment to the default registry (panics
-// on a duplicate name, mirroring init-time registration).
-func RegisterExperiment(e Experiment) { experiments.Register(e) }
 
 // Modes re-exported for rig construction.
 const (

@@ -13,16 +13,17 @@ import (
 	"elasticore"
 )
 
-// ExampleRegistry looks up a registered experiment and filters the
-// catalogue by tag — the surface elasticbench's list/run commands sit on.
-func ExampleRegistry() {
+// ExampleLookupExperiment looks up a catalogued experiment and filters
+// the catalogue by tag — the surface elasticbench's list/run commands sit
+// on.
+func ExampleLookupExperiment() {
 	e, ok := elasticore.LookupExperiment("topology-sweep")
 	if !ok {
-		log.Fatal("not registered")
+		log.Fatal("not catalogued")
 	}
-	fmt.Println(e.Name(), e.Describe().Tags)
+	fmt.Println(e.Name, e.Tags)
 	for _, exp := range elasticore.ExperimentsWithTag("tenancy") {
-		fmt.Println("tenancy:", exp.Name())
+		fmt.Println("tenancy:", exp.Name)
 	}
 	// Output:
 	// topology-sweep [topology numa elastic]
@@ -34,17 +35,17 @@ func ExampleRegistry() {
 // runner. Any function returning a structured Result plugs into the same
 // machinery as the paper's figures.
 func ExampleRunner() {
-	exp := elasticore.NewExperiment("answer",
-		elasticore.ExperimentDescription{
-			Title:   "The answer",
-			Summary: "returns a single metric",
-			Tags:    []string{"demo"},
-		},
-		func(ctx context.Context, c elasticore.ExperimentConfig, obs elasticore.Observer) (*elasticore.Result, error) {
+	exp := elasticore.Experiment{
+		Name:    "answer",
+		Title:   "The answer",
+		Summary: "returns a single metric",
+		Tags:    []string{"demo"},
+		Body: func(ctx context.Context, c elasticore.ExperimentConfig, obs elasticore.Observer) (*elasticore.Result, error) {
 			res := &elasticore.Result{}
 			res.AddMetric("answer", 42, "")
 			return res, nil
-		})
+		},
+	}
 
 	runner := &elasticore.Runner{Parallel: 2}
 	reports := runner.Run(context.Background(), exp)

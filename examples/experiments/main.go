@@ -1,5 +1,5 @@
 // Command experiments demonstrates the experiment platform: enumerate the
-// registry, run a batch concurrently with a Runner and an Observer, and
+// catalogue, run a batch concurrently with a Runner and an Observer, and
 // render one structured Result as JSON.
 package main
 
@@ -12,10 +12,10 @@ import (
 )
 
 func main() {
-	// The registry: the paper's 13 artifacts are the first registrations.
-	fmt.Println("registered experiments:")
+	// The catalogue: the paper's figures come first.
+	fmt.Println("catalogued experiments:")
 	for _, e := range elasticore.Experiments() {
-		fmt.Printf("  %-14s %s\n", e.Name(), e.Describe().Title)
+		fmt.Printf("  %-14s %s\n", e.Name, e.Title)
 	}
 
 	// Run two experiments concurrently at a tiny scale factor, streaming

@@ -103,11 +103,7 @@ func runScaleOut(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		colI("dropped"), colF("tput(q/s)", 1), colF("speedup", 2),
 		colF("p50(ms)", 3), colF("p99(ms)", 3))
 
-	var sat float64
-	err := phase(ctx, obs, "calibrate", func() (err error) {
-		sat, err = calibrateSaturation(c)
-		return err
-	})
+	sat, err := calibrate(ctx, c, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -121,39 +117,37 @@ func runScaleOut(ctx context.Context, c Config, obs Observer) (*Result, error) {
 
 	points := scaleOutPoints(c.Machines)
 	base := 0.0
-	for i, m := range points {
-		err := phase(ctx, obs, fmt.Sprintf("machines=%d", m), func() error {
-			f, err := newFleet(c, m, workload.ModeDense)
-			if err != nil {
-				return err
-			}
-			coord := &cluster.Coordinator{
-				Fleet:       f,
-				Process:     arrivals.NewPoisson(rate, c.Seed+101),
-				Keys:        uniformKeys(f.Sharder, c.Seed),
-				MaxInFlight: openSessions(c),
-				QueueCap:    8 * openSessions(c),
-				MaxArrivals: total,
-				MaxSeconds:  horizon,
-			}
-			r := coord.Run()
-			if base == 0 {
-				base = r.Throughput
-			}
-			speedup := 0.0
-			if base > 0 {
-				speedup = r.Throughput / base
-			}
-			topo := f.Rigs[0].Machine.Topology()
-			ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
-			tbl.AddRow(m, f.Sharder.Shards(), r.Offered, r.Completed, r.Dropped,
-				r.Throughput, speedup, ms(r.Latency.P50()), ms(r.Latency.P99()))
-			return nil
-		})
+	machinesPhase := func(m int) string { return fmt.Sprintf("machines=%d", m) }
+	err = sweep(ctx, obs, points, machinesPhase, func(_, m int) error {
+		f, err := newFleet(c, m, workload.ModeDense)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(points))
+		coord := &cluster.Coordinator{
+			Fleet:       f,
+			Process:     arrivals.NewPoisson(rate, c.Seed+101),
+			Keys:        uniformKeys(f.Sharder, c.Seed),
+			MaxInFlight: openSessions(c),
+			QueueCap:    8 * openSessions(c),
+			MaxArrivals: total,
+			MaxSeconds:  horizon,
+		}
+		r := coord.Run()
+		if base == 0 {
+			base = r.Throughput
+		}
+		speedup := 0.0
+		if base > 0 {
+			speedup = r.Throughput / base
+		}
+		topo := f.Rigs[0].Machine.Topology()
+		ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
+		tbl.AddRow(m, f.Sharder.Shards(), r.Offered, r.Completed, r.Dropped,
+			r.Throughput, speedup, ms(r.Latency.P50()), ms(r.Latency.P99()))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.AddMetric("saturation_tput_1", sat, "q/s")
 	if n := len(tbl.Rows); n > 0 {
@@ -172,11 +166,7 @@ func runShardSkew(ctx context.Context, c Config, obs Observer) (*Result, error) 
 		colF("tput(q/s)", 1), colF("p50(ms)", 3), colF("p99(ms)", 3),
 		colF("imbalance", 2), colI("hottest"))
 
-	var sat float64
-	err := phase(ctx, obs, "calibrate", func() (err error) {
-		sat, err = calibrateSaturation(c)
-		return err
-	})
+	sat, err := calibrate(ctx, c, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -188,47 +178,45 @@ func runShardSkew(ctx context.Context, c Config, obs Observer) (*Result, error) 
 	horizon := 1.3 * float64(total) * (1/rate + 1/sat)
 
 	thetas := []float64{0, 1, 2}
-	for i, theta := range thetas {
-		err := phase(ctx, obs, fmt.Sprintf("theta=%.1f", theta), func() error {
-			f, err := newFleet(c, c.Machines, workload.ModeDense)
-			if err != nil {
-				return err
-			}
-			sh := f.Sharder
-			pick := zipfShards(sh.Shards(), theta, c.Seed)
-			coord := &cluster.Coordinator{
-				Fleet:   f,
-				Process: arrivals.NewPoisson(rate, c.Seed+211),
-				Keys: func(k int) uint64 {
-					return sh.KeyForShard(pick(k), c.Seed+uint64(k))
-				},
-				MaxInFlight: openSessions(c),
-				QueueCap:    8 * openSessions(c),
-				MaxArrivals: total,
-				MaxSeconds:  horizon,
-			}
-			r := coord.Run()
-			routedMax, routedSum, hottest := 0, 0, 0
-			for m, st := range r.PerMachine {
-				routedSum += st.Routed
-				if st.Routed > routedMax {
-					routedMax, hottest = st.Routed, m
-				}
-			}
-			imbalance := 0.0
-			if routedSum > 0 {
-				imbalance = float64(routedMax) * float64(f.Machines()) / float64(routedSum)
-			}
-			topo := f.Rigs[0].Machine.Topology()
-			ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
-			tbl.AddRow(theta, r.Offered, r.Completed, r.Dropped, r.Throughput,
-				ms(r.Latency.P50()), ms(r.Latency.P99()), imbalance, hottest)
-			return nil
-		})
+	thetaPhase := func(theta float64) string { return fmt.Sprintf("theta=%.1f", theta) }
+	err = sweep(ctx, obs, thetas, thetaPhase, func(_ int, theta float64) error {
+		f, err := newFleet(c, c.Machines, workload.ModeDense)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(thetas))
+		sh := f.Sharder
+		pick := zipfShards(sh.Shards(), theta, c.Seed)
+		coord := &cluster.Coordinator{
+			Fleet:   f,
+			Process: arrivals.NewPoisson(rate, c.Seed+211),
+			Keys: func(k int) uint64 {
+				return sh.KeyForShard(pick(k), c.Seed+uint64(k))
+			},
+			MaxInFlight: openSessions(c),
+			QueueCap:    8 * openSessions(c),
+			MaxArrivals: total,
+			MaxSeconds:  horizon,
+		}
+		r := coord.Run()
+		routedMax, routedSum, hottest := 0, 0, 0
+		for m, st := range r.PerMachine {
+			routedSum += st.Routed
+			if st.Routed > routedMax {
+				routedMax, hottest = st.Routed, m
+			}
+		}
+		imbalance := 0.0
+		if routedSum > 0 {
+			imbalance = float64(routedMax) * float64(f.Machines()) / float64(routedSum)
+		}
+		topo := f.Rigs[0].Machine.Topology()
+		ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
+		tbl.AddRow(theta, r.Offered, r.Completed, r.Dropped, r.Throughput,
+			ms(r.Latency.P50()), ms(r.Latency.P99()), imbalance, hottest)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.AddMetric("saturation_tput_1", sat, "q/s")
 	if n := len(tbl.Rows); n > 0 {
@@ -253,60 +241,58 @@ func runRebalanceCost(ctx context.Context, c Config, obs Observer) (*Result, err
 
 	latencies := []float64{0.1e-3, 1e-3, 10e-3}
 	total := c.OpenArrivals * c.Machines
-	for i, lat := range latencies {
-		err := phase(ctx, obs, fmt.Sprintf("migrate=%.1fms", lat*1e3), func() error {
-			f, err := newFleet(c, c.Machines, workload.ModeDense)
-			if err != nil {
-				return err
-			}
-			topo := f.Rigs[0].Machine.Topology()
-			// A budget of half the physical cores makes machines contend:
-			// growing one means shrinking another, so following the heat
-			// requires actual migration.
-			budget := c.Machines * topo.TotalCores() / 2
-			ca, err := cluster.NewClusterArbiter(cluster.ClusterArbiterConfig{
-				Fleet:          f,
-				Budget:         budget,
-				ControlPeriod:  topo.SecondsToCycles(1e-3),
-				MigrateLatency: topo.SecondsToCycles(lat),
-			})
-			if err != nil {
-				return err
-			}
-			sh := f.Sharder
-			// The first half of the stream hammers machine 0's first
-			// shard, the second half the last machine's — the heat moves,
-			// and the arbiter must move cores after it.
-			hotA, _ := sh.ShardsOf(0)
-			hotB, _ := sh.ShardsOf(f.Machines() - 1)
-			coord := &cluster.Coordinator{
-				Fleet: f,
-				// Rate chosen against sessions, not saturation: with 2
-				// sessions per machine the hot machine's queue builds
-				// whatever the service rate, driving the backlog signal.
-				Process: arrivals.NewPoisson(5000, c.Seed+307),
-				Keys: func(k int) uint64 {
-					hot := hotA
-					if k >= total/2 {
-						hot = hotB
-					}
-					return sh.KeyForShard(hot, c.Seed+uint64(k))
-				},
-				MaxInFlight: 2,
-				MaxArrivals: total,
-				MaxSeconds:  600,
-			}
-			r := coord.Run()
-			ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
-			tbl.AddRow(lat*1e3, ca.MovedCores, float64(ca.ChargedCycles)/1e6,
-				len(ca.Events()), r.Offered, r.Completed, r.Dropped,
-				r.Throughput, ms(r.Latency.P99()))
-			return nil
+	latPhase := func(lat float64) string { return fmt.Sprintf("migrate=%.1fms", lat*1e3) }
+	err := sweep(ctx, obs, latencies, latPhase, func(_ int, lat float64) error {
+		f, err := newFleet(c, c.Machines, workload.ModeDense)
+		if err != nil {
+			return err
+		}
+		topo := f.Rigs[0].Machine.Topology()
+		// A budget of half the physical cores makes machines contend:
+		// growing one means shrinking another, so following the heat
+		// requires actual migration.
+		budget := c.Machines * topo.TotalCores() / 2
+		ca, err := cluster.NewClusterArbiter(cluster.ClusterArbiterConfig{
+			Fleet:          f,
+			Budget:         budget,
+			ControlPeriod:  topo.SecondsToCycles(1e-3),
+			MigrateLatency: topo.SecondsToCycles(lat),
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(latencies))
+		sh := f.Sharder
+		// The first half of the stream hammers machine 0's first
+		// shard, the second half the last machine's — the heat moves,
+		// and the arbiter must move cores after it.
+		hotA, _ := sh.ShardsOf(0)
+		hotB, _ := sh.ShardsOf(f.Machines() - 1)
+		coord := &cluster.Coordinator{
+			Fleet: f,
+			// Rate chosen against sessions, not saturation: with 2
+			// sessions per machine the hot machine's queue builds
+			// whatever the service rate, driving the backlog signal.
+			Process: arrivals.NewPoisson(5000, c.Seed+307),
+			Keys: func(k int) uint64 {
+				hot := hotA
+				if k >= total/2 {
+					hot = hotB
+				}
+				return sh.KeyForShard(hot, c.Seed+uint64(k))
+			},
+			MaxInFlight: 2,
+			MaxArrivals: total,
+			MaxSeconds:  600,
+		}
+		r := coord.Run()
+		ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
+		tbl.AddRow(lat*1e3, ca.MovedCores, float64(ca.ChargedCycles)/1e6,
+			len(ca.Events()), r.Offered, r.Completed, r.Dropped,
+			r.Throughput, ms(r.Latency.P99()))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if n := len(tbl.Rows); n > 0 {
 		tput := tbl.Col("tput(q/s)")

@@ -1,18 +1,20 @@
-// Package experiments is the repository's experiment platform: a registry
-// of named, tagged, runnable scenarios behind one small interface.
+// Package experiments is the repository's experiment platform: a
+// catalogue of named, tagged, runnable scenarios.
 //
 // Every evaluation artifact of the paper (Sections II and V: figures 4-20,
 // the mechanism-overhead measurement, the multi-tenant consolidation) is
-// an Experiment — Name, Describe, Run(ctx, Config, Observer) — registered
-// in the package Registry (see register.go). A run produces a structured
-// Result: named tables of typed columns, scalar metrics, free-form text
-// artifacts and run metadata, rendering uniformly to text, JSON and CSV.
-// The Runner executes a batch of experiments concurrently with a worker
-// pool, honoring context cancellation and collecting per-experiment errors.
-// cmd/elasticbench (list/run) and the root benchmarks both sit on this
-// surface, and read a Result by table and column name (Table.Col); a new
-// scenario is one run function plus one Register call (~30 lines), not a
-// new bespoke API.
+// an Experiment — a Name, Title, Summary and Tags and a Body, run by
+// Run(ctx, Config, Observer) — and one row of the catalogue table in
+// register.go. A body reports its work through one helper, sweep: each
+// point of a sweep is one phase, followed by its progress. A run produces
+// a structured Result: named tables of typed columns, scalar metrics,
+// free-form text artifacts and run metadata, rendering uniformly to text,
+// JSON and CSV. The Runner executes a batch of experiments concurrently
+// with a worker pool, honoring context cancellation and collecting
+// per-experiment errors. cmd/elasticbench (list/run) and the root
+// benchmarks both sit on this surface, and read a Result by table and
+// column name (Table.Col); a new scenario is one body function plus one
+// catalogue row, not a new bespoke API.
 //
 // Scaling note: the paper ran a 1 GB database (SF 1) with 256 clients and
 // a 50 ms-class control loop on real hardware. The simulation defaults to
@@ -344,3 +346,8 @@ func perNodeIMCThroughput(topo *numa.Topology, w numa.Counters) []float64 {
 	}
 	return out
 }
+
+// usersPhase and modePhase name the phases of a user-count sweep and of a
+// mode sweep.
+func usersPhase(users int) string      { return fmt.Sprintf("users=%d", users) }
+func modePhase(m workload.Mode) string { return "mode=" + m.String() }

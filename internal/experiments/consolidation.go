@@ -93,22 +93,24 @@ func runConsolidation(ctx context.Context, c Config, obs Observer) (*Result, err
 
 	var weightedRig *workload.MultiRig
 	var weighted, baseline *workload.MultiPhaseResult
-	err := phase(ctx, obs, fmt.Sprintf("weighted tenants=%d", n), func() (err error) {
-		weightedRig, weighted, err = runConsolidationOnce(c, consolidationSpecs(c, n, false))
+	runPhase := func(equal bool) string {
+		if equal {
+			return "equal-weight baseline"
+		}
+		return fmt.Sprintf("weighted tenants=%d", n)
+	}
+	err := sweep(ctx, obs, []bool{false, true}, runPhase, func(_ int, equal bool) error {
+		rig, r, err := runConsolidationOnce(c, consolidationSpecs(c, n, equal))
+		if equal {
+			baseline = r
+		} else {
+			weightedRig, weighted = rig, r
+		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	obs.Progress(1, 2)
-	err = phase(ctx, obs, "equal-weight baseline", func() (err error) {
-		_, baseline, err = runConsolidationOnce(c, consolidationSpecs(c, n, true))
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	obs.Progress(2, 2)
 
 	peakTotal := weighted.PeakTotalCores
 	if baseline.PeakTotalCores > peakTotal {

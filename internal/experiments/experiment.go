@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// experiment.go defines the uniform interface every evaluation artifact
-// implements. The 13 paper artifacts are the first 13 registrations; a new
-// scenario only needs a run function and a Register call (see register.go).
+// experiment.go defines what an experiment is: one row of the catalogue
+// in register.go.
 
-// Description documents a registered experiment for listings and tooling.
-type Description struct {
+// Experiment is one runnable evaluation artifact.
+type Experiment struct {
+	// Name is the stable catalogue key ("fig4", "overhead", ...).
+	Name string
 	// Title is the result headline ("Figure 4: Q6 under increasing
 	// concurrency").
 	Title string
@@ -19,41 +20,17 @@ type Description struct {
 	// Tags group experiments for selection: "microbench", "elastic",
 	// "tenancy", "energy", "trace", ...
 	Tags []string
+	// Body runs the experiment on a validated Config and a non-nil
+	// Observer and returns the structured result. Run stamps Name, Title
+	// and Meta afterwards, so a body only fills tables, metrics and
+	// artifacts.
+	Body func(ctx context.Context, cfg Config, obs Observer) (*Result, error)
 }
 
-// Experiment is one runnable evaluation artifact.
-type Experiment interface {
-	// Name is the stable registry key ("fig4", "overhead", ...).
-	Name() string
-	// Describe returns the static documentation.
-	Describe() Description
-	// Run executes the experiment. The Config is validated and defaulted
-	// centrally before the body runs; a nil Observer is replaced with
-	// NopObserver. Run honors ctx cancellation between phases.
-	Run(ctx context.Context, cfg Config, obs Observer) (*Result, error)
-}
-
-// RunFunc is an experiment body: it receives a validated Config and a
-// non-nil Observer and returns the structured result. The wrapper stamps
-// Name, Title and Meta afterwards, so bodies only fill tables, metrics and
-// artifacts.
-type RunFunc func(ctx context.Context, cfg Config, obs Observer) (*Result, error)
-
-// New builds an Experiment from a name, a description and a run function.
-func New(name string, desc Description, run RunFunc) Experiment {
-	return &funcExperiment{name: name, desc: desc, run: run}
-}
-
-type funcExperiment struct {
-	name string
-	desc Description
-	run  RunFunc
-}
-
-func (e *funcExperiment) Name() string          { return e.name }
-func (e *funcExperiment) Describe() Description { return e.desc }
-
-func (e *funcExperiment) Run(ctx context.Context, cfg Config, obs Observer) (*Result, error) {
+// Run executes the experiment. The Config is validated and defaulted
+// before the body runs; a nil Observer is replaced with NopObserver. The
+// body honors ctx cancellation between phases.
+func (e Experiment) Run(ctx context.Context, cfg Config, obs Observer) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -65,13 +42,13 @@ func (e *funcExperiment) Run(ctx context.Context, cfg Config, obs Observer) (*Re
 		return nil, err
 	}
 	start := time.Now()
-	res, err := e.run(ctx, cfg, obs)
+	res, err := e.Body(ctx, cfg, obs)
 	if err != nil {
 		return nil, err
 	}
-	res.Name = e.name
+	res.Name = e.Name
 	if res.Title == "" {
-		res.Title = e.desc.Title
+		res.Title = e.Title
 	}
 	if res.Metrics == nil {
 		res.Metrics = []Metric{} // render as [] in JSON, not null

@@ -17,7 +17,7 @@ func tiny() Config {
 	return Config{SF: 0.005, Clients: 16, Users: []int{1, 8}, Seed: 1}
 }
 
-// runExp runs a registered experiment with a background context and no
+// runExp runs a catalogued experiment with a background context and no
 // observer.
 func runExp(t testing.TB, name string, cfg Config) (*Result, error) {
 	t.Helper()
@@ -288,9 +288,12 @@ func TestFig20ShapeTargets(t *testing.T) {
 	if n := len(res.Table("queries").Rows); n != 22 {
 		t.Fatalf("queries = %d, want 22", n)
 	}
-	// Shape: the adaptive mode is at worst energy-neutral at this tiny
-	// scale (the paper's 26% saving emerges with scale; the bench config
-	// reports the measured value — see ROADMAP item 7).
+	// The >= -5% bound is a regression guard at this test's operating
+	// point (SF 0.005, 8 clients, seed 1, where the total reads -0.88%),
+	// not the paper's 26% saving, and no larger scale reaches that
+	// saving: with 32 clients the total is -45.05% at SF 0.005, driven by
+	// Q14, Q19 and Q13, and within 1.3% of zero from SF 0.02 up to SF 0.2.
+	// See ROADMAP item 7.
 	if total := metric(t, res, "total_savings_pct"); total < -5 {
 		t.Errorf("total savings %.2f%%, want >= -5%%", total)
 	}

@@ -109,11 +109,7 @@ func planCrashWindow(c Config, sat float64) ftPlan {
 // much of the failure each one absorbs.
 func runFaultTolerance(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
-	var sat float64
-	err := phase(ctx, obs, "calibrate", func() (err error) {
-		sat, err = calibrateSaturation(c)
-		return err
-	})
+	sat, err := calibrate(ctx, c, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -140,14 +136,12 @@ func runFaultTolerance(ctx context.Context, c Config, obs Observer) (*Result, er
 	// same arrival stream on the same clock. winCounts is indexed
 	// [variant][window][ok|shed].
 	var winCounts [3][ftWindows][2]int
-	for vi, v := range variants {
-		err := phase(ctx, obs, v.name, func() error {
-			return runFTVariant(c, p, v, res, summary, phases, &winCounts[vi])
-		})
-		if err != nil {
-			return nil, err
-		}
-		obs.Progress(vi+1, len(variants))
+	variantPhase := func(v ftVariant) string { return v.name }
+	err = sweep(ctx, obs, variants, variantPhase, func(vi int, v ftVariant) error {
+		return runFTVariant(c, p, v, res, summary, phases, &winCounts[vi])
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	tl := res.AddTable("timeline",
@@ -286,11 +280,7 @@ func runFTVariant(c Config, p ftPlan, v ftVariant, res *Result, summary, phases 
 // and a lossy-link sweep (one machine's requests pay delay and drops).
 func runPartialDegradation(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
-	var sat float64
-	err := phase(ctx, obs, "calibrate", func() (err error) {
-		sat, err = calibrateSaturation(c)
-		return err
-	})
+	sat, err := calibrate(ctx, c, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -298,58 +288,51 @@ func runPartialDegradation(ctx context.Context, c Config, obs Observer) (*Result
 		colI("factor"), colI("offered"), colI("completed"), colI("shed"),
 		colF("tput(q/s)", 1), colF("p50(ms)", 3), colF("p99(ms)", 3))
 	factors := []int{1, 4, 16}
-	points := []struct{ delayMs, drop float64 }{{0, 0}, {0.2, 0.1}, {0.5, 0.3}}
-	steps := len(factors) + len(points)
-	step := 0
-	for _, factor := range factors {
-		err := phase(ctx, obs, fmt.Sprintf("slow-x%d", factor), func() error {
-			spec := ""
-			if factor > 1 {
-				// Every core of machine 0 costs factor-x cycles; no timeout,
-				// so the table shows the pure degradation (queueing on the
-				// slow machine until its admission queue sheds).
-				spec = fmt.Sprintf("slow m0 c* x%d @0s", factor)
-			}
-			r, topo, err := runDegraded(c, sat, spec, false)
-			if err != nil {
-				return err
-			}
-			slow.AddRow(factor, r.Offered, r.Completed, r.Dropped+r.Failed,
-				r.Throughput, msOrDash(topo, &r.Latency, 0.50), msOrDash(topo, &r.Latency, 0.99))
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	slowPhase := func(factor int) string { return fmt.Sprintf("slow-x%d", factor) }
+	err = sweep(ctx, obs, factors, slowPhase, func(_, factor int) error {
+		spec := ""
+		if factor > 1 {
+			// Every core of machine 0 costs factor-x cycles; no timeout,
+			// so the table shows the pure degradation (queueing on the
+			// slow machine until its admission queue sheds).
+			spec = fmt.Sprintf("slow m0 c* x%d @0s", factor)
 		}
-		step++
-		obs.Progress(step, steps)
+		r, topo, err := runDegraded(c, sat, spec, false)
+		if err != nil {
+			return err
+		}
+		slow.AddRow(factor, r.Offered, r.Completed, r.Dropped+r.Failed,
+			r.Throughput, msOrDash(topo, &r.Latency, 0.50), msOrDash(topo, &r.Latency, 0.99))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	lossy := res.AddTable("lossy_link",
 		colF("delay(ms)", 1), colF("drop", 2), colI("offered"), colI("completed"),
 		colI("failed"), colI("retried"), colI("wire_drop"),
 		colF("tput(q/s)", 1), colF("p99(ms)", 3))
-	for _, pt := range points {
-		err := phase(ctx, obs, fmt.Sprintf("link+%.1fms/%.0f%%", pt.delayMs, pt.drop*100), func() error {
-			spec := ""
-			if pt.delayMs > 0 || pt.drop > 0 {
-				spec = fmt.Sprintf("link m0 +%.1fms drop %.2f @0s", pt.delayMs, pt.drop)
-			}
-			// Timeout and retries on: a dropped message is invisible until
-			// its attempt deadline expires, so recovery needs the clock.
-			r, topo, err := runDegraded(c, sat, spec, true)
-			if err != nil {
-				return err
-			}
-			lossy.AddRow(pt.delayMs, pt.drop, r.Offered, r.Completed, r.Failed,
-				r.Retried, r.WireDropped, r.Throughput, msOrDash(topo, &r.Latency, 0.99))
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	type linkPoint struct{ delayMs, drop float64 }
+	points := []linkPoint{{0, 0}, {0.2, 0.1}, {0.5, 0.3}}
+	linkPhase := func(pt linkPoint) string { return fmt.Sprintf("link+%.1fms/%.0f%%", pt.delayMs, pt.drop*100) }
+	err = sweep(ctx, obs, points, linkPhase, func(_ int, pt linkPoint) error {
+		spec := ""
+		if pt.delayMs > 0 || pt.drop > 0 {
+			spec = fmt.Sprintf("link m0 +%.1fms drop %.2f @0s", pt.delayMs, pt.drop)
 		}
-		step++
-		obs.Progress(step, steps)
+		// Timeout and retries on: a dropped message is invisible until
+		// its attempt deadline expires, so recovery needs the clock.
+		r, topo, err := runDegraded(c, sat, spec, true)
+		if err != nil {
+			return err
+		}
+		lossy.AddRow(pt.delayMs, pt.drop, r.Offered, r.Completed, r.Failed,
+			r.Retried, r.WireDropped, r.Throughput, msOrDash(topo, &r.Latency, 0.99))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	addDegradationMetrics(res, slow, lossy)

@@ -19,51 +19,47 @@ import (
 // runFig4 executes the sweep and encodes the generic result.
 func runFig4(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
-	sweep := res.AddTable("sweep",
+	tbl := res.AddTable("sweep",
 		colS("config"), colI("users"), colF("q/s", 3), colF("faults/s", 2), colF("HT MB/s", 2))
-	for i, users := range c.Users {
-		users := users
-		err := phase(ctx, obs, fmt.Sprintf("users=%d", users), func() error {
-			// OS/MonetDB: Volcano engine, no mechanism.
-			r, err := newRig(c, workload.ModeOS, nil)
-			if err != nil {
+	err := sweep(ctx, obs, c.Users, usersPhase, func(_, users int) error {
+		// OS/MonetDB: Volcano engine, no mechanism.
+		r, err := newRig(c, workload.ModeOS, nil)
+		if err != nil {
+			return err
+		}
+		d := &workload.Driver{Rig: r, QueriesPerClient: 1}
+		p := q6Fixed()
+		ph := d.Run(users, func(cl, k int) *db.Plan { return tpch.BuildQ6With(p) })
+		addFig4Measurement(tbl, "OS/MonetDB", users, ph.Throughput, ph.ElapsedSeconds, ph.Window)
+
+		// The C kernel under its three affinity policies.
+		for _, aff := range []db.RawAffinity{db.RawOS, db.RawDense, db.RawSparse} {
+			if err := runFig4Raw(c, tbl, users, aff); err != nil {
 				return err
 			}
-			d := &workload.Driver{Rig: r, QueriesPerClient: 1}
-			p := q6Fixed()
-			ph := d.Run(users, func(cl, k int) *db.Plan { return tpch.BuildQ6With(p) })
-			addFig4Measurement(sweep, "OS/MonetDB", users, ph.Throughput, ph.ElapsedSeconds, ph.Window)
-
-			// The C kernel under its three affinity policies.
-			for _, aff := range []db.RawAffinity{db.RawOS, db.RawDense, db.RawSparse} {
-				if err := runFig4Raw(c, sweep, users, aff); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		obs.Progress(i+1, len(c.Users))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
 // addFig4Measurement appends one (configuration, users) row: throughput,
 // and the window's minor faults and HT megabytes per virtual second.
-func addFig4Measurement(sweep *Table, config string, users int, tput, elapsed float64, w numa.Counters) {
+func addFig4Measurement(tbl *Table, config string, users int, tput, elapsed float64, w numa.Counters) {
 	var faults, ht float64
 	if elapsed > 0 {
 		faults = float64(w.TotalMinorFaults()) / elapsed
 		ht = mb(w.TotalHTBytes()) / elapsed
 	}
-	sweep.AddRow(config, users, tput, faults, ht)
+	tbl.AddRow(config, users, tput, faults, ht)
 }
 
 // runFig4Raw launches one raw-kernel run per user (each user is its own
 // process of 4 fused-scan threads, Section II-B) and measures the window.
-func runFig4Raw(c Config, sweep *Table, users int, aff db.RawAffinity) error {
+func runFig4Raw(c Config, tbl *Table, users int, aff db.RawAffinity) error {
 	r, err := newRig(c, workload.ModeOS, nil)
 	if err != nil {
 		return err
@@ -104,6 +100,6 @@ func runFig4Raw(c Config, sweep *Table, users int, aff db.RawAffinity) error {
 	if elapsed > 0 {
 		tput = float64(users) / elapsed
 	}
-	addFig4Measurement(sweep, name, users, tput, elapsed, w)
+	addFig4Measurement(tbl, name, users, tput, elapsed, w)
 	return nil
 }

@@ -16,7 +16,7 @@ import (
 // collects the traces.
 func runFig5(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
-	err := phase(ctx, obs, "q6 single client", func() error {
+	err := sweep(ctx, obs, []string{"q6 single client"}, nil, func(int, string) error {
 		r, err := newRig(c, workload.ModeOS, nil)
 		if err != nil {
 			return err
@@ -58,6 +58,5 @@ func runFig5(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs.Progress(1, 1)
 	return res, nil
 }

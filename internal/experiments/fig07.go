@@ -20,7 +20,8 @@ func runFig7(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	tl := res.AddTable("transitions",
 		colF("t(s)", 3), colS("transition"), colI("cpu%"), colI("cores"))
 	var peak, final, allocations, releases int
-	err := phase(ctx, obs, fmt.Sprintf("q6 burst clients=%d", c.Clients), func() error {
+	burst := fmt.Sprintf("q6 burst clients=%d", c.Clients)
+	err := sweep(ctx, obs, []string{burst}, nil, func(int, string) error {
 		r, err := newRig(c, workload.ModeAdaptive, nil)
 		if err != nil {
 			return err
@@ -58,6 +59,5 @@ func runFig7(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res.AddMetric("final_cores", float64(final), "cores")
 	res.AddMetric("allocations", float64(allocations), "")
 	res.AddMetric("releases", float64(releases), "")
-	obs.Progress(1, 1)
 	return res, nil
 }

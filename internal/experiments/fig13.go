@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"elasticore/internal/db"
 	"elasticore/internal/workload"
@@ -16,28 +15,24 @@ import (
 // runFig13 executes the sweep.
 func runFig13(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
-	sweep := res.AddTable("sweep",
+	tbl := res.AddTable("sweep",
 		colS("mode"), colI("users"), colF("q/s", 3), colF("cpu%", 2), colI("tasks"), colI("stolen"))
-	for i, users := range c.Users {
-		users := users
-		err := phase(ctx, obs, fmt.Sprintf("users=%d", users), func() error {
-			for _, mode := range workload.AllModes {
-				r, err := newRig(c, mode, nil)
-				if err != nil {
-					return err
-				}
-				tasksBefore := r.Engine.TasksExecuted
-				d := &workload.Driver{Rig: r, QueriesPerClient: 1}
-				ph := d.Run(users, func(cl, k int) *db.Plan { return thetaPlan(0.45) })
-				sweep.AddRow(mode.String(), users, ph.Throughput, ph.Window.CPULoad(nil),
-					r.Engine.TasksExecuted-tasksBefore, ph.Sched.StolenTasks)
+	err := sweep(ctx, obs, c.Users, usersPhase, func(_, users int) error {
+		for _, mode := range workload.AllModes {
+			r, err := newRig(c, mode, nil)
+			if err != nil {
+				return err
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			tasksBefore := r.Engine.TasksExecuted
+			d := &workload.Driver{Rig: r, QueriesPerClient: 1}
+			ph := d.Run(users, func(cl, k int) *db.Plan { return thetaPlan(0.45) })
+			tbl.AddRow(mode.String(), users, ph.Throughput, ph.Window.CPULoad(nil),
+				r.Engine.TasksExecuted-tasksBefore, ph.Sched.StolenTasks)
 		}
-		obs.Progress(i+1, len(c.Users))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

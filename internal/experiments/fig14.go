@@ -18,36 +18,32 @@ func runFig14(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	// throughput (GB/s), HT GB/s and total L3 misses.
 	var rows [][]any
 	sockets := 0
-	for i, mode := range workload.AllModes {
-		mode := mode
-		err := phase(ctx, obs, "mode="+mode.String(), func() error {
-			r, err := newRig(c, mode, nil)
-			if err != nil {
-				return err
-			}
-			d := &workload.Driver{Rig: r, QueriesPerClient: 1}
-			ph := d.Run(c.Clients, func(cl, k int) *db.Plan { return thetaPlan(0.45) })
-			sockets = len(ph.Window.Nodes)
-			cells := []any{mode.String()}
-			var total uint64
-			for _, n := range ph.Window.Nodes {
-				cells = append(cells, n.L3Misses)
-				total += n.L3Misses
-			}
-			for _, tp := range perNodeIMCThroughput(r.Machine.Topology(), ph.Window) {
-				cells = append(cells, tp)
-			}
-			ht := 0.0
-			if ph.ElapsedSeconds > 0 {
-				ht = float64(ph.Window.TotalHTBytes()) / ph.ElapsedSeconds / 1e9
-			}
-			rows = append(rows, append(cells, ht, total))
-			return nil
-		})
+	err := sweep(ctx, obs, workload.AllModes, modePhase, func(_ int, mode workload.Mode) error {
+		r, err := newRig(c, mode, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(workload.AllModes))
+		d := &workload.Driver{Rig: r, QueriesPerClient: 1}
+		ph := d.Run(c.Clients, func(cl, k int) *db.Plan { return thetaPlan(0.45) })
+		sockets = len(ph.Window.Nodes)
+		cells := []any{mode.String()}
+		var total uint64
+		for _, n := range ph.Window.Nodes {
+			cells = append(cells, n.L3Misses)
+			total += n.L3Misses
+		}
+		for _, tp := range perNodeIMCThroughput(r.Machine.Topology(), ph.Window) {
+			cells = append(cells, tp)
+		}
+		ht := 0.0
+		if ph.ElapsedSeconds > 0 {
+			ht = float64(ph.Window.TotalHTBytes()) / ph.ElapsedSeconds / 1e9
+		}
+		rows = append(rows, append(cells, ht, total))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// The socket count is a property of the machine model, so the table

@@ -17,26 +17,23 @@ var fig15Selectivities = []float64{0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.0}
 // runFig15 executes the sweep.
 func runFig15(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
-	sweep := res.AddTable("sweep",
+	tbl := res.AddTable("sweep",
 		colS("mode"), colF("selectivity", 2), colI("L3 misses"))
-	for i, sel := range fig15Selectivities {
-		sel := sel
-		err := phase(ctx, obs, fmt.Sprintf("selectivity=%.0f%%", sel*100), func() error {
-			for _, mode := range workload.AllModes {
-				r, err := newRig(c, mode, nil)
-				if err != nil {
-					return err
-				}
-				d := &workload.Driver{Rig: r, QueriesPerClient: 1}
-				ph := d.Run(c.Clients, func(cl, k int) *db.Plan { return thetaPlan(sel) })
-				sweep.AddRow(mode.String(), sel, ph.Window.TotalL3Misses())
+	selPhase := func(sel float64) string { return fmt.Sprintf("selectivity=%.0f%%", sel*100) }
+	err := sweep(ctx, obs, fig15Selectivities, selPhase, func(_ int, sel float64) error {
+		for _, mode := range workload.AllModes {
+			r, err := newRig(c, mode, nil)
+			if err != nil {
+				return err
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			d := &workload.Driver{Rig: r, QueriesPerClient: 1}
+			ph := d.Run(c.Clients, func(cl, k int) *db.Plan { return thetaPlan(sel) })
+			tbl.AddRow(mode.String(), sel, ph.Window.TotalL3Misses())
 		}
-		obs.Progress(i+1, len(fig15Selectivities))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

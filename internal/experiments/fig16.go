@@ -18,44 +18,40 @@ func runFig16(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	tb := res.AddTable("modes",
 		colS("mode"), colI("migrations"), colI("cross-node"),
 		colI("multi-node threads"), colI("nodes touched"))
-	for i, mode := range workload.AllModes {
-		mode := mode
-		err := phase(ctx, obs, "mode="+mode.String(), func() error {
-			r, err := newRig(c, mode, nil)
-			if err != nil {
-				return err
-			}
-			mt := newLifespan(r.EnsureBus(), r.Machine.Topology())
-			q := r.Engine.Submit(tpch.BuildQ6With(q6Fixed()))
-			deadline := r.Machine.Now() + r.Machine.Topology().SecondsToCycles(600)
-			for !q.Done() && r.Machine.Now() < deadline {
-				r.Tick()
-			}
-			if !q.Done() {
-				return fmt.Errorf("experiments: fig16 %v timed out", mode)
-			}
-			migrations, crossNode := mt.MigrationCount()
-			multiNode := 0
-			for _, n := range mt.NodesUsed() {
-				if n > 1 {
-					multiNode++
-				}
-			}
-			topo := r.Machine.Topology()
-			nodesSeen := map[int]bool{}
-			for _, cores := range mt.CoresUsed() {
-				for _, core := range cores {
-					nodesSeen[int(topo.NodeOf(core))] = true
-				}
-			}
-			tb.AddRow(mode.String(), migrations, crossNode, multiNode, len(nodesSeen))
-			res.AddArtifact("lifespan "+mode.String(), mt.Render(16, 16))
-			return nil
-		})
+	err := sweep(ctx, obs, workload.AllModes, modePhase, func(_ int, mode workload.Mode) error {
+		r, err := newRig(c, mode, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(workload.AllModes))
+		mt := newLifespan(r.EnsureBus(), r.Machine.Topology())
+		q := r.Engine.Submit(tpch.BuildQ6With(q6Fixed()))
+		deadline := r.Machine.Now() + r.Machine.Topology().SecondsToCycles(600)
+		for !q.Done() && r.Machine.Now() < deadline {
+			r.Tick()
+		}
+		if !q.Done() {
+			return fmt.Errorf("experiments: fig16 %v timed out", mode)
+		}
+		migrations, crossNode := mt.MigrationCount()
+		multiNode := 0
+		for _, n := range mt.NodesUsed() {
+			if n > 1 {
+				multiNode++
+			}
+		}
+		topo := r.Machine.Topology()
+		nodesSeen := map[int]bool{}
+		for _, cores := range mt.CoresUsed() {
+			for _, core := range cores {
+				nodesSeen[int(topo.NodeOf(core))] = true
+			}
+		}
+		tb.AddRow(mode.String(), migrations, crossNode, multiNode, len(nodesSeen))
+		res.AddArtifact("lifespan "+mode.String(), mt.Render(16, 16))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

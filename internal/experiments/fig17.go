@@ -33,28 +33,25 @@ func runFig17(ctx context.Context, c Config, obs Observer) (*Result, error) {
 			combo{mode, elastic.HTIMCStrategy{}, "ht-imc"},
 		)
 	}
-	for i, cb := range combos {
-		cb := cb
-		err := phase(ctx, obs, fmt.Sprintf("mode=%s strategy=%s", cb.mode, cb.name), func() error {
-			r, err := newRig(c, cb.mode, cb.strategy)
-			if err != nil {
-				return err
-			}
-			d := &workload.Driver{Rig: r, QueriesPerClient: 1}
-			p := q6Fixed()
-			ph := d.Run(1, func(cl, k int) *db.Plan { return tpch.BuildQ6With(p) })
-			htMBPerS := 0.0
-			if ph.ElapsedSeconds > 0 {
-				htMBPerS = mb(ph.Window.TotalHTBytes()) / ph.ElapsedSeconds
-			}
-			tb.AddRow(cb.mode.String(), cb.name, ph.MeanLatencySeconds, htMBPerS,
-				ph.Window.TotalL3Misses())
-			return nil
-		})
+	comboPhase := func(cb combo) string { return fmt.Sprintf("mode=%s strategy=%s", cb.mode, cb.name) }
+	err := sweep(ctx, obs, combos, comboPhase, func(_ int, cb combo) error {
+		r, err := newRig(c, cb.mode, cb.strategy)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(combos))
+		d := &workload.Driver{Rig: r, QueriesPerClient: 1}
+		p := q6Fixed()
+		ph := d.Run(1, func(cl, k int) *db.Plan { return tpch.BuildQ6With(p) })
+		htMBPerS := 0.0
+		if ph.ElapsedSeconds > 0 {
+			htMBPerS = mb(ph.Window.TotalHTBytes()) / ph.ElapsedSeconds
+		}
+		tb.AddRow(cb.mode.String(), cb.name, ph.MeanLatencySeconds, htMBPerS,
+			ph.Window.TotalL3Misses())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

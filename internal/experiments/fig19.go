@@ -19,20 +19,16 @@ var mechModes = []workload.Mode{workload.ModeDense, workload.ModeSparse, workloa
 // across all four modes.
 func runFig19(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	perMode := make(map[workload.Mode][]workload.QueryPhase)
-	for i, mode := range workload.AllModes {
-		mode := mode
-		err := phase(ctx, obs, "mode="+mode.String(), func() error {
-			r, err := newRig(c, mode, nil)
-			if err != nil {
-				return err
-			}
-			perMode[mode] = workload.MixedPhases(r, c.Clients)
-			return nil
-		})
+	err := sweep(ctx, obs, workload.AllModes, modePhase, func(_ int, mode workload.Mode) error {
+		r, err := newRig(c, mode, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(workload.AllModes))
+		perMode[mode] = workload.MixedPhases(r, c.Clients)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{}

@@ -17,25 +17,22 @@ func runFig20(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	model := metrics.DefaultEnergyModel()
 	var osPhases, adPhases []workload.QueryPhase
 	var osTopo, adTopo *numa.Topology
-	for i, mode := range []workload.Mode{workload.ModeOS, workload.ModeAdaptive} {
-		mode := mode
-		err := phase(ctx, obs, "mode="+mode.String(), func() error {
-			r, err := newRig(c, mode, nil)
-			if err != nil {
-				return err
-			}
-			phases := workload.MixedPhases(r, c.Clients)
-			if mode == workload.ModeOS {
-				osPhases, osTopo = phases, r.Machine.Topology()
-			} else {
-				adPhases, adTopo = phases, r.Machine.Topology()
-			}
-			return nil
-		})
+	modes := []workload.Mode{workload.ModeOS, workload.ModeAdaptive}
+	err := sweep(ctx, obs, modes, modePhase, func(_ int, mode workload.Mode) error {
+		r, err := newRig(c, mode, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, 2)
+		phases := workload.MixedPhases(r, c.Clients)
+		if mode == workload.ModeOS {
+			osPhases, osTopo = phases, r.Machine.Topology()
+		} else {
+			adPhases, adTopo = phases, r.Machine.Topology()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{}

@@ -46,7 +46,8 @@ func runHTAPMix(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		colF("mean-cores", 2))
 
 	machineCores := 0
-	for ri, ratio := range c.LookupRatios {
+	ratioPhase := func(ratio float64) string { return fmt.Sprintf("ratio %.2f", ratio) }
+	err := sweep(ctx, obs, c.LookupRatios, ratioPhase, func(_ int, ratio float64) error {
 		specs := make([]workload.TenantSpec, c.Tenants)
 		for i := range specs {
 			specs[i] = workload.TenantSpec{
@@ -58,65 +59,62 @@ func runHTAPMix(ctx context.Context, c Config, obs Observer) (*Result, error) {
 				Placement: c.Placement,
 			}
 		}
-		var rig *workload.MultiRig
-		var phaseRes *workload.MultiPhaseResult
 		lookups := make([]htapClass, c.Tenants)
 		scans := make([]htapClass, c.Tenants)
-		err := phase(ctx, obs, fmt.Sprintf("ratio %.2f", ratio), func() error {
-			aggregateSF := float64(c.Tenants) * c.SF
-			topo, err := c.machineTopology(aggregateSF)
-			if err != nil {
-				return err
-			}
-			rig, err = workload.NewMultiRig(workload.MultiOptions{
-				Tenants:  specs,
-				Topology: topo,
-				Bus:      c.Bus,
-			})
-			if err != nil {
-				return err
-			}
-			loads := make([]workload.TenantLoad, c.Tenants)
-			for i, tr := range rig.Tenants {
-				mixer := tpch.HTAPMixer{
-					Store:       tr.Store,
-					OrderRows:   tr.Dataset.Sizes.Orders,
-					Seed:        c.Seed*131 + uint64(i),
-					LookupRatio: ratio,
-				}
-				cyclesToSeconds := rig.Machine.Topology().CyclesToSeconds
-				i := i
-				loads[i] = workload.TenantLoad{
-					Clients:          c.Clients,
-					QueriesPerClient: htapQueriesPerClient,
-					Plan:             mixer.Plan,
-					OnDone: func(client, k int, q *db.Query) {
-						cls := &scans[i]
-						if mixer.IsLookup(client, k) {
-							cls = &lookups[i]
-						}
-						cls.n++
-						cls.latencySum += cyclesToSeconds(q.ElapsedCycles())
-					},
-				}
-			}
-			phaseRes, err = rig.Run(loads, 0, 0)
+		aggregateSF := float64(c.Tenants) * c.SF
+		topo, err := c.machineTopology(aggregateSF)
+		if err != nil {
 			return err
+		}
+		rig, err := workload.NewMultiRig(workload.MultiOptions{
+			Tenants:  specs,
+			Topology: topo,
+			Bus:      c.Bus,
 		})
 		if err != nil {
-			return nil, err
+			return err
+		}
+		loads := make([]workload.TenantLoad, c.Tenants)
+		for i, tr := range rig.Tenants {
+			mixer := tpch.HTAPMixer{
+				Store:       tr.Store,
+				OrderRows:   tr.Dataset.Sizes.Orders,
+				Seed:        c.Seed*131 + uint64(i),
+				LookupRatio: ratio,
+			}
+			cyclesToSeconds := rig.Machine.Topology().CyclesToSeconds
+			loads[i] = workload.TenantLoad{
+				Clients:          c.Clients,
+				QueriesPerClient: htapQueriesPerClient,
+				Plan:             mixer.Plan,
+				OnDone: func(client, k int, q *db.Query) {
+					cls := &scans[i]
+					if mixer.IsLookup(client, k) {
+						cls = &lookups[i]
+					}
+					cls.n++
+					cls.latencySum += cyclesToSeconds(q.ElapsedCycles())
+				},
+			}
+		}
+		phaseRes, err := rig.Run(loads, 0, 0)
+		if err != nil {
+			return err
 		}
 		machineCores = phaseRes.MachineCores
 		for i, tr := range phaseRes.Tenants {
 			if got := lookups[i].n + scans[i].n; got != tr.Completed {
-				return nil, fmt.Errorf("experiments: htap-mix class counts %d != %d completions (tenant %s)",
+				return fmt.Errorf("experiments: htap-mix class counts %d != %d completions (tenant %s)",
 					got, tr.Completed, tr.Tenant)
 			}
 			tb.AddRow(ratio, tr.Tenant, lookups[i].n, scans[i].n,
 				tr.Throughput, lookups[i].meanMS(), scans[i].meanMS(),
 				tr.MeanCores)
 		}
-		obs.Progress(ri+1, len(c.LookupRatios))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.AddMetric("machine_cores", float64(machineCores), "cores")
 	res.AddMetric("ratio_points", float64(len(c.LookupRatios)), "")

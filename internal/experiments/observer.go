@@ -61,17 +61,25 @@ func (o *WriterObserver) linef(format string, args ...any) {
 	o.W.Write([]byte(b.String()))
 }
 
-// phase wraps one experiment phase: a ctx check, the start/done callbacks
-// and progress accounting. It is the idiom experiment bodies use for their
-// sweep loops.
-func phase(ctx context.Context, obs Observer, name string, f func() error) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// sweep runs body once per item, each run one phase named by name(item)
+// (nil: the item itself, printed with %v): a ctx check, the start and
+// done callbacks, then progress i/n of this sweep. It is how every
+// experiment body reports its work.
+func sweep[T any](ctx context.Context, obs Observer, items []T, name func(T) string, body func(i int, item T) error) error {
+	for i, item := range items {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		label := fmt.Sprint(item)
+		if name != nil {
+			label = name(item)
+		}
+		obs.PhaseStart(label)
+		if err := body(i, item); err != nil {
+			return err
+		}
+		obs.PhaseDone(label)
+		obs.Progress(i+1, len(items))
 	}
-	obs.PhaseStart(name)
-	if err := f(); err != nil {
-		return err
-	}
-	obs.PhaseDone(name)
 	return nil
 }

@@ -28,21 +28,25 @@ import (
 // the open-loop experiments; the admission queue bounds at 8x that.
 func openSessions(c Config) int { return c.Clients }
 
-// calibrateSaturation measures the rig's closed-loop saturation
-// throughput: the offered-load sweep and the burst rates are expressed
+// calibrate is the "calibrate" phase the open-loop and cluster
+// experiments open with: it measures the rig's closed-loop saturation
+// throughput. The offered-load sweep and the burst rates are expressed
 // relative to it, so the experiments keep their operating points across
 // scale factors.
-func calibrateSaturation(c Config) (float64, error) {
-	r, err := newRig(c, workload.ModeOS, nil)
-	if err != nil {
-		return 0, err
-	}
-	d := &workload.Driver{Rig: r, QueriesPerClient: 3}
-	pr := d.RunSameQuery(openSessions(c), tpch.BuildQ6)
-	if pr.Throughput <= 0 {
-		return 0, fmt.Errorf("experiments: calibration produced zero throughput")
-	}
-	return pr.Throughput, nil
+func calibrate(ctx context.Context, c Config, obs Observer) (sat float64, err error) {
+	err = sweep(ctx, obs, []string{"calibrate"}, nil, func(int, string) error {
+		r, err := newRig(c, workload.ModeOS, nil)
+		if err != nil {
+			return err
+		}
+		d := &workload.Driver{Rig: r, QueriesPerClient: 3}
+		sat = d.RunSameQuery(openSessions(c), tpch.BuildQ6).Throughput
+		if sat <= 0 {
+			return fmt.Errorf("experiments: calibration produced zero throughput")
+		}
+		return nil
+	})
+	return sat, err
 }
 
 // loadProcess builds the configured arrival-process family around a mean
@@ -70,16 +74,13 @@ func runLatencyLoad(ctx context.Context, c Config, obs Observer) (*Result, error
 		colF("p50(ms)", 3), colF("p90(ms)", 3), colF("p99(ms)", 3),
 		colF("max(ms)", 3), colF("wait p99(ms)", 3))
 
-	var sat float64
-	err := phase(ctx, obs, "calibrate", func() (err error) {
-		sat, err = calibrateSaturation(c)
-		return err
-	})
+	sat, err := calibrate(ctx, c, obs)
 	if err != nil {
 		return nil, err
 	}
 
-	for i, load := range c.Loads {
+	loadPhase := func(load float64) string { return fmt.Sprintf("load=%.2f (%s)", load, c.Arrival) }
+	err = sweep(ctx, obs, c.Loads, loadPhase, func(i int, load float64) error {
 		rate := load * sat
 		// Horizon covers offering every arrival plus draining the whole
 		// backlog at the saturation rate: a deadline tight enough to cut
@@ -87,31 +88,28 @@ func runLatencyLoad(ctx context.Context, c Config, obs Observer) (*Result, error
 		// sweep exists to measure, inverting the latency curve past
 		// saturation. The run ends early once everything drains.
 		horizon := 1.2 * float64(c.OpenArrivals) * (1/rate + 1/sat)
-		err := phase(ctx, obs, fmt.Sprintf("load=%.2f (%s)", load, c.Arrival), func() error {
-			r, err := newRig(c, workload.ModeOS, nil)
-			if err != nil {
-				return err
-			}
-			d := &workload.OpenDriver{
-				Rig:         r,
-				Process:     loadProcess(c.Arrival, rate, horizon, c.Seed+uint64(i)*7919),
-				MaxInFlight: openSessions(c),
-				QueueCap:    8 * openSessions(c),
-				MaxArrivals: c.OpenArrivals,
-				MaxSeconds:  horizon,
-			}
-			or := d.RunSameQuery(tpch.BuildQ6)
-			topo := r.Machine.Topology()
-			ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
-			tl.AddRow(load, rate, or.Offered, or.Admitted, or.Dropped, or.Completed,
-				or.Throughput, ms(or.Latency.P50()), ms(or.Latency.P90()),
-				ms(or.Latency.P99()), ms(or.Latency.Max()), ms(or.QueueWait.P99()))
-			return nil
-		})
+		r, err := newRig(c, workload.ModeOS, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(c.Loads))
+		d := &workload.OpenDriver{
+			Rig:         r,
+			Process:     loadProcess(c.Arrival, rate, horizon, c.Seed+uint64(i)*7919),
+			MaxInFlight: openSessions(c),
+			QueueCap:    8 * openSessions(c),
+			MaxArrivals: c.OpenArrivals,
+			MaxSeconds:  horizon,
+		}
+		or := d.RunSameQuery(tpch.BuildQ6)
+		topo := r.Machine.Topology()
+		ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
+		tl.AddRow(load, rate, or.Offered, or.Admitted, or.Dropped, or.Completed,
+			or.Throughput, ms(or.Latency.P50()), ms(or.Latency.P90()),
+			ms(or.Latency.P99()), ms(or.Latency.Max()), ms(or.QueueWait.P99()))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.AddMetric("saturation_tput", sat, "q/s")
 	// The tail-divergence signature: at the lightest load p99 sits within
@@ -155,11 +153,7 @@ func runBurstResponse(ctx context.Context, c Config, obs Observer) (*Result, err
 		colF("tput(q/s)", 1), colF("p50(ms)", 3), colF("p99(ms)", 3),
 		colF("wait p99(ms)", 3), colI("peak queue"), colI("peak cores"))
 
-	var sat float64
-	err := phase(ctx, obs, "calibrate", func() (err error) {
-		sat, err = calibrateSaturation(c)
-		return err
-	})
+	sat, err := calibrate(ctx, c, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -188,45 +182,43 @@ func runBurstResponse(ctx context.Context, c Config, obs Observer) (*Result, err
 		{"elastic-nopressure", workload.ModeAdaptive, elastic.HTIMCStrategy{}, true},
 	}
 	p99ByConfig := map[string]float64{}
-	for i, bc := range configs {
-		err := phase(ctx, obs, "config="+bc.name, func() error {
-			r, err := newRig(c, bc.mode, bc.strategy)
-			if err != nil {
-				return err
-			}
-			d := &workload.OpenDriver{
-				Rig:            r,
-				Process:        process(),
-				MaxInFlight:    openSessions(c),
-				QueueCap:       8 * openSessions(c),
-				MaxArrivals:    arrivalsTotal,
-				MaxSeconds:     horizon,
-				SampleEvery:    horizon / 48,
-				DisableBacklog: bc.disablePressure,
-			}
-			or := d.RunSameQuery(tpch.BuildQ6)
-			topo := r.Machine.Topology()
-			ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
-			for _, s := range or.Samples {
-				timeline.AddRow(bc.name, s.AtSeconds, s.QueueDepth, s.InFlight,
-					s.Allocated, s.Completed, ms(s.P99Cycles))
-			}
-			peakCores := 0
-			for _, s := range or.Samples {
-				if s.Allocated > peakCores {
-					peakCores = s.Allocated
-				}
-			}
-			summary.AddRow(bc.name, or.Offered, or.Completed, or.Dropped,
-				or.Throughput, ms(or.Latency.P50()), ms(or.Latency.P99()),
-				ms(or.QueueWait.P99()), or.PeakQueueDepth, peakCores)
-			p99ByConfig[bc.name] = ms(or.Latency.P99())
-			return nil
-		})
+	configPhase := func(bc burstConfig) string { return "config=" + bc.name }
+	err = sweep(ctx, obs, configs, configPhase, func(_ int, bc burstConfig) error {
+		r, err := newRig(c, bc.mode, bc.strategy)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(configs))
+		d := &workload.OpenDriver{
+			Rig:            r,
+			Process:        process(),
+			MaxInFlight:    openSessions(c),
+			QueueCap:       8 * openSessions(c),
+			MaxArrivals:    arrivalsTotal,
+			MaxSeconds:     horizon,
+			SampleEvery:    horizon / 48,
+			DisableBacklog: bc.disablePressure,
+		}
+		or := d.RunSameQuery(tpch.BuildQ6)
+		topo := r.Machine.Topology()
+		ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }
+		for _, s := range or.Samples {
+			timeline.AddRow(bc.name, s.AtSeconds, s.QueueDepth, s.InFlight,
+				s.Allocated, s.Completed, ms(s.P99Cycles))
+		}
+		peakCores := 0
+		for _, s := range or.Samples {
+			if s.Allocated > peakCores {
+				peakCores = s.Allocated
+			}
+		}
+		summary.AddRow(bc.name, or.Offered, or.Completed, or.Dropped,
+			or.Throughput, ms(or.Latency.P50()), ms(or.Latency.P99()),
+			ms(or.QueueWait.P99()), or.PeakQueueDepth, peakCores)
+		p99ByConfig[bc.name] = ms(or.Latency.P99())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.AddMetric("saturation_tput", sat, "q/s")
 	res.AddMetric("static_p99_ms", p99ByConfig["static"], "ms")

@@ -24,32 +24,28 @@ var overheadModes = []workload.Mode{workload.ModeDense, workload.ModeSparse, wor
 func runOverhead(ctx context.Context, c Config, obs Observer, steps int) (*Result, error) {
 	res := &Result{}
 	tb := res.AddTable("steps", colS("mode"), colD("per-step"), colI("residency reads"))
-	for i, mode := range overheadModes {
-		mode := mode
-		err := phase(ctx, obs, "mode="+mode.String(), func() error {
-			r, err := newRig(c, mode, nil)
-			if err != nil {
-				return err
-			}
-			// Background load so counters and residency are non-trivial.
-			for i := 0; i < 8; i++ {
-				r.Engine.Submit(tpch.BuildQ6(uint64(i)))
-			}
-			for i := 0; i < 20; i++ {
-				r.Sched.Tick()
-			}
-			start, reads := time.Now(), r.Mech.ResidencyReads()
-			for i := 0; i < steps; i++ {
-				r.Mech.Step()
-				r.Sched.Tick()
-			}
-			tb.AddRow(mode.String(), time.Since(start)/time.Duration(steps), int(r.Mech.ResidencyReads()-reads))
-			return nil
-		})
+	err := sweep(ctx, obs, overheadModes, modePhase, func(_ int, mode workload.Mode) error {
+		r, err := newRig(c, mode, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		obs.Progress(i+1, len(overheadModes))
+		// Background load so counters and residency are non-trivial.
+		for i := 0; i < 8; i++ {
+			r.Engine.Submit(tpch.BuildQ6(uint64(i)))
+		}
+		for i := 0; i < 20; i++ {
+			r.Sched.Tick()
+		}
+		start, reads := time.Now(), r.Mech.ResidencyReads()
+		for i := 0; i < steps; i++ {
+			r.Mech.Step()
+			r.Sched.Tick()
+		}
+		tb.AddRow(mode.String(), time.Since(start)/time.Duration(steps), int(r.Mech.ResidencyReads()-reads))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.AddMetric("steps", float64(steps), "")
 	return res, nil

@@ -13,11 +13,11 @@ import (
 	"testing"
 )
 
-// refactor_test.go pins the complete rendered output of every registered
+// refactor_test.go pins the complete rendered output of every catalogued
 // experiment across refactors of the execution engine. Where the golden
 // files in testdata/ pin a handful of full renderings, this test pins a
 // 64-bit FNV-1a hash of the text, JSON and CSV renderings of the whole
-// registry (minus the host-clock-dependent "overhead" experiment) — so a
+// catalogue (minus the host-clock-dependent "overhead" experiment) — so a
 // refactor of the operator layer (the vectorized pipeline, the plan compiler) must leave
 // every experiment byte-identical, not just the ones with full goldens.
 //
@@ -50,18 +50,18 @@ func collectSignatures(t *testing.T) []string {
 	t.Helper()
 	var lines []string
 	for _, e := range All() {
-		if signatureExcluded[e.Name()] {
+		if signatureExcluded[e.Name] {
 			continue
 		}
 		res, err := e.Run(context.Background(), goldenConfig(), nil)
 		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 		res.Meta.WallTime = 0
 		res.Meta.Version = "golden"
 		for _, format := range []string{"text", "json", "csv"} {
 			lines = append(lines, fmt.Sprintf("%s\t%s\t%s",
-				e.Name(), format, renderSignature(t, res, format)))
+				e.Name, format, renderSignature(t, res, format)))
 		}
 	}
 	sort.Strings(lines)
@@ -119,7 +119,7 @@ func checkSignatures(t *testing.T, path string) {
 	}
 }
 
-// TestOperatorRefactorSignatures: the whole registry must render
+// TestOperatorRefactorSignatures: the whole catalogue must render
 // byte-identically to the pre-refactor recording.
 func TestOperatorRefactorSignatures(t *testing.T) {
 	checkSignatures(t, filepath.Join("testdata", "signatures.golden"))

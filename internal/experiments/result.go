@@ -14,7 +14,7 @@ import (
 // result.go is the structured result model every experiment returns: named
 // tables of typed columns plus scalar metrics, free-form text artifacts and
 // run metadata. One model, three renderings — text, JSON, CSV — so tooling
-// downstream of the Registry never needs per-experiment result types.
+// downstream of the catalogue never needs per-experiment result types.
 
 // Kind is the value type of a table column.
 type Kind int
@@ -252,7 +252,7 @@ type Meta struct {
 
 // Result is the structured outcome of one experiment run.
 type Result struct {
-	// Name is the registry name ("fig4", "consolidation", ...).
+	// Name is the catalogue name ("fig4", "consolidation", ...).
 	Name string `json:"name"`
 	// Title is the human headline ("Figure 4: Q6 under increasing
 	// concurrency").

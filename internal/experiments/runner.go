@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -67,50 +66,17 @@ func (r *Runner) Run(ctx context.Context, exps ...Experiment) []Report {
 }
 
 func (r *Runner) runOne(ctx context.Context, e Experiment) Report {
-	rep := Report{Name: e.Name()}
+	rep := Report{Name: e.Name}
 	if err := ctx.Err(); err != nil {
 		rep.Err = err
 		return rep
 	}
 	var obs Observer
 	if r.Observe != nil {
-		obs = r.Observe(e.Name())
+		obs = r.Observe(e.Name)
 	}
 	start := time.Now()
 	rep.Result, rep.Err = e.Run(ctx, r.Config, obs)
 	rep.Elapsed = time.Since(start)
 	return rep
-}
-
-// RunNames resolves names in the default registry and runs them. Every
-// name is validated before any experiment starts, so a typo in a batch
-// fails fast instead of surfacing after minutes of work.
-func (r *Runner) RunNames(ctx context.Context, names ...string) ([]Report, error) {
-	exps, err := Resolve(names...)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run(ctx, exps...), nil
-}
-
-// Resolve maps names to registered experiments, rejecting unknown names
-// up front. The special name "all" expands to the whole registry.
-func Resolve(names ...string) ([]Experiment, error) {
-	var exps []Experiment
-	var unknown []string
-	for _, name := range names {
-		if name == "all" {
-			exps = append(exps, All()...)
-			continue
-		}
-		if e, ok := Lookup(name); ok {
-			exps = append(exps, e)
-		} else {
-			unknown = append(unknown, name)
-		}
-	}
-	if len(unknown) > 0 {
-		return nil, fmt.Errorf("experiments: unknown experiment(s) %v; known: %v", unknown, Names())
-	}
-	return exps, nil
 }

@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// TestRegistryCataloguesThirteenArtifacts pins the platform's content:
-// the 13 paper artifacts in registration order, followed by the
-// open-loop traffic scenarios, the topology sweep, the cluster tier
-// and the failure experiments.
+// TestRegistryCataloguesThirteenArtifacts pins the catalogue's content:
+// the 13 paper artifacts in catalogue order, followed by the open-loop
+// traffic scenarios, the topology sweep, the cluster tier and the failure
+// experiments. Pinning the whole list also keeps every name unique.
 func TestRegistryCataloguesThirteenArtifacts(t *testing.T) {
 	want := []string{
 		"fig4", "fig5", "fig7", "fig13", "fig14", "fig15", "fig16",
@@ -23,24 +23,23 @@ func TestRegistryCataloguesThirteenArtifacts(t *testing.T) {
 	}
 	names := Names()
 	if len(names) != len(want) {
-		t.Fatalf("registry has %d experiments %v, want %d", len(names), names, len(want))
+		t.Fatalf("catalogue has %d experiments %v, want %d", len(names), names, len(want))
 	}
 	for i, name := range want {
 		if names[i] != name {
-			t.Errorf("registry[%d] = %q, want %q", i, names[i], name)
+			t.Errorf("catalogue[%d] = %q, want %q", i, names[i], name)
 		}
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("Lookup(%q) missing", name)
 		}
-		d := e.Describe()
-		if d.Title == "" || d.Summary == "" || len(d.Tags) == 0 {
-			t.Errorf("%s has incomplete description: %+v", name, d)
+		if e.Title == "" || e.Summary == "" || len(e.Tags) == 0 || e.Body == nil {
+			t.Errorf("%s has an incomplete row: %+v", name, e)
 		}
 	}
 	// Tag selection finds the consolidated-tenant scenarios.
 	tenancy := WithTag("tenancy")
-	if len(tenancy) != 2 || tenancy[0].Name() != "consolidation" || tenancy[1].Name() != "htap-mix" {
+	if len(tenancy) != 2 || tenancy[0].Name != "consolidation" || tenancy[1].Name != "htap-mix" {
 		t.Errorf("WithTag(tenancy) = %v", tenancy)
 	}
 }
@@ -54,7 +53,7 @@ func TestResolveRejectsUnknownNamesUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(exps) != len(Names()) {
-		t.Errorf("Resolve(all) = %d experiments, want the whole registry (%d)", len(exps), len(Names()))
+		t.Errorf("Resolve(all) = %d experiments, want the whole catalogue (%d)", len(exps), len(Names()))
 	}
 }
 
@@ -64,7 +63,7 @@ func TestResolveRejectsUnknownNamesUpFront(t *testing.T) {
 func TestRunnerExecutesConcurrently(t *testing.T) {
 	a, b := make(chan struct{}), make(chan struct{})
 	mk := func(name string, mine, other chan struct{}) Experiment {
-		return New(name, Description{Title: name}, func(ctx context.Context, c Config, obs Observer) (*Result, error) {
+		return Experiment{Name: name, Title: name, Body: func(ctx context.Context, c Config, obs Observer) (*Result, error) {
 			close(mine)
 			select {
 			case <-other:
@@ -72,7 +71,7 @@ func TestRunnerExecutesConcurrently(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				return nil, fmt.Errorf("%s never saw its peer start", name)
 			}
-		})
+		}}
 	}
 	r := &Runner{Parallel: 2}
 	reports := r.Run(context.Background(), mk("left", a, b), mk("right", b, a))
@@ -95,19 +94,19 @@ func TestRunnerExecutesConcurrently(t *testing.T) {
 func TestRunnerContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
-	blocker := New("blocker", Description{}, func(ctx context.Context, c Config, obs Observer) (*Result, error) {
+	blocker := Experiment{Name: "blocker", Body: func(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
+	}}
 	var mu sync.Mutex
 	ran := false
-	second := New("second", Description{}, func(ctx context.Context, c Config, obs Observer) (*Result, error) {
+	second := Experiment{Name: "second", Body: func(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		mu.Lock()
 		ran = true
 		mu.Unlock()
 		return &Result{}, nil
-	})
+	}}
 	go func() {
 		<-started
 		cancel()
@@ -130,12 +129,12 @@ func TestRunnerContextCancellation(t *testing.T) {
 // TestRunnerCollectsPerExperimentErrors: one failure does not abort the
 // batch.
 func TestRunnerCollectsPerExperimentErrors(t *testing.T) {
-	boom := New("boom", Description{}, func(ctx context.Context, c Config, obs Observer) (*Result, error) {
+	boom := Experiment{Name: "boom", Body: func(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		return nil, fmt.Errorf("synthetic failure")
-	})
-	fine := New("fine", Description{}, func(ctx context.Context, c Config, obs Observer) (*Result, error) {
+	}}
+	fine := Experiment{Name: "fine", Body: func(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		return &Result{}, nil
-	})
+	}}
 	r := &Runner{Parallel: 2}
 	reports := r.Run(context.Background(), boom, fine)
 	if reports[0].Err == nil || !strings.Contains(reports[0].Err.Error(), "synthetic") {
@@ -146,8 +145,8 @@ func TestRunnerCollectsPerExperimentErrors(t *testing.T) {
 	}
 }
 
-// TestRegisteredExperimentHonorsCancelledContext: a real experiment run
-// through the registry returns promptly on a dead context.
+// TestRegisteredExperimentHonorsCancelledContext: a catalogued
+// experiment returns promptly on a dead context.
 func TestRegisteredExperimentHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -177,11 +176,11 @@ func TestRunnerObserverSeesPhases(t *testing.T) {
 			})
 		},
 	}
-	reports, err := r.RunNames(context.Background(), "fig5", "overhead")
+	exps, err := Resolve("fig5", "overhead")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range reports {
+	for _, rep := range r.Run(context.Background(), exps...) {
 		if rep.Err != nil {
 			t.Fatalf("%s: %v", rep.Name, rep.Err)
 		}
@@ -203,3 +202,53 @@ type observerFunc func(phase string)
 func (f observerFunc) PhaseStart(phase string) { f(phase) }
 func (f observerFunc) PhaseDone(phase string)  {}
 func (f observerFunc) Progress(int, int)       {}
+
+// recorder is an Observer that keeps every callback as one line.
+type recorder struct{ lines []string }
+
+func (r *recorder) PhaseStart(phase string) { r.lines = append(r.lines, phase+" ...") }
+func (r *recorder) PhaseDone(phase string)  { r.lines = append(r.lines, phase+" done") }
+func (r *recorder) Progress(done, total int) {
+	r.lines = append(r.lines, fmt.Sprintf("%d/%d", done, total))
+}
+
+// TestSweepReportsEachPhase pins the one reporting idiom: each item is a
+// phase followed by progress i/n of its own sweep; a failing body ends
+// the sweep inside its phase, and a dead context ends it before the next.
+func TestSweepReportsEachPhase(t *testing.T) {
+	var rec recorder
+	double := func(n int) string { return fmt.Sprintf("n=%d", 2*n) }
+	var seen []int
+	err := sweep(context.Background(), &rec, []int{1, 2}, double, func(i, n int) error {
+		seen = append(seen, i, n)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sweep(context.Background(), &rec, []string{"only"}, nil, func(int, string) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "n=2 ...|n=2 done|1/2|n=4 ...|n=4 done|2/2|only ...|only done|1/1"
+	if got := strings.Join(rec.lines, "|"); got != want {
+		t.Errorf("callbacks %s, want %s", got, want)
+	}
+	if fmt.Sprint(seen) != "[0 1 1 2]" {
+		t.Errorf("body saw (i, item) %v, want [0 1 1 2]", seen)
+	}
+
+	rec.lines = nil
+	boom := fmt.Errorf("boom")
+	err = sweep(context.Background(), &rec, []string{"a", "b"}, nil, func(int, string) error { return boom })
+	if err != boom || strings.Join(rec.lines, "|") != "a ..." {
+		t.Errorf("failing body: err %v, callbacks %v", err, rec.lines)
+	}
+
+	rec.lines = nil
+	ctx, cancel := context.WithCancel(context.Background())
+	err = sweep(ctx, &rec, []string{"a", "b"}, nil, func(int, string) error { cancel(); return nil })
+	if err != context.Canceled || strings.Join(rec.lines, "|") != "a ...|a done|1/2" {
+		t.Errorf("cancelled sweep: err %v, callbacks %v", err, rec.lines)
+	}
+}

@@ -46,31 +46,29 @@ var sweepModes = []workload.Mode{workload.ModeNodeFill, workload.ModeHopMin, wor
 // each driving Config.Clients concurrent users through one TPC-H Q6.
 func runTopologySweep(ctx context.Context, c Config, obs Observer) (*Result, error) {
 	res := &Result{}
-	sweep := res.AddTable("sweep",
+	tbl := res.AddTable("sweep",
 		colS("topology"), colS("placement"), colI("nodes"), colI("cores"),
 		colF("q/s", 3), colF("HT MB", 2), colF("IMC MB", 2), colF("ht/imc", 3), colI("alloc"))
 
 	var friendliest strings.Builder
-	for ti, zt := range sweepZoo {
+	zooPhase := func(zt sweepTopology) string { return zt.name }
+	err := sweep(ctx, obs, sweepZoo, zooPhase, func(_ int, zt sweepTopology) error {
 		base := zt.build()
-		err := phase(ctx, obs, zt.name, func() error {
-			bestName, bestRatio := "", 0.0
-			for _, mode := range sweepModes {
-				ratio, err := runTopologyPoint(c, sweep, zt.name, base, mode)
-				if err != nil {
-					return err
-				}
-				if bestName == "" || ratio < bestRatio {
-					bestName, bestRatio = mode.String(), ratio
-				}
+		bestName, bestRatio := "", 0.0
+		for _, mode := range sweepModes {
+			ratio, err := runTopologyPoint(c, tbl, zt.name, base, mode)
+			if err != nil {
+				return err
 			}
-			fmt.Fprintf(&friendliest, "%-8s  %s (ht/imc %.3f)\n", zt.name, bestName, bestRatio)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			if bestName == "" || ratio < bestRatio {
+				bestName, bestRatio = mode.String(), ratio
+			}
 		}
-		obs.Progress(ti+1, len(sweepZoo))
+		fmt.Fprintf(&friendliest, "%-8s  %s (ht/imc %.3f)\n", zt.name, bestName, bestRatio)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.AddMetric("topologies", float64(len(sweepZoo)), "")
 	res.AddMetric("placements", float64(len(sweepModes)), "")
@@ -82,7 +80,7 @@ func runTopologySweep(ctx context.Context, c Config, obs Observer) (*Result, err
 // fig4-style phase — Clients concurrent users, each one Q6 with the
 // canonical parameters — appends its sweep row and returns its HT/IMC
 // NUMA-friendliness ratio (Section V-B, smaller is friendlier).
-func runTopologyPoint(c Config, sweep *Table, name string, base *numa.Topology, mode workload.Mode) (float64, error) {
+func runTopologyPoint(c Config, tbl *Table, name string, base *numa.Topology, mode workload.Mode) (float64, error) {
 	rig, err := workload.NewRig(workload.Options{
 		SF:        c.SF,
 		Seed:      c.Seed,
@@ -98,7 +96,7 @@ func runTopologyPoint(c Config, sweep *Table, name string, base *numa.Topology, 
 	ph := d.Run(c.Clients, func(cl, k int) *db.Plan { return tpch.BuildQ6With(params) })
 	topo := rig.Machine.Topology()
 	ratio := ph.Window.HTIMCRatio()
-	sweep.AddRow(name, mode.String(), topo.NodeCount, topo.TotalCores(), ph.Throughput,
+	tbl.AddRow(name, mode.String(), topo.NodeCount, topo.TotalCores(), ph.Throughput,
 		mb(ph.Window.TotalHTBytes()), mb(ph.Window.TotalIMCBytes()), ratio, rig.AllocatedCores())
 	return ratio, nil
 }

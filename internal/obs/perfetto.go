@@ -1,11 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 )
 
 // perfetto.go renders a recorded event window as Chrome trace-event JSON
@@ -63,152 +64,160 @@ func pftEvent(ph, name string, pid int, tid, ts int64, fields map[string]any) ma
 	return e
 }
 
-// tenantLabel names a tenant track; the single-tenant rig publishes "".
-func tenantLabel(tenant string) string {
-	if tenant == "" {
-		return "dbms"
-	}
-	return tenant
+// pftTrack is one thread track of the trace: a (pid, tid) pair and the
+// name its thread_name metadata gives it.
+type pftTrack struct {
+	pid  int
+	tid  int64
+	name string
 }
 
-// WriteTrace renders the events as Chrome trace-event JSON onto w.
-func WriteTrace(w io.Writer, events []Event) error {
-	out := make([]map[string]any, 0, len(events)+64)
-
-	type track struct {
-		pid  int
-		tid  int64
-		name string
-	}
-	tracks := map[[2]int64]track{}
-	use := func(pid int, tid int64, name string) {
-		key := [2]int64{int64(pid), tid}
-		if _, ok := tracks[key]; !ok {
-			tracks[key] = track{pid: pid, tid: tid, name: name}
-		}
-	}
-	// Tenant control tracks are numbered in first-seen order — stable
+// traceExport accumulates one WriteTrace call: the events rendered so
+// far and every track they landed on.
+type traceExport struct {
+	out    []map[string]any
+	tracks map[[2]int64]pftTrack
+	// tenants numbers the control tracks in first-seen order, stable
 	// because the event stream itself is deterministic.
-	tenantTID := map[string]int64{}
-	controlTID := func(tenant string) int64 {
-		if tid, ok := tenantTID[tenant]; ok {
-			return tid
-		}
-		tid := int64(len(tenantTID))
-		tenantTID[tenant] = tid
-		return tid
-	}
+	tenants map[string]int64
+}
 
-	for _, e := range events {
-		switch e.Kind {
-		case KindRunSlice:
-			name := e.Label
-			if name == "" {
-				name = fmt.Sprintf("T%d", e.TID)
-			}
-			use(perfettoPidCores, int64(e.Core), fmt.Sprintf("core %d", e.Core))
-			out = append(out, pftEvent("X", name, perfettoPidCores, int64(e.Core), int64(e.Start),
-				map[string]any{"dur": e.Dur, "args": map[string]any{"tid": e.TID}}))
-		case KindMigration:
-			use(perfettoPidCores, int64(e.Core), fmt.Sprintf("core %d", e.Core))
-			out = append(out, pftEvent("i", fmt.Sprintf("migrate T%d", e.TID), perfettoPidCores, int64(e.Core), int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"from": e.From, "to": e.Core}}))
-		case KindTaskDone:
-			use(perfettoPidOperators, e.TID, fmt.Sprintf("worker T%d", e.TID))
+// span renders e as a complete event (X) from its Start, lasting Dur.
+func (x *traceExport) span(t pftTrack, e *Event, name string, args map[string]any) {
+	x.out = append(x.out, pftEvent("X", name, t.pid, t.tid, int64(e.Start),
+		map[string]any{"dur": e.Dur, "args": args}))
+}
+
+// instant renders e as a thread-scoped instant (i) at Now.
+func (x *traceExport) instant(t pftTrack, e *Event, name string, args map[string]any) {
+	x.out = append(x.out, pftEvent("i", name, t.pid, t.tid, int64(e.Now),
+		map[string]any{"s": "t", "args": args}))
+}
+
+// counter renders e as a counter sample (C) at Now.
+func (x *traceExport) counter(t pftTrack, e *Event, name string, args map[string]any) {
+	x.out = append(x.out, pftEvent("C", name, t.pid, t.tid, int64(e.Now),
+		map[string]any{"args": args}))
+}
+
+// pftKind is how one event kind renders: the track an event lands on and
+// the trace events it becomes there.
+type pftKind struct {
+	track  func(x *traceExport, e *Event) pftTrack
+	render func(x *traceExport, e *Event, t pftTrack)
+}
+
+func coreTrack(_ *traceExport, e *Event) pftTrack {
+	return pftTrack{perfettoPidCores, int64(e.Core), fmt.Sprintf("core %d", e.Core)}
+}
+
+func trafficTrack(*traceExport, *Event) pftTrack {
+	return pftTrack{perfettoPidTraffic, 0, "admission"}
+}
+
+// controlTrack is the event's tenant's track; the single-tenant rig
+// publishes tenant "" and its track is "dbms".
+func controlTrack(x *traceExport, e *Event) pftTrack {
+	label := cmp.Or(e.Tenant, "dbms")
+	tid, ok := x.tenants[label]
+	if !ok {
+		tid = int64(len(x.tenants))
+		x.tenants[label] = tid
+	}
+	return pftTrack{perfettoPidControl, tid, label}
+}
+
+// machineTrack is lane tid of the event's fleet machine.
+func machineTrack(tid int64, name string) func(*traceExport, *Event) pftTrack {
+	return func(_ *traceExport, e *Event) pftTrack {
+		return pftTrack{perfettoPidMachineBase + int(e.Machine), tid, name}
+	}
+}
+
+// pftKinds is the exporter, one row per rendered kind. A kind without a
+// row renders nothing: heartbeats, as the track layout above says.
+var pftKinds = [kindCount]pftKind{
+	KindRunSlice: {coreTrack, func(x *traceExport, e *Event, t pftTrack) {
+		name := e.Label
+		if name == "" {
+			name = fmt.Sprintf("T%d", e.TID)
+		}
+		x.span(t, e, name, map[string]any{"tid": e.TID})
+	}},
+	KindMigration: {coreTrack, func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, fmt.Sprintf("migrate T%d", e.TID), map[string]any{"from": e.From, "to": e.Core})
+	}},
+	KindTaskDone: {
+		func(_ *traceExport, e *Event) pftTrack {
+			return pftTrack{perfettoPidOperators, e.TID, fmt.Sprintf("worker T%d", e.TID)}
+		},
+		func(x *traceExport, e *Event, t pftTrack) {
 			args := map[string]any{}
 			if e.Tenant != "" {
 				args["tenant"] = e.Tenant
 			}
-			out = append(out, pftEvent("X", e.Label, perfettoPidOperators, e.TID, int64(e.Start),
-				map[string]any{"dur": e.Dur, "args": args}))
-		case KindTransition:
-			label := tenantLabel(e.Tenant)
-			tid := controlTID(label)
-			use(perfettoPidControl, tid, label)
-			out = append(out, pftEvent("i", e.Label, perfettoPidControl, tid, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"u": e.V1, "nalloc": e.V2, "core": e.Core}}))
-			out = append(out, pftEvent("C", "cores "+label, perfettoPidControl, tid, int64(e.Now),
-				map[string]any{"args": map[string]any{"cores": e.V2}}))
-		case KindGrant:
-			label := tenantLabel(e.Tenant)
-			tid := controlTID(label)
-			use(perfettoPidControl, tid, label)
-			out = append(out, pftEvent("i", "grant "+label, perfettoPidControl, tid, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"demand": e.V1, "grant": e.V2}}))
-			out = append(out, pftEvent("C", "cores "+label, perfettoPidControl, tid, int64(e.Now),
-				map[string]any{"args": map[string]any{"cores": e.V2}}))
-		case KindAdmit:
-			use(perfettoPidTraffic, 0, "admission")
-			out = append(out, pftEvent("C", "queue depth", perfettoPidTraffic, 0, int64(e.Now),
-				map[string]any{"args": map[string]any{"queued": e.V1, "inflight": e.V2}}))
-		case KindShed:
-			use(perfettoPidTraffic, 0, "admission")
-			out = append(out, pftEvent("i", "shed", perfettoPidTraffic, 0, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"queued": e.V1}}))
-		case KindQueryDone:
-			use(perfettoPidTraffic, 0, "admission")
-			out = append(out, pftEvent("i", "query done", perfettoPidTraffic, 0, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"latency": e.Dur, "service": e.V1}}))
-		case KindRoute:
-			pid := perfettoPidMachineBase + int(e.Machine)
-			use(pid, 0, "routing")
-			out = append(out, pftEvent("i", "route "+e.Label, pid, 0, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"shard": e.V2, "queued": e.V1}}))
-			out = append(out, pftEvent("C", "queue depth", pid, 0, int64(e.Now),
-				map[string]any{"args": map[string]any{"queued": e.V1}}))
-		case KindRebalance:
-			pid := perfettoPidMachineBase + int(e.Machine)
-			use(pid, 1, "rebalance")
-			out = append(out, pftEvent("i", "rebalance", pid, 1, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"delta": e.V1, "cores": e.V2, "latency": e.Dur}}))
-			out = append(out, pftEvent("C", "core budget", pid, 1, int64(e.Now),
-				map[string]any{"args": map[string]any{"cores": e.V2}}))
-		case KindFault:
-			pid := perfettoPidMachineBase + int(e.Machine)
-			use(pid, 2, "faults")
-			out = append(out, pftEvent("i", "fault "+e.Label, pid, 2, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"core": e.Core, "v": e.V1, "delay": e.Dur}}))
-		case KindRetry:
-			pid := perfettoPidMachineBase + int(e.Machine)
-			use(pid, 0, "routing")
-			out = append(out, pftEvent("i", "retry "+e.Label, pid, 0, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"req": e.V1, "attempt": e.V2}}))
-		case KindFailover:
-			pid := perfettoPidMachineBase + int(e.Machine)
-			use(pid, 0, "routing")
-			out = append(out, pftEvent("i", "failover "+e.Label, pid, 0, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"shard": e.V1, "primary": e.V2}}))
-		case KindReassign:
-			pid := perfettoPidMachineBase + int(e.Machine)
-			use(pid, 2, "faults")
-			out = append(out, pftEvent("i", "reassign "+e.Label, pid, 2, int64(e.Now),
-				map[string]any{"s": "t", "args": map[string]any{"shard": e.V1, "from": e.V2, "transfer": e.Dur}}))
-		}
-	}
+			x.span(t, e, e.Label, args)
+		},
+	},
+	KindTransition: {controlTrack, func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, e.Label, map[string]any{"u": e.V1, "nalloc": e.V2, "core": e.Core})
+		x.counter(t, e, "cores "+t.name, map[string]any{"cores": e.V2})
+	}},
+	KindGrant: {controlTrack, func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, "grant "+t.name, map[string]any{"demand": e.V1, "grant": e.V2})
+		x.counter(t, e, "cores "+t.name, map[string]any{"cores": e.V2})
+	}},
+	KindAdmit: {trafficTrack, func(x *traceExport, e *Event, t pftTrack) {
+		x.counter(t, e, "queue depth", map[string]any{"queued": e.V1, "inflight": e.V2})
+	}},
+	KindShed: {trafficTrack, func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, "shed", map[string]any{"queued": e.V1})
+	}},
+	KindQueryDone: {trafficTrack, func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, "query done", map[string]any{"latency": e.Dur, "service": e.V1})
+	}},
+	KindRoute: {machineTrack(0, "routing"), func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, "route "+e.Label, map[string]any{"shard": e.V2, "queued": e.V1})
+		x.counter(t, e, "queue depth", map[string]any{"queued": e.V1})
+	}},
+	KindRebalance: {machineTrack(1, "rebalance"), func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, "rebalance", map[string]any{"delta": e.V1, "cores": e.V2, "latency": e.Dur})
+		x.counter(t, e, "core budget", map[string]any{"cores": e.V2})
+	}},
+	KindFault: {machineTrack(2, "faults"), func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, "fault "+e.Label, map[string]any{"core": e.Core, "v": e.V1, "delay": e.Dur})
+	}},
+	KindRetry: {machineTrack(0, "routing"), func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, "retry "+e.Label, map[string]any{"req": e.V1, "attempt": e.V2})
+	}},
+	KindFailover: {machineTrack(0, "routing"), func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, "failover "+e.Label, map[string]any{"shard": e.V1, "primary": e.V2})
+	}},
+	KindReassign: {machineTrack(2, "faults"), func(x *traceExport, e *Event, t pftTrack) {
+		x.instant(t, e, "reassign "+e.Label, map[string]any{"shard": e.V1, "from": e.V2, "transfer": e.Dur})
+	}},
+}
 
-	// Name every used process and thread, in (pid, tid) order.
-	keys := make([][2]int64, 0, len(tracks))
-	for k := range tracks {
+// pidNames names the single-machine track families; fleet machines are
+// named by their index.
+var pidNames = map[int]string{
+	perfettoPidCores:     "cores",
+	perfettoPidOperators: "operators",
+	perfettoPidControl:   "control",
+	perfettoPidTraffic:   "traffic",
+}
+
+// metadata names every used process and thread, in (pid, tid) order.
+func (x *traceExport) metadata() []map[string]any {
+	keys := make([][2]int64, 0, len(x.tracks))
+	for k := range x.tracks {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+	slices.SortFunc(keys, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	meta := make([]map[string]any, 0, len(keys)+4)
-	seenPid := map[int]bool{}
-	pidNames := map[int]string{
-		perfettoPidCores:     "cores",
-		perfettoPidOperators: "operators",
-		perfettoPidControl:   "control",
-		perfettoPidTraffic:   "traffic",
-	}
-	for _, k := range keys {
-		t := tracks[k]
-		if !seenPid[t.pid] {
-			seenPid[t.pid] = true
+	for i, k := range keys {
+		t := x.tracks[k]
+		if i == 0 || keys[i-1][0] != k[0] {
 			name, ok := pidNames[t.pid]
 			if !ok {
 				name = fmt.Sprintf("machine %d", t.pid-perfettoPidMachineBase)
@@ -219,14 +228,35 @@ func WriteTrace(w io.Writer, events []Event) error {
 		meta = append(meta, pftEvent("M", "thread_name", t.pid, t.tid, 0,
 			map[string]any{"args": map[string]any{"name": t.name}}))
 	}
+	return meta
+}
 
+// WriteTrace renders the events as Chrome trace-event JSON onto w.
+func WriteTrace(w io.Writer, events []Event) error {
+	x := traceExport{
+		out:     make([]map[string]any, 0, len(events)+64),
+		tracks:  map[[2]int64]pftTrack{},
+		tenants: map[string]int64{},
+	}
+	for i := range events {
+		e := &events[i]
+		k := pftKinds[e.Kind]
+		if k.track == nil {
+			continue
+		}
+		t := k.track(&x, e)
+		key := [2]int64{int64(t.pid), t.tid}
+		if _, ok := x.tracks[key]; !ok {
+			x.tracks[key] = t
+		}
+		k.render(&x, e, t)
+	}
 	doc := map[string]any{
-		"traceEvents":     append(meta, out...),
+		"traceEvents":     append(x.metadata(), x.out...),
 		"displayTimeUnit": "ns",
 		"otherData":       map[string]any{"clock": "simulated-cycles"},
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(doc)
 }
 
 // WriteTrace renders the bus's retained window (see WriteTrace).
