@@ -80,6 +80,8 @@ type ClusterArbiter struct {
 	demand  []int
 	grant   []int
 	pending []pendingGrant
+	// apportion holds the round's grant vector between rounds.
+	apportion tenant.Apportioner
 
 	events []RebalanceEvent
 	// Rounds counts arbitration rounds executed (overhead accounting).
@@ -271,7 +273,7 @@ func (ca *ClusterArbiter) Step() {
 	if budget < len(f.Rigs) {
 		budget = len(f.Rigs) // the floors stay grantable
 	}
-	grant := tenant.Apportion(ca.demand, ca.weights, ca.floors, budget)
+	grant := ca.apportion.Apportion(ca.demand, ca.weights, ca.floors, budget)
 
 	for m, r := range f.Rigs {
 		target := grant[m]

@@ -136,7 +136,7 @@ func TestPartitionRanges(t *testing.T) {
 		{1000, 16, 256, 3}, // maxParts = floor(1000/256) = 3
 	}
 	for _, tc := range cases {
-		got := partitionRanges(tc.n, tc.parts, tc.min)
+		got := partitionRanges(nil, tc.n, tc.parts, tc.min)
 		if len(got) != tc.wantParts {
 			t.Errorf("partitionRanges(%d,%d,%d) -> %d parts, want %d",
 				tc.n, tc.parts, tc.min, len(got), tc.wantParts)
@@ -149,7 +149,7 @@ func TestPartitionRangesCoverDisjoint(t *testing.T) {
 		n := int(nRaw % 5000)
 		parts := int(partsRaw%32) + 1
 		min := int(minRaw%512) + 1
-		rs := partitionRanges(n, parts, min)
+		rs := partitionRanges(nil, n, parts, min)
 		covered := 0
 		last := 0
 		for _, r := range rs {

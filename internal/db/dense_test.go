@@ -502,7 +502,7 @@ func refThetaSelect(table, col, out string, p Pred) refStage {
 	return func(q *Query) []*refTask {
 		base := q.eng.store.Table(table)
 		c := base.Col(col)
-		ranges := partitionRanges(base.Rows, q.Fanout(), q.eng.cfg.MinPartRows)
+		ranges := partitionRanges(nil, base.Rows, q.Fanout(), q.eng.cfg.MinPartRows)
 		ps := &PartSet{Parts: make([]*BAT, len(ranges))}
 		q.SetVar(out, ps)
 		tasks := make([]*refTask, len(ranges))

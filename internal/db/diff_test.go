@@ -857,13 +857,10 @@ func TestDiffSortPairs(t *testing.T) {
 }
 
 // planningQuery returns a query of e that no scheduler runs: the context a
-// test plans stages in and steps their tasks by hand.
+// test plans stages in and steps their tasks by hand. Its body is a spare
+// one of e's when e has one.
 func planningQuery(e *Engine) *Query {
-	return &Query{
-		Plan: &Plan{Name: "by-hand"}, eng: e,
-		vars: map[string]*PartSet{}, sets: map[string]*i64Map{},
-		scalars: map[string]float64{}, partials: map[string][]*i64fMap{},
-	}
+	return &Query{Plan: &Plan{Name: "by-hand"}, queryBody: e.body()}
 }
 
 // TestDiffEngineDrive is the differential of the engine drive. Every
@@ -1049,7 +1046,7 @@ func TestDiffPoolRegrowth(t *testing.T) {
 		r := newDiffRNG(seed)
 		eng := &Engine{}
 		stockPool(&eng.pool, seed, 64, 700)
-		q := &Query{eng: eng}
+		q := &Query{queryBody: &queryBody{eng: eng}}
 		regrown := 0
 		// engineDrive drains op with the query attached, checks what it
 		// emitted against the standalone twin, then hands the final buffers

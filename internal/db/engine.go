@@ -83,6 +83,9 @@ type Engine struct {
 
 	queries     []*Query
 	nextQueryID int
+	// spare holds the bodies of released queries, for Submit to reuse
+	// (pool.go).
+	spare []*queryBody
 
 	// serverJobs is the serial front-end queue drained by serverThread:
 	// query admissions (parse) and stage advances (dataflow claims).
@@ -230,18 +233,15 @@ func (e *Engine) Placement() Placement { return e.cfg.Placement }
 // Submit starts executing a plan and returns its Query handle. The first
 // stage's tasks are enqueued immediately. Under PlacementOS the query
 // fans out its own worker threads (MonetDB's per-query dataflow threads);
-// they exit when the query completes.
+// they exit when the query completes. The handle is new; the body it runs
+// in is a released query's when one is spare.
 func (e *Engine) Submit(p *Plan) *Query {
 	e.nextQueryID++
 	q := &Query{
 		ID:          e.nextQueryID,
 		Plan:        p,
-		eng:         e,
-		vars:        make(map[string]*PartSet),
-		sets:        make(map[string]*i64Map),
-		scalars:     make(map[string]float64),
-		partials:    make(map[string][]*i64fMap),
 		startCycles: e.machine.Now(),
+		queryBody:   e.body(),
 	}
 	e.queries = append(e.queries, q)
 	if e.serverThread != nil {
@@ -311,7 +311,6 @@ func (e *Engine) advance(q *Query) {
 			d.task, d.query = t, q
 			e.enqueue(d)
 		}
-		clear(tasks) // q.tasks must not keep the stage's slab reachable
 		return
 	}
 	q.done = true
@@ -396,14 +395,16 @@ func (e *Engine) taskFinished(w *worker, d *dispatched) {
 	}
 }
 
-// Release drops one finished query from the engine's tracking list and
+// Release drops one finished query from the engine's tracking list,
 // returns its results' storage to the pool (its intermediates went back
-// as their last readers finished). Workload drivers call it as soon as a
-// client observes completion, which is what lets a steady stream of
-// queries run out of recycled storage. The query's results must not be
-// read afterwards; callers that read results after the fact use Drain
-// instead, which never recycles them. Release is idempotent: a second
-// call on an already-released query is a no-op, so a buffer can never
+// as their last readers finished) and recycles its body: the handle is
+// dead from then on — only ID, Plan, Done and ElapsedCycles may still be
+// read — and its maps, arenas and task buffers serve later queries. Workload drivers
+// call it as soon as a client observes completion, which is what lets a
+// steady stream of queries run out of recycled storage. Callers that read
+// results after the fact use Drain instead, which never recycles anything.
+// Release is idempotent: a second call on an already-released handle, even
+// after its body serves another query, is a no-op, so a buffer can never
 // reach the pool twice and be handed to two future queries at once.
 func (e *Engine) Release(q *Query) {
 	if q == nil || !q.done || q.released {
@@ -419,13 +420,15 @@ func (e *Engine) Release(q *Query) {
 		}
 	}
 	q.freeResults(&e.pool)
+	e.recycle(q)
 }
 
 // Drain removes finished queries from the engine's tracking list and
 // returns them (workload bookkeeping between phases). Unlike Release, it
-// does NOT recycle their results, so those stay readable indefinitely.
-// Only results do: an intermediate's storage went back to the pool when
-// its last reader finished, and its name is unbound.
+// does NOT recycle them: a query that is only drained keeps its body, so
+// its results stay readable indefinitely. Only results do: an
+// intermediate's storage went back to the pool when its last reader
+// finished, and its name is unbound.
 func (e *Engine) Drain() []*Query {
 	var done, live []*Query
 	for _, q := range e.queries {
@@ -449,7 +452,9 @@ type worker struct {
 	pinnedNode numa.NodeID
 	// query, when set, ties the worker to one query's dataflow
 	// (MonetDB-style per-query threads); the worker exits when the query
-	// completes.
+	// completes. It is the handle: after Release it keeps reading done, so
+	// a worker that wakes late exits and never dispatches from the body,
+	// which by then may serve another query.
 	query *Query
 }
 

@@ -254,7 +254,7 @@ func TestNUMAAwareDispatchPrefersDataNode(t *testing.T) {
 	c := li.Col("l_quantity")
 	topo := r.machine.Topology()
 	hinted := 0
-	ranges := partitionRanges(li.Rows, 16, 256)
+	ranges := partitionRanges(nil, li.Rows, 16, 256)
 	for _, rng := range ranges {
 		tk := testTask(r.machine, funcKernel{}, rng[0], rng[1], cyclesScan, c)
 		if tk.PreferredNode() != numa.NoNode {

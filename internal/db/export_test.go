@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"unsafe"
 
@@ -81,11 +82,12 @@ func PoolAtRest(e *Engine) error { return poolAtRest(&e.pool) }
 func StockPool(e *Engine, seed uint64, n, maxCap int) { stockPool(&e.pool, seed, n, maxCap) }
 
 // Results returns what a finished query still holds, by name: its scalars
-// and the values of its bound variables.
+// and the values of its bound variables, copied out, so they stay readable
+// once the query's body serves another query.
 func Results(q *Query) (scalars map[string]float64, ints map[string][]int64, floats map[string][]float64) {
 	ints, floats = map[string][]int64{}, map[string][]float64{}
 	for name, ps := range q.vars {
 		ints[name], floats[name] = ps.FlattenI64(), ps.FlattenF64()
 	}
-	return q.scalars, ints, floats
+	return maps.Clone(q.scalars), ints, floats
 }

@@ -304,9 +304,10 @@ func predMismatch(c *BAT) string {
 }
 
 // slot is one partition of a chunked stage: its task and the operator the
-// task drives, side by side. A stage plans its partitions into one slab of
-// slots, so what it allocates does not grow with its fan-out; the slab
-// dies with the stage, the output headers (newVar) live on with the query.
+// task drives, side by side. A stage plans its partitions into its kind's
+// slab of slots on the query body, zeroed first, so on a recycled body it
+// allocates nothing at any fan-out; the slab is free again once the stage
+// drains, the output headers (newVar) live on with the query.
 type slot[O any] struct {
 	chunkTask
 	op O
@@ -319,9 +320,10 @@ type slot[O any] struct {
 func lowerScan(q *Query, op *OpSpec) []Task {
 	base := q.eng.store.Table(op.Table)
 	c := base.Col(op.Col)
-	ranges := partitionRanges(base.Rows, q.Fanout(), q.eng.cfg.MinPartRows)
+	q.ranges = partitionRanges(q.ranges, base.Rows, q.Fanout(), q.eng.cfg.MinPartRows)
+	ranges := q.ranges
 	ps := q.newVar(op.Out, KindI64, len(ranges))
-	slab := make([]slot[FilterScan], len(ranges))
+	slab := takeSlab(&q.scanSlab, len(ranges))
 	q.tasks = q.tasks[:0]
 	for i, r := range ranges {
 		s := &slab[i]
@@ -344,7 +346,7 @@ func lowerRefine(q *Query, op *OpSpec) []Task {
 	c := q.eng.store.Table(op.Table).Col(op.Col)
 	inPS := q.Var(op.In)
 	ps := q.newVar(op.Out, KindI64, len(inPS.Parts))
-	slab := make([]slot[FilterRefine], len(inPS.Parts))
+	slab := takeSlab(&q.refineSlab, len(inPS.Parts))
 	q.tasks = q.tasks[:0]
 	for i, cand := range inPS.Parts {
 		if cand == nil || cand.Len() == 0 {
@@ -366,7 +368,7 @@ func lowerProject(q *Query, op *OpSpec) []Task {
 	c := q.eng.store.Table(op.Table).Col(op.Col)
 	inPS := q.Var(op.In)
 	ps := q.newVar(op.Out, c.Kind, len(inPS.Parts))
-	slab := make([]slot[Gather], len(inPS.Parts))
+	slab := takeSlab(&q.gatherSlab, len(inPS.Parts))
 	q.tasks = q.tasks[:0]
 	for i, cand := range inPS.Parts {
 		if cand == nil || cand.Len() == 0 {
@@ -394,7 +396,7 @@ func lowerMap2(q *Query, op *OpSpec) []Task {
 	}
 	f := op.Map.fn()
 	ps := q.newVar(op.Out, KindF64, len(pa.Parts))
-	slab := make([]slot[MapBinary], len(pa.Parts))
+	slab := takeSlab(&q.mapSlab, len(pa.Parts))
 	q.tasks = q.tasks[:0]
 	for i, fa := range pa.Parts {
 		if fa == nil || fa.Len() == 0 {
@@ -412,7 +414,7 @@ func lowerMap2(q *Query, op *OpSpec) []Task {
 // partials accumulate into the scalar Out.
 func lowerSum(q *Query, op *OpSpec) []Task {
 	ps := q.Var(op.In)
-	slab := make([]slot[SumAgg], len(ps.Parts))
+	slab := takeSlab(&q.sumSlab, len(ps.Parts))
 	q.tasks = q.tasks[:0]
 	for i, frag := range ps.Parts {
 		if frag == nil || frag.Len() == 0 {
@@ -464,10 +466,11 @@ func (t *funcTask) Step(ctx *sched.ExecContext, budget uint64) (uint64, bool) {
 }
 
 // single is the lowering of a single-task kind: work, once, under the given
-// task label, in the query's task buffer.
+// task label, as the query body's funcTask, in its task buffer.
 func single(label string, work func(*Query, *OpSpec, *sched.ExecContext) uint64) func(*Query, *OpSpec) []Task {
 	return func(q *Query, op *OpSpec) []Task {
-		q.tasks = append(q.tasks[:0], &funcTask{label: label, q: q, op: op, work: work})
+		q.fn = funcTask{label: label, q: q, op: op, work: work}
+		q.tasks = append(q.tasks[:0], &q.fn)
 		return q.tasks
 	}
 }
@@ -523,7 +526,7 @@ func lowerProbe(q *Query, op *OpSpec) []Task {
 	if op.Kind == OpProbeFetch {
 		vps = q.newVar(op.Out2, KindI64, len(inPS.Parts))
 	}
-	slab := make([]slot[HashProbe], len(inPS.Parts))
+	slab := takeSlab(&q.probeSlab, len(inPS.Parts))
 	q.tasks = q.tasks[:0]
 	for i, cand := range inPS.Parts {
 		if cand == nil || cand.Len() == 0 {
@@ -585,9 +588,9 @@ func lowerGroupSum(q *Query, op *OpSpec) []Task {
 	if len(keys.Parts) != len(vals.Parts) {
 		panic(fmt.Sprintf("db: group-sum misaligned %s/%s", op.In, op.In2))
 	}
-	partials := make([]*i64fMap, len(keys.Parts))
+	partials := q.partLists.take(len(keys.Parts))
 	q.setPartials(op.Out, partials)
-	slab := make([]slot[GroupAgg], len(keys.Parts))
+	slab := takeSlab(&q.groupSlab, len(keys.Parts))
 	q.tasks = q.tasks[:0]
 	for i, kf := range keys.Parts {
 		if kf == nil || kf.Len() == 0 {
@@ -651,11 +654,12 @@ func mergeWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
 	return cost
 }
 
-// setGroups binds a merged key/sum pair as single-fragment variables.
+// setGroups binds a merged key/sum pair as single-fragment variables, their
+// headers, fragment lists and PartSets drawn from the query's arenas.
 func (q *Query) setGroups(keysVar, sumsVar string, ks []int64, sums []float64) (kb, sb *BAT) {
-	kb, sb = NewI64(keysVar, ks), NewF64(sumsVar, sums)
-	q.SetVar(keysVar, &PartSet{Parts: []*BAT{kb}})
-	q.SetVar(sumsVar, &PartSet{Parts: []*BAT{sb}})
+	kps, sps := q.newVar(keysVar, KindI64, 1), q.newVar(sumsVar, KindF64, 1)
+	kb, sb = kps.Parts[0], sps.Parts[0]
+	kb.I, sb.F = ks, sums
 	return kb, sb
 }
 

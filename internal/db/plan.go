@@ -88,10 +88,30 @@ type Plan struct {
 }
 
 // Query is one executing instance of a plan, owned by a client session.
+// It is a handle, fresh per Submit, over a body the engine recycles. The
+// handle keeps what outlives the query: its identity, its completion and
+// its latency. Release detaches the body, whose bindings, arenas and task
+// buffers then serve a later query, so of a released handle only ID, Plan,
+// Done and ElapsedCycles may still be read. A handle that reads done never
+// reaches its body again: a dataflow worker of a released query that wakes
+// late sees done and exits.
 type Query struct {
 	ID   int
 	Plan *Plan
 
+	done     bool
+	released bool
+
+	startCycles, endCycles uint64
+
+	*queryBody // nil once released
+}
+
+// queryBody is the part of a Query the engine recycles (Engine.Release):
+// what a query needs only while it runs, or while its results are read.
+// Maps are cleared and arenas rewound for the next query, so both keep
+// their memory.
+type queryBody struct {
 	eng      *Engine
 	vars     map[string]*PartSet
 	sets     map[string]*i64Map // hash-join build sides
@@ -100,8 +120,6 @@ type Query struct {
 
 	stage     int
 	pending   int
-	done      bool
-	released  bool
 	taskQueue deque.Deque[*dispatched] // per-query dataflow queue (PlacementOS)
 	// tasks is the buffer chunked stages return their tasks in: the engine
 	// moves them into dispatch envelopes before the next stage plans.
@@ -113,7 +131,27 @@ type Query struct {
 	dying  [4]held
 	ndying int
 
-	startCycles, endCycles uint64
+	// The arenas the query's bindings are made of: fragment headers, their
+	// pointer lists, the PartSets over them and grouped-aggregation
+	// partial lists.
+	bats      arena[BAT]
+	frags     arena[*BAT]
+	psets     arena[PartSet]
+	partLists arena[*i64fMap]
+
+	// One slot slab per chunked kind, and the one task of a single-task
+	// stage. A query lowers a stage only once the previous one has drained,
+	// so each is free again by the time a later stage of its kind needs it.
+	scanSlab   []slot[FilterScan]
+	refineSlab []slot[FilterRefine]
+	gatherSlab []slot[Gather]
+	mapSlab    []slot[MapBinary]
+	sumSlab    []slot[SumAgg]
+	probeSlab  []slot[HashProbe]
+	groupSlab  []slot[GroupAgg]
+	fn         funcTask
+	// ranges is the buffer partitionRanges writes a scan's ranges into.
+	ranges [][2]int
 }
 
 // Done reports whether the query has finished all stages.
@@ -134,13 +172,14 @@ func (q *Query) Var(name string) *PartSet {
 func (q *Query) SetVar(name string, ps *PartSet) { q.vars[name] = ps }
 
 // newVar binds name to a fresh intermediate of the given number of empty
-// fragments and returns it. The fragment headers are one array — Parts[i]
-// points at element i, which the partition's task fills in place and an
-// empty partition leaves as it is — so a stage's output costs the same
-// three objects at any fan-out, and nothing else of the stage outlives it.
+// fragments and returns it. The fragment headers are one run of the
+// query's header arena — Parts[i] points at element i, which the
+// partition's task fills in place and an empty partition leaves as it is —
+// so on a recycled body a stage's output allocates nothing at any fan-out.
 func (q *Query) newVar(name string, kind Kind, parts int) *PartSet {
-	hdr := make([]BAT, parts)
-	ps := &PartSet{Parts: make([]*BAT, parts)}
+	hdr := q.bats.take(parts)
+	ps := q.psets.one()
+	ps.Parts = q.frags.take(parts)
 	for i := range hdr {
 		hdr[i].Name, hdr[i].Kind = name, kind
 		ps.Parts[i] = &hdr[i]

@@ -15,10 +15,16 @@ import "math/bits"
 // storage a stage uses only while it runs (the group merge's table and sort
 // pair, a selection buffer an operator outgrew) goes back at once.
 //
+// The query's own bookkeeping is recycled whole: Release detaches the
+// released query's body (its name maps, the arenas its BAT headers,
+// fragment lists and PartSets come from, its stage slabs and task buffers)
+// and files it on the engine's spare list, and the next Submit takes it
+// from there. Each engine keeps its own list, like its pool.
+//
 // Only Go-heap storage is recycled. Simulated memory regions are NOT: a
 // dead intermediate's BAT header keeps its region, only its host slice is
-// dropped, and a reused buffer still gets a fresh region when it is
-// materialized again, keeping the simulated address-space layout,
+// dropped, and a reused buffer or header still gets a fresh region when it
+// is materialized again, keeping the simulated address-space layout,
 // first-touch placement and residency accounting identical to an engine
 // that never recycles.
 
@@ -167,6 +173,93 @@ func (p *bufPool) putDispatched(d *dispatched) {
 	if len(p.disp) < poolClassCap {
 		p.disp = append(p.disp, d)
 	}
+}
+
+// arenaChunk is the smallest chunk an arena allocates, in elements.
+const arenaChunk = 64
+
+// arena hands out runs of Ts that stay where they are until the arena is
+// rewound: the memory of a query's bindings, which later stages point
+// into. Its chunks outlive a rewind, so a recycled body serves the next
+// query from the memory the last one grew.
+type arena[T any] struct {
+	chunks [][]T
+	cur    int // the chunk being filled
+	used   int // elements of chunks[cur] handed out
+}
+
+// take returns n zeroed elements, contiguous and capped at n.
+func (a *arena[T]) take(n int) []T {
+	for ; a.cur < len(a.chunks); a.cur, a.used = a.cur+1, 0 {
+		if c := a.chunks[a.cur]; a.used+n <= len(c) {
+			a.used += n
+			return c[a.used-n : a.used : a.used]
+		}
+	}
+	c := make([]T, max(n, arenaChunk))
+	a.chunks = append(a.chunks, c)
+	a.used = n
+	return c[:n:n]
+}
+
+// one returns a single zeroed element.
+func (a *arena[T]) one() *T { return &a.take(1)[0] }
+
+// rewind zeroes what was handed out, dropping the references it held, and
+// makes it available again.
+func (a *arena[T]) rewind() {
+	for _, c := range a.chunks[:min(a.cur+1, len(a.chunks))] {
+		clear(c)
+	}
+	a.cur, a.used = 0, 0
+}
+
+// takeSlab returns n zeroed slots of a body's slab for one chunked kind,
+// growing it when it is short.
+func takeSlab[O any](s *[]slot[O], n int) []slot[O] {
+	if cap(*s) < n {
+		*s = make([]slot[O], n)
+	} else {
+		*s = (*s)[:n]
+		clear(*s)
+	}
+	return *s
+}
+
+// body returns a spare query body, or a new one when none is filed.
+func (e *Engine) body() *queryBody {
+	if n := len(e.spare); n > 0 {
+		b := e.spare[n-1]
+		e.spare[n-1] = nil
+		e.spare = e.spare[:n-1]
+		return b
+	}
+	return &queryBody{
+		eng:      e,
+		vars:     make(map[string]*PartSet),
+		sets:     make(map[string]*i64Map),
+		scalars:  make(map[string]float64),
+		partials: make(map[string][]*i64fMap),
+	}
+}
+
+// recycle detaches a released query's body, empties it and files it for a
+// later Submit. The query's storage is back in the pool by then, its task
+// queue is empty and its dying set buried.
+func (e *Engine) recycle(q *Query) {
+	b := q.queryBody
+	q.queryBody = nil
+	clear(b.vars)
+	clear(b.sets)
+	clear(b.scalars)
+	clear(b.partials)
+	b.stage, b.pending = 0, 0
+	b.bats.rewind()
+	b.frags.rewind()
+	b.psets.rewind()
+	b.partLists.rewind()
+	b.fn = funcTask{}
+	e.spare = append(e.spare, b)
 }
 
 // scratchI64 draws a zero-length int64 buffer with at least the given

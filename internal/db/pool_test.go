@@ -1,9 +1,12 @@
 package db
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"elasticore/internal/numa"
+	"elasticore/internal/obs"
 	"elasticore/internal/sched"
 )
 
@@ -55,13 +58,17 @@ func poolDepth(p *bufPool) int {
 
 // TestReleaseIsIdempotent: releasing the same query twice must donate its
 // buffers exactly once. Without the guard, the duplicate donation would
-// hand one backing array to two later queries simultaneously.
+// hand one backing array to two later queries simultaneously. The guard
+// lives on the handle, so it holds once the released query's body serves
+// the next one: releasing the stale handle again leaves that query running
+// and its storage lent.
 func TestReleaseIsIdempotent(t *testing.T) {
 	eng, run := poolRig(t)
 	q := run()
 	if q.vars["c"] != nil {
 		t.Fatal("the count's input outlived the count")
 	}
+	want, body := q.Scalar("n"), q.queryBody
 	eng.Release(q)
 	after := poolDepth(&eng.pool)
 	if after == 0 {
@@ -71,8 +78,25 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	if got := poolDepth(&eng.pool); got != after {
 		t.Fatalf("second Release changed pool depth %d -> %d; buffers double-donated", after, got)
 	}
-	if !q.released {
-		t.Error("released flag not set")
+	if !q.released || q.queryBody != nil {
+		t.Error("released flag not set, or the body still attached")
+	}
+
+	next := eng.Submit(lower("scan", Scan("t", "v", "c", PredFLess(25)), Count("c", "n")))
+	lent := eng.pool.lent
+	if next.queryBody != body || next.Done() || lent == 0 {
+		t.Fatalf("the next query got body %p (released %p), done %v, %d buffers lent", next.queryBody, body, next.Done(), lent)
+	}
+	eng.Release(q)
+	if next.Done() || next.queryBody != body || eng.pool.lent != lent || len(eng.spare) != 0 {
+		t.Fatalf("releasing the stale handle again: next query done %v, body %p, %d buffers lent (want %d), %d bodies spare",
+			next.Done(), next.queryBody, eng.pool.lent, lent, len(eng.spare))
+	}
+	if !eng.sched.RunUntil(next.Done, eng.machine.Topology().SecondsToCycles(10)) {
+		t.Fatal("the next query did not finish")
+	}
+	if got := next.Scalar("n"); got != want {
+		t.Errorf("the next query counted %v rows, want %v", got, want)
 	}
 }
 
@@ -219,5 +243,148 @@ func TestReleaseDonatesEachBufferOnce(t *testing.T) {
 	}
 	if err := poolAtRest(&r.eng.pool); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReleasedQueryWorkersStayDead: a PlacementOS query released the
+// moment it completes — from the scheduler's bus, before its sixteen
+// dataflow workers run again — hands its body to the next query while those
+// workers are still alive. They hold the released handle, which reads done,
+// so each exits as it wakes; none serves the next query from the recycled
+// body. The next query must fork, run and answer exactly as on an engine
+// whose first query was only drained, whose body is therefore never
+// recycled: the same spawned thread count, the same threads running its
+// tasks, the same result and the same simulated machine.
+func TestReleasedQueryWorkersStayDead(t *testing.T) {
+	type outcome struct {
+		spawned uint64
+		tids    []int64
+		revenue float64
+		tasks   uint64
+		machine numa.Counters
+	}
+	run := func(release bool) outcome {
+		r := newDBRig(t, 20000, PlacementOS)
+		bus := obs.NewBus(0)
+		r.sched.SetBus(bus)
+		r.eng.SetBus(bus, "")
+		first := r.eng.Submit(q6Plan())
+		var next *Query
+		bus.Subscribe(obs.KindRunSlice, func(obs.Event) {
+			if next != nil || !first.Done() {
+				return
+			}
+			if n := len(r.eng.exited); n == r.eng.cfg.Workers {
+				t.Fatal("every worker exited before the release; the test misses the hazard")
+			}
+			if release {
+				r.eng.Release(first)
+			} else {
+				r.eng.Drain()
+			}
+			next = r.eng.Submit(q6Plan())
+			if release && len(r.eng.spare) != 0 {
+				t.Fatal("the next query did not take the released body")
+			}
+		})
+		seen := map[int64]bool{}
+		bus.Subscribe(obs.KindTaskDone, func(e obs.Event) {
+			if next != nil {
+				seen[e.TID] = true
+			}
+		})
+		if !r.sched.RunUntil(func() bool { return next != nil && next.Done() }, r.machine.Topology().SecondsToCycles(300)) {
+			t.Fatal("the queries did not finish")
+		}
+		o := outcome{spawned: r.sched.Stats().Spawned, revenue: next.Scalar("revenue"), tasks: r.eng.TasksExecuted, machine: r.machine.Snapshot()}
+		for tid := range seen {
+			o.tids = append(o.tids, tid)
+		}
+		slices.Sort(o.tids)
+		return o
+	}
+	recycled, fresh := run(true), run(false)
+	if recycled.revenue == 0 || len(fresh.tids) == 0 {
+		t.Fatal("the rig runs nothing")
+	}
+	if !reflect.DeepEqual(recycled, fresh) {
+		t.Errorf("after a release before the workers exited: spawned %d, task threads %v, revenue %g, %d tasks; after a drain: spawned %d, task threads %v, revenue %g, %d tasks (or the machines differ)",
+			recycled.spawned, recycled.tids, recycled.revenue, recycled.tasks, fresh.spawned, fresh.tids, fresh.revenue, fresh.tasks)
+	}
+}
+
+// TestPoolAtRestAfterMixedStream runs a stream of differently shaped plans
+// on one engine, up to three in flight, releasing each as it completes, so
+// every body serves plans of other shapes in turn. Each query
+// must answer as the same plan does alone on a fresh engine; afterwards the
+// pool is at rest and every body is filed once.
+func TestPoolAtRestAfterMixedStream(t *testing.T) {
+	plans := []*Plan{
+		q6Plan(),
+		lower("scan-count", Scan("lineitem", "l_quantity", "c", PredFLess(24)), Count("c", "n")),
+		lower("group",
+			Scan("lineitem", "l_discount", "c", PredFRange(0.02, 0.08)),
+			Project("c", "lineitem", "l_orderkey", "k"),
+			Project("c", "lineitem", "l_extendedprice", "p"),
+			GroupSum("k", "p", "parts"),
+			GroupMerge("parts", "gk", "gs"),
+			TopN("gk", "gs", 5)),
+		lower("join",
+			Scan("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+			Project("cheap", "lineitem", "l_orderkey", "k"),
+			Build("k", "k", "seen"),
+			ScanAll("lineitem", "l_orderkey", "all"),
+			ProbeFetch("all", "lineitem", "l_orderkey", "seen", "got", "pay"),
+			Sum("pay", "total")),
+	}
+	type result struct {
+		scalars map[string]float64
+		ints    map[string][]int64
+		floats  map[string][]float64
+	}
+	alone := make([]result, len(plans))
+	for i, p := range plans {
+		r := newSpecRigRows(t, 20000)
+		q := r.eng.Submit(p)
+		r.run(t, q)
+		alone[i].scalars, alone[i].ints, alone[i].floats = Results(q)
+	}
+
+	r := newSpecRigRows(t, 20000)
+	const stream, inFlight = 16, 3
+	var live []*Query
+	next := 0
+	for next < stream || len(live) > 0 {
+		for next < stream && len(live) < inFlight {
+			live = append(live, r.eng.Submit(plans[next%len(plans)]))
+			next++
+		}
+		if !r.sched.RunUntil(func() bool { return slices.ContainsFunc(live, (*Query).Done) }, r.machine.Topology().SecondsToCycles(300)) {
+			t.Fatal("no query finished")
+		}
+		live = slices.DeleteFunc(live, func(q *Query) bool {
+			if !q.Done() {
+				return false
+			}
+			var got result
+			got.scalars, got.ints, got.floats = Results(q)
+			i := slices.Index(plans, q.Plan)
+			if !reflect.DeepEqual(got, alone[i]) {
+				t.Errorf("query %d (%s) in the stream: %+v, alone %+v", q.ID, q.Plan.Name, got, alone[i])
+			}
+			r.eng.Release(q)
+			return true
+		})
+	}
+	if err := poolAtRest(&r.eng.pool); err != nil {
+		t.Error(err)
+	}
+	if n := len(r.eng.spare); n == 0 || n > inFlight {
+		t.Errorf("%d bodies spare after a stream at most %d deep", n, inFlight)
+	}
+	for i, b := range r.eng.spare {
+		if slices.Contains(r.eng.spare[:i], b) {
+			t.Errorf("body %p is filed twice", b)
+		}
 	}
 }

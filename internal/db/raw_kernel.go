@@ -78,7 +78,7 @@ func SpawnRawQ6(s *Store, sc *sched.Scheduler, pid, nthreads int, aff RawAffinit
 		return nil, fmt.Errorf("db: raw kernel needs at least one thread")
 	}
 	topo := s.Machine().Topology()
-	ranges := partitionRanges(li.Rows, nthreads, 1)
+	ranges := partitionRanges(nil, li.Rows, nthreads, 1)
 	k.remaining = len(ranges)
 	slab := make([]slot[FusedQ6], len(ranges))
 	for i, r := range ranges {

@@ -1,6 +1,8 @@
 package db
 
 import (
+	"slices"
+
 	"elasticore/internal/numa"
 	"elasticore/internal/sched"
 )
@@ -160,10 +162,12 @@ func chargeGathered(ctx *sched.ExecContext, cand, col *BAT, a, b int) uint64 {
 }
 
 // partitionRanges splits n rows into at most parts contiguous ranges of
-// near-equal size, each at least minRows (except possibly the only one).
-func partitionRanges(n, parts, minRows int) [][2]int {
+// near-equal size, each at least minRows (except possibly the only one),
+// and writes them over out.
+func partitionRanges(out [][2]int, n, parts, minRows int) [][2]int {
+	out = out[:0]
 	if n <= 0 {
-		return [][2]int{{0, 0}}
+		return append(out, [2]int{0, 0})
 	}
 	if parts < 1 {
 		parts = 1
@@ -178,7 +182,7 @@ func partitionRanges(n, parts, minRows int) [][2]int {
 	if parts > maxParts {
 		parts = maxParts
 	}
-	out := make([][2]int, 0, parts)
+	out = slices.Grow(out, parts)
 	base := n / parts
 	extra := n % parts
 	lo := 0

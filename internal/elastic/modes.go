@@ -97,7 +97,9 @@ func (a *sequenceAllocator) Victim(current sched.CPUSet) (numa.CoreID, bool) {
 
 // ResidencyFunc reports, per NUMA node, the number of live memory blocks
 // owned by the tracked process group (numa.Machine.Residency over the
-// cgroup's PIDs).
+// cgroup's PIDs). The vector it returns is valid until its next call: a
+// source may write every reading into the same one, so a caller that keeps
+// a reading copies it.
 type ResidencyFunc func() []int
 
 // adaptiveAllocator is the adaptive priority mode (Section IV-B.2): the
@@ -118,7 +120,8 @@ func NewAdaptive(t *numa.Topology, residency ResidencyFunc) Allocator {
 }
 
 // rank reads a fresh residency vector and orders every node by it, most
-// resident first, ties to the lower node id. It is the paper's "priority
+// resident first, ties to the lower node id; it keeps nothing of the
+// vector. It is the paper's "priority
 // queue [that] indicate[s] the node with the largest/smallest amount of
 // allocated memory (on top/bottom priority)": the top node receives the
 // next core, the bottom node gives one up. The ranking is rebuilt from

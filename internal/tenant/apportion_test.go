@@ -1,6 +1,9 @@
 package tenant
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestApportionDemandFits(t *testing.T) {
 	grant := Apportion([]int{3, 5, 2}, []int{1, 1, 1}, []int{1, 1, 1}, 16)
@@ -96,5 +99,34 @@ func TestApportionDeterministic(t *testing.T) {
 				t.Fatalf("non-deterministic apportionment: %v vs %v", a, b)
 			}
 		}
+	}
+}
+
+// TestApportionerMatchesApportion: one Apportioner fed a stream of
+// arbitration rounds of varying tenant counts — its buffers grown by one
+// round and reused by the next — grants what a fresh Apportion grants every
+// round, and a warm one allocates nothing.
+func TestApportionerMatchesApportion(t *testing.T) {
+	var ap Apportioner
+	rng := uint64(7)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % n
+	}
+	for round := 0; round < 500; round++ {
+		n := 1 + next(12)
+		demand, weight, floor := make([]int, n), make([]int, n), make([]int, n)
+		for i := range demand {
+			demand[i], weight[i], floor[i] = next(20), next(6), 1
+		}
+		total := n + next(48)
+		want := Apportion(demand, weight, floor, total)
+		if got := ap.Apportion(demand, weight, floor, total); !slices.Equal(got, want) {
+			t.Fatalf("round %d: Apportioner granted %v, Apportion %v (demand %v, weight %v, total %d)", round, got, want, demand, weight, total)
+		}
+	}
+	demand, weight, floor := []int{16, 16, 16, 16}, []int{8, 1, 1, 1}, []int{1, 2, 3, 4}
+	if allocs := testing.AllocsPerRun(100, func() { ap.Apportion(demand, weight, floor, 15) }); allocs != 0 {
+		t.Errorf("a warm Apportioner allocated %v times a round, want 0", allocs)
 	}
 }

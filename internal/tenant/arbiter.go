@@ -56,6 +56,11 @@ type Arbiter struct {
 	// bus, when attached, receives a KindGrant event for every
 	// AllocationEvent recorded; nil keeps the arbiter dark.
 	bus *obs.Bus
+
+	// scratch backs Step's five per-tenant vectors and apportion its
+	// grants, kept from round to round.
+	scratch   []int
+	apportion Apportioner
 }
 
 // NewArbiter creates an empty arbiter over the scheduler's machine.
@@ -170,11 +175,13 @@ func (a *Arbiter) Step() {
 		return
 	}
 
-	demand := make([]int, len(a.tenants))
-	weight := make([]int, len(a.tenants))
-	floor := make([]int, len(a.tenants))
-	prevDemand := make([]int, len(a.tenants))
-	prevGrant := make([]int, len(a.tenants))
+	n := len(a.tenants)
+	if cap(a.scratch) < 5*n {
+		a.scratch = make([]int, 5*n)
+	}
+	s := a.scratch[:5*n]
+	demand, weight, floor := s[:n], s[n:2*n], s[2*n:3*n]
+	prevDemand, prevGrant := s[3*n:4*n], s[4*n:]
 	allocated := a.AllocatedTotal()
 	sumDemand := 0
 	for i, t := range a.tenants {
@@ -198,7 +205,7 @@ func (a *Arbiter) Step() {
 	if sumDemand > a.peakDemand {
 		a.peakDemand = sumDemand
 	}
-	grant := Apportion(demand, weight, floor, a.total)
+	grant := a.apportion.Apportion(demand, weight, floor, a.total)
 
 	// Shrink phase: every over-granted tenant releases down to its grant
 	// through its own victim order, freeing cores for the grow phase — the
@@ -259,8 +266,29 @@ func (a *Arbiter) AllocatedTotal() int {
 // the provider — they are paid for as allocated). The grants always sum to
 // at most total; callers must ensure the floors alone fit.
 func Apportion(demand, weight, floor []int, total int) []int {
+	var ap Apportioner
+	return ap.Apportion(demand, weight, floor, total)
+}
+
+// Apportioner is Apportion for a caller that arbitrates every round: it
+// keeps its grant vector and claim list from call to call, so a warm one
+// allocates nothing.
+type Apportioner struct {
+	grant  []int
+	claims []claim
+}
+
+// claim is a tenant still short of its demand and its weighted remainder.
+type claim struct{ idx, rem int }
+
+// Apportion is the package's Apportion, writing into the apportioner's own
+// grant vector: the result is valid until the next call.
+func (ap *Apportioner) Apportion(demand, weight, floor []int, total int) []int {
 	n := len(demand)
-	grant := make([]int, n)
+	if cap(ap.grant) < n {
+		ap.grant = make([]int, n)
+	}
+	grant := ap.grant[:n]
 	remaining := total
 	for i := 0; i < n; i++ {
 		g := floor[i]
@@ -290,8 +318,7 @@ func Apportion(demand, weight, floor []int, total int) []int {
 		if sumW == 0 {
 			break // everyone satisfied; leftover stays with the provider
 		}
-		type claim struct{ idx, rem int }
-		var claims []claim
+		claims := ap.claims[:0]
 		gave := 0
 		for i := 0; i < n; i++ {
 			if grant[i] >= demand[i] {
@@ -307,6 +334,7 @@ func Apportion(demand, weight, floor []int, total int) []int {
 				claims = append(claims, claim{idx: i, rem: remaining * w(i) % sumW})
 			}
 		}
+		ap.claims = claims
 		remaining -= gave
 		if gave > 0 {
 			continue

@@ -444,3 +444,22 @@ func TestNewTenantValidatesConfig(t *testing.T) {
 		t.Error("floor larger than the machine accepted")
 	}
 }
+
+// TestArbiterSteadyStepDoesNotAllocate: once every tenant is saturated and
+// the grants have settled, an arbitration round reuses its per-tenant
+// vectors and grant buffer from the last one.
+func TestArbiterSteadyStepDoesNotAllocate(t *testing.T) {
+	b := newBox(t)
+	b.addTenant(t, "a", 101, "dense", SLA{Weight: 2, MinCores: 2})
+	b.addTenant(t, "c", 102, "sparse", SLA{Weight: 1, MinCores: 1})
+	b.addTenant(t, "d", 103, "dense", SLA{Weight: 1, MinCores: 1})
+	for _, pid := range []int{101, 102, 103} {
+		for i := 0; i < 16; i++ {
+			b.sch.Spawn(pid, "w", busyWork{})
+		}
+	}
+	b.run(t, 200)
+	if allocs := testing.AllocsPerRun(50, b.arb.Step); allocs != 0 {
+		t.Errorf("a steady arbitration round allocated %v times, want 0", allocs)
+	}
+}

@@ -327,12 +327,13 @@ func (r *Rig) EnableProbe(interval uint64) *obs.Probe {
 // allocator decision (the paper's per-PID page accounting, restricted to
 // pages the running threads actually use). The first call returns the
 // touches since this constructor ran; NewRig calls it on a machine no
-// thread has run on yet, so that is every touch so far.
+// thread has run on yet, so that is every touch so far. Every call writes
+// the same vector, which the ResidencyFunc contract allows.
 func touchDeltaResidency(machine *numa.Machine) elastic.ResidencyFunc {
 	window := machine.NewCounterWindow()
+	out := make([]int, machine.Topology().NodeCount)
 	return func() []int {
 		nodes := window.Advance().Nodes
-		out := make([]int, len(nodes))
 		for i, n := range nodes {
 			out[i] = int(n.DataTouches)
 		}

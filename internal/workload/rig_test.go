@@ -49,6 +49,15 @@ func TestTouchDeltaResidencyFirstSampleAndDeltas(t *testing.T) {
 	if third[2] != 1 {
 		t.Errorf("third sample node2 = %d, want delta 1", third[2])
 	}
+
+	// Every sample is written into one vector, valid until the next call,
+	// so sampling allocates nothing.
+	if &third[0] != &first[0] {
+		t.Error("a sample was written into a new vector")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { res() }); allocs != 0 {
+		t.Errorf("a sample allocated %v times, want 0", allocs)
+	}
 }
 
 func TestNewRigAdaptiveMode(t *testing.T) {
