@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"elasticore/internal/numa"
+	"elasticore/internal/obs"
 	"elasticore/internal/sched"
 )
 
@@ -165,9 +166,11 @@ func TestReleaseReclaimsQueryBuffers(t *testing.T) {
 // over a thousand a query) nor the fork of before recycling (116 objects:
 // a worker, a thread record and a formatted name for each of the sixteen
 // dataflow threads PlacementOS forks) nor a body per query (four maps, a
-// slab and three header objects a stage: over 40) can meet. What remains is
-// per query: the spec and its plan, which the caller builds, the handle
-// Submit returns, and the odd value buffer the pool does not find in reach.
+// slab and three header objects a stage: over 40) nor a pool that lets
+// too-small buffers hide a fitting one (a fresh value buffer a query) can
+// meet. What remains is per query: the spec and its plan, which the caller
+// builds, and the handle Submit returns; the rest is the machine's cache
+// arenas, which one warm-up run has not grown to their size.
 func TestQ6AllocsPerQuery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
@@ -183,8 +186,8 @@ func TestQ6AllocsPerQuery(t *testing.T) {
 		r.eng.Release(q)
 	}
 	run() // warm the buffer pool
-	if got := testing.AllocsPerRun(20, run); got > 12 {
-		t.Errorf("a warm Q6 allocated %v objects from plan to release, want at most 12", got)
+	if got := testing.AllocsPerRun(20, run); got > 5 {
+		t.Errorf("a warm Q6 allocated %v objects from plan to release, want at most 5", got)
 	} else {
 		t.Logf("a warm Q6: %v objects", got)
 	}
@@ -294,36 +297,62 @@ func releaseByHand(e *Engine, q *Query) {
 // TestQueryForkAllocsIndependentOfWorkers: the per-query fork is the model,
 // not a host cost. On a warm PlacementOS engine, submitting Q6, running it
 // to completion and releasing it allocates the same number of objects with
-// 4 dataflow threads a query as with 16, and no more than 8: every fork
+// 4 dataflow threads a query as with 16, and no more than 3: every fork
 // after the first reinitialises exited worker and thread records, a dark
-// scheduler formats no thread names, and the query runs in a recycled body.
+// scheduler makes no thread labels, and the query runs in a recycled body.
 // The fan-out is fixed, so only the fork varies.
 func TestQueryForkAllocsIndependentOfWorkers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
 	}
-	var perQuery [2]float64
-	for i, workers := range []int{4, 16} {
-		r := newDBRig(t, 20000, PlacementOS)
-		eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, Workers: workers, Fanout: 16, MinPartRows: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func() {
-			q := eng.Submit(q6Plan())
-			r.run(t, q)
-			eng.Release(q)
-		}
-		// Warm the buffer pool, the exited list and the machine's cache
-		// arenas, which grow with the blocks a run touches, not the fork.
-		for k := 0; k < 20; k++ {
-			run()
-		}
-		perQuery[i] = testing.AllocsPerRun(20, run)
-	}
-	if perQuery[0] != perQuery[1] || perQuery[1] > 8 {
-		t.Errorf("a warm Q6 allocated %v objects with 4 workers and %v with 16, want the same and at most 8", perQuery[0], perQuery[1])
+	four, sixteen := warmQ6Allocs(t, 4, nil), warmQ6Allocs(t, 16, nil)
+	if four != sixteen || sixteen > 3 {
+		t.Errorf("a warm Q6 allocated %v objects with 4 workers and %v with 16, want the same and at most 3", four, sixteen)
 	} else {
-		t.Logf("a warm Q6: %v objects at 4 and at 16 workers", perQuery[0])
+		t.Logf("a warm Q6: %v objects at 4 and at 16 workers", four)
 	}
+}
+
+// TestLitQueryForkAllocsOneLabelString is the lit twin of
+// TestQueryForkAllocsIndependentOfWorkers: under a scheduler that publishes
+// onto a bus, a warm Q6's fork labels its threads q<ID>-w<i> from one
+// string made per query, so it allocates at most one object more than the
+// dark fork, at 4 workers and at 16.
+func TestLitQueryForkAllocsOneLabelString(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	for _, workers := range []int{4, 16} {
+		dark, lit := warmQ6Allocs(t, workers, nil), warmQ6Allocs(t, workers, obs.NewBus(0))
+		if lit > dark+1 {
+			t.Errorf("at %d workers a warm lit Q6 allocated %v objects, the dark one %v: want at most one more", workers, lit, dark)
+		} else {
+			t.Logf("at %d workers a warm Q6: %v objects dark, %v lit", workers, dark, lit)
+		}
+	}
+}
+
+// warmQ6Allocs returns the objects a warm Q6 allocates from submit to
+// release on a PlacementOS engine forking the given number of workers a
+// query, its scheduler publishing onto bus (nil leaves it dark).
+func warmQ6Allocs(t *testing.T, workers int, bus *obs.Bus) float64 {
+	r := newDBRig(t, 20000, PlacementOS)
+	eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, Workers: workers, Fanout: 16, MinPartRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bus != nil {
+		r.sched.SetBus(bus)
+	}
+	run := func() {
+		q := eng.Submit(q6Plan())
+		r.run(t, q)
+		eng.Release(q)
+	}
+	// Warm the buffer pool, the exited list and the machine's cache
+	// arenas, which grow with the blocks a run touches, not the fork.
+	for k := 0; k < 20; k++ {
+		run()
+	}
+	return testing.AllocsPerRun(20, run)
 }

@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"elasticore/internal/deque"
 	"elasticore/internal/numa"
@@ -76,6 +77,10 @@ type Engine struct {
 	// exited; the next fork reinitialises them, thread record included,
 	// instead of allocating. The engine holds their last pointers.
 	exited []*worker
+	// labelBuf and labelEnds are the fork's scratch for its workers'
+	// thread labels (startQuery).
+	labelBuf  []byte
+	labelEnds []int
 	// queue is the central dispatch FIFO (PlacementOS); nodeQueues are
 	// per-node FIFOs used first under PlacementNUMAAware.
 	queue      deque.Deque[*dispatched]
@@ -263,9 +268,11 @@ func (e *Engine) startQuery(q *Query) {
 		// handler; the OS balancer spreads them afterwards (the stolen
 		// tasks of Fig 13 (d)). The fork is the model, its host objects
 		// are not: an exited worker's record, thread record included, is
-		// reused, and the label is formatted only for a lit scheduler,
-		// its one reader.
+		// reused, and the labels are made only for a lit scheduler, their
+		// one reader: all of them in one string, worker i's "q<ID>-w<i>"
+		// a substring of it.
 		home := numa.NodeID(q.ID % e.machine.Topology().NodeCount)
+		labels := e.forkLabels(q.ID)
 		for i := 0; i < e.cfg.Workers; i++ {
 			var w *worker
 			if n := len(e.exited); n > 0 {
@@ -275,13 +282,32 @@ func (e *Engine) startQuery(q *Query) {
 			}
 			w.id, w.query = i, q
 			name := ""
-			if e.sched.Lit() {
-				name = fmt.Sprintf("q%d-w%d", q.ID, i)
+			if labels != "" {
+				name = labels[e.labelEnds[i]:e.labelEnds[i+1]]
 			}
 			w.thread = e.sched.Spawn(e.cfg.PID, name, w, sched.NearNode(home))
 		}
 	}
 	e.advance(q)
+}
+
+// forkLabels returns the thread labels of query id's workers as one
+// string, "" for a dark scheduler: worker i's label "q<id>-w<i>" is
+// labels[e.labelEnds[i]:e.labelEnds[i+1]].
+func (e *Engine) forkLabels(id int) string {
+	if !e.sched.Lit() {
+		return ""
+	}
+	buf, ends := e.labelBuf[:0], append(e.labelEnds[:0], 0)
+	for i := 0; i < e.cfg.Workers; i++ {
+		buf = append(buf, 'q')
+		buf = strconv.AppendInt(buf, int64(id), 10)
+		buf = append(buf, "-w"...)
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		ends = append(ends, len(buf))
+	}
+	e.labelBuf, e.labelEnds = buf, ends
+	return string(buf)
 }
 
 // advance plans and enqueues the next stage of q, skipping empty stages,

@@ -62,9 +62,12 @@ func class(capacity int) int {
 // A lookup searches the request's own bucket and the two above it, so a
 // buffer at most eight times the request's size serves it and a larger one
 // is kept for a request it fits. In the own bucket, which holds capacities
-// [2^(c-1), 2^c), a buffer can be too small for the request, and one on top
-// would hide fitting ones beneath it: poolProbe bounds how deep a lookup
-// looks there. In every higher bucket the top buffer fits.
+// [2^(c-1), 2^c), a buffer can be too small for the request; in every
+// higher bucket the top buffer fits. Recently returned buffers are looked
+// at first — the top poolProbe entries of the own bucket, then the top of
+// each bucket above — and only then the rest of the own bucket, so a
+// fitting buffer that too-small ones hide still serves before a new one
+// is made.
 const (
 	poolReach = 3
 	poolProbe = 8
@@ -73,23 +76,39 @@ const (
 // take returns a zero-length buffer with at least the given capacity from
 // the buckets, making one when none fits; lent counts it as handed out.
 func take[T any](buckets *[poolClasses][][]T, capacity int, lent *int) []T {
-	for c := class(capacity); c < min(class(capacity)+poolReach, poolClasses); c++ {
-		stack := buckets[c]
-		for i := len(stack) - 1; i >= max(0, len(stack)-poolProbe); i-- {
-			if buf := stack[i]; cap(buf) >= capacity {
-				top := len(stack) - 1
-				stack[i], stack[top] = stack[top], nil
-				buckets[c] = stack[:top]
-				*lent++
-				return buf[:0]
-			}
+	own := class(capacity)
+	c, i := own, fit(buckets[own], capacity, poolProbe)
+	for up := own + 1; i < 0 && up < min(own+poolReach, poolClasses); up++ {
+		c, i = up, len(buckets[up])-1
+	}
+	if i < 0 {
+		below := buckets[own][:max(0, len(buckets[own])-poolProbe)]
+		c, i = own, fit(below, capacity, len(below))
+	}
+	if i < 0 {
+		buf := make([]T, 0, capacity)
+		if capacity > 0 {
+			*lent++
+		}
+		return buf
+	}
+	stack := buckets[c]
+	buf, top := stack[i], len(stack)-1
+	stack[i], stack[top] = stack[top], nil
+	buckets[c] = stack[:top]
+	*lent++
+	return buf[:0]
+}
+
+// fit returns the index of the topmost of the top depth buffers of stack
+// that holds capacity values, or -1 when none does.
+func fit[T any](stack [][]T, capacity, depth int) int {
+	for i := len(stack) - 1; i >= max(0, len(stack)-depth); i-- {
+		if cap(stack[i]) >= capacity {
+			return i
 		}
 	}
-	buf := make([]T, 0, capacity)
-	if capacity > 0 {
-		*lent++
-	}
-	return buf
+	return -1
 }
 
 // give files a buffer back under the bucket of its capacity (beyond

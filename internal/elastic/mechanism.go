@@ -69,10 +69,9 @@ type Mechanism struct {
 	window   *numa.CounterWindow
 	nextEval uint64
 
-	// events holds the evaluated periods in order and runs the settled
-	// ones (see Events).
-	events []TransitionEvent
-	runs   []eventRun
+	// events holds the periods in order, the settled ones as repeats of
+	// the quiet event (see Events).
+	events obs.Timeline[TransitionEvent]
 	// TokenFlows counts control periods, evaluated or settled (overhead
 	// accounting).
 	TokenFlows uint64
@@ -98,12 +97,6 @@ type calm struct {
 	cpus    sched.CPUSet
 	backlog int
 	ticked  uint64
-}
-
-// eventRun is n settled periods: copies of the quiet event events[after],
-// the j-th stamped j strides after it.
-type eventRun struct {
-	after, n int
 }
 
 // New wires a mechanism. It immediately shrinks the cgroup to the initial
@@ -216,21 +209,10 @@ func (m *Mechanism) Allocated() sched.CPUSet { return m.cfg.CGroup.CPUs() }
 // result may or may not alias the mechanism's own storage and must not be
 // written to.
 func (m *Mechanism) Events() []TransitionEvent {
-	if len(m.runs) == 0 {
-		return m.events
-	}
-	out := make([]TransitionEvent, 0, len(m.events)+int(m.Replayed))
-	next := 0
-	for _, r := range m.runs {
-		out = append(out, m.events[next:r.after+1]...)
-		ev := m.events[r.after]
-		for j := 0; j < r.n; j++ {
-			ev.Now += m.stride
-			out = append(out, ev)
-		}
-		next = r.after + 1
-	}
-	return append(out, m.events[next:]...)
+	return m.events.Expand(func(ev TransitionEvent) TransitionEvent {
+		ev.Now += m.stride
+		return ev
+	})
 }
 
 // NextAt returns the cycle of the next control evaluation. The parallel
@@ -289,11 +271,7 @@ func (m *Mechanism) settle(k uint64) {
 	ev.Now += k * m.stride
 	m.TokenFlows += k
 	m.Replayed += k
-	if n := len(m.runs); n > 0 && m.runs[n-1].after == len(m.events)-1 {
-		m.runs[n-1].n += int(k)
-	} else {
-		m.runs = append(m.runs, eventRun{after: len(m.events) - 1, n: int(k)})
-	}
+	m.events.Repeat(int(k))
 	m.window.Restart(ev.Now)
 	m.nextEval = ev.Now + m.cfg.ControlPeriod
 }
@@ -384,8 +362,8 @@ func (m *Mechanism) Step() {
 	if diff := uint64(before ^ current); diff != 0 {
 		event.Core = numa.CoreID(bits.TrailingZeros64(diff))
 	}
-	m.events = append(m.events, event)
-	if d.Decision == petrinet.DecisionNone && m.idleStride(d.Window) {
+	m.events.Append(event)
+	if d.Decision == petrinet.DecisionNone && d.Window.IdleFor(m.stride) {
 		m.quiet = true
 		m.calm = calm{event: event, cpus: current, backlog: d.Backlog, ticked: m.cfg.Scheduler.Ticked()}
 	}
@@ -396,25 +374,6 @@ func (m *Mechanism) Step() {
 		}
 		m.bus.Publish(event.busEvent(current, core, m.busTenant))
 	}
-}
-
-// idleStride reports whether w is one stride in which nothing happened:
-// every core idled through it and no node counted an event.
-func (m *Mechanism) idleStride(w numa.Counters) bool {
-	if w.Now != m.stride {
-		return false
-	}
-	for _, c := range w.Cores {
-		if c != (numa.CoreCounters{IdleCycles: m.stride}) {
-			return false
-		}
-	}
-	for _, n := range w.Nodes {
-		if n != (numa.NodeCounters{}) {
-			return false
-		}
-	}
-	return true
 }
 
 // busEvent is the KindTransition event that publishes e, given the cpuset

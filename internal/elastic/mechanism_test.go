@@ -339,8 +339,8 @@ func TestFindLONCNoSolution(t *testing.T) {
 // then saturates at all sixteen (t1-Overload-t6), the two steady states a
 // run spends its periods in. In between, the idle machine reaches its
 // quiet fixed point and Maybe settles three periods at a time: that
-// extends one run of the timeline and restarts the counter window, and
-// allocates nothing either. The events timeline grows by amortised
+// extends the timeline's run (obs.TestTimelineRepeatExtendsOneRun) and
+// restarts the counter window, and allocates nothing either. The events timeline grows by amortised
 // append, which is not a per-step cost: the test pre-sizes it.
 func TestStepZeroAlloc(t *testing.T) {
 	for _, lit := range []bool{false, true} {
@@ -353,7 +353,7 @@ func TestStepZeroAlloc(t *testing.T) {
 			bus.Subscribe(obs.KindTransition, func(obs.Event) { published++ })
 			m.SetBus(bus, "")
 		}
-		m.events = make([]TransitionEvent, 0, 4096)
+		m.events.Grow(4096)
 		step := func() {
 			s.Tick()
 			m.Step()
@@ -363,8 +363,8 @@ func TestStepZeroAlloc(t *testing.T) {
 			if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 				t.Errorf("lit=%v %s: Step allocated %v times per period, want 0", lit, state, allocs)
 			}
-			if got := m.events[len(m.events)-1].Label; got != label {
-				t.Errorf("lit=%v %s: last label %q, want %q", lit, state, got, label)
+			if events := m.Events(); events[len(events)-1].Label != label {
+				t.Errorf("lit=%v %s: last label %q, want %q", lit, state, events[len(events)-1].Label, label)
 			}
 		}
 		check("idle", "t0-Idle-t7")
@@ -378,8 +378,8 @@ func TestStepZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, settle); allocs != 0 {
 			t.Errorf("lit=%v: settling 3 periods allocated %v times, want 0", lit, allocs)
 		}
-		if !m.Quiet() || m.Replayed != 3*201 || len(m.runs) != 1 {
-			t.Errorf("lit=%v: quiet=%v after %d replayed periods in %d runs, want 603 in one", lit, m.Quiet(), m.Replayed, len(m.runs))
+		if !m.Quiet() || m.Replayed != 3*201 {
+			t.Errorf("lit=%v: quiet=%v after %d replayed periods, want 603", lit, m.Quiet(), m.Replayed)
 		}
 
 		for i := 0; i < 32; i++ {

@@ -46,6 +46,25 @@ type Counters struct {
 	Cores []CoreCounters
 }
 
+// IdleFor reports whether the window c is n cycles in which nothing
+// happened: every core idled through it and no node counted an event.
+func (c Counters) IdleFor(n uint64) bool {
+	if c.Now != n {
+		return false
+	}
+	for _, core := range c.Cores {
+		if core != (CoreCounters{IdleCycles: n}) {
+			return false
+		}
+	}
+	for _, node := range c.Nodes {
+		if node != (NodeCounters{}) {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a deep copy of the snapshot.
 func (c Counters) Clone() Counters {
 	out := Counters{Now: c.Now}

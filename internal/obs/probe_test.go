@@ -8,6 +8,14 @@ import (
 	"elasticore/internal/numa"
 )
 
+// busyScheduler is a scheduler that always has a thread to run, so a probe
+// never reaches its quiet fixed point and reads every due sample.
+type busyScheduler struct{}
+
+func (busyScheduler) Idle() bool      { return false }
+func (busyScheduler) Ticked() uint64  { return 0 }
+func (busyScheduler) Quantum() uint64 { return 1 }
+
 // TestProbeCadence: Maybe samples once per interval, never between, and
 // each snapshot reflects the callbacks and the counter window.
 func TestProbeCadence(t *testing.T) {
@@ -19,6 +27,7 @@ func TestProbeCadence(t *testing.T) {
 		Allocated: func() int { return cores },
 		Reading:   func(numa.Counters) int { return 42 },
 		Backlog:   func() int { return 7 },
+		Scheduler: busyScheduler{},
 	})
 
 	p.Maybe()
@@ -49,7 +58,7 @@ func TestProbeCadence(t *testing.T) {
 // matching the per-quantile API exactly.
 func TestProbeLatencyQuantiles(t *testing.T) {
 	machine := numa.NewMachine(numa.Opteron8387())
-	p := NewProbe(ProbeConfig{Machine: machine, Every: 100})
+	p := NewProbe(ProbeConfig{Machine: machine, Every: 100, Scheduler: busyScheduler{}})
 	var h metrics.Histogram
 	for v := uint64(1); v <= 1000; v++ {
 		h.Record(v)
@@ -77,7 +86,7 @@ func TestProbeLatencyQuantiles(t *testing.T) {
 // and SetLatency to another histogram of the same count.
 func TestProbeQuantilesFollowHistogram(t *testing.T) {
 	machine := numa.NewMachine(numa.Opteron8387())
-	p := NewProbe(ProbeConfig{Machine: machine, Every: 100})
+	p := NewProbe(ProbeConfig{Machine: machine, Every: 100, Scheduler: busyScheduler{}})
 	var h, other metrics.Histogram
 	p.SetLatency(&h)
 	step := 0
@@ -153,10 +162,11 @@ func TestProbeSampleZeroAlloc(t *testing.T) {
 		Allocated: func() int { return 4 },
 		Reading:   func(numa.Counters) int { return 42 },
 		Backlog:   func() int { return 0 },
+		Scheduler: busyScheduler{},
 	})
 	var h metrics.Histogram
 	p.SetLatency(&h)
-	p.samples = make([]Snapshot, 0, 2048)
+	p.samples.Grow(2048)
 	calls := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		machine.AdvanceTime(1000)
@@ -169,7 +179,8 @@ func TestProbeSampleZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Sample allocated %v times per call, want 0", allocs)
 	}
-	last := p.samples[len(p.samples)-1]
+	samples := p.Samples()
+	last := samples[len(samples)-1]
 	if last.EnergyJoules <= 0 || last.Allocated != 4 {
 		t.Fatalf("last sample = %+v, want a priced window with 4 cores", last)
 	}
@@ -193,6 +204,7 @@ func TestProbeReadingSeesTheSampleWindow(t *testing.T) {
 			seen = append(seen, w.Clone())
 			return int(w.TotalIMCBytes())
 		},
+		Scheduler: busyScheduler{},
 	})
 	beside := machine.NewCounterWindow()
 	for i := 0; i < 6; i++ {

@@ -36,14 +36,15 @@ func (a *fixedArrivals) Next() (float64, bool) {
 
 // refTick is Rig.Tick before Rig.Advance: one real scheduler Tick (never
 // the idle fast-forward), then the due checks. A due mechanism evaluates
-// through Step, so the reference never settles a period by replay.
+// through Step and a due probe through Sample, so the reference never
+// settles a period by replay nor a sample as a run.
 func refTick(r *Rig) {
 	r.Sched.Tick()
 	if r.Mech != nil && r.Mech.Due() {
 		r.Mech.Step()
 	}
-	if r.Probe != nil {
-		r.Probe.Maybe()
+	if r.Probe != nil && r.Machine.Now() >= r.Probe.NextAt() {
+		r.Probe.Sample()
 	}
 }
 
@@ -230,6 +231,17 @@ var openScenarios = []openScenario{
 		},
 	},
 	{
+		// A probe twice per control period's five quanta: a quiet probe
+		// left out of a stretch has samples due before the barrier at
+		// which the releasing mechanism resizes the cpuset it reads.
+		name:        "probe-fast",
+		probeQuanta: 2,
+		tune: func(d *OpenDriver, seed uint64) {
+			d.Process = arrivals.NewMMPP(30, 1200, 0.03, 0.008, seed)
+			d.MaxSeconds = 0.1
+		},
+	},
+	{
 		name:        "no-backlog",
 		probeQuanta: 20,
 		tune: func(d *OpenDriver, seed uint64) {
@@ -268,8 +280,9 @@ type openObservables struct {
 	Failed      int
 	IdleSkipped uint64
 	// TokenFlows counts the mechanism's control periods, Replayed those it
-	// settled at its quiet fixed point.
-	TokenFlows, Replayed uint64
+	// settled at its quiet fixed point; Settled counts the probe samples
+	// settled at the probe's.
+	TokenFlows, Replayed, Settled uint64
 	// Zombies is the number of aborted queries still holding a session at
 	// each control step.
 	Zombies []int
@@ -313,6 +326,7 @@ func (sc openScenario) run(t *testing.T, seed uint64, loop func(*OpenDriver, Pla
 		IdleSkipped: r.Sched.IdleSkipped(),
 		TokenFlows:  r.Mech.TokenFlows,
 		Replayed:    r.Mech.Replayed,
+		Settled:     r.Probe.Settled,
 		Zombies:     zombies,
 	}
 }
@@ -328,8 +342,9 @@ func TestOpenDriverJumpMatchesTickLoop(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
 				want := sc.run(t, seed, refOpenRun)
-				if want.IdleSkipped != 0 || want.Replayed != 0 {
-					t.Fatalf("seed %d: the reference skipped %d quanta and replayed %d periods", seed, want.IdleSkipped, want.Replayed)
+				if want.IdleSkipped != 0 || want.Replayed != 0 || want.Settled != 0 {
+					t.Fatalf("seed %d: the reference skipped %d quanta, replayed %d periods and settled %d samples",
+						seed, want.IdleSkipped, want.Replayed, want.Settled)
 				}
 				if want.Result.Completed == 0 || len(want.Transitions) == 0 || len(want.Probe) == 0 {
 					t.Fatalf("seed %d: reference completed %d queries with %d transitions and %d probe samples",
@@ -349,12 +364,12 @@ func TestOpenDriverJumpMatchesTickLoop(t *testing.T) {
 					t.Errorf("seed %d: offered %d != admitted %d + dropped %d + abandoned %d, or completed %d > admitted",
 						seed, r.Offered, r.Admitted, r.Dropped, r.Abandoned, r.Completed)
 				}
-				if !sc.saturated && (4*got.IdleSkipped < got.Stats.TicksRun || got.Replayed == 0) {
-					t.Errorf("seed %d: %d of %d quanta skipped and %d of %d periods replayed — the driver hardly jumped",
-						seed, got.IdleSkipped, got.Stats.TicksRun, got.Replayed, got.TokenFlows)
+				if !sc.saturated && (4*got.IdleSkipped < got.Stats.TicksRun || got.Replayed == 0 || got.Settled == 0) {
+					t.Errorf("seed %d: %d of %d quanta skipped, %d of %d periods replayed and %d of %d samples settled — the driver hardly jumped",
+						seed, got.IdleSkipped, got.Stats.TicksRun, got.Replayed, got.TokenFlows, got.Settled, len(got.Probe))
 				}
-				t.Logf("seed %d: replayed %d of %d periods", seed, got.Replayed, got.TokenFlows)
-				got.IdleSkipped, got.Replayed = 0, 0
+				t.Logf("seed %d: replayed %d of %d periods, settled %d of %d samples", seed, got.Replayed, got.TokenFlows, got.Settled, len(got.Probe))
+				got.IdleSkipped, got.Replayed, got.Settled = 0, 0, 0
 				diffOpen(t, fmt.Sprintf("%s seed %d", sc.name, seed), want, got)
 			}
 		})
@@ -466,6 +481,9 @@ func TestRigAdvanceMatchesTicks(t *testing.T) {
 	}
 	if ref.Mech.Replayed != 0 || rig.Mech.Replayed == 0 || rig.Mech.TokenFlows != ref.Mech.TokenFlows {
 		t.Fatalf("reference replayed %d of %d periods and Advance %d of %d", ref.Mech.Replayed, ref.Mech.TokenFlows, rig.Mech.Replayed, rig.Mech.TokenFlows)
+	}
+	if ref.Probe.Settled != 0 || rig.Probe.Settled == 0 {
+		t.Fatalf("reference settled %d probe samples and Advance %d", ref.Probe.Settled, rig.Probe.Settled)
 	}
 	if submitted < 100 || wentIdle < 30 {
 		t.Fatalf("%d queries submitted and %d stretches went idle midway: the walk exercised too little", submitted, wentIdle)

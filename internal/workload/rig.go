@@ -311,6 +311,7 @@ func (r *Rig) EnableProbe(interval uint64) *obs.Probe {
 		Machine:   r.Machine,
 		Every:     interval,
 		Allocated: func() int { return r.CGroup.CPUs().Count() },
+		Scheduler: r.Sched,
 	}
 	if r.Mech != nil {
 		strategy, group := r.Mech.Strategy(), r.CGroup
@@ -349,9 +350,9 @@ func (r *Rig) Tick() { r.Advance(1) }
 // barrier wherever the rig has something due, so a control evaluation or
 // probe sample fires on exactly the quantum a Tick-by-Tick run fires it
 // on, and between barriers an idle scheduler advances in one bulk step.
-// A Quiet mechanism sets no barrier of its own: nothing inside Advance can
-// end its fixed point, and its Maybe at the next barrier settles every
-// period due by then.
+// A Quiet mechanism or probe sets no barrier of its own: nothing inside
+// Advance can end its fixed point, and its Maybe at the next barrier
+// settles every period or sample due by then.
 func (r *Rig) Advance(n int) {
 	for n > 0 {
 		quiet := r.Mech != nil && r.Mech.Quiet()
@@ -368,14 +369,16 @@ func (r *Rig) Advance(n int) {
 }
 
 // NextDue returns the cycle of the rig's next barrier (the maximum uint64
-// without one): the probe's next sample and, with ownMech, the mechanism's
-// next evaluation — false under a cluster arbiter, which steps it instead.
+// without one): the probe's next sample unless the probe is Quiet and,
+// with ownMech, the mechanism's next evaluation — false under a cluster
+// arbiter, which steps it instead. It asks the probe's Quiet at the start
+// of the stretch it bounds, as Probe.Quiet requires.
 func (r *Rig) NextDue(ownMech bool) uint64 {
 	next := ^uint64(0)
 	if ownMech && r.Mech != nil {
 		next = r.Mech.NextAt()
 	}
-	if r.Probe != nil {
+	if r.Probe != nil && !r.Probe.Quiet() {
 		next = min(next, r.Probe.NextAt())
 	}
 	return next
