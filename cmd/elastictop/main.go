@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"elasticore/internal/db"
 	"elasticore/internal/numa"
@@ -100,9 +99,6 @@ func main() {
 			len(samples), last.Allocated,
 			float64(last.HTBytes)/1e6, float64(last.IMCBytes)/1e6, last.EnergyJoules)
 	}
-	fmt.Println(strings.Repeat("-", 60))
-	fmt.Println("net incidence matrix (A^T = Post - Pre):")
-	fmt.Println(rig.Mech.Net().Net().Incidence())
 
 	if *trace != "" {
 		if err := obs.WriteTraceFile(*trace, bus.Events()); err != nil {

@@ -60,7 +60,6 @@ type Mechanism struct {
 	cfg   Config
 	net   *petrinet.ElasticNet
 	topo  *numa.Topology
-	total int
 	thMax int
 	// stride is the control period rounded up to the scheduler's quantum
 	// grid: how far apart a loop that calls Maybe every quantum evaluates.
@@ -129,7 +128,6 @@ func New(cfg Config) (*Mechanism, error) {
 		cfg:    cfg,
 		net:    petrinet.NewElasticNet(min, max, topo.TotalCores()),
 		topo:   topo,
-		total:  topo.TotalCores(),
 		thMax:  max,
 		stride: (cfg.ControlPeriod + q - 1) / q * q,
 		window: machine.NewCounterWindow(),
@@ -187,7 +185,7 @@ func (m *Mechanism) resize(cur sched.CPUSet, n int, occupied sched.CPUSet) sched
 // the events under consolidation ("" for a single-tenant rig).
 func (m *Mechanism) SetBus(b *obs.Bus, tenant string) { m.bus, m.busTenant = b, tenant }
 
-// Net exposes the underlying PrT net (matrices, marking inspection).
+// Net exposes the PrT net's decision function (its Provision marking).
 func (m *Mechanism) Net() *petrinet.ElasticNet { return m.net }
 
 // ResidencyReads counts the residency vectors the allocation mode has read
@@ -289,7 +287,8 @@ func (m *Mechanism) backlog() int {
 // is the unit of demand a machine-level arbiter collects from each
 // tenant's mechanism.
 type Desire struct {
-	// N is the allocation size the net asks for (current ±1, floored at 1).
+	// N is the allocation size the net asks for: the current size, one
+	// more, or one fewer, always within [1, total cores].
 	N int
 	// U is the strategy reading fed to the net.
 	U int
@@ -329,19 +328,7 @@ func (m *Mechanism) evaluate() Desire {
 	m.net.SetNAlloc(current.Count())
 	ev := m.net.Evaluate(u)
 	m.TokenFlows++
-
-	desired := current.Count()
-	switch ev.Decision {
-	case petrinet.DecisionAllocate:
-		if desired < m.total {
-			desired++
-		}
-	case petrinet.DecisionRelease:
-		if desired > 1 {
-			desired--
-		}
-	}
-	return Desire{N: desired, U: u, Label: ev.Label, Decision: ev.Decision, Window: window, Backlog: backlog}
+	return Desire{N: ev.NAlloc, U: u, Label: ev.Label, Decision: ev.Decision, Window: window, Backlog: backlog}
 }
 
 // Step samples the counter window, evaluates the PrT net and applies the

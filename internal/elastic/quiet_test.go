@@ -152,8 +152,8 @@ func TestQuietReplayMatchesStepping(t *testing.T) {
 				if !reflect.DeepEqual(got.bus.Events(), ref.bus.Events()) || ref.bus.Dropped() > 0 {
 					t.Fatalf("%s: bus streams diverged (%d vs %d events)", label, got.bus.Len(), ref.bus.Len())
 				}
-				if g, w := got.m.Net().Net().MarkingString(), ref.m.Net().Net().MarkingString(); g != w {
-					t.Fatalf("%s: marking %s, want %s", label, g, w)
+				if g, w := got.m.Net().NAlloc(), ref.m.Net().NAlloc(); g != w {
+					t.Fatalf("%s: net nalloc %d, want %d", label, g, w)
 				}
 				if got.m.Allocated() != ref.m.Allocated() {
 					t.Fatalf("%s: cpuset %v, want %v", label, got.m.Allocated(), ref.m.Allocated())

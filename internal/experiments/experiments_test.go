@@ -126,12 +126,27 @@ func TestFig7ShapeTargets(t *testing.T) {
 	if metric(t, res, "releases") == 0 {
 		t.Error("no t0-Idle-t4 releases fired after the load ended")
 	}
+	// Every evaluation ends on one of the five complete paths, and cores
+	// move only on the two action paths, by exactly one core: t4 releases
+	// and t5 allocates. The rig starts on one core.
+	cores := int64(1)
 	for i := range tl.Rows {
-		switch label, _ := tl.Str(i, tl.Col("transition")); label {
-		case "t0-Idle-t4", "t0-Idle-t7", "t1-Overload-t5", "t1-Overload-t6", "t2-Stable-t3":
+		label, _ := tl.Str(i, tl.Col("transition"))
+		n, _ := tl.Int(i, tl.Col("cores"))
+		var want int64
+		switch label {
+		case "t0-Idle-t4":
+			want = -1
+		case "t1-Overload-t5":
+			want = 1
+		case "t0-Idle-t7", "t1-Overload-t6", "t2-Stable-t3":
 		default:
-			t.Errorf("unexpected label %q", label)
+			t.Errorf("row %d: unexpected label %q", i, label)
 		}
+		if n-cores != want {
+			t.Errorf("row %d: %s moved %d → %d cores, want a move of %d", i, label, cores, n, want)
+		}
+		cores = n
 	}
 }
 

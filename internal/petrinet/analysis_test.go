@@ -8,21 +8,12 @@ import (
 func TestExploreSimpleCycle(t *testing.T) {
 	// A two-place cycle with one token has exactly two reachable
 	// markings and no deadlock.
-	n := New()
-	x := n.Var("x")
-	a, b := n.AddPlace("A"), n.AddPlace("B")
-	carry := func(bd Binding) Token { return Tok(x, bd.Get(x)) }
-	n.AddTransition(&Transition{
-		Name: "ab",
-		In:   []InArc{{Place: a, Vars: []Var{x}}},
-		Out:  []OutArc{{Place: b, Vars: []Var{x}, Expr: carry}},
-	})
-	n.AddTransition(&Transition{
-		Name: "ba",
-		In:   []InArc{{Place: b, Vars: []Var{x}}},
-		Out:  []OutArc{{Place: a, Vars: []Var{x}, Expr: carry}},
-	})
-	n.Put(a, Tok(x, 1))
+	n := newRefNet()
+	a, b := n.AddPlace("A", "x"), n.AddPlace("B", "x")
+	carry := func(bd refBinding) refToken { return refToken{"x": bd["x"]} }
+	n.AddTransition(&refTransition{Name: "ab", In: []*refPlace{a}, Out: []refOutArc{{Place: b, Expr: carry}}})
+	n.AddTransition(&refTransition{Name: "ba", In: []*refPlace{b}, Out: []refOutArc{{Place: a, Expr: carry}}})
+	n.Put(a, refToken{"x": 1})
 	res := n.Explore(100)
 	if res.States != 2 {
 		t.Errorf("states = %d, want 2", res.States)
@@ -41,14 +32,10 @@ func TestExploreSimpleCycle(t *testing.T) {
 func TestExploreDetectsDeadlock(t *testing.T) {
 	// A sink transition consumes the token and never produces: the empty
 	// marking deadlocks.
-	n := New()
-	x := n.Var("x")
-	a := n.AddPlace("A")
-	n.AddTransition(&Transition{
-		Name: "sink",
-		In:   []InArc{{Place: a, Vars: []Var{x}}},
-	})
-	n.Put(a, Tok(x, 1))
+	n := newRefNet()
+	a := n.AddPlace("A", "x")
+	n.AddTransition(&refTransition{Name: "sink", In: []*refPlace{a}})
+	n.Put(a, refToken{"x": 1})
 	res := n.Explore(100)
 	if len(res.Deadlocks) == 0 {
 		t.Error("sink net reported no deadlock")
@@ -56,15 +43,14 @@ func TestExploreDetectsDeadlock(t *testing.T) {
 }
 
 func TestExploreRestoresMarking(t *testing.T) {
-	n := New()
-	x := n.Var("x")
-	a, b := n.AddPlace("A"), n.AddPlace("B")
-	n.AddTransition(&Transition{
+	n := newRefNet()
+	a, b := n.AddPlace("A", "x"), n.AddPlace("B", "x")
+	n.AddTransition(&refTransition{
 		Name: "ab",
-		In:   []InArc{{Place: a, Vars: []Var{x}}},
-		Out:  []OutArc{{Place: b, Vars: []Var{x}, Expr: func(bd Binding) Token { return Tok(x, bd.Get(x)) }}},
+		In:   []*refPlace{a},
+		Out:  []refOutArc{{Place: b, Expr: func(bd refBinding) refToken { return refToken{"x": bd["x"]} }}},
 	})
-	n.Put(a, Tok(x, 7))
+	n.Put(a, refToken{"x": 7})
 	before := n.MarkingString()
 	n.Explore(50)
 	if after := n.MarkingString(); after != before {
@@ -81,12 +67,11 @@ func TestElasticNetFormalProperties(t *testing.T) {
 	nTotal := 4 // small machine keeps the product space exact
 	for u := 0; u <= 100; u += 10 {
 		for nalloc := 1; nalloc <= nTotal; nalloc++ {
-			e := NewElasticNet(10, 70, nTotal)
+			e := newRefElasticNet(10, 70, nTotal)
 			e.SetNAlloc(nalloc)
-			e.Net().Drain(e.Checks)
-			e.Net().Put(e.Checks, Tok(e.Net().Var("u"), u))
+			e.net.Put(e.Checks, refToken{"u": u})
 
-			res := e.Net().Explore(1000)
+			res := e.net.Explore(1000)
 			if res.Truncated {
 				t.Fatalf("u=%d nalloc=%d: state space truncated", u, nalloc)
 			}
@@ -100,6 +85,11 @@ func TestElasticNetFormalProperties(t *testing.T) {
 					t.Errorf("u=%d nalloc=%d: deadlock outside Checks: %s", u, nalloc, d)
 				}
 			}
+			// Boundedness: nalloc stays in [1, ntotal] in every reachable
+			// token, held in Provision or carried through Idle or Overload.
+			if b := res.Bounds["nalloc"]; b[0] < 1 || b[1] > nTotal {
+				t.Errorf("u=%d nalloc=%d: reachable nalloc spans %v, outside [1, %d]", u, nalloc, b, nTotal)
+			}
 		}
 	}
 }
@@ -107,7 +97,7 @@ func TestElasticNetFormalProperties(t *testing.T) {
 // TestElasticNetAllocationInvariant fires exhaustive reading sequences
 // and confirms Provision's nalloc never leaves [1, ntotal].
 func TestElasticNetAllocationInvariant(t *testing.T) {
-	e := NewElasticNet(10, 70, 3)
+	e := newRefElasticNet(10, 70, 3)
 	readings := []int{0, 10, 50, 70, 100}
 	var walk func(depth int)
 	walk = func(depth int) {

@@ -1,15 +1,19 @@
+// Package petrinet holds the decision of the paper's elastic net
+// (Section III-B): a Predicate/Transition net over the places P =
+// {Stable, Idle, Overload, Provision, Checks} and transitions t0..t7 that
+// turns a load reading into a core allocation decision.
+//
+// Checks carries {u}, the current resource usage (CPU load % or a scaled
+// HT/IMC ratio); Provision carries {nalloc}, the number of cores handed to
+// the OS. For thresholds thmin < thmax and a machine of ntotal cores, one
+// control period fires exactly one of five complete paths, so the net's
+// decision is a function of (u, nalloc). ElasticNet is that function in
+// closed form. The net itself, places, guarded transitions, firing and
+// reachability, is the specification in this package's tests, and the
+// closed form is proven equal to it over its whole input domain.
 package petrinet
 
 import "fmt"
-
-// elastic_net.go builds the concrete PrT net of Section III-B: places
-// P = {Stable, Idle, Overload, Provision, Checks}, transitions t0..t7,
-// and the rule-condition-action pipeline that decides core allocation.
-//
-// Tokens: Checks carries {u} — the current resource usage (CPU load % or a
-// scaled HT/IMC ratio); Provision carries {nalloc} — the number of cores
-// currently handed to the OS. The three performance-state places hold the
-// in-flight token while a decision path completes.
 
 // Decision is the action produced by one evaluation of the net.
 type Decision int
@@ -52,18 +56,11 @@ type Evaluation struct {
 	U, NAlloc int
 }
 
-// ElasticNet is the paper's elastic multi-core allocation net.
+// ElasticNet is the paper's elastic multi-core allocation net: its
+// thresholds, the machine size, and the Provision marking nalloc.
 type ElasticNet struct {
-	net *Net
-
-	// Places (exported for matrix inspection and tests).
-	Checks, Provision, Idle, Stable, Overload *Place
-	// Transitions t0..t7 indexed by number.
-	T [8]*Transition
-	// u and nalloc are the net's two variables ("u", "nalloc"): the load
-	// reading carried by Checks tokens and the core count carried by
-	// Provision tokens.
-	u, nalloc Var
+	thMin, thMax, nTotal int
+	nalloc               int
 }
 
 // NewElasticNet wires the net for a machine with nTotal cores and the
@@ -77,162 +74,50 @@ func NewElasticNet(thMin, thMax, nTotal int) *ElasticNet {
 	if nTotal < 1 {
 		panic("petrinet: nTotal must be at least 1")
 	}
-	e := &ElasticNet{net: New()}
-	n := e.net
-
-	e.Checks = n.AddPlace("Checks")
-	e.Provision = n.AddPlace("Provision")
-	e.Idle = n.AddPlace("Idle")
-	e.Stable = n.AddPlace("Stable")
-	e.Overload = n.AddPlace("Overload")
-
-	u, na := n.Var("u"), n.Var("nalloc")
-	e.u, e.nalloc = u, na
-	onlyU, onlyNA, both := []Var{u}, []Var{na}, []Var{u, na}
-
-	carryBoth := func(b Binding) Token { return Tok(u, b.Get(u)).With(na, b.Get(na)) }
-	toChecks := func(b Binding) Token { return Tok(u, b.Get(u)) }
-	// provision builds the arc returning nalloc+delta to Provision.
-	provision := func(delta int) OutArc {
-		return OutArc{Place: e.Provision, Vars: onlyNA, Expr: func(b Binding) Token { return Tok(na, b.Get(na)+delta) }}
-	}
-	fromChecksAndProvision := []InArc{{Place: e.Checks, Vars: onlyU}, {Place: e.Provision, Vars: onlyNA}}
-	backToChecks := OutArc{Place: e.Checks, Vars: onlyU, Expr: toChecks}
-
-	// Idle sub-net (Figure 10): low load releases a core, bounded below by
-	// one core (t7).
-	e.T[0] = n.AddTransition(&Transition{
-		Name:      "t0",
-		Guard:     func(b Binding) bool { return b.Get(u) <= thMin },
-		GuardDesc: fmt.Sprintf("u <= %d", thMin),
-		In:        fromChecksAndProvision,
-		Out:       []OutArc{{Place: e.Idle, Vars: both, Expr: carryBoth}},
-	})
-	e.T[4] = n.AddTransition(&Transition{
-		Name:      "t4",
-		Guard:     func(b Binding) bool { return b.Get(na) > 1 },
-		GuardDesc: "nalloc > 1",
-		In:        []InArc{{Place: e.Idle, Vars: both}},
-		Out:       []OutArc{provision(-1), backToChecks},
-	})
-	e.T[7] = n.AddTransition(&Transition{
-		Name:      "t7",
-		Guard:     func(b Binding) bool { return b.Get(na) == 1 },
-		GuardDesc: "nalloc == 1",
-		In:        []InArc{{Place: e.Idle, Vars: both}},
-		Out:       []OutArc{provision(0), backToChecks},
-	})
-
-	// Overload sub-net (Figure 9): high load allocates a core, bounded
-	// above by the hardware (t6).
-	e.T[1] = n.AddTransition(&Transition{
-		Name:      "t1",
-		Guard:     func(b Binding) bool { return b.Get(u) >= thMax },
-		GuardDesc: fmt.Sprintf("u >= %d", thMax),
-		In:        fromChecksAndProvision,
-		Out:       []OutArc{{Place: e.Overload, Vars: both, Expr: carryBoth}},
-	})
-	e.T[5] = n.AddTransition(&Transition{
-		Name:      "t5",
-		Guard:     func(b Binding) bool { return b.Get(na) < nTotal },
-		GuardDesc: fmt.Sprintf("nalloc < %d", nTotal),
-		In:        []InArc{{Place: e.Overload, Vars: both}},
-		Out:       []OutArc{provision(+1), backToChecks},
-	})
-	e.T[6] = n.AddTransition(&Transition{
-		Name:      "t6",
-		Guard:     func(b Binding) bool { return b.Get(na) == nTotal },
-		GuardDesc: fmt.Sprintf("nalloc == %d", nTotal),
-		In:        []InArc{{Place: e.Overload, Vars: both}},
-		Out:       []OutArc{provision(0), backToChecks},
-	})
-
-	// Stable sub-net (Figure 11): load within thresholds, monitoring only.
-	e.T[2] = n.AddTransition(&Transition{
-		Name:      "t2",
-		Guard:     func(b Binding) bool { return b.Get(u) > thMin && b.Get(u) < thMax },
-		GuardDesc: fmt.Sprintf("%d < u < %d", thMin, thMax),
-		In:        []InArc{{Place: e.Checks, Vars: onlyU}},
-		Out:       []OutArc{{Place: e.Stable, Vars: onlyU, Expr: toChecks}},
-	})
-	e.T[3] = n.AddTransition(&Transition{
-		Name:      "t3",
-		In:        []InArc{{Place: e.Stable, Vars: onlyU}},
-		Out:       []OutArc{backToChecks},
-		GuardDesc: "true",
-	})
-
-	// Initial marking: one core allocated by default.
-	n.Put(e.Provision, Tok(na, 1))
-	return e
+	return &ElasticNet{thMin: thMin, thMax: thMax, nTotal: nTotal, nalloc: 1}
 }
-
-// Net exposes the underlying PrT net (for matrices and inspection).
-func (e *ElasticNet) Net() *Net { return e.net }
 
 // NAlloc returns the current number of allocated cores recorded in the
 // Provision place.
-func (e *ElasticNet) NAlloc() int {
-	toks := e.net.Tokens(e.Provision)
-	if len(toks) == 0 {
-		return 0
-	}
-	return toks[0].Get(e.nalloc)
-}
+func (e *ElasticNet) NAlloc() int { return e.nalloc }
 
 // SetNAlloc overrides the Provision marking (used when the allocator could
-// not honour a decision, keeping net state and reality in sync).
+// not honour a decision, keeping net state and reality in sync). n must lie
+// in [1, nTotal], the domain in which the net is bounded (Section III-B):
+// outside it no action transition is enabled and the net would strand its
+// token in Idle or Overload.
 func (e *ElasticNet) SetNAlloc(n int) {
-	e.net.Drain(e.Provision)
-	e.net.Put(e.Provision, Tok(e.nalloc, n))
+	if n < 1 || n > e.nTotal {
+		panic(fmt.Sprintf("petrinet: nalloc %d outside [1, %d]", n, e.nTotal))
+	}
+	e.nalloc = n
 }
 
-// Evaluate runs one control period: it injects the current load reading u
-// into Checks and fires transitions until the token returns to Checks,
-// producing the allocation decision. This is the rule-condition-action
+// Evaluate runs one control period on the load reading u and returns the
+// decision of the path it fires. This is the rule-condition-action
 // pipeline: rule = sub-net, condition = guard, action = decision.
 //
-// The label names the path in the paper's Figure 7 style. Each action
-// transition has one possible predecessor (only t0 feeds Idle, only t1
-// Overload, only t2 Stable), so the eight paths are constants and
-// labelling allocates nothing: "quiescent", "t0-Idle" and "t1-Overload"
-// (no action enabled: Provision out of [1, ntotal]), and the five complete
-// paths.
+//   - u <= thmin fires t0 into Idle, then t4 (release one core) or, at one
+//     core, t7.
+//   - u >= thmax fires t1 into Overload, then t5 (allocate one core) or,
+//     at ntotal cores, t6.
+//   - otherwise t2 and t3 cycle the reading through Stable.
 func (e *ElasticNet) Evaluate(u int) Evaluation {
-	// Inject the fresh reading, replacing any stale Checks token.
-	e.net.Drain(e.Checks)
-	e.net.Put(e.Checks, Tok(e.u, u))
-
-	ev := Evaluation{U: u, NAlloc: e.NAlloc(), Decision: DecisionNone, Label: "quiescent"}
-	// A complete path is at most two firings (state transition + action).
-	for i := 0; i < 2; i++ {
-		t, _ := e.net.Step()
-		if t == nil {
-			break
-		}
-		switch t {
-		case e.T[0]:
-			ev.State, ev.Label = "Idle", "t0-Idle"
-		case e.T[1]:
-			ev.State, ev.Label = "Overload", "t1-Overload"
-		case e.T[2]:
-			ev.State, ev.Label = "Stable", "t2-Stable"
-		case e.T[3]:
-			ev.Label = "t2-Stable-t3"
-		case e.T[4]:
+	ev := Evaluation{U: u, State: "Stable", Label: "t2-Stable-t3"}
+	switch {
+	case u <= e.thMin:
+		ev.State, ev.Label = "Idle", "t0-Idle-t7"
+		if e.nalloc > 1 {
+			e.nalloc--
 			ev.Decision, ev.Label = DecisionRelease, "t0-Idle-t4"
-		case e.T[5]:
-			ev.Decision, ev.Label = DecisionAllocate, "t1-Overload-t5"
-		case e.T[6]:
-			ev.Label = "t1-Overload-t6"
-		case e.T[7]:
-			ev.Label = "t0-Idle-t7"
 		}
-		// Stop once the token is back in Checks.
-		if e.net.TokenCount(e.Checks) > 0 {
-			break
+	case u >= e.thMax:
+		ev.State, ev.Label = "Overload", "t1-Overload-t6"
+		if e.nalloc < e.nTotal {
+			e.nalloc++
+			ev.Decision, ev.Label = DecisionAllocate, "t1-Overload-t5"
 		}
 	}
-	ev.NAlloc = e.NAlloc()
+	ev.NAlloc = e.nalloc
 	return ev
 }

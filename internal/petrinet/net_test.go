@@ -5,39 +5,39 @@ import (
 	"testing/quick"
 )
 
+// net_test.go pins the firing semantics of the specification net
+// (ref_test.go) on small nets: token flow, guards, step order, quiescence
+// and the Pre/Post/incidence matrices.
+
 // buildSimpleNet returns a two-place net moving a counter token through a
 // transition that increments it.
-func buildSimpleNet() (*Net, *Place, *Place, *Transition) {
-	n := New()
-	x := n.Var("x")
-	a := n.AddPlace("A")
-	b := n.AddPlace("B")
-	t := n.AddTransition(&Transition{
+func buildSimpleNet() (*refNet, *refPlace, *refPlace, *refTransition) {
+	n := newRefNet()
+	a := n.AddPlace("A", "x")
+	b := n.AddPlace("B", "x")
+	t := n.AddTransition(&refTransition{
 		Name: "inc",
-		In:   []InArc{{Place: a, Vars: []Var{x}}},
-		Out: []OutArc{{Place: b, Vars: []Var{x}, Expr: func(bd Binding) Token {
-			return Tok(x, bd.Get(x)+1)
-		}}},
+		In:   []*refPlace{a},
+		Out:  []refOutArc{{Place: b, Expr: func(bd refBinding) refToken { return refToken{"x": bd["x"] + 1} }}},
 	})
 	return n, a, b, t
 }
 
 func TestFireMovesAndTransformsToken(t *testing.T) {
 	n, a, b, tr := buildSimpleNet()
-	x := n.Var("x")
-	n.Put(a, Tok(x, 41))
+	n.Put(a, refToken{"x": 41})
 	bind, err := n.Fire(tr)
 	if err != nil {
 		t.Fatalf("Fire: %v", err)
 	}
-	if bind.Get(x) != 41 {
-		t.Errorf("binding x = %d, want 41", bind.Get(x))
+	if bind["x"] != 41 {
+		t.Errorf("binding x = %d, want 41", bind["x"])
 	}
 	if n.TokenCount(a) != 0 {
 		t.Error("input place still marked")
 	}
 	toks := n.Tokens(b)
-	if len(toks) != 1 || toks[0].Get(x) != 42 {
+	if len(toks) != 1 || toks[0]["x"] != 42 {
 		t.Errorf("output tokens = %v, want [{x:42}]", toks)
 	}
 }
@@ -47,49 +47,46 @@ func TestFireNotEnabledErrors(t *testing.T) {
 	if _, err := n.Fire(tr); err == nil {
 		t.Error("Fire on empty input place did not error")
 	}
-	_ = n
 }
 
 func TestGuardBlocksFiring(t *testing.T) {
-	n := New()
-	x := n.Var("x")
-	a := n.AddPlace("A")
-	tr := n.AddTransition(&Transition{
+	n := newRefNet()
+	a := n.AddPlace("A", "x")
+	tr := n.AddTransition(&refTransition{
 		Name:  "gated",
-		Guard: func(b Binding) bool { return b.Get(x) > 10 },
-		In:    []InArc{{Place: a, Vars: []Var{x}}},
+		Guard: func(b refBinding) bool { return b["x"] > 10 },
+		In:    []*refPlace{a},
 	})
-	n.Put(a, Tok(x, 5))
+	n.Put(a, refToken{"x": 5})
 	if _, ok := n.Enabled(tr); ok {
 		t.Error("guard x>10 enabled with x=5")
 	}
 	n.Drain(a)
-	n.Put(a, Tok(x, 11))
+	n.Put(a, refToken{"x": 11})
 	if _, ok := n.Enabled(tr); !ok {
 		t.Error("guard x>10 not enabled with x=11")
 	}
 }
 
 func TestStepFiresFirstEnabled(t *testing.T) {
-	n := New()
-	x := n.Var("x")
-	a := n.AddPlace("A")
+	n := newRefNet()
+	a := n.AddPlace("A", "x")
 	fired := ""
-	mk := func(name string, guard func(Binding) bool) *Transition {
-		return n.AddTransition(&Transition{
+	mk := func(name string, guard func(refBinding) bool) {
+		n.AddTransition(&refTransition{
 			Name:  name,
 			Guard: guard,
-			In:    []InArc{{Place: a, Vars: []Var{x}}},
-			Out: []OutArc{{Place: a, Vars: []Var{x}, Expr: func(b Binding) Token {
+			In:    []*refPlace{a},
+			Out: []refOutArc{{Place: a, Expr: func(b refBinding) refToken {
 				fired = name
-				return Tok(x, b.Get(x))
+				return refToken{"x": b["x"]}
 			}}},
 		})
 	}
-	mk("never", func(Binding) bool { return false })
+	mk("never", func(refBinding) bool { return false })
 	mk("yes", nil)
 	mk("also", nil)
-	n.Put(a, Tok(x, 1))
+	n.Put(a, refToken{"x": 1})
 	tr, _ := n.Step()
 	if tr == nil || tr.Name != "yes" || fired != "yes" {
 		t.Errorf("Step fired %v, want yes", tr)
@@ -107,21 +104,18 @@ func TestTokenConservationUnderFiring(t *testing.T) {
 	// Property: in a net whose transitions have one input and one output
 	// arc, the total token count is invariant under any firing sequence.
 	f := func(seed uint8, steps uint8) bool {
-		n := New()
-		x := n.Var("x")
-		places := []*Place{n.AddPlace("p0"), n.AddPlace("p1"), n.AddPlace("p2")}
+		n := newRefNet()
+		places := []*refPlace{n.AddPlace("p0", "x"), n.AddPlace("p1", "x"), n.AddPlace("p2", "x")}
 		for i := range places {
-			next := places[(i+1)%len(places)]
-			from := places[i]
-			n.AddTransition(&Transition{
+			n.AddTransition(&refTransition{
 				Name: "t",
-				In:   []InArc{{Place: from, Vars: []Var{x}}},
-				Out:  []OutArc{{Place: next, Vars: []Var{x}, Expr: func(b Binding) Token { return Tok(x, b.Get(x)) }}},
+				In:   []*refPlace{places[i]},
+				Out:  []refOutArc{{Place: places[(i+1)%len(places)], Expr: func(b refBinding) refToken { return refToken{"x": b["x"]} }}},
 			})
 		}
 		total := int(seed%5) + 1
 		for i := 0; i < total; i++ {
-			n.Put(places[i%3], Tok(x, i))
+			n.Put(places[i%3], refToken{"x": i})
 		}
 		for i := 0; i < int(steps); i++ {
 			n.Step()
@@ -138,60 +132,25 @@ func TestTokenConservationUnderFiring(t *testing.T) {
 }
 
 func TestTokenString(t *testing.T) {
-	n := New()
-	u, nalloc := n.Var("u"), n.Var("nalloc")
-	if got := n.TokenString(Tok(u, 99).With(nalloc, 3)); got != "{nalloc:3 u:99}" {
-		t.Errorf("TokenString = %q", got)
+	if got := (refToken{"u": 99, "nalloc": 3}).String(); got != "{nalloc:3 u:99}" {
+		t.Errorf("token String = %q", got)
 	}
-	if got := n.TokenString(Token{}); got != "{}" {
-		t.Errorf("empty TokenString = %q", got)
+	if got := (refToken{}).String(); got != "{}" {
+		t.Errorf("empty token String = %q", got)
 	}
-}
-
-func TestTokenFields(t *testing.T) {
-	n := New()
-	u, nalloc := n.Var("u"), n.Var("nalloc")
-	if n.Var("u") != u {
-		t.Error("interning the same name twice returned a new Var")
-	}
-	tok := Tok(u, 0)
-	if !tok.Has(u) || tok.Has(nalloc) {
-		t.Errorf("presence wrong: has u %v, has nalloc %v", tok.Has(u), tok.Has(nalloc))
-	}
-	// An absent field reads as zero, as a missing map key did.
-	if tok.Get(nalloc) != 0 {
-		t.Errorf("absent field = %d, want 0", tok.Get(nalloc))
-	}
-	if tok == tok.With(nalloc, 0) {
-		t.Error("a token carrying nalloc:0 equals one without the field")
-	}
-}
-
-func TestVarLimitPanics(t *testing.T) {
-	n := New()
-	for _, name := range []string{"a", "b", "c", "d"} {
-		n.Var(name)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("interning a fifth variable did not panic")
-		}
-	}()
-	n.Var("e")
 }
 
 func TestFirePopsHeadAndKeepsOrder(t *testing.T) {
 	n, a, b, tr := buildSimpleNet()
-	x := n.Var("x")
 	for _, v := range []int{1, 2, 3} {
-		n.Put(a, Tok(x, v))
+		n.Put(a, refToken{"x": v})
 	}
 	for _, want := range []int{2, 3} {
 		if _, err := n.Fire(tr); err != nil {
 			t.Fatal(err)
 		}
 		toks := n.Tokens(b)
-		if got := toks[len(toks)-1].Get(x); got != want {
+		if got := toks[len(toks)-1]["x"]; got != want {
 			t.Errorf("fired head %d, want %d", got-1, want-1)
 		}
 	}
@@ -201,26 +160,28 @@ func TestFirePopsHeadAndKeepsOrder(t *testing.T) {
 }
 
 func TestPrePostIncidence(t *testing.T) {
-	n, a, b, _ := buildSimpleNet()
+	n, a, b, tr := buildSimpleNet()
 	pre, post, inc := n.Pre(), n.Post(), n.Incidence()
 	// Pre: arc <A, inc>.
-	if pre.Cells[a.idx][0] != 1 || pre.Cells[b.idx][0] != 0 {
-		t.Errorf("Pre = %v", pre.Cells)
+	if pre[a.idx][tr.idx] != 1 || pre[b.idx][tr.idx] != 0 {
+		t.Errorf("Pre = %v", pre)
 	}
 	// Post: arc <inc, B>.
-	if post.Cells[b.idx][0] != 1 || post.Cells[a.idx][0] != 0 {
-		t.Errorf("Post = %v", post.Cells)
+	if post[b.idx][tr.idx] != 1 || post[a.idx][tr.idx] != 0 {
+		t.Errorf("Post = %v", post)
 	}
 	// Incidence = Post - Pre.
-	if inc.Cells[a.idx][0] != -1 || inc.Cells[b.idx][0] != 1 {
-		t.Errorf("Incidence = %v", inc.Cells)
+	if inc[a.idx][tr.idx] != -1 || inc[b.idx][tr.idx] != 1 {
+		t.Errorf("Incidence = %v", inc)
 	}
 }
 
 func TestMatrixString(t *testing.T) {
 	n, _, _, _ := buildSimpleNet()
-	s := n.Incidence().String()
-	if s == "" {
-		t.Error("empty matrix rendering")
+	want := "             inc\n" +
+		"A             -1\n" +
+		"B              1\n"
+	if got := n.MatrixString(n.Incidence()); got != want {
+		t.Errorf("incidence rendering:\n%s\nwant:\n%s", got, want)
 	}
 }

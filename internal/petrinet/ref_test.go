@@ -1,11 +1,14 @@
 package petrinet
 
-// ref_test.go is the oracle for the slot-token net: the map-based PrT net
-// this package shipped before tokens became fixed-size values, kept
-// verbatim (names prefixed ref) so the differential tests in
-// diff_test.go can drive both through the same inputs. It allocates a map
-// per binding and per token and is deliberately naive; nothing outside the
-// tests may use it.
+// ref_test.go is the specification: the Section III-B net as a
+// Predicate/Transition net, map-based and deliberately naive (it allocates
+// a map per binding and per token). Places hold value-carrying tokens,
+// transitions fire under guards, Step fires the first enabled transition
+// in registration order, Explore walks the reachable markings, and the
+// Pre, Post and incidence matrices of Figures 8-11 are read off its arcs.
+// ElasticNet is the closed form of refElasticNet's decision, and
+// diff_test.go and fuzz_test.go prove the two equal; nothing outside the
+// tests may use this file.
 
 import (
 	"fmt"
@@ -38,7 +41,12 @@ func (t refToken) String() string {
 
 type refBinding map[string]int
 
-type refPlace struct{ Name string }
+// refPlace is a place of the net. Vars is the inscription of every arc
+// that touches it: the variables its tokens carry, e.g. "u,nalloc".
+type refPlace struct {
+	Name, Vars string
+	idx        int
+}
 
 type refOutArc struct {
 	Place *refPlace
@@ -50,6 +58,7 @@ type refTransition struct {
 	Guard func(refBinding) bool
 	In    []*refPlace
 	Out   []refOutArc
+	idx   int
 }
 
 type refNet struct {
@@ -60,13 +69,14 @@ type refNet struct {
 
 func newRefNet() *refNet { return &refNet{marking: make(map[*refPlace][]refToken)} }
 
-func (n *refNet) AddPlace(name string) *refPlace {
-	p := &refPlace{Name: name}
+func (n *refNet) AddPlace(name, vars string) *refPlace {
+	p := &refPlace{Name: name, Vars: vars, idx: len(n.places)}
 	n.places = append(n.places, p)
 	return p
 }
 
 func (n *refNet) AddTransition(t *refTransition) *refTransition {
+	t.idx = len(n.transitions)
 	n.transitions = append(n.transitions, t)
 	return t
 }
@@ -140,7 +150,86 @@ func (n *refNet) MarkingString() string {
 	return b.String()
 }
 
-func (n *refNet) markingKey() MarkingKey {
+// Pre is the pre-condition matrix, [place][transition]: 1 iff an arc
+// <p, t> exists (the place feeds the transition).
+func (n *refNet) Pre() [][]int {
+	return n.matrix(func(t *refTransition, add func(*refPlace)) {
+		for _, p := range t.In {
+			add(p)
+		}
+	})
+}
+
+// Post is the post-condition matrix: 1 iff an arc <t, p> exists.
+func (n *refNet) Post() [][]int {
+	return n.matrix(func(t *refTransition, add func(*refPlace)) {
+		for _, arc := range t.Out {
+			add(arc.Place)
+		}
+	})
+}
+
+// Incidence is A^T = Post - Pre.
+func (n *refNet) Incidence() [][]int {
+	inc, pre := n.Post(), n.Pre()
+	for p := range inc {
+		for t := range inc[p] {
+			inc[p][t] -= pre[p][t]
+		}
+	}
+	return inc
+}
+
+func (n *refNet) matrix(arcs func(*refTransition, func(*refPlace))) [][]int {
+	m := make([][]int, len(n.places))
+	for p := range m {
+		m[p] = make([]int, len(n.transitions))
+	}
+	for _, t := range n.transitions {
+		arcs(t, func(p *refPlace) { m[p.idx][t.idx] = 1 })
+	}
+	return m
+}
+
+// SymbolicPre is Pre with the arc inscriptions in its cells, the paper's
+// rendering ("u", "nalloc"); "" where there is no arc.
+func (n *refNet) SymbolicPre() [][]string {
+	pre := n.Pre()
+	m := make([][]string, len(pre))
+	for p, row := range pre {
+		m[p] = make([]string, len(row))
+		for t, arc := range row {
+			if arc == 1 {
+				m[p][t] = n.places[p].Vars
+			}
+		}
+	}
+	return m
+}
+
+// MatrixString renders a places × transitions matrix as an aligned table.
+func (n *refNet) MatrixString(m [][]int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-10s", "")
+	for _, t := range n.transitions {
+		fmt.Fprintf(&b, "%6s", t.Name)
+	}
+	b.WriteByte('\n')
+	for p, row := range m {
+		fmt.Fprintf(&b, "%-10s", n.places[p].Name)
+		for _, v := range row {
+			fmt.Fprintf(&b, "%6d", v)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// markingKey is a canonical encoding of a marking, a map key during
+// state-space exploration.
+type markingKey string
+
+func (n *refNet) markingKey() markingKey {
 	var b strings.Builder
 	for _, p := range n.places {
 		b.WriteString(p.Name)
@@ -154,7 +243,7 @@ func (n *refNet) markingKey() MarkingKey {
 		b.WriteString(strings.Join(parts, ","))
 		b.WriteByte(';')
 	}
-	return MarkingKey(b.String())
+	return markingKey(b.String())
 }
 
 func (n *refNet) snapshotMarking() map[*refPlace][]refToken {
@@ -180,12 +269,33 @@ func (n *refNet) restoreMarking(m map[*refPlace][]refToken) {
 	}
 }
 
-func (n *refNet) Explore(maxStates int) Reachability {
+// reachability summarizes a bounded state-space exploration.
+type reachability struct {
+	// States is the number of distinct markings reached.
+	States int
+	// MaxTokensPerPlace is the bound observed on any single place
+	// (k-safety: the net is k-safe iff this is <= k).
+	MaxTokensPerPlace int
+	// Deadlocks lists markings with no enabled transition.
+	Deadlocks []markingKey
+	// Bounds is the least and greatest value each variable takes in any
+	// reachable token.
+	Bounds map[string][2]int
+	// Truncated reports whether the exploration hit the state limit.
+	Truncated bool
+}
+
+// Explore performs a breadth-first reachability analysis from the current
+// marking, firing every enabled transition at every state, up to maxStates
+// distinct markings, and restores the marking afterwards. It is exact for
+// the elastic net: its guards keep nalloc in [1, ntotal] and the injected
+// reading never changes.
+func (n *refNet) Explore(maxStates int) reachability {
 	saved := n.snapshotMarking()
 	defer n.restoreMarking(saved)
 
-	res := Reachability{}
-	seen := map[MarkingKey]bool{}
+	res := reachability{Bounds: map[string][2]int{}}
+	seen := map[markingKey]bool{}
 	queue := []map[*refPlace][]refToken{n.snapshotMarking()}
 
 	for len(queue) > 0 {
@@ -203,8 +313,15 @@ func (n *refNet) Explore(maxStates int) Reachability {
 		seen[key] = true
 		res.States++
 		for _, toks := range cur {
-			if len(toks) > res.MaxTokensPerPlace {
-				res.MaxTokensPerPlace = len(toks)
+			res.MaxTokensPerPlace = max(res.MaxTokensPerPlace, len(toks))
+			for _, tok := range toks {
+				for k, v := range tok {
+					b, ok := res.Bounds[k]
+					if !ok {
+						b = [2]int{v, v}
+					}
+					res.Bounds[k] = [2]int{min(b[0], v), max(b[1], v)}
+				}
 			}
 		}
 		fired := 0
@@ -226,7 +343,7 @@ func (n *refNet) Explore(maxStates int) Reachability {
 	return res
 }
 
-// refElasticNet is the Section III-B net on the map-based reference.
+// refElasticNet is the Section III-B net on the specification.
 type refElasticNet struct {
 	net                                       *refNet
 	Checks, Provision, Idle, Stable, Overload *refPlace
@@ -237,15 +354,17 @@ func newRefElasticNet(thMin, thMax, nTotal int) *refElasticNet {
 	e := &refElasticNet{net: newRefNet()}
 	n := e.net
 
-	e.Checks = n.AddPlace("Checks")
-	e.Provision = n.AddPlace("Provision")
-	e.Idle = n.AddPlace("Idle")
-	e.Stable = n.AddPlace("Stable")
-	e.Overload = n.AddPlace("Overload")
+	e.Checks = n.AddPlace("Checks", "u")
+	e.Provision = n.AddPlace("Provision", "nalloc")
+	e.Idle = n.AddPlace("Idle", "u,nalloc")
+	e.Stable = n.AddPlace("Stable", "u")
+	e.Overload = n.AddPlace("Overload", "u,nalloc")
 
 	carryBoth := func(b refBinding) refToken { return refToken{"u": b["u"], "nalloc": b["nalloc"]} }
 	toChecks := func(b refBinding) refToken { return refToken{"u": b["u"]} }
 
+	// Idle sub-net (Figure 10): low load releases a core, bounded below by
+	// one core (t7).
 	e.T[0] = n.AddTransition(&refTransition{
 		Name:  "t0",
 		Guard: func(b refBinding) bool { return b["u"] <= thMin },
@@ -270,6 +389,8 @@ func newRefElasticNet(thMin, thMax, nTotal int) *refElasticNet {
 			{Place: e.Checks, Expr: toChecks},
 		},
 	})
+	// Overload sub-net (Figure 9): high load allocates a core, bounded
+	// above by the hardware (t6).
 	e.T[1] = n.AddTransition(&refTransition{
 		Name:  "t1",
 		Guard: func(b refBinding) bool { return b["u"] >= thMax },
@@ -294,6 +415,7 @@ func newRefElasticNet(thMin, thMax, nTotal int) *refElasticNet {
 			{Place: e.Checks, Expr: toChecks},
 		},
 	})
+	// Stable sub-net (Figure 11): load within thresholds, monitoring only.
 	e.T[2] = n.AddTransition(&refTransition{
 		Name:  "t2",
 		Guard: func(b refBinding) bool { return b["u"] > thMin && b["u"] < thMax },
@@ -306,6 +428,7 @@ func newRefElasticNet(thMin, thMax, nTotal int) *refElasticNet {
 		Out:  []refOutArc{{Place: e.Checks, Expr: toChecks}},
 	})
 
+	// Initial marking: one core allocated by default.
 	n.Put(e.Provision, refToken{"nalloc": 1})
 	return e
 }
@@ -323,6 +446,11 @@ func (e *refElasticNet) SetNAlloc(n int) {
 	e.net.Put(e.Provision, refToken{"nalloc": n})
 }
 
+// Evaluate injects the reading u into Checks, replacing any stale token,
+// and fires until the token is back in Checks (at most two firings: a
+// state transition and an action). The label names the fired path;
+// "quiescent", "t0-Idle" and "t1-Overload" are the stranded paths of a
+// Provision marking outside [1, ntotal].
 func (e *refElasticNet) Evaluate(u int) Evaluation {
 	e.net.Drain(e.Checks)
 	e.net.Put(e.Checks, refToken{"u": u})
