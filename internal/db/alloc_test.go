@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"elasticore/internal/numa"
 	"elasticore/internal/obs"
@@ -96,6 +97,47 @@ func TestPoolClassKeepsCapacityPromise(t *testing.T) {
 	got := p.getI64(900)            // same class, larger need
 	if cap(got) < 900 {
 		t.Fatalf("getI64(900) returned cap %d", cap(got))
+	}
+}
+
+// TestPoolClassTopFits: for any mix of returned capacities and requests, a
+// lookup hands out a buffer that fits, and the most recently returned one
+// of the request's bucket — the first whose every capacity is at least the
+// request — when that bucket holds one.
+func TestPoolClassTopFits(t *testing.T) {
+	for _, seed := range diffSeeds {
+		r := newDiffRNG(seed)
+		var p bufPool
+		var lent [][]int64
+		for range 4000 {
+			switch r.intn(3) {
+			case 0: // an earlier query's buffer comes back, of any size
+				p.putI64(make([]int64, 0, 1+r.intn(5000)))
+			case 1:
+				if len(lent) > 0 {
+					p.putI64(lent[len(lent)-1])
+					lent = lent[:len(lent)-1]
+				}
+			default:
+				need := 1 + r.intn(5000)
+				c := 1
+				for 1<<(c-1) < need {
+					c++
+				}
+				var top *int64
+				if b := p.i64[c]; len(b) > 0 {
+					top = unsafe.SliceData(b[len(b)-1])
+				}
+				got := p.getI64(need)
+				if cap(got) < need || len(got) != 0 {
+					t.Fatalf("seed %d: getI64(%d) returned len %d cap %d", seed, need, len(got), cap(got))
+				}
+				if top != nil && unsafe.SliceData(got) != top {
+					t.Fatalf("seed %d: getI64(%d) passed over the top of bucket %d", seed, need, c)
+				}
+				lent = append(lent, got)
+			}
+		}
 	}
 }
 

@@ -45,13 +45,19 @@ const valueBytes = 8
 // (MonetDB's void tail): n > 0 marks the dense form, whose OIDs are seq,
 // seq+1, ..., seq+n-1. Len, Bytes, the simulated region and every charge
 // are those of the materialized vector; only the host-side identity
-// vector is gone. The header stays 96 bytes, the stride of a stage's
-// header array (TestBATHeaderSize), which is why the region keeps its start
-// block only — its block count follows from Len.
+// vector is gone. Projecting a dense candidate list is, as in MonetDB, a
+// view: view marks a tail that borrows the rows of the base column the
+// candidates cover, capped so no append reaches past them. The view has
+// its own region and charges, those of the copy it stands for; only the
+// host copy is gone, and the pool never files a view's slice. The header
+// stays 96 bytes, the stride of a stage's header array (TestBATHeaderSize),
+// which is why the region keeps its start block only — its block count
+// follows from Len.
 type BAT struct {
 	Name   string
 	Kind   Kind
 	placed bool
+	view   bool
 	I      []int64
 	F      []float64
 

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -206,6 +207,88 @@ func TestGatherChargeDense(t *testing.T) {
 	}
 }
 
+// TestViewChargesWhatTheCopyCharged: on the engine, a projection through a
+// dense candidate list is a view of the base column, and its tasks charge
+// what the copy they stand for charged. One ScanAll is planned and run
+// alike on two identical machines; a one-op Project over it is then driven
+// through the engine's lowering on one and through the refTask oracle,
+// whose Gather copies, on the other, with budgets below, around and far
+// above a chunk's cost. Every Step must use the same cycles and leave every
+// numa counter the same. Each engine fragment must be a view — its tail the
+// covered base rows, in place — and the standalone copy drive over its
+// candidate must gather the same values, its Charged() the compute cycles
+// the task charged.
+func TestViewChargesWhatTheCopyCharged(t *testing.T) {
+	budgets := []uint64{700, 20000, 300000, 1 << 40}
+	for _, col := range []string{"l_orderkey", "l_extendedprice"} {
+		mk := func() (*numa.Machine, *Query, *sched.ExecContext) {
+			r := newSpecRigRows(t, 30000)
+			eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, Fanout: 4, MinPartRows: 64, ParseCycles: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, ctx := planningQuery(eng), &sched.ExecContext{Machine: r.machine, PID: 101}
+			scan := ScanAll("lineitem", "l_shipdate", "all")
+			for _, tk := range planOp(q, &scan) {
+				for done := false; !done; {
+					_, done = tk.Step(ctx, 1<<40)
+				}
+			}
+			return r.machine, q, ctx
+		}
+		fm, fq, fctx := mk()
+		rm, rq, rctx := mk()
+		proj := Project("all", "lineitem", col, "v")
+		fts, rts := planOp(fq, &proj), refProjection("all", "lineitem", col, "v")(rq)
+		if len(fts) != len(rts) || len(fts) == 0 {
+			t.Fatalf("%s: %d tasks, oracle %d", col, len(fts), len(rts))
+		}
+		for ti := range fts {
+			fctx.Core = numa.CoreID(3 * ti % fm.Topology().TotalCores())
+			rctx.Core = fctx.Core
+			for n := 0; ; n++ {
+				b := budgets[(ti+n)%len(budgets)]
+				uf, df := fts[ti].Step(fctx, b)
+				ur, dr := rts[ti].Step(rctx, b)
+				if uf != ur || df != dr {
+					t.Fatalf("%s task %d step %d: used %d done %v, oracle %d %v", col, ti, n, uf, df, ur, dr)
+				}
+				if !reflect.DeepEqual(fm.Snapshot(), rm.Snapshot()) {
+					t.Fatalf("%s task %d step %d: numa counters differ from the oracle", col, ti, n)
+				}
+				if df {
+					break
+				}
+			}
+		}
+		base := fq.eng.store.Table("lineitem").Col(col)
+		r := newDiffRNG(uint64(len(col)))
+		for i, frag := range fq.Var("v").Parts {
+			cand, w := fq.Var("all").Parts[i], rq.Var("v").Parts[i]
+			label := fmt.Sprintf("%s[%d]", col, i)
+			var tail, row unsafe.Pointer
+			if base.Kind == KindI64 {
+				tail, row = unsafe.Pointer(unsafe.SliceData(frag.I)), unsafe.Pointer(&base.I[cand.seq])
+			} else {
+				tail, row = unsafe.Pointer(unsafe.SliceData(frag.F)), unsafe.Pointer(&base.F[cand.seq])
+			}
+			if cand.n == 0 || !frag.view || w.view || tail != row || frag.Len() != cand.n {
+				t.Fatalf("%s: the engine's fragment is not a view of base rows [%d, +%d), or the oracle's is", label, cand.seq, cand.n)
+			}
+			if frag.placed != w.placed || frag.start != w.start {
+				t.Fatalf("%s: region %v@%d, oracle %v@%d", label, frag.placed, frag.start, w.placed, w.start)
+			}
+			g := NewGather(base, cand, &BAT{Name: "v", Kind: base.Kind})
+			gi, gf := drain(g, r)
+			eqI64(t, label, frag.I, w.I)
+			eqF64(t, label, frag.F, w.F)
+			eqI64(t, label+" standalone", gi, w.I)
+			eqF64(t, label+" standalone", gf, w.F)
+			eqCycles(t, label+" standalone", g, uint64(cand.Len())*fts[i].(*chunkTask).cyclesPerTuple)
+		}
+	}
+}
+
 // TestReserveNeverGrows is the property behind "tables sized once":
 // reserve(n) followed by n inserts — any keys: zero, negative, duplicate —
 // never replaces the table arrays, and the contents match a Go map.
@@ -265,8 +348,10 @@ func TestReserveNeverGrows(t *testing.T) {
 // layer sheds: a full scan allocates no tail; a reserved hash table
 // allocates each of its three arrays exactly once, a positional build its
 // bitmap (and payload array), a positional partial or merge its two arrays
-// before the first row; and selection, probe (either table form) and
-// gather kernels with a hinted buffer allocate nothing per chunk.
+// before the first row; selection, probe (either table form) and gather
+// kernels with a presized buffer allocate nothing per chunk; and a
+// selection the engine drives from an empty buffer ends, grown through an
+// empty pool, under twice what it holds plus a strip.
 func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 	const rows = 1 << 14
 	col := NewI64("c", identity(0, rows))
@@ -357,7 +442,7 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 	}
 
 	cand := NewI64("cand", identity(0, rows))
-	ids := make([]int64, 0, selHint(rows))
+	ids := make([]int64, 0, rows)
 	mod3 := NewI64("m", make([]int64, rows)) // every third row matches PredIEq(0)
 	for i := range mod3.I {
 		mod3.I[i] = int64(i % 3)
@@ -372,8 +457,8 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 	if third.span != 0 || thirdPos.span == 0 {
 		t.Fatal("the probe pass does not cover both table forms")
 	}
-	hp := NewHashProbe(col, cand, third, false, true, make([]int64, 0, selHint(rows)), make([]int64, 0, selHint(rows)))
-	hpPos := NewHashProbe(col, cand, thirdPos, false, true, make([]int64, 0, selHint(rows)), make([]int64, 0, selHint(rows)))
+	hp := NewHashProbe(col, cand, third, false, true, make([]int64, 0, rows), make([]int64, 0, rows))
+	hpPos := NewHashProbe(col, cand, thirdPos, false, true, make([]int64, 0, rows), make([]int64, 0, rows))
 	out := NewI64("out", make([]int64, 0, rows))
 	g := NewGather(col, cand, out)
 	if got := testing.AllocsPerRun(20, func() {
@@ -386,24 +471,32 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 			g.runRange(a, a+2048)
 		}
 	}); got != 0 {
-		t.Errorf("hinted selection, probe and gather kernels allocated %v times per pass, want 0", got)
+		t.Errorf("presized selection, probe and gather kernels allocated %v times per pass, want 0", got)
 	}
 
-	// The hint itself: a selection keeping a third of its input never
-	// regrows a buffer of selHint capacity, and an input no longer than
-	// the first strip never does, whatever survives.
+	// Grown from an empty buffer through an empty pool, every selection
+	// kind — whatever survives, a third, all, none, five rows — ends with
+	// less than twice its survivors plus a strip: it regrows by doubling
+	// only once less than a strip of room is left.
 	for _, tc := range []struct {
 		rows int
 		col  *BAT
 		p    Pred
-	}{{rows, mod3, PredIEq(0)}, {minStrip, col, PredIRange(0, rows)}, {5, col, PredIRange(0, rows)}} {
-		buf := make([]int64, 0, selHint(tc.rows))
-		fs := NewFilterScan(tc.col, tc.p, 0, tc.rows, buf)
+	}{{rows, mod3, PredIEq(0)}, {rows, col, PredIRange(0, rows)}, {rows, col, PredIEq(-1)}, {minStrip, col, PredIRange(0, rows)}, {5, col, PredIRange(0, rows)}} {
+		q := &Query{queryBody: &queryBody{eng: &Engine{}}}
+		cand := NewI64("cand", identity(0, tc.rows))
+		fs, fr := NewFilterScan(tc.col, tc.p, 0, tc.rows, nil), NewFilterRefine(tc.col, tc.p, cand, nil)
+		hp := NewHashProbe(tc.col, cand, third, false, true, nil, nil)
+		fs.q, fr.q, hp.q = q, q, q
 		for a := 0; a < tc.rows; a += 2048 {
 			fs.runRange(a, min(a+2048, tc.rows))
+			fr.runRange(a, min(a+2048, tc.rows))
+			hp.runRange(a, min(a+2048, tc.rows))
 		}
-		if len(fs.ids) == 0 || unsafe.SliceData(fs.ids) != unsafe.SliceData(buf[:1]) {
-			t.Errorf("%d rows: the hinted selection buffer was regrown (or nothing matched)", tc.rows)
+		for _, ids := range [][]int64{fs.ids, fr.ids, hp.ids, hp.payloads} {
+			if cap(ids) >= 2*(len(ids)+minStrip) {
+				t.Errorf("%d rows under %v: a selection holding %d values ended with capacity %d", tc.rows, tc.p, len(ids), cap(ids))
+			}
 		}
 	}
 }

@@ -903,7 +903,7 @@ func TestDiffEngineDrive(t *testing.T) {
 		proj("r1", "l_orderkey", "k"),
 		proj("r1", "l_extendedprice", "p"),
 		proj("r1", "l_discount", "d"),
-		proj("all", "l_quantity", "qty"), // a slice copy per chunk
+		proj("all", "l_quantity", "qty"), // a view of the base column
 		proj("none", "l_discount", "nothing"),
 		{Map2("p", "d", "rev", MapMul), refMapF2("p", "d", "rev", mul)},
 		{Map2("nothing", "nothing", "nil2", MapMul), refMapF2("nothing", "nothing", "nil2", mul)},
@@ -1128,7 +1128,7 @@ func TestDiffPoolRegrowth(t *testing.T) {
 		if regrown == 0 {
 			t.Fatalf("seed %d: no operator outgrew its first buffer", seed)
 		}
-		if err := poolAtRest(&eng.pool); err != nil {
+		if err := poolAtRest(eng); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -1,7 +1,9 @@
 package db
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math"
 	"unsafe"
@@ -13,10 +15,13 @@ import (
 // opens them, with a query's results, to reuse_test.go: that test loads
 // TPC-H data, and tpch imports db, so it is an external test.
 
-// poolAtRest reports a pool that is not at rest: a buffer or table still
-// lent out, or a backing array or table filed twice — that one would back
-// two intermediates of later queries at once.
-func poolAtRest(p *bufPool) error {
+// poolAtRest reports an engine whose pool is not at rest: a buffer or
+// table still lent out, a backing array or table filed twice — that one
+// would back two intermediates of later queries at once — or a buffer whose
+// backing array lies in a base column of the engine's store, which a later
+// stage would write over.
+func poolAtRest(e *Engine) error {
+	p := &e.pool
 	if p.lent != 0 {
 		return fmt.Errorf("%d buffers and tables are still lent out", p.lent)
 	}
@@ -28,16 +33,32 @@ func poolAtRest(p *bufPool) error {
 		seen[key] = kind
 		return nil
 	}
+	var base [][2]uintptr
+	if e.store != nil {
+		for _, tb := range e.store.tables {
+			for _, c := range tb.cols {
+				base = append(base, extent(c.I), extent(c.F))
+			}
+		}
+	}
+	owned := func(kind string, key any, ext [2]uintptr) error {
+		for _, b := range base {
+			if ext[0] < b[1] && b[0] < ext[1] {
+				return fmt.Errorf("an %s in the pool lies in a base column", kind)
+			}
+		}
+		return once(kind, key)
+	}
 	for _, bucket := range p.i64 {
 		for _, buf := range bucket {
-			if err := once("int64 backing array", unsafe.SliceData(buf)); err != nil {
+			if err := owned("int64 backing array", unsafe.SliceData(buf), extent(buf)); err != nil {
 				return err
 			}
 		}
 	}
 	for _, bucket := range p.f64 {
 		for _, buf := range bucket {
-			if err := once("float64 backing array", unsafe.SliceData(buf)); err != nil {
+			if err := owned("float64 backing array", unsafe.SliceData(buf), extent(buf)); err != nil {
 				return err
 			}
 		}
@@ -53,6 +74,27 @@ func poolAtRest(p *bufPool) error {
 		}
 	}
 	return nil
+}
+
+// extent is the address range of buf's backing array up to its capacity.
+func extent[T any](buf []T) [2]uintptr {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return [2]uintptr{lo, lo + uintptr(cap(buf))*unsafe.Sizeof(*new(T))}
+}
+
+// BaseHashes returns the FNV-1a hash of every base column of e's store, by
+// table.column.
+func BaseHashes(e *Engine) map[string]uint64 {
+	out := map[string]uint64{}
+	for tn, tb := range e.store.tables {
+		for cn, c := range tb.cols {
+			h := fnv.New64a()
+			binary.Write(h, binary.LittleEndian, c.I)
+			binary.Write(h, binary.LittleEndian, c.F)
+			out[tn+"."+cn] = h.Sum64()
+		}
+	}
+	return out
 }
 
 // stockPool files n int64 and n float64 buffers of random capacities in
@@ -75,8 +117,8 @@ func stockPool(p *bufPool, seed uint64, n, maxCap int) {
 	}
 }
 
-// PoolAtRest is poolAtRest over e's pool.
-func PoolAtRest(e *Engine) error { return poolAtRest(&e.pool) }
+// PoolAtRest is poolAtRest.
+func PoolAtRest(e *Engine) error { return poolAtRest(e) }
 
 // StockPool is stockPool over e's pool.
 func StockPool(e *Engine, seed uint64, n, maxCap int) { stockPool(&e.pool, seed, n, maxCap) }

@@ -142,11 +142,6 @@ const minStrip = 64
 // never fewer than minStrip.
 func strip(n int, out []int64) int { return min(n, max(cap(out)-len(out), minStrip)) }
 
-// selHint sizes the scratch buffer of a selection over rows inputs: half
-// of them, and never less than the first strip, which therefore never
-// regrows it.
-func selHint(rows int) int { return max(rows/2, min(rows, minStrip)) }
-
 // inList is b2i(v ∈ list). IN lists are a handful of constants, so
 // testing all of them branch-free beats an early exit.
 func inList(list []int64, v int64) int {
@@ -327,11 +322,7 @@ func lowerScan(q *Query, op *OpSpec) []Task {
 	q.tasks = q.tasks[:0]
 	for i, r := range ranges {
 		s := &slab[i]
-		var buf []int64
-		if op.Pred.form != predAll {
-			buf = q.scratchI64(selHint(r[1] - r[0]))
-		}
-		s.op.init(c, &op.Pred, r[0], r[1], buf)
+		s.op.init(c, &op.Pred, r[0], r[1], nil)
 		s.op.q, s.op.out = q, ps.Parts[i]
 		s.init("algebra.thetasubselect", q.Machine(), &s.op, r[0], r[1], cyclesScan, c)
 		q.tasks = append(q.tasks, &s.chunkTask)
@@ -353,7 +344,7 @@ func lowerRefine(q *Query, op *OpSpec) []Task {
 			continue
 		}
 		s := &slab[i]
-		s.op.init(c, &op.Pred, cand, q.scratchI64(selHint(cand.Len())))
+		s.op.init(c, &op.Pred, cand, nil)
 		s.op.q, s.op.out = q, ps.Parts[i]
 		s.gathers("algebra.subselect", q, &s.op, cand, c, cyclesGather)
 		q.tasks = append(q.tasks, &s.chunkTask)
@@ -363,7 +354,9 @@ func lowerRefine(q *Query, op *OpSpec) []Task {
 
 // lowerProject plans algebra.projection (OpProject): it gathers base-column
 // values at the candidate positions in variable In, producing aligned value
-// fragments in Out.
+// fragments in Out. A fragment over a dense candidate is a view of the rows
+// it covers; its task charges the gathered reads and the materializing
+// write all the same.
 func lowerProject(q *Query, op *OpSpec) []Task {
 	c := q.eng.store.Table(op.Table).Col(op.Col)
 	inPS := q.Var(op.In)
@@ -375,9 +368,14 @@ func lowerProject(q *Query, op *OpSpec) []Task {
 			continue
 		}
 		s, outB := &slab[i], ps.Parts[i]
-		if c.Kind == KindI64 {
+		switch lo, hi := cand.seq, cand.seq+cand.n; {
+		case cand.n > 0 && c.Kind == KindI64:
+			outB.I, outB.view = c.I[lo:hi:hi], true
+		case cand.n > 0:
+			outB.F, outB.view = c.F[lo:hi:hi], true
+		case c.Kind == KindI64:
 			outB.I = q.scratchI64(cand.Len())
-		} else {
+		default:
 			outB.F = q.scratchF64(cand.Len())
 		}
 		s.op = Gather{col: c, cand: cand, out: outB}
@@ -533,10 +531,9 @@ func lowerProbe(q *Query, op *OpSpec) []Task {
 			continue
 		}
 		s := &slab[i]
-		s.op = HashProbe{col: c, cand: cand, set: set, anti: op.Kind == OpProbeAnti, fetch: vps != nil,
-			ids: q.scratchI64(selHint(cand.Len())), q: q, out: ps.Parts[i]}
+		s.op = HashProbe{col: c, cand: cand, set: set, anti: op.Kind == OpProbeAnti, fetch: vps != nil, q: q, out: ps.Parts[i]}
 		if vps != nil {
-			s.op.payloads, s.op.payOut = q.scratchI64(selHint(cand.Len())), vps.Parts[i]
+			s.op.payOut = vps.Parts[i]
 		}
 		s.gathers("join.probe", q, &s.op, cand, c, cyclesProbe)
 		q.tasks = append(q.tasks, &s.chunkTask)

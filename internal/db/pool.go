@@ -13,7 +13,10 @@ import "math/bits"
 // query or of any other on the engine — can draw it again. A binding that
 // no later step reads is a result; it lives until Engine.Release. Scratch
 // storage a stage uses only while it runs (the group merge's table and sort
-// pair, a selection buffer an operator outgrew) goes back at once.
+// pair, a selection buffer an operator outgrew) goes back at once. A view
+// owns nothing: a projection through a dense candidate list borrows its
+// tail from the base column (BAT.view), and free drops that slice without
+// filing it, so no later stage can write into the store.
 //
 // The query's own bookkeeping is recycled whole: Release detaches the
 // released query's body (its name maps, the arenas its BAT headers,
@@ -59,56 +62,33 @@ func class(capacity int) int {
 	return c
 }
 
-// A lookup searches the request's own bucket and the two above it, so a
-// buffer at most eight times the request's size serves it and a larger one
-// is kept for a request it fits. In the own bucket, which holds capacities
-// [2^(c-1), 2^c), a buffer can be too small for the request; in every
-// higher bucket the top buffer fits. Recently returned buffers are looked
-// at first — the top poolProbe entries of the own bucket, then the top of
-// each bucket above — and only then the rest of the own bucket, so a
-// fitting buffer that too-small ones hide still serves before a new one
-// is made.
-const (
-	poolReach = 3
-	poolProbe = 8
-)
+// A lookup rounds the request up to a power of two, 2^(c-1), so every
+// buffer filed under its bucket c, which holds capacities [2^(c-1), 2^c),
+// fits it. It hands out the top of the first non-empty bucket among the
+// request's own and the two above it: the most recently returned buffer,
+// likeliest still warm in the host's caches. A buffer at most eight times
+// the request's size serves it; a larger one is kept for a request it fits.
+const poolReach = 3
 
 // take returns a zero-length buffer with at least the given capacity from
-// the buckets, making one when none fits; lent counts it as handed out.
+// the buckets, making one of the rounded size when none is filed (or the
+// request is beyond the top bucket's range); lent counts it as handed out.
 func take[T any](buckets *[poolClasses][][]T, capacity int, lent *int) []T {
-	own := class(capacity)
-	c, i := own, fit(buckets[own], capacity, poolProbe)
-	for up := own + 1; i < 0 && up < min(own+poolReach, poolClasses); up++ {
-		c, i = up, len(buckets[up])-1
+	if capacity <= 0 {
+		return []T{}
 	}
-	if i < 0 {
-		below := buckets[own][:max(0, len(buckets[own])-poolProbe)]
-		c, i = own, fit(below, capacity, len(below))
-	}
-	if i < 0 {
-		buf := make([]T, 0, capacity)
-		if capacity > 0 {
-			*lent++
-		}
-		return buf
-	}
-	stack := buckets[c]
-	buf, top := stack[i], len(stack)-1
-	stack[i], stack[top] = stack[top], nil
-	buckets[c] = stack[:top]
 	*lent++
-	return buf[:0]
-}
-
-// fit returns the index of the topmost of the top depth buffers of stack
-// that holds capacity values, or -1 when none does.
-func fit[T any](stack [][]T, capacity, depth int) int {
-	for i := len(stack) - 1; i >= max(0, len(stack)-depth); i-- {
-		if cap(stack[i]) >= capacity {
-			return i
+	own := bits.Len(uint(capacity-1)) + 1 // the bucket of the rounded size
+	for c := own; c < min(own+poolReach, poolClasses); c++ {
+		if stack := buckets[c]; len(stack) > 0 {
+			top := len(stack) - 1
+			buf := stack[top]
+			stack[top] = nil
+			buckets[c] = stack[:top]
+			return buf[:0]
 		}
 	}
-	return -1
+	return make([]T, 0, 1<<(own-1))
 }
 
 // give files a buffer back under the bucket of its capacity (beyond
@@ -294,7 +274,8 @@ func (q *Query) scratchF64(capacity int) []float64 {
 }
 
 // roomI64 returns buf with room to blind-write n more values. An operator
-// the engine drives that outgrows its buffer moves into one twice as large
+// the engine drives starts empty, its first strip drawing at most minStrip
+// values, and when it outgrows its buffer moves into one twice as large
 // from the pool and returns the old one there; a standalone operator (nil
 // query) leaves the growth to growFor.
 func (q *Query) roomI64(buf []int64, n int) []int64 {
@@ -357,18 +338,21 @@ func (q *Query) bury(p *bufPool) {
 }
 
 // free returns a binding's storage to the pool and unbinds its name if the
-// name still holds it. Each BAT's host slice is dropped as it goes back and
-// each partial table is cleared from its slot, so storage can reach the pool
-// only once; the BAT headers keep their simulated regions.
+// name still holds it. Each BAT's host slice is dropped as it goes back (a
+// view's without going back) and each partial table is cleared from its
+// slot, so storage can reach the pool only once; the BAT headers keep their
+// simulated regions.
 func (q *Query) free(p *bufPool, h held) {
 	if ps := h.vals; ps != nil {
 		for _, b := range ps.Parts {
 			if b == nil {
 				continue
 			}
-			p.putI64(b.I)
-			p.putF64(b.F)
-			b.I, b.F = nil, nil
+			if !b.view {
+				p.putI64(b.I)
+				p.putF64(b.F)
+			}
+			b.I, b.F, b.view = nil, nil, false
 		}
 		if q.vars[h.name] == ps {
 			delete(q.vars, h.name)

@@ -60,8 +60,8 @@ func poolDepth(p *bufPool) int {
 // buffers exactly once. Without the guard, the duplicate donation would
 // hand one backing array to two later queries simultaneously. The guard
 // lives on the handle, so it holds once the released query's body serves
-// the next one: releasing the stale handle again leaves that query running
-// and its storage lent.
+// the next one: releasing the stale handle again leaves that query running,
+// and once it has finished, its result lent.
 func TestReleaseIsIdempotent(t *testing.T) {
 	eng, run := poolRig(t)
 	q := run()
@@ -82,21 +82,29 @@ func TestReleaseIsIdempotent(t *testing.T) {
 		t.Error("released flag not set, or the body still attached")
 	}
 
-	next := eng.Submit(lower("scan", Scan("t", "v", "c", PredFLess(25)), Count("c", "n")))
-	lent := eng.pool.lent
-	if next.queryBody != body || next.Done() || lent == 0 {
-		t.Fatalf("the next query got body %p (released %p), done %v, %d buffers lent", next.queryBody, body, next.Done(), lent)
+	// The next query's candidate list is its result.
+	next := eng.Submit(lower("scan", Scan("t", "v", "c", PredFLess(25))))
+	if next.queryBody != body || next.Done() {
+		t.Fatalf("the next query got body %p (released %p), done %v", next.queryBody, body, next.Done())
 	}
 	eng.Release(q)
-	if next.Done() || next.queryBody != body || eng.pool.lent != lent || len(eng.spare) != 0 {
-		t.Fatalf("releasing the stale handle again: next query done %v, body %p, %d buffers lent (want %d), %d bodies spare",
-			next.Done(), next.queryBody, eng.pool.lent, lent, len(eng.spare))
+	if next.Done() || next.queryBody != body || len(eng.spare) != 0 {
+		t.Fatalf("releasing the stale handle again: next query done %v, body %p, %d bodies spare", next.Done(), next.queryBody, len(eng.spare))
 	}
 	if !eng.sched.RunUntil(next.Done, eng.machine.Topology().SecondsToCycles(10)) {
 		t.Fatal("the next query did not finish")
 	}
-	if got := next.Scalar("n"); got != want {
-		t.Errorf("the next query counted %v rows, want %v", got, want)
+	lent := eng.pool.lent
+	if lent == 0 {
+		t.Fatal("the next query's result holds no pooled buffer")
+	}
+	eng.Release(q)
+	if next.queryBody != body || eng.pool.lent != lent || len(eng.spare) != 0 {
+		t.Fatalf("releasing the stale handle after the next query finished: body %p, %d buffers lent (want %d), %d bodies spare",
+			next.queryBody, eng.pool.lent, lent, len(eng.spare))
+	}
+	if got := float64(next.Var("c").Rows()); got != want {
+		t.Errorf("the next query kept %v rows, want %v", got, want)
 	}
 }
 
@@ -241,7 +249,7 @@ func TestReleaseDonatesEachBufferOnce(t *testing.T) {
 	if poolDepth(&r.eng.pool) == 0 {
 		t.Fatal("the released queries pooled nothing")
 	}
-	if err := poolAtRest(&r.eng.pool); err != nil {
+	if err := poolAtRest(r.eng); err != nil {
 		t.Error(err)
 	}
 }
@@ -376,7 +384,7 @@ func TestPoolAtRestAfterMixedStream(t *testing.T) {
 			return true
 		})
 	}
-	if err := poolAtRest(&r.eng.pool); err != nil {
+	if err := poolAtRest(r.eng); err != nil {
 		t.Error(err)
 	}
 	if n := len(r.eng.spare); n == 0 || n > inFlight {

@@ -123,3 +123,41 @@ func TestQueriesInFlightMatchQueriesAlone(t *testing.T) {
 		t.Errorf("the 22 queries left %d results", results)
 	}
 }
+
+// TestViewsAreNeverWrittenNorPooled: a projection through a dense candidate
+// list is a view of the base column — Q13, Q18 and Q22 make them — and a
+// view must never be written nor filed in the pool, where a later stage
+// would write over the store. All 22 queries run at once on an engine whose
+// pool starts stocked with poisoned buffers, and all are released: every
+// base column then hashes as it did before, and the pool is at rest, none
+// of its buffers inside a base column.
+func TestViewsAreNeverWrittenNorPooled(t *testing.T) {
+	plans := make([]*db.Plan, tpch.QueryCount)
+	views := 0
+	for n := 1; n <= tpch.QueryCount; n++ {
+		plans[n-1] = tpch.Build(n, uint64(n))
+		dense := map[string]bool{}
+		for _, op := range plans[n-1].Ops {
+			switch {
+			case op.Kind == db.OpScan && reflect.DeepEqual(op.Pred, db.PredAll()):
+				dense[op.Out] = true
+			case op.Kind == db.OpProject && dense[op.In]:
+				views++
+			}
+		}
+	}
+	if views == 0 {
+		t.Fatal("no TPC-H plan projects through a dense candidate list")
+	}
+	m, sc, eng := tpchRig(t, true)
+	before := db.BaseHashes(eng)
+	runTPCH(t, m, sc, eng, plans)
+	for col, h := range db.BaseHashes(eng) {
+		if h != before[col] {
+			t.Errorf("base column %s changed", col)
+		}
+	}
+	if err := db.PoolAtRest(eng); err != nil {
+		t.Error(err)
+	}
+}

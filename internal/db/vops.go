@@ -100,8 +100,8 @@ type FilterScan struct {
 }
 
 // NewFilterScan builds the operator over rows [lo, hi) of col. buf seeds
-// the OID accumulator (pass a pooled scratch buffer inside the engine,
-// nil standalone or under PredAll).
+// the OID accumulator (nil starts it empty; inside the engine it grows
+// through the pool from one strip).
 func NewFilterScan(col *BAT, p Pred, lo, hi int, buf []int64) *FilterScan {
 	s := &struct {
 		FilterScan
@@ -262,6 +262,9 @@ func (g *Gather) runRange(a, b int) {
 		return
 	}
 	if cand.n > 0 { // positions a … b are rows seq+a … seq+b: a slice copy
+		if outB.view {
+			return // the engine's projection: out is those rows already
+		}
 		lo, hi := cand.seq+a, cand.seq+b
 		if c.Kind == KindI64 {
 			outB.I = append(outB.I, c.I[lo:hi]...)
