@@ -47,9 +47,11 @@ const valueBytes = 8
 // are those of the materialized vector; only the host-side identity
 // vector is gone. Projecting a dense candidate list is, as in MonetDB, a
 // view: view marks a tail that borrows the rows of the base column the
-// candidates cover, capped so no append reaches past them. The view has
-// its own region and charges, those of the copy it stands for; only the
-// host copy is gone, and the pool never files a view's slice. The header
+// candidates cover, capped so no append reaches past them (a replayed
+// selection's tail is a view too, of a list the engine's recycler keeps:
+// recycle.go). The view has its own region and charges, those of the copy
+// it stands for; only the host copy is gone, and the pool never files a
+// view's slice. The header
 // stays 96 bytes, the stride of a stage's header array (TestBATHeaderSize),
 // which is why the region keeps its start block only — its block count
 // follows from Len.

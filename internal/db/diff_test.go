@@ -1133,3 +1133,115 @@ func TestDiffPoolRegrowth(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffRecycledSteps is the engine drive's differential of the recycler
+// (recycle.go): Q6 over eight parameter combinations, three passes, each
+// query planned stage by stage and its tasks stepped with SplitMix64-random
+// budgets, on an engine that recycles its selections and on an identical
+// one whose recycler is cleared before every query. After every Step the
+// cycles used, the done flag and every counter of the machine must agree:
+// a replayed partition charges each chunk as the computed one does, in the
+// same budget increments. Every variable must agree at the end of each
+// query, and the third pass must replay every selection: the quantity
+// bounds are low, so that all 14 lineages fit the budget of an eighth of
+// the rig's five columns.
+func TestDiffRecycledSteps(t *testing.T) {
+	var specs []PlanSpec
+	for _, qty := range []float64{3, 4} {
+		for _, year := range []int64{1996, 1997} {
+			for _, d := range []float64{0.03, 0.06} {
+				specs = append(specs, spec("Q6",
+					Scan("lineitem", "l_quantity", "X_1", PredFLess(qty)),
+					Refine("X_1", "lineitem", "l_shipdate", "X_2", PredIRange(year*10000+101, (year+1)*10000+101)),
+					Refine("X_2", "lineitem", "l_discount", "X_3", PredFRange(d-0.01, d+0.01)),
+					Project("X_3", "lineitem", "l_extendedprice", "X_4"),
+					Project("X_3", "lineitem", "l_discount", "X_5"),
+					Map2("X_4", "X_5", "X_6", MapMul),
+					Sum("X_6", "revenue"),
+				))
+			}
+		}
+	}
+	type side struct {
+		m   *numa.Machine
+		eng *Engine
+		ctx sched.ExecContext
+	}
+	for _, seed := range diffSeeds {
+		mk := func() *side {
+			r := newDBRig(t, 30000, PlacementOS)
+			eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, Fanout: 4, MinPartRows: 64, ParseCycles: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &side{m: r.machine, eng: eng, ctx: sched.ExecContext{Machine: r.machine, PID: 101}}
+		}
+		rec, comp := mk(), mk()
+		r := newDiffRNG(seed)
+		budget := func() uint64 {
+			switch r.intn(3) {
+			case 0:
+				return 300 + uint64(r.intn(3000))
+			case 1:
+				return 5000 + uint64(r.intn(40000))
+			}
+			return 1 << 40
+		}
+		for pass := 1; pass <= 3; pass++ {
+			selections, replays, _ := rec.eng.rec.counts()
+			for si, sp := range specs {
+				comp.eng.rec = nil
+				rq, cq := planningQuery(rec.eng), planningQuery(comp.eng)
+				for oi := range sp.Ops {
+					rts, cts := planOp(rq, &sp.Ops[oi]), planOp(cq, &sp.Ops[oi])
+					if len(rts) != len(cts) {
+						t.Fatalf("seed %d pass %d query %d op %d: %d tasks, computed %d", seed, pass, si, oi, len(rts), len(cts))
+					}
+					for ti := range rts {
+						rec.ctx.Core = numa.CoreID((oi + 3*ti) % rec.m.Topology().TotalCores())
+						comp.ctx.Core = rec.ctx.Core
+						for n := 0; ; n++ {
+							b := budget()
+							ur, dr := rts[ti].Step(&rec.ctx, b)
+							uc, dc := cts[ti].Step(&comp.ctx, b)
+							if ur != uc || dr != dc {
+								t.Fatalf("seed %d pass %d query %d op %d task %d step %d (budget %d): used %d done %v, computed %d %v", seed, pass, si, oi, ti, n, b, ur, dr, uc, dc)
+							}
+							if !reflect.DeepEqual(rec.m.Snapshot(), comp.m.Snapshot()) {
+								t.Fatalf("seed %d pass %d query %d op %d task %d step %d: numa counters differ from the computed run", seed, pass, si, oi, ti, n)
+							}
+							if dr {
+								break
+							}
+						}
+					}
+				}
+				if rq.Scalar("revenue") != cq.Scalar("revenue") || rq.Scalar("revenue") == 0 {
+					t.Fatalf("seed %d pass %d query %d: revenue %v, computed %v", seed, pass, si, rq.Scalar("revenue"), cq.Scalar("revenue"))
+				}
+				for name, ps := range rq.vars {
+					want := cq.Var(name)
+					for i, frag := range ps.Parts {
+						w := want.Parts[i]
+						label := fmt.Sprintf("seed %d pass %d query %d: %s[%d]", seed, pass, si, name, i)
+						if frag.placed != w.placed || frag.start != w.start {
+							t.Fatalf("%s: region %v@%d, computed %v@%d", label, frag.placed, frag.start, w.placed, w.start)
+						}
+						eqI64(t, label, frag.appendI64(nil), w.appendI64(nil))
+						eqF64(t, label, frag.F, w.F)
+					}
+				}
+				releaseByHand(rec.eng, rq)
+				releaseByHand(comp.eng, cq)
+			}
+			if s, rp, _ := rec.eng.rec.counts(); pass == 3 && (s-selections != 3*len(specs) || rp-replays != 3*len(specs)) {
+				t.Fatalf("seed %d: the third pass replayed %d of %d selections", seed, rp-replays, s-selections)
+			}
+		}
+		for _, e := range []*Engine{rec.eng, comp.eng} {
+			if err := poolAtRest(e); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+	}
+}

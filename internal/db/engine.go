@@ -103,6 +103,9 @@ type Engine struct {
 	// to queries on demand; an intermediate's comes back when its last
 	// reader's stage drains, a result's when the query is released.
 	pool bufPool
+	// rec keeps the candidate lists of repeated selections (recycle.go),
+	// built at the engine's first selection.
+	rec *recycler
 
 	// TasksExecuted counts finished tasks (paper Fig 13 (c)).
 	TasksExecuted uint64

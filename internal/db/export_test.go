@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"maps"
 	"math"
+	"slices"
 	"unsafe"
 
 	"elasticore/internal/hashmix"
@@ -18,8 +19,8 @@ import (
 // poolAtRest reports an engine whose pool is not at rest: a buffer or
 // table still lent out, a backing array or table filed twice — that one
 // would back two intermediates of later queries at once — or a buffer whose
-// backing array lies in a base column of the engine's store, which a later
-// stage would write over.
+// backing array lies in a base column of the engine's store or in a list
+// its recycler keeps, which a later stage would write over.
 func poolAtRest(e *Engine) error {
 	p := &e.pool
 	if p.lent != 0 {
@@ -41,10 +42,19 @@ func poolAtRest(e *Engine) error {
 			}
 		}
 	}
+	var kept [][2]uintptr
+	for _, list := range recycledLists(e) {
+		kept = append(kept, extent(list))
+	}
 	owned := func(kind string, key any, ext [2]uintptr) error {
 		for _, b := range base {
 			if ext[0] < b[1] && b[0] < ext[1] {
 				return fmt.Errorf("an %s in the pool lies in a base column", kind)
+			}
+		}
+		for _, b := range kept {
+			if ext[0] < b[1] && b[0] < ext[1] {
+				return fmt.Errorf("an %s in the pool lies in a recycled list", kind)
 			}
 		}
 		return once(kind, key)
@@ -133,3 +143,48 @@ func Results(q *Query) (scalars map[string]float64, ints map[string][]int64, flo
 	}
 	return maps.Clone(q.scalars), ints, floats
 }
+
+// recycledLists returns the array of every entry e's recycler holds, in
+// lineage order.
+func recycledLists(e *Engine) [][]int64 {
+	if e.rec == nil {
+		return nil
+	}
+	held := make([][]int64, len(e.rec.keys)+1)
+	for _, en := range e.rec.keys {
+		if en.state == entryHeld {
+			held[en.id] = en.lists
+		}
+	}
+	return slices.DeleteFunc(held, func(l []int64) bool { return l == nil })
+}
+
+// RecycledHashes returns the FNV-1a hash of every list e's recycler holds,
+// by the address of its array.
+func RecycledHashes(e *Engine) map[*int64]uint64 {
+	out := map[*int64]uint64{}
+	for _, list := range recycledLists(e) {
+		h := fnv.New64a()
+		binary.Write(h, binary.LittleEndian, list)
+		out[unsafe.SliceData(list)] = h.Sum64()
+	}
+	return out
+}
+
+// ClearRecycler empties e's recycler: the next selection starts a new one.
+// A query in flight fills into the old one, and the lineages its outputs
+// carry may name other selections in the new one, so a twin cleared to
+// compute everything must check that it replayed nothing.
+func ClearRecycler(e *Engine) { e.rec = nil }
+
+// counts returns the selection stages r planned, how many of them replayed
+// kept lists and the bytes the lists hold; none for no recycler yet.
+func (r *recycler) counts() (selections, replays, kept int) {
+	if r == nil {
+		return 0, 0, 0
+	}
+	return r.selections, r.replays, r.kept
+}
+
+// RecyclerCounts is counts of e's recycler.
+func RecyclerCounts(e *Engine) (selections, replays, kept int) { return e.rec.counts() }

@@ -311,32 +311,41 @@ type slot[O any] struct {
 // lowerScan plans algebra.thetasubselect (OpScan): a full partitioned scan
 // of a base-table column producing per-partition candidate lists (row OIDs)
 // in variable Out. Under PredAll it is the sql.tid pattern: a candidate
-// list covering the table, answered as dense ranges.
+// list covering the table, answered as dense ranges. A scan the engine's
+// recycler holds replays its kept lists (recycle.go).
 func lowerScan(q *Query, op *OpSpec) []Task {
 	base := q.eng.store.Table(op.Table)
 	c := base.Col(op.Col)
 	q.ranges = partitionRanges(q.ranges, base.Rows, q.Fanout(), q.eng.cfg.MinPartRows)
 	ranges := q.ranges
 	ps := q.newVar(op.Out, KindI64, len(ranges))
+	held, keep := q.recall(c, nil, &op.Pred, ps)
 	slab := takeSlab(&q.scanSlab, len(ranges))
 	q.tasks = q.tasks[:0]
 	for i, r := range ranges {
 		s := &slab[i]
 		s.op.init(c, &op.Pred, r[0], r[1], nil)
-		s.op.q, s.op.out = q, ps.Parts[i]
+		s.op.q, s.op.out, s.op.keep = q, ps.Parts[i], keep
+		if held != nil {
+			s.op.ids, s.op.replay = held.list(i), true
+		}
 		s.init("algebra.thetasubselect", q.Machine(), &s.op, r[0], r[1], cyclesScan, c)
 		q.tasks = append(q.tasks, &s.chunkTask)
+	}
+	if keep != nil {
+		keep.expect(len(q.tasks))
 	}
 	return q.tasks
 }
 
 // lowerRefine plans algebra.subselect (OpRefine): it refines the candidate
 // lists in variable In against a further predicate on a base column,
-// producing Out.
+// producing Out, or replays them as lowerScan does.
 func lowerRefine(q *Query, op *OpSpec) []Task {
 	c := q.eng.store.Table(op.Table).Col(op.Col)
 	inPS := q.Var(op.In)
 	ps := q.newVar(op.Out, KindI64, len(inPS.Parts))
+	held, keep := q.recall(c, inPS, &op.Pred, ps)
 	slab := takeSlab(&q.refineSlab, len(inPS.Parts))
 	q.tasks = q.tasks[:0]
 	for i, cand := range inPS.Parts {
@@ -345,9 +354,15 @@ func lowerRefine(q *Query, op *OpSpec) []Task {
 		}
 		s := &slab[i]
 		s.op.init(c, &op.Pred, cand, nil)
-		s.op.q, s.op.out = q, ps.Parts[i]
+		s.op.q, s.op.out, s.op.keep = q, ps.Parts[i], keep
+		if held != nil {
+			s.op.ids, s.op.replay = held.list(i), true
+		}
 		s.gathers("algebra.subselect", q, &s.op, cand, c, cyclesGather)
 		q.tasks = append(q.tasks, &s.chunkTask)
+	}
+	if keep != nil {
+		keep.expect(len(q.tasks))
 	}
 	return q.tasks
 }

@@ -13,6 +13,9 @@ import (
 // the Volcano model.
 type PartSet struct {
 	Parts []*BAT
+	// lin is the lineage of a selection's output, which fixes its lists
+	// (recycle.go); 0, as newVar leaves it, is none.
+	lin uint32
 }
 
 // Rows returns the total row count across fragments.

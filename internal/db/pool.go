@@ -15,8 +15,9 @@ import "math/bits"
 // storage a stage uses only while it runs (the group merge's table and sort
 // pair, a selection buffer an operator outgrew) goes back at once. A view
 // owns nothing: a projection through a dense candidate list borrows its
-// tail from the base column (BAT.view), and free drops that slice without
-// filing it, so no later stage can write into the store.
+// tail from the base column (BAT.view), a replayed selection from a list
+// the engine's recycler keeps (recycle.go), and free drops that slice
+// without filing it, so no later stage can write into either.
 //
 // The query's own bookkeeping is recycled whole: Release detaches the
 // released query's body (its name maps, the arenas its BAT headers,

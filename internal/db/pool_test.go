@@ -3,6 +3,7 @@ package db
 import (
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"elasticore/internal/numa"
@@ -394,5 +395,31 @@ func TestPoolAtRestAfterMixedStream(t *testing.T) {
 		if slices.Contains(r.eng.spare[:i], b) {
 			t.Errorf("body %p is filed twice", b)
 		}
+	}
+}
+
+// TestPoolAtRestSeesRecycledLists: a list the recycler keeps is a view's
+// tail for every query that replays it, so a pooled buffer inside one —
+// which the next stage to draw it would write over — is a pool not at
+// rest.
+func TestPoolAtRestSeesRecycledLists(t *testing.T) {
+	r := newDBRig(t, 20000, PlacementOS)
+	for range 3 {
+		q := r.eng.Submit(q6Plan())
+		r.run(t, q)
+		r.eng.Release(q)
+	}
+	if err := poolAtRest(r.eng); err != nil {
+		t.Fatal(err)
+	}
+	lists := recycledLists(r.eng)
+	if len(lists) == 0 {
+		t.Fatal("three Q6 runs left no recycled list")
+	}
+	list := lists[len(lists)-1]
+	inside := list[len(list)-2 : len(list)-1]
+	r.eng.pool.i64[class(cap(inside))] = append(r.eng.pool.i64[class(cap(inside))], inside[:0])
+	if err := poolAtRest(r.eng); err == nil || !strings.Contains(err.Error(), "recycled list") {
+		t.Errorf("a pooled buffer inside a recycled list: poolAtRest said %v", err)
 	}
 }

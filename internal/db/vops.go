@@ -94,9 +94,13 @@ type FilterScan struct {
 	m      meter
 
 	// Engine drive: the query whose pool ids grows through, the header the
-	// result fills.
-	q   *Query
-	out *BAT
+	// result fills, and the recycler's part (recycle.go): replay marks ids
+	// as a kept list the kernel need not compute, keep the entry that
+	// keeps the lists this stage computes.
+	q      *Query
+	out    *BAT
+	replay bool
+	keep   *selEntry
 }
 
 // NewFilterScan builds the operator over rows [lo, hi) of col. buf seeds
@@ -122,6 +126,9 @@ func (fs *FilterScan) init(col *BAT, p *Pred, lo, hi int, buf []int64) {
 // runRange runs the kernel over base rows [a, b) (engine drive: chunks
 // arrive in order from lo), strip by strip.
 func (fs *FilterScan) runRange(a, b int) {
+	if fs.replay {
+		return
+	}
 	if fs.pred.form == predAll {
 		fs.all += b - a
 		return
@@ -143,9 +150,14 @@ func (fs *FilterScan) fill(out *BAT) {
 	out.I = fs.ids
 }
 
-// complete implements kernel: the candidate list fills the header.
+// complete implements kernel: the candidate list fills the header, a
+// replayed one as a view.
 func (fs *FilterScan) complete() (*BAT, *BAT) {
 	fs.fill(fs.out)
+	fs.out.view = fs.replay
+	if fs.keep != nil {
+		fs.keep.done()
+	}
 	return fs.out, nil
 }
 
@@ -182,10 +194,11 @@ type FilterRefine struct {
 	cursor int
 	m      meter
 
-	// Engine drive: the query whose pool ids grows through, the header the
-	// result fills.
-	q   *Query
-	out *BAT
+	// Engine drive, as FilterScan's.
+	q      *Query
+	out    *BAT
+	replay bool
+	keep   *selEntry
 }
 
 // NewFilterRefine builds the operator over the candidate list cand.
@@ -206,6 +219,9 @@ func (fr *FilterRefine) init(col *BAT, p *Pred, cand *BAT, buf []int64) {
 }
 
 func (fr *FilterRefine) runRange(a, b int) {
+	if fr.replay {
+		return
+	}
 	for b = min(b, fr.cand.Len()); a < b; {
 		n := strip(b-a, fr.ids)
 		fr.ids = fr.q.roomI64(fr.ids, n)
@@ -214,9 +230,13 @@ func (fr *FilterRefine) runRange(a, b int) {
 	}
 }
 
-// complete implements kernel: the surviving candidates fill the header.
+// complete implements kernel: the surviving candidates fill the header, a
+// replayed list as a view.
 func (fr *FilterRefine) complete() (*BAT, *BAT) {
-	fr.out.I = fr.ids
+	fr.out.I, fr.out.view = fr.ids, fr.replay
+	if fr.keep != nil {
+		fr.keep.done()
+	}
 	return fr.out, nil
 }
 
