@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"elasticore/internal/arrivals"
+	"elasticore/internal/db"
 	"elasticore/internal/faults"
 	"elasticore/internal/obs"
+	"elasticore/internal/tpch"
 	"elasticore/internal/workload"
 )
 
@@ -265,5 +267,82 @@ func TestWireDeliveryQueuesBehindArrivals(t *testing.T) {
 	if routes[0].Label != labelScatter || routes[1].Label != labelKeyed {
 		t.Fatalf("machine 0 queued %q then %q, want the scatter's sub-query ahead of the delayed keyed request",
 			routes[0].Label, routes[1].Label)
+	}
+}
+
+// TestHealthAdvanceMatchesTicks: a health-monitored fleet stretches its
+// epochs up to HealthMonitor.NextAt — the next heartbeat, death deadline or
+// transfer landing — and an Advance over them matches a Tick-by-Tick twin
+// exactly through a crash, its detection, the shard transfers, the
+// recovery and the transfers back: every bus event, the deaths,
+// recoveries, landed transfers and their cycles, every machine's counters
+// and every admission's accounting. Under ModeOS no mechanism bounds a
+// stretch, so the health monitor's own deadlines do; under ModeDense the
+// control periods cut in as well. A transfer takes 5.3 ms, so it lands
+// between heartbeats.
+func TestHealthAdvanceMatchesTicks(t *testing.T) {
+	for _, mode := range []workload.Mode{workload.ModeOS, workload.ModeDense} {
+		build := func() (*Fleet, *obs.Bus, []*workload.Admission) {
+			bus := obs.NewBus(0)
+			plan, err := faults.Parse("crash m1 @2ms for 10ms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := NewFleet(Options{Machines: 3, Shards: 6, SF: 0.002, Seed: 7, Mode: mode, Replicas: 2, Faults: plan, Bus: bus})
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo := f.Rigs[0].Machine.Topology()
+			if _, err := NewHealthMonitor(HealthConfig{
+				Fleet:           f,
+				HeartbeatEvery:  topo.SecondsToCycles(1e-3),
+				DeadAfter:       topo.SecondsToCycles(4e-3),
+				TransferLatency: topo.SecondsToCycles(5.3e-3),
+				BrownoutCap:     8,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			adms := make([]*workload.Admission, len(f.Rigs))
+			for m, r := range f.Rigs {
+				adms[m] = &workload.Admission{Rig: r, MaxInFlight: 4}
+				f.RegisterAdmission(m, adms[m])
+				for k := 0; k < 12; k++ {
+					adms[m].Offer(0, 0, int64(m*100+k))
+				}
+				adms[m].Fill(0, func(k int, tag int64) *db.Plan {
+					return tpch.Build(1+int(tag)%22, uint64(tag)+1)
+				})
+			}
+			return f, bus, adms
+		}
+		ref, refBus, refAdms := build()
+		quanta := int(ref.Rigs[0].Machine.Topology().SecondsToCycles(40e-3) / ref.Rigs[0].Sched.Quantum())
+		for range quanta {
+			ref.Tick()
+		}
+		f, bus, adms := build()
+		f.Advance(quanta)
+		label := mode.String()
+		diffObservables(t, label, stretchObservables(ref, refBus), stretchObservables(f, bus))
+		wh, gh := ref.health, f.health
+		if wh.Deaths == 0 || wh.Recoveries == 0 || wh.Reassigned == 0 {
+			t.Fatalf("%s: deaths %d, recoveries %d, transfers %d: the crash was never detected and repaired", label, wh.Deaths, wh.Recoveries, wh.Reassigned)
+		}
+		if gh.Deaths != wh.Deaths || gh.Recoveries != wh.Recoveries || gh.Reassigned != wh.Reassigned || gh.TransferCycles != wh.TransferCycles {
+			t.Fatalf("%s: deaths %d, recoveries %d, transfers %d (%d cycles); Tick by Tick %d, %d, %d (%d)",
+				label, gh.Deaths, gh.Recoveries, gh.Reassigned, gh.TransferCycles, wh.Deaths, wh.Recoveries, wh.Reassigned, wh.TransferCycles)
+		}
+		for m := range adms {
+			a, w := adms[m], refAdms[m]
+			if a.Admitted != w.Admitted || a.Completed != w.Completed || a.Failed != w.Failed || a.InFlight() != w.InFlight() {
+				t.Fatalf("%s: machine %d admission: admitted %d completed %d failed %d in flight %d; Tick by Tick %d %d %d %d",
+					label, m, a.Admitted, a.Completed, a.Failed, a.InFlight(), w.Admitted, w.Completed, w.Failed, w.InFlight())
+			}
+		}
+		if st := f.EngineStats(); st.Quanta != uint64(quanta) || st.Epochs*2 > st.Quanta {
+			t.Fatalf("%s: engine stats %+v over %d quanta: the health-monitored fleet did not stretch its epochs", label, st, quanta)
+		} else {
+			t.Logf("%s: %d quanta in %d epochs", label, st.Quanta, st.Epochs)
+		}
 	}
 }

@@ -293,8 +293,8 @@ func (f *Fleet) Tick() { f.advanceStretch(1) }
 // the earliest due control event — mechanism evaluation, cluster
 // rebalance or migration landing, probe sample, fault edge — so every
 // control action fires on exactly the quantum a Tick-by-Tick run would
-// have fired it on, and a health-monitored fleet (whose failure detector
-// steps every quantum) degenerates to stretch 1.
+// have fired it on; a health-monitored fleet's stretch also ends at the
+// next heartbeat, death deadline or transfer landing (HealthMonitor.NextAt).
 func (f *Fleet) Advance(n int) {
 	for n > 0 {
 		s := f.safeStretch(n)
@@ -335,16 +335,18 @@ func (f *Fleet) advanceStretch(stretch int) {
 // earliest due control event (workload.QuantaUntil's rule). Each rig
 // names its own barriers through the helper its Advance stops at.
 func (f *Fleet) safeStretch(max int) int {
-	if max <= 1 || f.health != nil {
-		// The failure detector reads every machine's beat gap each
-		// quantum; there is no safe decoupled stretch.
+	if max <= 1 {
 		return 1
 	}
-	// With no control tier, no probes and no faults next stays at the
-	// maximum: nothing reads cross-machine state until the caller does.
+	// With no control tier, no health monitor, no probes and no faults
+	// next stays at the maximum: nothing reads cross-machine state until
+	// the caller does.
 	next := ^uint64(0)
 	if f.arb != nil {
 		next = f.arb.NextAt()
+	}
+	if f.health != nil {
+		next = min(next, f.health.NextAt())
 	}
 	for _, r := range f.Rigs {
 		next = min(next, r.NextDue(f.arb == nil))

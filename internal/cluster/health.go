@@ -132,8 +132,8 @@ func (h *HealthMonitor) beat(m int, now uint64) {
 	}
 }
 
-// Step runs detection and lands due transfers; Fleet.Tick calls it every
-// quantum after the heartbeat round.
+// Step runs detection and lands due transfers; the fleet calls it at every
+// epoch barrier after the heartbeat round, and ends an epoch at NextAt.
 func (h *HealthMonitor) Step(now uint64) {
 	for m := range h.dead {
 		if !h.dead[m] && now-h.lastBeat[m] > h.deadAfter {
@@ -157,6 +157,24 @@ func (h *HealthMonitor) Step(now uint64) {
 		arb.SetReserved(len(h.transfers))
 	}
 	h.applyBrownout()
+}
+
+// NextAt returns the first cycle at which the health round (the fleet's
+// heartbeats, then Step) can act: the next heartbeat, the first cycle past
+// DeadAfter since the last beat of a machine believed alive, or the
+// earliest transfer due. Until then every round does nothing, so the fleet
+// may stretch epochs up to it.
+func (h *HealthMonitor) NextAt() uint64 {
+	next := h.fleet.nextBeat
+	for m, dead := range h.dead {
+		if !dead {
+			next = min(next, h.lastBeat[m]+h.deadAfter+1)
+		}
+	}
+	for _, t := range h.transfers {
+		next = min(next, t.due)
+	}
+	return next
 }
 
 // declareDead marks the machine and schedules a transfer for every shard

@@ -350,8 +350,8 @@ func TestReserveNeverGrows(t *testing.T) {
 // bitmap (and payload array), a positional partial or merge its two arrays
 // before the first row; selection, probe (either table form) and gather
 // kernels with a presized buffer allocate nothing per chunk; and a
-// selection the engine drives from an empty buffer ends, grown through an
-// empty pool, under twice what it holds plus a strip.
+// selection the engine runs as a job ends, joined into an empty pool, in a
+// buffer under twice what it holds.
 func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 	const rows = 1 << 14
 	col := NewI64("c", identity(0, rows))
@@ -474,27 +474,24 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 		t.Errorf("presized selection, probe and gather kernels allocated %v times per pass, want 0", got)
 	}
 
-	// Grown from an empty buffer through an empty pool, every selection
-	// kind — whatever survives, a third, all, none, five rows — ends with
-	// less than twice its survivors plus a strip: it regrows by doubling
-	// only once less than a strip of room is left.
+	// Joined into an empty pool, every selection kind — whatever survives,
+	// a third, all, none, five rows — holds the one buffer of its exact
+	// size class: less than twice its survivors, and none for none.
 	for _, tc := range []struct {
 		rows int
 		col  *BAT
 		p    Pred
-	}{{rows, mod3, PredIEq(0)}, {rows, col, PredIRange(0, rows)}, {rows, col, PredIEq(-1)}, {minStrip, col, PredIRange(0, rows)}, {5, col, PredIRange(0, rows)}} {
-		q := &Query{queryBody: &queryBody{eng: &Engine{}}}
+	}{{rows, mod3, PredIEq(0)}, {rows, col, PredIRange(0, rows)}, {rows, col, PredIEq(-1)}, {64, col, PredIRange(0, rows)}, {5, col, PredIRange(0, rows)}} {
+		eng := &Engine{}
 		cand := NewI64("cand", identity(0, tc.rows))
 		fs, fr := NewFilterScan(tc.col, tc.p, 0, tc.rows, nil), NewFilterRefine(tc.col, tc.p, cand, nil)
 		hp := NewHashProbe(tc.col, cand, third, false, true, nil, nil)
-		fs.q, fr.q, hp.q = q, q, q
-		for a := 0; a < tc.rows; a += 2048 {
-			fs.runRange(a, min(a+2048, tc.rows))
-			fr.runRange(a, min(a+2048, tc.rows))
-			hp.runRange(a, min(a+2048, tc.rows))
+		for _, k := range []jobKernel{fs, fr, hp} {
+			j := job{k: k, eng: eng}
+			j.join()
 		}
 		for _, ids := range [][]int64{fs.ids, fr.ids, hp.ids, hp.payloads} {
-			if cap(ids) >= 2*(len(ids)+minStrip) {
+			if cap(ids) >= max(2*len(ids), 1) {
 				t.Errorf("%d rows under %v: a selection holding %d values ended with capacity %d", tc.rows, tc.p, len(ids), cap(ids))
 			}
 		}

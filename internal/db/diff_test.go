@@ -1032,37 +1032,51 @@ func TestDiffEngineDrive(t *testing.T) {
 	}
 }
 
-// TestDiffPoolRegrowth is the differential of the engine drive's regrowth.
-// The three selection operators an engine drives — FilterScan,
-// FilterRefine and HashProbe in every mode — start from a one-value buffer
-// of an engine's pool, which is stocked with poisoned buffers of random
-// small sizes, so their outputs outgrow one buffer after another and move
-// into recycled ones through the pool. Outputs and Charged() must equal the
-// row-at-a-time reference's and the standalone drive's, which grows through
-// growFor. Once the final buffers are returned, the pool must be at rest:
-// every outgrown buffer back, none filed twice.
-func TestDiffPoolRegrowth(t *testing.T) {
+// TestDiffJoinedOutputs is the differential of the join (beside.go). The
+// three selection operators an engine runs as jobs — FilterScan,
+// FilterRefine and HashProbe in every mode — compute their survivors into
+// scratch, on a helper or at the join, and the join copies them into one
+// buffer of an engine's pool, which is stocked with poisoned buffers of
+// random small sizes. Outputs must equal the row-at-a-time reference's and
+// the standalone drive's, which grows through growFor, wherever the job
+// ran; each output must sit in one buffer the pool lent, whose poison it
+// never shows. Once the final buffers are returned, the pool must be at
+// rest: every buffer back, none filed twice.
+func TestDiffJoinedOutputs(t *testing.T) {
 	for _, seed := range diffSeeds {
 		r := newDiffRNG(seed)
 		eng := &Engine{}
 		stockPool(&eng.pool, seed, 64, 700)
-		q := &Query{queryBody: &queryBody{eng: eng}}
-		regrown := 0
-		// engineDrive drains op with the query attached, checks what it
-		// emitted against the standalone twin, then hands the final buffers
-		// back to the pool.
-		engineDrive := func(label string, op, alone Operator, final func() [][]int64, want []int64, cycles uint64) {
+		// engineJoin runs k as a job, on a helper every other time, checks
+		// what it joined against want and the standalone twin, then hands
+		// the final buffers back to the pool.
+		joins := 0
+		engineJoin := func(label string, k jobKernel, alone Operator, final func() [][]int64, want []int64, cycles uint64) {
 			t.Helper()
-			got, _ := drain(op, r)
-			eqI64(t, label, got, want)
-			eqCycles(t, label, op, cycles)
+			task := &chunkTask{}
+			task.job.k, task.job.eng = k, eng
+			if eng.handoff = handoffNone; joins%2 == 1 {
+				eng.handoff = handoffAll
+				handOff([]Task{task})
+			}
+			joins++
+			lent := eng.pool.lent
+			task.job.join()
 			aloneGot, _ := drain(alone, r)
-			eqI64(t, label+" standalone", aloneGot, got)
-			eqCycles(t, label+" standalone", alone, op.Charged())
-			for _, buf := range final() {
-				if cap(buf) > 1 {
-					regrown++
+			eqI64(t, label+" standalone", aloneGot, want)
+			eqCycles(t, label+" standalone", alone, cycles)
+			bufs := final()
+			eqI64(t, label, bufs[0], want)
+			held := 0 // an empty output draws no storage
+			for _, buf := range bufs {
+				if len(buf) > 0 {
+					held++
 				}
+			}
+			if got := eng.pool.lent - lent; got != held {
+				t.Fatalf("%s: the join lent %d buffers for %d outputs", label, got, held)
+			}
+			for _, buf := range bufs {
 				eng.pool.putI64(buf)
 			}
 		}
@@ -1075,9 +1089,8 @@ func TestDiffPoolRegrowth(t *testing.T) {
 						wantScan = append(wantScan, int64(i))
 					}
 				}
-				fs := NewFilterScan(col, pd.p, 0, size, q.scratchI64(1))
-				fs.q = q
-				engineDrive(pd.name+"/scan", fs, NewFilterScan(col, pd.p, 0, size, nil),
+				fs := NewFilterScan(col, pd.p, 0, size, nil)
+				engineJoin(pd.name+"/scan", fs, NewFilterScan(col, pd.p, 0, size, nil),
 					func() [][]int64 { return [][]int64{fs.ids} }, wantScan, uint64(size)*cyclesScan)
 
 				cand := NewI64("cand", genCand(r, size))
@@ -1087,9 +1100,8 @@ func TestDiffPoolRegrowth(t *testing.T) {
 						wantRefine = append(wantRefine, oid)
 					}
 				}
-				fr := NewFilterRefine(col, pd.p, cand, q.scratchI64(1))
-				fr.q = q
-				engineDrive(pd.name+"/refine", fr, NewFilterRefine(col, pd.p, cand, nil),
+				fr := NewFilterRefine(col, pd.p, cand, nil)
+				engineJoin(pd.name+"/refine", fr, NewFilterRefine(col, pd.p, cand, nil),
 					func() [][]int64 { return [][]int64{fr.ids} }, wantRefine, uint64(cand.Len())*cyclesGather)
 			}
 			col := NewI64("c", genI64(r, size, 72))
@@ -1110,23 +1122,17 @@ func TestDiffPoolRegrowth(t *testing.T) {
 						wantPays = append(wantPays, payload)
 					}
 				}
-				hp := NewHashProbe(col, cand, set, mode.anti, mode.fetch, q.scratchI64(1), nil)
-				if mode.fetch {
-					hp.payloads = q.scratchI64(1)
-				}
-				hp.q = q
+				hp := NewHashProbe(col, cand, set, mode.anti, mode.fetch, nil, nil)
 				alone := NewHashProbe(col, cand, set, mode.anti, mode.fetch, nil, nil)
-				engineDrive("probe/"+mode.name, hp, alone, func() [][]int64 {
-					if mode.fetch {
-						eqI64(t, "probe/"+mode.name+" payloads", hp.Payloads(), wantPays)
-						eqI64(t, "probe/"+mode.name+" standalone payloads", alone.Payloads(), wantPays)
+				engineJoin("probe/"+mode.name, hp, alone, func() [][]int64 {
+					if !mode.fetch {
+						return [][]int64{hp.ids}
 					}
+					eqI64(t, "probe/"+mode.name+" payloads", hp.Payloads(), wantPays)
+					eqI64(t, "probe/"+mode.name+" standalone payloads", alone.Payloads(), wantPays)
 					return [][]int64{hp.ids, hp.payloads}
 				}, wantIDs, uint64(cand.Len())*cyclesProbe)
 			}
-		}
-		if regrown == 0 {
-			t.Fatalf("seed %d: no operator outgrew its first buffer", seed)
 		}
 		if err := poolAtRest(eng); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -106,6 +106,11 @@ type Engine struct {
 	// rec keeps the candidate lists of repeated selections (recycle.go),
 	// built at the engine's first selection.
 	rec *recycler
+	// scratch is where the jobs this engine joins without a helper compute
+	// (beside.go); jobs counts where its jobs ran.
+	scratch scratch
+	jobs    jobCounts
+	handoff uint8 // which jobs meet a helper: handoffAuto but in tests
 
 	// TasksExecuted counts finished tasks (paper Fig 13 (c)).
 	TasksExecuted uint64
@@ -326,6 +331,7 @@ func (e *Engine) advance(q *Query) {
 			op := &p.Ops[i]
 			q.doom(i)
 			tasks = opTable[op.Kind].lower(q, op)
+			handOff(tasks)
 		} else {
 			tasks = p.Stages[i-len(p.Ops)](q)
 		}

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"unsafe"
 
@@ -188,3 +189,145 @@ func (r *recycler) counts() (selections, replays, kept int) {
 
 // RecyclerCounts is counts of e's recycler.
 func RecyclerCounts(e *Engine) (selections, replays, kept int) { return e.rec.counts() }
+
+// The hand-off modes of SetHandoff.
+const (
+	HandoffAuto = handoffAuto
+	HandoffAll  = handoffAll
+	HandoffNone = handoffNone
+)
+
+// SetHandoff sets which of e's jobs meet a helper (beside.go): HandoffAll
+// hands every one to a helper and its join waits for it, HandoffNone runs
+// every one at its join.
+func SetHandoff(e *Engine, mode uint8) { e.handoff = mode }
+
+// JobCounts returns how many of e's jobs ran on a helper, how many at their
+// joins, and how many joins waited for a helper.
+func JobCounts(e *Engine) (helper, join, waited int) {
+	return e.jobs.helper, e.jobs.join, e.jobs.waited
+}
+
+// HandQuery returns a query of e over p that is not submitted: PlanStep
+// plans its stages, a test steps their tasks, ReleaseHand releases it.
+func HandQuery(e *Engine, p *Plan) *Query {
+	q := planningQuery(e)
+	q.Plan = p
+	return q
+}
+
+// PlanStep plans step i of q's plan as the engine does when q reaches it,
+// once the tasks of step i-1 are done: the values that died with that step
+// go back to the pool, and the new stage's jobs go to the helpers.
+func PlanStep(q *Query, i int) []Task {
+	q.bury(&q.eng.pool)
+	q.doom(i)
+	tasks := planOp(q, &q.Plan.Ops[i])
+	handOff(tasks)
+	return tasks
+}
+
+// ReleaseHand releases a HandQuery whose last step's tasks are done.
+func ReleaseHand(e *Engine, q *Query) {
+	q.freeResults(&e.pool)
+	e.recycle(q)
+}
+
+// OpenJobs returns how many jobs of e's queries are not joined yet, or an
+// error for one whose query is released or whose body is filed for reuse,
+// or that reads or writes storage filed in e's pool. It first waits until
+// no helper runs, so that it reads what no job is writing.
+func OpenJobs(e *Engine) (int, error) {
+	h := &helpers
+	h.mu.Lock()
+	for h.running > 0 {
+		h.mu.Unlock()
+		runtime.Gosched()
+		h.mu.Lock()
+	}
+	h.mu.Unlock()
+	pooled := map[any]bool{}
+	var filed [][2]uintptr
+	for _, bucket := range e.pool.i64 {
+		for _, buf := range bucket {
+			filed = append(filed, extent(buf))
+		}
+	}
+	for _, bucket := range e.pool.f64 {
+		for _, buf := range bucket {
+			filed = append(filed, extent(buf))
+		}
+	}
+	for _, m := range e.pool.mif {
+		pooled[m] = true
+	}
+	for _, m := range e.pool.mii {
+		pooled[m] = true
+	}
+	inPool := func(exts ...[2]uintptr) bool {
+		for _, ext := range exts {
+			for _, f := range filed {
+				if ext[0] < ext[1] && ext[0] < f[1] && f[0] < ext[1] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	n := 0
+	for _, q := range e.queries {
+		b := q.queryBody
+		if b == nil {
+			return n, fmt.Errorf("query %d is tracked with no body", q.ID)
+		}
+		open := openTasks(b.scanSlab, nil)
+		open = openTasks(b.refineSlab, open)
+		open = openTasks(b.gatherSlab, open)
+		open = openTasks(b.mapSlab, open)
+		open = openTasks(b.sumSlab, open)
+		open = openTasks(b.probeSlab, open)
+		open = openTasks(b.groupSlab, open)
+		if n += len(open); len(open) == 0 {
+			continue
+		}
+		if q.released || slices.Contains(e.spare, b) {
+			return n, fmt.Errorf("query %d has %d jobs to join and is released", q.ID, len(open))
+		}
+		for _, t := range open {
+			var risk bool
+			switch k := t.job.k.(type) {
+			case *FilterScan:
+				risk = inPool(extent(k.ids))
+			case *FilterRefine:
+				risk = inPool(extent(k.cand.I), extent(k.ids))
+			case *Gather:
+				risk = inPool(extent(k.cand.I), extent(k.out.I), extent(k.out.F))
+			case *MapBinary:
+				risk = inPool(extent(k.a.F), extent(k.b.F), extent(k.res))
+			case *SumAgg:
+				risk = inPool(extent(k.in.F))
+			case *HashProbe:
+				risk = pooled[k.set] || inPool(extent(k.cand.I), extent(k.ids), extent(k.payloads))
+			case *GroupAgg:
+				risk = pooled[k.agg] || inPool(extent(k.keys.I), extent(k.keys.F))
+				if k.vals != nil {
+					risk = risk || inPool(extent(k.vals.I), extent(k.vals.F))
+				}
+			}
+			if risk {
+				return n, fmt.Errorf("query %d: a %s job to join reads or writes storage in the pool", q.ID, t.op)
+			}
+		}
+	}
+	return n, nil
+}
+
+// openTasks appends the tasks of slab whose jobs are not joined yet.
+func openTasks[O any](slab []slot[O], open []*chunkTask) []*chunkTask {
+	for i := range slab {
+		if t := &slab[i].chunkTask; t.job.k != nil && !t.finished {
+			open = append(open, t)
+		}
+	}
+	return open
+}

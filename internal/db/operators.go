@@ -133,15 +133,6 @@ func growFor[T any](buf []T, n int) ([]T, []T) {
 	return buf, buf[len(buf) : len(buf)+n]
 }
 
-// minStrip is the smallest blind-write window a selection kernel is handed.
-const minStrip = 64
-
-// strip returns how many of the n pending input units a selection kernel
-// takes next: as many as its output buffer has room for, so blind writes
-// regrow a buffer only when it is nearly full, as appending would — but
-// never fewer than minStrip.
-func strip(n int, out []int64) int { return min(n, max(cap(out)-len(out), minStrip)) }
-
 // inList is b2i(v ∈ list). IN lists are a handful of constants, so
 // testing all of them branch-free beats an early exit.
 func inList(list []int64, v int64) int {
@@ -325,11 +316,14 @@ func lowerScan(q *Query, op *OpSpec) []Task {
 	for i, r := range ranges {
 		s := &slab[i]
 		s.op.init(c, &op.Pred, r[0], r[1], nil)
-		s.op.q, s.op.out, s.op.keep = q, ps.Parts[i], keep
+		s.op.out, s.op.keep = ps.Parts[i], keep
 		if held != nil {
 			s.op.ids, s.op.replay = held.list(i), true
 		}
 		s.init("algebra.thetasubselect", q.Machine(), &s.op, r[0], r[1], cyclesScan, c)
+		if held == nil && op.Pred.form != predAll {
+			q.beside(&s.chunkTask, &s.op)
+		}
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
 	if keep != nil {
@@ -354,11 +348,14 @@ func lowerRefine(q *Query, op *OpSpec) []Task {
 		}
 		s := &slab[i]
 		s.op.init(c, &op.Pred, cand, nil)
-		s.op.q, s.op.out, s.op.keep = q, ps.Parts[i], keep
+		s.op.out, s.op.keep = ps.Parts[i], keep
 		if held != nil {
 			s.op.ids, s.op.replay = held.list(i), true
 		}
 		s.gathers("algebra.subselect", q, &s.op, cand, c, cyclesGather)
+		if held == nil {
+			q.beside(&s.chunkTask, &s.op)
+		}
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
 	if keep != nil {
@@ -395,6 +392,9 @@ func lowerProject(q *Query, op *OpSpec) []Task {
 		}
 		s.op = Gather{col: c, cand: cand, out: outB}
 		s.gathers("algebra.projection", q, &s.op, cand, c, cyclesGather)
+		if !outB.view {
+			q.beside(&s.chunkTask, &s.op)
+		}
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
 	return q.tasks
@@ -418,6 +418,7 @@ func lowerMap2(q *Query, op *OpSpec) []Task {
 		s, fb := &slab[i], pb.Parts[i]
 		s.op = MapBinary{a: fa, b: fb, f: f, res: q.scratchF64(fa.Len()), out: ps.Parts[i]}
 		s.init("batcalc.*", q.Machine(), &s.op, 0, fa.Len(), cyclesMap, fa, fb)
+		q.beside(&s.chunkTask, &s.op)
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
 	return q.tasks
@@ -436,6 +437,7 @@ func lowerSum(q *Query, op *OpSpec) []Task {
 		s := &slab[i]
 		s.op = SumAgg{in: frag, q: q, scalar: op.Out}
 		s.init("aggr.sum", q.Machine(), &s.op, 0, frag.Len(), cyclesSum, frag)
+		q.beside(&s.chunkTask, &s.op)
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
 	return q.tasks
@@ -546,11 +548,12 @@ func lowerProbe(q *Query, op *OpSpec) []Task {
 			continue
 		}
 		s := &slab[i]
-		s.op = HashProbe{col: c, cand: cand, set: set, anti: op.Kind == OpProbeAnti, fetch: vps != nil, q: q, out: ps.Parts[i]}
+		s.op = HashProbe{col: c, cand: cand, set: set, anti: op.Kind == OpProbeAnti, fetch: vps != nil, out: ps.Parts[i]}
 		if vps != nil {
 			s.op.payOut = vps.Parts[i]
 		}
 		s.gathers("join.probe", q, &s.op, cand, c, cyclesProbe)
+		q.beside(&s.chunkTask, &s.op)
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
 	return q.tasks
@@ -620,6 +623,7 @@ func lowerGroupSum(q *Query, op *OpSpec) []Task {
 		partials[i].tryPositional(lo, hi, kf.Len(), false)
 		s.op = GroupAgg{keys: kf.byPosition(), vals: vf.byPosition(), agg: partials[i]}
 		s.init("group.sum", q.Machine(), &s.op, 0, kf.Len(), cyclesGroup, kf, vf)
+		q.beside(&s.chunkTask, &s.op)
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
 	return q.tasks

@@ -48,7 +48,8 @@ func newOpRig(t *testing.T) *opRig {
 func lower(name string, ops ...OpSpec) *Plan { return spec(name, ops...).Lower() }
 
 // planOp plans one step's stage for q the way the engine does when a query
-// reaches it, for a test that steps the tasks by hand.
+// reaches it, for a test that steps the tasks by hand. Its jobs are not
+// handed off: each runs at its join.
 func planOp(q *Query, op *OpSpec) []Task { return opTable[op.Kind].lower(q, op) }
 
 // through returns the steps of ops up to and including the first that

@@ -13,7 +13,8 @@ import "math/bits"
 // query or of any other on the engine — can draw it again. A binding that
 // no later step reads is a result; it lives until Engine.Release. Scratch
 // storage a stage uses only while it runs (the group merge's table and sort
-// pair, a selection buffer an operator outgrew) goes back at once. A view
+// pair) goes back at once. A selection's or probe's survivors are drawn
+// once, at the exact size class, when its job is joined (beside.go). A view
 // owns nothing: a projection through a dense candidate list borrows its
 // tail from the base column (BAT.view), a replayed selection from a list
 // the engine's recycler keeps (recycle.go), and free drops that slice
@@ -272,20 +273,6 @@ func (q *Query) scratchI64(capacity int) []int64 {
 // scratchF64 is scratchI64 for float64 buffers.
 func (q *Query) scratchF64(capacity int) []float64 {
 	return q.eng.pool.getF64(max(capacity, 0))
-}
-
-// roomI64 returns buf with room to blind-write n more values. An operator
-// the engine drives starts empty, its first strip drawing at most minStrip
-// values, and when it outgrows its buffer moves into one twice as large
-// from the pool and returns the old one there; a standalone operator (nil
-// query) leaves the growth to growFor.
-func (q *Query) roomI64(buf []int64, n int) []int64 {
-	if q == nil || cap(buf)-len(buf) >= n {
-		return buf
-	}
-	grown := append(q.eng.pool.getI64(max(len(buf)+n, 2*cap(buf))), buf...)
-	q.eng.pool.putI64(buf)
-	return grown
 }
 
 // held is one binding captured for release: the value its name had in its

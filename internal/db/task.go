@@ -39,11 +39,13 @@ type kernel interface {
 const maxInputs = 4
 
 // chunkTask is the shared implementation of partition tasks: it walks its
-// rows in chunks, charging simulated accesses on the inputs and
-// running the real computation, then materializes its output with write
-// accesses on the executing core (first touch places the intermediate
-// where it was produced). It holds no closure and no slice of its own, so
-// a stage's tasks are one array.
+// rows in chunks, charging simulated accesses on the inputs, then
+// materializes its output with write accesses on the executing core (first
+// touch places the intermediate where it was produced). The real
+// computation runs chunk by chunk beside the charges, or, for a task the
+// engine lowered with a job, as one job beside the model (beside.go),
+// joined before the output is bound. It holds no closure and no slice of
+// its own, so a stage's tasks are one array.
 type chunkTask struct {
 	op     string
 	k      kernel
@@ -57,6 +59,10 @@ type chunkTask struct {
 	// cand and col, set by gather operators, charge the underlying column
 	// col for the id range each chunk of candidate fragment cand covers.
 	cand, col *BAT
+
+	// job, when its kernel is set, runs the computation: the chunk loop
+	// only charges, and the last chunk joins the job before complete.
+	job job
 
 	finished bool
 	// debt carries cycles owed beyond the last quantum's budget: a chunk
@@ -129,12 +135,17 @@ func (t *chunkTask) Step(ctx *sched.ExecContext, budget uint64) (uint64, bool) {
 		if t.cand != nil {
 			cost += chargeGathered(ctx, t.cand, t.col, t.cursor, t.cursor+n)
 		}
-		t.k.runRange(t.cursor, t.cursor+n)
+		if t.job.k == nil {
+			t.k.runRange(t.cursor, t.cursor+n)
+		}
 		t.cursor += n
 		used += cost
 	}
 	if t.cursor >= t.hi && !t.finished {
 		t.finished = true
+		if t.job.k != nil {
+			t.job.join()
+		}
 		out, out2 := t.k.complete()
 		for _, w := range [2]*BAT{out, out2} {
 			if w != nil && w.Len() > 0 {

@@ -10,12 +10,15 @@ import "sort"
 //
 //   - Inside the engine, a lowering function (operators.go) embeds the
 //     operator value in its stage's slab beside a chunkTask, which drives
-//     it through the kernel interface (task.go): runRange over the input
-//     in block-sized chunks — the task charges BOTH the per-tuple compute
-//     cycles and the simulated NUMA memory accesses itself — then
-//     complete, once, which delivers the partition's result to the query
-//     (the engine-drive fields at the end of each operator; a standalone
-//     drive leaves them zero). This is the only drive mode queries use.
+//     it through the kernel interface (task.go): the task walks the input
+//     in block-sized chunks, charging BOTH the per-tuple compute cycles
+//     and the simulated NUMA memory accesses itself, while compute runs
+//     the whole partition as one job beside the model (beside.go) — or
+//     runRange runs each chunk, where there is nothing to compute (a
+//     replayed or full scan, a view) — then complete, once, which
+//     delivers the partition's result to the query (the engine-drive
+//     fields at the end of each operator; a standalone drive leaves them
+//     zero). This is the only drive mode queries use.
 //
 //   - Standalone, Next(n) consumes up to n input units (base rows for
 //     leaf scans, candidate positions for refinements/probes/gathers,
@@ -30,8 +33,9 @@ import "sort"
 //     this mode against row-at-a-time references and asserts identical
 //     outputs and identical charged cycles.
 //
-// Both modes run the same runRange over the same state, so agreement in
-// one mode is agreement in the other.
+// Both modes run the same kernel loops over the same state — compute is
+// runRange over the whole partition, into scratch where the output's size
+// is unknown — so agreement in one mode is agreement in the other.
 
 // Operator is the pluggable batch-iterator contract of the vectorized
 // execution layer.
@@ -93,19 +97,16 @@ type FilterScan struct {
 	cursor int
 	m      meter
 
-	// Engine drive: the query whose pool ids grows through, the header the
-	// result fills, and the recycler's part (recycle.go): replay marks ids
-	// as a kept list the kernel need not compute, keep the entry that
-	// keeps the lists this stage computes.
-	q      *Query
+	// Engine drive: the header the result fills, and the recycler's part
+	// (recycle.go): replay marks ids as a kept list the kernel need not
+	// compute, keep the entry that keeps the lists this stage computes.
 	out    *BAT
 	replay bool
 	keep   *selEntry
 }
 
 // NewFilterScan builds the operator over rows [lo, hi) of col. buf seeds
-// the OID accumulator (nil starts it empty; inside the engine it grows
-// through the pool from one strip).
+// the OID accumulator (nil starts it empty).
 func NewFilterScan(col *BAT, p Pred, lo, hi int, buf []int64) *FilterScan {
 	s := &struct {
 		FilterScan
@@ -124,22 +125,25 @@ func (fs *FilterScan) init(col *BAT, p *Pred, lo, hi int, buf []int64) {
 }
 
 // runRange runs the kernel over base rows [a, b) (engine drive: chunks
-// arrive in order from lo), strip by strip.
+// arrive in order from lo, of a replayed or full scan only).
 func (fs *FilterScan) runRange(a, b int) {
-	if fs.replay {
-		return
-	}
-	if fs.pred.form == predAll {
+	switch {
+	case fs.replay:
+	case fs.pred.form == predAll:
 		fs.all += b - a
-		return
-	}
-	for a < b {
-		n := strip(b-a, fs.ids)
-		fs.ids = fs.q.roomI64(fs.ids, n)
-		fs.ids = selectScan(fs.col, fs.pred, fs.ids, a, a+n)
-		a += n
+	default:
+		fs.ids = selectScan(fs.col, fs.pred, fs.ids, a, b)
 	}
 }
+
+// compute implements jobKernel: the survivors of the partition, in s.
+func (fs *FilterScan) compute(s *scratch) {
+	s.ids = selectScan(fs.col, fs.pred, s.ids[:0], fs.lo, fs.hi)
+	fs.ids = s.ids
+}
+
+// unsized implements jobKernel.
+func (fs *FilterScan) unsized() (*[]int64, *[]int64) { return &fs.ids, nil }
 
 // fill makes out the candidate list accumulated so far.
 func (fs *FilterScan) fill(out *BAT) {
@@ -195,7 +199,6 @@ type FilterRefine struct {
 	m      meter
 
 	// Engine drive, as FilterScan's.
-	q      *Query
 	out    *BAT
 	replay bool
 	keep   *selEntry
@@ -219,16 +222,19 @@ func (fr *FilterRefine) init(col *BAT, p *Pred, cand *BAT, buf []int64) {
 }
 
 func (fr *FilterRefine) runRange(a, b int) {
-	if fr.replay {
-		return
-	}
-	for b = min(b, fr.cand.Len()); a < b; {
-		n := strip(b-a, fr.ids)
-		fr.ids = fr.q.roomI64(fr.ids, n)
-		fr.ids = gatherScan(fr.col, fr.pred, fr.cand, fr.ids, a, a+n)
-		a += n
+	if b = min(b, fr.cand.Len()); a < b && !fr.replay {
+		fr.ids = gatherScan(fr.col, fr.pred, fr.cand, fr.ids, a, b)
 	}
 }
+
+// compute implements jobKernel: the surviving candidates, in s.
+func (fr *FilterRefine) compute(s *scratch) {
+	s.ids = gatherScan(fr.col, fr.pred, fr.cand, s.ids[:0], 0, fr.cand.Len())
+	fr.ids = s.ids
+}
+
+// unsized implements jobKernel.
+func (fr *FilterRefine) unsized() (*[]int64, *[]int64) { return &fr.ids, nil }
 
 // complete implements kernel: the surviving candidates fill the header, a
 // replayed list as a view.
@@ -309,6 +315,12 @@ func (g *Gather) runRange(a, b int) {
 	}
 }
 
+// compute implements jobKernel: out's buffer was drawn at lowering.
+func (g *Gather) compute(*scratch) { g.runRange(0, g.cand.Len()) }
+
+// unsized implements jobKernel.
+func (g *Gather) unsized() (*[]int64, *[]int64) { return nil, nil }
+
 // complete implements kernel: out was the header all along.
 func (g *Gather) complete() (*BAT, *BAT) { return g.out, nil }
 
@@ -365,6 +377,12 @@ func (mb *MapBinary) runRange(lo, hi int) {
 	mb.res = res[:len(res)+hi-lo]
 }
 
+// compute implements jobKernel: res was drawn at lowering.
+func (mb *MapBinary) compute(*scratch) { mb.runRange(0, mb.a.Len()) }
+
+// unsized implements jobKernel.
+func (mb *MapBinary) unsized() (*[]int64, *[]int64) { return nil, nil }
+
 // complete implements kernel: the mapped values fill the header.
 func (mb *MapBinary) complete() (*BAT, *BAT) {
 	mb.out.F = mb.res
@@ -414,6 +432,12 @@ func (s *SumAgg) runRange(a, b int) {
 		s.partial += frag.F[k]
 	}
 }
+
+// compute implements jobKernel.
+func (s *SumAgg) compute(*scratch) { s.runRange(0, s.in.Len()) }
+
+// unsized implements jobKernel.
+func (s *SumAgg) unsized() (*[]int64, *[]int64) { return nil, nil }
 
 // complete implements kernel: the partial joins the scalar; nothing is
 // written.
@@ -525,9 +549,8 @@ type HashProbe struct {
 	cursor int
 	m      meter
 
-	// Engine drive: the query whose pool ids and payloads grow through, the
-	// headers they fill (payOut in fetch mode only).
-	q           *Query
+	// Engine drive: the headers ids and payloads fill (payOut in fetch mode
+	// only).
 	out, payOut *BAT
 }
 
@@ -538,16 +561,25 @@ func NewHashProbe(col, cand *BAT, set *i64Map, anti, fetch bool, idBuf, payloadB
 }
 
 func (hp *HashProbe) runRange(a, b int) {
-	for b = min(b, hp.cand.Len()); a < b; {
-		n := strip(b-a, hp.ids)
-		hp.ids = hp.q.roomI64(hp.ids, n)
-		if hp.fetch {
-			n = min(n, strip(b-a, hp.payloads))
-			hp.payloads = hp.q.roomI64(hp.payloads, n)
-		}
-		hp.probe(a, a+n)
-		a += n
+	if b = min(b, hp.cand.Len()); a < b {
+		hp.probe(a, b)
 	}
+}
+
+// compute implements jobKernel: the survivors, and in fetch mode their
+// payloads, in s.
+func (hp *HashProbe) compute(s *scratch) {
+	hp.ids, hp.payloads = s.ids[:0], s.pays[:0]
+	hp.probe(0, hp.cand.Len())
+	s.ids, s.pays = hp.ids, hp.payloads
+}
+
+// unsized implements jobKernel.
+func (hp *HashProbe) unsized() (*[]int64, *[]int64) {
+	if hp.fetch {
+		return &hp.ids, &hp.payloads
+	}
+	return &hp.ids, nil
 }
 
 // probe is the kernel over candidate positions [a, b), within the list.
@@ -692,6 +724,12 @@ func (ga *GroupAgg) runRange(a, b int) {
 		}
 	}
 }
+
+// compute implements jobKernel: agg was drawn at lowering.
+func (ga *GroupAgg) compute(*scratch) { ga.runRange(0, ga.keys.Len()) }
+
+// unsized implements jobKernel.
+func (ga *GroupAgg) unsized() (*[]int64, *[]int64) { return nil, nil }
 
 // complete implements kernel. It delivers nothing: lowerGroupSum binds the
 // partial table when it plans the stage.
