@@ -293,7 +293,7 @@ func (e *Engine) startQuery(q *Query) {
 			if labels != "" {
 				name = labels[e.labelEnds[i]:e.labelEnds[i+1]]
 			}
-			w.thread = e.sched.Spawn(e.cfg.PID, name, w, sched.NearNode(home))
+			w.thread = e.sched.Spawn(e.cfg.PID, name, w, sched.NearNode(home), sched.Gated(&q.gate))
 		}
 	}
 	e.advance(q)
@@ -349,6 +349,7 @@ func (e *Engine) advance(q *Query) {
 		return
 	}
 	q.done = true
+	q.gate.Set(true)
 	q.endCycles = e.machine.Now()
 	// Wake blocked per-query workers so they observe completion and exit.
 	e.sched.WakeAll(e.cfg.PID)
@@ -362,6 +363,7 @@ func (e *Engine) enqueue(d *dispatched) {
 	case e.cfg.Placement == PlacementOS:
 		// Per-query dataflow: the owning query's threads consume it.
 		d.query.taskQueue.PushBack(d)
+		d.query.gate.Set(true)
 	case d.task.PreferredNode() != numa.NoNode:
 		e.nodeQueues[d.task.PreferredNode()].PushBack(d)
 	default:
@@ -371,12 +373,14 @@ func (e *Engine) enqueue(d *dispatched) {
 }
 
 // dispatch hands the next task to a worker, or nil when nothing is
-// queued. Per-query workers only serve their own query; NUMA-aware
-// workers drain their own node's queue first, then the global queue, then
-// steal from other nodes (SQL Server's soft affinity).
+// queued. Per-query workers only serve their own query, and the one that
+// takes its last queued task shuts its gate; NUMA-aware workers drain
+// their own node's queue first, then the global queue, then steal from
+// other nodes (SQL Server's soft affinity).
 func (e *Engine) dispatch(w *worker) *dispatched {
-	if w.query != nil {
-		d, _ := w.query.taskQueue.PopFront()
+	if q := w.query; q != nil {
+		d, _ := q.taskQueue.PopFront()
+		q.gate.Set(q.taskQueue.Len() > 0)
 		return d
 	}
 	if e.cfg.Placement == PlacementNUMAAware && w.pinnedNode != numa.NoNode {

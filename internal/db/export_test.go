@@ -331,3 +331,24 @@ func openTasks[O any](slab []slot[O], open []*chunkTask) []*chunkTask {
 	}
 	return open
 }
+
+// Tracked returns the queries e tracks: submitted, and not yet released
+// or drained.
+func Tracked(e *Engine) []*Query { return slices.Clone(e.queries) }
+
+// GateError names the first of qs whose workers' gate is not open exactly
+// while its task queue holds a task or it is done; nil when every gate
+// agrees.
+func GateError(qs []*Query) error {
+	for _, q := range qs {
+		want := q.done || q.queryBody != nil && q.taskQueue.Len() > 0
+		if q.gate.Open() != want {
+			return fmt.Errorf("query %d (done %v, released %v): gate open %v, want %v", q.ID, q.done, q.released, q.gate.Open(), want)
+		}
+	}
+	return nil
+}
+
+// Reparks returns how many woken workers of q the scheduler parked again
+// behind its gate without running them.
+func Reparks(q *Query) uint64 { return q.gate.Reparks() }

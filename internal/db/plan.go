@@ -5,6 +5,7 @@ import (
 
 	"elasticore/internal/deque"
 	"elasticore/internal/numa"
+	"elasticore/internal/sched"
 )
 
 // PartSet is a partitioned intermediate: one BAT fragment per task of the
@@ -104,6 +105,10 @@ type Query struct {
 
 	done     bool
 	released bool
+	// gate is the gate of the query's dataflow workers (sched.Gated): open
+	// exactly while its taskQueue holds a task or it is done. It lives on
+	// the handle, so a released query's stays open for its late workers.
+	gate sched.Gate
 
 	startCycles, endCycles uint64
 

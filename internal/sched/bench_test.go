@@ -9,9 +9,16 @@ import (
 // BenchmarkWakeAllHerd times the broadcast wake-up at PlacementOS scale:
 // 4096 parked threads of one PID over 16 cores. One op is a WakeAll plus
 // the Tick in which every woken thread runs for nothing and parks again.
-func BenchmarkWakeAllHerd(b *testing.B) {
+func BenchmarkWakeAllHerd(b *testing.B) { benchHerd(b) }
+
+// BenchmarkWakeAllHerdGated is the same herd behind a shut Gate, the
+// production shape: the Tick re-parks every woken thread without running
+// it.
+func BenchmarkWakeAllHerdGated(b *testing.B) { benchHerd(b, Gated(&Gate{})) }
+
+func benchHerd(b *testing.B, opts ...SpawnOption) {
 	const herd = 4096
-	_, cycle := warmHerd(herd)
+	_, cycle := warmHerd(herd, opts...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -321,11 +321,11 @@ func TestWakeAllSteadyStateZeroAlloc(t *testing.T) {
 
 // spawnHerd parks n always-blocking threads of one PID across the whole
 // machine: the shape a broadcast WakeAll sees under PlacementOS.
-func spawnHerd(s *Scheduler, pid, n int) []*Thread {
+func spawnHerd(s *Scheduler, pid, n int, opts ...SpawnOption) []*Thread {
 	block := RunnerFunc(func(_ *ExecContext, _ uint64) (uint64, bool, bool) { return 0, true, false })
 	threads := make([]*Thread, n)
 	for i := range threads {
-		threads[i] = s.Spawn(pid, "herd", block)
+		threads[i] = s.Spawn(pid, "herd", block, opts...)
 	}
 	s.Tick() // every thread runs once and blocks
 	return threads
@@ -335,9 +335,10 @@ func spawnHerd(s *Scheduler, pid, n int) []*Thread {
 // the scheduler with its wake-and-repark cycle — one WakeAll plus the Tick
 // in which every woken thread runs for nothing and parks again — already
 // run often enough to have grown the run queues and the drain buffer.
-func warmHerd(n int) (s *Scheduler, cycle func()) {
+// Spawned behind a shut Gate, the herd is re-parked without running.
+func warmHerd(n int, opts ...SpawnOption) (s *Scheduler, cycle func()) {
 	s = New(numa.NewMachine(numa.Opteron8387()), Config{})
-	spawnHerd(s, 1, n)
+	spawnHerd(s, 1, n, opts...)
 	cycle = func() {
 		s.WakeAll(1)
 		s.Tick()
@@ -349,13 +350,22 @@ func warmHerd(n int) (s *Scheduler, cycle func()) {
 }
 
 // TestWakeAllHerdZeroAlloc is the same guard at herd scale: 4096 parked
-// threads over 16 cores, woken and re-parked, allocate nothing once warm.
+// threads over 16 cores, woken and re-parked, allocate nothing once warm,
+// whether they run for nothing or wait behind a shut gate, which re-parks
+// every one of them without a run.
 func TestWakeAllHerdZeroAlloc(t *testing.T) {
-	s, cycle := warmHerd(4096)
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-		t.Fatalf("herd WakeAll+tick allocated %v times per run, want 0", allocs)
-	}
-	if st := s.Stats(); st.SpuriousWakeups != st.Wakeups || st.Wakeups == 0 {
-		t.Fatalf("%d of %d herd wake-ups counted spurious, want all", st.SpuriousWakeups, st.Wakeups)
+	var gate Gate
+	for _, opts := range [][]SpawnOption{nil, {Gated(&gate)}} {
+		s, cycle := warmHerd(4096, opts...)
+		if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+			t.Fatalf("herd WakeAll+tick allocated %v times per run, want 0", allocs)
+		}
+		st := s.Stats()
+		if st.SpuriousWakeups != st.Wakeups || st.Wakeups == 0 {
+			t.Fatalf("%d of %d herd wake-ups counted spurious, want all", st.SpuriousWakeups, st.Wakeups)
+		}
+		if opts != nil && gate.Reparks() != st.Wakeups {
+			t.Fatalf("%d of %d gated wake-ups re-parked without a run, want all", gate.Reparks(), st.Wakeups)
+		}
 	}
 }

@@ -94,41 +94,102 @@ func (w *herdWork) Run(_ *ExecContext, budget uint64) (uint64, bool, bool) {
 	}
 }
 
+// gatedWork is herdWork behind a gate: while the gate is shut its Run
+// parks at once and changes nothing, which is the Gate contract.
+type gatedWork struct {
+	herdWork
+	gate *Gate
+}
+
+func (w *gatedWork) Run(ctx *ExecContext, budget uint64) (uint64, bool, bool) {
+	if !w.gate.open {
+		return 0, true, false
+	}
+	return w.herdWork.Run(ctx, budget)
+}
+
 // herdEnd is the observable end state of one runHerd.
 type herdEnd struct {
-	Stats     Stats
-	Queues    []int
-	Counters  numa.Counters
-	Lifespans []uint64
+	Stats    Stats
+	Counters numa.Counters
+	// Queues is sampled after every tick: an FNV-1a hash of each core's
+	// queue in order and of every thread's state, by spawn order.
+	Queues []uint64
+	// Migrations is the KindMigration stream.
+	Migrations []obs.Event
+	Lifespans  []uint64
 	// Compactions counts the table shrinks observed between ticks.
 	Compactions int
 }
 
 // runHerd drives 3 processes of 600 threads each (two in cgroups, one in
-// the root set) plus late arrivals through staggered exits, so every
-// table compacts several times, while interleaving WakeAll broadcasts,
-// single Wakes and cpuset shrinks.
+// the root set at first) plus late arrivals through staggered exits, so
+// every table compacts several times. A third of the threads sit behind
+// one of four gates that flip between ticks, and one in eleven is pinned.
+// Between ticks it interleaves WakeAll broadcasts, single Wakes, cpuset
+// writes that shrink or grow a group and AddPID moves, in an order the
+// seed picks: a cgroup write straight after a tick, before anything is
+// queued, is what lets a stale steal answer show.
 func runHerd(t *testing.T, ref bool, seed int64) herdEnd {
 	const pids, perPID, ticks = 3, 600, 700
 	machine := numa.NewMachine(numa.Opteron8387())
 	s := New(machine, Config{})
 	d := driveOf(s, ref)
 	topo := machine.Topology()
+	var end herdEnd
+	bus := obs.NewBus(0)
+	s.SetBus(bus)
+	bus.Subscribe(obs.KindMigration, func(e obs.Event) { end.Migrations = append(end.Migrations, e) })
 	rng := rand.New(rand.NewSource(seed))
 	groups := []*CGroup{s.NewCGroup("a"), s.NewCGroup("b")}
 	groups[0].AddPID(1)
 	groups[1].AddPID(2)
 	cpusets := []CPUSet{FullSet(topo), NewCPUSet(0, 1, 2, 3, 4, 5, 6, 7), NewCPUSet(2, 3), NewCPUSet(4, 5, 6, 7, 8, 9)}
+	var gates [4]Gate
 
 	var threads []*Thread
 	spawn := func(pid, rounds int) {
-		w := &herdWork{rng: rand.New(rand.NewSource(seed<<20 + int64(len(threads)))), rounds: rounds}
-		threads = append(threads, s.Spawn(pid, "herd", w))
+		hw := herdWork{rng: rand.New(rand.NewSource(seed<<20 + int64(len(threads)))), rounds: rounds}
+		var r Runner = &hw
+		var opts []SpawnOption
+		if len(threads)%3 == 1 {
+			g := &gates[len(threads)%len(gates)]
+			r = &gatedWork{herdWork: hw, gate: g}
+			opts = append(opts, Gated(g))
+		}
+		if len(threads)%11 == 4 {
+			opts = append(opts, Pinned(NewCPUSet(numa.CoreID(rng.Intn(16)), numa.CoreID(rng.Intn(16)))))
+		}
+		threads = append(threads, s.Spawn(pid, "herd", r, opts...))
 	}
 	for i := 0; i < pids*perPID; i++ {
 		spawn(1+i%pids, 4+rng.Intn(150))
 	}
-	var end herdEnd
+	sample := func() {
+		h := uint64(14695981039346656037)
+		mix := func(v int) { h = (h ^ uint64(v)) * 1099511628211 }
+		for c := range s.queues {
+			mix(-1)
+			for i := 0; i < s.queues[c].Len(); i++ {
+				mix(int(s.queues[c].At(i).ID))
+			}
+		}
+		for _, th := range threads {
+			mix(int(th.State()))
+		}
+		end.Queues = append(end.Queues, h)
+	}
+	cgroupWrite := func() {
+		g := groups[rng.Intn(2)]
+		switch rng.Intn(3) {
+		case 0:
+			g.SetCPUs(cpusets[rng.Intn(len(cpusets))])
+		case 1: // grow: nothing is displaced, only allowed sets widen
+			g.SetCPUs(g.CPUs().Add(numa.CoreID(rng.Intn(16))).Add(numa.CoreID(rng.Intn(16))))
+		default:
+			g.AddPID(1 + rng.Intn(pids))
+		}
+	}
 	slots := make(map[int]int)
 	for tick := 0; tick < ticks; tick++ {
 		if tick%25 == 0 {
@@ -137,6 +198,7 @@ func runHerd(t *testing.T, ref bool, seed int64) herdEnd {
 			}
 		}
 		d.tick()
+		sample()
 		for pid, p := range s.procs {
 			if len(p.slots) < slots[pid] {
 				end.Compactions++
@@ -144,6 +206,15 @@ func runHerd(t *testing.T, ref bool, seed int64) herdEnd {
 			slots[pid] = len(p.slots)
 		}
 		checkTables(t, s)
+		if rng.Intn(4) == 0 {
+			cgroupWrite()
+			d.tick()
+			sample()
+			checkTables(t, s)
+		}
+		for i := range gates {
+			gates[i].Set(rng.Intn(3) != 0)
+		}
 		d.wakeAll(1 + tick%pids)
 		if tick%5 == 0 {
 			// One targeted wake: the first parked thread at or after a
@@ -156,9 +227,12 @@ func runHerd(t *testing.T, ref bool, seed int64) herdEnd {
 			}
 		}
 		if tick%40 == 20 {
-			groups[rng.Intn(2)].SetCPUs(cpusets[rng.Intn(len(cpusets))])
+			cgroupWrite()
 		}
 		checkTables(t, s)
+	}
+	for i := range gates {
+		gates[i].Set(true)
 	}
 	for i := 0; i < 400 && s.LiveThreads() > 0; i++ {
 		for pid := 1; pid <= pids; pid++ {
@@ -170,7 +244,7 @@ func runHerd(t *testing.T, ref bool, seed int64) herdEnd {
 	if n := s.LiveThreads(); n != 0 {
 		t.Fatalf("seed %d ref=%v: %d threads never exited", seed, ref, n)
 	}
-	end.Stats, end.Queues, end.Counters = s.Stats(), s.QueueLengths(), machine.Snapshot()
+	end.Stats, end.Counters = s.Stats(), machine.Snapshot()
 	for _, th := range threads {
 		spawned, exited := th.Lifespan()
 		end.Lifespans = append(end.Lifespans, spawned, exited)
@@ -178,22 +252,38 @@ func runHerd(t *testing.T, ref bool, seed int64) herdEnd {
 	return end
 }
 
-// TestHerdMatchesNaive is the herd-scale differential: the thread table's
-// bitmap WakeAll against refWakeAll's scan of the global thread map,
-// bit-identical through compactions, targeted wakes and cpuset shrinks.
+// TestHerdMatchesNaive is the herd-scale differential: the scheduler's
+// Tick and WakeAll against refTick and refWakeAll, bit-identical through
+// compactions, targeted wakes, gates, pinned threads and cgroup writes:
+// the same Stats, queue orders, thread states, migration stream, hardware
+// counters and lifespans. It checks the thread table's bitmap drain against
+// a scan of the global thread map, runCore's re-park behind a shut gate
+// against calling Run, and idleSteal's cached answer against a rescan.
 func TestHerdMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		ref := runHerd(t, true, seed)
 		fast := runHerd(t, false, seed)
+		if !reflect.DeepEqual(ref.Stats, fast.Stats) {
+			t.Errorf("seed %d: stats diverged\nref:  %+v\nfast: %+v", seed, ref.Stats, fast.Stats)
+		}
+		for i := range min(len(ref.Queues), len(fast.Queues)) {
+			if ref.Queues[i] != fast.Queues[i] {
+				t.Errorf("seed %d: queues or thread states diverged after tick %d", seed, i)
+				break
+			}
+		}
 		if !reflect.DeepEqual(ref, fast) {
-			t.Errorf("seed %d: herd runs diverged\nref:  %+v %v\nfast: %+v %v",
-				seed, ref.Stats, ref.Queues, fast.Stats, fast.Queues)
+			t.Errorf("seed %d: herd runs diverged (%d against %d samples, %d against %d migrations)",
+				seed, len(ref.Queues), len(fast.Queues), len(ref.Migrations), len(fast.Migrations))
 		}
 		if fast.Compactions < 9 {
 			t.Errorf("seed %d: %d compactions over 3 tables, want each to compact several times", seed, fast.Compactions)
 		}
 		if fast.Stats.SpuriousWakeups == 0 || fast.Stats.SpuriousWakeups >= fast.Stats.Wakeups {
 			t.Errorf("seed %d: %d spurious of %d wake-ups", seed, fast.Stats.SpuriousWakeups, fast.Stats.Wakeups)
+		}
+		if fast.Stats.StolenTasks == 0 {
+			t.Errorf("seed %d: nothing was stolen", seed)
 		}
 	}
 }

@@ -4,15 +4,18 @@ import (
 	"sort"
 
 	"elasticore/internal/numa"
+	"elasticore/internal/obs"
 )
 
 // ref_test.go holds the reference scheduler loop the differentials in
 // fastforward_test.go and proctable_test.go compare Tick, WakeAll,
-// RunUntil and Advance against: every core through runCore every quantum
-// (no idle skip), WakeAll by scanning the global thread table and sorting
-// by TID, RunUntil and Advance one quantum at a time (no fast-forward).
-// The references share runCore, Wake and balance with the scheduler; what
-// they leave out is exactly the event-driven shortcuts under test.
+// RunUntil and Advance against: every core through refRunCore every
+// quantum (no idle skip), WakeAll by scanning the global thread table and
+// sorting by TID, RunUntil and Advance one quantum at a time (no
+// fast-forward). refRunCore calls every popped thread's Run (no gate) and
+// steals through refIdleSteal's plain scan (no cache). The references
+// share Wake, balance and the queue helpers with the scheduler; what they
+// leave out is exactly the event-driven shortcuts under test.
 
 // refTick is Tick without the idle-core skip.
 func refTick(s *Scheduler) {
@@ -21,10 +24,115 @@ func refTick(s *Scheduler) {
 	start := s.machine.Now()
 	s.machine.AdvanceTime(s.cfg.Quantum)
 	for core := 0; core < s.topo.TotalCores(); core++ {
-		s.runCore(numa.CoreID(core), start)
+		refRunCore(s, numa.CoreID(core), start)
 	}
 	if s.tick%s.cfg.BalancePeriod == 0 {
 		s.balance()
+	}
+}
+
+// refRunCore is runCore without the gate: a woken thread runs whatever
+// its gate says, and its empty slice is what counts it spurious.
+func refRunCore(s *Scheduler, core numa.CoreID, start uint64) {
+	if s.queues[core].Len() == 0 {
+		refIdleSteal(s, core)
+	}
+	factor := uint64(1)
+	if s.slow != nil {
+		factor = s.slow[core]
+	}
+	budget := s.cfg.Quantum
+	guard := s.queues[core].Len() + 1
+	for budget > 0 && guard > 0 {
+		guard--
+		if s.queues[core].Len() == 0 {
+			break
+		}
+		avail := budget
+		if factor > 1 {
+			if avail = budget / factor; avail == 0 {
+				break
+			}
+		}
+		t := s.popFront(core)
+		if t.state == Done {
+			continue
+		}
+		t.state = Running
+		woken := t.woken
+		t.woken = false
+		ctx := s.sliceCtx(core, t)
+		used, blocked, done := t.runner.Run(ctx, avail)
+		if used > avail {
+			used = avail
+		}
+		wall := used * factor
+		if used > 0 {
+			s.machine.ChargeBusy(core, wall)
+			if s.bus != nil {
+				sliceStart := start + (s.cfg.Quantum - budget)
+				s.bus.Publish(obs.Event{
+					Kind:  obs.KindRunSlice,
+					Now:   sliceStart + wall,
+					TID:   int64(t.ID),
+					Core:  int32(core),
+					Start: sliceStart,
+					Dur:   wall,
+					Label: t.Name,
+				})
+			}
+		}
+		budget -= wall
+		switch {
+		case done:
+			t.state = Done
+			t.exited = s.machine.Now() + (s.cfg.Quantum - budget)
+			delete(s.threads, t.ID)
+			t.proc.remove(t)
+		case blocked:
+			if woken && used == 0 {
+				s.stats.SpuriousWakeups++
+			}
+			t.state = Blocked
+			s.blockThread(t)
+		default:
+			t.state = Runnable
+			s.pushBack(core, t)
+			if used == 0 {
+				budget = 0
+			}
+		}
+	}
+	if budget > 0 {
+		s.machine.ChargeIdle(core, budget)
+	}
+}
+
+// refIdleSteal is idleSteal without the cache: scan every queue for the
+// busiest, then its threads for the first allowed on the idle core.
+func refIdleSteal(s *Scheduler, core numa.CoreID) {
+	busiest, busiestLen := numa.CoreID(-1), 1
+	for c := range s.queues {
+		if l := s.queues[c].Len(); l > busiestLen {
+			busiest, busiestLen = numa.CoreID(c), l
+		}
+	}
+	if busiest < 0 {
+		return
+	}
+	for i := 0; i < s.queues[busiest].Len(); i++ {
+		t := s.queues[busiest].At(i)
+		if !s.allowedSet(t).Contains(core) {
+			continue
+		}
+		s.removeAt(busiest, i)
+		s.stats.StolenTasks++
+		if s.topo.NodeOf(busiest) != s.topo.NodeOf(core) {
+			s.machine.DropCoreAffinity(core)
+		}
+		s.recordMigration(t, core)
+		s.pushBack(core, t)
+		return
 	}
 }
 

@@ -54,15 +54,15 @@ type Stats struct {
 // WakeAll reads its wake order straight off the bitmap; parking and
 // unparking a thread is one bit flip through Thread.proc/Thread.slot.
 // An exiting thread leaves a nil slot behind; compact squeezes those out.
-// scratch is WakeAll's drain buffer, reused so a steady-state WakeAll
-// allocates nothing.
+// scratch is WakeAll's copy of the bitmap words, reused so a steady-state
+// WakeAll allocates nothing.
 type procTable struct {
 	group    *CGroup   // nil while the process is in no cgroup
 	slots    []*Thread // nil where the thread has exited
 	live     int       // non-nil slots
 	blocked  []uint64  // bit i set <=> slots[i].state == Blocked
 	nblocked int
-	scratch  []*Thread
+	scratch  []uint64
 }
 
 // compactMinSlots is the table size below which exited threads' slots
@@ -123,6 +123,16 @@ type Scheduler struct {
 	surplus int                    // queues holding >= 2 threads (steal candidates)
 	threads map[TID]*Thread
 	nextTID TID
+
+	// gen moves with every queue push, pop and remove and every cgroup
+	// write. stealGen, stealFrom and stealSet cache idleSteal's last
+	// fruitless scan, valid while gen == stealGen: the busiest queue and
+	// the union of its threads' allowed sets, empty when no queue holds
+	// two threads. The zero cache is the empty scheduler's answer.
+	gen       uint64
+	stealGen  uint64
+	stealFrom numa.CoreID
+	stealSet  CPUSet
 
 	// procs holds one thread table per PID.
 	procs map[int]*procTable
@@ -215,14 +225,6 @@ func (s *Scheduler) SetCoreSlowdown(core numa.CoreID, factor uint64) {
 	s.slow[int(core)] = factor
 }
 
-// CoreSlowdown reports the core's live cycle-cost multiplier.
-func (s *Scheduler) CoreSlowdown(core numa.CoreID) uint64 {
-	if s.slow == nil {
-		return 1
-	}
-	return s.slow[int(core)]
-}
-
 // Stats returns a copy of the scheduler counters.
 func (s *Scheduler) Stats() Stats { return s.stats }
 
@@ -238,12 +240,13 @@ func (s *Scheduler) Ticked() uint64 { return s.stats.TicksRun - s.idleSkipped }
 func (s *Scheduler) Quantum() uint64 { return s.cfg.Quantum }
 
 // queue mutation helpers: every insert/remove goes through these so the
-// queued/surplus bookkeeping can never drift from the queues.
+// queued/surplus bookkeeping and gen can never drift from the queues.
 
 func (s *Scheduler) pushBack(core numa.CoreID, t *Thread) {
 	q := &s.queues[core]
 	q.PushBack(t)
 	s.queued++
+	s.gen++
 	if q.Len() == 2 {
 		s.surplus++
 	}
@@ -253,18 +256,18 @@ func (s *Scheduler) pushFront(core numa.CoreID, t *Thread) {
 	q := &s.queues[core]
 	q.PushFront(t)
 	s.queued++
+	s.gen++
 	if q.Len() == 2 {
 		s.surplus++
 	}
 }
 
+// popFront takes the head of a non-empty queue.
 func (s *Scheduler) popFront(core numa.CoreID) *Thread {
 	q := &s.queues[core]
-	t, ok := q.PopFront()
-	if !ok {
-		return nil
-	}
+	t, _ := q.PopFront()
 	s.queued--
+	s.gen++
 	if q.Len() == 1 {
 		s.surplus--
 	}
@@ -275,6 +278,7 @@ func (s *Scheduler) removeAt(core numa.CoreID, i int) *Thread {
 	q := &s.queues[core]
 	t := q.RemoveAt(i)
 	s.queued--
+	s.gen++
 	if q.Len() == 1 {
 		s.surplus--
 	}
@@ -326,6 +330,32 @@ type SpawnOption func(*Thread)
 // (pthread_setaffinity_np-style).
 func Pinned(set CPUSet) SpawnOption {
 	return func(t *Thread) { t.pinned = set }
+}
+
+// Gate tells the scheduler whether the threads spawned behind it (Gated)
+// have anything to do. Its owner keeps it open whenever a Run of such a
+// thread, woken from Blocked with nothing in hand, could find work; while
+// it is shut, that Run must return (0, true, false) and change nothing.
+// runCore then parks the woken thread again without calling Run: the same
+// spurious wake-up, counted the same, at the cost of a flag read.
+type Gate struct {
+	open    bool
+	reparks uint64
+}
+
+// Set opens (true) or shuts (false) the gate.
+func (g *Gate) Set(open bool) { g.open = open }
+
+// Open reports whether the gate is open.
+func (g *Gate) Open() bool { return g.open }
+
+// Reparks counts the woken threads behind the gate that runCore parked
+// again without running them.
+func (g *Gate) Reparks() uint64 { return g.reparks }
+
+// Gated puts the thread behind a gate its spawner keeps.
+func Gated(g *Gate) SpawnOption {
+	return func(t *Thread) { t.gate = g }
 }
 
 // NearNode hints the initial placement toward the given node, modelling
@@ -468,23 +498,20 @@ func (s *Scheduler) WakeAll(pid int) {
 	if p == nil || p.nblocked == 0 {
 		return
 	}
-	// Drain into the reusable scratch batch first, clearing the marks as
-	// they are read: each Wake's unblockThread (and anything re-entering
-	// Wake from a subscriber) then sees an empty set instead of mutating
-	// the bitmap we iterate.
-	batch := p.scratch[:0]
-	for w, word := range p.blocked {
-		for ; word != 0; word &= word - 1 {
-			batch = append(batch, p.slots[w<<6+bits.TrailingZeros64(word)])
-		}
-		p.blocked[w] = 0
-	}
+	// Copy the marks' words and clear them before the first wake-up:
+	// anything re-entering Wake from a subscriber then sees an empty set
+	// instead of mutating the words we iterate, and Wake skips a thread
+	// already woken. Slots stay put meanwhile, since only an exit in
+	// runCore compacts the table.
+	words := append(p.scratch[:0], p.blocked...)
+	clear(p.blocked)
 	p.nblocked = 0
-	for _, t := range batch {
-		s.Wake(t)
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			s.Wake(p.slots[w<<6+bits.TrailingZeros64(word)])
+		}
 	}
-	clear(batch)
-	p.scratch = batch
+	p.scratch = words
 }
 
 // recordMigration updates counters and publishes the event for a thread
@@ -510,6 +537,7 @@ func (s *Scheduler) recordMigration(t *Thread, to numa.CoreID) {
 // reconcileGroup re-places every queued thread of the group whose core left
 // the cpuset (the cgroup cpuset write path).
 func (s *Scheduler) reconcileGroup(g *CGroup) {
+	s.gen++ // allowed sets changed in place: idleSteal's cache is stale
 	var displaced []*Thread
 	for core := range s.queues {
 		displaced = displaced[:0]
@@ -605,6 +633,16 @@ func (s *Scheduler) runCore(core numa.CoreID, start uint64) {
 		if t.state == Done {
 			continue
 		}
+		if t.woken && t.gate != nil && !t.gate.open {
+			// Behind a shut gate a woken thread's Run would find nothing
+			// and park at no cost: park it without the call.
+			t.woken = false
+			t.gate.reparks++
+			s.stats.SpuriousWakeups++
+			t.state = Blocked
+			s.blockThread(t)
+			continue
+		}
 		t.state = Running
 		woken := t.woken
 		t.woken = false
@@ -659,20 +697,30 @@ func (s *Scheduler) runCore(core numa.CoreID, start uint64) {
 }
 
 // idleSteal pulls one thread allowed on the idle core from the busiest
-// queue with at least two runnable threads.
+// queue with at least two runnable threads. A fruitless scan is cached
+// until gen moves, so the other idle cores of a quantum whose queues did
+// not change read the answer instead of rescanning.
 func (s *Scheduler) idleSteal(core numa.CoreID) {
-	busiest, busiestLen := numa.CoreID(-1), 1
-	for c := range s.queues {
-		if l := s.queues[c].Len(); l > busiestLen {
-			busiest, busiestLen = numa.CoreID(c), l
+	busiest := s.stealFrom
+	if s.stealGen == s.gen {
+		if !s.stealSet.Contains(core) {
+			return
+		}
+	} else {
+		busiest = -1
+		busiestLen := 1
+		for c := range s.queues {
+			if l := s.queues[c].Len(); l > busiestLen {
+				busiest, busiestLen = numa.CoreID(c), l
+			}
 		}
 	}
-	if busiest < 0 {
-		return
-	}
-	for i := 0; i < s.queues[busiest].Len(); i++ {
+	var union CPUSet
+	for i := 0; busiest >= 0 && i < s.queues[busiest].Len(); i++ {
 		t := s.queues[busiest].At(i)
-		if !s.allowedSet(t).Contains(core) {
+		allowed := s.allowedSet(t)
+		if !allowed.Contains(core) {
+			union = union.Union(allowed)
 			continue
 		}
 		s.removeAt(busiest, i)
@@ -684,6 +732,7 @@ func (s *Scheduler) idleSteal(core numa.CoreID) {
 		s.pushBack(core, t)
 		return
 	}
+	s.stealGen, s.stealFrom, s.stealSet = s.gen, busiest, union
 }
 
 // balance is the periodic load balancer: it repeatedly moves one thread
@@ -799,16 +848,6 @@ func (s *Scheduler) skipIdleTicks(n uint64) {
 	for core := 0; core < s.topo.TotalCores(); core++ {
 		s.machine.ChargeIdle(numa.CoreID(core), idle)
 	}
-}
-
-// QueueLengths returns the current run-queue length per core (diagnostics
-// and tests).
-func (s *Scheduler) QueueLengths() []int {
-	out := make([]int, len(s.queues))
-	for i := range s.queues {
-		out[i] = s.queues[i].Len()
-	}
-	return out
 }
 
 // LiveThreads returns the number of threads not yet Done.

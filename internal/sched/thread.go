@@ -91,8 +91,25 @@ type Recycler interface {
 	Recycled() *Thread
 }
 
-// Thread is one schedulable entity.
+// Thread is one schedulable entity. The fields a wake-up and a re-park
+// read and write come first, so they share the record's first cache line.
 type Thread struct {
+	state State
+	core  numa.CoreID // current queue assignment
+	// proc and slot locate the thread in its process's thread table
+	// (slot moves when the table compacts).
+	proc *procTable
+	slot int
+	// pinned, when non-zero, is a hard affinity mask the balancer must
+	// respect (pthread_setaffinity_np / NUMA-aware DBMS pinning).
+	pinned CPUSet
+	// gate, when set, tells runCore whether the thread has anything to do
+	// (Gated).
+	gate *Gate
+	// woken is set by Wake and cleared when the thread next runs; it
+	// lets that first slice be classified as a spurious wake-up.
+	woken bool
+
 	ID  TID
 	PID int // process the thread belongs to (cgroup membership key)
 	// Name is the diagnostic label run-slice events carry, e.g. "worker3"
@@ -101,18 +118,6 @@ type Thread struct {
 	Name string
 
 	runner Runner
-	state  State
-	core   numa.CoreID // current queue assignment
-	// proc and slot locate the thread in its process's thread table
-	// (slot moves when the table compacts).
-	proc *procTable
-	slot int
-	// woken is set by Wake and cleared when the thread next runs; it
-	// lets that first slice be classified as a spurious wake-up.
-	woken bool
-	// pinned, when non-zero, is a hard affinity mask the balancer must
-	// respect (pthread_setaffinity_np / NUMA-aware DBMS pinning).
-	pinned CPUSet
 	// spawnHint biases initial placement toward a node (fork-local
 	// placement); NoNode means none.
 	spawnHint numa.NodeID
