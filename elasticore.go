@@ -139,9 +139,9 @@ type (
 	// Sharder owns the deterministic key -> shard -> machine placement
 	// (hashed shards, contiguous per-machine ranges).
 	Sharder = cluster.Sharder
-	// Coordinator replays an arrival process against a fleet: keyed
-	// requests go to their shard's owner, unkeyed ones to the
-	// least-loaded machine, every n-th as a scatter-gather over all.
+	// Coordinator replays an arrival process against a fleet: each
+	// request goes to its key's shard owner, every n-th as a
+	// scatter-gather over all.
 	Coordinator = cluster.Coordinator
 	// ClusterArbiter is the cluster-level control tier: it collects the
 	// per-machine mechanisms' desired allocations and moves whole cores
@@ -155,12 +155,6 @@ type (
 // NewFleet builds N lockstep machines, each loading its owned fraction
 // of the total scale factor (the fleet as a whole stores one database).
 func NewFleet(opts FleetOptions) (*Fleet, error) { return cluster.NewFleet(opts) }
-
-// NewSharder partitions `shards` hashed shards into contiguous ranges
-// across `machines` (shards >= machines >= 1).
-func NewSharder(shards, machines int) (*Sharder, error) {
-	return cluster.NewSharder(shards, machines)
-}
 
 // NewClusterArbiter attaches the cluster control tier to a fleet; every
 // machine must run an elastic mode (the per-machine mechanisms evaluate,
@@ -206,7 +200,7 @@ type (
 	// Arbiter divides the machine's cores among tenants every control
 	// period: SLA-weighted shares, starvation floors, no over-commit.
 	Arbiter = tenant.Arbiter
-	// SLA is a tenant's agreement: weight, core floor, traffic budget.
+	// SLA is a tenant's agreement: weight and core floor.
 	SLA = tenant.SLA
 	// MultiRig is a fully wired multi-tenant experiment environment.
 	MultiRig = workload.MultiRig

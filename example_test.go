@@ -147,16 +147,21 @@ func ExampleArbiter() {
 // ranges: the same key always routes to the same shard, and every shard
 // has exactly one owner.
 func ExampleSharder() {
-	sh, err := elasticore.NewSharder(8, 4) // 8 shards on 4 machines
+	fleet, err := elasticore.NewFleet(elasticore.FleetOptions{
+		Machines: 4,
+		Shards:   8, // 8 shards on 4 machines
+		SF:       0.002,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sh := fleet.Sharder
 	for m := 0; m < 4; m++ {
 		lo, hi := sh.ShardsOf(m)
 		fmt.Printf("machine %d owns shards [%d,%d)\n", m, lo, hi)
 	}
 	key := sh.KeyForShard(5, 0) // synthesize a key hashing to shard 5
-	fmt.Println("key routes to shard", sh.Shard(key), "on machine", sh.MachineFor(key))
+	fmt.Println("key routes to shard", sh.Shard(key), "on machine", sh.Owner(sh.Shard(key)))
 	// Output:
 	// machine 0 owns shards [0,2)
 	// machine 1 owns shards [2,4)

@@ -180,17 +180,3 @@ func (d *Diurnal) Next() (float64, bool) {
 		}
 	}
 }
-
-// Take materializes the first n arrivals of a process (fewer if the
-// stream ends early).
-func Take(p Process, n int) []float64 {
-	out := make([]float64, 0, n)
-	for len(out) < n {
-		t, ok := p.Next()
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	return out
-}

@@ -5,11 +5,25 @@ import (
 	"testing"
 )
 
+// take materializes the first n arrivals of a process (fewer if the
+// stream ends early).
+func take(p Process, n int) []float64 {
+	out := make([]float64, 0, n)
+	for len(out) < n {
+		t, ok := p.Next()
+		if !ok {
+			break
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
 // checkStream pulls n arrivals and verifies the sequence is positive and
 // non-decreasing.
 func checkStream(t *testing.T, p Process, n int) []float64 {
 	t.Helper()
-	ts := Take(p, n)
+	ts := take(p, n)
 	if len(ts) != n {
 		t.Fatalf("%s: got %d arrivals, want %d", p.Name(), len(ts), n)
 	}
@@ -25,13 +39,13 @@ func checkStream(t *testing.T, p Process, n int) []float64 {
 
 func TestPoissonIsDeterministicAndMonotone(t *testing.T) {
 	a := checkStream(t, NewPoisson(100, 7), 500)
-	b := Take(NewPoisson(100, 7), 500)
+	b := take(NewPoisson(100, 7), 500)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at arrival %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-	c := Take(NewPoisson(100, 8), 500)
+	c := take(NewPoisson(100, 8), 500)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -46,7 +60,7 @@ func TestPoissonIsDeterministicAndMonotone(t *testing.T) {
 
 func TestPoissonMeanRate(t *testing.T) {
 	const rate, n = 200.0, 20000
-	ts := Take(NewPoisson(rate, 3), n)
+	ts := take(NewPoisson(rate, 3), n)
 	got := float64(n) / ts[n-1]
 	if math.Abs(got-rate)/rate > 0.05 {
 		t.Errorf("empirical rate %.1f, want %.1f ±5%%", got, rate)
@@ -79,7 +93,7 @@ func TestMMPPRateBetweenLevels(t *testing.T) {
 	// by dwell: here dwell is equal so the mean is near (50+500)/2.
 	m := NewMMPP(50, 500, 0.2, 0.2, 5)
 	const n = 30000
-	ts := Take(m, n)
+	ts := take(m, n)
 	got := float64(n) / ts[n-1]
 	if got < 50 || got > 500 {
 		t.Errorf("long-run rate %.1f outside [base, burst] = [50, 500]", got)

@@ -13,8 +13,8 @@ import (
 // between MACHINES. Every cluster control period it collects each
 // machine's demand (the machine's own PrT-net desire, backlog-clamped
 // by the coordinator's queue signal), apportions a fleet-wide core
-// budget by weight with per-machine floors, and applies the grants
-// through each mechanism's Resize — shrinks immediately, grows
+// budget with equal weights and per-machine floors, and applies the
+// grants through each mechanism's Resize — shrinks immediately, grows
 // only after an explicit migration latency, so rebalancing has a cost
 // the experiments can measure instead of an assumed-free teleport.
 
@@ -52,8 +52,6 @@ type ClusterArbiterConfig struct {
 	// after the round that awarded it (shrinks are immediate — the core
 	// is in transit, owned by nobody). Zero selects 1 ms.
 	MigrateLatency uint64
-	// Weights biases the apportionment per machine (default all 1).
-	Weights []int
 }
 
 // pendingGrant is one scheduled core arrival.
@@ -74,7 +72,7 @@ type ClusterArbiter struct {
 	nextEval uint64
 	budget   int
 	migrate  uint64
-	weights  []int
+	weights  []int // all 1: every machine weighs the same
 	floors   []int
 
 	demand  []int
@@ -130,23 +128,13 @@ func NewClusterArbiter(cfg ClusterArbiterConfig) (*ClusterArbiter, error) {
 	if cfg.MigrateLatency == 0 {
 		cfg.MigrateLatency = f.Rigs[0].Machine.Topology().SecondsToCycles(1e-3)
 	}
-	weights := cfg.Weights
-	if weights == nil {
-		weights = make([]int, len(f.Rigs))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	if len(weights) != len(f.Rigs) {
-		return nil, fmt.Errorf("cluster: %d weights for %d machines", len(weights), len(f.Rigs))
-	}
 	ca := &ClusterArbiter{
 		fleet:    f,
 		period:   cfg.ControlPeriod,
 		nextEval: f.Now() + cfg.ControlPeriod,
 		budget:   cfg.Budget,
 		migrate:  cfg.MigrateLatency,
-		weights:  weights,
+		weights:  make([]int, len(f.Rigs)),
 		floors:   make([]int, len(f.Rigs)),
 		demand:   make([]int, len(f.Rigs)),
 		grant:    make([]int, len(f.Rigs)),
@@ -154,6 +142,7 @@ func NewClusterArbiter(cfg ClusterArbiterConfig) (*ClusterArbiter, error) {
 	for m, r := range f.Rigs {
 		// Every machine keeps at least one core (its mechanism's own
 		// floor); demand and grant start at the current allocation.
+		ca.weights[m] = 1
 		ca.floors[m] = 1
 		ca.demand[m] = r.AllocatedCores()
 		ca.grant[m] = r.AllocatedCores()
@@ -171,13 +160,6 @@ func (ca *ClusterArbiter) MigrateLatency() uint64 { return ca.migrate }
 // Events returns the rebalance timeline recorded so far: one entry per
 // machine per round in which its grant changed.
 func (ca *ClusterArbiter) Events() []RebalanceEvent { return ca.events }
-
-// Grants returns the current per-machine grants, in machine order.
-func (ca *ClusterArbiter) Grants() []int {
-	out := make([]int, len(ca.grant))
-	copy(out, ca.grant)
-	return out
-}
 
 // ChargeTransfer adds a shard-transfer cost to the arbiter's ledger; the
 // health monitor calls it when a re-assignment lands.

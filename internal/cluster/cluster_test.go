@@ -36,14 +36,13 @@ func uniformKeys(sh *Sharder) func(k int) uint64 {
 	}
 }
 
-// runCoordinator drives a fixed keyed workload over the fleet.
-func runCoordinator(t *testing.T, f *Fleet, policy Policy) Result {
+// runCoordinator drives a fixed workload over the fleet, routed by keys.
+func runCoordinator(t *testing.T, f *Fleet, keys func(k int) uint64) Result {
 	t.Helper()
 	c := &Coordinator{
 		Fleet:        f,
 		Process:      arrivals.NewPoisson(400, 11),
-		Policy:       policy,
-		Keys:         uniformKeys(f.Sharder),
+		Keys:         keys,
 		ScatterEvery: 5,
 		MaxArrivals:  30,
 		MaxSeconds:   120,
@@ -71,126 +70,64 @@ func TestFleetLockstep(t *testing.T) {
 
 // TestCoordinatorAccounting: every offered request is accounted for,
 // keyed requests land on their shard owner, scatters fan out to every
-// machine, and merged scalars flow through.
+// machine, and merged scalars flow through — with a key stream, and with
+// Keys left nil, which routes request k by the key k itself.
 func TestCoordinatorAccounting(t *testing.T) {
-	f := testFleet(t, 2, workload.ModeDense, nil)
-	res := runCoordinator(t, f, BalanceShortestQueue)
-	if res.Offered != 30 {
-		t.Fatalf("Offered = %d, want 30", res.Offered)
-	}
-	if got := res.Completed + res.Dropped + res.Abandoned; got != res.Offered {
-		t.Fatalf("Completed %d + Dropped %d + Abandoned %d = %d, want Offered %d",
-			res.Completed, res.Dropped, res.Abandoned, got, res.Offered)
-	}
-	if got := res.RoutedKeyed + res.RoutedBalanced + res.Scattered; got != res.Offered {
-		t.Fatalf("routing kinds sum to %d, want %d", got, res.Offered)
-	}
-	if res.Scattered != 6 {
-		t.Fatalf("Scattered = %d, want 6 (every 5th of 30)", res.Scattered)
-	}
-	if res.Completed == 0 {
-		t.Fatal("no requests completed")
-	}
-	if res.MergedScalars <= 0 {
-		t.Fatalf("MergedScalars = %v, want > 0 (Q6 revenue)", res.MergedScalars)
-	}
-	if uint64(res.Completed) != res.Latency.Count() {
-		t.Fatalf("latency histogram has %d samples for %d completions", res.Latency.Count(), res.Completed)
-	}
-	routed := 0
-	for _, st := range res.PerMachine {
-		routed += st.Routed
-	}
-	// Each scatter contributes one routed entry per machine.
-	want := res.RoutedKeyed + res.RoutedBalanced + res.Scattered*f.Machines()
-	if routed != want {
-		t.Fatalf("per-machine Routed sums to %d, want %d", routed, want)
-	}
-}
-
-// TestCoordinatorBalancePolicies: unkeyed traffic spreads across
-// machines under both policies.
-func TestCoordinatorBalancePolicies(t *testing.T) {
-	for _, policy := range []Policy{BalanceShortestQueue, BalanceWeighted} {
+	for _, tc := range []struct {
+		name string
+		keys func(f *Fleet) func(k int) uint64
+	}{
+		{"uniform", func(f *Fleet) func(k int) uint64 { return uniformKeys(f.Sharder) }},
+		{"nil", func(*Fleet) func(k int) uint64 { return nil }},
+	} {
 		f := testFleet(t, 2, workload.ModeDense, nil)
-		c := &Coordinator{
-			Fleet:       f,
-			Process:     arrivals.NewPoisson(400, 11),
-			Policy:      policy,
-			MaxArrivals: 24,
-			MaxSeconds:  120,
+		res := runCoordinator(t, f, tc.keys(f))
+		if res.Offered != 30 {
+			t.Fatalf("%s: Offered = %d, want 30", tc.name, res.Offered)
 		}
-		res := c.Run()
-		if res.RoutedBalanced != 24 {
-			t.Fatalf("%v: RoutedBalanced = %d, want 24", policy, res.RoutedBalanced)
+		if got := res.Completed + res.Dropped + res.Abandoned; got != res.Offered {
+			t.Fatalf("%s: Completed %d + Dropped %d + Abandoned %d = %d, want Offered %d",
+				tc.name, res.Completed, res.Dropped, res.Abandoned, got, res.Offered)
 		}
-		for m, st := range res.PerMachine {
-			if st.Routed == 0 {
-				t.Fatalf("%v: machine %d received no traffic", policy, m)
-			}
+		if got := res.RoutedKeyed + res.Scattered; got != res.Offered {
+			t.Fatalf("%s: routing kinds sum to %d, want %d", tc.name, got, res.Offered)
 		}
-	}
-	t.Run("crash-plan", weightedUnderFaults)
-}
-
-// weightedUnderFaults: a fault plan does not switch the balance policy
-// off. With machine 0 crashed for the whole run every
-// unkeyed request, first send or resend, goes to the machine with the
-// least load per allocated core among the healthy ones — recomputed here
-// from the admission layers as each route event is published — and the
-// run contains decisions where shortest-queue would have gone elsewhere.
-func weightedUnderFaults(t *testing.T) {
-	bus := obs.NewBus(0)
-	f := faultedFleet(t, "crash m0 @0s", 1, bus)
-	pressuredArbiter(t, f, 24)
-	routes, discriminating := 0, 0
-	bus.Subscribe(obs.KindRoute, func(e obs.Event) {
-		routes++
-		weighted, shortest := -1, -1
-		var load, depth, cores [3]int
-		for m, adm := range f.admissions {
-			if adm.Down || f.Health().Dead(m) {
-				continue
-			}
-			// The state pick saw: this request was not queued yet.
-			depth[m], cores[m] = adm.QueueLen(), f.Rigs[m].AllocatedCores()
-			if m == int(e.Machine) {
-				depth[m]--
-			}
-			load[m] = depth[m] + adm.InFlight()
-			if weighted < 0 || load[m]*cores[weighted] < load[weighted]*cores[m] {
-				weighted = m
-			}
-			if shortest < 0 || depth[m] < depth[shortest] ||
-				(depth[m] == depth[shortest] && adm.InFlight() < f.admissions[shortest].InFlight()) {
-				shortest = m
-			}
+		if res.Scattered != 6 {
+			t.Fatalf("%s: Scattered = %d, want 6 (every 5th of 30)", tc.name, res.Scattered)
 		}
-		if int(e.Machine) != weighted {
-			t.Errorf("route %d went to machine %d, weighted pick among healthy machines is %d (load %v, cores %v)",
-				routes, e.Machine, weighted, load, cores)
+		if res.Completed == 0 {
+			t.Fatalf("%s: no requests completed", tc.name)
 		}
-		if weighted != shortest {
-			discriminating++
+		if res.MergedScalars <= 0 {
+			t.Fatalf("%s: MergedScalars = %v, want > 0 (Q6 revenue)", tc.name, res.MergedScalars)
 		}
-	})
-	c := pressuredCoordinator(f)
-	c.Keys = nil
-	c.Policy = BalanceWeighted
-	res := c.Run()
-	if res.PerMachine[0].Routed != 0 || res.Completed == 0 {
-		t.Fatalf("crashed machine 0 was sent %d requests; %d completed", res.PerMachine[0].Routed, res.Completed)
-	}
-	if discriminating == 0 {
-		t.Fatalf("none of %d routes tells weighted from shortest-queue", routes)
+		if uint64(res.Completed) != res.Latency.Count() {
+			t.Fatalf("%s: latency histogram has %d samples for %d completions", tc.name, res.Latency.Count(), res.Completed)
+		}
+		routed := 0
+		for _, st := range res.PerMachine {
+			routed += st.Routed
+		}
+		// Each scatter contributes one routed entry per machine.
+		want := res.RoutedKeyed + res.Scattered*f.Machines()
+		if routed != want {
+			t.Fatalf("%s: per-machine Routed sums to %d, want %d", tc.name, routed, want)
+		}
+		if tc.name != "nil" {
+			continue
+		}
+		byKey := runCoordinator(t, testFleet(t, 2, workload.ModeDense, nil), func(k int) uint64 { return uint64(k) })
+		if !reflect.DeepEqual(res, byKey) {
+			t.Fatalf("nil Keys diverged from keys k:\n%+v\nwant\n%+v", res, byKey)
+		}
 	}
 }
 
-// TestCoordinatorRoutingKindsCountShed: RoutedKeyed, RoutedBalanced and
-// Scattered split Offered as requests are offered, so one shed at a full
-// queue still counts under its kind.
+// TestCoordinatorRoutingKindsCountShed: RoutedKeyed and Scattered split
+// Offered as requests are offered, so one shed at a full queue still
+// counts under its kind.
 func TestCoordinatorRoutingKindsCountShed(t *testing.T) {
-	for _, kind := range trafficKinds[:2] { // keyed, unkeyed
+	for _, kind := range trafficKinds[:2] { // keyed, nil keys
 		c := pressuredCoordinator(testFleet(t, 2, workload.ModeDense, nil))
 		c.Keys = nil
 		c.ScatterEvery = 5
@@ -200,7 +137,7 @@ func TestCoordinatorRoutingKindsCountShed(t *testing.T) {
 		if res.Dropped == 0 {
 			t.Fatalf("%s: nothing was shed at one-deep queues", kind.name)
 		}
-		if got := res.RoutedKeyed + res.RoutedBalanced + res.Scattered; got != res.Offered {
+		if got := res.RoutedKeyed + res.Scattered; got != res.Offered {
 			t.Fatalf("%s: routing kinds sum to %d, want Offered %d (%d dropped)", kind.name, got, res.Offered, res.Dropped)
 		}
 	}
@@ -211,9 +148,9 @@ func TestCoordinatorRoutingKindsCountShed(t *testing.T) {
 func TestCoordinatorRouteEvents(t *testing.T) {
 	bus := obs.NewBus(0)
 	f := testFleet(t, 2, workload.ModeDense, bus)
-	res := runCoordinator(t, f, BalanceShortestQueue)
+	res := runCoordinator(t, f, uniformKeys(f.Sharder))
 	routes := bus.EventsOfKind(obs.KindRoute)
-	want := res.RoutedKeyed + res.RoutedBalanced + res.Scattered*f.Machines()
+	want := res.RoutedKeyed + res.Scattered*f.Machines()
 	if len(routes) != want {
 		t.Fatalf("%d route events, want %d", len(routes), want)
 	}
@@ -381,7 +318,6 @@ func fleetRun(t *testing.T) Result {
 	f := testFleet(t, 2, workload.ModeDense, nil)
 	pressuredArbiter(t, f, 12)
 	c := pressuredCoordinator(f)
-	c.Policy = BalanceWeighted
 	c.ScatterEvery = 7
 	return c.Run()
 }

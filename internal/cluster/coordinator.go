@@ -11,13 +11,12 @@ import (
 
 // coordinator.go is the fleet's front door: the open-loop driver
 // generalized from one machine to N. Requests arrive from an arrival
-// process, are routed — keyed requests to their shard's owner, unkeyed
-// ones by a load-balance policy, every ScatterEvery-th as a
-// scatter-gather fan-out over all machines — and each machine runs its
-// own workload.Admission (the same bounded-queue/session layer the
-// single-machine OpenDriver uses). Partial results of a scatter merge
-// by scalar addition; the parent request completes when its last
-// sub-query does.
+// process, are routed — each to its key's shard owner, every
+// ScatterEvery-th as a scatter-gather fan-out over all machines — and
+// each machine runs its own workload.Admission (the same
+// bounded-queue/session layer the single-machine OpenDriver uses).
+// Partial results of a scatter merge by scalar addition; the parent
+// request completes when its last sub-query does.
 //
 // Every request walks the same machine, whatever is configured; the
 // methods of run are its transitions:
@@ -33,33 +32,15 @@ import (
 // Timeouts, hedges, link faults and crashes are events that never occur
 // on a fleet without them, not a second code path.
 
-// Policy selects how unkeyed requests pick a machine.
-type Policy int
-
-const (
-	// BalanceShortestQueue routes to the machine with the fewest queued
-	// requests (ties: fewer in flight, then lowest index).
-	BalanceShortestQueue Policy = iota
-	// BalanceWeighted routes to the machine with the lowest queue depth
-	// per allocated core, so a machine the arbiter grew absorbs
-	// proportionally more traffic (ties: lowest index).
-	BalanceWeighted
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	if p == BalanceWeighted {
-		return "weighted"
-	}
-	return "shortest-queue"
-}
-
 // The routing kinds, as KindRoute events label them.
 const (
 	labelKeyed   = "keyed"
-	labelAny     = "any"
 	labelScatter = "scatter"
 )
+
+// mergeScalar names the scalar summed across a scatter's sub-queries
+// (Q6's revenue).
+const mergeScalar = "result"
 
 // parentReq tracks one offered request until it resolves.
 type parentReq struct {
@@ -68,7 +49,7 @@ type parentReq struct {
 	merged  float64
 	label   string
 	// shard is the routing key's shard, which a resend routes again; -1
-	// for unkeyed and scatter requests.
+	// for a scatter.
 	shard int
 	// done marks the request resolved (completed, dropped or failed):
 	// later completions of its attempts are ignored.
@@ -151,8 +132,8 @@ func newRun(caller *Coordinator) *run {
 	if c.Build == nil {
 		c.Build = func(id uint64) *db.Plan { return tpch.BuildQ6(id + 1) }
 	}
-	if c.MergeScalar == "" {
-		c.MergeScalar = "result"
+	if c.Keys == nil {
+		c.Keys = func(k int) uint64 { return uint64(k) }
 	}
 	if c.BackoffSeconds == 0 {
 		c.BackoffSeconds = 5e-3
@@ -218,31 +199,6 @@ func (r *run) healthy(m int) bool {
 	return h == nil || !h.Dead(m)
 }
 
-// lighter reports whether the balance policy prefers machine m to b.
-func (r *run) lighter(m, b int) bool {
-	am, ab := r.adms[m], r.adms[b]
-	if r.c.Policy == BalanceWeighted {
-		// Lowest queue depth per allocated core: compare q_m/w_m with
-		// q_b/w_b by cross-multiplication to stay in integers.
-		return (am.QueueLen()+am.InFlight())*r.f.Rigs[b].AllocatedCores() <
-			(ab.QueueLen()+ab.InFlight())*r.f.Rigs[m].AllocatedCores()
-	}
-	return am.QueueLen() < ab.QueueLen() ||
-		(am.QueueLen() == ab.QueueLen() && am.InFlight() < ab.InFlight())
-}
-
-// pick returns the balance policy's machine for an unkeyed request, first
-// send or resend, among the healthy machines; -1 when there is none.
-func (r *run) pick() int {
-	best := -1
-	for m := range r.adms {
-		if r.healthy(m) && (best < 0 || r.lighter(m, best)) {
-			best = m
-		}
-	}
-	return best
-}
-
 // offer is offered → routed: it classifies the request arriving at
 // cycle at, counts it under its routing kind and sends it on its way. A
 // scatter that cannot seat every sub-query is dropped whole here — a
@@ -250,9 +206,8 @@ func (r *run) pick() int {
 func (r *run) offer(nowC, at uint64) {
 	k := r.res.Offered
 	r.res.Offered++
-	p := parentReq{at: at, pending: 1, label: labelAny, shard: -1}
-	switch {
-	case r.c.ScatterEvery > 0 && (k+1)%r.c.ScatterEvery == 0:
+	p := parentReq{at: at, pending: 1, label: labelKeyed, shard: -1}
+	if r.c.ScatterEvery > 0 && (k+1)%r.c.ScatterEvery == 0 {
 		p.label, p.pending = labelScatter, len(r.adms)
 		r.res.Scattered++
 		for _, adm := range r.adms {
@@ -261,11 +216,9 @@ func (r *run) offer(nowC, at uint64) {
 				return
 			}
 		}
-	case r.c.Keys != nil:
-		p.label, p.shard = labelKeyed, r.f.Sharder.Shard(r.c.Keys(k))
+	} else {
+		p.shard = r.f.Sharder.Shard(r.c.Keys(k))
 		r.res.RoutedKeyed++
-	default:
-		r.res.RoutedBalanced++
 	}
 	id := int64(len(r.reqs))
 	r.reqs = append(r.reqs, p)
@@ -281,32 +234,26 @@ func (r *run) offer(nowC, at uint64) {
 	}
 }
 
-// route is routed → attempt for a first send or a resend: a keyed
-// request goes to the first healthy machine in its shard's owner
-// preference order (a failover when that is not the primary), an unkeyed
-// one to the balance policy's pick; with nowhere to go it waits out a
-// backoff.
+// route is routed → attempt for a first send or a resend: the request
+// goes to the first healthy machine in its shard's owner preference order
+// (a failover when that is not the primary); with nowhere to go it waits
+// out a backoff.
 func (r *run) route(nowC uint64, parent int64) {
 	p := &r.reqs[parent]
 	p.tries++
-	m, primary := -1, -1
-	if p.shard >= 0 {
-		primary = r.f.Sharder.Owner(p.shard)
-		r.buf = r.f.Sharder.Owners(p.shard, r.buf[:0])
-		for _, o := range r.buf {
-			if r.healthy(o) {
-				m = o
-				break
-			}
+	m, primary := -1, r.f.Sharder.Owner(p.shard)
+	r.buf = r.f.Sharder.Owners(p.shard, r.buf[:0])
+	for _, o := range r.buf {
+		if r.healthy(o) {
+			m = o
+			break
 		}
-	} else {
-		m = r.pick()
 	}
 	if m < 0 {
 		r.retry(nowC, parent, primary, "down")
 		return
 	}
-	if p.shard >= 0 && m != primary {
+	if m != primary {
 		r.res.Failovers++
 		r.publishFailover(nowC, p.shard, m, "")
 	}
@@ -371,7 +318,7 @@ func (r *run) complete(tag int64, q *db.Query, _, _ uint64) {
 	if p.done {
 		return // a faster attempt already won; ignore the straggler
 	}
-	p.merged += q.Scalar(r.c.MergeScalar)
+	p.merged += q.Scalar(mergeScalar)
 	p.pending--
 	if p.pending == 0 {
 		r.resolve(r.f.Now(), p, completed)
@@ -667,9 +614,9 @@ type Result struct {
 	// actions: scheduled resends, hedged duplicates, requests served by a
 	// non-primary replica, and sends lost on a degraded link.
 	Retried, Hedged, Failovers, WireDropped int
-	// RoutedKeyed, RoutedBalanced and Scattered split Offered by routing
-	// kind, counted as a request is offered, whatever becomes of it.
-	RoutedKeyed, RoutedBalanced, Scattered int
+	// RoutedKeyed and Scattered split Offered by routing kind, counted as
+	// a request is offered, whatever becomes of it.
+	RoutedKeyed, Scattered int
 	// Throughput is parent completions per virtual second.
 	Throughput float64
 	// Latency is the fleet-wide parent-request latency histogram in
@@ -692,12 +639,8 @@ type Coordinator struct {
 	// Process generates arrival timestamps relative to the run start. A
 	// nil process offers nothing.
 	Process arrivals.Process
-	// Policy routes unkeyed requests, first sends and resends alike,
-	// among the healthy machines (default BalanceShortestQueue).
-	Policy Policy
-	// Keys, when set, returns the routing key of the k-th offered
-	// request (0-based); its shard's owner serves it. Nil leaves every
-	// request unkeyed (balance-routed).
+	// Keys returns the routing key of the k-th offered request (0-based);
+	// its shard's owner serves it (default: the key k itself).
 	Keys func(k int) uint64
 	// ScatterEvery makes every n-th offered request (1-based: requests
 	// n-1, 2n-1, ...) a scatter-gather over all machines; 0 disables.
@@ -706,9 +649,6 @@ type Coordinator struct {
 	// request id (default tpch.BuildQ6(id+1)); a scatter's sub-queries
 	// share the parent id, i.e. they are the same query on every shard.
 	Build func(id uint64) *db.Plan
-	// MergeScalar names the scalar summed across sub-queries (default
-	// "result", Q6's revenue).
-	MergeScalar string
 	// MaxInFlight and QueueCap bound each machine's admission layer
 	// (defaults 64 and 1024, as for the single-machine OpenDriver).
 	MaxInFlight, QueueCap int

@@ -226,9 +226,9 @@ func TestCoordinatorJumpEquivalence(t *testing.T) {
 				// Result's conservation laws: every offered request resolved
 				// exactly once or was abandoned, under exactly one routing kind.
 				if r := got.Result; r.Abandoned < 0 || r.Offered != r.Completed+r.Dropped+r.Failed+r.Abandoned ||
-					r.RoutedKeyed+r.RoutedBalanced+r.Scattered != r.Offered {
-					t.Fatalf("%s: offered %d != completed %d + dropped %d + failed %d + abandoned %d, or routed %d+%d+%d",
-						label, r.Offered, r.Completed, r.Dropped, r.Failed, r.Abandoned, r.RoutedKeyed, r.RoutedBalanced, r.Scattered)
+					r.RoutedKeyed+r.Scattered != r.Offered {
+					t.Fatalf("%s: offered %d != completed %d + dropped %d + failed %d + abandoned %d, or routed %d+%d",
+						label, r.Offered, r.Completed, r.Dropped, r.Failed, r.Abandoned, r.RoutedKeyed, r.Scattered)
 				}
 				diffObservables(t, label, want.fleetObservables, got.fleetObservables)
 				if !reflect.DeepEqual(want.Stats, got.Stats) {

@@ -42,7 +42,6 @@ func faultedFleet(t *testing.T, spec string, replicas int, bus *obs.Bus) *Fleet 
 	if _, err := NewHealthMonitor(HealthConfig{
 		Fleet:           f,
 		HeartbeatEvery:  topo.SecondsToCycles(1e-3),
-		DeadAfter:       topo.SecondsToCycles(4e-3),
 		TransferLatency: topo.SecondsToCycles(5e-3),
 		BrownoutCap:     8,
 	}); err != nil {
@@ -296,7 +295,6 @@ func TestHealthAdvanceMatchesTicks(t *testing.T) {
 			if _, err := NewHealthMonitor(HealthConfig{
 				Fleet:           f,
 				HeartbeatEvery:  topo.SecondsToCycles(1e-3),
-				DeadAfter:       topo.SecondsToCycles(4e-3),
 				TransferLatency: topo.SecondsToCycles(5.3e-3),
 				BrownoutCap:     8,
 			}); err != nil {

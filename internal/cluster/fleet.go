@@ -222,10 +222,6 @@ func (f *Fleet) Now() uint64 { return f.Rigs[0].Machine.Now() }
 // NowSeconds returns the fleet clock in virtual seconds.
 func (f *Fleet) NowSeconds() float64 { return f.Rigs[0].Machine.NowSeconds() }
 
-// Arbiter returns the attached cluster arbiter, nil when each machine's
-// mechanism self-governs.
-func (f *Fleet) Arbiter() *ClusterArbiter { return f.arb }
-
 // Health returns the attached health monitor, nil when failure detection
 // is off.
 func (f *Fleet) Health() *HealthMonitor { return f.health }
@@ -233,9 +229,6 @@ func (f *Fleet) Health() *HealthMonitor { return f.health }
 // Injector returns the compiled fault plan, nil for a healthy fleet.
 // All its read methods are nil-safe, so callers query it unconditionally.
 func (f *Fleet) Injector() *faults.Injector { return f.injector }
-
-// Down reports whether machine m is currently crashed by the fault plan.
-func (f *Fleet) Down(m int) bool { return f.injector.Down(m) }
 
 // EnsureBus returns the fleet-wide bus, creating one and attaching it to
 // every machine on first use (the health monitor needs heartbeats even

@@ -9,11 +9,11 @@ import (
 // health.go is the fleet's failure detector and repair loop. Machines
 // publish heartbeats on the fleet bus (Fleet.Tick does, every
 // HeartbeatEvery cycles, skipping crashed machines); the HealthMonitor
-// subscribes and declares a machine dead once its beat gap exceeds
-// DeadAfter. Death triggers shard re-assignment: every primary shard of
-// the dead machine is re-homed onto a surviving replica (or, with R = 1,
-// the healthy machine serving the fewest shards), each move charging an
-// explicit TransferLatency against the ClusterArbiter's ledger — data
+// subscribes and declares a machine dead once its beat gap exceeds four
+// heartbeats (deadBeats). Death triggers shard re-assignment: every
+// primary shard of the dead machine is re-homed onto a surviving replica
+// (or, with R = 1, the healthy machine serving the fewest shards), each
+// move charging an explicit TransferLatency against the ClusterArbiter's ledger — data
 // does not teleport any more than cores do. While transfers are in
 // flight the monitor brownout-caps the survivors' admission queues, so
 // the fleet sheds load instead of queueing unboundedly while capacity is
@@ -30,9 +30,6 @@ type HealthConfig struct {
 	Fleet *Fleet
 	// HeartbeatEvery is the beat interval in cycles; zero selects 1 ms.
 	HeartbeatEvery uint64
-	// DeadAfter is the beat gap that declares a machine dead, in cycles;
-	// zero selects 4 heartbeat intervals.
-	DeadAfter uint64
 	// TransferLatency is the simulated cost of re-homing one shard, in
 	// cycles; zero selects 25 ms. Until it elapses the shard is served by
 	// nobody — its requests fail over, retry or shed.
@@ -41,6 +38,10 @@ type HealthConfig struct {
 	// admission queue to this depth while transfers are in flight.
 	BrownoutCap int
 }
+
+// deadBeats is the beat gap, in heartbeat intervals, that declares a
+// machine dead.
+const deadBeats = 4
 
 // shardTransfer is one in-flight shard move.
 type shardTransfer struct {
@@ -87,16 +88,13 @@ func NewHealthMonitor(cfg HealthConfig) (*HealthMonitor, error) {
 	if cfg.HeartbeatEvery == 0 {
 		cfg.HeartbeatEvery = topo.SecondsToCycles(1e-3)
 	}
-	if cfg.DeadAfter == 0 {
-		cfg.DeadAfter = 4 * cfg.HeartbeatEvery
-	}
 	if cfg.TransferLatency == 0 {
 		cfg.TransferLatency = topo.SecondsToCycles(25e-3)
 	}
 	h := &HealthMonitor{
 		fleet:       f,
 		every:       cfg.HeartbeatEvery,
-		deadAfter:   cfg.DeadAfter,
+		deadAfter:   deadBeats * cfg.HeartbeatEvery,
 		transferLat: cfg.TransferLatency,
 		brownout:    cfg.BrownoutCap,
 		lastBeat:    make([]uint64, len(f.Rigs)),
@@ -161,7 +159,7 @@ func (h *HealthMonitor) Step(now uint64) {
 
 // NextAt returns the first cycle at which the health round (the fleet's
 // heartbeats, then Step) can act: the next heartbeat, the first cycle past
-// DeadAfter since the last beat of a machine believed alive, or the
+// four heartbeats since the last beat of a machine believed alive, or the
 // earliest transfer due. Until then every round does nothing, so the fleet
 // may stretch epochs up to it.
 func (h *HealthMonitor) NextAt() uint64 {

@@ -15,13 +15,14 @@ import (
 // emitted at exactly one of them, and a timer that never fires leaves no
 // trace.
 
-// trafficKinds are the three ways a request is routed.
+// trafficKinds are the three ways a request reaches its machines: by a
+// key stream, by the default key k, or scattered to all of them.
 var trafficKinds = []struct {
 	name string
 	tune func(c *Coordinator)
 }{
 	{"keyed", func(c *Coordinator) { c.Keys = uniformKeys(c.Fleet.Sharder) }},
-	{"unkeyed", func(c *Coordinator) {}},
+	{"nil-keys", func(c *Coordinator) {}}, // key k itself
 	{"scatter", func(c *Coordinator) { c.ScatterEvery = 1 }},
 }
 
@@ -71,7 +72,7 @@ func TestCoordinatorLifecycle(t *testing.T) {
 			if want := res.Completed + res.Dropped + res.Failed; outcomes != want {
 				t.Fatalf("%s: OnOutcome called %d times for %d resolutions", label, outcomes, want)
 			}
-			if got := res.RoutedKeyed + res.RoutedBalanced + res.Scattered; got != res.Offered {
+			if got := res.RoutedKeyed + res.Scattered; got != res.Offered {
 				t.Fatalf("%s: routing kinds sum to %d, want Offered %d", label, got, res.Offered)
 			}
 			if uint64(res.Completed) != res.Latency.Count() {
@@ -119,7 +120,7 @@ func TestCoordinatorLifecycle(t *testing.T) {
 // arms a deadline on every attempt and a retry budget nothing spends;
 // result and bus stream match the run without one, byte for byte.
 func TestCoordinatorIdleTimeoutInvisible(t *testing.T) {
-	for _, kind := range trafficKinds[:2] { // keyed, unkeyed; both with every 7th a scatter
+	for _, kind := range trafficKinds[:2] { // keyed, nil keys; both with every 7th a scatter
 		run := func(timeout float64) (Result, []obs.Event) {
 			bus := obs.NewBus(0)
 			f := testFleet(t, 2, workload.ModeDense, bus)

@@ -64,7 +64,6 @@ func pressuredObservables(t *testing.T, workers int, plan string) fleetObservabl
 	f := parallelFleet(t, 3, workers, plan, bus)
 	pressuredArbiter(t, f, 18)
 	c := pressuredCoordinator(f)
-	c.Policy = BalanceWeighted
 	c.ScatterEvery = 7
 	res := c.Run()
 	out := fleetObservables{

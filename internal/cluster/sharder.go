@@ -2,10 +2,10 @@
 // out to a simulated fleet: N workload rigs (each its own topology,
 // scheduler, DB engine and elastic mechanism), a Sharder partitioning
 // the TPC-H store across them, a Coordinator routing open-loop queries
-// to shard owners (with scatter-gather and queue-aware load balancing),
-// and a ClusterArbiter — a second control tier above the per-machine
-// PrT nets — that moves whole cores between machines and charges an
-// explicit migration latency for every core that travels.
+// to shard owners (with scatter-gather fan-out), and a ClusterArbiter —
+// a second control tier above the per-machine PrT nets — that moves
+// whole cores between machines and charges an explicit migration
+// latency for every core that travels.
 //
 // Determinism contract: machines tick in index order under one shared
 // quantum, every routing and rebalance decision breaks ties by lowest
@@ -39,14 +39,10 @@ type Sharder struct {
 	primary  []int
 }
 
-// NewSharder validates the partitioning shape: at least one machine,
-// and at least as many shards as machines so every machine owns data.
-func NewSharder(shards, machines int) (*Sharder, error) {
-	return NewReplicatedSharder(shards, machines, 1)
-}
-
 // NewReplicatedSharder builds a sharder keeping R copies of every
-// shard; replicas must fit the fleet (1 <= R <= machines).
+// shard. It validates the partitioning shape: at least one machine, at
+// least as many shards as machines so every machine owns data, and
+// replicas that fit the fleet (1 <= R <= machines).
 func NewReplicatedSharder(shards, machines, replicas int) (*Sharder, error) {
 	if machines < 1 {
 		return nil, fmt.Errorf("cluster: machines %d < 1", machines)
@@ -67,9 +63,6 @@ func NewReplicatedSharder(shards, machines, replicas int) (*Sharder, error) {
 
 // Shards returns the shard count.
 func (s *Sharder) Shards() int { return s.shards }
-
-// Machines returns the machine count.
-func (s *Sharder) Machines() int { return s.machines }
 
 // Shard hashes a key to its shard.
 func (s *Sharder) Shard(key uint64) int {
@@ -161,11 +154,6 @@ func (s *Sharder) PrimariesOf(m int, buf []int) []int {
 		}
 	}
 	return buf
-}
-
-// MachineFor routes a key to the machine owning its shard.
-func (s *Sharder) MachineFor(key uint64) int {
-	return s.Owner(s.Shard(key))
 }
 
 // KeyForShard synthesizes a key that hashes to the given shard, varying

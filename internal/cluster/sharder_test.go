@@ -3,13 +3,13 @@ package cluster
 import "testing"
 
 func TestSharderValidation(t *testing.T) {
-	if _, err := NewSharder(2, 0); err == nil {
+	if _, err := NewReplicatedSharder(2, 0, 1); err == nil {
 		t.Fatal("machines 0 accepted")
 	}
-	if _, err := NewSharder(3, 4); err == nil {
+	if _, err := NewReplicatedSharder(3, 4, 1); err == nil {
 		t.Fatal("shards < machines accepted")
 	}
-	if _, err := NewSharder(4, 4); err != nil {
+	if _, err := NewReplicatedSharder(4, 4, 1); err != nil {
 		t.Fatalf("shards == machines rejected: %v", err)
 	}
 }
@@ -20,7 +20,7 @@ func TestSharderPartition(t *testing.T) {
 	for _, tc := range []struct{ shards, machines int }{
 		{1, 1}, {4, 2}, {5, 2}, {16, 8}, {17, 5}, {64, 16}, {63, 7},
 	} {
-		s, err := NewSharder(tc.shards, tc.machines)
+		s, err := NewReplicatedSharder(tc.shards, tc.machines, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestSharderPartition(t *testing.T) {
 // TestSharderKeyForShard: the synthesized key lands on the requested
 // shard, and distinct salts explore distinct keys.
 func TestSharderKeyForShard(t *testing.T) {
-	s, _ := NewSharder(16, 4)
+	s, _ := NewReplicatedSharder(16, 4, 1)
 	seen := map[uint64]bool{}
 	for shard := 0; shard < 16; shard++ {
 		for salt := uint64(0); salt < 8; salt++ {
@@ -78,7 +78,7 @@ func FuzzSharder(f *testing.F) {
 		if machines < 1 || machines > 64 || shards < machines || shards > 4096 {
 			t.Skip()
 		}
-		s, err := NewSharder(shards, machines)
+		s, err := NewReplicatedSharder(shards, machines, 1)
 		if err != nil {
 			t.Fatalf("valid shape rejected: %v", err)
 		}
@@ -89,9 +89,9 @@ func FuzzSharder(f *testing.F) {
 		if again := s.Shard(key); again != shard {
 			t.Fatalf("Shard(%d) unstable: %d then %d", key, shard, again)
 		}
-		m := s.MachineFor(key)
+		m := s.Owner(shard)
 		if m < 0 || m >= machines {
-			t.Fatalf("MachineFor(%d) = %d out of [0,%d)", key, m, machines)
+			t.Fatalf("Owner(Shard(%d)) = %d out of [0,%d)", key, m, machines)
 		}
 		lo, hi := s.ShardsOf(m)
 		if shard < lo || shard >= hi {

@@ -57,12 +57,6 @@ type Config struct {
 	// the machine clock; negative disables the front end entirely
 	// (queries start their dataflow immediately).
 	ParseCycles int64
-	// AdvanceCycles is the serial dataflow-claim cost per operator stage:
-	// MonetDB's DFLOW scheduler admits each instruction's worker fan-out
-	// through a central claim section, which is what keeps measured CPU
-	// load below saturation at high client counts. Zero selects 30 us;
-	// only charged when the front end is enabled.
-	AdvanceCycles int64
 }
 
 // Engine executes plans over a Store with a fixed worker-thread pool.
@@ -96,6 +90,12 @@ type Engine struct {
 	// query admissions (parse) and stage advances (dataflow claims).
 	serverJobs   deque.Deque[serverJob]
 	serverThread *sched.Thread
+	// claimCycles is the serial dataflow-claim cost per operator stage,
+	// 30 us at the machine clock: MonetDB's DFLOW scheduler admits each
+	// instruction's worker fan-out through a central claim section, which
+	// is what keeps measured CPU load below saturation at high client
+	// counts. Only charged when the front end is enabled.
+	claimCycles uint64
 
 	// pool recycles the heap storage of query execution — candidate
 	// lists, value buffers, aggregation partials, join tables and dispatch
@@ -166,10 +166,8 @@ func NewEngine(store *Store, cfg Config) (*Engine, error) {
 	if cfg.ParseCycles == 0 {
 		cfg.ParseCycles = int64(topo.SecondsToCycles(150e-6))
 	}
-	if cfg.AdvanceCycles == 0 {
-		cfg.AdvanceCycles = int64(topo.SecondsToCycles(30e-6))
-	}
 	e.cfg = cfg
+	e.claimCycles = topo.SecondsToCycles(30e-6)
 	if cfg.Placement == PlacementNUMAAware {
 		// SQL Server style: a fixed pool, one worker pinned per core.
 		for i := 0; i < cfg.Workers; i++ {
@@ -425,7 +423,7 @@ func (e *Engine) taskFinished(w *worker, d *dispatched) {
 			// The next stage's fan-out goes through the serial dataflow
 			// claim.
 			e.serverJobs.PushBack(serverJob{
-				query: q, cycles: uint64(e.cfg.AdvanceCycles),
+				query: q, cycles: e.claimCycles,
 			})
 			e.sched.Wake(e.serverThread)
 			return

@@ -343,7 +343,6 @@ func TestQueryForkRecyclesWorkers(t *testing.T) {
 	bus.Subscribe(obs.KindRunSlice, func(e obs.Event) { slices = append(slices, slice{sched.TID(e.TID), e.Label}) })
 	base := r.sched.Stats().Spawned // the two server threads; TIDs start at 1
 	firstTID := sched.TID(base + 1)
-	live := r.sched.LiveThreads()
 
 	records := map[*sched.Thread]bool{}
 	want := q6Reference(r.store)
@@ -354,11 +353,9 @@ func TestQueryForkRecyclesWorkers(t *testing.T) {
 			t.Fatalf("query %d revenue = %g, want %g", k, got, want)
 		}
 		eng.Release(q)
-		if !r.sched.RunUntil(func() bool { return r.sched.LiveThreads() == live }, r.machine.Topology().SecondsToCycles(1)) {
-			t.Fatalf("query %d: its workers never exited", k)
-		}
-		if len(eng.exited) != workers {
-			t.Fatalf("query %d: %d exited records, want %d", k, len(eng.exited), workers)
+		// A worker files its record on exited as its thread exits.
+		if !r.sched.RunUntil(func() bool { return len(eng.exited) == workers }, r.machine.Topology().SecondsToCycles(1)) {
+			t.Fatalf("query %d: its workers never exited (%d exited records, want %d)", k, len(eng.exited), workers)
 		}
 		for _, w := range eng.exited {
 			if w.query != nil || w.thread.State() != sched.Done {

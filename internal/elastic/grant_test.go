@@ -142,7 +142,10 @@ func randomSet(rng *hashmix.Stream, total int, exclude sched.CPUSet, denom uint6
 func TestResizeMatchesGrantLoops(t *testing.T) {
 	rng := &hashmix.Stream{State: 0x6a09e667f3bcc908}
 	for _, name := range numa.ZooNames() {
-		topo := numa.Zoo()[name]
+		topo, err := numa.ParseTopology(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		total := topo.TotalCores()
 		machine := numa.NewMachine(topo)
 		s := sched.New(machine, sched.Config{})

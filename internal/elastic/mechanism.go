@@ -47,11 +47,12 @@ type Config struct {
 	// Backlog, when set, feeds admission-queue pressure into the control
 	// loop (see SetBacklog).
 	Backlog BacklogFunc
-	// BacklogPerCore is the queued-request depth per allocated core the
-	// mechanism tolerates before treating the window as overload
-	// regardless of the strategy reading; zero selects 4.
-	BacklogPerCore int
 }
+
+// backlogPerCore is the queued-request depth per allocated core the
+// mechanism tolerates before treating the window as overload regardless
+// of the strategy reading.
+const backlogPerCore = 4
 
 // Mechanism is the elastic multi-core allocation mechanism: a single
 // instance supports all DBMS clients (Section V). Call Maybe from the
@@ -117,9 +118,6 @@ func New(cfg Config) (*Mechanism, error) {
 	}
 	if cfg.InitialCores <= 0 {
 		cfg.InitialCores = 1
-	}
-	if cfg.BacklogPerCore <= 0 {
-		cfg.BacklogPerCore = 4
 	}
 
 	min, max := cfg.Strategy.Thresholds()
@@ -322,7 +320,7 @@ func (m *Mechanism) evaluate() Desire {
 	// sampled mostly queueing, not execution): clamp the reading to the
 	// overload threshold so the net fires t1.
 	backlog := m.backlog()
-	if backlog > m.cfg.BacklogPerCore*current.Count() && u < m.thMax {
+	if backlog > backlogPerCore*current.Count() && u < m.thMax {
 		u = m.thMax
 	}
 	m.net.SetNAlloc(current.Count())
@@ -421,7 +419,7 @@ func (m *Mechanism) Strategy() Strategy { return m.cfg.Strategy }
 // source after construction. Rigs build the mechanism before any driver
 // exists, so the open-loop driver attaches its queue here for the
 // duration of a phase: when the queued-request count exceeds
-// BacklogPerCore times the allocated cores, the control loop treats the
+// backlogPerCore times the allocated cores, the control loop treats the
 // window as overload regardless of the strategy reading — allocation
 // reacts to the backlog users experience, not only to the counters the
 // already-admitted queries generate.

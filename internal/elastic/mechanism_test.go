@@ -267,11 +267,11 @@ func TestMechanismBacklogForcesAllocation(t *testing.T) {
 }
 
 // TestMechanismBacklogBelowThresholdIsInert pins the per-core tolerance:
-// a shallow queue (at most BacklogPerCore per allocated core) must not
+// a shallow queue (at most backlogPerCore per allocated core) must not
 // perturb the strategy reading.
 func TestMechanismBacklogBelowThresholdIsInert(t *testing.T) {
 	s, m := newRig(t, nil)
-	m.SetBacklog(func() int { return 4 }) // == default BacklogPerCore * 1 core
+	m.SetBacklog(func() int { return 4 }) // == backlogPerCore * 1 core
 	for i := 0; i < 40; i++ {
 		s.Tick()
 		m.Maybe()

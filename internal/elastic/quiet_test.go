@@ -26,12 +26,10 @@ type quietTwin struct {
 	region numa.Region
 }
 
-// quietStrategies are the three in-tree strategies; the traffic budget is
-// small enough that the bursts' remote streaming overruns it.
+// quietStrategies are the two in-tree strategies.
 var quietStrategies = []Strategy{
 	CPULoadStrategy{},
 	HTIMCStrategy{},
-	TrafficBudgetStrategy{BudgetBytesPerSec: 1e8, ClockHz: numa.Opteron8387().ClockHz},
 }
 
 // newQuietTwin wires a twin whose control period, 2.5 quanta, is off the

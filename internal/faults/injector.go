@@ -27,9 +27,8 @@ type Change struct {
 
 // Injector is a compiled Plan tracking live fault state.
 type Injector struct {
-	plan     *Plan
-	machines int
-	cores    int
+	plan  *Plan
+	cores int
 
 	transitions []transition
 	next        int
@@ -49,7 +48,6 @@ type Injector struct {
 func (p *Plan) Compile(machines, cores int, secondsToCycles func(float64) uint64) *Injector {
 	in := &Injector{
 		plan:      p,
-		machines:  machines,
 		cores:     cores,
 		active:    make([]bool, len(p.Faults)),
 		down:      make([]bool, machines),
@@ -206,11 +204,3 @@ func (in *Injector) DropRoll(m int, n uint64) bool {
 
 // Fault returns the plan fault at index i (as reported in a Change).
 func (in *Injector) Fault(i int) Fault { return in.plan.Faults[i] }
-
-// Machines returns the compiled fleet width.
-func (in *Injector) Machines() int {
-	if in == nil {
-		return 0
-	}
-	return in.machines
-}

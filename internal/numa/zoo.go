@@ -168,16 +168,6 @@ func ZooNames() []string {
 	return out
 }
 
-// Zoo returns a fresh instance of every zoo topology keyed by canonical
-// name.
-func Zoo() map[string]*Topology {
-	out := make(map[string]*Topology, len(zooEntries))
-	for _, e := range zooEntries {
-		out[e.name] = e.build()
-	}
-	return out
-}
-
 // maxParsedCores bounds ParseTopology shapes to what sched.CPUSet (a
 // 64-bit core mask) can represent.
 const maxParsedCores = 63
@@ -276,17 +266,4 @@ func ParseTopology(spec string) (*Topology, error) {
 		return nil, fmt.Errorf("numa: topology spec %q: %w", spec, err)
 	}
 	return t, nil
-}
-
-// Diameter returns the largest hop distance between any two nodes.
-func (t *Topology) Diameter() int {
-	max := 0
-	for _, row := range t.Distance {
-		for _, h := range row {
-			if h > max {
-				max = h
-			}
-		}
-	}
-	return max
 }

@@ -62,8 +62,8 @@ const (
 	KindQueryDone
 	// KindRoute is a cluster routing decision: the coordinator placed a
 	// request on Machine (V1 = its admission-queue depth after the
-	// enqueue, V2 = the target shard, -1 for unkeyed requests; Label is
-	// the routing kind: "keyed", "any" or "scatter").
+	// enqueue, V2 = the target shard, -1 for a scatter; Label is the
+	// routing kind: "keyed" or "scatter").
 	KindRoute
 	// KindRebalance is a cluster-arbiter core movement: Machine's budget
 	// changed by V1 cores to V2, with Dur cycles of migration latency

@@ -26,9 +26,6 @@ type ProbeConfig struct {
 	Reading func(window numa.Counters) int
 	// Backlog reports the admission-queue depth (nil records 0).
 	Backlog func() int
-	// Energy prices each counter window; the zero value selects the
-	// paper-calibrated model.
-	Energy metrics.EnergyModel
 	// Scheduler is the machine's scheduler (required): while it idles, the
 	// probe stores its samples as runs instead of reading each (see Quiet).
 	Scheduler Scheduler
@@ -74,8 +71,10 @@ type Snapshot struct {
 // histogram buckets), so a probed run is bit-identical to an unprobed
 // one.
 type Probe struct {
-	cfg    ProbeConfig
-	topo   *numa.Topology
+	cfg  ProbeConfig
+	topo *numa.Topology
+	// energy prices each counter window: the paper-calibrated model.
+	energy metrics.EnergyModel
 	window *numa.CounterWindow
 	nextAt uint64
 	// stride is Every rounded up to the scheduler's quantum grid: how far
@@ -112,13 +111,11 @@ func NewProbe(cfg ProbeConfig) *Probe {
 	if cfg.Every == 0 {
 		cfg.Every = topo.SecondsToCycles(50e-3)
 	}
-	if cfg.Energy == (metrics.EnergyModel{}) {
-		cfg.Energy = metrics.DefaultEnergyModel()
-	}
 	q := cfg.Scheduler.Quantum()
 	return &Probe{
 		cfg:    cfg,
 		topo:   topo,
+		energy: metrics.DefaultEnergyModel(),
 		window: cfg.Machine.NewCounterWindow(),
 		nextAt: cfg.Machine.Now() + cfg.Every,
 		stride: (cfg.Every + q - 1) / q * q,
@@ -211,7 +208,7 @@ func (p *Probe) Sample() {
 		Backlog:      p.backlog(),
 		HTBytes:      window.TotalHTBytes(),
 		IMCBytes:     window.TotalIMCBytes(),
-		EnergyJoules: p.cfg.Energy.Estimate(p.topo, window).Total(),
+		EnergyJoules: p.energy.Estimate(p.topo, window).Total(),
 	}
 	if p.cfg.Reading != nil {
 		s.Load = p.cfg.Reading(window)

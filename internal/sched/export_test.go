@@ -20,3 +20,6 @@ func (s *Scheduler) CoreSlowdown(core numa.CoreID) uint64 {
 	}
 	return s.slow[int(core)]
 }
+
+// LiveThreads returns the number of threads not yet Done.
+func (s *Scheduler) LiveThreads() int { return len(s.threads) }

@@ -26,7 +26,7 @@ func refTick(s *Scheduler) {
 	for core := 0; core < s.topo.TotalCores(); core++ {
 		refRunCore(s, numa.CoreID(core), start)
 	}
-	if s.tick%s.cfg.BalancePeriod == 0 {
+	if s.tick%balancePeriod == 0 {
 		s.balance()
 	}
 }

@@ -14,13 +14,15 @@ type Config struct {
 	// Quantum is the scheduling time slice in cycles. Zero selects 1 ms at
 	// the machine's clock.
 	Quantum uint64
-	// BalancePeriod is how many ticks pass between load-balancing passes.
-	// Zero selects 4.
-	BalancePeriod int
-	// BalanceThreshold is the queue-length imbalance (busiest minus
-	// idlest) that triggers a steal. Zero selects 2.
-	BalanceThreshold int
 }
+
+const (
+	// balancePeriod is how many ticks pass between load-balancing passes.
+	balancePeriod = 4
+	// balanceThreshold is the queue-length imbalance (busiest minus
+	// idlest) that triggers a steal.
+	balanceThreshold = 2
+)
 
 // Stats are the scheduler's own cumulative counters, complementing the
 // machine's hardware counters.
@@ -169,12 +171,6 @@ func New(m *numa.Machine, cfg Config) *Scheduler {
 	topo := m.Topology()
 	if cfg.Quantum == 0 {
 		cfg.Quantum = topo.SecondsToCycles(1e-3)
-	}
-	if cfg.BalancePeriod == 0 {
-		cfg.BalancePeriod = 4
-	}
-	if cfg.BalanceThreshold == 0 {
-		cfg.BalanceThreshold = 2
 	}
 	return &Scheduler{
 		machine: m,
@@ -585,7 +581,7 @@ func (s *Scheduler) Tick() {
 		}
 		s.runCore(c, start)
 	}
-	if s.tick%s.cfg.BalancePeriod == 0 {
+	if s.tick%balancePeriod == 0 {
 		s.balance()
 	}
 }
@@ -749,7 +745,7 @@ func (s *Scheduler) balance() {
 				busiestLen, busiest = l, numa.CoreID(core)
 			}
 		}
-		if busiestLen < s.cfg.BalanceThreshold {
+		if busiestLen < balanceThreshold {
 			return
 		}
 		// Find a thread on the busiest queue and the best core it may move
@@ -773,7 +769,7 @@ func (s *Scheduler) balance() {
 				break
 			}
 		}
-		if steal == nil || busiestLen-idlestLen < s.cfg.BalanceThreshold {
+		if steal == nil || busiestLen-idlestLen < balanceThreshold {
 			return
 		}
 		s.removeAt(busiest, stealIdx)
@@ -849,6 +845,3 @@ func (s *Scheduler) skipIdleTicks(n uint64) {
 		s.machine.ChargeIdle(numa.CoreID(core), idle)
 	}
 }
-
-// LiveThreads returns the number of threads not yet Done.
-func (s *Scheduler) LiveThreads() int { return len(s.threads) }

@@ -34,7 +34,7 @@ type ArbiterConfig struct {
 
 // Arbiter consolidates tenants onto one machine. Every control period it
 // collects each tenant's demand (the tenant's own PrT net desire, refined
-// by LONC and traffic-budget SLAs), apportions the machine's cores by SLA
+// by LONC), apportions the machine's cores by SLA
 // weight with starvation floors, and transfers cores between the tenant
 // cgroups — shrink phase first so freed cores are available to growing
 // tenants within the same round. The invariant it maintains: tenant
@@ -102,9 +102,6 @@ func (a *Arbiter) recordEvent(e AllocationEvent) {
 		})
 	}
 }
-
-// Tenants returns the arbitrated tenants in add order.
-func (a *Arbiter) Tenants() []*Tenant { return a.tenants }
 
 // Events returns the allocation timeline recorded so far: one entry per
 // tenant per round in which its demand, grant or cpuset changed, so the
@@ -182,7 +179,6 @@ func (a *Arbiter) Step() {
 	s := a.scratch[:5*n]
 	demand, weight, floor := s[:n], s[n:2*n], s[2*n:3*n]
 	prevDemand, prevGrant := s[3*n:4*n], s[4*n:]
-	allocated := a.AllocatedTotal()
 	sumDemand := 0
 	for i, t := range a.tenants {
 		prevDemand[i], prevGrant[i] = t.demand, t.grant
@@ -190,11 +186,7 @@ func (a *Arbiter) Step() {
 		// previous demand: the arbiter may run faster than a tenant
 		// samples, but it must not shorten the tenant's windows.
 		if t.Mech.Due() {
-			share := 1.0
-			if allocated > 0 {
-				share = float64(t.CGroup.CPUs().Count()) / float64(allocated)
-			}
-			demand[i] = t.desire(share)
+			demand[i] = t.desire()
 		} else {
 			demand[i] = t.demand
 		}
@@ -246,16 +238,6 @@ func (a *Arbiter) Step() {
 			Set:    set,
 		})
 	}
-}
-
-// AllocatedTotal returns the number of cores currently held across all
-// tenant cgroups.
-func (a *Arbiter) AllocatedTotal() int {
-	n := 0
-	for _, t := range a.tenants {
-		n += t.CGroup.CPUs().Count()
-	}
-	return n
 }
 
 // Apportion divides total cores among tenants: tenant i receives at least

@@ -352,46 +352,6 @@ func TestTenantHTIMCStrategySkipsLONCRefinement(t *testing.T) {
 	}
 }
 
-// remoteTouchWork burns its slice touching blocks homed on a fixed node,
-// generating interconnect traffic whenever it runs on another socket.
-type remoteTouchWork struct {
-	region numa.Region
-	i      int
-}
-
-func (w *remoteTouchWork) Run(ctx *sched.ExecContext, budget uint64) (uint64, bool, bool) {
-	for j := 0; j < 8; j++ {
-		ctx.Machine.Access(ctx.Core, numa.Access{
-			Block: w.region.Block(w.i % w.region.Blocks),
-			Bytes: 4096,
-			PID:   ctx.PID,
-		})
-		w.i++
-	}
-	return budget, false, false
-}
-
-func TestTrafficBudgetSLAIgnoresNeighbourTraffic(t *testing.T) {
-	// A nearly idle tenant with a traffic-budget SLA must not ramp up
-	// because a neighbour floods the interconnect: machine-wide HT bytes
-	// are attributed to tenants proportionally to their core share.
-	b := newBox(t)
-	quiet := b.addTenant(t, "quiet", 101, "dense", SLA{
-		MinCores:                 1,
-		TrafficBudgetBytesPerSec: 1e6, // tiny budget: raw machine traffic exceeds it instantly
-	})
-	b.addTenant(t, "noisy", 102, "sparse", SLA{})
-	// The noisy tenant hammers node-3-homed data from everywhere.
-	region := b.machine.Memory().AllocOn(64, 3, 102)
-	for i := 0; i < 16; i++ {
-		b.sch.Spawn(102, "w", &remoteTouchWork{region: region})
-	}
-	b.run(t, 200)
-	if got := quiet.Allocated().Count(); got > 2 {
-		t.Errorf("quiet tenant ramped to %d cores on its neighbour's traffic", got)
-	}
-}
-
 func TestArbiterHonorsSlowerTenantControlPeriod(t *testing.T) {
 	// A tenant sampling 4x slower than the arbiter must be evaluated
 	// only every 4th round — the arbiter reuses its last demand in

@@ -36,11 +36,6 @@ type SLA struct {
 	// MinCores is the starvation floor (default 1): the tenant keeps at
 	// least this many cores no matter how hard the machine is contended.
 	MinCores int
-	// TrafficBudgetBytesPerSec, when positive, is an agreed interconnect
-	// traffic budget (the paper's Section VII SLA example). Readings above
-	// the budget raise the tenant's demand — it needs more cores local to
-	// its data — and readings far below it let demand fall.
-	TrafficBudgetBytesPerSec float64
 }
 
 func (s SLA) withDefaults() SLA {
@@ -146,17 +141,10 @@ func (t *Tenant) Allocated() sched.CPUSet { return t.CGroup.CPUs() }
 //     projects where the per-core load band would settle, so a tenant far
 //     from its local optimum converges in few rounds instead of one core
 //     per period.
-//  3. The traffic-budget SLA, when set, overrides toward growth while the
-//     tenant's interconnect rate exceeds its budget and toward release
-//     when traffic is far below it. Interconnect counters are
-//     machine-wide, so the arbiter passes the tenant's share of the
-//     allocated cores and the traffic is attributed proportionally — an
-//     approximation, but one that keeps a quiet tenant from reacting to
-//     its neighbours' traffic.
 //
 // The result is clamped to [SLA.MinCores, total]: a tenant always demands
 // at least its paid-for floor.
-func (t *Tenant) desire(share float64) int {
+func (t *Tenant) desire() int {
 	d := t.Mech.DesiredStep()
 	cur := t.CGroup.CPUs().Count()
 	demand := d.N
@@ -170,23 +158,6 @@ func (t *Tenant) desire(share float64) int {
 	case petrinet.DecisionRelease:
 		if lonc < demand {
 			demand = lonc
-		}
-	}
-
-	if t.SLA.TrafficBudgetBytesPerSec > 0 {
-		s := elastic.TrafficBudgetStrategy{
-			BudgetBytesPerSec: t.SLA.TrafficBudgetBytesPerSec,
-			ClockHz:           t.topo.ClockHz,
-		}
-		// Reading is linear in traffic, so scaling the reading equals
-		// scaling the attributed traffic.
-		r := int(float64(s.Reading(elastic.Sample{Window: d.Window, Allocated: t.CGroup.CPUs()})) * share)
-		floor, ceil := s.Thresholds()
-		switch {
-		case r > ceil && demand <= cur:
-			demand = cur + 1
-		case r < floor && demand >= cur && cur > 1:
-			demand = cur - 1
 		}
 	}
 
@@ -208,8 +179,8 @@ func (t *Tenant) desire(share float64) int {
 // demand. Returns cur — the net's ±1 step stands unrefined — when the
 // model degenerates (idle window) or when the strategy is not the
 // CPU-load strategy: only there is the reading a per-core load average
-// that spreads inversely with core count (the HT/IMC ratio and the
-// traffic budget read shared-medium quantities that do not).
+// that spreads inversely with core count (the HT/IMC ratio reads a
+// shared-medium quantity that does not).
 func (t *Tenant) loncEstimate(u, cur int) int {
 	if u <= 0 || cur <= 0 {
 		return cur

@@ -143,7 +143,12 @@ func openIdlePhase(t *testing.T, seconds float64) (r *Rig, objects, bytes uint64
 			busyQuanta++
 		}
 	})
-	times := fixedArrivals(append(arrivals.Take(arrivals.NewMMPP(5, 400, 0.05, 0.1, 3), 40), seconds))
+	var times fixedArrivals
+	for mmpp := arrivals.NewMMPP(5, 400, 0.05, 0.1, 3); len(times) < 40; {
+		t, _ := mmpp.Next() // an MMPP never ends
+		times = append(times, t)
+	}
+	times = append(times, seconds)
 	d := &OpenDriver{
 		Rig:         r,
 		Process:     &times,
