@@ -255,7 +255,6 @@ func BenchmarkAblationControlPeriod(b *testing.B) {
 				r, err := NewRig(RigOptions{
 					SF:            0.002,
 					Mode:          ModeAdaptive,
-					Quantum:       topo.SecondsToCycles(50e-6),
 					ControlPeriod: topo.SecondsToCycles(period),
 				})
 				if err != nil {
@@ -296,7 +295,6 @@ func BenchmarkAblationThresholds(b *testing.B) {
 func BenchmarkAblationPriorityPolicy(b *testing.B) {
 	run := func(b *testing.B, useQueue bool) {
 		for i := 0; i < b.N; i++ {
-			topo := numa.Opteron8387()
 			var opts RigOptions
 			opts.SF = 0.002
 			if useQueue {
@@ -304,8 +302,6 @@ func BenchmarkAblationPriorityPolicy(b *testing.B) {
 			} else {
 				opts.Mode = ModeSparse // round-robin next-node order
 			}
-			opts.Quantum = topo.SecondsToCycles(50e-6)
-			opts.ControlPeriod = topo.SecondsToCycles(0.25e-3)
 			r, err := NewRig(opts)
 			if err != nil {
 				b.Fatal(err)

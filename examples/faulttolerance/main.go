@@ -42,11 +42,7 @@ func main() {
 	// The health monitor turns heartbeat silence into death verdicts and
 	// shard transfers; each transfer pays an explicit latency before the
 	// surviving replica becomes the shard's primary.
-	health, err := elasticore.NewHealthMonitor(elasticore.HealthConfig{
-		Fleet:           fleet,
-		HeartbeatEvery:  topo.SecondsToCycles(1e-3),
-		TransferLatency: topo.SecondsToCycles(8e-3),
-	})
+	health, err := elasticore.NewHealthMonitor(elasticore.HealthConfig{Fleet: fleet})
 	if err != nil {
 		log.Fatal(err)
 	}

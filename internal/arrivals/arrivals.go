@@ -76,9 +76,6 @@ func NewPoisson(rate float64, seed uint64) *Poisson {
 // Name implements Process.
 func (p *Poisson) Name() string { return "poisson" }
 
-// Rate returns the configured arrival rate.
-func (p *Poisson) Rate() float64 { return p.rate }
-
 // Next implements Process.
 func (p *Poisson) Next() (float64, bool) {
 	p.t += p.r.exp(p.rate)
@@ -119,10 +116,6 @@ func NewMMPP(baseRate, burstRate, baseDwell, burstDwell float64, seed uint64) *M
 
 // Name implements Process.
 func (m *MMPP) Name() string { return "mmpp" }
-
-// State reports which rate is active at the time of the last arrival
-// returned (0 = base, 1 = burst).
-func (m *MMPP) State() int { return m.state }
 
 // Next implements Process. Exponential gaps are memoryless, so crossing a
 // state boundary simply redraws the gap at the new state's rate from the

@@ -77,7 +77,7 @@ func TestMMPPSwitchesStatesAndKeepsOrder(t *testing.T) {
 			t.Fatalf("arrival %d at %g not monotone after %g", i, at, prev)
 		}
 		prev = at
-		if m.State() == 0 {
+		if m.state == 0 {
 			sawBase = true
 		} else {
 			sawBurst = true

@@ -40,8 +40,7 @@ type ClusterArbiterConfig struct {
 	// elastic Mode), since demand is the mechanism's PrT-net desire.
 	Fleet *Fleet
 	// ControlPeriod is the cluster arbitration interval in cycles; zero
-	// selects 50 ms — the same control-loop class as the paper's
-	// single-machine mechanism, one tier up.
+	// selects the timebase fleet period.
 	ControlPeriod uint64
 	// Budget is the total cores the fleet may hold; zero selects the
 	// aggregate physical core count. Experiments set it below physical
@@ -50,7 +49,7 @@ type ClusterArbiterConfig struct {
 	// MigrateLatency is the simulated cost of moving one core between
 	// machines, in cycles: a grant increase only lands this many cycles
 	// after the round that awarded it (shrinks are immediate — the core
-	// is in transit, owned by nobody). Zero selects 1 ms.
+	// is in transit, owned by nobody). Zero selects the timebase migrate.
 	MigrateLatency uint64
 }
 
@@ -116,8 +115,9 @@ func NewClusterArbiter(cfg ClusterArbiterConfig) (*ClusterArbiter, error) {
 		}
 		physical += r.Machine.Topology().TotalCores()
 	}
+	tb := f.Rigs[0].Machine.Timebase()
 	if cfg.ControlPeriod == 0 {
-		cfg.ControlPeriod = f.Rigs[0].Machine.Topology().SecondsToCycles(50e-3)
+		cfg.ControlPeriod = tb.FleetPeriod
 	}
 	if cfg.Budget == 0 {
 		cfg.Budget = physical
@@ -126,7 +126,7 @@ func NewClusterArbiter(cfg ClusterArbiterConfig) (*ClusterArbiter, error) {
 		return nil, fmt.Errorf("cluster: budget %d below the one-core-per-machine floor %d", cfg.Budget, len(f.Rigs))
 	}
 	if cfg.MigrateLatency == 0 {
-		cfg.MigrateLatency = f.Rigs[0].Machine.Topology().SecondsToCycles(1e-3)
+		cfg.MigrateLatency = tb.Migrate
 	}
 	ca := &ClusterArbiter{
 		fleet:    f,

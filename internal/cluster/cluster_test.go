@@ -330,3 +330,35 @@ func TestFleetDeterminism(t *testing.T) {
 		t.Fatalf("repeat run diverged:\n%+v\nvs\n%+v", a, b)
 	}
 }
+
+// TestZeroConfigReadsTimebase: the cluster arbiter's zero period and
+// migration latency, and the health monitor's zero heartbeat and transfer
+// latency, are the first machine's timebase entries.
+func TestZeroConfigReadsTimebase(t *testing.T) {
+	f, err := NewFleet(Options{Machines: 2, SF: 0.002, Seed: 7, Mode: workload.ModeDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := NewClusterArbiter(ClusterArbiterConfig{Fleet: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHealthMonitor(HealthConfig{Fleet: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := f.Rigs[0].Machine.Timebase()
+	for _, row := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"arbiter period", ca.period, tb.FleetPeriod},
+		{"migrate latency", ca.migrate, tb.Migrate},
+		{"heartbeat", h.every, tb.Heartbeat},
+		{"transfer latency", h.transferLat, tb.Transfer},
+	} {
+		if row.got != row.want {
+			t.Errorf("%s %d, want the timebase's %d", row.name, row.got, row.want)
+		}
+	}
+}

@@ -31,8 +31,6 @@ type Options struct {
 	Mode workload.Mode
 	// Strategy overrides each mechanism's state-transition metric.
 	Strategy elastic.Strategy
-	// ControlPeriod overrides the per-machine control period in cycles.
-	ControlPeriod uint64
 	// Topology is the per-machine base shape (default the SF-scaled
 	// Opteron testbed). Every machine gets the same shape, which makes
 	// all quanta equal — the lockstep invariant Tick depends on.
@@ -160,12 +158,11 @@ func NewFleet(opts Options) (*Fleet, error) {
 		// rig is built dark and gets a staging view of the shared bus
 		// afterwards.
 		return workload.NewRig(workload.Options{
-			SF:            opts.SF * float64(sh.HomesOf(m)) / float64(opts.Shards),
-			Seed:          fleetSeed(opts.Seed, m),
-			Mode:          opts.Mode,
-			Strategy:      opts.Strategy,
-			ControlPeriod: opts.ControlPeriod,
-			Topology:      opts.Topology,
+			SF:       opts.SF * float64(sh.HomesOf(m)) / float64(opts.Shards),
+			Seed:     fleetSeed(opts.Seed, m),
+			Mode:     opts.Mode,
+			Strategy: opts.Strategy,
+			Topology: opts.Topology,
 		})
 	}
 	f.Rigs = make([]*workload.Rig, opts.Machines)

@@ -28,11 +28,12 @@ import (
 type HealthConfig struct {
 	// Fleet is the monitored pool (required).
 	Fleet *Fleet
-	// HeartbeatEvery is the beat interval in cycles; zero selects 1 ms.
+	// HeartbeatEvery is the beat interval in cycles; zero selects the
+	// timebase heartbeat.
 	HeartbeatEvery uint64
 	// TransferLatency is the simulated cost of re-homing one shard, in
-	// cycles; zero selects 25 ms. Until it elapses the shard is served by
-	// nobody — its requests fail over, retry or shed.
+	// cycles; zero selects the timebase transfer. Until it elapses the
+	// shard is served by nobody — its requests fail over, retry or shed.
 	TransferLatency uint64
 	// BrownoutCap, when positive, tightens every surviving machine's
 	// admission queue to this depth while transfers are in flight.
@@ -84,12 +85,12 @@ func NewHealthMonitor(cfg HealthConfig) (*HealthMonitor, error) {
 	if f.health != nil {
 		return nil, fmt.Errorf("cluster: fleet already has a health monitor")
 	}
-	topo := f.Rigs[0].Machine.Topology()
+	tb := f.Rigs[0].Machine.Timebase()
 	if cfg.HeartbeatEvery == 0 {
-		cfg.HeartbeatEvery = topo.SecondsToCycles(1e-3)
+		cfg.HeartbeatEvery = tb.Heartbeat
 	}
 	if cfg.TransferLatency == 0 {
-		cfg.TransferLatency = topo.SecondsToCycles(25e-3)
+		cfg.TransferLatency = tb.Transfer
 	}
 	h := &HealthMonitor{
 		fleet:       f,

@@ -70,8 +70,13 @@ func TestChargeRangeTouchesRightBlocks(t *testing.T) {
 	c := tb.Col("a")
 	// The loader homes base columns eagerly, one node per column in
 	// rotation (the first column lands on node 0).
-	if got := m.Memory().HomedBlocks()[0]; got != 3 {
-		t.Fatalf("loader homed %d blocks on node 0, want 3", got)
+	if n := c.blocks(topo.BlockBytes); n != 3 {
+		t.Fatalf("column spans %d blocks, want 3", n)
+	}
+	for i := numa.BlockID(0); i < 3; i++ {
+		if home := m.Memory().Home(c.start + i); home != 0 {
+			t.Fatalf("loader homed block %d on node %d, want 0", i, home)
+		}
 	}
 	ctx := &sched.ExecContext{Machine: m, Core: 0, PID: 1}
 	before := m.Snapshot()

@@ -53,8 +53,8 @@ type Config struct {
 	MinPartRows int
 	// ParseCycles is the serial admission cost per query: parsing,
 	// optimization and catalog access run under a global lock in one
-	// server thread (MonetDB's mvc/MAL front end). Zero selects 150 us at
-	// the machine clock; negative disables the front end entirely
+	// server thread (MonetDB's mvc/MAL front end). Zero selects the
+	// timebase front end; negative disables the front end entirely
 	// (queries start their dataflow immediately).
 	ParseCycles int64
 }
@@ -91,7 +91,7 @@ type Engine struct {
 	serverJobs   deque.Deque[serverJob]
 	serverThread *sched.Thread
 	// claimCycles is the serial dataflow-claim cost per operator stage,
-	// 30 us at the machine clock: MonetDB's DFLOW scheduler admits each
+	// the timebase claim: MonetDB's DFLOW scheduler admits each
 	// instruction's worker fan-out through a central claim section, which
 	// is what keeps measured CPU load below saturation at high client
 	// counts. Only charged when the front end is enabled.
@@ -163,11 +163,12 @@ func NewEngine(store *Store, cfg Config) (*Engine, error) {
 		sched:      cfg.Scheduler,
 		nodeQueues: make([]deque.Deque[*dispatched], topo.NodeCount),
 	}
+	tb := store.Machine().Timebase()
 	if cfg.ParseCycles == 0 {
-		cfg.ParseCycles = int64(topo.SecondsToCycles(150e-6))
+		cfg.ParseCycles = int64(tb.FrontEnd)
 	}
 	e.cfg = cfg
-	e.claimCycles = topo.SecondsToCycles(30e-6)
+	e.claimCycles = tb.Claim
 	if cfg.Placement == PlacementNUMAAware {
 		// SQL Server style: a fixed pool, one worker pinned per core.
 		for i := 0; i < cfg.Workers; i++ {
@@ -231,15 +232,6 @@ func (s *serverRunner) Run(_ *sched.ExecContext, budget uint64) (uint64, bool, b
 	}
 	return used, false, false
 }
-
-// Store returns the engine's catalog.
-func (e *Engine) Store() *Store { return e.store }
-
-// PID returns the server process id.
-func (e *Engine) PID() int { return e.cfg.PID }
-
-// Placement returns the configured placement strategy.
-func (e *Engine) Placement() Placement { return e.cfg.Placement }
 
 // Submit starts executing a plan and returns its Query handle. The first
 // stage's tasks are enqueued immediately. Under PlacementOS the query

@@ -352,3 +352,6 @@ func GateError(qs []*Query) error {
 // Reparks returns how many woken workers of q the scheduler parked again
 // behind its gate without running them.
 func Reparks(q *Query) uint64 { return q.gate.Reparks() }
+
+// SetVar binds a named intermediate.
+func (q *Query) SetVar(name string, ps *PartSet) { q.vars[name] = ps }

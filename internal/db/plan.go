@@ -176,9 +176,6 @@ func (q *Query) Var(name string) *PartSet {
 	return ps
 }
 
-// SetVar binds a named intermediate.
-func (q *Query) SetVar(name string, ps *PartSet) { q.vars[name] = ps }
-
 // newVar binds name to a fresh intermediate of the given number of empty
 // fragments and returns it. The fragment headers are one run of the
 // query's header arena — Parts[i] points at element i, which the

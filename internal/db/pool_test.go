@@ -423,3 +423,18 @@ func TestPoolAtRestSeesRecycledLists(t *testing.T) {
 		t.Errorf("a pooled buffer inside a recycled list: poolAtRest said %v", err)
 	}
 }
+
+// TestZeroConfigReadsTimebase: a zero ParseCycles is the machine's
+// timebase front end, and the stage claim is its claim entry.
+func TestZeroConfigReadsTimebase(t *testing.T) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	eng, err := NewEngine(NewStore(machine), Config{Scheduler: sched.New(machine, sched.Config{}), PID: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := machine.Timebase()
+	if eng.cfg.ParseCycles != int64(tb.FrontEnd) || eng.claimCycles != tb.Claim {
+		t.Errorf("front end %d and claim %d, want the timebase's %d and %d",
+			eng.cfg.ParseCycles, eng.claimCycles, tb.FrontEnd, tb.Claim)
+	}
+}

@@ -49,15 +49,6 @@ func (d *Deque[T]) PopFront() (v T, ok bool) {
 	return v, true
 }
 
-// Front returns the front element without removing it; ok is false on an
-// empty deque.
-func (d *Deque[T]) Front() (v T, ok bool) {
-	if d.n == 0 {
-		return v, false
-	}
-	return d.buf[d.head], true
-}
-
 // At returns the i-th element from the front. It panics when i is out of
 // range, mirroring slice indexing.
 func (d *Deque[T]) At(i int) T {
@@ -136,16 +127,6 @@ func (d *Deque[T]) RemoveAt(i int) T {
 	}
 	d.n--
 	return v
-}
-
-// Clear empties the deque, keeping its capacity.
-func (d *Deque[T]) Clear() {
-	var zero T
-	mask := len(d.buf) - 1
-	for i := 0; i < d.n; i++ {
-		d.buf[(d.head+i)&mask] = zero
-	}
-	d.head, d.n = 0, 0
 }
 
 // ensure grows the ring when full, unwrapping the elements into the new

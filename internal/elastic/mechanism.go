@@ -38,8 +38,8 @@ type Config struct {
 	Allocator Allocator
 	// Strategy is the state-transition metric (CPU load or HT/IMC ratio).
 	Strategy Strategy
-	// ControlPeriod is the sampling interval in cycles; zero selects 50 ms
-	// at the machine clock.
+	// ControlPeriod is the sampling interval in cycles; zero selects the
+	// machine's timebase control period.
 	ControlPeriod uint64
 	// InitialCores is how many cores to hand out at start; zero selects 1
 	// (the paper's default marking m0(Provision) = {1}).
@@ -114,7 +114,7 @@ func New(cfg Config) (*Mechanism, error) {
 	machine := cfg.Scheduler.Machine()
 	topo := machine.Topology()
 	if cfg.ControlPeriod == 0 {
-		cfg.ControlPeriod = topo.SecondsToCycles(50e-3)
+		cfg.ControlPeriod = machine.Timebase().ControlPeriod
 	}
 	if cfg.InitialCores <= 0 {
 		cfg.InitialCores = 1
@@ -297,7 +297,7 @@ type Desire struct {
 	// Window is the counter delta the reading was computed over. It
 	// shares the mechanism's reusable window buffers: it is valid until
 	// the mechanism's next evaluation (Step or DesiredStep), and a caller
-	// keeping it longer must Clone it.
+	// keeping it longer must copy its Nodes and Cores.
 	Window numa.Counters
 	// Backlog is the admission-queue depth observed this evaluation
 	// (zero when no backlog source is wired).

@@ -2,6 +2,7 @@ package elastic
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"elasticore/internal/numa"
@@ -416,7 +417,8 @@ func TestDesireWindowValidUntilNextEvaluation(t *testing.T) {
 
 	mid := run(10)
 	first := m.DesiredStep()
-	kept := first.Window.Clone()
+	w := first.Window
+	kept := numa.Counters{Now: w.Now, Nodes: slices.Clone(w.Nodes), Cores: slices.Clone(w.Cores)}
 	if want := mid.Sub(start); !reflect.DeepEqual(kept, want) {
 		t.Fatalf("first window = %+v, want %+v", kept, want)
 	}
@@ -433,5 +435,19 @@ func TestDesireWindowValidUntilNextEvaluation(t *testing.T) {
 	// the cumulative counters the third window will be measured from.
 	if reflect.DeepEqual(first.Window.Cores, kept.Cores) {
 		t.Error("first.Window survived the next evaluation; the lifetime rule documented on Desire.Window is stale")
+	}
+}
+
+// TestZeroConfigReadsTimebase: a zero ControlPeriod is the machine's
+// timebase control period.
+func TestZeroConfigReadsTimebase(t *testing.T) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	s := sched.New(machine, sched.Config{})
+	m, err := New(Config{Scheduler: s, CGroup: s.NewCGroup("dbms"), Allocator: NewDense(machine.Topology())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.cfg.ControlPeriod, machine.Timebase().ControlPeriod; got != want {
+		t.Errorf("control period %d, want the timebase's %d", got, want)
 	}
 }

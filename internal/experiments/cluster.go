@@ -255,7 +255,6 @@ func runRebalanceCost(ctx context.Context, c Config, obs Observer) (*Result, err
 		ca, err := cluster.NewClusterArbiter(cluster.ClusterArbiterConfig{
 			Fleet:          f,
 			Budget:         budget,
-			ControlPeriod:  topo.SecondsToCycles(1e-3),
 			MigrateLatency: topo.SecondsToCycles(lat),
 		})
 		if err != nil {
@@ -282,7 +281,6 @@ func runRebalanceCost(ctx context.Context, c Config, obs Observer) (*Result, err
 			},
 			MaxInFlight: 2,
 			MaxArrivals: total,
-			MaxSeconds:  600,
 		}
 		r := coord.Run()
 		ms := func(cyc uint64) float64 { return topo.CyclesToSeconds(cyc) * 1e3 }

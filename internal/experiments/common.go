@@ -311,9 +311,6 @@ func (t *table) String() string {
 	return b.String()
 }
 
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-
 // mb converts bytes to megabytes.
 func mb(bytes uint64) float64 { return float64(bytes) / 1e6 }
 

@@ -175,19 +175,16 @@ func ftFleet(c Config, p ftPlan, v ftVariant) (*cluster.Fleet, error) {
 		// A contended budget makes the elastic story visible: the
 		// arbiter reclaims a dead machine's grant for the survivors.
 		if _, err := cluster.NewClusterArbiter(cluster.ClusterArbiterConfig{
-			Fleet:         f,
-			Budget:        c.Machines * topo.TotalCores() * 3 / 4,
-			ControlPeriod: topo.SecondsToCycles(1e-3),
+			Fleet:  f,
+			Budget: c.Machines * topo.TotalCores() * 3 / 4,
 		}); err != nil {
 			return nil, err
 		}
 	}
 	if v.health {
 		if _, err := cluster.NewHealthMonitor(cluster.HealthConfig{
-			Fleet:           f,
-			HeartbeatEvery:  topo.SecondsToCycles(1e-3),
-			TransferLatency: topo.SecondsToCycles(8e-3),
-			BrownoutCap:     4 * openSessions(c),
+			Fleet:       f,
+			BrownoutCap: 4 * openSessions(c),
 		}); err != nil {
 			return nil, err
 		}

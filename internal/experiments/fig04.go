@@ -82,7 +82,7 @@ func runFig4Raw(c Config, tbl *Table, users int, aff db.RawAffinity) error {
 		}
 		return true
 	}
-	if !r.Sched.RunUntil(done, r.Machine.Topology().SecondsToCycles(600)) {
+	if !r.Sched.RunUntil(done, r.Machine.Timebase().Deadline) {
 		return fmt.Errorf("experiments: raw kernels (%v, %d users) timed out", aff, users)
 	}
 	elapsed := r.Machine.NowSeconds() - startT

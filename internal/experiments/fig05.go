@@ -28,7 +28,7 @@ func runFig5(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		tg := newTomograph(b, r.Machine.Topology())
 
 		q := r.Engine.Submit(tpch.BuildQ6With(q6Fixed()))
-		if !r.Sched.RunUntil(q.Done, r.Machine.Topology().SecondsToCycles(600)) {
+		if !r.Sched.RunUntil(q.Done, r.Machine.Timebase().Deadline) {
 			return fmt.Errorf("experiments: fig5 query timed out")
 		}
 

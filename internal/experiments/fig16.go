@@ -25,7 +25,7 @@ func runFig16(ctx context.Context, c Config, obs Observer) (*Result, error) {
 		}
 		mt := newLifespan(r.EnsureBus(), r.Machine.Topology())
 		q := r.Engine.Submit(tpch.BuildQ6With(q6Fixed()))
-		deadline := r.Machine.Now() + r.Machine.Topology().SecondsToCycles(600)
+		deadline := r.Machine.Now() + r.Machine.Timebase().Deadline
 		for !q.Done() && r.Machine.Now() < deadline {
 			r.Tick()
 		}

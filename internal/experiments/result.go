@@ -171,24 +171,6 @@ func (t *Table) Int(row, col int) (int64, bool) {
 	return 0, false
 }
 
-// Str reads cell (row, col) as a string.
-func (t *Table) Str(row, col int) (string, bool) {
-	if row < 0 || row >= len(t.Rows) || col < 0 || col >= len(t.Rows[row]) {
-		return "", false
-	}
-	s, ok := t.Rows[row][col].(string)
-	return s, ok
-}
-
-// Dur reads cell (row, col) as a duration.
-func (t *Table) Dur(row, col int) (time.Duration, bool) {
-	if row < 0 || row >= len(t.Rows) || col < 0 || col >= len(t.Rows[row]) {
-		return 0, false
-	}
-	d, ok := t.Rows[row][col].(time.Duration)
-	return d, ok
-}
-
 // MarshalJSON emits the table as a schema-bearing object:
 // {"name":..., "columns":[{"name","kind"}...], "rows":[[...]...]}.
 // Duration cells become integer nanoseconds.

@@ -103,14 +103,3 @@ func Max(vals []float64) float64 {
 	}
 	return m
 }
-
-// Min returns the minimum (0 for empty input).
-func Min(vals []float64) float64 {
-	var m float64
-	for i, v := range vals {
-		if i == 0 || v < m {
-			m = v
-		}
-	}
-	return m
-}

@@ -121,9 +121,6 @@ func (d *directory) newCache(col, capacity int) *lruCache {
 	}
 }
 
-// Contains reports whether the block is resident without promoting it.
-func (c *lruCache) Contains(b BlockID) bool { return c.dir.get(b, c.col) != 0 }
-
 // Touch promotes the block to most-recently-used, inserting it if absent.
 // It returns whether the block was already resident and, when an insertion
 // evicted an older block, that victim.
@@ -161,9 +158,6 @@ func (c *lruCache) Invalidate(b BlockID) bool {
 	c.n--
 	return true
 }
-
-// Len returns the number of resident blocks.
-func (c *lruCache) Len() int { return c.n }
 
 // Clear empties the cache (used when a thread migrates away and its
 // working set is lost), keeping the arena.
@@ -307,8 +301,3 @@ func (h *cacheHierarchy) invalidateRemote(writerCore CoreID, b BlockID) int {
 // dropCore clears a core's private cache, modelling lost affinity after a
 // thread migration replaced its working set.
 func (h *cacheHierarchy) dropCore(core CoreID) { h.private[core].Clear() }
-
-// l3Resident reports whether the block is in the node's L3 (for tests).
-func (h *cacheHierarchy) l3Resident(n NodeID, b BlockID) bool {
-	return h.shared[n].Contains(b)
-}

@@ -65,14 +65,6 @@ func (c Counters) IdleFor(n uint64) bool {
 	return true
 }
 
-// Clone returns a deep copy of the snapshot.
-func (c Counters) Clone() Counters {
-	out := Counters{Now: c.Now}
-	out.Nodes = append([]NodeCounters(nil), c.Nodes...)
-	out.Cores = append([]CoreCounters(nil), c.Cores...)
-	return out
-}
-
 // Sub returns the per-event deltas of c relative to an earlier snapshot
 // prev, as a new value. Phase start/end windows use it; the per-period
 // control loop uses the allocation-free CounterWindow instead.

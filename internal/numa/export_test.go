@@ -26,3 +26,33 @@ func (t *Topology) Diameter() int {
 	}
 	return max
 }
+
+// Contains reports whether b falls inside the region.
+func (r Region) Contains(b BlockID) bool {
+	return b >= r.Start && b < r.Start+BlockID(r.Blocks)
+}
+
+// MinorFaults returns the cumulative minor page-fault count per node.
+func (m *Memory) MinorFaults() []uint64 {
+	out := make([]uint64, len(m.minorFaults))
+	copy(out, m.minorFaults)
+	return out
+}
+
+// TotalBlocks returns the number of blocks ever allocated (address-space
+// high-water mark).
+func (m *Memory) TotalBlocks() int { return len(m.blocks) }
+
+// Contains reports whether the block is resident without promoting it.
+func (c *lruCache) Contains(b BlockID) bool { return c.dir.get(b, c.col) != 0 }
+
+// Len returns the number of resident blocks.
+func (c *lruCache) Len() int { return c.n }
+
+// l3Resident reports whether the block is in the node's L3 (for tests).
+func (h *cacheHierarchy) l3Resident(n NodeID, b BlockID) bool {
+	return h.shared[n].Contains(b)
+}
+
+// LinesPerBlock returns how many cache lines one placement block spans.
+func (t *Topology) LinesPerBlock() int { return t.BlockBytes / t.CacheLineBytes }

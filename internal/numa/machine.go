@@ -53,6 +53,7 @@ type Cost struct {
 // with bandwidth-driven congestion, and the counter surface.
 type Machine struct {
 	topo   *Topology
+	tb     Timebase
 	mem    *Memory
 	caches *cacheHierarchy
 	cost   CostModel
@@ -90,6 +91,7 @@ func NewMachine(t *Topology) *Machine {
 	mem := NewMemory(t)
 	m := &Machine{
 		topo:      t,
+		tb:        newTimebase(t),
 		mem:       mem,
 		caches:    newCacheHierarchy(t, mem),
 		cost:      DefaultCostModel(),
@@ -108,6 +110,9 @@ func NewMachine(t *Topology) *Machine {
 
 // Topology returns the machine's static shape.
 func (m *Machine) Topology() *Topology { return m.topo }
+
+// Timebase returns the simulated durations at the machine's clock.
+func (m *Machine) Timebase() Timebase { return m.tb }
 
 // Memory exposes the placement layer (allocation is done through it).
 func (m *Machine) Memory() *Memory { return m.mem }
@@ -281,9 +286,8 @@ func (m *Machine) ChargeIdle(core CoreID, cycles uint64) {
 func (m *Machine) AdvanceTime(cycles uint64) {
 	m.now += cycles
 	m.window.cycles += cycles
-	// Refresh factors roughly every millisecond of virtual time.
-	windowCycles := m.topo.SecondsToCycles(1e-3)
-	if m.window.cycles < windowCycles {
+	// Refresh factors once a window of virtual time has passed.
+	if m.window.cycles < m.tb.Window {
 		return
 	}
 	seconds := m.topo.CyclesToSeconds(m.window.cycles)
@@ -336,7 +340,7 @@ func (m *Machine) AdvanceTimeIdle(quantum, n uint64) {
 		// Steady state: every refresh is a no-op beyond zeroing an
 		// already-zero window, so only the clock and the window phase
 		// move. Jump.
-		windowCycles := m.topo.SecondsToCycles(1e-3)
+		windowCycles := m.tb.Window
 		m.now += n * quantum
 		c := m.window.cycles // invariant: c < windowCycles
 		untilRefresh := (windowCycles - c + quantum - 1) / quantum
@@ -412,7 +416,7 @@ func (m *Machine) NewCounterWindow() *CounterWindow {
 // Advance returns the counter deltas since the previous Advance (or since
 // NewCounterWindow) and starts the next window. The returned Counters
 // share the window's storage: they are valid until the next Advance and
-// must be copied (Clone) to be kept longer.
+// must be copied, Nodes and Cores included, to be kept longer.
 func (w *CounterWindow) Advance() Counters {
 	w.m.readCounters(&w.delta)
 	w.last.setDelta(w.delta, w.last)

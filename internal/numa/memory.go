@@ -23,16 +23,8 @@ type Region struct {
 	Blocks int
 }
 
-// Contains reports whether b falls inside the region.
-func (r Region) Contains(b BlockID) bool {
-	return b >= r.Start && b < r.Start+BlockID(r.Blocks)
-}
-
 // Block returns the i-th block of the region.
 func (r Region) Block(i int) BlockID { return r.Start + BlockID(i) }
-
-// Bytes returns the region size in bytes for the given topology.
-func (r Region) Bytes(t *Topology) int { return r.Blocks * t.BlockBytes }
 
 // blockInfo is the state of one block, 12 bytes: every block ever allocated
 // keeps one, so its size is a per-block cost of the whole run.
@@ -64,7 +56,6 @@ type Memory struct {
 
 	// per-node counters, owned by Machine but updated here
 	minorFaults []uint64
-	homedBlocks []int
 }
 
 // NewMemory creates an empty memory for the topology.
@@ -73,7 +64,6 @@ func NewMemory(t *Topology) *Memory {
 		topo:        t,
 		residency:   make(map[int][]int),
 		minorFaults: make([]uint64, t.NodeCount),
-		homedBlocks: make([]int, t.NodeCount),
 	}
 }
 
@@ -105,7 +95,6 @@ func (m *Memory) HomeRegionOn(r Region, node NodeID, pid int) {
 		}
 		b.home = int8(node)
 		b.mapped = 1 << uint(node)
-		m.homedBlocks[node]++
 		m.addResidency(pid, node, 1)
 	}
 }
@@ -139,7 +128,6 @@ func (m *Memory) touch(b BlockID, node NodeID, pid int) touchResult {
 	if info.home == noHome {
 		info.home = int8(node)
 		info.mapped = bit
-		m.homedBlocks[node]++
 		m.minorFaults[node] += uint64(m.topo.PagesPerBlock())
 		m.addResidency(pid, node, 1)
 		return touchResult{home: node, firstTouch: true}
@@ -183,22 +171,3 @@ func (m *Memory) Residency(pids []int) []int {
 	}
 	return out
 }
-
-// HomedBlocks returns the number of blocks homed on each node,
-// regardless of owner.
-func (m *Memory) HomedBlocks() []int {
-	out := make([]int, len(m.homedBlocks))
-	copy(out, m.homedBlocks)
-	return out
-}
-
-// MinorFaults returns the cumulative minor page-fault count per node.
-func (m *Memory) MinorFaults() []uint64 {
-	out := make([]uint64, len(m.minorFaults))
-	copy(out, m.minorFaults)
-	return out
-}
-
-// TotalBlocks returns the number of blocks ever allocated (address-space
-// high-water mark).
-func (m *Memory) TotalBlocks() int { return len(m.blocks) }

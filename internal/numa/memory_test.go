@@ -103,8 +103,8 @@ func TestAllocOnPlacesEagerly(t *testing.T) {
 }
 
 func TestHomedBlocksConservation(t *testing.T) {
-	// Property: sum of HomedBlocks equals the number of touched, live
-	// blocks regardless of the access pattern.
+	// Property: the toucher's residency sums to the number of touched,
+	// live blocks regardless of the access pattern.
 	topo := Opteron8387()
 	f := func(seed uint32) bool {
 		m := NewMemory(topo)
@@ -119,7 +119,7 @@ func TestHomedBlocksConservation(t *testing.T) {
 			touched[b] = true
 		}
 		total := 0
-		for _, c := range m.HomedBlocks() {
+		for _, c := range m.Residency([]int{1}) {
 			total += c
 		}
 		return total == len(touched)

@@ -177,9 +177,6 @@ func (t *Topology) Hops(a, b NodeID) int { return t.Distance[a][b] }
 // PagesPerBlock returns how many VM pages one placement block spans.
 func (t *Topology) PagesPerBlock() int { return t.BlockBytes / t.PageBytes }
 
-// LinesPerBlock returns how many cache lines one placement block spans.
-func (t *Topology) LinesPerBlock() int { return t.BlockBytes / t.CacheLineBytes }
-
 // CyclesToSeconds converts a cycle count to wall-clock seconds at the
 // machine's core frequency.
 func (t *Topology) CyclesToSeconds(cycles uint64) float64 {

@@ -14,9 +14,9 @@ import (
 type ProbeConfig struct {
 	// Machine supplies the clock and the hardware counters (required).
 	Machine *numa.Machine
-	// Every is the sampling interval in cycles; zero selects 50 ms at the
-	// machine clock (the paper's control-loop class). Rigs pass their
-	// mechanism's control period so samples land on control boundaries.
+	// Every is the sampling interval in cycles; zero selects the machine's
+	// timebase control period. Rigs pass their mechanism's control period
+	// so samples land on control boundaries.
 	Every uint64
 	// Allocated reports the DBMS's current core count (nil records 0).
 	Allocated func() int
@@ -107,14 +107,13 @@ type probeCalm struct {
 
 // NewProbe wires a probe; the first sample is due one interval from now.
 func NewProbe(cfg ProbeConfig) *Probe {
-	topo := cfg.Machine.Topology()
 	if cfg.Every == 0 {
-		cfg.Every = topo.SecondsToCycles(50e-3)
+		cfg.Every = cfg.Machine.Timebase().ControlPeriod
 	}
 	q := cfg.Scheduler.Quantum()
 	return &Probe{
 		cfg:    cfg,
-		topo:   topo,
+		topo:   cfg.Machine.Topology(),
 		energy: metrics.DefaultEnergyModel(),
 		window: cfg.Machine.NewCounterWindow(),
 		nextAt: cfg.Machine.Now() + cfg.Every,
@@ -128,9 +127,6 @@ func NewProbe(cfg ProbeConfig) *Probe {
 func (p *Probe) SetLatency(h *metrics.Histogram) {
 	p.latency, p.quantilesAt, p.quiet = h, 0, false
 }
-
-// Every returns the sampling interval in cycles.
-func (p *Probe) Every() uint64 { return p.cfg.Every }
 
 // NextAt returns the cycle of the next due sample. The parallel fleet
 // engine caps decoupled stretches at it so Maybe is never late.

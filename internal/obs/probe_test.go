@@ -2,6 +2,7 @@ package obs
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"elasticore/internal/metrics"
@@ -201,7 +202,7 @@ func TestProbeReadingSeesTheSampleWindow(t *testing.T) {
 		Machine: machine,
 		Every:   1000,
 		Reading: func(w numa.Counters) int {
-			seen = append(seen, w.Clone())
+			seen = append(seen, numa.Counters{Now: w.Now, Nodes: slices.Clone(w.Nodes), Cores: slices.Clone(w.Cores)})
 			return int(w.TotalIMCBytes())
 		},
 		Scheduler: busyScheduler{},
@@ -226,5 +227,15 @@ func TestProbeReadingSeesTheSampleWindow(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("Reading ran %d times over 3000 cycles at interval 1000, want 3", len(seen))
+	}
+}
+
+// TestZeroConfigReadsTimebase: a zero Every is the machine's timebase
+// control period.
+func TestZeroConfigReadsTimebase(t *testing.T) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	p := NewProbe(ProbeConfig{Machine: machine, Scheduler: busyScheduler{}})
+	if got, want := p.cfg.Every, machine.Timebase().ControlPeriod; got != want {
+		t.Errorf("interval %d, want the timebase's %d", got, want)
 	}
 }

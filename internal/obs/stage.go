@@ -21,9 +21,6 @@ func NewView(parent *Bus) *Bus {
 	return &Bus{parent: parent}
 }
 
-// Parent returns the bus this view forwards to, or nil for a root bus.
-func (b *Bus) Parent() *Bus { return b.parent }
-
 // BeginStage diverts subsequent Publish calls into the view's private
 // buffer until EndStage. Only meaningful on a view; the staged events
 // are read back with Staged and replayed by the section driver.

@@ -11,7 +11,7 @@ import (
 func TestViewPassthrough(t *testing.T) {
 	parent := NewBus(8)
 	v := NewView(parent)
-	if v.Parent() != parent {
+	if v.parent != parent {
 		t.Fatal("view does not report its parent")
 	}
 	var seen int

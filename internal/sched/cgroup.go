@@ -17,9 +17,6 @@ type CGroup struct {
 	sched *Scheduler
 }
 
-// Name returns the group name.
-func (g *CGroup) Name() string { return g.name }
-
 // CPUs returns the group's current cpuset.
 func (g *CGroup) CPUs() CPUSet { return g.cpus }
 

@@ -23,3 +23,10 @@ func (s *Scheduler) CoreSlowdown(core numa.CoreID) uint64 {
 
 // LiveThreads returns the number of threads not yet Done.
 func (s *Scheduler) LiveThreads() int { return len(s.threads) }
+
+// Core returns the core whose queue currently holds the thread.
+func (t *Thread) Core() numa.CoreID { return t.core }
+
+// Lifespan returns the creation and exit times in cycles; exit is only
+// meaningful once the thread is Done.
+func (t *Thread) Lifespan() (spawned, exited uint64) { return t.spawned, t.exited }

@@ -103,3 +103,53 @@ func TestBusSubscribersCoexist(t *testing.T) {
 			busSlicesA, busSlicesB)
 	}
 }
+
+// TestWakeMigrationSubscriberMovesTheThread: Wake publishes a thread's
+// migration only once the thread is queued, so a subscriber that writes
+// the cpuset from the event re-places it like any queued thread. Four
+// threads of pid 1 sleep on cores 0-3; the group shrinks to {1,2,3,8},
+// which leaves core 0 out, and the first wake migration writes {8,9}.
+// Every woken thread must end queued inside {8,9}.
+func TestWakeMigrationSubscriberMovesTheThread(t *testing.T) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	s := New(machine, Config{})
+	bus := obs.NewBus(0)
+	s.SetBus(bus)
+	g := s.NewCGroup("db")
+	g.AddPID(1)
+	g.SetCPUs(NewCPUSet(0, 1, 2, 3))
+	sleeper := RunnerFunc(func(_ *ExecContext, budget uint64) (uint64, bool, bool) { return budget / 2, true, false })
+	var threads []*Thread
+	for i := 0; i < 4; i++ {
+		threads = append(threads, s.Spawn(1, "sleeper", sleeper))
+	}
+	s.Tick()
+	for _, th := range threads {
+		if th.state != Blocked {
+			t.Fatalf("TID %d is %v after one tick, want Blocked", th.ID, th.state)
+		}
+	}
+	g.SetCPUs(NewCPUSet(1, 2, 3, 8))
+	target := NewCPUSet(8, 9)
+	written := false
+	bus.Subscribe(obs.KindMigration, func(obs.Event) {
+		if !written {
+			written = true
+			g.SetCPUs(target)
+		}
+	})
+	s.WakeAll(1)
+	if !written {
+		t.Fatal("WakeAll published no migration")
+	}
+	for _, th := range threads {
+		queued := false
+		for i := 0; i < s.queues[th.core].Len(); i++ {
+			queued = queued || s.queues[th.core].At(i) == th
+		}
+		if th.state != Runnable || !queued || !target.Contains(th.core) {
+			t.Errorf("TID %d: state %v, core %d, queued there %v; want Runnable and queued inside %v",
+				th.ID, th.state, th.core, queued, target)
+		}
+	}
+}

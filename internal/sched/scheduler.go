@@ -11,8 +11,8 @@ import (
 
 // Config tunes the scheduler model.
 type Config struct {
-	// Quantum is the scheduling time slice in cycles. Zero selects 1 ms at
-	// the machine's clock.
+	// Quantum is the scheduling time slice in cycles. Zero selects the
+	// machine's timebase quantum.
 	Quantum uint64
 }
 
@@ -170,7 +170,7 @@ type Scheduler struct {
 func New(m *numa.Machine, cfg Config) *Scheduler {
 	topo := m.Topology()
 	if cfg.Quantum == 0 {
-		cfg.Quantum = topo.SecondsToCycles(1e-3)
+		cfg.Quantum = m.Timebase().Quantum
 	}
 	return &Scheduler{
 		machine: m,
@@ -477,14 +477,16 @@ func (s *Scheduler) Wake(t *Thread) {
 	if !allowed.Contains(target) {
 		target = s.placementCore(t)
 	}
-	if target != t.core {
-		s.recordMigration(t, target)
-	}
 	t.state = Runnable
 	// Wakeup preemption: a thread that slept goes to the head of the
 	// queue (CFS credits sleepers with low vruntime), so short-running
 	// coordinator threads are not starved behind CPU-bound workers.
 	s.pushFront(target, t)
+	// Published once the thread is queued: a subscriber that writes the
+	// cpuset from the event re-places it like any queued thread.
+	if target != t.core {
+		s.recordMigration(t, target)
+	}
 }
 
 // WakeAll wakes every Blocked thread owned by pid (a task queue became
@@ -510,10 +512,12 @@ func (s *Scheduler) WakeAll(pid int) {
 	p.scratch = words
 }
 
-// recordMigration updates counters and publishes the event for a thread
-// moving to a different core.
+// recordMigration moves a thread's core, updates counters and publishes
+// the event; the thread's core is already the new one when a subscriber
+// sees it.
 func (s *Scheduler) recordMigration(t *Thread, to numa.CoreID) {
 	from := t.core
+	t.core = to
 	s.stats.Migrations++
 	if s.topo.NodeOf(from) != s.topo.NodeOf(to) {
 		s.stats.CrossNodeMigrations++
@@ -527,7 +531,6 @@ func (s *Scheduler) recordMigration(t *Thread, to numa.CoreID) {
 			From: int32(from),
 		})
 	}
-	t.core = to
 }
 
 // reconcileGroup re-places every queued thread of the group whose core left

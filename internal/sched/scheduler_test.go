@@ -347,3 +347,12 @@ func TestCoreSlowdown(t *testing.T) {
 		t.Fatal("thread did not finish after the stall lifted")
 	}
 }
+
+// TestZeroConfigReadsTimebase: a zero Quantum is the machine's timebase
+// quantum.
+func TestZeroConfigReadsTimebase(t *testing.T) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	if got, want := New(machine, Config{}).Quantum(), machine.Timebase().Quantum; got != want {
+		t.Errorf("quantum %d, want the timebase's %d", got, want)
+	}
+}

@@ -129,12 +129,5 @@ type Thread struct {
 // State returns the thread's scheduling state.
 func (t *Thread) State() State { return t.state }
 
-// Core returns the core whose queue currently holds the thread.
-func (t *Thread) Core() numa.CoreID { return t.core }
-
 // Pinned returns the thread's hard-affinity mask (zero = none).
 func (t *Thread) Pinned() CPUSet { return t.pinned }
-
-// Lifespan returns the creation and exit times in cycles; exit is only
-// meaningful once the thread is Done.
-func (t *Thread) Lifespan() (spawned, exited uint64) { return t.spawned, t.exited }

@@ -28,7 +28,7 @@ type ArbiterConfig struct {
 	// Scheduler is the shared OS scheduler of the machine.
 	Scheduler *sched.Scheduler
 	// ControlPeriod is the arbitration interval in cycles; zero selects
-	// 50 ms at the machine clock (the paper's control-loop class).
+	// the machine's timebase control period.
 	ControlPeriod uint64
 }
 
@@ -71,7 +71,7 @@ func NewArbiter(cfg ArbiterConfig) (*Arbiter, error) {
 	machine := cfg.Scheduler.Machine()
 	topo := machine.Topology()
 	if cfg.ControlPeriod == 0 {
-		cfg.ControlPeriod = topo.SecondsToCycles(50e-3)
+		cfg.ControlPeriod = machine.Timebase().ControlPeriod
 	}
 	return &Arbiter{
 		sch:      cfg.Scheduler,

@@ -423,3 +423,16 @@ func TestArbiterSteadyStepDoesNotAllocate(t *testing.T) {
 		t.Errorf("a steady arbitration round allocated %v times, want 0", allocs)
 	}
 }
+
+// TestZeroConfigReadsTimebase: a zero ControlPeriod is the machine's
+// timebase control period.
+func TestZeroConfigReadsTimebase(t *testing.T) {
+	machine := numa.NewMachine(numa.Opteron8387())
+	arb, err := NewArbiter(ArbiterConfig{Scheduler: sched.New(machine, sched.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := arb.ControlPeriod(), machine.Timebase().ControlPeriod; got != want {
+		t.Errorf("control period %d, want the timebase's %d", got, want)
+	}
+}

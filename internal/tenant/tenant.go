@@ -65,7 +65,7 @@ type Config struct {
 	// SLA is the tenant's agreement (defaults: weight 1, min 1 core).
 	SLA SLA
 	// ControlPeriod is the mechanism sampling interval in cycles; zero
-	// selects the mechanism default (50 ms at the machine clock).
+	// selects the mechanism default (the timebase control period).
 	ControlPeriod uint64
 }
 

@@ -20,7 +20,8 @@ type qrig struct {
 func newQRig(t *testing.T, sf float64) *qrig {
 	t.Helper()
 	m := numa.NewMachine(numa.Opteron8387())
-	sc := sched.New(m, sched.Config{})
+	// The 1 ms quantum queries.golden was recorded at.
+	sc := sched.New(m, sched.Config{Quantum: m.Topology().SecondsToCycles(1e-3)})
 	store := db.NewStore(m)
 	if _, err := Load(store, Config{SF: sf}); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"elasticore/internal/db"
-	"elasticore/internal/numa"
 	"elasticore/internal/tpch"
 )
 
@@ -12,15 +11,6 @@ func mustRig(t *testing.T, opts Options) *Rig {
 	t.Helper()
 	if opts.SF == 0 {
 		opts.SF = 0.002
-	}
-	// Tiny datasets finish fast: shrink the quantum and control period so
-	// the mechanism gets several control steps per phase.
-	topo := numa.Opteron8387()
-	if opts.Quantum == 0 {
-		opts.Quantum = topo.SecondsToCycles(0.2e-3)
-	}
-	if opts.ControlPeriod == 0 {
-		opts.ControlPeriod = topo.SecondsToCycles(1e-3)
 	}
 	r, err := NewRig(opts)
 	if err != nil {

@@ -39,11 +39,6 @@ type TenantSpec struct {
 type MultiOptions struct {
 	// Tenants describes the consolidated databases (at least one).
 	Tenants []TenantSpec
-	// Quantum overrides the scheduler quantum in cycles.
-	Quantum uint64
-	// ControlPeriod overrides both the per-tenant mechanism period and
-	// the arbitration period, in cycles.
-	ControlPeriod uint64
 	// Topology overrides the machine shape; the default scales the
 	// Opteron testbed to the tenants' aggregate scale factor.
 	Topology *numa.Topology
@@ -100,12 +95,8 @@ func NewMultiRig(opts MultiOptions) (*MultiRig, error) {
 		}
 		aggregateSF += opts.Tenants[i].SF
 	}
-	machine, sc, period := newMachine(opts.Topology, aggregateSF, opts.Quantum, opts.ControlPeriod)
-	opts.ControlPeriod = period
-	arb, err := tenant.NewArbiter(tenant.ArbiterConfig{
-		Scheduler:     sc,
-		ControlPeriod: opts.ControlPeriod,
-	})
+	machine, sc := newMachine(opts.Topology, aggregateSF)
+	arb, err := tenant.NewArbiter(tenant.ArbiterConfig{Scheduler: sc})
 	if err != nil {
 		return nil, err
 	}
@@ -130,13 +121,12 @@ func NewMultiRig(opts MultiOptions) (*MultiRig, error) {
 			return nil, fmt.Errorf("tenant %s: %w", spec.Name, err)
 		}
 		tn, err := tenant.New(tenant.Config{
-			Name:          spec.Name,
-			Scheduler:     sc,
-			CGroup:        srv.group,
-			Allocator:     alloc,
-			Strategy:      spec.Strategy,
-			SLA:           spec.SLA,
-			ControlPeriod: opts.ControlPeriod,
+			Name:      spec.Name,
+			Scheduler: sc,
+			CGroup:    srv.group,
+			Allocator: alloc,
+			Strategy:  spec.Strategy,
+			SLA:       spec.SLA,
 		})
 		if err != nil {
 			return nil, err
@@ -166,9 +156,6 @@ func (m *MultiRig) Tick() {
 	m.Sched.Tick()
 	m.Arbiter.Maybe()
 }
-
-// NowSeconds returns the rig's virtual time.
-func (m *MultiRig) NowSeconds() float64 { return m.Machine.NowSeconds() }
 
 // TenantLoad describes one tenant's client streams for MultiRig.Run.
 type TenantLoad struct {

@@ -92,9 +92,8 @@ type Options struct {
 	// Strategy overrides the mechanism's state-transition metric
 	// (default CPU load).
 	Strategy elastic.Strategy
-	// Quantum overrides the scheduler quantum in cycles.
-	Quantum uint64
-	// ControlPeriod overrides the mechanism control period in cycles.
+	// ControlPeriod overrides the mechanism control period in cycles
+	// (default the machine's timebase control period).
 	ControlPeriod uint64
 	// Topology overrides the machine shape (default Opteron8387). The
 	// experiments scale cache sizes and bandwidths with SF to preserve
@@ -174,24 +173,15 @@ type Rig struct {
 	Probe *obs.Probe
 }
 
-// newMachine builds the machine and scheduler under a rig of either kind.
-// A nil topology selects the Opteron testbed scaled to sf; a zero quantum
-// or control period selects 50 us or 0.25 ms of the machine's clock. It
-// returns the control period in effect.
-func newMachine(topo *numa.Topology, sf float64, quantum, controlPeriod uint64) (*numa.Machine, *sched.Scheduler, uint64) {
+// newMachine builds the machine and scheduler under a rig of either kind,
+// the scheduler at the timebase quantum. A nil topology selects the
+// Opteron testbed scaled to sf.
+func newMachine(topo *numa.Topology, sf float64) (*numa.Machine, *sched.Scheduler) {
 	if topo == nil {
 		topo = ScaledTopology(sf)
 	}
 	machine := numa.NewMachine(topo)
-	topo = machine.Topology()
-	if quantum == 0 {
-		// Keep the quantum small relative to scaled query runtimes.
-		quantum = topo.SecondsToCycles(50e-6)
-	}
-	if controlPeriod == 0 {
-		controlPeriod = topo.SecondsToCycles(0.25e-3)
-	}
-	return machine, sched.New(machine, sched.Config{Quantum: quantum}), controlPeriod
+	return machine, sched.New(machine, sched.Config{})
 }
 
 // server is one DBMS process on a rig's machine: its store loaded with a
@@ -230,8 +220,10 @@ func NewRig(opts Options) (*Rig, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	machine, sc, period := newMachine(opts.Topology, opts.SF, opts.Quantum, opts.ControlPeriod)
-	opts.ControlPeriod = period
+	machine, sc := newMachine(opts.Topology, opts.SF)
+	if opts.ControlPeriod == 0 {
+		opts.ControlPeriod = machine.Timebase().ControlPeriod
+	}
 	topo := machine.Topology()
 	srv, err := newServer(sc, "dbms", DBMSPID, opts.SF, opts.Seed, opts.Placement)
 	if err != nil {
@@ -295,10 +287,9 @@ func (r *Rig) EnsureBus() *obs.Bus {
 }
 
 // EnableProbe starts periodic Snapshot sampling driven by Advance: every
-// interval cycles (zero selects the mechanism's control period, or its
-// 0.25 ms default under ModeOS) the probe records allocated cores, the
-// strategy reading, interconnect and memory traffic, and the energy
-// estimate of the window. Open-loop drivers additionally wire their
+// interval cycles (zero selects the rig's control period) the probe
+// records allocated cores, the strategy reading, interconnect and memory
+// traffic, and the energy estimate of the window. Open-loop drivers additionally wire their
 // backlog and latency sources for the duration of a phase.
 func (r *Rig) EnableProbe(interval uint64) *obs.Probe {
 	if r.Probe != nil {
@@ -396,9 +387,6 @@ func QuantaUntil(now, due, quantum uint64, max int) int {
 	}
 	return int(min((due-now-1)/quantum+1, uint64(max)))
 }
-
-// NowSeconds returns the rig's virtual time.
-func (r *Rig) NowSeconds() float64 { return r.Machine.NowSeconds() }
 
 // AllocatedCores returns how many cores the DBMS currently owns.
 func (r *Rig) AllocatedCores() int { return r.CGroup.CPUs().Count() }
