@@ -30,3 +30,10 @@ func (s *Stream) Next() uint64 {
 	s.State += Golden
 	return Mix64(s.State)
 }
+
+// Skip advances the stream past k draws without computing them. A
+// stream's k-th draw is Mix64(State + k·Golden), a function of k alone,
+// so a consumer that draws a fixed count per item may start at any item
+// (the splittable-generator property of Steele, Lea and Flood, OOPSLA
+// 2014).
+func (s *Stream) Skip(k uint64) { s.State += k * Golden }

@@ -126,3 +126,31 @@ func TestMix64AvalancheAndInjective(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamSkipMatchesNext: Skip(k) then Next returns what k+1 calls of
+// Next return, from any state, including one whose Weyl sum wraps past
+// 2^64 on the way. The TPC-H generator starts each part of a table at
+// its first row's draw through Skip, so this is what keeps its parallel
+// fill byte-identical to one sequential stream.
+func TestStreamSkipMatchesNext(t *testing.T) {
+	// The last seed's very first draw wraps past 2^64.
+	wraps := ^uint64(0) - 5
+	if wraps+Golden > wraps {
+		t.Fatal("the wrapping seed does not wrap")
+	}
+	for _, seed := range []uint64{0, 0xC0FFEE, wraps} {
+		for _, k := range []uint64{0, 1, 13, 1 << 20} {
+			walked := Stream{State: seed}
+			for i := uint64(0); i < k; i++ {
+				walked.Next()
+			}
+			want := walked.Next()
+			skipped := Stream{State: seed}
+			skipped.Skip(k)
+			if got := skipped.Next(); got != want || skipped.State != walked.State {
+				t.Errorf("seed %#x: Skip(%d)+Next = %#x (state %#x), want %#x (state %#x)",
+					seed, k, got, skipped.State, want, walked.State)
+			}
+		}
+	}
+}

@@ -14,6 +14,8 @@ package tpch
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"elasticore/internal/db"
 	"elasticore/internal/hashmix"
@@ -106,6 +108,52 @@ func scaled(base int, sf float64) int {
 		n = 1
 	}
 	return n
+}
+
+// Every table fills by position. Each row of a table takes a fixed count
+// of draws from the table's stream (supplier 2, customer 3, part 4,
+// partsupp 2, orders 6; intn never skips a draw, because scaled floors
+// every size at 1), and a stream's k-th draw depends only on k
+// (hashmix.Stream.Skip). So a table splits into contiguous parts of rows,
+// one per host P, each part's stream skipping to its first row's draw,
+// and the parts fill concurrently into the same values one sequential
+// stream gives. Lineitem's rows take 13 draws after their order's one,
+// so its parts are parts of orders, started by a sequential pre-pass.
+
+// minPartRows is the fewest rows a part gets: a table under twice this
+// fills in one part, since a goroutine would cost more than its rows.
+const minPartRows = 1024
+
+// parts returns how many parts an n-row table fills in.
+func parts(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n/minPartRows)) }
+
+// partLo returns the first row of part p when n rows split into k parts.
+func partLo(n, k, p int) int { return p*(n/k) + min(p, n%k) }
+
+// fill calls part(p, lo, hi) for each of the k parts of n rows: part 0 on
+// the calling goroutine, the others on goroutines joined before fill
+// returns. One part starts no goroutine.
+func fill(n, k int, part func(p, lo, hi int)) {
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for p := 1; p < k; p++ {
+		go func() {
+			defer wg.Done()
+			part(p, partLo(n, k, p), partLo(n, k, p+1))
+		}()
+	}
+	part(0, 0, partLo(n, k, 1))
+	wg.Wait()
+}
+
+// fillRows fills an n-row table whose rows each take draws draws of the
+// stream seeded seed, handing each part its stream at its first row.
+func fillRows(n int, seed uint64, draws int, rows func(r *rng, lo, hi int)) {
+	fill(n, parts(n), func(_, lo, hi int) {
+		r := newRNG(seed)
+		r.Skip(uint64(lo * draws))
+		rows(r, lo, hi)
+	})
 }
 
 // Load registers every TPC-H table into the store and returns the dataset
@@ -203,16 +251,17 @@ func genRegionNation() (region, nation map[string]*db.BAT) {
 }
 
 func genSupplier(cfg Config, sz Sizes) map[string]*db.BAT {
-	r := newRNG(cfg.Seed ^ 0x05)
 	n := sz.Supplier
 	key := make([]int64, n)
 	nat := make([]int64, n)
 	bal := make([]float64, n)
-	for i := 0; i < n; i++ {
-		key[i] = int64(i)
-		nat[i] = int64(r.intn(NumNations))
-		bal[i] = -999.99 + r.f64()*10998.98
-	}
+	fillRows(n, cfg.Seed^0x05, 2, func(r *rng, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			key[i] = int64(i)
+			nat[i] = int64(r.intn(NumNations))
+			bal[i] = -999.99 + r.f64()*10998.98
+		}
+	})
 	return map[string]*db.BAT{
 		"s_suppkey":   db.NewI64("s_suppkey", key),
 		"s_nationkey": db.NewI64("s_nationkey", nat),
@@ -221,18 +270,19 @@ func genSupplier(cfg Config, sz Sizes) map[string]*db.BAT {
 }
 
 func genCustomer(cfg Config, sz Sizes) map[string]*db.BAT {
-	r := newRNG(cfg.Seed ^ 0x0C)
 	n := sz.Customer
 	key := make([]int64, n)
 	nat := make([]int64, n)
 	seg := make([]int64, n)
 	bal := make([]float64, n)
-	for i := 0; i < n; i++ {
-		key[i] = int64(i)
-		nat[i] = int64(r.intn(NumNations))
-		seg[i] = int64(r.intn(NumMktSegments))
-		bal[i] = -999.99 + r.f64()*10998.98
-	}
+	fillRows(n, cfg.Seed^0x0C, 3, func(r *rng, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			key[i] = int64(i)
+			nat[i] = int64(r.intn(NumNations))
+			seg[i] = int64(r.intn(NumMktSegments))
+			bal[i] = -999.99 + r.f64()*10998.98
+		}
+	})
 	return map[string]*db.BAT{
 		"c_custkey":    db.NewI64("c_custkey", key),
 		"c_nationkey":  db.NewI64("c_nationkey", nat),
@@ -242,7 +292,6 @@ func genCustomer(cfg Config, sz Sizes) map[string]*db.BAT {
 }
 
 func genPart(cfg Config, sz Sizes) map[string]*db.BAT {
-	r := newRNG(cfg.Seed ^ 0x70)
 	n := sz.Part
 	key := make([]int64, n)
 	brand := make([]int64, n)
@@ -250,14 +299,16 @@ func genPart(cfg Config, sz Sizes) map[string]*db.BAT {
 	size := make([]int64, n)
 	container := make([]int64, n)
 	price := make([]float64, n)
-	for i := 0; i < n; i++ {
-		key[i] = int64(i)
-		brand[i] = int64(r.intn(NumBrands))
-		typ[i] = int64(r.intn(NumTypes))
-		size[i] = int64(1 + r.intn(50))
-		container[i] = int64(r.intn(NumContainers))
-		price[i] = 900 + float64((i%200000)+1)/10
-	}
+	fillRows(n, cfg.Seed^0x70, 4, func(r *rng, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			key[i] = int64(i)
+			brand[i] = int64(r.intn(NumBrands))
+			typ[i] = int64(r.intn(NumTypes))
+			size[i] = int64(1 + r.intn(50))
+			container[i] = int64(r.intn(NumContainers))
+			price[i] = 900 + float64((i%200000)+1)/10
+		}
+	})
 	return map[string]*db.BAT{
 		"p_partkey":     db.NewI64("p_partkey", key),
 		"p_brand":       db.NewI64("p_brand", brand),
@@ -269,18 +320,19 @@ func genPart(cfg Config, sz Sizes) map[string]*db.BAT {
 }
 
 func genPartSupp(cfg Config, sz Sizes) map[string]*db.BAT {
-	r := newRNG(cfg.Seed ^ 0x75)
 	n := sz.PartSupp
 	pk := make([]int64, n)
 	sk := make([]int64, n)
 	cost := make([]float64, n)
 	avail := make([]float64, n)
-	for i := 0; i < n; i++ {
-		pk[i] = int64(i / 4)
-		sk[i] = int64((i/4 + (i%4)*(sz.Supplier/4+1)) % sz.Supplier)
-		cost[i] = 1 + r.f64()*999
-		avail[i] = float64(1 + r.intn(9999))
-	}
+	fillRows(n, cfg.Seed^0x75, 2, func(r *rng, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			pk[i] = int64(i / 4)
+			sk[i] = int64((i/4 + (i%4)*(sz.Supplier/4+1)) % sz.Supplier)
+			cost[i] = 1 + r.f64()*999
+			avail[i] = float64(1 + r.intn(9999))
+		}
+	})
 	return map[string]*db.BAT{
 		"ps_partkey":    db.NewI64("ps_partkey", pk),
 		"ps_suppkey":    db.NewI64("ps_suppkey", sk),
@@ -290,7 +342,6 @@ func genPartSupp(cfg Config, sz Sizes) map[string]*db.BAT {
 }
 
 func genOrders(cfg Config, sz Sizes) (map[string]*db.BAT, []int) {
-	r := newRNG(cfg.Seed ^ 0x0F)
 	n := sz.Orders
 	key := make([]int64, n)
 	cust := make([]int64, n)
@@ -300,17 +351,19 @@ func genOrders(cfg Config, sz Sizes) (map[string]*db.BAT, []int) {
 	total := make([]float64, n)
 	ship := make([]int64, n)
 	dateOrds := make([]int, n)
-	for i := 0; i < n; i++ {
-		key[i] = int64(i)
-		cust[i] = int64(r.intn(sz.Customer))
-		ord := r.intn(totalOrderDays - 151) // leave room for ship dates
-		dateOrds[i] = ord
-		date[i] = dayNumber(ord)
-		prio[i] = int64(r.intn(NumOrderPriorities))
-		status[i] = int64(r.intn(3))
-		total[i] = 1000 + r.f64()*450000
-		ship[i] = int64(r.intn(2))
-	}
+	fillRows(n, cfg.Seed^0x0F, 6, func(r *rng, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			key[i] = int64(i)
+			cust[i] = int64(r.intn(sz.Customer))
+			ord := r.intn(totalOrderDays - 151) // leave room for ship dates
+			dateOrds[i] = ord
+			date[i] = dayNumber(ord)
+			prio[i] = int64(r.intn(NumOrderPriorities))
+			status[i] = int64(r.intn(3))
+			total[i] = 1000 + r.f64()*450000
+			ship[i] = int64(r.intn(2))
+		}
+	})
 	return map[string]*db.BAT{
 		"o_orderkey":      db.NewI64("o_orderkey", key),
 		"o_custkey":       db.NewI64("o_custkey", cust),
@@ -322,64 +375,79 @@ func genOrders(cfg Config, sz Sizes) (map[string]*db.BAT, []int) {
 	}, dateOrds
 }
 
-func genLineitem(cfg Config, sz Sizes, orderDates []int) (map[string]*db.BAT, int) {
-	r := newRNG(cfg.Seed ^ 0x11)
-	// An order has 1–7 lines, 4 on average with a standard deviation of 2:
-	// the total exceeds its mean by 4 standard deviations of the sum
-	// (8·√orders) once in some 30 000 datasets, so the columns are sized
-	// once: a column that regrew would copy itself and keep the spare
-	// capacity in the dataset cache.
-	est := sz.Orders*4 + 8*int(math.Sqrt(float64(sz.Orders))) + 7
-	ok := make([]int64, 0, est)
-	pk := make([]int64, 0, est)
-	sk := make([]int64, 0, est)
-	qty := make([]float64, 0, est)
-	price := make([]float64, 0, est)
-	disc := make([]float64, 0, est)
-	tax := make([]float64, 0, est)
-	rf := make([]int64, 0, est)
-	ls := make([]int64, 0, est)
-	rfls := make([]int64, 0, est)
-	shipd := make([]int64, 0, est)
-	commitd := make([]int64, 0, est)
-	receiptd := make([]int64, 0, est)
-	mode := make([]int64, 0, est)
-	instr := make([]int64, 0, est)
-	late := make([]int64, 0, est)     // derived: l_commitdate < l_receiptdate
-	shipyear := make([]int64, 0, est) // derived: year(l_shipdate)
+// lineDraws is how many draws one lineitem row takes; an order also takes
+// one draw, its line count, before its lines.
+const lineDraws = 13
 
-	for o := 0; o < sz.Orders; o++ {
-		lines := 1 + r.intn(7)
-		for l := 0; l < lines; l++ {
-			ok = append(ok, int64(o))
-			pk = append(pk, int64(r.intn(sz.Part)))
-			sk = append(sk, int64(r.intn(sz.Supplier)))
-			q := float64(1 + r.intn(50))
-			qty = append(qty, q)
-			price = append(price, q*(900+r.f64()*1000))
-			disc = append(disc, float64(r.intn(11))/100)
-			tax = append(tax, float64(r.intn(9))/100)
-			f := int64(r.intn(NumReturnFlags))
-			s := int64(r.intn(NumLineStatus))
-			rf = append(rf, f)
-			ls = append(ls, s)
-			rfls = append(rfls, f*int64(NumLineStatus)+s)
-			sd := orderDates[o] + 1 + r.intn(121)
-			cd := dayNumber(sd + r.intn(30))
-			rd := dayNumber(sd + 1 + r.intn(30))
-			shipd = append(shipd, dayNumber(sd))
-			commitd = append(commitd, cd)
-			receiptd = append(receiptd, rd)
-			mode = append(mode, int64(r.intn(NumShipModes)))
-			instr = append(instr, int64(r.intn(NumShipInstructs)))
-			if cd < rd {
-				late = append(late, 1)
-			} else {
-				late = append(late, 0)
-			}
-			shipyear = append(shipyear, dayNumber(sd)/10000)
+func genLineitem(cfg Config, sz Sizes, orderDates []int) (map[string]*db.BAT, int) {
+	// The pre-pass draws each order's line count and skips its lines, so
+	// every part of orders learns its first row and its stream before any
+	// row is filled, and the columns are sized exactly.
+	k := parts(sz.Orders)
+	type start struct {
+		row int
+		r   rng
+	}
+	starts := make([]start, k)
+	r := newRNG(cfg.Seed ^ 0x11)
+	n := 0
+	for p := range starts {
+		starts[p] = start{n, *r}
+		for o := partLo(sz.Orders, k, p); o < partLo(sz.Orders, k, p+1); o++ {
+			lines := 1 + r.intn(7)
+			r.Skip(uint64(lines) * lineDraws)
+			n += lines
 		}
 	}
+	// A fresh column is zeroed as it is made, and lineitem's zeroing is
+	// a sixth of generation, so the parts make the columns too.
+	var is [13][]int64
+	var fs [4][]float64
+	fill(len(is)+len(fs), min(k, len(is)+len(fs)), func(_, lo, hi int) {
+		for c := lo; c < hi; c++ {
+			if c < len(is) {
+				is[c] = make([]int64, n)
+			} else {
+				fs[c-len(is)] = make([]float64, n)
+			}
+		}
+	})
+	ok, pk, sk, rf, ls, rfls := is[0], is[1], is[2], is[3], is[4], is[5]
+	shipd, commitd, receiptd, mode, instr := is[6], is[7], is[8], is[9], is[10]
+	late := is[11]     // derived: l_commitdate < l_receiptdate
+	shipyear := is[12] // derived: year(l_shipdate)
+	qty, price, disc, tax := fs[0], fs[1], fs[2], fs[3]
+
+	fill(sz.Orders, k, func(p, lo, hi int) {
+		i, r := starts[p].row, starts[p].r
+		for o := lo; o < hi; o++ {
+			lines := 1 + r.intn(7)
+			for l := 0; l < lines; l++ {
+				ok[i] = int64(o)
+				pk[i] = int64(r.intn(sz.Part))
+				sk[i] = int64(r.intn(sz.Supplier))
+				q := float64(1 + r.intn(50))
+				qty[i] = q
+				price[i] = q * (900 + r.f64()*1000)
+				disc[i] = float64(r.intn(11)) / 100
+				tax[i] = float64(r.intn(9)) / 100
+				f := int64(r.intn(NumReturnFlags))
+				s := int64(r.intn(NumLineStatus))
+				rf[i], ls[i], rfls[i] = f, s, f*int64(NumLineStatus)+s
+				sd := orderDates[o] + 1 + r.intn(121)
+				cd := dayNumber(sd + r.intn(30))
+				rd := dayNumber(sd + 1 + r.intn(30))
+				shipd[i], commitd[i], receiptd[i] = dayNumber(sd), cd, rd
+				mode[i] = int64(r.intn(NumShipModes))
+				instr[i] = int64(r.intn(NumShipInstructs))
+				if cd < rd {
+					late[i] = 1
+				}
+				shipyear[i] = dayNumber(sd) / 10000
+				i++
+			}
+		}
+	})
 	return map[string]*db.BAT{
 		"l_orderkey":      db.NewI64("l_orderkey", ok),
 		"l_partkey":       db.NewI64("l_partkey", pk),
@@ -398,5 +466,5 @@ func genLineitem(cfg Config, sz Sizes, orderDates []int) (map[string]*db.BAT, in
 		"l_shipinstruct":  db.NewI64("l_shipinstruct", instr),
 		"l_late":          db.NewI64("l_late", late),
 		"l_shipyear":      db.NewI64("l_shipyear", shipyear),
-	}, len(ok)
+	}, n
 }
