@@ -99,9 +99,9 @@ Run flags:
                counts); default: the SF-scaled Opteron testbed
   -replicas N  shard copies kept by the cluster experiments (0 picks
                each experiment's default; must be <= machines)
-  -workers N   goroutines a fleet spreads machine ticks over (default
-               GOMAXPROCS; 1 forces the sequential engine; results are
-               bit-identical at every value)
+  -workers N   most goroutines ticking a fleet's busy machines at once
+               (default GOMAXPROCS; 1: the caller alone; construction
+               ignores it; results are bit-identical at every value)
   -faults S    deterministic failure plan injected into the cluster
                experiments, e.g. "crash m1 @0.02s for 0.06s; slow m0
                c* x4 @0s; link m2 +0.5ms drop 0.3 @1s for 2s"; empty
@@ -168,7 +168,7 @@ func bindRunFlags(fs *flag.FlagSet) (*runFlags, *string) {
 	fs.IntVar(&rf.cfg.Shards, "shards", 0, "fleet partition count (default 2x machines; must be >= machines)")
 	fs.StringVar(&rf.cfg.Topology, "topology", "", "machine shape: zoo name or \"nodes x cores [@ hops...]\" spec")
 	fs.IntVar(&rf.cfg.Replicas, "replicas", 0, "shard copies kept by the cluster experiments (0: experiment default; must be <= machines)")
-	fs.IntVar(&rf.cfg.Workers, "workers", 0, "most goroutines per fleet for machine ticks (0: GOMAXPROCS, 1: none beside the caller; results bit-identical)")
+	fs.IntVar(&rf.cfg.Workers, "workers", 0, "most goroutines ticking a fleet's busy machines at once, the caller included (0: GOMAXPROCS, 1: the caller alone; construction ignores it; results bit-identical)")
 	fs.StringVar(&rf.cfg.Faults, "faults", "", "deterministic failure plan injected into cluster experiments (internal/faults grammar)")
 	engine := fs.String("engine", "monetdb", "engine flavour: monetdb | sqlserver")
 	fs.StringVar(&rf.trace, "trace", "", "write a Chrome/Perfetto trace-event JSON file (single experiment only)")

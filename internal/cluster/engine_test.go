@@ -35,18 +35,12 @@ func (a *fixedArrivals) Next() (float64, bool) {
 	return t, true
 }
 
-// setMaxJump and setLingerSpins assign the package's two test-only
-// variables for the duration of a test.
+// setMaxJump assigns the package's test-only variable for the duration of
+// a test.
 func setMaxJump(t *testing.T, n int) {
 	old := maxJump
 	maxJump = n
 	t.Cleanup(func() { maxJump = old })
-}
-
-func setLingerSpins(t *testing.T, n int) {
-	old := lingerSpins
-	lingerSpins = n
-	t.Cleanup(func() { lingerSpins = old })
 }
 
 // jumpScenario is one coordinator run of the jump differential.
@@ -266,21 +260,20 @@ func stressFleet(t *testing.T, workers int) (*Fleet, []*sched.Thread) {
 }
 
 // TestFleetHandoffStress drives 200k epochs whose busy set changes every
-// epoch, half with the linger budget at 0 and half at 1, so that workers
-// exit and are respawned while the driver publishes. Every machine must have run
-// exactly the quanta driven — a lost epoch hangs the barrier, a
-// duplicated one ticks a machine twice — and the workers must be gone
-// shortly after the last epoch.
+// epoch, in two fleets one after the other, so that machines are offered
+// to the host pool and taken back while its workers come and go. Every
+// machine must have run exactly the quanta driven — a lost epoch hangs the
+// barrier, a duplicated one ticks a machine twice — and the pool's workers
+// must be gone shortly after the last epoch.
 func TestFleetHandoffStress(t *testing.T) {
-	epochs := 100_000 // per linger budget
+	epochs := 100_000 // per fleet
 	if testing.Short() {
 		epochs = 10_000
 	}
-	for _, linger := range []int{0, 1} {
-		setLingerSpins(t, linger)
+	for run := range 2 {
 		baseline := runtime.NumGoroutine()
 		f, threads := stressFleet(t, 4)
-		rng := hashmix.Stream{State: uint64(linger) + 1}
+		rng := hashmix.Stream{State: uint64(run) + 1}
 		quanta := uint64(1)
 		for e := 0; e < epochs; e++ {
 			// Wake a pseudo-random subset: 0..4 busy machines, so idle,
@@ -304,22 +297,22 @@ func TestFleetHandoffStress(t *testing.T) {
 		}
 		for m, r := range f.Rigs {
 			if got := r.Sched.Stats().TicksRun; got != quanta {
-				t.Fatalf("linger %d: machine %d ran %d quanta, want %d", linger, m, got, quanta)
+				t.Fatalf("run %d: machine %d ran %d quanta, want %d", run, m, got, quanta)
 			}
 			if r.Machine.Now() != f.Now() {
-				t.Fatalf("linger %d: machine %d out of lockstep", linger, m)
+				t.Fatalf("run %d: machine %d out of lockstep", run, m)
 			}
 		}
 		st := f.EngineStats()
 		if st.Quanta != quanta || st.ParallelEpochs == 0 || st.InlineEpochs == 0 ||
-			st.Epochs == st.ParallelEpochs+st.InlineEpochs || st.WorkerSpawns == 0 {
-			t.Fatalf("linger %d: engine stats %+v do not show the mix of idle, inline and parallel epochs over %d quanta", linger, st, quanta)
+			st.Epochs == st.ParallelEpochs+st.InlineEpochs {
+			t.Fatalf("run %d: engine stats %+v do not show the mix of idle, inline and parallel epochs over %d quanta", run, st, quanta)
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > baseline {
 			if time.Now().After(deadline) {
-				t.Fatalf("linger %d: %d goroutines still alive, baseline %d — a tick worker outlived its fleet",
-					linger, runtime.NumGoroutine(), baseline)
+				t.Fatalf("run %d: %d goroutines still alive, baseline %d — a pool worker outlived its fleet",
+					run, runtime.NumGoroutine(), baseline)
 			}
 			runtime.Gosched()
 		}

@@ -3,12 +3,11 @@ package cluster
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"elasticore/internal/elastic"
 	"elasticore/internal/faults"
 	"elasticore/internal/hashmix"
+	"elasticore/internal/hostpool"
 	"elasticore/internal/numa"
 	"elasticore/internal/obs"
 	"elasticore/internal/workload"
@@ -47,15 +46,12 @@ type Options struct {
 	// or nil plan leaves every code path byte-identical to a fleet
 	// built before fault injection existed.
 	Faults *faults.Plan
-	// Workers bounds the goroutines machine construction and machine
-	// ticks spread over (0 selects GOMAXPROCS). It is a ceiling, not a
-	// mode: every value runs the same engine, which ticks on the calling
-	// goroutine alone whenever fewer than two machines have runnable
-	// work and otherwise shares the busy machines with up to Workers-1
-	// lingering workers (see tickRigs). Simulated results are
-	// bit-identical at every value: machines decouple only between the
-	// epoch barriers where cross-machine state is read, and staged
-	// telemetry replays onto the shared bus in sequential order.
+	// Workers bounds how many goroutines tick an epoch's busy machines at
+	// once: the caller and up to Workers-1 host-pool workers (0 selects
+	// GOMAXPROCS; at 1 the caller ticks them all). Construction ignores
+	// it. Simulated results are bit-identical at every value: machines
+	// decouple only between the epoch barriers where cross-machine state
+	// is read, and staged telemetry replays in sequential order.
 	Workers int
 }
 
@@ -87,17 +83,14 @@ type Fleet struct {
 	views []*obs.Bus
 
 	// The tick engine (see tickRigs). busy, stretch and staged describe
-	// the current epoch: the driver writes them before it publishes the
-	// epoch and the workers only read them.
+	// the current epoch: the caller writes them before it runs the epoch's
+	// group and the group's members only read them.
 	stats   EngineStats
-	busy    []int        // machines with runnable threads, ascending
-	stretch int          // quanta each machine advances this epoch
-	staged  bool         // busy machines stage their telemetry
-	next    atomic.Int32 // next unclaimed index of busy
-	done    atomic.Int32 // workers finished with this epoch
-	epoch   uint64       // parallel epochs published so far
-	workers []handoff    // one word per possible worker (Workers-1)
-	linger  int          // lingerSpins at construction
+	busy    []int // machines with runnable threads, ascending
+	stretch int   // quanta each machine advances this epoch
+	staged  bool  // busy machines stage their telemetry
+	ticks   hostpool.Group
+	tickOne func(i int) // f.tickBusy, bound once
 
 	// injector is the compiled fault plan, nil for healthy fleets.
 	injector *faults.Injector
@@ -149,8 +142,8 @@ func NewFleet(opts Options) (*Fleet, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	f := &Fleet{Sharder: sh, Opts: opts, Bus: opts.Bus, linger: lingerSpins}
-	f.workers = make([]handoff, min(opts.Workers, opts.Machines)-1)
+	f := &Fleet{Sharder: sh, Opts: opts, Bus: opts.Bus}
+	f.tickOne = f.tickBusy
 	f.admissions = make([]*workload.Admission, opts.Machines)
 	buildRig := func(m int) (*workload.Rig, error) {
 		// A machine stores every shard it replicates, so its dataset share
@@ -165,35 +158,16 @@ func NewFleet(opts Options) (*Fleet, error) {
 			Topology: opts.Topology,
 		})
 	}
+	// Dataset generation dominates rig construction: distinct (SF, seed)
+	// keys generate at once on the host pool, identical ones coalesce in
+	// the tpch cache's singleflight.
 	f.Rigs = make([]*workload.Rig, opts.Machines)
-	if w := min(opts.Workers, opts.Machines); w > 1 {
-		// Build machines concurrently: dataset generation dominates rig
-		// construction, distinct (SF, seed) keys generate in parallel and
-		// identical ones coalesce in the tpch cache's singleflight.
-		errs := make([]error, opts.Machines)
-		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for m := g; m < opts.Machines; m += w {
-					f.Rigs[m], errs[m] = buildRig(m)
-				}
-			}(g)
-		}
-		wg.Wait()
-		for m, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("cluster: machine %d: %w", m, err)
-			}
-		}
-	} else {
-		for m := 0; m < opts.Machines; m++ {
-			r, err := buildRig(m)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: machine %d: %w", m, err)
-			}
-			f.Rigs[m] = r
+	errs := make([]error, opts.Machines)
+	var build hostpool.Group
+	build.Each(opts.Machines, opts.Machines, func(m int) { f.Rigs[m], errs[m] = buildRig(m) })
+	for m, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("cluster: machine %d: %w", m, err)
 		}
 	}
 	if opts.Bus != nil {
@@ -347,9 +321,8 @@ func (f *Fleet) safeStretch(max int) int {
 	return workload.QuantaUntil(f.Now(), next, f.Rigs[0].Sched.Quantum(), max)
 }
 
-// EngineStats counts what the tick engine did. Everything but
-// WorkerSpawns is a function of the simulated run alone; none of it is
-// part of any Result.
+// EngineStats counts what the tick engine did. It is a function of the
+// simulated run and Workers alone; none of it is part of any Result.
 type EngineStats struct {
 	// Epochs is the number of barrier-to-barrier stretches run and
 	// Quanta the quanta they covered, so Quanta/Epochs is the mean
@@ -359,69 +332,23 @@ type EngineStats struct {
 	// because the machine had nothing runnable when its epoch began.
 	MachineQuantaSkipped uint64
 	// InlineEpochs had busy machines and ran them all on the calling
-	// goroutine; ParallelEpochs shared them with workers. Epochs that
-	// found every machine idle are in neither.
+	// goroutine; ParallelEpochs offered them to the host pool too.
+	// Epochs that found every machine idle are in neither.
 	InlineEpochs, ParallelEpochs uint64
-	// WorkerSpawns counts tick-worker goroutines started. It follows
-	// the host: a worker that is still lingering is reused, not spawned.
-	WorkerSpawns uint64
 }
 
 // EngineStats returns the tick engine's counters so far.
 func (f *Fleet) EngineStats() EngineStats { return f.stats }
 
-// handoff is how the driver passes epochs to one tick worker: a single
-// word holding the last epoch published to the worker and whether a
-// goroutine is currently serving the word.
-//
-//	epoch<<1 | handoffLive   a worker runs this epoch or lingers after it
-//	epoch<<1                 the worker gave up waiting and exited
-//
-// The driver publishes with Swap(new|live) and starts a goroutine iff
-// the old word was dead; a lingering worker leaves by
-// CompareAndSwap(seen|live -> seen), which fails exactly when the driver
-// got there first, and then the worker runs the new epoch. It has to be
-// one word. With the epoch and a separate live flag, this interleaving
-// ticks a machine twice and overshoots the done count (it hung the
-// fleet-faults benchmark): worker A runs out of patience, stores
-// live = false and is descheduled before it re-checks the epoch; the
-// driver publishes epoch 7, sees live == false and starts worker B; B
-// runs epoch 7, lingers, stores live = false and exits; A wakes up,
-// sees an epoch it has not served, sets live = true again and runs
-// epoch 7 a second time.
-type handoff struct {
-	word atomic.Uint64
-	_    [56]byte // one cache line per worker
-}
-
-const handoffLive = 1
-
-// lingerSpins is how many times a tick worker polls its hand-off word
-// for the next epoch before it exits; it bounds how long a goroutine
-// outlives a busy burst (about a hundred microseconds). Only tests
-// assign it.
-var lingerSpins = 1 << 16
-
-const (
-	// lingerYield is how often (in polls) a lingering worker yields its
-	// P, so that with more workers than Ps it waits on the run queue
-	// instead of in the driver's way.
-	lingerYield = 1 << 8
-	// driverSpins is how many times the driver polls the done count
-	// before it starts yielding to workers that have no P of their own.
-	driverSpins = 1 << 10
-)
-
 // tickRigs advances every machine by `stretch` quanta. A machine with
 // nothing runnable cannot change before the barrier — only barrier work
 // spawns or wakes threads — so it is advanced in one bulk step here and
-// publishes nothing. The busy machines are claimed one at a time off a
-// shared counter by the calling goroutine and, when there are at least
-// two of them, by up to Workers-1 workers. Whenever the bus could see
-// two machines' events out of sequential order (machines running
-// concurrently, or one after the other through a multi-quantum stretch)
-// they stage their telemetry per quantum, and after the barrier the
-// staged events replay in (quantum, machine) order — the order a
+// publishes nothing. The busy machines run as one hostpool.Group, up to
+// Workers goroutines wide, each claiming them one at a time. Whenever the
+// bus could see two machines' events out of sequential order (machines
+// running concurrently, or one after the other through a multi-quantum
+// stretch) they stage their telemetry per quantum, and after the barrier
+// the staged events replay in (quantum, machine) order — the order a
 // quantum-by-quantum sequential loop publishes in.
 func (f *Fleet) tickRigs(stretch int) {
 	f.stats.Epochs++
@@ -439,35 +366,20 @@ func (f *Fleet) tickRigs(stretch int) {
 	if len(busy) == 0 {
 		return
 	}
-	helpers := min(len(f.workers), len(busy)-1)
+	width := min(f.Opts.Workers, len(busy))
 	f.stretch = stretch
-	f.staged = f.views != nil && len(busy) > 1 && (helpers > 0 || stretch > 1)
+	f.staged = f.views != nil && len(busy) > 1 && (width > 1 || stretch > 1)
 	if f.staged {
 		for _, m := range busy {
 			f.views[m].BeginStage()
 		}
 	}
-	if helpers == 0 {
+	if width == 1 {
 		f.stats.InlineEpochs++
 	} else {
 		f.stats.ParallelEpochs++
-		f.epoch++
 	}
-	f.next.Store(0)
-	f.done.Store(0)
-	for g := range f.workers[:helpers] {
-		h := &f.workers[g]
-		if old := h.word.Swap(f.epoch<<1 | handoffLive); old&handoffLive == 0 {
-			f.stats.WorkerSpawns++
-			go f.tickWorker(h, f.epoch)
-		}
-	}
-	f.runBusy()
-	for spins := 0; f.done.Load() != int32(helpers); spins++ {
-		if spins > driverSpins {
-			runtime.Gosched()
-		}
-	}
+	f.ticks.Each(len(busy), width, f.tickOne)
 	if f.staged {
 		for q := 0; q < stretch; q++ {
 			for _, m := range busy {
@@ -482,46 +394,19 @@ func (f *Fleet) tickRigs(stretch int) {
 	}
 }
 
-// runBusy claims busy machines until none is left and advances each by
-// the epoch's stretch. A staged machine marks every quantum it ticks; one
-// that goes idle midway skips the rest, which publish nothing.
-func (f *Fleet) runBusy() {
-	for {
-		i := int(f.next.Add(1)) - 1
-		if i >= len(f.busy) {
-			return
+// tickBusy advances busy machine i by the epoch's stretch. A staged
+// machine marks every quantum it ticks; one that goes idle midway skips
+// the rest, which publish nothing.
+func (f *Fleet) tickBusy(i int) {
+	m := f.busy[i]
+	s, n := f.Rigs[m].Sched, f.stretch
+	if f.staged {
+		for v := f.views[m]; n > 0 && !s.Idle(); n-- {
+			s.Tick()
+			v.Mark()
 		}
-		m := f.busy[i]
-		s, n := f.Rigs[m].Sched, f.stretch
-		if f.staged {
-			for v := f.views[m]; n > 0 && !s.Idle(); n-- {
-				s.Tick()
-				v.Mark()
-			}
-		}
-		s.Advance(n)
 	}
-}
-
-// tickWorker serves one hand-off word: run the published epoch, report
-// done, then linger for the next epoch so that a burst of parallel
-// epochs costs one goroutine rather than one per quantum. A worker that
-// polls lingerSpins times in vain retires its word and exits, so no
-// goroutine (and no reference to the fleet) outlives a burst.
-func (f *Fleet) tickWorker(h *handoff, seen uint64) {
-	for {
-		f.runBusy()
-		f.done.Add(1)
-		for spins := 0; h.word.Load() == seen<<1|handoffLive; spins++ {
-			if spins >= f.linger && h.word.CompareAndSwap(seen<<1|handoffLive, seen<<1) {
-				return
-			}
-			if spins%lingerYield == lingerYield-1 {
-				runtime.Gosched()
-			}
-		}
-		seen = h.word.Load() >> 1
-	}
+	s.Advance(n)
 }
 
 // applyFaults advances the injector to the fleet clock and applies every

@@ -106,11 +106,11 @@ type Engine struct {
 	// rec keeps the candidate lists of repeated selections (recycle.go),
 	// built at the engine's first selection.
 	rec *recycler
-	// scratch is where the jobs this engine joins without a helper compute
+	// scratch is where the jobs this engine joins without a worker compute
 	// (beside.go); jobs counts where its jobs ran.
 	scratch scratch
 	jobs    jobCounts
-	handoff uint8 // which jobs meet a helper: handoffAuto but in tests
+	handoff uint8 // which jobs meet a worker: handoffAuto but in tests
 
 	// TasksExecuted counts finished tasks (paper Fig 13 (c)).
 	TasksExecuted uint64

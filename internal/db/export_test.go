@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"elasticore/internal/hashmix"
+	"elasticore/internal/hostpool"
 )
 
 // export_test.go holds the pool checks the tests of this package share, and
@@ -197,15 +198,15 @@ const (
 	HandoffNone = handoffNone
 )
 
-// SetHandoff sets which of e's jobs meet a helper (beside.go): HandoffAll
-// hands every one to a helper and its join waits for it, HandoffNone runs
+// SetHandoff sets which of e's jobs meet a worker (beside.go): HandoffAll
+// offloads every one to a worker and its join waits for it, HandoffNone runs
 // every one at its join.
 func SetHandoff(e *Engine, mode uint8) { e.handoff = mode }
 
-// JobCounts returns how many of e's jobs ran on a helper, how many at their
-// joins, and how many joins waited for a helper.
-func JobCounts(e *Engine) (helper, join, waited int) {
-	return e.jobs.helper, e.jobs.join, e.jobs.waited
+// JobCounts returns how many of e's jobs ran on a worker, how many at their
+// joins, and how many joins waited for a worker.
+func JobCounts(e *Engine) (worker, join, waited int) {
+	return e.jobs.worker, e.jobs.join, e.jobs.waited
 }
 
 // HandQuery returns a query of e over p that is not submitted: PlanStep
@@ -218,7 +219,7 @@ func HandQuery(e *Engine, p *Plan) *Query {
 
 // PlanStep plans step i of q's plan as the engine does when q reaches it,
 // once the tasks of step i-1 are done: the values that died with that step
-// go back to the pool, and the new stage's jobs go to the helpers.
+// go back to the pool, and the new stage's jobs go to the host pool.
 func PlanStep(q *Query, i int) []Task {
 	q.bury(&q.eng.pool)
 	q.doom(i)
@@ -235,17 +236,10 @@ func ReleaseHand(e *Engine, q *Query) {
 
 // OpenJobs returns how many jobs of e's queries are not joined yet, or an
 // error for one whose query is released or whose body is filed for reuse,
-// or that reads or writes storage filed in e's pool. It first waits until
-// no helper runs, so that it reads what no job is writing.
+// or that reads or writes storage filed in e's pool. It waits until no
+// worker runs or will run an open job, so that it reads what no job is
+// writing.
 func OpenJobs(e *Engine) (int, error) {
-	h := &helpers
-	h.mu.Lock()
-	for h.running > 0 {
-		h.mu.Unlock()
-		runtime.Gosched()
-		h.mu.Lock()
-	}
-	h.mu.Unlock()
 	pooled := map[any]bool{}
 	var filed [][2]uintptr
 	for _, bucket := range e.pool.i64 {
@@ -294,6 +288,9 @@ func OpenJobs(e *Engine) (int, error) {
 			return n, fmt.Errorf("query %d has %d jobs to join and is released", q.ID, len(open))
 		}
 		for _, t := range open {
+			for hostpool.Pending(&t.job.Job) {
+				runtime.Gosched()
+			}
 			var risk bool
 			switch k := t.job.k.(type) {
 			case *FilterScan:

@@ -90,12 +90,12 @@ type Config struct {
 	// without the fault subsystem; the fault-tolerance experiment
 	// synthesizes its own crash window when this is empty.
 	Faults string
-	// Workers bounds the goroutines every fleet the cluster experiments
-	// build spreads machine construction and busy machines' ticks over
-	// (0 selects GOMAXPROCS, 1 keeps everything on the calling
-	// goroutine; negative rejected). Results are bit-identical at every
-	// value — the engine synchronizes at control-period epoch barriers
-	// and replays staged telemetry in sequential order.
+	// Workers bounds how many goroutines tick the busy machines of each
+	// fleet the cluster experiments build at once, the caller included
+	// (0 selects GOMAXPROCS, 1 the caller alone; negative rejected;
+	// construction ignores it). Results are bit-identical at every value
+	// — the engine synchronizes at control-period epoch barriers and
+	// replays staged telemetry in sequential order.
 	Workers int
 	// LookupRatios is the point-lookup fraction sweep of the htap-mix
 	// experiment (default 0, 0.25, 0.5, 0.75, 1; every entry must lie in

@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"elasticore/internal/db"
 	"elasticore/internal/hashmix"
+	"elasticore/internal/hostpool"
 )
 
 // Dictionary sizes for encoded string attributes.
@@ -121,7 +121,7 @@ func scaled(base int, sf float64) int {
 // so its parts are parts of orders, started by a sequential pre-pass.
 
 // minPartRows is the fewest rows a part gets: a table under twice this
-// fills in one part, since a goroutine would cost more than its rows.
+// fills in one part, since a hand-off would cost more than its rows.
 const minPartRows = 1024
 
 // parts returns how many parts an n-row table fills in.
@@ -130,20 +130,11 @@ func parts(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n/minPartRows))
 // partLo returns the first row of part p when n rows split into k parts.
 func partLo(n, k, p int) int { return p*(n/k) + min(p, n%k) }
 
-// fill calls part(p, lo, hi) for each of the k parts of n rows: part 0 on
-// the calling goroutine, the others on goroutines joined before fill
-// returns. One part starts no goroutine.
+// fill calls part(p, lo, hi) once for each of the k parts of n rows, on
+// the caller and the host pool; one part runs on the caller alone.
 func fill(n, k int, part func(p, lo, hi int)) {
-	var wg sync.WaitGroup
-	wg.Add(k - 1)
-	for p := 1; p < k; p++ {
-		go func() {
-			defer wg.Done()
-			part(p, partLo(n, k, p), partLo(n, k, p+1))
-		}()
-	}
-	part(0, 0, partLo(n, k, 1))
-	wg.Wait()
+	var g hostpool.Group
+	g.Each(k, k, func(p int) { part(p, partLo(n, k, p), partLo(n, k, p+1)) })
 }
 
 // fillRows fills an n-row table whose rows each take draws draws of the
