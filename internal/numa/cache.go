@@ -14,15 +14,16 @@ import "slices"
 const noEntry int32 = -1
 
 // directory is the residency index of every cache of one machine. A
-// BlockID is a position in Memory.blocks, so residency is looked up by
-// position and nothing is hashed: a block that is resident somewhere keeps,
-// in its blockInfo, the slot of a row with one cell per cache (cores first,
-// then the L3s) and a last cell counting the non-zero ones. A cell holds
-// the block's LRU-arena index + 1 in that cache, 0 when the block is not
-// resident there, so a row is also the block's sharer set. Rows exist only
-// for resident blocks — at most the summed capacity of the caches, however
-// many blocks were ever allocated — and are recycled when the last cache
-// drops the block.
+// BlockID is a position in Memory's block table, so residency is looked up
+// by position and nothing is hashed: a block that is resident somewhere
+// keeps, in its blockInfo, the slot of a row with one cell per cache (cores
+// first, then the L3s) and a last cell counting the non-zero ones. A cell
+// holds the block's LRU-arena index + 1 in that cache, 0 when the block is
+// not resident there, so a row is also the block's sharer set. Rows exist
+// only for resident blocks — at most the summed capacity of the caches,
+// however many blocks were ever allocated — and are recycled when the last
+// cache drops the block. Every arena entry keeps its block's slot, so a
+// cache that drops an entry finds the row without reading the block.
 type directory struct {
 	mem  *Memory
 	cols int      // caches; a row is cols + 1 cells
@@ -34,52 +35,35 @@ func newDirectory(mem *Memory, caches int) *directory {
 	return &directory{mem: mem, cols: caches}
 }
 
-// row returns the block's cells, or nil when no cache holds the block.
-func (d *directory) row(b BlockID) []uint16 {
-	s := int(d.mem.blocks[b].slot)
-	if s == 0 {
-		return nil
-	}
+// row returns the cells of slot s.
+func (d *directory) row(s uint32) []uint16 {
 	w := d.cols + 1
-	return d.rows[(s-1)*w : s*w]
+	return d.rows[(int(s)-1)*w : int(s)*w]
 }
 
-// get returns the block's cell in column col.
-func (d *directory) get(b BlockID, col int) uint16 {
-	if row := d.row(b); row != nil {
-		return row[col]
+// newRow gives a block that no cache holds an empty row and returns its
+// slot.
+func (d *directory) newRow(info *blockInfo) uint32 {
+	if n := len(d.free); n > 0 {
+		info.slot, d.free = d.free[n-1], d.free[:n-1]
+		return info.slot
 	}
-	return 0
+	d.rows = append(d.rows, make([]uint16, d.cols+1)...)
+	info.slot = uint32(len(d.rows) / (d.cols + 1))
+	// Room to recycle every row without allocating (free is empty).
+	d.free = slices.Grow(d.free, int(info.slot))
+	return info.slot
 }
 
-// set fills the block's empty cell in column col, giving the block a row
-// if it had none.
-func (d *directory) set(b BlockID, col int, v uint16) {
-	info := &d.mem.blocks[b]
-	if info.slot == 0 {
-		if n := len(d.free); n > 0 {
-			info.slot, d.free = d.free[n-1], d.free[:n-1]
-		} else {
-			d.rows = append(d.rows, make([]uint16, d.cols+1)...)
-			info.slot = uint32(len(d.rows) / (d.cols + 1))
-			// Room to recycle every row without allocating (free is empty).
-			d.free = slices.Grow(d.free, int(info.slot))
-		}
-	}
-	row := d.row(b)
-	row[col] = v
-	row[d.cols]++
-}
-
-// clear empties the block's filled cell in column col and recycles the row
-// once no cache holds the block.
-func (d *directory) clear(b BlockID, col int) {
-	row := d.row(b)
+// clear empties the filled cell in column col of block b's row, slot s,
+// and recycles the row once no cache holds the block. Recycling never
+// moves a row, so a caller may hold another block's row across it.
+func (d *directory) clear(b BlockID, s uint32, col int) {
+	row := d.row(s)
 	row[col] = 0
 	if row[d.cols]--; row[d.cols] == 0 {
-		info := &d.mem.blocks[b]
-		d.free = append(d.free, info.slot)
-		info.slot = 0
+		d.free = append(d.free, s)
+		d.mem.block(b).slot = 0
 	}
 }
 
@@ -88,7 +72,7 @@ func (d *directory) clear(b BlockID, col int) {
 // indices and recycled through a free list, and are found through the
 // cache's column of the machine's directory, so steady-state churn (every
 // simulated memory access touches two caches) allocates nothing and a
-// lookup is two loads.
+// lookup is one cell of a row the caller has already read.
 type lruCache struct {
 	capacity int
 	n        int
@@ -102,6 +86,7 @@ type lruCache struct {
 
 type lruEntry struct {
 	block      BlockID
+	slot       uint32 // the block's directory row
 	prev, next int32
 }
 
@@ -121,49 +106,60 @@ func (d *directory) newCache(col, capacity int) *lruCache {
 	}
 }
 
-// Touch promotes the block to most-recently-used, inserting it if absent.
-// It returns whether the block was already resident and, when an insertion
-// evicted an older block, that victim.
-func (c *lruCache) Touch(b BlockID) (hit bool, evicted BlockID, didEvict bool) {
-	if e := c.dir.get(b, c.col); e != 0 {
+// touch promotes block b, whose directory row is row at slot s, to most
+// recently used, inserting it if absent, and returns whether it was
+// already resident.
+func (c *lruCache) touch(b BlockID, s uint32, row []uint16) (hit bool) {
+	if e := row[c.col]; e != 0 {
 		c.moveToFront(int32(e) - 1)
-		return true, 0, false
+		return true
 	}
-	var e int32
-	if c.n == c.capacity {
-		// Full: the least recently used entry is recycled for b in place.
-		e = c.tail
-		evicted, didEvict = c.ent[e].block, true
-		c.dir.clear(evicted, c.col)
-		c.remove(e)
-		c.ent[e].block = b
-	} else {
-		e = c.alloc(b)
-		c.n++
-	}
-	c.dir.set(b, c.col, uint16(e+1))
-	c.pushFront(e)
-	return false, evicted, didEvict
+	c.put(c.take(), b, s, row)
+	return false
 }
 
-// Invalidate drops the block if resident, returning whether it was.
-func (c *lruCache) Invalidate(b BlockID) bool {
-	e := int32(c.dir.get(b, c.col)) - 1
-	if e < 0 {
-		return false
+// take returns the unlinked arena entry a block entering the cache will
+// occupy: when the cache is full, its least recently used entry, whose
+// block leaves the directory column; otherwise a free or a new entry.
+func (c *lruCache) take() int32 {
+	if c.n == c.capacity {
+		e := c.tail
+		c.dir.clear(c.ent[e].block, c.ent[e].slot, c.col)
+		c.remove(e)
+		return e
 	}
-	c.dir.clear(b, c.col)
+	c.n++
+	if n := len(c.free); n > 0 {
+		e := c.free[n-1]
+		c.free = c.free[:n-1]
+		return e
+	}
+	c.ent = append(c.ent, lruEntry{})
+	return int32(len(c.ent) - 1)
+}
+
+// put links entry e, from take, as block b's most recently used entry and
+// fills the cache's cell of b's row, slot s.
+func (c *lruCache) put(e int32, b BlockID, s uint32, row []uint16) {
+	c.ent[e].block, c.ent[e].slot = b, s
+	c.pushFront(e)
+	row[c.col] = uint16(e + 1)
+	row[len(row)-1]++
+}
+
+// drop removes entry e and its block from the cache.
+func (c *lruCache) drop(e int32) {
+	c.dir.clear(c.ent[e].block, c.ent[e].slot, c.col)
 	c.remove(e)
 	c.free = append(c.free, e)
 	c.n--
-	return true
 }
 
 // Clear empties the cache (used when a thread migrates away and its
 // working set is lost), keeping the arena.
 func (c *lruCache) Clear() {
 	for e := c.head; e != noEntry; e = c.ent[e].next {
-		c.dir.clear(c.ent[e].block, c.col)
+		c.dir.clear(c.ent[e].block, c.ent[e].slot, c.col)
 	}
 	c.n = 0
 	c.free = c.free[:0]
@@ -171,19 +167,6 @@ func (c *lruCache) Clear() {
 		c.free = append(c.free, int32(i))
 	}
 	c.head, c.tail = noEntry, noEntry
-}
-
-// alloc takes an entry from the free list, extending the arena when none
-// is available.
-func (c *lruCache) alloc(b BlockID) int32 {
-	if n := len(c.free); n > 0 {
-		e := c.free[n-1]
-		c.free = c.free[:n-1]
-		c.ent[e] = lruEntry{block: b, prev: noEntry, next: noEntry}
-		return e
-	}
-	c.ent = append(c.ent, lruEntry{block: b, prev: noEntry, next: noEntry})
-	return int32(len(c.ent) - 1)
 }
 
 func (c *lruCache) pushFront(e int32) {
@@ -257,17 +240,33 @@ const (
 	levelMemory                     // L3 miss, served from DRAM
 )
 
-// accessCaches walks a core's private cache and its node's L3 for one
-// block access, filling them on the way, and returns the level that
-// satisfied it.
-func accessCaches(private, l3 *lruCache, b BlockID) lookupLevel {
-	if hit, _, _ := private.Touch(b); hit {
-		// Keep L3 inclusive of private caches so shared readers on the
-		// same node observe the block as resident.
-		l3.Touch(b)
+// walk looks one access to block b, whose state is info, up in a core's
+// private cache and its node's L3, filling both, and returns the level
+// that served it. It reads the block's directory row once, and a block with no
+// row misses both levels and enters both without a lookup. A private hit
+// touches the L3 too, keeping it inclusive of the private caches so shared
+// readers on the same node observe the block as resident; afterwards both
+// caches hold the block.
+func (h *cacheHierarchy) walk(private, l3 *lruCache, b BlockID, info *blockInfo) lookupLevel {
+	d := h.dir
+	if info.slot == 0 {
+		// Evict first: a victim's recycled row may become b's.
+		ep, el := private.take(), l3.take()
+		s := d.newRow(info)
+		row := d.row(s)
+		private.put(ep, b, s, row)
+		l3.put(el, b, s, row)
+		return levelMemory
+	}
+	s := info.slot
+	row := d.row(s)
+	if e := row[private.col]; e != 0 {
+		private.moveToFront(int32(e) - 1)
+		l3.touch(b, s, row)
 		return levelPrivate
 	}
-	if hit, _, _ := l3.Touch(b); hit {
+	private.put(private.take(), b, s, row)
+	if l3.touch(b, s, row) {
 		return levelL3
 	}
 	return levelMemory
@@ -278,19 +277,26 @@ func accessCaches(private, l3 *lruCache, b BlockID) lookupLevel {
 // were invalidated. This is the coherence cost a write imposes when readers
 // on other sockets hold the block (the paper's "cache invalidations between
 // the threads"). The block's directory row is its sharer set, so only
-// caches that hold the block are visited.
+// caches that hold the block are visited, and a row that counts two cells,
+// the writer's own two, is not walked at all: after AccessRange's own
+// access both hold the block, so every write that found no copy elsewhere
+// ends here.
 func (h *cacheHierarchy) invalidateRemote(writerCore CoreID, b BlockID) int {
-	ownL3 := len(h.private) + int(h.topo.NodeOf(writerCore))
-	invalidated := 0
-	row := h.dir.row(b)
-	if row == nil {
+	s := h.dir.mem.block(b).slot
+	if s == 0 {
 		return 0
 	}
+	ownL3 := len(h.private) + int(h.topo.NodeOf(writerCore))
+	row := h.dir.row(s)
+	if row[h.dir.cols] == 2 && row[writerCore] != 0 && row[ownL3] != 0 {
+		return 0
+	}
+	invalidated := 0
 	for col, e := range row[:h.dir.cols] {
 		if e == 0 || col == int(writerCore) || col == ownL3 {
 			continue
 		}
-		h.caches[col].Invalidate(b)
+		h.caches[col].drop(int32(e) - 1)
 		if col >= len(h.private) {
 			invalidated++
 		}

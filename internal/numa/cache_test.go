@@ -22,7 +22,7 @@ func testHierarchy(t *Topology, blocks int) *cacheHierarchy {
 
 // access is one block access on the given core.
 func (h *cacheHierarchy) access(core CoreID, b BlockID) lookupLevel {
-	return accessCaches(h.private[core], h.shared[h.topo.NodeOf(core)], b)
+	return h.walk(h.private[core], h.shared[h.topo.NodeOf(core)], b, h.dir.mem.block(b))
 }
 
 func TestLRUBasicHitMiss(t *testing.T) {

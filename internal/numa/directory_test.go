@@ -246,8 +246,10 @@ func (c *lruCache) order() []BlockID {
 }
 
 // audit checks the directory against the arenas it indexes: every cell
-// names the arena entry of its block, every row counts its cells, a block
-// has a row exactly while some cache holds it, and recycled rows are empty.
+// names the arena entry of its block, every entry keeps its block's slot,
+// every row counts its cells, a block has a row exactly while some cache
+// holds it, recycled rows are empty, and the block table past the
+// high-water mark is still zero: no block there is homed or has a row.
 func (h *cacheHierarchy) audit() error {
 	d := h.dir
 	held := map[BlockID]int{}
@@ -257,22 +259,33 @@ func (h *cacheHierarchy) audit() error {
 			return fmt.Errorf("cache %d: %d linked entries, n = %d, capacity %d", col, len(blocks), c.n, c.capacity)
 		}
 		for _, b := range blocks {
-			e := d.get(b, col)
+			e := c.cell(b)
 			if e == 0 || c.ent[e-1].block != b {
 				return fmt.Errorf("cache %d holds block %d, its cell says entry %d", col, b, int(e)-1)
+			}
+			if kept, slot := c.ent[e-1].slot, d.mem.block(b).slot; kept != slot {
+				return fmt.Errorf("cache %d's entry for block %d keeps slot %d, the block's slot is %d", col, b, kept, slot)
 			}
 			held[b]++
 		}
 	}
 	rows := 0
-	for b := range d.mem.blocks {
-		row := d.row(BlockID(b))
-		if row == nil {
+	mem := d.mem
+	for b := range len(mem.pages) * pageBlocks {
+		info := mem.pages[b/pageBlocks][b%pageBlocks]
+		if b >= mem.n {
+			if info != (blockInfo{}) {
+				return fmt.Errorf("block %d, past the %d allocated, is not zero: %+v", b, mem.n, info)
+			}
+			continue
+		}
+		if info.slot == 0 {
 			if held[BlockID(b)] != 0 {
 				return fmt.Errorf("block %d is held by %d caches and has no row", b, held[BlockID(b)])
 			}
 			continue
 		}
+		row := d.row(info.slot)
 		rows++
 		cells := 0
 		for _, e := range row[:d.cols] {
@@ -288,7 +301,7 @@ func (h *cacheHierarchy) audit() error {
 		return fmt.Errorf("%d rows in use + %d free != %d rows", rows, len(d.free), len(d.rows)/(d.cols+1))
 	}
 	for _, s := range d.free {
-		for _, e := range d.rows[(int(s)-1)*(d.cols+1) : int(s)*(d.cols+1)] {
+		for _, e := range d.row(s) {
 			if e != 0 {
 				return fmt.Errorf("recycled row %d is not empty", s)
 			}
@@ -317,23 +330,37 @@ func (h *history) next16() int { return h.next()<<8 | h.next() }
 // historyTopologies are the machines histories run on: the testbed and the
 // eight-socket zoo shape at full size (ranges must be long to overflow an
 // L3) and with caches of a few blocks and thin pipes (every step evicts,
-// and the traffic congests the interconnect and the memory controllers).
+// and the traffic congests the interconnect and the memory controllers),
+// and the testbed with a 1-block private cache and a 2-block L3 (a block
+// that enters one evicts the one before, and both victims may be one
+// block).
 func historyTopologies() []*Topology {
-	small := func(t *Topology) *Topology {
-		t.L1Bytes, t.L2Bytes, t.L3Bytes = t.BlockBytes, 2*t.BlockBytes, 10*t.BlockBytes
+	thin := func(t *Topology, private, l3 int) *Topology {
+		t.L1Bytes, t.L2Bytes, t.L3Bytes = t.BlockBytes, (private-1)*t.BlockBytes, l3*t.BlockBytes
 		t.HTBandwidth, t.MemBandwidth = 1e9, 0.5e9
 		return t
 	}
-	return []*Topology{Opteron8387(), small(Opteron8387()), EightSocketTwisted(), small(EightSocketTwisted())}
+	return []*Topology{
+		Opteron8387(), thin(Opteron8387(), 3, 10),
+		EightSocketTwisted(), thin(EightSocketTwisted(), 3, 10),
+		thin(Opteron8387(), 1, 2),
+	}
 }
 
 // replayHistory drives a Machine and the reference through the history and
 // compares, after every step, the returned cost, the MRU-to-LRU order of
 // every cache, the counters, the congestion factor and the residency. It
-// returns the final counters and the highest congestion factor seen.
-func replayHistory(t *testing.T, topo *Topology, data []byte) (end Counters, peakHT float64) {
+// returns the final counters and the highest congestion factor seen. The
+// history's blocks start at base: the blocks below it are allocated and
+// never touched, so a base a few blocks below a page of the block table
+// makes its ranges and regions straddle pages.
+func replayHistory(t *testing.T, topo *Topology, data []byte, base int) (end Counters, peakHT float64) {
 	t.Helper()
 	m, ref := NewMachine(topo), newRefMachine(topo)
+	if base > 0 {
+		m.Memory().Alloc(base)
+		ref.alloc(base)
+	}
 	m.Memory().Alloc(48)
 	ref.alloc(48)
 	refCaches := append(append([]*refCache{}, ref.private...), ref.shared...)
@@ -341,7 +368,14 @@ func replayHistory(t *testing.T, topo *Topology, data []byte) (end Counters, pea
 	l3Blocks := topo.L3Bytes / topo.BlockBytes
 	h := &history{data: data}
 	for step := 0; h.pos < len(data); step++ {
-		total := m.Memory().TotalBlocks()
+		// Blocks are drawn from [lo, total). Where an L3 holds a block or
+		// two, blocks drawn from the whole space would almost never be met
+		// again before their eviction, so there lo trails the high-water
+		// mark by 16 blocks.
+		total, lo := m.Memory().TotalBlocks(), base
+		if l3Blocks <= 2 {
+			lo = max(base, total-16)
+		}
 		var got, want Cost
 		var what string
 		switch op := h.next() % 16; op {
@@ -367,13 +401,13 @@ func replayHistory(t *testing.T, topo *Topology, data []byte) (end Counters, pea
 			ref.advanceTime(n * quantum)
 		case 5, 6:
 			core := CoreID(h.next() % cores)
-			a := Access{Block: BlockID(h.next16() % total), Bytes: h.next16() % (topo.BlockBytes + 1), Write: h.next()%4 == 0, PID: 1 + h.next()%2}
+			a := Access{Block: BlockID(lo + h.next16()%(total-lo)), Bytes: h.next16() % (topo.BlockBytes + 1), Write: h.next()%4 == 0, PID: 1 + h.next()%2}
 			what = fmt.Sprintf("core %d %+v", core, a)
 			got = m.Access(core, a)
 			want = ref.access(core, a.Block, a.Bytes, a.Write, a.PID)
 		default:
 			core := CoreID(h.next() % cores)
-			ra := RangeAccess{Start: BlockID(h.next16() % total), Blocks: 1 + h.next()%24, Write: h.next()%4 == 0, PID: 1 + h.next()%2}
+			ra := RangeAccess{Start: BlockID(lo + h.next16()%(total-lo)), Blocks: 1 + h.next()%24, Write: h.next()%4 == 0, PID: 1 + h.next()%2}
 			if op == 7 {
 				// Longer than the private cache and the L3.
 				ra.Blocks = l3Blocks + h.next()%l3Blocks
@@ -416,11 +450,16 @@ func replayHistory(t *testing.T, topo *Topology, data []byte) (end Counters, pea
 	return m.Snapshot(), peakHT
 }
 
+// pageEdge is a history base that ends the first 48 blocks three blocks
+// below the second page of the block table, so the next region straddles
+// the page boundary.
+const pageEdge = pageBlocks - 48 - 3
+
 // TestCacheDirectoryAgainstReference is the differential test: random
 // histories of reads, writes, partial first and last blocks, ranges longer
 // than a private cache and an L3, affinity drops, clock advances and
 // allocations in mid-history, from two PIDs and every core, on each
-// topology.
+// topology. The third history runs at the edge of a page.
 func TestCacheDirectoryAgainstReference(t *testing.T) {
 	for i, topo := range historyTopologies() {
 		t.Run(fmt.Sprintf("%d/%dx%d", i, topo.NodeCount, topo.CoresPerNode), func(t *testing.T) {
@@ -428,7 +467,11 @@ func TestCacheDirectoryAgainstReference(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				data := make([]byte, 6000)
 				rand.New(rand.NewSource(seed)).Read(data)
-				end, peakHT := replayHistory(t, topo, data)
+				base := 0
+				if seed == 3 {
+					base = pageEdge
+				}
+				end, peakHT := replayHistory(t, topo, data, base)
 				congested = congested || peakHT > 1
 				var hits, invalidations uint64
 				for _, n := range end.Nodes {
@@ -447,7 +490,8 @@ func TestCacheDirectoryAgainstReference(t *testing.T) {
 }
 
 // FuzzCacheDirectory feeds the same driver from a byte stream: the first
-// byte picks the topology, the rest is the history.
+// byte picks the topology and whether the history runs at the edge of a
+// page, the rest is the history.
 func FuzzCacheDirectory(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		data := make([]byte, 96)
@@ -459,7 +503,11 @@ func FuzzCacheDirectory(f *testing.F) {
 		if len(data) < 2 || len(data) > 4096 {
 			return
 		}
-		replayHistory(t, topos[int(data[0])%len(topos)], data[1:])
+		base := 0
+		if int(data[0])/len(topos)%2 == 1 {
+			base = pageEdge
+		}
+		replayHistory(t, topos[int(data[0])%len(topos)], data[1:], base)
 	})
 }
 

@@ -41,10 +41,48 @@ func (m *Memory) MinorFaults() []uint64 {
 
 // TotalBlocks returns the number of blocks ever allocated (address-space
 // high-water mark).
-func (m *Memory) TotalBlocks() int { return len(m.blocks) }
+func (m *Memory) TotalBlocks() int { return m.n }
+
+// cell returns the block's cell in the cache's column: its arena index + 1,
+// 0 when the cache does not hold it.
+func (c *lruCache) cell(b BlockID) uint16 {
+	if s := c.dir.mem.block(b).slot; s != 0 {
+		return c.dir.row(s)[c.col]
+	}
+	return 0
+}
 
 // Contains reports whether the block is resident without promoting it.
-func (c *lruCache) Contains(b BlockID) bool { return c.dir.get(b, c.col) != 0 }
+func (c *lruCache) Contains(b BlockID) bool { return c.cell(b) != 0 }
+
+// Touch promotes the block to most-recently-used, inserting it if absent.
+// It returns whether the block was already resident and, when an insertion
+// evicted an older block, that victim.
+func (c *lruCache) Touch(b BlockID) (hit bool, evicted BlockID, didEvict bool) {
+	info := c.dir.mem.block(b)
+	if c.cell(b) != 0 {
+		return c.touch(b, info.slot, c.dir.row(info.slot)), 0, false
+	}
+	if c.n == c.capacity {
+		evicted, didEvict = c.ent[c.tail].block, true
+	}
+	e := c.take()
+	s := info.slot
+	if s == 0 {
+		s = c.dir.newRow(info)
+	}
+	c.put(e, b, s, c.dir.row(s))
+	return false, evicted, didEvict
+}
+
+// Invalidate drops the block if resident, returning whether it was.
+func (c *lruCache) Invalidate(b BlockID) bool {
+	e := c.cell(b)
+	if e != 0 {
+		c.drop(int32(e) - 1)
+	}
+	return e != 0
+}
 
 // Len returns the number of resident blocks.
 func (c *lruCache) Len() int { return c.n }

@@ -72,14 +72,19 @@ type Machine struct {
 	htFactor  float64
 	imcFactor []float64
 
+	nodeOf []NodeID // by CoreID
+
 	// memo caches, within one AccessRange call, the cycle cost of a
-	// full-block DRAM access per home node (noMemo = not computed yet). The
-	// congestion factors are constant between AdvanceTime calls — and no
-	// time passes inside a range charge — so reusing the value is exact.
-	memo []uint64
+	// full-block DRAM access per home node: an entry is valid while its
+	// stamp is the call's, so a call starts with a new stamp and clears
+	// nothing. The congestion factors are constant between AdvanceTime
+	// calls — and no time passes inside a range charge — so reusing the
+	// value is exact.
+	memo  []dramMemo
+	stamp uint64
 }
 
-const noMemo = ^uint64(0)
+type dramMemo struct{ stamp, cycles uint64 }
 
 // NewMachine builds a machine for the topology with the default cost model.
 // It panics if the topology is invalid, since every other subsystem depends
@@ -99,11 +104,15 @@ func NewMachine(t *Topology) *Machine {
 		cores:     make([]CoreCounters, t.TotalCores()),
 		htFactor:  1,
 		imcFactor: make([]float64, t.NodeCount),
-		memo:      make([]uint64, t.NodeCount),
+		nodeOf:    make([]NodeID, t.TotalCores()),
+		memo:      make([]dramMemo, t.NodeCount),
 	}
 	m.window.imcBytes = make([]uint64, t.NodeCount)
 	for i := range m.imcFactor {
 		m.imcFactor[i] = 1
+	}
+	for c := range m.nodeOf {
+		m.nodeOf[c] = t.NodeOf(CoreID(c))
 	}
 	return m
 }
@@ -185,11 +194,11 @@ func (r RangeAccess) bytesOf(i, blockBytes int) int {
 // in every other cache that holds it. Scans, gathers and materializations
 // — anything walking consecutive rows — charge through here. What does not
 // change from block to block is read once: the two caches, and the DRAM
-// cost of a full block per home node (memo). The counters the accessing
-// node owns are summed in locals and stored once — integer sums, so the
-// result is that of charging block by block; the home node's (DataTouches,
-// IMCBytes, HTBytesIn) may change from block to block and are added in
-// place.
+// cost of a full block per home node (memo). A block's state and its
+// directory row are read once each. The counters the accessing node owns
+// are summed in locals and stored once — integer sums, so the result is
+// that of charging block by block; the home node's (DataTouches, IMCBytes,
+// HTBytesIn) may change from block to block and are added in place.
 func (m *Machine) AccessRange(core CoreID, r RangeAccess) Cost {
 	if r.Blocks <= 0 {
 		return Cost{}
@@ -199,13 +208,13 @@ func (m *Machine) AccessRange(core CoreID, r RangeAccess) Cost {
 		panic(fmt.Sprintf("numa: range access of %d/%d bytes exceeds block size %d",
 			r.FirstBytes, r.LastBytes, topo.BlockBytes))
 	}
-	node := topo.NodeOf(core)
+	node := m.nodeOf[core]
+	bit := uint32(1) << uint(node)
 	lineBytes := topo.CacheLineBytes
 	fullLines := uint64((topo.BlockBytes + lineBytes - 1) / lineBytes)
-	for home := range m.memo {
-		m.memo[home] = noMemo
-	}
-	private, l3 := m.caches.private[core], m.caches.shared[node]
+	m.stamp++
+	h := m.caches
+	private, l3 := h.private[core], h.shared[node]
 
 	var total Cost
 	var hits, misses, invalidations uint64
@@ -218,12 +227,16 @@ func (m *Machine) AccessRange(core CoreID, r RangeAccess) Cost {
 			lines = uint64((byteCount + lineBytes - 1) / lineBytes)
 		}
 		block := r.Start + BlockID(i)
-		home := m.mem.touch(block, node, r.PID).home
+		info := m.mem.block(block)
+		if info.mapped&bit == 0 {
+			m.mem.mapFrom(info, node, r.PID)
+		}
+		home := info.homeOf()
 		hc := &m.nodes[home]
 		hc.DataTouches++
 
 		var cycles uint64
-		switch accessCaches(private, l3, block) {
+		switch h.walk(private, l3, block, info) {
 		case levelPrivate:
 			hits += lines
 			cycles = lines * m.cost.PrivateHit
@@ -235,10 +248,12 @@ func (m *Machine) AccessRange(core CoreID, r RangeAccess) Cost {
 			bytes := lines * uint64(lineBytes)
 			hc.IMCBytes += bytes
 			m.window.imcBytes[home] += bytes
-			if cycles = m.memo[home]; cycles == noMemo || lines != fullLines {
+			if memo := &m.memo[home]; memo.stamp == m.stamp && lines == fullLines {
+				cycles = memo.cycles
+			} else {
 				cycles = m.dramCycles(node, home, lines)
 				if lines == fullLines {
-					m.memo[home] = cycles
+					*memo = dramMemo{m.stamp, cycles}
 				}
 			}
 			if home != node {
@@ -248,7 +263,7 @@ func (m *Machine) AccessRange(core CoreID, r RangeAccess) Cost {
 		}
 
 		if r.Write {
-			if inv := uint64(m.caches.invalidateRemote(core, block)); inv > 0 {
+			if inv := uint64(h.invalidateRemote(core, block)); inv > 0 {
 				invalidations += inv
 				cycles += inv * m.cost.Invalidation * lines
 				// Invalidation messages traverse the interconnect.
