@@ -28,8 +28,6 @@ import (
 // processes are unbounded and never exhaust; drivers bound them by
 // arrival count or horizon).
 type Process interface {
-	// Name labels the process family ("poisson", "mmpp", ...).
-	Name() string
 	// Next returns the next arrival time in seconds, or ok=false at the
 	// end of a finite stream.
 	Next() (t float64, ok bool)
@@ -73,9 +71,6 @@ func NewPoisson(rate float64, seed uint64) *Poisson {
 	return &Poisson{rate: rate, r: newRNG(seed)}
 }
 
-// Name implements Process.
-func (p *Poisson) Name() string { return "poisson" }
-
 // Next implements Process.
 func (p *Poisson) Next() (float64, bool) {
 	p.t += p.r.exp(p.rate)
@@ -114,9 +109,6 @@ func NewMMPP(baseRate, burstRate, baseDwell, burstDwell float64, seed uint64) *M
 	return m
 }
 
-// Name implements Process.
-func (m *MMPP) Name() string { return "mmpp" }
-
 // Next implements Process. Exponential gaps are memoryless, so crossing a
 // state boundary simply redraws the gap at the new state's rate from the
 // boundary.
@@ -154,9 +146,6 @@ func NewDiurnal(base, amp, period float64, seed uint64) *Diurnal {
 	}
 	return &Diurnal{base: base, amp: amp, period: period, r: newRNG(seed)}
 }
-
-// Name implements Process.
-func (d *Diurnal) Name() string { return "diurnal" }
 
 // RateAt returns the instantaneous rate at time t.
 func (d *Diurnal) RateAt(t float64) float64 {

@@ -67,7 +67,7 @@ func (tw quietTwin) burst(quanta uint64) {
 		tw.s.Spawn(1, "w", sched.RunnerFunc(func(ctx *sched.ExecContext, budget uint64) (uint64, bool, bool) {
 			var used uint64
 			for used < budget && left > 0 {
-				c := ctx.Access(numa.Access{Block: tw.region.Block(i % tw.region.Blocks), Bytes: bytes})
+				c := ctx.AccessRange(numa.RangeAccess{Start: tw.region.Block(i % tw.region.Blocks), Blocks: 1, FirstBytes: bytes})
 				used += c
 				left -= min(c, left)
 				i++
@@ -132,7 +132,7 @@ func TestQuietReplayMatchesStepping(t *testing.T) {
 	for _, st := range quietStrategies {
 		for _, initial := range []int{1, 8, 16} {
 			for _, backlog := range []int{0, 1000} {
-				label := fmt.Sprintf("%s from %d cores, backlog %d", st.Name(), initial, backlog)
+				label := fmt.Sprintf("%T from %d cores, backlog %d", st, initial, backlog)
 				ref := newQuietTwin(t, st, initial, backlog)
 				got := newQuietTwin(t, st, initial, backlog)
 				ref.stepEvery()
@@ -188,7 +188,7 @@ func TestQuietEndsWhenAnInputMoves(t *testing.T) {
 		// Memory touched off the scheduler (a loader's first touch: a minor
 		// fault and a DRAM read, but no busy cycle) is activity too.
 		region := s.Machine().Memory().Alloc(1)
-		s.Machine().Access(0, numa.Access{Block: region.Start, Bytes: 64})
+		s.Machine().AccessRange(0, numa.RangeAccess{Start: region.Start, Blocks: 1, FirstBytes: 64})
 		s.Advance(2)
 		m.Maybe()
 		if m.Quiet() {

@@ -20,7 +20,6 @@ type Sample struct {
 // CPU load (Section III) and the HT/IMC traffic ratio (Section V-B),
 // showing the abstract model fits different metrics.
 type Strategy interface {
-	Name() string
 	// Reading returns u as an integer in the net's token domain. It must
 	// be a pure function of its Sample: a Mechanism at its quiet fixed
 	// point replays the reading of an idle window rather than asking
@@ -37,9 +36,6 @@ type CPULoadStrategy struct {
 	// ThMin, ThMax override the defaults when non-zero.
 	ThMin, ThMax int
 }
-
-// Name implements Strategy.
-func (CPULoadStrategy) Name() string { return "cpu-load" }
 
 // Reading implements Strategy: the arithmetic CPU-load average of the
 // allocated cores (of all cores when none is allocated).
@@ -72,9 +68,6 @@ type HTIMCStrategy struct {
 	// non-zero.
 	ThMinMilli, ThMaxMilli int
 }
-
-// Name implements Strategy.
-func (HTIMCStrategy) Name() string { return "ht-imc" }
 
 // Reading implements Strategy: 1000 * HTbytes / IMCbytes over the window.
 func (HTIMCStrategy) Reading(s Sample) int {

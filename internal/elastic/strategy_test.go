@@ -69,11 +69,3 @@ func TestHTIMCThresholds(t *testing.T) {
 		t.Errorf("default thresholds = (%d,%d), want (100,400) — the paper's 0.1/0.4", min, max)
 	}
 }
-
-func TestStrategyNames(t *testing.T) {
-	var cpu CPULoadStrategy
-	var ht HTIMCStrategy
-	if cpu.Name() != "cpu-load" || ht.Name() != "ht-imc" {
-		t.Error("strategy names changed; figure labels depend on them")
-	}
-}

@@ -30,7 +30,10 @@ type NodeCounters struct {
 	DataTouches uint64
 }
 
-// CoreCounters holds cumulative cycle accounting for one core.
+// CoreCounters holds cumulative cycle accounting for one core. Only busy
+// cycles are counted: idle is the elapsed clock less busy, computed when
+// the counters are read and never charged, so the two always sum to the
+// clock.
 type CoreCounters struct {
 	BusyCycles uint64
 	IdleCycles uint64
@@ -47,13 +50,13 @@ type Counters struct {
 }
 
 // IdleFor reports whether the window c is n cycles in which nothing
-// happened: every core idled through it and no node counted an event.
+// happened: no core was busy and no node counted an event.
 func (c Counters) IdleFor(n uint64) bool {
 	if c.Now != n {
 		return false
 	}
 	for _, core := range c.Cores {
-		if core != (CoreCounters{IdleCycles: n}) {
+		if core.BusyCycles != 0 {
 			return false
 		}
 	}

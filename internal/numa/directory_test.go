@@ -222,8 +222,14 @@ func (r *refMachine) advanceTime(cycles uint64) {
 	r.window.htBytes, r.window.cycles = 0, 0
 }
 
+// snapshot reads the counters: no core of the reference is ever busy, so
+// every core has idled the whole clock.
 func (r *refMachine) snapshot() Counters {
-	return Counters{Now: r.now, Nodes: append([]NodeCounters{}, r.nodes...), Cores: make([]CoreCounters, r.topo.TotalCores())}
+	cores := make([]CoreCounters, r.topo.TotalCores())
+	for i := range cores {
+		cores[i].IdleCycles = r.now
+	}
+	return Counters{Now: r.now, Nodes: append([]NodeCounters{}, r.nodes...), Cores: cores}
 }
 
 func (r *refMachine) residencyOf(pids []int) []int {

@@ -1,5 +1,7 @@
 package numa
 
+import "fmt"
+
 // RandomRanges lends the external tests (package numa_test, which may
 // import the scheduler) the seeded access mix of accessrange_test.go.
 var RandomRanges = randomRanges
@@ -94,3 +96,26 @@ func (h *cacheHierarchy) l3Resident(n NodeID, b BlockID) bool {
 
 // LinesPerBlock returns how many cache lines one placement block spans.
 func (t *Topology) LinesPerBlock() int { return t.BlockBytes / t.CacheLineBytes }
+
+// Access describes one memory operation: Bytes bytes read or written
+// within a single placement block. It and Machine.Access are the one-block
+// reference TestAccessRangeMatchesAccessLoop charges AccessRange against.
+type Access struct {
+	Block BlockID
+	Bytes int
+	Write bool
+	// PID attributes first-touch residency; zero means anonymous.
+	PID int
+}
+
+// Access charges one memory operation executed on the given core and
+// returns its cost: the one-block AccessRange.
+func (m *Machine) Access(core CoreID, a Access) Cost {
+	if a.Bytes <= 0 {
+		return Cost{}
+	}
+	if a.Bytes > m.topo.BlockBytes {
+		panic(fmt.Sprintf("numa: access of %d bytes exceeds block size %d", a.Bytes, m.topo.BlockBytes))
+	}
+	return m.AccessRange(core, RangeAccess{Start: a.Block, Blocks: 1, FirstBytes: a.Bytes, Write: a.Write, PID: a.PID})
+}

@@ -31,17 +31,6 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Access describes one memory operation issued by executing code: Bytes
-// bytes read or written within a single placement block.
-type Access struct {
-	Block BlockID
-	Bytes int
-	Write bool
-	// PID attributes first-touch residency (for the adaptive priority
-	// queue); zero means anonymous.
-	PID int
-}
-
 // Cost is the outcome of charging an access.
 type Cost struct {
 	Cycles  uint64
@@ -60,7 +49,7 @@ type Machine struct {
 
 	now   uint64 // virtual time, cycles
 	nodes []NodeCounters
-	cores []CoreCounters
+	busy  []uint64 // by CoreID; a core's idle cycles are now - busy
 
 	// Congestion model: interconnect and per-node memory demand within the
 	// current accounting window stretch subsequent access costs. factor >= 1.
@@ -101,7 +90,7 @@ func NewMachine(t *Topology) *Machine {
 		caches:    newCacheHierarchy(t, mem),
 		cost:      DefaultCostModel(),
 		nodes:     make([]NodeCounters, t.NodeCount),
-		cores:     make([]CoreCounters, t.TotalCores()),
+		busy:      make([]uint64, t.TotalCores()),
 		htFactor:  1,
 		imcFactor: make([]float64, t.NodeCount),
 		nodeOf:    make([]NodeID, t.TotalCores()),
@@ -131,19 +120,6 @@ func (m *Machine) Now() uint64 { return m.now }
 
 // NowSeconds returns the current virtual time in seconds.
 func (m *Machine) NowSeconds() float64 { return m.topo.CyclesToSeconds(m.now) }
-
-// Access charges one memory operation executed on the given core and
-// returns its cost. It updates the placement table (first touch), the cache
-// hierarchy, and every affected counter. It is the one-block AccessRange.
-func (m *Machine) Access(core CoreID, a Access) Cost {
-	if a.Bytes <= 0 {
-		return Cost{}
-	}
-	if a.Bytes > m.topo.BlockBytes {
-		panic(fmt.Sprintf("numa: access of %d bytes exceeds block size %d", a.Bytes, m.topo.BlockBytes))
-	}
-	return m.AccessRange(core, RangeAccess{Start: a.Block, Blocks: 1, FirstBytes: a.Bytes, Write: a.Write, PID: a.PID})
-}
 
 // dramCycles computes the stretched cost of serving lines from home's DRAM
 // to a core of node. A remote access crosses the interconnect AND the home
@@ -282,14 +258,11 @@ func (m *Machine) AccessRange(core CoreID, r RangeAccess) Cost {
 }
 
 // ChargeBusy accounts cycles of useful execution on a core and advances
-// nothing else; the scheduler calls it once per quantum slice.
+// nothing else; the scheduler calls it once per quantum slice, for cycles
+// the clock has already passed. Idle cycles are never charged: a core is
+// idle for every cycle of the clock it was not busy.
 func (m *Machine) ChargeBusy(core CoreID, cycles uint64) {
-	m.cores[core].BusyCycles += cycles
-}
-
-// ChargeIdle accounts idle cycles on a core.
-func (m *Machine) ChargeIdle(core CoreID, cycles uint64) {
-	m.cores[core].IdleCycles += cycles
+	m.busy[core] += cycles
 }
 
 // AdvanceTime moves virtual time forward by the given cycles and refreshes
@@ -395,18 +368,21 @@ func (m *Machine) DropCoreAffinity(core CoreID) { m.caches.dropCore(core) }
 func (m *Machine) Snapshot() Counters {
 	c := Counters{
 		Nodes: make([]NodeCounters, len(m.nodes)),
-		Cores: make([]CoreCounters, len(m.cores)),
+		Cores: make([]CoreCounters, len(m.busy)),
 	}
-	m.readCounters(&c)
+	m.readCounters(&c, m.now)
 	return c
 }
 
 // readCounters copies the cumulative counters into c, whose slices are
-// already sized to the machine.
-func (m *Machine) readCounters(c *Counters) {
-	c.Now = m.now
+// already sized to the machine, as read at cycle now: each core's idle
+// cycles are now less its busy cycles.
+func (m *Machine) readCounters(c *Counters, now uint64) {
+	c.Now = now
 	copy(c.Nodes, m.nodes)
-	copy(c.Cores, m.cores)
+	for i, busy := range m.busy {
+		c.Cores[i] = CoreCounters{BusyCycles: busy, IdleCycles: now - busy}
+	}
 	for i, faults := range m.mem.minorFaults {
 		c.Nodes[i].MinorFaults = faults
 	}
@@ -433,7 +409,7 @@ func (m *Machine) NewCounterWindow() *CounterWindow {
 // share the window's storage: they are valid until the next Advance and
 // must be copied, Nodes and Cores included, to be kept longer.
 func (w *CounterWindow) Advance() Counters {
-	w.m.readCounters(&w.delta)
+	w.m.readCounters(&w.delta, w.m.now)
 	w.last.setDelta(w.delta, w.last)
 	w.last, w.delta = w.delta, w.last
 	return w.delta
@@ -441,20 +417,15 @@ func (w *CounterWindow) Advance() Counters {
 
 // Restart starts the next window at cycle at, in the past, as if Advance
 // had been called then: the next Advance reports the deltas since at. It
-// is closed-form, so it is exact only when every core idled through
-// (at, now] and no other counter moved — what an idle scheduler's skipped
-// quanta leave behind — and it takes those idle cycles back off each core.
-// The window Advance last handed out stays valid.
+// reads the counters as of at, so it is exact only when every core idled
+// through (at, now] and no other counter moved — what an idle scheduler's
+// skipped quanta leave behind. The window Advance last handed out stays
+// valid.
 func (w *CounterWindow) Restart(at uint64) {
 	if at > w.m.now {
 		panic(fmt.Sprintf("numa: counter window restarted at cycle %d, after now (%d)", at, w.m.now))
 	}
-	w.m.readCounters(&w.last)
-	idle := w.m.now - at
-	w.last.Now = at
-	for i := range w.last.Cores {
-		w.last.Cores[i].IdleCycles -= idle
-	}
+	w.m.readCounters(&w.last, at)
 }
 
 // Residency exposes the per-node homed-block counts for a set of PIDs (the

@@ -156,19 +156,23 @@ func TestSnapshotSubWindow(t *testing.T) {
 func TestCPULoadAccounting(t *testing.T) {
 	topo := Opteron8387()
 	m := NewMachine(topo)
+	m.AdvanceTime(1000)
 	m.ChargeBusy(0, 750)
-	m.ChargeIdle(0, 250)
-	m.ChargeIdle(1, 1000)
 	snap := m.Snapshot()
+	for c, cc := range snap.Cores {
+		if cc.BusyCycles+cc.IdleCycles != 1000 {
+			t.Errorf("core %d: busy %d + idle %d, want the clock's 1000", c, cc.BusyCycles, cc.IdleCycles)
+		}
+	}
 	if got := snap.CPULoad([]CoreID{0}); got != 75 {
 		t.Errorf("CPULoad(core0) = %g, want 75", got)
 	}
 	if got := snap.CPULoad([]CoreID{0, 1}); got != 37.5 {
 		t.Errorf("CPULoad(core0,1) = %g, want 37.5", got)
 	}
-	// Cores with no accounted cycles contribute nothing to the average.
-	if got := snap.CPULoad(nil); got != 37.5 {
-		t.Errorf("CPULoad(all) = %g, want 37.5", got)
+	// Every core idles whatever of the clock it was not busy for.
+	if got := snap.CPULoad(nil); got != 4.6875 {
+		t.Errorf("CPULoad(all) = %g, want 4.6875", got)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // way it does in a run, through sched.Scheduler.Advance.
 
 // TestCounterWindowMatchesSnapshotSub: over a random history of reads,
-// writes, busy/idle charging, page faults and clock advances, every
+// writes, busy charging, page faults and clock advances, every
 // Advance equals Snapshot().Sub(previous snapshot) exactly, on windows of
 // irregular length including empty ones ("history"); and a window
 // Restarted at any grid cycle of an idle gap the scheduler skipped in
@@ -48,7 +48,6 @@ func testWindowHistory(t *testing.T) {
 			core := numa.CoreID(i % cores)
 			m.AccessRange(core, ra)
 			m.ChargeBusy(core, uint64(rng.Intn(1000)))
-			m.ChargeIdle(numa.CoreID((i+1)%cores), uint64(rng.Intn(1000)))
 			if i%3 == 0 {
 				m.AdvanceTime(quantum)
 			}

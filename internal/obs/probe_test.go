@@ -211,7 +211,7 @@ func TestProbeReadingSeesTheSampleWindow(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		machine.AdvanceTime(500)
 		machine.ChargeBusy(numa.CoreID(i), uint64(100+i))
-		machine.Access(numa.CoreID(15), numa.Access{Block: numa.BlockID(i), Bytes: 64, PID: 1})
+		machine.AccessRange(numa.CoreID(15), numa.RangeAccess{Start: numa.BlockID(i), Blocks: 1, FirstBytes: 64, PID: 1})
 		n := len(seen)
 		p.Maybe()
 		if len(seen) == n {

@@ -60,7 +60,7 @@ func quietProbe(t *testing.T) *probeRig {
 	}
 	// Memory touched off the scheduler is activity too.
 	region := machine.Memory().Alloc(1)
-	machine.Access(0, numa.Access{Block: region.Start, Bytes: 64})
+	machine.AccessRange(0, numa.RangeAccess{Start: region.Start, Blocks: 1, FirstBytes: 64})
 	s.Advance(2)
 	r.p.Maybe()
 	if r.p.Quiet() {

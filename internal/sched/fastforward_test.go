@@ -30,7 +30,7 @@ func (w *chaosWork) Run(ctx *ExecContext, budget uint64) (uint64, bool, bool) {
 	cost := uint64(0)
 	for i := 0; i < 4; i++ {
 		blk := w.region.Block(w.rng.Intn(w.region.Blocks))
-		cost += ctx.Access(numa.Access{Block: blk, Bytes: 64, Write: w.rng.Intn(8) == 0})
+		cost += ctx.AccessRange(numa.RangeAccess{Start: blk, Blocks: 1, FirstBytes: 64, Write: w.rng.Intn(8) == 0})
 	}
 	switch w.rng.Intn(4) {
 	case 0:

@@ -19,14 +19,13 @@ import (
 
 // refTick is Tick without the idle-core skip.
 func refTick(s *Scheduler) {
-	s.tick++
-	s.stats.TicksRun++
+	s.ticked++
 	start := s.machine.Now()
 	s.machine.AdvanceTime(s.cfg.Quantum)
 	for core := 0; core < s.topo.TotalCores(); core++ {
 		refRunCore(s, numa.CoreID(core), start)
 	}
-	if s.tick%balancePeriod == 0 {
+	if s.ticksRun()%balancePeriod == 0 {
 		s.balance()
 	}
 }
@@ -102,9 +101,6 @@ func refRunCore(s *Scheduler, core numa.CoreID, start uint64) {
 				budget = 0
 			}
 		}
-	}
-	if budget > 0 {
-		s.machine.ChargeIdle(core, budget)
 	}
 }
 

@@ -38,8 +38,9 @@ type Stats struct {
 	// NUMA node, losing all cache affinity.
 	CrossNodeMigrations uint64
 	// TicksRun counts the quanta the scheduler advanced through, whether
-	// Tick ran them or Advance skipped them in bulk while idle.
-	// Scheduler.Ticked counts the first kind alone.
+	// Tick ran them or Advance skipped them in bulk while idle: the clock's
+	// cycles since New, in quanta. Scheduler.Ticked counts the first kind
+	// alone.
 	TicksRun uint64
 	// Wakeups counts Blocked threads put back on a run queue.
 	Wakeups uint64
@@ -142,10 +143,12 @@ type Scheduler struct {
 	groups  map[string]*CGroup
 	rootSet CPUSet
 
-	stats Stats
-	tick  int
-	// idleSkipped counts the quanta of TicksRun that skipIdleTicks covered.
-	idleSkipped uint64
+	// stats holds every counter but TicksRun, which Stats reads off the
+	// clock: start is the machine's cycle at New, and ticked counts the
+	// quanta Tick ran.
+	stats  Stats
+	start  uint64
+	ticked uint64
 
 	// execCtx is the per-core run-slice scratch, reused so steady-state
 	// execution does not allocate.
@@ -176,6 +179,7 @@ func New(m *numa.Machine, cfg Config) *Scheduler {
 		machine: m,
 		topo:    topo,
 		cfg:     cfg,
+		start:   m.Now(),
 		queues:  make([]deque.Deque[*Thread], topo.TotalCores()),
 		threads: make(map[TID]*Thread),
 		nextTID: 1,
@@ -222,15 +226,25 @@ func (s *Scheduler) SetCoreSlowdown(core numa.CoreID, factor uint64) {
 }
 
 // Stats returns a copy of the scheduler counters.
-func (s *Scheduler) Stats() Stats { return s.stats }
+func (s *Scheduler) Stats() Stats {
+	st := s.stats
+	st.TicksRun = s.ticksRun()
+	return st
+}
+
+// ticksRun is the number of quanta the clock has moved since New. Only the
+// scheduler moves its machine's clock, and always by whole quanta.
+func (s *Scheduler) ticksRun() uint64 {
+	return (s.machine.Now() - s.start) / s.cfg.Quantum
+}
 
 // IdleSkipped returns how many of Stats().TicksRun were idle quanta
 // advanced in bulk, not by Tick: the simulator's cost, hence not in Stats.
-func (s *Scheduler) IdleSkipped() uint64 { return s.idleSkipped }
+func (s *Scheduler) IdleSkipped() uint64 { return s.ticksRun() - s.ticked }
 
-// Ticked returns how many quanta Tick actually ran: Stats().TicksRun less
-// IdleSkipped. It stands still while an idle scheduler is advanced.
-func (s *Scheduler) Ticked() uint64 { return s.stats.TicksRun - s.idleSkipped }
+// Ticked returns how many quanta Tick actually ran. It stands still while
+// an idle scheduler is advanced.
+func (s *Scheduler) Ticked() uint64 { return s.ticked }
 
 // Quantum returns the time slice in cycles.
 func (s *Scheduler) Quantum() uint64 { return s.cfg.Quantum }
@@ -563,11 +577,10 @@ func (s *Scheduler) reconcileGroup(g *CGroup) {
 // load balancer evens out queue lengths by stealing threads.
 //
 // The loop is event-driven: cores whose queue is empty while no queue
-// anywhere holds a steal candidate are charged their idle quantum in bulk
-// instead of walking the steal scan.
+// anywhere holds a steal candidate are passed over instead of walking the
+// steal scan.
 func (s *Scheduler) Tick() {
-	s.tick++
-	s.stats.TicksRun++
+	s.ticked++
 	start := s.machine.Now()
 	// Advance the clock first: anything that completes inside this
 	// quantum is stamped at the quantum's end, never before its start.
@@ -579,12 +592,11 @@ func (s *Scheduler) Tick() {
 		// the whole quantum is idle — exactly what runCore would
 		// conclude after scanning.
 		if s.queues[c].Len() == 0 && s.surplus == 0 {
-			s.machine.ChargeIdle(c, s.cfg.Quantum)
 			continue
 		}
 		s.runCore(c, start)
 	}
-	if s.tick%balancePeriod == 0 {
+	if s.ticksRun()%balancePeriod == 0 {
 		s.balance()
 	}
 }
@@ -684,14 +696,11 @@ func (s *Scheduler) runCore(core numa.CoreID, start uint64) {
 			s.pushBack(core, t)
 			if used == 0 {
 				// A runnable thread that made no progress would spin the
-				// core loop forever; treat the rest of the quantum as its
-				// slice.
+				// core loop forever; the core idles the rest of the
+				// quantum.
 				budget = 0
 			}
 		}
-	}
-	if budget > 0 {
-		s.machine.ChargeIdle(core, budget)
 	}
 }
 
@@ -791,15 +800,18 @@ func (s *Scheduler) balance() {
 func (s *Scheduler) Idle() bool { return s.queued == 0 }
 
 // Advance runs n quanta. As soon as the scheduler is Idle the remaining
-// quanta can change nothing but the clock and the idle counters, so they
-// are skipped in one bulk step (charging the skipped idle cycles and
-// replicating the congestion-window cadence exactly). It is the one idle
+// quanta can change nothing but the clock, so they are skipped in one bulk
+// step that replicates the congestion-window cadence exactly: the idle
+// cycles, the quanta run and the balance parity are all read off the
+// clock, and an empty queue is never balanced. It is the one idle
 // fast-forward: RunUntil and the fleet engine both advance through it.
 func (s *Scheduler) Advance(n int) {
 	for ; n > 0 && s.queued > 0; n-- {
 		s.Tick()
 	}
-	s.skipIdleTicks(uint64(n))
+	if n > 0 {
+		s.machine.AdvanceTimeIdle(s.cfg.Quantum, uint64(n))
+	}
 }
 
 // RunUntil ticks the scheduler until the predicate returns true or the
@@ -829,22 +841,4 @@ func (s *Scheduler) RunUntil(pred func() bool, maxCycles uint64) bool {
 		s.Advance(n)
 	}
 	return true
-}
-
-// skipIdleTicks advances the simulation by n fully idle quanta in bulk,
-// producing exactly the state n Ticks with empty queues would: the
-// same TicksRun, tick parity (balance is a no-op on empty queues), idle
-// charges and congestion-factor evolution.
-func (s *Scheduler) skipIdleTicks(n uint64) {
-	if n == 0 {
-		return
-	}
-	s.tick += int(n)
-	s.stats.TicksRun += n
-	s.idleSkipped += n
-	s.machine.AdvanceTimeIdle(s.cfg.Quantum, n)
-	idle := n * s.cfg.Quantum
-	for core := 0; core < s.topo.TotalCores(); core++ {
-		s.machine.ChargeIdle(numa.CoreID(core), idle)
-	}
 }

@@ -44,15 +44,6 @@ type ExecContext struct {
 	TID     TID
 }
 
-// Access charges one memory access on the executing core and returns its
-// cycle cost.
-func (ctx *ExecContext) Access(a numa.Access) uint64 {
-	if a.PID == 0 {
-		a.PID = ctx.PID
-	}
-	return ctx.Machine.Access(ctx.Core, a).Cycles
-}
-
 // AccessRange charges a contiguous run of blocks on the executing core in
 // one call (see numa.Machine.AccessRange) and returns its cycle cost.
 func (ctx *ExecContext) AccessRange(r numa.RangeAccess) uint64 {

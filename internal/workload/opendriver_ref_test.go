@@ -23,8 +23,6 @@ import (
 // ends, for runs that need arrivals at exact instants.
 type fixedArrivals []float64
 
-func (*fixedArrivals) Name() string { return "fixed" }
-
 func (a *fixedArrivals) Next() (float64, bool) {
 	if len(*a) == 0 {
 		return 0, false

@@ -16,8 +16,8 @@ func TestTouchDeltaResidencyFirstSampleAndDeltas(t *testing.T) {
 	// Home two blocks on node 2 and touch them: the touches land in node
 	// 2's DataTouches counter.
 	region := machine.Memory().AllocOn(2, 2, 1)
-	machine.Access(0, numa.Access{Block: region.Block(0), Bytes: 64, PID: 1})
-	machine.Access(0, numa.Access{Block: region.Block(1), Bytes: 64, PID: 1})
+	machine.AccessRange(0, numa.RangeAccess{Start: region.Block(0), Blocks: 1, FirstBytes: 64, PID: 1})
+	machine.AccessRange(0, numa.RangeAccess{Start: region.Block(1), Blocks: 1, FirstBytes: 64, PID: 1})
 
 	first := res()
 	if len(first) != 4 {
@@ -44,7 +44,7 @@ func TestTouchDeltaResidencyFirstSampleAndDeltas(t *testing.T) {
 	}
 
 	// One more touch: only the delta shows.
-	machine.Access(0, numa.Access{Block: region.Block(0), Bytes: 64, PID: 1})
+	machine.AccessRange(0, numa.RangeAccess{Start: region.Block(0), Blocks: 1, FirstBytes: 64, PID: 1})
 	third := res()
 	if third[2] != 1 {
 		t.Errorf("third sample node2 = %d, want delta 1", third[2])
