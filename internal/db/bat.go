@@ -45,21 +45,27 @@ const valueBytes = 8
 // (MonetDB's void tail): n > 0 marks the dense form, whose OIDs are seq,
 // seq+1, ..., seq+n-1. Len, Bytes, the simulated region and every charge
 // are those of the materialized vector; only the host-side identity
-// vector is gone. Projecting a dense candidate list is, as in MonetDB, a
-// view: view marks a tail that borrows the rows of the base column the
-// candidates cover, capped so no append reaches past them (a replayed
-// selection's tail is a view too, of a list the engine's recycler keeps:
-// recycle.go). The view has its own region and charges, those of the copy
-// it stands for; only the host copy is gone, and the pool never files a
-// view's slice. The header
-// stays 96 bytes, the stride of a stage's header array (TestBATHeaderSize),
-// which is why the region keeps its start block only — its block count
-// follows from Len.
+// vector is gone.
+//
+// A projection read only through strips (vec) is, as in MonetDB, a view:
+// view marks a tail the BAT borrows and the pool never files. Through a
+// dense candidate list the tail is the base rows the candidates cover,
+// capped so no append reaches past them; through a sparse one (sparse) it
+// is the candidate list's ids, and the values are those rows of the base
+// column the view's PartSet names (PartSet.col), which the readers gather a
+// strip at a time. A replayed selection's tail is a view too, of a list the
+// engine's recycler keeps (recycle.go). A view has its own region and
+// charges, those of the copy it stands for; only the host copy is gone. The
+// header stays 96 bytes, the stride of a stage's header array
+// (TestBATHeaderSize), which is why the region keeps its start block only —
+// its block count follows from Len — and why a sparse view's base column
+// rides on its PartSet.
 type BAT struct {
 	Name   string
 	Kind   Kind
 	placed bool
 	view   bool
+	sparse bool
 	I      []int64
 	F      []float64
 
@@ -83,30 +89,24 @@ func (b *BAT) Len() int {
 	if b.n > 0 {
 		return b.n
 	}
-	if b.Kind == KindI64 {
+	if b.Kind == KindI64 || b.sparse {
 		return len(b.I)
 	}
 	return len(b.F)
 }
 
-// byPosition returns the BAT in the form operators that read a vector by
-// position expect: a dense candidate list used as join keys or group keys
-// is written out, everything else (nil included) is returned as it is.
-func (b *BAT) byPosition() *BAT {
-	if b == nil || b.n == 0 {
-		return b
+// viewOf makes b, an empty fragment of c's kind, the view of the rows of
+// column c that candidate list cand covers.
+func (b *BAT) viewOf(c, cand *BAT) {
+	b.view = true
+	switch lo, hi := cand.seq, cand.seq+cand.n; {
+	case cand.n == 0:
+		b.I, b.sparse = cand.I[:len(cand.I):len(cand.I)], true
+	case c.Kind == KindI64:
+		b.I = c.I[lo:hi:hi]
+	default:
+		b.F = c.F[lo:hi:hi]
 	}
-	return NewI64(b.Name, b.appendI64(make([]int64, 0, b.n)))
-}
-
-// appendI64 appends the integer tail to dst, writing out a dense
-// candidate's OIDs (result extraction and operators that read a vector by
-// position; the candidate consumers take the range form as it is).
-func (b *BAT) appendI64(dst []int64) []int64 {
-	for oid := b.seq; oid < b.seq+b.n; oid++ {
-		dst = append(dst, int64(oid))
-	}
-	return append(dst, b.I...)
 }
 
 // noKeys is the empty key interval widen starts from.
@@ -114,7 +114,8 @@ func noKeys() (lo, hi int64) { return math.MaxInt64, math.MinInt64 }
 
 // widen extends [lo, hi] to cover the integer tail (join or group keys
 // about to be inserted into a key table): a dense candidate contributes
-// its range without a scan, nil and float BATs nothing.
+// its range without a scan, nil and float BATs nothing. A sparse view's
+// keys are widened through vec.
 func (b *BAT) widen(lo, hi int64) (int64, int64) {
 	if b == nil {
 		return lo, hi
@@ -124,6 +125,87 @@ func (b *BAT) widen(lo, hi int64) (int64, int64) {
 	}
 	for _, k := range b.I {
 		lo, hi = min(lo, k), max(hi, k)
+	}
+	return lo, hi
+}
+
+// stripRows is how many rows of a fragment that is not stored as values —
+// a sparse view, a dense candidate list — a kernel reads at a time: the
+// strip buffer it fills lives on the kernel's stack.
+const stripRows = 256
+
+// The strip buffers of the two value kinds.
+type (
+	intStrip   [stripRows]int64
+	floatStrip [stripRows]float64
+)
+
+// vec is a fragment as the kernels that read values read it — maps, sums,
+// grouped sums, hash builds and the key bounds of their tables: the BAT
+// and, when it is a sparse view, the base column its ids index (nil
+// otherwise). Its accessors are those kernels' batch contract: rows [a, b)
+// as a slice, in place when they are stored as values and written into the
+// caller's strip buffer otherwise, so b-a may exceed stripRows only for a
+// fragment stored as values.
+type vec struct {
+	*BAT
+	col *BAT
+}
+
+// ints returns rows [a, b) of an integer fragment (see vec): its tail, a
+// dense candidate list's OIDs or a sparse view's gathered values.
+func (v vec) ints(a, b int, buf *intStrip) []int64 {
+	switch {
+	case v.n > 0:
+		out := buf[:b-a]
+		for k := range out {
+			out[k] = int64(v.seq + a + k)
+		}
+		return out
+	case v.sparse:
+		ids, out, col := v.I[a:b], buf[:b-a], v.col.I
+		for k, id := range ids {
+			out[k] = col[id]
+		}
+		return out
+	}
+	return v.I[a:b]
+}
+
+// floatRows returns how many float values v holds: its rows, or none for an
+// integer fragment, which a float kernel reads as empty.
+func (v vec) floatRows() int {
+	if v.Kind != KindF64 {
+		return 0
+	}
+	return v.Len()
+}
+
+// floats returns rows [a, b) of a float fragment (see vec): its tail or a
+// sparse view's gathered values.
+func (v vec) floats(a, b int, buf *floatStrip) []float64 {
+	if !v.sparse {
+		return v.F[a:b]
+	}
+	ids, out, col := v.I[a:b], buf[:b-a], v.col.F
+	for k, id := range ids {
+		out[k] = col[id]
+	}
+	return out
+}
+
+// widen is BAT.widen over the values v reads, a sparse view's gathered a
+// strip at a time, so a table sized from them is sized exactly as from the
+// copy.
+func (v vec) widen(lo, hi int64) (int64, int64) {
+	if v.BAT == nil || !v.sparse {
+		return v.BAT.widen(lo, hi)
+	}
+	var buf intStrip
+	for a, n := 0, v.Len(); a < n; a += stripRows {
+		for _, k := range v.ints(a, min(a+stripRows, n), &buf) {
+			lo, hi = min(lo, k), max(hi, k)
+		}
 	}
 	return lo, hi
 }

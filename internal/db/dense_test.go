@@ -496,6 +496,43 @@ func TestIntermediatesAllocateWhatTheyHold(t *testing.T) {
 			}
 		}
 	}
+
+	// A sparse projection that only a grouped sum reads is a view of its
+	// candidate list's ids: planning and running its stage draws nothing
+	// from the pool. Read by a hash build, the same projection is gathered
+	// into a buffer of the pool.
+	for _, tc := range []struct {
+		reader OpSpec
+		view   bool
+	}{{GroupSum("k", "", "parts"), true}, {Build("k", "", "set"), false}} {
+		r := newDBRig(t, rows, PlacementOS)
+		q := HandQuery(r.eng, lower("project", Scan("lineitem", "l_extendedprice", "c", PredFLess(300)),
+			Project("c", "lineitem", "l_orderkey", "k"), tc.reader))
+		ctx := &sched.ExecContext{Machine: r.machine, PID: 100}
+		var lent [3]int
+		for i := range lent {
+			for _, tk := range PlanStep(q, i) {
+				for done := false; !done; {
+					_, done = tk.Step(ctx, 1<<40)
+				}
+			}
+			lent[i] = r.eng.pool.lent
+			if i == 1 {
+				for _, frag := range q.Var("k").Parts {
+					if frag.Len() == 0 || frag.view != tc.view || frag.sparse != tc.view {
+						t.Fatalf("read by %v: a fragment of %d rows has view %v, sparse %v", tc.reader.Kind, frag.Len(), frag.view, frag.sparse)
+					}
+				}
+			}
+		}
+		if drew := lent[1] - lent[0]; (drew == 0) != tc.view {
+			t.Errorf("read by %v: the projection drew %d pool buffers", tc.reader.Kind, drew)
+		}
+		ReleaseHand(r.eng, q)
+		if err := poolAtRest(r.eng); err != nil {
+			t.Errorf("read by %v: %v", tc.reader.Kind, err)
+		}
+	}
 }
 
 // refTask is the chunkTask of before a stage became one slab, kept as the

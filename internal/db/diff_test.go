@@ -417,12 +417,21 @@ func TestDiffGroupAgg(t *testing.T) {
 			for _, tc := range []struct {
 				name string
 				vals *BAT
-			}{{"count", nil}, {"sum", NewF64("v", genF64(r, size))}} {
+			}{
+				{"count", nil},
+				{"sum", NewF64("v", genF64(r, size))},
+				{"int", NewI64("v", genI64(r, size, 9))},
+				{"short", NewF64("v", genF64(r, size/2))}, // the rows past the values count 1
+			} {
 				want := map[int64]float64{}
 				for i, k := range keys.I {
 					v := 1.0
-					if tc.vals != nil {
+					switch {
+					case tc.vals == nil || i >= tc.vals.Len():
+					case tc.vals.Kind == KindF64:
 						v = tc.vals.F[i]
+					default:
+						v = float64(tc.vals.I[i])
 					}
 					want[k] += v
 				}
@@ -1245,6 +1254,274 @@ func TestDiffRecycledSteps(t *testing.T) {
 			}
 		}
 		for _, e := range []*Engine{rec.eng, comp.eng} {
+			if err := poolAtRest(e); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+	}
+}
+
+// sampleIDs returns n distinct ascending ids drawn from [0, rows).
+func sampleIDs(r *diffRNG, n, rows int) []int64 {
+	out := make([]int64, 0, n)
+	for i := 0; i < rows && len(out) < n; i++ {
+		if r.intn(rows-i) < n-len(out) {
+			out = append(out, int64(i))
+		}
+	}
+	return out
+}
+
+// TestDiffViewsReadAsCopies is the differential of views (BAT.viewOf, vec):
+// MapBinary, SumAgg and GroupAgg reading their inputs as views of base
+// columns — through a sparse candidate list, a dense one and a replayed
+// list the recycler keeps — and widen's bounds and result extraction over
+// the same views must give what they give over the gathered copies. The
+// candidate lists run from empty through the lengths that straddle the
+// strip size to the whole column; each kernel runs whole (a job's
+// compute), chunk by chunk in uneven steps (the engine drive's runRange)
+// and standalone (Next), which must charge the cycles of the copy's drive.
+func TestDiffViewsReadAsCopies(t *testing.T) {
+	f := func(x, y float64) float64 { return x*y - y }
+	for _, seed := range diffSeeds {
+		r := newDiffRNG(seed)
+		const rows = 5*stripRows + 3
+		keyCol := NewI64("k", genI64(r, rows, 97))
+		price, disc := NewF64("p", genF64(r, rows)), NewF64("d", genF64(r, rows))
+		for _, n := range []int{0, 1, stripRows - 1, stripRows, stripRows + 1, 2*stripRows + 17, rows} {
+			ids := sampleIDs(r, n, rows)
+			kept := append([]int64{-1, -1}, ids...) // a recycler's array: offsets, then lists
+			lo := r.intn(rows - n + 1)
+			forms := []struct {
+				name string
+				cand *BAT
+			}{
+				{"sparse", NewI64("cand", ids)},
+				{"replayed", &BAT{Name: "cand", Kind: KindI64, I: kept[2 : 2+n : 2+n], view: true}},
+				{"dense", newDense("cand", lo, n)},
+			}
+			for _, form := range forms {
+				label := fmt.Sprintf("seed %d %s[%d]", seed, form.name, n)
+				cand := form.cand
+				view := func(c *BAT) vec {
+					v := &BAT{Name: c.Name, Kind: c.Kind}
+					v.viewOf(c, cand)
+					return vec{v, c}
+				}
+				gathered := func(c *BAT) vec {
+					out := &BAT{Name: c.Name, Kind: c.Kind}
+					NewGather(c, cand, out).runRange(0, cand.Len())
+					return vec{BAT: out}
+				}
+				vk, vp, vd := view(keyCol), view(price), view(disc)
+				ck, cp, cd := gathered(keyCol), gathered(price), gathered(disc)
+				if !vk.view || vk.sparse != (cand.n == 0) || vk.Len() != n || vp.Len() != n {
+					t.Fatalf("%s: views of %d rows read %d and %d (view %v, sparse %v)", label, n, vk.Len(), vp.Len(), vk.view, vk.sparse)
+				}
+				eqI64(t, label+" flatten", (&PartSet{Parts: []*BAT{vk.BAT}, col: keyCol}).FlattenI64(), ck.I)
+				eqF64(t, label+" flatten", (&PartSet{Parts: []*BAT{vp.BAT}, col: price}).FlattenF64(), cp.F)
+				if got := (&PartSet{Parts: []*BAT{vp.BAT}, col: price}).FlattenI64(); len(got) != 0 {
+					t.Fatalf("%s: a float view flattens to %d integers", label, len(got))
+				}
+				vlo, vhi := vk.widen(noKeys())
+				clo, chi := ck.widen(noKeys())
+				if vlo != clo || vhi != chi {
+					t.Fatalf("%s: widen gives [%d, %d], the copy [%d, %d]", label, vlo, vhi, clo, chi)
+				}
+
+				// chunked runs k over [0, n) in uneven steps across strips.
+				chunked := func(run func(a, b int)) {
+					for a := 0; a < n; {
+						b := min(n, a+1+r.intn(2*stripRows))
+						run(a, b)
+						a = b
+					}
+				}
+				batchSeed := r.Next()
+				standalone := func(what string, v, c Operator) {
+					t.Helper()
+					gotI, gotF := drain(v, newDiffRNG(batchSeed))
+					wantI, wantF := drain(c, newDiffRNG(batchSeed))
+					eqI64(t, label+" "+what+" standalone", gotI, wantI)
+					eqF64(t, label+" "+what+" standalone", gotF, wantF)
+					eqCycles(t, label+" "+what+" standalone", v, c.Charged())
+				}
+
+				want := NewMapBinary(cp.BAT, cd.BAT, f, nil)
+				want.compute(nil)
+				whole, steps := &MapBinary{a: vp, b: vd, f: f}, &MapBinary{a: vp, b: vd, f: f}
+				whole.compute(nil)
+				chunked(steps.runRange)
+				eqF64(t, label+" map2", whole.res, want.res)
+				eqF64(t, label+" map2 chunked", steps.res, want.res)
+				standalone("map2", &MapBinary{a: vp, b: vd, f: f}, NewMapBinary(cp.BAT, cd.BAT, f, nil))
+
+				sum, sumSteps, sumWant := &SumAgg{in: vp}, &SumAgg{in: vp}, NewSumAgg(cp.BAT)
+				sum.compute(nil)
+				chunked(sumSteps.runRange)
+				sumWant.compute(nil)
+				if sum.partial != sumWant.partial || sumSteps.partial != sumWant.partial {
+					t.Fatalf("%s: sum %g, chunked %g, the copy %g", label, sum.partial, sumSteps.partial, sumWant.partial)
+				}
+				standalone("sum", &SumAgg{in: vp}, NewSumAgg(cp.BAT))
+
+				for _, vals := range []struct {
+					name string
+					v, c vec
+				}{{"sum", vp, cp}, {"count", vec{}, vec{}}, {"int", vk, ck}} {
+					what := "group/" + vals.name
+					mk := func(keys, v vec) *GroupAgg {
+						m := &i64fMap{}
+						klo, khi := keys.widen(noKeys())
+						m.tryPositional(klo, khi, keys.Len(), false)
+						return &GroupAgg{keys: keys, vals: v, agg: m}
+					}
+					g, gSteps, gWant := mk(vk, vals.v), mk(vk, vals.v), mk(ck, vals.c)
+					if g.agg.span != gWant.agg.span || g.agg.base != gWant.agg.base {
+						t.Fatalf("%s %s: a table sized from the view spans %d from %d, from the copy %d from %d", label, what, g.agg.span, g.agg.base, gWant.agg.span, gWant.agg.base)
+					}
+					g.compute(nil)
+					chunked(gSteps.runRange)
+					gWant.compute(nil)
+					wk, ws, _, _ := sortedGroups(gWant.agg, nil, nil, heapPairs)
+					for _, got := range []*GroupAgg{g, gSteps} {
+						gk, gs, _, _ := sortedGroups(got.agg, nil, nil, heapPairs)
+						eqI64(t, label+" "+what, gk, wk)
+						eqF64(t, label+" "+what, gs, ws)
+					}
+					standalone(what, mk(vk, vals.v), mk(ck, vals.c))
+				}
+			}
+		}
+	}
+}
+
+// TestDiffViewsInTheEngine is the engine drive's differential of views: one
+// plan, stepped stage by stage with SplitMix64-random budgets, as the engine
+// lowers it (its projections that only Map2, Sum, GroupSum and Count read
+// are views, the candidate lists under them live on until the last of
+// those reads, every job goes to a helper) and on an identical engine with
+// no death masks, where every sparse projection is gathered and nothing is
+// freed. The plan projects through a sparse list whose last direct reader
+// is a projection, and draws a selection's storage before the views over it
+// are read, through a dense list, through a list whose every partition is
+// empty and, from the third pass on, through replayed lists.
+// After every Step the cycles used, the done flag and every counter of the
+// machine must agree, after every pass every result, and in the end both
+// pools must be at rest.
+func TestDiffViewsInTheEngine(t *testing.T) {
+	sp := spec("views",
+		Scan("lineitem", "l_extendedprice", "cheap", PredFLess(300)),
+		Refine("cheap", "lineitem", "l_orderkey", "none", PredIEq(-1)),
+		ScanAll("lineitem", "l_shipdate", "all"),
+		Refine("all", "lineitem", "l_discount", "some", PredFRange(0.02, 0.05)),
+		Project("cheap", "lineitem", "l_orderkey", "k"),
+		Project("cheap", "lineitem", "l_extendedprice", "p"),
+		Project("cheap", "lineitem", "l_discount", "d"),
+		Map2("p", "d", "rev", MapMulComplement),
+		Project("cheap", "lineitem", "l_quantity", "q"), // the last direct read of cheap
+		// A selection of about cheap's size: had cheap's lists gone back
+		// to the pool, its join would draw them and write over them.
+		Scan("lineitem", "l_extendedprice", "again", PredFLess(290)),
+		Count("again", "n"),
+		GroupSum("k", "rev", "g1"),
+		Sum("q", "units"), // cheap dies here, under q
+		Project("all", "lineitem", "l_quantity", "aq"),
+		Project("all", "lineitem", "l_orderkey", "ak"),
+		GroupSum("ak", "aq", "g2"),
+		Project("none", "lineitem", "l_discount", "nd"),
+		Sum("nd", "nothing"),
+		Count("nd", "nrows"),
+		Project("some", "lineitem", "l_shipdate", "sk"),
+		Project("some", "lineitem", "l_extendedprice", "sp"),
+		GroupSum("sk", "sp", "g3"),
+		GroupMerge("g1", "gk1", "gs1"),
+		GroupMerge("g2", "gk2", "gs2"),
+		GroupMerge("g3", "gk3", "gs3"),
+	)
+	plan := sp.Lower()
+	if len(ViewListDeaths(plan)) == 0 {
+		t.Fatal("no candidate list of the plan outlives its last direct reader")
+	}
+	type side struct {
+		m   *numa.Machine
+		eng *Engine
+		ctx sched.ExecContext
+	}
+	for _, seed := range diffSeeds {
+		mk := func() *side {
+			r := newDBRig(t, 30000, PlacementOS)
+			eng, err := NewEngine(r.store, Config{Scheduler: r.sched, PID: 101, Fanout: 4, MinPartRows: 64, ParseCycles: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stockPool(&eng.pool, seed, 64, 1<<13)
+			return &side{m: r.machine, eng: eng, ctx: sched.ExecContext{Machine: r.machine, PID: 101}}
+		}
+		views, copies := mk(), mk()
+		SetHandoff(views.eng, HandoffAll)
+		r := newDiffRNG(seed)
+		budget := func() uint64 {
+			switch r.intn(3) {
+			case 0:
+				return 300 + uint64(r.intn(3000))
+			case 1:
+				return 5000 + uint64(r.intn(40000))
+			}
+			return 1 << 40
+		}
+		made := 0
+		for pass := 1; pass <= 3; pass++ {
+			vq, cq := HandQuery(views.eng, plan), planningQuery(copies.eng)
+			for oi := range sp.Ops {
+				vts, cts := PlanStep(vq, oi), planOp(cq, &sp.Ops[oi])
+				if len(vts) != len(cts) {
+					t.Fatalf("seed %d pass %d op %d: %d tasks, gathered %d", seed, pass, oi, len(vts), len(cts))
+				}
+				if ps := vq.vars[sp.Ops[oi].Out]; sp.Ops[oi].Kind == OpProject && ps.cand != nil {
+					for _, f := range ps.Parts {
+						made += b2i(f.sparse)
+					}
+				}
+				for ti := range vts {
+					views.ctx.Core = numa.CoreID((oi + 3*ti) % views.m.Topology().TotalCores())
+					copies.ctx.Core = views.ctx.Core
+					for n := 0; ; n++ {
+						b := budget()
+						uv, dv := vts[ti].Step(&views.ctx, b)
+						uc, dc := cts[ti].Step(&copies.ctx, b)
+						if uv != uc || dv != dc {
+							t.Fatalf("seed %d pass %d op %d task %d step %d (budget %d): used %d done %v, gathered %d %v", seed, pass, oi, ti, n, b, uv, dv, uc, dc)
+						}
+						if !reflect.DeepEqual(views.m.Snapshot(), copies.m.Snapshot()) {
+							t.Fatalf("seed %d pass %d op %d task %d step %d: numa counters differ from the gathered run", seed, pass, oi, ti, n)
+						}
+						if dv {
+							break
+						}
+					}
+				}
+			}
+			vs, vi, vf := Results(vq)
+			cs, _, _ := Results(cq)
+			if !reflect.DeepEqual(vs, cs) || vs["units"] == 0 || vs["nrows"] != 0 {
+				t.Fatalf("seed %d pass %d: scalars %v, gathered %v", seed, pass, vs, cs)
+			}
+			for name := range vi {
+				label := fmt.Sprintf("seed %d pass %d: %s", seed, pass, name)
+				eqI64(t, label, vi[name], cq.Var(name).FlattenI64())
+				eqF64(t, label, vf[name], cq.Var(name).FlattenF64())
+			}
+			if len(vi) != 6 {
+				t.Fatalf("seed %d pass %d: %d variables bound at the end, want the 6 merged results", seed, pass, len(vi))
+			}
+			ReleaseHand(views.eng, vq)
+			releaseByHand(copies.eng, cq)
+		}
+		if _, replays, _ := views.eng.rec.counts(); replays == 0 || made == 0 {
+			t.Fatalf("seed %d: %d replays, %d sparse views", seed, replays, made)
+		}
+		for _, e := range []*Engine{views.eng, copies.eng} {
 			if err := poolAtRest(e); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

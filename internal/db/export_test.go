@@ -222,6 +222,7 @@ func HandQuery(e *Engine, p *Plan) *Query {
 // go back to the pool, and the new stage's jobs go to the host pool.
 func PlanStep(q *Query, i int) []Task {
 	q.bury(&q.eng.pool)
+	q.stage = i
 	q.doom(i)
 	tasks := planOp(q, &q.Plan.Ops[i])
 	handOff(tasks)
@@ -300,14 +301,14 @@ func OpenJobs(e *Engine) (int, error) {
 			case *Gather:
 				risk = inPool(extent(k.cand.I), extent(k.out.I), extent(k.out.F))
 			case *MapBinary:
-				risk = inPool(extent(k.a.F), extent(k.b.F), extent(k.res))
+				risk = inPool(extent(k.a.I), extent(k.a.F), extent(k.b.I), extent(k.b.F), extent(k.res))
 			case *SumAgg:
-				risk = inPool(extent(k.in.F))
+				risk = inPool(extent(k.in.I), extent(k.in.F))
 			case *HashProbe:
 				risk = pooled[k.set] || inPool(extent(k.cand.I), extent(k.ids), extent(k.payloads))
 			case *GroupAgg:
 				risk = pooled[k.agg] || inPool(extent(k.keys.I), extent(k.keys.F))
-				if k.vals != nil {
+				if k.vals.BAT != nil {
 					risk = risk || inPool(extent(k.vals.I), extent(k.vals.F))
 				}
 			}
@@ -352,3 +353,25 @@ func Reparks(q *Query) uint64 { return q.gate.Reparks() }
 
 // SetVar binds a named intermediate.
 func (q *Query) SetVar(name string, ps *PartSet) { q.vars[name] = ps }
+
+// ViewListDeaths returns the steps of p at which a candidate list dies
+// under a view: after its last direct reader, at the last read of a view
+// over it.
+func ViewListDeaths(p *Plan) []int {
+	var steps []int
+	for i, mask := range p.dies {
+		if mask>>underShift&0b11 != 0 {
+			steps = append(steps, i)
+		}
+	}
+	return steps
+}
+
+// appendI64 appends the integer tail to dst, writing out a dense
+// candidate's OIDs: how the tests read a fragment whole.
+func (b *BAT) appendI64(dst []int64) []int64 {
+	for oid := b.seq; oid < b.seq+b.n; oid++ {
+		dst = append(dst, int64(oid))
+	}
+	return append(dst, b.I...)
+}

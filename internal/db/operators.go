@@ -366,13 +366,19 @@ func lowerRefine(q *Query, op *OpSpec) []Task {
 
 // lowerProject plans algebra.projection (OpProject): it gathers base-column
 // values at the candidate positions in variable In, producing aligned value
-// fragments in Out. A fragment over a dense candidate is a view of the rows
-// it covers; its task charges the gathered reads and the materializing
-// write all the same.
+// fragments in Out. A fragment over a dense candidate list, and one whose
+// readers all read strips (viewBit, lifetimes), is a view — of the base rows
+// the list covers, or of the list's ids — whose task charges the gathered
+// reads and the materializing write all the same; only the copy's job
+// beside the model is gone.
 func lowerProject(q *Query, op *OpSpec) []Task {
 	c := q.eng.store.Table(op.Table).Col(op.Col)
 	inPS := q.Var(op.In)
 	ps := q.newVar(op.Out, c.Kind, len(inPS.Parts))
+	views := q.stage < len(q.Plan.dies) && q.Plan.dies[q.stage]&viewBit != 0
+	if views {
+		ps.col, ps.cand = c, inPS
+	}
 	slab := takeSlab(&q.gatherSlab, len(inPS.Parts))
 	q.tasks = q.tasks[:0]
 	for i, cand := range inPS.Parts {
@@ -380,11 +386,9 @@ func lowerProject(q *Query, op *OpSpec) []Task {
 			continue
 		}
 		s, outB := &slab[i], ps.Parts[i]
-		switch lo, hi := cand.seq, cand.seq+cand.n; {
-		case cand.n > 0 && c.Kind == KindI64:
-			outB.I, outB.view = c.I[lo:hi:hi], true
-		case cand.n > 0:
-			outB.F, outB.view = c.F[lo:hi:hi], true
+		switch {
+		case views || cand.n > 0:
+			outB.viewOf(c, cand)
 		case c.Kind == KindI64:
 			outB.I = q.scratchI64(cand.Len())
 		default:
@@ -416,7 +420,7 @@ func lowerMap2(q *Query, op *OpSpec) []Task {
 			continue
 		}
 		s, fb := &slab[i], pb.Parts[i]
-		s.op = MapBinary{a: fa, b: fb, f: f, res: q.scratchF64(fa.Len()), out: ps.Parts[i]}
+		s.op = MapBinary{a: pa.at(i), b: pb.at(i), f: f, res: q.scratchF64(fa.Len()), out: ps.Parts[i]}
 		s.init("batcalc.*", q.Machine(), &s.op, 0, fa.Len(), cyclesMap, fa, fb)
 		q.beside(&s.chunkTask, &s.op)
 		q.tasks = append(q.tasks, &s.chunkTask)
@@ -435,7 +439,7 @@ func lowerSum(q *Query, op *OpSpec) []Task {
 			continue
 		}
 		s := &slab[i]
-		s.op = SumAgg{in: frag, q: q, scalar: op.Out}
+		s.op = SumAgg{in: ps.at(i), q: q, scalar: op.Out}
 		s.init("aggr.sum", q.Machine(), &s.op, 0, frag.Len(), cyclesSum, frag)
 		q.beside(&s.chunkTask, &s.op)
 		q.tasks = append(q.tasks, &s.chunkTask)
@@ -503,8 +507,8 @@ func buildWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
 	}
 	m := q.eng.pool.getMapII()
 	lo, hi := noKeys()
-	for _, frag := range keys.Parts {
-		lo, hi = frag.widen(lo, hi)
+	for pi := range keys.Parts {
+		lo, hi = keys.at(pi).widen(lo, hi)
 	}
 	if !m.tryPositional(lo, hi, keys.Rows(), vals == nil) {
 		m.reserve(keys.Rows())
@@ -515,11 +519,7 @@ func buildWork(q *Query, op *OpSpec, ctx *sched.ExecContext) uint64 {
 			continue
 		}
 		cost += frag.chargeRange(ctx, 0, frag.Len(), false)
-		var vf *BAT
-		if vals != nil {
-			vf = vals.Parts[pi]
-		}
-		hb := HashBuild{keys: frag.byPosition(), vals: vf.byPosition(), set: m}
+		hb := HashBuild{keys: keys.at(pi), vals: vals.at(pi), set: m}
 		hb.runRange(0, frag.Len())
 		cost += uint64(frag.Len()) * cyclesBuild
 	}
@@ -611,18 +611,18 @@ func lowerGroupSum(q *Query, op *OpSpec) []Task {
 		if kf == nil || kf.Len() == 0 {
 			continue
 		}
-		s, vf := &slab[i], vals.Parts[i]
+		s, kv, vv := &slab[i], keys.at(i), vals.at(i)
 		if op.In2 == "" {
-			vf = nil // count mode
+			vv = vec{} // count mode
 		}
 		// A partial over a dense enough key range is sized here, once;
 		// one left in hash form grows by doubling, its distinct count
 		// being unknown.
 		partials[i] = q.eng.pool.getMapIF()
-		lo, hi := kf.widen(noKeys())
+		lo, hi := kv.widen(noKeys())
 		partials[i].tryPositional(lo, hi, kf.Len(), false)
-		s.op = GroupAgg{keys: kf.byPosition(), vals: vf.byPosition(), agg: partials[i]}
-		s.init("group.sum", q.Machine(), &s.op, 0, kf.Len(), cyclesGroup, kf, vf)
+		s.op = GroupAgg{keys: kv, vals: vv, agg: partials[i]}
+		s.init("group.sum", q.Machine(), &s.op, 0, kf.Len(), cyclesGroup, kf, vv.BAT)
 		q.beside(&s.chunkTask, &s.op)
 		q.tasks = append(q.tasks, &s.chunkTask)
 	}
@@ -682,11 +682,15 @@ func (q *Query) setGroups(keysVar, sumsVar string, ks []int64, sums []float64) (
 // filterWork is the single task of OpGroupFilter: it keeps the merged groups
 // whose sum exceeds Keep (a HAVING sum > t clause); the variables In (keys)
 // and In2 (sums) are replaced, and the replaced pair dies when the stage
-// drains (the step is its last reader).
+// drains (the step is its last reader). The survivors are counted first, so
+// the pair is drawn at their number.
 func filterWork(q *Query, op *OpSpec, _ *sched.ExecContext) uint64 {
 	keys, sums := q.Var(op.In).valuesI64(), q.Var(op.In2).valuesF64()
-	ks := q.scratchI64(len(keys))
-	ss := q.scratchF64(len(sums))
+	n := 0
+	for _, s := range sums {
+		n += b2i(s > op.Keep)
+	}
+	ks, ss := q.scratchI64(n), q.scratchF64(n)
 	for i, s := range sums {
 		if s > op.Keep {
 			ks = append(ks, keys[i])

@@ -17,6 +17,20 @@ type PartSet struct {
 	// lin is the lineage of a selection's output, which fixes its lists
 	// (recycle.go); 0, as newVar leaves it, is none.
 	lin uint32
+	// col and cand are set on a projection its readers read through strips
+	// (lowerProject, viewBit): the base column a sparse view's ids index and
+	// the candidate list they are the ids of, which lives as long as the
+	// views do (lifetimes).
+	col  *BAT
+	cand *PartSet
+}
+
+// at returns fragment i as the kernels read it; nil reads as no fragment.
+func (ps *PartSet) at(i int) vec {
+	if ps == nil {
+		return vec{}
+	}
+	return vec{ps.Parts[i], ps.col}
 }
 
 // Rows returns the total row count across fragments.
@@ -28,21 +42,30 @@ func (ps *PartSet) Rows() int {
 	return n
 }
 
-// FlattenI64 concatenates integer fragments (result extraction); dense
-// candidate fragments are written out.
+// FlattenI64 concatenates integer fragments (result extraction), read as
+// the kernels read them: dense candidate fragments are written out, sparse
+// views gathered.
 func (ps *PartSet) FlattenI64() []int64 {
 	out := make([]int64, 0, ps.Rows())
-	for _, p := range ps.Parts {
-		out = p.appendI64(out)
+	var buf intStrip
+	for i, p := range ps.Parts {
+		for a, n := 0, p.Len(); a < n && p.Kind == KindI64; a += stripRows {
+			out = append(out, ps.at(i).ints(a, min(a+stripRows, n), &buf)...)
+		}
 	}
 	return out
 }
 
-// FlattenF64 concatenates float fragments (result extraction).
+// FlattenF64 concatenates float fragments (result extraction), read as
+// the kernels read them.
 func (ps *PartSet) FlattenF64() []float64 {
 	out := make([]float64, 0, ps.Rows())
-	for _, p := range ps.Parts {
-		out = append(out, p.F...)
+	var buf floatStrip
+	for i := range ps.Parts {
+		v := ps.at(i)
+		for a, n := 0, v.floatRows(); a < n; a += stripRows {
+			out = append(out, v.floats(a, min(a+stripRows, n), &buf)...)
+		}
 	}
 	return out
 }
@@ -51,7 +74,7 @@ func (ps *PartSet) FlattenF64() []float64 {
 // operator to read: a merged variable's one fragment in place, anything
 // else concatenated.
 func (ps *PartSet) valuesI64() []int64 {
-	if len(ps.Parts) == 1 && ps.Parts[0].n == 0 {
+	if len(ps.Parts) == 1 && ps.Parts[0].n == 0 && !ps.Parts[0].sparse {
 		return ps.Parts[0].I
 	}
 	return ps.FlattenI64()
@@ -59,7 +82,7 @@ func (ps *PartSet) valuesI64() []int64 {
 
 // valuesF64 is valuesI64 for float variables.
 func (ps *PartSet) valuesF64() []float64 {
-	if len(ps.Parts) == 1 {
+	if len(ps.Parts) == 1 && !ps.Parts[0].sparse {
 		return ps.Parts[0].F
 	}
 	return ps.FlattenF64()
@@ -82,13 +105,13 @@ type Plan struct {
 	// are still bound.
 	Stages []StageFn
 	// dies holds a death mask per step of Ops: which values die when its
-	// stage drains, and which it writes are results (lifetimes). A plan
-	// built without Lower has none, and its queries return no storage to
-	// the pool. short backs dies for plans of up to its length, so a plan
-	// stays one object beside its ops (the longest TPC-H plan has 19
-	// steps).
-	dies  []uint8
-	short [32]uint8
+	// stage drains, which it writes are results and whether a projection
+	// makes views (lifetimes). A plan built without Lower has none: its
+	// queries make no sparse views and return no storage to the pool.
+	// short backs dies for plans of up to its length, so a plan stays one
+	// object beside its ops (the longest TPC-H plan has 19 steps).
+	dies  []uint16
+	short [32]uint16
 }
 
 // Query is one executing instance of a plan, owned by a client session.
@@ -126,6 +149,7 @@ type queryBody struct {
 	scalars  map[string]float64
 	partials map[string][]*i64fMap // grouped-aggregation partials
 
+	// stage is the step being lowered, and the next one once it is.
 	stage     int
 	pending   int
 	taskQueue deque.Deque[*dispatched] // per-query dataflow queue (PlacementOS)
@@ -134,9 +158,9 @@ type queryBody struct {
 	tasks []Task
 
 	// dying holds the ndying values captured for the stage in flight, one
-	// per bit of its step's death mask, whose storage goes back to the pool
+	// per death bit of its step's mask, whose storage goes back to the pool
 	// when it drains (pool.go).
-	dying  [4]held
+	dying  [6]held
 	ndying int
 
 	// The arenas the query's bindings are made of: fragment headers, their

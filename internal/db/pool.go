@@ -15,10 +15,13 @@ import "math/bits"
 // storage a stage uses only while it runs (the group merge's table and sort
 // pair) goes back at once. A selection's or probe's survivors are drawn
 // once, at the exact size class, when its job is joined (beside.go). A view
-// owns nothing: a projection through a dense candidate list borrows its
-// tail from the base column (BAT.view), a replayed selection from a list
-// the engine's recycler keeps (recycle.go), and free drops that slice
-// without filing it, so no later stage can write into either.
+// owns nothing: a projection its readers read through strips borrows its
+// tail (BAT.view) — the base rows a dense candidate list covers, or a
+// sparse list's ids, which makes the list live until the last read of a
+// view over it (lifetimes) — a replayed selection borrows a list the
+// engine's recycler keeps (recycle.go), and free drops that slice without
+// filing it, so no later stage can write into the store, a kept list or a
+// list a view still reads, and a list goes back once, as itself.
 //
 // The query's own bookkeeping is recycled whole: Release detaches the
 // released query's body (its name maps, the arenas its BAT headers,
@@ -300,7 +303,8 @@ func (q *Query) hold(b binding) held {
 }
 
 // doom captures the values that die with step i, before the step is
-// lowered.
+// lowered: those its refs name, and the candidate lists under the views it
+// is the last to read.
 func (q *Query) doom(i int) {
 	if i >= len(q.Plan.dies) {
 		return
@@ -312,7 +316,25 @@ func (q *Query) doom(i int) {
 			q.dying[q.ndying] = q.hold(b)
 			q.ndying++
 		}
+		if k < 2 && mask>>(underShift+k)&1 != 0 {
+			b, _ := op.binding(r)
+			q.dying[q.ndying] = q.holdList(q.vars[b.name].cand)
+			q.ndying++
+		}
 	}
+}
+
+// holdList captures the candidate list under a view, under the name that
+// still binds it, if one does.
+func (q *Query) holdList(ps *PartSet) held {
+	h := held{vals: ps}
+	for name, v := range q.vars {
+		if v == ps {
+			h.name = name
+			break
+		}
+	}
+	return h
 }
 
 // bury returns the storage of the captured bindings to the pool: the stage
@@ -340,7 +362,7 @@ func (q *Query) free(p *bufPool, h held) {
 				p.putI64(b.I)
 				p.putF64(b.F)
 			}
-			b.I, b.F, b.view = nil, nil, false
+			b.I, b.F, b.view, b.sparse = nil, nil, false, false
 		}
 		if q.vars[h.name] == ps {
 			delete(q.vars, h.name)

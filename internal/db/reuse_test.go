@@ -177,3 +177,45 @@ func TestViewsAreNeverWrittenNorPooled(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestViewListsOutliveTheirViews: a projection that only maps, sums and
+// grouped sums read is a view of its candidate list's ids, so the list must
+// live until the last of those reads, past its own last reader — Q1's c1
+// dies at the grouped sum that reads k and v through it, Q3's cl2 at the
+// one that reads lok. All 22 queries run at once, twice, with every job on
+// a helper, on an engine whose pool starts stocked with poisoned buffers:
+// a list that went back to the pool early would be drawn and overwritten by
+// a stage of another query while a view over it is still read. Every
+// result must equal that of the query alone on a fresh engine whose jobs
+// run at their joins, and after each pass the pool is at rest.
+func TestViewListsOutliveTheirViews(t *testing.T) {
+	plans := make([]*db.Plan, tpch.QueryCount)
+	for n := 1; n <= tpch.QueryCount; n++ {
+		plans[n-1] = tpch.Build(n, uint64(n))
+	}
+	for _, n := range []int{1, 3} {
+		if len(db.ViewListDeaths(plans[n-1])) == 0 {
+			t.Fatalf("Q%d: no candidate list lives on under a view", n)
+		}
+	}
+	alone := make([]outcome, len(plans))
+	for i := range plans {
+		am, asc, eng := tpchRig(t, false)
+		db.SetHandoff(eng, db.HandoffNone)
+		alone[i] = runTPCH(t, am, asc, eng, plans[i:i+1])[0]
+	}
+	m, sc, eng := tpchRig(t, true)
+	db.SetHandoff(eng, db.HandoffAll)
+	for pass := 1; pass <= 2; pass++ {
+		got := runTPCH(t, m, sc, eng, plans)
+		for i, p := range plans {
+			got[i].latency = alone[i].latency // in flight, a query runs slower
+			if !reflect.DeepEqual(got[i], alone[i]) {
+				t.Errorf("pass %d: %s in flight %+v, alone %+v", pass, p.Name, got[i], alone[i])
+			}
+		}
+		if err := db.PoolAtRest(eng); err != nil {
+			t.Errorf("pass %d: %v", pass, err)
+		}
+	}
+}

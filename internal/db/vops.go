@@ -284,13 +284,10 @@ func NewGather(col, cand, out *BAT) *Gather {
 
 func (g *Gather) runRange(a, b int) {
 	cand, c, outB := g.cand, g.col, g.out
-	if b = min(b, cand.Len()); a >= b {
-		return
+	if b = min(b, cand.Len()); a >= b || outB.view {
+		return // a view: its readers read those rows through it
 	}
 	if cand.n > 0 { // positions a … b are rows seq+a … seq+b: a slice copy
-		if outB.view {
-			return // the engine's projection: out is those rows already
-		}
 		lo, hi := cand.seq+a, cand.seq+b
 		if c.Kind == KindI64 {
 			outB.I = append(outB.I, c.I[lo:hi]...)
@@ -347,10 +344,10 @@ func (g *Gather) Next(n int) *BAT {
 }
 
 // MapBinary is the batcalc binary arithmetic operator: out[k] =
-// f(a[k], b[k]) over two aligned float vectors. One input unit is one
-// aligned row.
+// f(a[k], b[k]) over two aligned float vectors, read a strip at a time.
+// One input unit is one aligned row.
 type MapBinary struct {
-	a, b *BAT
+	a, b vec
 	f    func(x, y float64) float64
 	res  []float64
 
@@ -362,17 +359,22 @@ type MapBinary struct {
 
 // NewMapBinary builds the operator over aligned float BATs a and b.
 func NewMapBinary(a, b *BAT, f func(x, y float64) float64, buf []float64) *MapBinary {
-	return &MapBinary{a: a, b: b, f: f, res: buf}
+	return &MapBinary{a: vec{BAT: a}, b: vec{BAT: b}, f: f, res: buf}
 }
 
 func (mb *MapBinary) runRange(lo, hi int) {
-	fa, fb, f := mb.a.F, mb.b.F, mb.f
-	if hi = min(hi, len(fa)); lo >= hi {
+	f := mb.f
+	if hi = min(hi, mb.a.floatRows()); lo >= hi {
 		return
 	}
 	res, buf := growFor(mb.res, hi-lo)
-	for k, x := range fa[lo:hi] {
-		buf[k] = f(x, fb[lo+k])
+	var sa, sb floatStrip
+	for a := lo; a < hi; a += stripRows {
+		b := min(a+stripRows, hi)
+		xs, ys, out := mb.a.floats(a, b, &sa), mb.b.floats(a, b, &sb), buf[a-lo:b-lo]
+		for k, x := range xs {
+			out[k] = f(x, ys[k])
+		}
 	}
 	mb.res = res[:len(res)+hi-lo]
 }
@@ -408,10 +410,11 @@ func (mb *MapBinary) Next(n int) *BAT {
 	return tailViewF64(mb.a.Name+".map", mb.res, mark)
 }
 
-// SumAgg is the aggr.sum operator: it folds a float vector into one
-// scalar, emitted as a single-row batch once the input is exhausted.
+// SumAgg is the aggr.sum operator: it folds a float vector, read a strip
+// at a time, into one scalar, emitted as a single-row batch once the input
+// is exhausted.
 type SumAgg struct {
-	in      *BAT
+	in      vec
 	partial float64
 
 	cursor  int
@@ -424,12 +427,14 @@ type SumAgg struct {
 }
 
 // NewSumAgg builds the operator over the float BAT in.
-func NewSumAgg(in *BAT) *SumAgg { return &SumAgg{in: in} }
+func NewSumAgg(in *BAT) *SumAgg { return &SumAgg{in: vec{BAT: in}} }
 
 func (s *SumAgg) runRange(a, b int) {
-	frag := s.in
-	for k := a; k < b && k < len(frag.F); k++ {
-		s.partial += frag.F[k]
+	var buf floatStrip
+	for b = min(b, s.in.floatRows()); a < b; a += stripRows {
+		for _, x := range s.in.floats(a, min(a+stripRows, b), &buf) {
+			s.partial += x
+		}
 	}
 }
 
@@ -472,11 +477,11 @@ func (s *SumAgg) Next(n int) *BAT {
 }
 
 // HashBuild is the hash-join build-side operator: it inserts key →
-// payload pairs into an i64Map (payload 1 when vals is nil, the semijoin
-// membership case). One input unit is one key row; the build side itself
-// is the product, exposed by Result.
+// payload pairs, read a strip at a time, into an i64Map (payload 1 when
+// vals is nil, the semijoin membership case). One input unit is one key
+// row; the build side itself is the product, exposed by Result.
 type HashBuild struct {
-	keys, vals *BAT
+	keys, vals vec
 	set        *i64Map
 
 	cursor  int
@@ -487,21 +492,30 @@ type HashBuild struct {
 // NewHashBuild builds the operator inserting into set (pass a pooled
 // scratch map inside the engine).
 func NewHashBuild(keys, vals *BAT, set *i64Map) *HashBuild {
-	return &HashBuild{keys: keys.byPosition(), vals: vals.byPosition(), set: set}
+	return &HashBuild{keys: vec{BAT: keys}, vals: vec{BAT: vals}, set: set}
 }
 
 func (hb *HashBuild) runRange(a, b int) {
-	keys, vals := hb.keys, hb.vals
-	for k := a; k < b && k < len(keys.I); k++ {
-		payload := int64(1)
-		if vals != nil {
-			if vals.Kind == KindI64 {
-				payload = vals.I[k]
-			} else {
-				payload = int64(vals.F[k])
+	vals, set := hb.vals, hb.set
+	var kb, pb intStrip
+	var fb floatStrip
+	for b = min(b, hb.keys.Len()); a < b; a += stripRows {
+		e := min(a+stripRows, b)
+		keys := hb.keys.ints(a, e, &kb)
+		switch {
+		case vals.BAT == nil:
+			for _, k := range keys {
+				set.Put(k, 1)
+			}
+		case vals.Kind == KindI64:
+			for i, p := range vals.ints(a, e, &pb) {
+				set.Put(keys[i], p)
+			}
+		default:
+			for i, p := range vals.floats(a, e, &fb) {
+				set.Put(keys[i], int64(p))
 			}
 		}
-		hb.set.Put(keys.I[k], payload)
 	}
 }
 
@@ -682,12 +696,12 @@ func (hp *HashProbe) Next(n int) *BAT {
 }
 
 // GroupAgg is the partial phase of grouped aggregation (group.sum): it
-// accumulates sum(vals) per key into an i64fMap (count per key when vals
-// is nil). One input unit is one key row. Finalize merges and sorts the
-// table into aligned key/sum vectors, mirroring the engine's mat.pack
-// phase for a single partition.
+// accumulates sum(vals) per key, read a strip at a time, into an i64fMap
+// (count per key when vals is nil). One input unit is one key row.
+// Finalize merges and sorts the table into aligned key/sum vectors,
+// mirroring the engine's mat.pack phase for a single partition.
 type GroupAgg struct {
-	keys, vals *BAT
+	keys, vals vec
 	agg        *i64fMap
 
 	cursor  int
@@ -698,29 +712,36 @@ type GroupAgg struct {
 // NewGroupAgg builds the operator accumulating into agg (pass a pooled
 // scratch map inside the engine; vals nil counts rows per key).
 func NewGroupAgg(keys, vals *BAT, agg *i64fMap) *GroupAgg {
-	return &GroupAgg{keys: keys.byPosition(), vals: vals.byPosition(), agg: agg}
+	return &GroupAgg{keys: vec{BAT: keys}, vals: vec{BAT: vals}, agg: agg}
 }
 
 func (ga *GroupAgg) runRange(a, b int) {
-	kf, vf := ga.keys, ga.vals
-	b = min(b, len(kf.I))
-	switch {
-	case a >= b:
-	case vf == nil:
-		ga.agg.addAll(kf.I[a:b], nil)
-	case vf.Kind == KindF64 && len(vf.F) >= b:
-		ga.agg.addAll(kf.I[a:b], vf.F[a:b])
-	default: // integer values, or fewer values than keys (the rest count 1)
-		for k := a; k < b; k++ {
-			v := 1.0
-			if vf.Len() > k {
-				if vf.Kind == KindF64 {
-					v = vf.F[k]
-				} else {
-					v = float64(vf.I[k])
+	vf := ga.vals
+	var kb, ib intStrip
+	var fb floatStrip
+	for b = min(b, ga.keys.Len()); a < b; a += stripRows {
+		e := min(a+stripRows, b)
+		keys := ga.keys.ints(a, e, &kb)
+		switch {
+		case vf.BAT == nil:
+			ga.agg.addAll(keys, nil)
+		case vf.Kind == KindF64 && vf.Len() >= e:
+			ga.agg.addAll(keys, vf.floats(a, e, &fb))
+		default: // integer values, or fewer values than keys (the rest count 1)
+			vs, n := fb[:len(keys)], max(min(e, vf.Len())-a, 0)
+			switch {
+			case n == 0:
+			case vf.Kind == KindF64:
+				copy(vs, vf.floats(a, a+n, &fb))
+			default:
+				for k, x := range vf.ints(a, a+n, &ib) {
+					vs[k] = float64(x)
 				}
 			}
-			ga.agg.Add(kf.I[k], v)
+			for k := n; k < len(vs); k++ {
+				vs[k] = 1
+			}
+			ga.agg.addAll(keys, vs)
 		}
 	}
 }

@@ -146,54 +146,98 @@ func (op *OpSpec) refs() [4]ref {
 // reads, no later step reading it; for a write ref, the value the name held
 // before, overwritten unread. Bit k+2 of a write ref (k = 2, 3) says the
 // value the step writes there is a result: no later step reads it, and the
-// query holds it until Release.
-const resultBits = 0b110000
+// query holds it until Release. Bit k+underShift of a read ref (k = 0, 1)
+// says the value it reads is a view whose candidate list dies with it: no
+// later step reads the list or a view over it. viewBit on a projection says
+// its output is a view (lowerProject): every step that reads it reads it
+// through strips.
+const (
+	resultBits = 0b11 << 4
+	underShift = 6
+	viewBit    = 1 << 8
+)
+
+// readsStrips reports whether steps of kind k read their value inputs
+// through strips (vec) or not at all: a projection that only such steps
+// read is a view. A hash build reads its keys on the model's own thread
+// (buildWork), so what it reads stays gathered beside the model.
+func (k OpKind) readsStrips() bool {
+	return k == OpMap2 || k == OpSum || k == OpGroupSum || k == OpCount
+}
 
 // lifetimes fills dies, one death mask per step of ops, with where each
-// value the steps write dies, or that it is a result.
-func lifetimes(ops []OpSpec, dies []uint8) {
+// value the steps write dies, or that it is a result, and which
+// projections are views. A candidate list under a view dies at the last
+// read of it or of a view over it, whichever comes later.
+func lifetimes(ops []OpSpec, dies []uint16) {
 	// val is a value a name holds: the step that wrote it (-1 for a read
-	// of a name nothing wrote) and through which ref, the last step that
-	// read it so far (-1 for none) and through which ref.
+	// of a name nothing wrote), the last step that read it so far (-1 for
+	// none) and the step that wrote the name again (-1 while it holds the
+	// value), each with the ref it went through. A projection's output
+	// records the value it projects through (over, -1 for none) and whether
+	// every step that read it so far reads strips; a candidate list, the
+	// last step that reads a view over it (under, -1 for none).
 	type val struct {
-		b                 binding
-		wrote, last       int
-		writeRef, readRef uint8
+		b                                    binding
+		wrote, last, killed, over, under     int
+		writeRef, readRef, killRef, underRef uint8
+		strips                               bool
 	}
-	var buf [32]val
+	var buf [48]val
 	vals := buf[:0]
 	for i := range ops {
-		for k, r := range ops[i].refs() {
-			b, ok := ops[i].binding(r)
+		op, in := &ops[i], -1
+		for k, r := range op.refs() {
+			b, ok := op.binding(r)
 			if !ok {
 				continue
 			}
 			j := len(vals) - 1 // newest first: a step mostly reads a recent product
-			for j >= 0 && vals[j].b != b {
+			for j >= 0 && (vals[j].b != b || vals[j].killed >= 0) {
 				j--
 			}
-			switch {
-			case k < 2 && j < 0:
-				vals = append(vals, val{b: b, wrote: -1, last: i, readRef: uint8(k)})
-			case k < 2:
-				vals[j].last, vals[j].readRef = i, uint8(k)
-			case j < 0:
-				vals = append(vals, val{b: b, wrote: i, last: -1, writeRef: uint8(k)})
-			default:
-				if v := vals[j]; v.last >= 0 {
-					dies[v.last] |= 1 << v.readRef
-				} else {
-					dies[i] |= 1 << k
+			if k < 2 {
+				if j < 0 {
+					vals = append(vals, val{b: b, wrote: -1, killed: -1, over: -1, under: -1})
+					j = len(vals) - 1
 				}
-				vals[j] = val{b: b, wrote: i, last: -1, writeRef: uint8(k)}
+				v := &vals[j]
+				v.last, v.readRef = i, uint8(k)
+				v.strips = v.strips && op.Kind.readsStrips()
+				if k == 0 {
+					in = j
+				}
+				continue
 			}
+			if j >= 0 {
+				vals[j].killed, vals[j].killRef = i, uint8(k)
+			}
+			w := val{b: b, wrote: i, last: -1, killed: -1, over: -1, under: -1, writeRef: uint8(k)}
+			if op.Kind == OpProject {
+				w.over, w.strips = in, true
+			}
+			vals = append(vals, w)
 		}
 	}
 	for _, v := range vals {
-		if v.last >= 0 {
-			dies[v.last] |= 1 << v.readRef
-		} else {
+		if v.over < 0 || v.last < 0 || !v.strips {
+			continue
+		}
+		dies[v.wrote] |= viewBit
+		if c := &vals[v.over]; v.last > c.under || v.last == c.under && v.readRef > c.underRef {
+			c.under, c.underRef = v.last, v.readRef
+		}
+	}
+	for _, v := range vals {
+		switch {
+		case v.last < 0 && v.killed >= 0:
+			dies[v.killed] |= 1 << v.killRef
+		case v.last < 0:
 			dies[v.wrote] |= 1 << (v.writeRef + 2)
+		case v.under > v.last:
+			dies[v.under] |= 1 << (underShift + v.underRef)
+		default:
+			dies[v.last] |= 1 << v.readRef
 		}
 	}
 }
@@ -412,8 +456,9 @@ func (s PlanSpec) Compile(st *Store) (*Plan, error) {
 // Lower returns the executable plan of a spec without checking it: the
 // plan holds s.Ops, and the engine hands each step to its kind's lowering
 // function when a query reaches it. Lower also works out, once per plan,
-// where each intermediate dies (lifetimes): the engine returns its host
-// storage to the pool when the stage of its last reader drains. The plan
+// where each intermediate dies and which projections are views
+// (lifetimes): the engine returns an intermediate's host storage to the
+// pool when the stage of its last reader drains. The plan
 // reads s.Ops in place, so the spec must not be modified afterwards. A step
 // the catalog check would reject panics when its stage is planned (a kind
 // outside the table panics here): lower unchecked only what a test
@@ -427,7 +472,7 @@ func (s PlanSpec) Lower() *Plan {
 	p := &Plan{Name: s.Name, Ops: s.Ops}
 	p.dies = p.short[:]
 	if len(s.Ops) > len(p.short) {
-		p.dies = make([]uint8, len(s.Ops))
+		p.dies = make([]uint16, len(s.Ops))
 	}
 	p.dies = p.dies[:len(s.Ops)]
 	lifetimes(s.Ops, p.dies)

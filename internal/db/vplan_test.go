@@ -417,27 +417,31 @@ func TestPlanSpecString(t *testing.T) {
 // (bit 0 or 1, the read ref it comes through) — also when a later step
 // writes its name again, or the step itself rewrites it — or, written and
 // never read, at the step that overwrites it (bit 2 or 3); a value no later
-// step reads is a result (bit 4 or 5, the write ref that produced it). Run
-// on an engine, the plan leaves exactly its results bound.
+// step reads is a result (bit 4 or 5, the write ref that produced it). A
+// projection that only Map2, Sum, GroupSum or Count read is a view
+// (viewBit), and the candidate list under it dies at the last read of the
+// list or of a view over it (bit 6 or 7, the read ref of that view), even
+// when its name is written again in between. Run on an engine, the plan
+// leaves exactly its results bound.
 func TestLifetimes(t *testing.T) {
 	ops := []OpSpec{
 		Scan("t", "k", "a", PredIRange(0, 6)),  // 0
-		Project("a", "t", "v", "v"),            // 1: the first a dies
+		Project("a", "t", "v", "v"),            // 1: a view, over the first a
 		Scan("t", "k", "a", PredIRange(2, 8)),  // 2: a is written again
 		Scan("t", "k", "dead", PredIEq(3)),     // 3
 		Scan("t", "k", "dead", PredIEq(4)),     // 4: overwrites dead unread
-		Map2("v", "v", "w", MapMul),            // 5: v dies, read last through In2
+		Map2("v", "v", "w", MapMul),            // 5: v dies, read last through In2, and the first a under it
 		Sum("w", "s"),                          // 6: w dies
 		Build("a", "", "set"),                  // 7
 		ProbeSemi("a", "t", "k", "set", "hit"), // 8: a and the set die
-		Project("hit", "t", "k", "keys"),       // 9: hit dies
-		GroupSum("keys", "", "parts"),          // 10: keys die
+		Project("hit", "t", "k", "keys"),       // 9: a view, over hit
+		GroupSum("keys", "", "parts"),          // 10: keys die, and hit under them
 		GroupMerge("parts", "gk", "gs"),        // 11: the partials die
 		GroupFilter("gk", "gs", 0),             // 12: the merged pair dies, rewritten
 	}
-	want := []uint8{0, 0b0001, 0, 0, 0b010100, 0b0010, 0b0001, 0, 0b0011, 0b0001, 0b0001, 0b0001, 0b110011}
+	want := []uint16{0, viewBit, 0, 0, 0b010100, 0b10000010, 0b0001, 0, 0b0011, viewBit, 0b1000001, 0b0001, 0b110011}
 	if got := lower("lifetimes", ops...).dies; !reflect.DeepEqual(got, want) {
-		t.Errorf("death masks %06b, want %06b", got, want)
+		t.Errorf("death masks %09b, want %09b", got, want)
 	}
 	q := newOpRig(t).exec(t, ops...)
 	var bound []string
